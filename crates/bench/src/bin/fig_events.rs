@@ -24,8 +24,8 @@
 //! Flags: `--scale <f>` (default 0.01), `--quick` (smaller scale and
 //! fewer iterations — the CI smoke).
 
-use std::time::{Duration, Instant};
-use xtwig_bench::{host_parallelism, scale_from_args, xmark_forest, POOL_PAGES};
+use std::time::Duration;
+use xtwig_bench::{host_parallelism, measure_iters, scale_from_args, xmark_forest, POOL_PAGES};
 use xtwig_core::engine::EngineOptions;
 use xtwig_core::{parse_xpath, QueryEngine, Strategy};
 use xtwig_service::{Event, EventJournal, RequestCtx, ServiceOptions, TwigService};
@@ -34,24 +34,6 @@ struct Row {
     bench: String,
     min_ns: u128,
     mean_ns: u128,
-}
-
-/// Per-iteration wall times of `iters` runs of `f` after `warmup`
-/// untimed runs (caches hot, branch predictors settled), as (min, mean).
-fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> (Duration, Duration) {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut min = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        let t = start.elapsed();
-        min = min.min(t);
-        total += t;
-    }
-    (min, total / iters as u32)
 }
 
 fn main() {
@@ -105,7 +87,7 @@ fn main() {
 
     // The unsampled dispatch path — what every ordinary wire query pays.
     let plain_ctx = RequestCtx::default();
-    let (min, mean) = measure(warmup, iters, || {
+    let (min, mean) = measure_iters(warmup, iters, || {
         let a = svc.execute_with(&twig, Strategy::RootPaths, &plain_ctx).expect("execute");
         assert_eq!(a.ids.len(), expected);
     });
@@ -114,7 +96,7 @@ fn main() {
     // The opt-in path: sample=true re-executes traced and records into
     // the slow ring, so this row prices one sampled request end to end.
     let mut next_id = 1u64;
-    let (min, mean) = measure(warmup, iters, || {
+    let (min, mean) = measure_iters(warmup, iters, || {
         let ctx = RequestCtx { request_id: next_id, sample: true, peer: "bench:0".to_owned() };
         next_id += 1;
         let a = svc.execute_with(&twig, Strategy::RootPaths, &ctx).expect("execute sampled");
@@ -128,7 +110,7 @@ fn main() {
 
     // One journal append: the inline cost of every emitted event.
     let journal = EventJournal::new(256);
-    let (min, mean) = measure(warmup * 100, iters * 100, || {
+    let (min, mean) = measure_iters(warmup * 100, iters * 100, || {
         journal.emit(Event::SlowQuery {
             query: "//person/name".to_owned(),
             micros: 1,
@@ -139,7 +121,7 @@ fn main() {
     record("events/emit".into(), min, mean);
 
     // One cursor read over a full ring: an `Events` request's server cost.
-    let (min, mean) = measure(warmup, iters, || {
+    let (min, mean) = measure_iters(warmup, iters, || {
         let page = journal.since(0, 256);
         assert!(!page.is_empty());
     });

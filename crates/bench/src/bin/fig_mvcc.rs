@@ -27,8 +27,8 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use xtwig_bench::{host_parallelism, scale_from_args, xmark_forest, POOL_PAGES};
+use std::time::Duration;
+use xtwig_bench::{host_parallelism, measure_iters, scale_from_args, xmark_forest, POOL_PAGES};
 use xtwig_core::engine::EngineOptions;
 use xtwig_core::{parse_xpath, Strategy};
 use xtwig_service::{ServiceOptions, TwigService, UpdateOp};
@@ -38,24 +38,6 @@ struct Row {
     bench: String,
     min_ns: u128,
     mean_ns: u128,
-}
-
-/// Per-iteration wall times of `iters` runs of `f` after `warmup`
-/// untimed runs (caches hot, branch predictors settled), as (min, mean).
-fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> (Duration, Duration) {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut min = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        let t = start.elapsed();
-        min = min.min(t);
-        total += t;
-    }
-    (min, total / iters as u32)
 }
 
 /// The ops inserting one synthetic person (node ids derived from `k`)
@@ -125,7 +107,7 @@ fn main() {
     };
 
     // Baseline: the reader stream with no maintenance anywhere.
-    let (min, mean) = measure(warmup, iters, || {
+    let (min, mean) = measure_iters(warmup, iters, || {
         let a = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
         assert!(!a.ids.is_empty());
     });
@@ -136,7 +118,7 @@ fn main() {
     // warmup: each commit mutates state, and the first fork is as real
     // a cost as the last.)
     let mut commit_k = 0u64;
-    let (min, mean) = measure(0, iters.min(200), || {
+    let (min, mean) = measure_iters(0, iters.min(200), || {
         svc.apply_update(round_ops(&tags, commit_k));
         commit_k += 1;
     });
@@ -163,7 +145,7 @@ fn main() {
     while commits.load(Ordering::SeqCst) == 0 {
         std::thread::yield_now(); // writer warm before sampling
     }
-    let (min, mean) = measure(warmup, iters, || {
+    let (min, mean) = measure_iters(warmup, iters, || {
         let a = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
         assert!(!a.ids.is_empty());
     });

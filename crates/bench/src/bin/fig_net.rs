@@ -27,8 +27,8 @@
 //! fewer iterations — the CI smoke).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use xtwig_bench::{host_parallelism, scale_from_args, xmark_forest, POOL_PAGES};
+use std::time::Duration;
+use xtwig_bench::{host_parallelism, measure_iters, scale_from_args, xmark_forest, POOL_PAGES};
 use xtwig_core::engine::EngineOptions;
 use xtwig_core::{parse_xpath, QueryEngine, Strategy};
 use xtwig_net::{Client, Server};
@@ -38,24 +38,6 @@ struct Row {
     bench: String,
     min_ns: u128,
     mean_ns: u128,
-}
-
-/// Per-iteration wall times of `iters` runs of `f` after `warmup`
-/// untimed runs (caches hot, branch predictors settled), as (min, mean).
-fn measure(warmup: usize, iters: usize, mut f: impl FnMut()) -> (Duration, Duration) {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut min = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        let t = start.elapsed();
-        min = min.min(t);
-        total += t;
-    }
-    (min, total / iters as u32)
 }
 
 fn main() {
@@ -130,20 +112,20 @@ fn main() {
 
     // Baseline: the dispatch path a connection thread runs, minus the
     // socket — direct execution on this thread.
-    let (min, mean) = measure(warmup, iters, || {
+    let (min, mean) = measure_iters(warmup, iters, || {
         let a = svc.execute(&twig, Strategy::RootPaths).expect("execute");
         assert_eq!(a.ids.len(), expected.len());
     });
     record("inproc/query".into(), min, mean);
 
     // The transport floor: an empty protocol round trip.
-    let (min, mean) = measure(warmup, iters, || {
+    let (min, mean) = measure_iters(warmup, iters, || {
         client.ping().expect("ping");
     });
     record("wire/ping".into(), min, mean);
 
     // The full wire round trip, answer identity asserted every time.
-    let (min, mean) = measure(warmup, iters, || {
+    let (min, mean) = measure_iters(warmup, iters, || {
         let a = client.query("xmark", "//person/name", "RP").expect("wire query");
         assert_eq!(a.ids, expected, "wire answer drifted from in-process");
     });

@@ -156,6 +156,25 @@ pub fn measure(
     }
 }
 
+/// Per-iteration wall times of `iters` runs of `f` after `warmup`
+/// untimed runs (caches hot, branch predictors settled), as (min, mean)
+/// — the timer behind the `fig_mvcc`/`fig_net`/`fig_events` rows.
+pub fn measure_iters(warmup: usize, iters: usize, mut f: impl FnMut()) -> (Duration, Duration) {
+    for _ in 0..warmup {
+        f();
+    }
+    let mut min = Duration::MAX;
+    let mut total = Duration::ZERO;
+    for _ in 0..iters {
+        let start = Instant::now();
+        f();
+        let t = start.elapsed();
+        min = min.min(t);
+        total += t;
+    }
+    (min, total / iters as u32)
+}
+
 /// Prints a table of measurements grouped by label.
 pub fn print_table(title: &str, rows: &[Measurement]) {
     println!("\n### {title}");

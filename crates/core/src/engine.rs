@@ -190,7 +190,9 @@ pub struct QueryEngine<F: Borrow<XmlForest> = Arc<XmlForest>> {
     // structure's pool into an index file and reconstructs the engine
     // from the stored catalog on open.
     pub(crate) forest: F,
-    pub(crate) stats: PathStats,
+    // Immutable after build, so forks share it: the value maps are
+    // large, and a commit must not pay for cloning them.
+    pub(crate) stats: Arc<PathStats>,
     pub(crate) rp: Option<(RootPaths, Arc<BufferPool>)>,
     pub(crate) dp: Option<(DataPaths, Arc<BufferPool>)>,
     pub(crate) pruned_tags: Option<HashSet<TagId>>,
@@ -258,7 +260,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             || want(Strategy::IndexFabricEdge)
             || want(Strategy::JoinIndex);
         let pool = || Arc::new(BufferPool::in_memory(options.pool_pages));
-        let stats = PathStats::build_sharded(f, plan);
+        let stats = Arc::new(PathStats::build_sharded(f, plan));
         let pruned_tags = options
             .head_filter_tags
             .as_ref()

@@ -11,14 +11,18 @@
 //! `Arc`, writers fork the newest generation, apply their update, and
 //! publish the fork as the next generation.
 //!
-//! Cost model: a fork copies **no index pages**. Each maintainable
-//! structure gets a fresh (cold) pool whose COW backend shares the
-//! sealed base image plus `Arc`-shared overlay pages; the never-mutated
-//! comparison structures (Edge, DataGuide, Index Fabric, ASR, Join
-//! Indices) reattach over the *same* shared pool, exactly like a
-//! persisted catalog reopen — structure shells are rebuilt from their
-//! own metadata via the [`crate::persist`] codec, which allocates and
-//! builds nothing.
+//! Cost model: a fork copies **no index pages** and allocates nothing
+//! per frame of capacity. Each maintainable structure gets a *warm*
+//! pool — same page table, resident set and LRU order as its parent,
+//! every frame pointing at the parent's page image — whose COW backend
+//! shares the sealed base image plus `Arc`-shared overlay pages; a page
+//! is copied when the fork first writes it. The path statistics are
+//! shared by `Arc` (nothing updates them after build). The
+//! never-mutated comparison structures (Edge, DataGuide, Index Fabric,
+//! ASR, Join Indices) reattach over the *same* shared pool, exactly
+//! like a persisted catalog reopen — structure shells are rebuilt from
+//! their own metadata via the [`crate::persist`] codec, which allocates
+//! and builds nothing.
 
 use crate::asr::AccessSupportRelations;
 use crate::dataguide::DataGuide;

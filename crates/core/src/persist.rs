@@ -714,7 +714,7 @@ impl QueryEngine<Arc<XmlForest>> {
             XmlForest::from_snapshot(r.bytes()?)
                 .map_err(|e| OpenError::Format(format!("forest snapshot: {e}")))?,
         );
-        let stats = PathStats::open_meta(&mut r)?;
+        let stats = Arc::new(PathStats::open_meta(&mut r)?);
         let pruned_tags: Option<HashSet<TagId>> = if r.bool()? {
             let n = r.u32()? as usize;
             let mut tags = HashSet::with_capacity(n.min(1 << 16));

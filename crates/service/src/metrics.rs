@@ -306,14 +306,20 @@ pub fn render_metrics(
             writeln!(out, "xtwig_query_latency_micros_count{{strategy=\"{label}\"}} {}", l.count);
     }
 
-    // Per-pool page counters (cumulative since engine build).
-    let pool_metrics: [MetricRow<PoolCounters>; 3] = [
+    // Per-pool page counters, cumulative since engine build: a commit's
+    // forked pool inherits its parent's counters, so the series never
+    // step backwards. The resident-page gauge is the current epoch's.
+    let pool_metrics: [MetricRow<PoolCounters>; 5] = [
         ("xtwig_pool_page_reads_total", "Buffer-pool page requests per pool", |p| p.page_reads()),
         ("xtwig_pool_misses_total", "Buffer-pool misses per pool", |p| p.misses()),
         ("xtwig_pool_pins_total", "Page pins acquired per pool", |p| p.pins()),
+        ("xtwig_pool_cow_copies_total", "Page images copied on first write after a fork", |p| {
+            p.cow_copies()
+        }),
+        ("xtwig_pool_resident_pages", "Page images materialized per pool", |p| p.resident_pages()),
     ];
     for (name, help, get) in pool_metrics {
-        header(&mut out, name, help, "counter");
+        header(&mut out, name, help, if name.ends_with("_total") { "counter" } else { "gauge" });
         for (pool, counters) in pools {
             let _ = writeln!(out, "{name}{{pool=\"{pool}\"}} {}", get(counters));
         }

@@ -753,12 +753,15 @@ impl TwigService {
     /// returns the generation that serves them.
     ///
     /// Snapshot isolation, not mutual exclusion: the writer forks the
-    /// newest epoch's engine ([`QueryEngine::fork`] — copy-on-write, no
-    /// page copies), applies every op to the fork, journals the ops for
-    /// future rebuilds, and publishes the fork as the next epoch. In-
-    /// flight queries keep reading the epoch they pinned and **never
-    /// block on this writer**; queries submitted after the publish see
-    /// every op. Concurrent writers serialize on the maintenance lock.
+    /// newest epoch's engine ([`QueryEngine::fork`] — a warm copy-on-
+    /// write fork: the new pools share every resident page image with
+    /// the old ones and copy a page only when an op first writes it),
+    /// applies every op to the fork, journals the ops for future
+    /// rebuilds, and publishes the fork as the next epoch. In-flight
+    /// queries keep reading the epoch they pinned and **never block on
+    /// this writer**; queries submitted after the publish see every op
+    /// and find the pool as warm as the one they left. Concurrent
+    /// writers serialize on the maintenance lock.
     pub fn apply_update(&self, ops: Vec<UpdateOp>) -> u64 {
         let mut maint = self.shared.maintenance.lock();
         let current = self.shared.pin();
@@ -775,8 +778,10 @@ impl TwigService {
         self.shared.stats.updates.fetch_add(1, Ordering::Relaxed);
         drop(maint);
         self.shared.events.emit(Event::UpdateCommitted { generation, ops: op_count });
-        // Displaced epoch may hold the last reference to forked pools;
-        // drop it outside both locks.
+        // The displaced epoch may hold the last reference to its pools.
+        // Tearing them down frees only the page images the new epoch
+        // does not share (the ones this commit replaced), but it still
+        // walks every resident frame: do it outside both locks.
         drop(old);
         generation
     }

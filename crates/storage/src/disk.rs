@@ -21,6 +21,12 @@ pub trait StorageBackend: Send + Sync {
     fn read_page(&self, pid: PageId, buf: &mut [u8]);
     /// Writes `buf` to page `pid`.
     fn write_page(&self, pid: PageId, buf: &[u8]);
+    /// Writes an `Arc`'d page image to page `pid`. Backends that keep
+    /// written pages in memory override this to share the image with
+    /// the caller instead of copying it.
+    fn write_page_shared(&self, pid: PageId, page: &Arc<PageBuf>) {
+        self.write_page(pid, page.bytes());
+    }
     /// Allocates a fresh zeroed page and returns its id.
     fn allocate(&self) -> PageId;
     /// Number of allocated pages.
@@ -206,9 +212,11 @@ pub struct ExtentBackend {
     base: u32,
     extent_pages: u32,
     /// Pages written (or allocated) after open, keyed by pool-local id.
-    /// Pages are `Arc`'d so [`StorageBackend::cow_fork`] can share them:
-    /// a write always *replaces* the map entry with a fresh page, never
-    /// mutates a shared one, so a fork's view is frozen at fork time.
+    /// Pages are `Arc`'d so [`StorageBackend::cow_fork`] and the buffer
+    /// pool that wrote them can share them: a write always *replaces*
+    /// the map entry, never mutates a shared page (the pool copies a
+    /// shared image before writing it), so a fork's view is frozen at
+    /// fork time.
     overlay: Mutex<HashMap<u32, Arc<PageBuf>>>,
     /// Pages allocated past the extent (pool-local id space only).
     overflow: AtomicU32,
@@ -254,6 +262,10 @@ impl StorageBackend for ExtentBackend {
         // Replace, never mutate: a fork sharing the old `Arc` page keeps
         // seeing the pre-write content.
         self.overlay.lock().insert(pid.0, Arc::new(page_from(buf)));
+    }
+
+    fn write_page_shared(&self, pid: PageId, page: &Arc<PageBuf>) {
+        self.overlay.lock().insert(pid.0, page.clone());
     }
 
     fn allocate(&self) -> PageId {
@@ -340,6 +352,10 @@ impl StorageBackend for CowBackend {
         self.overlay.lock().insert(pid.0, Arc::new(page_from(buf)));
     }
 
+    fn write_page_shared(&self, pid: PageId, page: &Arc<PageBuf>) {
+        self.overlay.lock().insert(pid.0, page.clone());
+    }
+
     fn allocate(&self) -> PageId {
         PageId(self.base_pages + self.overflow.fetch_add(1, Ordering::SeqCst))
     }
@@ -423,6 +439,12 @@ impl DiskManager {
     /// Writes `buf` to page `pid`.
     pub fn write_page(&self, pid: PageId, buf: &[u8]) {
         self.backend.write_page(pid, buf);
+    }
+
+    /// Writes a shareable page image to page `pid` (see
+    /// [`StorageBackend::write_page_shared`]).
+    pub fn write_page_shared(&self, pid: PageId, page: &Arc<PageBuf>) {
+        self.backend.write_page_shared(pid, page);
     }
 
     /// Allocates a fresh page.
@@ -614,6 +636,22 @@ mod tests {
         cow.read_page(p, &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
         assert_eq!(base.num_pages(), 1, "base never grows through the fork");
+    }
+
+    #[test]
+    fn write_page_shared_shares_with_overlays_and_copies_into_plain_backends() {
+        let page = Arc::new(page_from(&vec![4u8; PAGE_SIZE]));
+        let mem = MemBackend::new();
+        mem.allocate();
+        mem.write_page_shared(PageId(0), &page);
+        assert_eq!(Arc::strong_count(&page), 1, "a plain backend copies the bytes");
+        let cow = CowBackend::over(Arc::new(mem));
+        cow.write_page_shared(PageId(0), &page);
+        assert_eq!(Arc::strong_count(&page), 2, "an overlay holds the image itself");
+        assert_eq!(cow.overlay_pages(), 1);
+        let mut buf = vec![0u8; PAGE_SIZE];
+        cow.read_page(PageId(0), &mut buf);
+        assert!(buf.iter().all(|&b| b == 4));
     }
 
     #[test]

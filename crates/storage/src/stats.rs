@@ -23,6 +23,9 @@ pub struct IoStats {
     pub allocations: AtomicU64,
     /// Frame pins acquired (cumulative; never decremented on unpin).
     pub pins: AtomicU64,
+    /// Page images copied because a write found them shared with a
+    /// sibling pool or an overlay (copy on first write after a fork).
+    pub cow_copies: AtomicU64,
 }
 
 impl IoStats {
@@ -61,6 +64,11 @@ impl IoStats {
         self.pins.fetch_add(1, Ordering::Relaxed);
     }
 
+    #[inline]
+    pub(crate) fn record_cow_copy(&self) {
+        self.cow_copies.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Point-in-time copy of all counters.
     pub fn snapshot(&self) -> IoStatsSnapshot {
         IoStatsSnapshot {
@@ -70,6 +78,7 @@ impl IoStats {
             evictions: self.evictions.load(Ordering::Relaxed),
             allocations: self.allocations.load(Ordering::Relaxed),
             pins: self.pins.load(Ordering::Relaxed),
+            cow_copies: self.cow_copies.load(Ordering::Relaxed),
         }
     }
 
@@ -81,6 +90,7 @@ impl IoStats {
         self.evictions.store(0, Ordering::Relaxed);
         self.allocations.store(0, Ordering::Relaxed);
         self.pins.store(0, Ordering::Relaxed);
+        self.cow_copies.store(0, Ordering::Relaxed);
     }
 }
 
@@ -100,6 +110,8 @@ pub struct IoStatsSnapshot {
     pub allocations: u64,
     /// Frame pins acquired.
     pub pins: u64,
+    /// Page images copied on first write while shared.
+    pub cow_copies: u64,
 }
 
 impl IoStatsSnapshot {
@@ -112,6 +124,7 @@ impl IoStatsSnapshot {
             evictions: self.evictions.saturating_sub(earlier.evictions),
             allocations: self.allocations.saturating_sub(earlier.allocations),
             pins: self.pins.saturating_sub(earlier.pins),
+            cow_copies: self.cow_copies.saturating_sub(earlier.cow_copies),
         }
     }
 
@@ -129,18 +142,21 @@ impl IoStatsSnapshot {
 /// layers that sample page reads/misses/pins without holding the pool
 /// itself (obtained via `BufferPool::counters`).
 ///
-/// Reads are single relaxed atomic loads; cloning is one `Arc` clone.
+/// Reads are single relaxed atomic loads; cloning is two `Arc` clones.
 /// The handle stays valid (and keeps its final values) after the pool
-/// is dropped.
+/// is dropped. The cumulative counters are shared along a chain of
+/// `BufferPool::cow_fork`s, so they never reset at a commit; the
+/// resident-page gauge belongs to the one pool the handle came from.
 #[derive(Debug, Clone)]
 pub struct PoolCounters {
     stats: Arc<IoStats>,
+    resident: Arc<AtomicU64>,
 }
 
 impl PoolCounters {
-    /// Wraps a pool's shared counters.
-    pub(crate) fn new(stats: Arc<IoStats>) -> Self {
-        PoolCounters { stats }
+    /// Wraps a pool's shared counters and its resident-page gauge.
+    pub(crate) fn new(stats: Arc<IoStats>, resident: Arc<AtomicU64>) -> Self {
+        PoolCounters { stats, resident }
     }
 
     /// Buffer-pool page requests (hits + misses).
@@ -156,6 +172,17 @@ impl PoolCounters {
     /// Frame pins acquired (cumulative).
     pub fn pins(&self) -> u64 {
         self.stats.pins.load(Ordering::Relaxed)
+    }
+
+    /// Page images copied on first write while shared with a sibling
+    /// pool or an overlay (cumulative).
+    pub fn cow_copies(&self) -> u64 {
+        self.stats.cow_copies.load(Ordering::Relaxed)
+    }
+
+    /// Materialized page images the pool holds right now (a gauge).
+    pub fn resident_pages(&self) -> u64 {
+        self.resident.load(Ordering::Relaxed)
     }
 
     /// Point-in-time copy of every counter.
@@ -231,7 +258,7 @@ mod tests {
     #[test]
     fn pool_counters_track_shared_stats() {
         let stats = Arc::new(IoStats::new());
-        let handle = PoolCounters::new(stats.clone());
+        let handle = PoolCounters::new(stats.clone(), Arc::default());
         let clone = handle.clone();
         stats.record_logical();
         stats.record_physical_read();

@@ -6,6 +6,8 @@
 //! under N reader threads doing pin/verify/unpin cycles, one writer
 //! thread mutating a disjoint set of pages, and one thread hammering
 //! `flush_all` (which must skip pinned frames rather than deadlock).
+//! The last test is the MVCC shape instead: readers on whichever pool
+//! is current while a writer runs a chain of `cow_fork`s under them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -197,4 +199,94 @@ fn pin_unpin_churn_many_threads_exact_counts() {
     assert_eq!(snap.physical_reads, 0, "hot set fits: all hits");
     // All pins released: clear_cache's pin==0 assertion must pass.
     pool.clear_cache();
+}
+
+#[test]
+fn readers_hammer_each_epoch_of_a_fork_chain() {
+    // The MVCC shape: a writer forks the newest pool, writes the fork
+    // while it is still private, publishes it and drops its handle on
+    // the parent; readers pin whichever pool is current and must see
+    // one consistent image of it — generation `g` everywhere `g` wrote,
+    // older generations elsewhere — however many epochs go by under
+    // them. Capacity covers the working set, so "buffer pool exhausted"
+    // would be a leak of pins or frames across the fork.
+    const PAGES: u64 = 16;
+    const GENERATIONS: u64 = 50;
+    const READERS: usize = 3;
+    // Generation g rewrites the pages i with i % 3 == g % 3.
+    fn expected(generation: u64, page: u64) -> u64 {
+        (0..=generation).rev().find(|g| g % 3 == page % 3 && *g > 0).unwrap_or(0)
+    }
+
+    let root = BufferPool::in_memory(32);
+    // Fresh pages read 0 — generation 0's image.
+    let pages: Arc<Vec<PageId>> = Arc::new((0..PAGES).map(|_| root.allocate().0).collect());
+    let current = Arc::new(std::sync::Mutex::new((0u64, Arc::new(root))));
+    let stop = Arc::new(AtomicBool::new(false));
+    let reads = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let start = Arc::new(std::sync::Barrier::new(READERS + 1));
+
+    let readers: Vec<_> = (0..READERS as u64)
+        .map(|t| {
+            let (current, stop, reads, start, pages) =
+                (current.clone(), stop.clone(), reads.clone(), start.clone(), pages.clone());
+            std::thread::spawn(move || {
+                let mut rng = Lcg(0xF0F0 ^ t);
+                start.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    let (generation, pool) = current.lock().unwrap().clone();
+                    for _ in 0..PAGES {
+                        let i = rng.next() % PAGES;
+                        let g = pool.fetch(pages[i as usize]);
+                        assert_eq!(
+                            get_u64(&g, 0),
+                            expected(generation, i),
+                            "gen {generation} page {i}"
+                        );
+                    }
+                    reads.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        })
+        .collect();
+
+    start.wait();
+    for generation in 1..=GENERATIONS {
+        // Let the readers work on every epoch before it is displaced.
+        let seen = reads.load(Ordering::Relaxed);
+        while reads.load(Ordering::Relaxed) < seen + READERS as u64 {
+            std::thread::yield_now();
+        }
+        let parent = current.lock().unwrap().1.clone();
+        // Only this thread writes, but a reader may still pin a page the
+        // last generation dirtied: such a page cannot be flushed under
+        // it, the fork is refused, and the writer retries — each
+        // attempt flushes what it can, so the dirty set only shrinks.
+        let child = loop {
+            match parent.cow_fork() {
+                Ok(child) => break child,
+                Err(_) => std::thread::yield_now(),
+            }
+        };
+        for i in (0..PAGES).filter(|i| i % 3 == generation % 3) {
+            put_u64(&mut child.fetch_mut(pages[i as usize]), 0, generation);
+        }
+        *current.lock().unwrap() = (generation, Arc::new(child));
+        drop(parent); // the last reader to unpin it tears it down
+    }
+    stop.store(true, Ordering::Relaxed);
+    for r in readers {
+        r.join().unwrap();
+    }
+
+    let (generation, pool) = current.lock().unwrap().clone();
+    assert_eq!(generation, GENERATIONS);
+    for i in 0..PAGES {
+        assert_eq!(get_u64(&pool.fetch(pages[i as usize]), 0), expected(GENERATIONS, i));
+    }
+    // Each generation copied exactly the pages it wrote, once.
+    let written: u64 =
+        (1..=GENERATIONS).map(|g| (0..PAGES).filter(|i| i % 3 == g % 3).count() as u64).sum();
+    assert_eq!(pool.counters().cow_copies(), written);
+    assert_eq!(pool.resident_pages(), PAGES as usize);
 }

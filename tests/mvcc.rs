@@ -262,6 +262,84 @@ fn answers_under_concurrent_writes_match_the_sequential_oracle() {
 }
 
 #[test]
+fn a_commit_publishes_a_warm_epoch_and_leaves_the_pinned_one_intact() {
+    // By exact counts, not timings: after a commit the new epoch's
+    // pools already hold what the old epoch's held, so re-running a
+    // warmed query set may read physically only what the commit itself
+    // replaced (pages it copied on first write, pages it allocated).
+    const QUERIES: [&str; 4] = [
+        "/book[title='XML']//author[fn='jane'][ln='doe']",
+        "//author[fn='john']/ln",
+        "/book[title='SQL']//ln[. = 'poe']",
+        "/book[year='2005']/title",
+    ];
+    const MAINTAINED: [Strategy; 2] = [Strategy::RootPaths, Strategy::DataPaths];
+    let svc = TwigService::build(
+        library_forest(),
+        EngineOptions { pool_pages: 512, ..Default::default() },
+        ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+    );
+    let tags = author_tags(&svc);
+    let twigs: Vec<TwigPattern> = QUERIES.iter().map(|q| parse_xpath(q).unwrap()).collect();
+    // One pass over the set: the answers, and the physical reads they cost.
+    let pass = |svc: &TwigService| -> (Vec<Vec<u8>>, u64) {
+        let mut reads = 0;
+        let answers = twigs
+            .iter()
+            .flat_map(|t| MAINTAINED.iter().map(move |s| (t, *s)))
+            .map(|(t, s)| {
+                let a = svc.submit(t, s).unwrap().wait().unwrap();
+                reads += a.metrics.physical_reads;
+                serialize(&a.ids)
+            })
+            .collect();
+        (answers, reads)
+    };
+    // Pages copied on first write and pages allocated, over both pools.
+    let replaced = |svc: &TwigService| -> u64 {
+        svc.with_engine(|e| {
+            e.pool_counters()
+                .iter()
+                .filter(|(name, _)| ["rootpaths", "datapaths"].contains(name))
+                .map(|(_, c)| c.cow_copies() + c.snapshot().allocations)
+                .sum()
+        })
+    };
+
+    let (oracle, _) = pass(&svc);
+    let (again, warm_reads) = pass(&svc);
+    assert_eq!(again, oracle);
+    assert_eq!(warm_reads, 0, "the set fits the pools: a second pass is all hits");
+
+    let before = replaced(&svc);
+    // Pin the pre-commit epoch across the commit, as an in-flight
+    // reader would, and query it once the new epoch is live.
+    let pinned = svc.with_engine(|old| {
+        svc.apply_update(round_ops(&tags, 0));
+        twigs
+            .iter()
+            .flat_map(|t| MAINTAINED.iter().map(move |s| serialize(&old.answer(t, *s).ids)))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(pinned, oracle, "the pinned epoch answers byte-identically after the commit");
+    let commit_replaced = replaced(&svc) - before;
+    assert!(commit_replaced > 0, "the commit rewrote shared pages");
+
+    let (after, reads) = pass(&svc);
+    assert_eq!(after, oracle, "the insert touches none of these answers");
+    assert!(
+        reads <= commit_replaced,
+        "new epoch read {reads} pages physically; the commit replaced only {commit_replaced}"
+    );
+    let w0 = parse_xpath("//author[fn='w0']").unwrap();
+    for s in MAINTAINED {
+        let a = svc.submit(&w0, s).unwrap().wait().unwrap();
+        assert_eq!(a.ids.iter().copied().collect::<Vec<_>>(), vec![10_000], "{s}");
+    }
+    svc.shutdown();
+}
+
+#[test]
 fn service_persist_folds_updates_and_reopens_for_serving() {
     // update → persist (fold) → TwigService::open: the reopened service
     // serves the folded updates on every strategy that can see them,

@@ -12,7 +12,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::parse_xpath;
-use xtwig::service::{render_metrics, EventJournal, MetricsRegistry, ServiceOptions, TwigService};
+use xtwig::service::{
+    render_metrics, EventJournal, MetricsRegistry, ServiceOptions, TwigService, UpdateOp,
+};
 use xtwig::xml::tree::fig1_book_document;
 use xtwig::xml::XmlForest;
 
@@ -226,6 +228,57 @@ fn metrics_text_parses_and_counters_are_monotonic() {
         buckets.last().unwrap().1,
         second["xtwig_query_latency_micros_count{strategy=\"RP\"}"]
     );
+    service.shutdown();
+}
+
+/// Every `_total` series is a Prometheus counter and must survive a
+/// commit: `apply_update` publishes an epoch over *forked* pools, and
+/// the per-pool series are read from whichever epoch is current, so a
+/// fork that started its counters afresh would step them back to zero.
+#[test]
+fn total_series_stay_monotonic_across_commits() {
+    let service = TwigService::build(
+        fig1_book_document(),
+        EngineOptions { pool_pages: 256, ..Default::default() },
+        ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+    );
+    let tags: Vec<_> = service.with_engine(|e| {
+        let dict = e.forest().dict();
+        ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
+    });
+    let query = |service: &TwigService| {
+        for s in [Strategy::RootPaths, Strategy::DataPaths] {
+            let twig = parse_xpath("//author[fn='jane']").unwrap();
+            service.submit(&twig, s).unwrap().wait().unwrap();
+        }
+    };
+    query(&service);
+    let mut last = parse_samples(&service.metrics_text());
+    assert!(last["xtwig_pool_page_reads_total{pool=\"rootpaths\"}"] > 0.0);
+    assert!(last["xtwig_pool_resident_pages{pool=\"rootpaths\"}"] > 0.0);
+    assert_eq!(last["xtwig_pool_cow_copies_total{pool=\"rootpaths\"}"], 0.0);
+    for k in 0..3u64 {
+        let author = 900 + 2 * k;
+        service.apply_update(vec![
+            UpdateOp::InsertPath { tags: tags[..3].to_vec(), ids: vec![1, 5, author], value: None },
+            UpdateOp::InsertPath {
+                tags: tags.clone(),
+                ids: vec![1, 5, author, author + 1],
+                value: Some(format!("w{k}")),
+            },
+        ]);
+        query(&service);
+        let now = parse_samples(&service.metrics_text());
+        for (name, &before) in last.iter().filter(|(name, _)| name.contains("_total")) {
+            let after = *now.get(name).unwrap_or_else(|| panic!("{name} vanished from scrape"));
+            assert!(after >= before, "commit {k}: {name} went backwards: {before} -> {after}");
+        }
+        for pool in ["rootpaths", "datapaths"] {
+            let copies = format!("xtwig_pool_cow_copies_total{{pool=\"{pool}\"}}");
+            assert!(now[&copies] > last[&copies], "commit {k} copied no {pool} page");
+        }
+        last = now;
+    }
     service.shutdown();
 }
 

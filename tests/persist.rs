@@ -357,6 +357,71 @@ fn overlay_folds_through_repeated_mutate_reopen_persist_cycles() {
 }
 
 #[test]
+fn fold_roundtrips_digests_with_images_shared_between_pool_and_overlay() {
+    // The MVCC fork path over a reopened file: each fork flushes the
+    // pages the last generation dirtied into the extent overlay *by
+    // reference* — pool frame and overlay then hold one image — and the
+    // next write to such a page must copy it, not edit the overlay's
+    // copy in place. A fold of that state has to reproduce the live
+    // engine's page images exactly.
+    let dir = TempDir::new("shared-fold");
+    let base = dir.path("base.xtwig");
+    QueryEngine::build(Arc::new(fig1_book_document()), EngineOptions::default())
+        .persist(&base)
+        .unwrap();
+    let opened = QueryEngine::open(&base).unwrap();
+    let tags: Vec<_> = {
+        let dict = opened.forest().dict();
+        ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
+    };
+    // Warm the parent so the first fork shares resident images too.
+    let jane = parse_xpath("//author[fn = 'jane']").unwrap();
+    for s in [Strategy::RootPaths, Strategy::DataPaths] {
+        assert_eq!(opened.answer(&jane, s).ids.len(), 2);
+    }
+    let mut current = opened.fork().unwrap();
+    for i in 0..4u64 {
+        let author = 900 + 2 * i;
+        let rp = current.rootpaths_mut().unwrap();
+        rp.insert_path(&tags[..3], &[1, 5, author], None);
+        rp.insert_path(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}")));
+        let dp = current.datapaths_mut().unwrap();
+        dp.insert_path(&tags[..3], &[1, 5, author], None);
+        dp.insert_path(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}")));
+        current = current.fork().unwrap();
+    }
+    let pools = current.pool_counters();
+    for name in ["rootpaths", "datapaths"] {
+        let (_, c) = pools.iter().find(|(n, _)| *n == name).unwrap();
+        assert!(c.cow_copies() >= 4, "{name}: every generation rewrote a shared page");
+    }
+    let rp_pool = current.rootpaths().unwrap().tree().pool();
+    assert!(rp_pool.overlay_pages() > 0, "the forks' writes live in the overlay");
+
+    let folded = dir.path("folded.xtwig");
+    current.persist(&folded).unwrap();
+    let (fresh, report) = QueryEngine::open_with_report(&folded).unwrap();
+    assert_eq!(report.digests_verified, Strategy::ALL.len());
+    for s in Strategy::ALL {
+        assert_eq!(
+            fresh.structure_digest(s),
+            current.structure_digest(s),
+            "{s} differs after fold"
+        );
+    }
+    assert_eq!(fresh.rootpaths().unwrap().tree().pool().overlay_pages(), 0);
+    for i in 0..4u64 {
+        let twig = parse_xpath(&format!("//author[fn = 'v{i}']")).unwrap();
+        for s in [Strategy::RootPaths, Strategy::DataPaths] {
+            assert_eq!(fresh.answer(&twig, s).ids.into_iter().collect::<Vec<_>>(), [900 + 2 * i]);
+        }
+    }
+    // The engine the chain started from never saw any of it.
+    let v0 = parse_xpath("//author[fn = 'v0']").unwrap();
+    assert!(opened.answer(&v0, Strategy::RootPaths).ids.is_empty());
+}
+
+#[test]
 fn corrupt_page_fails_the_digest_check() {
     let dir = TempDir::new("corrupt");
     let path = dir.path("idx.xtwig");
