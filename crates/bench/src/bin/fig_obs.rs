@@ -1,15 +1,14 @@
 //! `fig_obs` — tracing-overhead figure (no paper counterpart; the
 //! ROADMAP's observability item): what span tracing costs when it is
-//! on, and that it costs nothing when it is off.
+//! on, and what carrying the option costs when it is off.
 //!
-//! The engine keeps two copies of the executor: `answer_compiled_with`
-//! runs the original, byte-untouched `execute`, and
-//! `answer_compiled_traced` runs the instrumented twin that opens a
-//! span per pipeline stage. Tracing-off overhead is therefore zero *by
-//! construction* — the untraced path contains no tracing branches at
-//! all — and this figure measures the remaining question: the cost of
-//! the traced path itself, which `explain --analyze`, the slow-query
-//! log, and `advise` all pay.
+//! The engine has one executor body; `answer_compiled_with` hands it
+//! `None` or `Some(&mut Trace)`, and every span, per-step pool
+//! snapshot and detail string sits under that `Some`. The `off` rows
+//! are the hot path every untraced request runs, gated against
+//! `BENCH_obs.json`; the `on`/`off` ratio is what `explain --analyze`,
+//! a sampled request, and every execution under an enabled slow-query
+//! log pay.
 //!
 //! Both workloads interleave off/on samples (so frequency scaling and
 //! cache state hit both sides equally) and assert after every pair
@@ -60,8 +59,8 @@ fn main() {
     let (forest, profile) = xmark_forest(scale);
     println!("dataset: {} nodes", profile.nodes);
     // One scan-family and one walk-family strategy: the Edge family's
-    // deferred-counter drain is the traced path's most intrusive edit,
-    // so it must be under the overhead measurement.
+    // per-step deferred-counter drain is the costliest thing a trace
+    // adds, so it must be under the overhead measurement.
     let engine = engine(&forest, &[Strategy::RootPaths, Strategy::Edge]);
 
     let workloads: [(&str, &str, Strategy); 2] = [
@@ -75,21 +74,21 @@ fn main() {
         let (compiled, plan) = engine.compile(&twig).expect("workload tags exist");
 
         for _ in 0..warmup {
-            let _ = engine.answer_compiled_with(&compiled, &plan, strategy, None);
+            let _ = engine.answer_compiled_with(&compiled, &plan, strategy, None, None);
             let mut trace = Trace::new();
-            let _ = engine.answer_compiled_traced(&compiled, &plan, strategy, None, &mut trace);
+            let _ = engine.answer_compiled_with(&compiled, &plan, strategy, None, Some(&mut trace));
         }
 
         let mut off: Vec<Duration> = Vec::with_capacity(iters);
         let mut on: Vec<Duration> = Vec::with_capacity(iters);
         for _ in 0..iters {
             let start = Instant::now();
-            let a = engine.answer_compiled_with(&compiled, &plan, strategy, None);
+            let a = engine.answer_compiled_with(&compiled, &plan, strategy, None, None);
             off.push(start.elapsed());
 
             let mut trace = Trace::new();
             let start = Instant::now();
-            let b = engine.answer_compiled_traced(&compiled, &plan, strategy, None, &mut trace);
+            let b = engine.answer_compiled_with(&compiled, &plan, strategy, None, Some(&mut trace));
             on.push(start.elapsed());
 
             // Tracing must be purely observational.
@@ -125,10 +124,7 @@ fn main() {
             mean_ns: on_mean.as_nanos(),
         });
     }
-    println!(
-        "tracing-off overhead: 0% by construction — the untraced path is the \
-         original `execute`, with no tracing branches compiled into it"
-    );
+    println!("tracing-off overhead: the `off` rows run the same `execute`, handed no trace");
 
     // Hand-rolled JSON (no serde in the offline build); `group`/`bench`/
     // `min_ns` match the bench_check scanner.

@@ -227,6 +227,16 @@ impl Row {
     }
 }
 
+/// What one execution carries through the plan-step loop: the two
+/// counters [`QueryMetrics`] reports, the batch's probe memo, and the
+/// trace being recorded — the last two only when the caller has one.
+struct Exec<'a> {
+    probes: u64,
+    rows_fetched: u64,
+    memo: Option<&'a mut ProbeMemo>,
+    trace: Option<&'a mut Trace>,
+}
+
 impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// Builds the selected index configurations over `forest`.
     pub fn build(forest: F, options: EngineOptions) -> Self {
@@ -608,44 +618,85 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         plan: &QueryPlan,
         strategy: Strategy,
     ) -> QueryAnswer {
-        self.answer_compiled_with(compiled, plan, strategy, None)
+        self.answer_compiled_with(compiled, plan, strategy, None, None)
     }
 
     /// [`QueryEngine::answer_compiled`] with an optional cross-query
-    /// [`ProbeMemo`]: structurally identical FreeIndex subpath lookups
-    /// within one batch are issued once and their matches reused.
+    /// [`ProbeMemo`] — structurally identical FreeIndex subpath lookups
+    /// within one batch are issued once and their matches reused — and
+    /// an optional [`Trace`]. This is the one place a twig is executed:
+    /// snapshot the strategy's pools, run the plan, drain the deferred
+    /// lookup counters, report the deltas as [`QueryMetrics`].
+    ///
+    /// With a trace, the same execution additionally appends `resolve`,
+    /// `execute`, `step` and `materialize` spans to it, ranks the
+    /// strategy menu to capture the cost model's estimate, and records
+    /// one [`CalibrationSample`] into [`QueryEngine::calibration_log`].
+    /// Answer, strategy, plan and counter totals do not depend on
+    /// whether a trace was passed (pinned by the `observability` suite).
     pub fn answer_compiled_with(
         &self,
         compiled: &CompiledTwig,
         plan: &QueryPlan,
         strategy: Strategy,
         memo: Option<&mut ProbeMemo>,
+        mut trace: Option<&mut Trace>,
     ) -> QueryAnswer {
+        let requested = strategy;
+        let resolve = trace.as_deref_mut().map(|t| t.begin("resolve", ""));
         // Auto resolves to a concrete strategy before any index (or
         // metric counter) is touched.
-        let strategy = self.resolve_strategy(strategy, compiled, plan);
+        let strategy = self.resolve_strategy(requested, compiled, plan);
+        let mut est_reads = 0.0;
+        if let (Some(t), Some(r)) = (trace.as_deref_mut(), resolve) {
+            est_reads = self
+                .rank_strategies(compiled, plan)
+                .into_iter()
+                .find(|c| c.strategy == strategy)
+                .map_or(0.0, |c| c.est_page_reads);
+            if requested == Strategy::Auto {
+                t.annotate(r, format!("auto\u{2192}{}", strategy.label()));
+            } else {
+                t.annotate(r, strategy.label());
+            }
+            t.end(r, SpanCounters::default());
+        }
+
+        let execute = trace.as_deref_mut().map(|t| t.begin("execute", strategy.label()));
         let before = self.snapshot(strategy);
         self.drain_baseline_counters(strategy);
         let start = Instant::now();
-        let mut probes = 0u64;
-        let mut rows_fetched = 0u64;
-        let ids = self.execute(compiled, plan, strategy, &mut probes, &mut rows_fetched, memo);
+        let mut cx = Exec { probes: 0, rows_fetched: 0, memo, trace };
+        let ids = self.execute(compiled, plan, strategy, &mut cx);
         let elapsed = start.elapsed();
-        probes += self.drain_baseline_counters(strategy);
-        let after = self.snapshot(strategy);
-        let delta = after.since(&before);
-        QueryAnswer {
-            ids,
-            plan: plan.kind,
-            strategy,
-            metrics: QueryMetrics {
-                probes,
-                rows_fetched,
-                logical_reads: delta.logical_reads,
-                physical_reads: delta.physical_reads,
-                elapsed,
-            },
+        let probes = cx.probes + self.drain_baseline_counters(strategy);
+        let delta = self.snapshot(strategy).since(&before);
+        let metrics = QueryMetrics {
+            probes,
+            rows_fetched: cx.rows_fetched,
+            logical_reads: delta.logical_reads,
+            physical_reads: delta.physical_reads,
+            elapsed,
+        };
+        if let (Some(t), Some(e)) = (cx.trace, execute) {
+            t.end(
+                e,
+                SpanCounters {
+                    logical_reads: metrics.logical_reads,
+                    physical_reads: metrics.physical_reads,
+                    probes: metrics.probes,
+                    rows: metrics.rows_fetched,
+                },
+            );
+            self.calibration.record(CalibrationSample {
+                shape: twig_shape(&compiled.twig),
+                strategy,
+                est_reads,
+                actual_reads: metrics.physical_reads,
+                micros: elapsed.as_micros() as u64,
+            });
         }
+        QueryAnswer { ids, plan: plan.kind, strategy, metrics }
     }
 
     /// [`QueryEngine::answer`] with pipeline tracing: returns the
@@ -655,13 +706,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// time, buffer-pool logical/physical read deltas, probe counts,
     /// and rows.
     ///
-    /// The result and counter totals are identical to
-    /// [`QueryEngine::answer`] (pinned by the `observability` suite);
-    /// the untraced path shares none of the instrumentation — it
-    /// executes the exact pre-tracing code — so tracing *off* costs
-    /// nothing. Tracing *on* additionally ranks the strategy menu to
-    /// capture the cost model's estimate and records one
-    /// [`CalibrationSample`] into [`QueryEngine::calibration_log`].
+    /// The trace is handed to the same executor [`QueryEngine::answer`]
+    /// runs (see [`QueryEngine::answer_compiled_with`] for what a trace
+    /// adds), so result and counter totals are identical to the
+    /// untraced call; `fig_obs` prices the spans.
     ///
     /// # Panics
     /// Panics if the strategy's structures were not built.
@@ -683,7 +731,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     SpanCounters { rows: plan.steps.len() as u64, ..SpanCounters::default() },
                 );
                 let answer =
-                    self.answer_compiled_traced(&compiled, &plan, strategy, None, &mut trace);
+                    self.answer_compiled_with(&compiled, &plan, strategy, None, Some(&mut trace));
                 let m = &answer.metrics;
                 trace.end(
                     q,
@@ -696,83 +744,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 );
                 (answer, trace)
             }
-        }
-    }
-
-    /// The execution back half of [`QueryEngine::answer_traced`],
-    /// taking an already-compiled twig (the service's slow-query log
-    /// re-executes cached plans through this). Appends `resolve`,
-    /// `execute`, `step`, and `materialize` spans to `trace`; results
-    /// and counter totals match [`QueryEngine::answer_compiled_with`].
-    pub fn answer_compiled_traced(
-        &self,
-        compiled: &CompiledTwig,
-        plan: &QueryPlan,
-        strategy: Strategy,
-        memo: Option<&mut ProbeMemo>,
-        trace: &mut Trace,
-    ) -> QueryAnswer {
-        let requested = strategy;
-        let r = trace.begin("resolve", "");
-        let strategy = self.resolve_strategy(strategy, compiled, plan);
-        let est_reads = self
-            .rank_strategies(compiled, plan)
-            .into_iter()
-            .find(|c| c.strategy == strategy)
-            .map(|c| c.est_page_reads);
-        if requested == Strategy::Auto {
-            trace.annotate(r, format!("auto\u{2192}{}", strategy.label()));
-        } else {
-            trace.annotate(r, strategy.label());
-        }
-        trace.end(r, SpanCounters::default());
-
-        let e = trace.begin("execute", strategy.label());
-        let before = self.snapshot(strategy);
-        self.drain_baseline_counters(strategy);
-        let start = Instant::now();
-        let mut probes = 0u64;
-        let mut rows_fetched = 0u64;
-        let ids = self.execute_traced(
-            compiled,
-            plan,
-            strategy,
-            &mut probes,
-            &mut rows_fetched,
-            memo,
-            trace,
-        );
-        let elapsed = start.elapsed();
-        probes += self.drain_baseline_counters(strategy);
-        let after = self.snapshot(strategy);
-        let delta = after.since(&before);
-        trace.end(
-            e,
-            SpanCounters {
-                logical_reads: delta.logical_reads,
-                physical_reads: delta.physical_reads,
-                probes,
-                rows: rows_fetched,
-            },
-        );
-        self.calibration.record(CalibrationSample {
-            shape: twig_shape(&compiled.twig),
-            strategy,
-            est_reads: est_reads.unwrap_or(0.0),
-            actual_reads: delta.physical_reads,
-            micros: elapsed.as_micros() as u64,
-        });
-        QueryAnswer {
-            ids,
-            plan: plan.kind,
-            strategy,
-            metrics: QueryMetrics {
-                probes,
-                rows_fetched,
-                logical_reads: delta.logical_reads,
-                physical_reads: delta.physical_reads,
-                elapsed,
-            },
         }
     }
 
@@ -791,7 +762,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             .map(|t| match self.compile(t) {
                 Err(_) => QueryAnswer::empty(strategy),
                 Ok((compiled, plan)) => {
-                    self.answer_compiled_with(&compiled, &plan, strategy, Some(&mut memo))
+                    self.answer_compiled_with(&compiled, &plan, strategy, Some(&mut memo), None)
                 }
             })
             .collect();
@@ -828,14 +799,18 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         needed
     }
 
+    /// Runs the plan: probe the first subpath, extend the rows by one
+    /// join (or INLJ probe) per further step, project the output node.
+    /// The one executor body — with `cx.trace` set it also records a
+    /// `step` span per plan step (per-step pool and probe deltas) and a
+    /// `materialize` span around the output projection; every snapshot,
+    /// `format!` and clock read that costs sits under that `Some`.
     fn execute(
         &self,
         compiled: &CompiledTwig,
         plan: &QueryPlan,
         strategy: Strategy,
-        probes: &mut u64,
-        rows_fetched: &mut u64,
-        mut memo: Option<&mut ProbeMemo>,
+        cx: &mut Exec<'_>,
     ) -> BTreeSet<u64> {
         let n = compiled.twig.len();
         let use_inlj = plan.kind == PlanKind::IndexNestedLoop
@@ -848,18 +823,21 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let mut rows: Vec<Row> = Vec::new();
         for (i, step) in plan.steps.iter().enumerate() {
             let sp = &compiled.subpaths[step.subpath];
+            let span = cx.trace.as_deref_mut().map(|t| {
+                (t.begin("step", ""), self.snapshot(strategy), cx.probes, cx.rows_fetched)
+            });
+            let how;
             if i == 0 {
-                let (matches, full) = self.eval_free_memo(
-                    strategy,
-                    &sp.q,
-                    interior_needed(sp),
-                    probes,
-                    memo.as_deref_mut(),
-                );
-                *rows_fetched += matches.len() as u64;
+                let (matches, full) = self.eval_free_memo(strategy, &sp.q, interior_needed(sp), cx);
+                cx.rows_fetched += matches.len() as u64;
                 rows = self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
+                how = "probe";
             } else {
                 if rows.is_empty() {
+                    if let (Some(t), Some((token, ..))) = (cx.trace.as_deref_mut(), span) {
+                        t.annotate(token, format!("#{i} skipped: empty input"));
+                        t.end(token, SpanCounters::default());
+                    }
                     return BTreeSet::new();
                 }
                 // A branch is a pure existence filter when none of the
@@ -877,19 +855,16 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     && step.probe.as_ref().is_some_and(|p| self.probe_head_allowed(compiled, p));
                 if probe_ok {
                     let probe = step.probe.as_ref().unwrap();
-                    rows = self.inlj_extend(compiled, rows, probe, semi, probes, rows_fetched);
+                    rows = self.inlj_extend(compiled, rows, probe, semi, cx);
+                    how = if semi { "inlj semi-join" } else { "inlj" };
                 } else {
-                    let (matches, full) = self.eval_free_memo(
-                        strategy,
-                        &sp.q,
-                        interior_needed(sp),
-                        probes,
-                        memo.as_deref_mut(),
-                    );
-                    *rows_fetched += matches.len() as u64;
+                    let (matches, full) =
+                        self.eval_free_memo(strategy, &sp.q, interior_needed(sp), cx);
+                    cx.rows_fetched += matches.len() as u64;
                     let new_rows =
                         self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
-                    rows = self.join(rows, new_rows, join, semi, probes);
+                    rows = self.join(rows, new_rows, join, semi, &mut cx.probes);
+                    how = if semi { "semi-join" } else { "join" };
                 }
             }
             // Early projection + duplicate elimination: existence
@@ -897,116 +872,35 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             // relational engine would run these joins as semi-joins).
             // Keep only bindings that later steps or the output consume.
             self.project_rows(compiled, plan, i, &mut rows);
-        }
-        let out = compiled.twig.output;
-        rows.into_iter().map(|r| r.bind[out]).filter(|&id| id != UNBOUND).collect()
-    }
-
-    /// Instrumented copy of [`QueryEngine::execute`]: the identical
-    /// algorithm, plus a `step` span per plan step (with per-step
-    /// buffer-pool and probe deltas) and a `materialize` span around
-    /// the final output projection.
-    ///
-    /// Kept as a separate body — rather than branching on a tracing
-    /// flag inside `execute` — so the untraced hot path carries zero
-    /// instrumentation cost; the `observability` suite pins result
-    /// identity between the two across every strategy.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_traced(
-        &self,
-        compiled: &CompiledTwig,
-        plan: &QueryPlan,
-        strategy: Strategy,
-        probes: &mut u64,
-        rows_fetched: &mut u64,
-        mut memo: Option<&mut ProbeMemo>,
-        trace: &mut Trace,
-    ) -> BTreeSet<u64> {
-        let n = compiled.twig.len();
-        let use_inlj = plan.kind == PlanKind::IndexNestedLoop
-            && strategy == Strategy::DataPaths
-            && self.dp.is_some();
-        let needed = self.needed_nodes(compiled, plan);
-        let interior_needed = |sp: &crate::decompose::SubpathSpec| {
-            sp.nodes[..sp.nodes.len() - 1].iter().any(|n| needed.contains(n))
-        };
-        let mut rows: Vec<Row> = Vec::new();
-        for (i, step) in plan.steps.iter().enumerate() {
-            let sp = &compiled.subpaths[step.subpath];
-            let io_before = self.snapshot(strategy);
-            let probes_before = *probes;
-            let fetched_before = *rows_fetched;
-            let t = trace.begin("step", String::new());
-            let how;
-            if i == 0 {
-                let (matches, full) = self.eval_free_memo(
-                    strategy,
-                    &sp.q,
-                    interior_needed(sp),
-                    probes,
-                    memo.as_deref_mut(),
+            if let (Some(t), Some((token, io_before, probes_before, fetched_before))) =
+                (cx.trace.as_deref_mut(), span)
+            {
+                // Attribute the Edge family's deferred lookup counters to
+                // the step that issued them; the caller's final drain then
+                // collects nothing, so the query total is the same with
+                // and without a trace.
+                cx.probes += self.drain_baseline_counters(strategy);
+                let io = self.snapshot(strategy).since(&io_before);
+                t.annotate(token, format!("#{i} subpath {} {how}", step.subpath));
+                t.end(
+                    token,
+                    SpanCounters {
+                        logical_reads: io.logical_reads,
+                        physical_reads: io.physical_reads,
+                        probes: cx.probes - probes_before,
+                        rows: cx.rows_fetched - fetched_before,
+                    },
                 );
-                *rows_fetched += matches.len() as u64;
-                rows = self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
-                how = "probe";
-            } else {
-                if rows.is_empty() {
-                    trace.annotate(t, format!("#{i} skipped: empty input"));
-                    trace.end(t, SpanCounters::default());
-                    return BTreeSet::new();
-                }
-                let (keep, _) = self.keep_after(compiled, plan, i);
-                let join = step.join.as_ref().expect("non-first steps carry joins");
-                let already: HashSet<usize> = match join {
-                    JoinHow::SharedNode { shared, .. } => shared.iter().copied().collect(),
-                    JoinHow::AncestorOf { .. } | JoinHow::DescendantBound { .. } => HashSet::new(),
-                };
-                let semi =
-                    sp.nodes.iter().all(|node| already.contains(node) || !keep.contains(node));
-                let probe_ok = use_inlj
-                    && step.probe.as_ref().is_some_and(|p| self.probe_head_allowed(compiled, p));
-                if probe_ok {
-                    let probe = step.probe.as_ref().unwrap();
-                    rows = self.inlj_extend(compiled, rows, probe, semi, probes, rows_fetched);
-                    how = if semi { "inlj semi-join" } else { "inlj" };
-                } else {
-                    let (matches, full) = self.eval_free_memo(
-                        strategy,
-                        &sp.q,
-                        interior_needed(sp),
-                        probes,
-                        memo.as_deref_mut(),
-                    );
-                    *rows_fetched += matches.len() as u64;
-                    let new_rows =
-                        self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
-                    rows = self.join(rows, new_rows, join, semi, probes);
-                    how = if semi { "semi-join" } else { "join" };
-                }
             }
-            self.project_rows(compiled, plan, i, &mut rows);
-            // Attribute the Edge family's deferred lookup counters to
-            // the step that issued them; the wrapper's final drain then
-            // collects nothing, so the query total matches the
-            // untraced path exactly.
-            *probes += self.drain_baseline_counters(strategy);
-            let io = self.snapshot(strategy).since(&io_before);
-            trace.annotate(t, format!("#{i} subpath {} {how}", step.subpath));
-            trace.end(
-                t,
-                SpanCounters {
-                    logical_reads: io.logical_reads,
-                    physical_reads: io.physical_reads,
-                    probes: *probes - probes_before,
-                    rows: *rows_fetched - fetched_before,
-                },
-            );
         }
-        let m = trace.begin("materialize", format!("output node {}", compiled.twig.output));
         let out = compiled.twig.output;
+        let span =
+            cx.trace.as_deref_mut().map(|t| t.begin("materialize", format!("output node {out}")));
         let ids: BTreeSet<u64> =
             rows.into_iter().map(|r| r.bind[out]).filter(|&id| id != UNBOUND).collect();
-        trace.end(m, SpanCounters { rows: ids.len() as u64, ..SpanCounters::default() });
+        if let (Some(t), Some(token)) = (cx.trace.as_deref_mut(), span) {
+            t.end(token, SpanCounters { rows: ids.len() as u64, ..SpanCounters::default() });
+        }
         ids
     }
 
@@ -1093,11 +987,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         strategy: Strategy,
         q: &PcSubpathQuery,
         interior: bool,
-        probes: &mut u64,
-        memo: Option<&mut ProbeMemo>,
+        cx: &mut Exec<'_>,
     ) -> (Arc<Vec<PathMatch>>, bool) {
-        let Some(memo) = memo else {
-            let (matches, full) = self.eval_free(strategy, q, interior, probes);
+        let Some(memo) = cx.memo.as_deref_mut() else {
+            let (matches, full) = self.eval_free(strategy, q, interior, &mut cx.probes);
             return (Arc::new(matches), full);
         };
         let key = (strategy, q.clone(), interior);
@@ -1105,7 +998,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             memo.hits += 1;
             return (matches.clone(), *full);
         }
-        let (matches, full) = self.eval_free(strategy, q, interior, probes);
+        let (matches, full) = self.eval_free(strategy, q, interior, &mut cx.probes);
         let matches = Arc::new(matches);
         memo.misses += 1;
         memo.map.insert(key, (matches.clone(), full));
@@ -1481,8 +1374,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         rows: Vec<Row>,
         probe: &ProbeSpec,
         semi: bool,
-        probes: &mut u64,
-        rows_fetched: &mut u64,
+        cx: &mut Exec<'_>,
     ) -> Vec<Row> {
         let (dp, _) = self.dp.as_ref().expect("INLJ requires DATAPATHS");
         let anchor_tag = self
@@ -1498,9 +1390,9 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let mut out = Vec::new();
         for (head, group) in by_head {
             debug_assert_ne!(head, UNBOUND);
-            *probes += 1;
+            cx.probes += 1;
             let matches = dp.lookup_bound(head, anchor_tag, &probe.pattern);
-            *rows_fetched += matches.len() as u64;
+            cx.rows_fetched += matches.len() as u64;
             if semi {
                 // Existence probe: the head survives if any match passes
                 // the (rare) long-value recheck.

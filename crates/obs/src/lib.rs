@@ -1,13 +1,15 @@
 //! Query observability primitives: span trees with per-stage counters.
 //!
-//! The engine's traced execution path (`QueryEngine::answer_traced`)
-//! builds a [`Trace`] — a tree of [`Span`]s covering each pipeline
-//! stage (plan, auto-resolve, per-step index probes and structural
-//! joins, materialization) — and records wall time plus I/O counters
-//! ([`SpanCounters`]) per stage. The crate is deliberately tiny and
-//! std-only: it knows nothing about pools, strategies, or twigs; the
-//! caller snapshots whatever counters it owns around each stage and
-//! stores the deltas here.
+//! The engine's executor records into a [`Trace`] when its caller
+//! hands it one (`QueryEngine::answer_traced`, a sampled request, any
+//! execution while the slow-query log is on) — a tree of [`Span`]s
+//! covering each pipeline stage (plan, auto-resolve, per-step index
+//! probes and structural joins, materialization), with wall time plus
+//! I/O counters ([`SpanCounters`]) per stage. The spans always belong
+//! to the execution that produced the answer. The crate is
+//! deliberately tiny and std-only: it knows nothing about pools,
+//! strategies, or twigs; the caller snapshots whatever counters it
+//! owns around each stage and stores the deltas here.
 //!
 //! A trace renders two ways: [`Trace::render`] is the human table
 //! (`explain --analyze`, the slow-query log), and [`Trace::shape`] is
@@ -191,23 +193,33 @@ impl Trace {
     /// Human-readable table: the span tree with wall time and counters
     /// per stage.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        // Rendered on the serving path (one record per sampled or slow
+        // request), so rows are written straight from the nodes.
+        let mut out = String::with_capacity(96 * (self.spans.len() + 1));
         let _ = writeln!(
             out,
             "{:<44} {:>11} {:>8} {:>8} {:>7} {:>8}",
             "span", "wall", "logical", "physical", "probes", "rows"
         );
-        for s in self.spans() {
-            let mut label = format!("{}{} {}", "  ".repeat(s.depth), s.name, s.detail);
+        let mut label = String::new();
+        for s in &self.spans {
+            label.clear();
+            for _ in 0..self.depth_of(s) {
+                label.push_str("  ");
+            }
+            label.push_str(s.name);
+            label.push(' ');
+            label.push_str(&s.detail);
             if label.len() > 44 {
                 label.truncate(43);
                 label.push('…');
             }
+            let wall = if s.closed { s.wall } else { Duration::ZERO };
             let _ = writeln!(
                 out,
                 "{:<44} {:>9.1}us {:>8} {:>8} {:>7} {:>8}",
                 label,
-                s.wall.as_secs_f64() * 1e6,
+                wall.as_secs_f64() * 1e6,
                 s.counters.logical_reads,
                 s.counters.physical_reads,
                 s.counters.probes,

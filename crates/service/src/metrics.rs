@@ -25,19 +25,19 @@ use xtwig_core::Strategy;
 use xtwig_storage::PoolCounters;
 
 /// One slow (or explicitly sampled) query's record: what ran, how long
-/// it took, and the traced span tree of a read-only re-execution.
+/// it took, and the span tree that execution recorded.
 #[derive(Debug, Clone)]
 pub struct SlowQuery {
     /// The query's XPath rendering.
     pub query: String,
     /// The concrete strategy that executed it.
     pub strategy: Strategy,
-    /// Original (untraced) execution latency in microseconds.
+    /// Execution latency in microseconds, as in the answer's metrics.
     pub micros: u64,
     /// Index generation the query executed against.
     pub generation: u64,
-    /// Rendered span tree ([`xtwig_core::Trace::render`]) of the traced
-    /// re-execution.
+    /// Rendered span tree ([`xtwig_core::Trace::render`]) of this
+    /// execution: its read counts are the ones the request paid.
     pub spans: String,
     /// Wire request id (0 for local, un-stamped submissions); the
     /// `Trace` opcode fetches records by this id.
@@ -62,7 +62,7 @@ pub struct MetricsRegistry {
     slow: Mutex<VecDeque<SlowQuery>>,
     /// Cumulative slow queries observed (the ring only keeps the tail).
     slow_total: AtomicU64,
-    slow_threshold_micros: u64,
+    slow_threshold_micros: Option<u64>,
     slow_capacity: usize,
 }
 
@@ -81,7 +81,7 @@ impl MetricsRegistry {
             shape_overflow: AtomicU64::new(0),
             slow: Mutex::new(VecDeque::new()),
             slow_total: AtomicU64::new(0),
-            slow_threshold_micros: slow_threshold_micros.unwrap_or(u64::MAX),
+            slow_threshold_micros,
             slow_capacity,
         }
     }
@@ -100,9 +100,17 @@ impl MetricsRegistry {
         }
     }
 
+    /// True when the slow-query log can capture anything: a threshold
+    /// is set and the ring has room. The service traces every execution
+    /// while this holds, since slowness is only known afterwards.
+    pub fn slow_log_enabled(&self) -> bool {
+        self.slow_capacity > 0 && self.slow_threshold_micros.is_some()
+    }
+
     /// True when a query this slow should be captured into the log.
     pub fn is_slow(&self, elapsed: Duration) -> bool {
-        self.slow_capacity > 0 && elapsed.as_micros() >= u128::from(self.slow_threshold_micros)
+        self.slow_capacity > 0
+            && self.slow_threshold_micros.is_some_and(|t| elapsed.as_micros() >= u128::from(t))
     }
 
     /// Appends a slow-query record, evicting the oldest past capacity.

@@ -110,8 +110,12 @@ pub struct ServiceOptions {
     /// Deadline applied to submissions that don't carry their own.
     pub default_deadline: Option<Duration>,
     /// Executions at or above this many microseconds are captured into
-    /// the slow-query log with a traced re-execution (`None` disables
-    /// the log; default).
+    /// the slow-query log together with the span tree of that same
+    /// execution (`None` disables the log; default). While the log is
+    /// enabled every executed query records spans, because whether it
+    /// was slow is known only afterwards — `fig_obs`'s `on`/`off` ratio
+    /// (1.05–1.08 in `BENCH_obs.json`) is what that costs on each
+    /// execution; fast runs discard their spans.
     pub slow_query_micros: Option<u64>,
     /// Slow-query records retained, oldest evicted first (default 32).
     pub slow_query_capacity: usize,
@@ -155,8 +159,9 @@ pub struct RequestCtx {
     /// Client-stamped wire request id (0 = unstamped/local).
     pub request_id: u64,
     /// True when the client requested a traced execution: the result
-    /// cache is bypassed and a span tree is captured regardless of the
-    /// slow threshold, retrievable via the `Trace` opcode.
+    /// cache is bypassed and the execution's span tree is kept
+    /// regardless of the slow threshold, retrievable via the `Trace`
+    /// opcode.
     pub sample: bool,
     /// Peer address of the issuing connection (empty for local).
     pub peer: String,
@@ -286,9 +291,11 @@ struct Job {
     kind: JobKind,
     deadline: Option<Instant>,
     slot: Arc<Slot>,
-    /// Admission units held for the whole queued + executing lifetime;
-    /// released when the job is dropped, i.e. exactly when it resolves.
-    _permit: Option<Permit>,
+    /// Admission units held for the whole queued + executing lifetime
+    /// and taken out just before the slot resolves (by `run_job`, or by
+    /// `Drop` for a job that never ran): a waiter that has its result
+    /// also sees the budget returned, as on the direct door.
+    permit: Option<Permit>,
 }
 
 /// The worker queue: a plain deque under a mutex with a condvar, shared
@@ -369,6 +376,7 @@ impl Drop for Job {
     fn drop(&mut self) {
         // Covers worker panics and teardown paths: a job never resolved
         // by execution resolves to Canceled instead of hanging waiters.
+        drop(self.permit.take());
         self.slot.resolve(Err(ServiceError::Canceled));
     }
 }
@@ -648,7 +656,7 @@ impl TwigService {
             kind,
             deadline: deadline.map(|d| Instant::now() + d),
             slot: slot.clone(),
-            _permit: Some(permit),
+            permit: Some(permit),
         };
         self.shared.stats.enqueue(queries);
         if let Err(job) = self.queue.push(job) {
@@ -679,8 +687,9 @@ impl TwigService {
 
     /// [`TwigService::execute`] with a wire [`RequestCtx`]: the request
     /// id and peer stamp any slow-query capture, and `ctx.sample`
-    /// forces a traced execution (bypassing the result cache) whose
-    /// span tree the `Trace` opcode can fetch by id.
+    /// bypasses the result cache and records the span tree of the one
+    /// execution that serves the request, which the `Trace` opcode can
+    /// fetch by id.
     pub fn execute_with(
         &self,
         twig: &TwigPattern,
@@ -968,31 +977,26 @@ fn worker_loop(shared: &Shared, queue: &JobQueue) {
     // `pop` returned None: queue closed and drained — shutdown.
 }
 
-fn run_job(shared: &Shared, job: Job) {
+fn run_job(shared: &Shared, mut job: Job) {
     let queries = job.kind.query_count();
-    if job.deadline.is_some_and(|d| Instant::now() > d) {
+    let result = if job.deadline.is_some_and(|d| Instant::now() > d) {
         shared.stats.deadline_missed.fetch_add(queries, Ordering::Relaxed);
         shared.stats.failed.fetch_add(queries, Ordering::Relaxed);
-        job.slot.resolve(Err(ServiceError::DeadlineExceeded));
-        return;
-    }
-    match &job.kind {
-        JobKind::Single(twig, strategy) => {
-            match answer_one(shared, twig, *strategy, &RequestCtx::default()) {
-                Ok(answer) => {
-                    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    job.slot.resolve(Ok(vec![answer]));
-                }
-                Err(e) => {
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    job.slot.resolve(Err(e));
-                }
+        Err(ServiceError::DeadlineExceeded)
+    } else {
+        match &job.kind {
+            JobKind::Single(twig, strategy) => {
+                let answer = answer_one(shared, twig, *strategy, &RequestCtx::default());
+                let outcome =
+                    if answer.is_ok() { &shared.stats.completed } else { &shared.stats.failed };
+                outcome.fetch_add(1, Ordering::Relaxed);
+                answer.map(|a| vec![a])
             }
+            JobKind::Batch(twigs, strategy) => answer_batch(shared, twigs, *strategy),
         }
-        JobKind::Batch(twigs, strategy) => {
-            job.slot.resolve(answer_batch(shared, twigs, *strategy));
-        }
-    }
+    };
+    drop(job.permit.take());
+    job.slot.resolve(result);
 }
 
 /// Answers a batch as one unit: one pinned epoch, one shared probe
@@ -1082,20 +1086,31 @@ fn answer_one(
     // skips the cache: the client asked for a trace of a real
     // execution, so a cache hit would return nothing to trace.
     if !strategy.is_auto() && !ctx.sample {
-        if let Some((ids, plan)) = shared.result_cache.get(&key, strategy, epoch.generation) {
-            return Ok(ServiceAnswer {
-                ids,
-                plan,
-                strategy,
-                from_cache: true,
-                metrics: QueryMetrics::default(),
-            });
+        if let Some(hit) = cached_answer(shared, &key, strategy, epoch.generation) {
+            return Ok(hit);
         }
     }
     if !epoch.engine.has_strategy(strategy) {
         return Err(ServiceError::StrategyNotBuilt(strategy));
     }
     Ok(answer_miss(shared, &epoch.engine, twig, strategy, None, epoch.generation, key, ctx))
+}
+
+/// The result-cache lookup every path shares: a hit under the concrete
+/// `strategy` and `generation`, as the answer it is served as.
+fn cached_answer(
+    shared: &Shared,
+    key: &str,
+    strategy: Strategy,
+    generation: u64,
+) -> Option<ServiceAnswer> {
+    shared.result_cache.get(key, strategy, generation).map(|(ids, plan)| ServiceAnswer {
+        ids,
+        plan,
+        strategy,
+        from_cache: true,
+        metrics: QueryMetrics::default(),
+    })
 }
 
 /// Answers one query of a batch against the batch's pinned epoch and
@@ -1110,14 +1125,8 @@ fn answer_pinned(
 ) -> ServiceAnswer {
     let key = exact_key(twig);
     if !strategy.is_auto() {
-        if let Some((ids, plan)) = shared.result_cache.get(&key, strategy, generation) {
-            return ServiceAnswer {
-                ids,
-                plan,
-                strategy,
-                from_cache: true,
-                metrics: QueryMetrics::default(),
-            };
+        if let Some(hit) = cached_answer(shared, &key, strategy, generation) {
+            return hit;
         }
     }
     answer_miss(shared, engine, twig, strategy, memo, generation, key, &RequestCtx::default())
@@ -1175,30 +1184,23 @@ fn answer_miss(
         // auto submission or an explicit one). A sampled request skips
         // the hit for the same reason `answer_one` does.
         if !ctx.sample {
-            if let Some((ids, plan)) = shared.result_cache.get(&key, strategy, generation) {
-                return ServiceAnswer {
-                    ids,
-                    plan,
-                    strategy,
-                    from_cache: true,
-                    metrics: QueryMetrics::default(),
-                };
+            if let Some(hit) = cached_answer(shared, &key, strategy, generation) {
+                return hit;
             }
         }
     }
-    let answer = engine.answer_compiled_with(&compiled, &plan, strategy, memo);
+    // Whether this run turns out slow is known only once it has run, so
+    // a trace is recorded whenever its spans could be wanted — the
+    // client sampled the request, or the slow log is on — and dropped
+    // below if they were not. The spans are those of the execution that
+    // serves the request, cold reads included.
+    let mut trace = (ctx.sample || shared.metrics.slow_log_enabled()).then(xtwig_core::Trace::new);
+    let answer = engine.answer_compiled_with(&compiled, &plan, strategy, memo, trace.as_mut());
     shared.stats.record_latency(strategy, answer.metrics.elapsed);
     shared.stats.record_cost(strategy, &answer.metrics);
     shared.metrics.observe_shape(&shape_key(twig), answer.metrics.elapsed);
     let slow = shared.metrics.is_slow(answer.metrics.elapsed);
-    if slow || ctx.sample {
-        // Capture the pipeline breakdown with a read-only traced
-        // re-execution against the same pinned epoch (the result is
-        // discarded — only the span tree is kept). Costs one extra
-        // execution, paid only for queries already past the threshold
-        // or explicitly sampled by the client.
-        let mut trace = xtwig_core::Trace::new();
-        let _ = engine.answer_compiled_traced(&compiled, &plan, strategy, None, &mut trace);
+    if let Some(trace) = trace.filter(|_| slow || ctx.sample) {
         let micros = answer.metrics.elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
         let record = SlowQuery {
             query: twig.to_string(),
@@ -1730,11 +1732,15 @@ mod tests {
             let svc = svc.clone();
             let stop = stop.clone();
             std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
+                // At least one rebuild, even if the readers finish first.
+                loop {
                     svc.rebuild_parallel(
                         EngineOptions { pool_pages: 256, ..Default::default() },
                         3,
                     );
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
                 }
             })
         };

@@ -39,12 +39,6 @@ pub struct Config {
     pub pool_receiver: String,
     /// Receiver name of per-frame data locks (lock-order).
     pub frame_receiver: String,
-    /// File containing the untraced executor (purity rule).
-    pub purity_file: String,
-    /// Function names inside `purity_file` that must stay timing-free.
-    pub purity_functions: Vec<String>,
-    /// Identifiers forbidden inside those functions.
-    pub purity_forbid: Vec<String>,
     /// Path prefixes where `no-blocking-in-handler` applies: request
     /// dispatch code that must not do filesystem work inline.
     pub blocking_paths: Vec<String>,
@@ -123,12 +117,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 cfg.epoch_receiver = take_str(&mut sec, "epoch_receiver")?;
                 cfg.pool_receiver = take_str(&mut sec, "pool_receiver")?;
                 cfg.frame_receiver = take_str(&mut sec, "frame_receiver")?;
-                finish(sec)?;
-            }
-            "rule.untraced-purity" => {
-                cfg.purity_file = take_str(&mut sec, "file")?;
-                cfg.purity_functions = take_list(&mut sec, "functions")?;
-                cfg.purity_forbid = take_list(&mut sec, "forbid")?;
                 finish(sec)?;
             }
             "rule.no-blocking-in-handler" => {
@@ -340,11 +328,6 @@ epoch_receiver = "epoch"
 pool_receiver = "inner"
 frame_receiver = "data"
 
-[rule.untraced-purity]
-file = "crates/core/src/engine.rs"
-functions = ["execute"]
-forbid = ["Instant", "Trace"]
-
 [rule.no-blocking-in-handler]
 paths = ["crates/net/src/server.rs"]
 forbid = ["File", "read_to_string"]
@@ -361,7 +344,6 @@ why = "fixed-size stack array, constant offsets"
         let cfg = parse(SAMPLE).unwrap();
         assert_eq!(cfg.no_panic_paths, vec!["crates/net/src", "crates/service/src"]);
         assert_eq!(cfg.maintenance_receiver, "maintenance");
-        assert_eq!(cfg.purity_functions, vec!["execute"]);
         assert_eq!(cfg.blocking_paths, vec!["crates/net/src/server.rs"]);
         assert_eq!(cfg.blocking_forbid, vec!["File", "read_to_string"]);
         assert_eq!(cfg.allow.len(), 1);

@@ -12,9 +12,9 @@
 //!   re-acquisition while a frame lock is held;
 //! * `typed-errors` — `pub fn` Results in the scoped crates use
 //!   crate-local error types (no `String`/`Box<dyn Error>`/`io::Error`);
-//! * `untraced-purity` — the untraced executor stays free of timing
-//!   and span identifiers;
-//! * `safety-comments` — every `unsafe` carries a `// SAFETY:` line.
+//! * `safety-comments` — every `unsafe` carries a `// SAFETY:` line;
+//! * `no-blocking-in-handler` — no inline filesystem work in
+//!   request-dispatch code.
 //!
 //! Deliberate exceptions live in `xray.toml` `[[allow]]` entries keyed
 //! by (rule, path suffix, line-content substring) with a mandatory

@@ -2,10 +2,9 @@
 //! violations of the serving layer's invariants.
 //!
 //! Shared machinery lives in [`FileView`]: comment-free token indexing,
-//! `#[cfg(test)]` suppression spans, and function-boundary spans (both
-//! the lock-order and purity rules are function-scoped, and the
-//! typed-errors rule needs signatures). Each rule is then a small pass
-//! over that view.
+//! `#[cfg(test)]` suppression spans, and function-boundary spans (the
+//! lock-order rule is function-scoped, and the typed-errors rule needs
+//! signatures). Each rule is then a small pass over that view.
 
 use crate::config::Config;
 use crate::lexer::{lex, Token, TokenKind};
@@ -29,7 +28,6 @@ pub struct Finding {
 pub const RULE_NO_PANIC: &str = "no-panic";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_TYPED_ERRORS: &str = "typed-errors";
-pub const RULE_UNTRACED_PURITY: &str = "untraced-purity";
 pub const RULE_SAFETY_COMMENTS: &str = "safety-comments";
 pub const RULE_NO_BLOCKING: &str = "no-blocking-in-handler";
 /// Reported against the config file itself when an allow entry matches
@@ -37,14 +35,8 @@ pub const RULE_NO_BLOCKING: &str = "no-blocking-in-handler";
 pub const RULE_STALE_ALLOW: &str = "stale-allow";
 
 /// Every rule id the allowlist may reference.
-pub const ALL_RULES: &[&str] = &[
-    RULE_NO_PANIC,
-    RULE_LOCK_ORDER,
-    RULE_TYPED_ERRORS,
-    RULE_UNTRACED_PURITY,
-    RULE_SAFETY_COMMENTS,
-    RULE_NO_BLOCKING,
-];
+pub const ALL_RULES: &[&str] =
+    &[RULE_NO_PANIC, RULE_LOCK_ORDER, RULE_TYPED_ERRORS, RULE_SAFETY_COMMENTS, RULE_NO_BLOCKING];
 
 /// True when `rel` is `prefix` itself or lies under it as a directory.
 fn path_in(rel: &str, prefix: &str) -> bool {
@@ -236,9 +228,6 @@ pub fn scan_file(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     rule_lock_order(rel, &view, cfg, &mut findings);
     if path_in_any(rel, &cfg.typed_errors_paths) {
         rule_typed_errors(rel, &view, &mut findings);
-    }
-    if rel == cfg.purity_file {
-        rule_untraced_purity(rel, &view, cfg, &mut findings);
     }
     if path_in_any(rel, &cfg.blocking_paths) {
         rule_no_blocking(rel, &view, cfg, &mut findings);
@@ -582,34 +571,7 @@ fn check_return_type(
     }
 }
 
-/// Rule 4: untraced-executor purity. The configured functions must not
-/// mention any of the forbidden identifiers (timing, span machinery) —
-/// the untraced executor's zero-overhead guarantee is load-bearing for
-/// the PR-7 benchmark methodology.
-fn rule_untraced_purity(rel: &str, view: &FileView<'_>, cfg: &Config, out: &mut Vec<Finding>) {
-    for f in &view.fns {
-        if !cfg.purity_functions.contains(&f.name) {
-            continue;
-        }
-        let Some((body_start, body_end)) = f.body else { continue };
-        for ci in body_start..=body_end {
-            let t = view.tok(ci);
-            if t.kind == TokenKind::Ident && cfg.purity_forbid.contains(&t.text) {
-                out.push(finding(
-                    RULE_UNTRACED_PURITY,
-                    rel,
-                    t,
-                    format!(
-                        "untraced executor fn {} must stay instrumentation-free, but mentions `{}`",
-                        f.name, t.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Rule 6: no blocking filesystem work in request-dispatch code. The
+/// Rule 4: no blocking filesystem work in request-dispatch code. The
 /// configured paths run on connection threads where every millisecond
 /// of inline I/O is tail latency for that peer; filesystem access
 /// belongs behind the catalog's attach path or in maintenance. Flags
@@ -698,9 +660,6 @@ mod tests {
             epoch_receiver: "epoch".into(),
             pool_receiver: "inner".into(),
             frame_receiver: "data".into(),
-            purity_file: "crates/core/src/engine.rs".into(),
-            purity_functions: vec!["execute".into()],
-            purity_forbid: vec!["Instant".into(), "Trace".into()],
             blocking_paths: vec!["crates/net/src/server.rs".into()],
             blocking_forbid: vec!["File".into(), "read_to_string".into()],
             allow: Vec::new(),
@@ -785,15 +744,6 @@ mod tests {
         // pub(crate) is not a public signature.
         let scoped = "pub(crate) fn f() -> Result<u8, String> { Ok(0) }";
         assert!(rules_fired("crates/net/src/a.rs", scoped).is_empty());
-    }
-
-    #[test]
-    fn purity_rule_is_function_scoped() {
-        let src = "fn execute(&self) { let t = Instant::now(); }\nfn execute_traced(&self) { let t = Instant::now(); }";
-        let fired = scan_file("crates/core/src/engine.rs", src, &cfg());
-        assert_eq!(fired.len(), 1, "{fired:?}");
-        assert_eq!(fired[0].rule, RULE_UNTRACED_PURITY);
-        assert_eq!(fired[0].line, 1);
     }
 
     #[test]

@@ -20,9 +20,6 @@ fn fixture_config() -> Config {
         epoch_receiver: "epoch".into(),
         pool_receiver: "inner".into(),
         frame_receiver: "data".into(),
-        purity_file: "crates/core/src/engine.rs".into(),
-        purity_functions: vec!["execute".into()],
-        purity_forbid: vec!["Instant".into()],
         blocking_paths: vec!["crates/net/src/server.rs".into()],
         blocking_forbid: vec!["File".into(), "read_to_string".into()],
         allow: Vec::new(),
@@ -62,14 +59,6 @@ fn typed_errors_fixture_flags_the_three_leaky_signatures() {
         vec![("typed-errors", 4), ("typed-errors", 8), ("typed-errors", 12)],
         "{findings:#?}"
     );
-}
-
-#[test]
-fn untraced_purity_fixture_fires_only_inside_the_scoped_fn() {
-    let src = include_str!("fixtures/untraced_purity.rs");
-    // The purity rule is keyed to one file; the fixture plays that role.
-    let findings = analyze_source("crates/core/src/engine.rs", src, &fixture_config());
-    assert_eq!(rule_lines(&findings), vec![("untraced-purity", 6)], "{findings:#?}");
 }
 
 #[test]

@@ -55,7 +55,7 @@
 //! | [`net`] | `xtwig-net` | network front end: wire protocol, TCP server over a multi-index catalog, client |
 //! | [`datagen`] | `xtwig-datagen` | XMark-like and DBLP-like generators, the Q1–Q15 workload |
 //! | [`bench`](mod@bench) | `xtwig-bench` | shared measurement harness behind the figure-reproduction binaries |
-//! | [`xray`] | `xtwig-xray` | workspace static analysis: panic paths, lock order, typed errors, purity |
+//! | [`xray`] | `xtwig-xray` | workspace static analysis: panic paths, lock order, typed errors, SAFETY comments, blocking I/O |
 
 pub use xtwig_bench as bench;
 pub use xtwig_btree as btree;

@@ -4,7 +4,9 @@
 //! a fixed query, the service's Prometheus-style metrics text must
 //! expose monotonic counters and well-formed histograms, the slow-query
 //! log must evict at capacity, and traced runs must feed the
-//! calibration log with value-elided shapes. Prometheus exposition
+//! calibration log with value-elided shapes. A sampled or slow-logged
+//! request executes once, and its record describes that execution.
+//! Prometheus exposition
 //! conformance rides here too: every family declares `# HELP`/`# TYPE`
 //! before its samples, label values with quotes/backslashes/newlines
 //! are escaped, and counters stay monotonic under concurrent scrapers.
@@ -13,7 +15,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::parse_xpath;
 use xtwig::service::{
-    render_metrics, EventJournal, MetricsRegistry, ServiceOptions, TwigService, UpdateOp,
+    render_metrics, EventJournal, MetricsRegistry, RequestCtx, ServiceOptions, TwigService,
+    UpdateOp,
 };
 use xtwig::xml::tree::fig1_book_document;
 use xtwig::xml::XmlForest;
@@ -315,6 +318,106 @@ fn slow_query_log_evicts_at_capacity() {
     let samples = parse_samples(&service.metrics_text());
     assert_eq!(samples["xtwig_slow_queries_total"], 4.0, "total must count evicted captures too");
     service.shutdown();
+}
+
+/// The rows of a rendered span table ([`xtwig::obs::Trace::render`], as
+/// stored in `SlowQuery::spans`): nesting depth, label, and the
+/// logical / physical / probes / rows columns.
+fn span_rows(rendered: &str) -> Vec<(usize, String, [u64; 4])> {
+    rendered
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let depth = (line.len() - line.trim_start().len()) / 2;
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            let (label, tail) = cols.split_at(cols.len() - 5);
+            let n = |i: usize| tail[i].parse::<u64>().unwrap();
+            (depth, label.join(" "), [n(1), n(2), n(3), n(4)])
+        })
+        .collect()
+}
+
+/// A sampled request is served by ONE execution: it costs the pool
+/// exactly the page requests an unsampled run of the same warm twig
+/// costs, and the span tree it leaves behind — `resolve`, then
+/// `execute` over its steps and the output projection — is that run's.
+#[test]
+fn sampled_request_executes_once_and_keeps_its_span_tree() {
+    let service = TwigService::build(
+        fig1_book_document(),
+        EngineOptions { pool_pages: 256, ..Default::default() },
+        ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+    );
+    let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
+    let pool_reads = || {
+        parse_samples(&service.metrics_text())["xtwig_pool_page_reads_total{pool=\"rootpaths\"}"]
+    };
+    service.execute(&twig, Strategy::RootPaths).unwrap(); // warm the pool
+    let before = pool_reads();
+    service.execute(&twig, Strategy::RootPaths).unwrap();
+    let plain = pool_reads() - before;
+    assert!(plain > 0.0, "result cache is off: the plain run must touch the pool");
+
+    let ctx = RequestCtx { request_id: 41, sample: true, peer: "test:0".to_owned() };
+    let answer = service.execute_with(&twig, Strategy::RootPaths, &ctx).unwrap();
+    let sampled = pool_reads() - before - plain;
+    assert_eq!(sampled, plain, "a sampled request must execute the twig once");
+
+    let record = service.find_trace(41).expect("sampled request leaves a trace");
+    let rows = span_rows(&record.spans);
+    let shape: Vec<(usize, &str)> = rows.iter().map(|(d, l, _)| (*d, l.as_str())).collect();
+    assert_eq!(
+        shape,
+        [
+            (0, "resolve RP"),
+            (0, "execute RP"),
+            (1, "step #0 subpath 0 probe"),
+            (1, "step #1 subpath 1 join"),
+            (1, "step #2 subpath 2 semi-join"),
+            (1, "materialize output node 2"),
+        ]
+    );
+    assert_eq!(rows[1].2[0], answer.metrics.logical_reads, "execute row is the served run");
+    service.shutdown();
+}
+
+/// The slow-query log holds the slow run, not a warm re-run of it: on a
+/// reopened index (cold pool) the recorded `execute` row reports the
+/// physical reads the answer itself paid.
+#[test]
+fn slow_log_records_the_reads_of_the_slow_run_itself() {
+    let path = std::env::temp_dir().join(format!("xtwig-obs-slow-{}.xtwig", std::process::id()));
+    let built = TwigService::build(
+        fig1_book_document(),
+        EngineOptions { pool_pages: 256, ..Default::default() },
+        ServiceOptions { workers: 1, ..Default::default() },
+    );
+    built.persist(&path).unwrap();
+    built.shutdown();
+
+    let service = TwigService::open(
+        &path,
+        ServiceOptions {
+            workers: 1,
+            result_cache_capacity: 0,
+            slow_query_micros: Some(0), // every execution is "slow"
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
+    let answer = service.execute(&twig, Strategy::RootPaths).unwrap();
+    assert!(answer.metrics.physical_reads > 0, "a reopened index starts with a cold pool");
+
+    let slow = service.slow_queries();
+    assert_eq!(slow.len(), 1);
+    let rows = span_rows(&slow[0].spans);
+    let (_, _, [logical, physical, ..]) =
+        rows.iter().find(|(_, label, _)| label.starts_with("execute")).expect("execute row");
+    assert_eq!(*physical, answer.metrics.physical_reads, "spans:\n{}", slow[0].spans);
+    assert_eq!(*logical, answer.metrics.logical_reads);
+    service.shutdown();
+    std::fs::remove_file(&path).ok();
 }
 
 /// Exposition conformance: every sample's family declares `# HELP` and

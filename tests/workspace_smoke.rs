@@ -92,17 +92,20 @@ fn xray_gate_stays_wired() {
     let cfg = xtwig::xray::load_config(&root.join("xray.toml")).unwrap();
     assert!(!cfg.allow.is_empty(), "xray.toml lost its allow entries");
     assert!(cfg.allow.iter().all(|a| !a.why.trim().is_empty()), "every allow entry needs a why");
-    // One fixture per rule keeps the rule engine honest.
+    // One fixture per rule keeps the rule engine honest, and the config
+    // scopes no rule the engine does not have (the parser rejects an
+    // unknown section already; this is where the contract is written
+    // down). Both follow `ALL_RULES`, so adding or retiring a rule is
+    // one edit in `rules.rs`.
     let fixtures = root.join("crates/xray/tests/fixtures");
-    for fixture in [
-        "no_panic.rs",
-        "lock_order.rs",
-        "typed_errors.rs",
-        "untraced_purity.rs",
-        "safety_comments.rs",
-        "no_blocking_in_handler.rs",
-    ] {
-        assert!(fixtures.join(fixture).is_file(), "missing xray fixture {fixture}");
+    for rule in xtwig::xray::ALL_RULES {
+        let fixture = format!("{}.rs", rule.replace('-', "_"));
+        assert!(fixtures.join(&fixture).is_file(), "missing xray fixture {fixture}");
+    }
+    let toml = std::fs::read_to_string(root.join("xray.toml")).unwrap();
+    for section in toml.lines().filter_map(|l| l.strip_prefix("[rule.")) {
+        let rule = section.trim_end().trim_end_matches(']');
+        assert!(xtwig::xray::ALL_RULES.contains(&rule), "xray.toml scopes unknown rule {rule}");
     }
     // CI runs the pass in the fail-fast lint job, and the README
     // documents the gate.
