@@ -72,7 +72,7 @@ fn main() {
     // threshold unset so `exec/plain` never captures a trace.
     let svc = TwigService::over(
         engine,
-        ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let twig = parse_xpath("//person/name").expect("query parses");
     let expected = svc.execute(&twig, Strategy::RootPaths).expect("warm answer").ids.len();

@@ -84,8 +84,8 @@ fn main() {
             ..Default::default()
         },
         // Result cache off: every reader latency sample is a real
-        // execution against the epoch the worker pinned.
-        ServiceOptions { workers: 2, result_cache_capacity: 0, ..Default::default() },
+        // execution against the epoch the call pinned.
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     ));
     let tags: Vec<TagId> = svc.with_engine(|e| {
         let dict = e.forest().dict();
@@ -108,7 +108,7 @@ fn main() {
 
     // Baseline: the reader stream with no maintenance anywhere.
     let (min, mean) = measure_iters(warmup, iters, || {
-        let a = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(!a.ids.is_empty());
     });
     record("reader/solo".into(), min, mean);
@@ -146,7 +146,7 @@ fn main() {
         std::thread::yield_now(); // writer warm before sampling
     }
     let (min, mean) = measure_iters(warmup, iters, || {
-        let a = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(!a.ids.is_empty());
     });
     stop.store(true, Ordering::SeqCst);
@@ -158,7 +158,7 @@ fn main() {
     // now that its epoch is published (the bench doubles as a stress).
     for k in [0, commit_k.saturating_sub(1), last_k] {
         let probe = parse_xpath(&format!("//person[name='mvcc-writer-{k}']")).expect("probe");
-        let a = svc.submit(&probe, Strategy::RootPaths).unwrap().wait().unwrap();
+        let a = svc.execute(&probe, Strategy::RootPaths).unwrap();
         assert_eq!(
             a.ids.iter().copied().collect::<Vec<_>>(),
             vec![1_000_000 + 2 * k],
@@ -195,9 +195,5 @@ fn main() {
         let path = dir.join("fig_mvcc.json");
         let _ = std::fs::write(&path, &json);
         println!("[results written to {}]", path.display());
-    }
-    match Arc::try_unwrap(svc) {
-        Ok(svc) => svc.shutdown(),
-        Err(_) => unreachable!("all threads joined"),
     }
 }

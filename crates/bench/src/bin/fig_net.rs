@@ -80,7 +80,7 @@ fn main() {
     // Result cache off: every sample through either door is a real
     // execution, so the wire/inproc gap is transport, not cache luck.
     let catalog = Arc::new(Catalog::new(CatalogOptions {
-        service: ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+        service: ServiceOptions { result_cache_capacity: 0, ..Default::default() },
         ..Default::default()
     }));
     catalog.register("xmark", dir.join("xmark.xtwig"));

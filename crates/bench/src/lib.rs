@@ -72,7 +72,7 @@ pub fn shards_from_args() -> usize {
 }
 
 /// Threads the host makes available — recorded in bench snapshots
-/// (`BENCH_build.json`, `BENCH_service.json`) so cross-host comparisons
+/// (`BENCH_build.json`, `BENCH_mvcc.json`) so cross-host comparisons
 /// of parallel results stay honest.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1)

@@ -2,8 +2,8 @@
 //! request handler that bridges wire messages onto the catalog.
 //!
 //! Threading model: each connection's thread *is* its dispatcher —
-//! requests run on it via [`TwigService::execute`] (the service's
-//! direct-dispatch door), so the server adds no queue of its own, and
+//! requests run on it via [`TwigService::execute`] (the service's one
+//! dispatch door), so neither layer has a queue, and
 //! back-pressure is exactly the service's admission budget: when it is
 //! exhausted the client sees a typed `Overloaded` response immediately
 //! instead of a silently growing backlog.
@@ -318,8 +318,6 @@ fn service_error(e: ServiceError) -> Response {
     let code = match &e {
         ServiceError::Overloaded { .. } => ErrorCode::Overloaded,
         ServiceError::StrategyNotBuilt(_) => ErrorCode::StrategyNotBuilt,
-        ServiceError::ShuttingDown => ErrorCode::ShuttingDown,
-        ServiceError::DeadlineExceeded | ServiceError::Canceled => ErrorCode::Internal,
     };
     Response::Error { code, message: e.to_string() }
 }

@@ -1,27 +1,25 @@
-//! Admission control: a bounded in-flight query budget shared by every
-//! submission path.
+//! Admission control: a bounded in-flight query budget every request
+//! draws from.
 //!
-//! The service used to accept unboundedly — a traffic spike queued
-//! thousands of jobs behind a fixed worker pool, and every caller saw
-//! worst-case latency while memory grew with the backlog. Admission
-//! control converts that failure mode into fast, typed rejection:
-//! [`Admission::try_acquire`] either hands back an RAII [`Permit`]
-//! (released when the query resolves, however it resolves) or reports
-//! the budget exhausted, which the service surfaces as
+//! Queries run on their callers' threads, so nothing inside the service
+//! limits how many execute at once — a traffic spike of connections
+//! would have every caller see worst-case latency while the pools
+//! thrash. Admission control converts that failure mode into fast,
+//! typed rejection: [`Admission::try_acquire`] either hands back an
+//! RAII [`Permit`] (released when the call returns, however it returns)
+//! or reports the budget exhausted, which the service surfaces as
 //! [`crate::ServiceError::Overloaded`] and the network front end as a
 //! typed overload response the client can back off on.
 //!
-//! The budget counts *queries*, not jobs or connections: a batch of N
-//! twigs takes N units, and a direct [`crate::TwigService::execute`]
-//! call takes one, so queued and executing work draw from one pool no
-//! matter which door it came in through.
+//! The budget counts *queries*, not calls or connections: a
+//! [`crate::TwigService::execute`] call takes one unit and a
+//! [`crate::TwigService::execute_batch`] of N twigs takes N.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
-/// A bounded in-flight budget. Cheap to share: one atomic counter, no
-/// locks, no waiting — admission either succeeds immediately or fails
-/// immediately (load shedding, not queueing; the queue is behind it).
+/// A bounded in-flight budget: one atomic counter, no locks, no
+/// waiting — admission either succeeds immediately or fails immediately
+/// (load shedding, not queueing).
 #[derive(Debug)]
 pub struct Admission {
     /// Maximum in-flight units; `0` disables the bound.
@@ -33,24 +31,24 @@ pub struct Admission {
 
 impl Admission {
     /// Creates a budget of `limit` in-flight units (`0` = unbounded).
-    pub fn new(limit: usize) -> Arc<Admission> {
-        Arc::new(Admission {
+    pub fn new(limit: usize) -> Admission {
+        Admission {
             limit,
             in_flight: AtomicUsize::new(0),
             high_water: AtomicUsize::new(0),
             rejected: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Tries to reserve `units` units of the budget. `None` means the
     /// budget is exhausted (the rejection is counted); a returned
     /// [`Permit`] releases its units on drop. Zero-unit requests are
     /// normalized to one — every admitted query costs something.
-    pub fn try_acquire(self: &Arc<Self>, units: usize) -> Option<Permit> {
+    pub fn try_acquire(&self, units: usize) -> Option<Permit<'_>> {
         let units = units.max(1);
         if self.limit == 0 {
             self.note_acquired(units);
-            return Some(Permit { admission: self.clone(), units });
+            return Some(Permit { admission: self, units });
         }
         let mut current = self.in_flight.load(Ordering::Relaxed);
         loop {
@@ -66,7 +64,7 @@ impl Admission {
             ) {
                 Ok(_) => {
                     self.high_water.fetch_max(current + units, Ordering::Relaxed);
-                    return Some(Permit { admission: self.clone(), units });
+                    return Some(Permit { admission: self, units });
                 }
                 Err(seen) => current = seen,
             }
@@ -99,23 +97,24 @@ impl Admission {
     }
 }
 
-/// RAII reservation of in-flight units; dropping it releases them.
-/// Permits ride inside jobs, so a query releases its units exactly when
-/// it resolves — answered, errored, deadline-missed, or canceled.
+/// RAII reservation of in-flight units; dropping it releases them. A
+/// permit lives on the stack of the call it admitted, so a query
+/// releases its units exactly when that call returns — answered,
+/// errored, or unwinding.
 #[derive(Debug)]
-pub struct Permit {
-    admission: Arc<Admission>,
+pub struct Permit<'a> {
+    admission: &'a Admission,
     units: usize,
 }
 
-impl Permit {
+impl Permit<'_> {
     /// Units this permit holds.
     pub fn units(&self) -> usize {
         self.units
     }
 }
 
-impl Drop for Permit {
+impl Drop for Permit<'_> {
     fn drop(&mut self) {
         self.admission.in_flight.fetch_sub(self.units, Ordering::AcqRel);
     }
@@ -159,7 +158,7 @@ mod tests {
     #[test]
     fn zero_limit_is_unbounded_and_zero_units_cost_one() {
         let a = Admission::new(0);
-        let permits: Vec<Permit> = (0..100).map(|_| a.try_acquire(0).unwrap()).collect();
+        let permits: Vec<Permit<'_>> = (0..100).map(|_| a.try_acquire(0).unwrap()).collect();
         assert_eq!(a.in_flight(), 100, "zero-unit requests normalized to one");
         assert_eq!(a.rejected(), 0);
         drop(permits);
@@ -176,24 +175,19 @@ mod tests {
     #[test]
     fn concurrent_acquisition_never_exceeds_the_limit() {
         let a = Admission::new(8);
-        let peak = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let a = a.clone();
-                let peak = peak.clone();
-                std::thread::spawn(move || {
+        let peak = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
                     for _ in 0..500 {
                         if let Some(p) = a.try_acquire(2) {
                             peak.fetch_max(a.in_flight(), Ordering::Relaxed);
                             drop(p);
                         }
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         assert!(peak.load(Ordering::Relaxed) <= 8);
         assert_eq!(a.in_flight(), 0);
     }

@@ -1,9 +1,9 @@
 //! Plan and result caches for the query service.
 //!
 //! Both caches are internally synchronized (one short-held mutex each)
-//! so workers use them through `&self` while holding the engine's read
-//! lock; neither ever calls back into the engine while locked, so lock
-//! order is trivially acyclic.
+//! so concurrent callers use them through `&self` while executing
+//! against a pinned epoch; neither ever calls back into the engine while
+//! locked, so lock order is trivially acyclic.
 
 use crate::shape::shape_key;
 use parking_lot::Mutex;
@@ -68,12 +68,12 @@ pub struct PlanCache {
 }
 
 /// One cached shape: the compiled cover and plan, plus the memoized
-/// optimizer pick for `Strategy::Auto` submissions of this shape
+/// optimizer pick for `Strategy::Auto` requests of this shape
 /// (resolved lazily, from the first-seen literals). The pick is
 /// revalidated against the live engine on every use — a
 /// `rebuild_parallel` may swap in an engine whose strategy set no
 /// longer contains it, and a stale pick must re-resolve rather than
-/// reach an unbuilt structure (whose accessor would panic the worker).
+/// reach an unbuilt structure (whose accessor would panic the caller).
 struct PlanEntry {
     compiled: CompiledTwig,
     plan: QueryPlan,
@@ -170,7 +170,7 @@ impl PlanCache {
         let entry = Arc::new(PlanEntry { compiled, plan, auto_pick: Mutex::new(None) });
         let mut inner = self.inner.lock();
         if let Some(existing) = inner.map.get(&key) {
-            // A racing worker admitted the shape first; share its entry
+            // A racing caller admitted the shape first; share its entry
             // (and its memoized pick).
             return Ok(existing.clone());
         }
@@ -305,8 +305,8 @@ impl ResultCache {
     /// least-recently-used entries beyond capacity.
     ///
     /// An insert never clobbers an entry carrying a **newer**
-    /// generation: a slow worker that pinned epoch N finishing after a
-    /// fast worker already cached the same query under N+1 must not
+    /// generation: a slow caller that pinned epoch N finishing after a
+    /// fast caller already cached the same query under N+1 must not
     /// replace the fresh answer with its stale one (which the next
     /// N+1 lookup would then serve as current).
     pub fn insert(
@@ -461,8 +461,8 @@ mod tests {
 
     #[test]
     fn stale_generation_insert_never_clobbers_a_newer_entry() {
-        // The lost-race the guard closes: worker A pins generation 0,
-        // worker B pins generation 1 (post-update) and caches its
+        // The lost-race the guard closes: caller A pins generation 0,
+        // caller B pins generation 1 (post-update) and caches its
         // answer first; A's late insert must be dropped, or the next
         // generation-1 lookup would serve A's pre-update ids as fresh.
         let cache = ResultCache::new(8);

@@ -11,8 +11,8 @@
 //! asking for a cold index past the bound detaches the least recently
 //! used one. Detaching drops the catalog's `Arc` only — connections
 //! still executing against the evicted service keep their clone, and
-//! the service shuts down (draining its queue) when the last clone
-//! goes away, so eviction can never cut an in-flight query short.
+//! the service is dropped when the last clone goes away, so eviction
+//! can never cut an in-flight query short.
 
 use crate::events::{Event, EventJournal};
 use crate::service::{ServiceOptions, TwigService};
@@ -315,7 +315,7 @@ mod tests {
         assert!(!catalog.entries()[0].attached, "registration does not attach");
         let twig = parse_xpath("//author[fn='jane']").unwrap();
         let svc = catalog.get("books").unwrap();
-        assert_eq!(svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap().ids.len(), 2);
+        assert_eq!(svc.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 2);
         let again = catalog.get("books").unwrap();
         assert!(Arc::ptr_eq(&svc, &again), "second get reuses the attached service");
         let stats = catalog.stats();
@@ -365,8 +365,8 @@ mod tests {
         assert_eq!(catalog.stats().opens, 4);
         // A holder of the pre-eviction Arc keeps serving meanwhile.
         let twig = parse_xpath("//author").unwrap();
-        assert_eq!(a.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap().ids.len(), 3);
-        assert_eq!(b2.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap().ids.len(), 3);
+        assert_eq!(a.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 3);
+        assert_eq!(b2.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

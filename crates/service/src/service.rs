@@ -1,24 +1,15 @@
-//! The concurrent query service: submission API, worker pool, deadlines,
-//! graceful shutdown, and the snapshot-isolated maintenance path.
+//! The twig query service: the dispatch door, admission, the shared
+//! caches, and the snapshot-isolated maintenance path.
 //!
-//! Threading model — two dispatch doors over one execution path, both
-//! behind the same [`Admission`] budget (bounded in-flight queries,
-//! typed [`ServiceError::Overloaded`] rejection):
-//!
-//! * **Direct dispatch** ([`TwigService::execute`] /
-//!   [`TwigService::execute_batch`]): the query runs synchronously on
-//!   the *caller's* thread against a pinned epoch — no queue, no
-//!   handoff, no shared consumer lock. This is how the network front
-//!   end serves: each connection thread dispatches its own queries, so
-//!   concurrency scales with connections and cores instead of
-//!   serializing through one channel (the old shared-`mpsc`-behind-a-
-//!   mutex worker queue was single-core-shaped and is gone).
-//! * **Queued dispatch** ([`TwigService::submit`] and friends): the
-//!   query is cloned into a `Job` pushed onto a condvar-backed deque
-//!   (`JobQueue`) that `workers` std threads drain; each job carries
-//!   a [`Ticket`] slot (mutex + condvar) the submitter waits on.
-//!   Deadlines bound queue residence; shutdown closes the queue and
-//!   drains what is already accepted.
+//! Threading model — one dispatch door. [`TwigService::execute`],
+//! [`TwigService::execute_with`] and [`TwigService::execute_batch`] run
+//! the query synchronously on the *caller's* thread against a pinned
+//! epoch: no queue, no hand-off, no thread of the service's own.
+//! Concurrency is the caller's business — the network front end gives
+//! each connection a thread that dispatches its own queries, the ledger
+//! harness runs one caller per core — and every call draws from one
+//! [`Admission`] budget (bounded in-flight queries, typed
+//! [`ServiceError::Overloaded`] rejection).
 //!
 //! Concurrency model (MVCC over the copy-on-write page layer): the
 //! engine lives inside an immutable `EngineEpoch` — engine plus the
@@ -35,45 +26,36 @@
 //! the maintenance lock before swapping it in, so a rebuild can never
 //! lose a committed update.
 
-use crate::admission::{Admission, Permit};
+use crate::admission::Admission;
 use crate::cache::{PlanCache, ResultCache};
 use crate::events::{Event, EventJournal};
 use crate::metrics::{render_metrics, MetricsRegistry, SlowQuery};
 use crate::shape::{exact_key, shape_key};
 use crate::stats::{ServiceSnapshot, ServiceStats};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex as StdMutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 use xtwig_core::engine::{EngineOptions, ProbeMemo, QueryMetrics};
 use xtwig_core::persist::{PersistError, PersistReport};
 use xtwig_core::plan::PlanKind;
 use xtwig_core::{QueryEngine, Strategy};
 use xtwig_xml::{TagId, TwigPattern, XmlForest};
 
-/// The engine type a service shares across worker threads.
+/// The engine type a service shares across its callers' threads.
 pub type SharedEngine = QueryEngine<Arc<XmlForest>>;
 
-/// Why a submission or wait failed.
+/// Why a query was not answered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The service is shutting down and accepts no new work.
-    ShuttingDown,
     /// The requested strategy's structures were not built.
     StrategyNotBuilt(Strategy),
-    /// The query was still queued when its deadline passed.
-    DeadlineExceeded,
-    /// The job was dropped without an answer (worker panic or teardown).
-    Canceled,
     /// The admission budget is exhausted: too many queries in flight.
     /// Typed so callers (and the wire protocol) can back off instead of
     /// piling onto an overloaded service.
     Overloaded {
-        /// Queries in flight when the submission was refused.
+        /// Queries in flight when the request was refused.
         in_flight: usize,
         /// The configured [`ServiceOptions::max_in_flight`] bound.
         limit: usize,
@@ -83,10 +65,7 @@ pub enum ServiceError {
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::StrategyNotBuilt(s) => write!(f, "strategy {s} was not built"),
-            ServiceError::DeadlineExceeded => write!(f, "query deadline exceeded while queued"),
-            ServiceError::Canceled => write!(f, "query canceled without an answer"),
             ServiceError::Overloaded { in_flight, limit } => {
                 write!(f, "service overloaded: {in_flight} queries in flight (limit {limit})")
             }
@@ -99,7 +78,11 @@ impl std::error::Error for ServiceError {}
 /// Service construction options.
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
-    /// Worker threads (minimum 1; default 4).
+    /// Ignored. The service runs every query on its caller's thread
+    /// and has no worker pool to size; the field survives only because
+    /// the frozen `benchmark/` harness still writes `workers: 1`, and
+    /// goes once that line does (ROADMAP item 4).
+    #[doc(hidden)]
     pub workers: usize,
     /// Enable the shape-keyed plan cache (default true).
     pub plan_cache: bool,
@@ -107,8 +90,6 @@ pub struct ServiceOptions {
     pub plan_cache_capacity: usize,
     /// Result-cache entries; 0 disables result caching (default 1024).
     pub result_cache_capacity: usize,
-    /// Deadline applied to submissions that don't carry their own.
-    pub default_deadline: Option<Duration>,
     /// Executions at or above this many microseconds are captured into
     /// the slow-query log together with the span tree of that same
     /// execution (`None` disables the log; default). While the log is
@@ -119,10 +100,10 @@ pub struct ServiceOptions {
     pub slow_query_micros: Option<u64>,
     /// Slow-query records retained, oldest evicted first (default 32).
     pub slow_query_capacity: usize,
-    /// Admission bound: queries in flight (queued + executing, across
-    /// both dispatch doors) beyond which submissions are refused with
-    /// [`ServiceError::Overloaded`]. `0` disables the bound (default
-    /// 1024).
+    /// Admission bound: queries in flight (executing on their callers'
+    /// threads, batch members included) beyond which requests are
+    /// refused with [`ServiceError::Overloaded`]. `0` disables the bound
+    /// (default 1024).
     pub max_in_flight: usize,
     /// Event journal this service emits into. `None` (default) gives
     /// the service a private journal of [`ServiceOptions::event_capacity`]
@@ -136,11 +117,10 @@ pub struct ServiceOptions {
 impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
-            workers: 4,
+            workers: 0,
             plan_cache: true,
             plan_cache_capacity: 4096,
             result_cache_capacity: 1024,
-            default_deadline: None,
             slow_query_micros: None,
             slow_query_capacity: 32,
             max_in_flight: 1024,
@@ -150,10 +130,10 @@ impl Default for ServiceOptions {
     }
 }
 
-/// Per-request context the wire front end threads through direct
-/// dispatch: the client-stamped request id, whether the client asked
-/// for a trace capture, and the connection's peer address. Local
-/// submissions use the default (id 0, unsampled, no peer).
+/// Per-request context the wire front end threads through
+/// [`TwigService::execute_with`]: the client-stamped request id, whether
+/// the client asked for a trace capture, and the connection's peer
+/// address. Local callers use the default (id 0, unsampled, no peer).
 #[derive(Debug, Clone, Default)]
 pub struct RequestCtx {
     /// Client-stamped wire request id (0 = unstamped/local).
@@ -176,209 +156,12 @@ pub struct ServiceAnswer {
     /// The plan kind that ran (or originally ran, for cache hits).
     pub plan: PlanKind,
     /// Strategy that answered — the optimizer's concrete pick when the
-    /// query was submitted with [`Strategy::Auto`].
+    /// query was requested with [`Strategy::Auto`].
     pub strategy: Strategy,
     /// True when served from the result cache.
     pub from_cache: bool,
     /// Execution metrics; zeroed for cache hits (no index work done).
     pub metrics: QueryMetrics,
-}
-
-// ---------------------------------------------------------------------------
-// Tickets
-// ---------------------------------------------------------------------------
-
-type JobResult = Result<Vec<ServiceAnswer>, ServiceError>;
-
-struct Slot {
-    state: StdMutex<Option<JobResult>>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot { state: StdMutex::new(None), cv: Condvar::new() })
-    }
-
-    /// First resolution wins; later calls (e.g. the cancel-on-drop
-    /// guard after a normal resolve) are no-ops.
-    fn resolve(&self, result: JobResult) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.is_none() {
-            *state = Some(result);
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self) -> JobResult {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = state.take() {
-                return result;
-            }
-            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Like [`Slot::wait`] but gives up after `timeout`, leaving the
-    /// slot intact (a later wait can still take the result).
-    fn wait_timeout(&self, timeout: Duration) -> Option<JobResult> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = state.take() {
-                return Some(result);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (s, _) =
-                self.cv.wait_timeout(state, deadline - now).unwrap_or_else(|e| e.into_inner());
-            state = s;
-        }
-    }
-}
-
-/// Handle to one in-flight query.
-pub struct Ticket {
-    slot: Arc<Slot>,
-}
-
-impl Ticket {
-    /// Blocks until the worker resolves the query.
-    pub fn wait(self) -> Result<ServiceAnswer, ServiceError> {
-        // A resolved single-query job always carries one answer; an
-        // empty vector would mean a worker bug, which surfaces as a
-        // typed error instead of panicking the waiting thread.
-        self.slot.wait().and_then(|mut answers| answers.pop().ok_or(ServiceError::Canceled))
-    }
-
-    /// Waits at most `timeout` for the answer; `None` leaves the ticket
-    /// usable for a later `wait`/`wait_timeout`. This is the caller-side
-    /// bound — the submission deadline only rejects work still *queued*
-    /// when it expires, it cannot preempt an executing worker.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ServiceAnswer, ServiceError>> {
-        self.slot
-            .wait_timeout(timeout)
-            .map(|r| r.and_then(|mut answers| answers.pop().ok_or(ServiceError::Canceled)))
-    }
-}
-
-/// Handle to one in-flight batch.
-pub struct BatchTicket {
-    slot: Arc<Slot>,
-}
-
-impl BatchTicket {
-    /// Blocks until the worker resolves the batch; answers are in
-    /// submission order.
-    pub fn wait(self) -> Result<Vec<ServiceAnswer>, ServiceError> {
-        self.slot.wait()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Jobs and workers
-// ---------------------------------------------------------------------------
-
-enum JobKind {
-    Single(TwigPattern, Strategy),
-    Batch(Vec<TwigPattern>, Strategy),
-}
-
-struct Job {
-    kind: JobKind,
-    deadline: Option<Instant>,
-    slot: Arc<Slot>,
-    /// Admission units held for the whole queued + executing lifetime
-    /// and taken out just before the slot resolves (by `run_job`, or by
-    /// `Drop` for a job that never ran): a waiter that has its result
-    /// also sees the budget returned, as on the direct door.
-    permit: Option<Permit>,
-}
-
-/// The worker queue: a plain deque under a mutex with a condvar, shared
-/// by every worker. This replaced the original `mpsc::Receiver` behind
-/// a `Mutex` (where a worker had to win two locks to take a job and
-/// at most one could block on `recv`): workers park on the condvar and
-/// each push wakes exactly one. Closing the queue wakes everyone;
-/// already-accepted jobs drain before workers exit (graceful shutdown).
-struct JobQueue {
-    inner: StdMutex<JobQueueInner>,
-    cv: Condvar,
-}
-
-struct JobQueueInner {
-    jobs: VecDeque<Job>,
-    open: bool,
-}
-
-impl JobQueue {
-    fn new() -> Arc<JobQueue> {
-        Arc::new(JobQueue {
-            inner: StdMutex::new(JobQueueInner { jobs: VecDeque::new(), open: true }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Enqueues `job`, or hands it back when the queue is closed.
-    fn push(&self, job: Job) -> Result<(), Job> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if !inner.open {
-            return Err(job);
-        }
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    /// Takes the next job, blocking while the queue is open and empty.
-    /// `None` means closed *and* drained — the worker should exit.
-    fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
-            }
-            if !inner.open {
-                return None;
-            }
-            inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Stops accepting jobs and wakes every parked worker to drain.
-    fn close(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.open = false;
-        drop(inner);
-        self.cv.notify_all();
-    }
-
-    fn is_open(&self) -> bool {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).open
-    }
-}
-
-impl JobKind {
-    /// Queries this job carries (stats count queries, not jobs).
-    fn query_count(&self) -> u64 {
-        match self {
-            JobKind::Single(..) => 1,
-            JobKind::Batch(twigs, _) => twigs.len() as u64,
-        }
-    }
-}
-
-impl Drop for Job {
-    fn drop(&mut self) {
-        // Covers worker panics and teardown paths: a job never resolved
-        // by execution resolves to Canceled instead of hanging waiters.
-        drop(self.permit.take());
-        self.slot.resolve(Err(ServiceError::Canceled));
-    }
 }
 
 /// One immutable engine generation. An epoch is never mutated after
@@ -476,7 +259,7 @@ struct Shared {
     events: Arc<EventJournal>,
     /// Which strategies the *current* engine has built — atomic because
     /// [`TwigService::rebuild_parallel`] may swap in an engine with a
-    /// different strategy set while submissions race the check.
+    /// different strategy set while requests race the check.
     available: [AtomicBool; Strategy::ALL.len()],
 }
 
@@ -515,27 +298,26 @@ fn fork_engine(epoch: &EngineEpoch) -> SharedEngine {
     }
 }
 
-/// A multi-threaded twig query service over one shared [`SharedEngine`].
+/// A twig query service over one shared [`SharedEngine`]: `Sync`, with
+/// no thread of its own — share it (`&TwigService`, or in an `Arc`)
+/// among as many caller threads as should have queries in flight.
 pub struct TwigService {
     shared: Arc<Shared>,
-    queue: Arc<JobQueue>,
-    admission: Arc<Admission>,
-    workers: Vec<JoinHandle<()>>,
-    default_deadline: Option<Duration>,
+    admission: Admission,
 }
 
 impl TwigService {
-    /// Builds the engine over `forest` and starts the worker pool.
+    /// Builds the engine over `forest` and serves it.
     pub fn build(forest: XmlForest, engine: EngineOptions, options: ServiceOptions) -> Self {
         TwigService::over(QueryEngine::build(Arc::new(forest), engine), options)
     }
 
     /// Reopens a persisted index file (see `xtwig-core`'s
     /// [`QueryEngine::persist`](xtwig_core::QueryEngine::persist)) and
-    /// starts the worker pool over it — a service restart without
-    /// paying the index build: no enumeration, no sorting, no bulk
-    /// loads; the stored per-strategy digests are verified against the
-    /// reopened page images before any query is accepted.
+    /// serves it — a service restart without paying the index build: no
+    /// enumeration, no sorting, no bulk loads; the stored per-strategy
+    /// digests are verified against the reopened page images before any
+    /// query is accepted.
     pub fn open<P: AsRef<std::path::Path>>(
         path: P,
         options: ServiceOptions,
@@ -543,7 +325,7 @@ impl TwigService {
         Ok(TwigService::over(QueryEngine::open(path)?, options))
     }
 
-    /// Starts a worker pool over an already-built shared engine.
+    /// Serves an already-built shared engine. Spawns nothing.
     pub fn over(engine: SharedEngine, options: ServiceOptions) -> Self {
         let available = std::array::from_fn(|i| {
             AtomicBool::new(Strategy::ALL.get(i).is_some_and(|s| engine.has_strategy(*s)))
@@ -563,120 +345,14 @@ impl TwigService {
             events,
             available,
         });
-        let queue = JobQueue::new();
-        let mut workers = Vec::new();
-        for i in 0..options.workers.max(1) {
-            let shared = shared.clone();
-            let worker_queue = queue.clone();
-            match std::thread::Builder::new()
-                .name(format!("xtwig-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &worker_queue))
-            {
-                Ok(handle) => workers.push(handle),
-                // Spawn failure (OS thread exhaustion) degrades the
-                // pool instead of panicking the attaching thread —
-                // which is a *connection* thread when the catalog
-                // attaches an index on first use.
-                Err(_) => break,
-            }
-        }
-        if workers.is_empty() {
-            // With no workers, queued submissions would park forever;
-            // closing the queue makes them fail fast with a typed
-            // ShuttingDown. Direct dispatch (`execute`) still serves.
-            queue.close();
-        }
-        TwigService {
-            shared,
-            queue,
-            admission: Admission::new(options.max_in_flight),
-            workers,
-            default_deadline: options.default_deadline,
-        }
+        TwigService { shared, admission: Admission::new(options.max_in_flight) }
     }
 
-    /// Submits one query; the returned [`Ticket`] resolves when a
-    /// worker answers it.
-    pub fn submit(&self, twig: &TwigPattern, strategy: Strategy) -> Result<Ticket, ServiceError> {
-        self.submit_with_deadline(twig, strategy, self.default_deadline)
-    }
-
-    /// [`TwigService::submit`] with an explicit queueing deadline,
-    /// enforced when a worker dequeues the job: a query still queued
-    /// past its deadline resolves to [`ServiceError::DeadlineExceeded`]
-    /// at that point. It bounds queue residence, not the caller's wait —
-    /// `Ticket::wait` still blocks until a worker picks the job up (use
-    /// [`Ticket::wait_timeout`] for a caller-side bound), and a query
-    /// already executing runs to completion (workers are not preempted).
-    pub fn submit_with_deadline(
-        &self,
-        twig: &TwigPattern,
-        strategy: Strategy,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServiceError> {
-        let slot = self.enqueue(JobKind::Single(twig.clone(), strategy), strategy, deadline)?;
-        Ok(Ticket { slot })
-    }
-
-    /// Submits a batch answered as one unit on one worker, with index
-    /// probes deduplicated across the batch's shared PCsubpaths.
-    pub fn submit_batch(
-        &self,
-        twigs: &[TwigPattern],
-        strategy: Strategy,
-    ) -> Result<BatchTicket, ServiceError> {
-        let slot = self.enqueue(
-            JobKind::Batch(twigs.to_vec(), strategy),
-            strategy,
-            self.default_deadline,
-        )?;
-        Ok(BatchTicket { slot })
-    }
-
-    fn enqueue(
-        &self,
-        kind: JobKind,
-        strategy: Strategy,
-        deadline: Option<Duration>,
-    ) -> Result<Arc<Slot>, ServiceError> {
-        // Auto needs any built strategy — the optimizer only ranks
-        // what exists.
-        if !strategy_available(&self.shared, strategy) {
-            return Err(ServiceError::StrategyNotBuilt(strategy));
-        }
-        if !self.queue.is_open() {
-            return Err(ServiceError::ShuttingDown);
-        }
-        let queries = kind.query_count();
-        let Some(permit) = self.admission.try_acquire(queries as usize) else {
-            return Err(self.reject_overloaded());
-        };
-        let slot = Slot::new();
-        let job = Job {
-            kind,
-            deadline: deadline.map(|d| Instant::now() + d),
-            slot: slot.clone(),
-            permit: Some(permit),
-        };
-        self.shared.stats.enqueue(queries);
-        if let Err(job) = self.queue.push(job) {
-            // The queue closed between the open check and the push; the
-            // dropped job resolves its slot to Canceled, but no ticket
-            // ever sees it — the caller gets the typed rejection.
-            self.shared.stats.dequeue();
-            drop(job);
-            return Err(ServiceError::ShuttingDown);
-        }
-        Ok(slot)
-    }
-
-    /// Answers `twig` synchronously on the **caller's** thread — the
-    /// direct-dispatch door the network front end uses (one connection
-    /// thread = one dispatcher; see the module docs). Shares everything
-    /// with the queued path: the pinned-epoch snapshot discipline, plan
-    /// and result caches, stats, and the admission budget. Rejects with
-    /// [`ServiceError::Overloaded`] when the budget is exhausted and
-    /// [`ServiceError::ShuttingDown`] after shutdown began.
+    /// Answers `twig` synchronously on the **caller's** thread (one
+    /// connection thread = one dispatcher in the network front end; see
+    /// the module docs) against a pinned epoch, through the plan and
+    /// result caches. Rejects with [`ServiceError::Overloaded`] when the
+    /// admission budget is exhausted.
     pub fn execute(
         &self,
         twig: &TwigPattern,
@@ -697,23 +373,15 @@ impl TwigService {
         ctx: &RequestCtx,
     ) -> Result<ServiceAnswer, ServiceError> {
         self.check_strategy_available(strategy)?;
-        if !self.queue.is_open() {
-            return Err(ServiceError::ShuttingDown);
-        }
         let Some(_permit) = self.admission.try_acquire(1) else {
             return Err(self.reject_overloaded());
         };
         self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        match answer_one(&self.shared, twig, strategy, ctx) {
-            Ok(answer) => {
-                self.shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                Ok(answer)
-            }
-            Err(e) => {
-                self.shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
+        let answer = answer_pinned(&self.shared, &self.shared.pin(), twig, strategy, None, ctx);
+        let outcome =
+            if answer.is_ok() { &self.shared.stats.completed } else { &self.shared.stats.failed };
+        outcome.fetch_add(1, Ordering::Relaxed);
+        answer
     }
 
     /// [`TwigService::execute`] for a batch: answered on the caller's
@@ -726,9 +394,6 @@ impl TwigService {
         strategy: Strategy,
     ) -> Result<Vec<ServiceAnswer>, ServiceError> {
         self.check_strategy_available(strategy)?;
-        if !self.queue.is_open() {
-            return Err(ServiceError::ShuttingDown);
-        }
         let Some(_permit) = self.admission.try_acquire(twigs.len()) else {
             return Err(self.reject_overloaded());
         };
@@ -737,7 +402,7 @@ impl TwigService {
     }
 
     /// Builds the typed Overloaded rejection and journals it — every
-    /// admission refusal (queued, direct, batch) leaves an event.
+    /// admission refusal (single or batch) leaves an event.
     fn reject_overloaded(&self) -> ServiceError {
         let in_flight = self.admission.in_flight();
         let limit = self.admission.limit();
@@ -747,11 +412,23 @@ impl TwigService {
         ServiceError::Overloaded { in_flight, limit }
     }
 
-    /// The submit-time availability check both doors share (see
-    /// `answer_one` for the execution-time recheck that closes the
-    /// rebuild TOCTOU).
+    /// The availability check at the door, before admission (see
+    /// `answer_pinned` for the recheck against the pinned engine that
+    /// closes the rebuild TOCTOU). Auto needs any built strategy — the
+    /// optimizer only ranks what exists — and a strategy missing from
+    /// `Strategy::ALL` reads as unavailable, never as a panic.
     fn check_strategy_available(&self, strategy: Strategy) -> Result<(), ServiceError> {
-        if strategy_available(&self.shared, strategy) {
+        let available = &self.shared.available;
+        let built = if strategy.is_auto() {
+            available.iter().any(|a| a.load(Ordering::SeqCst))
+        } else {
+            Strategy::ALL
+                .iter()
+                .position(|s| *s == strategy)
+                .and_then(|i| available.get(i))
+                .is_some_and(|a| a.load(Ordering::SeqCst))
+        };
+        if built {
             Ok(())
         } else {
             Err(ServiceError::StrategyNotBuilt(strategy))
@@ -768,7 +445,7 @@ impl TwigService {
     /// applies every op to the fork, journals the ops for future
     /// rebuilds, and publishes the fork as the next epoch. In-flight
     /// queries keep reading the epoch they pinned and **never block on
-    /// this writer**; queries submitted after the publish see every op
+    /// this writer**; queries that arrive after the publish see every op
     /// and find the pool as warm as the one they left. Concurrent
     /// writers serialize on the maintenance lock.
     pub fn apply_update(&self, ops: Vec<UpdateOp>) -> u64 {
@@ -876,7 +553,6 @@ impl TwigService {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
             failed: s.failed.load(Ordering::Relaxed),
-            deadline_missed: s.deadline_missed.load(Ordering::Relaxed),
             updates: s.updates.load(Ordering::Relaxed),
             rebuilds: s.rebuilds.load(Ordering::Relaxed),
             journal_ops: s.journal_ops.load(Ordering::Relaxed),
@@ -886,8 +562,6 @@ impl TwigService {
             batch_queries: s.batch_queries.load(Ordering::Relaxed),
             memo_hits: s.memo_hits.load(Ordering::Relaxed),
             memo_misses: s.memo_misses.load(Ordering::Relaxed),
-            queue_depth: s.queue_depth.load(Ordering::Relaxed),
-            queue_high_water: s.queue_high_water.load(Ordering::Relaxed),
             in_flight: self.admission.in_flight(),
             admission_limit: self.admission.limit(),
             overloaded: self.admission.rejected(),
@@ -899,13 +573,8 @@ impl TwigService {
         }
     }
 
-    /// Worker threads serving the queue.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Renders every service metric in the Prometheus text exposition
-    /// format: submission/cache counters, per-strategy execution costs
+    /// format: request/cache counters, per-strategy execution costs
     /// and log2 latency histograms, per-pool page-read/miss/pin
     /// counters from the current engine, per-shape traffic, and the
     /// slow-query count. Scrape-safe: holds no lock across query
@@ -934,75 +603,15 @@ impl TwigService {
         self.shared.metrics.find_trace(request_id)
     }
 
-    /// Graceful shutdown: stop accepting submissions, let the workers
-    /// drain every queued job, then join them.
-    pub fn shutdown(mut self) {
-        self.do_shutdown();
-    }
-
-    fn do_shutdown(&mut self) {
-        self.queue.close(); // rejects new pushes; workers drain what's queued
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TwigService {
-    fn drop(&mut self) {
-        self.do_shutdown();
-    }
-}
-
-/// The submit-time availability check both dispatch doors share. A
-/// strategy missing from `Strategy::ALL` reads as unavailable (a typed
-/// `StrategyNotBuilt`), never as a panic.
-fn strategy_available(shared: &Shared, strategy: Strategy) -> bool {
-    if strategy.is_auto() {
-        shared.available.iter().any(|a| a.load(Ordering::SeqCst))
-    } else {
-        Strategy::ALL
-            .iter()
-            .position(|s| *s == strategy)
-            .and_then(|i| shared.available.get(i))
-            .is_some_and(|a| a.load(Ordering::SeqCst))
-    }
-}
-
-fn worker_loop(shared: &Shared, queue: &JobQueue) {
-    while let Some(job) = queue.pop() {
-        shared.stats.dequeue();
-        run_job(shared, job);
-    }
-    // `pop` returned None: queue closed and drained — shutdown.
-}
-
-fn run_job(shared: &Shared, mut job: Job) {
-    let queries = job.kind.query_count();
-    let result = if job.deadline.is_some_and(|d| Instant::now() > d) {
-        shared.stats.deadline_missed.fetch_add(queries, Ordering::Relaxed);
-        shared.stats.failed.fetch_add(queries, Ordering::Relaxed);
-        Err(ServiceError::DeadlineExceeded)
-    } else {
-        match &job.kind {
-            JobKind::Single(twig, strategy) => {
-                let answer = answer_one(shared, twig, *strategy, &RequestCtx::default());
-                let outcome =
-                    if answer.is_ok() { &shared.stats.completed } else { &shared.stats.failed };
-                outcome.fetch_add(1, Ordering::Relaxed);
-                answer.map(|a| vec![a])
-            }
-            JobKind::Batch(twigs, strategy) => answer_batch(shared, twigs, *strategy),
-        }
-    };
-    drop(job.permit.take());
-    job.slot.resolve(result);
+    /// Consumes the service. Every query ran on its caller's thread and
+    /// `self` is owned here, so none is in flight and there is nothing
+    /// to drain or join: this is `drop`, kept under its old name because
+    /// the frozen `benchmark/` harness calls it.
+    pub fn shutdown(self) {}
 }
 
 /// Answers a batch as one unit: one pinned epoch, one shared probe
-/// memo, full completion/failure accounting. Shared by the queued path
-/// (`run_job`) and the direct-dispatch door
-/// ([`TwigService::execute_batch`]).
+/// memo, full completion/failure accounting.
 fn answer_batch(
     shared: &Shared,
     twigs: &[TwigPattern],
@@ -1016,28 +625,13 @@ fn answer_batch(
     // batch's snapshot and its cache tag cannot disagree.
     let epoch = shared.pin();
     let mut memo = ProbeMemo::new();
-    let answers: Result<Vec<ServiceAnswer>, ServiceError> = {
-        // Recheck against the engine actually executing: a
-        // rebuild may have dropped the strategy after submit's
-        // availability check passed (see `answer_one`).
-        if epoch.engine.has_strategy(strategy) {
-            Ok(twigs
-                .iter()
-                .map(|t| {
-                    answer_pinned(
-                        shared,
-                        &epoch.engine,
-                        t,
-                        strategy,
-                        Some(&mut memo),
-                        epoch.generation,
-                    )
-                })
-                .collect())
-        } else {
-            Err(ServiceError::StrategyNotBuilt(strategy))
-        }
-    };
+    let ctx = RequestCtx::default();
+    // Every member rechecks the strategy against the same pinned engine,
+    // so the batch fails or succeeds as a whole.
+    let answers: Result<Vec<ServiceAnswer>, ServiceError> = twigs
+        .iter()
+        .map(|t| answer_pinned(shared, &epoch, t, strategy, Some(&mut memo), &ctx))
+        .collect();
     match answers {
         Ok(answers) => {
             let memo_stats = memo.stats();
@@ -1055,30 +649,31 @@ fn answer_batch(
     }
 }
 
-/// Answers one single-submission query against a pinned epoch. The
-/// epoch binds engine state and generation into one atomic unit: a
-/// result computed here is cached under the pinned epoch's generation,
-/// so an update publishing generation N+1 mid-execution cannot cause a
-/// stale result to be tagged fresh (the cache also refuses to clobber
-/// a newer-generation entry). Result-cache hits return without
-/// executing at all. (A rebuild that dropped the strategy published a
-/// higher generation; a worker that pinned the old epoch *before* the
-/// swap may still serve one cached pre-rebuild answer — correct data
-/// for the epoch that was live when the query was accepted, after
-/// which the entry is stale.)
+/// The one lookup path, for a single request and for each member of a
+/// batch: answers `twig` against a pinned epoch. The epoch binds engine
+/// state and generation into one atomic unit: a result computed here is
+/// cached under the pinned epoch's generation, so an update publishing
+/// generation N+1 mid-execution cannot cause a stale result to be
+/// tagged fresh (the cache also refuses to clobber a newer-generation
+/// entry). Result-cache hits return without executing at all. (A
+/// rebuild that dropped the strategy published a higher generation; a
+/// caller that pinned the old epoch *before* the swap may still serve
+/// one cached pre-rebuild answer — correct data for the epoch that was
+/// live when the query was accepted, after which the entry is stale.)
 ///
 /// Errs with [`ServiceError::StrategyNotBuilt`] when a rebuild dropped
-/// the strategy between submit's availability check and execution —
-/// the recheck is against the pinned engine this worker actually
-/// executes on, so a query never reaches an unbuilt structure (whose
-/// accessor would panic and kill the worker thread).
-fn answer_one(
+/// the strategy between the door's availability check and the pin — the
+/// recheck is against the pinned engine this call actually executes on,
+/// so a query never reaches an unbuilt structure (whose accessor would
+/// panic on the caller's thread — a connection thread, under `net`).
+fn answer_pinned(
     shared: &Shared,
+    epoch: &EngineEpoch,
     twig: &TwigPattern,
     strategy: Strategy,
+    memo: Option<&mut ProbeMemo>,
     ctx: &RequestCtx,
 ) -> Result<ServiceAnswer, ServiceError> {
-    let epoch = shared.pin();
     let key = exact_key(twig);
     // Concrete strategies check the result cache before touching the
     // engine. Auto must compile (cheap on a plan-cache hit) to learn
@@ -1093,11 +688,11 @@ fn answer_one(
     if !epoch.engine.has_strategy(strategy) {
         return Err(ServiceError::StrategyNotBuilt(strategy));
     }
-    Ok(answer_miss(shared, &epoch.engine, twig, strategy, None, epoch.generation, key, ctx))
+    Ok(answer_miss(shared, epoch, twig, strategy, memo, key, ctx))
 }
 
-/// The result-cache lookup every path shares: a hit under the concrete
-/// `strategy` and `generation`, as the answer it is served as.
+/// The result-cache lookup: a hit under the concrete `strategy` and
+/// `generation`, as the answer it is served as.
 fn cached_answer(
     shared: &Shared,
     key: &str,
@@ -1113,41 +708,21 @@ fn cached_answer(
     })
 }
 
-/// Answers one query of a batch against the batch's pinned epoch and
-/// its generation (see `run_job`'s batch arm for why both are shared).
-fn answer_pinned(
-    shared: &Shared,
-    engine: &SharedEngine,
-    twig: &TwigPattern,
-    strategy: Strategy,
-    memo: Option<&mut ProbeMemo>,
-    generation: u64,
-) -> ServiceAnswer {
-    let key = exact_key(twig);
-    if !strategy.is_auto() {
-        if let Some(hit) = cached_answer(shared, &key, strategy, generation) {
-            return hit;
-        }
-    }
-    answer_miss(shared, engine, twig, strategy, memo, generation, key, &RequestCtx::default())
-}
-
 /// The execution path: compile and resolve the strategy (through the
-/// plan cache — an Auto submission resolves to its shape's memoized
+/// plan cache — an Auto request resolves to its shape's memoized
 /// concrete pick), check/fill the result cache *under the resolved
-/// strategy* (so auto and explicit submissions of one query share
+/// strategy* (so auto and explicit requests for one query share
 /// entries), execute, and record latency and cost counters.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by three call sites
 fn answer_miss(
     shared: &Shared,
-    engine: &SharedEngine,
+    epoch: &EngineEpoch,
     twig: &TwigPattern,
     requested: Strategy,
     memo: Option<&mut ProbeMemo>,
-    generation: u64,
     key: String,
     ctx: &RequestCtx,
 ) -> ServiceAnswer {
+    let (engine, generation) = (&epoch.engine, epoch.generation);
     let (compiled, plan, strategy) =
         match shared.plan_cache.compile_resolved(engine, twig, requested) {
             // Unknown tag: the answer is necessarily empty (§2.2); still
@@ -1181,8 +756,8 @@ fn answer_miss(
     if requested.is_auto() {
         shared.stats.record_auto_pick(strategy);
         // The pick's concrete key may already be cached (by an earlier
-        // auto submission or an explicit one). A sampled request skips
-        // the hit for the same reason `answer_one` does.
+        // auto request or an explicit one). A sampled request skips
+        // the hit for the same reason `answer_pinned` does.
         if !ctx.sample {
             if let Some(hit) = cached_answer(shared, &key, strategy, generation) {
                 return hit;
@@ -1235,58 +810,38 @@ mod tests {
     use xtwig_core::parse_xpath;
     use xtwig_xml::tree::fig1_book_document;
 
-    fn small_service(workers: usize) -> TwigService {
+    fn small_service() -> TwigService {
         TwigService::build(
             fig1_book_document(),
             EngineOptions { pool_pages: 256, ..Default::default() },
-            ServiceOptions { workers, ..Default::default() },
+            ServiceOptions::default(),
         )
     }
 
     #[test]
     fn execute_answers_on_the_caller_thread_and_shares_the_caches() {
-        let svc = small_service(1);
+        let svc = small_service();
         let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
         let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert_eq!(a.ids.len(), 1);
         assert!(!a.from_cache);
-        // A queued submission of the same query hits the result cache
-        // populated by the direct dispatch — one cache, two doors.
-        let b = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        // Asking again: result-cache hit with the same shared ids.
+        let b = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(b.from_cache);
         assert!(Arc::ptr_eq(&a.ids, &b.ids));
         let stats = svc.stats();
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, 2);
-        assert_eq!(stats.in_flight, 0, "permits released when queries resolve");
-        svc.shutdown();
+        assert_eq!(stats.result_cache.hits, 1);
+        assert_eq!(stats.in_flight, 0, "permits released when the calls return");
     }
 
     #[test]
-    fn execute_batch_matches_queued_batch_answers() {
-        let svc = small_service(1);
-        let twigs: Vec<TwigPattern> = ["//author[fn='jane']", "//author[fn='john']"]
-            .iter()
-            .map(|q| parse_xpath(q).unwrap())
-            .collect();
-        let direct = svc.execute_batch(&twigs, Strategy::DataPaths).unwrap();
-        let queued = svc.submit_batch(&twigs, Strategy::DataPaths).unwrap().wait().unwrap();
-        assert_eq!(direct.len(), queued.len());
-        for (d, q) in direct.iter().zip(queued.iter()) {
-            assert_eq!(d.ids, q.ids);
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.batch_queries, 4);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn exhausted_admission_budget_rejects_both_doors_and_recovers() {
+    fn exhausted_admission_budget_rejects_at_the_door_and_recovers() {
         let svc = TwigService::build(
             fig1_book_document(),
             EngineOptions { pool_pages: 256, ..Default::default() },
-            ServiceOptions { workers: 1, max_in_flight: 1, ..Default::default() },
+            ServiceOptions { max_in_flight: 1, ..Default::default() },
         );
         let twig = parse_xpath("//author[fn='jane']").unwrap();
         let hold = svc.admission.try_acquire(1).unwrap();
@@ -1296,10 +851,6 @@ mod tests {
             }
             other => panic!("expected Overloaded, got {:?}", other.map(|a| a.ids)),
         }
-        assert!(matches!(
-            svc.submit(&twig, Strategy::RootPaths),
-            Err(ServiceError::Overloaded { .. })
-        ));
         // A batch larger than the whole budget can never be admitted.
         let twigs = vec![twig.clone(), twig.clone()];
         drop(hold);
@@ -1311,84 +862,62 @@ mod tests {
         let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(!a.ids.is_empty());
         let stats = svc.stats();
-        assert_eq!(stats.overloaded, 3);
+        assert_eq!(stats.overloaded, 2);
         assert_eq!(stats.admission_limit, 1);
         assert_eq!(stats.in_flight, 0);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn submit_and_wait_roundtrip() {
-        let svc = small_service(2);
-        let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
-        let a = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
-        assert_eq!(a.ids.len(), 1);
-        assert!(!a.from_cache);
-        // Resubmission: result-cache hit with the same shared ids.
-        let b = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
-        assert!(b.from_cache);
-        assert!(Arc::ptr_eq(&a.ids, &b.ids));
-        let stats = svc.stats();
-        assert_eq!(stats.submitted, 2);
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.result_cache.hits, 1);
-        svc.shutdown();
     }
 
     #[test]
     fn plan_cache_reuses_shapes_across_literals() {
-        let svc = small_service(1);
+        let svc = small_service();
         for v in ["jane", "john", "nobody"] {
             let twig = parse_xpath(&format!("//author[fn='{v}']")).unwrap();
-            svc.submit(&twig, Strategy::DataPaths).unwrap().wait().unwrap();
+            svc.execute(&twig, Strategy::DataPaths).unwrap();
         }
         let stats = svc.stats();
         assert_eq!(stats.plan_cache.misses, 1, "one shape compiled once");
         assert_eq!(stats.plan_cache.hits, 2);
-        svc.shutdown();
     }
 
     #[test]
-    fn auto_submissions_resolve_and_share_the_concrete_cache_key() {
-        let svc = small_service(2);
+    fn auto_requests_resolve_and_share_the_concrete_cache_key() {
+        let svc = small_service();
         let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
-        let a = svc.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        let a = svc.execute(&twig, Strategy::Auto).unwrap();
         assert!(!a.strategy.is_auto(), "answer must report the optimizer's concrete pick");
         assert_eq!(a.ids.len(), 1);
         assert!(!a.from_cache);
-        // A second auto submission of the same query hits the result
+        // A second auto request for the same query hits the result
         // cache under the resolved concrete key…
-        let b = svc.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        let b = svc.execute(&twig, Strategy::Auto).unwrap();
         assert!(b.from_cache);
         assert_eq!(b.strategy, a.strategy);
         assert!(Arc::ptr_eq(&a.ids, &b.ids));
-        // …and so does an *explicit* submission of the picked strategy.
-        let c = svc.submit(&twig, a.strategy).unwrap().wait().unwrap();
-        assert!(c.from_cache, "auto and explicit submissions share cache entries");
+        // …and so does an *explicit* request for the picked strategy.
+        let c = svc.execute(&twig, a.strategy).unwrap();
+        assert!(c.from_cache, "auto and explicit requests share cache entries");
         let stats = svc.stats();
         let picks: u64 = stats.costs.iter().map(|c| c.auto_picks).sum();
-        assert_eq!(picks, 2, "each auto submission counts one optimizer pick");
+        assert_eq!(picks, 2, "each auto request counts one optimizer pick");
         let picked = stats.costs.iter().find(|c| c.strategy == a.strategy).unwrap();
         assert_eq!(picked.auto_picks, 2);
         assert_eq!(picked.executed, 1, "one execution, one cache hit");
         assert!(picked.probes > 0 && picked.logical_reads > 0);
-        svc.shutdown();
     }
 
     #[test]
     fn auto_resolution_is_memoized_per_shape_in_the_plan_cache() {
-        let svc = small_service(1);
+        let svc = small_service();
         // Same shape, different literals: one compile, one ranking.
         for v in ["jane", "john", "nobody"] {
             let twig = parse_xpath(&format!("//author[fn='{v}']")).unwrap();
-            let a = svc.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+            let a = svc.execute(&twig, Strategy::Auto).unwrap();
             assert!(!a.strategy.is_auto());
         }
         let stats = svc.stats();
         assert_eq!(stats.plan_cache.misses, 1, "one shape compiled once");
         assert_eq!(stats.plan_cache.hits, 2);
         assert_eq!(stats.costs.iter().map(|c| c.auto_picks).sum::<u64>(), 3);
-        svc.shutdown();
     }
 
     #[test]
@@ -1400,15 +929,14 @@ mod tests {
                 pool_pages: 256,
                 ..Default::default()
             },
-            ServiceOptions { workers: 1, ..Default::default() },
+            ServiceOptions::default(),
         );
         let twig = parse_xpath("//author").unwrap();
         // Auto is accepted whenever anything is built, and resolves
         // within the built subset.
-        let a = svc.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        let a = svc.execute(&twig, Strategy::Auto).unwrap();
         assert_eq!(a.strategy, Strategy::Asr);
         assert_eq!(a.ids.len(), 3);
-        svc.shutdown();
     }
 
     #[test]
@@ -1416,11 +944,11 @@ mod tests {
         // The plan cache memoizes the optimizer's pick per shape; a
         // rebuild may swap in an engine without that strategy. The
         // stale pick must re-resolve against the live engine — never
-        // reach an unbuilt structure (whose accessor would panic and
-        // permanently kill the worker thread).
-        let svc = small_service(1);
+        // reach an unbuilt structure (whose accessor would panic the
+        // calling thread).
+        let svc = small_service();
         let twig = parse_xpath("//author[fn='jane']").unwrap();
-        let first = svc.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        let first = svc.execute(&twig, Strategy::Auto).unwrap();
         let picked = first.strategy;
         assert!(!picked.is_auto());
         // Rebuild with every strategy EXCEPT the memoized pick.
@@ -1430,34 +958,71 @@ mod tests {
             EngineOptions { strategies: remaining.clone(), pool_pages: 256, ..Default::default() },
             2,
         );
-        let after = svc.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        let after = svc.execute(&twig, Strategy::Auto).unwrap();
         assert!(remaining.contains(&after.strategy), "re-resolved within the new subset");
         assert_eq!(*after.ids, *first.ids);
-        // The worker survived and keeps serving.
-        let alive = svc.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        // The re-resolved pick replaced the stale memo and keeps serving.
+        let alive = svc.execute(&twig, Strategy::Auto).unwrap();
         assert_eq!(*alive.ids, *first.ids);
-        svc.shutdown();
+    }
+
+    #[test]
+    fn singles_and_batch_members_share_one_lookup_path() {
+        type Door = fn(&TwigService, &TwigPattern, Strategy) -> ServiceAnswer;
+        let single: Door = |svc, twig, s| svc.execute(twig, s).unwrap();
+        let member: Door =
+            |svc, twig, s| svc.execute_batch(std::slice::from_ref(twig), s).unwrap().remove(0);
+        let twig = parse_xpath("//author[fn='jane']").unwrap();
+        for requested in [Strategy::RootPaths, Strategy::Auto] {
+            for (fill, read) in [(single, member), (member, single)] {
+                let svc = small_service();
+                let first = fill(&svc, &twig, requested);
+                assert!(!first.from_cache && !first.strategy.is_auto());
+                let second = read(&svc, &twig, requested);
+                assert!(
+                    second.from_cache,
+                    "{requested}: cached by one entry point, hit by the other"
+                );
+                assert!(Arc::ptr_eq(&first.ids, &second.ids));
+                assert_eq!(second.strategy, first.strategy);
+                // A sampled request executes despite the entry, on the
+                // concrete key and on the key Auto resolves to alike.
+                let ctx = RequestCtx { request_id: 77, sample: true, peer: String::new() };
+                let sampled = svc.execute_with(&twig, requested, &ctx).unwrap();
+                assert!(!sampled.from_cache, "{requested}: sampling bypasses the hit");
+                assert_eq!(*sampled.ids, *first.ids);
+                let trace = svc.find_trace(77).expect("sampled execution leaves its trace");
+                assert_eq!(trace.strategy, first.strategy);
+            }
+        }
+        // An unknown tag resolves nothing under Auto, so nothing is cached.
+        let svc = small_service();
+        let unknown = parse_xpath("//nosuchtag").unwrap();
+        for door in [single, member, single] {
+            let a = door(&svc, &unknown, Strategy::Auto);
+            assert!(a.ids.is_empty() && !a.from_cache);
+        }
+        assert!(svc.shared.result_cache.is_empty());
     }
 
     #[test]
     fn batch_accepts_auto() {
-        let svc = small_service(2);
+        let svc = small_service();
         let twigs: Vec<TwigPattern> = ["//author[fn='jane']/ln", "//author[fn='jane']"]
             .iter()
             .map(|q| parse_xpath(q).unwrap())
             .collect();
-        let answers = svc.submit_batch(&twigs, Strategy::Auto).unwrap().wait().unwrap();
+        let answers = svc.execute_batch(&twigs, Strategy::Auto).unwrap();
         assert_eq!(answers.len(), 2);
         for (t, a) in twigs.iter().zip(&answers) {
             assert!(!a.strategy.is_auto());
             let expected = svc.with_engine(|e| e.answer(t, Strategy::RootPaths).ids);
             assert_eq!(*a.ids, expected, "{t}");
         }
-        svc.shutdown();
     }
 
     #[test]
-    fn strategy_not_built_is_rejected_at_submit() {
+    fn strategy_not_built_is_rejected_at_the_door() {
         let svc = TwigService::build(
             fig1_book_document(),
             EngineOptions {
@@ -1465,15 +1030,16 @@ mod tests {
                 pool_pages: 256,
                 ..Default::default()
             },
-            ServiceOptions { workers: 1, ..Default::default() },
+            ServiceOptions::default(),
         );
         let twig = parse_xpath("//author").unwrap();
         assert_eq!(
-            svc.submit(&twig, Strategy::Edge).err(),
+            svc.execute(&twig, Strategy::Edge).err(),
             Some(ServiceError::StrategyNotBuilt(Strategy::Edge))
         );
-        assert!(svc.submit(&twig, Strategy::RootPaths).is_ok());
-        svc.shutdown();
+        assert!(svc.execute(&twig, Strategy::RootPaths).is_ok());
+        let stats = svc.stats();
+        assert_eq!((stats.submitted, stats.failed), (1, 0), "refused before admission");
     }
 
     /// The §7 maintenance ops the update tests insert: one new author
@@ -1491,29 +1057,28 @@ mod tests {
 
     #[test]
     fn update_bumps_generation_and_invalidates_results() {
-        let svc = small_service(2);
+        let svc = small_service();
         let twig = parse_xpath("//author[fn='ada']").unwrap();
-        let before = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        let before = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(before.ids.is_empty());
         let ops = ada_ops(&svc);
         assert_eq!(svc.apply_update(ops), 1);
         assert_eq!(svc.generation(), 1);
-        let after = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        let after = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(!after.from_cache, "stale cached empty answer must not be served");
         assert_eq!(after.ids.iter().copied().collect::<Vec<_>>(), vec![900]);
         assert_eq!(svc.stats().result_cache.invalidated, 1);
         assert_eq!(svc.stats().journal_ops, 2);
-        svc.shutdown();
     }
 
     #[test]
     fn delete_op_reverts_an_insert_on_every_maintainable_structure() {
-        let svc = small_service(1);
+        let svc = small_service();
         let ops = ada_ops(&svc);
         svc.apply_update(ops.clone());
         let twig = parse_xpath("//author[fn='ada']").unwrap();
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            assert_eq!(svc.submit(&twig, s).unwrap().wait().unwrap().ids.len(), 1, "{s}");
+            assert_eq!(svc.execute(&twig, s).unwrap().ids.len(), 1, "{s}");
         }
         let deletes: Vec<UpdateOp> = ops
             .into_iter()
@@ -1527,9 +1092,8 @@ mod tests {
             .collect();
         assert_eq!(svc.apply_update(deletes), 2);
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            assert!(svc.submit(&twig, s).unwrap().wait().unwrap().ids.is_empty(), "{s}");
+            assert!(svc.execute(&twig, s).unwrap().ids.is_empty(), "{s}");
         }
-        svc.shutdown();
     }
 
     #[test]
@@ -1538,7 +1102,7 @@ mod tests {
         // static forest, which knows nothing of index-only updates. The
         // journal replay must restore every committed op — including
         // ops committed *before* the rebuild started.
-        let svc = small_service(2);
+        let svc = small_service();
         svc.apply_update(ada_ops(&svc));
         let twig = parse_xpath("//author[fn='ada']").unwrap();
         svc.rebuild_parallel(EngineOptions { pool_pages: 256, ..Default::default() }, 2);
@@ -1546,7 +1110,7 @@ mod tests {
         assert_eq!(stats.rebuilds, 1);
         assert_eq!(stats.replayed_ops, 2, "full journal replayed onto the fresh engine");
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            let a = svc.submit(&twig, s).unwrap().wait().unwrap();
+            let a = svc.execute(&twig, s).unwrap();
             assert_eq!(
                 a.ids.iter().copied().collect::<Vec<_>>(),
                 vec![900],
@@ -1556,16 +1120,15 @@ mod tests {
         // A second rebuild replays the (still-retained) journal again.
         svc.rebuild_parallel(EngineOptions { pool_pages: 256, ..Default::default() }, 2);
         assert_eq!(svc.stats().replayed_ops, 4);
-        let again = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        let again = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert_eq!(again.ids.len(), 1);
-        svc.shutdown();
     }
 
     #[test]
     fn pinned_snapshot_stays_consistent_while_updates_publish() {
         // A reader holding an epoch must not observe an update that
         // commits while it reads — and must not block the writer.
-        let svc = Arc::new(small_service(2));
+        let svc = Arc::new(small_service());
         let twig = parse_xpath("//author[fn='ada']").unwrap();
         let ops = ada_ops(&svc);
         let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
@@ -1593,7 +1156,6 @@ mod tests {
         // A fresh pin sees the committed update.
         let now = svc.with_engine(|e| e.answer(&twig, Strategy::RootPaths).ids.len());
         assert_eq!(now, 1);
-        Arc::try_unwrap(svc).map(TwigService::shutdown).ok().unwrap();
     }
 
     #[test]
@@ -1601,38 +1163,35 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("xtwig-svc-fold-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("folded.xtwig");
-        let svc = small_service(1);
+        let svc = small_service();
         svc.apply_update(ada_ops(&svc));
         let report = svc.persist(&path).unwrap();
         assert!(report.file_bytes > 0);
         assert_eq!(svc.stats().folds, 1);
-        svc.shutdown();
         // Reopen: the update is part of the base image now.
         let reopened = TwigService::open(&path, ServiceOptions::default()).unwrap();
         let twig = parse_xpath("//author[fn='ada']").unwrap();
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            let a = reopened.submit(&twig, s).unwrap().wait().unwrap();
+            let a = reopened.execute(&twig, s).unwrap();
             assert_eq!(a.ids.iter().copied().collect::<Vec<_>>(), vec![900], "{s}");
         }
-        reopened.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rebuild_swaps_engine_and_invalidates_results() {
-        let svc = small_service(2);
+        let svc = small_service();
         let twig = parse_xpath("//author[fn='jane']").unwrap();
-        let before = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        let before = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert_eq!(before.ids.len(), 2);
         // Cached now; a rebuild must stale the cache even though the
         // answer set is unchanged (the indexes were reconstructed).
         svc.rebuild_parallel(EngineOptions { pool_pages: 256, ..Default::default() }, 4);
         assert_eq!(svc.generation(), 1);
         assert_eq!(svc.stats().rebuilds, 1);
-        let after = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        let after = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(!after.from_cache, "rebuild must invalidate cached results");
         assert_eq!(*after.ids, *before.ids);
-        svc.shutdown();
     }
 
     #[test]
@@ -1644,10 +1203,10 @@ mod tests {
                 pool_pages: 256,
                 ..Default::default()
             },
-            ServiceOptions { workers: 2, ..Default::default() },
+            ServiceOptions::default(),
         );
         let twig = parse_xpath("//author").unwrap();
-        assert!(svc.submit(&twig, Strategy::DataPaths).is_err());
+        assert!(svc.execute(&twig, Strategy::DataPaths).is_err());
         svc.rebuild_parallel(
             EngineOptions {
                 strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
@@ -1656,7 +1215,7 @@ mod tests {
             },
             2,
         );
-        let a = svc.submit(&twig, Strategy::DataPaths).unwrap().wait().unwrap();
+        let a = svc.execute(&twig, Strategy::DataPaths).unwrap();
         assert_eq!(a.ids.len(), 3);
         // Dropping a strategy makes it unavailable again.
         svc.rebuild_parallel(
@@ -1668,55 +1227,75 @@ mod tests {
             2,
         );
         assert_eq!(
-            svc.submit(&twig, Strategy::DataPaths).err(),
+            svc.execute(&twig, Strategy::DataPaths).err(),
             Some(ServiceError::StrategyNotBuilt(Strategy::DataPaths))
         );
-        svc.shutdown();
     }
 
     #[test]
-    fn queued_query_against_dropped_strategy_cannot_kill_the_worker() {
-        // TOCTOU guard: a query can pass submit's availability check,
-        // queue, and only reach a worker after a rebuild dropped its
-        // strategy. The worker must resolve it (StrategyNotBuilt) via
-        // the engine recheck — never touch the unbuilt structure, whose
-        // accessor would panic and permanently kill the worker thread.
-        let both = || EngineOptions {
-            strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
+    fn rebuilds_racing_callers_answer_or_reject_but_never_panic() {
+        // TOCTOU guard: a request can pass the door's availability check
+        // and pin its epoch only after a rebuild dropped its strategy.
+        // The recheck against the pinned engine must turn that into
+        // StrategyNotBuilt — never reach the unbuilt structure, whose
+        // accessor would panic the calling thread.
+        let options = |strategies: &[Strategy]| EngineOptions {
+            strategies: strategies.to_vec(),
             pool_pages: 256,
             ..Default::default()
         };
+        let both = [Strategy::RootPaths, Strategy::DataPaths];
         let svc = TwigService::over(
-            QueryEngine::build(Arc::new(fig1_book_document()), both()),
-            ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+            QueryEngine::build(Arc::new(fig1_book_document()), options(&both)),
+            ServiceOptions { result_cache_capacity: 0, ..Default::default() },
         );
-        // Occupy the single worker so the DP query sits in the queue.
-        let filler: Vec<TwigPattern> =
-            (0..64).map(|_| parse_xpath("//section/head").unwrap()).collect();
-        let batch = svc.submit_batch(&filler, Strategy::RootPaths).unwrap();
         let twig = parse_xpath("//author").unwrap();
-        let queued = svc.submit(&twig, Strategy::DataPaths).unwrap();
-        // Drop DataPaths while the query is (likely still) queued.
-        svc.rebuild_parallel(
-            EngineOptions {
-                strategies: vec![Strategy::RootPaths],
-                pool_pages: 256,
-                ..Default::default()
-            },
-            2,
-        );
-        match queued.wait() {
-            // Worker dequeued after the swap: rejected by the recheck.
-            Err(ServiceError::StrategyNotBuilt(Strategy::DataPaths)) => {}
-            // Worker won the race and executed against the old engine.
-            Ok(a) => assert_eq!(a.ids.len(), 3),
-            Err(e) => panic!("unexpected error {e}"),
-        }
-        batch.wait().unwrap();
-        // Either way the worker must still be alive and serving.
-        let alive = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
-        assert_eq!(alive.ids.len(), 3);
-        svc.shutdown();
+        let (answered, rejected) = (AtomicU64::new(0), AtomicU64::new(0));
+        let stop = AtomicBool::new(false);
+        // Rebuilds until a caller has seen `outcome` move past `seen`, so
+        // every swap is followed by requests racing the next one.
+        let rebuild_until_observed = |outcome: &AtomicU64, strategies: &[Strategy]| {
+            let seen = outcome.load(Ordering::SeqCst);
+            svc.rebuild_parallel(options(strategies), 2);
+            let patience = std::time::Instant::now();
+            while outcome.load(Ordering::SeqCst) == seen {
+                if patience.elapsed().as_secs() >= 60 {
+                    stop.store(true, Ordering::SeqCst); // let the scope join
+                    panic!("callers stopped making progress");
+                }
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    while !stop.load(Ordering::SeqCst) {
+                        match svc.execute(&twig, Strategy::DataPaths) {
+                            Ok(a) => {
+                                assert_eq!(a.ids.len(), 3);
+                                answered.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Err(ServiceError::StrategyNotBuilt(Strategy::DataPaths)) => {
+                                rejected.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Err(e) => panic!("unexpected error {e}"),
+                        }
+                        // RootPaths is in every engine: it answers throughout.
+                        assert_eq!(svc.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 3);
+                    }
+                });
+            }
+            for _ in 0..4 {
+                rebuild_until_observed(&rejected, &[Strategy::RootPaths]);
+                rebuild_until_observed(&answered, &both);
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert!(answered.load(Ordering::SeqCst) > 0 && rejected.load(Ordering::SeqCst) > 0);
+        let stats = svc.stats();
+        assert_eq!(stats.rebuilds, 8);
+        assert_eq!(stats.submitted, stats.completed + stats.failed);
+        assert_eq!(stats.in_flight, 0);
     }
 
     #[test]
@@ -1724,14 +1303,12 @@ mod tests {
         // Readers and rebuilds interleave: every answer must come from
         // either the old or the new engine — both correct — and nothing
         // deadlocks or errors.
-        let svc = Arc::new(small_service(3));
+        let svc = small_service();
         let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
-        let expected = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap().ids;
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let rebuilder = {
-            let svc = svc.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
+        let expected = svc.execute(&twig, Strategy::RootPaths).unwrap().ids;
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
                 // At least one rebuild, even if the readers finish first.
                 loop {
                     svc.rebuild_parallel(
@@ -1742,24 +1319,31 @@ mod tests {
                         break;
                     }
                 }
-            })
-        };
-        for _ in 0..60 {
-            let a = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
-            assert_eq!(*a.ids, *expected);
-        }
-        stop.store(true, Ordering::SeqCst);
-        rebuilder.join().unwrap();
+            });
+            let readers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..60 {
+                            let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
+                            assert_eq!(*a.ids, *expected);
+                        }
+                    })
+                })
+                .collect();
+            // Stop the rebuilder before surfacing a reader's panic, or
+            // the scope would wait on it forever.
+            let outcomes: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
+            stop.store(true, Ordering::SeqCst);
+            for outcome in outcomes {
+                outcome.unwrap();
+            }
+        });
         assert!(svc.stats().rebuilds >= 1);
-        match Arc::try_unwrap(svc) {
-            Ok(svc) => svc.shutdown(),
-            Err(_) => panic!("service still shared"),
-        }
     }
 
     #[test]
     fn batch_resolves_in_order_and_dedupes_probes() {
-        let svc = small_service(2);
+        let svc = small_service();
         // Distinct queries (identical ones would hit the result cache
         // before reaching the engine) sharing the //author/fn='jane'
         // PCsubpath: the batch memo answers it once.
@@ -1767,7 +1351,7 @@ mod tests {
             .iter()
             .map(|q| parse_xpath(q).unwrap())
             .collect();
-        let answers = svc.submit_batch(&twigs, Strategy::RootPaths).unwrap().wait().unwrap();
+        let answers = svc.execute_batch(&twigs, Strategy::RootPaths).unwrap();
         assert_eq!(answers.len(), 2);
         let sequential: Vec<_> = svc
             .with_engine(|e| twigs.iter().map(|t| e.answer(t, Strategy::RootPaths).ids).collect());
@@ -1781,55 +1365,6 @@ mod tests {
         // Batch members count as queries on both sides of the ledger.
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.completed, stats.submitted);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn expired_deadline_rejects_queued_query() {
-        let svc = small_service(1);
-        // A deadline already in the past when the worker dequeues.
-        let twig = parse_xpath("//author").unwrap();
-        let t = svc.submit_with_deadline(&twig, Strategy::RootPaths, Some(Duration::ZERO)).unwrap();
-        match t.wait() {
-            Err(ServiceError::DeadlineExceeded) => {
-                assert_eq!(svc.stats().deadline_missed, 1);
-            }
-            Ok(_) => {
-                // Scheduling race: the worker dequeued within the same
-                // instant. Either outcome is legal; an answer must be
-                // correct though.
-            }
-            Err(e) => panic!("unexpected error {e}"),
-        }
-        svc.shutdown();
-    }
-
-    #[test]
-    fn wait_timeout_leaves_ticket_usable() {
-        let svc = small_service(1);
-        let twig = parse_xpath("//author").unwrap();
-        let t = svc.submit(&twig, Strategy::RootPaths).unwrap();
-        // Whether or not the first bounded wait wins the race, a
-        // follow-up wait must deliver the answer exactly once.
-        let first = t.wait_timeout(Duration::from_millis(200));
-        match first {
-            Some(r) => assert!(!r.unwrap().ids.is_empty()),
-            None => assert!(!t.wait().unwrap().ids.is_empty()),
-        }
-        svc.shutdown();
-    }
-
-    #[test]
-    fn shutdown_drains_queued_work_and_rejects_new() {
-        let svc = small_service(2);
-        let twig = parse_xpath("//section/head").unwrap();
-        let tickets: Vec<Ticket> =
-            (0..32).map(|_| svc.submit(&twig, Strategy::Edge).unwrap()).collect();
-        svc.shutdown();
-        for t in tickets {
-            let a = t.wait().expect("queued work drains during graceful shutdown");
-            assert!(!a.ids.is_empty());
-        }
     }
 
     #[test]
@@ -1838,7 +1373,6 @@ mod tests {
             fig1_book_document(),
             EngineOptions { pool_pages: 256, ..Default::default() },
             ServiceOptions {
-                workers: 1,
                 // Zero threshold: every executed query is "slow".
                 slow_query_micros: Some(0),
                 slow_query_capacity: 4,
@@ -1846,7 +1380,7 @@ mod tests {
             },
         );
         let twig = parse_xpath("//author[fn='jane']").unwrap();
-        svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        svc.execute(&twig, Strategy::RootPaths).unwrap();
         let text = svc.metrics_text();
         assert!(text.contains("xtwig_queries_completed_total 1"), "{text}");
         assert!(text.contains("xtwig_strategy_executed_total{strategy=\"RP\"} 1"));
@@ -1861,67 +1395,7 @@ mod tests {
         assert!(slow[0].spans.contains("execute"), "{}", slow[0].spans);
         assert!(slow[0].query.contains("author"));
         // A cache hit does no index work: not slow, not re-counted.
-        svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert_eq!(svc.slow_queries().len(), 1);
-        svc.shutdown();
-    }
-
-    /// Panics a thread while it holds `mutex`-like state guarded by
-    /// `lock`, leaving the lock poisoned for every later acquirer.
-    fn poison_by_panicking_holder<T: Send + Sync + 'static>(
-        target: Arc<T>,
-        hold: impl Fn(&T) + Send + 'static,
-    ) {
-        let handle = std::thread::spawn(move || {
-            hold(&target);
-        });
-        assert!(handle.join().is_err(), "holder thread must panic to poison the lock");
-    }
-
-    #[test]
-    fn poisoned_slot_lock_still_resolves_waiters() {
-        let slot = Slot::new();
-        poison_by_panicking_holder(slot.clone(), |slot| {
-            let _guard = slot.state.lock().unwrap();
-            panic!("poison the slot state lock");
-        });
-        assert!(slot.state.lock().is_err(), "lock must actually be poisoned");
-        // Resolve and wait both cross the poisoned lock without
-        // panicking — the waiter gets its answer, not a propagated
-        // poison panic.
-        slot.resolve(Ok(Vec::new()));
-        assert!(slot.wait().is_ok());
-    }
-
-    #[test]
-    fn poisoned_queue_lock_still_serves_queries() {
-        let svc = small_service(2);
-        poison_by_panicking_holder(svc.queue.clone(), |queue| {
-            let _guard = queue.inner.lock().unwrap();
-            panic!("poison the job queue lock");
-        });
-        assert!(svc.queue.inner.lock().is_err(), "lock must actually be poisoned");
-        // The connection path — submit, worker pop, resolve — still
-        // works end to end across the poisoned mutex.
-        let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
-        let answer = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
-        assert_eq!(answer.ids.len(), 1);
-        // Shutdown also crosses the poisoned lock (close + drain).
-        svc.shutdown();
-    }
-
-    #[test]
-    fn dropped_service_cancels_nothing_silently() {
-        // Drop without explicit shutdown must still drain (Drop calls
-        // do_shutdown) — tickets all resolve.
-        let twig = parse_xpath("//title").unwrap();
-        let tickets: Vec<Ticket> = {
-            let svc = small_service(2);
-            (0..8).map(|_| svc.submit(&twig, Strategy::RootPaths).unwrap()).collect()
-            // svc dropped here
-        };
-        for t in tickets {
-            assert!(t.wait().is_ok());
-        }
     }
 }

@@ -878,9 +878,8 @@ fn run_top(args: &[String]) -> ExitCode {
             cur.slow - base.slow,
         );
         println!(
-            "in-flight {}   queue depth {}   events journaled {}   events dropped {}",
+            "in-flight {}   events journaled {}   events dropped {}",
             metric_sum(&text, "xtwig_in_flight").unwrap_or(0.0),
-            metric_sum(&text, "xtwig_queue_depth").unwrap_or(0.0),
             metric_sum(&text, "xtwig_events_total").unwrap_or(0.0),
             metric_sum(&text, "xtwig_events_dropped_total").unwrap_or(0.0),
         );

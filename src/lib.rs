@@ -51,7 +51,7 @@
 //! | [`core`] | `xtwig-core` | ROOTPATHS, DATAPATHS, the index family, baselines, planner, engine |
 //! | [`obs`] | `xtwig-obs` | query observability: span traces and per-stage I/O counters |
 //! | [`opt`] | `xtwig-opt` | cost-based strategy selection: estimator, per-strategy cost model |
-//! | [`service`] | `xtwig-service` | concurrent query service: worker pool, plan/result caches, batching |
+//! | [`service`] | `xtwig-service` | concurrent query service: caller-thread dispatch, admission, plan/result caches, batching |
 //! | [`net`] | `xtwig-net` | network front end: wire protocol, TCP server over a multi-index catalog, client |
 //! | [`datagen`] | `xtwig-datagen` | XMark-like and DBLP-like generators, the Q1–Q15 workload |
 //! | [`bench`](mod@bench) | `xtwig-bench` | shared measurement harness behind the figure-reproduction binaries |

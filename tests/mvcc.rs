@@ -8,8 +8,8 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use xtwig::prelude::*;
 use xtwig::xml::TagId;
 
@@ -34,11 +34,11 @@ fn library_forest() -> XmlForest {
     f
 }
 
-fn service(workers: usize) -> TwigService {
+fn service() -> TwigService {
     TwigService::build(
         library_forest(),
         EngineOptions { pool_pages: 512, ..Default::default() },
-        ServiceOptions { workers, ..Default::default() },
+        ServiceOptions::default(),
     )
 }
 
@@ -77,7 +77,7 @@ fn concurrent_updates_rebuilds_and_readers_lose_nothing() {
     // a consistent snapshot: either empty (epoch predates the commit)
     // or exactly the committed id — never a torn in-between.
     const ROUNDS: u64 = 24;
-    let svc = Arc::new(service(4));
+    let svc = Arc::new(service());
     let tags = author_tags(&svc);
     let committed = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
@@ -115,7 +115,7 @@ fn concurrent_updates_rebuilds_and_readers_lose_nothing() {
                     }
                     let k = (checked + r) % horizon;
                     let twig = parse_xpath(&format!("//author[fn='w{k}']")).unwrap();
-                    let a = svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+                    let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
                     let got: Vec<u64> = a.ids.iter().copied().collect();
                     assert!(
                         got.is_empty() || got == vec![10_000 + 2 * k],
@@ -143,7 +143,7 @@ fn concurrent_updates_rebuilds_and_readers_lose_nothing() {
     for k in 0..ROUNDS {
         let twig = parse_xpath(&format!("//author[fn='w{k}']")).unwrap();
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            let a = svc.submit(&twig, s).unwrap().wait().unwrap();
+            let a = svc.execute(&twig, s).unwrap();
             assert_eq!(
                 a.ids.iter().copied().collect::<Vec<_>>(),
                 vec![10_000 + 2 * k],
@@ -160,10 +160,6 @@ fn concurrent_updates_rebuilds_and_readers_lose_nothing() {
         "the post-commit rebuild must have replayed the full journal"
     );
     eprintln!("stress: {} rebuilds raced {} updates", rebuilds + 1, stats.updates);
-    match Arc::try_unwrap(svc) {
-        Ok(svc) => svc.shutdown(),
-        Err(_) => panic!("service still shared"),
-    }
 }
 
 #[test]
@@ -172,7 +168,7 @@ fn deterministic_update_rebuild_interleaving_keeps_every_update() {
     // involved: strictly alternate apply_update and rebuild_parallel.
     // Before the journal-replay fix, every rebuild discarded all
     // earlier updates (it re-read only the static forest).
-    let svc = service(2);
+    let svc = service();
     let tags = author_tags(&svc);
     for k in 0..4 {
         svc.apply_update(round_ops(&tags, k));
@@ -181,7 +177,7 @@ fn deterministic_update_rebuild_interleaving_keeps_every_update() {
     for k in 0..4u64 {
         let twig = parse_xpath(&format!("//author[fn='w{k}']")).unwrap();
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            let a = svc.submit(&twig, s).unwrap().wait().unwrap();
+            let a = svc.execute(&twig, s).unwrap();
             assert_eq!(
                 a.ids.iter().copied().collect::<Vec<_>>(),
                 vec![10_000 + 2 * k],
@@ -194,7 +190,6 @@ fn deterministic_update_rebuild_interleaving_keeps_every_update() {
     assert_eq!(stats.rebuilds, 4);
     // Rebuild r replays the 2(r+1) ops journaled so far: 2+4+6+8.
     assert_eq!(stats.replayed_ops, 20);
-    svc.shutdown();
 }
 
 #[test]
@@ -209,13 +204,14 @@ fn answers_under_concurrent_writes_match_the_sequential_oracle() {
         "/book[year='2000']/chapter/title",
         "/book[title='SQL']//ln[. = 'poe']",
     ];
-    let svc = Arc::new(TwigService::build(
+    const CALLERS: usize = 6;
+    let svc = TwigService::build(
         library_forest(),
         EngineOptions { pool_pages: 512, ..Default::default() },
         // Result cache off: every answer is a real execution against
-        // whatever epoch the worker pinned.
-        ServiceOptions { workers: 6, result_cache_capacity: 0, ..Default::default() },
-    ));
+        // whatever epoch its caller pinned.
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
+    );
     let tags = author_tags(&svc);
     let twigs: Vec<TwigPattern> = QUERIES.iter().map(|q| parse_xpath(q).unwrap()).collect();
     let oracle: Vec<Vec<u8>> = svc.with_engine(|engine| {
@@ -224,41 +220,45 @@ fn answers_under_concurrent_writes_match_the_sequential_oracle() {
             .flat_map(|t| Strategy::ALL.iter().map(|s| serialize(&engine.answer(t, *s).ids)))
             .collect()
     });
-    let stop = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let (svc, stop) = (svc.clone(), stop.clone());
-        std::thread::spawn(move || {
+    let work: Vec<(&TwigPattern, Strategy)> =
+        twigs.iter().flat_map(|t| Strategy::ALL.iter().map(move |s| (t, *s))).collect();
+    let stop = AtomicBool::new(false);
+    let commits = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
             let mut k = 0;
             while !stop.load(Ordering::SeqCst) {
                 svc.apply_update(round_ops(&tags, k));
                 k += 1;
             }
             k
-        })
-    };
-    for round in 0..4 {
-        let tickets: Vec<_> = twigs
-            .iter()
-            .flat_map(|t| {
-                Strategy::ALL.iter().map(|s| svc.submit(t, *s).unwrap()).collect::<Vec<_>>()
-            })
-            .collect();
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            let a = ticket.wait().unwrap();
-            assert_eq!(
-                serialize(&a.ids),
-                oracle[i],
-                "round {round}: answer {i} diverged from the sequential oracle"
-            );
+        });
+        // Six callers released together pull from one work list, so six
+        // executions are in flight while epochs publish under them.
+        for round in 0..4 {
+            let next = AtomicUsize::new(0);
+            let start = Barrier::new(CALLERS);
+            std::thread::scope(|callers| {
+                for _ in 0..CALLERS {
+                    callers.spawn(|| {
+                        start.wait();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some((t, s)) = work.get(i) else { break };
+                            let a = svc.execute(t, *s).unwrap();
+                            assert_eq!(
+                                serialize(&a.ids),
+                                oracle[i],
+                                "round {round}: answer {i} diverged from the sequential oracle"
+                            );
+                        }
+                    });
+                }
+            });
         }
-    }
-    stop.store(true, Ordering::SeqCst);
-    let commits = writer.join().unwrap();
+        stop.store(true, Ordering::SeqCst);
+        writer.join().unwrap()
+    });
     assert!(commits > 0, "the writer must actually have raced the readers");
-    match Arc::try_unwrap(svc) {
-        Ok(svc) => svc.shutdown(),
-        Err(_) => panic!("service still shared"),
-    }
 }
 
 #[test]
@@ -277,7 +277,7 @@ fn a_commit_publishes_a_warm_epoch_and_leaves_the_pinned_one_intact() {
     let svc = TwigService::build(
         library_forest(),
         EngineOptions { pool_pages: 512, ..Default::default() },
-        ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let tags = author_tags(&svc);
     let twigs: Vec<TwigPattern> = QUERIES.iter().map(|q| parse_xpath(q).unwrap()).collect();
@@ -288,7 +288,7 @@ fn a_commit_publishes_a_warm_epoch_and_leaves_the_pinned_one_intact() {
             .iter()
             .flat_map(|t| MAINTAINED.iter().map(move |s| (t, *s)))
             .map(|(t, s)| {
-                let a = svc.submit(t, s).unwrap().wait().unwrap();
+                let a = svc.execute(t, s).unwrap();
                 reads += a.metrics.physical_reads;
                 serialize(&a.ids)
             })
@@ -333,10 +333,9 @@ fn a_commit_publishes_a_warm_epoch_and_leaves_the_pinned_one_intact() {
     );
     let w0 = parse_xpath("//author[fn='w0']").unwrap();
     for s in MAINTAINED {
-        let a = svc.submit(&w0, s).unwrap().wait().unwrap();
+        let a = svc.execute(&w0, s).unwrap();
         assert_eq!(a.ids.iter().copied().collect::<Vec<_>>(), vec![10_000], "{s}");
     }
-    svc.shutdown();
 }
 
 #[test]
@@ -351,19 +350,18 @@ fn service_persist_folds_updates_and_reopens_for_serving() {
     ));
     std::fs::create_dir_all(&dir).unwrap();
     let path: PathBuf = dir.join("svc.xtwig");
-    let svc = service(2);
+    let svc = service();
     let tags = author_tags(&svc);
     svc.apply_update(round_ops(&tags, 0));
     svc.apply_update(round_ops(&tags, 1));
     svc.persist(&path).unwrap();
     assert_eq!(svc.stats().folds, 1);
-    svc.shutdown();
 
     let reopened = TwigService::open(&path, ServiceOptions::default()).unwrap();
     for k in 0..2u64 {
         let twig = parse_xpath(&format!("//author[fn='w{k}']")).unwrap();
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            let a = reopened.submit(&twig, s).unwrap().wait().unwrap();
+            let a = reopened.execute(&twig, s).unwrap();
             assert_eq!(
                 a.ids.iter().copied().collect::<Vec<_>>(),
                 vec![10_000 + 2 * k],
@@ -374,9 +372,8 @@ fn service_persist_folds_updates_and_reopens_for_serving() {
     let jane = parse_xpath("//author[fn='jane']").unwrap();
     let expected = reopened.with_engine(|e| e.answer(&jane, Strategy::RootPaths).ids);
     for s in Strategy::ALL {
-        let a = reopened.submit(&jane, s).unwrap().wait().unwrap();
+        let a = reopened.execute(&jane, s).unwrap();
         assert_eq!(*a.ids, expected, "{s}: corpus answer diverged after fold+reopen");
     }
-    reopened.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -185,27 +185,27 @@ fn metrics_text_parses_and_counters_are_monotonic() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 2, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let queries = ["/book[title='XML']//author[fn='jane'][ln='doe']", "//section/head", "//title"];
     for q in &queries[..2] {
         let twig = parse_xpath(q).unwrap();
-        service.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        service.execute(&twig, Strategy::Auto).unwrap();
     }
     let first = parse_samples(&service.metrics_text());
     for q in &queries {
         let twig = parse_xpath(q).unwrap();
-        service.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        service.execute(&twig, Strategy::RootPaths).unwrap();
     }
     let second = parse_samples(&service.metrics_text());
 
     assert!(first.keys().any(|k| k.starts_with("xtwig_queries_completed_total")));
     assert!(first.keys().any(|k| k.starts_with("xtwig_pool_page_reads_total{pool=")));
     for (name, &before) in &first {
-        // Gauges (queue depth, admission in-flight) may legitimately
-        // go down; everything else in the exposition is a counter or
-        // histogram component.
-        if name.starts_with("xtwig_queue_depth") || name.starts_with("xtwig_in_flight") {
+        // The admission in-flight gauge may legitimately go down;
+        // everything else in the exposition is a counter or histogram
+        // component.
+        if name.starts_with("xtwig_in_flight") {
             continue;
         }
         let after = *second.get(name).unwrap_or_else(|| panic!("{name} vanished from scrape"));
@@ -231,7 +231,6 @@ fn metrics_text_parses_and_counters_are_monotonic() {
         buckets.last().unwrap().1,
         second["xtwig_query_latency_micros_count{strategy=\"RP\"}"]
     );
-    service.shutdown();
 }
 
 /// Every `_total` series is a Prometheus counter and must survive a
@@ -243,7 +242,7 @@ fn total_series_stay_monotonic_across_commits() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let tags: Vec<_> = service.with_engine(|e| {
         let dict = e.forest().dict();
@@ -252,7 +251,7 @@ fn total_series_stay_monotonic_across_commits() {
     let query = |service: &TwigService| {
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
             let twig = parse_xpath("//author[fn='jane']").unwrap();
-            service.submit(&twig, s).unwrap().wait().unwrap();
+            service.execute(&twig, s).unwrap();
         }
     };
     query(&service);
@@ -282,7 +281,6 @@ fn total_series_stay_monotonic_across_commits() {
         }
         last = now;
     }
-    service.shutdown();
 }
 
 /// The slow-query ring keeps the newest `slow_query_capacity` entries,
@@ -294,7 +292,6 @@ fn slow_query_log_evicts_at_capacity() {
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
         ServiceOptions {
-            workers: 1,
             result_cache_capacity: 0,
             slow_query_micros: Some(0), // every execution is "slow"
             slow_query_capacity: 2,
@@ -304,7 +301,7 @@ fn slow_query_log_evicts_at_capacity() {
     let queries = ["//title", "//section/head", "//author[fn = 'jane']/ln", "/book/title"];
     for q in queries {
         let twig = parse_xpath(q).unwrap();
-        service.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+        service.execute(&twig, Strategy::RootPaths).unwrap();
     }
     let slow = service.slow_queries();
     assert_eq!(slow.len(), 2, "ring must hold exactly its capacity");
@@ -317,7 +314,6 @@ fn slow_query_log_evicts_at_capacity() {
     }
     let samples = parse_samples(&service.metrics_text());
     assert_eq!(samples["xtwig_slow_queries_total"], 4.0, "total must count evicted captures too");
-    service.shutdown();
 }
 
 /// The rows of a rendered span table ([`xtwig::obs::Trace::render`], as
@@ -346,7 +342,7 @@ fn sampled_request_executes_once_and_keeps_its_span_tree() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 1, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
     let pool_reads = || {
@@ -378,7 +374,6 @@ fn sampled_request_executes_once_and_keeps_its_span_tree() {
         ]
     );
     assert_eq!(rows[1].2[0], answer.metrics.logical_reads, "execute row is the served run");
-    service.shutdown();
 }
 
 /// The slow-query log holds the slow run, not a warm re-run of it: on a
@@ -390,15 +385,13 @@ fn slow_log_records_the_reads_of_the_slow_run_itself() {
     let built = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 1, ..Default::default() },
+        ServiceOptions::default(),
     );
     built.persist(&path).unwrap();
-    built.shutdown();
 
     let service = TwigService::open(
         &path,
         ServiceOptions {
-            workers: 1,
             result_cache_capacity: 0,
             slow_query_micros: Some(0), // every execution is "slow"
             ..Default::default()
@@ -416,7 +409,6 @@ fn slow_log_records_the_reads_of_the_slow_run_itself() {
         rows.iter().find(|(_, label, _)| label.starts_with("execute")).expect("execute row");
     assert_eq!(*physical, answer.metrics.physical_reads, "spans:\n{}", slow[0].spans);
     assert_eq!(*logical, answer.metrics.logical_reads);
-    service.shutdown();
     std::fs::remove_file(&path).ok();
 }
 
@@ -430,13 +422,13 @@ fn exposition_declares_help_and_type_for_every_family_before_its_samples() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 1, slow_query_micros: Some(0), ..Default::default() },
+        ServiceOptions { slow_query_micros: Some(0), ..Default::default() },
     );
     // Populate the filtered families (per-strategy costs, latency
     // histograms, shapes, the slow-query counter).
     for q in ["//title", "/book[title='XML']//author[fn='jane'][ln='doe']"] {
         let twig = parse_xpath(q).unwrap();
-        service.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        service.execute(&twig, Strategy::Auto).unwrap();
     }
     let text = service.metrics_text();
 
@@ -484,7 +476,6 @@ fn exposition_declares_help_and_type_for_every_family_before_its_samples() {
     for family in help.keys() {
         assert!(sampled.contains(family), "family {family} declared but never sampled");
     }
-    service.shutdown();
 }
 
 /// Label values pass through `json_escape` on the way into the
@@ -503,10 +494,9 @@ fn hostile_label_values_are_escaped_in_the_exposition() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 1, ..Default::default() },
+        ServiceOptions::default(),
     );
     let snapshot = service.stats();
-    service.shutdown();
 
     let text = render_metrics(&snapshot, &[], &registry, &journal);
     let lines: Vec<&str> =
@@ -543,7 +533,7 @@ fn counters_stay_monotonic_under_concurrent_scrapers() {
     let service = TwigService::build(
         fig1_book_document(),
         EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions { workers: 2, result_cache_capacity: 0, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     std::thread::scope(|scope| {
         let svc = &service;
@@ -554,8 +544,7 @@ fn counters_stay_monotonic_under_concurrent_scrapers() {
                     for _ in 0..20 {
                         let cur = parse_samples(&svc.metrics_text());
                         for (name, &before) in &prev {
-                            if name.starts_with("xtwig_queue_depth")
-                                || name.starts_with("xtwig_in_flight")
+                            if name.starts_with("xtwig_in_flight")
                                 || name.starts_with("xtwig_generation")
                             {
                                 continue;
@@ -578,7 +567,7 @@ fn counters_stay_monotonic_under_concurrent_scrapers() {
             let queries = ["//title", "//section/head", "/book/title"];
             for round in 0..30 {
                 let twig = parse_xpath(queries[round % queries.len()]).unwrap();
-                svc.submit(&twig, Strategy::RootPaths).unwrap().wait().unwrap();
+                svc.execute(&twig, Strategy::RootPaths).unwrap();
             }
         });
         driver.join().unwrap();
@@ -586,7 +575,6 @@ fn counters_stay_monotonic_under_concurrent_scrapers() {
             s.join().unwrap();
         }
     });
-    service.shutdown();
 }
 
 /// Traced executions feed the engine's calibration log with

@@ -255,15 +255,15 @@ fn service_auto_matches_concrete_and_counts_picks() {
     let svc = TwigService::build(
         multi_book_forest(),
         EngineOptions { pool_pages: 1024, ..Default::default() },
-        ServiceOptions { workers: 2, ..Default::default() },
+        ServiceOptions::default(),
     );
     let queries =
         ["/book[title='XML']//author[fn='jane'][ln='doe']", "//author[ln = 'poe']", "//title"];
     for q in queries {
         let twig = parse_xpath(q).unwrap();
-        let auto = svc.submit(&twig, Strategy::Auto).unwrap().wait().unwrap();
+        let auto = svc.execute(&twig, Strategy::Auto).unwrap();
         assert!(Strategy::ALL.contains(&auto.strategy), "{q}");
-        let concrete = svc.submit(&twig, auto.strategy).unwrap().wait().unwrap();
+        let concrete = svc.execute(&twig, auto.strategy).unwrap();
         assert_eq!(*auto.ids, *concrete.ids, "{q}");
         assert!(concrete.from_cache, "auto fills the concrete strategy's cache entry: {q}");
     }
@@ -272,7 +272,6 @@ fn service_auto_matches_concrete_and_counts_picks() {
     let json = stats.to_json("");
     assert!(json.contains("\"auto_picks\""));
     assert!(json.contains("\"physical_reads\""));
-    svc.shutdown();
 }
 
 /// The skew corpus separates the crossover: the planner flips between

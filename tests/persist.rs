@@ -563,18 +563,17 @@ fn service_opens_and_serves_from_disk() {
     QueryEngine::build(Arc::new(fig1_book_document()), EngineOptions::default())
         .persist(&path)
         .unwrap();
-    let svc = TwigService::open(&path, ServiceOptions { workers: 2, ..Default::default() })
+    let svc = TwigService::open(&path, ServiceOptions::default())
         .expect("service opens a persisted index");
     let forest = fig1_book_document();
     for q in ["/book[title='XML']//author[fn='jane'][ln='doe']", "//section/head", "//title"] {
         let twig = parse_xpath(q).unwrap();
         let oracle = expected(&forest, q);
         for s in Strategy::ALL {
-            let a = svc.submit(&twig, s).unwrap().wait().unwrap();
+            let a = svc.execute(&twig, s).unwrap();
             assert_eq!(*a.ids, oracle, "{s} on {q}");
         }
     }
-    svc.shutdown();
 }
 
 #[test]
