@@ -3,8 +3,9 @@
 //! shard-parallel build variants (`*_sharded4`): identical output
 //! (byte-for-byte, see `QueryEngine::build_parallel`), row enumeration
 //! and sorting spread over a worker pool. On a single-core host the
-//! sharded rows mostly measure the sharding overhead; rerun on a
-//! multicore machine for the real speedup (see `BENCH_build.json`).
+//! sharded rows mostly measure the sharding overhead; the ledger's
+//! `core.build_s` (`benchmark/`) is the build time at scale 0.1 on
+//! every core.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;

@@ -16,14 +16,8 @@
 //!
 //! ```text
 //! bench_check --baseline BENCH_baseline.json --current current.jsonl \
-//!             [--tolerance 10.0] [--min-matches 3] [--allow-missing-baseline]
+//!             [--tolerance 10.0] [--min-matches 3]
 //! ```
-//!
-//! `--allow-missing-baseline` turns an unreadable baseline file into a
-//! clean pass instead of a failure: a gate over a snapshot that has not
-//! been recorded yet (e.g. `BENCH_persist.json` on the first CI run
-//! after the persist figure landed) stays green until the snapshot is
-//! committed, at which point it gates normally.
 //!
 //! Both inputs are parsed with a dependency-free scanner that extracts
 //! `(group, bench, min_ns)` triples from any mix of pretty-printed
@@ -101,7 +95,7 @@ fn main() -> ExitCode {
     let Some(current_path) = arg_value(&args, "--current") else {
         eprintln!(
             "usage: bench_check --baseline BENCH_baseline.json --current current.jsonl \
-             [--tolerance 10.0] [--min-matches 3] [--allow-missing-baseline]"
+             [--tolerance 10.0] [--min-matches 3]"
         );
         return ExitCode::from(2);
     };
@@ -109,7 +103,6 @@ fn main() -> ExitCode {
         arg_value(&args, "--tolerance").and_then(|v| v.parse().ok()).unwrap_or(10.0);
     let min_matches: usize =
         arg_value(&args, "--min-matches").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let allow_missing_baseline = args.iter().any(|a| a == "--allow-missing-baseline");
 
     let read = |path: &str| -> Option<String> {
         match std::fs::read_to_string(path) {
@@ -120,25 +113,8 @@ fn main() -> ExitCode {
             }
         }
     };
-    // Only a genuinely absent baseline qualifies for the skip: any
-    // other read error (permissions, a mistyped path that happens to
-    // hit a directory, I/O failure) must still fail the gate, or a
-    // typo in CI would silently disable it forever.
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => text,
-        Err(e) if allow_missing_baseline && e.kind() == std::io::ErrorKind::NotFound => {
-            println!(
-                "bench_check: baseline {baseline_path} not recorded yet — skipping the gate \
-                 (--allow-missing-baseline)"
-            );
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("bench_check: cannot read {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(current_text) = read(&current_path) else {
+    let (Some(baseline_text), Some(current_text)) = (read(&baseline_path), read(&current_path))
+    else {
         return ExitCode::FAILURE;
     };
 

@@ -30,7 +30,7 @@
 //! identical workloads).
 
 use std::collections::BTreeSet;
-use xtwig_bench::{dblp_forest, host_parallelism, scale_from_args, xmark_forest, POOL_PAGES};
+use xtwig_bench::{dblp_forest, scale_from_args, xmark_forest, POOL_PAGES};
 use xtwig_core::engine::{EngineOptions, QueryEngine};
 use xtwig_core::{parse_xpath, Strategy};
 use xtwig_datagen::{dblp_queries, generate_skewed, xmark_queries, SkewConfig};
@@ -141,7 +141,7 @@ fn main() {
     } else {
         0.01
     };
-    let cores = host_parallelism();
+    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     println!(
         "# fig_optimizer: estimated vs actual page reads, chosen vs best \
          (XMark/DBLP scale {scale}, {cores} core(s))"

@@ -1,9 +1,11 @@
 //! Shared harness for the figure/table reproduction binaries.
 //!
 //! Every binary in `src/bin` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's per-experiment index). They share
-//! dataset construction, engine building, repeated-measurement helpers
-//! and result output through this module.
+//! paper's evaluation (the README's "Benchmarks" section lists them).
+//! They share dataset construction, engine building,
+//! repeated-measurement helpers and result output through this module.
+//! Serving performance is not measured here: the ledger under
+//! `benchmark/` is the one place for that.
 //!
 //! Scale control: pass `--scale <f>` or set `XTWIG_SCALE`; the default
 //! 0.02 keeps every binary under a minute on a laptop while preserving
@@ -69,13 +71,6 @@ pub fn shards_from_args() -> usize {
             }
         },
     }
-}
-
-/// Threads the host makes available — recorded in bench snapshots
-/// (`BENCH_build.json`, `BENCH_mvcc.json`) so cross-host comparisons
-/// of parallel results stay honest.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
 /// Generates the XMark-like dataset at `scale`.
@@ -154,25 +149,6 @@ pub fn measure(
         logical_reads: warmup.metrics.logical_reads,
         plan: format!("{:?}", warmup.plan),
     }
-}
-
-/// Per-iteration wall times of `iters` runs of `f` after `warmup`
-/// untimed runs (caches hot, branch predictors settled), as (min, mean)
-/// — the timer behind the `fig_mvcc`/`fig_net`/`fig_events` rows.
-pub fn measure_iters(warmup: usize, iters: usize, mut f: impl FnMut()) -> (Duration, Duration) {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut min = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        let t = start.elapsed();
-        min = min.min(t);
-        total += t;
-    }
-    (min, total / iters as u32)
 }
 
 /// Prints a table of measurements grouped by label.

@@ -709,7 +709,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// The trace is handed to the same executor [`QueryEngine::answer`]
     /// runs (see [`QueryEngine::answer_compiled_with`] for what a trace
     /// adds), so result and counter totals are identical to the
-    /// untraced call; `fig_obs` prices the spans.
+    /// untraced call; the ledger's `obs.traced_exec_ratio`
+    /// (`benchmark/`) prices the spans.
     ///
     /// # Panics
     /// Panics if the strategy's structures were not built.

@@ -63,7 +63,6 @@ pub struct PlanCache {
     inner: Mutex<PlanCacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
-    enabled: bool,
     capacity: usize,
 }
 
@@ -87,14 +86,12 @@ struct PlanCacheInner {
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` shapes; disabled when
-    /// `enabled` is false (every compile goes to the engine).
-    pub fn new(enabled: bool, capacity: usize) -> Self {
+    /// A cache holding at most `capacity` shapes.
+    pub fn new(capacity: usize) -> Self {
         PlanCache {
             inner: Mutex::new(PlanCacheInner { map: HashMap::new(), order: VecDeque::new() }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            enabled,
             capacity: capacity.max(1),
         }
     }
@@ -105,9 +102,6 @@ impl PlanCache {
         engine: &QueryEngine<F>,
         twig: &TwigPattern,
     ) -> Result<(CompiledTwig, QueryPlan), UnknownTag> {
-        if !self.enabled {
-            return engine.compile(twig);
-        }
         let entry = self.entry(engine, twig)?;
         let compiled = entry.compiled.rebind(twig);
         let plan = entry.plan.rebind(&compiled);
@@ -126,11 +120,6 @@ impl PlanCache {
         twig: &TwigPattern,
         strategy: Strategy,
     ) -> Result<(CompiledTwig, QueryPlan, Strategy), UnknownTag> {
-        if !self.enabled {
-            let (compiled, plan) = engine.compile(twig)?;
-            let resolved = engine.resolve_strategy(strategy, &compiled, &plan);
-            return Ok((compiled, plan, resolved));
-        }
         let entry = self.entry(engine, twig)?;
         let compiled = entry.compiled.rebind(twig);
         let plan = entry.plan.rebind(&compiled);
@@ -380,7 +369,7 @@ mod tests {
         let f = fig1_book_document();
         let engine =
             QueryEngine::build(&f, EngineOptions { pool_pages: 256, ..Default::default() });
-        let cache = PlanCache::new(true, 64);
+        let cache = PlanCache::new(64);
         let a = parse_xpath("//author[fn='jane']/ln").unwrap();
         let b = parse_xpath("//author[fn='john']/ln").unwrap();
         let (ca, _) = cache.compile(&engine, &a).unwrap();
@@ -409,7 +398,7 @@ mod tests {
         let f = fig1_book_document();
         let engine =
             QueryEngine::build(&f, EngineOptions { pool_pages: 256, ..Default::default() });
-        let cache = PlanCache::new(true, 2);
+        let cache = PlanCache::new(2);
         for q in ["/book/title", "/book/year", "//author/fn"] {
             cache.compile(&engine, &parse_xpath(q).unwrap()).unwrap();
         }
@@ -421,19 +410,6 @@ mod tests {
         cache.compile(&engine, &parse_xpath("/book/title").unwrap()).unwrap();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    fn disabled_plan_cache_always_misses_through_to_engine() {
-        let f = fig1_book_document();
-        let engine =
-            QueryEngine::build(&f, EngineOptions { pool_pages: 256, ..Default::default() });
-        let cache = PlanCache::new(false, 64);
-        let a = parse_xpath("//author/fn").unwrap();
-        cache.compile(&engine, &a).unwrap();
-        cache.compile(&engine, &a).unwrap();
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.len(), 0);
     }
 
     #[test]

@@ -84,8 +84,6 @@ pub struct ServiceOptions {
     /// goes once that line does (ROADMAP item 4).
     #[doc(hidden)]
     pub workers: usize,
-    /// Enable the shape-keyed plan cache (default true).
-    pub plan_cache: bool,
     /// Distinct shapes the plan cache may hold (default 4096).
     pub plan_cache_capacity: usize,
     /// Result-cache entries; 0 disables result caching (default 1024).
@@ -94,9 +92,9 @@ pub struct ServiceOptions {
     /// the slow-query log together with the span tree of that same
     /// execution (`None` disables the log; default). While the log is
     /// enabled every executed query records spans, because whether it
-    /// was slow is known only afterwards — `fig_obs`'s `on`/`off` ratio
-    /// (1.05–1.08 in `BENCH_obs.json`) is what that costs on each
-    /// execution; fast runs discard their spans.
+    /// was slow is known only afterwards — the ledger's
+    /// `obs.traced_exec_ratio` (`benchmark/`) is what that costs on
+    /// each execution; fast runs discard their spans.
     pub slow_query_micros: Option<u64>,
     /// Slow-query records retained, oldest evicted first (default 32).
     pub slow_query_capacity: usize,
@@ -118,7 +116,6 @@ impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
             workers: 0,
-            plan_cache: true,
             plan_cache_capacity: 4096,
             result_cache_capacity: 1024,
             slow_query_micros: None,
@@ -337,7 +334,7 @@ impl TwigService {
         let shared = Arc::new(Shared {
             epoch: RwLock::new(Arc::new(EngineEpoch { engine, generation: 0 })),
             maintenance: Mutex::new(Maintenance { journal: Vec::new() }),
-            plan_cache: PlanCache::new(options.plan_cache, options.plan_cache_capacity),
+            plan_cache: PlanCache::new(options.plan_cache_capacity),
             result_cache: ResultCache::new(options.result_cache_capacity),
             generation: AtomicU64::new(0),
             stats: ServiceStats::default(),

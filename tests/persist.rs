@@ -195,22 +195,23 @@ fn subset_of_strategies_roundtrips() {
 fn first_query_after_open_reads_pages_physically() {
     // The cold-cache behaviour the paper simulated: after open, index
     // pages live only in the file, so the first probe performs physical
-    // reads; re-running it is served from the buffer pool.
+    // reads; re-running it is served from the buffer pool. Strategies
+    // share pools (the Edge family), so each starts from dropped caches.
     let dir = TempDir::new("cold");
     let path = dir.path("idx.xtwig");
-    QueryEngine::build(
-        Arc::new(fig1_book_document()),
-        EngineOptions { strategies: vec![Strategy::RootPaths], ..Default::default() },
-    )
-    .persist(&path)
-    .unwrap();
+    QueryEngine::build(Arc::new(fig1_book_document()), EngineOptions::default())
+        .persist(&path)
+        .unwrap();
     let opened = QueryEngine::open(&path).unwrap();
     let twig = parse_xpath("//author[fn = 'jane']").unwrap();
-    let cold = opened.answer(&twig, Strategy::RootPaths);
-    assert!(cold.metrics.physical_reads > 0, "first query must hit the file");
-    let warm = opened.answer(&twig, Strategy::RootPaths);
-    assert_eq!(warm.metrics.physical_reads, 0, "second query must be cached");
-    assert_eq!(cold.ids, warm.ids);
+    for s in Strategy::ALL {
+        opened.clear_caches(s);
+        let cold = opened.answer(&twig, s);
+        assert!(cold.metrics.physical_reads > 0, "{s}: first query must hit the file");
+        let warm = opened.answer(&twig, s);
+        assert_eq!(warm.metrics.physical_reads, 0, "{s}: second query must be cached");
+        assert_eq!(cold.ids, warm.ids, "{s}");
+    }
 }
 
 #[test]

@@ -43,7 +43,8 @@ fn intro_forest() -> XmlForest {
 /// (README's test-net paragraph, ROADMAP's current-state section, and
 /// the suite count itself); this test derives the ground truth from
 /// `tests/*.rs` so a new suite that forgets the docs — or a doc that
-/// invents a suite — fails CI instead of drifting silently.
+/// invents a suite — fails CI instead of drifting silently. The same
+/// goes for every bench snapshot, `--bin` and `--bench` the docs name.
 #[test]
 fn docs_track_the_integration_suite_inventory() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -77,6 +78,48 @@ fn docs_track_the_integration_suite_inventory() {
             );
         }
     }
+
+    // The same docs, the CI workflow and the verify notes name bench
+    // snapshots and `cargo` targets; each name must resolve, so that
+    // deleting a binary or a snapshot cannot leave a dangling command.
+    let bench_manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
+    for doc in ["README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for stem in names_after(&text, "BENCH_") {
+            let snapshot = format!("BENCH_{stem}.json");
+            if text.contains(&snapshot) {
+                assert!(root.join(&snapshot).is_file(), "{doc} names missing {snapshot}");
+            }
+        }
+        for bin in names_after(&text, "--bin ") {
+            let file = format!("{bin}.rs");
+            assert!(
+                root.join("src/bin").join(&file).is_file()
+                    || root.join("crates/bench/src/bin").join(&file).is_file(),
+                "{doc} runs `--bin {bin}`, which no src/bin has"
+            );
+        }
+        for bench in names_after(&text, "--bench ") {
+            assert!(
+                bench_manifest.contains(&format!("name = \"{bench}\""))
+                    && root.join("crates/bench/benches").join(format!("{bench}.rs")).is_file(),
+                "{doc} runs `--bench {bench}`, which crates/bench does not declare"
+            );
+        }
+    }
+}
+
+/// The identifier (`[A-Za-z0-9_]+`) following each occurrence of
+/// `marker` in `text`; occurrences followed by none are skipped.
+fn names_after<'t>(text: &'t str, marker: &str) -> Vec<&'t str> {
+    text.match_indices(marker)
+        .filter_map(|(at, _)| {
+            let rest = &text[at + marker.len()..];
+            let end =
+                rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).unwrap_or(rest.len());
+            (end > 0).then(|| &rest[..end])
+        })
+        .collect()
 }
 
 /// The static-analysis gate is wired in several places — the
