@@ -128,44 +128,6 @@ impl QueryAnswer {
     }
 }
 
-/// Memo key: strategy, subpath pattern, interior-ids-needed flag.
-type MemoKey = (Strategy, PcSubpathQuery, bool);
-/// Memo value: shared matches plus the full-root-IdList flag.
-type MemoEntry = (Arc<Vec<PathMatch>>, bool);
-
-/// Memoized FreeIndex subpath lookups, shared across the queries of one
-/// batch (see [`QueryEngine::answer_batch`]). Keyed by `(strategy,
-/// pattern, interior-needed)` — different strategies return differently
-/// shaped matches (full IdLists vs. leaf-only), so entries never cross
-/// strategies.
-#[derive(Default)]
-pub struct ProbeMemo {
-    map: HashMap<MemoKey, MemoEntry>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ProbeMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        ProbeMemo::default()
-    }
-
-    /// Hit/miss counts so far.
-    pub fn stats(&self) -> ProbeMemoStats {
-        ProbeMemoStats { hits: self.hits, misses: self.misses }
-    }
-}
-
-/// Hit/miss statistics of a [`ProbeMemo`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProbeMemoStats {
-    /// Subpath lookups answered from the memo (index probes saved).
-    pub hits: u64,
-    /// Subpath lookups that went to the index.
-    pub misses: u64,
-}
-
 /// The engine owning all built index configurations for one forest.
 ///
 /// Generic over how the forest is held: `QueryEngine<&XmlForest>`
@@ -228,12 +190,11 @@ impl Row {
 }
 
 /// What one execution carries through the plan-step loop: the two
-/// counters [`QueryMetrics`] reports, the batch's probe memo, and the
-/// trace being recorded — the last two only when the caller has one.
+/// counters [`QueryMetrics`] reports and the trace being recorded, when
+/// the caller has one.
 struct Exec<'a> {
     probes: u64,
     rows_fetched: u64,
-    memo: Option<&'a mut ProbeMemo>,
     trace: Option<&'a mut Trace>,
 }
 
@@ -618,13 +579,11 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         plan: &QueryPlan,
         strategy: Strategy,
     ) -> QueryAnswer {
-        self.answer_compiled_with(compiled, plan, strategy, None, None)
+        self.answer_compiled_with(compiled, plan, strategy, None)
     }
 
-    /// [`QueryEngine::answer_compiled`] with an optional cross-query
-    /// [`ProbeMemo`] — structurally identical FreeIndex subpath lookups
-    /// within one batch are issued once and their matches reused — and
-    /// an optional [`Trace`]. This is the one place a twig is executed:
+    /// [`QueryEngine::answer_compiled`] with an optional [`Trace`].
+    /// This is the one place a twig is executed:
     /// snapshot the strategy's pools, run the plan, drain the deferred
     /// lookup counters, report the deltas as [`QueryMetrics`].
     ///
@@ -639,7 +598,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         compiled: &CompiledTwig,
         plan: &QueryPlan,
         strategy: Strategy,
-        memo: Option<&mut ProbeMemo>,
         mut trace: Option<&mut Trace>,
     ) -> QueryAnswer {
         let requested = strategy;
@@ -666,7 +624,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let before = self.snapshot(strategy);
         self.drain_baseline_counters(strategy);
         let start = Instant::now();
-        let mut cx = Exec { probes: 0, rows_fetched: 0, memo, trace };
+        let mut cx = Exec { probes: 0, rows_fetched: 0, trace };
         let ids = self.execute(compiled, plan, strategy, &mut cx);
         let elapsed = start.elapsed();
         let probes = cx.probes + self.drain_baseline_counters(strategy);
@@ -732,7 +690,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     SpanCounters { rows: plan.steps.len() as u64, ..SpanCounters::default() },
                 );
                 let answer =
-                    self.answer_compiled_with(&compiled, &plan, strategy, None, Some(&mut trace));
+                    self.answer_compiled_with(&compiled, &plan, strategy, Some(&mut trace));
                 let m = &answer.metrics;
                 trace.end(
                     q,
@@ -746,28 +704,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 (answer, trace)
             }
         }
-    }
-
-    /// Answers a batch of twigs against one strategy, deduplicating
-    /// FreeIndex probes across the batch: queries sharing a PCsubpath
-    /// (same tags/anchoring/value) hit the index once. Returns the
-    /// per-query answers plus the memo's hit/miss statistics.
-    pub fn answer_batch(
-        &self,
-        twigs: &[TwigPattern],
-        strategy: Strategy,
-    ) -> (Vec<QueryAnswer>, ProbeMemoStats) {
-        let mut memo = ProbeMemo::new();
-        let answers = twigs
-            .iter()
-            .map(|t| match self.compile(t) {
-                Err(_) => QueryAnswer::empty(strategy),
-                Ok((compiled, plan)) => {
-                    self.answer_compiled_with(&compiled, &plan, strategy, Some(&mut memo), None)
-                }
-            })
-            .collect();
-        (answers, memo.stats())
     }
 
     /// Twig nodes whose ids the execution actually consumes: the output
@@ -829,7 +765,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             });
             let how;
             if i == 0 {
-                let (matches, full) = self.eval_free_memo(strategy, &sp.q, interior_needed(sp), cx);
+                let (matches, full) =
+                    self.eval_free(strategy, &sp.q, interior_needed(sp), &mut cx.probes);
                 cx.rows_fetched += matches.len() as u64;
                 rows = self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
                 how = "probe";
@@ -860,7 +797,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     how = if semi { "inlj semi-join" } else { "inlj" };
                 } else {
                     let (matches, full) =
-                        self.eval_free_memo(strategy, &sp.q, interior_needed(sp), cx);
+                        self.eval_free(strategy, &sp.q, interior_needed(sp), &mut cx.probes);
                     cx.rows_fetched += matches.len() as u64;
                     let new_rows =
                         self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
@@ -978,32 +915,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 .lookup(&compiled.twig.nodes[probe.anchor].tag)
                 .is_some_and(|t| tags.contains(&t)),
         }
-    }
-
-    /// [`QueryEngine::eval_free`] behind the batch memo: a hit returns
-    /// the shared match vector without touching any index (and without
-    /// charging probes — that is the point of deduplication).
-    fn eval_free_memo(
-        &self,
-        strategy: Strategy,
-        q: &PcSubpathQuery,
-        interior: bool,
-        cx: &mut Exec<'_>,
-    ) -> (Arc<Vec<PathMatch>>, bool) {
-        let Some(memo) = cx.memo.as_deref_mut() else {
-            let (matches, full) = self.eval_free(strategy, q, interior, &mut cx.probes);
-            return (Arc::new(matches), full);
-        };
-        let key = (strategy, q.clone(), interior);
-        if let Some((matches, full)) = memo.map.get(&key) {
-            memo.hits += 1;
-            return (matches.clone(), *full);
-        }
-        let (matches, full) = self.eval_free(strategy, q, interior, &mut cx.probes);
-        let matches = Arc::new(matches);
-        memo.misses += 1;
-        memo.map.insert(key, (matches.clone(), full));
-        (matches, full)
     }
 
     /// Evaluates one PCsubpath with the strategy's probe pattern.
@@ -1698,48 +1609,6 @@ mod tests {
         let precompiled = e.answer_compiled(&compiled, &plan, Strategy::RootPaths);
         assert_eq!(direct.ids, precompiled.ids);
         assert_eq!(direct.plan, precompiled.plan);
-    }
-
-    #[test]
-    fn batch_dedupes_shared_subpath_probes() {
-        let f = fig1_book_document();
-        let e = engine(&f);
-        let twigs: Vec<TwigPattern> = [
-            "//author[fn = 'jane']/ln",
-            "//author[fn = 'jane']/ln", // identical: every subpath memoized
-            "//author[fn = 'jane']",    // shares the fn='jane' subpath
-        ]
-        .iter()
-        .map(|q| parse_xpath(q).unwrap())
-        .collect();
-        let (answers, stats) = e.answer_batch(&twigs, Strategy::RootPaths);
-        assert_eq!(answers.len(), 3);
-        for (t, a) in twigs.iter().zip(&answers) {
-            let expected: BTreeSet<u64> = naive::select(&f, t).into_iter().map(|n| n.0).collect();
-            assert_eq!(a.ids, expected, "{t}");
-        }
-        assert!(stats.hits >= 3, "duplicate subpaths must hit the memo: {stats:?}");
-        // Memo hits issue no probes: the duplicate query is free.
-        assert_eq!(answers[1].metrics.probes, 0);
-    }
-
-    #[test]
-    fn batch_agrees_across_all_strategies() {
-        let f = fig1_book_document();
-        let e = engine(&f);
-        let twigs: Vec<TwigPattern> =
-            ["/book[title = 'XML']/year", "/book[title = 'XML']//section/head", "//section/head"]
-                .iter()
-                .map(|q| parse_xpath(q).unwrap())
-                .collect();
-        for s in Strategy::ALL {
-            let (answers, _) = e.answer_batch(&twigs, s);
-            for (t, a) in twigs.iter().zip(&answers) {
-                let expected: BTreeSet<u64> =
-                    naive::select(&f, t).into_iter().map(|n| n.0).collect();
-                assert_eq!(a.ids, expected, "{s} on {t}");
-            }
-        }
     }
 
     #[test]

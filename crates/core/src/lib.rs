@@ -63,8 +63,7 @@ pub mod xpath;
 
 pub use auto::Explanation;
 pub use engine::{
-    twig_shape, ParseStrategyError, ProbeMemo, ProbeMemoStats, QueryAnswer, QueryEngine,
-    QueryMetrics, Strategy,
+    twig_shape, ParseStrategyError, QueryAnswer, QueryEngine, QueryMetrics, Strategy,
 };
 // Tracing and feedback types, re-exported so engine callers need not
 // depend on `xtwig-obs`/`xtwig-opt` directly.

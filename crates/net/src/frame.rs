@@ -124,7 +124,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
     use std::io::Cursor;

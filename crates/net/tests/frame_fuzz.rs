@@ -1,4 +1,3 @@
-#![allow(clippy::unwrap_used)] // property tests assert via unwrap
 //! Property tests for the wire frame codec and message layer: a peer
 //! feeding the socket garbage — truncated frames, hostile length
 //! prefixes, byte soup, drip-fed partial reads — must get an error or
@@ -19,6 +18,7 @@ struct Trickle<'a> {
 }
 
 impl Read for Trickle<'_> {
+    #[allow(clippy::indexing_slicing)] // test reader: `n` is clamped to both slices' lengths
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = buf.len().min(self.chunk.max(1)).min(self.data.len() - self.pos);
         buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);

@@ -1,25 +1,20 @@
-//! Mini relational engine substrate.
+//! Relational key and row formats.
 //!
 //! The paper's thesis is that twig indexes should be "tightly integrated
 //! with relational query processors" (§1): index probes must look like
-//! ordinary index scans, and plans must compose with the system's join
-//! operators (index-nested-loop, sort-merge, hash). This crate provides
-//! that relational machinery:
+//! ordinary index scans over ordinary relations. This crate provides the
+//! formats those relations are stored in; the joins that compose the
+//! probes into twig matches are `xtwig-core`'s (`core::engine`).
 //!
 //! * [`value`] — typed values, tuples, and row (de)serialization.
 //! * [`codec`] — the order-preserving composite-key codec that turns
 //!   `(LeafValue, ReverseSchemaPath, …)` rows into B+-tree keys whose
 //!   byte order equals tuple order, so prefix probes implement both
-//!   anchored and `//`-headed PCsubpath lookups.
+//!   anchored and `//`-headed PCsubpath lookups; and the IdList codecs.
 //! * [`heap`] — slotted-page heap files (the Edge table lives here).
-//! * [`exec`] — pull-based operators: scans, filter/project, sort,
-//!   sort-merge join, hash join, index-nested-loop join.
-//! * [`stats`] — per-column statistics for selectivity estimation.
 
 pub mod codec;
-pub mod exec;
 pub mod heap;
-pub mod stats;
 pub mod value;
 
 pub use heap::{HeapFile, RecordId};

@@ -353,7 +353,6 @@ impl ResultCache {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
     use xtwig_core::engine::EngineOptions;

@@ -230,19 +230,6 @@ impl Catalog {
         Ok(service)
     }
 
-    /// Detaches `name` now (the registration stays). Returns whether an
-    /// attached service was dropped.
-    pub fn detach(&self, name: &str) -> bool {
-        let mut attached = self.attached.lock();
-        match attached.position(name) {
-            Some(pos) => {
-                attached.entries.remove(pos);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Every registered index, attached or not, in name order.
     pub fn entries(&self) -> Vec<CatalogEntry> {
         let registry = self.registry.lock();
@@ -278,7 +265,6 @@ impl Catalog {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
     use xtwig_core::engine::{EngineOptions, QueryEngine, Strategy};
@@ -367,20 +353,6 @@ mod tests {
         let twig = parse_xpath("//author").unwrap();
         assert_eq!(a.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 3);
         assert_eq!(b2.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn detach_drops_the_attachment_but_keeps_the_registration() {
-        let dir = tmpdir("detach");
-        persist_fig1(&dir, "x");
-        let catalog = Catalog::scan_dir(&dir, CatalogOptions::default()).unwrap();
-        let _ = catalog.get("x").unwrap();
-        assert!(catalog.detach("x"));
-        assert!(!catalog.detach("x"), "already detached");
-        assert!(!catalog.entries()[0].attached);
-        assert!(catalog.get("x").is_ok(), "still registered: reattaches");
-        assert_eq!(catalog.stats().opens, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -133,17 +133,6 @@ impl JournalEntry {
     pub fn render_text(&self) -> String {
         format!("#{} [{}] {}", self.seq, self.event.kind(), self.event.detail())
     }
-
-    /// Single-object JSON form (stable key order).
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"seq\": {}, \"unix_micros\": {}, \"kind\": \"{}\", \"detail\": \"{}\"}}",
-            self.seq,
-            self.unix_micros,
-            self.event.kind(),
-            crate::stats::json_escape(&self.event.detail())
-        )
-    }
 }
 
 struct Ring {
@@ -253,7 +242,6 @@ impl EventJournal {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
 
@@ -302,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn renders_text_and_json() {
+    fn renders_text() {
         let j = EventJournal::new(4);
         j.emit(Event::SlowQuery {
             query: "//a[b=\"c\"]".into(),
@@ -314,10 +302,6 @@ mod tests {
         let text = e.render_text();
         assert!(text.starts_with("#1 [slow-query] "), "{text}");
         assert!(text.contains("request_id=7"), "{text}");
-        let json = e.render_json();
-        assert!(json.contains("\"kind\": \"slow-query\""), "{json}");
-        // The embedded quote must be escaped.
-        assert!(json.contains("\\\"c\\\""), "{json}");
         assert!(e.unix_micros > 0);
     }
 

@@ -24,9 +24,6 @@
 //!   publishes a new generation, atomically staling every cached
 //!   result (and the cache refuses to let a slow writer's stale answer
 //!   clobber a newer generation's entry).
-//! * **Batched execution** — [`TwigService::execute_batch`] evaluates a
-//!   group of queries with a shared probe memo, so queries sharing a
-//!   PCsubpath (same tags/anchoring/value) hit the indexes once.
 //! * **Snapshot-isolated maintenance** — [`TwigService::apply_update`]
 //!   commits a batch of [`UpdateOp`]s by forking the current engine
 //!   (copy-on-write — no page copies) and publishing the fork as the
@@ -39,14 +36,14 @@
 //! * **Stats** — [`TwigService::stats`] snapshots cache hit rates,
 //!   in-flight queries, per-strategy latency histograms, and per-strategy
 //!   cost counters (probes, rows fetched, logical/physical page reads,
-//!   optimizer picks), and renders them as JSON for the bench harness.
+//!   optimizer picks); the wire `Stats` op ships them as JSON.
 //! * **Auto strategy selection** — requests may name
 //!   [`Strategy::Auto`](xtwig_core::Strategy::Auto): the service
 //!   resolves it through the engine's cost model (memoized per shape in
 //!   the plan cache), keys the result cache on the resolved concrete
 //!   strategy, and counts each pick in the stats.
-//! * **Admission control** — every request, single or batch, draws
-//!   from one bounded [`Admission`] budget that sheds load with a typed
+//! * **Admission control** — every request draws from one bounded
+//!   [`Admission`] budget that sheds load with a typed
 //!   [`ServiceError::Overloaded`] instead of letting callers pile up.
 //! * **Multi-index catalog** — a [`Catalog`] serves many persisted
 //!   `.xtwig` indexes by name, opening them on demand and keeping an

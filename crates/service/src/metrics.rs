@@ -378,7 +378,6 @@ pub fn render_metrics(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
 

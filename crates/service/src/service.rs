@@ -1,10 +1,10 @@
 //! The twig query service: the dispatch door, admission, the shared
 //! caches, and the snapshot-isolated maintenance path.
 //!
-//! Threading model — one dispatch door. [`TwigService::execute`],
-//! [`TwigService::execute_with`] and [`TwigService::execute_batch`] run
-//! the query synchronously on the *caller's* thread against a pinned
-//! epoch: no queue, no hand-off, no thread of the service's own.
+//! Threading model — one dispatch door. [`TwigService::execute`] and
+//! [`TwigService::execute_with`] run the query synchronously on the
+//! *caller's* thread against a pinned epoch: no queue, no hand-off, no
+//! thread of the service's own.
 //! Concurrency is the caller's business — the network front end gives
 //! each connection a thread that dispatches its own queries, the ledger
 //! harness runs one caller per core — and every call draws from one
@@ -37,7 +37,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use xtwig_core::engine::{EngineOptions, ProbeMemo, QueryMetrics};
+use xtwig_core::engine::{EngineOptions, QueryMetrics};
 use xtwig_core::persist::{PersistError, PersistReport};
 use xtwig_core::plan::PlanKind;
 use xtwig_core::{QueryEngine, Strategy};
@@ -99,9 +99,9 @@ pub struct ServiceOptions {
     /// Slow-query records retained, oldest evicted first (default 32).
     pub slow_query_capacity: usize,
     /// Admission bound: queries in flight (executing on their callers'
-    /// threads, batch members included) beyond which requests are
-    /// refused with [`ServiceError::Overloaded`]. `0` disables the bound
-    /// (default 1024).
+    /// threads) beyond which requests are refused with
+    /// [`ServiceError::Overloaded`]. `0` disables the bound (default
+    /// 1024).
     pub max_in_flight: usize,
     /// Event journal this service emits into. `None` (default) gives
     /// the service a private journal of [`ServiceOptions::event_capacity`]
@@ -370,36 +370,19 @@ impl TwigService {
         ctx: &RequestCtx,
     ) -> Result<ServiceAnswer, ServiceError> {
         self.check_strategy_available(strategy)?;
-        let Some(_permit) = self.admission.try_acquire(1) else {
+        let Some(_permit) = self.admission.try_acquire() else {
             return Err(self.reject_overloaded());
         };
         self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let answer = answer_pinned(&self.shared, &self.shared.pin(), twig, strategy, None, ctx);
+        let answer = answer_pinned(&self.shared, &self.shared.pin(), twig, strategy, ctx);
         let outcome =
             if answer.is_ok() { &self.shared.stats.completed } else { &self.shared.stats.failed };
         outcome.fetch_add(1, Ordering::Relaxed);
         answer
     }
 
-    /// [`TwigService::execute`] for a batch: answered on the caller's
-    /// thread as one unit against one pinned epoch, with index probes
-    /// deduplicated across the batch's shared PCsubpaths. The whole
-    /// batch draws its member count from the admission budget.
-    pub fn execute_batch(
-        &self,
-        twigs: &[TwigPattern],
-        strategy: Strategy,
-    ) -> Result<Vec<ServiceAnswer>, ServiceError> {
-        self.check_strategy_available(strategy)?;
-        let Some(_permit) = self.admission.try_acquire(twigs.len()) else {
-            return Err(self.reject_overloaded());
-        };
-        self.shared.stats.submitted.fetch_add(twigs.len() as u64, Ordering::Relaxed);
-        answer_batch(&self.shared, twigs, strategy)
-    }
-
     /// Builds the typed Overloaded rejection and journals it — every
-    /// admission refusal (single or batch) leaves an event.
+    /// admission refusal leaves an event.
     fn reject_overloaded(&self) -> ServiceError {
         let in_flight = self.admission.in_flight();
         let limit = self.admission.limit();
@@ -555,10 +538,6 @@ impl TwigService {
             journal_ops: s.journal_ops.load(Ordering::Relaxed),
             replayed_ops: s.replayed_ops.load(Ordering::Relaxed),
             folds: s.folds.load(Ordering::Relaxed),
-            batches: s.batches.load(Ordering::Relaxed),
-            batch_queries: s.batch_queries.load(Ordering::Relaxed),
-            memo_hits: s.memo_hits.load(Ordering::Relaxed),
-            memo_misses: s.memo_misses.load(Ordering::Relaxed),
             in_flight: self.admission.in_flight(),
             admission_limit: self.admission.limit(),
             overloaded: self.admission.rejected(),
@@ -607,52 +586,13 @@ impl TwigService {
     pub fn shutdown(self) {}
 }
 
-/// Answers a batch as one unit: one pinned epoch, one shared probe
-/// memo, full completion/failure accounting.
-fn answer_batch(
-    shared: &Shared,
-    twigs: &[TwigPattern],
-    strategy: Strategy,
-) -> Result<Vec<ServiceAnswer>, ServiceError> {
-    let queries = twigs.len() as u64;
-    // ONE pinned epoch for the whole batch: the memo must not
-    // straddle an update, or matches memoized before it could
-    // be re-served — and cached — under the post-update
-    // generation. The epoch carries its own generation, so the
-    // batch's snapshot and its cache tag cannot disagree.
-    let epoch = shared.pin();
-    let mut memo = ProbeMemo::new();
-    let ctx = RequestCtx::default();
-    // Every member rechecks the strategy against the same pinned engine,
-    // so the batch fails or succeeds as a whole.
-    let answers: Result<Vec<ServiceAnswer>, ServiceError> = twigs
-        .iter()
-        .map(|t| answer_pinned(shared, &epoch, t, strategy, Some(&mut memo), &ctx))
-        .collect();
-    match answers {
-        Ok(answers) => {
-            let memo_stats = memo.stats();
-            shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-            shared.stats.batch_queries.fetch_add(queries, Ordering::Relaxed);
-            shared.stats.memo_hits.fetch_add(memo_stats.hits, Ordering::Relaxed);
-            shared.stats.memo_misses.fetch_add(memo_stats.misses, Ordering::Relaxed);
-            shared.stats.completed.fetch_add(queries, Ordering::Relaxed);
-            Ok(answers)
-        }
-        Err(e) => {
-            shared.stats.failed.fetch_add(queries, Ordering::Relaxed);
-            Err(e)
-        }
-    }
-}
-
-/// The one lookup path, for a single request and for each member of a
-/// batch: answers `twig` against a pinned epoch. The epoch binds engine
-/// state and generation into one atomic unit: a result computed here is
-/// cached under the pinned epoch's generation, so an update publishing
-/// generation N+1 mid-execution cannot cause a stale result to be
-/// tagged fresh (the cache also refuses to clobber a newer-generation
-/// entry). Result-cache hits return without executing at all. (A
+/// The one lookup path: answers `twig` against a pinned epoch. The
+/// epoch binds engine state and generation into one atomic unit: a
+/// result computed here is cached under the pinned epoch's generation,
+/// so an update publishing generation N+1 mid-execution cannot cause a
+/// stale result to be tagged fresh (the cache also refuses to clobber a
+/// newer-generation entry). Result-cache hits return without executing
+/// at all. (A
 /// rebuild that dropped the strategy published a higher generation; a
 /// caller that pinned the old epoch *before* the swap may still serve
 /// one cached pre-rebuild answer — correct data for the epoch that was
@@ -668,7 +608,6 @@ fn answer_pinned(
     epoch: &EngineEpoch,
     twig: &TwigPattern,
     strategy: Strategy,
-    memo: Option<&mut ProbeMemo>,
     ctx: &RequestCtx,
 ) -> Result<ServiceAnswer, ServiceError> {
     let key = exact_key(twig);
@@ -685,7 +624,7 @@ fn answer_pinned(
     if !epoch.engine.has_strategy(strategy) {
         return Err(ServiceError::StrategyNotBuilt(strategy));
     }
-    Ok(answer_miss(shared, epoch, twig, strategy, memo, key, ctx))
+    Ok(answer_miss(shared, epoch, twig, strategy, key, ctx))
 }
 
 /// The result-cache lookup: a hit under the concrete `strategy` and
@@ -715,7 +654,6 @@ fn answer_miss(
     epoch: &EngineEpoch,
     twig: &TwigPattern,
     requested: Strategy,
-    memo: Option<&mut ProbeMemo>,
     key: String,
     ctx: &RequestCtx,
 ) -> ServiceAnswer {
@@ -767,7 +705,7 @@ fn answer_miss(
     // below if they were not. The spans are those of the execution that
     // serves the request, cold reads included.
     let mut trace = (ctx.sample || shared.metrics.slow_log_enabled()).then(xtwig_core::Trace::new);
-    let answer = engine.answer_compiled_with(&compiled, &plan, strategy, memo, trace.as_mut());
+    let answer = engine.answer_compiled_with(&compiled, &plan, strategy, trace.as_mut());
     shared.stats.record_latency(strategy, answer.metrics.elapsed);
     shared.stats.record_cost(strategy, &answer.metrics);
     shared.metrics.observe_shape(&shape_key(twig), answer.metrics.elapsed);
@@ -801,7 +739,6 @@ fn answer_miss(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
     use xtwig_core::parse_xpath;
@@ -841,25 +778,19 @@ mod tests {
             ServiceOptions { max_in_flight: 1, ..Default::default() },
         );
         let twig = parse_xpath("//author[fn='jane']").unwrap();
-        let hold = svc.admission.try_acquire(1).unwrap();
+        let hold = svc.admission.try_acquire().unwrap();
         match svc.execute(&twig, Strategy::RootPaths) {
             Err(ServiceError::Overloaded { in_flight, limit }) => {
                 assert_eq!((in_flight, limit), (1, 1));
             }
             other => panic!("expected Overloaded, got {:?}", other.map(|a| a.ids)),
         }
-        // A batch larger than the whole budget can never be admitted.
-        let twigs = vec![twig.clone(), twig.clone()];
+        // Releasing the permit restores service.
         drop(hold);
-        assert!(matches!(
-            svc.execute_batch(&twigs, Strategy::RootPaths),
-            Err(ServiceError::Overloaded { .. })
-        ));
-        // Releasing the unit restores single-query service.
         let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(!a.ids.is_empty());
         let stats = svc.stats();
-        assert_eq!(stats.overloaded, 2);
+        assert_eq!(stats.overloaded, 1);
         assert_eq!(stats.admission_limit, 1);
         assert_eq!(stats.in_flight, 0);
     }
@@ -964,57 +895,51 @@ mod tests {
     }
 
     #[test]
-    fn singles_and_batch_members_share_one_lookup_path() {
-        type Door = fn(&TwigService, &TwigPattern, Strategy) -> ServiceAnswer;
-        let single: Door = |svc, twig, s| svc.execute(twig, s).unwrap();
-        let member: Door =
-            |svc, twig, s| svc.execute_batch(std::slice::from_ref(twig), s).unwrap().remove(0);
+    fn the_door_shares_cache_entries_bypasses_them_when_sampled_and_adds_no_probe() {
         let twig = parse_xpath("//author[fn='jane']").unwrap();
         for requested in [Strategy::RootPaths, Strategy::Auto] {
-            for (fill, read) in [(single, member), (member, single)] {
-                let svc = small_service();
-                let first = fill(&svc, &twig, requested);
-                assert!(!first.from_cache && !first.strategy.is_auto());
-                let second = read(&svc, &twig, requested);
-                assert!(
-                    second.from_cache,
-                    "{requested}: cached by one entry point, hit by the other"
-                );
-                assert!(Arc::ptr_eq(&first.ids, &second.ids));
-                assert_eq!(second.strategy, first.strategy);
-                // A sampled request executes despite the entry, on the
-                // concrete key and on the key Auto resolves to alike.
-                let ctx = RequestCtx { request_id: 77, sample: true, peer: String::new() };
-                let sampled = svc.execute_with(&twig, requested, &ctx).unwrap();
-                assert!(!sampled.from_cache, "{requested}: sampling bypasses the hit");
-                assert_eq!(*sampled.ids, *first.ids);
-                let trace = svc.find_trace(77).expect("sampled execution leaves its trace");
-                assert_eq!(trace.strategy, first.strategy);
-            }
+            let svc = small_service();
+            let first = svc.execute(&twig, requested).unwrap();
+            assert!(!first.from_cache && !first.strategy.is_auto());
+            let second = svc.execute_with(&twig, requested, &RequestCtx::default()).unwrap();
+            assert!(second.from_cache, "{requested}: cached by one entry point, hit by the other");
+            assert!(Arc::ptr_eq(&first.ids, &second.ids));
+            assert_eq!(second.strategy, first.strategy);
+            // A sampled request executes despite the entry, on the
+            // concrete key and on the key Auto resolves to alike.
+            let ctx = RequestCtx { request_id: 77, sample: true, peer: String::new() };
+            let sampled = svc.execute_with(&twig, requested, &ctx).unwrap();
+            assert!(!sampled.from_cache, "{requested}: sampling bypasses the hit");
+            assert_eq!(*sampled.ids, *first.ids);
+            let trace = svc.find_trace(77).expect("sampled execution leaves its trace");
+            assert_eq!(trace.strategy, first.strategy);
         }
         // An unknown tag resolves nothing under Auto, so nothing is cached.
         let svc = small_service();
         let unknown = parse_xpath("//nosuchtag").unwrap();
-        for door in [single, member, single] {
-            let a = door(&svc, &unknown, Strategy::Auto);
+        for _ in 0..3 {
+            let a = svc.execute(&unknown, Strategy::Auto).unwrap();
             assert!(a.ids.is_empty() && !a.from_cache);
         }
         assert!(svc.shared.result_cache.is_empty());
-    }
-
-    #[test]
-    fn batch_accepts_auto() {
-        let svc = small_service();
-        let twigs: Vec<TwigPattern> = ["//author[fn='jane']/ln", "//author[fn='jane']"]
-            .iter()
-            .map(|q| parse_xpath(q).unwrap())
-            .collect();
-        let answers = svc.execute_batch(&twigs, Strategy::Auto).unwrap();
-        assert_eq!(answers.len(), 2);
-        for (t, a) in twigs.iter().zip(&answers) {
-            assert!(!a.strategy.is_auto());
-            let expected = svc.with_engine(|e| e.answer(t, Strategy::RootPaths).ids);
-            assert_eq!(*a.ids, expected, "{t}");
+        // With the result cache off every request executes, and the
+        // service path adds no probe and carries no state from one
+        // request into the next: its counters are the bare engine's.
+        // (Single-threaded and RP only: the Edge family's deferred lookup
+        // counters are per pool and would mix under concurrent callers.)
+        let svc = TwigService::build(
+            fig1_book_document(),
+            EngineOptions { pool_pages: 256, ..Default::default() },
+            ServiceOptions { result_cache_capacity: 0, ..Default::default() },
+        );
+        let bare = svc.with_engine(|e| e.answer(&twig, Strategy::RootPaths));
+        assert!(bare.metrics.probes > 0);
+        for _ in 0..2 {
+            let served = svc.execute(&twig, Strategy::RootPaths).unwrap();
+            assert!(!served.from_cache);
+            assert_eq!(*served.ids, bare.ids);
+            assert_eq!(served.metrics.probes, bare.metrics.probes);
+            assert_eq!(served.metrics.rows_fetched, bare.metrics.rows_fetched);
         }
     }
 
@@ -1084,6 +1009,7 @@ mod tests {
                 UpdateOp::InsertPath { tags, ids, value } => {
                     UpdateOp::DeletePath { tags, ids, value }
                 }
+                #[allow(clippy::unreachable)] // `ada_ops` yields inserts only
                 UpdateOp::DeletePath { .. } => unreachable!(),
             })
             .collect();
@@ -1336,32 +1262,6 @@ mod tests {
             }
         });
         assert!(svc.stats().rebuilds >= 1);
-    }
-
-    #[test]
-    fn batch_resolves_in_order_and_dedupes_probes() {
-        let svc = small_service();
-        // Distinct queries (identical ones would hit the result cache
-        // before reaching the engine) sharing the //author/fn='jane'
-        // PCsubpath: the batch memo answers it once.
-        let twigs: Vec<TwigPattern> = ["//author[fn='jane']/ln", "//author[fn='jane']"]
-            .iter()
-            .map(|q| parse_xpath(q).unwrap())
-            .collect();
-        let answers = svc.execute_batch(&twigs, Strategy::RootPaths).unwrap();
-        assert_eq!(answers.len(), 2);
-        let sequential: Vec<_> = svc
-            .with_engine(|e| twigs.iter().map(|t| e.answer(t, Strategy::RootPaths).ids).collect());
-        for (a, s) in answers.iter().zip(&sequential) {
-            assert_eq!(*a.ids, *s);
-        }
-        let stats = svc.stats();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batch_queries, 2);
-        assert!(stats.memo_hits > 0, "shared subpath memoized across the batch");
-        // Batch members count as queries on both sides of the ledger.
-        assert_eq!(stats.submitted, 2);
-        assert_eq!(stats.completed, stats.submitted);
     }
 
     #[test]

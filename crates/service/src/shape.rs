@@ -54,7 +54,6 @@ fn key(twig: &TwigPattern, with_values: bool) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
     use xtwig_core::parse_xpath;

@@ -152,10 +152,6 @@ pub struct ServiceStats {
     pub(crate) journal_ops: AtomicU64,
     pub(crate) replayed_ops: AtomicU64,
     pub(crate) folds: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batch_queries: AtomicU64,
-    pub(crate) memo_hits: AtomicU64,
-    pub(crate) memo_misses: AtomicU64,
     latency: Vec<StrategyLatency>, // indexed by position in Strategy::ALL
     costs: Vec<StrategyCost>,      // indexed by position in Strategy::ALL
 }
@@ -171,10 +167,6 @@ impl Default for ServiceStats {
             journal_ops: AtomicU64::new(0),
             replayed_ops: AtomicU64::new(0),
             folds: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_queries: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
             latency: Strategy::ALL.iter().map(|_| StrategyLatency::new()).collect(),
             costs: Strategy::ALL.iter().map(|_| StrategyCost::new()).collect(),
         }
@@ -269,11 +261,12 @@ pub struct StrategyCostSnapshot {
     pub physical_reads: u64,
 }
 
-/// A point-in-time view of every service metric, renderable as JSON for
-/// the bench harness.
+/// A point-in-time view of every service metric; callers read the
+/// fields, and [`ServiceSnapshot::to_json`] is what the wire `Stats` op
+/// ships.
 #[derive(Debug, Clone)]
 pub struct ServiceSnapshot {
-    /// Queries admitted (single requests plus batch members).
+    /// Queries admitted.
     pub submitted: u64,
     /// Queries answered successfully.
     pub completed: u64,
@@ -291,14 +284,6 @@ pub struct ServiceSnapshot {
     /// Persist calls that folded the copy-on-write overlay into a new
     /// base image.
     pub folds: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Queries answered through batches.
-    pub batch_queries: u64,
-    /// FreeIndex probes answered from a batch memo.
-    pub memo_hits: u64,
-    /// FreeIndex probes a batch actually issued.
-    pub memo_misses: u64,
     /// Queries currently admitted and not yet answered (executing on
     /// their callers' threads).
     pub in_flight: usize,
@@ -366,10 +351,6 @@ impl ServiceSnapshot {
              {indent}  \"journal_ops\": {},\n\
              {indent}  \"replayed_ops\": {},\n\
              {indent}  \"folds\": {},\n\
-             {indent}  \"batches\": {},\n\
-             {indent}  \"batch_queries\": {},\n\
-             {indent}  \"memo_hits\": {},\n\
-             {indent}  \"memo_misses\": {},\n\
              {indent}  \"in_flight\": {},\n\
              {indent}  \"admission_limit\": {},\n\
              {indent}  \"overloaded\": {},\n\
@@ -387,10 +368,6 @@ impl ServiceSnapshot {
             self.journal_ops,
             self.replayed_ops,
             self.folds,
-            self.batches,
-            self.batch_queries,
-            self.memo_hits,
-            self.memo_misses,
             self.in_flight,
             self.admission_limit,
             self.overloaded,
@@ -409,7 +386,6 @@ impl ServiceSnapshot {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
 
@@ -489,10 +465,6 @@ mod tests {
             journal_ops: 0,
             replayed_ops: 0,
             folds: 0,
-            batches: 0,
-            batch_queries: 0,
-            memo_hits: 0,
-            memo_misses: 0,
             in_flight: 0,
             admission_limit: 1024,
             overloaded: 0,

@@ -50,6 +50,18 @@
 //! byte-identical to the sequential one. `pool_stress` exercises the
 //! multi-threaded allocate path.
 
+// The read path the query engine touches: a panic here kills the
+// serving thread that touched it (same table as `[workspace.lints.clippy]`).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::disk::DiskManager;
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::stats::{IoStats, PoolCounters};
@@ -348,6 +360,7 @@ impl BufferPool {
         self.resident.store(0, Ordering::Relaxed);
     }
 
+    #[allow(clippy::indexing_slicing)] // frame indices come from the pool's own table/free list, bounded at construction
     fn frame(&self, idx: usize) -> &Frame {
         &self.frames[idx / FRAME_CHUNK].get_or_init(new_chunk)[idx % FRAME_CHUNK]
     }
@@ -403,6 +416,7 @@ impl BufferPool {
             inner.resident.len() - 1
         } else {
             let victim = self.pick_victim(&inner);
+            #[allow(clippy::indexing_slicing)] // `pick_victim` returns an index into `resident`
             let old = std::mem::replace(&mut inner.resident[victim], pid);
             self.write_back(self.frame(victim), old);
             inner.table.remove(&old);
@@ -431,6 +445,7 @@ impl BufferPool {
         frame
     }
 
+    #[allow(clippy::expect_used)] // documented capacity invariant: every frame pinned means the pool is undersized
     fn pick_victim(&self, inner: &PoolInner) -> usize {
         self.used_frames(inner)
             .enumerate()

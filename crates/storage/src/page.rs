@@ -1,5 +1,17 @@
 //! Fixed-size pages.
 
+// The read path the query engine touches: a panic here kills the
+// serving thread that touched it (same table as `[workspace.lints.clippy]`).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 /// Page size in bytes. 8 KiB mirrors common relational defaults (DB2 uses
 /// 4–32 KiB; the paper does not state its page size, so we pick the middle
 /// of that range).
@@ -41,6 +53,7 @@ impl Default for PageBuf {
 
 impl PageBuf {
     /// A page of zeroes.
+    #[allow(clippy::expect_used)] // infallible: the boxed slice is exactly PAGE_SIZE long by construction
     pub fn zeroed() -> Self {
         PageBuf(vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().expect("PAGE_SIZE box"))
     }
@@ -65,34 +78,40 @@ impl std::fmt::Debug for PageBuf {
 }
 
 // Little-endian fixed-width field helpers used by page layouts across the
-// btree and rel crates.
+// btree and rel crates. Each indexes unchecked on purpose: callers pass
+// compile-time layout offsets into PAGE_SIZE buffers.
 
 /// Reads a `u16` at `off`.
 #[inline]
+#[allow(clippy::indexing_slicing)] // page-layout offset
 pub fn get_u16(buf: &[u8], off: usize) -> u16 {
     u16::from_le_bytes([buf[off], buf[off + 1]])
 }
 
 /// Writes a `u16` at `off`.
 #[inline]
+#[allow(clippy::indexing_slicing)] // page-layout offset
 pub fn put_u16(buf: &mut [u8], off: usize, v: u16) {
     buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
 
 /// Reads a `u32` at `off`.
 #[inline]
+#[allow(clippy::indexing_slicing)] // page-layout offset
 pub fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
 }
 
 /// Writes a `u32` at `off`.
 #[inline]
+#[allow(clippy::indexing_slicing)] // page-layout offset
 pub fn put_u32(buf: &mut [u8], off: usize, v: u32) {
     buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
 }
 
 /// Reads a `u64` at `off`.
 #[inline]
+#[allow(clippy::indexing_slicing)] // page-layout offset
 pub fn get_u64(buf: &[u8], off: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&buf[off..off + 8]);
@@ -101,6 +120,7 @@ pub fn get_u64(buf: &[u8], off: usize) -> u64 {
 
 /// Writes a `u64` at `off`.
 #[inline]
+#[allow(clippy::indexing_slicing)] // page-layout offset
 pub fn put_u64(buf: &mut [u8], off: usize, v: u64) {
     buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
 }

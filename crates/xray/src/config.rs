@@ -27,9 +27,8 @@ pub struct AllowEntry {
 /// Scoping and parameters for the rule set.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Path prefixes (workspace-relative) where `no-panic` applies.
-    pub no_panic_paths: Vec<String>,
-    /// Path prefixes where `typed-errors` applies to `pub fn` returns.
+    /// Path prefixes (workspace-relative) where `typed-errors` applies
+    /// to `pub fn` returns.
     pub typed_errors_paths: Vec<String>,
     /// Receiver name of the maintenance `Mutex` (lock-order rule).
     pub maintenance_receiver: String,
@@ -104,10 +103,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
     for mut sec in sections {
         let line = sec.header_line;
         match sec.name.as_str() {
-            "rule.no-panic" => {
-                cfg.no_panic_paths = take_list(&mut sec, "paths")?;
-                finish(sec)?;
-            }
             "rule.typed-errors" => {
                 cfg.typed_errors_paths = take_list(&mut sec, "paths")?;
                 finish(sec)?;
@@ -307,20 +302,16 @@ fn parse_string(input: &str, line: u32) -> Result<(String, &str), ConfigError> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"
-# scoping for the panic rule
-[rule.no-panic]
+# scoping for the typed-errors rule
+[rule.typed-errors]
 paths = [
     "crates/net/src",
     "crates/service/src", # serving dispatch
 ]
-
-[rule.typed-errors]
-paths = ["crates/net/src"]
 
 [rule.lock-order]
 maintenance_receiver = "maintenance"
@@ -333,27 +324,27 @@ paths = ["crates/net/src/server.rs"]
 forbid = ["File", "read_to_string"]
 
 [[allow]]
-rule = "no-panic"
-path = "crates/net/src/frame.rs"
-contains = "header["
-why = "fixed-size stack array, constant offsets"
+rule = "typed-errors"
+path = "crates/net/src/server.rs"
+contains = "pub fn bind"
+why = "OS listener lifecycle, not the request path"
 "#;
 
     #[test]
     fn parses_full_config() {
         let cfg = parse(SAMPLE).unwrap();
-        assert_eq!(cfg.no_panic_paths, vec!["crates/net/src", "crates/service/src"]);
+        assert_eq!(cfg.typed_errors_paths, vec!["crates/net/src", "crates/service/src"]);
         assert_eq!(cfg.maintenance_receiver, "maintenance");
         assert_eq!(cfg.blocking_paths, vec!["crates/net/src/server.rs"]);
         assert_eq!(cfg.blocking_forbid, vec!["File", "read_to_string"]);
         assert_eq!(cfg.allow.len(), 1);
-        assert_eq!(cfg.allow[0].contains, "header[");
+        assert_eq!(cfg.allow[0].contains, "pub fn bind");
     }
 
     #[test]
     fn rejects_unknown_section_and_key() {
         assert!(parse("[rule.nonsense]\npaths = []\n").is_err());
-        let e = parse("[rule.no-panic]\npaths = []\nbogus = \"x\"\n").unwrap_err();
+        let e = parse("[rule.typed-errors]\npaths = []\nbogus = \"x\"\n").unwrap_err();
         assert!(e.to_string().contains("bogus"), "{e}");
     }
 

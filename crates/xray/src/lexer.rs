@@ -3,9 +3,9 @@
 //! The rules need exactly what a token stream gives: identifiers,
 //! punctuation, literals, and comments, each pinned to a source
 //! position — not a full parse tree. Rolling the lexer by hand keeps
-//! the crate std-only (no `syn`; the build environment is offline) and
-//! keeps comments in the stream, which the `safety-comments` rule
-//! reads and every other rule filters out.
+//! the crate std-only (no `syn`; the build environment is offline).
+//! Comments stay in the stream as tokens of their own, which the rules
+//! filter out.
 //!
 //! Correctness notes the rules depend on:
 //! * string/char/byte literals are consumed whole, so `"unwrap()"` in a
@@ -365,7 +365,6 @@ fn lex_number(cur: &mut Cursor<'_>, line: u32, col: u32) -> Token {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // tests assert; unwrap is the assert
 mod tests {
     use super::*;
 

@@ -47,15 +47,15 @@
 //! | [`xml`] | `xtwig-xml` | forest data model, parser, twig patterns, naive matcher |
 //! | [`storage`] | `xtwig-storage` | pages, disk manager, buffer pool, I/O stats |
 //! | [`btree`] | `xtwig-btree` | disk-format B+-tree with prefix scans and bulk load |
-//! | [`rel`] | `xtwig-rel` | values, order-preserving codec, heap files, join operators |
-//! | [`core`] | `xtwig-core` | ROOTPATHS, DATAPATHS, the index family, baselines, planner, engine |
+//! | [`rel`] | `xtwig-rel` | values, order-preserving codec, heap files |
+//! | [`core`] | `xtwig-core` | ROOTPATHS, DATAPATHS, the index family, baselines, planner, and the engine whose joins are the relational processor |
 //! | [`obs`] | `xtwig-obs` | query observability: span traces and per-stage I/O counters |
 //! | [`opt`] | `xtwig-opt` | cost-based strategy selection: estimator, per-strategy cost model |
-//! | [`service`] | `xtwig-service` | concurrent query service: caller-thread dispatch, admission, plan/result caches, batching |
+//! | [`service`] | `xtwig-service` | concurrent query service: caller-thread dispatch, admission, plan/result caches |
 //! | [`net`] | `xtwig-net` | network front end: wire protocol, TCP server over a multi-index catalog, client |
 //! | [`datagen`] | `xtwig-datagen` | XMark-like and DBLP-like generators, the Q1–Q15 workload |
 //! | [`bench`](mod@bench) | `xtwig-bench` | shared measurement harness behind the figure-reproduction binaries |
-//! | [`xray`] | `xtwig-xray` | workspace static analysis: panic paths, lock order, typed errors, SAFETY comments, blocking I/O |
+//! | [`xray`] | `xtwig-xray` | workspace static analysis: lock order, typed errors, blocking I/O in handlers |
 
 pub use xtwig_bench as bench;
 pub use xtwig_btree as btree;

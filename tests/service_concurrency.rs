@@ -230,26 +230,3 @@ fn update_invalidates_cached_results_after_generation_bump() {
     assert_eq!(stats.updates, 1);
     assert!(stats.result_cache.invalidated >= 1);
 }
-
-#[test]
-fn batched_stream_agrees_with_singles_and_saves_probes() {
-    let forest = library_forest();
-    let service = TwigService::build(
-        forest,
-        EngineOptions {
-            strategies: vec![Strategy::RootPaths],
-            pool_pages: 512,
-            ..Default::default()
-        },
-        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
-    );
-    let twigs: Vec<TwigPattern> = QUERIES.iter().map(|q| parse_xpath(q).unwrap()).collect();
-    let batched = service.execute_batch(&twigs, Strategy::RootPaths).unwrap();
-    for (twig, answer) in twigs.iter().zip(&batched) {
-        let single = service.execute(twig, Strategy::RootPaths).unwrap();
-        assert_eq!(answer.ids, single.ids, "batch answer differs on {twig}");
-    }
-    let stats = service.stats();
-    assert_eq!(stats.batches, 1);
-    assert_eq!(stats.batch_queries, QUERIES.len() as u64);
-}

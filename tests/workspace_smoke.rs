@@ -44,7 +44,8 @@ fn intro_forest() -> XmlForest {
 /// the suite count itself); this test derives the ground truth from
 /// `tests/*.rs` so a new suite that forgets the docs — or a doc that
 /// invents a suite — fails CI instead of drifting silently. The same
-/// goes for every bench snapshot, `--bin` and `--bench` the docs name.
+/// goes for every bench snapshot, `--bin`, `--bench` and `--example` the
+/// docs name.
 #[test]
 fn docs_track_the_integration_suite_inventory() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -106,6 +107,12 @@ fn docs_track_the_integration_suite_inventory() {
                 "{doc} runs `--bench {bench}`, which crates/bench does not declare"
             );
         }
+        for example in names_after(&text, "--example ") {
+            assert!(
+                root.join("examples").join(format!("{example}.rs")).is_file(),
+                "{doc} runs `--example {example}`, which examples/ does not have"
+            );
+        }
     }
 }
 
@@ -151,9 +158,19 @@ fn xray_gate_stays_wired() {
         assert!(xtwig::xray::ALL_RULES.contains(&rule), "xray.toml scopes unknown rule {rule}");
     }
     // CI runs the pass in the fail-fast lint job, and the README
-    // documents the gate.
+    // documents the gate. The panic-path and SAFETY-comment rules xray
+    // used to carry are clippy's now: the same job must keep denying
+    // them.
     let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap();
     assert!(ci.contains("cargo run -p xtwig-xray"), "CI lint job must run xray");
+    assert!(
+        ci.contains("-- -D warnings -D clippy::undocumented_unsafe_blocks"),
+        "CI clippy must deny warnings and undocumented unsafe"
+    );
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+    for lint in ["unwrap_used", "expect_used", "panic", "indexing_slicing"] {
+        assert!(manifest.contains(&format!("{lint} = \"warn\"")), "workspace lints lost {lint}");
+    }
     let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
     assert!(readme.contains("## Static analysis"), "README lost its static-analysis section");
 }
