@@ -141,6 +141,15 @@ pub fn leaf_value(page: &[u8], idx: usize) -> &[u8] {
     &page[off + 4 + klen..off + 4 + klen + vlen]
 }
 
+/// Key and value of leaf slot `idx`, decoding the cell header once.
+pub fn leaf_cell(page: &[u8], idx: usize) -> (&[u8], &[u8]) {
+    let off = slot_offset(page, idx);
+    let klen = get_u16(page, off) as usize;
+    let vlen = get_u16(page, off + 2) as usize;
+    let cell = &page[off + 4..off + 4 + klen + vlen];
+    cell.split_at(klen)
+}
+
 /// Binary search for `key` in a leaf: `Ok(idx)` if present, `Err(idx)`
 /// with the insertion position otherwise.
 pub fn leaf_find(page: &[u8], key: &[u8]) -> Result<usize, usize> {

@@ -1,9 +1,19 @@
 //! The B+-tree proper: lookups, inserts, deletes, range and prefix scans.
+//!
+//! Every read path shares one descent, `find_leaf`, which hands back
+//! the read guard of the leaf it lands on: a point lookup costs `height`
+//! page fetches, a scan `height` plus one per further leaf it visits.
+//! Scans come in two shapes over one leaf walk (`admitted_cells`):
+//! [`BTree::for_each_prefix`] lends each
+//! `(key, value)` cell to a visitor straight from the pinned leaf page —
+//! the form the index probes of `xtwig-core` consume, no allocation per
+//! entry — and [`RangeScan`] is the owned-iterator adapter for callers
+//! that want `(Vec<u8>, Vec<u8>)` pairs (builders, tests, the harness).
 
 use crate::node::{self, NO_PAGE};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use xtwig_storage::{BufferPool, PageId, PAGE_SIZE};
+use xtwig_storage::{BufferPool, PageId, PageReadGuard, PAGE_SIZE};
 
 /// Build/behaviour options.
 #[derive(Debug, Clone, Copy)]
@@ -124,25 +134,24 @@ impl BTree {
         pid
     }
 
-    /// Descends to the leaf that would contain `key`.
-    fn find_leaf(&self, key: &[u8]) -> PageId {
+    /// Descends to the leaf that would contain `key` and returns it
+    /// still latched: each child is fetched while its parent's guard is
+    /// held, and the leaf's guard goes to the caller, so nothing on the
+    /// read path fetches the leaf a second time.
+    fn find_leaf(&self, key: &[u8]) -> (PageId, PageReadGuard<'_>) {
         let mut pid = self.root;
-        loop {
-            let page = self.pool.fetch(pid);
-            if node::is_leaf(&page) {
-                return pid;
-            }
+        let mut page = self.pool.fetch(pid);
+        while !node::is_leaf(&page) {
             let idx = node::int_child_index(&page, key);
-            let child = node::int_child_at(&page, idx);
-            drop(page);
-            pid = PageId(child);
+            pid = PageId(node::int_child_at(&page, idx));
+            page = self.pool.fetch(pid);
         }
+        (pid, page)
     }
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let leaf = self.find_leaf(key);
-        let page = self.pool.fetch(leaf);
+        let (_, page) = self.find_leaf(key);
         match node::leaf_find(&page, key) {
             Ok(idx) => Some(node::leaf_value(&page, idx).to_vec()),
             Err(_) => None,
@@ -151,8 +160,7 @@ impl BTree {
 
     /// True if `key` is present.
     pub fn contains(&self, key: &[u8]) -> bool {
-        let leaf = self.find_leaf(key);
-        let page = self.pool.fetch(leaf);
+        let (_, page) = self.find_leaf(key);
         node::leaf_find(&page, key).is_ok()
     }
 
@@ -312,7 +320,9 @@ impl BTree {
     /// the update experiment measures entry-level maintenance cost, which
     /// does not require rebalancing).
     pub fn delete(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        let leaf = self.find_leaf(key);
+        // The descent's read latch is released before the leaf is
+        // re-latched for writing.
+        let (leaf, _) = self.find_leaf(key);
         let mut page = self.pool.fetch_mut(leaf);
         match node::leaf_find(&page, key) {
             Ok(idx) => {
@@ -327,22 +337,10 @@ impl BTree {
 
     /// Scans all entries with `key >= lo`, ending per `end`.
     pub fn range(&self, lo: &[u8], end: ScanEnd) -> RangeScan<'_> {
-        let leaf = self.find_leaf(lo);
-        let start = {
-            let page = self.pool.fetch(leaf);
-            match node::leaf_find(&page, lo) {
-                Ok(i) | Err(i) => i,
-            }
-        };
-        let mut scan = RangeScan {
-            tree: self,
-            end,
-            buffer: VecDeque::new(),
-            next_page: leaf.0,
-            next_slot: start,
-            done: false,
-        };
-        scan.fill();
+        let (_, page) = self.find_leaf(lo);
+        let (Ok(start) | Err(start)) = node::leaf_find(&page, lo);
+        let mut scan = RangeScan { tree: self, end, buffer: VecDeque::new(), next: None };
+        scan.buffer_leaf(&page, start);
         scan
     }
 
@@ -352,6 +350,23 @@ impl BTree {
     /// `//` becomes a prefix probe on `LeafValue · ReverseSchemaPath`.
     pub fn scan_prefix(&self, prefix: &[u8]) -> RangeScan<'_> {
         self.range(prefix, ScanEnd::Prefix(prefix.to_vec()))
+    }
+
+    /// Calls `visit(key, value)` for every entry whose key starts with
+    /// `prefix`, in key order — [`BTree::scan_prefix`] without the copies.
+    /// Both slices borrow the pinned leaf page and are valid only for the
+    /// call. One probe fetches `height` pages plus one per further leaf
+    /// it walks into, and allocates nothing.
+    pub fn for_each_prefix(&self, prefix: &[u8], mut visit: impl FnMut(&[u8], &[u8])) {
+        let (_, mut page) = self.find_leaf(prefix);
+        let (Ok(mut slot) | Err(mut slot)) = node::leaf_find(&page, prefix);
+        loop {
+            match admitted_cells(&page, slot, |k| k.starts_with(prefix), &mut visit) {
+                Some(next) => page = self.pool.fetch(next),
+                None => return,
+            }
+            slot = 0;
+        }
     }
 
     /// Every entry in key order.
@@ -433,38 +448,63 @@ impl ScanEnd {
     }
 }
 
-/// Iterator over `(key, value)` pairs in key order.
+/// The leaf walk every scan shares: visits the cells of leaf `page` from
+/// `slot` on while `admits(key)` holds. Returns the right sibling to
+/// continue in, or `None` when the scan ended here — on a key that was
+/// not admitted, or at the last leaf.
+fn admitted_cells(
+    page: &[u8],
+    slot: usize,
+    admits: impl Fn(&[u8]) -> bool,
+    mut visit: impl FnMut(&[u8], &[u8]),
+) -> Option<PageId> {
+    for i in slot..node::nslots(page) {
+        let (k, v) = node::leaf_cell(page, i);
+        if !admits(k) {
+            return None;
+        }
+        visit(k, v);
+    }
+    let next = node::right_sibling(page);
+    (next != NO_PAGE).then_some(PageId(next))
+}
+
+/// Iterator over owned `(key, value)` pairs in key order — the adapter
+/// over the leaf walk for callers that keep what they read (builders,
+/// tests, the benchmark harness); index probes use
+/// [`BTree::for_each_prefix`] and copy nothing.
 ///
-/// Buffers one leaf page at a time, so logical I/O is one page fetch per
-/// visited leaf — the same unit a relational scan would report.
+/// Buffers one leaf page at a time and the descent hands over the first
+/// leaf it landed on, so logical I/O is exactly one page fetch per
+/// visited leaf on top of the `height - 1` interior pages — the same
+/// unit a relational scan would report. A scan that consumes a leaf to
+/// its last slot also visits the right sibling (that is where it learns
+/// the range ended).
 pub struct RangeScan<'t> {
     tree: &'t BTree,
     end: ScanEnd,
     buffer: VecDeque<(Vec<u8>, Vec<u8>)>,
-    next_page: u32,
-    next_slot: usize,
-    done: bool,
+    /// The leaf to continue in; `None` once the scan has ended.
+    next: Option<PageId>,
 }
 
 impl RangeScan<'_> {
+    /// Buffers the admitted cells of one latched leaf from `slot` on.
+    fn buffer_leaf(&mut self, page: &[u8], slot: usize) {
+        let (end, buffer) = (&self.end, &mut self.buffer);
+        self.next = admitted_cells(
+            page,
+            slot,
+            |k| end.admits(k),
+            |k, v| buffer.push_back((k.to_vec(), v.to_vec())),
+        );
+    }
+
     fn fill(&mut self) {
-        while self.buffer.is_empty() && !self.done {
-            if self.next_page == NO_PAGE {
-                self.done = true;
-                return;
-            }
-            let page = self.tree.pool.fetch(PageId(self.next_page));
-            let n = node::nslots(&page);
-            for i in self.next_slot..n {
-                let k = node::leaf_key(&page, i);
-                if !self.end.admits(k) {
-                    self.done = true;
-                    break;
-                }
-                self.buffer.push_back((k.to_vec(), node::leaf_value(&page, i).to_vec()));
-            }
-            self.next_page = node::right_sibling(&page);
-            self.next_slot = 0;
+        while self.buffer.is_empty() {
+            let Some(pid) = self.next else { return };
+            let page = self.tree.pool.fetch(pid);
+            self.buffer_leaf(&page, 0);
         }
     }
 }
@@ -690,7 +730,7 @@ mod tests {
         }
         let leaves = {
             // Count leaves by walking sibling pointers.
-            let mut pid = t.find_leaf(b"");
+            let (mut pid, _) = t.find_leaf(b"");
             let mut count = 0u64;
             loop {
                 count += 1;
@@ -712,6 +752,70 @@ mod tests {
         assert!(
             logical <= leaves + u64::from(t.stats().height) + 1,
             "scan used {logical} logical reads for {leaves} leaves"
+        );
+    }
+
+    /// A height-3 tree and its pool, counters reset.
+    fn height3() -> (BTree, Arc<BufferPool>) {
+        let pool = Arc::new(BufferPool::in_memory(4096));
+        let mut t = BTree::new(pool.clone());
+        let mut i = 0u32;
+        while t.stats().height < 3 {
+            t.insert(format!("k{i:07}").as_bytes(), &[7u8; 200]);
+            i += 1;
+        }
+        assert_eq!(t.stats().height, 3);
+        pool.stats().reset();
+        (t, pool)
+    }
+
+    fn reads_of(pool: &BufferPool, f: impl FnOnce()) -> u64 {
+        let before = pool.stats().snapshot().logical_reads;
+        f();
+        pool.stats().snapshot().logical_reads - before
+    }
+
+    #[test]
+    fn point_reads_fetch_each_level_once() {
+        let (t, pool) = height3();
+        assert_eq!(reads_of(&pool, || assert!(t.get(b"k0000100").is_some())), 3);
+        assert_eq!(reads_of(&pool, || assert!(t.get(b"nope").is_none())), 3);
+        assert_eq!(reads_of(&pool, || assert!(t.contains(b"k0000100"))), 3);
+    }
+
+    #[test]
+    fn prefix_probe_fetches_height_plus_extra_leaves() {
+        let (t, pool) = height3();
+        // One stored key: a single cell in the middle of a leaf.
+        let mut hits = 0;
+        let reads = reads_of(&pool, || t.for_each_prefix(b"k0000100", |_, _| hits += 1));
+        assert_eq!((hits, reads), (1, 3));
+        assert_eq!(reads_of(&pool, || assert_eq!(t.scan_prefix(b"k0000100").count(), 1)), 3);
+        // A prefix spanning several leaves: one fetch per leaf it walks
+        // into, counted by following the leaf chain across the same keys.
+        let mut leaves = 1u64;
+        let (_, mut page) = t.find_leaf(b"k00001");
+        let (Ok(mut slot) | Err(mut slot)) = node::leaf_find(&page, b"k00001");
+        loop {
+            let next = node::right_sibling(&page);
+            let runs_off_the_leaf = (slot..node::nslots(&page))
+                .all(|i| node::leaf_key(&page, i).starts_with(b"k00001"));
+            if !runs_off_the_leaf || next == NO_PAGE {
+                break;
+            }
+            leaves += 1;
+            page = pool.fetch(PageId(next));
+            slot = 0;
+        }
+        drop(page);
+        assert!(leaves >= 3, "prefix should span several leaves, spans {leaves}");
+        pool.stats().reset();
+        let mut visited = 0usize;
+        let reads = reads_of(&pool, || t.for_each_prefix(b"k00001", |_, _| visited += 1));
+        assert_eq!(reads, 2 + leaves, "{visited} entries over {leaves} leaves");
+        assert_eq!(
+            reads_of(&pool, || assert_eq!(t.scan_prefix(b"k00001").count(), visited)),
+            reads
         );
     }
 }

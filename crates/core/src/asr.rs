@@ -22,6 +22,7 @@ use crate::family::{
 };
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
+use crate::rootpaths::push_value_part;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,29 +125,38 @@ impl AccessSupportRelations {
         }
     }
 
-    /// Evaluates a PCsubpath: one indexed probe per matching table.
-    /// Matches carry the full root IdList (ASR rows are complete path
-    /// instantiations).
-    pub fn eval_pcsubpath(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let paths: Vec<Vec<TagId>> = self.matching_paths(q).into_iter().cloned().collect();
-        let mut out = Vec::new();
+    /// The streaming PCsubpath evaluation — the one scan of these
+    /// tables: one indexed probe per matching table, in sorted path
+    /// order, calling `sink(path, ids)` per row with the row's full
+    /// root IdList (ASR rows are complete path instantiations) decoded
+    /// into the caller's reused `ids` buffer.
+    pub fn for_each_match(
+        &self,
+        q: &PcSubpathQuery,
+        ids: &mut Vec<u64>,
+        mut sink: impl FnMut(&[TagId], &[u64]),
+    ) {
+        let mut prefix = KeyBuf::new();
+        push_value_part(&mut prefix, q.value.as_deref());
+        let mut paths = self.matching_paths(q);
+        paths.sort_unstable();
         for path in paths {
-            let tree = &self.tables[&path];
             self.lookups.fetch_add(1, Ordering::Relaxed);
-            let mut prefix = KeyBuf::new();
-            match &q.value {
-                None => {
-                    prefix.push_null();
-                }
-                Some(v) => {
-                    prefix.push_str(value_key_prefix(v));
-                }
-            }
-            for (_k, payload) in tree.scan_prefix(prefix.as_bytes()) {
-                let ids = codec::decode_idlist(IdListCodec::Plain, &payload);
-                out.push(PathMatch { head: 0, tags: path.clone(), ids });
-            }
+            self.tables[path].for_each_prefix(prefix.as_bytes(), |_key, payload| {
+                ids.clear();
+                codec::decode_idlist_into(IdListCodec::Plain, payload, ids);
+                sink(path, ids);
+            });
         }
+    }
+
+    /// Evaluates a PCsubpath, collecting
+    /// [`AccessSupportRelations::for_each_match`] into owned matches.
+    pub fn eval_pcsubpath(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
+        let mut out = Vec::new();
+        self.for_each_match(q, &mut Vec::new(), |path, ids| {
+            out.push(PathMatch { head: 0, tags: path.to_vec(), ids: ids.to_vec() });
+        });
         out
     }
 }

@@ -79,7 +79,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 tags: sp.q.tags.clone(),
                 anchored: sp.q.anchored,
                 value: sp.q.value.clone(),
-                interior_needed: sp.nodes[..sp.nodes.len() - 1].iter().any(|n| needed.contains(n)),
+                interior_needed: sp.nodes[..sp.nodes.len() - 1].iter().any(|&n| needed[n]),
             })
             .collect();
 

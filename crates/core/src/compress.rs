@@ -20,7 +20,7 @@
 
 use crate::family::{value_key_prefix, PathMatch};
 use crate::paths::{for_each_root_path, for_each_subpath};
-use crate::rootpaths::{push_value_part, skip_value_part};
+use crate::rootpaths::push_value_part;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, BTree, BTreeOptions};
@@ -186,8 +186,7 @@ impl DictDataPaths {
         key.push_raw(&pid.to_be_bytes());
         self.tree
             .scan_prefix(key.as_bytes())
-            .map(|(k, payload)| {
-                let (_value, _pos) = skip_value_part(&k, 9);
+            .map(|(_k, payload)| {
                 let stored = codec::decode_idlist(self.idlist, &payload);
                 let ids = if head == 0 {
                     stored

@@ -210,22 +210,102 @@ impl DataPaths {
         removed
     }
 
-    fn decode_entry(&self, head: u64, key: &[u8], payload: &[u8]) -> PathMatch {
-        let pos = 9; // skip head component
-        let (_value, pos) = skip_value_part(key, pos);
-        let (tags, _next) = designator::decode_path_reversed(key, pos);
-        let stored = codec::decode_idlist(self.idlist, payload);
-        let ids = if head == 0 {
-            stored
-        } else {
-            let mut ids = Vec::with_capacity(stored.len() + 1);
-            ids.push(head);
-            ids.extend_from_slice(&stored);
-            ids
-        };
-        debug_assert_eq!(tags.len(), ids.len());
-        PathMatch { head, tags, ids }
+    /// The key prefix of a probe under `head`: `head_tag` is `None` for
+    /// the virtual root (FreeIndex rows store the path from the document
+    /// root) and the head's tag for a BoundIndex probe.
+    fn probe_prefix(head: u64, head_tag: Option<TagId>, q: &PcSubpathQuery) -> Vec<u8> {
+        let mut key = KeyBuf::new();
+        key.push_u64(head);
+        push_value_part(&mut key, q.value.as_deref());
+        let mut path = Vec::with_capacity(q.tags.len() + 2);
+        designator::push_path_reversed(&mut path, &q.tags);
+        if q.anchored {
+            // Under a real head the first pattern step is a *child* of
+            // the head: the stored path must be exactly head_tag/t1/…/tk.
+            if let Some(tag) = head_tag {
+                designator::push_designator(&mut path, tag);
+            }
+            path.push(designator::TERMINATOR);
+        }
+        key.push_raw(&path);
+        key.finish()
     }
+
+    /// The one scan of this index, under both lookup kinds: decodes each
+    /// entry under `prefix` into `ids` (re-attaching `head` in front of
+    /// a BoundIndex row's stored list) and lends it to `sink` with the
+    /// undecoded entry key when it spans at least `min_len` steps.
+    fn scan(
+        &self,
+        prefix: &[u8],
+        head: u64,
+        min_len: usize,
+        ids: &mut Vec<u64>,
+        mut sink: impl FnMut(&[u8], &[u64]),
+    ) {
+        self.tree.for_each_prefix(prefix, |key, payload| {
+            ids.clear();
+            if head != 0 {
+                ids.push(head);
+            }
+            codec::decode_idlist_into(self.idlist, payload, ids);
+            if ids.len() >= min_len {
+                sink(key, ids);
+            }
+        });
+    }
+
+    /// The streaming FreeIndex lookup: `sink(key, ids)` per match, `ids`
+    /// decoded into the caller's reused buffer, `key` lent undecoded
+    /// from the leaf page ([`FreeIndex::lookup_free`] is the collector
+    /// that also decodes the schema path out of it).
+    pub fn for_each_free(
+        &self,
+        q: &PcSubpathQuery,
+        ids: &mut Vec<u64>,
+        sink: impl FnMut(&[u8], &[u64]),
+    ) {
+        self.scan(&Self::probe_prefix(0, None, q), 0, 0, ids, sink);
+    }
+
+    /// Prepares BoundIndex probes of `q` under heads tagged `head_tag`:
+    /// the key is encoded once, and [`DataPaths::for_each_bound`]
+    /// re-aims it at each head by overwriting the HeadId component.
+    pub fn bound_probe(&self, head_tag: TagId, q: &PcSubpathQuery) -> BoundProbe {
+        BoundProbe {
+            key: Self::probe_prefix(0, Some(head_tag), q),
+            // Strict descendant: a stored path includes the head step.
+            min_len: q.tags.len() + 1,
+        }
+    }
+
+    /// The streaming BoundIndex lookup: [`DataPaths::for_each_free`]
+    /// rooted at `head` (`ids[0]` is the head itself).
+    pub fn for_each_bound(
+        &self,
+        probe: &mut BoundProbe,
+        head: u64,
+        ids: &mut Vec<u64>,
+        sink: impl FnMut(&[u8], &[u64]),
+    ) {
+        codec::set_u64(&mut probe.key, 0, head);
+        self.scan(&probe.key, head, probe.min_len, ids, sink);
+    }
+
+    /// Collects one lent entry as a [`PathMatch`], decoding its schema
+    /// path out of the key.
+    fn collect(head: u64, key: &[u8], ids: &[u64]) -> PathMatch {
+        let pos = skip_value_part(key, 9); // 9: past the head component
+        let (tags, _next) = designator::decode_path_reversed(key, pos);
+        debug_assert_eq!(tags.len(), ids.len());
+        PathMatch { head, tags, ids: ids.to_vec() }
+    }
+}
+
+/// A prepared BoundIndex probe (see [`DataPaths::bound_probe`]).
+pub struct BoundProbe {
+    key: Vec<u8>,
+    min_len: usize,
 }
 
 impl DataPaths {
@@ -275,41 +355,20 @@ impl PathIndex for DataPaths {
 
 impl FreeIndex for DataPaths {
     fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let mut key = KeyBuf::new();
-        key.push_u64(0);
-        push_value_part(&mut key, q.value.as_deref());
-        let mut path = Vec::with_capacity(q.tags.len() + 1);
-        designator::push_path_reversed(&mut path, &q.tags);
-        if q.anchored {
-            path.push(designator::TERMINATOR);
-        }
-        key.push_raw(&path);
-        let prefix = key.finish();
-        self.tree.scan_prefix(&prefix).map(|(k, v)| self.decode_entry(0, &k, &v)).collect()
+        let mut out = Vec::new();
+        self.for_each_free(q, &mut Vec::new(), |key, ids| out.push(Self::collect(0, key, ids)));
+        out
     }
 }
 
 impl BoundIndex for DataPaths {
     fn lookup_bound(&self, head: u64, head_tag: TagId, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let mut key = KeyBuf::new();
-        key.push_u64(head);
-        push_value_part(&mut key, q.value.as_deref());
-        let mut path = Vec::with_capacity(q.tags.len() + 2);
-        designator::push_path_reversed(&mut path, &q.tags);
-        if q.anchored {
-            // The first pattern step is a *child* of the head: the stored
-            // path must be exactly head_tag/t1/…/tk.
-            designator::push_designator(&mut path, head_tag);
-            path.push(designator::TERMINATOR);
-        }
-        key.push_raw(&path);
-        let prefix = key.finish();
-        let min_len = q.tags.len() + 1; // strict descendant: path includes the head step
-        self.tree
-            .scan_prefix(&prefix)
-            .map(|(k, v)| self.decode_entry(head, &k, &v))
-            .filter(|m| m.tags.len() >= min_len)
-            .collect()
+        let mut out = Vec::new();
+        let mut probe = self.bound_probe(head_tag, q);
+        self.for_each_bound(&mut probe, head, &mut Vec::new(), |key, ids| {
+            out.push(Self::collect(head, key, ids));
+        });
+        out
     }
 }
 

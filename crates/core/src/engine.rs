@@ -13,6 +13,15 @@
 //! each with the strategy's probe pattern, and stitch the matches with
 //! joins on ids extracted from IdLists (merge plan) or with BoundIndex
 //! probes (index-nested-loop plan, DATAPATHS only).
+//!
+//! Rows live in the flat binding table of `crate::table`, not in a
+//! heap object each: a probe's sink writes the ids of an IdList — decoded
+//! from the leaf page into one reused buffer — straight into the table,
+//! joins build sorted `(key, row index)` runs over it, projection and
+//! distinct work on row indices, and the answer set is materialized once,
+//! from the output column. Every buffer a step needs belongs to the
+//! execution (`Exec`) and is reused by the next step, so an execution
+//! allocates by the plan step, not by the row (`tests/alloc_budget.rs`).
 
 use crate::asr::AccessSupportRelations;
 use crate::dataguide::DataGuide;
@@ -20,16 +29,15 @@ use crate::datapaths::{DataPaths, DataPathsOptions};
 use crate::decompose::{decompose, CompiledTwig, UnknownTag};
 use crate::edge::EdgeTable;
 use crate::fabric::IndexFabric;
-use crate::family::{
-    value_needs_recheck, BoundIndex, FreeIndex, PathIndex, PathMatch, PcSubpathQuery,
-};
+use crate::family::{value_needs_recheck, PathIndex, PathMatch, PcSubpathQuery};
 use crate::joinindex::JoinIndices;
 use crate::parallel::ShardPlan;
 use crate::paths::PathStats;
 use crate::plan::{choose_plan, JoinHow, PlanKind, ProbeSpec, QueryPlan};
 use crate::rootpaths::{RootPaths, RootPathsOptions};
+use crate::table::{key_runs, run_of, AncList, BindingTable, UNBOUND};
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtwig_obs::{SpanCounters, Trace};
@@ -169,33 +177,123 @@ pub struct QueryEngine<F: Borrow<XmlForest> = Arc<XmlForest>> {
     pub(crate) calibration: Arc<CalibrationLog>,
 }
 
-/// A partial result row: per-twig-node bindings plus captured ancestor
-/// lists for segment roots (used by `//` joins).
-#[derive(Debug, Clone)]
-struct Row {
-    bind: Vec<u64>,
-    anc: Vec<(usize, Arc<Vec<u64>>)>,
-}
-
-const UNBOUND: u64 = u64::MAX;
-
-impl Row {
-    fn new(n: usize) -> Self {
-        Row { bind: vec![UNBOUND; n], anc: Vec::new() }
-    }
-
-    fn ancestors_of(&self, node: usize) -> Option<&Arc<Vec<u64>>> {
-        self.anc.iter().find(|(n, _)| *n == node).map(|(_, a)| a)
-    }
-}
-
 /// What one execution carries through the plan-step loop: the two
-/// counters [`QueryMetrics`] reports and the trace being recorded, when
-/// the caller has one.
+/// counters [`QueryMetrics`] reports, the trace being recorded when the
+/// caller has one, and every buffer the steps work in — allocated at
+/// most once per execution and reused from step to step.
+#[derive(Default)]
 struct Exec<'a> {
     probes: u64,
     rows_fetched: u64,
     trace: Option<&'a mut Trace>,
+    /// The rows accumulated by the steps so far.
+    rows: BindingTable,
+    /// The matches of the subpath the current step probed.
+    fresh: BindingTable,
+    /// Where a join, an INLJ extension or a distinct writes its output
+    /// before it is swapped into `rows`.
+    out: BindingTable,
+    /// Captured ancestor lists of all three tables.
+    arena: Vec<u64>,
+    /// The IdList of the index entry being read (and, during a `//`
+    /// semi-join, the sorted id set it filters by).
+    ids: Vec<u64>,
+    /// The build side of the current join.
+    keys: Vec<(u64, usize)>,
+    /// Row order scratch of distinct.
+    order: Vec<usize>,
+}
+
+/// What the steps of one plan consume, computed once per execution.
+struct StepMasks {
+    /// Twig nodes per row.
+    n: usize,
+    /// Segment roots whose ancestor lists some `//` join reads; a row's
+    /// ancestor-list slot `s` belongs to `anc_nodes[s]`.
+    anc_nodes: Vec<usize>,
+    /// `steps × n`: twig nodes that steps after step `i`, or the output,
+    /// still consume.
+    keep: Vec<bool>,
+    /// `steps × anc_nodes.len()`: slots a later `//` join still reads.
+    keep_anc: Vec<bool>,
+}
+
+impl StepMasks {
+    fn new(compiled: &CompiledTwig, plan: &QueryPlan) -> Self {
+        let n = compiled.twig.len();
+        let mut anc_nodes: Vec<usize> = plan
+            .steps
+            .iter()
+            .filter_map(|step| match step.join {
+                Some(JoinHow::AncestorOf { seg_root, .. })
+                | Some(JoinHow::DescendantBound { seg_root, .. }) => Some(seg_root),
+                _ => None,
+            })
+            .collect();
+        anc_nodes.sort_unstable();
+        anc_nodes.dedup();
+        let (steps, slots) = (plan.steps.len(), anc_nodes.len());
+        let mut masks = StepMasks {
+            n,
+            keep: vec![false; steps * n],
+            keep_anc: vec![false; steps * slots],
+            anc_nodes,
+        };
+        // Walk the plan backwards: what step `i` must leave behind is
+        // what step `i + 1` reads plus what that step must leave behind.
+        let mut keep = vec![false; n];
+        keep[compiled.twig.output] = true;
+        let mut keep_anc = vec![false; slots];
+        for i in (0..steps).rev() {
+            masks.keep[i * n..(i + 1) * n].copy_from_slice(&keep);
+            masks.keep_anc[i * slots..(i + 1) * slots].copy_from_slice(&keep_anc);
+            let step = &plan.steps[i];
+            for &node in &compiled.subpaths[step.subpath].nodes {
+                keep[node] = true;
+            }
+            if let Some(probe) = &step.probe {
+                keep[probe.anchor] = true;
+            }
+            match &step.join {
+                Some(JoinHow::SharedNode { shared, deepest }) => {
+                    keep[*deepest] = true;
+                    for &node in shared {
+                        keep[node] = true;
+                    }
+                }
+                Some(JoinHow::AncestorOf { upper, seg_root }) => {
+                    keep[*upper] = true;
+                    keep[*seg_root] = true;
+                }
+                Some(JoinHow::DescendantBound { upper, seg_root }) => {
+                    keep[*upper] = true;
+                    keep[*seg_root] = true;
+                    if let Some(slot) = masks.anc_slot(*seg_root) {
+                        keep_anc[slot] = true;
+                    }
+                }
+                None => {}
+            }
+        }
+        masks
+    }
+
+    /// The ancestor-list slot of twig node `node`, when a `//` join reads
+    /// its ancestors.
+    fn anc_slot(&self, node: usize) -> Option<usize> {
+        self.anc_nodes.iter().position(|&n| n == node)
+    }
+
+    /// Twig nodes consumed after step `done` (the output node included).
+    fn keep_after(&self, done: usize) -> &[bool] {
+        &self.keep[done * self.n..(done + 1) * self.n]
+    }
+
+    /// Ancestor-list slots a `//` join after step `done` reads.
+    fn keep_anc_after(&self, done: usize) -> &[bool] {
+        let slots = self.anc_nodes.len();
+        &self.keep_anc[done * slots..(done + 1) * slots]
+    }
 }
 
 impl<F: Borrow<XmlForest>> QueryEngine<F> {
@@ -624,7 +722,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let before = self.snapshot(strategy);
         self.drain_baseline_counters(strategy);
         let start = Instant::now();
-        let mut cx = Exec { probes: 0, rows_fetched: 0, trace };
+        let mut cx = Exec { trace, ..Exec::default() };
         let ids = self.execute(compiled, plan, strategy, &mut cx);
         let elapsed = start.elapsed();
         let probes = cx.probes + self.drain_baseline_counters(strategy);
@@ -706,31 +804,31 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         }
     }
 
-    /// Twig nodes whose ids the execution actually consumes: the output
-    /// node, nodes shared between subpaths (join keys), probe anchors,
-    /// and the endpoints of `//` edges. Interior ids outside this set
-    /// need not be materialized — which is what lets the Index Fabric
-    /// answer a fully-specified single-path query in one probe (§5.2.1)
-    /// while still paying the per-step walks on branching queries.
-    pub(crate) fn needed_nodes(&self, compiled: &CompiledTwig, plan: &QueryPlan) -> HashSet<usize> {
-        let mut needed: HashSet<usize> = HashSet::new();
-        needed.insert(compiled.twig.output);
-        let mut seen: HashMap<usize, usize> = HashMap::new();
+    /// Twig nodes whose ids the execution actually consumes (`mask[node]`):
+    /// the output node, nodes shared between subpaths (join keys), probe
+    /// anchors, and the endpoints of `//` edges. Interior ids outside
+    /// this set need not be materialized — which is what lets the Index
+    /// Fabric answer a fully-specified single-path query in one probe
+    /// (§5.2.1) while still paying the per-step walks on branching
+    /// queries.
+    pub(crate) fn needed_nodes(&self, compiled: &CompiledTwig, plan: &QueryPlan) -> Vec<bool> {
+        let mut seen = vec![0u32; compiled.twig.len()];
         for sp in &compiled.subpaths {
             for &node in &sp.nodes {
-                *seen.entry(node).or_insert(0) += 1;
+                seen[node] += 1;
             }
         }
-        needed.extend(seen.iter().filter(|(_, &c)| c > 1).map(|(&n, _)| n));
+        let mut needed: Vec<bool> = seen.iter().map(|&c| c > 1).collect();
+        needed[compiled.twig.output] = true;
         for seg in &compiled.segments {
             if let Some((upper, _)) = seg.parent {
-                needed.insert(upper);
-                needed.insert(seg.root);
+                needed[upper] = true;
+                needed[seg.root] = true;
             }
         }
         for step in &plan.steps {
             if let Some(probe) = &step.probe {
-                needed.insert(probe.anchor);
+                needed[probe.anchor] = true;
             }
         }
         needed
@@ -749,15 +847,19 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         strategy: Strategy,
         cx: &mut Exec<'_>,
     ) -> BTreeSet<u64> {
-        let n = compiled.twig.len();
         let use_inlj = plan.kind == PlanKind::IndexNestedLoop
             && strategy == Strategy::DataPaths
             && self.dp.is_some();
         let needed = self.needed_nodes(compiled, plan);
         let interior_needed = |sp: &crate::decompose::SubpathSpec| {
-            sp.nodes[..sp.nodes.len() - 1].iter().any(|n| needed.contains(n))
+            sp.nodes[..sp.nodes.len() - 1].iter().any(|&n| needed[n])
         };
-        let mut rows: Vec<Row> = Vec::new();
+        let masks = StepMasks::new(compiled, plan);
+        let (width, slots) = (masks.n, masks.anc_nodes.len());
+        cx.rows.reset(width, slots);
+        cx.fresh.reset(width, slots);
+        cx.out.reset(width, slots);
+        let last = plan.steps.len() - 1;
         for (i, step) in plan.steps.iter().enumerate() {
             let sp = &compiled.subpaths[step.subpath];
             let span = cx.trace.as_deref_mut().map(|t| {
@@ -765,13 +867,11 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             });
             let how;
             if i == 0 {
-                let (matches, full) =
-                    self.eval_free(strategy, &sp.q, interior_needed(sp), &mut cx.probes);
-                cx.rows_fetched += matches.len() as u64;
-                rows = self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
+                self.probe_free(strategy, sp, interior_needed(sp), &masks, cx);
+                std::mem::swap(&mut cx.rows, &mut cx.fresh);
                 how = "probe";
             } else {
-                if rows.is_empty() {
+                if cx.rows.is_empty() {
                     if let (Some(t), Some((token, ..))) = (cx.trace.as_deref_mut(), span) {
                         t.annotate(token, format!("#{i} skipped: empty input"));
                         t.end(token, SpanCounters::default());
@@ -781,35 +881,37 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 // A branch is a pure existence filter when none of the
                 // bindings it would add are consumed later: run it as a
                 // semi-join (the relational plan for an EXISTS predicate).
-                let (keep, _) = self.keep_after(compiled, plan, i);
+                let keep = masks.keep_after(i);
                 let join = step.join.as_ref().expect("non-first steps carry joins");
-                let already: HashSet<usize> = match join {
-                    JoinHow::SharedNode { shared, .. } => shared.iter().copied().collect(),
-                    JoinHow::AncestorOf { .. } | JoinHow::DescendantBound { .. } => HashSet::new(),
+                let already: &[usize] = match join {
+                    JoinHow::SharedNode { shared, .. } => shared,
+                    JoinHow::AncestorOf { .. } | JoinHow::DescendantBound { .. } => &[],
                 };
-                let semi =
-                    sp.nodes.iter().all(|node| already.contains(node) || !keep.contains(node));
-                let probe_ok = use_inlj
-                    && step.probe.as_ref().is_some_and(|p| self.probe_head_allowed(compiled, p));
-                if probe_ok {
-                    let probe = step.probe.as_ref().unwrap();
-                    rows = self.inlj_extend(compiled, rows, probe, semi, cx);
+                let semi = sp.nodes.iter().all(|node| already.contains(node) || !keep[*node]);
+                let probe = step
+                    .probe
+                    .as_ref()
+                    .filter(|p| use_inlj && self.probe_head_allowed(compiled, p));
+                if let Some(probe) = probe {
+                    self.inlj_extend(compiled, probe, semi, cx);
                     how = if semi { "inlj semi-join" } else { "inlj" };
                 } else {
-                    let (matches, full) =
-                        self.eval_free(strategy, &sp.q, interior_needed(sp), &mut cx.probes);
-                    cx.rows_fetched += matches.len() as u64;
-                    let new_rows =
-                        self.rows_from_matches(n, sp.nodes.as_slice(), &sp.q, &matches, full);
-                    rows = self.join(rows, new_rows, join, semi, &mut cx.probes);
+                    self.probe_free(strategy, sp, interior_needed(sp), &masks, cx);
+                    self.join(join, semi, &masks, cx);
                     how = if semi { "semi-join" } else { "join" };
                 }
+                std::mem::swap(&mut cx.rows, &mut cx.out);
             }
             // Early projection + duplicate elimination: existence
             // predicates must not enumerate full match tuples (a
             // relational engine would run these joins as semi-joins).
             // Keep only bindings that later steps or the output consume.
-            self.project_rows(compiled, plan, i, &mut rows);
+            // After the last step the output set itself is the distinct.
+            if i < last {
+                cx.rows.project(masks.keep_after(i), masks.keep_anc_after(i));
+                cx.rows.distinct_into(&mut cx.order, &mut cx.out);
+                std::mem::swap(&mut cx.rows, &mut cx.out);
+            }
             if let (Some(t), Some((token, io_before, probes_before, fetched_before))) =
                 (cx.trace.as_deref_mut(), span)
             {
@@ -834,74 +936,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let out = compiled.twig.output;
         let span =
             cx.trace.as_deref_mut().map(|t| t.begin("materialize", format!("output node {out}")));
-        let ids: BTreeSet<u64> =
-            rows.into_iter().map(|r| r.bind[out]).filter(|&id| id != UNBOUND).collect();
+        // The one materialization point: ids leave the table here.
+        let ids: BTreeSet<u64> = cx.rows.column(out).filter(|&id| id != UNBOUND).collect();
         if let (Some(t), Some(token)) = (cx.trace.as_deref_mut(), span) {
             t.end(token, SpanCounters { rows: ids.len() as u64, ..SpanCounters::default() });
         }
         ids
-    }
-
-    /// Twig nodes consumed by steps after `done`, plus the output node;
-    /// the second set lists segment roots whose ancestor lists later
-    /// `//` joins need.
-    fn keep_after(
-        &self,
-        compiled: &CompiledTwig,
-        plan: &QueryPlan,
-        done: usize,
-    ) -> (HashSet<usize>, HashSet<usize>) {
-        let mut keep: HashSet<usize> = HashSet::new();
-        keep.insert(compiled.twig.output);
-        let mut keep_anc: HashSet<usize> = HashSet::new();
-        for step in &plan.steps[done + 1..] {
-            let sp = &compiled.subpaths[step.subpath];
-            keep.extend(sp.nodes.iter().copied());
-            if let Some(probe) = &step.probe {
-                keep.insert(probe.anchor);
-            }
-            match &step.join {
-                Some(JoinHow::SharedNode { shared, deepest }) => {
-                    keep.insert(*deepest);
-                    keep.extend(shared.iter().copied());
-                }
-                Some(JoinHow::AncestorOf { upper, seg_root }) => {
-                    keep.insert(*upper);
-                    keep.insert(*seg_root);
-                }
-                Some(JoinHow::DescendantBound { upper, seg_root }) => {
-                    keep.insert(*upper);
-                    keep.insert(*seg_root);
-                    keep_anc.insert(*seg_root);
-                }
-                None => {}
-            }
-        }
-        (keep, keep_anc)
-    }
-
-    /// Projects away twig-node bindings no later step consumes, then
-    /// deduplicates rows. `done` is the index of the just-executed step.
-    fn project_rows(
-        &self,
-        compiled: &CompiledTwig,
-        plan: &QueryPlan,
-        done: usize,
-        rows: &mut Vec<Row>,
-    ) {
-        let (keep, keep_anc) = self.keep_after(compiled, plan, done);
-        for row in rows.iter_mut() {
-            for (node, bind) in row.bind.iter_mut().enumerate() {
-                if !keep.contains(&node) {
-                    *bind = UNBOUND;
-                }
-            }
-            row.anc.retain(|(node, _)| keep_anc.contains(node));
-        }
-        // Dedup by bindings; ancestor lists are functionally determined
-        // by the segment-root binding, so keeping the first is safe.
-        let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(rows.len());
-        rows.retain(|r| seen.insert(r.bind.clone()));
     }
 
     /// §4.3: a pruned DATAPATHS index only supports probes on retained
@@ -917,37 +957,78 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         }
     }
 
-    /// Evaluates one PCsubpath with the strategy's probe pattern.
-    /// Returns the matches and whether they carry full root IdLists.
-    fn eval_free(
+    /// Evaluates one PCsubpath with the strategy's probe pattern and
+    /// writes its matches into `cx.fresh` as binding rows. ROOTPATHS,
+    /// DATAPATHS and ASR stream each IdList from the leaf page through
+    /// `cx.ids` straight into the table; the Edge-family evaluators
+    /// build their matches by walking and feed the same sink from them.
+    /// The sink applies long-value rechecks and, when the index returns
+    /// full root IdLists, captures the ancestor list of a segment root
+    /// a `//` join will ask for.
+    fn probe_free(
         &self,
         strategy: Strategy,
-        q: &PcSubpathQuery,
+        sp: &crate::decompose::SubpathSpec,
         interior: bool,
-        probes: &mut u64,
-    ) -> (Vec<PathMatch>, bool) {
+        masks: &StepMasks,
+        cx: &mut Exec<'_>,
+    ) {
+        let (q, nodes) = (&sp.q, sp.nodes.as_slice());
+        let full_root =
+            matches!(strategy, Strategy::RootPaths | Strategy::DataPaths | Strategy::Asr);
+        let recheck = q.value.as_deref().filter(|v| value_needs_recheck(v));
+        let Exec { fresh, arena, ids, probes, rows_fetched, .. } = cx;
+        fresh.clear();
+        let mut sink = |m: &[u64]| {
+            *rows_fetched += 1;
+            // Leaf-only matches (interior positions skipped) bind just the
+            // final step; full matches bind every step.
+            let bound = m.len().min(nodes.len());
+            let (above, tail) = m.split_at(m.len() - bound);
+            let nodes = &nodes[nodes.len() - bound..];
+            let (Some(&first), Some(&leaf)) = (nodes.first(), tail.last()) else { return };
+            if recheck.is_some_and(|v| self.forest().value_str(NodeId(leaf)) != Some(v)) {
+                return;
+            }
+            let (bind, anc) = fresh.push_unbound();
+            for (&node, &id) in nodes.iter().zip(tail) {
+                bind[node] = id;
+            }
+            if let (true, Some(slot)) = (full_root, masks.anc_slot(first)) {
+                anc[slot] = AncList { off: arena.len(), len: above.len() };
+                arena.extend_from_slice(above);
+            }
+        };
         match strategy {
             Strategy::RootPaths => {
                 *probes += 1;
-                (self.rp.as_ref().expect("ROOTPATHS not built").0.lookup_free(q), true)
+                let (rp, _) = self.rp.as_ref().expect("ROOTPATHS not built");
+                rp.for_each_free(q, ids, |_key, ids| sink(ids));
             }
             Strategy::DataPaths => {
                 *probes += 1;
-                (self.dp.as_ref().expect("DATAPATHS not built").0.lookup_free(q), true)
+                let (dp, _) = self.dp.as_ref().expect("DATAPATHS not built");
+                dp.for_each_free(q, ids, |_key, ids| sink(ids));
+            }
+            Strategy::Asr => {
+                let (asr, _) = self.asr.as_ref().expect("ASR not built");
+                asr.for_each_match(q, ids, |_path, ids| sink(ids));
             }
             Strategy::Edge => {
                 // The Edge chain must walk every step regardless: interior
                 // tags are only verifiable through backward-link probes.
                 let (e, _) = self.edge.as_ref().expect("Edge not built");
-                (e.eval_pcsubpath(q), false)
+                e.eval_pcsubpath(q).iter().for_each(|m| sink(&m.ids));
             }
-            Strategy::DataGuideEdge => (self.eval_dataguide_edge(q, interior), false),
-            Strategy::IndexFabricEdge => (self.eval_fabric_edge(q, interior), false),
-            Strategy::Asr => {
-                let (a, _) = self.asr.as_ref().expect("ASR not built");
-                (a.eval_pcsubpath(q), true)
+            Strategy::DataGuideEdge => {
+                self.eval_dataguide_edge(q, interior).iter().for_each(|m| sink(&m.ids));
             }
-            Strategy::JoinIndex => (self.eval_join_index(q, interior), false),
+            Strategy::IndexFabricEdge => {
+                self.eval_fabric_edge(q, interior).iter().for_each(|m| sink(&m.ids));
+            }
+            Strategy::JoinIndex => {
+                self.eval_join_index(q, interior).iter().for_each(|m| sink(&m.ids));
+            }
             Strategy::Auto => unreachable!("Auto resolves before execution"),
         }
     }
@@ -1059,235 +1140,183 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             .collect()
     }
 
-    /// Converts matches into binding rows; applies long-value rechecks;
-    /// captures ancestor lists for segment roots when available.
-    fn rows_from_matches(
+    /// The ancestors of the id row `i` of `table` binds to `node`:
+    /// the IdList prefix captured with the row when there is one, else
+    /// recovered by backward-link walks (Edge family) or from the base
+    /// tree and appended to the arena.
+    fn ancestors(
         &self,
-        n: usize,
-        nodes: &[usize],
-        q: &PcSubpathQuery,
-        matches: &[PathMatch],
-        full_root: bool,
-    ) -> Vec<Row> {
-        let k = nodes.len();
-        let recheck = q.value.as_deref().filter(|v| value_needs_recheck(v));
-        let mut rows = Vec::with_capacity(matches.len());
-        for m in matches {
-            // Leaf-only matches (interior positions skipped) bind just the
-            // final step; full matches bind every step.
-            let bound = m.ids.len().min(k);
-            let tail = &m.ids[m.ids.len() - bound..];
-            let nodes = &nodes[k - bound..];
-            if let Some(v) = recheck {
-                let leaf = NodeId(*tail.last().unwrap());
-                if self.forest().value_str(leaf) != Some(v) {
-                    continue;
-                }
-            }
-            let mut row = Row::new(n);
-            for (&node, &id) in nodes.iter().zip(tail) {
-                row.bind[node] = id;
-            }
-            if full_root && m.ids.len() > bound {
-                row.anc.push((nodes[0], Arc::new(m.ids[..m.ids.len() - bound].to_vec())));
-            } else if full_root {
-                row.anc.push((nodes[0], Arc::new(Vec::new())));
-            }
-            rows.push(row);
-        }
-        rows
-    }
-
-    /// Ancestors of `id`, preferring the captured IdList prefix, falling
-    /// back to backward-link walks (Edge-family) or the base tree.
-    fn ancestor_ids(&self, row: &Row, node: usize, probes: &mut u64) -> Arc<Vec<u64>> {
-        if let Some(anc) = row.ancestors_of(node) {
-            return anc.clone();
-        }
-        let id = row.bind[node];
-        debug_assert_ne!(id, UNBOUND);
-        if let Some((edge, _)) = &self.edge {
-            return Arc::new(edge.ancestors_of(id));
-        }
-        // Base-data fallback: one lookup per ancestor step, equivalent in
-        // cost to the backward-link walk.
-        let mut path = self.forest().root_path_ids(NodeId(id));
-        path.pop(); // drop the node itself
-        *probes += path.len() as u64;
-        path.reverse();
-        Arc::new(path.into_iter().map(|n| n.0).collect())
-    }
-
-    fn join(
-        &self,
-        left: Vec<Row>,
-        right: Vec<Row>,
-        how: &JoinHow,
-        semi: bool,
+        table: &BindingTable,
+        i: usize,
+        node: usize,
+        masks: &StepMasks,
+        arena: &mut Vec<u64>,
         probes: &mut u64,
-    ) -> Vec<Row> {
+    ) -> AncList {
+        let captured = masks.anc_slot(node).map_or(AncList::NONE, |slot| table.anc_row(i)[slot]);
+        if !captured.is_none() {
+            return captured;
+        }
+        let id = table.row(i)[node];
+        debug_assert_ne!(id, UNBOUND);
+        let off = arena.len();
+        if let Some((edge, _)) = &self.edge {
+            arena.extend(edge.ancestors_of(id));
+        } else {
+            // Base-data fallback: one lookup per ancestor step, equivalent
+            // in cost to the backward-link walk.
+            let mut path = self.forest().root_path_ids(NodeId(id));
+            path.pop(); // drop the node itself
+            *probes += path.len() as u64;
+            arena.extend(path.iter().map(|n| n.0));
+        }
+        AncList { off, len: arena.len() - off }
+    }
+
+    /// Joins `cx.rows` (left) with the matches just probed into
+    /// `cx.fresh` (right), writing `cx.out`. Build sides are sorted
+    /// `(key, row index)` runs over one table; a semi-join keeps each
+    /// left row at most once and adds no binding.
+    fn join(&self, how: &JoinHow, semi: bool, masks: &StepMasks, cx: &mut Exec<'_>) {
+        let Exec { rows: left, fresh: right, out, arena, ids: set, keys, probes, .. } = cx;
+        let (left, right) = (&*left, &*right);
+        out.clear();
+        // Bindings of a twig node both sides carry must agree.
+        let consistent = |i: usize, j: usize, shared: &[usize]| {
+            let (r1, r2) = (left.row(i), right.row(j));
+            shared.iter().all(|&s| r1[s] == UNBOUND || r2[s] == UNBOUND || r1[s] == r2[s])
+        };
         match how {
-            JoinHow::SharedNode { deepest, shared } => {
-                if semi {
-                    // Existence filter: keep each left row once if any
-                    // consistent right row exists.
-                    let mut table: HashMap<u64, Vec<&Row>> = HashMap::new();
-                    for r in &right {
-                        table.entry(r.bind[*deepest]).or_default().push(r);
+            JoinHow::SharedNode { deepest, shared } if semi => {
+                // Existence filter: keep each left row once if any
+                // consistent right row exists.
+                key_runs(right, *deepest, keys);
+                for i in 0..left.len() {
+                    let run = run_of(keys, left.row(i)[*deepest]);
+                    if run.iter().any(|&(_, j)| consistent(i, j, shared)) {
+                        out.push_copy(left, i);
                     }
-                    return left
-                        .into_iter()
-                        .filter(|r1| {
-                            table.get(&r1.bind[*deepest]).is_some_and(|bucket| {
-                                bucket.iter().any(|r2| {
-                                    shared.iter().all(|&s| {
-                                        r1.bind[s] == UNBOUND
-                                            || r2.bind[s] == UNBOUND
-                                            || r1.bind[s] == r2.bind[s]
-                                    })
-                                })
-                            })
-                        })
-                        .collect();
                 }
-                let mut table: HashMap<u64, Vec<&Row>> = HashMap::new();
-                for r in &left {
-                    table.entry(r.bind[*deepest]).or_default().push(r);
-                }
-                let mut out = Vec::new();
-                for r2 in &right {
-                    let Some(bucket) = table.get(&r2.bind[*deepest]) else { continue };
-                    for r1 in bucket {
-                        if shared.iter().all(|&s| {
-                            r1.bind[s] == UNBOUND
-                                || r2.bind[s] == UNBOUND
-                                || r1.bind[s] == r2.bind[s]
-                        }) {
-                            out.push(merge_rows(r1, r2));
+            }
+            JoinHow::SharedNode { deepest, shared } => {
+                key_runs(left, *deepest, keys);
+                for j in 0..right.len() {
+                    for &(_, i) in run_of(keys, right.row(j)[*deepest]) {
+                        if consistent(i, j, shared) {
+                            out.push_merged(left, i, right, j);
                         }
                     }
                 }
-                out
+            }
+            JoinHow::AncestorOf { upper, seg_root } if semi => {
+                // Keep left rows whose `upper` binding is an ancestor
+                // of some right segment root.
+                set.clear();
+                for j in 0..right.len() {
+                    let anc = self.ancestors(right, j, *seg_root, masks, arena, probes);
+                    set.extend_from_slice(anc.of(arena));
+                }
+                set.sort_unstable();
+                for i in 0..left.len() {
+                    if set.binary_search(&left.row(i)[*upper]).is_ok() {
+                        out.push_copy(left, i);
+                    }
+                }
+            }
+            JoinHow::AncestorOf { upper, seg_root } if self.structural_ad_joins => {
+                self.structural_join(left, *upper, right, *seg_root, keys, |i, j| {
+                    out.push_merged(left, i, right, j);
+                });
             }
             JoinHow::AncestorOf { upper, seg_root } => {
-                if semi {
-                    // Keep left rows whose `upper` binding is an ancestor
-                    // of some right segment root.
-                    let mut anc_union: HashSet<u64> = HashSet::new();
-                    for r2 in &right {
-                        anc_union.extend(self.ancestor_ids(r2, *seg_root, probes).iter());
-                    }
-                    return left
-                        .into_iter()
-                        .filter(|r| anc_union.contains(&r.bind[*upper]))
-                        .collect();
-                }
-                if self.structural_ad_joins {
-                    return self.structural_join(left, right, *upper, *seg_root);
-                }
                 // left rows bind `upper`; right rows bind the segment
                 // root; unnest right's ancestors and equi-join.
-                let mut table: HashMap<u64, Vec<&Row>> = HashMap::new();
-                for r in &left {
-                    table.entry(r.bind[*upper]).or_default().push(r);
-                }
-                let mut out = Vec::new();
-                for r2 in &right {
-                    let ancs = self.ancestor_ids(r2, *seg_root, probes);
-                    for &a in ancs.iter() {
-                        if let Some(bucket) = table.get(&a) {
-                            for r1 in bucket {
-                                out.push(merge_rows(r1, r2));
-                            }
+                key_runs(left, *upper, keys);
+                for j in 0..right.len() {
+                    let anc = self.ancestors(right, j, *seg_root, masks, arena, probes);
+                    for &a in anc.of(arena) {
+                        for &(_, i) in run_of(keys, a) {
+                            out.push_merged(left, i, right, j);
                         }
                     }
                 }
-                out
+            }
+            JoinHow::DescendantBound { upper, seg_root } if semi => {
+                // Keep left rows with some right `upper` among their
+                // segment root's ancestors.
+                set.clear();
+                set.extend(right.column(*upper));
+                set.sort_unstable();
+                for i in 0..left.len() {
+                    let anc = self.ancestors(left, i, *seg_root, masks, arena, probes);
+                    if anc.of(arena).iter().any(|a| set.binary_search(a).is_ok()) {
+                        out.push_copy(left, i);
+                    }
+                }
+            }
+            JoinHow::DescendantBound { upper, seg_root } if self.structural_ad_joins => {
+                self.structural_join(right, *upper, left, *seg_root, keys, |j, i| {
+                    out.push_merged(left, i, right, j);
+                });
             }
             JoinHow::DescendantBound { upper, seg_root } => {
-                if semi {
-                    // Keep left rows with some right `upper` among their
-                    // segment root's ancestors.
-                    let uppers: HashSet<u64> = right.iter().map(|r| r.bind[*upper]).collect();
-                    return left
-                        .into_iter()
-                        .filter(|r1| {
-                            self.ancestor_ids(r1, *seg_root, probes)
-                                .iter()
-                                .any(|a| uppers.contains(a))
-                        })
-                        .collect();
-                }
-                if self.structural_ad_joins {
-                    return self.structural_join(right, left, *upper, *seg_root);
-                }
                 // left rows bind the lower segment root; right rows bind
                 // `upper`.
-                let mut table: HashMap<u64, Vec<&Row>> = HashMap::new();
-                for r in &right {
-                    table.entry(r.bind[*upper]).or_default().push(r);
-                }
-                let mut out = Vec::new();
-                for r1 in &left {
-                    let ancs = self.ancestor_ids(r1, *seg_root, probes);
-                    for &a in ancs.iter() {
-                        if let Some(bucket) = table.get(&a) {
-                            for r2 in bucket {
-                                out.push(merge_rows(r1, r2));
-                            }
+                key_runs(right, *upper, keys);
+                for i in 0..left.len() {
+                    let anc = self.ancestors(left, i, *seg_root, masks, arena, probes);
+                    for &a in anc.of(arena) {
+                        for &(_, j) in run_of(keys, a) {
+                            out.push_merged(left, i, right, j);
                         }
                     }
                 }
-                out
             }
         }
     }
 
     /// Stitches an ancestor-descendant edge with the stack-based
     /// structural join (§6's alternative): one merge pass over the
-    /// interval-sorted binding sets instead of ancestor unnesting.
+    /// interval-sorted binding sets instead of ancestor unnesting, then
+    /// `emit(upper row, lower row)` for every row pair behind each
+    /// `(ancestor, descendant)` id pair.
     fn structural_join(
         &self,
-        upper_rows: Vec<Row>,
-        lower_rows: Vec<Row>,
+        upper_rows: &BindingTable,
         upper: usize,
+        lower_rows: &BindingTable,
         seg_root: usize,
-    ) -> Vec<Row> {
-        let upper_ids: Vec<u64> = upper_rows.iter().map(|r| r.bind[upper]).collect();
-        let lower_ids: Vec<u64> = lower_rows.iter().map(|r| r.bind[seg_root]).collect();
+        upper_keys: &mut Vec<(u64, usize)>,
+        mut emit: impl FnMut(usize, usize),
+    ) {
+        let upper_ids: Vec<u64> = upper_rows.column(upper).collect();
+        let lower_ids: Vec<u64> = lower_rows.column(seg_root).collect();
         let pairs = crate::stitch::containment_join(self.forest(), &upper_ids, &lower_ids);
-        let mut by_upper: HashMap<u64, Vec<&Row>> = HashMap::new();
-        for r in &upper_rows {
-            by_upper.entry(r.bind[upper]).or_default().push(r);
-        }
-        let mut by_lower: HashMap<u64, Vec<&Row>> = HashMap::new();
-        for r in &lower_rows {
-            by_lower.entry(r.bind[seg_root]).or_default().push(r);
-        }
-        let mut out = Vec::new();
+        let mut lower_keys = Vec::new();
+        key_runs(upper_rows, upper, upper_keys);
+        key_runs(lower_rows, seg_root, &mut lower_keys);
         for (a, d) in pairs {
-            if let (Some(us), Some(ls)) = (by_upper.get(&a), by_lower.get(&d)) {
-                for u in us {
-                    for l in ls {
-                        out.push(merge_rows(u, l));
-                    }
+            for &(_, u) in run_of(upper_keys, a) {
+                for &(_, l) in run_of(&lower_keys, d) {
+                    emit(u, l);
                 }
             }
         }
-        out
     }
 
-    /// The index-nested-loop extension (§3.3): group rows by the anchor
-    /// binding, issue one BoundIndex probe per distinct head, and fan the
-    /// results back out.
+    /// The index-nested-loop extension (§3.3) of `cx.rows` into
+    /// `cx.out`: sort the rows by their anchor binding and issue one
+    /// BoundIndex probe per distinct head, in ascending head order — the
+    /// probes walk the B+-tree left to right and their order does not
+    /// depend on a hash seed — through one prebuilt key re-aimed at each
+    /// head, fanning every match out over the head's rows.
     fn inlj_extend(
         &self,
         compiled: &CompiledTwig,
-        rows: Vec<Row>,
         probe: &ProbeSpec,
         semi: bool,
         cx: &mut Exec<'_>,
-    ) -> Vec<Row> {
+    ) {
         let (dp, _) = self.dp.as_ref().expect("INLJ requires DATAPATHS");
         let anchor_tag = self
             .forest()
@@ -1295,46 +1324,48 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             .lookup(&compiled.twig.nodes[probe.anchor].tag)
             .expect("anchor tag resolved during decompose");
         let recheck = probe.pattern.value.as_deref().filter(|v| value_needs_recheck(v));
-        let mut by_head: HashMap<u64, Vec<Row>> = HashMap::new();
-        for r in rows {
-            by_head.entry(r.bind[probe.anchor]).or_default().push(r);
-        }
-        let mut out = Vec::new();
-        for (head, group) in by_head {
+        let passes = |leaf: Option<&u64>| match (recheck, leaf) {
+            (Some(v), Some(&leaf)) => self.forest().value_str(NodeId(leaf)) == Some(v),
+            _ => true,
+        };
+        let Exec { rows, out, ids, keys, probes, rows_fetched, .. } = cx;
+        let rows = &*rows;
+        out.clear();
+        key_runs(rows, probe.anchor, keys);
+        let mut bound = dp.bound_probe(anchor_tag, &probe.pattern);
+        for group in keys.chunk_by(|a, b| a.0 == b.0) {
+            let head = group[0].0;
             debug_assert_ne!(head, UNBOUND);
-            cx.probes += 1;
-            let matches = dp.lookup_bound(head, anchor_tag, &probe.pattern);
-            cx.rows_fetched += matches.len() as u64;
+            *probes += 1;
             if semi {
                 // Existence probe: the head survives if any match passes
                 // the (rare) long-value recheck.
-                let hit = matches.iter().any(|m| match recheck {
-                    None => true,
-                    Some(v) => self.forest().value_str(NodeId(*m.ids.last().unwrap())) == Some(v),
+                let mut hit = false;
+                dp.for_each_bound(&mut bound, head, ids, |_key, m| {
+                    *rows_fetched += 1;
+                    hit = hit || passes(m.last());
                 });
                 if hit {
-                    out.extend(group);
+                    for &(_, i) in group {
+                        out.push_copy(rows, i);
+                    }
                 }
                 continue;
             }
-            for m in matches {
-                let k = probe.step_nodes.len();
-                let tail = &m.ids[m.ids.len() - k..];
-                if let Some(v) = recheck {
-                    if self.forest().value_str(NodeId(*tail.last().unwrap())) != Some(v) {
-                        continue;
-                    }
+            dp.for_each_bound(&mut bound, head, ids, |_key, m| {
+                *rows_fetched += 1;
+                if !passes(m.last()) {
+                    return;
                 }
-                for r in &group {
-                    let mut nr = r.clone();
+                let tail = &m[m.len() - probe.step_nodes.len()..];
+                for &(_, i) in group {
+                    let bind = out.push_copy(rows, i);
                     for (&node, &id) in probe.step_nodes.iter().zip(tail) {
-                        nr.bind[node] = id;
+                        bind[node] = id;
                     }
-                    out.push(nr);
                 }
-            }
+            });
         }
-        out
     }
 }
 
@@ -1370,22 +1401,6 @@ fn leaf_only_matches(q: &PcSubpathQuery, leaf_ids: Vec<u64>) -> Vec<PathMatch> {
         .into_iter()
         .map(|id| PathMatch { head: 0, tags: vec![leaf_tag], ids: vec![id] })
         .collect()
-}
-
-fn merge_rows(r1: &Row, r2: &Row) -> Row {
-    let mut bind = r1.bind.clone();
-    for (i, &v) in r2.bind.iter().enumerate() {
-        if v != UNBOUND {
-            bind[i] = v;
-        }
-    }
-    let mut anc = r1.anc.clone();
-    for (n, a) in &r2.anc {
-        if !anc.iter().any(|(m, _)| m == n) {
-            anc.push((*n, a.clone()));
-        }
-    }
-    Row { bind, anc }
 }
 
 #[cfg(test)]

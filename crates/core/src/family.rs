@@ -125,7 +125,14 @@ impl PcSubpathQuery {
     }
 }
 
-/// One data path returned by an index lookup.
+/// One data path returned by an index lookup, in owned form.
+///
+/// This is what the collecting lookups ([`FreeIndex::lookup_free`],
+/// [`BoundIndex::lookup_bound`], the baselines' `eval_pcsubpath`) return
+/// to tests, examples and benches. The executor does not consume it from
+/// ROOTPATHS, DATAPATHS or ASR: those lend each IdList as `&[u64]` from
+/// one reused buffer (`for_each_free` / `for_each_bound` /
+/// `for_each_match`, which the collectors wrap) and never decode `tags`.
 ///
 /// `tags[i]` / `ids[i]` are aligned; for a [`FreeIndex`] lookup they span
 /// the document root down to the matched leaf step, for a [`BoundIndex`]

@@ -24,7 +24,8 @@
 //! * [`xpath`] — the XPath-subset parser producing query twigs.
 //! * [`decompose`] — covering a twig with PCsubpaths (paper §2.2).
 //! * [`plan`] / [`engine`] — plan selection (merge vs. index-nested-loop)
-//!   and execution for all seven strategies.
+//!   and execution for all seven strategies, over one flat binding table
+//!   (the private `table` module).
 //! * [`stitch`] — the stack-based structural join of the containment-join
 //!   literature the paper cites in §6, as an alternative way to stitch
 //!   subpath matches across `//` edges.
@@ -59,6 +60,7 @@ pub mod persist;
 pub mod plan;
 pub mod rootpaths;
 pub mod stitch;
+mod table;
 pub mod xpath;
 
 pub use auto::Explanation;

@@ -82,14 +82,9 @@ pub(crate) fn push_value_part(key: &mut KeyBuf, value: Option<&str>) {
     }
 }
 
-/// Parses past the `LeafValue` component, returning `(value, next_pos)`.
-pub(crate) fn skip_value_part(bytes: &[u8], pos: usize) -> (Option<String>, usize) {
-    if let Some(next) = codec::dec_null(bytes, pos) {
-        (None, next)
-    } else {
-        let (s, next) = codec::dec_str(bytes, pos);
-        (Some(s), next)
-    }
+/// Position just past the `LeafValue` component at `pos`.
+pub(crate) fn skip_value_part(bytes: &[u8], pos: usize) -> usize {
+    codec::dec_null(bytes, pos).unwrap_or_else(|| codec::skip_str(bytes, pos))
 }
 
 impl RootPaths {
@@ -154,12 +149,23 @@ impl RootPaths {
         key.finish()
     }
 
-    fn decode_entry(&self, key: &[u8], payload: &[u8]) -> PathMatch {
-        let (_value, pos) = skip_value_part(key, 0);
-        let (tags, _next) = designator::decode_path_reversed(key, pos);
-        let ids = codec::decode_idlist(self.idlist, payload);
-        debug_assert!(self.keep == IdListKeep::LastOnly || tags.len() == ids.len());
-        PathMatch { head: 0, tags, ids }
+    /// The streaming FreeIndex lookup — the one scan of this index.
+    /// Calls `sink(key, ids)` per matching entry, in key order: `ids` is
+    /// the entry's IdList decoded into the caller's reused `ids` buffer,
+    /// `key` the entry key lent from the leaf page, left undecoded (an
+    /// IdList is as long as its schema path; [`FreeIndex::lookup_free`]
+    /// is the collector that also decodes the path out of the key).
+    pub fn for_each_free(
+        &self,
+        q: &PcSubpathQuery,
+        ids: &mut Vec<u64>,
+        mut sink: impl FnMut(&[u8], &[u64]),
+    ) {
+        self.tree.for_each_prefix(&self.probe_prefix(q), |key, payload| {
+            ids.clear();
+            codec::decode_idlist_into(self.idlist, payload, ids);
+            sink(key, ids);
+        });
     }
 
     /// The stored IdList sublist.
@@ -271,8 +277,13 @@ impl PathIndex for RootPaths {
 
 impl FreeIndex for RootPaths {
     fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let prefix = self.probe_prefix(q);
-        self.tree.scan_prefix(&prefix).map(|(k, v)| self.decode_entry(&k, &v)).collect()
+        let mut out = Vec::new();
+        self.for_each_free(q, &mut Vec::new(), |key, ids| {
+            let (tags, _) = designator::decode_path_reversed(key, skip_value_part(key, 0));
+            debug_assert!(self.keep == IdListKeep::LastOnly || tags.len() == ids.len());
+            out.push(PathMatch { head: 0, tags, ids: ids.to_vec() });
+        });
+        out
     }
 }
 

@@ -133,6 +133,32 @@ pub fn dec_str(bytes: &[u8], pos: usize) -> (String, usize) {
     }
 }
 
+/// Position just past the string component starting at `pos` —
+/// [`dec_str`] without building the string, for readers that only need
+/// what follows it.
+///
+/// # Panics
+/// Panics on malformed input.
+pub fn skip_str(bytes: &[u8], pos: usize) -> usize {
+    assert_eq!(bytes[pos], T_STR, "expected string component");
+    let mut i = pos + 1;
+    loop {
+        // Every 0x00 opens a two-byte escape; 0x00 0x01 is the terminator.
+        match (bytes[i], bytes[i + 1]) {
+            (0x00, 0x01) => return i + 2,
+            (0x00, _) => i += 2,
+            _ => i += 1,
+        }
+    }
+}
+
+/// Overwrites the value of the u64 component at `pos` in place, so one
+/// prebuilt probe key can be re-aimed without re-encoding the rest.
+pub fn set_u64(bytes: &mut [u8], pos: usize, v: u64) {
+    assert_eq!(bytes[pos], T_U64, "expected u64 component");
+    bytes[pos + 1..pos + 9].copy_from_slice(&v.to_be_bytes());
+}
+
 /// Decodes a u64 component at `pos`; returns `(value, next_pos)`.
 pub fn dec_u64(bytes: &[u8], pos: usize) -> (u64, usize) {
     assert_eq!(bytes[pos], T_U64, "expected u64 component");
@@ -227,8 +253,17 @@ pub fn encode_idlist(codec: IdListCodec, ids: &[u64]) -> Vec<u8> {
 
 /// Decodes an IdList produced by [`encode_idlist`].
 pub fn decode_idlist(codec: IdListCodec, bytes: &[u8]) -> Vec<u64> {
+    let mut out = Vec::new();
+    decode_idlist_into(codec, bytes, &mut out);
+    out
+}
+
+/// Decodes an IdList produced by [`encode_idlist`], appending its ids to
+/// `out` — the form scans use to decode entry after entry into one
+/// reused buffer.
+pub fn decode_idlist_into(codec: IdListCodec, bytes: &[u8], out: &mut Vec<u64>) {
     let (n, mut pos) = read_varint(bytes, 0);
-    let mut out = Vec::with_capacity(n as usize);
+    out.reserve(n as usize);
     match codec {
         IdListCodec::Delta => {
             let mut prev = 0u64;
@@ -249,7 +284,6 @@ pub fn decode_idlist(codec: IdListCodec, bytes: &[u8]) -> Vec<u64> {
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -265,6 +299,27 @@ mod tests {
             assert_eq!(dec, s);
             assert_eq!(next, enc.len());
         }
+    }
+
+    #[test]
+    fn skip_str_lands_where_dec_str_does() {
+        for s in ["", "jane", "a\x00b", "\x00", "ünïcødé", "a\x00\x00"] {
+            let mut k = KeyBuf::new();
+            k.push_u64(9).push_str(s).push_u64(4);
+            let enc = k.finish();
+            assert_eq!(skip_str(&enc, 9), dec_str(&enc, 9).1, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn set_u64_re_aims_a_built_key() {
+        let mut k = KeyBuf::new();
+        k.push_u64(1).push_str("v");
+        let mut key = k.finish();
+        set_u64(&mut key, 0, 77);
+        let mut want = KeyBuf::new();
+        want.push_u64(77).push_str("v");
+        assert_eq!(key, want.finish());
     }
 
     #[test]
@@ -342,7 +397,12 @@ mod tests {
         ];
         for l in lists {
             for codec in [IdListCodec::Delta, IdListCodec::Plain] {
-                assert_eq!(decode_idlist(codec, &encode_idlist(codec, &l)), l);
+                let enc = encode_idlist(codec, &l);
+                assert_eq!(decode_idlist(codec, &enc), l);
+                let mut appended = vec![42];
+                decode_idlist_into(codec, &enc, &mut appended);
+                assert_eq!(appended[0], 42);
+                assert_eq!(appended[1..], l[..]);
             }
         }
     }

@@ -108,4 +108,41 @@ proptest! {
         let b: Vec<_> = without.scan_prefix(&probe).collect();
         prop_assert_eq!(a, b);
     }
+
+    #[test]
+    fn for_each_prefix_lends_exactly_what_scan_prefix_copies(
+        // Values large enough that the tree has many leaves and a short
+        // prefix spans several of them.
+        inserts in proptest::collection::vec((key_strategy(), 150usize..500), 40..220),
+        deletes in proptest::collection::vec(0usize..1000, 0..80),
+    ) {
+        let pool = Arc::new(BufferPool::in_memory(1024));
+        let mut tree = BTree::new(pool);
+        for (k, len) in &inserts {
+            tree.insert(k, &vec![k[0]; *len]);
+        }
+        for d in deletes {
+            tree.delete(&inserts[d % inserts.len()].0);
+        }
+        let stored: Vec<Vec<u8>> = tree.scan_all().map(|(k, _)| k).collect();
+        let mut prefixes: Vec<Vec<u8>> = vec![
+            vec![],              // everything, leaf after leaf
+            vec![97],            // spans several leaves
+            vec![0],
+            vec![50],            // absent, between stored keys
+            vec![200, 200, 200], // past the last key
+        ];
+        // Equal to a stored key, and a stored key cut short.
+        prefixes.extend(stored.iter().step_by(stored.len() / 5 + 1).cloned());
+        prefixes.extend(stored.iter().step_by(stored.len() / 3 + 1).map(|k| k[..k.len() / 2].to_vec()));
+        for p in prefixes {
+            let mut lent: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            tree.for_each_prefix(&p, |k, v| lent.push((k.to_vec(), v.to_vec())));
+            let copied: Vec<_> = tree.scan_prefix(&p).collect();
+            prop_assert_eq!(&lent, &copied);
+            let want = stored.iter().filter(|k| k.starts_with(&p)).count();
+            prop_assert_eq!(lent.len(), want);
+        }
+        prop_assert!(stored.len() < 20 || tree.stats().height > 1, "tree should span leaves");
+    }
 }

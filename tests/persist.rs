@@ -215,6 +215,49 @@ fn first_query_after_open_reads_pages_physically() {
 }
 
 #[test]
+fn inlj_physical_reads_repeat_across_reopened_engines() {
+    // Under a pool far smaller than the index, which pages are still
+    // resident when a probe asks for them depends on the order of the
+    // probes before it. The INLJ probes its heads in ascending id order
+    // (it used to follow a `HashMap`'s per-process iteration order), so
+    // two cold engines over the same file read exactly the same pages.
+    let dir = TempDir::new("inlj-repeat");
+    let path = dir.path("idx.xtwig");
+    let mut forest = XmlForest::new();
+    xtwig::datagen::generate_xmark(
+        &mut forest,
+        xtwig::datagen::XmarkConfig { scale: 0.06, seed: 7 },
+    );
+    QueryEngine::build(
+        Arc::new(forest),
+        EngineOptions {
+            strategies: vec![Strategy::DataPaths],
+            pool_pages: 64,
+            ..Default::default()
+        },
+    )
+    .persist(&path)
+    .unwrap();
+    let queries = xtwig::datagen::xmark_queries();
+    for id in ["Q14x", "Q15x"] {
+        let twig = queries.iter().find(|q| q.id == id).unwrap().twig();
+        let runs: Vec<_> = (0..2)
+            .map(|_| QueryEngine::open(&path).unwrap().answer(&twig, Strategy::DataPaths))
+            .collect();
+        assert_eq!(runs[0].plan, xtwig::core::plan::PlanKind::IndexNestedLoop, "{id}");
+        assert!(runs[0].metrics.physical_reads > 64, "{id} must outgrow the 64-frame pool");
+        for run in &runs[1..] {
+            assert_eq!(run.ids, runs[0].ids, "{id}");
+            assert_eq!(run.metrics.probes, runs[0].metrics.probes, "{id}");
+            assert_eq!(
+                run.metrics.physical_reads, runs[0].metrics.physical_reads,
+                "{id}: physical reads must not depend on the process's hash seed"
+            );
+        }
+    }
+}
+
+#[test]
 fn maintenance_on_reopened_engine_is_copy_on_write() {
     let dir = TempDir::new("cow");
     let path = dir.path("idx.xtwig");
