@@ -4,14 +4,16 @@
 //! the read guard of the leaf it lands on: a point lookup costs `height`
 //! page fetches, a scan `height` plus one per further leaf it visits.
 //! Scans come in two shapes over one leaf walk (`admitted_cells`):
-//! [`BTree::for_each_prefix`] lends each
-//! `(key, value)` cell to a visitor straight from the pinned leaf page —
-//! the form the index probes of `xtwig-core` consume, no allocation per
-//! entry — and [`RangeScan`] is the owned-iterator adapter for callers
-//! that want `(Vec<u8>, Vec<u8>)` pairs (builders, tests, the harness).
+//! [`BTree::for_each_prefix`] lends each `(key, value)` cell to a visitor
+//! straight from the pinned leaf page — the form the index probes of
+//! `xtwig-core` consume, no allocation per entry, and the visitor ends
+//! the walk by answering [`ControlFlow::Break`] — and [`RangeScan`] is
+//! the owned-iterator adapter for callers that want `(Vec<u8>, Vec<u8>)`
+//! pairs (builders, tests, the harness).
 
 use crate::node::{self, NO_PAGE};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_storage::{BufferPool, PageId, PageReadGuard, PAGE_SIZE};
 
@@ -353,11 +355,17 @@ impl BTree {
     }
 
     /// Calls `visit(key, value)` for every entry whose key starts with
-    /// `prefix`, in key order — [`BTree::scan_prefix`] without the copies.
-    /// Both slices borrow the pinned leaf page and are valid only for the
-    /// call. One probe fetches `height` pages plus one per further leaf
-    /// it walks into, and allocates nothing.
-    pub fn for_each_prefix(&self, prefix: &[u8], mut visit: impl FnMut(&[u8], &[u8])) {
+    /// `prefix`, in key order, until it answers [`ControlFlow::Break`] —
+    /// [`BTree::scan_prefix`] without the copies, and without the rest of
+    /// the range once the caller has what it came for. Both slices borrow
+    /// the pinned leaf page and are valid only for the call. One probe
+    /// fetches `height` pages plus one per further leaf it walks into,
+    /// and allocates nothing.
+    pub fn for_each_prefix(
+        &self,
+        prefix: &[u8],
+        mut visit: impl FnMut(&[u8], &[u8]) -> ControlFlow<()>,
+    ) {
         let (_, mut page) = self.find_leaf(prefix);
         let (Ok(mut slot) | Err(mut slot)) = node::leaf_find(&page, prefix);
         loop {
@@ -451,19 +459,18 @@ impl ScanEnd {
 /// The leaf walk every scan shares: visits the cells of leaf `page` from
 /// `slot` on while `admits(key)` holds. Returns the right sibling to
 /// continue in, or `None` when the scan ended here — on a key that was
-/// not admitted, or at the last leaf.
+/// not admitted, on the visitor's `Break`, or at the last leaf.
 fn admitted_cells(
     page: &[u8],
     slot: usize,
     admits: impl Fn(&[u8]) -> bool,
-    mut visit: impl FnMut(&[u8], &[u8]),
+    mut visit: impl FnMut(&[u8], &[u8]) -> ControlFlow<()>,
 ) -> Option<PageId> {
     for i in slot..node::nslots(page) {
         let (k, v) = node::leaf_cell(page, i);
-        if !admits(k) {
+        if !admits(k) || visit(k, v).is_break() {
             return None;
         }
-        visit(k, v);
     }
     let next = node::right_sibling(page);
     (next != NO_PAGE).then_some(PageId(next))
@@ -496,7 +503,10 @@ impl RangeScan<'_> {
             page,
             slot,
             |k| end.admits(k),
-            |k, v| buffer.push_back((k.to_vec(), v.to_vec())),
+            |k, v| {
+                buffer.push_back((k.to_vec(), v.to_vec()));
+                ControlFlow::Continue(())
+            },
         );
     }
 
@@ -775,6 +785,11 @@ mod tests {
         pool.stats().snapshot().logical_reads - before
     }
 
+    fn count(n: &mut usize) -> ControlFlow<()> {
+        *n += 1;
+        ControlFlow::Continue(())
+    }
+
     #[test]
     fn point_reads_fetch_each_level_once() {
         let (t, pool) = height3();
@@ -788,7 +803,7 @@ mod tests {
         let (t, pool) = height3();
         // One stored key: a single cell in the middle of a leaf.
         let mut hits = 0;
-        let reads = reads_of(&pool, || t.for_each_prefix(b"k0000100", |_, _| hits += 1));
+        let reads = reads_of(&pool, || t.for_each_prefix(b"k0000100", |_, _| count(&mut hits)));
         assert_eq!((hits, reads), (1, 3));
         assert_eq!(reads_of(&pool, || assert_eq!(t.scan_prefix(b"k0000100").count(), 1)), 3);
         // A prefix spanning several leaves: one fetch per leaf it walks
@@ -811,8 +826,11 @@ mod tests {
         assert!(leaves >= 3, "prefix should span several leaves, spans {leaves}");
         pool.stats().reset();
         let mut visited = 0usize;
-        let reads = reads_of(&pool, || t.for_each_prefix(b"k00001", |_, _| visited += 1));
+        let reads = reads_of(&pool, || t.for_each_prefix(b"k00001", |_, _| count(&mut visited)));
         assert_eq!(reads, 2 + leaves, "{visited} entries over {leaves} leaves");
+        // A visitor that has what it came for walks into no further leaf.
+        let first_only = |_: &[u8], _: &[u8]| ControlFlow::Break(());
+        assert_eq!(reads_of(&pool, || t.for_each_prefix(b"k00001", first_only)), 3);
         assert_eq!(
             reads_of(&pool, || assert_eq!(t.scan_prefix(b"k00001").count(), visited)),
             reads

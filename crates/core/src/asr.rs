@@ -24,6 +24,7 @@ use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::rootpaths::push_value_part;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
@@ -129,24 +130,30 @@ impl AccessSupportRelations {
     /// tables: one indexed probe per matching table, in sorted path
     /// order, calling `sink(path, ids)` per row with the row's full
     /// root IdList (ASR rows are complete path instantiations) decoded
-    /// into the caller's reused `ids` buffer.
+    /// into the caller's reused `ids` buffer. A `Break` from the sink
+    /// ends the evaluation: no further row, no further table.
     pub fn for_each_match(
         &self,
         q: &PcSubpathQuery,
         ids: &mut Vec<u64>,
-        mut sink: impl FnMut(&[TagId], &[u64]),
+        mut sink: impl FnMut(&[TagId], &[u64]) -> ControlFlow<()>,
     ) {
         let mut prefix = KeyBuf::new();
         push_value_part(&mut prefix, q.value.as_deref());
         let mut paths = self.matching_paths(q);
         paths.sort_unstable();
+        let mut flow = ControlFlow::Continue(());
         for path in paths {
             self.lookups.fetch_add(1, Ordering::Relaxed);
             self.tables[path].for_each_prefix(prefix.as_bytes(), |_key, payload| {
                 ids.clear();
                 codec::decode_idlist_into(IdListCodec::Plain, payload, ids);
-                sink(path, ids);
+                flow = sink(path, ids);
+                flow
             });
+            if flow.is_break() {
+                return;
+            }
         }
     }
 
@@ -156,6 +163,7 @@ impl AccessSupportRelations {
         let mut out = Vec::new();
         self.for_each_match(q, &mut Vec::new(), |path, ids| {
             out.push(PathMatch { head: 0, tags: path.to_vec(), ids: ids.to_vec() });
+            ControlFlow::Continue(())
         });
         out
     }

@@ -18,7 +18,7 @@
 
 use crate::decompose::{CompiledTwig, UnknownTag};
 use crate::engine::{QueryEngine, Strategy};
-use crate::plan::{JoinHow, PlanKind, QueryPlan};
+use crate::plan::{JoinHow, Method, PlanKind, QueryPlan};
 use std::borrow::Borrow;
 use xtwig_btree::BTree;
 use xtwig_opt::{
@@ -69,7 +69,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// Reduces a planned twig to the cost model's input: its PCsubpath
     /// cover (with the interior-ids-needed flags the engine's own
     /// execution uses), the rows expected to feed `//` stitches, and
-    /// the index-nested-loop alternative when the planner chose one.
+    /// the steps the planner chose to answer by BoundIndex probes.
     pub fn cost_input(&self, compiled: &CompiledTwig, plan: &QueryPlan) -> TwigCostInput {
         let needed = self.needed_nodes(compiled, plan);
         let subpaths = compiled
@@ -98,26 +98,17 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             running = running.min(step.estimate);
         }
 
+        // The steps the planner answered by BoundIndex probes, with the
+        // heads and rows it priced them on (`plan::price_step`).
         let inlj = (plan.kind == PlanKind::IndexNestedLoop).then(|| {
-            let driver_est = plan.steps[0].estimate;
-            let dict = self.forest().dict();
             let probes = plan.steps[1..]
                 .iter()
-                .map(|step| match &step.probe {
-                    Some(p) => {
-                        // Mirrors choose_plan's INLJ costing: one probe
-                        // per distinct head binding.
-                        let n_anchor = dict
-                            .lookup(&compiled.twig.nodes[p.anchor].tag)
-                            .map(|t| self.stats().tag_count(t))
-                            .unwrap_or(1)
-                            .max(1);
-                        let heads = driver_est.min(n_anchor).max(1);
-                        InljProbe { heads, rows: (heads * step.estimate) / n_anchor }
+                .map(|step| match step.price {
+                    Some(p) if p.method() == Method::Bound => {
+                        InljProbe { heads: p.heads, rows: p.bound_rows }
                     }
-                    // Probe-less steps run as free lookups even under
-                    // an INLJ plan.
-                    None => InljProbe { heads: 1, rows: step.estimate },
+                    // Every other step is one free lookup of the subpath.
+                    _ => InljProbe { heads: 1, rows: step.estimate },
                 })
                 .collect();
             (plan.steps[0].subpath, probes)

@@ -32,6 +32,7 @@ use crate::family::{
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::{for_each_root_path_in, for_each_subpath_in};
 use crate::rootpaths::{push_value_part, skip_value_part};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
@@ -213,13 +214,19 @@ impl DataPaths {
     /// The key prefix of a probe under `head`: `head_tag` is `None` for
     /// the virtual root (FreeIndex rows store the path from the document
     /// root) and the head's tag for a BoundIndex probe.
-    fn probe_prefix(head: u64, head_tag: Option<TagId>, q: &PcSubpathQuery) -> Vec<u8> {
+    fn probe_prefix(
+        head: u64,
+        head_tag: Option<TagId>,
+        tags: &[TagId],
+        anchored: bool,
+        value: Option<&str>,
+    ) -> Vec<u8> {
         let mut key = KeyBuf::new();
         key.push_u64(head);
-        push_value_part(&mut key, q.value.as_deref());
-        let mut path = Vec::with_capacity(q.tags.len() + 2);
-        designator::push_path_reversed(&mut path, &q.tags);
-        if q.anchored {
+        push_value_part(&mut key, value);
+        let mut path = Vec::with_capacity(tags.len() + 2);
+        designator::push_path_reversed(&mut path, tags);
+        if anchored {
             // Under a real head the first pattern step is a *child* of
             // the head: the stored path must be exactly head_tag/t1/…/tk.
             if let Some(tag) = head_tag {
@@ -234,14 +241,15 @@ impl DataPaths {
     /// The one scan of this index, under both lookup kinds: decodes each
     /// entry under `prefix` into `ids` (re-attaching `head` in front of
     /// a BoundIndex row's stored list) and lends it to `sink` with the
-    /// undecoded entry key when it spans at least `min_len` steps.
+    /// undecoded entry key when it spans at least `min_len` steps, until
+    /// the sink answers `Break`.
     fn scan(
         &self,
         prefix: &[u8],
         head: u64,
         min_len: usize,
         ids: &mut Vec<u64>,
-        mut sink: impl FnMut(&[u8], &[u64]),
+        mut sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
     ) {
         self.tree.for_each_prefix(prefix, |key, payload| {
             ids.clear();
@@ -250,32 +258,44 @@ impl DataPaths {
             }
             codec::decode_idlist_into(self.idlist, payload, ids);
             if ids.len() >= min_len {
-                sink(key, ids);
+                sink(key, ids)
+            } else {
+                ControlFlow::Continue(())
             }
         });
     }
 
-    /// The streaming FreeIndex lookup: `sink(key, ids)` per match, `ids`
-    /// decoded into the caller's reused buffer, `key` lent undecoded
-    /// from the leaf page ([`FreeIndex::lookup_free`] is the collector
-    /// that also decodes the schema path out of it).
+    /// The streaming FreeIndex lookup: `sink(key, ids)` per match until
+    /// it answers `Break`, `ids` decoded into the caller's reused
+    /// buffer, `key` lent undecoded from the leaf page
+    /// ([`FreeIndex::lookup_free`] is the collector that also decodes
+    /// the schema path out of it).
     pub fn for_each_free(
         &self,
         q: &PcSubpathQuery,
         ids: &mut Vec<u64>,
-        sink: impl FnMut(&[u8], &[u64]),
+        sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
     ) {
-        self.scan(&Self::probe_prefix(0, None, q), 0, 0, ids, sink);
+        let prefix = Self::probe_prefix(0, None, &q.tags, q.anchored, q.value.as_deref());
+        self.scan(&prefix, 0, 0, ids, sink);
     }
 
-    /// Prepares BoundIndex probes of `q` under heads tagged `head_tag`:
-    /// the key is encoded once, and [`DataPaths::for_each_bound`]
-    /// re-aims it at each head by overwriting the HeadId component.
-    pub fn bound_probe(&self, head_tag: TagId, q: &PcSubpathQuery) -> BoundProbe {
+    /// Prepares BoundIndex probes of the pattern `tags` (a child chain
+    /// of the head when `anchored`, any descendant chain otherwise) with
+    /// leaf `value` under heads tagged `head_tag`: the key is encoded
+    /// once, and [`DataPaths::for_each_bound`] re-aims it at each head
+    /// by overwriting the HeadId component.
+    pub fn bound_probe(
+        &self,
+        head_tag: TagId,
+        tags: &[TagId],
+        anchored: bool,
+        value: Option<&str>,
+    ) -> BoundProbe {
         BoundProbe {
-            key: Self::probe_prefix(0, Some(head_tag), q),
+            key: Self::probe_prefix(0, Some(head_tag), tags, anchored, value),
             // Strict descendant: a stored path includes the head step.
-            min_len: q.tags.len() + 1,
+            min_len: tags.len() + 1,
         }
     }
 
@@ -286,7 +306,7 @@ impl DataPaths {
         probe: &mut BoundProbe,
         head: u64,
         ids: &mut Vec<u64>,
-        sink: impl FnMut(&[u8], &[u64]),
+        sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
     ) {
         codec::set_u64(&mut probe.key, 0, head);
         self.scan(&probe.key, head, probe.min_len, ids, sink);
@@ -356,7 +376,10 @@ impl PathIndex for DataPaths {
 impl FreeIndex for DataPaths {
     fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
         let mut out = Vec::new();
-        self.for_each_free(q, &mut Vec::new(), |key, ids| out.push(Self::collect(0, key, ids)));
+        self.for_each_free(q, &mut Vec::new(), |key, ids| {
+            out.push(Self::collect(0, key, ids));
+            ControlFlow::Continue(())
+        });
         out
     }
 }
@@ -364,9 +387,10 @@ impl FreeIndex for DataPaths {
 impl BoundIndex for DataPaths {
     fn lookup_bound(&self, head: u64, head_tag: TagId, q: &PcSubpathQuery) -> Vec<PathMatch> {
         let mut out = Vec::new();
-        let mut probe = self.bound_probe(head_tag, q);
+        let mut probe = self.bound_probe(head_tag, &q.tags, q.anchored, q.value.as_deref());
         self.for_each_bound(&mut probe, head, &mut Vec::new(), |key, ids| {
             out.push(Self::collect(head, key, ids));
+            ControlFlow::Continue(())
         });
         out
     }

@@ -12,7 +12,10 @@
 //! Execution follows §3: decompose the twig into PCsubpaths, evaluate
 //! each with the strategy's probe pattern, and stitch the matches with
 //! joins on ids extracted from IdLists (merge plan) or with BoundIndex
-//! probes (index-nested-loop plan, DATAPATHS only).
+//! probes (index-nested-loop plan, DATAPATHS only) — a choice made per
+//! step, from the rows that reach it (`crate::plan`). A branch that only
+//! filters streams: its matches are looked up in the rows they filter as
+//! the probe lends them, and the probe stops once every row is proven.
 //!
 //! Rows live in the flat binding table of `crate::table`, not in a
 //! heap object each: a probe's sink writes the ids of an IdList — decoded
@@ -26,18 +29,19 @@
 use crate::asr::AccessSupportRelations;
 use crate::dataguide::DataGuide;
 use crate::datapaths::{DataPaths, DataPathsOptions};
-use crate::decompose::{decompose, CompiledTwig, UnknownTag};
+use crate::decompose::{decompose, CompiledTwig, SubpathSpec, UnknownTag};
 use crate::edge::EdgeTable;
 use crate::fabric::IndexFabric;
 use crate::family::{value_needs_recheck, PathIndex, PathMatch, PcSubpathQuery};
 use crate::joinindex::JoinIndices;
 use crate::parallel::ShardPlan;
 use crate::paths::PathStats;
-use crate::plan::{choose_plan, JoinHow, PlanKind, ProbeSpec, QueryPlan};
+use crate::plan::{choose_plan, JoinHow, Method, PlanKind, ProbeSpec, QueryPlan};
 use crate::rootpaths::{RootPaths, RootPathsOptions};
-use crate::table::{key_runs, run_of, AncList, BindingTable, UNBOUND};
+use crate::table::{distinct_keys, key_runs, run_of, AncList, BindingTable, UNBOUND};
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtwig_obs::{SpanCounters, Trace};
@@ -111,7 +115,9 @@ pub struct QueryMetrics {
 pub struct QueryAnswer {
     /// Distinct ids bound to the twig's output node.
     pub ids: BTreeSet<u64>,
-    /// The plan kind that ran.
+    /// The plan kind that ran: [`PlanKind::IndexNestedLoop`] when some
+    /// step was answered by BoundIndex probes — decided per step, at run
+    /// time, so it can differ from the cached plan's `kind`.
     pub plan: PlanKind,
     /// The concrete strategy that executed — the optimizer's pick when
     /// the query was submitted with [`Strategy::Auto`] (or the
@@ -183,8 +189,7 @@ pub struct QueryEngine<F: Borrow<XmlForest> = Arc<XmlForest>> {
 /// most once per execution and reused from step to step.
 #[derive(Default)]
 struct Exec<'a> {
-    probes: u64,
-    rows_fetched: u64,
+    io: ProbeIo,
     trace: Option<&'a mut Trace>,
     /// The rows accumulated by the steps so far.
     rows: BindingTable,
@@ -195,13 +200,74 @@ struct Exec<'a> {
     out: BindingTable,
     /// Captured ancestor lists of all three tables.
     arena: Vec<u64>,
-    /// The IdList of the index entry being read (and, during a `//`
-    /// semi-join, the sorted id set it filters by).
-    ids: Vec<u64>,
     /// The build side of the current join.
     keys: Vec<(u64, usize)>,
     /// Row order scratch of distinct.
     order: Vec<usize>,
+    /// Which rows a streamed semi-join has found a partner for.
+    marks: Vec<bool>,
+    /// True once some step ran as BoundIndex probes.
+    ran_bound: bool,
+    /// The identity net's handle on the choices `execute` makes.
+    #[cfg(test)]
+    forced: Option<Forced>,
+}
+
+/// What an index probe reads into and counts into.
+#[derive(Default)]
+struct ProbeIo {
+    /// The IdList of the index entry being read.
+    ids: Vec<u64>,
+    /// Index probes issued.
+    probes: u64,
+    /// Match rows fetched from indexes.
+    rows_fetched: u64,
+}
+
+/// Takes the per-step choices away from the pricing, so that the tests
+/// can run every step both ways and compare the answers: bit `i` of
+/// `bound_steps` makes step `i` BoundIndex probes where it can be (a free
+/// lookup otherwise), and `full_joins` runs existence filters as full
+/// joins followed by the projection.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+struct Forced {
+    bound_steps: u32,
+    full_joins: bool,
+}
+
+#[cfg(test)]
+impl Forced {
+    fn method(self, step: usize) -> Method {
+        if self.bound_steps >> step & 1 == 1 {
+            Method::Bound
+        } else {
+            Method::Free
+        }
+    }
+}
+
+/// The rows of a semi-join's left side still waiting for a partner.
+struct Unproven<'a> {
+    marks: &'a mut [bool],
+    left: usize,
+}
+
+impl Unproven<'_> {
+    /// Row `i` has a partner.
+    fn prove(&mut self, i: usize) {
+        if !std::mem::replace(&mut self.marks[i], true) {
+            self.left -= 1;
+        }
+    }
+
+    /// `Break` once no row is waiting: nothing a further match could add.
+    fn flow(&self) -> ControlFlow<()> {
+        match self.left {
+            0 => ControlFlow::Break(()),
+            _ => ControlFlow::Continue(()),
+        }
+    }
 }
 
 /// What the steps of one plan consume, computed once per execution.
@@ -645,7 +711,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// (see `xtwig-service`) can skip it on repeated twig shapes.
     pub fn compile(&self, twig: &TwigPattern) -> Result<(CompiledTwig, QueryPlan), UnknownTag> {
         let compiled = decompose(twig, self.forest().dict())?;
-        let plan = choose_plan(&compiled, &self.stats, self.forest().dict());
+        let dp_height = self.dp.as_ref().map_or(1, |(dp, _)| dp.tree().stats().height);
+        let plan = choose_plan(&compiled, &self.stats, self.forest().dict(), dp_height);
         Ok((compiled, plan))
     }
 
@@ -725,15 +792,16 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let mut cx = Exec { trace, ..Exec::default() };
         let ids = self.execute(compiled, plan, strategy, &mut cx);
         let elapsed = start.elapsed();
-        let probes = cx.probes + self.drain_baseline_counters(strategy);
+        let probes = cx.io.probes + self.drain_baseline_counters(strategy);
         let delta = self.snapshot(strategy).since(&before);
         let metrics = QueryMetrics {
             probes,
-            rows_fetched: cx.rows_fetched,
+            rows_fetched: cx.io.rows_fetched,
             logical_reads: delta.logical_reads,
             physical_reads: delta.physical_reads,
             elapsed,
         };
+        let ran = if cx.ran_bound { PlanKind::IndexNestedLoop } else { PlanKind::Merge };
         if let (Some(t), Some(e)) = (cx.trace, execute) {
             t.end(
                 e,
@@ -752,7 +820,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 micros: elapsed.as_micros() as u64,
             });
         }
-        QueryAnswer { ids, plan: plan.kind, strategy, metrics }
+        QueryAnswer { ids, plan: ran, strategy, metrics }
     }
 
     /// [`QueryEngine::answer`] with pipeline tracing: returns the
@@ -840,6 +908,13 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// `step` span per plan step (per-step pool and probe deltas) and a
     /// `materialize` span around the output projection; every snapshot,
     /// `format!` and clock read that costs sits under that `Some`.
+    ///
+    /// A step that can run as BoundIndex probes is priced again here, by
+    /// the planner's own cost function, on the distinct heads among the
+    /// rows that actually reached it and on the row estimate of the
+    /// literal actually asked for: the plan is cached per twig *shape*,
+    /// and the literal it was made for may have been far rarer, or far
+    /// commoner, than this one.
     fn execute(
         &self,
         compiled: &CompiledTwig,
@@ -847,13 +922,15 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         strategy: Strategy,
         cx: &mut Exec<'_>,
     ) -> BTreeSet<u64> {
-        let use_inlj = plan.kind == PlanKind::IndexNestedLoop
-            && strategy == Strategy::DataPaths
-            && self.dp.is_some();
-        let needed = self.needed_nodes(compiled, plan);
-        let interior_needed = |sp: &crate::decompose::SubpathSpec| {
-            sp.nodes[..sp.nodes.len() - 1].iter().any(|&n| needed[n])
+        // BoundIndex probes exist under DATAPATHS only; what one costs
+        // follows the pages a descent of its tree fetches.
+        let dp_height = match (strategy, &self.dp) {
+            (Strategy::DataPaths, Some((dp, _))) => Some(dp.tree().stats().height),
+            _ => None,
         };
+        let needed = self.needed_nodes(compiled, plan);
+        let interior_needed =
+            |sp: &SubpathSpec| sp.nodes[..sp.nodes.len() - 1].iter().any(|&n| needed[n]);
         let masks = StepMasks::new(compiled, plan);
         let (width, slots) = (masks.n, masks.anc_nodes.len());
         cx.rows.reset(width, slots);
@@ -863,9 +940,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         for (i, step) in plan.steps.iter().enumerate() {
             let sp = &compiled.subpaths[step.subpath];
             let span = cx.trace.as_deref_mut().map(|t| {
-                (t.begin("step", ""), self.snapshot(strategy), cx.probes, cx.rows_fetched)
+                (t.begin("step", ""), self.snapshot(strategy), cx.io.probes, cx.io.rows_fetched)
             });
             let how;
+            let mut repriced = None;
             if i == 0 {
                 self.probe_free(strategy, sp, interior_needed(sp), &masks, cx);
                 std::mem::swap(&mut cx.rows, &mut cx.fresh);
@@ -888,17 +966,37 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     JoinHow::AncestorOf { .. } | JoinHow::DescendantBound { .. } => &[],
                 };
                 let semi = sp.nodes.iter().all(|node| already.contains(node) || !keep[*node]);
-                let probe = step
-                    .probe
-                    .as_ref()
-                    .filter(|p| use_inlj && self.probe_head_allowed(compiled, p));
+                #[cfg(test)]
+                let semi = semi && !cx.forced.is_some_and(|f| f.full_joins);
+                // The build side of the step, whichever way it runs: the
+                // rows so far, sorted by their join key. (The rows of a
+                // `DescendantBound` step are keyed by their ancestors;
+                // the join does that itself.)
+                if let JoinHow::SharedNode { deepest: key, .. }
+                | JoinHow::AncestorOf { upper: key, .. } = join
+                {
+                    key_runs(&cx.rows, *key, &mut cx.keys);
+                }
+                let probe = dp_height.and_then(|height| {
+                    let probe = step.probe.as_ref().filter(|p| self.probe_head_allowed(p))?;
+                    let price = step.reprice(distinct_keys(&cx.keys), &sp.q, &self.stats, height);
+                    repriced = Some(price);
+                    let method = price.method();
+                    #[cfg(test)]
+                    let method = cx.forced.map_or(method, |f| f.method(i));
+                    (method == Method::Bound).then_some(probe)
+                });
                 if let Some(probe) = probe {
-                    self.inlj_extend(compiled, probe, semi, cx);
+                    self.inlj_extend(probe, sp.q.value.as_deref(), semi, cx);
+                    cx.ran_bound = true;
                     how = if semi { "inlj semi-join" } else { "inlj" };
+                } else if semi {
+                    self.semi_join(strategy, sp, interior_needed(sp), join, &masks, cx);
+                    how = "semi-join";
                 } else {
                     self.probe_free(strategy, sp, interior_needed(sp), &masks, cx);
-                    self.join(join, semi, &masks, cx);
-                    how = if semi { "semi-join" } else { "join" };
+                    self.join(join, &masks, cx);
+                    how = "join";
                 }
                 std::mem::swap(&mut cx.rows, &mut cx.out);
             }
@@ -919,16 +1017,25 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 // the step that issued them; the caller's final drain then
                 // collects nothing, so the query total is the same with
                 // and without a trace.
-                cx.probes += self.drain_baseline_counters(strategy);
+                cx.io.probes += self.drain_baseline_counters(strategy);
                 let io = self.snapshot(strategy).since(&io_before);
-                t.annotate(token, format!("#{i} subpath {} {how}", step.subpath));
+                let mut detail = format!("#{i} subpath {} {how}", step.subpath);
+                if let (Some(ran), Some(planned)) = (repriced, step.price) {
+                    // What the run-time pricing saw against what the
+                    // planner assumed, and whether that changed the method.
+                    detail.push_str(&format!(" heads={}/{}", ran.heads, planned.heads));
+                    if ran.method() != planned.method() {
+                        detail.push_str(&format!(" (planned {})", planned.method().label()));
+                    }
+                }
+                t.annotate(token, detail);
                 t.end(
                     token,
                     SpanCounters {
                         logical_reads: io.logical_reads,
                         physical_reads: io.physical_reads,
-                        probes: cx.probes - probes_before,
-                        rows: cx.rows_fetched - fetched_before,
+                        probes: cx.io.probes - probes_before,
+                        rows: cx.io.rows_fetched - fetched_before,
                     },
                 );
             }
@@ -946,91 +1053,99 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
     /// §4.3: a pruned DATAPATHS index only supports probes on retained
     /// head tags.
-    fn probe_head_allowed(&self, compiled: &CompiledTwig, probe: &ProbeSpec) -> bool {
-        match &self.pruned_tags {
-            None => true,
-            Some(tags) => self
-                .forest()
-                .dict()
-                .lookup(&compiled.twig.nodes[probe.anchor].tag)
-                .is_some_and(|t| tags.contains(&t)),
-        }
+    fn probe_head_allowed(&self, probe: &ProbeSpec) -> bool {
+        self.pruned_tags.as_ref().is_none_or(|tags| tags.contains(&probe.anchor_tag))
     }
 
-    /// Evaluates one PCsubpath with the strategy's probe pattern and
-    /// writes its matches into `cx.fresh` as binding rows. ROOTPATHS,
-    /// DATAPATHS and ASR stream each IdList from the leaf page through
-    /// `cx.ids` straight into the table; the Edge-family evaluators
-    /// build their matches by walking and feed the same sink from them.
-    /// The sink applies long-value rechecks and, when the index returns
-    /// full root IdLists, captures the ancestor list of a segment root
-    /// a `//` join will ask for.
-    fn probe_free(
+    /// Evaluates one PCsubpath with the strategy's probe pattern, lending
+    /// each match to `sink(above, nodes, ids)` until it answers `Break`:
+    /// `ids` binds the twig nodes `nodes` (every step of a full match,
+    /// just the final one of a leaf-only match) and `above` is what the
+    /// index entry listed in front of them — the ancestors of `ids[0]`
+    /// when the index stores full root IdLists. ROOTPATHS, DATAPATHS and
+    /// ASR stream each IdList from the leaf page through `ids_buf`; the
+    /// Edge-family evaluators build their matches by walking and feed
+    /// the same sink from them. Long values are rechecked before a match
+    /// is lent.
+    fn scan_subpath(
         &self,
         strategy: Strategy,
-        sp: &crate::decompose::SubpathSpec,
+        sp: &SubpathSpec,
         interior: bool,
-        masks: &StepMasks,
-        cx: &mut Exec<'_>,
+        io: &mut ProbeIo,
+        mut sink: impl FnMut(&[u64], &[usize], &[u64]) -> ControlFlow<()>,
     ) {
+        let ProbeIo { ids: ids_buf, probes, rows_fetched } = io;
         let (q, nodes) = (&sp.q, sp.nodes.as_slice());
-        let full_root =
-            matches!(strategy, Strategy::RootPaths | Strategy::DataPaths | Strategy::Asr);
         let recheck = q.value.as_deref().filter(|v| value_needs_recheck(v));
-        let Exec { fresh, arena, ids, probes, rows_fetched, .. } = cx;
-        fresh.clear();
-        let mut sink = |m: &[u64]| {
+        let mut lend = |m: &[u64]| {
             *rows_fetched += 1;
             // Leaf-only matches (interior positions skipped) bind just the
             // final step; full matches bind every step.
             let bound = m.len().min(nodes.len());
-            let (above, tail) = m.split_at(m.len() - bound);
-            let nodes = &nodes[nodes.len() - bound..];
-            let (Some(&first), Some(&leaf)) = (nodes.first(), tail.last()) else { return };
+            let (above, ids) = m.split_at(m.len() - bound);
+            let Some(&leaf) = ids.last() else { return ControlFlow::Continue(()) };
             if recheck.is_some_and(|v| self.forest().value_str(NodeId(leaf)) != Some(v)) {
-                return;
+                return ControlFlow::Continue(());
             }
-            let (bind, anc) = fresh.push_unbound();
-            for (&node, &id) in nodes.iter().zip(tail) {
-                bind[node] = id;
-            }
-            if let (true, Some(slot)) = (full_root, masks.anc_slot(first)) {
-                anc[slot] = AncList { off: arena.len(), len: above.len() };
-                arena.extend_from_slice(above);
-            }
+            sink(above, &nodes[nodes.len() - bound..], ids)
+        };
+        let mut lend_all = |matches: Vec<PathMatch>| {
+            let _ = matches.iter().try_for_each(|m| lend(&m.ids));
         };
         match strategy {
             Strategy::RootPaths => {
                 *probes += 1;
                 let (rp, _) = self.rp.as_ref().expect("ROOTPATHS not built");
-                rp.for_each_free(q, ids, |_key, ids| sink(ids));
+                rp.for_each_free(q, ids_buf, |_key, ids| lend(ids));
             }
             Strategy::DataPaths => {
                 *probes += 1;
                 let (dp, _) = self.dp.as_ref().expect("DATAPATHS not built");
-                dp.for_each_free(q, ids, |_key, ids| sink(ids));
+                dp.for_each_free(q, ids_buf, |_key, ids| lend(ids));
             }
             Strategy::Asr => {
                 let (asr, _) = self.asr.as_ref().expect("ASR not built");
-                asr.for_each_match(q, ids, |_path, ids| sink(ids));
+                asr.for_each_match(q, ids_buf, |_path, ids| lend(ids));
             }
             Strategy::Edge => {
                 // The Edge chain must walk every step regardless: interior
                 // tags are only verifiable through backward-link probes.
                 let (e, _) = self.edge.as_ref().expect("Edge not built");
-                e.eval_pcsubpath(q).iter().for_each(|m| sink(&m.ids));
+                lend_all(e.eval_pcsubpath(q));
             }
-            Strategy::DataGuideEdge => {
-                self.eval_dataguide_edge(q, interior).iter().for_each(|m| sink(&m.ids));
-            }
-            Strategy::IndexFabricEdge => {
-                self.eval_fabric_edge(q, interior).iter().for_each(|m| sink(&m.ids));
-            }
-            Strategy::JoinIndex => {
-                self.eval_join_index(q, interior).iter().for_each(|m| sink(&m.ids));
-            }
+            Strategy::DataGuideEdge => lend_all(self.eval_dataguide_edge(q, interior)),
+            Strategy::IndexFabricEdge => lend_all(self.eval_fabric_edge(q, interior)),
+            Strategy::JoinIndex => lend_all(self.eval_join_index(q, interior)),
             Strategy::Auto => unreachable!("Auto resolves before execution"),
         }
+    }
+
+    /// Writes the matches of one PCsubpath into `cx.fresh` as binding
+    /// rows, capturing — when the index returns full root IdLists — the
+    /// ancestor list of a segment root a `//` join will ask for.
+    fn probe_free(
+        &self,
+        strategy: Strategy,
+        sp: &SubpathSpec,
+        interior: bool,
+        masks: &StepMasks,
+        cx: &mut Exec<'_>,
+    ) {
+        let full_root = lists_full_roots(strategy);
+        let Exec { fresh, arena, io, .. } = cx;
+        fresh.clear();
+        self.scan_subpath(strategy, sp, interior, io, |above, nodes, m| {
+            let (bind, anc) = fresh.push_unbound();
+            for (&node, &id) in nodes.iter().zip(m) {
+                bind[node] = id;
+            }
+            if let (true, Some(slot)) = (full_root, masks.anc_slot(nodes[0])) {
+                anc[slot] = AncList { off: arena.len(), len: above.len() };
+                arena.extend_from_slice(above);
+            }
+            ControlFlow::Continue(())
+        });
     }
 
     /// DG+Edge (§5.1.2): the DataGuide answers anchored structural paths;
@@ -1142,8 +1257,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
     /// The ancestors of the id row `i` of `table` binds to `node`:
     /// the IdList prefix captured with the row when there is one, else
-    /// recovered by backward-link walks (Edge family) or from the base
-    /// tree and appended to the arena.
+    /// recovered ([`QueryEngine::recover_ancestors`]).
     fn ancestors(
         &self,
         table: &BindingTable,
@@ -1159,6 +1273,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         }
         let id = table.row(i)[node];
         debug_assert_ne!(id, UNBOUND);
+        self.recover_ancestors(id, arena, probes)
+    }
+
+    /// Appends the ancestors of node `id` to the arena, recovered by
+    /// backward-link walks (Edge family) or from the base tree.
+    fn recover_ancestors(&self, id: u64, arena: &mut Vec<u64>, probes: &mut u64) -> AncList {
         let off = arena.len();
         if let Some((edge, _)) = &self.edge {
             arena.extend(edge.ancestors_of(id));
@@ -1175,51 +1295,25 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
     /// Joins `cx.rows` (left) with the matches just probed into
     /// `cx.fresh` (right), writing `cx.out`. Build sides are sorted
-    /// `(key, row index)` runs over one table; a semi-join keeps each
-    /// left row at most once and adds no binding.
-    fn join(&self, how: &JoinHow, semi: bool, masks: &StepMasks, cx: &mut Exec<'_>) {
-        let Exec { rows: left, fresh: right, out, arena, ids: set, keys, probes, .. } = cx;
-        let (left, right) = (&*left, &*right);
+    /// `(key, row index)` runs over one table; for the two join kinds
+    /// whose key the left rows bind, the caller has already sorted them
+    /// into `cx.keys`.
+    fn join(&self, how: &JoinHow, masks: &StepMasks, cx: &mut Exec<'_>) {
+        let Exec { rows: left, fresh: right, out, arena, keys, io, .. } = cx;
+        let (left, right, probes) = (&*left, &*right, &mut io.probes);
         out.clear();
-        // Bindings of a twig node both sides carry must agree.
-        let consistent = |i: usize, j: usize, shared: &[usize]| {
-            let (r1, r2) = (left.row(i), right.row(j));
-            shared.iter().all(|&s| r1[s] == UNBOUND || r2[s] == UNBOUND || r1[s] == r2[s])
-        };
         match how {
-            JoinHow::SharedNode { deepest, shared } if semi => {
-                // Existence filter: keep each left row once if any
-                // consistent right row exists.
-                key_runs(right, *deepest, keys);
-                for i in 0..left.len() {
-                    let run = run_of(keys, left.row(i)[*deepest]);
-                    if run.iter().any(|&(_, j)| consistent(i, j, shared)) {
-                        out.push_copy(left, i);
-                    }
-                }
-            }
             JoinHow::SharedNode { deepest, shared } => {
-                key_runs(left, *deepest, keys);
+                // Bindings of a twig node both sides carry must agree.
+                let consistent = |i: usize, j: usize| {
+                    let (r1, r2) = (left.row(i), right.row(j));
+                    shared.iter().all(|&s| r1[s] == UNBOUND || r2[s] == UNBOUND || r1[s] == r2[s])
+                };
                 for j in 0..right.len() {
                     for &(_, i) in run_of(keys, right.row(j)[*deepest]) {
-                        if consistent(i, j, shared) {
+                        if consistent(i, j) {
                             out.push_merged(left, i, right, j);
                         }
-                    }
-                }
-            }
-            JoinHow::AncestorOf { upper, seg_root } if semi => {
-                // Keep left rows whose `upper` binding is an ancestor
-                // of some right segment root.
-                set.clear();
-                for j in 0..right.len() {
-                    let anc = self.ancestors(right, j, *seg_root, masks, arena, probes);
-                    set.extend_from_slice(anc.of(arena));
-                }
-                set.sort_unstable();
-                for i in 0..left.len() {
-                    if set.binary_search(&left.row(i)[*upper]).is_ok() {
-                        out.push_copy(left, i);
                     }
                 }
             }
@@ -1228,29 +1322,15 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     out.push_merged(left, i, right, j);
                 });
             }
-            JoinHow::AncestorOf { upper, seg_root } => {
+            JoinHow::AncestorOf { seg_root, .. } => {
                 // left rows bind `upper`; right rows bind the segment
                 // root; unnest right's ancestors and equi-join.
-                key_runs(left, *upper, keys);
                 for j in 0..right.len() {
                     let anc = self.ancestors(right, j, *seg_root, masks, arena, probes);
                     for &a in anc.of(arena) {
                         for &(_, i) in run_of(keys, a) {
                             out.push_merged(left, i, right, j);
                         }
-                    }
-                }
-            }
-            JoinHow::DescendantBound { upper, seg_root } if semi => {
-                // Keep left rows with some right `upper` among their
-                // segment root's ancestors.
-                set.clear();
-                set.extend(right.column(*upper));
-                set.sort_unstable();
-                for i in 0..left.len() {
-                    let anc = self.ancestors(left, i, *seg_root, masks, arena, probes);
-                    if anc.of(arena).iter().any(|a| set.binary_search(a).is_ok()) {
-                        out.push_copy(left, i);
                     }
                 }
             }
@@ -1272,6 +1352,90 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     }
                 }
             }
+        }
+    }
+
+    /// The existence filter of a branch none of whose bindings are
+    /// consumed later: keeps each row of `cx.rows` that has a partner
+    /// among the subpath's matches, once, into `cx.out`, adding no
+    /// binding. The matches are never materialized — each one lent by
+    /// the probe is looked up in the rows' sorted `(key, row)` run and
+    /// marks the rows it proves — and the probe stops as soon as every
+    /// row is proven. For the two join kinds whose key the rows bind, the
+    /// caller has already sorted them into `cx.keys`.
+    fn semi_join(
+        &self,
+        strategy: Strategy,
+        sp: &SubpathSpec,
+        interior: bool,
+        how: &JoinHow,
+        masks: &StepMasks,
+        cx: &mut Exec<'_>,
+    ) {
+        let Exec { rows: left, out, arena, io, keys, marks, .. } = cx;
+        let left = &*left;
+        if let JoinHow::DescendantBound { seg_root, .. } = how {
+            // Rows bind the lower segment root: key each by every one of
+            // its ancestors, any of which a match's `upper` may be.
+            keys.clear();
+            for i in 0..left.len() {
+                let anc = self.ancestors(left, i, *seg_root, masks, arena, &mut io.probes);
+                keys.extend(anc.of(arena).iter().map(|&a| (a, i)));
+            }
+            keys.sort_unstable();
+        }
+        marks.clear();
+        marks.resize(left.len(), false);
+        let mut unproven = Unproven { marks, left: left.len() };
+        // Ancestors an index entry does not list are recovered per match,
+        // into the arena's tail; the walks they cost are probes.
+        let (scratch, mut walks) = (arena.len(), 0);
+        let full_root = lists_full_roots(strategy);
+        self.scan_subpath(strategy, sp, interior, io, |above, nodes, m| {
+            let bound_to = |node: usize| nodes.iter().position(|&n| n == node).map(|at| m[at]);
+            match how {
+                JoinHow::SharedNode { deepest, shared } => {
+                    // Bindings of a twig node both sides carry must agree.
+                    let consistent = |i: usize| {
+                        shared.iter().all(|&s| {
+                            let mine = left.row(i)[s];
+                            mine == UNBOUND || bound_to(s).is_none_or(|theirs| theirs == mine)
+                        })
+                    };
+                    for &(_, i) in bound_to(*deepest).map_or(&[][..], |key| run_of(keys, key)) {
+                        if consistent(i) {
+                            unproven.prove(i);
+                        }
+                    }
+                }
+                JoinHow::AncestorOf { .. } => {
+                    // Rows bind `upper`; the match binds the segment root
+                    // first: any of its ancestors may be a row's `upper`.
+                    let ancestors = if full_root {
+                        above
+                    } else {
+                        arena.truncate(scratch);
+                        self.recover_ancestors(m[0], arena, &mut walks).of(arena)
+                    };
+                    for &a in ancestors {
+                        for &(_, i) in run_of(keys, a) {
+                            unproven.prove(i);
+                        }
+                    }
+                }
+                JoinHow::DescendantBound { upper, .. } => {
+                    for &(_, i) in bound_to(*upper).map_or(&[][..], |key| run_of(keys, key)) {
+                        unproven.prove(i);
+                    }
+                }
+            }
+            unproven.flow()
+        });
+        arena.truncate(scratch);
+        io.probes += walks;
+        out.clear();
+        for (i, _) in unproven.marks.iter().enumerate().filter(|(_, &proven)| proven) {
+            out.push_copy(left, i);
         }
     }
 
@@ -1305,57 +1469,40 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     }
 
     /// The index-nested-loop extension (§3.3) of `cx.rows` into
-    /// `cx.out`: sort the rows by their anchor binding and issue one
-    /// BoundIndex probe per distinct head, in ascending head order — the
-    /// probes walk the B+-tree left to right and their order does not
-    /// depend on a hash seed — through one prebuilt key re-aimed at each
-    /// head, fanning every match out over the head's rows.
-    fn inlj_extend(
-        &self,
-        compiled: &CompiledTwig,
-        probe: &ProbeSpec,
-        semi: bool,
-        cx: &mut Exec<'_>,
-    ) {
+    /// `cx.out`: one BoundIndex probe of the residue with leaf `value`
+    /// per distinct head in `cx.keys` — the rows sorted by their anchor
+    /// binding, so the probes walk the B+-tree left to right and their
+    /// order does not depend on a hash seed — through one prebuilt key
+    /// re-aimed at each head, fanning every match out over the head's
+    /// rows. An existence probe (`semi`) stops at its first match.
+    fn inlj_extend(&self, probe: &ProbeSpec, value: Option<&str>, semi: bool, cx: &mut Exec<'_>) {
         let (dp, _) = self.dp.as_ref().expect("INLJ requires DATAPATHS");
-        let anchor_tag = self
-            .forest()
-            .dict()
-            .lookup(&compiled.twig.nodes[probe.anchor].tag)
-            .expect("anchor tag resolved during decompose");
-        let recheck = probe.pattern.value.as_deref().filter(|v| value_needs_recheck(v));
+        let recheck = value.filter(|v| value_needs_recheck(v));
         let passes = |leaf: Option<&u64>| match (recheck, leaf) {
             (Some(v), Some(&leaf)) => self.forest().value_str(NodeId(leaf)) == Some(v),
             _ => true,
         };
-        let Exec { rows, out, ids, keys, probes, rows_fetched, .. } = cx;
+        let Exec { rows, out, keys, io, .. } = cx;
+        let ProbeIo { ids, probes, rows_fetched } = io;
         let rows = &*rows;
         out.clear();
-        key_runs(rows, probe.anchor, keys);
-        let mut bound = dp.bound_probe(anchor_tag, &probe.pattern);
+        let mut bound = dp.bound_probe(probe.anchor_tag, &probe.tags, probe.anchored, value);
         for group in keys.chunk_by(|a, b| a.0 == b.0) {
             let head = group[0].0;
             debug_assert_ne!(head, UNBOUND);
             *probes += 1;
-            if semi {
-                // Existence probe: the head survives if any match passes
-                // the (rare) long-value recheck.
-                let mut hit = false;
-                dp.for_each_bound(&mut bound, head, ids, |_key, m| {
-                    *rows_fetched += 1;
-                    hit = hit || passes(m.last());
-                });
-                if hit {
-                    for &(_, i) in group {
-                        out.push_copy(rows, i);
-                    }
-                }
-                continue;
-            }
             dp.for_each_bound(&mut bound, head, ids, |_key, m| {
                 *rows_fetched += 1;
                 if !passes(m.last()) {
-                    return;
+                    // The (rare) long-value recheck failed: not a match.
+                    return ControlFlow::Continue(());
+                }
+                if semi {
+                    // The head survives on its first match.
+                    for &(_, i) in group {
+                        out.push_copy(rows, i);
+                    }
+                    return ControlFlow::Break(());
                 }
                 let tail = &m[m.len() - probe.step_nodes.len()..];
                 for &(_, i) in group {
@@ -1364,9 +1511,16 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                         bind[node] = id;
                     }
                 }
+                ControlFlow::Continue(())
             });
         }
     }
+}
+
+/// True for the strategies whose index entries list the full root
+/// IdList of a match, ancestors of its first step included.
+fn lists_full_roots(strategy: Strategy) -> bool {
+    matches!(strategy, Strategy::RootPaths | Strategy::DataPaths | Strategy::Asr)
 }
 
 /// Shape of a twig for calibration-sample keys: tags and axes with
@@ -1508,6 +1662,207 @@ mod tests {
         let rp = e.answer(&twig, Strategy::RootPaths);
         assert_eq!(dp.ids, expected);
         assert_eq!(rp.ids, expected);
+    }
+
+    /// The identity net under the executor's freedom to choose: answers
+    /// `twig` under every strategy with every choice `execute` makes
+    /// taken each way — under DATAPATHS every subset of the steps as
+    /// BoundIndex probes (the priced choice is one of them), everywhere
+    /// existence filters streamed and as full joins — and holds each
+    /// answer against the naive matcher. Returns the step annotations of
+    /// the streamed DATAPATHS run with every step free.
+    fn check_every_way(engine: &QueryEngine<&XmlForest>, twig: &TwigPattern) -> Vec<String> {
+        let expected: BTreeSet<u64> =
+            naive::select(engine.forest(), twig).into_iter().map(|n| n.0).collect();
+        let Ok((compiled, plan)) = engine.compile(twig) else {
+            assert!(expected.is_empty(), "{twig}: unknown tag yet the oracle matches");
+            return Vec::new();
+        };
+        let mut annotations = Vec::new();
+        for strategy in Strategy::ALL {
+            let masks = match strategy {
+                Strategy::DataPaths => 1u32 << plan.steps.len(),
+                _ => 1,
+            };
+            for bound_steps in 0..masks {
+                for full_joins in [false, true] {
+                    let forced = Forced { bound_steps, full_joins };
+                    let mut trace = Trace::new();
+                    let mut cx =
+                        Exec { forced: Some(forced), trace: Some(&mut trace), ..Exec::default() };
+                    let got = engine.execute(&compiled, &plan, strategy, &mut cx);
+                    assert_eq!(got, expected, "{twig} via {strategy} {forced:?}");
+                    if strategy == Strategy::DataPaths && bound_steps == 0 && !full_joins {
+                        annotations = trace.spans().into_iter().map(|s| s.detail).collect();
+                    }
+                }
+            }
+        }
+        annotations
+    }
+
+    /// `oracle_property`'s generators (tests/oracle_property.rs), fed by
+    /// a counter-mode mixer here: this crate has no proptest.
+    mod programs {
+        use xtwig_xml::{Axis, TwigPattern, XmlForest};
+
+        // A smaller alphabet than the suite's and fewer valued steps, so
+        // that most twigs match something and most joins meet several rows.
+        const TAGS: &[&str] = &["a", "b"];
+        const VALUES: &[&str] = &["x", "x", "y"];
+
+        pub fn bytes(seed: u64, len: usize) -> Vec<u8> {
+            (0..len as u64)
+                .map(|i| {
+                    // splitmix64 of (seed, i).
+                    let mut z = (seed << 32 | i).wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    ((z ^ (z >> 31)) >> 24) as u8
+                })
+                .collect()
+        }
+
+        pub fn forest(program: &[u8]) -> XmlForest {
+            let mut forest = XmlForest::new();
+            let mut b = forest.builder();
+            b.open("r");
+            let mut depth = 1usize;
+            for &op in program {
+                match op % 8 {
+                    0..=3 if depth < 8 => {
+                        b.open(TAGS[(op as usize / 8) % TAGS.len()]);
+                        depth += 1;
+                    }
+                    4 | 5 if depth > 1 => {
+                        b.close();
+                        depth -= 1;
+                    }
+                    6 | 7 => b.text(VALUES[(op as usize / 8) % VALUES.len()]),
+                    _ => {}
+                }
+            }
+            for _ in 0..depth {
+                b.close();
+            }
+            b.finish();
+            forest
+        }
+
+        pub fn twig(program: &[u8]) -> TwigPattern {
+            let first = program[0];
+            let root_axis = if first.is_multiple_of(2) { Axis::Child } else { Axis::Descendant };
+            let root_tag = if first % 4 < 2 { "r" } else { TAGS[0] };
+            let mut twig = TwigPattern::single(root_axis, root_tag, None);
+            let mut nodes = vec![0usize];
+            for chunk in program[1..].chunks_exact(3) {
+                if twig.len() >= 5 {
+                    break;
+                }
+                let parent = nodes[chunk[0] as usize % nodes.len()];
+                let axis = if chunk[1].is_multiple_of(3) { Axis::Descendant } else { Axis::Child };
+                let tag = TAGS[chunk[1] as usize % TAGS.len()];
+                let value =
+                    chunk[2].is_multiple_of(3).then(|| VALUES[chunk[2] as usize % VALUES.len()]);
+                nodes.push(twig.add_child(parent, axis, tag, value));
+            }
+            twig.output = nodes[first as usize % nodes.len()];
+            twig
+        }
+    }
+
+    #[test]
+    fn random_twigs_answer_the_same_whichever_way_each_step_runs() {
+        for case in 0..96u64 {
+            let forest =
+                programs::forest(&programs::bytes(2 * case, 60 + (case as usize * 7) % 240));
+            let twig = programs::twig(&programs::bytes(2 * case + 1, 1 + 3 * (case as usize % 5)));
+            let e = QueryEngine::build(
+                &forest,
+                EngineOptions { pool_pages: 512, ..Default::default() },
+            );
+            check_every_way(&e, &twig);
+        }
+    }
+
+    #[test]
+    fn every_join_kind_streams_its_existence_filter() {
+        // Three books titled alike, one of them with the author asked for.
+        let mut f = XmlForest::new();
+        for i in 0..3 {
+            let mut b = f.builder();
+            b.open("book");
+            b.leaf("title", "XML");
+            b.open("author");
+            b.leaf("fn", if i == 1 { "john" } else { "jane" });
+            b.leaf("ln", if i == 2 { "doe" } else { "poe" });
+            b.leaf("nickname", "nick");
+            b.close();
+            b.close();
+            b.finish();
+        }
+        let e = engine(&f);
+        for (xpath, kind) in [
+            // The `ln` branch binds nothing the output needs.
+            ("//author[fn = 'jane'][ln = 'doe']", "SharedNode"),
+            // So does a `//` branch below the rows' `book`…
+            ("/book[title = 'XML'][//nickname = 'nick']", "AncestorOf"),
+            // …and a `book/title` filter above rows that start at `fn`.
+            ("/book[title = 'XML']//author[fn = 'john']/nickname", "DescendantBound"),
+        ] {
+            let twig = parse_xpath(xpath).unwrap();
+            let (_, plan) = e.compile(&twig).unwrap();
+            let seen = check_every_way(&e, &twig);
+            let streamed = plan.steps.iter().enumerate().any(|(i, step)| {
+                let join = format!("{:?}", step.join);
+                let streamed = format!("#{i} subpath {} semi-join", step.subpath);
+                join.contains(kind) && seen.iter().any(|detail| detail.starts_with(&streamed))
+            });
+            assert!(streamed, "{xpath}: no streamed {kind} semi-join in {plan:?} / {seen:?}");
+        }
+    }
+
+    #[test]
+    fn stress_shapes_answer_the_same_whichever_way_each_step_runs() {
+        // Long values sharing the indexed key prefix: the recheck runs in
+        // the free sink, in the streamed filter and in the bound probe.
+        let shared = "x".repeat(120);
+        let mut f = XmlForest::new();
+        let mut b = f.builder();
+        b.open("docs");
+        for (i, suffix) in ["alpha", "beta", "alpha", "gamma"].into_iter().enumerate() {
+            b.open("rec");
+            b.leaf("blob", &format!("{shared}-{suffix}"));
+            b.leaf("tag", if i % 2 == 0 { "even" } else { "odd" });
+            b.close();
+        }
+        b.close();
+        b.finish();
+        let e = engine(&f);
+        for xpath in [
+            format!("/docs/rec[blob = '{shared}-alpha']/tag"),
+            format!("//rec[tag = 'even'][blob = '{shared}-alpha']"),
+            format!("/docs[//blob = '{shared}-beta']/rec/tag"),
+            format!("//rec[blob = '{shared}-delta']/tag"),
+        ] {
+            check_every_way(&e, &parse_xpath(&xpath).unwrap());
+        }
+        // Deep same-tag nesting: strict-descendant semantics under `//`
+        // joins in both directions.
+        let mut f = XmlForest::new();
+        let mut b = f.builder();
+        for _ in 0..12 {
+            b.open("n");
+        }
+        b.leaf("leaf", "bottom");
+        for _ in 0..12 {
+            b.close();
+        }
+        b.finish();
+        let e = engine(&f);
+        for xpath in ["//n//n//n/leaf", "/n/n/n[//leaf]", "//n[n/n]//leaf[. = 'bottom']"] {
+            check_every_way(&e, &parse_xpath(xpath).unwrap());
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ use crate::family::{
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::persist;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
@@ -150,21 +151,22 @@ impl RootPaths {
     }
 
     /// The streaming FreeIndex lookup — the one scan of this index.
-    /// Calls `sink(key, ids)` per matching entry, in key order: `ids` is
-    /// the entry's IdList decoded into the caller's reused `ids` buffer,
-    /// `key` the entry key lent from the leaf page, left undecoded (an
-    /// IdList is as long as its schema path; [`FreeIndex::lookup_free`]
-    /// is the collector that also decodes the path out of the key).
+    /// Calls `sink(key, ids)` per matching entry, in key order, until it
+    /// answers `Break`: `ids` is the entry's IdList decoded into the
+    /// caller's reused `ids` buffer, `key` the entry key lent from the
+    /// leaf page, left undecoded (an IdList is as long as its schema
+    /// path; [`FreeIndex::lookup_free`] is the collector that also
+    /// decodes the path out of the key).
     pub fn for_each_free(
         &self,
         q: &PcSubpathQuery,
         ids: &mut Vec<u64>,
-        mut sink: impl FnMut(&[u8], &[u64]),
+        mut sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
     ) {
         self.tree.for_each_prefix(&self.probe_prefix(q), |key, payload| {
             ids.clear();
             codec::decode_idlist_into(self.idlist, payload, ids);
-            sink(key, ids);
+            sink(key, ids)
         });
     }
 
@@ -282,6 +284,7 @@ impl FreeIndex for RootPaths {
             let (tags, _) = designator::decode_path_reversed(key, skip_value_part(key, 0));
             debug_assert!(self.keep == IdListKeep::LastOnly || tags.len() == ids.len());
             out.push(PathMatch { head: 0, tags, ids: ids.to_vec() });
+            ControlFlow::Continue(())
         });
         out
     }

@@ -183,6 +183,11 @@ pub(crate) fn run_of(keys: &[(u64, usize)], key: u64) -> &[(u64, usize)] {
     &rest[..rest.partition_point(|&(k, _)| k == key)]
 }
 
+/// Distinct keys among pairs sorted by [`key_runs`].
+pub(crate) fn distinct_keys(keys: &[(u64, usize)]) -> u64 {
+    keys.chunk_by(|a, b| a.0 == b.0).count() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +287,8 @@ mod tests {
         assert!(run_of(&keys, 3).is_empty());
         assert!(run_of(&keys, 5).is_empty());
         assert!(run_of(&[], 1).is_empty());
+        assert_eq!(distinct_keys(&keys), 2);
+        assert_eq!(distinct_keys(&[]), 0);
     }
 
     #[test]

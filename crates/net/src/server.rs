@@ -390,8 +390,7 @@ pub fn handle_request_ctx(catalog: &Catalog, req: &Request, ctx: &RequestCtx) ->
             };
             match svc.with_engine(|e| e.explain(&twig)) {
                 Ok(ex) => {
-                    let mut out =
-                        format!("plan: {:?} ({} steps)\n", ex.plan.kind, ex.plan.steps.len());
+                    let mut out = ex.plan.to_string();
                     for c in &ex.choices {
                         out.push_str(&format!(
                             "{:8} est_page_reads={:.1} est_probes={:.1} est_rows={:.1}\n",

@@ -2,11 +2,12 @@
 //!
 //! For each built strategy the model prices a planned twig in estimated
 //! page reads, mirroring how the engine actually executes it
-//! (see `xtwig-core`'s `engine::eval_free` and the §3 stitch phase):
+//! (see `xtwig-core`'s `engine::scan_subpath` and the §3 stitch phase):
 //!
 //! * **RP / DP** — one B+-tree range probe per PCsubpath (descent +
-//!   leaf pages holding the matches). Under an index-nested-loop plan
-//!   DATAPATHS instead pays one BoundIndex probe per distinct head.
+//!   leaf pages holding the matches). For each step the planner chose
+//!   to answer by BoundIndex probes (`xtwig-core`'s `plan::price_step`),
+//!   DATAPATHS instead pays one probe per distinct head.
 //! * **Edge** — one value-index probe for the leaf candidates, then a
 //!   backward-link walk per candidate per step (§5.2.1's join chain).
 //! * **DG+Edge** — a DataGuide probe for anchored structural paths, an
@@ -152,7 +153,8 @@ pub struct SubpathInput {
     pub interior_needed: bool,
 }
 
-/// One BoundIndex probe step of an index-nested-loop plan.
+/// One non-driver step of a plan with BoundIndex probes in it: the
+/// probes of a bound step, or (`heads: 1`) the one lookup of a free one.
 #[derive(Debug, Clone, Copy)]
 pub struct InljProbe {
     /// Estimated distinct head bindings driving the probe.
@@ -169,9 +171,9 @@ pub struct TwigCostInput {
     /// Estimated rows feeding `//` stitches whose ancestors must be
     /// recovered (zero for single-segment twigs).
     pub ancestor_rows: u64,
-    /// When the planner chose an index-nested-loop plan: the driver
-    /// subpath's index and the probe steps. Only DATAPATHS executes
-    /// this; every other strategy is priced on the merge plan.
+    /// When the planner answered some step by BoundIndex probes: the
+    /// driver subpath's index and the steps after it. Only DATAPATHS
+    /// executes this; every other strategy is priced on the merge plan.
     pub inlj: Option<(usize, Vec<InljProbe>)>,
 }
 
@@ -237,8 +239,8 @@ fn twig_cost<S: CardinalitySource + ?Sized>(
     cal: &Calibration,
 ) -> Cost {
     let mut total = Cost::default();
-    // DATAPATHS under an INLJ plan: the driver subpath runs free, every
-    // other step is bound probes grouped by head.
+    // DATAPATHS under a plan with bound steps: the driver subpath runs
+    // free, every other step is the probes the planner priced for it.
     if strategy == Strategy::DataPaths {
         if let Some((driver, probes)) = &input.inlj {
             let dp = catalog.dp.expect("catalog.has checked");

@@ -47,10 +47,13 @@ impl CacheStats {
 /// Shape-keyed cache of compiled plans.
 ///
 /// A hit skips `decompose`/`choose_plan` entirely: the cached cover is
-/// rebound onto the incoming twig (literals re-read, structure reused).
-/// The plan itself is the one chosen for the first-seen literals —
-/// parameterized-plan semantics, like a relational engine's statement
-/// cache. The same semantics extend to cost-based strategy selection:
+/// rebound onto the incoming twig (literals re-read, structure reused)
+/// and the plan is handed out shared — it carries no literal; a probe
+/// reads its value from the rebound cover. The step order is the one
+/// chosen for the first-seen literals — parameterized-plan semantics,
+/// like a relational engine's statement cache — while each step's
+/// free-vs-bound method is priced again by the executor for the literal
+/// at hand. The same semantics extend to cost-based strategy selection:
 /// an entry memoizes the [`Strategy::Auto`] resolution for its shape,
 /// so repeated auto submissions rank the strategies once and every
 /// later query of the shape keys its cached results on the resolved
@@ -75,7 +78,7 @@ pub struct PlanCache {
 /// reach an unbuilt structure (whose accessor would panic the caller).
 struct PlanEntry {
     compiled: CompiledTwig,
-    plan: QueryPlan,
+    plan: Arc<QueryPlan>,
     auto_pick: Mutex<Option<Strategy>>,
 }
 
@@ -101,11 +104,9 @@ impl PlanCache {
         &self,
         engine: &QueryEngine<F>,
         twig: &TwigPattern,
-    ) -> Result<(CompiledTwig, QueryPlan), UnknownTag> {
+    ) -> Result<(CompiledTwig, Arc<QueryPlan>), UnknownTag> {
         let entry = self.entry(engine, twig)?;
-        let compiled = entry.compiled.rebind(twig);
-        let plan = entry.plan.rebind(&compiled);
-        Ok((compiled, plan))
+        Ok((entry.compiled.rebind(twig), entry.plan.clone()))
     }
 
     /// [`PlanCache::compile`] plus strategy resolution: `Auto` resolves
@@ -119,10 +120,8 @@ impl PlanCache {
         engine: &QueryEngine<F>,
         twig: &TwigPattern,
         strategy: Strategy,
-    ) -> Result<(CompiledTwig, QueryPlan, Strategy), UnknownTag> {
+    ) -> Result<(CompiledTwig, Arc<QueryPlan>, Strategy), UnknownTag> {
         let entry = self.entry(engine, twig)?;
-        let compiled = entry.compiled.rebind(twig);
-        let plan = entry.plan.rebind(&compiled);
         let resolved = if strategy.is_auto() {
             let mut pick = entry.auto_pick.lock();
             match *pick {
@@ -138,7 +137,7 @@ impl PlanCache {
         } else {
             strategy
         };
-        Ok((compiled, plan, resolved))
+        Ok((entry.compiled.rebind(twig), entry.plan.clone(), resolved))
     }
 
     /// The cached entry for `twig`'s shape, compiling and admitting it
@@ -156,7 +155,8 @@ impl PlanCache {
         }
         let (compiled, plan) = engine.compile(twig)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(PlanEntry { compiled, plan, auto_pick: Mutex::new(None) });
+        let entry =
+            Arc::new(PlanEntry { compiled, plan: Arc::new(plan), auto_pick: Mutex::new(None) });
         let mut inner = self.inner.lock();
         if let Some(existing) = inner.map.get(&key) {
             // A racing caller admitted the shape first; share its entry
@@ -371,25 +371,24 @@ mod tests {
         let cache = PlanCache::new(64);
         let a = parse_xpath("//author[fn='jane']/ln").unwrap();
         let b = parse_xpath("//author[fn='john']/ln").unwrap();
-        let (ca, _) = cache.compile(&engine, &a).unwrap();
+        let (ca, pa) = cache.compile(&engine, &a).unwrap();
         assert_eq!(cache.stats().misses, 1);
         let (cb, pb) = cache.compile(&engine, &b).unwrap();
         assert_eq!(cache.stats().hits, 1, "same shape must hit");
-        // The rebind carried the new literal into the cover and plan.
+        // The rebind carried the new literal into the cover; the plan
+        // carries none and is the one allocation both requests share.
         let valued: Vec<_> = cb.subpaths.iter().filter_map(|sp| sp.q.value.as_deref()).collect();
         assert_eq!(valued, vec!["john"]);
         assert_eq!(ca.subpaths.len(), cb.subpaths.len());
-        for step in &pb.steps {
-            if let Some(probe) = &step.probe {
-                if let Some(v) = &probe.pattern.value {
-                    assert_eq!(v, "john");
-                }
-            }
+        assert!(Arc::ptr_eq(&pa, &pb), "a hit must not clone the plan");
+        // Execution through the rebound pair matches direct answering,
+        // bound probes (DATAPATHS) included: they read `john` from `cb`.
+        for s in [Strategy::RootPaths, Strategy::DataPaths] {
+            let direct = engine.answer(&b, s);
+            let rebound = engine.answer_compiled(&cb, &pb, s);
+            assert_eq!(direct.ids, rebound.ids, "{s}");
+            assert!(!direct.ids.is_empty());
         }
-        // Execution through the rebound pair matches direct answering.
-        let direct = engine.answer(&b, Strategy::RootPaths);
-        let rebound = engine.answer_compiled(&cb, &pb, Strategy::RootPaths);
-        assert_eq!(direct.ids, rebound.ids);
     }
 
     #[test]

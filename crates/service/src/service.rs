@@ -808,6 +808,63 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_cached_for_one_literal_does_not_bind_the_next_to_its_join_methods() {
+        // XMark at scale 0.02: nine items have quantity 3, sixty-three
+        // have quantity 2, nearly all have quantity 1. The three twigs
+        // share one shape, so one cached plan.
+        let ladder = |quantity: &str| {
+            parse_xpath(&format!(
+                "/site//item[quantity = '{quantity}'][location = 'united states']"
+            ))
+            .unwrap()
+        };
+        let service = || {
+            let mut forest = XmlForest::new();
+            xtwig_datagen::generate_xmark(
+                &mut forest,
+                xtwig_datagen::XmarkConfig { scale: 0.02, seed: 7 },
+            );
+            TwigService::build(
+                forest,
+                EngineOptions {
+                    strategies: vec![Strategy::DataPaths],
+                    pool_pages: 1024,
+                    ..Default::default()
+                },
+                ServiceOptions { result_cache_capacity: 0, ..Default::default() },
+            )
+        };
+        // Rare literal first: its plan probes `location` under each of
+        // the few items it found.
+        let svc = service();
+        let rare = svc.execute(&ladder("3"), Strategy::DataPaths).unwrap();
+        assert_eq!(rare.plan, PlanKind::IndexNestedLoop);
+        assert!(rare.metrics.probes > 3, "one probe per item found: {:?}", rare.metrics);
+        // The commoner literals run through the same cached plan — and
+        // issue one probe per subpath, not one per item they found.
+        for quantity in ["2", "1"] {
+            let common = svc.execute(&ladder(quantity), Strategy::DataPaths).unwrap();
+            assert!(common.ids.len() > 4 * rare.ids.len(), "quantity {quantity}");
+            assert_eq!(common.plan, PlanKind::Merge, "quantity {quantity}");
+            assert_eq!(common.metrics.probes, 3, "quantity {quantity}");
+        }
+        assert_eq!(svc.stats().plan_cache.misses, 1, "one shape, one plan");
+        // The other way round, on a two-step shape: planned for the
+        // sixty-three items of quantity 2, every `mailbox/mail/to` is one
+        // free lookup; the eleven items of quantity 3 probe theirs.
+        let mails = |quantity: &str| {
+            parse_xpath(&format!("//item[quantity = '{quantity}']/mailbox/mail/to")).unwrap()
+        };
+        let common = svc.execute(&mails("2"), Strategy::DataPaths).unwrap();
+        assert_eq!((common.plan, common.metrics.probes), (PlanKind::Merge, 2));
+        let rare = svc.execute(&mails("3"), Strategy::DataPaths).unwrap();
+        assert_eq!(rare.plan, PlanKind::IndexNestedLoop);
+        assert!(rare.metrics.probes > 2 && rare.metrics.probes < 20, "{:?}", rare.metrics);
+        assert!(rare.metrics.rows_fetched * 4 < common.metrics.rows_fetched);
+        assert_eq!(svc.stats().plan_cache.misses, 2, "two shapes, two plans");
+    }
+
+    #[test]
     fn auto_requests_resolve_and_share_the_concrete_cache_key() {
         let svc = small_service();
         let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();

@@ -28,7 +28,9 @@
 //! built index configurations per query and executes the cheapest (the
 //! resolved pick is printed as `auto→RP` etc.). `xtwig explain` prints
 //! the whole ranking — estimated page reads, probes and rows per
-//! strategy — next to the chosen merge/INLJ plan, and runs against a
+//! strategy — next to the plan, whose every step shows the join method
+//! chosen for it (`method=free` lookup or `method=bound` probes), the
+//! `heads` it was priced on and both prices, and runs against a
 //! persisted index **without rebuilding anything** (statistics and tree
 //! shapes are stored in the index catalog). `--analyze` additionally
 //! *executes* the query traced under every ranked strategy, printing
@@ -118,26 +120,12 @@ fn answered_label(requested: Strategy, answered: Strategy) -> String {
     }
 }
 
-/// Renders `xtwig explain`'s ranking: every built strategy with its
-/// estimated page reads, probes and rows, cheapest first, plus the
-/// chosen relational plan.
+/// Renders `xtwig explain`: the relational plan — per step its method
+/// (`free` lookup or `bound` probes), the heads it was priced on and
+/// both prices — then every built strategy with its estimated page
+/// reads, probes and rows, cheapest first.
 fn print_explanation(ex: &Explanation) {
-    println!(
-        "plan: {:?} ({} steps, merge cost {} vs inlj cost {})",
-        ex.plan.kind,
-        ex.plan.steps.len(),
-        ex.plan.merge_cost,
-        ex.plan.inlj_cost
-    );
-    for step in &ex.plan.steps {
-        println!(
-            "  step subpath#{} est={} join={:?} probe={}",
-            step.subpath,
-            step.estimate,
-            step.join,
-            step.probe.is_some()
-        );
-    }
+    print!("{}", ex.plan);
     println!(
         "ranked strategies:\n  {:<8} {:>12} {:>10} {:>10}",
         "strategy", "est pages", "est probes", "est rows"

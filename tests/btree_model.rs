@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig::btree::{bulk_build, BTree, BTreeOptions};
 use xtwig::storage::BufferPool;
@@ -117,7 +118,7 @@ proptest! {
         deletes in proptest::collection::vec(0usize..1000, 0..80),
     ) {
         let pool = Arc::new(BufferPool::in_memory(1024));
-        let mut tree = BTree::new(pool);
+        let mut tree = BTree::new(pool.clone());
         for (k, len) in &inserts {
             tree.insert(k, &vec![k[0]; *len]);
         }
@@ -137,12 +138,28 @@ proptest! {
         prefixes.extend(stored.iter().step_by(stored.len() / 3 + 1).map(|k| k[..k.len() / 2].to_vec()));
         for p in prefixes {
             let mut lent: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            tree.for_each_prefix(&p, |k, v| lent.push((k.to_vec(), v.to_vec())));
+            tree.for_each_prefix(&p, |k, v| {
+                lent.push((k.to_vec(), v.to_vec()));
+                ControlFlow::Continue(())
+            });
             let copied: Vec<_> = tree.scan_prefix(&p).collect();
             prop_assert_eq!(&lent, &copied);
             let want = stored.iter().filter(|k| k.starts_with(&p)).count();
             prop_assert_eq!(lent.len(), want);
+            // A visitor that breaks sees exactly the entries up to the one
+            // it broke on — on a leaf's first cell, its last, or between.
+            for stop in [1, copied.len() / 2 + 1, copied.len().max(1)] {
+                let mut seen: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+                tree.for_each_prefix(&p, |k, v| {
+                    seen.push((k.to_vec(), v.to_vec()));
+                    if seen.len() == stop { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+                });
+                prop_assert_eq!(&seen[..], &copied[..stop.min(copied.len())]);
+            }
         }
         prop_assert!(stored.len() < 20 || tree.stats().height > 1, "tree should span leaves");
+        // No walk, broken off or run out, leaves a page pinned
+        // (`clear_cache` panics on one).
+        pool.clear_cache();
     }
 }

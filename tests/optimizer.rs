@@ -293,3 +293,54 @@ fn skewed_corpus_crossover_stays_correct_under_auto() {
         assert_eq!(e.answer(&twig, Strategy::Auto).ids, expected(&f, q), "{q}");
     }
 }
+
+/// Join methods follow the rows a step will see, not the driver's one
+/// row. XMark at scale 0.02 is a size at which both halves show: 63
+/// `item[quantity='2']` heads against 326 `location` rows (a descent per
+/// head loses), and three `open_auction` heads against 1 190 `time` rows
+/// (a descent per head wins).
+#[test]
+fn xmark_joins_are_priced_on_the_rows_that_reach_them() {
+    let mut forest = XmlForest::new();
+    xtwig::datagen::generate_xmark(
+        &mut forest,
+        xtwig::datagen::XmarkConfig { scale: 0.02, seed: 7 },
+    );
+    let e = QueryEngine::build(
+        &forest,
+        EngineOptions {
+            strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
+            pool_pages: 2048,
+            ..Default::default()
+        },
+    );
+    let queries = xtwig::datagen::xmark_queries();
+    let twig_of = |id: &str| queries.iter().find(|q| q.id == id).unwrap();
+    // Both twigs start at the single `/site` node; the step that probes
+    // `location` is reached by every item of quantity 2.
+    for id in ["Q14x", "Q15x"] {
+        let q = twig_of(id);
+        let subpaths = e.compile(&q.twig()).unwrap().0.subpaths.len() as u64;
+        for s in [Strategy::Auto, Strategy::DataPaths] {
+            let a = e.answer(&q.twig(), s);
+            assert_eq!(a.ids, expected(&forest, q.xpath), "{id} via {s}");
+            assert_eq!(a.plan, xtwig::core::plan::PlanKind::Merge, "{id} via {s}");
+            assert_eq!(a.metrics.probes, subpaths, "{id} via {s}: one probe per subpath");
+        }
+    }
+    // A handful of heads under a low branch point still probe.
+    for id in ["Q10x", "Q11x", "Q12x", "Q13x"] {
+        let q = twig_of(id);
+        let dp = e.answer(&q.twig(), Strategy::DataPaths);
+        let rp = e.answer(&q.twig(), Strategy::RootPaths);
+        assert_eq!(dp.ids, expected(&forest, q.xpath), "{id}");
+        assert_eq!(dp.plan, xtwig::core::plan::PlanKind::IndexNestedLoop, "{id}");
+        assert_eq!(rp.plan, xtwig::core::plan::PlanKind::Merge, "{id}: ROOTPATHS has no probes");
+        assert!(
+            dp.metrics.rows_fetched * 10 < rp.metrics.rows_fetched,
+            "{id}: bound probes fetch {} rows, free lookups {}",
+            dp.metrics.rows_fetched,
+            rp.metrics.rows_fetched
+        );
+    }
+}

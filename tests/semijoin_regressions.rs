@@ -144,3 +144,37 @@ fn inlj_semi_probe_filters_heads() {
     check(&f, &e, "/top/node[tag = 'rare'][extra]/item");
     check(&f, &e, "//node[tag = 'rare'][item = '1']/extra");
 }
+
+/// A streamed existence filter stops its probe once every row it
+/// filters has a partner. Q7x is Q6x plus `[regions/namerica/item/location
+/// = 'united states']`, a branch that shares only the single `/site` node
+/// with the rest of the twig: its first match proves the one row there
+/// is, and the hundreds behind it are never fetched.
+#[test]
+fn an_existence_branch_is_proven_by_its_first_match() {
+    let mut f = XmlForest::new();
+    xtwig::datagen::generate_xmark(&mut f, xtwig::datagen::XmarkConfig { scale: 0.02, seed: 7 });
+    let e = QueryEngine::build(
+        &f,
+        EngineOptions {
+            strategies: vec![Strategy::RootPaths, Strategy::DataPaths, Strategy::Asr],
+            pool_pages: 2048,
+            ..Default::default()
+        },
+    );
+    let queries = xtwig::datagen::xmark_queries();
+    let twig_of = |id: &str| queries.iter().find(|q| q.id == id).unwrap().twig();
+    let branch = xtwig::parse_xpath("/site/regions/namerica/item/location[. = 'united states']");
+    let branch_rows = e.answer(&branch.unwrap(), Strategy::RootPaths).metrics.rows_fetched;
+    assert!(branch_rows > 100, "the branch alone fetches {branch_rows} rows");
+    for s in [Strategy::RootPaths, Strategy::DataPaths, Strategy::Asr] {
+        let (q6, q7) = (e.answer(&twig_of("Q6x"), s), e.answer(&twig_of("Q7x"), s));
+        assert_eq!(q7.ids, q6.ids, "{s}: the branch filters nothing out here");
+        assert!(!q7.ids.is_empty());
+        assert_eq!(
+            q7.metrics.rows_fetched,
+            q6.metrics.rows_fetched + 1,
+            "{s}: the branch costs its first row, not all {branch_rows}"
+        );
+    }
+}
