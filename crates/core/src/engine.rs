@@ -13,9 +13,13 @@
 //! each with the strategy's probe pattern, and stitch the matches with
 //! joins on ids extracted from IdLists (merge plan) or with BoundIndex
 //! probes (index-nested-loop plan, DATAPATHS only) — a choice made per
-//! step, from the rows that reach it (`crate::plan`). A branch that only
-//! filters streams: its matches are looked up in the rows they filter as
-//! the probe lends them, and the probe stops once every row is proven.
+//! step, from the rows that reach it (`crate::plan`). A free join never
+//! holds its right side: each match the probe lends is looked up in the
+//! rows so far as it arrives, through a merge cursor that walks forward
+//! while the ids ascend, and only rows that found a partner are written.
+//! A branch that only filters stops its probe once every row is proven.
+//! (The §6 structural join, an option, is the one join that collects its
+//! matches first.)
 //!
 //! Rows live in the flat binding table of `crate::table`, not in a
 //! heap object each: a probe's sink writes the ids of an IdList — decoded
@@ -38,7 +42,7 @@ use crate::parallel::ShardPlan;
 use crate::paths::PathStats;
 use crate::plan::{choose_plan, JoinHow, Method, PlanKind, ProbeSpec, QueryPlan};
 use crate::rootpaths::{RootPaths, RootPathsOptions};
-use crate::table::{distinct_keys, key_runs, run_of, AncList, BindingTable, UNBOUND};
+use crate::table::{distinct_keys, key_runs, run_of, AncList, BindingTable, MergeCursor, UNBOUND};
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
@@ -193,7 +197,7 @@ struct Exec<'a> {
     trace: Option<&'a mut Trace>,
     /// The rows accumulated by the steps so far.
     rows: BindingTable,
-    /// The matches of the subpath the current step probed.
+    /// The matches of the first step's probe, and of a structural join's.
     fresh: BindingTable,
     /// Where a join, an INLJ extension or a distinct writes its output
     /// before it is swapped into `rows`.
@@ -206,6 +210,10 @@ struct Exec<'a> {
     order: Vec<usize>,
     /// Which rows a streamed semi-join has found a partner for.
     marks: Vec<bool>,
+    /// The ancestors of one match, recovered by walks.
+    walked: Vec<u64>,
+    /// One merge cursor per ancestor position of a streamed `//` join.
+    cursors: Vec<MergeCursor>,
     /// True once some step ran as BoundIndex probes.
     ran_bound: bool,
     /// The identity net's handle on the choices `execute` makes.
@@ -943,7 +951,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 (t.begin("step", ""), self.snapshot(strategy), cx.io.probes, cx.io.rows_fetched)
             });
             let how;
-            let mut repriced = None;
+            let (mut repriced, mut runs) = (None, None);
             if i == 0 {
                 self.probe_free(strategy, sp, interior_needed(sp), &masks, cx);
                 std::mem::swap(&mut cx.rows, &mut cx.fresh);
@@ -990,15 +998,32 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     self.inlj_extend(probe, sp.q.value.as_deref(), semi, cx);
                     cx.ran_bound = true;
                     how = if semi { "inlj semi-join" } else { "inlj" };
-                } else if semi {
-                    self.semi_join(strategy, sp, interior_needed(sp), join, &masks, cx);
-                    how = "semi-join";
-                } else {
+                } else if let (
+                    false,
+                    true,
+                    JoinHow::AncestorOf { upper, seg_root }
+                    | JoinHow::DescendantBound { upper, seg_root },
+                ) = (semi, self.structural_ad_joins, join)
+                {
                     self.probe_free(strategy, sp, interior_needed(sp), &masks, cx);
-                    self.join(join, &masks, cx);
+                    let rows_bind_upper = matches!(join, JoinHow::AncestorOf { .. });
+                    self.structural_join(*upper, *seg_root, rows_bind_upper, cx);
                     how = "join";
+                } else {
+                    let keep_anc = masks.keep_anc_after(i);
+                    let merged = self.stream_join(
+                        strategy,
+                        sp,
+                        interior_needed(sp),
+                        join,
+                        semi,
+                        keep_anc,
+                        &masks,
+                        cx,
+                    );
+                    how = if semi { "semi-join" } else { "join" };
+                    runs = (!semi).then_some(merged);
                 }
-                std::mem::swap(&mut cx.rows, &mut cx.out);
             }
             // Early projection + duplicate elimination: existence
             // predicates must not enumerate full match tuples (a
@@ -1007,8 +1032,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             // After the last step the output set itself is the distinct.
             if i < last {
                 cx.rows.project(masks.keep_after(i), masks.keep_anc_after(i));
-                cx.rows.distinct_into(&mut cx.order, &mut cx.out);
-                std::mem::swap(&mut cx.rows, &mut cx.out);
+                cx.rows.distinct(&mut cx.order, &mut cx.out);
             }
             if let (Some(t), Some((token, io_before, probes_before, fetched_before))) =
                 (cx.trace.as_deref_mut(), span)
@@ -1020,6 +1044,11 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 cx.io.probes += self.drain_baseline_counters(strategy);
                 let io = self.snapshot(strategy).since(&io_before);
                 let mut detail = format!("#{i} subpath {} {how}", step.subpath);
+                if let Some(runs) = runs {
+                    // One run per schema path when the join merged; one
+                    // per match when it searched.
+                    detail.push_str(&format!(" runs={runs}"));
+                }
                 if let (Some(ran), Some(planned)) = (repriced, step.price) {
                     // What the run-time pricing saw against what the
                     // planner assumed, and whether that changed the method.
@@ -1122,8 +1151,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     }
 
     /// Writes the matches of one PCsubpath into `cx.fresh` as binding
-    /// rows, capturing — when the index returns full root IdLists — the
-    /// ancestor list of a segment root a `//` join will ask for.
+    /// rows — the first step's rows, and the one right side a join still
+    /// holds, the structural join's — capturing, when the index returns
+    /// full root IdLists, the ancestor list of a segment root a `//` join
+    /// will ask for.
     fn probe_free(
         &self,
         strategy: Strategy,
@@ -1293,87 +1324,41 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         AncList { off, len: arena.len() - off }
     }
 
-    /// Joins `cx.rows` (left) with the matches just probed into
-    /// `cx.fresh` (right), writing `cx.out`. Build sides are sorted
-    /// `(key, row index)` runs over one table; for the two join kinds
-    /// whose key the left rows bind, the caller has already sorted them
+    /// Joins `cx.rows` (left) with the subpath's matches as the probe
+    /// lends them; the matches are never written into a table. Each one
+    /// is looked up in the left rows' sorted `(key, row)` run — by the
+    /// twig node both sides bind (`SharedNode`), by each of the match's
+    /// ancestors (`AncestorOf`), or by the match's `upper` among the rows
+    /// keyed by their ancestors (`DescendantBound`). For the two join
+    /// kinds whose key the rows bind, the caller has already sorted them
     /// into `cx.keys`.
-    fn join(&self, how: &JoinHow, masks: &StepMasks, cx: &mut Exec<'_>) {
-        let Exec { rows: left, fresh: right, out, arena, keys, io, .. } = cx;
-        let (left, right, probes) = (&*left, &*right, &mut io.probes);
-        out.clear();
-        match how {
-            JoinHow::SharedNode { deepest, shared } => {
-                // Bindings of a twig node both sides carry must agree.
-                let consistent = |i: usize, j: usize| {
-                    let (r1, r2) = (left.row(i), right.row(j));
-                    shared.iter().all(|&s| r1[s] == UNBOUND || r2[s] == UNBOUND || r1[s] == r2[s])
-                };
-                for j in 0..right.len() {
-                    for &(_, i) in run_of(keys, right.row(j)[*deepest]) {
-                        if consistent(i, j) {
-                            out.push_merged(left, i, right, j);
-                        }
-                    }
-                }
-            }
-            JoinHow::AncestorOf { upper, seg_root } if self.structural_ad_joins => {
-                self.structural_join(left, *upper, right, *seg_root, keys, |i, j| {
-                    out.push_merged(left, i, right, j);
-                });
-            }
-            JoinHow::AncestorOf { seg_root, .. } => {
-                // left rows bind `upper`; right rows bind the segment
-                // root; unnest right's ancestors and equi-join.
-                for j in 0..right.len() {
-                    let anc = self.ancestors(right, j, *seg_root, masks, arena, probes);
-                    for &a in anc.of(arena) {
-                        for &(_, i) in run_of(keys, a) {
-                            out.push_merged(left, i, right, j);
-                        }
-                    }
-                }
-            }
-            JoinHow::DescendantBound { upper, seg_root } if self.structural_ad_joins => {
-                self.structural_join(right, *upper, left, *seg_root, keys, |j, i| {
-                    out.push_merged(left, i, right, j);
-                });
-            }
-            JoinHow::DescendantBound { upper, seg_root } => {
-                // left rows bind the lower segment root; right rows bind
-                // `upper`.
-                key_runs(right, *upper, keys);
-                for i in 0..left.len() {
-                    let anc = self.ancestors(left, i, *seg_root, masks, arena, probes);
-                    for &a in anc.of(arena) {
-                        for &(_, j) in run_of(keys, a) {
-                            out.push_merged(left, i, right, j);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The existence filter of a branch none of whose bindings are
-    /// consumed later: keeps each row of `cx.rows` that has a partner
-    /// among the subpath's matches, once, into `cx.out`, adding no
-    /// binding. The matches are never materialized — each one lent by
-    /// the probe is looked up in the rows' sorted `(key, row)` run and
-    /// marks the rows it proves — and the probe stops as soon as every
-    /// row is proven. For the two join kinds whose key the rows bind, the
-    /// caller has already sorted them into `cx.keys`.
-    fn semi_join(
+    ///
+    /// A full join writes each left row joined with each partner match
+    /// into `cx.out` — capturing the match's ancestor list only for a slot
+    /// `keep_anc` says a later `//` join reads — and swaps it into
+    /// `cx.rows`. An existence filter (`semi`) of a branch none of whose
+    /// bindings are consumed later only marks the rows a match proves,
+    /// stops the probe as soon as every row is proven, and keeps the
+    /// proven rows of `cx.rows` in place, adding no binding.
+    ///
+    /// The lookups go through merge cursors, one per key position of a
+    /// match: RP/DP/ASR lend ids in ascending order within each schema
+    /// path, so the join merges, restarting once per path. Returns the
+    /// runs it merged — one more than the number of restarts.
+    #[allow(clippy::too_many_arguments)]
+    fn stream_join(
         &self,
         strategy: Strategy,
         sp: &SubpathSpec,
         interior: bool,
         how: &JoinHow,
+        semi: bool,
+        keep_anc: &[bool],
         masks: &StepMasks,
         cx: &mut Exec<'_>,
-    ) {
-        let Exec { rows: left, out, arena, io, keys, marks, .. } = cx;
-        let left = &*left;
+    ) -> u64 {
+        let Exec { rows, out, arena, io, keys, marks, walked, cursors, .. } = cx;
+        let left = &*rows;
         if let JoinHow::DescendantBound { seg_root, .. } = how {
             // Rows bind the lower segment root: key each by every one of
             // its ancestors, any of which a match's `upper` may be.
@@ -1384,15 +1369,36 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             }
             keys.sort_unstable();
         }
+        out.clear();
         marks.clear();
-        marks.resize(left.len(), false);
+        marks.resize(if semi { left.len() } else { 0 }, false);
         let mut unproven = Unproven { marks, left: left.len() };
-        // Ancestors an index entry does not list are recovered per match,
-        // into the arena's tail; the walks they cost are probes.
-        let (scratch, mut walks) = (arena.len(), 0);
+        let mut cursor = MergeCursor::default();
+        cursors.clear();
+        // Ancestors an index entry does not list are recovered per match;
+        // the walks they cost are probes.
+        let mut walks = 0;
         let full_root = lists_full_roots(strategy);
         self.scan_subpath(strategy, sp, interior, io, |above, nodes, m| {
             let bound_to = |node: usize| nodes.iter().position(|&n| n == node).map(|at| m[at]);
+            // The ancestor list a joined row captures from this match,
+            // stored on its first partner.
+            let mut captured = None;
+            let mut partner = |i: usize| {
+                if semi {
+                    unproven.prove(i);
+                    return;
+                }
+                let slot = masks.anc_slot(nodes[0]).filter(|&slot| full_root && keep_anc[slot]);
+                let list = slot.map(|slot| {
+                    let list = *captured.get_or_insert_with(|| {
+                        arena.extend_from_slice(above);
+                        AncList { off: arena.len() - above.len(), len: above.len() }
+                    });
+                    (slot, list)
+                });
+                out.push_joined(left, i, nodes, m, list);
+            };
             match how {
                 JoinHow::SharedNode { deepest, shared } => {
                     // Bindings of a twig node both sides carry must agree.
@@ -1402,9 +1408,11 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                             mine == UNBOUND || bound_to(s).is_none_or(|theirs| theirs == mine)
                         })
                     };
-                    for &(_, i) in bound_to(*deepest).map_or(&[][..], |key| run_of(keys, key)) {
-                        if consistent(i) {
-                            unproven.prove(i);
+                    if let Some(key) = bound_to(*deepest) {
+                        for &(_, i) in cursor.run(keys, key) {
+                            if consistent(i) {
+                                partner(i);
+                            }
                         }
                     }
                 }
@@ -1414,62 +1422,78 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     let ancestors = if full_root {
                         above
                     } else {
-                        arena.truncate(scratch);
-                        self.recover_ancestors(m[0], arena, &mut walks).of(arena)
+                        walked.clear();
+                        self.recover_ancestors(m[0], walked, &mut walks).of(walked)
                     };
-                    for &a in ancestors {
-                        for &(_, i) in run_of(keys, a) {
-                            unproven.prove(i);
+                    if cursors.len() < ancestors.len() {
+                        cursors.resize(ancestors.len(), MergeCursor::default());
+                    }
+                    for (&a, cursor) in ancestors.iter().zip(cursors.iter_mut()) {
+                        for &(_, i) in cursor.run(keys, a) {
+                            partner(i);
                         }
                     }
                 }
                 JoinHow::DescendantBound { upper, .. } => {
-                    for &(_, i) in bound_to(*upper).map_or(&[][..], |key| run_of(keys, key)) {
-                        unproven.prove(i);
+                    if let Some(key) = bound_to(*upper) {
+                        for &(_, i) in cursor.run(keys, key) {
+                            partner(i);
+                        }
                     }
                 }
             }
-            unproven.flow()
+            if semi {
+                unproven.flow()
+            } else {
+                ControlFlow::Continue(())
+            }
         });
-        arena.truncate(scratch);
         io.probes += walks;
-        out.clear();
-        for (i, _) in unproven.marks.iter().enumerate().filter(|(_, &proven)| proven) {
-            out.push_copy(left, i);
+        if semi {
+            rows.retain(unproven.marks);
+        } else {
+            std::mem::swap(rows, out);
         }
+        1 + cursor.restarts + cursors.iter().map(|c| c.restarts).sum::<u64>()
     }
 
-    /// Stitches an ancestor-descendant edge with the stack-based
-    /// structural join (§6's alternative): one merge pass over the
-    /// interval-sorted binding sets instead of ancestor unnesting, then
-    /// `emit(upper row, lower row)` for every row pair behind each
-    /// `(ancestor, descendant)` id pair.
+    /// Stitches the ancestor-descendant edge `upper // seg_root` with the
+    /// stack-based structural join (§6's alternative): one merge pass over
+    /// the interval-sorted binding sets of `cx.rows` and of the matches
+    /// probed into `cx.fresh` instead of ancestor unnesting, then one
+    /// joined row for every row pair behind each `(ancestor, descendant)`
+    /// id pair, into `cx.out` and swapped into `cx.rows`.
+    /// `rows_bind_upper` says which side `cx.rows` is.
     fn structural_join(
         &self,
-        upper_rows: &BindingTable,
         upper: usize,
-        lower_rows: &BindingTable,
         seg_root: usize,
-        upper_keys: &mut Vec<(u64, usize)>,
-        mut emit: impl FnMut(usize, usize),
+        rows_bind_upper: bool,
+        cx: &mut Exec<'_>,
     ) {
+        let Exec { rows, fresh, out, keys: upper_keys, .. } = cx;
+        let (rows, fresh) = (&*rows, &*fresh);
+        let (upper_rows, lower_rows) = if rows_bind_upper { (rows, fresh) } else { (fresh, rows) };
         let upper_ids: Vec<u64> = upper_rows.column(upper).collect();
         let lower_ids: Vec<u64> = lower_rows.column(seg_root).collect();
         let pairs = crate::stitch::containment_join(self.forest(), &upper_ids, &lower_ids);
         let mut lower_keys = Vec::new();
         key_runs(upper_rows, upper, upper_keys);
         key_runs(lower_rows, seg_root, &mut lower_keys);
+        out.clear();
         for (a, d) in pairs {
             for &(_, u) in run_of(upper_keys, a) {
                 for &(_, l) in run_of(&lower_keys, d) {
-                    emit(u, l);
+                    let (i, j) = if rows_bind_upper { (u, l) } else { (l, u) };
+                    out.push_merged(rows, i, fresh, j);
                 }
             }
         }
+        std::mem::swap(&mut cx.rows, &mut cx.out);
     }
 
-    /// The index-nested-loop extension (§3.3) of `cx.rows` into
-    /// `cx.out`: one BoundIndex probe of the residue with leaf `value`
+    /// The index-nested-loop extension (§3.3) of `cx.rows`, written into
+    /// `cx.out` and swapped in: one BoundIndex probe of the residue with leaf `value`
     /// per distinct head in `cx.keys` — the rows sorted by their anchor
     /// binding, so the probes walk the B+-tree left to right and their
     /// order does not depend on a hash seed — through one prebuilt key
@@ -1514,6 +1538,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 ControlFlow::Continue(())
             });
         }
+        std::mem::swap(&mut cx.rows, &mut cx.out);
     }
 }
 
@@ -1785,9 +1810,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_join_kind_streams_its_existence_filter() {
-        // Three books titled alike, one of them with the author asked for.
+    /// Three books titled alike, one author each, named apart.
+    fn three_books() -> XmlForest {
         let mut f = XmlForest::new();
         for i in 0..3 {
             let mut b = f.builder();
@@ -1801,6 +1825,13 @@ mod tests {
             b.close();
             b.finish();
         }
+        f
+    }
+
+    #[test]
+    fn every_join_kind_streams_its_existence_filter() {
+        // One of the three books has the author asked for.
+        let f = three_books();
         let e = engine(&f);
         for (xpath, kind) in [
             // The `ln` branch binds nothing the output needs.
@@ -1819,6 +1850,62 @@ mod tests {
                 join.contains(kind) && seen.iter().any(|detail| detail.starts_with(&streamed))
             });
             assert!(streamed, "{xpath}: no streamed {kind} semi-join in {plan:?} / {seen:?}");
+        }
+    }
+
+    #[test]
+    fn every_join_kind_streams_its_full_join() {
+        let f = three_books();
+        let e = engine(&f);
+        for (xpath, kind) in [
+            // The `ln` branch is the output: its bindings are consumed.
+            ("//author[fn = 'jane']/ln", "SharedNode"),
+            // So are those of a `//` branch below the rows' `book`.
+            ("/book[title = 'XML']//nickname", "AncestorOf"),
+        ] {
+            let twig = parse_xpath(xpath).unwrap();
+            check_every_way(&e, &twig);
+            let (compiled, plan) = e.compile(&twig).unwrap();
+            let needed = e.needed_nodes(&compiled, &plan);
+            let (i, step) = plan
+                .steps
+                .iter()
+                .enumerate()
+                .find(|(_, step)| format!("{:?}", step.join).contains(kind))
+                .unwrap_or_else(|| panic!("{xpath}: no {kind} step in {plan:?}"));
+            let sp = &compiled.subpaths[step.subpath];
+            let interior = sp.nodes[..sp.nodes.len() - 1].iter().any(|&n| needed[n]);
+            // ROOTPATHS, DATAPATHS and ASR lend their ancestors with each
+            // match; Edge recovers them by walks.
+            for strategy in
+                [Strategy::RootPaths, Strategy::DataPaths, Strategy::Asr, Strategy::Edge]
+            {
+                let mut trace = Trace::new();
+                let forced = Forced { bound_steps: 0, full_joins: false };
+                let mut cx =
+                    Exec { forced: Some(forced), trace: Some(&mut trace), ..Exec::default() };
+                e.execute(&compiled, &plan, strategy, &mut cx);
+                let spans: Vec<_> =
+                    trace.spans().into_iter().filter(|span| span.name == "step").collect();
+                let span = &spans[i];
+                let streamed = format!("#{i} subpath {} join runs=", step.subpath);
+                assert!(span.detail.starts_with(&streamed), "{xpath} via {strategy}: {spans:?}");
+                // Ran to completion: the step fetched every match a scan
+                // of the subpath lends, and paid the same probes for them —
+                // walks included, one per walked step.
+                let (mut io, mut walks, mut walked) = (ProbeIo::default(), 0, Vec::new());
+                e.drain_baseline_counters(strategy);
+                e.scan_subpath(strategy, sp, interior, &mut io, |_, _, m| {
+                    if kind == "AncestorOf" && !lists_full_roots(strategy) {
+                        walked.clear();
+                        e.recover_ancestors(m[0], &mut walked, &mut walks);
+                    }
+                    ControlFlow::Continue(())
+                });
+                let probes = io.probes + walks + e.drain_baseline_counters(strategy);
+                assert_eq!(span.counters.rows, io.rows_fetched, "{xpath} via {strategy}: rows");
+                assert_eq!(span.counters.probes, probes, "{xpath} via {strategy}: probes");
+            }
         }
     }
 

@@ -8,7 +8,9 @@
 //! the whole execution shares — so producing, joining, projecting and
 //! deduplicating rows moves ids between vectors and never allocates per
 //! row. Join build sides are sorted `(key, row index)` runs
-//! ([`key_runs`] / [`run_of`]) over a table, not per-key row lists.
+//! ([`key_runs`] / [`run_of`]) over a table, not per-key row lists, and
+//! a stream of probe keys that mostly ascends finds its runs through a
+//! [`MergeCursor`].
 //!
 //! Row-major indexing is this module's job, so `indexing_slicing` stays
 //! off here; everything else that could panic is linted below.
@@ -123,6 +125,32 @@ impl BindingTable {
         }
     }
 
+    /// Appends `src`'s row `i` (same shape) joined with a match that binds
+    /// `ids` to the twig nodes `nodes` and carries the ancestor list
+    /// `captured = (slot, list)`, which fills the slot only where the row
+    /// captured none — [`BindingTable::push_merged`] for a match that was
+    /// never written into a table.
+    pub fn push_joined(
+        &mut self,
+        src: &BindingTable,
+        i: usize,
+        nodes: &[usize],
+        ids: &[u64],
+        captured: Option<(usize, AncList)>,
+    ) {
+        let anc_at = self.anc.len();
+        let bind = self.push_copy(src, i);
+        for (&node, &id) in nodes.iter().zip(ids) {
+            bind[node] = id;
+        }
+        if let Some((slot, list)) = captured {
+            let mine = &mut self.anc[anc_at + slot];
+            if mine.is_none() {
+                *mine = list;
+            }
+        }
+    }
+
     /// Projection: unbinds every node `keep` does not list and drops the
     /// ancestor lists of every slot `keep_anc` does not list.
     pub fn project(&mut self, keep: &[bool], keep_anc: &[bool]) {
@@ -146,20 +174,44 @@ impl BindingTable {
         }
     }
 
-    /// Duplicate elimination: writes one row per distinct binding tuple
-    /// into `out`, by sorting row indices (`order` is the scratch for
-    /// them). Ancestor lists are functionally determined by the binding
-    /// they were captured for, so whichever duplicate survives carries
-    /// the right ones.
-    pub fn distinct_into(&self, order: &mut Vec<usize>, out: &mut BindingTable) {
-        out.reset(self.width, self.anc_width);
+    /// Duplicate elimination: leaves one row per distinct binding tuple,
+    /// in binding order, by sorting row indices (`order` is the scratch
+    /// for them) and writing the survivors into `scratch`, which is then
+    /// swapped in. Ancestor lists are functionally determined by the
+    /// binding they were captured for, so whichever duplicate survives
+    /// carries the right ones.
+    ///
+    /// Rows that already arrive strictly increasing — a probe's rows in
+    /// key order, a join's in the order of its matches, once projection
+    /// has unbound the columns no later step reads — stay as they are:
+    /// one comparison pass instead of a sort and a copy.
+    pub fn distinct(&mut self, order: &mut Vec<usize>, scratch: &mut BindingTable) {
+        if (1..self.rows).all(|i| self.row(i - 1) < self.row(i)) {
+            return;
+        }
+        scratch.reset(self.width, self.anc_width);
         order.clear();
         order.extend(0..self.rows);
         order.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
         order.dedup_by(|a, b| self.row(*a) == self.row(*b));
         for &i in order.iter() {
-            out.push_copy(self, i);
+            scratch.push_copy(self, i);
         }
+        std::mem::swap(self, scratch);
+    }
+
+    /// Keeps, in order and in place, the rows `keep` marks.
+    pub fn retain(&mut self, keep: &[bool]) {
+        let (w, aw) = (self.width, self.anc_width);
+        let mut kept = 0;
+        for (i, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+            self.ids.copy_within(i * w..(i + 1) * w, kept * w);
+            self.anc.copy_within(i * aw..(i + 1) * aw, kept * aw);
+            kept += 1;
+        }
+        self.rows = kept;
+        self.ids.truncate(kept * w);
+        self.anc.truncate(kept * aw);
     }
 
     /// The bindings of twig node `node`, one per row, in row order.
@@ -181,6 +233,53 @@ pub(crate) fn key_runs(table: &BindingTable, node: usize, out: &mut Vec<(u64, us
 pub(crate) fn run_of(keys: &[(u64, usize)], key: u64) -> &[(u64, usize)] {
     let rest = &keys[keys.partition_point(|&(k, _)| k < key)..];
     &rest[..rest.partition_point(|&(k, _)| k == key)]
+}
+
+/// [`run_of`] for a stream of keys that mostly ascend — the ids a leaf
+/// scan lends, which rise within each schema path. A key at or above the
+/// previous one is found by galloping forward from the previous hit, so
+/// a join over an ascending stream is a merge; a smaller key restarts the
+/// search, and `restarts` counts how often that happened.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MergeCursor {
+    /// Where the previous key's run starts (or would).
+    at: usize,
+    /// The previous key; every pair before `at` sorts below it.
+    last: u64,
+    pub restarts: u64,
+}
+
+impl MergeCursor {
+    /// The run of `key` in `keys`, the pairs every earlier call was
+    /// given.
+    pub fn run<'k>(&mut self, keys: &'k [(u64, usize)], key: u64) -> &'k [(u64, usize)] {
+        let at = self.at.min(keys.len());
+        self.at = if key < self.last {
+            self.restarts += 1;
+            keys[..at].partition_point(|&(k, _)| k < key)
+        } else {
+            gallop(keys, at, key)
+        };
+        self.last = key;
+        let rest = &keys[self.at..];
+        &rest[..rest.iter().take_while(|&&(k, _)| k == key).count()]
+    }
+}
+
+/// The first position at or after `from` whose key is not below `key`,
+/// given that none before `from` is: steps of 1, 2, 4, … forward, then a
+/// binary search inside the last step.
+fn gallop(keys: &[(u64, usize)], from: usize, key: u64) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while let Some(&(k, _)) = keys.get(lo + step - 1) {
+        if k >= key {
+            break;
+        }
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(keys.len());
+    lo + keys[lo..hi].partition_point(|&(k, _)| k < key)
 }
 
 /// Distinct keys among pairs sorted by [`key_runs`].
@@ -264,15 +363,82 @@ mod tests {
         t.project(&[false, true, true], &[false]);
         assert_eq!(t.row(0), [U, 5, 9]);
         assert!(t.anc_row(0)[0].is_none());
-        let (mut order, mut out) = (Vec::new(), BindingTable::default());
-        t.distinct_into(&mut order, &mut out);
-        let mut rows: Vec<&[u64]> = (0..out.len()).map(|i| out.row(i)).collect();
-        rows.sort_unstable();
-        assert_eq!(rows, [&[U, 5, 9][..], &[U, 6, 9][..]]);
+        let (mut order, mut scratch) = (Vec::new(), BindingTable::default());
+        t.distinct(&mut order, &mut scratch);
+        assert_eq!(rows_of(&t), [[U, 5, 9], [U, 6, 9]]);
         // Keeping everything is the identity.
-        let before = out.row(0).to_vec();
-        out.project(&[true; 3], &[true]);
-        assert_eq!(out.row(0), before);
+        let before = t.row(0).to_vec();
+        t.project(&[true; 3], &[true]);
+        assert_eq!(t.row(0), before);
+
+        // Already strictly increasing on the kept columns (the first one
+        // is unbound by the projection): left as is, ancestors too.
+        let mut sorted = table(
+            &[([9, 1, 2], Some(&[4])), ([3, 1, 5], None), ([9, 2, 0], Some(&[6, 7]))],
+            &mut arena,
+        );
+        sorted.project(&[false, true, true], &[true]);
+        sorted.distinct(&mut order, &mut scratch);
+        assert_eq!(rows_of(&sorted), [[U, 1, 2], [U, 1, 5], [U, 2, 0]]);
+        assert_eq!(sorted.anc_row(0)[0].of(&arena), [4]);
+        assert!(sorted.anc_row(1)[0].is_none());
+        assert_eq!(sorted.anc_row(2)[0].of(&arena), [6, 7]);
+        // Unsorted: sorted, every row kept.
+        let mut unsorted =
+            table(&[([2, 1, 1], None), ([1, 9, 9], None), ([1, 2, 3], None)], &mut arena);
+        unsorted.distinct(&mut order, &mut scratch);
+        assert_eq!(rows_of(&unsorted), [[1, 2, 3], [1, 9, 9], [2, 1, 1]]);
+        // Ascending but with a duplicate: not strictly increasing, so
+        // the duplicate goes.
+        let mut dup = table(&[([1, 1, 1], None), ([1, 1, 1], None), ([1, 1, 2], None)], &mut arena);
+        dup.distinct(&mut order, &mut scratch);
+        assert_eq!(rows_of(&dup), [[1, 1, 1], [1, 1, 2]]);
+        // No row and one row are trivially in order.
+        let mut empty = table(&[], &mut arena);
+        empty.distinct(&mut order, &mut scratch);
+        assert!(empty.is_empty());
+        let mut one = table(&[([5, U, 6], None)], &mut arena);
+        one.distinct(&mut order, &mut scratch);
+        assert_eq!(rows_of(&one), [[5, U, 6]]);
+    }
+
+    #[test]
+    fn retain_keeps_the_marked_rows_in_order() {
+        let mut arena = Vec::new();
+        let mut t = table(
+            &[([1, U, U], Some(&[10])), ([2, U, U], None), ([3, U, U], Some(&[30, 31]))],
+            &mut arena,
+        );
+        t.retain(&[false, true, true]);
+        assert_eq!(rows_of(&t), [[2, U, U], [3, U, U]]);
+        assert!(t.anc_row(0)[0].is_none());
+        assert_eq!(t.anc_row(1)[0].of(&arena), [30, 31]);
+        t.retain(&[true, false]);
+        assert_eq!(rows_of(&t), [[2, U, U]]);
+        t.retain(&[false]);
+        assert!(t.is_empty());
+        assert_eq!(t.column(0).count(), 0);
+    }
+
+    fn rows_of(t: &BindingTable) -> Vec<[u64; 3]> {
+        (0..t.len()).map(|i| t.row(i).try_into().unwrap()).collect()
+    }
+
+    #[test]
+    fn joined_rows_take_the_match_and_fill_only_empty_slots() {
+        let mut arena = Vec::new();
+        let left = table(&[([1, U, U], Some(&[10])), ([2, U, U], None)], &mut arena);
+        let mut out = BindingTable::default();
+        out.reset(3, 1);
+        let list = AncList { off: arena.len(), len: 2 };
+        arena.extend_from_slice(&[20, 21]);
+        out.push_joined(&left, 0, &[1, 2], &[6, 7], Some((0, list)));
+        out.push_joined(&left, 1, &[2], &[8], Some((0, list)));
+        out.push_joined(&left, 1, &[1], &[9], None);
+        assert_eq!(rows_of(&out), [[1, 6, 7], [2, U, 8], [2, 9, U]]);
+        assert_eq!(out.anc_row(0)[0].of(&arena), [10], "the row's captured list wins");
+        assert_eq!(out.anc_row(1)[0].of(&arena), [20, 21], "the match's fills the empty slot");
+        assert!(out.anc_row(2)[0].is_none());
     }
 
     #[test]
@@ -289,6 +455,51 @@ mod tests {
         assert!(run_of(&[], 1).is_empty());
         assert_eq!(distinct_keys(&keys), 2);
         assert_eq!(distinct_keys(&[]), 0);
+    }
+
+    #[test]
+    fn the_cursor_merges_ascending_keys_and_restarts_on_a_descent() {
+        let keys = [(2, 1), (4, 0), (4, 2), (7, 3), (9, 4)];
+        let mut c = MergeCursor::default();
+        // Ascending, a key repeated, an absent key between two present.
+        assert_eq!(c.run(&keys, 2), [(2, 1)]);
+        assert_eq!(c.run(&keys, 4), [(4, 0), (4, 2)]);
+        assert_eq!(c.run(&keys, 4), [(4, 0), (4, 2)]);
+        assert!(c.run(&keys, 5).is_empty());
+        assert_eq!(c.run(&keys, 7), [(7, 3)]);
+        assert_eq!(c.restarts, 0);
+        // Below the previous key: found again, counted as a restart.
+        assert_eq!(c.run(&keys, 4), [(4, 0), (4, 2)]);
+        assert!(c.run(&keys, 1).is_empty());
+        assert_eq!(c.restarts, 2);
+        // Past the end, then back inside.
+        assert!(c.run(&keys, 10).is_empty());
+        assert!(c.run(&keys, u64::MAX).is_empty());
+        assert_eq!(c.run(&keys, 9), [(9, 4)]);
+        assert_eq!(c.restarts, 3);
+        // An empty run of pairs answers nothing, whatever the key.
+        let mut c = MergeCursor::default();
+        for key in [3, 0, 8] {
+            assert!(c.run(&[], key).is_empty());
+        }
+        assert_eq!(c.restarts, 1);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_cursor_finds_what_run_of_finds(
+            raw in proptest::collection::vec(0u64..40, 0..60),
+            lookups in proptest::collection::vec(0u64..45, 0..80),
+        ) {
+            let mut keys: Vec<(u64, usize)> = raw.into_iter().zip(0..).collect();
+            keys.sort_unstable();
+            let mut c = MergeCursor::default();
+            for (n, &key) in lookups.iter().enumerate() {
+                proptest::prop_assert_eq!(c.run(&keys, key), run_of(&keys, key), "lookup {}", n);
+            }
+            let descents = lookups.windows(2).filter(|w| w[1] < w[0]).count() as u64;
+            proptest::prop_assert_eq!(c.restarts, descents);
+        }
     }
 
     #[test]

@@ -261,19 +261,33 @@ pub fn decode_idlist(codec: IdListCodec, bytes: &[u8]) -> Vec<u64> {
 /// Decodes an IdList produced by [`encode_idlist`], appending its ids to
 /// `out` — the form scans use to decode entry after entry into one
 /// reused buffer.
+///
+/// Ids along a path are close under pre-order numbering, so most deltas
+/// fit one byte; those are taken without entering the general varint
+/// loop, and the ids land through one `extend` over the known count,
+/// which checks capacity once rather than per id. A truncated payload
+/// fails exactly as [`read_varint`] does.
 pub fn decode_idlist_into(codec: IdListCodec, bytes: &[u8], out: &mut Vec<u64>) {
     let (n, mut pos) = read_varint(bytes, 0);
     out.reserve(n as usize);
     match codec {
         IdListCodec::Delta => {
-            let mut prev = 0u64;
-            for i in 0..n {
-                let (v, next) = read_varint(bytes, pos);
-                pos = next;
-                let id = if i == 0 { v } else { prev + v };
-                out.push(id);
-                prev = id;
-            }
+            // The first id is stored as its delta from 0.
+            let mut id = 0u64;
+            out.extend((0..n).map(|_| {
+                id += match bytes.get(pos) {
+                    Some(&b) if b < 0x80 => {
+                        pos += 1;
+                        u64::from(b)
+                    }
+                    _ => {
+                        let (v, next) = read_varint(bytes, pos);
+                        pos = next;
+                        v
+                    }
+                };
+                id
+            }));
         }
         IdListCodec::Plain => {
             for _ in 0..n {
@@ -408,6 +422,36 @@ mod tests {
     }
 
     #[test]
+    fn delta_decode_crosses_every_varint_width() {
+        let ids = [127, 128, 255, 16_639, 16_640, 33_024, 1 << 35, u64::MAX - 1, u64::MAX];
+        let enc = encode_idlist(IdListCodec::Delta, &ids);
+        assert_eq!(decode_idlist(IdListCodec::Delta, &enc), ids);
+        let enc = encode_idlist(IdListCodec::Delta, &[u64::MAX]);
+        assert_eq!(enc.len(), 1 + 10, "u64::MAX is a 10-byte varint");
+        assert_eq!(decode_idlist(IdListCodec::Delta, &enc), [u64::MAX]);
+    }
+
+    #[test]
+    fn a_truncated_delta_list_fails_like_read_varint() {
+        // Cut inside a one-byte delta, inside a multi-byte one, and right
+        // after the length: never a shorter or a wrong list.
+        let ids = [3, 5, 300, 301];
+        let enc = encode_idlist(IdListCodec::Delta, &ids);
+        for cut in 1..enc.len() {
+            let truncated = &enc[..cut];
+            let decoded = std::panic::catch_unwind(|| decode_idlist(IdListCodec::Delta, truncated));
+            let varint = std::panic::catch_unwind(|| {
+                let mut pos = read_varint(truncated, 0).1;
+                for _ in 0..ids.len() {
+                    pos = read_varint(truncated, pos).1;
+                }
+            });
+            assert!(decoded.is_err(), "cut at {cut} decoded to {decoded:?}");
+            assert!(varint.is_err(), "cut at {cut}: read_varint did not fail");
+        }
+    }
+
+    #[test]
     fn delta_encoding_is_smaller_on_path_idlists() {
         // Parent-child correlated ids: deltas are tiny (paper §4.1 claims
         // "significant savings in space").
@@ -434,10 +478,18 @@ mod tests {
         }
 
         #[test]
-        fn prop_idlist_delta_roundtrip(start in 0u64..1_000_000, steps in proptest::collection::vec(1u64..10_000, 0..20)) {
+        fn prop_idlist_delta_roundtrip(
+            start in prop_oneof![0u64..1_000_000, Just(127u64), Just(128), Just(16_383), Just(16_384), (u64::MAX - 1_000_000)..u64::MAX],
+            steps in proptest::collection::vec(prop_oneof![1u64..10_000, 126u64..=129, 16_382u64..=16_385, 1u64..(1 << 40)], 0..20),
+        ) {
+            // Deltas on both sides of the 1/2/3-byte varint boundaries,
+            // first ids up to the 10-byte ones; a step that would run past
+            // `u64::MAX` is dropped.
             let mut ids = vec![start];
             for s in steps {
-                ids.push(ids.last().unwrap() + s);
+                if let Some(next) = ids.last().unwrap().checked_add(s) {
+                    ids.push(next);
+                }
             }
             let enc = encode_idlist(IdListCodec::Delta, &ids);
             prop_assert_eq!(decode_idlist(IdListCodec::Delta, &enc), ids);

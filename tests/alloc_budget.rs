@@ -9,15 +9,21 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
-use xtwig::datagen::{generate_xmark, xmark_queries, XmarkConfig};
+use xtwig::datagen::{generate_dblp, generate_xmark, xmark_queries, DblpConfig, XmarkConfig};
 use xtwig::xml::XmlForest;
 
 struct Counting;
 
 thread_local! {
-    // Const-initialised, so reading it from inside the allocator never
+    // Const-initialised, so reading them from inside the allocator never
     // allocates; per thread, so parallel tests do not mix their counts.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -25,7 +31,7 @@ thread_local! {
 // thread-local `Cell` and is not touched by any allocation path.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's `layout` obligations pass through as is.
         unsafe { System.alloc(layout) }
     }
@@ -36,7 +42,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: `ptr` came from `System`, `layout` is the one it was
         // allocated with, and `new_size` is the caller's to vouch for.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -46,11 +52,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations (reallocations included) made by `f` on this thread.
-fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
+/// What `f` allocated on this thread: how many allocations
+/// (reallocations included) and how many bytes they asked for (a
+/// reallocation asks for its whole new size).
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, Alloc) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
+    let count = ALLOCATIONS.with(Cell::get) - before.0;
+    (out, Alloc { count, bytes: BYTES.with(Cell::get) - before.1 })
+}
+
+struct Alloc {
+    count: u64,
+    bytes: u64,
 }
 
 /// The constant part of the budget: step masks, probe keys and the
@@ -76,6 +90,7 @@ fn answering_a_twig_allocates_by_the_step_not_by_the_row() {
         for s in strategies {
             let (first, allocs) = allocations_of(|| engine.answer_compiled(&compiled, &plan, s));
             let (second, again) = allocations_of(|| engine.answer_compiled(&compiled, &plan, s));
+            let (allocs, again) = (allocs.count, again.count);
             assert_eq!(first.ids, second.ids);
             let rows = first.metrics.rows_fetched;
             if report {
@@ -94,5 +109,57 @@ fn answering_a_twig_allocates_by_the_step_not_by_the_row() {
             );
             assert!(again <= allocs, "{} under {}: second call {again} > first {allocs}", q.id, s);
         }
+    }
+}
+
+/// A join's right side is the rows its probe fetches, and it is never
+/// held: each match the leaf scan lends is looked up in the left rows and
+/// joined on the spot, so the bytes an answer asks for are bounded by a
+/// few bytes per fetched row (`per_row`), not by the 24–56 bytes a match
+/// written into the binding table takes.
+///
+/// Measured (bytes asked for / rows fetched): the DBLP join 5 608 / 2 587,
+/// Q15x 16 111 / 809. Q15x needs the wider budget because it keeps 63
+/// rows seven twig nodes wide between its joins — 72 bytes each, asked
+/// for twice over by the table's doubling — which no streaming of the
+/// right side removes. With the right sides held, the same two answers
+/// asked for 267 912 and 127 503 bytes.
+#[test]
+fn a_join_never_holds_its_right_side() {
+    let mut dblp = XmlForest::new();
+    generate_dblp(&mut dblp, DblpConfig { scale: 0.02, seed: 7 });
+    let mut xmark = XmlForest::new();
+    generate_xmark(&mut xmark, XmarkConfig { scale: 0.02, seed: 0xA0C });
+    let q15x = xmark_queries().into_iter().find(|q| q.id == "Q15x").expect("Q15x exists");
+    for (forest, xpath, per_row) in [
+        (&dblp, "/dblp/inproceedings[booktitle='Conference 7']/title", 8),
+        (&xmark, q15x.xpath, 32),
+    ] {
+        let engine = QueryEngine::build(
+            forest,
+            EngineOptions {
+                strategies: vec![Strategy::RootPaths],
+                pool_pages: 8192,
+                ..Default::default()
+            },
+        );
+        let twig = xtwig::parse_xpath(xpath).expect("well-formed");
+        let (compiled, plan) = engine.compile(&twig).expect("workload tags exist");
+        let answer = || engine.answer_compiled(&compiled, &plan, Strategy::RootPaths);
+        let warm = answer();
+        let (again, alloc) = allocations_of(answer);
+        assert_eq!(warm.ids, again.ids);
+        let rows = again.metrics.rows_fetched;
+        if std::env::var_os("ALLOC_BUDGET_REPORT").is_some() {
+            println!("{xpath}: rows {rows} allocs {} bytes {}", alloc.count, alloc.bytes);
+        }
+        assert!(rows >= 500, "{xpath}: {rows} fetched rows are too few to tell");
+        assert!(
+            alloc.bytes < per_row * rows,
+            "{xpath}: {} bytes allocated for {rows} fetched rows (budget {})",
+            alloc.bytes,
+            per_row * rows
+        );
+        assert!(alloc.count <= A + rows / 2, "{xpath}: {} allocations", alloc.count);
     }
 }

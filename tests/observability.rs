@@ -149,6 +149,9 @@ fn span_shape_is_stable_for_a_fixed_query() {
     let (_, other) = e2.answer_traced(&twig, Strategy::RootPaths);
     assert_eq!(first.shape(), other.shape(), "independent engine: shape changed");
 
+    // The `book` rows join the `author/fn` matches as the probe lends
+    // them; `runs=1` says the lookups merged in one ascending pass (one
+    // schema path, no restart).
     assert_eq!(
         first.shape(),
         "query(RP)\n\
@@ -156,7 +159,7 @@ fn span_shape_is_stable_for_a_fixed_query() {
          \u{20}\u{20}resolve(RP)\n\
          \u{20}\u{20}execute(RP)\n\
          \u{20}\u{20}\u{20}\u{20}step(#0 subpath 0 probe)\n\
-         \u{20}\u{20}\u{20}\u{20}step(#1 subpath 1 join)\n\
+         \u{20}\u{20}\u{20}\u{20}step(#1 subpath 1 join runs=1)\n\
          \u{20}\u{20}\u{20}\u{20}step(#2 subpath 2 semi-join)\n\
          \u{20}\u{20}\u{20}\u{20}materialize(output node 2)\n",
     );
@@ -368,7 +371,7 @@ fn sampled_request_executes_once_and_keeps_its_span_tree() {
             (0, "resolve RP"),
             (0, "execute RP"),
             (1, "step #0 subpath 0 probe"),
-            (1, "step #1 subpath 1 join"),
+            (1, "step #1 subpath 1 join runs=1"),
             (1, "step #2 subpath 2 semi-join"),
             (1, "materialize output node 2"),
         ]
