@@ -9,7 +9,8 @@
 //! * variable-length byte-string keys and values (composite keys are
 //!   produced by the order-preserving codec in `xtwig-rel`),
 //! * point lookups, inserts, deletes, range scans, and *prefix scans* —
-//!   the operation that makes reversed schema paths answer `//` queries,
+//!   the operation that makes reversed schema paths answer `//` queries —
+//!   whose visitor can jump forward past entries it has no use for,
 //! * shortest-separator prefix truncation in interior nodes (the analogue
 //!   of the key prefix compression the paper cites in DB2, §3.1), and
 //! * sorted bulk loading, used to build every index in one pass.
@@ -28,4 +29,4 @@ pub mod tree;
 
 pub use builder::bulk_build;
 pub use merge::{merge_sorted_runs, MergeRuns};
-pub use tree::{BTree, BTreeOptions, BTreeStats, RangeScan};
+pub use tree::{BTree, BTreeOptions, BTreeStats, RangeScan, Visit, Walk};

@@ -167,6 +167,28 @@ pub fn leaf_find(page: &[u8], key: &[u8]) -> Result<usize, usize> {
     Err(lo)
 }
 
+/// The first slot at or after `from` whose key is not below `key`, for a
+/// walk that is already at `from` and expects `key` nearby: steps of 1,
+/// 2, 4, … forward, then a binary search inside the last step.
+pub fn leaf_seek(page: &[u8], from: usize, key: &[u8]) -> usize {
+    let n = nslots(page);
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= n && leaf_key(page, lo + step - 1) < key {
+        lo += step;
+        step *= 2;
+    }
+    let mut hi = (lo + step).min(n);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if leaf_key(page, mid) < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 fn leaf_cell_size(klen: usize, vlen: usize) -> usize {
     4 + klen + vlen
 }
@@ -344,6 +366,23 @@ mod tests {
         assert_eq!(leaf_find(&p, b"mango"), Ok(1));
         assert_eq!(leaf_find(&p, b"banana"), Err(1));
         assert_eq!(leaf_find(&p, b"zzz"), Err(3));
+    }
+
+    #[test]
+    fn leaf_seek_finds_the_lower_bound_from_any_start() {
+        let mut p = page();
+        init_leaf(&mut p);
+        let keys: Vec<String> = (0..40).map(|i| format!("k{:03}", 2 * i)).collect();
+        for (i, k) in keys.iter().enumerate() {
+            assert!(leaf_insert_at(&mut p, i, k.as_bytes(), b""));
+        }
+        for from in 0..=keys.len() {
+            for probe in 0..82 {
+                let key = format!("k{probe:03}");
+                let want = keys.iter().position(|k| *k >= key).unwrap_or(keys.len()).max(from);
+                assert_eq!(leaf_seek(&p, from, key.as_bytes()), want, "from {from}, {key}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The B+-tree proper: lookups, inserts, deletes, range and prefix scans.
 //!
-//! Every read path shares one descent, `find_leaf`, which hands back
-//! the read guard of the leaf it lands on: a point lookup costs `height`
-//! page fetches, a scan `height` plus one per further leaf it visits.
-//! Scans come in two shapes over one leaf walk (`admitted_cells`):
-//! [`BTree::for_each_prefix`] lends each `(key, value)` cell to a visitor
-//! straight from the pinned leaf page — the form the index probes of
-//! `xtwig-core` consume, no allocation per entry, and the visitor ends
-//! the walk by answering [`ControlFlow::Break`] — and [`RangeScan`] is
+//! Every read path shares one descent, `descend`, which hands back the
+//! read guard of the leaf it lands on (and of that leaf's parent): a
+//! point lookup costs `height` page fetches, a scan `height` plus one per
+//! further leaf it visits. Scans come in two shapes over one leaf walk
+//! (`admitted_cells`): [`BTree::visit_prefix`] lends each `(key, value)`
+//! cell to a [`Visit`]or straight from the pinned leaf page — the form
+//! the index probes of `xtwig-core` consume, no allocation per entry; the
+//! visitor answers [`Walk::Stop`] to end the walk and [`Walk::Seek`] to
+//! jump forward past cells it has no use for, and a closure is a visitor
+//! that never seeks ([`BTree::for_each_prefix`]) — and [`RangeScan`] is
 //! the owned-iterator adapter for callers that want `(Vec<u8>, Vec<u8>)`
 //! pairs (builders, tests, the harness).
 
@@ -137,18 +139,28 @@ impl BTree {
     }
 
     /// Descends to the leaf that would contain `key` and returns it
-    /// still latched: each child is fetched while its parent's guard is
-    /// held, and the leaf's guard goes to the caller, so nothing on the
-    /// read path fetches the leaf a second time.
-    fn find_leaf(&self, key: &[u8]) -> (PageId, PageReadGuard<'_>) {
+    /// still latched, with its parent: each child is fetched while its
+    /// parent's guard is held, and both guards go to the caller, so
+    /// nothing on the read path fetches the leaf a second time.
+    fn descend(&self, key: &[u8]) -> Position<'_> {
         let mut pid = self.root;
         let mut page = self.pool.fetch(pid);
+        let mut parent = None;
         while !node::is_leaf(&page) {
             let idx = node::int_child_index(&page, key);
             pid = PageId(node::int_child_at(&page, idx));
-            page = self.pool.fetch(pid);
+            // The page above the one being left is let go first.
+            drop(parent.take());
+            let child = self.pool.fetch(pid);
+            parent = Some((std::mem::replace(&mut page, child), idx));
         }
-        (pid, page)
+        Position { parent, pid, leaf: page }
+    }
+
+    /// [`BTree::descend`] for readers of the leaf alone.
+    fn find_leaf(&self, key: &[u8]) -> (PageId, PageReadGuard<'_>) {
+        let Position { pid, leaf, .. } = self.descend(key);
+        (pid, leaf)
     }
 
     /// Point lookup.
@@ -355,25 +367,52 @@ impl BTree {
     }
 
     /// Calls `visit(key, value)` for every entry whose key starts with
-    /// `prefix`, in key order, until it answers [`ControlFlow::Break`] —
-    /// [`BTree::scan_prefix`] without the copies, and without the rest of
-    /// the range once the caller has what it came for. Both slices borrow
-    /// the pinned leaf page and are valid only for the call. One probe
-    /// fetches `height` pages plus one per further leaf it walks into,
-    /// and allocates nothing.
+    /// `prefix`, in key order, until it answers [`ControlFlow::Break`]:
+    /// [`BTree::visit_prefix`] with a visitor that never seeks.
     pub fn for_each_prefix(
         &self,
         prefix: &[u8],
-        mut visit: impl FnMut(&[u8], &[u8]) -> ControlFlow<()>,
+        visit: impl FnMut(&[u8], &[u8]) -> ControlFlow<()>,
     ) {
-        let (_, mut page) = self.find_leaf(prefix);
-        let (Ok(mut slot) | Err(mut slot)) = node::leaf_find(&page, prefix);
+        self.visit_prefix(prefix, visit);
+    }
+
+    /// The prefix walk: lends every entry whose key starts with `prefix`
+    /// to `visitor`, in key order — [`BTree::scan_prefix`] without the
+    /// copies — until it answers [`Walk::Stop`]. Both slices borrow the
+    /// pinned leaf page and are valid only for the call. One probe
+    /// fetches `height` pages plus one per further leaf it walks into,
+    /// and allocates nothing.
+    ///
+    /// A visitor that answers [`Walk::Seek`] is next lent the first entry
+    /// at or above its [`Visit::seek_key`], and the entries between are
+    /// never lent. The jump is served from the leaf the walk is in when
+    /// that leaf holds the key (no fetch), else from the child of the
+    /// leaf's parent whose separators bound it — the right sibling, or
+    /// one further along (one fetch) — else by one descent from the root
+    /// (`height` fetches).
+    pub fn visit_prefix(&self, prefix: &[u8], mut visitor: impl Visit) {
+        let mut at = self.descend(prefix);
+        let (Ok(mut slot) | Err(mut slot)) = node::leaf_find(&at.leaf, prefix);
         loop {
-            match admitted_cells(&page, slot, |k| k.starts_with(prefix), &mut visit) {
-                Some(next) => page = self.pool.fetch(next),
-                None => return,
+            match admitted_cells(&at.leaf, slot, |k| k.starts_with(prefix), &mut visitor) {
+                Exit::End => return,
+                Exit::Sibling(next) => {
+                    at.step_right(&self.pool, next);
+                    slot = 0;
+                }
+                Exit::Beyond => {
+                    let key = visitor.seek_key();
+                    if !at.step_within_parent(&self.pool, key) {
+                        // Both guards go before the descent, which may
+                        // latch the same pages again.
+                        drop(at);
+                        at = self.descend(key);
+                    }
+                    let (Ok(found) | Err(found)) = node::leaf_find(&at.leaf, key);
+                    slot = found;
+                }
             }
-            slot = 0;
         }
     }
 
@@ -456,30 +495,131 @@ impl ScanEnd {
     }
 }
 
-/// The leaf walk every scan shares: visits the cells of leaf `page` from
-/// `slot` on while `admits(key)` holds. Returns the right sibling to
-/// continue in, or `None` when the scan ended here — on a key that was
-/// not admitted, on the visitor's `Break`, or at the last leaf.
-fn admitted_cells(
-    page: &[u8],
-    slot: usize,
-    admits: impl Fn(&[u8]) -> bool,
-    mut visit: impl FnMut(&[u8], &[u8]) -> ControlFlow<()>,
-) -> Option<PageId> {
-    for i in slot..node::nslots(page) {
-        let (k, v) = node::leaf_cell(page, i);
-        if !admits(k) || visit(k, v).is_break() {
-            return None;
+/// What a prefix-walk visitor answers about the cell it was just lent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Lend the next cell.
+    Next,
+    /// End the walk.
+    Stop,
+    /// Lend next the first cell at or above [`Visit::seek_key`], a key
+    /// above the one just lent.
+    Seek,
+}
+
+/// The visitor of a prefix walk ([`BTree::visit_prefix`]).
+pub trait Visit {
+    /// Takes one cell, borrowed from the pinned leaf page, and says where
+    /// the walk goes next.
+    fn visit(&mut self, key: &[u8], value: &[u8]) -> Walk;
+
+    /// Where a [`Walk::Seek`] answer jumps to; read right after the
+    /// answer. Visitors that never seek keep the default.
+    fn seek_key(&self) -> &[u8] {
+        &[]
+    }
+}
+
+/// A closure answering [`ControlFlow`] is a visitor that never seeks.
+impl<F: FnMut(&[u8], &[u8]) -> ControlFlow<()>> Visit for F {
+    fn visit(&mut self, key: &[u8], value: &[u8]) -> Walk {
+        match self(key, value) {
+            ControlFlow::Continue(()) => Walk::Next,
+            ControlFlow::Break(()) => Walk::Stop,
         }
     }
+}
+
+/// Where a walk stands: its latched leaf and, while the walk is still
+/// among that parent's children, the latched parent it was reached from
+/// with the leaf's descend-index in it.
+struct Position<'t> {
+    parent: Option<(PageReadGuard<'t>, usize)>,
+    pid: PageId,
+    leaf: PageReadGuard<'t>,
+}
+
+impl<'t> Position<'t> {
+    /// Moves onto the leaf's right sibling `next`.
+    fn step_right(&mut self, pool: &'t BufferPool, next: PageId) {
+        // The sibling is the parent's next child unless the leaf was its last.
+        self.parent =
+            self.parent.take().filter(|(p, i)| *i < node::nslots(p)).map(|(p, i)| (p, i + 1));
+        self.leaf = pool.fetch(next);
+        self.pid = next;
+    }
+
+    /// Moves onto the parent's child that holds the first key at or
+    /// above `key`, which lies past every key of the leaf, when the
+    /// parent's separators bound `key` from above; false, and nothing
+    /// moved, when they do not.
+    fn step_within_parent(&mut self, pool: &'t BufferPool, key: &[u8]) -> bool {
+        let Some((parent, at)) = &mut self.parent else { return false };
+        let child = node::int_child_index(parent, key);
+        // The last child's upper bound is the parent's, which the parent
+        // does not know: the key may lie past it.
+        if child >= node::nslots(parent) {
+            return false;
+        }
+        // Below the leaf's own upper separator, the first key at or
+        // above `key` opens the right sibling.
+        *at = child.max(*at + 1);
+        self.pid = PageId(node::int_child_at(parent, *at));
+        self.leaf = pool.fetch(self.pid);
+        true
+    }
+}
+
+/// Where the leaf walk goes after a leaf.
+enum Exit {
+    /// The walk ended here: on a key that was not admitted, on the
+    /// visitor's [`Walk::Stop`], or at the last leaf.
+    End,
+    /// On into this right sibling.
+    Sibling(PageId),
+    /// The visitor seeks past every key of this leaf, and leaves follow.
+    Beyond,
+}
+
+/// The leaf walk every scan shares: visits the cells of leaf `page` from
+/// `slot` on while `admits(key)` holds, jumping forward inside the leaf
+/// when the visitor seeks a key it holds.
+fn admitted_cells(
+    page: &[u8],
+    mut slot: usize,
+    admits: impl Fn(&[u8]) -> bool,
+    visitor: &mut impl Visit,
+) -> Exit {
+    let n = node::nslots(page);
     let next = node::right_sibling(page);
-    (next != NO_PAGE).then_some(PageId(next))
+    while slot < n {
+        let (k, v) = node::leaf_cell(page, slot);
+        if !admits(k) {
+            return Exit::End;
+        }
+        match visitor.visit(k, v) {
+            Walk::Next => slot += 1,
+            Walk::Stop => return Exit::End,
+            Walk::Seek => {
+                debug_assert!(visitor.seek_key() > k, "a seek must move forward");
+                slot = node::leaf_seek(page, slot + 1, visitor.seek_key());
+                if slot == n && next != NO_PAGE {
+                    return Exit::Beyond;
+                }
+            }
+        }
+    }
+    if next == NO_PAGE {
+        Exit::End
+    } else {
+        Exit::Sibling(PageId(next))
+    }
 }
 
 /// Iterator over owned `(key, value)` pairs in key order — the adapter
 /// over the leaf walk for callers that keep what they read (builders,
 /// tests, the benchmark harness); index probes use
-/// [`BTree::for_each_prefix`] and copy nothing.
+/// [`BTree::visit_prefix`] and copy nothing.
 ///
 /// Buffers one leaf page at a time and the descent hands over the first
 /// leaf it landed on, so logical I/O is exactly one page fetch per
@@ -499,15 +639,14 @@ impl RangeScan<'_> {
     /// Buffers the admitted cells of one latched leaf from `slot` on.
     fn buffer_leaf(&mut self, page: &[u8], slot: usize) {
         let (end, buffer) = (&self.end, &mut self.buffer);
-        self.next = admitted_cells(
-            page,
-            slot,
-            |k| end.admits(k),
-            |k, v| {
-                buffer.push_back((k.to_vec(), v.to_vec()));
-                ControlFlow::Continue(())
-            },
-        );
+        let exit = admitted_cells(page, slot, |k| end.admits(k), &mut |k: &[u8], v: &[u8]| {
+            buffer.push_back((k.to_vec(), v.to_vec()));
+            ControlFlow::Continue(())
+        });
+        self.next = match exit {
+            Exit::Sibling(next) => Some(next),
+            Exit::End | Exit::Beyond => None,
+        };
     }
 
     fn fill(&mut self) {
@@ -835,5 +974,55 @@ mod tests {
             reads_of(&pool, || assert_eq!(t.scan_prefix(b"k00001").count(), visited)),
             reads
         );
+    }
+
+    /// Seeks from the first cell it is lent to `to`, then stops on the
+    /// cell it lands on.
+    struct SeekOnce<'a> {
+        to: &'a [u8],
+        seen: &'a mut Vec<Vec<u8>>,
+    }
+
+    impl Visit for SeekOnce<'_> {
+        fn visit(&mut self, key: &[u8], _: &[u8]) -> Walk {
+            self.seen.push(key.to_vec());
+            if self.seen.len() == 1 {
+                Walk::Seek
+            } else {
+                Walk::Stop
+            }
+        }
+
+        fn seek_key(&self) -> &[u8] {
+            self.to
+        }
+    }
+
+    #[test]
+    fn a_seek_fetches_nothing_in_the_leaf_one_page_under_the_parent_and_height_beyond() {
+        let (t, pool) = height3();
+        // `height3` inserts `k0000000, k0000001, …` in order, so the first
+        // leaf holds the first `n` keys and the one after it starts at `n`.
+        let n = node::nslots(&t.find_leaf(b"").1);
+        let key = |i: usize| format!("k{i:07}").into_bytes();
+        let last = t.len() as usize - 1;
+        for (to, extra) in [
+            (key(n / 2), 0),     // in the leaf the walk is in
+            (key(n), 1),         // the right sibling
+            (key(3 * n + 1), 1), // a later child of the same parent
+            (key(last), 3),      // past the parent: one descent from the root
+        ] {
+            let mut seen = Vec::new();
+            let reads =
+                reads_of(&pool, || t.visit_prefix(b"k", SeekOnce { to: &to, seen: &mut seen }));
+            let shown = String::from_utf8_lossy(&to);
+            assert_eq!(seen, [key(0), to.clone()], "seek to {shown}");
+            assert_eq!(reads, 3 + extra, "seek to {shown}");
+        }
+        // Past every key under the prefix: the walk ends on the first key
+        // that does not start with it.
+        let mut seen = Vec::new();
+        t.visit_prefix(b"k", SeekOnce { to: b"k9", seen: &mut seen });
+        assert_eq!(seen, [key(0)]);
     }
 }

@@ -23,15 +23,19 @@
 //!
 //! Stored IdLists exclude the head (Fig. 5); lookups re-attach it so
 //! every [`PathMatch`] has `tags`/`ids` aligned.
+//!
+//! The FreeIndex rows keep ROOTPATHS' run order, and with it the
+//! document-order bit that lets [`DataPaths::for_each_free`] seek past
+//! entries a caller has no use for (see [`crate::rootpaths`]).
 
 use crate::designator;
 use crate::family::{
-    BoundIndex, FamilyPosition, FreeIndex, IdListSublist, IndexedColumn, PathIndex, PathMatch,
-    PcSubpathQuery, SchemaPathSubset,
+    BoundIndex, FamilyPosition, Floor, FreeIndex, IdListSublist, IndexedColumn, PathIndex,
+    PathMatch, PcSubpathQuery, SchemaPathSubset,
 };
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::{for_each_root_path_in, for_each_subpath_in};
-use crate::rootpaths::{push_value_part, skip_value_part};
+use crate::rootpaths::{push_value_part, scan_entries, skip_value_part, DocumentOrder};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
@@ -59,6 +63,7 @@ pub struct DataPaths {
     idlist: IdListCodec,
     rows: u64,
     pruned: bool,
+    order: DocumentOrder,
 }
 
 impl DataPaths {
@@ -126,7 +131,8 @@ impl DataPaths {
         });
         let rows = runs.iter().map(|r| r.len() as u64).sum();
         let tree = bulk_build(pool, options.btree, merge_sorted_runs(runs));
-        DataPaths { tree, idlist: options.idlist, rows, pruned: filter.is_some() }
+        let order = DocumentOrder::of(forest);
+        DataPaths { tree, idlist: options.idlist, rows, pruned: filter.is_some(), order }
     }
 
     fn encode_row(
@@ -164,11 +170,21 @@ impl DataPaths {
         &self.tree
     }
 
+    /// True while the FreeIndex runs are in document order: set by the
+    /// build, cleared by the first [`DataPaths::insert_path`] that is not
+    /// appended (see [`crate::rootpaths`]), persisted with the index.
+    pub fn document_ordered(&self) -> bool {
+        self.order.ordered()
+    }
+
     /// Inserts the index entries for a new node whose full root path is
     /// `tags`/`ids` with optional leaf `value` (paper §7): one FreeIndex
     /// row (head 0) plus one BoundIndex row per ancestor position —
-    /// depth + 1 entries per value variant.
+    /// depth + 1 entries per value variant. Its ids are the caller's:
+    /// unless they append the path to the document order, the index
+    /// stops counting on that order.
     pub fn insert_path(&mut self, tags: &[TagId], ids: &[u64], value: Option<&str>) {
+        self.order.insert(ids);
         let mut add = |head: u64, t: &[TagId], full: &[u64], stored: &[u64], v: Option<&str>| {
             let (key, payload) = Self::encode_row(self.idlist, head, t, full, stored, v);
             self.tree.insert(&key, &payload);
@@ -238,46 +254,25 @@ impl DataPaths {
         key.finish()
     }
 
-    /// The one scan of this index, under both lookup kinds: decodes each
-    /// entry under `prefix` into `ids` (re-attaching `head` in front of
-    /// a BoundIndex row's stored list) and lends it to `sink` with the
-    /// undecoded entry key when it spans at least `min_len` steps, until
-    /// the sink answers `Break`.
-    fn scan(
-        &self,
-        prefix: &[u8],
-        head: u64,
-        min_len: usize,
-        ids: &mut Vec<u64>,
-        mut sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
-    ) {
-        self.tree.for_each_prefix(prefix, |key, payload| {
-            ids.clear();
-            if head != 0 {
-                ids.push(head);
-            }
-            codec::decode_idlist_into(self.idlist, payload, ids);
-            if ids.len() >= min_len {
-                sink(key, ids)
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-    }
-
     /// The streaming FreeIndex lookup: `sink(key, ids)` per match until
     /// it answers `Break`, `ids` decoded into the caller's reused
     /// buffer, `key` lent undecoded from the leaf page
     /// ([`FreeIndex::lookup_free`] is the collector that also decodes
-    /// the schema path out of it).
+    /// the schema path out of it). While the index is
+    /// [`DataPaths::document_ordered`], a [`Floor`] decides which entries
+    /// are sought past undecoded, as for
+    /// [`RootPaths::for_each_free`](crate::rootpaths::RootPaths::for_each_free).
+    /// Returns the seeks made.
     pub fn for_each_free(
         &self,
         q: &PcSubpathQuery,
         ids: &mut Vec<u64>,
+        floor: Option<Floor<'_>>,
         sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
-    ) {
+    ) -> u64 {
         let prefix = Self::probe_prefix(0, None, &q.tags, q.anchored, q.value.as_deref());
-        self.scan(&prefix, 0, 0, ids, sink);
+        let floor = floor.filter(|_| self.order.ordered());
+        scan_entries(&self.tree, &prefix, self.idlist, 0, 0, floor, ids, sink)
     }
 
     /// Prepares BoundIndex probes of the pattern `tags` (a child chain
@@ -309,7 +304,7 @@ impl DataPaths {
         sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
     ) {
         codec::set_u64(&mut probe.key, 0, head);
-        self.scan(&probe.key, head, probe.min_len, ids, sink);
+        scan_entries(&self.tree, &probe.key, self.idlist, head, probe.min_len, None, ids, sink);
     }
 
     /// Collects one lent entry as a [`PathMatch`], decoding its schema
@@ -335,6 +330,7 @@ impl DataPaths {
         crate::persist::write_codec(w, self.idlist);
         w.push_bool(self.pruned);
         w.push_u64(self.rows);
+        self.order.write(w);
         crate::persist::write_tree_meta(w, &self.tree);
     }
 
@@ -346,8 +342,9 @@ impl DataPaths {
         let idlist = crate::persist::read_codec(r)?;
         let pruned = r.bool()?;
         let rows = r.u64()?;
+        let order = DocumentOrder::read(r)?;
         let tree = crate::persist::read_tree_meta(r, pool)?;
-        Ok(DataPaths { tree, idlist, rows, pruned })
+        Ok(DataPaths { tree, idlist, rows, pruned, order })
     }
 }
 
@@ -376,7 +373,7 @@ impl PathIndex for DataPaths {
 impl FreeIndex for DataPaths {
     fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
         let mut out = Vec::new();
-        self.for_each_free(q, &mut Vec::new(), |key, ids| {
+        self.for_each_free(q, &mut Vec::new(), None, |key, ids| {
             out.push(Self::collect(0, key, ids));
             ControlFlow::Continue(())
         });

@@ -17,7 +17,10 @@
 //! holds its right side: each match the probe lends is looked up in the
 //! rows so far as it arrives, through a merge cursor that walks forward
 //! while the ids ascend, and only rows that found a partner are written.
-//! A branch that only filters stops its probe once every row is proven.
+//! A join keyed on one id also leapfrogs through ROOTPATHS and DATAPATHS:
+//! the scan seeks past the index entries below the cursor's next key
+//! without decoding them. A branch that only filters stops its probe
+//! once every row is proven.
 //! (The §6 structural join, an option, is the one join that collects its
 //! matches first.)
 //!
@@ -36,7 +39,7 @@ use crate::datapaths::{DataPaths, DataPathsOptions};
 use crate::decompose::{decompose, CompiledTwig, SubpathSpec, UnknownTag};
 use crate::edge::EdgeTable;
 use crate::fabric::IndexFabric;
-use crate::family::{value_needs_recheck, PathIndex, PathMatch, PcSubpathQuery};
+use crate::family::{value_needs_recheck, Floor, PathIndex, PathMatch, PcSubpathQuery};
 use crate::joinindex::JoinIndices;
 use crate::parallel::ShardPlan;
 use crate::paths::PathStats;
@@ -44,6 +47,7 @@ use crate::plan::{choose_plan, JoinHow, Method, PlanKind, ProbeSpec, QueryPlan};
 use crate::rootpaths::{RootPaths, RootPathsOptions};
 use crate::table::{distinct_keys, key_runs, run_of, AncList, BindingTable, MergeCursor, UNBOUND};
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -104,7 +108,8 @@ impl Default for EngineOptions {
 pub struct QueryMetrics {
     /// Index probes issued (every B+-tree lookup counts as one).
     pub probes: u64,
-    /// Match rows fetched from indexes.
+    /// Match rows fetched from indexes: the entries whose IdLists were
+    /// decoded. Entries a join sought past undecoded are not fetched.
     pub rows_fetched: u64,
     /// Buffer-pool page requests during the query.
     pub logical_reads: u64,
@@ -951,7 +956,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 (t.begin("step", ""), self.snapshot(strategy), cx.io.probes, cx.io.rows_fetched)
             });
             let how;
-            let (mut repriced, mut runs) = (None, None);
+            let (mut repriced, mut runs, mut seeks) = (None, None, 0);
             if i == 0 {
                 self.probe_free(strategy, sp, interior_needed(sp), &masks, cx);
                 std::mem::swap(&mut cx.rows, &mut cx.fresh);
@@ -1011,7 +1016,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     how = "join";
                 } else {
                     let keep_anc = masks.keep_anc_after(i);
-                    let merged = self.stream_join(
+                    let (merged, sought) = self.stream_join(
                         strategy,
                         sp,
                         interior_needed(sp),
@@ -1023,6 +1028,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     );
                     how = if semi { "semi-join" } else { "join" };
                     runs = (!semi).then_some(merged);
+                    seeks = sought;
                 }
             }
             // Early projection + duplicate elimination: existence
@@ -1048,6 +1054,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     // One run per schema path when the join merged; one
                     // per match when it searched.
                     detail.push_str(&format!(" runs={runs}"));
+                }
+                if seeks > 0 {
+                    // Index entries the join jumped past undecoded.
+                    detail.push_str(&format!(" seeks={seeks}"));
                 }
                 if let (Some(ran), Some(planned)) = (repriced, step.price) {
                     // What the run-time pricing saw against what the
@@ -1096,14 +1106,19 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// Edge-family evaluators build their matches by walking and feed
     /// the same sink from them. Long values are rechecked before a match
     /// is lent.
+    ///
+    /// ROOTPATHS and DATAPATHS in document order seek past the entries
+    /// below the id a `floor` answers: those are neither decoded nor
+    /// fetched. Returns the seeks made.
     fn scan_subpath(
         &self,
         strategy: Strategy,
         sp: &SubpathSpec,
         interior: bool,
         io: &mut ProbeIo,
+        floor: Option<Floor<'_>>,
         mut sink: impl FnMut(&[u64], &[usize], &[u64]) -> ControlFlow<()>,
-    ) {
+    ) -> u64 {
         let ProbeIo { ids: ids_buf, probes, rows_fetched } = io;
         let (q, nodes) = (&sp.q, sp.nodes.as_slice());
         let recheck = q.value.as_deref().filter(|v| value_needs_recheck(v));
@@ -1126,12 +1141,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             Strategy::RootPaths => {
                 *probes += 1;
                 let (rp, _) = self.rp.as_ref().expect("ROOTPATHS not built");
-                rp.for_each_free(q, ids_buf, |_key, ids| lend(ids));
+                return rp.for_each_free(q, ids_buf, floor, |_key, ids| lend(ids));
             }
             Strategy::DataPaths => {
                 *probes += 1;
                 let (dp, _) = self.dp.as_ref().expect("DATAPATHS not built");
-                dp.for_each_free(q, ids_buf, |_key, ids| lend(ids));
+                return dp.for_each_free(q, ids_buf, floor, |_key, ids| lend(ids));
             }
             Strategy::Asr => {
                 let (asr, _) = self.asr.as_ref().expect("ASR not built");
@@ -1148,6 +1163,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             Strategy::JoinIndex => lend_all(self.eval_join_index(q, interior)),
             Strategy::Auto => unreachable!("Auto resolves before execution"),
         }
+        0
     }
 
     /// Writes the matches of one PCsubpath into `cx.fresh` as binding
@@ -1166,7 +1182,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let full_root = lists_full_roots(strategy);
         let Exec { fresh, arena, io, .. } = cx;
         fresh.clear();
-        self.scan_subpath(strategy, sp, interior, io, |above, nodes, m| {
+        self.scan_subpath(strategy, sp, interior, io, None, |above, nodes, m| {
             let (bind, anc) = fresh.push_unbound();
             for (&node, &id) in nodes.iter().zip(m) {
                 bind[node] = id;
@@ -1343,8 +1359,19 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     ///
     /// The lookups go through merge cursors, one per key position of a
     /// match: RP/DP/ASR lend ids in ascending order within each schema
-    /// path, so the join merges, restarting once per path. Returns the
-    /// runs it merged — one more than the number of restarts.
+    /// path, so the join merges, restarting once per path.
+    ///
+    /// A join keyed on one id the match binds (`SharedNode`,
+    /// `DescendantBound`) also leapfrogs through a document-ordered
+    /// ROOTPATHS or DATAPATHS index: no id of an entry exceeds its last
+    /// one, and within a run the key id only rises, so an entry whose
+    /// last id is below the cursor's next left key cannot match any key
+    /// not yet passed, and the scan seeks to the first entry that can.
+    /// Before it skips through a run it has not skipped through yet, the
+    /// cursor rewinds: what it passed may belong to the runs before.
+    ///
+    /// Returns the runs it merged — one more than the number of
+    /// restarts — and the seeks the scan made.
     #[allow(clippy::too_many_arguments)]
     fn stream_join(
         &self,
@@ -1356,7 +1383,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         keep_anc: &[bool],
         masks: &StepMasks,
         cx: &mut Exec<'_>,
-    ) -> u64 {
+    ) -> (u64, u64) {
         let Exec { rows, out, arena, io, keys, marks, walked, cursors, .. } = cx;
         let left = &*rows;
         if let JoinHow::DescendantBound { seg_root, .. } = how {
@@ -1369,17 +1396,38 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             }
             keys.sort_unstable();
         }
+        let keys = &**keys;
         out.clear();
         marks.clear();
         marks.resize(if semi { left.len() } else { 0 }, false);
         let mut unproven = Unproven { marks, left: left.len() };
-        let mut cursor = MergeCursor::default();
+        // Read by the scan's floor before an entry is decoded, and moved
+        // by the sink after: shared by both.
+        let cursor = Cell::new(MergeCursor::default());
+        let mut floor = |new_run: bool| {
+            let mut c = cursor.get();
+            if new_run {
+                c.rewind();
+                cursor.set(c);
+            }
+            c.floor(keys)
+        };
+        let floor: Option<Floor<'_>> = match how {
+            JoinHow::AncestorOf { .. } => None,
+            JoinHow::SharedNode { .. } | JoinHow::DescendantBound { .. } => Some(&mut floor),
+        };
+        let run = |key: u64| {
+            let mut c = cursor.get();
+            let run = c.run(keys, key);
+            cursor.set(c);
+            run
+        };
         cursors.clear();
         // Ancestors an index entry does not list are recovered per match;
         // the walks they cost are probes.
         let mut walks = 0;
         let full_root = lists_full_roots(strategy);
-        self.scan_subpath(strategy, sp, interior, io, |above, nodes, m| {
+        let seeks = self.scan_subpath(strategy, sp, interior, io, floor, |above, nodes, m| {
             let bound_to = |node: usize| nodes.iter().position(|&n| n == node).map(|at| m[at]);
             // The ancestor list a joined row captures from this match,
             // stored on its first partner.
@@ -1409,7 +1457,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                         })
                     };
                     if let Some(key) = bound_to(*deepest) {
-                        for &(_, i) in cursor.run(keys, key) {
+                        for &(_, i) in run(key) {
                             if consistent(i) {
                                 partner(i);
                             }
@@ -1436,7 +1484,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 }
                 JoinHow::DescendantBound { upper, .. } => {
                     if let Some(key) = bound_to(*upper) {
-                        for &(_, i) in cursor.run(keys, key) {
+                        for &(_, i) in run(key) {
                             partner(i);
                         }
                     }
@@ -1454,7 +1502,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         } else {
             std::mem::swap(rows, out);
         }
-        1 + cursor.restarts + cursors.iter().map(|c| c.restarts).sum::<u64>()
+        let restarts = cursor.get().restarts + cursors.iter().map(|c| c.restarts).sum::<u64>();
+        (1 + restarts, seeks)
     }
 
     /// Stitches the ancestor-descendant edge `upper // seg_root` with the
@@ -1895,7 +1944,7 @@ mod tests {
                 // walks included, one per walked step.
                 let (mut io, mut walks, mut walked) = (ProbeIo::default(), 0, Vec::new());
                 e.drain_baseline_counters(strategy);
-                e.scan_subpath(strategy, sp, interior, &mut io, |_, _, m| {
+                e.scan_subpath(strategy, sp, interior, &mut io, None, |_, _, m| {
                     if kind == "AncestorOf" && !lists_full_roots(strategy) {
                         walked.clear();
                         e.recover_ancestors(m[0], &mut walked, &mut walks);
@@ -1905,6 +1954,67 @@ mod tests {
                 let probes = io.probes + walks + e.drain_baseline_counters(strategy);
                 assert_eq!(span.counters.rows, io.rows_fetched, "{xpath} via {strategy}: rows");
                 assert_eq!(span.counters.probes, probes, "{xpath} via {strategy}: probes");
+            }
+        }
+    }
+
+    /// Twelve books titled alike, one author each: all named `doe`, two
+    /// of them `john`.
+    fn twelve_books() -> XmlForest {
+        let mut f = XmlForest::new();
+        for i in 0..12 {
+            let mut b = f.builder();
+            b.open("book");
+            b.leaf("title", "XML");
+            b.open("author");
+            b.leaf("fn", if i % 6 == 3 { "john" } else { "jane" });
+            b.leaf("ln", "doe");
+            b.leaf("nickname", "nick");
+            b.close();
+            b.close();
+            b.finish();
+        }
+        f
+    }
+
+    #[test]
+    fn joins_on_one_id_seek_past_the_entries_no_row_can_match() {
+        // Two rows against twelve entries: past the first `john`, the
+        // entries of the books before the second are sought past.
+        let f = twelve_books();
+        let e = engine(&f);
+        for (xpath, kind, how) in [
+            ("//author[fn = 'john']/ln", "SharedNode", "join runs="),
+            ("//author[fn = 'john'][ln = 'doe']", "SharedNode", "semi-join"),
+            ("/book[title = 'XML']//author[fn = 'john']/nickname", "DescendantBound", "semi-join"),
+        ] {
+            let twig = parse_xpath(xpath).unwrap();
+            check_every_way(&e, &twig);
+            let expected: BTreeSet<u64> =
+                naive::select(&f, &twig).into_iter().map(|n| n.0).collect();
+            let (compiled, plan) = e.compile(&twig).unwrap();
+            let (i, step) = plan
+                .steps
+                .iter()
+                .enumerate()
+                .find(|(_, step)| format!("{:?}", step.join).contains(kind))
+                .unwrap_or_else(|| panic!("{xpath}: no {kind} step in {plan:?}"));
+            for strategy in [Strategy::RootPaths, Strategy::DataPaths] {
+                let mut trace = Trace::new();
+                let forced = Forced { bound_steps: 0, full_joins: false };
+                let mut cx =
+                    Exec { forced: Some(forced), trace: Some(&mut trace), ..Exec::default() };
+                assert_eq!(e.execute(&compiled, &plan, strategy, &mut cx), expected, "{xpath}");
+                let spans: Vec<_> =
+                    trace.spans().into_iter().filter(|span| span.name == "step").collect();
+                let detail = &spans[i].detail;
+                let streamed = format!("#{i} subpath {} {how}", step.subpath);
+                assert!(detail.starts_with(&streamed), "{xpath} via {strategy}: {spans:?}");
+                let seeks = detail
+                    .split(" seeks=")
+                    .nth(1)
+                    .and_then(|rest| rest.split_whitespace().next()?.parse::<u64>().ok());
+                assert!(seeks > Some(0), "{xpath} via {strategy}: {detail}");
             }
         }
     }

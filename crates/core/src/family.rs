@@ -171,6 +171,15 @@ impl PathMatch {
     }
 }
 
+/// What the caller of a streaming free lookup of ROOTPATHS or DATAPATHS
+/// answers before an entry's IdList is decoded: the least last node id
+/// still worth lending in the entry's run (one value and one schema
+/// path). The entries below it are sought past, never decoded (see
+/// [`crate::rootpaths`]). It is asked with `true` before the scan would
+/// skip through a run it has not skipped through yet: the caller then
+/// starts over, answering for that run alone.
+pub type Floor<'a> = &'a mut dyn FnMut(bool) -> u64;
+
 /// Metadata shared by every family member.
 pub trait PathIndex {
     /// Display name (matches the paper's abbreviations: RP, DP, …).

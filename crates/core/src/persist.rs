@@ -60,7 +60,9 @@ use xtwig_xml::{TagId, XmlForest};
 
 /// On-disk format version; bumped on any layout change so stale files
 /// fail fast with [`OpenError::VersionMismatch`] instead of misparsing.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 added the document-order bit to the ROOTPATHS and DATAPATHS
+/// catalog entries.
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"XTWIGIDX";
 

@@ -19,10 +19,25 @@
 //! pattern (`/a/b`) includes it (exact path match), a `//`-headed pattern
 //! omits it (pure prefix probe = suffix match on the forward path).
 //! Entry payload: the delta-encoded IdList (paper §4.1).
+//!
+//! The entries of one *run* — one value and one full schema path, the
+//! key bytes before the uniquifier — sort by their last node id. Under
+//! pre-order ids, every IdList position then ascends with it too (two
+//! nodes at one depth have their ancestors at each depth in the same
+//! order), and no position exceeds it. A lookup whose caller wants only
+//! entries binding some position at or above an id `t` can therefore
+//! seek past every entry of the run whose last id is below `t` without
+//! decoding it ([`RootPaths::for_each_free`]). That holds for every
+//! built index. An inserted path carries ids of the client's choosing,
+//! and it keeps the order only when it is *appended*: its ids ascend and
+//! each is at or past the largest id at its depth, so it sorts last in
+//! its run and above every entry there at every position. Any other
+//! insert clears the index's `document_ordered` bit, and the lookups
+//! stop skipping.
 
 use crate::designator;
 use crate::family::{
-    value_key_prefix, FamilyPosition, FreeIndex, IdListSublist, IndexedColumn, PathIndex,
+    value_key_prefix, FamilyPosition, Floor, FreeIndex, IdListSublist, IndexedColumn, PathIndex,
     PathMatch, PcSubpathQuery, SchemaPathSubset,
 };
 use crate::parallel::{map_shards, ShardPlan};
@@ -30,7 +45,7 @@ use crate::paths::for_each_root_path_in;
 use crate::persist;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
+use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, Visit, Walk};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, XmlForest};
@@ -69,6 +84,67 @@ pub struct RootPaths {
     idlist: IdListCodec,
     keep: IdListKeep,
     rows: u64,
+    order: DocumentOrder,
+}
+
+/// Whether the runs of a path index are in document order (see the
+/// module docs), and the frontier an inserted path must reach to keep
+/// them so.
+#[derive(Debug, Clone)]
+pub(crate) struct DocumentOrder {
+    ordered: bool,
+    /// `frontier[d]`: the largest id at depth `d + 1` (document roots
+    /// are at depth 1) the index has held.
+    frontier: Vec<u64>,
+}
+
+impl DocumentOrder {
+    /// A built index's: ordered, at the forest's frontier.
+    pub(crate) fn of(forest: &XmlForest) -> Self {
+        let mut frontier = Vec::new();
+        // In pre-order, the last node met at a depth is its largest.
+        for node in forest.iter_nodes() {
+            let depth = forest.depth(node) - 1;
+            if frontier.len() <= depth {
+                frontier.resize(depth + 1, 0);
+            }
+            frontier[depth] = node.0;
+        }
+        DocumentOrder { ordered: true, frontier }
+    }
+
+    pub(crate) fn ordered(&self) -> bool {
+        self.ordered
+    }
+
+    /// Records an inserted root path `ids`, which keeps the index ordered
+    /// only when it is appended.
+    pub(crate) fn insert(&mut self, ids: &[u64]) {
+        let appended = ids.windows(2).all(|w| w[0] < w[1])
+            && ids.iter().zip(&self.frontier).all(|(id, last)| id >= last);
+        self.ordered &= appended;
+        for (depth, &id) in ids.iter().enumerate() {
+            match self.frontier.get_mut(depth) {
+                Some(last) => *last = (*last).max(id),
+                None => self.frontier.push(id),
+            }
+        }
+    }
+
+    pub(crate) fn write(&self, w: &mut persist::ByteWriter) {
+        w.push_bool(self.ordered);
+        w.push_u32(self.frontier.len() as u32);
+        for &id in &self.frontier {
+            w.push_u64(id);
+        }
+    }
+
+    pub(crate) fn read(r: &mut persist::ByteReader<'_>) -> Result<Self, persist::FormatError> {
+        let ordered = r.bool()?;
+        let depths = r.u32()?;
+        let frontier = (0..depths).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        Ok(DocumentOrder { ordered, frontier })
+    }
 }
 
 /// Encodes the `LeafValue` key component.
@@ -86,6 +162,92 @@ pub(crate) fn push_value_part(key: &mut KeyBuf, value: Option<&str>) {
 /// Position just past the `LeafValue` component at `pos`.
 pub(crate) fn skip_value_part(bytes: &[u8], pos: usize) -> usize {
     codec::dec_null(bytes, pos).unwrap_or_else(|| codec::skip_str(bytes, pos))
+}
+
+/// The one leaf walk of both path indexes: decodes the IdList of each
+/// entry under `prefix` into `ids` — behind `head` unless that is the
+/// virtual root 0 — and lends it with the undecoded entry key to `sink`
+/// when it spans at least `min_len` steps, until `sink` answers `Break`.
+/// A `floor`, which the caller may pass only for an index in document
+/// order (see the module docs), decides which entries are sought past
+/// undecoded. Returns the seeks made.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scan_entries(
+    tree: &BTree,
+    prefix: &[u8],
+    idlist: IdListCodec,
+    head: u64,
+    min_len: usize,
+    floor: Option<Floor<'_>>,
+    ids: &mut Vec<u64>,
+    mut sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
+) -> u64 {
+    let lend = |key: &[u8], payload: &[u8]| {
+        ids.clear();
+        if head != 0 {
+            ids.push(head);
+        }
+        codec::decode_idlist_into(idlist, payload, ids);
+        if ids.len() < min_len {
+            return ControlFlow::Continue(());
+        }
+        sink(key, ids)
+    };
+    // A scan that cannot seek walks with the closure alone: the visitor
+    // that can costs a few per cent on a scan that never does.
+    let Some(floor) = floor else {
+        tree.for_each_prefix(prefix, lend);
+        return 0;
+    };
+    let mut seeks = 0;
+    tree.visit_prefix(prefix, Leapfrog { floor, lend, run: Vec::new(), seeks: &mut seeks });
+    seeks
+}
+
+/// [`scan_entries`]' visitor for a scan with a floor: `lend` decodes and
+/// lends the entries the floor lets through.
+struct Leapfrog<'f, 's, L> {
+    floor: Floor<'f>,
+    lend: L,
+    /// The key bytes of the run the floor last started over for, then
+    /// the uniquifier sought.
+    run: Vec<u8>,
+    seeks: &'s mut u64,
+}
+
+impl<L: FnMut(&[u8], &[u8]) -> ControlFlow<()>> Visit for Leapfrog<'_, '_, L> {
+    fn visit(&mut self, key: &[u8], payload: &[u8]) -> Walk {
+        // The uniquifier is the key's last component, a u64.
+        let at = key.len() - 9;
+        let (last, _) = codec::dec_u64(key, at);
+        if self.run.is_empty() {
+            // The scan's first run: the floor has seen nothing before it.
+            self.run.extend_from_slice(key);
+        }
+        let mut floor = (self.floor)(false);
+        // A floor that has seen the lends of an earlier run may lie past
+        // keys this run still binds: before skipping through a new run,
+        // the floor starts over for it. Entries lent before that are
+        // merged as they come, so runs are only compared here.
+        if last < floor && (self.run.len() != key.len() || self.run[..at] != key[..at]) {
+            self.run.clear();
+            self.run.extend_from_slice(key);
+            floor = (self.floor)(true);
+        }
+        if last < floor {
+            codec::set_u64(&mut self.run, at, floor);
+            *self.seeks += 1;
+            return Walk::Seek;
+        }
+        match (self.lend)(key, payload) {
+            ControlFlow::Continue(()) => Walk::Next,
+            ControlFlow::Break(()) => Walk::Stop,
+        }
+    }
+
+    fn seek_key(&self) -> &[u8] {
+        &self.run
+    }
 }
 
 impl RootPaths {
@@ -125,12 +287,21 @@ impl RootPaths {
         });
         let rows = runs.iter().map(|r| r.len() as u64).sum();
         let tree = bulk_build(pool, options.btree, merge_sorted_runs(runs));
-        RootPaths { tree, idlist: options.idlist, keep: options.keep, rows }
+        let order = DocumentOrder::of(forest);
+        RootPaths { tree, idlist: options.idlist, keep: options.keep, rows, order }
     }
 
     /// Number of stored rows (structural + valued).
     pub fn rows(&self) -> u64 {
         self.rows
+    }
+
+    /// True while every run of entries is in document order (see the
+    /// module docs): set by the build, cleared by the first
+    /// [`RootPaths::insert_path`] that is not appended, persisted with
+    /// the index.
+    pub fn document_ordered(&self) -> bool {
+        self.order.ordered()
     }
 
     /// The underlying tree (benchmarks read its shape).
@@ -157,17 +328,19 @@ impl RootPaths {
     /// leaf page, left undecoded (an IdList is as long as its schema
     /// path; [`FreeIndex::lookup_free`] is the collector that also
     /// decodes the path out of the key).
+    ///
+    /// While the index is [`RootPaths::document_ordered`], a [`Floor`]
+    /// decides which entries are sought past, never decoded. Returns the
+    /// seeks made.
     pub fn for_each_free(
         &self,
         q: &PcSubpathQuery,
         ids: &mut Vec<u64>,
-        mut sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
-    ) {
-        self.tree.for_each_prefix(&self.probe_prefix(q), |key, payload| {
-            ids.clear();
-            codec::decode_idlist_into(self.idlist, payload, ids);
-            sink(key, ids)
-        });
+        floor: Option<Floor<'_>>,
+        sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
+    ) -> u64 {
+        let floor = floor.filter(|_| self.order.ordered());
+        scan_entries(&self.tree, &self.probe_prefix(q), self.idlist, 0, 0, floor, ids, sink)
     }
 
     /// The stored IdList sublist.
@@ -178,8 +351,11 @@ impl RootPaths {
     /// Inserts the index entries for a new node whose root path is
     /// `tags`/`ids` with optional leaf `value` (paper §7: updating
     /// ROOTPATHS requires one entry per new prefix — the caller invokes
-    /// this once per inserted node).
+    /// this once per inserted node). Its ids are the caller's: unless
+    /// they append the path to the document order, the index stops
+    /// counting on that order.
     pub fn insert_path(&mut self, tags: &[TagId], ids: &[u64], value: Option<&str>) {
+        self.order.insert(ids);
         let payload = codec::encode_idlist(self.idlist, ids);
         let mut key = KeyBuf::new();
         push_value_part(&mut key, None);
@@ -231,7 +407,8 @@ impl RootPaths {
 
 impl RootPaths {
     /// Writes the catalog metadata a reopen needs (see
-    /// [`crate::persist`]): codecs, row count, and the tree's shape.
+    /// [`crate::persist`]): codecs, row count, the document order, and
+    /// the tree's shape.
     pub(crate) fn write_meta(&self, w: &mut persist::ByteWriter) {
         persist::write_codec(w, self.idlist);
         w.push_u8(match self.keep {
@@ -239,6 +416,7 @@ impl RootPaths {
             IdListKeep::LastOnly => 1,
         });
         w.push_u64(self.rows);
+        self.order.write(w);
         persist::write_tree_meta(w, &self.tree);
     }
 
@@ -254,8 +432,9 @@ impl RootPaths {
             b => return persist::format_err(format!("unknown IdList sublist {b}")),
         };
         let rows = r.u64()?;
+        let order = DocumentOrder::read(r)?;
         let tree = persist::read_tree_meta(r, pool)?;
-        Ok(RootPaths { tree, idlist, keep, rows })
+        Ok(RootPaths { tree, idlist, keep, rows, order })
     }
 }
 
@@ -280,7 +459,7 @@ impl PathIndex for RootPaths {
 impl FreeIndex for RootPaths {
     fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
         let mut out = Vec::new();
-        self.for_each_free(q, &mut Vec::new(), |key, ids| {
+        self.for_each_free(q, &mut Vec::new(), None, |key, ids| {
             let (tags, _) = designator::decode_path_reversed(key, skip_value_part(key, 0));
             debug_assert!(self.keep == IdListKeep::LastOnly || tags.len() == ids.len());
             out.push(PathMatch { head: 0, tags, ids: ids.to_vec() });
@@ -439,6 +618,48 @@ mod tests {
         assert_eq!(last_ids(&full_ms), last_ids(&pruned_ms));
         assert!(pruned_ms.iter().all(|m| m.ids.len() == 1), "only the leaf id remains");
         assert!(full_ms.iter().all(|m| m.ids.len() == 4), "full index keeps the chain");
+    }
+
+    #[test]
+    fn only_an_appended_path_keeps_the_document_order() {
+        let f = fig1_book_document();
+        let built = DocumentOrder::of(&f);
+        assert!(built.ordered);
+        // One document: its root is the largest id at depth 1, and the
+        // frontier is the last node at each depth.
+        assert_eq!(built.frontier[0], 1);
+        for depth in 1..=built.frontier.len() {
+            let last = f.iter_nodes().filter(|&n| f.depth(n) == depth).last().unwrap();
+            assert_eq!(built.frontier[depth - 1], last.0, "depth {depth}");
+        }
+        let appended = |order: &DocumentOrder, ids: &[u64]| {
+            let mut order = order.clone();
+            order.insert(ids);
+            order
+        };
+        let past = built.frontier.iter().max().unwrap() + 1;
+        // Past the frontier at every depth, deeper than any node so far:
+        // appended, and the frontier moves with it.
+        let grown = appended(&built, &[1, past, past + 1, past + 2, past + 3, past + 4, past + 5]);
+        assert!(grown.ordered);
+        assert_eq!(grown.frontier.len(), 7);
+        assert_eq!(grown.frontier[1], past);
+        // An existing ancestor that is not the last at its depth, ids that
+        // do not ascend, or ids behind the moved frontier: not appended.
+        assert!(!appended(&built, &[1, 5, past]).ordered);
+        assert!(!appended(&built, &[1, past + 1, past]).ordered);
+        assert!(!appended(&grown, &[1, past - 1]).ordered);
+        // Once cleared, it stays cleared; the frontier survives the
+        // catalog codec either way.
+        let cleared = appended(&appended(&built, &[1, 5, past]), &[1, past + 9]);
+        assert!(!cleared.ordered);
+        for order in [&built, &grown, &cleared] {
+            let mut w = persist::ByteWriter::new();
+            order.write(&mut w);
+            let bytes = w.finish();
+            let read = DocumentOrder::read(&mut persist::ByteReader::new(&bytes)).unwrap();
+            assert_eq!((read.ordered, &read.frontier), (order.ordered, &order.frontier));
+        }
     }
 
     #[test]

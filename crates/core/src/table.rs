@@ -264,6 +264,21 @@ impl MergeCursor {
         let rest = &keys[self.at..];
         &rest[..rest.iter().take_while(|&&(k, _)| k == key).count()]
     }
+
+    /// The least key a call that does not go below the previous key can
+    /// still find a run for: the key at the cursor, `u64::MAX` once the
+    /// cursor has passed every pair. A stream that only ascends can skip
+    /// every key below it.
+    pub fn floor(&self, keys: &[(u64, usize)]) -> u64 {
+        keys.get(self.at).map_or(u64::MAX, |&(k, _)| k)
+    }
+
+    /// Starts over from the smallest key, for a caller that knows its
+    /// stream begins a new ascending run. Not counted as a restart: a
+    /// key below the previous one after it no longer is one.
+    pub fn rewind(&mut self) {
+        *self = MergeCursor { restarts: self.restarts, ..MergeCursor::default() };
+    }
 }
 
 /// The first position at or after `from` whose key is not below `key`,
@@ -485,7 +500,70 @@ mod tests {
         assert_eq!(c.restarts, 1);
     }
 
+    #[test]
+    fn the_floor_is_the_key_at_the_cursor_and_a_rewind_starts_over() {
+        let keys = [(2, 1), (4, 0), (4, 2), (7, 3), (9, 4)];
+        let mut c = MergeCursor::default();
+        // Fresh: nothing passed, the smallest key is the floor.
+        assert_eq!(c.floor(&keys), 2);
+        // A hit leaves the cursor on its run: the same key may come again.
+        c.run(&keys, 4);
+        assert_eq!(c.floor(&keys), 4);
+        // A miss moves it to the next key up.
+        assert!(c.run(&keys, 5).is_empty());
+        assert_eq!(c.floor(&keys), 7);
+        // Past the last pair nothing is left to find.
+        assert!(c.run(&keys, 10).is_empty());
+        assert_eq!(c.floor(&keys), u64::MAX);
+        // A rewind starts over at the smallest key, and the keys of the
+        // run that follows merge from there: none of it counts as a
+        // restart.
+        c.rewind();
+        assert_eq!((c.floor(&keys), c.restarts), (2, 0));
+        assert_eq!(c.run(&keys, 2), [(2, 1)]);
+        assert_eq!(c.run(&keys, 9), [(9, 4)]);
+        assert_eq!(c.restarts, 0);
+        assert_eq!(MergeCursor::default().floor(&[]), u64::MAX);
+    }
+
     proptest::proptest! {
+        #[test]
+        fn prop_an_ascending_run_skips_only_keys_without_a_run(
+            raw in proptest::collection::vec(0u64..40, 0..60),
+            streams in proptest::collection::vec(proptest::collection::vec(0u64..45, 0..30), 1..5),
+        ) {
+            let mut keys: Vec<(u64, usize)> = raw.into_iter().zip(0..).collect();
+            keys.sort_unstable();
+            // Each stream is one ascending run, merged the way a leapfrog
+            // scan merges it: keys at or above the floor are looked up;
+            // the first key of a run found below the floor rewinds the
+            // cursor, which may have merged the runs before this one.
+            let mut c = MergeCursor::default();
+            for mut stream in streams {
+                stream.sort_unstable();
+                let mut rewound = false;
+                for key in stream {
+                    let mut floor = c.floor(&keys);
+                    if key < floor && !rewound {
+                        c.rewind();
+                        rewound = true;
+                        floor = c.floor(&keys);
+                    }
+                    // What lies below the floor has no run: skipping it
+                    // loses nothing.
+                    if key < floor {
+                        proptest::prop_assert!(run_of(&keys, key).is_empty(), "key {}", key);
+                        continue;
+                    }
+                    proptest::prop_assert_eq!(c.run(&keys, key), run_of(&keys, key));
+                    let next = c.floor(&keys);
+                    proptest::prop_assert!(next >= key);
+                    // The floor is itself a key, unless nothing is left.
+                    proptest::prop_assert!(next == u64::MAX || !run_of(&keys, next).is_empty());
+                }
+            }
+        }
+
         #[test]
         fn prop_cursor_finds_what_run_of_finds(
             raw in proptest::collection::vec(0u64..40, 0..60),

@@ -118,31 +118,41 @@ fn answering_a_twig_allocates_by_the_step_not_by_the_row() {
 /// few bytes per fetched row (`per_row`), not by the 24–56 bytes a match
 /// written into the binding table takes.
 ///
-/// Measured (bytes asked for / rows fetched): the DBLP join 5 608 / 2 587,
-/// Q15x 16 111 / 809. Q15x needs the wider budget because it keeps 63
-/// rows seven twig nodes wide between its joins — 72 bytes each, asked
-/// for twice over by the table's doubling — which no streaming of the
-/// right side removes. With the right sides held, the same two answers
-/// asked for 267 912 and 127 503 bytes.
+/// The two joins measured cannot seek past an index entry: each joins
+/// its rows to the matches below them by `//`, on the match's ancestors,
+/// so every `title` (every `text`) entry is fetched and looked up.
+/// Measured (bytes asked for / rows fetched): the DBLP join 7 657 /
+/// 2 953, the XMark one 16 452 / 740. The XMark twig needs the wider
+/// budget because it keeps its rows five twig nodes wide between its
+/// joins, asked for twice over by the table's doubling, which no
+/// streaming of the right side removes.
+///
+/// The DBLP join by `/` instead seeks past every `title` entry below the
+/// next `Conference 7` paper, and fetches 72 rows. Before the join could
+/// seek, it fetched 2 587, every `booktitle = 'Conference 7'` and every
+/// `inproceedings/title` entry.
 #[test]
 fn a_join_never_holds_its_right_side() {
     let mut dblp = XmlForest::new();
     generate_dblp(&mut dblp, DblpConfig { scale: 0.02, seed: 7 });
     let mut xmark = XmlForest::new();
     generate_xmark(&mut xmark, XmarkConfig { scale: 0.02, seed: 0xA0C });
-    let q15x = xmark_queries().into_iter().find(|q| q.id == "Q15x").expect("Q15x exists");
-    for (forest, xpath, per_row) in [
-        (&dblp, "/dblp/inproceedings[booktitle='Conference 7']/title", 8),
-        (&xmark, q15x.xpath, 32),
-    ] {
-        let engine = QueryEngine::build(
+    let engine_of = |forest| {
+        QueryEngine::build(
             forest,
             EngineOptions {
                 strategies: vec![Strategy::RootPaths],
                 pool_pages: 8192,
                 ..Default::default()
             },
-        );
+        )
+    };
+    let report = std::env::var_os("ALLOC_BUDGET_REPORT").is_some();
+    for (forest, xpath, per_row) in [
+        (&dblp, "/dblp/inproceedings[booktitle='Conference 7']//title", 8),
+        (&xmark, "/site//item[quantity = '2'][location = 'united states']//text", 32),
+    ] {
+        let engine = engine_of(forest);
         let twig = xtwig::parse_xpath(xpath).expect("well-formed");
         let (compiled, plan) = engine.compile(&twig).expect("workload tags exist");
         let answer = || engine.answer_compiled(&compiled, &plan, Strategy::RootPaths);
@@ -150,7 +160,7 @@ fn a_join_never_holds_its_right_side() {
         let (again, alloc) = allocations_of(answer);
         assert_eq!(warm.ids, again.ids);
         let rows = again.metrics.rows_fetched;
-        if std::env::var_os("ALLOC_BUDGET_REPORT").is_some() {
+        if report {
             println!("{xpath}: rows {rows} allocs {} bytes {}", alloc.count, alloc.bytes);
         }
         assert!(rows >= 500, "{xpath}: {rows} fetched rows are too few to tell");
@@ -162,4 +172,15 @@ fn a_join_never_holds_its_right_side() {
         );
         assert!(alloc.count <= A + rows / 2, "{xpath}: {} allocations", alloc.count);
     }
+    let narrowed = "/dblp/inproceedings[booktitle='Conference 7']/title";
+    let twig = xtwig::parse_xpath(narrowed).expect("well-formed");
+    let answer = engine_of(&dblp).answer(&twig, Strategy::RootPaths);
+    let want: std::collections::BTreeSet<u64> =
+        xtwig::xml::naive::select(&dblp, &twig).into_iter().map(|n| n.0).collect();
+    assert_eq!(answer.ids, want, "{narrowed}");
+    let rows = answer.metrics.rows_fetched;
+    if report {
+        println!("{narrowed}: rows {rows}");
+    }
+    assert!(rows * 10 <= 2_587, "{narrowed}: {rows} fetched rows, not a tenth of 2 587");
 }

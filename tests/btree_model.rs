@@ -5,8 +5,34 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use xtwig::btree::{bulk_build, BTree, BTreeOptions};
+use xtwig::btree::{bulk_build, BTree, BTreeOptions, Visit, Walk};
 use xtwig::storage::BufferPool;
+
+/// A visitor that, after its `i`-th cell, seeks to `plan[i % len]` when
+/// that key lies above the cell.
+struct Leapfrog<'a> {
+    plan: &'a [Option<Vec<u8>>],
+    lent: &'a mut Vec<Vec<u8>>,
+    target: Vec<u8>,
+}
+
+impl Visit for Leapfrog<'_> {
+    fn visit(&mut self, key: &[u8], _value: &[u8]) -> Walk {
+        let i = self.lent.len();
+        self.lent.push(key.to_vec());
+        match &self.plan[i % self.plan.len()] {
+            Some(to) if to.as_slice() > key => {
+                self.target.clone_from(to);
+                Walk::Seek
+            }
+            _ => Walk::Next,
+        }
+    }
+
+    fn seek_key(&self) -> &[u8] {
+        &self.target
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -160,6 +186,50 @@ proptest! {
         prop_assert!(stored.len() < 20 || tree.stats().height > 1, "tree should span leaves");
         // No walk, broken off or run out, leaves a page pinned
         // (`clear_cache` panics on one).
+        pool.clear_cache();
+    }
+
+    #[test]
+    fn a_seeking_walk_lends_the_prefix_entries_at_or_above_its_latest_target(
+        inserts in proptest::collection::vec((key_strategy(), 150usize..500), 40..260),
+        deletes in proptest::collection::vec(0usize..1000, 0..80),
+        plan in proptest::collection::vec(
+            prop_oneof![Just(None), Just(None), key_strategy().prop_map(Some)],
+            1..16,
+        ),
+    ) {
+        let pool = Arc::new(BufferPool::in_memory(1024));
+        let mut tree = BTree::new(pool.clone());
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for (k, len) in &inserts {
+            tree.insert(k, &vec![k[0]; *len]);
+            model.insert(k.clone(), vec![k[0]; *len]);
+        }
+        for d in deletes {
+            let k = &inserts[d % inserts.len()].0;
+            prop_assert_eq!(tree.delete(k), model.remove(k));
+        }
+        for p in [vec![], vec![97], vec![0], vec![98, 99], vec![200]] {
+            let mut lent = Vec::new();
+            tree.visit_prefix(&p, Leapfrog { plan: &plan, lent: &mut lent, target: Vec::new() });
+            // The model: the prefix's entries in order, each one below
+            // the latest target passed over.
+            let mut want: Vec<Vec<u8>> = Vec::new();
+            let mut bound: Vec<u8> = Vec::new();
+            for k in model.range(p.clone()..).map(|(k, _)| k).take_while(|k| k.starts_with(&p)) {
+                if *k < bound {
+                    continue;
+                }
+                if let Some(to) = &plan[want.len() % plan.len()] {
+                    if to > k {
+                        bound.clone_from(to);
+                    }
+                }
+                want.push(k.clone());
+            }
+            prop_assert_eq!(&lent, &want, "prefix {:?}", p);
+        }
+        // A walk that sought and ran out leaves no page pinned.
         pool.clear_cache();
     }
 }

@@ -652,3 +652,52 @@ fn persisted_file_is_deterministic() {
     assert_eq!(a, std::fs::read(&b).unwrap(), "same engine, same bytes");
     assert_eq!(a, std::fs::read(&c).unwrap(), "sharded build, same bytes");
 }
+
+/// The document-order bit that lets ROOTPATHS and DATAPATHS joins seek is
+/// part of the file: a built index reopens with it set, one folded after
+/// an insert reopens with it clear, and a file from before the bit
+/// existed (format version 1) is refused rather than misread.
+#[test]
+fn the_document_order_bit_survives_persist_and_fold() {
+    use xtwig::service::{ServiceOptions, TwigService, UpdateOp};
+    let dir = TempDir::new("order-bit");
+    let (built, folded) = (dir.path("built.xtwig"), dir.path("folded.xtwig"));
+    let ordered = |path: &PathBuf| {
+        let e = QueryEngine::open(path).unwrap();
+        (e.rootpaths().unwrap().document_ordered(), e.datapaths().unwrap().document_ordered())
+    };
+    let options = EngineOptions {
+        strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
+        ..Default::default()
+    };
+    QueryEngine::build(Arc::new(fig1_book_document()), options.clone()).persist(&built).unwrap();
+    assert_eq!(ordered(&built), (true, true));
+
+    let svc = TwigService::build(fig1_book_document(), options, ServiceOptions::default());
+    let tags = svc.with_engine(|e| {
+        ["book", "allauthors", "author"].map(|t| e.forest().dict().lookup(t).unwrap())
+    });
+    svc.apply_update(vec![UpdateOp::InsertPath {
+        tags: tags.to_vec(),
+        ids: vec![1, 5, 900],
+        value: None,
+    }]);
+    svc.persist(&folded).unwrap();
+    assert_eq!(ordered(&folded), (false, false));
+    let twig = parse_xpath("/book/allauthors/author").unwrap();
+    let reopened = QueryEngine::open(&folded).unwrap();
+    for s in [Strategy::RootPaths, Strategy::DataPaths] {
+        assert!(reopened.answer(&twig, s).ids.contains(&900), "{s}");
+    }
+
+    let mut v1 = std::fs::read(&built).unwrap();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&built, &v1).unwrap();
+    match QueryEngine::open(&built) {
+        Err(OpenError::VersionMismatch { found: 1, expected }) => {
+            assert_eq!(expected, FORMAT_VERSION);
+        }
+        Ok(_) => panic!("a version-1 file opened"),
+        Err(e) => panic!("expected VersionMismatch, got {e:?}"),
+    }
+}

@@ -11,7 +11,7 @@ use xtwig::core::rootpaths::{RootPaths, RootPathsOptions};
 use xtwig::parse_xpath;
 use xtwig::storage::BufferPool;
 use xtwig::xml::tree::fig1_book_document;
-use xtwig::xml::TagId;
+use xtwig::xml::{TagId, XmlForest};
 use xtwig::{EngineOptions, ServiceOptions, Strategy, TwigService, UpdateOp};
 
 #[test]
@@ -227,4 +227,142 @@ fn datapaths_maintenance_under_service_apply_update() {
         assert!(svc.execute(&twig, s).unwrap().ids.is_empty(), "{s}");
     }
     assert_eq!(svc.generation(), 2);
+}
+
+/// `lib` over two shelves. Pre-order ids: `lib` 1; shelf 2 holding book
+/// B = 3 (title `T`, no author) and two authored books; shelf A = 11
+/// holding one more. The largest id at each depth: 1, 11, 12, 14.
+fn shelves() -> XmlForest {
+    let mut forest = XmlForest::new();
+    let mut b = forest.builder();
+    b.open("lib");
+    b.open("shelf");
+    b.open("book");
+    b.leaf("title", "T");
+    b.close();
+    for name in ["a", "b"] {
+        b.open("book");
+        b.leaf("title", "U");
+        b.leaf("author", name);
+        b.close();
+    }
+    b.close();
+    b.open("shelf");
+    b.open("book");
+    b.leaf("title", "U");
+    b.leaf("author", "c");
+    b.close();
+    b.close();
+    b.close();
+    b.finish();
+    let select = |xpath: &str| -> Vec<u64> {
+        let twig = parse_xpath(xpath).unwrap();
+        xtwig::xml::naive::select(&forest, &twig).into_iter().map(|n| n.0).collect()
+    };
+    assert_eq!(select("/lib/shelf"), [2, 11]);
+    assert_eq!(select("//book[title = 'T']"), [3]);
+    assert_eq!(select("//book/author"), [7, 10, 14]);
+    forest
+}
+
+/// A service over [`shelves`] with ROOTPATHS and DATAPATHS, the options
+/// it was built with, and the tags `lib`, `shelf`, `book`, `title`,
+/// `author`.
+fn shelf_service() -> (TwigService, EngineOptions, [TagId; 5]) {
+    let options = EngineOptions {
+        strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
+        pool_pages: 256,
+        ..Default::default()
+    };
+    let svc = TwigService::build(
+        shelves(),
+        options.clone(),
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
+    );
+    let tags = ["lib", "shelf", "book", "title", "author"]
+        .map(|t| svc.with_engine(|e| e.forest().dict().lookup(t).unwrap()));
+    (svc, options, tags)
+}
+
+/// A merge join may seek past the index entries below its next left key
+/// only while each run of entries is in document order, and inserted ids
+/// are the client's. Here an author with a fresh id goes under the early
+/// book B, and a book K with a fresh, higher id and title `T` goes under
+/// the later shelf A. The `author` entries then run A's neighbours first
+/// and B's author last, and the left keys of `title = 'T'` are B and K:
+/// a merge that sought past every entry below K after its first miss
+/// would never reach B's author.
+#[test]
+fn a_join_through_an_ancestor_updated_out_of_document_order_finds_its_match() {
+    let (svc, options, [lib, shelf, book, title, author]) = shelf_service();
+    svc.apply_update(vec![
+        // B's author: a fresh id past every id the forest has.
+        UpdateOp::InsertPath {
+            tags: vec![lib, shelf, book, author],
+            ids: vec![1, 2, 3, 20],
+            value: Some("d".into()),
+        },
+        // K under A, titled `T`, with ids above that author's.
+        UpdateOp::InsertPath { tags: vec![lib, shelf, book], ids: vec![1, 11, 30], value: None },
+        UpdateOp::InsertPath {
+            tags: vec![lib, shelf, book, title],
+            ids: vec![1, 11, 30, 31],
+            value: Some("T".into()),
+        },
+    ]);
+    // Books titled `T`: B, whose author is 20, and K, which has none.
+    let twig = parse_xpath("//book[title = 'T']/author").unwrap();
+    // The cleared bit travels with the index: through the next commit's
+    // fork, and through a rebuild that replays the journal.
+    for stage in ["insert", "fork", "rebuild"] {
+        match stage {
+            "fork" => {
+                svc.apply_update(Vec::new());
+            }
+            "rebuild" => svc.rebuild_parallel(options.clone(), 2),
+            _ => {}
+        }
+        svc.with_engine(|e| {
+            assert!(!e.rootpaths().unwrap().document_ordered(), "{stage}");
+            assert!(!e.datapaths().unwrap().document_ordered(), "{stage}");
+        });
+        for s in [Strategy::RootPaths, Strategy::DataPaths, Strategy::Auto] {
+            let answer = svc.execute(&twig, s).unwrap();
+            assert_eq!(answer.ids.iter().copied().collect::<Vec<_>>(), [20], "{stage}: {s}");
+        }
+    }
+}
+
+/// A path appended to the document order — every id at or past the
+/// largest at its depth — keeps each run ordered, so the joins go on
+/// seeking, and still find what was appended.
+#[test]
+fn an_appended_path_keeps_the_join_seeking() {
+    let (svc, _, [lib, shelf, book, title, author]) = shelf_service();
+    // K under the last shelf A, titled `T`, with an author.
+    svc.apply_update(vec![
+        UpdateOp::InsertPath { tags: vec![lib, shelf, book], ids: vec![1, 11, 30], value: None },
+        UpdateOp::InsertPath {
+            tags: vec![lib, shelf, book, title],
+            ids: vec![1, 11, 30, 31],
+            value: Some("T".into()),
+        },
+        UpdateOp::InsertPath {
+            tags: vec![lib, shelf, book, author],
+            ids: vec![1, 11, 30, 32],
+            value: Some("e".into()),
+        },
+    ]);
+    svc.with_engine(|e| {
+        assert!(e.rootpaths().unwrap().document_ordered());
+        assert!(e.datapaths().unwrap().document_ordered());
+    });
+    let twig = parse_xpath("//book[title = 'T']/author").unwrap();
+    for s in [Strategy::RootPaths, Strategy::DataPaths] {
+        let answer = svc.execute(&twig, s).unwrap();
+        assert_eq!(answer.ids.iter().copied().collect::<Vec<_>>(), [32], "{s}");
+        // Both `T` titles, then of the four authors only the first and
+        // K's: the two between sort below K and are sought past.
+        assert_eq!(answer.metrics.rows_fetched, 4, "{s}");
+    }
 }
