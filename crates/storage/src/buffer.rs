@@ -6,10 +6,14 @@
 //! physical I/O are observable per experiment.
 //!
 //! Concurrency: the page table and replacement state sit behind one
-//! mutex; page contents sit behind per-frame `RwLock`s. Pins are counted
-//! so a resident, in-use page is never evicted. Eviction picks the
-//! least-recently-used unpinned frame (timestamp scan — O(frames), which
-//! is fine at the pool sizes used here).
+//! mutex; page contents sit behind per-frame `RwLock`s (the frame's
+//! latch). Pins are counted so a resident, in-use page is never evicted.
+//! Eviction picks the least-recently-used unpinned frame (timestamp scan
+//! — O(frames), which is fine at the pool sizes used here). A miss holds
+//! the mutex only to pick, pin and latch its frame and publish the page;
+//! the backend read itself runs under the frame's latch alone, so it
+//! stalls no fetch of another page, and a fetch of the same page waits
+//! on that latch rather than on the table.
 //!
 //! Memory: frames and their 8 KiB page images are materialized on first
 //! use, so a pool costs what it holds, not what it could hold. An image
@@ -21,30 +25,44 @@
 //! on; guarded by `tests/pool_stress.rs`):
 //!
 //! * A frame's pin count only rises 0→1 under the table mutex (`pin`,
-//!   from the hit path in `lookup_or_load` and the install path in
-//!   `install`), so `pick_victim` — also under the mutex — can never
-//!   evict a frame that a guard is about to reference. A writer's dirty
-//!   mark is set in the same critical section.
+//!   from the hit and the install path of `install`), so `pick_victim`
+//!   — also under the mutex — can never evict a frame that a guard is
+//!   about to reference. A writer's dirty mark is set in the same
+//!   critical section.
 //! * Page-content locks are only acquired while holding the table mutex
-//!   for frames with **zero** pins (eviction write-back, `flush_all`),
-//!   where no outstanding guard can hold the content lock — otherwise a
-//!   reader that holds a page guard and fetches a second page (which
-//!   needs the mutex) could deadlock against the mutex holder waiting
-//!   on its page lock. This is why `flush_all` skips pinned frames. The
-//!   one exception is `cow_fork`, which *read*-locks pinned **clean**
-//!   frames to share their images: a frame pinned by a writer is dirty
-//!   (see above) and refuses the fork first, so only readers hold those
-//!   locks and a shared acquisition cannot wait.
+//!   for frames with **zero** pins (eviction write-back, `flush_all`,
+//!   the load latch), where no outstanding guard can hold the content
+//!   lock — otherwise a reader that holds a page guard and fetches a
+//!   second page (which needs the mutex) could deadlock against the
+//!   mutex holder waiting on its page lock. This is why `flush_all`
+//!   skips pinned frames.
+//! * The load latch is the write lock `install` takes, under the mutex,
+//!   on the zero-pin frame it has just pinned for a missing page. It is
+//!   held across the backend read *without* the mutex and released
+//!   before the frame is handed out; nothing a loader does on success
+//!   needs the mutex again. If the read unwinds, `Pending` empties the
+//!   frame and releases the latch first, and only then takes the mutex
+//!   to unpublish the page, retire the slot and drop its pin: a fetch
+//!   that pinned the frame meanwhile finds it empty and retries, and
+//!   the next fetch of the page reads it again.
+//! * The one exception is `cow_fork`, which *read*-locks pinned
+//!   **clean** frames under the mutex to share their images, and so
+//!   waits for a load in flight. No cycle: the loader never needs the
+//!   mutex while it holds the latch. A frame pinned by a writer is dirty
+//!   (see above) and refuses the fork first, so otherwise only readers
+//!   hold those locks and a shared acquisition cannot wait. A frame a
+//!   failed load left empty refuses the fork too, until its loader has
+//!   retired it.
 //! * `clear_cache` requires quiescence (it panics on pinned pages); it
 //!   is a bench/ablation facility, not a serving-path operation.
 //!
 //! Write-path concurrency audit (for the sharded index builds in
 //! `xtwig-core::parallel`): `allocate` is safe to call from any number
 //! of threads — the backend hands out ids under its own mutex/atomic,
-//! `install` pins the fresh frame under the table mutex before the
-//! guard is handed out, and the returned write guard owns the content
-//! lock. What concurrent allocation does **not** give is a
-//! deterministic id order, which is why the sharded builders
+//! `install` pins and latches the fresh frame under the table mutex and
+//! zero-fills it before the guard is handed out, and the returned write
+//! guard owns the content lock. What concurrent allocation does **not**
+//! give is a deterministic id order, which is why the sharded builders
 //! deliberately keep all allocation on the calling thread (workers only
 //! enumerate and sort rows) so a parallel build's page image stays
 //! byte-identical to the sequential one. `pool_stress` exercises the
@@ -224,8 +242,9 @@ impl BufferPool {
     /// outstanding write guard cannot be flushed safely (see
     /// [`BufferPool::flush_all`]); the fork is refused with the skipped
     /// count — `Err` means a concurrent writer owns part of the image,
-    /// and the caller retries once that writer finishes. Read pins on
-    /// clean frames never block a fork.
+    /// and the caller retries once that writer finishes. A page whose
+    /// backend read unwound while the fork waited on it is refused the
+    /// same way. Read pins on clean frames never block a fork.
     ///
     /// **Contract:** after a successful fork, this pool must not be
     /// written again — it is the sealed base the fork's COW view reads
@@ -241,6 +260,9 @@ impl BufferPool {
             return Err(skipped);
         }
         let used = inner.resident.len();
+        // Published pages left empty by a load that unwound while this
+        // fork waited on its latch (see `Pending`).
+        let mut unloaded = 0;
         let frames = (0..self.frames.len())
             .map(|c| {
                 let start = c * FRAME_CHUNK;
@@ -248,13 +270,26 @@ impl BufferPool {
                     return OnceLock::new();
                 }
                 // A pinned frame is clean here (the flush skipped none),
-                // so only readers hold its content lock.
+                // so only readers hold its content lock, or a loader,
+                // which never needs the mutex to finish.
                 let chunk: Box<[Frame]> = (start..start + FRAME_CHUNK)
-                    .map(|idx| if idx < used { self.frame(idx).fork() } else { Frame::default() })
+                    .map(|idx| match inner.resident.get(idx) {
+                        Some(pid) => {
+                            let mut frame = self.frame(idx).fork();
+                            if pid.is_valid() && frame.data.get_mut().is_none() {
+                                unloaded += 1;
+                            }
+                            frame
+                        }
+                        None => Frame::default(),
+                    })
                     .collect();
                 OnceLock::from(chunk)
             })
             .collect();
+        if unloaded > 0 {
+            return Err(unloaded);
+        }
         Ok(BufferPool {
             disk: self.disk.fork_cow(),
             capacity: self.capacity,
@@ -279,14 +314,25 @@ impl BufferPool {
     /// Fetches page `pid` for reading.
     pub fn fetch(&self, pid: PageId) -> PageReadGuard<'_> {
         self.stats.record_logical();
-        let frame = self.lookup_or_load(pid, false);
-        PageReadGuard { guard: frame.data.read(), _pin: PinToken { frame } }
+        loop {
+            let frame = self.install(pid, true, false);
+            let page = PageReadGuard { guard: frame.data.read(), _pin: PinToken { frame } };
+            // Empty only if the load this fetch waited on unwound.
+            if page.guard.is_some() {
+                return page;
+            }
+        }
     }
 
     /// Fetches page `pid` for writing; marks it dirty.
     pub fn fetch_mut(&self, pid: PageId) -> PageWriteGuard<'_> {
         self.stats.record_logical();
-        self.write_guard(self.lookup_or_load(pid, true))
+        loop {
+            let page = self.write_guard(self.install(pid, true, true));
+            if page.guard.is_some() {
+                return page;
+            }
+        }
     }
 
     /// Locks a pinned, dirty frame for writing. An image still shared
@@ -390,24 +436,19 @@ impl BufferPool {
         frame
     }
 
-    /// Finds `pid`'s frame, loading it from disk (with eviction) if absent.
-    /// The returned frame has its pin count already incremented.
-    fn lookup_or_load(&self, pid: PageId, write: bool) -> &Frame {
-        {
-            let inner = self.inner.lock();
-            if let Some(&idx) = inner.table.get(&pid) {
-                return self.pin(idx, write);
-            }
-        }
-        self.stats.record_physical_read();
-        self.install(pid, true, write)
-    }
-
-    /// Installs `pid` into a frame (evicting if needed), optionally
-    /// loading its content from disk. Returns the pinned frame.
+    /// Returns `pid`'s frame pinned, installing the page first if it is
+    /// not resident: evicting if needed, then loading its content from
+    /// disk (`load`) or zero-filling it.
+    ///
+    /// Only the bookkeeping runs under the table mutex: the victim is
+    /// picked, pinned and write-latched there, and the page published.
+    /// The victim had no pins, so no guard holds its latch and taking it
+    /// cannot wait. The backend read runs after the mutex is released,
+    /// under the latch alone, so a concurrent fetch of this page pins
+    /// the frame and waits on that latch while every other page of the
+    /// pool stays available.
     fn install(&self, pid: PageId, load: bool, write: bool) -> &Frame {
         let mut inner = self.inner.lock();
-        // Re-check: another thread may have installed it concurrently.
         if let Some(&idx) = inner.table.get(&pid) {
             return self.pin(idx, write);
         }
@@ -424,11 +465,18 @@ impl BufferPool {
             victim
         };
         let frame = self.pin(idx, write);
-        {
-            let mut data = frame.data.write();
+        let latch = frame.data.write();
+        inner.table.insert(pid, idx);
+        self.resident.store(inner.resident.len() as u64, Ordering::Relaxed);
+        drop(inner);
+        let mut pending = Pending { pool: self, pid, idx, latch: Some(latch) };
+        if load {
+            self.stats.record_physical_read();
+        }
+        if let Some(image) = pending.latch.as_deref_mut() {
             // Reuse the frame's buffer unless a sibling pool or an
             // overlay still shares it.
-            match data.as_mut().and_then(Arc::get_mut) {
+            match image.as_mut().and_then(Arc::get_mut) {
                 Some(page) if load => self.disk.read_page(pid, page.bytes_mut()),
                 Some(page) => page.bytes_mut().fill(0),
                 None => {
@@ -436,12 +484,11 @@ impl BufferPool {
                     if load {
                         self.disk.read_page(pid, page.bytes_mut());
                     }
-                    *data = Some(Arc::new(page));
+                    *image = Some(Arc::new(page));
                 }
             }
         }
-        inner.table.insert(pid, idx);
-        self.resident.store(inner.resident.len() as u64, Ordering::Relaxed);
+        pending.latch = None;
         frame
     }
 
@@ -465,6 +512,37 @@ impl Frame {
             last_used: AtomicU64::new(self.last_used.load(Ordering::Relaxed)),
             ..Frame::default()
         }
+    }
+}
+
+/// A page published in the table whose content is still being read,
+/// outside the table mutex, under `latch`. Installing clears `latch`
+/// once the page is in place; a `Pending` dropped with the latch still
+/// held means the backend read unwound, and the page is taken back out:
+/// the frame is left empty (a fetch that pinned it meanwhile sees that
+/// and retries), the slot is retired (so the next fetch of the page
+/// reads it again instead of serving the victim's stale bytes), and the
+/// loader's pin is released.
+struct Pending<'a> {
+    pool: &'a BufferPool,
+    pid: PageId,
+    idx: usize,
+    latch: Option<RwLockWriteGuard<'a, Image>>,
+}
+
+impl Drop for Pending<'_> {
+    fn drop(&mut self) {
+        let Some(mut latch) = self.latch.take() else { return };
+        *latch = None;
+        // Release the latch before taking the mutex: a `cow_fork` may
+        // hold the mutex while it waits on this latch.
+        drop(latch);
+        let mut inner = self.pool.inner.lock();
+        inner.table.remove(&self.pid);
+        if let Some(slot) = inner.resident.get_mut(self.idx) {
+            *slot = PageId::INVALID;
+        }
+        self.pool.frame(self.idx).pin.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

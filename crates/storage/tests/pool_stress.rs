@@ -6,13 +6,19 @@
 //! under N reader threads doing pin/verify/unpin cycles, one writer
 //! thread mutating a disjoint set of pages, and one thread hammering
 //! `flush_all` (which must skip pinned frames rather than deadlock).
-//! The last test is the MVCC shape instead: readers on whichever pool
-//! is current while a writer runs a chain of `cow_fork`s under them.
+//! `readers_hammer_each_epoch_of_a_fork_chain` is the MVCC shape
+//! instead: readers on whichever pool is current while a writer runs a
+//! chain of `cow_fork`s under them. The tests after it hook the backend
+//! read of one page — parking it on a gate, failing it, or both — to pin
+//! down what a page miss does to everyone else: it stalls no fetch of
+//! another page, two fetches of one cold page share one read, and a read
+//! that unwinds leaves no pin and no stale bytes behind.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 use xtwig_storage::page::{get_u64, put_u64, PageId};
-use xtwig_storage::BufferPool;
+use xtwig_storage::{BufferPool, DiskManager, MemBackend, StorageBackend, PAGE_SIZE};
 
 /// Tiny deterministic generator (the vendored `rand` stub is aimed at
 /// datagen; an LCG is all the churn schedule needs).
@@ -289,4 +295,275 @@ fn readers_hammer_each_epoch_of_a_fork_chain() {
         (1..=GENERATIONS).map(|g| (0..PAGES).filter(|i| i % 3 == g % 3).count() as u64).sum();
     assert_eq!(pool.counters().cow_copies(), written);
     assert_eq!(pool.resident_pages(), PAGES as usize);
+}
+
+/// How long a test waits on another thread before calling it stuck.
+const STUCK: Duration = Duration::from_secs(10);
+
+/// No page hooked.
+const NO_PAGE: u32 = u32::MAX;
+
+/// What the next backend read of one chosen page does, and where every
+/// backend write reports.
+struct ReadHook {
+    /// The hooked page ([`NO_PAGE`] once its read has happened).
+    page: AtomicU32,
+    /// Report on `parked`, then wait for the gate before reading on.
+    park: bool,
+    /// Scribble on the buffer and panic instead of reading.
+    fail: bool,
+    parked: std::sync::Mutex<mpsc::Sender<()>>,
+    gate: std::sync::Mutex<mpsc::Receiver<()>>,
+    wrote: std::sync::Mutex<mpsc::Sender<()>>,
+    /// Backend reads of any page.
+    reads: AtomicUsize,
+}
+
+struct HookedBackend {
+    pages: MemBackend,
+    hook: Arc<ReadHook>,
+}
+
+impl StorageBackend for HookedBackend {
+    fn read_page(&self, pid: PageId, buf: &mut [u8]) {
+        let hook = &self.hook;
+        hook.reads.fetch_add(1, Ordering::SeqCst);
+        if hook.page.compare_exchange(pid.0, NO_PAGE, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
+            if hook.park {
+                hook.parked.lock().unwrap().send(()).unwrap();
+                // Time out rather than hang if the test never opens it,
+                // but only well after the test has stopped waiting.
+                let _ = hook.gate.lock().unwrap().recv_timeout(3 * STUCK);
+            }
+            if hook.fail {
+                buf.fill(0xEE);
+                panic!("injected read fault on page {}", pid.0);
+            }
+        }
+        self.pages.read_page(pid, buf);
+    }
+
+    fn write_page(&self, pid: PageId, buf: &[u8]) {
+        self.pages.write_page(pid, buf);
+        // A test that does not wait for writes has dropped the receiver.
+        let _ = self.hook.wrote.lock().unwrap().send(());
+    }
+
+    fn allocate(&self) -> PageId {
+        self.pages.allocate()
+    }
+
+    fn num_pages(&self) -> u32 {
+        self.pages.num_pages()
+    }
+
+    fn sync(&self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Page `i`'s bytes: `i + 1` everywhere but a tag in the first word.
+fn page_image(i: u32) -> Vec<u8> {
+    let mut page = vec![i as u8 + 1; PAGE_SIZE];
+    put_u64(&mut page, 0, 1_000 + u64::from(i) * 17);
+    page
+}
+
+fn assert_page(bytes: &[u8], i: u32) {
+    assert_eq!(bytes.len(), PAGE_SIZE, "page {i}");
+    assert_eq!(get_u64(bytes, 0), 1_000 + u64::from(i) * 17, "page {i}");
+    assert_eq!(bytes[PAGE_SIZE - 1], i as u8 + 1, "page {i}");
+}
+
+/// A cold pool over a [`HookedBackend`], and the test's ends of its
+/// channels.
+struct Hooked {
+    pool: Arc<BufferPool>,
+    hook: Arc<ReadHook>,
+    /// Opens the gate a parked read waits on.
+    gate: mpsc::Sender<()>,
+    /// Where a parked read reports.
+    parked: mpsc::Receiver<()>,
+    /// Where each backend write reports.
+    wrote: mpsc::Receiver<()>,
+}
+
+/// A cold pool of `capacity` frames over `pages` pages, whose hooked
+/// read parks and/or fails.
+fn hooked_pool(pages: u32, capacity: usize, park: bool, fail: bool) -> Hooked {
+    let backend = MemBackend::new();
+    for i in 0..pages {
+        let pid = backend.allocate();
+        backend.write_page(pid, &page_image(i));
+    }
+    let (parked_tx, parked) = mpsc::channel();
+    let (gate, gate_rx) = mpsc::channel();
+    let (wrote_tx, wrote) = mpsc::channel();
+    let hook = Arc::new(ReadHook {
+        page: AtomicU32::new(NO_PAGE),
+        park,
+        fail,
+        parked: std::sync::Mutex::new(parked_tx),
+        gate: std::sync::Mutex::new(gate_rx),
+        wrote: std::sync::Mutex::new(wrote_tx),
+        reads: AtomicUsize::new(0),
+    });
+    let disk =
+        DiskManager::with_backend(Box::new(HookedBackend { pages: backend, hook: hook.clone() }));
+    Hooked { pool: Arc::new(BufferPool::new(disk, capacity)), hook, gate, parked, wrote }
+}
+
+#[test]
+fn a_read_that_unwinds_leaves_no_pin_and_no_stale_bytes() {
+    // 4 frames over 12 pages: every hooked page lands in a victim frame
+    // that still holds another page's bytes.
+    const PAGES: u32 = 12;
+    let Hooked { pool, hook, .. } = hooked_pool(PAGES, 4, false, true);
+    for round in 0..8u32 {
+        // Fill the pool, so the faulting load reuses a victim's buffer.
+        for i in 0..4 {
+            assert_page(&pool.fetch(PageId((round + i) % PAGES)), (round + i) % PAGES);
+        }
+        let x = (round + 6) % PAGES;
+        hook.page.store(x, Ordering::SeqCst);
+        let write = round % 2 == 1;
+        let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if write {
+                drop(pool.fetch_mut(PageId(x)));
+            } else {
+                drop(pool.fetch(PageId(x)));
+            }
+        }));
+        assert!(fault.is_err(), "round {round}: the hooked read must fail");
+        // The page reads its true bytes again, from the backend.
+        let reads = hook.reads.load(Ordering::SeqCst);
+        assert_page(&pool.fetch(PageId(x)), x);
+        assert_eq!(hook.reads.load(Ordering::SeqCst), reads + 1, "round {round}: re-read");
+        for i in 0..PAGES {
+            assert_page(&pool.fetch(PageId(i)), i);
+        }
+    }
+    // No pin leaked, and nothing the faults touched is written back.
+    pool.clear_cache();
+    for i in 0..PAGES {
+        assert_page(&pool.fetch(PageId(i)), i);
+    }
+}
+
+#[test]
+fn a_parked_miss_stalls_no_fetch_of_another_page() {
+    const X: u32 = 0;
+    const Y: u32 = 1;
+    const Z: u32 = 2;
+    let Hooked { pool, hook, gate, parked, .. } = hooked_pool(4, 8, true, false);
+    assert_page(&pool.fetch(PageId(Y)), Y); // Y resident, X and Z cold
+    hook.page.store(X, Ordering::SeqCst);
+    let loader = {
+        let pool = pool.clone();
+        std::thread::spawn(move || assert_page(&pool.fetch(PageId(X)), X))
+    };
+    parked.recv_timeout(STUCK).expect("the read of X parks");
+    let (done_tx, done_rx) = mpsc::channel();
+    let other = {
+        let pool = pool.clone();
+        std::thread::spawn(move || {
+            assert_page(&pool.fetch(PageId(Y)), Y); // a hit
+            assert_page(&pool.fetch(PageId(Z)), Z); // a miss
+            done_tx.send(()).unwrap();
+        })
+    };
+    let unstalled = done_rx.recv_timeout(STUCK);
+    gate.send(()).unwrap();
+    loader.join().unwrap();
+    other.join().unwrap();
+    assert!(unstalled.is_ok(), "a hit and a miss on other pages waited for X's read");
+    pool.clear_cache();
+}
+
+#[test]
+fn two_fetches_of_one_cold_page_share_one_read() {
+    const X: u32 = 3;
+    let Hooked { pool, hook, gate, parked, .. } = hooked_pool(4, 8, true, false);
+    hook.page.store(X, Ordering::SeqCst);
+    let before = pool.stats().snapshot();
+    let fetcher = || {
+        let pool = pool.clone();
+        std::thread::spawn(move || assert_page(&pool.fetch(PageId(X)), X))
+    };
+    let first = fetcher();
+    parked.recv_timeout(STUCK).expect("the read of X parks");
+    let second = fetcher();
+    // The second fetch has pinned X's frame (and now waits on its latch)
+    // once a second pin shows in the counters.
+    let deadline = Instant::now() + STUCK;
+    while pool.stats().snapshot().since(&before).pins < 2 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let pinned = pool.stats().snapshot().since(&before).pins;
+    gate.send(()).unwrap();
+    first.join().unwrap();
+    second.join().unwrap();
+    assert_eq!(pinned, 2, "the second fetch found X published while its read was parked");
+    assert_eq!(hook.reads.load(Ordering::SeqCst), 1, "one backend read");
+    let delta = pool.stats().snapshot().since(&before);
+    assert_eq!((delta.logical_reads, delta.physical_reads), (2, 1));
+}
+
+#[test]
+fn a_fetch_waiting_on_a_read_that_unwinds_reads_the_page_itself() {
+    const X: u32 = 2;
+    let Hooked { pool, hook, gate, parked, .. } = hooked_pool(4, 8, true, true);
+    hook.page.store(X, Ordering::SeqCst);
+    let before = pool.stats().snapshot();
+    let loader = {
+        let pool = pool.clone();
+        std::thread::spawn(move || drop(pool.fetch(PageId(X))))
+    };
+    parked.recv_timeout(STUCK).expect("the read of X parks");
+    let waiter = {
+        let pool = pool.clone();
+        std::thread::spawn(move || assert_page(&pool.fetch(PageId(X)), X))
+    };
+    let deadline = Instant::now() + STUCK;
+    while pool.stats().snapshot().since(&before).pins < 2 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    gate.send(()).unwrap();
+    assert!(loader.join().is_err(), "the hooked read fails its own fetch");
+    waiter.join().expect("the waiting fetch retries and reads X");
+    assert_eq!(hook.reads.load(Ordering::SeqCst), 2, "the failed read, then the retry");
+    pool.clear_cache();
+}
+
+#[test]
+fn a_fork_waiting_on_a_read_that_unwinds_is_refused_then_reads_the_page() {
+    const X: u32 = 1;
+    const D: u32 = 3;
+    let Hooked { pool, hook, gate, parked, wrote } = hooked_pool(4, 8, true, true);
+    // A dirty unpinned page, so the fork writes it back under the table
+    // mutex before it copies a frame.
+    drop(pool.fetch_mut(PageId(D)));
+    hook.page.store(X, Ordering::SeqCst);
+    let loader = {
+        let pool = pool.clone();
+        std::thread::spawn(move || drop(pool.fetch(PageId(X))))
+    };
+    parked.recv_timeout(STUCK).expect("the read of X parks");
+    let fork = {
+        let pool = pool.clone();
+        std::thread::spawn(move || pool.cow_fork().err())
+    };
+    // The fork holds the mutex from its write-back until it returns, and
+    // the failed load can only unpublish X under that mutex: the fork
+    // copies X's frame after the load emptied it, whatever the timing.
+    wrote.recv_timeout(STUCK).expect("the fork writes D back");
+    gate.send(()).unwrap();
+    assert_eq!(fork.join().unwrap(), Some(1), "the emptied frame refuses the fork");
+    assert!(loader.join().is_err(), "the hooked read fails its own fetch");
+    // Once the loader has retired X's frame, the fork goes through and
+    // reads X itself.
+    let fork = pool.cow_fork().expect("no load in flight");
+    assert_page(&fork.fetch(PageId(X)), X);
+    assert_page(&fork.fetch(PageId(D)), D);
+    assert_page(&pool.fetch(PageId(X)), X);
 }
