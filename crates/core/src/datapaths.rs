@@ -35,7 +35,7 @@ use crate::family::{
 };
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::{for_each_root_path_in, for_each_subpath_in};
-use crate::rootpaths::{push_value_part, scan_entries, skip_value_part, DocumentOrder};
+use crate::rootpaths::{push_value_part, scan_entries, skip_value_part, DocumentOrder, Lend};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
@@ -258,21 +258,23 @@ impl DataPaths {
     /// it answers `Break`, `ids` decoded into the caller's reused
     /// buffer, `key` lent undecoded from the leaf page
     /// ([`FreeIndex::lookup_free`] is the collector that also decodes
-    /// the schema path out of it). While the index is
-    /// [`DataPaths::document_ordered`], a [`Floor`] decides which entries
-    /// are sought past undecoded, as for
-    /// [`RootPaths::for_each_free`](crate::rootpaths::RootPaths::for_each_free).
+    /// the schema path out of it). As for
+    /// [`RootPaths::for_each_free`](crate::rootpaths::RootPaths::for_each_free),
+    /// `leaf_only` lends the key's last id instead of the decoded
+    /// IdList, and while the index is [`DataPaths::document_ordered`], a
+    /// [`Floor`] decides which entries are sought past undecoded.
     /// Returns the seeks made.
     pub fn for_each_free(
         &self,
         q: &PcSubpathQuery,
         ids: &mut Vec<u64>,
         floor: Option<Floor<'_>>,
+        leaf_only: bool,
         sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
     ) -> u64 {
         let prefix = Self::probe_prefix(0, None, &q.tags, q.anchored, q.value.as_deref());
         let floor = floor.filter(|_| self.order.ordered());
-        scan_entries(&self.tree, &prefix, self.idlist, 0, 0, floor, ids, sink)
+        scan_entries(&self.tree, &prefix, self.idlist, Lend::free(leaf_only), floor, ids, sink)
     }
 
     /// Prepares BoundIndex probes of the pattern `tags` (a child chain
@@ -304,7 +306,10 @@ impl DataPaths {
         sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
     ) {
         codec::set_u64(&mut probe.key, 0, head);
-        scan_entries(&self.tree, &probe.key, self.idlist, head, probe.min_len, None, ids, sink);
+        // Bound probes always decode: the extension binds the tail ids,
+        // and `min_len` counts the list.
+        let what = Lend::IdList { head, min_len: probe.min_len };
+        scan_entries(&self.tree, &probe.key, self.idlist, what, None, ids, sink);
     }
 
     /// Collects one lent entry as a [`PathMatch`], decoding its schema
@@ -373,7 +378,7 @@ impl PathIndex for DataPaths {
 impl FreeIndex for DataPaths {
     fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
         let mut out = Vec::new();
-        self.for_each_free(q, &mut Vec::new(), None, |key, ids| {
+        self.for_each_free(q, &mut Vec::new(), None, false, |key, ids| {
             out.push(Self::collect(0, key, ids));
             ControlFlow::Continue(())
         });
@@ -419,6 +424,47 @@ mod tests {
         let mut v: Vec<u64> = ms.iter().map(|m| m.last_id()).collect();
         v.sort_unstable();
         v
+    }
+
+    /// Asserts that every entry's key ends with the last id of its
+    /// IdList, the head re-attached (a BoundIndex row of the head alone
+    /// stores an empty list): the id a leaf-only scan lends without
+    /// decoding the list.
+    fn assert_keys_end_with_their_leaf(dp: &DataPaths, ctx: &str) {
+        let (mut ids, mut entries) = (Vec::new(), 0);
+        dp.tree.for_each_prefix(&[], |key, payload| {
+            let (head, _) = codec::dec_u64(key, 0);
+            ids.clear();
+            if head != 0 {
+                ids.push(head);
+            }
+            codec::decode_idlist_into(dp.idlist, payload, &mut ids);
+            assert_eq!(ids.last(), Some(&crate::rootpaths::key_leaf(key)), "{ctx}: {key:?}");
+            entries += 1;
+            ControlFlow::Continue(())
+        });
+        assert_eq!(entries, dp.rows(), "{ctx}: every entry seen");
+    }
+
+    #[test]
+    fn every_key_ends_with_the_last_id_of_its_idlist() {
+        for (name, forest) in crate::rootpaths::tests::generated_forests() {
+            let mut dp = DataPaths::build(
+                &forest,
+                Arc::new(BufferPool::in_memory(4096)),
+                DataPathsOptions::default(),
+            );
+            assert_keys_end_with_their_leaf(&dp, name);
+            crate::rootpaths::tests::churn(&forest, |insert, tags, ids, value| {
+                if insert {
+                    dp.insert_path(tags, ids, value);
+                } else {
+                    assert!(dp.delete_path(tags, ids, value), "{name}: {ids:?} indexed");
+                }
+            });
+            assert!(!dp.document_ordered(), "{name}: the churn inserted out of order");
+            assert_keys_end_with_their_leaf(&dp, &format!("{name} after churn"));
+        }
     }
 
     #[test]

@@ -27,11 +27,15 @@
 //! Rows live in the flat binding table of `crate::table`, not in a
 //! heap object each: a probe's sink writes the ids of an IdList — decoded
 //! from the leaf page into one reused buffer — straight into the table,
-//! joins build sorted `(key, row index)` runs over it, projection and
-//! distinct work on row indices, and the answer set is materialized once,
-//! from the output column. Every buffer a step needs belongs to the
-//! execution (`Exec`) and is reused by the next step, so an execution
-//! allocates by the plan step, not by the row (`tests/alloc_budget.rs`).
+//! joins build sorted `(key, row index)` runs over it, and projection and
+//! distinct work on row indices. A ROOTPATHS or DATAPATHS scan whose
+//! matches are read for their last node alone decodes no IdList: it lends
+//! the id the entry key ends with. The last step writes no rows: it
+//! writes the output id of each result into one answer vector, and the
+//! answer set is materialized once, from it. Every buffer a step needs
+//! belongs to the execution (`Exec`) and is reused by the next step, so
+//! an execution allocates by the plan step, not by the row
+//! (`tests/alloc_budget.rs`).
 
 use crate::asr::AccessSupportRelations;
 use crate::dataguide::DataGuide;
@@ -219,6 +223,8 @@ struct Exec<'a> {
     walked: Vec<u64>,
     /// One merge cursor per ancestor position of a streamed `//` join.
     cursors: Vec<MergeCursor>,
+    /// The output ids the last step found, duplicates included.
+    answer: Vec<u64>,
     /// True once some step ran as BoundIndex probes.
     ran_bound: bool,
     /// The identity net's handle on the choices `execute` makes.
@@ -916,7 +922,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     }
 
     /// Runs the plan: probe the first subpath, extend the rows by one
-    /// join (or INLJ probe) per further step, project the output node.
+    /// join (or INLJ probe) per further step, and let the last step write
+    /// the output id of each result into `cx.answer` instead of a row.
     /// The one executor body — with `cx.trace` set it also records a
     /// `step` span per plan step (per-step pool and probe deltas) and a
     /// `materialize` span around the output projection; every snapshot,
@@ -957,8 +964,13 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             });
             let how;
             let (mut repriced, mut runs, mut seeks) = (None, None, 0);
+            // The last step answers with the output ids of its results.
+            let emit = (i == last).then_some(compiled.twig.output);
+            // Whether a free scan of the step lends its matches' leaves
+            // from the index keys; a bound probe decodes.
+            let mut leaf = lends_key_leaves(strategy, sp, interior_needed(sp));
             if i == 0 {
-                self.probe_free(strategy, sp, interior_needed(sp), &masks, cx);
+                self.probe_free(strategy, sp, interior_needed(sp), &masks, emit, cx);
                 std::mem::swap(&mut cx.rows, &mut cx.fresh);
                 how = "probe";
             } else {
@@ -1000,8 +1012,9 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     (method == Method::Bound).then_some(probe)
                 });
                 if let Some(probe) = probe {
-                    self.inlj_extend(probe, sp.q.value.as_deref(), semi, cx);
+                    self.inlj_extend(probe, sp.q.value.as_deref(), semi, emit, cx);
                     cx.ran_bound = true;
+                    leaf = false;
                     how = if semi { "inlj semi-join" } else { "inlj" };
                 } else if let (
                     false,
@@ -1010,9 +1023,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     | JoinHow::DescendantBound { upper, seg_root },
                 ) = (semi, self.structural_ad_joins, join)
                 {
-                    self.probe_free(strategy, sp, interior_needed(sp), &masks, cx);
+                    self.probe_free(strategy, sp, interior_needed(sp), &masks, None, cx);
                     let rows_bind_upper = matches!(join, JoinHow::AncestorOf { .. });
                     self.structural_join(*upper, *seg_root, rows_bind_upper, cx);
+                    if let Some(out) = emit {
+                        cx.answer.extend(cx.rows.column(out));
+                    }
                     how = "join";
                 } else {
                     let keep_anc = masks.keep_anc_after(i);
@@ -1022,6 +1038,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                         interior_needed(sp),
                         join,
                         semi,
+                        emit,
                         keep_anc,
                         &masks,
                         cx,
@@ -1067,6 +1084,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                         detail.push_str(&format!(" (planned {})", planned.method().label()));
                     }
                 }
+                if leaf {
+                    // The scan lent key leaves: it decoded no IdList.
+                    detail.push_str(" leaf");
+                }
                 t.annotate(token, detail);
                 t.end(
                     token,
@@ -1082,8 +1103,14 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let out = compiled.twig.output;
         let span =
             cx.trace.as_deref_mut().map(|t| t.begin("materialize", format!("output node {out}")));
-        // The one materialization point: ids leave the table here.
-        let ids: BTreeSet<u64> = cx.rows.column(out).filter(|&id| id != UNBOUND).collect();
+        // The one materialization point: the last step's ids, each once.
+        let answer = &mut cx.answer;
+        answer.sort_unstable();
+        answer.dedup();
+        if answer.last() == Some(&UNBOUND) {
+            answer.pop();
+        }
+        let ids: BTreeSet<u64> = std::mem::take(answer).into_iter().collect();
         if let (Some(t), Some(token)) = (cx.trace.as_deref_mut(), span) {
             t.end(token, SpanCounters { rows: ids.len() as u64, ..SpanCounters::default() });
         }
@@ -1107,6 +1134,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// the same sink from them. Long values are rechecked before a match
     /// is lent.
     ///
+    /// `interior` says whether the caller reads the ids a match binds
+    /// above its last step. When it does not, ROOTPATHS and DATAPATHS
+    /// lend a subpath of more than one node as leaf-only matches, the
+    /// leaf read from each entry key: no IdList is decoded
+    /// ([`lends_key_leaves`]). The recheck then runs on that leaf.
+    ///
     /// ROOTPATHS and DATAPATHS in document order seek past the entries
     /// below the id a `floor` answers: those are neither decoded nor
     /// fetched. Returns the seeks made.
@@ -1121,6 +1154,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     ) -> u64 {
         let ProbeIo { ids: ids_buf, probes, rows_fetched } = io;
         let (q, nodes) = (&sp.q, sp.nodes.as_slice());
+        let leaf_only = lends_key_leaves(strategy, sp, interior);
         let recheck = q.value.as_deref().filter(|v| value_needs_recheck(v));
         let mut lend = |m: &[u64]| {
             *rows_fetched += 1;
@@ -1141,12 +1175,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             Strategy::RootPaths => {
                 *probes += 1;
                 let (rp, _) = self.rp.as_ref().expect("ROOTPATHS not built");
-                return rp.for_each_free(q, ids_buf, floor, |_key, ids| lend(ids));
+                return rp.for_each_free(q, ids_buf, floor, leaf_only, |_key, ids| lend(ids));
             }
             Strategy::DataPaths => {
                 *probes += 1;
                 let (dp, _) = self.dp.as_ref().expect("DATAPATHS not built");
-                return dp.for_each_free(q, ids_buf, floor, |_key, ids| lend(ids));
+                return dp.for_each_free(q, ids_buf, floor, leaf_only, |_key, ids| lend(ids));
             }
             Strategy::Asr => {
                 let (asr, _) = self.asr.as_ref().expect("ASR not built");
@@ -1170,19 +1204,28 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// rows — the first step's rows, and the one right side a join still
     /// holds, the structural join's — capturing, when the index returns
     /// full root IdLists, the ancestor list of a segment root a `//` join
-    /// will ask for.
+    /// will ask for. A probe that is the plan's only step (`emit` is the
+    /// output node) writes no rows: it pushes the output id of each match
+    /// into `cx.answer`. `interior` is [`QueryEngine::scan_subpath`]'s.
     fn probe_free(
         &self,
         strategy: Strategy,
         sp: &SubpathSpec,
         interior: bool,
         masks: &StepMasks,
+        emit: Option<usize>,
         cx: &mut Exec<'_>,
     ) {
         let full_root = lists_full_roots(strategy);
-        let Exec { fresh, arena, io, .. } = cx;
+        let Exec { fresh, arena, io, answer, .. } = cx;
         fresh.clear();
         self.scan_subpath(strategy, sp, interior, io, None, |above, nodes, m| {
+            if let Some(out) = emit {
+                if let Some(at) = nodes.iter().position(|&n| n == out) {
+                    answer.push(m[at]);
+                }
+                return ControlFlow::Continue(());
+            }
             let (bind, anc) = fresh.push_unbound();
             for (&node, &id) in nodes.iter().zip(m) {
                 bind[node] = id;
@@ -1355,7 +1398,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// `cx.rows`. An existence filter (`semi`) of a branch none of whose
     /// bindings are consumed later only marks the rows a match proves,
     /// stops the probe as soon as every row is proven, and keeps the
-    /// proven rows of `cx.rows` in place, adding no binding.
+    /// proven rows of `cx.rows` in place, adding no binding. As the last
+    /// step (`emit` is the output node), a full join pushes the output id
+    /// of each joined pair into `cx.answer` instead of writing the row,
+    /// and a filter pushes those of the rows it kept.
     ///
     /// The lookups go through merge cursors, one per key position of a
     /// match: RP/DP/ASR lend ids in ascending order within each schema
@@ -1380,11 +1426,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         interior: bool,
         how: &JoinHow,
         semi: bool,
+        emit: Option<usize>,
         keep_anc: &[bool],
         masks: &StepMasks,
         cx: &mut Exec<'_>,
     ) -> (u64, u64) {
-        let Exec { rows, out, arena, io, keys, marks, walked, cursors, .. } = cx;
+        let Exec { rows, out, arena, io, keys, marks, walked, cursors, answer, .. } = cx;
         let left = &*rows;
         if let JoinHow::DescendantBound { seg_root, .. } = how {
             // Rows bind the lower segment root: key each by every one of
@@ -1435,6 +1482,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             let mut partner = |i: usize| {
                 if semi {
                     unproven.prove(i);
+                    return;
+                }
+                if let Some(output) = emit {
+                    answer.push(bound_to(output).unwrap_or(left.row(i)[output]));
                     return;
                 }
                 let slot = masks.anc_slot(nodes[0]).filter(|&slot| full_root && keep_anc[slot]);
@@ -1499,6 +1550,9 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         io.probes += walks;
         if semi {
             rows.retain(unproven.marks);
+            if let Some(output) = emit {
+                answer.extend(rows.column(output));
+            }
         } else {
             std::mem::swap(rows, out);
         }
@@ -1547,18 +1601,29 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// binding, so the probes walk the B+-tree left to right and their
     /// order does not depend on a hash seed — through one prebuilt key
     /// re-aimed at each head, fanning every match out over the head's
-    /// rows. An existence probe (`semi`) stops at its first match.
-    fn inlj_extend(&self, probe: &ProbeSpec, value: Option<&str>, semi: bool, cx: &mut Exec<'_>) {
+    /// rows. An existence probe (`semi`) stops at its first match. As
+    /// the last step (`emit` is the output node), it pushes the output id
+    /// of each extended row into `cx.answer` instead of writing the row.
+    fn inlj_extend(
+        &self,
+        probe: &ProbeSpec,
+        value: Option<&str>,
+        semi: bool,
+        emit: Option<usize>,
+        cx: &mut Exec<'_>,
+    ) {
         let (dp, _) = self.dp.as_ref().expect("INLJ requires DATAPATHS");
         let recheck = value.filter(|v| value_needs_recheck(v));
         let passes = |leaf: Option<&u64>| match (recheck, leaf) {
             (Some(v), Some(&leaf)) => self.forest().value_str(NodeId(leaf)) == Some(v),
             _ => true,
         };
-        let Exec { rows, out, keys, io, .. } = cx;
+        let Exec { rows, out, keys, io, answer, .. } = cx;
         let ProbeIo { ids, probes, rows_fetched } = io;
         let rows = &*rows;
         out.clear();
+        // Where the output id sits in a match's tail, if the probe binds it.
+        let output_at = emit.map(|o| (o, probe.step_nodes.iter().position(|&n| n == o)));
         let mut bound = dp.bound_probe(probe.anchor_tag, &probe.tags, probe.anchored, value);
         for group in keys.chunk_by(|a, b| a.0 == b.0) {
             let head = group[0].0;
@@ -1570,6 +1635,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     // The (rare) long-value recheck failed: not a match.
                     return ControlFlow::Continue(());
                 }
+                let tail = &m[m.len() - probe.step_nodes.len()..];
+                if let Some((output, at)) = output_at {
+                    let id = at.map(|at| tail[at]);
+                    answer.extend(group.iter().map(|&(_, i)| id.unwrap_or(rows.row(i)[output])));
+                    return if semi { ControlFlow::Break(()) } else { ControlFlow::Continue(()) };
+                }
                 if semi {
                     // The head survives on its first match.
                     for &(_, i) in group {
@@ -1577,7 +1648,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     }
                     return ControlFlow::Break(());
                 }
-                let tail = &m[m.len() - probe.step_nodes.len()..];
                 for &(_, i) in group {
                     let bind = out.push_copy(rows, i);
                     for (&node, &id) in probe.step_nodes.iter().zip(tail) {
@@ -1595,6 +1665,16 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 /// IdList of a match, ancestors of its first step included.
 fn lists_full_roots(strategy: Strategy) -> bool {
     matches!(strategy, Strategy::RootPaths | Strategy::DataPaths | Strategy::Asr)
+}
+
+/// True when a free scan of `sp` under `strategy` lends each match as its
+/// last id alone, read from the index key: under ROOTPATHS and DATAPATHS,
+/// when the caller reads no `interior` id and the subpath has more than
+/// one node. The node of a one-node subpath may be a segment root whose
+/// ancestors — the IdList in front of it — the first step captures or a
+/// `//` join reads; the first node of a longer one is interior.
+fn lends_key_leaves(strategy: Strategy, sp: &SubpathSpec, interior: bool) -> bool {
+    matches!(strategy, Strategy::RootPaths | Strategy::DataPaths) && !interior && sp.nodes.len() > 1
 }
 
 /// Shape of a twig for calibration-sample keys: tags and axes with
@@ -1634,6 +1714,7 @@ fn leaf_only_matches(q: &PcSubpathQuery, leaf_ids: Vec<u64>) -> Vec<PathMatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::VALUE_KEY_PREFIX_BYTES;
     use crate::xpath::parse_xpath;
     use xtwig_xml::naive;
     use xtwig_xml::tree::fig1_book_document;
@@ -2059,6 +2140,78 @@ mod tests {
         let e = engine(&f);
         for xpath in ["//n//n//n/leaf", "/n/n/n[//leaf]", "//n[n/n]//leaf[. = 'bottom']"] {
             check_every_way(&e, &parse_xpath(xpath).unwrap());
+        }
+    }
+
+    #[test]
+    fn scans_lend_key_leaves_only_where_nothing_reads_more() {
+        // Each twig reaches a reader of the ids in front of a leaf, or
+        // none: `(xpath, steps whose scan lends key leaves)`.
+        let f = fig1_book_document();
+        let e = engine(&f);
+        let long = "x".repeat(VALUE_KEY_PREFIX_BYTES + 24);
+        let mut docs = XmlForest::new();
+        let mut b = docs.builder();
+        b.open("docs");
+        for suffix in ["alpha", "beta", "alpha"] {
+            b.open("rec");
+            b.leaf("blob", &format!("{long}-{suffix}"));
+            b.close();
+        }
+        b.close();
+        b.finish();
+        let long_docs = engine(&docs);
+        for (engine, xpath, leaf_steps) in [
+            // Nothing above the leaf is read: one-step plans of a free
+            // scan each, ROOTPATHS' and DATAPATHS'.
+            (&e, "/book/allauthors/author".to_owned(), 1),
+            (&e, "//author/fn[. = 'jane']".to_owned(), 1),
+            // The output is an interior node.
+            (&e, "//allauthors/author[fn = 'jane']".to_owned(), 0),
+            (&e, "/book/allauthors[author/fn = 'jane']".to_owned(), 0),
+            // One-node subpaths whose ancestors a `//` join reads, from
+            // the first step's capture or from each match.
+            (&e, "/book//title".to_owned(), 0),
+            (&e, "//allauthors//ln".to_owned(), 0),
+            // A leaf-only step (`allauthors` is the `//` join's upper)
+            // beside a one-node subpath that must still decode.
+            (&e, "/book/allauthors//ln[. = 'doe']".to_owned(), 1),
+            // Long values: the recheck reads the leaf from the key.
+            (&long_docs, format!("/docs/rec/blob[. = '{long}-alpha']"), 1),
+            (&long_docs, format!("//rec/blob[. = '{long}-beta']"), 1),
+            (&long_docs, format!("//rec/blob[. = '{long}-gamma']"), 1),
+        ] {
+            let twig = parse_xpath(&xpath).unwrap();
+            let steps: Vec<String> = check_every_way(engine, &twig)
+                .into_iter()
+                .filter(|detail| detail.starts_with('#'))
+                .collect();
+            let leaves = steps.iter().filter(|detail| detail.ends_with(" leaf")).count();
+            assert_eq!(leaves, leaf_steps, "{xpath}: {steps:?}");
+        }
+    }
+
+    #[test]
+    fn a_one_step_plan_writes_no_row() {
+        let f = fig1_book_document();
+        let e = engine(&f);
+        // The leaf is the answer; then an interior node is.
+        for (xpath, leaf) in [("/book/allauthors/author", true), ("//author[fn = 'jane']", false)] {
+            let twig = parse_xpath(xpath).unwrap();
+            let expected: BTreeSet<u64> =
+                naive::select(&f, &twig).into_iter().map(|n| n.0).collect();
+            let (compiled, plan) = e.compile(&twig).unwrap();
+            assert_eq!(plan.steps.len(), 1, "{xpath}");
+            for strategy in Strategy::ALL {
+                let mut cx = Exec::default();
+                assert_eq!(e.execute(&compiled, &plan, strategy, &mut cx), expected, "{xpath}");
+                let written = cx.rows.len() + cx.fresh.len() + cx.out.len();
+                assert_eq!(written, 0, "{xpath} via {strategy}: rows written");
+                if matches!(strategy, Strategy::RootPaths | Strategy::DataPaths) {
+                    // No IdList was decoded into the probe's buffer.
+                    assert_eq!(cx.io.ids.capacity() == 0, leaf, "{xpath} via {strategy}");
+                }
+            }
         }
     }
 

@@ -164,25 +164,52 @@ pub(crate) fn skip_value_part(bytes: &[u8], pos: usize) -> usize {
     codec::dec_null(bytes, pos).unwrap_or_else(|| codec::skip_str(bytes, pos))
 }
 
-/// The one leaf walk of both path indexes: decodes the IdList of each
-/// entry under `prefix` into `ids` — behind `head` unless that is the
-/// virtual root 0 — and lends it with the undecoded entry key to `sink`
-/// when it spans at least `min_len` steps, until `sink` answers `Break`.
-/// A `floor`, which the caller may pass only for an index in document
-/// order (see the module docs), decides which entries are sought past
-/// undecoded. Returns the seeks made.
-#[allow(clippy::too_many_arguments)]
+/// The last id of the entry under `key`: its uniquifier, the key's last
+/// component. Every entry's IdList ends with it.
+pub(crate) fn key_leaf(key: &[u8]) -> u64 {
+    codec::dec_u64(key, key.len() - 9).0
+}
+
+/// What [`scan_entries`] lends of each entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lend {
+    /// The IdList, decoded behind `head` unless that is the virtual root
+    /// 0, of each entry whose list then spans at least `min_len` steps.
+    IdList { head: u64, min_len: usize },
+    /// The last id alone, read from the key: the IdList is never decoded.
+    Leaf,
+}
+
+impl Lend {
+    /// A free lookup's: the whole IdList, or only its last id.
+    pub(crate) fn free(leaf_only: bool) -> Self {
+        if leaf_only {
+            Lend::Leaf
+        } else {
+            Lend::IdList { head: 0, min_len: 0 }
+        }
+    }
+}
+
+/// The one leaf walk of both path indexes: lends what `what` asks of
+/// each entry under `prefix` — its IdList decoded into `ids`, or its last
+/// id from the key — with the undecoded entry key to `sink`, until `sink`
+/// answers `Break`. A `floor`, which the caller may pass only for an
+/// index in document order (see the module docs), decides which entries
+/// are sought past undecoded. Returns the seeks made.
 pub(crate) fn scan_entries(
     tree: &BTree,
     prefix: &[u8],
     idlist: IdListCodec,
-    head: u64,
-    min_len: usize,
+    what: Lend,
     floor: Option<Floor<'_>>,
     ids: &mut Vec<u64>,
     mut sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
 ) -> u64 {
     let lend = |key: &[u8], payload: &[u8]| {
+        let Lend::IdList { head, min_len } = what else {
+            return sink(key, &[key_leaf(key)]);
+        };
         ids.clear();
         if head != 0 {
             ids.push(head);
@@ -217,9 +244,8 @@ struct Leapfrog<'f, 's, L> {
 
 impl<L: FnMut(&[u8], &[u8]) -> ControlFlow<()>> Visit for Leapfrog<'_, '_, L> {
     fn visit(&mut self, key: &[u8], payload: &[u8]) -> Walk {
-        // The uniquifier is the key's last component, a u64.
         let at = key.len() - 9;
-        let (last, _) = codec::dec_u64(key, at);
+        let last = key_leaf(key);
         if self.run.is_empty() {
             // The scan's first run: the floor has seen nothing before it.
             self.run.extend_from_slice(key);
@@ -329,6 +355,11 @@ impl RootPaths {
     /// path; [`FreeIndex::lookup_free`] is the collector that also
     /// decodes the path out of the key).
     ///
+    /// A caller that reads nothing but the matched node asks for
+    /// `leaf_only`: `ids` is then the entry's last id alone, taken from
+    /// the key's uniquifier, and no IdList is decoded (§4.1's
+    /// filter-style path queries, the value index's sublist).
+    ///
     /// While the index is [`RootPaths::document_ordered`], a [`Floor`]
     /// decides which entries are sought past, never decoded. Returns the
     /// seeks made.
@@ -337,10 +368,12 @@ impl RootPaths {
         q: &PcSubpathQuery,
         ids: &mut Vec<u64>,
         floor: Option<Floor<'_>>,
+        leaf_only: bool,
         sink: impl FnMut(&[u8], &[u64]) -> ControlFlow<()>,
     ) -> u64 {
         let floor = floor.filter(|_| self.order.ordered());
-        scan_entries(&self.tree, &self.probe_prefix(q), self.idlist, 0, 0, floor, ids, sink)
+        let what = Lend::free(leaf_only);
+        scan_entries(&self.tree, &self.probe_prefix(q), self.idlist, what, floor, ids, sink)
     }
 
     /// The stored IdList sublist.
@@ -459,7 +492,7 @@ impl PathIndex for RootPaths {
 impl FreeIndex for RootPaths {
     fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
         let mut out = Vec::new();
-        self.for_each_free(q, &mut Vec::new(), None, |key, ids| {
+        self.for_each_free(q, &mut Vec::new(), None, false, |key, ids| {
             let (tags, _) = designator::decode_path_reversed(key, skip_value_part(key, 0));
             debug_assert!(self.keep == IdListKeep::LastOnly || tags.len() == ids.len());
             out.push(PathMatch { head: 0, tags, ids: ids.to_vec() });
@@ -470,12 +503,109 @@ impl FreeIndex for RootPaths {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use xtwig_datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig};
     use xtwig_xml::tree::fig1_book_document;
+    use xtwig_xml::NodeId;
 
     fn build(forest: &XmlForest) -> RootPaths {
         RootPaths::build(forest, Arc::new(BufferPool::in_memory(4096)), RootPathsOptions::default())
+    }
+
+    /// Small XMark and DBLP forests.
+    pub(crate) fn generated_forests() -> [(&'static str, XmlForest); 2] {
+        let mut xmark = XmlForest::new();
+        generate_xmark(&mut xmark, XmarkConfig { scale: 0.005, seed: 29 });
+        let mut dblp = XmlForest::new();
+        generate_dblp(&mut dblp, DblpConfig { scale: 0.005, seed: 29 });
+        [("XMark", xmark), ("DBLP", dblp)]
+    }
+
+    /// Churns a path index built over `forest` through `apply(insert,
+    /// tags, ids, value)`, which inserts (`true`) or deletes the entries
+    /// of the node at the end of `tags`/`ids`: for every 61st node, deletes
+    /// its entries, inserts a fresh sibling and a fresh child, then
+    /// inserts the node again.
+    pub(crate) fn churn(
+        forest: &XmlForest,
+        mut apply: impl FnMut(bool, &[TagId], &[u64], Option<&str>),
+    ) {
+        let mut fresh = forest.iter_nodes().map(|n| n.0).max().unwrap_or(0);
+        for node in forest.iter_nodes().step_by(61) {
+            let tags = forest.root_path_tags(node);
+            let mut ids: Vec<u64> = forest.root_path_ids(node).iter().map(|n| n.0).collect();
+            let value = forest.value_str(node).map(str::to_owned);
+            apply(false, &tags, &ids, value.as_deref());
+            fresh += 1;
+            let mut sibling = ids.clone();
+            *sibling.last_mut().unwrap() = fresh;
+            apply(true, &tags, &sibling, Some("churned"));
+            fresh += 1;
+            let mut child_tags = tags.clone();
+            child_tags.push(forest.tag(NodeId(ids[0])));
+            ids.push(fresh);
+            apply(true, &child_tags, &ids, None);
+            ids.pop();
+            apply(true, &tags, &ids, value.as_deref());
+        }
+    }
+
+    /// Asserts that every entry's key ends with the last id of its
+    /// IdList: the id a leaf-only scan lends without decoding the list.
+    fn assert_keys_end_with_their_leaf(rp: &RootPaths, ctx: &str) {
+        let (mut ids, mut entries) = (Vec::new(), 0);
+        rp.tree.for_each_prefix(&[], |key, payload| {
+            ids.clear();
+            codec::decode_idlist_into(rp.idlist, payload, &mut ids);
+            assert_eq!(ids.last(), Some(&key_leaf(key)), "{ctx}: entry {key:?}");
+            entries += 1;
+            ControlFlow::Continue(())
+        });
+        assert_eq!(entries, rp.rows(), "{ctx}: every entry seen");
+    }
+
+    #[test]
+    fn every_key_ends_with_the_last_id_of_its_idlist() {
+        for (name, forest) in generated_forests() {
+            let mut rp = build(&forest);
+            assert_keys_end_with_their_leaf(&rp, name);
+            churn(&forest, |insert, tags, ids, value| {
+                if insert {
+                    rp.insert_path(tags, ids, value);
+                } else {
+                    assert!(rp.delete_path(tags, ids, value), "{name}: {ids:?} indexed");
+                }
+            });
+            assert!(!rp.document_ordered(), "{name}: the churn inserted out of order");
+            assert_keys_end_with_their_leaf(&rp, &format!("{name} after churn"));
+        }
+    }
+
+    #[test]
+    fn a_leaf_only_scan_lends_the_last_ids_a_full_scan_decodes() {
+        let f = fig1_book_document();
+        let rp = build(&f);
+        for (steps, anchored, value) in [
+            (&["author", "fn"][..], false, Some("jane")),
+            (&["book", "allauthors", "author"][..], true, None),
+            (&["title"][..], false, None),
+        ] {
+            let q = q(&f, steps, anchored, value);
+            let scan = |leaf_only| {
+                let mut lent = Vec::new();
+                rp.for_each_free(&q, &mut Vec::new(), None, leaf_only, |_, ids| {
+                    lent.push(ids.to_vec());
+                    ControlFlow::Continue(())
+                });
+                lent
+            };
+            let (full, leaves) = (scan(false), scan(true));
+            assert!(!full.is_empty(), "{steps:?}");
+            let last: Vec<Vec<u64>> =
+                full.iter().map(|ids| ids[ids.len() - 1..].to_vec()).collect();
+            assert_eq!(leaves, last, "{steps:?}");
+        }
     }
 
     fn q(

@@ -184,3 +184,49 @@ fn a_join_never_holds_its_right_side() {
     }
     assert!(rows * 10 <= 2_587, "{narrowed}: {rows} fetched rows, not a tenth of 2 587");
 }
+
+/// A one-step plan writes no binding-table row: its scan lends each
+/// entry's last id straight from the key, decoding no IdList, and pushes
+/// it into the answer vector, which is sorted, deduplicated and collected
+/// into the answer set.
+///
+/// Measured (bytes asked for / rows fetched): 487 625 / 5 175 = 94 per
+/// row when each match was decoded into a binding-table row and read back
+/// from the output column; 225 481 / 5 175 = 44 now. What is left is the
+/// answer vector's doublings (131 040 bytes), the sort scratch inside
+/// `BTreeSet::from_iter` (8 bytes an id) and the set's nodes (about 10).
+/// The budget lies between the two.
+#[test]
+fn a_one_step_scan_writes_ids_not_rows() {
+    let mut dblp = XmlForest::new();
+    generate_dblp(&mut dblp, DblpConfig { scale: 0.02, seed: 7 });
+    let engine = QueryEngine::build(
+        &dblp,
+        EngineOptions {
+            strategies: vec![Strategy::RootPaths],
+            pool_pages: 8192,
+            ..Default::default()
+        },
+    );
+    let xpath = "//inproceedings/author";
+    let twig = xtwig::parse_xpath(xpath).expect("well-formed");
+    let (compiled, plan) = engine.compile(&twig).expect("workload tags exist");
+    assert_eq!(plan.steps.len(), 1, "{xpath}: one step");
+    let answer = || engine.answer_compiled(&compiled, &plan, Strategy::RootPaths);
+    let warm = answer();
+    let (again, alloc) = allocations_of(answer);
+    assert_eq!(warm.ids, again.ids);
+    let rows = again.metrics.rows_fetched;
+    if std::env::var_os("ALLOC_BUDGET_REPORT").is_some() {
+        println!("{xpath}: rows {rows} allocs {} bytes {}", alloc.count, alloc.bytes);
+    }
+    assert!(rows >= 5_000, "{xpath}: {rows} fetched rows are too few to tell");
+    let per_row = 64;
+    assert!(
+        alloc.bytes < per_row * rows,
+        "{xpath}: {} bytes allocated for {rows} fetched rows (budget {})",
+        alloc.bytes,
+        per_row * rows
+    );
+    assert!(alloc.count <= A + rows / 2, "{xpath}: {} allocations", alloc.count);
+}
