@@ -45,6 +45,10 @@ echo "serving on $addr (pid $server_pid)"
 # die on SIGPIPE mid-exposition; plain grep drains the whole stream.
 "$xtwig" client "$addr" metrics demo | grep xtwig_queries_submitted_total
 "$xtwig" client "$addr" stats demo | grep admission_limit
+# Both renderings walk one family table, so the exposition carries the
+# admission bound and the stats JSON the per-pool page reads.
+"$xtwig" client "$addr" metrics demo | grep xtwig_admission_limit
+"$xtwig" client "$addr" stats demo | grep '"page_reads"'
 
 # Request-scoped observability: a sampled query must print its request
 # id, the captured span tree must be retrievable by that id, the event

@@ -82,6 +82,18 @@ struct PlanEntry {
     auto_pick: Mutex<Option<Strategy>>,
 }
 
+/// A twig compiled through the [`PlanCache`], its strategy resolved.
+pub struct Resolved {
+    /// The shape's cached cover, rebound onto this twig's literals.
+    pub compiled: CompiledTwig,
+    /// The shape's plan, shared by every twig of the shape.
+    pub plan: Arc<QueryPlan>,
+    /// The concrete strategy to run.
+    pub strategy: Strategy,
+    /// The shape key the plan is cached under ([`shape_key`]).
+    pub shape: String,
+}
+
 struct PlanCacheInner {
     map: HashMap<String, Arc<PlanEntry>>,
     /// Insertion order, oldest first (FIFO eviction).
@@ -99,29 +111,19 @@ impl PlanCache {
         }
     }
 
-    /// Compiles `twig` through the cache.
-    pub fn compile<F: Borrow<XmlForest>>(
-        &self,
-        engine: &QueryEngine<F>,
-        twig: &TwigPattern,
-    ) -> Result<(CompiledTwig, Arc<QueryPlan>), UnknownTag> {
-        let entry = self.entry(engine, twig)?;
-        Ok((entry.compiled.rebind(twig), entry.plan.clone()))
-    }
-
-    /// [`PlanCache::compile`] plus strategy resolution: `Auto` resolves
-    /// through the shape's memoized optimizer pick (computed once from
-    /// the first-seen literals — the same parameterized-plan semantics
-    /// the plan itself uses), concrete strategies pass through. The
-    /// returned strategy is always concrete, so callers key their
-    /// result caches on it.
+    /// Compiles `twig` through the cache and resolves its strategy:
+    /// `Auto` resolves through the shape's memoized optimizer pick
+    /// (computed once from the first-seen literals — the same
+    /// parameterized-plan semantics the plan itself uses), concrete
+    /// strategies pass through. The returned strategy is always
+    /// concrete, so callers key their result caches on it.
     pub fn compile_resolved<F: Borrow<XmlForest>>(
         &self,
         engine: &QueryEngine<F>,
         twig: &TwigPattern,
         strategy: Strategy,
-    ) -> Result<(CompiledTwig, Arc<QueryPlan>, Strategy), UnknownTag> {
-        let entry = self.entry(engine, twig)?;
+    ) -> Result<Resolved, UnknownTag> {
+        let (shape, entry) = self.entry(engine, twig)?;
         let resolved = if strategy.is_auto() {
             let mut pick = entry.auto_pick.lock();
             match *pick {
@@ -137,21 +139,26 @@ impl PlanCache {
         } else {
             strategy
         };
-        Ok((entry.compiled.rebind(twig), entry.plan.clone(), resolved))
+        Ok(Resolved {
+            compiled: entry.compiled.rebind(twig),
+            plan: entry.plan.clone(),
+            strategy: resolved,
+            shape,
+        })
     }
 
-    /// The cached entry for `twig`'s shape, compiling and admitting it
-    /// on a miss.
+    /// `twig`'s shape key and the cached entry for it, compiling and
+    /// admitting it on a miss.
     fn entry<F: Borrow<XmlForest>>(
         &self,
         engine: &QueryEngine<F>,
         twig: &TwigPattern,
-    ) -> Result<Arc<PlanEntry>, UnknownTag> {
+    ) -> Result<(String, Arc<PlanEntry>), UnknownTag> {
         let key = shape_key(twig);
         let cached = self.inner.lock().map.get(&key).cloned();
         if let Some(entry) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry);
+            return Ok((key, entry));
         }
         let (compiled, plan) = engine.compile(twig)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -161,10 +168,10 @@ impl PlanCache {
         if let Some(existing) = inner.map.get(&key) {
             // A racing caller admitted the shape first; share its entry
             // (and its memoized pick).
-            return Ok(existing.clone());
+            return Ok((key, existing.clone()));
         }
         inner.map.insert(key.clone(), entry.clone());
-        inner.order.push_back(key);
+        inner.order.push_back(key.clone());
         while inner.map.len() > self.capacity {
             // `order` tracks every entry; an empty queue here would mean
             // the invariant broke, and stopping eviction (a bounded
@@ -172,7 +179,7 @@ impl PlanCache {
             let Some(victim) = inner.order.pop_front() else { break };
             inner.map.remove(&victim);
         }
-        Ok(entry)
+        Ok((key, entry))
     }
 
     /// Hit/miss counters.
@@ -371,9 +378,11 @@ mod tests {
         let cache = PlanCache::new(64);
         let a = parse_xpath("//author[fn='jane']/ln").unwrap();
         let b = parse_xpath("//author[fn='john']/ln").unwrap();
-        let (ca, pa) = cache.compile(&engine, &a).unwrap();
+        let Resolved { compiled: ca, plan: pa, .. } =
+            cache.compile_resolved(&engine, &a, Strategy::RootPaths).unwrap();
         assert_eq!(cache.stats().misses, 1);
-        let (cb, pb) = cache.compile(&engine, &b).unwrap();
+        let Resolved { compiled: cb, plan: pb, .. } =
+            cache.compile_resolved(&engine, &b, Strategy::RootPaths).unwrap();
         assert_eq!(cache.stats().hits, 1, "same shape must hit");
         // The rebind carried the new literal into the cover; the plan
         // carries none and is the one allocation both requests share.
@@ -398,14 +407,18 @@ mod tests {
             QueryEngine::build(&f, EngineOptions { pool_pages: 256, ..Default::default() });
         let cache = PlanCache::new(2);
         for q in ["/book/title", "/book/year", "//author/fn"] {
-            cache.compile(&engine, &parse_xpath(q).unwrap()).unwrap();
+            cache.compile_resolved(&engine, &parse_xpath(q).unwrap(), Strategy::RootPaths).unwrap();
         }
         assert_eq!(cache.len(), 2, "capacity enforced by eviction, not by refusal");
         // The newest shape must be cached (FIFO evicted the oldest).
-        cache.compile(&engine, &parse_xpath("//author/fn").unwrap()).unwrap();
+        cache
+            .compile_resolved(&engine, &parse_xpath("//author/fn").unwrap(), Strategy::RootPaths)
+            .unwrap();
         assert_eq!(cache.stats().hits, 1);
         // The evicted oldest shape recompiles — and is re-admitted.
-        cache.compile(&engine, &parse_xpath("/book/title").unwrap()).unwrap();
+        cache
+            .compile_resolved(&engine, &parse_xpath("/book/title").unwrap(), Strategy::RootPaths)
+            .unwrap();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 4);
     }

@@ -33,10 +33,12 @@
 //!   it in, so rebuilds cannot lose concurrent updates.
 //!   [`TwigService::persist`] folds the accumulated overlay pages into
 //!   a new base image on disk.
-//! * **Stats** — [`TwigService::stats`] snapshots cache hit rates,
-//!   in-flight queries, per-strategy latency histograms, and per-strategy
-//!   cost counters (probes, rows fetched, logical/physical page reads,
-//!   optimizer picks); the wire `Stats` op ships them as JSON.
+//! * **Stats** — [`TwigService::stats`] is the one snapshot of every
+//!   service counter (requests, maintenance, caches, admission,
+//!   per-strategy costs and latency, pools, shapes, slow queries, events).
+//!   One family table in [`metrics`] declares each counter once and
+//!   renders the snapshot both as the JSON the wire `Stats` op ships and
+//!   as the Prometheus text of [`TwigService::metrics_text`].
 //! * **Auto strategy selection** — requests may name
 //!   [`Strategy::Auto`](xtwig_core::Strategy::Auto): the service
 //!   resolves it through the engine's cost model (memoized per shape in
@@ -75,17 +77,13 @@ pub mod events;
 pub mod metrics;
 pub mod service;
 pub mod shape;
-pub mod stats;
 
 pub use admission::{Admission, Permit};
 pub use cache::{CacheStats, PlanCache, ResultCache};
 pub use catalog::{Catalog, CatalogEntry, CatalogError, CatalogOptions, CatalogStats};
 pub use events::{Event, EventJournal, JournalEntry, EVENT_KINDS};
-pub use metrics::{render_metrics, MetricsRegistry, SlowQuery};
+pub use metrics::{ServiceSnapshot, SlowQuery, StrategyCostSnapshot};
 pub use service::{
     RequestCtx, ServiceAnswer, ServiceError, ServiceOptions, SharedEngine, TwigService, UpdateOp,
 };
 pub use shape::{exact_key, shape_key};
-pub use stats::{
-    json_escape, LatencySnapshot, ServiceSnapshot, ServiceStats, StrategyCostSnapshot,
-};

@@ -27,11 +27,10 @@
 //! lose a committed update.
 
 use crate::admission::Admission;
-use crate::cache::{PlanCache, ResultCache};
+use crate::cache::{PlanCache, Resolved, ResultCache};
 use crate::events::{Event, EventJournal};
-use crate::metrics::{render_metrics, MetricsRegistry, SlowQuery};
-use crate::shape::{exact_key, shape_key};
-use crate::stats::{ServiceSnapshot, ServiceStats};
+use crate::metrics::{micros, Metrics, ServiceSnapshot, SlowQuery};
+use crate::shape::exact_key;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -249,8 +248,7 @@ struct Shared {
     /// Lock-free mirror of the published epoch's generation (for
     /// [`TwigService::generation`] and stats).
     generation: AtomicU64,
-    stats: ServiceStats,
-    metrics: MetricsRegistry,
+    metrics: Metrics,
     /// Structured event journal (shared with the catalog/server when
     /// injected via [`ServiceOptions::events`]).
     events: Arc<EventJournal>,
@@ -337,8 +335,7 @@ impl TwigService {
             plan_cache: PlanCache::new(options.plan_cache_capacity),
             result_cache: ResultCache::new(options.result_cache_capacity),
             generation: AtomicU64::new(0),
-            stats: ServiceStats::default(),
-            metrics: MetricsRegistry::new(options.slow_query_micros, options.slow_query_capacity),
+            metrics: Metrics::new(options.slow_query_micros, options.slow_query_capacity),
             events,
             available,
         });
@@ -373,10 +370,10 @@ impl TwigService {
         let Some(_permit) = self.admission.try_acquire() else {
             return Err(self.reject_overloaded());
         };
-        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        let metrics = &self.shared.metrics;
+        metrics.submitted.fetch_add(1, Ordering::Relaxed);
         let answer = answer_pinned(&self.shared, &self.shared.pin(), twig, strategy, ctx);
-        let outcome =
-            if answer.is_ok() { &self.shared.stats.completed } else { &self.shared.stats.failed };
+        let outcome = if answer.is_ok() { &metrics.completed } else { &metrics.failed };
         outcome.fetch_add(1, Ordering::Relaxed);
         answer
     }
@@ -436,12 +433,12 @@ impl TwigService {
             apply_op(&mut engine, op);
         }
         let op_count = ops.len() as u64;
-        self.shared.stats.journal_ops.fetch_add(op_count, Ordering::Relaxed);
+        self.shared.metrics.journal_ops.fetch_add(op_count, Ordering::Relaxed);
         maint.journal.extend(ops);
         let generation = current.generation + 1;
         drop(current);
         let old = self.shared.publish(Arc::new(EngineEpoch { engine, generation }));
-        self.shared.stats.updates.fetch_add(1, Ordering::Relaxed);
+        self.shared.metrics.updates.fetch_add(1, Ordering::Relaxed);
         drop(maint);
         self.shared.events.emit(Event::UpdateCommitted { generation, ops: op_count });
         // The displaced epoch may hold the last reference to its pools.
@@ -477,10 +474,10 @@ impl TwigService {
                 apply_op(&mut new_engine, op);
             }
             let replayed = maint.journal.len() as u64;
-            self.shared.stats.replayed_ops.fetch_add(replayed, Ordering::Relaxed);
+            self.shared.metrics.replayed_ops.fetch_add(replayed, Ordering::Relaxed);
             self.shared.set_available(&new_engine);
             let generation = self.shared.pin().generation + 1;
-            self.shared.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
+            self.shared.metrics.rebuilds.fetch_add(1, Ordering::Relaxed);
             let old = self.shared.publish(Arc::new(EngineEpoch { engine: new_engine, generation }));
             (old, generation, replayed)
         };
@@ -506,7 +503,7 @@ impl TwigService {
         let maint = self.shared.maintenance.lock();
         let epoch = self.shared.pin();
         let report = epoch.engine.persist(path)?;
-        self.shared.stats.folds.fetch_add(1, Ordering::Relaxed);
+        self.shared.metrics.folds.fetch_add(1, Ordering::Relaxed);
         drop(maint);
         self.shared.events.emit(Event::PersistFolded { path: path.display().to_string() });
         Ok(report)
@@ -526,39 +523,28 @@ impl TwigService {
         self.shared.generation.load(Ordering::SeqCst)
     }
 
-    /// Snapshot of every service metric.
+    /// Snapshot of every service metric, the current engine's per-pool
+    /// page counters included (read from a pinned epoch, like a query).
     pub fn stats(&self) -> ServiceSnapshot {
-        let s = &self.shared.stats;
+        let shared = &self.shared;
+        let pools = self.with_engine(|e| e.pool_counters());
         ServiceSnapshot {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            updates: s.updates.load(Ordering::Relaxed),
-            rebuilds: s.rebuilds.load(Ordering::Relaxed),
-            journal_ops: s.journal_ops.load(Ordering::Relaxed),
-            replayed_ops: s.replayed_ops.load(Ordering::Relaxed),
-            folds: s.folds.load(Ordering::Relaxed),
             in_flight: self.admission.in_flight(),
             admission_limit: self.admission.limit(),
             overloaded: self.admission.rejected(),
             generation: self.generation(),
-            plan_cache: self.shared.plan_cache.stats(),
-            result_cache: self.shared.result_cache.stats(),
-            latency: s.latency_snapshots(),
-            costs: s.cost_snapshots(),
+            plan_cache: shared.plan_cache.stats(),
+            result_cache: shared.result_cache.stats(),
+            pools: pools.iter().map(|(p, c)| (*p, c.snapshot(), c.resident_pages())).collect(),
+            events: shared.events.kind_counts(),
+            events_dropped: shared.events.dropped(),
+            ..shared.metrics.snapshot()
         }
     }
 
-    /// Renders every service metric in the Prometheus text exposition
-    /// format: request/cache counters, per-strategy execution costs
-    /// and log2 latency histograms, per-pool page-read/miss/pin
-    /// counters from the current engine, per-shape traffic, and the
-    /// slow-query count. Scrape-safe: holds no lock across query
-    /// execution (the engine is pinned like any reader).
+    /// [`TwigService::stats`] in the Prometheus text exposition format.
     pub fn metrics_text(&self) -> String {
-        let snapshot = self.stats();
-        let pools = self.with_engine(|e| e.pool_counters());
-        render_metrics(&snapshot, &pools, &self.shared.metrics, &self.shared.events)
+        self.stats().to_prometheus()
     }
 
     /// The retained slow-query records, oldest first (see
@@ -658,7 +644,7 @@ fn answer_miss(
     ctx: &RequestCtx,
 ) -> ServiceAnswer {
     let (engine, generation) = (&epoch.engine, epoch.generation);
-    let (compiled, plan, strategy) =
+    let Resolved { compiled, plan, strategy, shape } =
         match shared.plan_cache.compile_resolved(engine, twig, requested) {
             // Unknown tag: the answer is necessarily empty (§2.2); still
             // cacheable under the current generation when the request
@@ -689,7 +675,7 @@ fn answer_miss(
             Ok(resolved) => resolved,
         };
     if requested.is_auto() {
-        shared.stats.record_auto_pick(strategy);
+        shared.metrics.record_auto_pick(strategy);
         // The pick's concrete key may already be cached (by an earlier
         // auto request or an explicit one). A sampled request skips
         // the hit for the same reason `answer_pinned` does.
@@ -704,14 +690,13 @@ fn answer_miss(
     // client sampled the request, or the slow log is on — and dropped
     // below if they were not. The spans are those of the execution that
     // serves the request, cold reads included.
-    let mut trace = (ctx.sample || shared.metrics.slow_log_enabled()).then(xtwig_core::Trace::new);
+    let slow_log = shared.metrics.slow_threshold.is_some();
+    let mut trace = (ctx.sample || slow_log).then(xtwig_core::Trace::new);
     let answer = engine.answer_compiled_with(&compiled, &plan, strategy, trace.as_mut());
-    shared.stats.record_latency(strategy, answer.metrics.elapsed);
-    shared.stats.record_cost(strategy, &answer.metrics);
-    shared.metrics.observe_shape(&shape_key(twig), answer.metrics.elapsed);
+    shared.metrics.record(strategy, shape, &answer.metrics);
     let slow = shared.metrics.is_slow(answer.metrics.elapsed);
     if let Some(trace) = trace.filter(|_| slow || ctx.sample) {
-        let micros = answer.metrics.elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+        let micros = micros(answer.metrics.elapsed);
         let record = SlowQuery {
             query: twig.to_string(),
             strategy,
@@ -721,16 +706,14 @@ fn answer_miss(
             request_id: ctx.request_id,
             peer: ctx.peer.clone(),
         };
+        shared.metrics.record_trace(record, slow);
         if slow {
-            shared.metrics.record_slow(record);
             shared.events.emit(Event::SlowQuery {
                 query: twig.to_string(),
                 micros,
                 request_id: ctx.request_id,
                 peer: ctx.peer.clone(),
             });
-        } else {
-            shared.metrics.record_sampled(record);
         }
     }
     let ids = Arc::new(answer.ids);
@@ -1351,5 +1334,26 @@ mod tests {
         // A cache hit does no index work: not slow, not re-counted.
         svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert_eq!(svc.slow_queries().len(), 1);
+    }
+
+    #[test]
+    fn metrics_text_exposes_the_maintenance_counters() {
+        let dir = std::env::temp_dir().join(format!("xtwig-svc-counters-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let svc = small_service();
+        svc.apply_update(ada_ops(&svc));
+        svc.persist(dir.join("folded.xtwig")).unwrap();
+        svc.rebuild_parallel(EngineOptions { pool_pages: 256, ..Default::default() }, 2);
+        let text = svc.metrics_text();
+        for sample in [
+            "xtwig_journal_ops_total 2",
+            "xtwig_replayed_ops_total 2",
+            "xtwig_folds_total 1",
+            "xtwig_admission_limit 1024",
+            "xtwig_result_cache_invalidated_total 0",
+        ] {
+            assert!(text.lines().any(|l| l == sample), "{sample} missing from:\n{text}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

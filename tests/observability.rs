@@ -14,10 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::parse_xpath;
-use xtwig::service::{
-    render_metrics, EventJournal, MetricsRegistry, RequestCtx, ServiceOptions, TwigService,
-    UpdateOp,
-};
+use xtwig::service::{RequestCtx, ServiceOptions, ServiceSnapshot, TwigService, UpdateOp};
 use xtwig::xml::tree::fig1_book_document;
 use xtwig::xml::XmlForest;
 
@@ -487,21 +484,12 @@ fn exposition_declares_help_and_type_for_every_family_before_its_samples() {
 /// and the line must still split as `name{labels} value`.
 #[test]
 fn hostile_label_values_are_escaped_in_the_exposition() {
-    let registry = MetricsRegistry::new(None, 0);
     let evil = "shape\"with\\hostile\nchars";
-    registry.observe_shape(evil, std::time::Duration::from_micros(5));
-    let journal = EventJournal::new(8);
+    // A hand-built snapshot: zeroed counters plus the one hostile shape
+    // row, rendered with no service behind it.
+    let snapshot = ServiceSnapshot { shapes: vec![(evil.to_owned(), 1, 5)], ..Default::default() };
 
-    // A real snapshot (zeroed counters) from a throwaway service; the
-    // renderer is a free function precisely so this test needs no pool.
-    let service = TwigService::build(
-        fig1_book_document(),
-        EngineOptions { pool_pages: 256, ..Default::default() },
-        ServiceOptions::default(),
-    );
-    let snapshot = service.stats();
-
-    let text = render_metrics(&snapshot, &[], &registry, &journal);
+    let text = snapshot.to_prometheus();
     let lines: Vec<&str> =
         text.lines().filter(|l| l.starts_with("xtwig_shape_queries_total{")).collect();
     assert_eq!(lines.len(), 1, "the newline in the label must be escaped, not emitted: {lines:?}");
