@@ -2,16 +2,17 @@
 //!
 //! The build environment has no access to crates.io, so this vendored
 //! shim provides the subset of the `parking_lot` 0.12 API the workspace
-//! uses — `Mutex`, `RwLock`, and the owned `Arc` read/write guards —
-//! implemented over `std::sync` primitives. Like the real crate (and
-//! unlike `std`), locks here do not poison: a panic while holding a
-//! guard simply releases it.
+//! uses — `Mutex` and `RwLock` with borrowed guards — as thin wrappers
+//! over their `std::sync` counterparts. Like the real crate (and unlike
+//! `std`), locks here do not poison: a panic while holding a guard
+//! simply releases it.
 
-use std::cell::UnsafeCell;
 use std::fmt;
-use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError};
+use std::sync::{
+    Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError, RwLock as StdRwLock,
+    RwLockReadGuard as StdRwLockReadGuard, RwLockWriteGuard as StdRwLockWriteGuard,
+};
 
 // ---------------------------------------------------------------------------
 // Mutex
@@ -86,108 +87,36 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 // RwLock
 // ---------------------------------------------------------------------------
 
-/// Raw reader-writer lock state: `-1` = exclusive writer, `n >= 0` = `n`
-/// active readers. Named to mirror `parking_lot::RawRwLock` so guard type
-/// signatures (`ArcRwLockReadGuard<RawRwLock, T>`) line up verbatim.
-pub struct RawRwLock {
-    state: StdMutex<i64>,
-    cond: Condvar,
-}
-
-impl RawRwLock {
-    fn new() -> Self {
-        RawRwLock { state: StdMutex::new(0), cond: Condvar::new() }
-    }
-
-    fn lock_shared(&self) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while *s < 0 {
-            s = self.cond.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
-        *s += 1;
-    }
-
-    fn unlock_shared(&self) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *s -= 1;
-        if *s == 0 {
-            self.cond.notify_all();
-        }
-    }
-
-    fn lock_exclusive(&self) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while *s != 0 {
-            s = self.cond.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
-        *s = -1;
-    }
-
-    fn unlock_exclusive(&self) {
-        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *s = 0;
-        self.cond.notify_all();
-    }
-}
-
-/// Non-poisoning reader-writer lock with owned-guard (`read_arc` /
-/// `write_arc`) support.
+/// Non-poisoning reader-writer lock with the `parking_lot::RwLock`
+/// calling convention, over `std::sync::RwLock`. Like std's (and unlike
+/// a reader-preferring lock) it may make a reader wait behind a queued
+/// writer, so a thread must not read-lock a lock it already holds while
+/// another thread can be waiting to write it.
 pub struct RwLock<T: ?Sized> {
-    raw: RawRwLock,
-    data: UnsafeCell<T>,
+    inner: StdRwLock<T>,
 }
-
-// SAFETY: same bounds std::sync::RwLock declares — the RawRwLock
-// serializes writers and excludes them from readers, so sending the
-// lock (T: Send) or sharing it (T: Send + Sync) never hands out
-// unsynchronized access to the UnsafeCell contents.
-unsafe impl<T: ?Sized + Send> Send for RwLock<T> {}
-// SAFETY: see above; shared access additionally requires T: Sync
-// because read guards alias &T across threads.
-unsafe impl<T: ?Sized + Send + Sync> Sync for RwLock<T> {}
 
 impl<T> RwLock<T> {
     pub fn new(value: T) -> Self {
-        RwLock { raw: RawRwLock::new(), data: UnsafeCell::new(value) }
+        RwLock { inner: StdRwLock::new(value) }
     }
 
     pub fn into_inner(self) -> T {
-        self.data.into_inner()
+        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl<T: ?Sized> RwLock<T> {
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.raw.lock_shared();
-        RwLockReadGuard { lock: self }
+        RwLockReadGuard { inner: self.inner.read().unwrap_or_else(PoisonError::into_inner) }
     }
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.raw.lock_exclusive();
-        RwLockWriteGuard { lock: self }
+        RwLockWriteGuard { inner: self.inner.write().unwrap_or_else(PoisonError::into_inner) }
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-
-    /// Owned shared lock: the guard keeps the `Arc` alive, so it has no
-    /// lifetime tie to the borrow of `self`.
-    pub fn read_arc(self: &Arc<Self>) -> ArcRwLockReadGuard<RawRwLock, T>
-    where
-        T: Sized,
-    {
-        self.raw.lock_shared();
-        ArcRwLockReadGuard { lock: Arc::clone(self), _raw: PhantomData }
-    }
-
-    /// Owned exclusive lock; see [`RwLock::read_arc`].
-    pub fn write_arc(self: &Arc<Self>) -> ArcRwLockWriteGuard<RawRwLock, T>
-    where
-        T: Sized,
-    {
-        self.raw.lock_exclusive();
-        ArcRwLockWriteGuard { lock: Arc::clone(self), _raw: PhantomData }
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -197,107 +126,43 @@ impl<T: Default> Default for RwLock<T> {
     }
 }
 
-/// Borrowed shared guard for [`RwLock`].
+/// Shared guard for [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
+    inner: StdRwLockReadGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        // Safety: shared lock held for the guard's lifetime.
-        unsafe { &*self.lock.data.get() }
+        &self.inner
     }
 }
 
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.raw.unlock_shared();
-    }
-}
-
-/// Borrowed exclusive guard for [`RwLock`].
+/// Exclusive guard for [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
+    inner: StdRwLockWriteGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        // Safety: exclusive lock held for the guard's lifetime.
-        unsafe { &*self.lock.data.get() }
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        // Safety: exclusive lock held for the guard's lifetime.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.raw.unlock_exclusive();
-    }
-}
-
-/// Owned shared guard returned by [`RwLock::read_arc`]. The `R` type
-/// parameter exists only to match the real `lock_api` signature.
-pub struct ArcRwLockReadGuard<R, T> {
-    lock: Arc<RwLock<T>>,
-    _raw: PhantomData<R>,
-}
-
-impl<R, T> Deref for ArcRwLockReadGuard<R, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // Safety: shared lock held for the guard's lifetime.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<R, T> Drop for ArcRwLockReadGuard<R, T> {
-    fn drop(&mut self) {
-        self.lock.raw.unlock_shared();
-    }
-}
-
-/// Owned exclusive guard returned by [`RwLock::write_arc`].
-pub struct ArcRwLockWriteGuard<R, T> {
-    lock: Arc<RwLock<T>>,
-    _raw: PhantomData<R>,
-}
-
-impl<R, T> Deref for ArcRwLockWriteGuard<R, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // Safety: exclusive lock held for the guard's lifetime.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<R, T> DerefMut for ArcRwLockWriteGuard<R, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // Safety: exclusive lock held for the guard's lifetime.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-impl<R, T> Drop for ArcRwLockWriteGuard<R, T> {
-    fn drop(&mut self) {
-        self.lock.raw.unlock_exclusive();
+        &mut self.inner
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn mutex_basic() {
@@ -308,7 +173,7 @@ mod tests {
 
     #[test]
     fn rwlock_readers_then_writer() {
-        let l = Arc::new(RwLock::new(0u32));
+        let l = RwLock::new(0u32);
         {
             let a = l.read();
             let b = l.read();
@@ -319,34 +184,56 @@ mod tests {
     }
 
     #[test]
-    fn arc_guards_outlive_borrow() {
-        let guard = {
-            let l = Arc::new(RwLock::new(5i32));
-            l.read_arc()
-        };
-        assert_eq!(*guard, 5);
+    fn a_panic_under_either_guard_leaves_the_lock_usable() {
+        let l = RwLock::new(1i32);
+        let read = catch_unwind(AssertUnwindSafe(|| {
+            let _g = l.read();
+            panic!("under a read guard");
+        }));
+        assert!(read.is_err());
+        *l.write() += 1;
+        let write = catch_unwind(AssertUnwindSafe(|| {
+            let mut g = l.write();
+            *g += 1;
+            panic!("under a write guard");
+        }));
+        assert!(write.is_err());
+        // Not poisoned: both guards still come back, and the write that
+        // preceded the panic stands.
+        assert_eq!(*l.read(), 3);
+        *l.write() = 4;
+        assert_eq!(l.into_inner(), 4);
     }
 
     #[test]
-    fn write_arc_excludes_readers() {
-        let l = Arc::new(RwLock::new(0usize));
-        let hits = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let l = Arc::clone(&l);
-            let hits = Arc::clone(&hits);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..500 {
-                    let mut g = l.write_arc();
-                    *g += 1;
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*l.read(), 2000);
-        assert_eq!(hits.load(Ordering::Relaxed), 2000);
+    fn a_writer_excludes_readers_across_threads() {
+        // Writers keep the pair equal only at guard boundaries; a reader
+        // that ever saw them differ would have overlapped a writer.
+        let l = RwLock::new((0u64, 0u64));
+        let torn = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..2_000 {
+                        let mut g = l.write();
+                        g.0 += 1;
+                        std::hint::black_box(&mut *g);
+                        g.1 += 1;
+                    }
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..2_000 {
+                        let g = l.read();
+                        if g.0 != g.1 {
+                            torn.store(true, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(!torn.load(Ordering::Relaxed), "a reader saw a half-done write");
+        assert_eq!(*l.read(), (4_000, 4_000));
     }
 }

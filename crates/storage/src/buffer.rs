@@ -6,14 +6,19 @@
 //! physical I/O are observable per experiment.
 //!
 //! Concurrency: the page table and replacement state sit behind one
-//! mutex; page contents sit behind per-frame `RwLock`s (the frame's
-//! latch). Pins are counted so a resident, in-use page is never evicted.
-//! Eviction picks the least-recently-used unpinned frame (timestamp scan
-//! — O(frames), which is fine at the pool sizes used here). A miss holds
-//! the mutex only to pick, pin and latch its frame and publish the page;
-//! the backend read itself runs under the frame's latch alone, so it
-//! stalls no fetch of another page, and a fetch of the same page waits
-//! on that latch rather than on the table.
+//! `RwLock` (the table lock); page contents sit behind per-frame
+//! `RwLock`s (the frame's latch). A hit looks its page up and pins it
+//! under the *shared* table lock, so hits on any pages run side by side;
+//! installing and evicting take it *exclusively*. Pins are counted so a
+//! resident, in-use page is never evicted. Eviction picks the
+//! least-recently-used unpinned frame (timestamp scan — O(frames), which
+//! is fine at the pool sizes used here). A miss holds the exclusive lock
+//! only to pick, pin and latch its frame and publish the page; the
+//! backend read itself runs under the frame's latch alone, so it stalls
+//! no fetch of another page, and a fetch of the same page waits on that
+//! latch rather than on the table. Both locks are `std::sync::RwLock`s
+//! (through the `parking_lot` stand-in): an uncontended shared
+//! acquisition and release is one atomic each, with no syscall.
 //!
 //! Memory: frames and their 8 KiB page images are materialized on first
 //! use, so a pool costs what it holds, not what it could hold. An image
@@ -24,42 +29,63 @@
 //! Read-path concurrency audit (the invariants `xtwig-service` relies
 //! on; guarded by `tests/pool_stress.rs`):
 //!
-//! * A frame's pin count only rises 0→1 under the table mutex (`pin`,
-//!   from the hit and the install path of `install`), so `pick_victim`
-//!   — also under the mutex — can never evict a frame that a guard is
-//!   about to reference. A writer's dirty mark is set in the same
-//!   critical section.
-//! * Page-content locks are only acquired while holding the table mutex
-//!   for frames with **zero** pins (eviction write-back, `flush_all`,
-//!   the load latch), where no outstanding guard can hold the content
-//!   lock — otherwise a reader that holds a page guard and fetches a
-//!   second page (which needs the mutex) could deadlock against the
-//!   mutex holder waiting on its page lock. This is why `flush_all`
-//!   skips pinned frames.
-//! * The load latch is the write lock `install` takes, under the mutex,
-//!   on the zero-pin frame it has just pinned for a missing page. It is
-//!   held across the backend read *without* the mutex and released
-//!   before the frame is handed out; nothing a loader does on success
-//!   needs the mutex again. If the read unwinds, `Pending` empties the
-//!   frame and releases the latch first, and only then takes the mutex
-//!   to unpublish the page, retire the slot and drop its pin: a fetch
-//!   that pinned the frame meanwhile finds it empty and retries, and
-//!   the next fetch of the page reads it again.
+//! * A frame's pin count only rises 0→1 under the table lock (`pin`):
+//!   shared for a hit, exclusive for an install. `pick_victim` runs only
+//!   under the exclusive lock, so it can never evict a frame that a
+//!   guard is about to reference. A writer's dirty mark is set in the
+//!   same critical section, so `flush_all` and `cow_fork`, which hold
+//!   the lock exclusively, never see a writer's pin without its mark.
+//! * The table lock is never held across a fetch, a backend read or a
+//!   frame latch that a guard may hold. Page-content locks are only
+//!   acquired under the exclusive table lock for frames with **zero**
+//!   pins (eviction write-back, `flush_all`, the load latch), where no
+//!   outstanding guard can hold the content lock — otherwise a reader
+//!   that holds a page guard and fetches a second page (which needs the
+//!   table lock) could deadlock against the lock holder waiting on its
+//!   page lock. This is why `flush_all` skips pinned frames.
+//! * The load latch is the write lock `install` takes, under the
+//!   exclusive table lock, on the zero-pin frame it has just pinned for
+//!   a missing page. It is held across the backend read *without* the
+//!   table lock and released before the frame is handed out; nothing a
+//!   loader does on success needs the table lock again. If the read
+//!   unwinds, `Pending` empties the frame and releases the latch first,
+//!   and only then takes the table lock to unpublish the page, retire
+//!   the slot and drop its pin: a fetch that pinned the frame meanwhile
+//!   finds it empty and retries, and the next fetch of the page reads
+//!   it again.
 //! * The one exception is `cow_fork`, which *read*-locks pinned
-//!   **clean** frames under the mutex to share their images, and so
-//!   waits for a load in flight. No cycle: the loader never needs the
-//!   mutex while it holds the latch. A frame pinned by a writer is dirty
-//!   (see above) and refuses the fork first, so otherwise only readers
-//!   hold those locks and a shared acquisition cannot wait. A frame a
-//!   failed load left empty refuses the fork too, until its loader has
-//!   retired it.
+//!   **clean** frames under the exclusive table lock to share their
+//!   images, and so waits for a load in flight. No cycle: the loader
+//!   never needs the table lock while it holds the latch. A frame pinned
+//!   by a writer is dirty (see above) and refuses the fork first, so
+//!   otherwise only readers hold those locks and a shared acquisition
+//!   cannot wait. A frame a failed load left empty refuses the fork
+//!   too, until its loader has retired it.
 //! * `clear_cache` requires quiescence (it panics on pinned pages); it
 //!   is a bench/ablation facility, not a serving-path operation.
+//!
+//! Writer preference: `std`'s `RwLock` makes a new reader wait behind a
+//! queued writer. A thread holding a page guard may fetch the same page
+//! again, read-locking a latch it already holds, and that deadlocks if a
+//! writer queued on the latch in between. No write acquisition here can
+//! queue behind such a re-entering reader:
+//!
+//! * the load latch is taken only on a zero-pin frame, which no guard
+//!   holds and no reader can reach until the exclusive table lock drops;
+//! * `fetch_mut` and `allocate` latch frames only on a pool that is
+//!   being built or on a [`BufferPool::cow_fork`] not yet published to
+//!   readers (the engine writes nothing else), so no reader of another
+//!   thread holds a guard on that pool;
+//! * the table's `write()` is never held across a fetch, and its
+//!   `read()` is held only to look a page up and pin it — no thread
+//!   holds the table lock while it takes it again;
+//! * the service's epoch lock is held only to clone or swap the epoch
+//!   `Arc` (`pin`, `publish`), never across another acquisition.
 //!
 //! Write-path concurrency audit (for the sharded index builds in
 //! `xtwig-core::parallel`): `allocate` is safe to call from any number
 //! of threads — the backend hands out ids under its own mutex/atomic,
-//! `install` pins and latches the fresh frame under the table mutex and
+//! `install` pins and latches the fresh frame under the table lock and
 //! zero-fills it before the guard is handed out, and the returned write
 //! guard owns the content lock. What concurrent allocation does **not**
 //! give is a deterministic id order, which is why the sharded builders
@@ -83,7 +109,7 @@
 use crate::disk::DiskManager;
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::stats::{IoStats, PoolCounters};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -108,10 +134,14 @@ struct Frame {
     last_used: AtomicU64,
 }
 
+// Exactly one line: a latch type that grew past it would silently undo
+// the alignment above.
+const _: () = assert!(std::mem::size_of::<Frame>() == 64);
+
 /// Frames are created a chunk at a time, on first use, so an empty pool
 /// of any capacity owns no frames and a fork copies only the chunks its
 /// parent touched. Chunks never move once created, which is what lets
-/// guards borrow a frame without holding the table mutex.
+/// guards borrow a frame without holding the table lock.
 const FRAME_CHUNK: usize = 64;
 
 fn new_chunk() -> Box<[Frame]> {
@@ -131,7 +161,7 @@ pub struct BufferPool {
     disk: DiskManager,
     capacity: usize,
     frames: Box<[OnceLock<Box<[Frame]>>]>,
-    inner: Mutex<PoolInner>,
+    inner: RwLock<PoolInner>,
     clock: AtomicU64,
     /// Shared with every pool forked from this one, so the counters an
     /// operator scrapes stay cumulative across epochs.
@@ -149,7 +179,7 @@ impl BufferPool {
             disk,
             capacity,
             frames: (0..capacity.div_ceil(FRAME_CHUNK)).map(|_| OnceLock::new()).collect(),
-            inner: Mutex::new(PoolInner { table: HashMap::new(), resident: Vec::new() }),
+            inner: RwLock::new(PoolInner { table: HashMap::new(), resident: Vec::new() }),
             clock: AtomicU64::new(1),
             stats: Arc::new(IoStats::new()),
             resident: Arc::default(),
@@ -254,7 +284,7 @@ impl BufferPool {
     pub fn cow_fork(&self) -> Result<BufferPool, usize> {
         // One critical section: no writer can pin a page between the
         // flush and the copy of the frame table.
-        let inner = self.inner.lock();
+        let inner = self.inner.write();
         let skipped = self.flush_locked(&inner);
         if skipped > 0 {
             return Err(skipped);
@@ -271,7 +301,7 @@ impl BufferPool {
                 }
                 // A pinned frame is clean here (the flush skipped none),
                 // so only readers hold its content lock, or a loader,
-                // which never needs the mutex to finish.
+                // which never needs the table lock to finish.
                 let chunk: Box<[Frame]> = (start..start + FRAME_CHUNK)
                     .map(|idx| match inner.resident.get(idx) {
                         Some(pid) => {
@@ -294,7 +324,7 @@ impl BufferPool {
             disk: self.disk.fork_cow(),
             capacity: self.capacity,
             frames,
-            inner: Mutex::new(PoolInner {
+            inner: RwLock::new(PoolInner {
                 table: inner.table.clone(),
                 resident: inner.resident.clone(),
             }),
@@ -355,14 +385,14 @@ impl BufferPool {
     ///
     /// Pinned frames are skipped: their content lock may be held by an
     /// outstanding guard whose owner could be blocked on the table
-    /// mutex we hold here (see the module-level audit) — and they stay
+    /// lock we hold here (see the module-level audit) — and they stay
     /// dirty, so eviction or a later flush still writes them back. For
     /// cache hygiene ([`BufferPool::clear_cache`]) that is harmless and
     /// the count is ignored; a persistence pass, however, needs every
     /// page on the backend, so it treats `skipped > 0` as an error (a
     /// concurrent writer holds part of the image it is copying).
     pub fn flush_all(&self) -> usize {
-        self.flush_locked(&self.inner.lock())
+        self.flush_locked(&self.inner.write())
     }
 
     fn flush_locked(&self, inner: &PoolInner) -> usize {
@@ -381,7 +411,7 @@ impl BufferPool {
 
     /// Hands an unpinned frame's image to the backend if it is dirty —
     /// by `Arc`, so an overlay shares it instead of copying 8 KiB under
-    /// the table mutex.
+    /// the table lock.
     fn write_back(&self, frame: &Frame, pid: PageId) {
         if frame.dirty.swap(false, Ordering::Relaxed) {
             if let Some(image) = frame.data.read().as_ref() {
@@ -395,7 +425,7 @@ impl BufferPool {
     /// read — the "cold cache" setting of the paper's omitted experiment.
     /// Dirty pages are flushed first. Panics if any page is pinned.
     pub fn clear_cache(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         self.flush_locked(&inner);
         for frame in self.used_frames(&inner) {
             assert_eq!(frame.pin.load(Ordering::SeqCst), 0, "clear_cache with pinned pages");
@@ -422,9 +452,9 @@ impl BufferPool {
             .take(inner.resident.len())
     }
 
-    /// Pins `idx` (under the table mutex) on behalf of a new guard. A
-    /// writer's dirty mark is set here too, so a pinned frame seen clean
-    /// under the mutex is known to have readers only.
+    /// Pins `idx` (under the table lock, shared or exclusive) on behalf
+    /// of a new guard. A writer's dirty mark is set here too, so a pinned
+    /// frame seen clean under the exclusive lock has readers only.
     fn pin(&self, idx: usize, write: bool) -> &Frame {
         let frame = self.frame(idx);
         frame.pin.fetch_add(1, Ordering::SeqCst);
@@ -440,15 +470,22 @@ impl BufferPool {
     /// not resident: evicting if needed, then loading its content from
     /// disk (`load`) or zero-filling it.
     ///
-    /// Only the bookkeeping runs under the table mutex: the victim is
-    /// picked, pinned and write-latched there, and the page published.
-    /// The victim had no pins, so no guard holds its latch and taking it
-    /// cannot wait. The backend read runs after the mutex is released,
-    /// under the latch alone, so a concurrent fetch of this page pins
-    /// the frame and waits on that latch while every other page of the
-    /// pool stays available.
+    /// A resident page is pinned under the shared table lock alone. A
+    /// miss takes the lock exclusively and looks again (another thread
+    /// may have installed the page in between); only the bookkeeping
+    /// runs there: the victim is picked, pinned and write-latched, and
+    /// the page published. The victim had no pins, so no guard holds its
+    /// latch and taking it cannot wait. The backend read runs after the
+    /// lock is released, under the latch alone, so a concurrent fetch of
+    /// this page pins the frame and waits on that latch while every
+    /// other page of the pool stays available.
     fn install(&self, pid: PageId, load: bool, write: bool) -> &Frame {
-        let mut inner = self.inner.lock();
+        let shared = self.inner.read();
+        if let Some(&idx) = shared.table.get(&pid) {
+            return self.pin(idx, write);
+        }
+        drop(shared);
+        let mut inner = self.inner.write();
         if let Some(&idx) = inner.table.get(&pid) {
             return self.pin(idx, write);
         }
@@ -516,7 +553,7 @@ impl Frame {
 }
 
 /// A page published in the table whose content is still being read,
-/// outside the table mutex, under `latch`. Installing clears `latch`
+/// outside the table lock, under `latch`. Installing clears `latch`
 /// once the page is in place; a `Pending` dropped with the latch still
 /// held means the backend read unwound, and the page is taken back out:
 /// the frame is left empty (a fetch that pinned it meanwhile sees that
@@ -534,10 +571,10 @@ impl Drop for Pending<'_> {
     fn drop(&mut self) {
         let Some(mut latch) = self.latch.take() else { return };
         *latch = None;
-        // Release the latch before taking the mutex: a `cow_fork` may
-        // hold the mutex while it waits on this latch.
+        // Release the latch before taking the table lock: a `cow_fork`
+        // may hold it while it waits on this latch.
         drop(latch);
-        let mut inner = self.pool.inner.lock();
+        let mut inner = self.pool.inner.write();
         inner.table.remove(&self.pid);
         if let Some(slot) = inner.resident.get_mut(self.idx) {
             *slot = PageId::INVALID;

@@ -6,6 +6,8 @@
 //! under N reader threads doing pin/verify/unpin cycles, one writer
 //! thread mutating a disjoint set of pages, and one thread hammering
 //! `flush_all` (which must skip pinned frames rather than deadlock).
+//! `hits_beside_an_eviction_storm_read_their_own_page` mixes hits and
+//! misses on a pool a quarter the size of its pages.
 //! `readers_hammer_each_epoch_of_a_fork_chain` is the MVCC shape
 //! instead: readers on whichever pool is current while a writer runs a
 //! chain of `cow_fork`s under them. The tests after it hook the backend
@@ -204,6 +206,49 @@ fn pin_unpin_churn_many_threads_exact_counts() {
     assert_eq!(snap.logical_reads, 8 * 5_000);
     assert_eq!(snap.physical_reads, 0, "hot set fits: all hits");
     // All pins released: clear_cache's pin==0 assertion must pass.
+    pool.clear_cache();
+}
+
+#[test]
+fn hits_beside_an_eviction_storm_read_their_own_page() {
+    // Four times the pages the pool holds: most fetches miss and evict
+    // while the rest hit under the shared table lock. A hit that pinned
+    // a frame an eviction was refilling would read another page's id.
+    const PAGES: u32 = 64;
+    const THREADS: u64 = 4;
+    const FETCHES: u64 = 20_000;
+    let pool = Arc::new(BufferPool::in_memory(16));
+    let pages: Arc<Vec<PageId>> = Arc::new(
+        (0..PAGES)
+            .map(|_| {
+                let (pid, mut g) = pool.allocate();
+                put_u64(&mut g, 0, u64::from(pid.0));
+                pid
+            })
+            .collect(),
+    );
+    pool.flush_all();
+    pool.stats().reset();
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let pool = pool.clone();
+            let pages = pages.clone();
+            std::thread::spawn(move || {
+                let mut rng = Lcg(0x5EED ^ t);
+                for _ in 0..FETCHES {
+                    let pid = pages[(rng.next() as usize) % pages.len()];
+                    assert_eq!(get_u64(&pool.fetch(pid), 0), u64::from(pid.0));
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let snap = pool.stats().snapshot();
+    assert_eq!(snap.logical_reads, THREADS * FETCHES, "one logical read per fetch");
+    assert!(snap.evictions > 0 && snap.physical_reads > 0, "the storm evicted: {snap:?}");
+    // No pin leaked: clear_cache panics on a pinned frame.
     pool.clear_cache();
 }
 

@@ -34,7 +34,8 @@ pub struct Config {
     pub maintenance_receiver: String,
     /// Receiver name of the epoch `RwLock` (lock-order rule).
     pub epoch_receiver: String,
-    /// Receiver name of the buffer-pool interior mutex (lock-order).
+    /// Receiver name of the buffer-pool table lock, a `Mutex` or an
+    /// `RwLock` (lock-order).
     pub pool_receiver: String,
     /// Receiver name of per-frame data locks (lock-order).
     pub frame_receiver: String,

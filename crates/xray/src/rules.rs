@@ -245,11 +245,12 @@ enum LockKind {
 
 /// Rule 1: lock acquisition order. The serving layer's documented order
 /// is maintenance mutex → epoch RwLock → pool frame locks, and a frame
-/// lock must never be held across a second pool-mutex acquisition. The
-/// pass walks each function body, tracks `let`-bound guards (a guard
-/// consumed in the same expression — e.g. `.read().clone()` — dies at
-/// the statement end and is not tracked), and flags acquisitions that
-/// invert the order while an earlier guard is live.
+/// lock must never be held across a second acquisition of the pool's
+/// table lock (`lock`, `read` or `write`). The pass walks each function
+/// body, tracks `let`-bound guards (a guard consumed in the same
+/// expression — e.g. `.read().clone()` — dies at the statement end and
+/// is not tracked), and flags acquisitions that invert the order while
+/// an earlier guard is live.
 fn rule_lock_order(rel: &str, view: &FileView<'_>, cfg: &Config, out: &mut Vec<Finding>) {
     if cfg.maintenance_receiver.is_empty() {
         return; // rule unconfigured
@@ -303,7 +304,7 @@ fn rule_lock_order(rel: &str, view: &FileView<'_>, cfg: &Config, out: &mut Vec<F
                         rel,
                         site,
                         format!(
-                            "fn {} re-acquires the buffer-pool mutex while holding a frame lock; release the frame first",
+                            "fn {} re-acquires the buffer-pool table lock while holding a frame lock; release the frame first",
                             f.name
                         ),
                     ));
@@ -337,7 +338,7 @@ fn lock_event<'v>(
     }
     let kind = match (recv.text.as_str(), method.text.as_str()) {
         (r, "lock") if r == cfg.maintenance_receiver => LockKind::Maintenance,
-        (r, "lock") if r == cfg.pool_receiver => LockKind::Pool,
+        (r, "read" | "write" | "lock") if r == cfg.pool_receiver => LockKind::Pool,
         (r, "read" | "write") if r == cfg.epoch_receiver => LockKind::Epoch,
         (r, "read" | "write" | "lock") if r == cfg.frame_receiver => LockKind::Frame,
         _ => return None,
@@ -583,8 +584,13 @@ mod tests {
 
     #[test]
     fn frame_across_pool_fires() {
-        let src = "fn f(&self) { let g = frame.data.write(); let p = self.inner.lock(); }";
-        assert_eq!(rules_fired("crates/x/src/a.rs", src), vec![RULE_LOCK_ORDER]);
+        // The table lock may be a `Mutex` or an `RwLock`.
+        for table in ["lock", "read", "write"] {
+            let src = format!(
+                "fn f(&self) {{ let g = frame.data.write(); let p = self.inner.{table}(); }}"
+            );
+            assert_eq!(rules_fired("crates/x/src/a.rs", &src), vec![RULE_LOCK_ORDER], "{table}");
+        }
     }
 
     #[test]
