@@ -77,10 +77,15 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one frame. A partial write surfaces as `Io`; the stream is
-/// unusable afterwards (framing is lost), so callers drop it.
+/// Writes one frame. A payload over [`MAX_FRAME_LEN`], which the peer's
+/// [`read_frame`] would refuse, is [`FrameError::Oversized`] before any
+/// byte is written, so the stream stays framed. A partial write
+/// surfaces as `Io`; the stream is unusable afterwards (framing is
+/// lost), so callers drop it.
 pub fn write_frame<W: Write>(w: &mut W, opcode: u8, payload: &[u8]) -> Result<(), FrameError> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN);
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized(payload.len()));
+    }
     let mut header = [0u8; 9];
     header[..4].copy_from_slice(&MAGIC.to_le_bytes());
     header[4] = opcode;
@@ -159,6 +164,14 @@ mod tests {
         buf.extend_from_slice(&((MAX_FRAME_LEN as u32) + 1).to_le_bytes());
         let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
         assert!(matches!(err, FrameError::Oversized(_)));
+    }
+
+    #[test]
+    fn an_oversized_payload_is_refused_before_any_byte_is_written() {
+        let mut buf = Vec::new();
+        let err = write_frame(&mut buf, 0x81, &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert!(matches!(err, FrameError::Oversized(len) if len == MAX_FRAME_LEN + 1));
+        assert!(buf.is_empty(), "the stream stays framed");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! a typed `Malformed` response and the connection keeps serving
 //! (framing is intact); a frame that *frames wrong* (bad magic,
 //! oversized length) gets the typed response and then the connection is
-//! dropped, because byte alignment is unrecoverable.
+//! dropped, because byte alignment is unrecoverable. A response too
+//! large to frame is never written; the peer gets a typed `Internal`
+//! error naming its size instead, and the connection keeps serving.
 //!
 //! Observability: every connection is journaled (`ConnOpen`/`ConnClose`
 //! with frame/byte/error accounting), requests wrapped in the v2 trace
@@ -277,10 +279,11 @@ fn serve_loop(
         }
         // Echo the request id back inside the envelope iff the request
         // arrived enveloped; bare v1 requests get bare v1 responses.
-        let (op, payload) = match ctx {
+        let encode = |resp: &Response| match ctx {
             Some(c) => resp.encode_enveloped(c.request_id),
             None => resp.encode(),
         };
+        let (op, payload) = encode(&resp);
         if options.access_log {
             eprintln!(
                 "[access] peer={} id={} op={} outcome={} micros={}",
@@ -291,11 +294,20 @@ fn serve_loop(
                 started.elapsed().as_micros()
             );
         }
-        if write_frame(writer, op, &payload).is_err() {
-            return;
-        }
+        let sent = match write_frame(writer, op, &payload) {
+            // Nothing was written: the stream is still framed, so the
+            // peer gets a typed error instead of a frame it would refuse.
+            Err(e @ FrameError::Oversized(_)) => {
+                stats.errors += 1;
+                let message = format!("response not sent: {e}");
+                let (op, payload) = encode(&Response::Error { code: ErrorCode::Internal, message });
+                write_frame(writer, op, &payload).map(|()| payload.len())
+            }
+            other => other.map(|()| payload.len()),
+        };
+        let Ok(sent) = sent else { return };
         stats.frames_out += 1;
-        stats.bytes_out += (FRAME_OVERHEAD + payload.len()) as u64;
+        stats.bytes_out += (FRAME_OVERHEAD + sent) as u64;
         if shutdown {
             stop.store(true, Ordering::SeqCst);
             let _ = TcpStream::connect(server_addr); // unblock accept

@@ -31,10 +31,10 @@ use crate::cache::{PlanCache, Resolved, ResultCache};
 use crate::events::{Event, EventJournal};
 use crate::metrics::{micros, Metrics, ServiceSnapshot, SlowQuery};
 use crate::shape::exact_key;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xtwig_core::engine::{EngineOptions, QueryMetrics};
 use xtwig_core::persist::{PersistError, PersistReport};
@@ -80,7 +80,7 @@ pub struct ServiceOptions {
     /// Ignored. The service runs every query on its caller's thread
     /// and has no worker pool to size; the field survives only because
     /// the frozen `benchmark/` harness still writes `workers: 1`, and
-    /// goes once that line does (ROADMAP item 4).
+    /// goes once that line does (ROADMAP item 1(a)).
     #[doc(hidden)]
     pub workers: usize,
     /// Distinct shapes the plan cache may hold (default 4096).
@@ -229,25 +229,84 @@ fn apply_op(engine: &mut SharedEngine, op: &UpdateOp) -> bool {
 /// rebuilt *and* folded — see [`TwigService::rebuild_parallel`], which
 /// replays it, and [`TwigService::persist`], which folds the page
 /// overlay but keeps the journal for rebuilds from the forest).
+///
+/// Built only in [`TwigService::over`], straight into the maintenance
+/// `Mutex`, so a `&Maintenance` or `&mut Maintenance` exists only while
+/// the maintenance guard is held: it is the proof of holding that lock
+/// which [`Published::publish`] and `fork_engine` demand.
 struct Maintenance {
     journal: Vec<UpdateOp>,
 }
 
+/// The published epoch. The service's one lock order — maintenance
+/// before epoch — holds by construction here: the epoch lock is private
+/// to this module and taken only inside [`Published::pin`] and
+/// [`Published::publish`], each of which releases it before returning,
+/// so no epoch guard can be held across another acquisition; and
+/// publishing demands the `&mut Maintenance` that only the maintenance
+/// guard hands out.
+mod published {
+    use super::{EngineEpoch, Maintenance};
+    use parking_lot::RwLock;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    pub(super) struct Published {
+        /// Held only to clone (readers) or swap (writers) the `Arc` —
+        /// never across query execution or index mutation, so readers
+        /// and writers never wait on each other's *work*, only on a
+        /// pointer exchange.
+        slot: RwLock<Arc<EngineEpoch>>,
+        /// Lock-free mirror of the published epoch's generation (for
+        /// [`TwigService::generation`](super::TwigService::generation)
+        /// and stats).
+        generation: AtomicU64,
+    }
+
+    impl Published {
+        pub(super) fn new(first: EngineEpoch) -> Self {
+            let generation = AtomicU64::new(first.generation);
+            Published { slot: RwLock::new(Arc::new(first)), generation }
+        }
+
+        /// Pins the published epoch: clones the `Arc` under a momentary
+        /// read lock. Everything pinned stays readable (and consistent)
+        /// for as long as the clone lives, however many swaps happen.
+        pub(super) fn pin(&self) -> Arc<EngineEpoch> {
+            self.slot.read().clone()
+        }
+
+        /// Publishes `next` as the current epoch and mirrors its
+        /// generation; `_held` proves the caller holds the maintenance
+        /// lock. Returns the displaced epoch so callers drop it outside
+        /// the lock.
+        pub(super) fn publish(
+            &self,
+            _held: &mut Maintenance,
+            next: Arc<EngineEpoch>,
+        ) -> Arc<EngineEpoch> {
+            let mut slot = self.slot.write();
+            self.generation.store(next.generation, Ordering::SeqCst);
+            std::mem::replace(&mut *slot, next)
+        }
+
+        pub(super) fn generation(&self) -> u64 {
+            self.generation.load(Ordering::SeqCst)
+        }
+    }
+}
+
+use published::Published;
+
 struct Shared {
-    /// The published epoch. The lock is held only to clone (readers) or
-    /// swap (writers) the `Arc` — never across query execution or index
-    /// mutation, so readers and writers never wait on each other's
-    /// *work*, only on a pointer exchange.
-    epoch: RwLock<Arc<EngineEpoch>>,
+    epoch: Published,
     /// Serializes writers ([`TwigService::apply_update`],
     /// [`TwigService::rebuild_parallel`], [`TwigService::persist`]) and
-    /// owns the journal. Lock order: maintenance before epoch.
+    /// owns the journal. Lock order: maintenance before epoch (see
+    /// [`Published`]).
     maintenance: Mutex<Maintenance>,
     plan_cache: PlanCache,
     result_cache: ResultCache,
-    /// Lock-free mirror of the published epoch's generation (for
-    /// [`TwigService::generation`] and stats).
-    generation: AtomicU64,
     metrics: Metrics,
     /// Structured event journal (shared with the catalog/server when
     /// injected via [`ServiceOptions::events`]).
@@ -259,21 +318,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Pins the published epoch: clones the `Arc` under a momentary
-    /// read lock. Everything pinned stays readable (and consistent)
-    /// for as long as the clone lives, however many swaps happen.
-    fn pin(&self) -> Arc<EngineEpoch> {
-        self.epoch.read().clone()
-    }
-
-    /// Publishes `next` as the current epoch and mirrors its generation.
-    /// Returns the displaced epoch so callers drop it outside the lock.
-    fn publish(&self, next: Arc<EngineEpoch>) -> Arc<EngineEpoch> {
-        let mut slot = self.epoch.write();
-        self.generation.store(next.generation, Ordering::SeqCst);
-        std::mem::replace(&mut *slot, next)
-    }
-
     fn set_available(&self, engine: &SharedEngine) {
         for (slot, s) in self.available.iter().zip(Strategy::ALL.iter()) {
             slot.store(engine.has_strategy(*s), Ordering::SeqCst);
@@ -283,8 +327,9 @@ impl Shared {
 
 /// Forks `epoch`'s engine, retrying while a concurrent reader pins a
 /// freshly dirtied page (transient — see [`xtwig_core::ForkError`]).
-/// Callers hold the maintenance lock, so no *writer* races the fork.
-fn fork_engine(epoch: &EngineEpoch) -> SharedEngine {
+/// `_held` proves the caller holds the maintenance lock, so no *writer*
+/// races the fork.
+fn fork_engine(_held: &Maintenance, epoch: &EngineEpoch) -> SharedEngine {
     loop {
         match epoch.engine.fork() {
             Ok(engine) => return engine,
@@ -330,11 +375,10 @@ impl TwigService {
             .clone()
             .unwrap_or_else(|| Arc::new(EventJournal::new(options.event_capacity)));
         let shared = Arc::new(Shared {
-            epoch: RwLock::new(Arc::new(EngineEpoch { engine, generation: 0 })),
+            epoch: Published::new(EngineEpoch { engine, generation: 0 }),
             maintenance: Mutex::new(Maintenance { journal: Vec::new() }),
             plan_cache: PlanCache::new(options.plan_cache_capacity),
             result_cache: ResultCache::new(options.result_cache_capacity),
-            generation: AtomicU64::new(0),
             metrics: Metrics::new(options.slow_query_micros, options.slow_query_capacity),
             events,
             available,
@@ -372,7 +416,7 @@ impl TwigService {
         };
         let metrics = &self.shared.metrics;
         metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        let answer = answer_pinned(&self.shared, &self.shared.pin(), twig, strategy, ctx);
+        let answer = answer_pinned(&self.shared, &self.shared.epoch.pin(), twig, strategy, ctx);
         let outcome = if answer.is_ok() { &metrics.completed } else { &metrics.failed };
         outcome.fetch_add(1, Ordering::Relaxed);
         answer
@@ -427,8 +471,8 @@ impl TwigService {
     /// writers serialize on the maintenance lock.
     pub fn apply_update(&self, ops: Vec<UpdateOp>) -> u64 {
         let mut maint = self.shared.maintenance.lock();
-        let current = self.shared.pin();
-        let mut engine = fork_engine(&current);
+        let current = self.shared.epoch.pin();
+        let mut engine = fork_engine(&maint, &current);
         for op in &ops {
             apply_op(&mut engine, op);
         }
@@ -437,7 +481,8 @@ impl TwigService {
         maint.journal.extend(ops);
         let generation = current.generation + 1;
         drop(current);
-        let old = self.shared.publish(Arc::new(EngineEpoch { engine, generation }));
+        let old =
+            self.shared.epoch.publish(&mut maint, Arc::new(EngineEpoch { engine, generation }));
         self.shared.metrics.updates.fetch_add(1, Ordering::Relaxed);
         drop(maint);
         self.shared.events.emit(Event::UpdateCommitted { generation, ops: op_count });
@@ -466,19 +511,20 @@ impl TwigService {
     /// all cached results, and the strategy-availability flags are
     /// refreshed for the new engine's strategy set.
     pub fn rebuild_parallel(&self, options: EngineOptions, shards: usize) {
-        let forest = self.shared.pin().engine.forest_handle();
+        let forest = self.shared.epoch.pin().engine.forest_handle();
         let mut new_engine = QueryEngine::build_parallel(forest, options, shards);
         let (old, generation, replayed_ops) = {
-            let maint = self.shared.maintenance.lock();
+            let mut maint = self.shared.maintenance.lock();
             for op in &maint.journal {
                 apply_op(&mut new_engine, op);
             }
             let replayed = maint.journal.len() as u64;
             self.shared.metrics.replayed_ops.fetch_add(replayed, Ordering::Relaxed);
             self.shared.set_available(&new_engine);
-            let generation = self.shared.pin().generation + 1;
+            let generation = self.shared.epoch.pin().generation + 1;
             self.shared.metrics.rebuilds.fetch_add(1, Ordering::Relaxed);
-            let old = self.shared.publish(Arc::new(EngineEpoch { engine: new_engine, generation }));
+            let next = Arc::new(EngineEpoch { engine: new_engine, generation });
+            let old = self.shared.epoch.publish(&mut maint, next);
             (old, generation, replayed)
         };
         self.shared.events.emit(Event::RebuildSwapped { generation, replayed_ops });
@@ -501,7 +547,7 @@ impl TwigService {
     ) -> Result<PersistReport, PersistError> {
         let path = path.as_ref();
         let maint = self.shared.maintenance.lock();
-        let epoch = self.shared.pin();
+        let epoch = self.shared.epoch.pin();
         let report = epoch.engine.persist(path)?;
         self.shared.metrics.folds.fetch_add(1, Ordering::Relaxed);
         drop(maint);
@@ -514,13 +560,13 @@ impl TwigService {
     /// sees one consistent snapshot and holds **no lock** — concurrent
     /// updates and rebuilds proceed freely and are invisible to it.
     pub fn with_engine<R>(&self, f: impl FnOnce(&SharedEngine) -> R) -> R {
-        let epoch = self.shared.pin();
+        let epoch = self.shared.epoch.pin();
         f(&epoch.engine)
     }
 
     /// Current invalidation generation.
     pub fn generation(&self) -> u64 {
-        self.shared.generation.load(Ordering::SeqCst)
+        self.shared.epoch.generation()
     }
 
     /// Snapshot of every service metric, the current engine's per-pool
@@ -724,6 +770,7 @@ fn answer_miss(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use xtwig_core::parse_xpath;
     use xtwig_xml::tree::fig1_book_document;
 

@@ -80,7 +80,9 @@
 //!   `read()` is held only to look a page up and pin it — no thread
 //!   holds the table lock while it takes it again;
 //! * the service's epoch lock is held only to clone or swap the epoch
-//!   `Arc` (`pin`, `publish`), never across another acquisition.
+//!   `Arc`, never across another acquisition: the type that owns it
+//!   (`Published` in `xtwig-service`) takes it only inside `pin` and
+//!   `publish` and hands no guard out.
 //!
 //! Write-path concurrency audit (for the sharded index builds in
 //! `xtwig-core::parallel`): `allocate` is safe to call from any number

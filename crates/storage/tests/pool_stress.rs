@@ -594,16 +594,21 @@ fn a_fork_waiting_on_a_read_that_unwinds_is_refused_then_reads_the_page() {
         std::thread::spawn(move || drop(pool.fetch(PageId(X))))
     };
     parked.recv_timeout(STUCK).expect("the read of X parks");
-    let fork = {
+    let (forked, fork) = mpsc::channel();
+    {
         let pool = pool.clone();
-        std::thread::spawn(move || pool.cow_fork().err())
-    };
-    // The fork holds the mutex from its write-back until it returns, and
-    // the failed load can only unpublish X under that mutex: the fork
+        std::thread::spawn(move || forked.send(pool.cow_fork().err()).unwrap());
+    }
+    // The fork holds the table lock from its write-back until it returns,
+    // and the failed load can only unpublish X under that lock: the fork
     // copies X's frame after the load emptied it, whatever the timing.
+    // That needs the load to release X's latch before it takes the table
+    // lock; in the other order the two wait on each other, which fails
+    // here within `STUCK` rather than hanging.
     wrote.recv_timeout(STUCK).expect("the fork writes D back");
     gate.send(()).unwrap();
-    assert_eq!(fork.join().unwrap(), Some(1), "the emptied frame refuses the fork");
+    let refused = fork.recv_timeout(STUCK).expect("the fork returns: no latch/table deadlock");
+    assert_eq!(refused, Some(1), "the emptied frame refuses the fork");
     assert!(loader.join().is_err(), "the hooked read fails its own fetch");
     // Once the loader has retired X's frame, the fork goes through and
     // reads X itself.

@@ -56,7 +56,6 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::core::family::PathIndex;
@@ -66,7 +65,7 @@ use xtwig::xml::{parse_document, NodeId, XmlForest};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  xtwig query <file.xml> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--explain] [--shards N]\n  xtwig query --index idx.xtwig '<xpath>' [--strategy ...] [--explain]\n  xtwig explain <file.xml> '<xpath>' [--analyze] [--shards N]\n  xtwig explain --index idx.xtwig '<xpath>' [--analyze]\n  xtwig advise <file.xml> '<xpath>' ['<xpath>' ...] [--shards N]\n  xtwig advise --index idx.xtwig '<xpath>' ['<xpath>' ...]\n  xtwig build [<file.xml>] --out idx.xtwig [--strategies RP,DP,...] [--shards N]\n  xtwig bench <file.xml> '<xpath>' [--shards N]\n  xtwig stats <file.xml> [--shards N]\n  xtwig demo ['<xpath>'] [--shards N]\n  xtwig serve <idx.xtwig>... [--index-dir <dir>] [--addr host:port] [--addr-file <path>] [--max-in-flight N] [--max-attached N] [--idle-timeout SECS] [--access-log]\n  xtwig client <addr> ping|catalog|shutdown|badframe [--timeout SECS]\n  xtwig client <addr> query <index> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--sample]\n  xtwig client <addr> explain <index> '<xpath>'\n  xtwig client <addr> metrics|stats <index>\n  xtwig client <addr> trace <index> <request_id>\n  xtwig client <addr> events [--after N] [--max N] [--follow]\n  xtwig top <addr> [--index NAME] [--interval SECS] [--once]\n  xtwig xray [--root DIR] [--config FILE]"
+        "usage:\n  xtwig query <file.xml> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--explain] [--shards N]\n  xtwig query --index idx.xtwig '<xpath>' [--strategy ...] [--explain]\n  xtwig explain <file.xml> '<xpath>' [--analyze] [--shards N]\n  xtwig explain --index idx.xtwig '<xpath>' [--analyze]\n  xtwig advise <file.xml> '<xpath>' ['<xpath>' ...] [--shards N]\n  xtwig advise --index idx.xtwig '<xpath>' ['<xpath>' ...]\n  xtwig build [<file.xml>] --out idx.xtwig [--strategies RP,DP,...] [--shards N]\n  xtwig bench <file.xml> '<xpath>' [--shards N]\n  xtwig stats <file.xml> [--shards N]\n  xtwig demo ['<xpath>'] [--shards N]\n  xtwig serve <idx.xtwig>... [--index-dir <dir>] [--addr host:port] [--addr-file <path>] [--max-in-flight N] [--max-attached N] [--idle-timeout SECS] [--access-log]\n  xtwig client <addr> ping|catalog|shutdown|badframe [--timeout SECS]\n  xtwig client <addr> query <index> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--sample]\n  xtwig client <addr> explain <index> '<xpath>'\n  xtwig client <addr> metrics|stats <index>\n  xtwig client <addr> trace <index> <request_id>\n  xtwig client <addr> events [--after N] [--max N] [--follow]\n  xtwig top <addr> [--index NAME] [--interval SECS] [--once]"
     );
     ExitCode::from(2)
 }
@@ -1126,48 +1125,6 @@ fn main() -> ExitCode {
         "serve" => run_serve(&args[1..]),
         "client" => run_client(&args[1..]),
         "top" => run_top(&args[1..]),
-        "xray" => run_xray(&args[1..]),
         _ => usage(),
-    }
-}
-
-/// `xtwig xray [--root DIR] [--config FILE]` — the workspace
-/// static-analysis pass (same engine as the `xtwig-xray` binary).
-/// Exit codes: 0 clean, 1 findings, 2 config/I-O failure.
-fn run_xray(args: &[String]) -> ExitCode {
-    let root = PathBuf::from(flag_value(args, "--root").map(String::as_str).unwrap_or("."));
-    let config = match flag_value(args, "--config") {
-        Some(path) => PathBuf::from(path),
-        None => root.join("xray.toml"),
-    };
-    let cfg = match xtwig::xray::load_config(&config) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("xray: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match xtwig::xray::analyze(&root, &cfg) {
-        Ok(report) if report.is_clean() => {
-            println!(
-                "xray: {} files scanned, 0 findings ({} allow entries in effect)",
-                report.files_scanned,
-                cfg.allow.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(report) => {
-            print!("{}", report.render());
-            println!(
-                "xray: {} files scanned, {} finding(s)",
-                report.files_scanned,
-                report.findings.len()
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("xray: {e}");
-            ExitCode::from(2)
-        }
     }
 }

@@ -55,7 +55,6 @@
 //! | [`net`] | `xtwig-net` | network front end: wire protocol, TCP server over a multi-index catalog, client |
 //! | [`datagen`] | `xtwig-datagen` | XMark-like and DBLP-like generators, the Q1–Q15 workload |
 //! | [`bench`](mod@bench) | `xtwig-bench` | shared measurement harness behind the figure-reproduction binaries |
-//! | [`xray`] | `xtwig-xray` | workspace static analysis: lock order, typed errors, blocking I/O in handlers |
 
 pub use xtwig_bench as bench;
 pub use xtwig_btree as btree;
@@ -68,7 +67,6 @@ pub use xtwig_rel as rel;
 pub use xtwig_service as service;
 pub use xtwig_storage as storage;
 pub use xtwig_xml as xml;
-pub use xtwig_xray as xray;
 
 pub use xtwig_core::engine::EngineOptions;
 pub use xtwig_core::{parse_xpath, QueryAnswer, QueryEngine, Strategy};
