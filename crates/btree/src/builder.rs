@@ -145,7 +145,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::ScanEnd;
+    use std::ops::ControlFlow;
 
     fn pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::in_memory(8192))
@@ -184,9 +184,12 @@ mod tests {
         }
         assert_eq!(t.get(b"key99999999"), None);
         assert_eq!(t.scan_all().count(), n as usize);
-        let sub: Vec<_> =
-            t.range(b"key00010000", ScanEnd::Before(b"key00010100".to_vec())).collect();
-        assert_eq!(sub.len(), 100);
+        let mut sub = 0;
+        t.for_each_prefix(b"key000100", |_, _| {
+            sub += 1;
+            ControlFlow::Continue(())
+        });
+        assert_eq!(sub, 100);
     }
 
     #[test]
@@ -262,9 +265,13 @@ mod tests {
         );
         assert_eq!(t.len(), 2_600);
         for c in 0..26u8 {
-            let hits: Vec<_> = t.scan_prefix(&[b'a' + c]).collect();
-            assert_eq!(hits.len(), 100);
-            assert!(hits.iter().all(|(_, v)| v == &vec![c]));
+            let mut hits = 0;
+            t.for_each_prefix(&[b'a' + c], |_, v| {
+                assert_eq!(v, [c]);
+                hits += 1;
+                ControlFlow::Continue(())
+            });
+            assert_eq!(hits, 100);
         }
     }
 }

@@ -349,26 +349,12 @@ impl BTree {
         }
     }
 
-    /// Scans all entries with `key >= lo`, ending per `end`.
-    pub fn range(&self, lo: &[u8], end: ScanEnd) -> RangeScan<'_> {
-        let (_, page) = self.find_leaf(lo);
-        let (Ok(start) | Err(start)) = node::leaf_find(&page, lo);
-        let mut scan = RangeScan { tree: self, end, buffer: VecDeque::new(), next: None };
-        scan.buffer_leaf(&page, start);
-        scan
-    }
-
-    /// All entries whose key starts with `prefix`, in key order.
-    ///
-    /// This is the paper's core access pattern: a PCsubpath with a leading
-    /// `//` becomes a prefix probe on `LeafValue · ReverseSchemaPath`.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> RangeScan<'_> {
-        self.range(prefix, ScanEnd::Prefix(prefix.to_vec()))
-    }
-
     /// Calls `visit(key, value)` for every entry whose key starts with
     /// `prefix`, in key order, until it answers [`ControlFlow::Break`]:
     /// [`BTree::visit_prefix`] with a visitor that never seeks.
+    ///
+    /// This is the paper's core access pattern: a PCsubpath with a leading
+    /// `//` becomes a prefix probe on `LeafValue · ReverseSchemaPath`.
     pub fn for_each_prefix(
         &self,
         prefix: &[u8],
@@ -378,11 +364,10 @@ impl BTree {
     }
 
     /// The prefix walk: lends every entry whose key starts with `prefix`
-    /// to `visitor`, in key order — [`BTree::scan_prefix`] without the
-    /// copies — until it answers [`Walk::Stop`]. Both slices borrow the
-    /// pinned leaf page and are valid only for the call. One probe
-    /// fetches `height` pages plus one per further leaf it walks into,
-    /// and allocates nothing.
+    /// to `visitor`, in key order, until it answers [`Walk::Stop`]. Both
+    /// slices borrow the pinned leaf page and are valid only for the
+    /// call. One probe fetches `height` pages plus one per further leaf
+    /// it walks into, and allocates nothing.
     ///
     /// A visitor that answers [`Walk::Seek`] is next lent the first entry
     /// at or above its [`Visit::seek_key`], and the entries between are
@@ -416,9 +401,12 @@ impl BTree {
         }
     }
 
-    /// Every entry in key order.
+    /// Every entry in key order, copied out.
     pub fn scan_all(&self) -> RangeScan<'_> {
-        self.range(&[], ScanEnd::Unbounded)
+        let (_, page) = self.find_leaf(&[]);
+        let mut scan = RangeScan { tree: self, buffer: VecDeque::new(), next: None };
+        scan.buffer_leaf(&page);
+        scan
     }
 
     /// Checks structural invariants (key order within and across leaves,
@@ -467,30 +455,6 @@ impl BTree {
             let clo = if i == 0 { lo } else { Some(seps[i - 1].as_slice()) };
             let chi = if i == children.len() - 1 { hi } else { Some(seps[i].as_slice()) };
             self.check_node(PageId(c), clo, chi, depth - 1);
-        }
-    }
-}
-
-/// Scan termination condition.
-#[derive(Debug, Clone)]
-pub enum ScanEnd {
-    /// Run to the end of the index.
-    Unbounded,
-    /// Stop at the first key `>= bound`.
-    Before(Vec<u8>),
-    /// Stop at the first key `> bound`.
-    Through(Vec<u8>),
-    /// Stop at the first key that does not start with the prefix.
-    Prefix(Vec<u8>),
-}
-
-impl ScanEnd {
-    fn admits(&self, key: &[u8]) -> bool {
-        match self {
-            ScanEnd::Unbounded => true,
-            ScanEnd::Before(b) => key < b.as_slice(),
-            ScanEnd::Through(b) => key <= b.as_slice(),
-            ScanEnd::Prefix(p) => key.starts_with(p),
         }
     }
 }
@@ -616,30 +580,27 @@ fn admitted_cells(
     }
 }
 
-/// Iterator over owned `(key, value)` pairs in key order — the adapter
-/// over the leaf walk for callers that keep what they read (builders,
-/// tests, the benchmark harness); index probes use
-/// [`BTree::visit_prefix`] and copy nothing.
+/// Iterator over every owned `(key, value)` pair in key order
+/// ([`BTree::scan_all`]) — the adapter over the leaf walk for callers
+/// that keep what they read (invariant checks, tests, the benchmark
+/// harness); index probes use [`BTree::visit_prefix`] and copy nothing.
 ///
 /// Buffers one leaf page at a time and the descent hands over the first
-/// leaf it landed on, so logical I/O is exactly one page fetch per
-/// visited leaf on top of the `height - 1` interior pages — the same
-/// unit a relational scan would report. A scan that consumes a leaf to
-/// its last slot also visits the right sibling (that is where it learns
-/// the range ended).
+/// leaf it landed on, so logical I/O is exactly one page fetch per leaf
+/// on top of the `height - 1` interior pages — the same unit a
+/// relational scan would report.
 pub struct RangeScan<'t> {
     tree: &'t BTree,
-    end: ScanEnd,
     buffer: VecDeque<(Vec<u8>, Vec<u8>)>,
     /// The leaf to continue in; `None` once the scan has ended.
     next: Option<PageId>,
 }
 
 impl RangeScan<'_> {
-    /// Buffers the admitted cells of one latched leaf from `slot` on.
-    fn buffer_leaf(&mut self, page: &[u8], slot: usize) {
-        let (end, buffer) = (&self.end, &mut self.buffer);
-        let exit = admitted_cells(page, slot, |k| end.admits(k), &mut |k: &[u8], v: &[u8]| {
+    /// Buffers the cells of one latched leaf.
+    fn buffer_leaf(&mut self, page: &[u8]) {
+        let buffer = &mut self.buffer;
+        let exit = admitted_cells(page, 0, |_| true, &mut |k: &[u8], v: &[u8]| {
             buffer.push_back((k.to_vec(), v.to_vec()));
             ControlFlow::Continue(())
         });
@@ -653,7 +614,7 @@ impl RangeScan<'_> {
         while self.buffer.is_empty() {
             let Some(pid) = self.next else { return };
             let page = self.tree.pool.fetch(pid);
-            self.buffer_leaf(&page, 0);
+            self.buffer_leaf(&page);
         }
     }
 }
@@ -680,13 +641,23 @@ mod tests {
         BTree::new(Arc::new(BufferPool::in_memory(512)))
     }
 
+    /// The entries a prefix walk lends, copied out in order.
+    fn prefixed(t: &BTree, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        t.for_each_prefix(prefix, |k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
     #[test]
     fn empty_tree_behaviour() {
         let t = tree();
         assert!(t.is_empty());
         assert_eq!(t.get(b"x"), None);
         assert_eq!(t.scan_all().count(), 0);
-        assert_eq!(t.scan_prefix(b"a").count(), 0);
+        assert!(prefixed(&t, b"a").is_empty());
         t.check_invariants();
     }
 
@@ -764,32 +735,32 @@ mod tests {
             t.insert(format!("ab{i:04}").as_bytes(), b"2");
             t.insert(format!("b{i:04}").as_bytes(), b"3");
         }
-        assert_eq!(t.scan_prefix(b"aa").count(), 200);
-        assert_eq!(t.scan_prefix(b"ab").count(), 200);
-        assert_eq!(t.scan_prefix(b"a").count(), 400);
-        assert_eq!(t.scan_prefix(b"b").count(), 200);
-        assert_eq!(t.scan_prefix(b"c").count(), 0);
-        assert_eq!(t.scan_prefix(b"").count(), 600);
-        for (k, v) in t.scan_prefix(b"ab") {
+        assert_eq!(prefixed(&t, b"aa").len(), 200);
+        assert_eq!(prefixed(&t, b"ab").len(), 200);
+        assert_eq!(prefixed(&t, b"a").len(), 400);
+        assert_eq!(prefixed(&t, b"b").len(), 200);
+        assert_eq!(prefixed(&t, b"c").len(), 0);
+        assert_eq!(prefixed(&t, b"").len(), 600);
+        for (k, v) in prefixed(&t, b"ab") {
             assert!(k.starts_with(b"ab"));
             assert_eq!(v, b"2");
         }
     }
 
     #[test]
-    fn range_bounds() {
+    fn prefix_walk_bounds() {
         let mut t = tree();
         for i in 0..100u32 {
             t.insert(format!("{i:03}").as_bytes(), b"");
         }
-        let upto: Vec<_> = t.range(b"010", ScanEnd::Before(b"020".to_vec())).collect();
-        assert_eq!(upto.len(), 10);
-        assert_eq!(upto[0].0, b"010");
-        assert_eq!(upto[9].0, b"019");
-        let through: Vec<_> = t.range(b"010", ScanEnd::Through(b"020".to_vec())).collect();
-        assert_eq!(through.len(), 11);
-        let from: Vec<_> = t.range(b"095", ScanEnd::Unbounded).collect();
-        assert_eq!(from.len(), 5);
+        let tens = prefixed(&t, b"01");
+        assert_eq!(tens.len(), 10);
+        assert_eq!(tens[0].0, b"010");
+        assert_eq!(tens[9].0, b"019");
+        // The last keys of the tree, and a whole key as its own prefix.
+        assert_eq!(prefixed(&t, b"09").len(), 10);
+        assert_eq!(prefixed(&t, b"095"), vec![(b"095".to_vec(), Vec::new())]);
+        assert!(prefixed(&t, b"1").is_empty());
     }
 
     #[test]
@@ -944,7 +915,6 @@ mod tests {
         let mut hits = 0;
         let reads = reads_of(&pool, || t.for_each_prefix(b"k0000100", |_, _| count(&mut hits)));
         assert_eq!((hits, reads), (1, 3));
-        assert_eq!(reads_of(&pool, || assert_eq!(t.scan_prefix(b"k0000100").count(), 1)), 3);
         // A prefix spanning several leaves: one fetch per leaf it walks
         // into, counted by following the leaf chain across the same keys.
         let mut leaves = 1u64;
@@ -970,10 +940,6 @@ mod tests {
         // A visitor that has what it came for walks into no further leaf.
         let first_only = |_: &[u8], _: &[u8]| ControlFlow::Break(());
         assert_eq!(reads_of(&pool, || t.for_each_prefix(b"k00001", first_only)), 3);
-        assert_eq!(
-            reads_of(&pool, || assert_eq!(t.scan_prefix(b"k00001").count(), visited)),
-            reads
-        );
     }
 
     /// Seeks from the first cell it is lent to `to`, then stops on the

@@ -17,15 +17,14 @@
 //!   compression of §4.1 does not apply (we store ids uncompressed).
 
 use crate::family::{
-    value_key_prefix, FamilyPosition, IdListSublist, IndexedColumn, PathIndex, PathMatch,
-    PcSubpathQuery, SchemaPathSubset,
+    value_key_prefix, FamilyPosition, IdListSublist, IndexedColumn, PathIndex, PcSubpathQuery,
+    SchemaPathSubset,
 };
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::rootpaths::push_value_part;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
@@ -35,7 +34,6 @@ use xtwig_xml::{TagId, XmlForest};
 /// The full set of per-path Access Support Relations.
 pub struct AccessSupportRelations {
     tables: HashMap<Vec<TagId>, BTree>,
-    lookups: AtomicU64,
 }
 
 impl AccessSupportRelations {
@@ -89,17 +87,12 @@ impl AccessSupportRelations {
                 bulk_build(pool.clone(), BTreeOptions::default(), merge_sorted_runs(runs)),
             );
         }
-        AccessSupportRelations { tables, lookups: AtomicU64::new(0) }
+        AccessSupportRelations { tables }
     }
 
     /// Number of materialized tables (paper: 902 XMark / 235 DBLP).
     pub fn table_count(&self) -> usize {
         self.tables.len()
-    }
-
-    /// Index probes issued since the last call.
-    pub fn take_lookups(&self) -> u64 {
-        self.lookups.swap(0, Ordering::Relaxed)
     }
 
     /// Aggregate physical shape of the per-path tables, for the
@@ -128,14 +121,16 @@ impl AccessSupportRelations {
 
     /// The streaming PCsubpath evaluation — the one scan of these
     /// tables: one indexed probe per matching table, in sorted path
-    /// order, calling `sink(path, ids)` per row with the row's full
-    /// root IdList (ASR rows are complete path instantiations) decoded
-    /// into the caller's reused `ids` buffer. A `Break` from the sink
-    /// ends the evaluation: no further row, no further table.
+    /// order, each counted into `probes`, calling `sink(path, ids)` per
+    /// row with the row's full root IdList (ASR rows are complete path
+    /// instantiations) decoded into the caller's reused `ids` buffer. A
+    /// `Break` from the sink ends the evaluation: no further row, no
+    /// further table.
     pub fn for_each_match(
         &self,
         q: &PcSubpathQuery,
         ids: &mut Vec<u64>,
+        probes: &mut u64,
         mut sink: impl FnMut(&[TagId], &[u64]) -> ControlFlow<()>,
     ) {
         let mut prefix = KeyBuf::new();
@@ -144,7 +139,7 @@ impl AccessSupportRelations {
         paths.sort_unstable();
         let mut flow = ControlFlow::Continue(());
         for path in paths {
-            self.lookups.fetch_add(1, Ordering::Relaxed);
+            *probes += 1;
             self.tables[path].for_each_prefix(prefix.as_bytes(), |_key, payload| {
                 ids.clear();
                 codec::decode_idlist_into(IdListCodec::Plain, payload, ids);
@@ -155,17 +150,6 @@ impl AccessSupportRelations {
                 return;
             }
         }
-    }
-
-    /// Evaluates a PCsubpath, collecting
-    /// [`AccessSupportRelations::for_each_match`] into owned matches.
-    pub fn eval_pcsubpath(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let mut out = Vec::new();
-        self.for_each_match(q, &mut Vec::new(), |path, ids| {
-            out.push(PathMatch { head: 0, tags: path.to_vec(), ids: ids.to_vec() });
-            ControlFlow::Continue(())
-        });
-        out
     }
 }
 
@@ -197,7 +181,7 @@ impl AccessSupportRelations {
                 return crate::persist::format_err("duplicate ASR table path");
             }
         }
-        Ok(AccessSupportRelations { tables, lookups: AtomicU64::new(0) })
+        Ok(AccessSupportRelations { tables })
     }
 }
 
@@ -236,6 +220,16 @@ mod tests {
         PcSubpathQuery::resolve(f.dict(), steps, anchored, value).unwrap()
     }
 
+    /// Every row's IdList, in the order lent, and the probes counted.
+    fn matches(asr: &AccessSupportRelations, q: &PcSubpathQuery) -> (Vec<Vec<u64>>, u64) {
+        let (mut out, mut probes) = (Vec::new(), 0);
+        asr.for_each_match(q, &mut Vec::new(), &mut probes, |_, ids| {
+            out.push(ids.to_vec());
+            ControlFlow::Continue(())
+        });
+        (out, probes)
+    }
+
     #[test]
     fn one_table_per_distinct_path() {
         let f = fig1_book_document();
@@ -248,10 +242,9 @@ mod tests {
     fn anchored_query_probes_one_table() {
         let f = fig1_book_document();
         let asr = build(&f);
-        let ms = asr.eval_pcsubpath(&q(&f, &["book", "title"], true, Some("XML")));
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].ids, vec![1, 2]);
-        assert_eq!(asr.take_lookups(), 1);
+        let (ms, probes) = matches(&asr, &q(&f, &["book", "title"], true, Some("XML")));
+        assert_eq!(ms, vec![vec![1, 2]]);
+        assert_eq!(probes, 1);
     }
 
     #[test]
@@ -260,19 +253,18 @@ mod tests {
         let asr = build(&f);
         // //title matches two distinct schema paths: book/title and
         // book/chapter/title -> two table accesses (the §5.2.6 effect).
-        let ms = asr.eval_pcsubpath(&q(&f, &["title"], false, None));
-        let mut last: Vec<u64> = ms.iter().map(|m| m.last_id()).collect();
+        let (ms, probes) = matches(&asr, &q(&f, &["title"], false, None));
+        let mut last: Vec<u64> = ms.iter().map(|ids| *ids.last().unwrap()).collect();
         last.sort_unstable();
         assert_eq!(last, vec![2, 48]);
-        assert_eq!(asr.take_lookups(), 2);
+        assert_eq!(probes, 2);
     }
 
     #[test]
     fn matches_carry_full_idlists() {
         let f = fig1_book_document();
         let asr = build(&f);
-        let ms = asr.eval_pcsubpath(&q(&f, &["author", "fn"], false, Some("jane")));
-        let mut lists: Vec<Vec<u64>> = ms.iter().map(|m| m.ids.clone()).collect();
+        let (mut lists, _) = matches(&asr, &q(&f, &["author", "fn"], false, Some("jane")));
         lists.sort();
         assert_eq!(lists, vec![vec![1, 5, 6, 7], vec![1, 5, 41, 42]]);
     }
@@ -281,8 +273,9 @@ mod tests {
     fn missing_path_yields_empty() {
         let f = fig1_book_document();
         let asr = build(&f);
-        assert!(asr.eval_pcsubpath(&q(&f, &["author", "title"], false, None)).is_empty());
-        assert_eq!(asr.take_lookups(), 0, "no table matches, no probes");
+        let (ms, probes) = matches(&asr, &q(&f, &["author", "title"], false, None));
+        assert!(ms.is_empty());
+        assert_eq!(probes, 0, "no table matches, no probes");
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::family::{value_key_prefix, PathMatch};
 use crate::paths::{for_each_root_path, for_each_subpath};
 use crate::rootpaths::push_value_part;
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, BTree, BTreeOptions};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
@@ -184,21 +185,17 @@ impl DictDataPaths {
             }
         }
         key.push_raw(&pid.to_be_bytes());
-        self.tree
-            .scan_prefix(key.as_bytes())
-            .map(|(_k, payload)| {
-                let stored = codec::decode_idlist(self.idlist, &payload);
-                let ids = if head == 0 {
-                    stored
-                } else {
-                    let mut ids = Vec::with_capacity(stored.len() + 1);
-                    ids.push(head);
-                    ids.extend_from_slice(&stored);
-                    ids
-                };
-                PathMatch { head, tags: tags.to_vec(), ids }
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.tree.for_each_prefix(key.as_bytes(), |_k, payload| {
+            let mut ids = Vec::new();
+            if head != 0 {
+                ids.push(head);
+            }
+            codec::decode_idlist_into(self.idlist, payload, &mut ids);
+            out.push(PathMatch { head, tags: tags.to_vec(), ids });
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     /// Allocated bytes.

@@ -16,7 +16,8 @@ use crate::designator;
 use crate::family::{FamilyPosition, IdListSublist, IndexedColumn, PathIndex, SchemaPathSubset};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::rootpaths::key_leaf;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
 use xtwig_rel::codec::KeyBuf;
@@ -26,7 +27,6 @@ use xtwig_xml::{TagId, XmlForest};
 /// The simulated DataGuide index.
 pub struct DataGuide {
     tree: BTree,
-    lookups: AtomicU64,
 }
 
 impl DataGuide {
@@ -55,32 +55,24 @@ impl DataGuide {
             entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             entries
         });
-        DataGuide {
-            tree: bulk_build(pool, BTreeOptions::default(), merge_sorted_runs(runs)),
-            lookups: AtomicU64::new(0),
-        }
+        DataGuide { tree: bulk_build(pool, BTreeOptions::default(), merge_sorted_runs(runs)) }
     }
 
-    /// Ids of the final elements of every instance of the exact
-    /// root-anchored path `tags` — one probe.
-    pub fn path_instances(&self, tags: &[TagId]) -> Vec<u64> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+    /// Lends the id of the final element of every instance of the exact
+    /// root-anchored path `tags` to `visit`, in id order, until it
+    /// answers `Break` — one probe, counted into `probes`. The visitor is
+    /// handed the counter back, for the probes it issues itself.
+    pub fn path_instances(
+        &self,
+        tags: &[TagId],
+        probes: &mut u64,
+        mut visit: impl FnMut(&mut u64, u64) -> ControlFlow<()>,
+    ) {
+        *probes += 1;
         let mut prefix = Vec::with_capacity(tags.len() + 1);
         designator::push_path(&mut prefix, tags);
         prefix.push(designator::TERMINATOR);
-        self.tree
-            .scan_prefix(&prefix)
-            .map(|(k, _)| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&k[k.len() - 8..]);
-                u64::from_be_bytes(b)
-            })
-            .collect()
-    }
-
-    /// Index probes issued since the last call.
-    pub fn take_lookups(&self) -> u64 {
-        self.lookups.swap(0, Ordering::Relaxed)
+        self.tree.for_each_prefix(&prefix, |k, _| visit(probes, key_leaf(k)));
     }
 
     /// Entry count.
@@ -107,7 +99,7 @@ impl DataGuide {
         r: &mut crate::persist::ByteReader<'_>,
         pool: Arc<BufferPool>,
     ) -> Result<Self, crate::persist::FormatError> {
-        Ok(DataGuide { tree: crate::persist::read_tree_meta(r, pool)?, lookups: AtomicU64::new(0) })
+        Ok(DataGuide { tree: crate::persist::read_tree_meta(r, pool)? })
     }
 }
 
@@ -138,22 +130,31 @@ mod tests {
         names.iter().map(|n| f.dict().lookup(n).unwrap()).collect()
     }
 
+    /// The instances one probe lends, in order.
+    fn instances(dg: &DataGuide, tags: &[TagId]) -> Vec<u64> {
+        let (mut out, mut probes) = (Vec::new(), 0);
+        dg.path_instances(tags, &mut probes, |_, id| {
+            out.push(id);
+            ControlFlow::Continue(())
+        });
+        assert_eq!(probes, 1);
+        out
+    }
+
     #[test]
     fn exact_path_probe_returns_instances() {
         let f = fig1_book_document();
         let dg = DataGuide::build(&f, Arc::new(BufferPool::in_memory(4096)));
-        let mut authors = dg.path_instances(&tags(&f, &["book", "allauthors", "author"]));
-        authors.sort_unstable();
+        let authors = instances(&dg, &tags(&f, &["book", "allauthors", "author"]));
         assert_eq!(authors, vec![6, 21, 41]);
-        assert_eq!(dg.take_lookups(), 1);
     }
 
     #[test]
     fn prefix_paths_are_stored() {
         let f = fig1_book_document();
         let dg = DataGuide::build(&f, Arc::new(BufferPool::in_memory(4096)));
-        assert_eq!(dg.path_instances(&tags(&f, &["book"])), vec![1]);
-        assert_eq!(dg.path_instances(&tags(&f, &["book", "allauthors"])), vec![5]);
+        assert_eq!(instances(&dg, &tags(&f, &["book"])), vec![1]);
+        assert_eq!(instances(&dg, &tags(&f, &["book", "allauthors"])), vec![5]);
     }
 
     #[test]
@@ -169,9 +170,9 @@ mod tests {
         let f = fig1_book_document();
         let dg = DataGuide::build(&f, Arc::new(BufferPool::in_memory(4096)));
         // "author" alone is not a root path; the DataGuide is anchored.
-        assert!(dg.path_instances(&tags(&f, &["author"])).is_empty());
+        assert!(instances(&dg, &tags(&f, &["author"])).is_empty());
         // An existing path with one wrong step.
-        assert!(dg.path_instances(&tags(&f, &["book", "author"])).is_empty());
+        assert!(instances(&dg, &tags(&f, &["book", "author"])).is_empty());
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! the paper attributes to this baseline.
 
 use crate::family::{
-    value_key_prefix, FamilyPosition, FreeIndex, IdListSublist, IndexedColumn, PathIndex,
-    PathMatch, PcSubpathQuery, SchemaPathSubset,
+    value_key_prefix, FamilyPosition, IdListSublist, IndexedColumn, PathIndex, PcSubpathQuery,
+    SchemaPathSubset,
 };
 use crate::parallel::{map_shards, ShardPlan};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::rootpaths::key_leaf;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
 use xtwig_rel::codec::KeyBuf;
@@ -37,8 +38,6 @@ pub struct EdgeTable {
     flink: BTree,
     /// `child → (parent, parent_tag)` — the backward link index.
     blink: BTree,
-    /// Index probes issued (for the harness' lookup counts).
-    lookups: AtomicU64,
 }
 
 fn node_key(tag: TagId, value: Option<&str>, child: u64) -> Vec<u8> {
@@ -167,105 +166,110 @@ impl EdgeTable {
             node_idx: bulk_build(pool.clone(), opts, merge_sorted_runs(node_runs)),
             flink: bulk_build(pool.clone(), opts, merge_sorted_runs(flink_runs)),
             blink: bulk_build(pool, opts, merge_sorted_runs(blink_runs)),
-            lookups: AtomicU64::new(0),
         }
     }
 
-    /// Number of index probes issued since the last [`Self::take_lookups`].
-    pub fn take_lookups(&self) -> u64 {
-        self.lookups.swap(0, Ordering::Relaxed)
-    }
-
-    fn count_lookup(&self) {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// All node ids with `tag` and (optionally) `value` — one value-index
-    /// probe.
-    pub fn nodes_with(&self, tag: TagId, value: Option<&str>) -> Vec<u64> {
-        self.count_lookup();
+    /// Lends the id of every node with `tag` and (optionally) `value` to
+    /// `visit` — in id order for a given value — until it answers
+    /// `Break`: one value-index probe, counted into `probes`. The visitor
+    /// is handed the counter back, for the probes it issues itself.
+    pub fn nodes_with(
+        &self,
+        tag: TagId,
+        value: Option<&str>,
+        probes: &mut u64,
+        mut visit: impl FnMut(&mut u64, u64) -> ControlFlow<()>,
+    ) {
+        *probes += 1;
         let mut prefix = KeyBuf::new();
         prefix.push_i64(i64::from(tag.0 as i32));
         if let Some(v) = value {
             prefix.push_str(value_key_prefix(v));
         }
-        self.node_idx
-            .scan_prefix(prefix.as_bytes())
-            .map(|(k, _)| {
-                // id is the trailing u64 component.
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&k[k.len() - 8..]);
-                u64::from_be_bytes(b)
-            })
-            .collect()
+        // The id is the key's trailing u64 component.
+        self.node_idx.for_each_prefix(prefix.as_bytes(), |k, _| visit(probes, key_leaf(k)));
     }
 
-    /// Parent and parent-tag of `id` — one backward-link probe.
-    pub fn parent_of(&self, id: u64) -> Option<(u64, TagId)> {
-        self.count_lookup();
+    /// Parent and parent-tag of `id` — one backward-link probe, counted
+    /// into `probes`.
+    pub fn parent_of(&self, id: u64, probes: &mut u64) -> Option<(u64, TagId)> {
+        *probes += 1;
         self.blink.get(&blink_key(id)).map(|v| decode_blink(&v))
     }
 
-    /// Children of `parent` with `tag` — one forward-link probe.
-    pub fn children_with(&self, parent: u64, tag: TagId) -> Vec<u64> {
-        self.count_lookup();
+    /// Lends the id of every child of `parent` with `tag` to `visit`, in
+    /// id order, until it answers `Break` — one forward-link probe,
+    /// counted into `probes`.
+    pub fn children_with(
+        &self,
+        parent: u64,
+        tag: TagId,
+        probes: &mut u64,
+        mut visit: impl FnMut(u64) -> ControlFlow<()>,
+    ) {
+        *probes += 1;
         let mut prefix = KeyBuf::new();
         prefix.push_u64(parent);
         prefix.push_i64(i64::from(tag.0 as i32));
-        self.flink
-            .scan_prefix(prefix.as_bytes())
-            .map(|(k, _)| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&k[k.len() - 8..]);
-                u64::from_be_bytes(b)
-            })
-            .collect()
+        self.flink.for_each_prefix(prefix.as_bytes(), |k, _| visit(key_leaf(k)));
     }
 
-    /// All proper ancestors of `id` bottom-up (one blink probe per step)
-    /// — how Edge-family plans find branch points above a node.
-    pub fn ancestors_of(&self, id: u64) -> Vec<u64> {
-        let mut out = Vec::new();
+    /// Lends every proper ancestor of `id` to `visit`, bottom-up, one
+    /// blink probe per step — how Edge-family plans find branch points
+    /// above a node.
+    pub fn ancestors_of(&self, id: u64, probes: &mut u64, mut visit: impl FnMut(u64)) {
         let mut cur = id;
-        while let Some((parent, _)) = self.parent_of(cur) {
+        while let Some((parent, _)) = self.parent_of(cur, probes) {
             if parent == 0 {
                 break;
             }
-            out.push(parent);
+            visit(parent);
             cur = parent;
         }
-        out
+    }
+
+    /// Walks the backward links up from `leaf` through `tags.len() - 1`
+    /// parents, one probe each, checking each parent's tag against the
+    /// pattern step it stands for, and writes the ids of the path —
+    /// `leaf` last — into `ids`. False, at the first probe that finds no
+    /// parent or one of another tag, when no such path ends at `leaf`.
+    pub fn walk_up(&self, tags: &[TagId], leaf: u64, ids: &mut Vec<u64>, probes: &mut u64) -> bool {
+        let k = tags.len();
+        ids.clear();
+        ids.resize(k, 0);
+        ids[k - 1] = leaf;
+        for step in (0..k - 1).rev() {
+            match self.parent_of(ids[step + 1], probes) {
+                Some((parent, tag)) if parent != 0 && tag == tags[step] => ids[step] = parent,
+                _ => return false,
+            }
+        }
+        true
     }
 
     /// Evaluates a PCsubpath by one value-index probe plus a
-    /// backward-link walk per candidate per step — the §5.2.1 join chain.
-    /// Returned matches carry exactly the pattern's step ids.
-    pub fn eval_pcsubpath(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let k = q.tags.len();
-        let leaf_tag = *q.tags.last().unwrap();
-        let candidates = self.nodes_with(leaf_tag, q.value.as_deref());
-        let mut out = Vec::new();
-        'cand: for leaf in candidates {
-            let mut ids = vec![0u64; k];
-            ids[k - 1] = leaf;
-            let mut cur = leaf;
-            for step in (0..k - 1).rev() {
-                let Some((parent, ptag)) = self.parent_of(cur) else { continue 'cand };
-                if parent == 0 || ptag != q.tags[step] {
-                    continue 'cand;
-                }
-                ids[step] = parent;
-                cur = parent;
+    /// backward-link walk per candidate per step — the §5.2.1 join chain
+    /// — lending each match, exactly the pattern's step ids, to `sink`
+    /// from the reused `ids` until it answers `Break`. Every probe is
+    /// counted into `probes`.
+    pub fn for_each_match(
+        &self,
+        q: &PcSubpathQuery,
+        ids: &mut Vec<u64>,
+        probes: &mut u64,
+        mut sink: impl FnMut(&[u64]) -> ControlFlow<()>,
+    ) {
+        let leaf_tag = *q.tags.last().expect("a subpath has a step");
+        self.nodes_with(leaf_tag, q.value.as_deref(), probes, |probes, leaf| {
+            if !self.walk_up(&q.tags, leaf, ids, probes) {
+                return ControlFlow::Continue(());
             }
-            if q.anchored {
-                match self.parent_of(cur) {
-                    Some((0, _)) => {}
-                    _ => continue 'cand,
-                }
+            // An anchored match starts at a document root.
+            if q.anchored && !matches!(self.parent_of(ids[0], probes), Some((0, _))) {
+                return ControlFlow::Continue(());
             }
-            out.push(PathMatch { head: 0, tags: q.tags.clone(), ids });
-        }
-        out
+            sink(ids)
+        });
     }
 
     /// Row count of the Edge relation.
@@ -319,7 +323,7 @@ impl EdgeTable {
         let node_idx = crate::persist::read_tree_meta(r, pool.clone())?;
         let flink = crate::persist::read_tree_meta(r, pool.clone())?;
         let blink = crate::persist::read_tree_meta(r, pool)?;
-        Ok(EdgeTable { heap, node_idx, flink, blink, lookups: AtomicU64::new(0) })
+        Ok(EdgeTable { heap, node_idx, flink, blink })
     }
 }
 
@@ -347,16 +351,6 @@ impl PathIndex for EdgeTable {
     }
 }
 
-impl FreeIndex for EdgeTable {
-    /// Multi-probe evaluation (the Edge baseline has no single-lookup
-    /// answer; this satisfies the interface so the engine can treat all
-    /// strategies uniformly, while the probe counter records the true
-    /// cost).
-    fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        self.eval_pcsubpath(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,42 +369,69 @@ mod tests {
         PcSubpathQuery::resolve(forest.dict(), steps, anchored, value).unwrap()
     }
 
+    /// Every match of `q`, and the probes the chain counted.
+    fn matches(e: &EdgeTable, q: &PcSubpathQuery) -> (Vec<Vec<u64>>, u64) {
+        let (mut out, mut probes) = (Vec::new(), 0);
+        e.for_each_match(q, &mut Vec::new(), &mut probes, |ids| {
+            out.push(ids.to_vec());
+            ControlFlow::Continue(())
+        });
+        (out, probes)
+    }
+
+    fn nodes(e: &EdgeTable, tag: TagId, value: Option<&str>) -> Vec<u64> {
+        let (mut out, mut probes) = (Vec::new(), 0);
+        e.nodes_with(tag, value, &mut probes, |_, id| {
+            out.push(id);
+            ControlFlow::Continue(())
+        });
+        assert_eq!(probes, 1);
+        out
+    }
+
     #[test]
     fn value_index_probe() {
         let f = fig1_book_document();
         let e = build(&f);
         let fn_tag = f.dict().lookup("fn").unwrap();
-        let mut janes = e.nodes_with(fn_tag, Some("jane"));
-        janes.sort_unstable();
-        assert_eq!(janes, vec![7, 42]);
-        let mut all_fn = e.nodes_with(fn_tag, None);
-        all_fn.sort_unstable();
-        assert_eq!(all_fn, vec![7, 22, 42]);
+        assert_eq!(nodes(&e, fn_tag, Some("jane")), vec![7, 42]);
+        // Without a value, in value order first.
+        assert_eq!(nodes(&e, fn_tag, None), vec![7, 42, 22]);
     }
 
     #[test]
     fn link_indexes() {
         let f = fig1_book_document();
         let e = build(&f);
-        assert_eq!(e.parent_of(7), Some((6, f.dict().lookup("author").unwrap())));
-        assert_eq!(e.parent_of(1), Some((0, TagId::VIRTUAL_ROOT)));
-        assert_eq!(e.parent_of(99_999), None);
+        let mut probes = 0;
+        assert_eq!(e.parent_of(7, &mut probes), Some((6, f.dict().lookup("author").unwrap())));
+        assert_eq!(e.parent_of(1, &mut probes), Some((0, TagId::VIRTUAL_ROOT)));
+        assert_eq!(e.parent_of(99_999, &mut probes), None);
+        assert_eq!(probes, 3);
         let author = f.dict().lookup("author").unwrap();
-        let mut authors = e.children_with(5, author);
-        authors.sort_unstable();
+        let mut authors = Vec::new();
+        e.children_with(5, author, &mut probes, |id| {
+            authors.push(id);
+            ControlFlow::Continue(())
+        });
         assert_eq!(authors, vec![6, 21, 41]);
-        assert_eq!(e.ancestors_of(7), vec![6, 5, 1]);
-        assert_eq!(e.ancestors_of(1), Vec::<u64>::new());
+        assert_eq!(probes, 4);
+        let ancestors = |id| {
+            let (mut out, mut probes) = (Vec::new(), 0);
+            e.ancestors_of(id, &mut probes, |a| out.push(a));
+            (out, probes)
+        };
+        // One probe per ancestor, and one that finds the virtual root.
+        assert_eq!(ancestors(7), (vec![6, 5, 1], 4));
+        assert_eq!(ancestors(1), (Vec::new(), 1));
     }
 
     #[test]
     fn pcsubpath_eval_matches_index_semantics() {
         let f = fig1_book_document();
         let e = build(&f);
-        let ms = e.eval_pcsubpath(&q(&f, &["author", "fn"], false, Some("jane")));
-        let mut ids: Vec<Vec<u64>> = ms.iter().map(|m| m.ids.clone()).collect();
-        ids.sort();
-        assert_eq!(ids, vec![vec![6, 7], vec![41, 42]]);
+        let (ms, _) = matches(&e, &q(&f, &["author", "fn"], false, Some("jane")));
+        assert_eq!(ms, vec![vec![6, 7], vec![41, 42]]);
     }
 
     #[test]
@@ -418,10 +439,10 @@ mod tests {
         let f = fig1_book_document();
         let e = build(&f);
         // /book/title matches; /title alone does not (title not a root).
-        assert_eq!(e.eval_pcsubpath(&q(&f, &["book", "title"], true, None)).len(), 1);
-        assert!(e.eval_pcsubpath(&q(&f, &["title"], true, None)).is_empty());
+        assert_eq!(matches(&e, &q(&f, &["book", "title"], true, None)).0.len(), 1);
+        assert!(matches(&e, &q(&f, &["title"], true, None)).0.is_empty());
         // //title matches both titles.
-        assert_eq!(e.eval_pcsubpath(&q(&f, &["title"], false, None)).len(), 2);
+        assert_eq!(matches(&e, &q(&f, &["title"], false, None)).0.len(), 2);
     }
 
     #[test]
@@ -430,11 +451,9 @@ mod tests {
         // selectivity drops.
         let f = fig1_book_document();
         let e = build(&f);
-        e.take_lookups();
-        e.eval_pcsubpath(&q(&f, &["book", "allauthors", "author", "fn"], true, None));
-        let probes_unselective = e.take_lookups();
-        e.eval_pcsubpath(&q(&f, &["book", "allauthors", "author", "fn"], true, Some("john")));
-        let probes_selective = e.take_lookups();
+        let steps = ["book", "allauthors", "author", "fn"];
+        let (_, probes_unselective) = matches(&e, &q(&f, &steps, true, None));
+        let (_, probes_selective) = matches(&e, &q(&f, &steps, true, Some("john")));
         assert!(probes_unselective > probes_selective);
         // 3 candidates * (3 walk steps + 1 anchor check) + 1 value probe.
         assert_eq!(probes_unselective, 1 + 3 * 4);
@@ -442,11 +461,25 @@ mod tests {
     }
 
     #[test]
+    fn a_sink_that_breaks_ends_the_chain() {
+        let f = fig1_book_document();
+        let e = build(&f);
+        let (mut lent, mut probes) = (0, 0);
+        let query = q(&f, &["book", "allauthors", "author", "fn"], true, None);
+        e.for_each_match(&query, &mut Vec::new(), &mut probes, |_| {
+            lent += 1;
+            ControlFlow::Break(())
+        });
+        // The value probe and the first candidate's walk, nothing after.
+        assert_eq!((lent, probes), (1, 1 + 4));
+    }
+
+    #[test]
     fn mismatched_interior_tags_prune_candidates() {
         let f = fig1_book_document();
         let e = build(&f);
         // //chapter/fn: fn nodes exist but never under chapter.
-        assert!(e.eval_pcsubpath(&q(&f, &["chapter", "fn"], false, None)).is_empty());
+        assert!(matches(&e, &q(&f, &["chapter", "fn"], false, None)).0.is_empty());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::datapaths::{DataPaths, DataPathsOptions};
 use crate::decompose::{decompose, CompiledTwig, SubpathSpec, UnknownTag};
 use crate::edge::EdgeTable;
 use crate::fabric::IndexFabric;
-use crate::family::{value_needs_recheck, Floor, PathIndex, PathMatch, PcSubpathQuery};
+use crate::family::{value_needs_recheck, Floor, PathIndex, PcSubpathQuery};
 use crate::joinindex::JoinIndices;
 use crate::parallel::ShardPlan;
 use crate::paths::PathStats;
@@ -170,10 +170,12 @@ impl QueryAnswer {
 /// leaving the original to serve concurrent readers as a frozen
 /// snapshot.
 ///
-/// Concurrency note on metrics: result sets are always exact, but the
-/// per-query `probes`/`logical_reads` attribution drains shared
-/// counters, so it is only exact when queries against the *same*
-/// strategy do not overlap in time.
+/// Concurrency note on metrics: result sets, `probes` and `rows_fetched`
+/// are exact per query, however many queries overlap — every strategy
+/// counts its lookups and fetched rows into the execution's own counters.
+/// `logical_reads` and `physical_reads` are still deltas of the
+/// strategy's pool-wide counters, so they are only exact when queries
+/// against the *same* strategy do not overlap in time.
 pub struct QueryEngine<F: Borrow<XmlForest> = Arc<XmlForest>> {
     // Fields are crate-visible for `crate::persist`, which flushes each
     // structure's pool into an index file and reconstructs the engine
@@ -683,48 +685,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         total
     }
 
-    fn drain_baseline_counters(&self, strategy: Strategy) -> u64 {
-        let mut probes = 0;
-        match strategy {
-            Strategy::Edge => {
-                if let Some((e, _)) = &self.edge {
-                    probes += e.take_lookups();
-                }
-            }
-            Strategy::DataGuideEdge => {
-                if let Some((d, _)) = &self.dg {
-                    probes += d.take_lookups();
-                }
-                if let Some((e, _)) = &self.edge {
-                    probes += e.take_lookups();
-                }
-            }
-            Strategy::IndexFabricEdge => {
-                if let Some((f, _)) = &self.fab {
-                    probes += f.take_lookups();
-                }
-                if let Some((e, _)) = &self.edge {
-                    probes += e.take_lookups();
-                }
-            }
-            Strategy::Asr => {
-                if let Some((a, _)) = &self.asr {
-                    probes += a.take_lookups();
-                }
-            }
-            Strategy::JoinIndex => {
-                if let Some((j, _)) = &self.ji {
-                    probes += j.take_lookups();
-                }
-                if let Some((e, _)) = &self.edge {
-                    probes += e.take_lookups();
-                }
-            }
-            _ => {}
-        }
-        probes
-    }
-
     /// Compiles and plans a twig in one step: the decompose/choose_plan
     /// front half of [`QueryEngine::answer`], exposed so plan caches
     /// (see `xtwig-service`) can skip it on repeated twig shapes.
@@ -768,8 +728,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
     /// [`QueryEngine::answer_compiled`] with an optional [`Trace`].
     /// This is the one place a twig is executed:
-    /// snapshot the strategy's pools, run the plan, drain the deferred
-    /// lookup counters, report the deltas as [`QueryMetrics`].
+    /// snapshot the strategy's pools, run the plan, report its probe and
+    /// row counts and the pools' deltas as [`QueryMetrics`].
     ///
     /// With a trace, the same execution additionally appends `resolve`,
     /// `execute`, `step` and `materialize` spans to it, ranks the
@@ -806,15 +766,13 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
         let execute = trace.as_deref_mut().map(|t| t.begin("execute", strategy.label()));
         let before = self.snapshot(strategy);
-        self.drain_baseline_counters(strategy);
         let start = Instant::now();
         let mut cx = Exec { trace, ..Exec::default() };
         let ids = self.execute(compiled, plan, strategy, &mut cx);
         let elapsed = start.elapsed();
-        let probes = cx.io.probes + self.drain_baseline_counters(strategy);
         let delta = self.snapshot(strategy).since(&before);
         let metrics = QueryMetrics {
-            probes,
+            probes: cx.io.probes,
             rows_fetched: cx.io.rows_fetched,
             logical_reads: delta.logical_reads,
             physical_reads: delta.physical_reads,
@@ -1060,11 +1018,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             if let (Some(t), Some((token, io_before, probes_before, fetched_before))) =
                 (cx.trace.as_deref_mut(), span)
             {
-                // Attribute the Edge family's deferred lookup counters to
-                // the step that issued them; the caller's final drain then
-                // collects nothing, so the query total is the same with
-                // and without a trace.
-                cx.io.probes += self.drain_baseline_counters(strategy);
                 let io = self.snapshot(strategy).since(&io_before);
                 let mut detail = format!("#{i} subpath {} {how}", step.subpath);
                 if let Some(runs) = runs {
@@ -1130,9 +1083,9 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// index entry listed in front of them — the ancestors of `ids[0]`
     /// when the index stores full root IdLists. ROOTPATHS, DATAPATHS and
     /// ASR stream each IdList from the leaf page through `ids_buf`; the
-    /// Edge-family evaluators build their matches by walking and feed
-    /// the same sink from them. Long values are rechecked before a match
-    /// is lent.
+    /// Edge family writes each match it walks into the same buffer, and
+    /// lends it from there. Every strategy counts its lookups into `io`.
+    /// Long values are rechecked before a match is lent.
     ///
     /// `interior` says whether the caller reads the ids a match binds
     /// above its last step. When it does not, ROOTPATHS and DATAPATHS
@@ -1168,9 +1121,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             }
             sink(above, &nodes[nodes.len() - bound..], ids)
         };
-        let mut lend_all = |matches: Vec<PathMatch>| {
-            let _ = matches.iter().try_for_each(|m| lend(&m.ids));
-        };
         match strategy {
             Strategy::RootPaths => {
                 *probes += 1;
@@ -1184,17 +1134,21 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             }
             Strategy::Asr => {
                 let (asr, _) = self.asr.as_ref().expect("ASR not built");
-                asr.for_each_match(q, ids_buf, |_path, ids| lend(ids));
+                asr.for_each_match(q, ids_buf, probes, |_path, ids| lend(ids));
             }
             Strategy::Edge => {
                 // The Edge chain must walk every step regardless: interior
                 // tags are only verifiable through backward-link probes.
                 let (e, _) = self.edge.as_ref().expect("Edge not built");
-                lend_all(e.eval_pcsubpath(q));
+                e.for_each_match(q, ids_buf, probes, lend);
             }
-            Strategy::DataGuideEdge => lend_all(self.eval_dataguide_edge(q, interior)),
-            Strategy::IndexFabricEdge => lend_all(self.eval_fabric_edge(q, interior)),
-            Strategy::JoinIndex => lend_all(self.eval_join_index(q, interior)),
+            Strategy::DataGuideEdge => self.dataguide_edge(q, interior, ids_buf, probes, lend),
+            Strategy::IndexFabricEdge => self.fabric_edge(q, interior, ids_buf, probes, lend),
+            Strategy::JoinIndex => {
+                let (ji, _) = self.ji.as_ref().expect("JoinIndices not built");
+                let (edge, _) = self.edge.as_ref().expect("Edge not built");
+                ji.for_each_match(q, interior, edge, ids_buf, probes, lend);
+            }
             Strategy::Auto => unreachable!("Auto resolves before execution"),
         }
         0
@@ -1241,108 +1195,63 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// DG+Edge (§5.1.2): the DataGuide answers anchored structural paths;
     /// values come from the Edge value index and are joined on node id;
     /// interior ids are recovered with backward-link walks; `//` patterns
-    /// fall back to the Edge chain entirely.
-    fn eval_dataguide_edge(&self, q: &PcSubpathQuery, interior: bool) -> Vec<PathMatch> {
+    /// fall back to the Edge chain entirely. Lends as
+    /// [`QueryEngine::scan_subpath`] does.
+    fn dataguide_edge(
+        &self,
+        q: &PcSubpathQuery,
+        interior: bool,
+        ids: &mut Vec<u64>,
+        probes: &mut u64,
+        mut lend: impl FnMut(&[u64]) -> ControlFlow<()>,
+    ) {
         let (dg, _) = self.dg.as_ref().expect("DataGuide not built");
         let (edge, _) = self.edge.as_ref().expect("Edge not built");
         if !q.anchored {
-            return edge.eval_pcsubpath(q);
+            return edge.for_each_match(q, ids, probes, lend);
         }
-        let path_ids = dg.path_instances(&q.tags);
-        let leaf_ids: Vec<u64> = match &q.value {
-            None => path_ids,
-            Some(v) => {
-                let valued: HashSet<u64> =
-                    edge.nodes_with(*q.tags.last().unwrap(), Some(v)).into_iter().collect();
-                path_ids.into_iter().filter(|id| valued.contains(id)).collect()
+        // The join's build side: the valued ids, which the value index
+        // lists in id order.
+        let valued = q.value.as_deref().map(|v| {
+            let mut valued = Vec::new();
+            edge.nodes_with(
+                *q.tags.last().expect("a subpath has a step"),
+                Some(v),
+                probes,
+                |_, id| {
+                    valued.push(id);
+                    ControlFlow::Continue(())
+                },
+            );
+            valued
+        });
+        dg.path_instances(&q.tags, probes, |probes, leaf| {
+            if valued.as_ref().is_some_and(|valued| valued.binary_search(&leaf).is_err()) {
+                return ControlFlow::Continue(());
             }
-        };
-        if interior {
-            self.materialize_by_walking(edge, q, leaf_ids)
-        } else {
-            leaf_only_matches(q, leaf_ids)
-        }
+            lend_path_leaf(edge, q, interior, leaf, ids, probes, &mut lend)
+        });
     }
 
     /// IF+Edge (§5.1.2): the fabric answers valued root-to-leaf paths in
-    /// one probe; everything else falls back to the Edge chain.
-    fn eval_fabric_edge(&self, q: &PcSubpathQuery, interior: bool) -> Vec<PathMatch> {
+    /// one probe; everything else falls back to the Edge chain. Lends as
+    /// [`QueryEngine::scan_subpath`] does.
+    fn fabric_edge(
+        &self,
+        q: &PcSubpathQuery,
+        interior: bool,
+        ids: &mut Vec<u64>,
+        probes: &mut u64,
+        mut lend: impl FnMut(&[u64]) -> ControlFlow<()>,
+    ) {
         let (fab, _) = self.fab.as_ref().expect("IndexFabric not built");
         let (edge, _) = self.edge.as_ref().expect("Edge not built");
-        match (&q.value, q.anchored) {
-            (Some(v), true) => {
-                let leaf_ids = fab.leaf_instances(&q.tags, v);
-                if interior {
-                    self.materialize_by_walking(edge, q, leaf_ids)
-                } else {
-                    // The paper's Fig. 11 case: a fully-specified valued
-                    // path is one fabric probe, nothing else.
-                    leaf_only_matches(q, leaf_ids)
-                }
-            }
-            _ => edge.eval_pcsubpath(q),
+        match (q.value.as_deref(), q.anchored) {
+            (Some(v), true) => fab.leaf_instances(&q.tags, v, probes, |probes, leaf| {
+                lend_path_leaf(edge, q, interior, leaf, ids, probes, &mut lend)
+            }),
+            _ => edge.for_each_match(q, ids, probes, lend),
         }
-    }
-
-    /// Join Indices (§5.2.6): constants resolve through the Edge value
-    /// index; endpoints and interior positions come from the per-path
-    /// table pairs.
-    fn eval_join_index(&self, q: &PcSubpathQuery, interior: bool) -> Vec<PathMatch> {
-        let (ji, _) = self.ji.as_ref().expect("JoinIndices not built");
-        match &q.value {
-            Some(v) => {
-                let (edge, _) = self.edge.as_ref().expect("Edge not built");
-                let leaves = edge.nodes_with(*q.tags.last().unwrap(), Some(v));
-                if interior {
-                    ji.eval_pcsubpath_with_leaves(q, &leaves)
-                } else {
-                    // Path membership still needs one backward probe per
-                    // candidate per matching expression; interior
-                    // positions are skipped.
-                    let mut out = Vec::new();
-                    for (path, split) in ji.matching_expressions(q) {
-                        for &leaf in &leaves {
-                            if q.tags.len() == 1 || !ji.first_ids(&path, split, leaf).is_empty() {
-                                out.push(PathMatch {
-                                    head: 0,
-                                    tags: vec![*q.tags.last().unwrap()],
-                                    ids: vec![leaf],
-                                });
-                            }
-                        }
-                    }
-                    out.sort_by(|a, b| a.ids.cmp(&b.ids));
-                    out.dedup_by(|a, b| a.ids == b.ids);
-                    out
-                }
-            }
-            None => ji.eval_pcsubpath_structural(q),
-        }
-    }
-
-    /// Recovers interior step ids for known root-anchored leaf matches by
-    /// backward-link walks (one probe per step per candidate).
-    fn materialize_by_walking(
-        &self,
-        edge: &EdgeTable,
-        q: &PcSubpathQuery,
-        leaf_ids: Vec<u64>,
-    ) -> Vec<PathMatch> {
-        let k = q.tags.len();
-        leaf_ids
-            .into_iter()
-            .filter_map(|leaf| {
-                let mut ids = vec![0u64; k];
-                ids[k - 1] = leaf;
-                let mut cur = leaf;
-                for i in (0..k - 1).rev() {
-                    let (parent, _) = edge.parent_of(cur)?;
-                    ids[i] = parent;
-                    cur = parent;
-                }
-                Some(PathMatch { head: 0, tags: q.tags.clone(), ids })
-            })
-            .collect()
     }
 
     /// The ancestors of the id row `i` of `table` binds to `node`:
@@ -1371,7 +1280,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     fn recover_ancestors(&self, id: u64, arena: &mut Vec<u64>, probes: &mut u64) -> AncList {
         let off = arena.len();
         if let Some((edge, _)) = &self.edge {
-            arena.extend(edge.ancestors_of(id));
+            edge.ancestors_of(id, probes, |a| arena.push(a));
         } else {
             // Base-data fallback: one lookup per ancestor step, equivalent
             // in cost to the backward-link walk.
@@ -1702,13 +1611,27 @@ pub fn twig_shape(twig: &TwigPattern) -> String {
     s
 }
 
-/// Matches carrying only the final step's id (interior skipped).
-fn leaf_only_matches(q: &PcSubpathQuery, leaf_ids: Vec<u64>) -> Vec<PathMatch> {
-    let leaf_tag = *q.tags.last().unwrap();
-    leaf_ids
-        .into_iter()
-        .map(|id| PathMatch { head: 0, tags: vec![leaf_tag], ids: vec![id] })
-        .collect()
+/// Lends `leaf`, which a DataGuide or Index Fabric probe found on the
+/// pattern's exact root path: with the ids above it, recovered by a
+/// backward-link walk (one probe per step), when the caller reads
+/// `interior` ids; else alone — the paper's Fig. 11 case, where a
+/// fully-specified valued path is one fabric probe and nothing else.
+fn lend_path_leaf(
+    edge: &EdgeTable,
+    q: &PcSubpathQuery,
+    interior: bool,
+    leaf: u64,
+    ids: &mut Vec<u64>,
+    probes: &mut u64,
+    lend: &mut impl FnMut(&[u64]) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    if !interior {
+        lend(&[leaf])
+    } else if edge.walk_up(&q.tags, leaf, ids, probes) {
+        lend(ids)
+    } else {
+        ControlFlow::Continue(())
+    }
 }
 
 #[cfg(test)]
@@ -2024,7 +1947,6 @@ mod tests {
                 // of the subpath lends, and paid the same probes for them —
                 // walks included, one per walked step.
                 let (mut io, mut walks, mut walked) = (ProbeIo::default(), 0, Vec::new());
-                e.drain_baseline_counters(strategy);
                 e.scan_subpath(strategy, sp, interior, &mut io, None, |_, _, m| {
                     if kind == "AncestorOf" && !lists_full_roots(strategy) {
                         walked.clear();
@@ -2032,7 +1954,7 @@ mod tests {
                     }
                     ControlFlow::Continue(())
                 });
-                let probes = io.probes + walks + e.drain_baseline_counters(strategy);
+                let probes = io.probes + walks;
                 assert_eq!(span.counters.rows, io.rows_fetched, "{xpath} via {strategy}: rows");
                 assert_eq!(span.counters.probes, probes, "{xpath} via {strategy}: probes");
             }

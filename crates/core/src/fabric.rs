@@ -18,7 +18,8 @@ use crate::family::{
 };
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::rootpaths::key_leaf;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
 use xtwig_rel::codec::KeyBuf;
@@ -28,7 +29,6 @@ use xtwig_xml::{TagId, XmlForest};
 /// The simulated Index Fabric.
 pub struct IndexFabric {
     tree: BTree,
-    lookups: AtomicU64,
 }
 
 impl IndexFabric {
@@ -56,35 +56,29 @@ impl IndexFabric {
             entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             entries
         });
-        IndexFabric {
-            tree: bulk_build(pool, BTreeOptions::default(), merge_sorted_runs(runs)),
-            lookups: AtomicU64::new(0),
-        }
+        IndexFabric { tree: bulk_build(pool, BTreeOptions::default(), merge_sorted_runs(runs)) }
     }
 
-    /// Leaf ids of every instance of the exact root-anchored path `tags`
-    /// whose leaf value equals `value` — one probe.
-    pub fn leaf_instances(&self, tags: &[TagId], value: &str) -> Vec<u64> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+    /// Lends the leaf id of every instance of the exact root-anchored
+    /// path `tags` whose leaf value equals `value` to `visit`, in id
+    /// order, until it answers `Break` — one probe, counted into
+    /// `probes`. The visitor is handed the counter back, for the probes
+    /// it issues itself.
+    pub fn leaf_instances(
+        &self,
+        tags: &[TagId],
+        value: &str,
+        probes: &mut u64,
+        mut visit: impl FnMut(&mut u64, u64) -> ControlFlow<()>,
+    ) {
+        *probes += 1;
         let mut key = KeyBuf::new();
         let mut path = Vec::with_capacity(tags.len() + 1);
         designator::push_path(&mut path, tags);
         path.push(designator::TERMINATOR);
         key.push_raw(&path);
         key.push_str(value_key_prefix(value));
-        self.tree
-            .scan_prefix(key.as_bytes())
-            .map(|(k, _)| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&k[k.len() - 8..]);
-                u64::from_be_bytes(b)
-            })
-            .collect()
-    }
-
-    /// Index probes issued since the last call.
-    pub fn take_lookups(&self) -> u64 {
-        self.lookups.swap(0, Ordering::Relaxed)
+        self.tree.for_each_prefix(key.as_bytes(), |k, _| visit(probes, key_leaf(k)));
     }
 
     /// Entry count.
@@ -111,10 +105,7 @@ impl IndexFabric {
         r: &mut crate::persist::ByteReader<'_>,
         pool: Arc<BufferPool>,
     ) -> Result<Self, crate::persist::FormatError> {
-        Ok(IndexFabric {
-            tree: crate::persist::read_tree_meta(r, pool)?,
-            lookups: AtomicU64::new(0),
-        })
+        Ok(IndexFabric { tree: crate::persist::read_tree_meta(r, pool)? })
     }
 }
 
@@ -145,16 +136,24 @@ mod tests {
         names.iter().map(|n| f.dict().lookup(n).unwrap()).collect()
     }
 
+    /// The leaves one probe lends, in order.
+    fn leaves(fab: &IndexFabric, tags: &[TagId], value: &str) -> Vec<u64> {
+        let (mut out, mut probes) = (Vec::new(), 0);
+        fab.leaf_instances(tags, value, &mut probes, |_, id| {
+            out.push(id);
+            ControlFlow::Continue(())
+        });
+        assert_eq!(probes, 1);
+        out
+    }
+
     #[test]
     fn valued_root_to_leaf_is_one_probe() {
         let f = fig1_book_document();
         let fab = IndexFabric::build(&f, Arc::new(BufferPool::in_memory(4096)));
         let path = tags(&f, &["book", "allauthors", "author", "fn"]);
-        let mut janes = fab.leaf_instances(&path, "jane");
-        janes.sort_unstable();
-        assert_eq!(janes, vec![7, 42]);
-        assert_eq!(fab.take_lookups(), 1);
-        assert!(fab.leaf_instances(&path, "zoe").is_empty());
+        assert_eq!(leaves(&fab, &path, "jane"), vec![7, 42]);
+        assert!(leaves(&fab, &path, "zoe").is_empty());
     }
 
     #[test]
@@ -170,9 +169,9 @@ mod tests {
         let f = fig1_book_document();
         let fab = IndexFabric::build(&f, Arc::new(BufferPool::in_memory(4096)));
         let path = tags(&f, &["book", "title"]);
-        assert_eq!(fab.leaf_instances(&path, "XML"), vec![2]);
-        assert!(fab.leaf_instances(&path, "XM").is_empty());
-        assert!(fab.leaf_instances(&path, "XMLX").is_empty());
+        assert_eq!(leaves(&fab, &path, "XML"), vec![2]);
+        assert!(leaves(&fab, &path, "XM").is_empty());
+        assert!(leaves(&fab, &path, "XMLX").is_empty());
     }
 
     #[test]

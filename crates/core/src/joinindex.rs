@@ -18,17 +18,18 @@
 //!   interior position of a pattern costs one backward probe per
 //!   candidate per position.
 
+use crate::edge::EdgeTable;
 use crate::family::{
-    FamilyPosition, IdListSublist, IndexedColumn, PathIndex, PathMatch, PcSubpathQuery,
-    SchemaPathSubset,
+    FamilyPosition, IdListSublist, IndexedColumn, PathIndex, PcSubpathQuery, SchemaPathSubset,
 };
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
+use crate::rootpaths::key_leaf;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
-use xtwig_rel::codec::KeyBuf;
+use xtwig_rel::codec::{self, KeyBuf};
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, XmlForest};
 
@@ -43,7 +44,6 @@ struct JiPair {
 pub struct JoinIndices {
     /// Keyed by (full root path, split position).
     tables: HashMap<(Vec<TagId>, usize), JiPair>,
-    lookups: AtomicU64,
 }
 
 fn pair_key(a: u64, b: u64) -> Vec<u8> {
@@ -53,10 +53,19 @@ fn pair_key(a: u64, b: u64) -> Vec<u8> {
     k.finish()
 }
 
-fn trailing_u64(k: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&k[k.len() - 8..]);
-    u64::from_be_bytes(b)
+/// The start id paired with `last` in `pair` — one backward probe,
+/// counted into `probes`. A leaf has one root path, so it has one start
+/// id per split at most.
+fn first_id(pair: &JiPair, last: u64, probes: &mut u64) -> Option<u64> {
+    *probes += 1;
+    let mut prefix = KeyBuf::new();
+    prefix.push_u64(last);
+    let mut first = None;
+    pair.backward.for_each_prefix(prefix.as_bytes(), |key, _| {
+        first = Some(key_leaf(key));
+        ControlFlow::Break(())
+    });
+    first
 }
 
 impl JoinIndices {
@@ -115,17 +124,12 @@ impl JoinIndices {
                 },
             );
         }
-        JoinIndices { tables, lookups: AtomicU64::new(0) }
+        JoinIndices { tables }
     }
 
     /// Number of materialized path expressions (each holding two trees).
     pub fn table_count(&self) -> usize {
         self.tables.len()
-    }
-
-    /// Index probes issued since the last call.
-    pub fn take_lookups(&self) -> u64 {
-        self.lookups.swap(0, Ordering::Relaxed)
     }
 
     /// Aggregate physical shape of the per-expression table pairs, for
@@ -144,124 +148,119 @@ impl JoinIndices {
         p
     }
 
-    /// Stored `(path, split)` expressions whose suffix equals the
-    /// pattern (exact root path for anchored patterns).
-    pub fn matching_expressions(&self, q: &PcSubpathQuery) -> Vec<(Vec<TagId>, usize)> {
-        self.tables
-            .keys()
-            .filter(|(p, j)| {
-                if q.anchored {
-                    *j == 0 && p == &q.tags
-                } else {
-                    p.len() - j == q.tags.len() && p[*j..] == q.tags[..]
+    /// The table pairs of the pattern's positions on every schema path
+    /// it matches (the exact root path when anchored), in sorted path
+    /// order: one chunk of `q.tags.len()` pairs per path, the pattern's
+    /// position `i` at index `i`. Each `(path, split)` table is looked up
+    /// once, in one pass over the expressions.
+    fn pattern_tables(&self, q: &PcSubpathQuery) -> Vec<&JiPair> {
+        let k = q.tags.len();
+        let mut found: Vec<(&[TagId], usize, &JiPair)> = self
+            .tables
+            .iter()
+            .filter(|((path, split), _)| {
+                // Splits from the pattern's first position on.
+                path.ends_with(&q.tags) && {
+                    let start = path.len() - k;
+                    *split >= start && (start == 0 || !q.anchored)
                 }
             })
-            .cloned()
+            .map(|((path, split), pair)| (path.as_slice(), *split, pair))
+            .collect();
+        found.sort_unstable_by_key(|&(path, split, _)| (path, split));
+        found
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|positions| positions.len() == k)
+            .flatten()
+            .map(|&(_, _, pair)| pair)
             .collect()
     }
 
-    /// Start ids paired with `last` in expression `(path, split)` — one
-    /// backward probe.
-    pub fn first_ids(&self, path: &[TagId], split: usize, last: u64) -> Vec<u64> {
-        let Some(pair) = self.tables.get(&(path.to_vec(), split)) else { return Vec::new() };
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut prefix = KeyBuf::new();
-        prefix.push_u64(last);
-        pair.backward.scan_prefix(prefix.as_bytes()).map(|(k, _)| trailing_u64(&k)).collect()
-    }
-
-    /// End ids paired with `first` in expression `(path, split)` — one
-    /// forward probe.
-    pub fn last_ids(&self, path: &[TagId], split: usize, first: u64) -> Vec<u64> {
-        let Some(pair) = self.tables.get(&(path.to_vec(), split)) else { return Vec::new() };
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut prefix = KeyBuf::new();
-        prefix.push_u64(first);
-        pair.forward.scan_prefix(prefix.as_bytes()).map(|(k, _)| trailing_u64(&k)).collect()
-    }
-
-    /// All endpoint pairs of an expression (structural scan).
-    pub fn all_pairs(&self, path: &[TagId], split: usize) -> Vec<(u64, u64)> {
-        let Some(pair) = self.tables.get(&(path.to_vec(), split)) else { return Vec::new() };
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        pair.forward
-            .scan_all()
-            .map(|(k, _)| {
-                // key = [u64 first][u64 last], each 9 bytes with tag.
-                let mut f = [0u8; 8];
-                f.copy_from_slice(&k[1..9]);
-                (u64::from_be_bytes(f), trailing_u64(&k))
-            })
-            .collect()
-    }
-
-    /// Evaluates a PCsubpath given the candidate leaf ids (from the Edge
-    /// value index — join indices store no values). Every interior
-    /// position is recovered with one backward probe per candidate per
-    /// matching expression.
-    pub fn eval_pcsubpath_with_leaves(&self, q: &PcSubpathQuery, leaves: &[u64]) -> Vec<PathMatch> {
+    /// Evaluates a PCsubpath — the one scan of these tables — lending
+    /// each match to `sink` from the reused `ids` until it answers
+    /// `Break`, and counting every probe into `probes`.
+    ///
+    /// A valued pattern takes its candidate leaves from `edge`'s value
+    /// index (join indices store no values). For each candidate and each
+    /// schema path the pattern matches, one backward probe per interior
+    /// position recovers the ids above the leaf. When the caller reads
+    /// no `interior` id, one backward probe instead checks that the path
+    /// holds the candidate (none does for an unanchored one-node
+    /// pattern), and the candidate is lent alone. A structural
+    /// pattern scans each matching expression's forward tree for its
+    /// endpoint pairs and recovers the positions between them the same
+    /// way.
+    pub fn for_each_match(
+        &self,
+        q: &PcSubpathQuery,
+        interior: bool,
+        edge: &EdgeTable,
+        ids: &mut Vec<u64>,
+        probes: &mut u64,
+        mut sink: impl FnMut(&[u64]) -> ControlFlow<()>,
+    ) {
         let k = q.tags.len();
-        let mut out = Vec::new();
-        for (path, split) in self.matching_expressions(q) {
-            for &leaf in leaves {
-                // Position i of the pattern = split + i of the full path.
-                let mut ids = vec![0u64; k];
-                ids[k - 1] = leaf;
-                let mut ok = true;
-                for (i, slot) in ids.iter_mut().take(k - 1).enumerate() {
-                    let firsts = self.first_ids(&path, split + i, leaf);
-                    match firsts.as_slice() {
-                        [one] => *slot = *one,
-                        [] => {
-                            ok = false;
-                            break;
-                        }
-                        many => {
-                            // A leaf has a unique root path; duplicates
-                            // would indicate table corruption.
-                            debug_assert!(false, "ambiguous first ids {many:?}");
-                            *slot = many[0];
-                        }
+        let tables = self.pattern_tables(q);
+        let Some(value) = q.value.as_deref() else {
+            for positions in tables.chunks(k) {
+                *probes += 1;
+                let mut flow = ControlFlow::Continue(());
+                positions[0].forward.for_each_prefix(&[], |key, _| {
+                    // key = [u64 first][u64 last]
+                    let (first, last) = (codec::dec_u64(key, 0).0, key_leaf(key));
+                    ids.clear();
+                    ids.push(first);
+                    for pair in positions.iter().take(k - 1).skip(1) {
+                        let Some(id) = first_id(pair, last, probes) else {
+                            return ControlFlow::Continue(());
+                        };
+                        ids.push(id);
                     }
-                }
-                if ok {
-                    out.push(PathMatch { head: 0, tags: q.tags.clone(), ids });
+                    if k > 1 {
+                        ids.push(last);
+                    }
+                    flow = sink(ids);
+                    flow
+                });
+                if flow.is_break() {
+                    return;
                 }
             }
-        }
-        out.sort_by(|a, b| a.ids.cmp(&b.ids));
-        out.dedup_by(|a, b| a.ids == b.ids);
-        out
-    }
-
-    /// Structural (no-value) evaluation: scans each matching expression.
-    pub fn eval_pcsubpath_structural(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let k = q.tags.len();
-        let mut out = Vec::new();
-        for (path, split) in self.matching_expressions(q) {
-            for (first, last) in self.all_pairs(&path, split) {
-                let mut ids = vec![0u64; k];
-                ids[0] = first;
-                ids[k - 1] = last;
-                let mut ok = true;
-                #[allow(clippy::needless_range_loop)] // split + i is also an index
-                for i in 1..k.saturating_sub(1) {
-                    let firsts = self.first_ids(&path, split + i, last);
-                    if let [one] = firsts.as_slice() {
-                        ids[i] = *one;
-                    } else {
-                        ok = false;
-                        break;
+            return;
+        };
+        // The positions probed per candidate and path: every interior
+        // one, or the first alone to prove the path holds the candidate.
+        // An unanchored one-node pattern needs no proof: it ends every
+        // path its tag ends.
+        let probed = match (interior, k, q.anchored) {
+            (true, ..) => k - 1,
+            (false, 1, false) => 0,
+            (false, ..) => 1,
+        };
+        edge.nodes_with(
+            *q.tags.last().expect("a subpath has a step"),
+            Some(value),
+            probes,
+            |probes, leaf| {
+                // A leaf has one root path: it is lent at most once.
+                let mut lent = false;
+                for positions in tables.chunks(k) {
+                    ids.clear();
+                    for pair in &positions[..probed] {
+                        let Some(id) = first_id(pair, leaf, probes) else { break };
+                        ids.push(id);
                     }
+                    if ids.len() < probed || lent {
+                        continue;
+                    }
+                    lent = true;
+                    ids.push(leaf);
+                    let lend = if interior { &ids[..] } else { &ids[ids.len() - 1..] };
+                    sink(lend)?;
                 }
-                if ok {
-                    out.push(PathMatch { head: 0, tags: q.tags.clone(), ids });
-                }
-            }
-        }
-        out.sort_by(|a, b| a.ids.cmp(&b.ids));
-        out.dedup_by(|a, b| a.ids == b.ids);
-        out
+                ControlFlow::Continue(())
+            },
+        );
     }
 }
 
@@ -304,7 +303,7 @@ impl JoinIndices {
                 return crate::persist::format_err("duplicate join-index expression");
             }
         }
-        Ok(JoinIndices { tables, lookups: AtomicU64::new(0) })
+        Ok(JoinIndices { tables })
     }
 }
 
@@ -341,6 +340,22 @@ mod tests {
         PcSubpathQuery::resolve(f.dict(), steps, anchored, value).unwrap()
     }
 
+    /// Every match of `q`, in the order lent, and the probes counted.
+    fn matches(
+        f: &XmlForest,
+        ji: &JoinIndices,
+        q: &PcSubpathQuery,
+        interior: bool,
+    ) -> (Vec<Vec<u64>>, u64) {
+        let edge = EdgeTable::build(f, Arc::new(BufferPool::in_memory(8192)));
+        let (mut out, mut probes) = (Vec::new(), 0);
+        ji.for_each_match(q, interior, &edge, &mut Vec::new(), &mut probes, |ids| {
+            out.push(ids.to_vec());
+            ControlFlow::Continue(())
+        });
+        (out, probes)
+    }
+
     #[test]
     fn two_trees_per_expression_and_more_tables_than_asr() {
         let f = fig1_book_document();
@@ -353,63 +368,82 @@ mod tests {
     }
 
     #[test]
-    fn backward_probe_recovers_start_ids() {
+    fn backward_probes_recover_start_ids() {
         let f = fig1_book_document();
         let ji = build(&f);
-        let path: Vec<TagId> = ["book", "allauthors", "author", "fn"]
-            .iter()
-            .map(|t| f.dict().lookup(t).unwrap())
-            .collect();
-        // From leaf fn=7 back to the author position (split 2).
-        assert_eq!(ji.first_ids(&path, 2, 7), vec![6]);
-        // Back to allauthors (split 1) and book (split 0).
-        assert_eq!(ji.first_ids(&path, 1, 7), vec![5]);
-        assert_eq!(ji.first_ids(&path, 0, 7), vec![1]);
-        // Forward from author 6: both its leaves... fn only on this path.
-        assert_eq!(ji.last_ids(&path, 2, 6), vec![7]);
+        // From leaf fn=7 back to the book, allauthors and author
+        // positions: one value probe, then one backward probe per
+        // interior position of the one path the pattern matches.
+        let query = q(&f, &["book", "allauthors", "author", "fn"], true, Some("jane"));
+        let (ms, probes) = matches(&f, &ji, &query, true);
+        assert_eq!(ms, vec![vec![1, 5, 6, 7], vec![1, 5, 41, 42]]);
+        assert_eq!(probes, 1 + 2 * 3);
     }
 
     #[test]
-    fn valued_eval_uses_provided_leaves() {
+    fn valued_eval_uses_the_value_index_leaves() {
         let f = fig1_book_document();
         let ji = build(&f);
-        // Engine would get [7, 42] from the Edge value index for fn=jane.
-        let ms = ji.eval_pcsubpath_with_leaves(&q(&f, &["author", "fn"], false, None), &[7, 42]);
-        let mut lists: Vec<Vec<u64>> = ms.iter().map(|m| m.ids.clone()).collect();
-        lists.sort();
-        assert_eq!(lists, vec![vec![6, 7], vec![41, 42]]);
+        let query = q(&f, &["author", "fn"], false, Some("jane"));
+        let (ms, probes) = matches(&f, &ji, &query, true);
+        assert_eq!(ms, vec![vec![6, 7], vec![41, 42]]);
+        assert_eq!(probes, 1 + 2);
+        // Read for the leaf alone, each candidate still proves its path.
+        let (leaves, probes) = matches(&f, &ji, &query, false);
+        assert_eq!(leaves, vec![vec![7], vec![42]]);
+        assert_eq!(probes, 1 + 2);
+    }
+
+    #[test]
+    fn an_anchored_one_node_pattern_lends_roots_only() {
+        let mut f = XmlForest::new();
+        let mut b = f.builder();
+        b.leaf("title", "XML");
+        b.finish();
+        let mut b = f.builder();
+        b.open("book");
+        b.leaf("title", "XML");
+        b.close();
+        b.finish();
+        let ji = build(&f);
+        let (roots, probes) = matches(&f, &ji, &q(&f, &["title"], true, Some("XML")), false);
+        assert_eq!(roots, vec![vec![1]]);
+        assert_eq!(probes, 1 + 2);
+        let (all, probes) = matches(&f, &ji, &q(&f, &["title"], false, Some("XML")), false);
+        assert_eq!(all, vec![vec![1], vec![3]]);
+        assert_eq!(probes, 1);
     }
 
     #[test]
     fn structural_eval_scans_expressions() {
         let f = fig1_book_document();
         let ji = build(&f);
-        let ms = ji.eval_pcsubpath_structural(&q(&f, &["title"], false, None));
-        let mut last: Vec<u64> = ms.iter().map(|m| m.last_id()).collect();
+        let (ms, probes) = matches(&f, &ji, &q(&f, &["title"], false, None), false);
+        let mut last: Vec<u64> = ms.iter().map(|ids| *ids.last().unwrap()).collect();
         last.sort_unstable();
         assert_eq!(last, vec![2, 48]);
         // Two distinct schema paths end in title -> 2 expressions scanned.
-        assert_eq!(ji.take_lookups(), 2);
+        assert_eq!(probes, 2);
     }
 
     #[test]
     fn recursion_touches_linear_tables() {
-        // //detail matches two schema paths (allauthors/contact/detail
-        // appears under two contact positions? both contacts share the
-        // same schema path) -> exactly 1 expression; //fn -> 1. The
-        // multi-table effect needs distinct paths:
+        // The multi-table effect needs distinct paths: //title matches
+        // book/title and book/chapter/title.
         let f = fig1_book_document();
         let ji = build(&f);
-        let exprs = ji.matching_expressions(&q(&f, &["title"], false, None));
-        assert_eq!(exprs.len(), 2); // book/title and book/chapter/title
-        let anchored = ji.matching_expressions(&q(&f, &["book", "title"], true, None));
-        assert_eq!(anchored.len(), 1);
+        assert_eq!(ji.pattern_tables(&q(&f, &["title"], false, None)).len(), 2);
+        let anchored = q(&f, &["book", "title"], true, None);
+        // One path, one table pair per position.
+        assert_eq!(ji.pattern_tables(&anchored).len(), 2);
     }
 
     #[test]
     fn missing_pattern_is_empty() {
         let f = fig1_book_document();
         let ji = build(&f);
-        assert!(ji.eval_pcsubpath_structural(&q(&f, &["chapter", "fn"], false, None)).is_empty());
+        let (ms, probes) = matches(&f, &ji, &q(&f, &["chapter", "fn"], false, None), true);
+        assert!(ms.is_empty());
+        assert_eq!(probes, 0);
     }
 }

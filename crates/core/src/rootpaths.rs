@@ -165,7 +165,8 @@ pub(crate) fn skip_value_part(bytes: &[u8], pos: usize) -> usize {
 }
 
 /// The last id of the entry under `key`: its uniquifier, the key's last
-/// component. Every entry's IdList ends with it.
+/// component. Every entry's IdList ends with it. The baselines' keys end
+/// the same way, with the id an entry stands for.
 pub(crate) fn key_leaf(key: &[u8]) -> u64 {
     codec::dec_u64(key, key.len() - 9).0
 }

@@ -393,8 +393,8 @@ fn edge_chain_cost<S: CardinalitySource + ?Sized>(
 }
 
 /// Backward-link recovery of interior step ids for known leaf matches
-/// (`materialize_by_walking` in the engine) — only paid when the
-/// execution consumes interior ids.
+/// (`EdgeTable::walk_up`, which the engine runs on DataGuide and Index
+/// Fabric leaves) — only paid when the execution consumes interior ids.
 fn interior_walks(
     edge: EdgeProfile,
     m: f64,

@@ -71,8 +71,10 @@ struct Alloc {
 /// first allocation of each scratch vector. Measured over the 45 cells
 /// below, `allocations - rows_fetched / 2` peaks at 25 (Q13x under
 /// DATAPATHS: 27 allocations, 4 rows) and the most any cell allocates is
-/// 86 (Q15x under ASR, 809 rows; 7 325 before the binding table). Run
-/// with `ALLOC_BUDGET_REPORT=1 -- --nocapture` for the table.
+/// 86 (Q15x under ASR, 809 rows; 7 325 before the binding table). Over
+/// the Edge family's 60 cells, `allocations - 2 × probes - rows_fetched /
+/// 2` peaks at 20 (Q7x under DG+Edge: 55 allocations, 17 probes, 3 rows).
+/// Run with `ALLOC_BUDGET_REPORT=1 -- --nocapture` for the tables.
 const A: u64 = 40;
 
 #[test]
@@ -106,6 +108,55 @@ fn answering_a_twig_allocates_by_the_step_not_by_the_row() {
                 q.id,
                 s.label(),
                 A + rows / 2
+            );
+            assert!(again <= allocs, "{} under {}: second call {again} > first {allocs}", q.id, s);
+        }
+    }
+}
+
+/// The Edge family lends its matches the way ROOTPATHS, DATAPATHS and
+/// ASR do: each match is walked into one reused buffer and lent from
+/// there, so an answer allocates what its B+-tree lookups allocate (a
+/// probe key, and a point lookup's copied payload: two a probe at most)
+/// and nothing per match. Before, the Edge chain and its DataGuide,
+/// Index Fabric and Join Index variants built an owned match per
+/// candidate — its id vector and a copy of the pattern's tags — and
+/// copied every scanned index entry out of the leaf. The worst cell was
+/// Q5x under DG+Edge: 1 373 allocations for 16 probes and 3 fetched rows
+/// (budget 73; 41 now).
+#[test]
+fn the_edge_family_allocates_by_the_probe_not_by_the_match() {
+    let mut forest = XmlForest::new();
+    generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
+    let strategies =
+        [Strategy::Edge, Strategy::DataGuideEdge, Strategy::IndexFabricEdge, Strategy::JoinIndex];
+    let engine = QueryEngine::build(
+        &forest,
+        EngineOptions { strategies: strategies.to_vec(), pool_pages: 8192, ..Default::default() },
+    );
+    let report = std::env::var_os("ALLOC_BUDGET_REPORT").is_some();
+    for q in xmark_queries() {
+        let (compiled, plan) = engine.compile(&q.twig()).expect("workload tags exist");
+        for s in strategies {
+            let (first, allocs) = allocations_of(|| engine.answer_compiled(&compiled, &plan, s));
+            let (second, again) = allocations_of(|| engine.answer_compiled(&compiled, &plan, s));
+            let (allocs, again) = (allocs.count, again.count);
+            assert_eq!(first.ids, second.ids);
+            let (probes, rows) = (first.metrics.probes, first.metrics.rows_fetched);
+            let budget = A + 2 * probes + rows / 2;
+            if report {
+                println!(
+                    "{:5} {:8} probes {probes:6} rows {rows:6} allocs {allocs:6} budget {budget:6}",
+                    q.id,
+                    s.label()
+                );
+            }
+            assert!(
+                allocs <= budget,
+                "{} under {}: {allocs} allocations for {probes} probes and {rows} fetched rows \
+                 (budget {budget})",
+                q.id,
+                s.label()
             );
             assert!(again <= allocs, "{} under {}: second call {again} > first {allocs}", q.id, s);
         }

@@ -34,6 +34,25 @@ impl Visit for Leapfrog<'_> {
     }
 }
 
+/// The entries a prefix walk lends, copied out in order.
+fn prefixed(tree: &BTree, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut lent = Vec::new();
+    tree.for_each_prefix(prefix, |k, v| {
+        lent.push((k.to_vec(), v.to_vec()));
+        ControlFlow::Continue(())
+    });
+    lent
+}
+
+/// The model's entries under `prefix`, in key order.
+fn model_prefixed(model: &BTreeMap<Vec<u8>, Vec<u8>>, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    model
+        .range(prefix.to_vec()..)
+        .take_while(|(k, _)| k.starts_with(prefix))
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect()
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Vec<u8>, Vec<u8>),
@@ -78,13 +97,7 @@ proptest! {
                     prop_assert_eq!(tree.get(&k), model.get(&k).cloned());
                 }
                 Op::PrefixScan(p) => {
-                    let got: Vec<_> = tree.scan_prefix(&p).collect();
-                    let want: Vec<_> = model
-                        .range(p.clone()..)
-                        .take_while(|(k, _)| k.starts_with(&p))
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(prefixed(&tree, &p), model_prefixed(&model, &p));
                 }
             }
             prop_assert_eq!(tree.len(), model.len() as u64);
@@ -120,7 +133,7 @@ proptest! {
         entries in proptest::collection::btree_map(key_strategy(), Just(Vec::new()), 0..200),
         probe in proptest::collection::vec(97..=99u8, 0..4),
     ) {
-        let sorted: Vec<(Vec<u8>, Vec<u8>)> = entries.into_iter().collect();
+        let sorted: Vec<(Vec<u8>, Vec<u8>)> = entries.clone().into_iter().collect();
         let with = bulk_build(
             Arc::new(BufferPool::in_memory(1024)),
             BTreeOptions { prefix_truncation: true, ..Default::default() },
@@ -131,13 +144,13 @@ proptest! {
             BTreeOptions { prefix_truncation: false, ..Default::default() },
             sorted,
         );
-        let a: Vec<_> = with.scan_prefix(&probe).collect();
-        let b: Vec<_> = without.scan_prefix(&probe).collect();
-        prop_assert_eq!(a, b);
+        let a = prefixed(&with, &probe);
+        prop_assert_eq!(&a, &prefixed(&without, &probe));
+        prop_assert_eq!(a, model_prefixed(&entries, &probe));
     }
 
     #[test]
-    fn for_each_prefix_lends_exactly_what_scan_prefix_copies(
+    fn for_each_prefix_lends_exactly_the_model_entries(
         // Values large enough that the tree has many leaves and a short
         // prefix spans several of them.
         inserts in proptest::collection::vec((key_strategy(), 150usize..500), 40..220),
@@ -145,13 +158,16 @@ proptest! {
     ) {
         let pool = Arc::new(BufferPool::in_memory(1024));
         let mut tree = BTree::new(pool.clone());
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for (k, len) in &inserts {
             tree.insert(k, &vec![k[0]; *len]);
+            model.insert(k.clone(), vec![k[0]; *len]);
         }
         for d in deletes {
-            tree.delete(&inserts[d % inserts.len()].0);
+            let k = &inserts[d % inserts.len()].0;
+            prop_assert_eq!(tree.delete(k), model.remove(k));
         }
-        let stored: Vec<Vec<u8>> = tree.scan_all().map(|(k, _)| k).collect();
+        let stored: Vec<Vec<u8>> = model.keys().cloned().collect();
         let mut prefixes: Vec<Vec<u8>> = vec![
             vec![],              // everything, leaf after leaf
             vec![97],            // spans several leaves
@@ -163,24 +179,18 @@ proptest! {
         prefixes.extend(stored.iter().step_by(stored.len() / 5 + 1).cloned());
         prefixes.extend(stored.iter().step_by(stored.len() / 3 + 1).map(|k| k[..k.len() / 2].to_vec()));
         for p in prefixes {
-            let mut lent: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            tree.for_each_prefix(&p, |k, v| {
-                lent.push((k.to_vec(), v.to_vec()));
-                ControlFlow::Continue(())
-            });
-            let copied: Vec<_> = tree.scan_prefix(&p).collect();
-            prop_assert_eq!(&lent, &copied);
-            let want = stored.iter().filter(|k| k.starts_with(&p)).count();
-            prop_assert_eq!(lent.len(), want);
+            let lent = prefixed(&tree, &p);
+            let want = model_prefixed(&model, &p);
+            prop_assert_eq!(&lent, &want);
             // A visitor that breaks sees exactly the entries up to the one
             // it broke on — on a leaf's first cell, its last, or between.
-            for stop in [1, copied.len() / 2 + 1, copied.len().max(1)] {
+            for stop in [1, want.len() / 2 + 1, want.len().max(1)] {
                 let mut seen: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
                 tree.for_each_prefix(&p, |k, v| {
                     seen.push((k.to_vec(), v.to_vec()));
                     if seen.len() == stop { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
                 });
-                prop_assert_eq!(&seen[..], &copied[..stop.min(copied.len())]);
+                prop_assert_eq!(&seen[..], &want[..stop.min(want.len())]);
             }
         }
         prop_assert!(stored.len() < 20 || tree.stats().height > 1, "tree should span leaves");

@@ -9,6 +9,7 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
+use xtwig::datagen::{generate_xmark, xmark_queries, XmarkConfig};
 use xtwig::prelude::*;
 use xtwig::xml::naive;
 
@@ -190,6 +191,68 @@ fn eight_callers_match_sequential_execution_byte_for_byte() {
     for (i, bytes) in all {
         assert_eq!(bytes, sequential[i], "answer {i} not byte-identical");
     }
+}
+
+/// Every strategy counts its probes into the query that issues them, so
+/// an answer's `metrics.probes` does not depend on what runs beside it.
+/// Four threads released together answer Q1x–Q6x under the five
+/// baselines over one shared engine, and every answer must report the
+/// probes the same query reports alone. When the baselines bumped one
+/// counter per structure instead, which each query zeroed before it ran
+/// and drained after, up to 160 of 200 overlapping Edge answers of Q3x
+/// misreported theirs.
+#[test]
+fn concurrent_answers_count_exactly_their_own_probes() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 5;
+    let mut forest = XmlForest::new();
+    generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
+    let strategies = [
+        Strategy::Asr,
+        Strategy::Edge,
+        Strategy::DataGuideEdge,
+        Strategy::IndexFabricEdge,
+        Strategy::JoinIndex,
+    ];
+    let engine = QueryEngine::build(
+        &forest,
+        EngineOptions { strategies: strategies.to_vec(), pool_pages: 8192, ..Default::default() },
+    );
+    let work: Vec<(&str, TwigPattern, Strategy)> = xmark_queries()
+        .iter()
+        .take(6)
+        .flat_map(|q| strategies.map(|s| (q.id, q.twig(), s)))
+        .collect();
+    assert_eq!(work.last().map(|w| w.0), Some("Q6x"));
+    let alone: Vec<u64> =
+        work.iter().map(|(_, t, s)| engine.answer(t, *s).metrics.probes).collect();
+    let start = Barrier::new(THREADS);
+    let wrong: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let mut wrong = Vec::new();
+                    for _ in 0..ROUNDS {
+                        for ((id, twig, s), want) in work.iter().zip(&alone) {
+                            let got = engine.answer(twig, *s).metrics.probes;
+                            if got != *want {
+                                wrong.push(format!("{id} under {s}: {got} probes, alone {want}"));
+                            }
+                        }
+                    }
+                    wrong
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    assert!(
+        wrong.is_empty(),
+        "{} of {} answers misreported their probes: {wrong:?}",
+        wrong.len(),
+        THREADS * ROUNDS * work.len()
+    );
 }
 
 /// Canonical byte encoding of an answer (sorted ids, fixed-width LE).
