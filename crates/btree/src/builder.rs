@@ -4,141 +4,135 @@
 //! sorting the encoded keys, and packing leaves left-to-right at a target
 //! fill factor — the standard `CREATE INDEX` path. Interior levels are
 //! assembled from (optionally prefix-truncated) separators.
+//!
+//! The loader works by the page, not by the entry: it holds one write
+//! guard per node while it fills it, links each leaf to its right
+//! sibling when that sibling is allocated, and compares each key with
+//! the previous one in place. Keys and values are borrowed, so a build
+//! fed from a [`crate::RunArena`] copies each entry once, into its leaf.
 
 use crate::node;
 use crate::tree::{BTree, BTreeOptions};
 use std::sync::Arc;
-use xtwig_storage::{BufferPool, PageId, PAGE_SIZE};
+use xtwig_storage::{BufferPool, PageId, PageWriteGuard, PAGE_SIZE};
+
+/// One tree level under construction: each node's page id, with the
+/// separator routing to it (none for the level's first node) stored back
+/// to back with the others in one buffer — a level costs two vectors,
+/// not an allocation a node.
+#[derive(Default)]
+struct Level {
+    seps: Vec<u8>,
+    /// `(node, end of its separator in seps)`.
+    nodes: Vec<(PageId, usize)>,
+}
+
+impl Level {
+    fn sep(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.nodes[i - 1].1 };
+        &self.seps[start..self.nodes[i].1]
+    }
+}
 
 /// Builds a B+-tree from an iterator of **strictly increasing** keys.
 ///
 /// # Panics
 /// Panics if keys are not strictly increasing, or exceed
 /// [`node::MAX_KEY`]/[`node::MAX_VAL`].
-pub fn bulk_build<I>(pool: Arc<BufferPool>, options: BTreeOptions, entries: I) -> BTree
+pub fn bulk_build<I, K, V>(pool: Arc<BufferPool>, options: BTreeOptions, entries: I) -> BTree
 where
-    I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+    I: IntoIterator<Item = (K, V)>,
+    K: AsRef<[u8]>,
+    V: AsRef<[u8]>,
 {
     let fill_limit =
         (((PAGE_SIZE - node::HDR) as f64) * options.fill_factor.clamp(0.1, 1.0)) as usize;
     let mut pages: u64 = 0;
     let mut n_entries: u64 = 0;
 
-    let mut alloc = |init_leaf: bool, leftmost: u32| -> PageId {
-        pages += 1;
-        let (pid, mut guard) = pool.allocate();
-        if init_leaf {
-            node::init_leaf(&mut guard);
-        } else {
-            node::init_internal(&mut guard, leftmost);
-        }
-        pid
-    };
-
     // ---- Leaf level ---------------------------------------------------
-    // Each finished leaf is recorded as (first_key, last_key, pid).
-    let mut leaves: Vec<(Vec<u8>, Vec<u8>, PageId)> = Vec::new();
-    #[allow(clippy::type_complexity)]
-    let mut cur: Option<(PageId, Vec<u8>, Vec<u8>, usize, usize)> = None; // pid, first, last, used, slot
-    let mut prev_key: Option<Vec<u8>> = None;
+    let mut level = Level::default();
+    // The leaf being filled: its guard, bytes used and next slot.
+    let mut leaf: Option<(PageWriteGuard<'_>, usize, usize)> = None;
+    let mut prev_key: Option<K> = None;
 
     for (key, value) in entries {
-        assert!(key.len() <= node::MAX_KEY, "key too long: {}", key.len());
-        assert!(value.len() <= node::MAX_VAL, "value too long: {}", value.len());
+        let (k, v) = (key.as_ref(), value.as_ref());
+        assert!(k.len() <= node::MAX_KEY, "key too long: {}", k.len());
+        assert!(v.len() <= node::MAX_VAL, "value too long: {}", v.len());
         if let Some(p) = &prev_key {
-            assert!(p < &key, "bulk_build requires strictly increasing keys");
+            assert!(p.as_ref() < k, "bulk_build requires strictly increasing keys");
         }
-        let cell = 6 + key.len() + value.len();
-        let start_new = match &cur {
-            None => true,
-            Some((_, _, _, used, _)) => used + cell > fill_limit,
-        };
-        if start_new {
-            if let Some((pid, first, last, _, _)) = cur.take() {
-                leaves.push((first, last, pid));
+        let cell = 6 + k.len() + v.len();
+        if leaf.as_ref().is_none_or(|(_, used, _)| used + cell > fill_limit) {
+            let (pid, mut guard) = pool.allocate();
+            pages += 1;
+            node::init_leaf(&mut guard);
+            if let Some(p) = &prev_key {
+                let len = if options.prefix_truncation {
+                    node::shortest_separator_len(p.as_ref(), k)
+                } else {
+                    k.len()
+                };
+                level.seps.extend_from_slice(&k[..len]);
             }
-            let pid = alloc(true, 0);
-            cur = Some((pid, key.clone(), key.clone(), 0, 0));
+            level.nodes.push((pid, level.seps.len()));
+            if let Some((mut full, _, _)) = leaf.replace((guard, 0, 0)) {
+                node::set_right_sibling(&mut full, pid.0);
+            }
         }
-        let (pid, _, last, used, slot) = cur.as_mut().unwrap();
-        {
-            let mut guard = pool.fetch_mut(*pid);
-            assert!(node::leaf_insert_at(&mut guard, *slot, &key, &value), "leaf cell must fit");
-        }
-        *last = key.clone();
+        let (guard, used, slot) = leaf.as_mut().expect("a leaf is open");
+        assert!(node::leaf_insert_at(guard, *slot, k, v), "leaf cell must fit");
         *used += cell;
         *slot += 1;
         n_entries += 1;
         prev_key = Some(key);
     }
-    if let Some((pid, first, last, _, _)) = cur.take() {
-        leaves.push((first, last, pid));
-    }
+    drop(leaf);
 
-    if leaves.is_empty() {
-        let pid = alloc(true, 0);
-        return BTree::from_parts(pool, options, pid, 1, 0, pages);
-    }
-
-    // Link leaf siblings.
-    for w in leaves.windows(2) {
-        let mut guard = pool.fetch_mut(w[0].2);
-        node::set_right_sibling(&mut guard, w[1].2 .0);
+    if level.nodes.is_empty() {
+        let (pid, mut guard) = pool.allocate();
+        node::init_leaf(&mut guard);
+        drop(guard);
+        return BTree::from_parts(pool, options, pid, 1, 0, 1);
     }
 
     // ---- Interior levels ----------------------------------------------
-    // Each level entry: (separator_before_this_subtree, subtree_root).
-    // The first entry of a level has no separator.
-    let mut level: Vec<(Option<Vec<u8>>, PageId)> = Vec::with_capacity(leaves.len());
-    for (i, (first, _, pid)) in leaves.iter().enumerate() {
-        let sep = if i == 0 {
-            None
-        } else if options.prefix_truncation {
-            Some(node::shortest_separator(&leaves[i - 1].1, first))
-        } else {
-            Some(first.clone())
-        };
-        level.push((sep, *pid));
-    }
-
     let mut height = 1u32;
-    while level.len() > 1 {
+    while level.nodes.len() > 1 {
         height += 1;
-        let mut next: Vec<(Option<Vec<u8>>, PageId)> = Vec::new();
+        let mut next = Level::default();
         let mut i = 0usize;
-        while i < level.len() {
-            let node_sep = level[i].0.clone();
-            let pid = alloc(false, level[i].1 .0);
+        while i < level.nodes.len() {
+            let (pid, mut guard) = pool.allocate();
+            pages += 1;
+            node::init_internal(&mut guard, level.nodes[i].0 .0);
+            // The separator routing to child i now routes to its parent.
+            next.seps.extend_from_slice(level.sep(i));
+            next.nodes.push((pid, next.seps.len()));
             i += 1;
             let mut used = 0usize;
             let mut slot = 0usize;
-            while i < level.len() {
-                let sep = level[i].0.as_ref().expect("non-first entries carry separators");
+            while i < level.nodes.len() {
+                let sep = level.sep(i);
                 let cell = 8 + sep.len();
-                if used + cell > fill_limit {
+                // Guarantee progress: a node with zero separators is
+                // only legal as a lone root; force at least one entry
+                // when more children remain (cells are far smaller than
+                // a page, so this fits).
+                if slot > 0 && used + cell > fill_limit {
                     break;
                 }
-                let mut guard = pool.fetch_mut(pid);
-                assert!(node::int_insert_at(&mut guard, slot, sep, level[i].1 .0));
+                assert!(node::int_insert_at(&mut guard, slot, sep, level.nodes[i].0 .0));
                 used += cell;
                 slot += 1;
                 i += 1;
             }
-            // Guarantee progress: a node with zero separators is only legal
-            // as a lone root; force at least one entry when more children
-            // remain (cells are far smaller than a page, so this fits).
-            if slot == 0 && i < level.len() {
-                let sep = level[i].0.clone().expect("non-first entries carry separators");
-                let mut guard = pool.fetch_mut(pid);
-                assert!(node::int_insert_at(&mut guard, 0, &sep, level[i].1 .0));
-                i += 1;
-            }
-            next.push((node_sep, pid));
         }
         level = next;
     }
 
-    let root = level[0].1;
+    let root = level.nodes[0].0;
     BTree::from_parts(pool, options, root, height, n_entries, pages)
 }
 
@@ -157,7 +151,7 @@ mod tests {
 
     #[test]
     fn empty_build() {
-        let t = bulk_build(pool(), BTreeOptions::default(), Vec::new());
+        let t = bulk_build(pool(), BTreeOptions::default(), Vec::<(Vec<u8>, Vec<u8>)>::new());
         assert!(t.is_empty());
         assert_eq!(t.scan_all().count(), 0);
         t.check_invariants();

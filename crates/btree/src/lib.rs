@@ -28,5 +28,5 @@ pub mod node;
 pub mod tree;
 
 pub use builder::bulk_build;
-pub use merge::{merge_sorted_runs, MergeRuns};
+pub use merge::{merge_sorted_runs, MergeRuns, RunArena};
 pub use tree::{BTree, BTreeOptions, BTreeStats, RangeScan, Visit, Walk};

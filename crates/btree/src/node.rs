@@ -334,13 +334,15 @@ pub fn compact(page: &mut [u8]) {
 /// The shortest separator `s` with `left < s <= right`
 /// (requires `left < right`). Used for interior prefix truncation.
 pub fn shortest_separator(left: &[u8], right: &[u8]) -> Vec<u8> {
+    right[..shortest_separator_len(left, right)].to_vec()
+}
+
+/// Length of [`shortest_separator`]`(left, right)`, which is always a
+/// prefix of `right`: through the first byte where the two differ, or
+/// one byte past `left` when `left` is a prefix of `right`.
+pub fn shortest_separator_len(left: &[u8], right: &[u8]) -> usize {
     debug_assert!(left < right, "separator requires left < right");
-    for i in 0..right.len() {
-        if i >= left.len() || left[i] != right[i] {
-            return right[..=i].to_vec();
-        }
-    }
-    right.to_vec()
+    left.iter().zip(right).position(|(l, r)| l != r).map_or(left.len() + 1, |i| i + 1)
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use crate::rootpaths::push_value_part;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
+use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, RunArena};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, XmlForest};
@@ -49,29 +49,31 @@ impl AccessSupportRelations {
     /// pre-sharding builder iterated a `HashMap` here, which made even
     /// two sequential builds lay out pages differently).
     pub fn build_sharded(forest: &XmlForest, pool: Arc<BufferPool>, plan: &ShardPlan) -> Self {
-        type Entries = Vec<(Vec<u8>, Vec<u8>)>;
-        let mut shard_groups: Vec<HashMap<Vec<TagId>, Entries>> = map_shards(plan, |range| {
-            let mut grouped: HashMap<Vec<TagId>, Entries> = HashMap::new();
+        let mut shard_groups: Vec<HashMap<Vec<TagId>, RunArena>> = map_shards(plan, |range| {
+            let mut grouped: HashMap<Vec<TagId>, RunArena> = HashMap::new();
             for_each_root_path_in(forest, range, |tags, ids, value| {
-                let mut key = KeyBuf::new();
-                match value {
-                    None => {
-                        key.push_null();
-                    }
-                    Some(v) => {
-                        key.push_str(value_key_prefix(v));
-                    }
+                if !grouped.contains_key(tags) {
+                    grouped.insert(tags.to_vec(), RunArena::new());
                 }
-                key.push_u64(*ids.last().unwrap());
-                grouped.entry(tags.to_vec()).or_default().push((
-                    key.finish(),
+                let run = grouped.get_mut(tags).expect("inserted above");
+                run.push_with(
+                    |k| {
+                        let mut key = KeyBuf::appending_to(k);
+                        match value {
+                            None => {
+                                key.push_null();
+                            }
+                            Some(v) => {
+                                key.push_str(value_key_prefix(v));
+                            }
+                        }
+                        key.push_u64(*ids.last().unwrap());
+                    },
                     // Ids as separate columns -> no delta compression (§5.2.6).
-                    codec::encode_idlist(IdListCodec::Plain, ids),
-                ));
+                    |v| codec::encode_idlist_into(IdListCodec::Plain, ids, v),
+                );
             });
-            for run in grouped.values_mut() {
-                run.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            }
+            grouped.values_mut().for_each(RunArena::sort);
             grouped
         });
         let mut paths: Vec<Vec<TagId>> =
@@ -80,11 +82,11 @@ impl AccessSupportRelations {
         paths.dedup();
         let mut tables = HashMap::with_capacity(paths.len());
         for path in paths {
-            let runs: Vec<Entries> =
+            let runs: Vec<RunArena> =
                 shard_groups.iter_mut().filter_map(|g| g.remove(&path)).collect();
             tables.insert(
                 path,
-                bulk_build(pool.clone(), BTreeOptions::default(), merge_sorted_runs(runs)),
+                bulk_build(pool.clone(), BTreeOptions::default(), merge_sorted_runs(&runs)),
             );
         }
         AccessSupportRelations { tables }

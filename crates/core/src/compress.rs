@@ -24,7 +24,7 @@ use crate::rootpaths::push_value_part;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use xtwig_btree::{bulk_build, BTree, BTreeOptions};
+use xtwig_btree::{bulk_build, BTree, BTreeOptions, RunArena};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, TwigPattern, XmlForest};
@@ -106,7 +106,7 @@ impl DictDataPaths {
     pub fn build(forest: &XmlForest, pool: Arc<BufferPool>) -> Self {
         let idlist = IdListCodec::Delta;
         let mut path_dict: HashMap<Vec<TagId>, u32> = HashMap::new();
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut run = RunArena::new();
         let intern = |tags: &[TagId], dict: &mut HashMap<Vec<TagId>, u32>| -> u32 {
             if let Some(&id) = dict.get(tags) {
                 id
@@ -116,36 +116,33 @@ impl DictDataPaths {
                 id
             }
         };
+        let mut push = |head: u64, pid: u32, ids: &[u64], stored: &[u64], value: Option<&str>| {
+            run.push_with(
+                |k| {
+                    let mut key = KeyBuf::appending_to(k);
+                    key.push_u64(head);
+                    push_value_part(&mut key, value);
+                    // Fixed-width raw path id: the component position is
+                    // fixed in this layout, so no type byte or terminator
+                    // is needed — this is where the §4.2 space saving
+                    // comes from.
+                    key.push_raw(&pid.to_be_bytes());
+                    key.push_u64(*ids.last().unwrap());
+                },
+                |v| codec::encode_idlist_into(idlist, stored, v),
+            );
+        };
         for_each_root_path(forest, |tags, ids, value| {
             let pid = intern(tags, &mut path_dict);
-            entries.push(Self::encode_row(idlist, 0, pid, ids, ids, value));
+            push(0, pid, ids, ids, value);
         });
         for_each_subpath(forest, |head, tags, ids, value| {
             let pid = intern(tags, &mut path_dict);
-            entries.push(Self::encode_row(idlist, head, pid, ids, &ids[1..], value));
+            push(head, pid, ids, &ids[1..], value);
         });
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let tree = bulk_build(pool, BTreeOptions::default(), entries);
+        run.sort();
+        let tree = bulk_build(pool, BTreeOptions::default(), run.iter());
         DictDataPaths { tree, path_dict, idlist }
-    }
-
-    fn encode_row(
-        idlist: IdListCodec,
-        head: u64,
-        pid: u32,
-        ids: &[u64],
-        stored: &[u64],
-        value: Option<&str>,
-    ) -> (Vec<u8>, Vec<u8>) {
-        let mut key = KeyBuf::new();
-        key.push_u64(head);
-        push_value_part(&mut key, value);
-        // Fixed-width raw path id: the component position is fixed in
-        // this layout, so no type byte or terminator is needed — this is
-        // where the §4.2 space saving comes from.
-        key.push_raw(&pid.to_be_bytes());
-        key.push_u64(*ids.last().unwrap());
-        (key.finish(), codec::encode_idlist(idlist, stored))
     }
 
     /// Number of distinct schema paths in the dictionary (the paper cites

@@ -38,7 +38,7 @@ use crate::paths::{for_each_root_path_in, for_each_subpath_in};
 use crate::rootpaths::{push_value_part, scan_entries, skip_value_part, DocumentOrder, Lend};
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
+use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, RunArena};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, XmlForest};
@@ -112,10 +112,17 @@ impl DataPaths {
         plan: &ShardPlan,
     ) -> Self {
         let runs = map_shards(plan, |range| {
-            let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            let mut run = RunArena::new();
+            let mut push =
+                |head: u64, tags: &[TagId], ids: &[u64], stored: &[u64], value: Option<&str>| {
+                    run.push_with(
+                        |k| Self::push_key(k, head, tags, *ids.last().unwrap(), value),
+                        |v| codec::encode_idlist_into(options.idlist, stored, v),
+                    );
+                };
             // FreeIndex rows: head = virtual root, IdList = full root path.
             for_each_root_path_in(forest, range, |tags, ids, value| {
-                entries.push(Self::encode_row(options.idlist, 0, tags, ids, ids, value));
+                push(0, tags, ids, ids, value);
             });
             // BoundIndex rows: every subpath; stored IdList excludes the head.
             for_each_subpath_in(forest, range, |head, tags, ids, value| {
@@ -124,34 +131,26 @@ impl DataPaths {
                         return;
                     }
                 }
-                entries.push(Self::encode_row(options.idlist, head, tags, ids, &ids[1..], value));
+                push(head, tags, ids, &ids[1..], value);
             });
-            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            entries
+            run.sort();
+            run
         });
         let rows = runs.iter().map(|r| r.len() as u64).sum();
-        let tree = bulk_build(pool, options.btree, merge_sorted_runs(runs));
+        let tree = bulk_build(pool, options.btree, merge_sorted_runs(&runs));
         let order = DocumentOrder::of(forest);
         DataPaths { tree, idlist: options.idlist, rows, pruned: filter.is_some(), order }
     }
 
-    fn encode_row(
-        codec_opt: IdListCodec,
-        head: u64,
-        tags: &[TagId],
-        ids: &[u64],
-        stored_ids: &[u64],
-        value: Option<&str>,
-    ) -> (Vec<u8>, Vec<u8>) {
-        let mut key = KeyBuf::new();
+    /// Appends the key of the row under `head` for the path `tags`
+    /// ending at node `last`, valued or not.
+    fn push_key(out: &mut Vec<u8>, head: u64, tags: &[TagId], last: u64, value: Option<&str>) {
+        let mut key = KeyBuf::appending_to(out);
         key.push_u64(head);
         push_value_part(&mut key, value);
-        let mut path = Vec::with_capacity(tags.len() + 1);
-        designator::push_path_reversed(&mut path, tags);
-        path.push(designator::TERMINATOR);
-        key.push_raw(&path);
-        key.push_u64(*ids.last().unwrap());
-        (key.finish(), codec::encode_idlist(codec_opt, stored_ids))
+        designator::push_path_reversed(key.raw_mut(), tags);
+        key.raw_mut().push(designator::TERMINATOR);
+        key.push_u64(last);
     }
 
     /// Number of stored rows.
@@ -185,9 +184,11 @@ impl DataPaths {
     /// stops counting on that order.
     pub fn insert_path(&mut self, tags: &[TagId], ids: &[u64], value: Option<&str>) {
         self.order.insert(ids);
+        let mut key = Vec::new();
         let mut add = |head: u64, t: &[TagId], full: &[u64], stored: &[u64], v: Option<&str>| {
-            let (key, payload) = Self::encode_row(self.idlist, head, t, full, stored, v);
-            self.tree.insert(&key, &payload);
+            key.clear();
+            Self::push_key(&mut key, head, t, *full.last().unwrap(), v);
+            self.tree.insert(&key, &codec::encode_idlist(self.idlist, stored));
             self.rows += 1;
         };
         add(0, tags, ids, ids, None);
@@ -207,8 +208,10 @@ impl DataPaths {
     /// Self-locating, like ROOTPATHS deletes (§7).
     pub fn delete_path(&mut self, tags: &[TagId], ids: &[u64], value: Option<&str>) -> bool {
         let mut removed = false;
+        let mut key = Vec::new();
         let mut del = |head: u64, t: &[TagId], full: &[u64], v: Option<&str>| {
-            let (key, _) = Self::encode_row(self.idlist, head, t, full, &[], v);
+            key.clear();
+            Self::push_key(&mut key, head, t, *full.last().unwrap(), v);
             if self.tree.delete(&key).is_some() {
                 self.rows -= 1;
                 removed = true;

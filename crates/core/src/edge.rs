@@ -21,7 +21,7 @@ use crate::parallel::{map_shards, ShardPlan};
 use crate::rootpaths::key_leaf;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
+use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, RunArena};
 use xtwig_rel::codec::KeyBuf;
 use xtwig_rel::value::{serialize_tuple, Value};
 use xtwig_rel::HeapFile;
@@ -40,8 +40,8 @@ pub struct EdgeTable {
     blink: BTree,
 }
 
-fn node_key(tag: TagId, value: Option<&str>, child: u64) -> Vec<u8> {
-    let mut k = KeyBuf::new();
+fn push_node_key(out: &mut Vec<u8>, tag: TagId, value: Option<&str>, child: u64) {
+    let mut k = KeyBuf::appending_to(out);
     k.push_i64(i64::from(tag.0 as i32));
     match value {
         None => {
@@ -52,28 +52,15 @@ fn node_key(tag: TagId, value: Option<&str>, child: u64) -> Vec<u8> {
         }
     }
     k.push_u64(child);
-    k.finish()
 }
 
-fn flink_key(parent: u64, tag: TagId, child: u64) -> Vec<u8> {
-    let mut k = KeyBuf::new();
-    k.push_u64(parent);
-    k.push_i64(i64::from(tag.0 as i32));
-    k.push_u64(child);
-    k.finish()
+fn push_flink_key(out: &mut Vec<u8>, parent: u64, tag: TagId, child: u64) {
+    KeyBuf::appending_to(out).push_u64(parent).push_i64(i64::from(tag.0 as i32)).push_u64(child);
 }
 
-fn blink_key(child: u64) -> Vec<u8> {
-    let mut k = KeyBuf::new();
-    k.push_u64(child);
-    k.finish()
-}
-
-fn blink_payload(parent: u64, parent_tag: TagId) -> Vec<u8> {
-    let mut v = Vec::with_capacity(12);
-    v.extend_from_slice(&parent.to_le_bytes());
-    v.extend_from_slice(&parent_tag.0.to_le_bytes());
-    v
+fn push_blink_payload(out: &mut Vec<u8>, parent: u64, parent_tag: TagId) {
+    out.extend_from_slice(&parent.to_le_bytes());
+    out.extend_from_slice(&parent_tag.0.to_le_bytes());
 }
 
 fn decode_blink(bytes: &[u8]) -> (u64, TagId) {
@@ -103,16 +90,9 @@ impl EdgeTable {
     pub fn build_sharded(forest: &XmlForest, pool: Arc<BufferPool>, plan: &ShardPlan) -> Self {
         let mut heap = HeapFile::new(pool.clone());
         let buffered = plan.workers() > 1 && plan.shard_count() > 1;
-        type ShardOut = (
-            Vec<Vec<u8>>,
-            Vec<(Vec<u8>, Vec<u8>)>,
-            Vec<(Vec<u8>, Vec<u8>)>,
-            Vec<(Vec<u8>, Vec<u8>)>,
-        );
+        type ShardOut = (Vec<Vec<u8>>, [RunArena; 3]);
         let enumerate = |range, sink: &mut dyn FnMut(Vec<u8>)| {
-            let mut node_entries = Vec::new();
-            let mut flink_entries = Vec::new();
-            let mut blink_entries = Vec::new();
+            let [mut node_run, mut flink_run, mut blink_run] = <[RunArena; 3]>::default();
             for node in forest.iter_range(range) {
                 let parent = forest.parent(node).unwrap_or(NodeId::VIRTUAL_ROOT);
                 let tag = forest.tag(node);
@@ -123,49 +103,53 @@ impl EdgeTable {
                     Value::Int(i64::from(tag.0)),
                     value.map_or(Value::Null, |v| Value::Str(v.to_owned())),
                 ]));
-                node_entries.push((node_key(tag, value, node.0), Vec::new()));
-                flink_entries.push((flink_key(parent.0, tag, node.0), Vec::new()));
+                node_run.push_with(|k| push_node_key(k, tag, value, node.0), |_| {});
+                flink_run.push_with(|k| push_flink_key(k, parent.0, tag, node.0), |_| {});
                 let parent_tag = forest.tag(parent);
-                blink_entries.push((blink_key(node.0), blink_payload(parent.0, parent_tag)));
+                blink_run.push_with(
+                    |k| {
+                        KeyBuf::appending_to(k).push_u64(node.0);
+                    },
+                    |v| push_blink_payload(v, parent.0, parent_tag),
+                );
             }
-            node_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            flink_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            blink_entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            (node_entries, flink_entries, blink_entries)
+            let mut runs = [node_run, flink_run, blink_run];
+            runs.iter_mut().for_each(RunArena::sort);
+            runs
         };
         let mut node_runs = Vec::with_capacity(plan.shard_count());
         let mut flink_runs = Vec::with_capacity(plan.shard_count());
         let mut blink_runs = Vec::with_capacity(plan.shard_count());
+        let mut collect = |[n, f, b]: [RunArena; 3]| {
+            node_runs.push(n);
+            flink_runs.push(f);
+            blink_runs.push(b);
+        };
         if buffered {
             let shards: Vec<ShardOut> = map_shards(plan, |range| {
                 let mut tuples = Vec::new();
-                let (n, f, b) = enumerate(range, &mut |t| tuples.push(t));
-                (tuples, n, f, b)
+                let runs = enumerate(range, &mut |t| tuples.push(t));
+                (tuples, runs)
             });
-            for (tuples, node_entries, flink_entries, blink_entries) in shards {
+            for (tuples, runs) in shards {
                 for t in &tuples {
                     heap.append(t);
                 }
-                node_runs.push(node_entries);
-                flink_runs.push(flink_entries);
-                blink_runs.push(blink_entries);
+                collect(runs);
             }
         } else {
             for &range in plan.ranges() {
-                let (n, f, b) = enumerate(range, &mut |t| {
+                collect(enumerate(range, &mut |t| {
                     heap.append(&t);
-                });
-                node_runs.push(n);
-                flink_runs.push(f);
-                blink_runs.push(b);
+                }));
             }
         }
         let opts = BTreeOptions::default();
         EdgeTable {
             heap,
-            node_idx: bulk_build(pool.clone(), opts, merge_sorted_runs(node_runs)),
-            flink: bulk_build(pool.clone(), opts, merge_sorted_runs(flink_runs)),
-            blink: bulk_build(pool, opts, merge_sorted_runs(blink_runs)),
+            node_idx: bulk_build(pool.clone(), opts, merge_sorted_runs(&node_runs)),
+            flink: bulk_build(pool.clone(), opts, merge_sorted_runs(&flink_runs)),
+            blink: bulk_build(pool, opts, merge_sorted_runs(&blink_runs)),
         }
     }
 
@@ -194,7 +178,9 @@ impl EdgeTable {
     /// into `probes`.
     pub fn parent_of(&self, id: u64, probes: &mut u64) -> Option<(u64, TagId)> {
         *probes += 1;
-        self.blink.get(&blink_key(id)).map(|v| decode_blink(&v))
+        let mut key = KeyBuf::new();
+        key.push_u64(id);
+        self.blink.get(key.as_bytes()).map(|v| decode_blink(&v))
     }
 
     /// Lends the id of every child of `parent` with `tag` to `visit`, in

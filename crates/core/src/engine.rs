@@ -58,7 +58,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtwig_obs::{SpanCounters, Trace};
 use xtwig_opt::{CalibrationLog, CalibrationSample};
-use xtwig_storage::{BufferPool, IoStatsSnapshot, PoolCounters};
+use xtwig_storage::{hash, BufferPool, IoStatsSnapshot, PoolCounters};
 use xtwig_xml::{NodeId, TagId, TwigPattern, XmlForest};
 
 // The strategy menu lives in `xtwig-opt` — the cost-based decision
@@ -612,19 +612,37 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         pools
     }
 
-    /// FNV-1a digest over the raw page images of every buffer pool
-    /// backing `strategy` (the primary structure's pool, plus the Edge
-    /// pool for the strategies that lean on it). Two engines built from
-    /// the same forest and options digest equal iff their index pages
-    /// are byte-identical — the acceptance check for
+    /// Digest over the raw page images of every buffer pool backing
+    /// `strategy` (the primary structure's pool, plus the Edge pool for
+    /// the strategies that lean on it): each pool's
+    /// [`BufferPool::content_hash`], folded in order. Two engines built
+    /// from the same forest and options digest equal iff their index
+    /// pages are byte-identical — the acceptance check for
     /// [`QueryEngine::build_parallel`].
     pub fn structure_digest(&self, strategy: Strategy) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for p in self.pools_for(strategy) {
-            h ^= p.content_hash();
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        self.pools_for(strategy).iter().fold(hash::SEED, |h, p| hash::mix(h, p.content_hash()))
+    }
+
+    /// [`QueryEngine::structure_digest`] of every built strategy, in the
+    /// paper's reporting order, hashing each pool once however many
+    /// strategies share it (four lean on the Edge pool).
+    pub(crate) fn structure_digests(&self) -> Vec<(Strategy, u64)> {
+        let mut hashed: Vec<(*const BufferPool, u64)> = Vec::new();
+        let mut pool_hash =
+            |p: &Arc<BufferPool>| match hashed.iter().find(|&&(q, _)| q == Arc::as_ptr(p)) {
+                Some(&(_, h)) => h,
+                None => {
+                    let h = p.content_hash();
+                    hashed.push((Arc::as_ptr(p), h));
+                    h
+                }
+            };
+        self.built_strategies()
+            .into_iter()
+            .map(|s| {
+                (s, self.pools_for(s).iter().fold(hash::SEED, |h, p| hash::mix(h, pool_hash(p))))
+            })
+            .collect()
     }
 
     /// Drops every cached page of the strategy's pools (flushes dirty
@@ -2307,5 +2325,60 @@ mod tests {
         check_all_strategies(&e, "/book[title='XML']//author[fn='jane'][ln='doe']");
         check_all_strategies(&e, "/book/title[. = 'SQL']");
         check_all_strategies(&e, "//author[ln = 'poe']");
+    }
+
+    /// `xml::MAX_DEPTH` is the deepest path every structure but JI can
+    /// hold: ASR's Plain IdList of that many ids is the largest value a
+    /// leaf cell takes. At the limit (an element chain with a valued
+    /// leaf, or one fewer element with an attribute) RP, DP, Edge, DG,
+    /// IF and ASR all build and answer; one level deeper the parser
+    /// refuses the document. JI is left out: its space grows with the
+    /// square of the depth.
+    #[test]
+    fn every_structure_builds_at_the_parser_depth_limit() {
+        use xtwig_btree::node::MAX_VAL;
+        use xtwig_rel::codec::{encode_idlist, IdListCodec};
+        use xtwig_xml::{parse_document, MAX_DEPTH};
+
+        let ids: Vec<u64> = (1..=MAX_DEPTH as u64 + 1).collect();
+        assert!(encode_idlist(IdListCodec::Plain, &ids[..MAX_DEPTH]).len() <= MAX_VAL);
+        assert!(encode_idlist(IdListCodec::Plain, &ids).len() > MAX_VAL);
+
+        let chain = |elements: usize, leaf: &str| {
+            format!("{}{leaf}{}", "<a>".repeat(elements), "</a>".repeat(elements))
+        };
+        let deepest = [chain(MAX_DEPTH, "deep"), chain(MAX_DEPTH - 2, "<b k='deep'/>")];
+        for doc in &deepest {
+            let mut f = XmlForest::new();
+            parse_document(&mut f, doc).unwrap();
+            assert_eq!(f.iter_nodes().map(|n| f.depth(n)).max(), Some(MAX_DEPTH));
+            let strategies = vec![
+                Strategy::RootPaths,
+                Strategy::DataPaths,
+                Strategy::Edge,
+                Strategy::DataGuideEdge,
+                Strategy::IndexFabricEdge,
+                Strategy::Asr,
+            ];
+            let e = QueryEngine::build(
+                &f,
+                EngineOptions {
+                    strategies: strategies.clone(),
+                    pool_pages: 1024,
+                    ..Default::default()
+                },
+            );
+            for xpath in ["//a[. = 'deep']", "//b[@k = 'deep']", "/a/a/a"] {
+                let twig = parse_xpath(xpath).unwrap();
+                let expected: BTreeSet<u64> =
+                    naive::select(&f, &twig).into_iter().map(|n| n.0).collect();
+                for &s in &strategies {
+                    assert_eq!(e.answer(&twig, s).ids, expected, "{s} on {xpath}");
+                }
+            }
+        }
+        let too_deep = chain(MAX_DEPTH + 1, "deep");
+        let err = parse_document(&mut XmlForest::new(), &too_deep).unwrap_err();
+        assert!(err.to_string().contains(&MAX_DEPTH.to_string()), "{err}");
     }
 }

@@ -21,7 +21,7 @@ use crate::paths::for_each_root_path_in;
 use crate::rootpaths::key_leaf;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
+use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, RunArena};
 use xtwig_rel::codec::KeyBuf;
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, XmlForest};
@@ -41,22 +41,24 @@ impl IndexFabric {
     /// one bulk load; byte-identical to the sequential build).
     pub fn build_sharded(forest: &XmlForest, pool: Arc<BufferPool>, plan: &ShardPlan) -> Self {
         let runs = map_shards(plan, |range| {
-            let mut entries = Vec::new();
+            let mut run = RunArena::new();
             for_each_root_path_in(forest, range, |tags, ids, value| {
                 let Some(v) = value else { return };
-                let mut key = KeyBuf::new();
-                let mut path = Vec::with_capacity(tags.len() + 1);
-                designator::push_path(&mut path, tags);
-                path.push(designator::TERMINATOR);
-                key.push_raw(&path);
-                key.push_str(value_key_prefix(v));
-                key.push_u64(*ids.last().unwrap());
-                entries.push((key.finish(), Vec::new()));
+                run.push_with(
+                    |k| {
+                        designator::push_path(k, tags);
+                        k.push(designator::TERMINATOR);
+                        let mut key = KeyBuf::appending_to(k);
+                        key.push_str(value_key_prefix(v));
+                        key.push_u64(*ids.last().unwrap());
+                    },
+                    |_| {},
+                );
             });
-            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            entries
+            run.sort();
+            run
         });
-        IndexFabric { tree: bulk_build(pool, BTreeOptions::default(), merge_sorted_runs(runs)) }
+        IndexFabric { tree: bulk_build(pool, BTreeOptions::default(), merge_sorted_runs(&runs)) }
     }
 
     /// Lends the leaf id of every instance of the exact root-anchored

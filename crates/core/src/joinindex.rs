@@ -28,7 +28,7 @@ use crate::rootpaths::key_leaf;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions};
+use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, RunArena};
 use xtwig_rel::codec::{self, KeyBuf};
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, XmlForest};
@@ -46,11 +46,8 @@ pub struct JoinIndices {
     tables: HashMap<(Vec<TagId>, usize), JiPair>,
 }
 
-fn pair_key(a: u64, b: u64) -> Vec<u8> {
-    let mut k = KeyBuf::new();
-    k.push_u64(a);
-    k.push_u64(b);
-    k.finish()
+fn push_pair_key(out: &mut Vec<u8>, a: u64, b: u64) {
+    KeyBuf::appending_to(out).push_u64(a).push_u64(b);
 }
 
 /// The start id paired with `last` in `pair` — one backward probe,
@@ -80,49 +77,57 @@ impl JoinIndices {
     /// layout, identical table contents (see
     /// [`AccessSupportRelations::build_sharded`](crate::asr::AccessSupportRelations::build_sharded)).
     pub fn build_sharded(forest: &XmlForest, pool: Arc<BufferPool>, plan: &ShardPlan) -> Self {
-        type Entries = (Vec<(Vec<u8>, Vec<u8>)>, Vec<(Vec<u8>, Vec<u8>)>);
-        let mut shard_groups: Vec<HashMap<(Vec<TagId>, usize), Entries>> =
-            map_shards(plan, |range| {
-                let mut grouped: HashMap<(Vec<TagId>, usize), Entries> = HashMap::new();
-                for_each_root_path_in(forest, range, |tags, ids, value| {
-                    if value.is_some() {
-                        return; // endpoints only; values live in the base data
-                    }
-                    let last = *ids.last().unwrap();
-                    for (j, &start) in ids.iter().enumerate() {
-                        let e = grouped.entry((tags.to_vec(), j)).or_default();
-                        e.0.push((pair_key(start, last), Vec::new()));
-                        e.1.push((pair_key(last, start), Vec::new()));
-                    }
-                });
-                for (fwd, bwd) in grouped.values_mut() {
-                    fwd.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    bwd.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        // Per schema path, one (forward, backward) run pair per split.
+        type Runs = Vec<[RunArena; 2]>;
+        let mut shard_groups: Vec<HashMap<Vec<TagId>, Runs>> = map_shards(plan, |range| {
+            let mut grouped: HashMap<Vec<TagId>, Runs> = HashMap::new();
+            for_each_root_path_in(forest, range, |tags, ids, value| {
+                if value.is_some() {
+                    return; // endpoints only; values live in the base data
                 }
-                grouped
+                if !grouped.contains_key(tags) {
+                    grouped.insert(
+                        tags.to_vec(),
+                        (0..tags.len()).map(|_| Default::default()).collect(),
+                    );
+                }
+                let splits = grouped.get_mut(tags).expect("inserted above");
+                let last = *ids.last().unwrap();
+                for ([fwd, bwd], &start) in splits.iter_mut().zip(ids) {
+                    fwd.push_with(|k| push_pair_key(k, start, last), |_| {});
+                    bwd.push_with(|k| push_pair_key(k, last, start), |_| {});
+                }
             });
-        let mut exprs: Vec<(Vec<TagId>, usize)> =
-            shard_groups.iter().flat_map(|g| g.keys().cloned()).collect();
-        exprs.sort_unstable();
-        exprs.dedup();
-        let mut tables = HashMap::with_capacity(exprs.len());
-        let opts = BTreeOptions::default();
-        for expr in exprs {
-            let mut fwd_runs = Vec::new();
-            let mut bwd_runs = Vec::new();
-            for g in &mut shard_groups {
-                if let Some((fwd, bwd)) = g.remove(&expr) {
-                    fwd_runs.push(fwd);
-                    bwd_runs.push(bwd);
-                }
+            for runs in grouped.values_mut().flatten() {
+                runs.iter_mut().for_each(RunArena::sort);
             }
-            tables.insert(
-                expr,
-                JiPair {
-                    forward: bulk_build(pool.clone(), opts, merge_sorted_runs(fwd_runs)),
-                    backward: bulk_build(pool.clone(), opts, merge_sorted_runs(bwd_runs)),
-                },
-            );
+            grouped
+        });
+        let mut paths: Vec<Vec<TagId>> =
+            shard_groups.iter().flat_map(|g| g.keys().cloned()).collect();
+        paths.sort_unstable();
+        paths.dedup();
+        let mut tables = HashMap::with_capacity(paths.len());
+        let opts = BTreeOptions::default();
+        for path in paths {
+            let mut splits: Vec<Runs> =
+                shard_groups.iter_mut().filter_map(|g| g.remove(&path)).collect();
+            for split in 0..path.len() {
+                let (fwd_runs, bwd_runs): (Vec<RunArena>, Vec<RunArena>) = splits
+                    .iter_mut()
+                    .map(|s| {
+                        let [fwd, bwd] = std::mem::take(&mut s[split]);
+                        (fwd, bwd)
+                    })
+                    .unzip();
+                tables.insert(
+                    (path.clone(), split),
+                    JiPair {
+                        forward: bulk_build(pool.clone(), opts, merge_sorted_runs(&fwd_runs)),
+                        backward: bulk_build(pool.clone(), opts, merge_sorted_runs(&bwd_runs)),
+                    },
+                );
+            }
         }
         JoinIndices { tables }
     }

@@ -15,7 +15,7 @@
 //! ```text
 //! page 0            superblock: magic "XTWIGIDX", format version,
 //!                   total pages, metadata extent (start page, byte
-//!                   length, FNV-1a checksum)
+//!                   length, checksum by [`xtwig_storage::hash`])
 //! pages 1..         one contiguous extent per built structure's buffer
 //!                   pool, in catalog order (RP, DP, Edge, DG, IF, ASR,
 //!                   JI) — a verbatim copy of the pool's page image, so
@@ -32,9 +32,10 @@
 //! copy-on-write view of the shared file — so pool-local page ids keep
 //! working and post-open index maintenance can never corrupt the file.
 //! The stored digests are verified against
-//! [`BufferPool::content_hash`] through the reopened pools, which
-//! proves the on-disk page images are byte-identical to the pools that
-//! were persisted.
+//! [`BufferPool::content_hash`] through the reopened pools — every page
+//! of every pool hashed once, however many strategies share the pool —
+//! which proves the on-disk page images are byte-identical to the pools
+//! that were persisted.
 
 use crate::asr::AccessSupportRelations;
 use crate::dataguide::DataGuide;
@@ -54,27 +55,23 @@ use xtwig_btree::{BTree, BTreeOptions};
 use xtwig_opt::CalibrationLog;
 use xtwig_rel::codec::IdListCodec;
 use xtwig_storage::{
-    BufferPool, DiskManager, ExtentBackend, FileBackend, PageId, StorageBackend, PAGE_SIZE,
+    hash, BufferPool, DiskManager, ExtentBackend, FileBackend, PageId, StorageBackend, PAGE_SIZE,
 };
 use xtwig_xml::{TagId, XmlForest};
 
 /// On-disk format version; bumped on any layout change so stale files
 /// fail fast with [`OpenError::VersionMismatch`] instead of misparsing.
 /// Version 2 added the document-order bit to the ROOTPATHS and DATAPATHS
-/// catalog entries.
-pub const FORMAT_VERSION: u32 = 2;
+/// catalog entries; version 3 replaced byte-wise FNV-1a with
+/// [`xtwig_storage::hash`] for the catalog checksum and the structure
+/// digests.
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"XTWIGIDX";
 
-/// FNV-1a over a byte slice (the same hash family as
-/// [`BufferPool::content_hash`]); guards the metadata blob.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The metadata blob's checksum: the hash that digests page images.
+fn checksum(bytes: &[u8]) -> u64 {
+    hash::hash_bytes(hash::SEED, bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -610,12 +607,13 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
         // Per-strategy digests, computed from the live pools (the file
         // copy is verbatim, so the reopened pools must reproduce them).
-        let strategies = self.built_strategies();
-        catalog.push_u32(strategies.len() as u32);
-        for &s in &strategies {
+        let digests = self.structure_digests();
+        catalog.push_u32(digests.len() as u32);
+        for &(s, digest) in &digests {
             catalog.push_u8(strategy_to_u8(s));
-            catalog.push_u64(self.structure_digest(s));
+            catalog.push_u64(digest);
         }
+        let strategies = digests.into_iter().map(|(s, _)| s).collect();
 
         // Append the catalog blob page by page, then the superblock.
         let catalog = catalog.finish();
@@ -634,7 +632,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         sb[12..16].copy_from_slice(&total_pages.to_le_bytes());
         sb[16..20].copy_from_slice(&catalog_start.to_le_bytes());
         sb[20..28].copy_from_slice(&(catalog.len() as u64).to_le_bytes());
-        sb[28..36].copy_from_slice(&fnv1a(&catalog).to_le_bytes());
+        sb[28..36].copy_from_slice(&checksum(&catalog).to_le_bytes());
         file.write_page(PageId(0), &sb);
         // One durable sync at the very end: a kill at any earlier point
         // leaves a file the superblock checks reject, never a torn one
@@ -707,7 +705,7 @@ impl QueryEngine<Arc<XmlForest>> {
             file.read_page(PageId(catalog_start + i as u32), chunk);
         }
         catalog.truncate(catalog_len);
-        if fnv1a(&catalog) != catalog_checksum {
+        if checksum(&catalog) != catalog_checksum {
             return Err(OpenError::Format("catalog checksum mismatch (corrupt file)".into()));
         }
 
@@ -807,13 +805,14 @@ impl QueryEngine<Arc<XmlForest>> {
             .map(|p| p.stats().snapshot().allocations)
             .sum();
 
+        // Every page of every pool is hashed once, before anything serves.
+        let computed = engine.structure_digests();
         for &(s, stored) in &digests {
-            if !engine.has_strategy(s) {
+            let Some(&(_, computed)) = computed.iter().find(|&&(c, _)| c == s) else {
                 return Err(OpenError::Format(format!(
                     "catalog records a digest for {s} but its structures are missing"
                 )));
-            }
-            let computed = engine.structure_digest(s);
+            };
             if computed != stored {
                 return Err(OpenError::DigestMismatch { strategy: s, stored, computed });
             }
@@ -888,8 +887,8 @@ mod tests {
     }
 
     #[test]
-    fn fnv_is_stable() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+    fn checksum_is_stable() {
+        assert_eq!(checksum(b""), hash::mix(hash::SEED, 0));
+        assert_ne!(checksum(b"a"), checksum(b"b"));
     }
 }

@@ -43,9 +43,10 @@ use crate::family::{
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::persist;
+use std::borrow::BorrowMut;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, Visit, Walk};
+use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, RunArena, Visit, Walk};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, XmlForest};
@@ -148,7 +149,7 @@ impl DocumentOrder {
 }
 
 /// Encodes the `LeafValue` key component.
-pub(crate) fn push_value_part(key: &mut KeyBuf, value: Option<&str>) {
+pub(crate) fn push_value_part<B: BorrowMut<Vec<u8>>>(key: &mut KeyBuf<B>, value: Option<&str>) {
     match value {
         None => {
             key.push_null();
@@ -157,6 +158,16 @@ pub(crate) fn push_value_part(key: &mut KeyBuf, value: Option<&str>) {
             key.push_str(value_key_prefix(v));
         }
     }
+}
+
+/// Appends the entry key of the root path `tags` ending at node `last`:
+/// leaf value, reversed schema path, terminator, uniquifier.
+fn push_key(out: &mut Vec<u8>, tags: &[TagId], last: u64, value: Option<&str>) {
+    let mut key = KeyBuf::appending_to(out);
+    push_value_part(&mut key, value);
+    designator::push_path_reversed(key.raw_mut(), tags);
+    key.raw_mut().push(designator::TERMINATOR);
+    key.push_u64(last);
 }
 
 /// Position just past the `LeafValue` component at `pos`.
@@ -294,26 +305,22 @@ impl RootPaths {
         plan: &ShardPlan,
     ) -> Self {
         let runs = map_shards(plan, |range| {
-            let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            let mut run = RunArena::new();
             for_each_root_path_in(forest, range, |tags, ids, value| {
-                let mut key = KeyBuf::new();
-                push_value_part(&mut key, value);
-                let mut path = Vec::with_capacity(tags.len() + 1);
-                designator::push_path_reversed(&mut path, tags);
-                path.push(designator::TERMINATOR);
-                key.push_raw(&path);
-                key.push_u64(*ids.last().unwrap());
                 let stored: &[u64] = match options.keep {
                     IdListKeep::Full => ids,
                     IdListKeep::LastOnly => &ids[ids.len() - 1..],
                 };
-                entries.push((key.finish(), codec::encode_idlist(options.idlist, stored)));
+                run.push_with(
+                    |k| push_key(k, tags, *ids.last().unwrap(), value),
+                    |v| codec::encode_idlist_into(options.idlist, stored, v),
+                );
             });
-            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            entries
+            run.sort();
+            run
         });
         let rows = runs.iter().map(|r| r.len() as u64).sum();
-        let tree = bulk_build(pool, options.btree, merge_sorted_runs(runs));
+        let tree = bulk_build(pool, options.btree, merge_sorted_runs(&runs));
         let order = DocumentOrder::of(forest);
         RootPaths { tree, idlist: options.idlist, keep: options.keep, rows, order }
     }
@@ -391,21 +398,14 @@ impl RootPaths {
     pub fn insert_path(&mut self, tags: &[TagId], ids: &[u64], value: Option<&str>) {
         self.order.insert(ids);
         let payload = codec::encode_idlist(self.idlist, ids);
-        let mut key = KeyBuf::new();
-        push_value_part(&mut key, None);
-        let mut path = Vec::with_capacity(tags.len() + 1);
-        designator::push_path_reversed(&mut path, tags);
-        path.push(designator::TERMINATOR);
-        key.push_raw(&path);
-        key.push_u64(*ids.last().unwrap());
-        self.tree.insert(&key.finish(), &payload);
+        let mut key = Vec::new();
+        push_key(&mut key, tags, *ids.last().unwrap(), None);
+        self.tree.insert(&key, &payload);
         self.rows += 1;
         if let Some(v) = value {
-            let mut key = KeyBuf::new();
-            push_value_part(&mut key, Some(v));
-            key.push_raw(&path);
-            key.push_u64(*ids.last().unwrap());
-            self.tree.insert(&key.finish(), &payload);
+            key.clear();
+            push_key(&mut key, tags, *ids.last().unwrap(), Some(v));
+            self.tree.insert(&key, &payload);
             self.rows += 1;
         }
     }
@@ -414,23 +414,16 @@ impl RootPaths {
     /// (paper §7: ROOTPATHS is self-locating — the path plus value find
     /// the entries to delete without joins).
     pub fn delete_path(&mut self, tags: &[TagId], ids: &[u64], value: Option<&str>) -> bool {
-        let mut path = Vec::with_capacity(tags.len() + 1);
-        designator::push_path_reversed(&mut path, tags);
-        path.push(designator::TERMINATOR);
-        let mut key = KeyBuf::new();
-        push_value_part(&mut key, None);
-        key.push_raw(&path);
-        key.push_u64(*ids.last().unwrap());
-        let mut removed = self.tree.delete(&key.finish()).is_some();
+        let mut key = Vec::new();
+        push_key(&mut key, tags, *ids.last().unwrap(), None);
+        let mut removed = self.tree.delete(&key).is_some();
         if removed {
             self.rows -= 1;
         }
         if let Some(v) = value {
-            let mut key = KeyBuf::new();
-            push_value_part(&mut key, Some(v));
-            key.push_raw(&path);
-            key.push_u64(*ids.last().unwrap());
-            if self.tree.delete(&key.finish()).is_some() {
+            key.clear();
+            push_key(&mut key, tags, *ids.last().unwrap(), Some(v));
+            if self.tree.delete(&key).is_some() {
                 self.rows -= 1;
                 removed = true;
             }

@@ -22,9 +22,13 @@
 //! (§4.1): differential (delta) varint encoding, exploiting that ids
 //! along a path are strictly increasing under pre-order numbering.
 
-/// Incremental builder for composite keys.
+use std::borrow::BorrowMut;
+
+/// Incremental builder for composite keys: an owned buffer by default,
+/// or — through [`KeyBuf::appending_to`] — the tail of a caller's
+/// buffer, so a key can be encoded straight into a row arena.
 #[derive(Debug, Default, Clone)]
-pub struct KeyBuf(Vec<u8>);
+pub struct KeyBuf<B: BorrowMut<Vec<u8>> = Vec<u8>>(B);
 
 const T_NULL: u8 = 0x01;
 const T_INT: u8 = 0x02;
@@ -35,47 +39,6 @@ impl KeyBuf {
     /// Empty key.
     pub fn new() -> Self {
         KeyBuf(Vec::with_capacity(32))
-    }
-
-    /// Appends a NULL component.
-    pub fn push_null(&mut self) -> &mut Self {
-        self.0.push(T_NULL);
-        self
-    }
-
-    /// Appends a signed integer component.
-    pub fn push_i64(&mut self, v: i64) -> &mut Self {
-        self.0.push(T_INT);
-        self.0.extend_from_slice(&((v as u64) ^ (1u64 << 63)).to_be_bytes());
-        self
-    }
-
-    /// Appends an unsigned 64-bit component (node ids).
-    pub fn push_u64(&mut self, v: u64) -> &mut Self {
-        self.0.push(T_U64);
-        self.0.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
-    /// Appends a string component (escaped + terminated).
-    pub fn push_str(&mut self, s: &str) -> &mut Self {
-        self.0.push(T_STR);
-        for &b in s.as_bytes() {
-            if b == 0x00 {
-                self.0.extend_from_slice(&[0x00, 0xFF]);
-            } else {
-                self.0.push(b);
-            }
-        }
-        self.0.extend_from_slice(&[0x00, 0x01]);
-        self
-    }
-
-    /// Appends pre-encoded bytes verbatim (designator sequences manage
-    /// their own alphabet/termination).
-    pub fn push_raw(&mut self, bytes: &[u8]) -> &mut Self {
-        self.0.extend_from_slice(bytes);
-        self
     }
 
     /// Finishes the key.
@@ -96,6 +59,69 @@ impl KeyBuf {
     /// True if no component has been pushed.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
+    }
+}
+
+impl<'a> KeyBuf<&'a mut Vec<u8>> {
+    /// A key encoded onto the end of `out`, after whatever it holds.
+    pub fn appending_to(out: &'a mut Vec<u8>) -> Self {
+        KeyBuf(out)
+    }
+}
+
+impl<B: BorrowMut<Vec<u8>>> KeyBuf<B> {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        self.0.borrow_mut()
+    }
+
+    /// Appends a NULL component.
+    pub fn push_null(&mut self) -> &mut Self {
+        self.buf().push(T_NULL);
+        self
+    }
+
+    /// Appends a signed integer component.
+    pub fn push_i64(&mut self, v: i64) -> &mut Self {
+        let buf = self.buf();
+        buf.push(T_INT);
+        buf.extend_from_slice(&((v as u64) ^ (1u64 << 63)).to_be_bytes());
+        self
+    }
+
+    /// Appends an unsigned 64-bit component (node ids).
+    pub fn push_u64(&mut self, v: u64) -> &mut Self {
+        let buf = self.buf();
+        buf.push(T_U64);
+        buf.extend_from_slice(&v.to_be_bytes());
+        self
+    }
+
+    /// Appends a string component (escaped + terminated).
+    pub fn push_str(&mut self, s: &str) -> &mut Self {
+        let buf = self.buf();
+        buf.push(T_STR);
+        for &b in s.as_bytes() {
+            if b == 0x00 {
+                buf.extend_from_slice(&[0x00, 0xFF]);
+            } else {
+                buf.push(b);
+            }
+        }
+        buf.extend_from_slice(&[0x00, 0x01]);
+        self
+    }
+
+    /// Appends pre-encoded bytes verbatim (designator sequences manage
+    /// their own alphabet/termination).
+    pub fn push_raw(&mut self, bytes: &[u8]) -> &mut Self {
+        self.buf().extend_from_slice(bytes);
+        self
+    }
+
+    /// The buffer the key is appended to, for components encoded by
+    /// other modules (designator sequences) without a staging copy.
+    pub fn raw_mut(&mut self) -> &mut Vec<u8> {
+        self.buf()
     }
 }
 
@@ -228,16 +254,23 @@ pub enum IdListCodec {
 /// the list length as a varint.
 pub fn encode_idlist(codec: IdListCodec, ids: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + ids.len() * 2);
-    write_varint(&mut out, ids.len() as u64);
+    encode_idlist_into(codec, ids, &mut out);
+    out
+}
+
+/// [`encode_idlist`] appending to `out` — the form bulk builds use to
+/// encode a row's IdList straight into their row arena.
+pub fn encode_idlist_into(codec: IdListCodec, ids: &[u64], out: &mut Vec<u8>) {
+    write_varint(out, ids.len() as u64);
     match codec {
         IdListCodec::Delta => {
             let mut prev = 0u64;
             for (i, &id) in ids.iter().enumerate() {
                 if i == 0 {
-                    write_varint(&mut out, id);
+                    write_varint(out, id);
                 } else {
                     debug_assert!(id > prev, "IdList ids must strictly increase");
-                    write_varint(&mut out, id - prev);
+                    write_varint(out, id - prev);
                 }
                 prev = id;
             }
@@ -248,7 +281,6 @@ pub fn encode_idlist(codec: IdListCodec, ids: &[u64]) -> Vec<u8> {
             }
         }
     }
-    out
 }
 
 /// Decodes an IdList produced by [`encode_idlist`].
@@ -312,6 +344,23 @@ mod tests {
             let (dec, next) = dec_str(&enc, 0);
             assert_eq!(dec, s);
             assert_eq!(next, enc.len());
+        }
+    }
+
+    #[test]
+    fn appending_forms_write_what_the_owned_forms_return() {
+        let mut owned = KeyBuf::new();
+        owned.push_null().push_i64(-3).push_u64(7).push_str("a\x00b").push_raw(b"\x05\x01");
+        let mut out = b"head".to_vec();
+        let mut key = KeyBuf::appending_to(&mut out);
+        key.push_null().push_i64(-3).push_u64(7).push_str("a\x00b");
+        key.raw_mut().extend_from_slice(b"\x05\x01");
+        assert_eq!(&out[4..], owned.as_bytes());
+        for codec in [IdListCodec::Delta, IdListCodec::Plain] {
+            let ids = [3, 9, 300, 70_000];
+            let mut out = vec![0xAA];
+            encode_idlist_into(codec, &ids, &mut out);
+            assert_eq!(out[1..], encode_idlist(codec, &ids)[..]);
         }
     }
 

@@ -109,6 +109,7 @@
 )]
 
 use crate::disk::DiskManager;
+use crate::hash::{hash_bytes, SEED};
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::stats::{IoStats, PoolCounters};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -235,22 +236,14 @@ impl BufferPool {
         self.disk.allocated_bytes()
     }
 
-    /// FNV-1a hash over the byte content of every allocated page, in
-    /// page-id order. Dirty resident frames are read through the pool,
-    /// so the hash reflects the latest content even before write-back.
-    /// Two pools built the same way hash equal iff their page images
-    /// are byte-identical — the assertion behind the sharded-build
-    /// equivalence tests (`QueryEngine::structure_digest`).
+    /// [`hash_bytes`] chained over the byte content of every allocated
+    /// page, in page-id order. Dirty resident frames are read through
+    /// the pool, so the hash reflects the latest content even before
+    /// write-back. Two pools built the same way hash equal iff their
+    /// page images are byte-identical — the assertion behind the
+    /// sharded-build equivalence tests (`QueryEngine::structure_digest`).
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for pid in 0..self.num_pages() {
-            let guard = self.fetch(PageId(pid));
-            for &b in guard.iter() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        (0..self.num_pages()).fold(SEED, |h, pid| hash_bytes(h, &self.fetch(PageId(pid))))
     }
 
     /// Pages in the underlying backend's copy-on-write overlay (0 for

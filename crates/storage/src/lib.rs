@@ -9,12 +9,15 @@
 //! * [`disk`] — a disk manager with file-backed and in-memory backends.
 //! * [`buffer`] — a buffer pool with LRU eviction, pin counts, and dirty
 //!   tracking.
+//! * [`hash`] — the word-at-a-time content hash behind page digests
+//!   and index-file checksums.
 //! * [`stats`] — logical/physical I/O counters; logical page accesses are
 //!   the machine-independent metric the benchmark harness reports next to
 //!   wall-clock times.
 
 pub mod buffer;
 pub mod disk;
+pub mod hash;
 pub mod page;
 pub mod stats;
 

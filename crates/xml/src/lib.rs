@@ -30,7 +30,7 @@ pub mod tree;
 pub mod twig;
 
 pub use dictionary::{TagDict, TagId};
-pub use parser::{parse_document, ParseError};
+pub use parser::{parse_document, ParseError, MAX_DEPTH};
 pub use snapshot::SnapshotError;
 pub use tree::{NodeId, NodeKind, NodeRange, SymbolId, TreeBuilder, XmlForest};
 pub use twig::{Axis, TwigNode, TwigPattern};

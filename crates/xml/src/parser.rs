@@ -13,6 +13,17 @@
 use crate::tree::{NodeId, XmlForest};
 use std::fmt;
 
+/// The deepest node a parsed document may hold: its root element is at
+/// depth 1, and an attribute sits one level below its element.
+///
+/// The bound comes from the index layouts, not from XML. An ASR row
+/// stores its root path's ids as separate 8-byte columns (a Plain
+/// IdList: a one-byte count plus 8 bytes an id), so a path 206 nodes
+/// deep needs a 1 650-byte value — more than the 1 644 bytes a B+-tree
+/// leaf cell takes — and the build would fail long after the parse
+/// succeeded. Refusing the document here names the limit instead.
+pub const MAX_DEPTH: usize = 205;
+
 /// Parse failure with byte offset context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -63,6 +74,14 @@ pub fn parse_document(forest: &mut XmlForest, input: &str) -> Result<NodeId, Par
                         return Err(p.err("multiple root elements".into()));
                     }
                     let (name, attrs, self_closing) = p.parse_open_tag()?;
+                    // Attributes are one level below their element.
+                    let deepest = depth + 1 + usize::from(!attrs.is_empty());
+                    if deepest > MAX_DEPTH {
+                        return Err(p.err(format!(
+                            "<{name}> nests a node at depth {deepest}, deeper than the limit of \
+                             {MAX_DEPTH} (xml::MAX_DEPTH)"
+                        )));
+                    }
                     let id = builder.open(&name);
                     if root.is_none() {
                         root = Some(id);
@@ -405,6 +424,20 @@ mod tests {
         let authors: Vec<_> = f.iter_nodes().filter(|&n| f.tag_name(n) == "author").collect();
         assert_eq!(authors.len(), 2);
         assert_eq!(f.value_str(NodeId(5)), Some("jane"));
+    }
+
+    #[test]
+    fn depth_limit_counts_attributes_as_a_level() {
+        let chain = |elements: usize, attr: &str| {
+            format!("{}{}", format!("<a{attr}>").repeat(elements), "</a>".repeat(elements))
+        };
+        let f = parse(&chain(MAX_DEPTH, ""));
+        assert_eq!(f.iter_nodes().map(|n| f.depth(n)).max(), Some(MAX_DEPTH));
+        parse(&chain(MAX_DEPTH - 1, " k='v'"));
+        for deep in [chain(MAX_DEPTH + 1, ""), chain(MAX_DEPTH, " k='v'")] {
+            let err = parse_document(&mut XmlForest::new(), &deep).unwrap_err();
+            assert!(err.message.contains(&format!("limit of {MAX_DEPTH}")), "{err}");
+        }
     }
 
     #[test]
