@@ -13,21 +13,13 @@
 //!   within 2x of it — the accuracy bar `tests/optimizer.rs` asserts
 //!   at >= 80% over the same replay.
 //!
-//! Rows are emitted with `group`/`bench`/`min_ns` fields so
-//! `bench_check` can gate them against the committed `BENCH_opt.json`
-//! snapshot; **here `min_ns` carries the chosen strategy's cold
-//! physical page reads** (a deterministic count, far more stable than
-//! nanoseconds), which turns the gate into "the optimizer must not
-//! start picking strategies that read grossly more pages".
-//!
 //! The summary prints per-strategy actual/estimated ratio quartiles —
 //! the data behind the calibration constants checked into
 //! `crates/opt/src/calibration.rs`. Re-derive them here after changing
 //! page layout, codecs, or probe patterns.
 //!
-//! Flags: `--scale <f>` (default 0.01), `--quick` (scale 0.002 — the
-//! CI smoke and the committed snapshot's setting, so the gate compares
-//! identical workloads).
+//! Flags: `--scale <f>` (default 0.01), `--quick` (scale 0.002, the CI
+//! smoke's setting).
 
 use std::collections::BTreeSet;
 use xtwig_bench::{dblp_forest, scale_from_args, xmark_forest, POOL_PAGES};
@@ -269,52 +261,6 @@ fn main() {
             .collect();
         let (q25, q50, q75) = quartiles(ratios);
         println!("  {:<8} {q25:>6.2} / {q50:>6.2} / {q75:>6.2}", s.label());
-    }
-
-    // Hand-rolled JSON (no serde in the offline build); `group`/`bench`/
-    // `min_ns` match the bench_check scanner — min_ns carries the
-    // chosen strategy's deterministic cold physical reads.
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let est: Vec<String> = r
-                .est
-                .iter()
-                .map(|(s, e)| format!("{{\"strategy\": \"{s}\", \"est_pages\": {e:.1}}}"))
-                .collect();
-            let act: Vec<String> = r
-                .actual
-                .iter()
-                .map(|(s, a)| format!("{{\"strategy\": \"{s}\", \"physical_reads\": {a}}}"))
-                .collect();
-            format!(
-                "  {{\n    \"group\": \"fig_optimizer\",\n    \"bench\": \"{}/{}\",\n    \
-                 \"min_ns\": {},\n    \"metric\": \"chosen_cold_physical_reads\",\n    \
-                 \"chosen\": \"{}\",\n    \"best\": \"{}\",\n    \"best_reads\": {},\n    \
-                 \"within2x\": {},\n    \"estimates\": [{}],\n    \"actuals\": [{}]\n  }}",
-                r.corpus,
-                r.id,
-                r.chosen_reads,
-                r.chosen,
-                r.best,
-                r.best_reads,
-                r.within2x,
-                est.join(", "),
-                act.join(", "),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"host_parallelism\": {cores},\n  \
-         \"accuracy_pct\": {accuracy:.1},\n  \"hits\": {hits},\n  \"total\": {total},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        body.join(",\n"),
-    );
-    let dir = std::path::Path::new("target/xtwig-results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("fig_optimizer.json");
-        let _ = std::fs::write(&path, &json);
-        println!("\n[results written to {}]", path.display());
     }
 
     // The harness is also a gate when run by hand: a sub-80% run means

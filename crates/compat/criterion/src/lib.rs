@@ -6,12 +6,8 @@
 //! finish}`, `BenchmarkId`, `Bencher::iter`, `black_box`,
 //! `criterion_group!`, `criterion_main!`) as a plain wall-clock harness:
 //! each benchmark is warmed up, then timed for the configured number of
-//! samples, and min/mean/median are printed.
-//!
-//! Results are additionally appended as JSON lines to the file named by
-//! `$CRITERION_STUB_JSON` (used to record `BENCH_baseline.json`
-//! snapshots), and `--quick`/`$CRITERION_STUB_QUICK` caps sampling so CI
-//! smoke runs stay fast.
+//! samples, and min/mean/median are printed. `--quick` or
+//! `$CRITERION_STUB_QUICK` caps sampling so CI smoke runs stay fast.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -184,18 +180,6 @@ impl BenchmarkGroup<'_> {
             samples,
             iters_per_sample,
         );
-
-        if let Ok(path) = std::env::var("CRITERION_STUB_JSON") {
-            use std::io::Write;
-            if let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(&path)
-            {
-                let _ = writeln!(
-                    file,
-                    "{{\"group\":\"{}\",\"bench\":\"{}\",\"min_ns\":{:.1},\"mean_ns\":{:.1},\"median_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}}}",
-                    self.name, id.id, min, mean, median, samples, iters_per_sample
-                );
-            }
-        }
     }
 }
 
@@ -254,7 +238,6 @@ mod tests {
 
     #[test]
     fn harness_runs_and_reports() {
-        std::env::remove_var("CRITERION_STUB_JSON");
         let mut c = Criterion { quick: true };
         let mut group = c.benchmark_group("smoke");
         group.sample_size(3);

@@ -82,9 +82,12 @@ pub fn value_key_prefix(v: &str) -> &str {
     &v[..end]
 }
 
-/// True when an equality on `v` cannot be decided by the key prefix alone.
+/// True when an equality on `v` cannot be decided by the key prefix alone:
+/// `v` is longer than the prefix, or as long as the prefix of a longer
+/// stored value, which [`value_key_prefix`] may cut up to 3 bytes short
+/// of a char that straddles the limit.
 pub fn value_needs_recheck(v: &str) -> bool {
-    v.len() > VALUE_KEY_PREFIX_BYTES
+    v.len() + 3 >= VALUE_KEY_PREFIX_BYTES
 }
 
 /// A PCsubpath pattern (paper §2.2): a chain of parent-child steps, a
@@ -225,6 +228,24 @@ mod tests {
         assert!(p.len() >= VALUE_KEY_PREFIX_BYTES - 3);
         assert!(long.starts_with(p));
         assert!(value_needs_recheck(&long));
+    }
+
+    #[test]
+    fn a_literal_as_long_as_a_cut_prefix_is_rechecked() {
+        // A longer stored value shares its key with every literal of 93
+        // to 96 bytes that equals its cut prefix; 92 bytes is no cut.
+        assert!(!value_needs_recheck(&"p".repeat(VALUE_KEY_PREFIX_BYTES - 4)));
+        for len in VALUE_KEY_PREFIX_BYTES - 3..=VALUE_KEY_PREFIX_BYTES {
+            let literal = "p".repeat(len);
+            assert!(value_needs_recheck(&literal), "{len} bytes");
+        }
+        let stored = format!("{}ONE", "p".repeat(VALUE_KEY_PREFIX_BYTES));
+        assert_eq!(value_key_prefix(&stored), "p".repeat(VALUE_KEY_PREFIX_BYTES));
+        // A 4-byte char from byte 93 on cuts the key at 93 bytes.
+        let stored = format!("{}\u{1F600}tail", "q".repeat(VALUE_KEY_PREFIX_BYTES - 3));
+        let literal = value_key_prefix(&stored);
+        assert_eq!(literal.len(), VALUE_KEY_PREFIX_BYTES - 3);
+        assert!(value_needs_recheck(literal));
     }
 
     #[test]

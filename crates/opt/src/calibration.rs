@@ -8,8 +8,8 @@
 //!
 //! They are derived by the `fig_optimizer` harness in `crates/bench`,
 //! which replays the suite corpora (fig1, multi-document, XMark, DBLP,
-//! and the skewed-value corpus) across every built strategy, records
-//! estimated-vs-actual page reads into `BENCH_opt.json`, and prints the
+//! and the skewed-value corpus) across every built strategy, prints
+//! estimated-vs-actual page reads per query, and prints the
 //! per-component ratios a recalibration should adopt. Re-run it after
 //! changing page layout, codecs, or probe patterns:
 //!

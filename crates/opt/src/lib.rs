@@ -33,7 +33,7 @@
 //! Constants in [`calibration`] are derived from measured
 //! estimated-vs-actual page reads by the `fig_optimizer` harness (see
 //! `crates/bench`), which replays the suite corpora across all built
-//! strategies and records `BENCH_opt.json`.
+//! strategies and prints the ratios.
 
 pub mod calibration;
 pub mod cost;

@@ -136,8 +136,9 @@ fn auto_is_byte_identical_to_every_concrete_strategy_on_all_corpora() {
 /// Acceptance criterion, second half: replaying every corpus cold, the
 /// optimizer's pick is the measured-best strategy — or within 2x of
 /// the best in actual physical page reads — for >= 80% of queries.
-/// (The same replay, with the per-query numbers, is recorded into
-/// `BENCH_opt.json` by `fig_optimizer`.)
+/// (`fig_optimizer` prints the same replay with the per-query numbers;
+/// the ledger requests' picks are pinned exactly by the work record in
+/// `tests/golden/`.)
 #[test]
 fn auto_picks_within_2x_of_measured_best_on_at_least_80_pct_of_queries() {
     let mut hits = 0usize;

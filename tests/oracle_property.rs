@@ -13,7 +13,19 @@ use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::xml::{naive, Axis, TwigPattern, XmlForest};
 
 const TAGS: &[&str] = &["a", "b", "c", "d"];
-const VALUES: &[&str] = &["x", "y", "z"];
+
+/// 96 `p`s: exactly `VALUE_KEY_PREFIX_BYTES`, and the key prefix of the
+/// longer value after it, so an equality on it must be rechecked.
+macro_rules! p96 {
+    () => {
+        concat!(
+            "pppppppppppppppppppppppppppppppppppppppppppppppp",
+            "pppppppppppppppppppppppppppppppppppppppppppppppp"
+        )
+    };
+}
+const _: () = assert!(p96!().len() == xtwig::core::family::VALUE_KEY_PREFIX_BYTES);
+const VALUES: &[&str] = &["x", "y", "z", p96!(), concat!(p96!(), "ONE")];
 
 /// Builds a random forest from a byte program: each byte either opens a
 /// tagged element, closes the current one, or attaches a value.
@@ -67,9 +79,9 @@ fn twig_from_program(program: &[u8]) -> TwigPattern {
             Axis::Child
         };
         let tag = TAGS[chunk.get(1).copied().unwrap_or(0) as usize % TAGS.len()];
-        let value = match chunk.get(2).copied().unwrap_or(0) % 3 {
+        let value = match chunk.get(2).copied().unwrap_or(0) as usize % (VALUES.len() + 1) {
             0 => None,
-            v => Some(VALUES[v as usize % VALUES.len()]),
+            v => Some(VALUES[v - 1]),
         };
         let idx = twig.add_child(parent, axis, tag, value);
         nodes.push(idx);
@@ -87,23 +99,30 @@ proptest! {
         twig_prog in proptest::collection::vec(any::<u8>(), 1..16),
     ) {
         let forest = forest_from_program(&tree_prog);
-        let twig = twig_from_program(&twig_prog);
-        let expected: BTreeSet<u64> =
-            naive::select(&forest, &twig).into_iter().map(|n| n.0).collect();
         let engine = QueryEngine::build(
             &forest,
             EngineOptions { pool_pages: 512, ..Default::default() },
         );
-        for s in Strategy::ALL {
-            let got = engine.answer(&twig, s);
-            prop_assert_eq!(
-                &got.ids,
-                &expected,
-                "strategy {} on twig {} over {} nodes",
-                s.label(),
-                twig,
-                forest.node_count()
-            );
+        // The random twig, then every value looked up under every tag,
+        // so a value whose key prefix another value shares is probed.
+        let mut twigs = vec![twig_from_program(&twig_prog)];
+        for tag in TAGS {
+            twigs.extend(VALUES.iter().map(|v| TwigPattern::single(Axis::Descendant, tag, Some(v))));
+        }
+        for twig in &twigs {
+            let expected: BTreeSet<u64> =
+                naive::select(&forest, twig).into_iter().map(|n| n.0).collect();
+            for s in Strategy::ALL {
+                let got = engine.answer(twig, s);
+                prop_assert_eq!(
+                    &got.ids,
+                    &expected,
+                    "strategy {} on twig {} over {} nodes",
+                    s.label(),
+                    twig,
+                    forest.node_count()
+                );
+            }
         }
     }
 }

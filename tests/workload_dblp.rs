@@ -1,5 +1,7 @@
-//! Integration: the DBLP selectivity sweep (Q1d–Q3d) and shallow-document
-//! behaviour.
+//! Integration: the DBLP selectivity sweep (Q1d–Q3d), shallow-document
+//! behaviour, and the work record in `tests/golden/work_dblp.txt`.
+
+mod golden;
 
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::datagen::{dblp_queries, generate_dblp, DblpConfig};
@@ -90,5 +92,40 @@ fn shallow_dataset_keeps_datapaths_overhead_low() {
     assert!(
         ratio_xmark > ratio_dblp,
         "deep XMark must pay more DP overhead: xmark {ratio_xmark:.2} vs dblp {ratio_dblp:.2}"
+    );
+}
+
+/// The ledger's `cold_scan` requests (`benchmark/src/workload.rs`):
+/// Q1d–Q3d, then thirteen scans and twigs named `c04`–`c16` by position.
+const COLD_SCAN: [&str; 13] = [
+    "//inproceedings/author",
+    "//article[year='1998']/title",
+    "//article/journal",
+    "//inproceedings[year='1990']/booktitle",
+    "/dblp/inproceedings[booktitle='Conference 7']/title",
+    "//inproceedings[author='Author 13 0']/title",
+    "/dblp/article[journal='Journal of Things 3']/author",
+    "//inproceedings/crossref[. = 'conf/xyz/1985']",
+    "//article/volume",
+    "//article/pages",
+    "//inproceedings[year='1979']/title",
+    "//inproceedings[crossref='conf/xyz/1985']/title",
+    "//inproceedings[year='1979'][booktitle='Conference 7']/title",
+];
+
+/// Every strategy's answer to the `cold_scan` requests equals the
+/// oracle's, and its work equals the record's.
+#[test]
+fn work_record_matches_golden() {
+    let mut forest = XmlForest::new();
+    generate_dblp(&mut forest, DblpConfig { scale: 0.004, seed: 0xD0B5 });
+    let mut requests: Vec<(String, String)> =
+        dblp_queries().iter().map(|q| (q.id.to_owned(), q.xpath.to_owned())).collect();
+    requests.extend(
+        COLD_SCAN.iter().enumerate().map(|(i, x)| (format!("c{:02}", i + 4), x.to_string())),
+    );
+    golden::check(
+        "work_dblp.txt",
+        &golden::record("DBLP scale 0.004 seed 0xD0B5", &forest, &requests),
     );
 }

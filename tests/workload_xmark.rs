@@ -1,6 +1,8 @@
 //! Integration: the full Q1x–Q15x workload on generated XMark data, every
-//! strategy checked against the naive oracle and the planted selectivity
-//! profile.
+//! strategy checked against the naive oracle, the planted selectivity
+//! profile and the work record in `tests/golden/work_xmark.txt`.
+
+mod golden;
 
 use std::collections::BTreeSet;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
@@ -8,10 +10,9 @@ use xtwig::core::plan::PlanKind;
 use xtwig::datagen::{generate_xmark, xmark_queries, XmarkConfig};
 use xtwig::xml::{naive, XmlForest};
 
-fn build(scale: f64, strategies: Vec<Strategy>) -> (XmlForest, xtwig::datagen::XmarkProfile) {
+fn build(scale: f64) -> (XmlForest, xtwig::datagen::XmarkProfile) {
     let mut forest = XmlForest::new();
     let profile = generate_xmark(&mut forest, XmarkConfig { scale, seed: 0xA0C });
-    let _ = &strategies;
     (forest, profile)
 }
 
@@ -20,24 +21,22 @@ fn oracle_ids(forest: &XmlForest, xpath: &str) -> BTreeSet<u64> {
     naive::select(forest, &twig).into_iter().map(|n| n.0).collect()
 }
 
+/// The ledger's `twig_inproc` requests, Q1x–Q15x: every strategy's
+/// answer equals the oracle's, and its work equals the record's.
 #[test]
-fn all_strategies_agree_with_oracle_on_full_workload() {
-    let (forest, _) = build(0.004, Strategy::ALL.to_vec());
-    let engine =
-        QueryEngine::build(&forest, EngineOptions { pool_pages: 4096, ..Default::default() });
-    for q in xmark_queries() {
-        let twig = q.twig();
-        let expected = oracle_ids(&forest, q.xpath);
-        for s in Strategy::ALL {
-            let got = engine.answer(&twig, s);
-            assert_eq!(got.ids, expected, "{} with {} disagrees with the oracle", q.id, s.label());
-        }
-    }
+fn work_record_matches_golden() {
+    let (forest, _) = build(0.004);
+    let requests: Vec<(String, String)> =
+        xmark_queries().iter().map(|q| (q.id.to_owned(), q.xpath.to_owned())).collect();
+    golden::check(
+        "work_xmark.txt",
+        &golden::record("XMark scale 0.004 seed 0xA0C", &forest, &requests),
+    );
 }
 
 #[test]
 fn single_path_results_match_planted_profile() {
-    let (forest, profile) = build(0.01, vec![Strategy::RootPaths, Strategy::DataPaths]);
+    let (forest, profile) = build(0.01);
     let engine = QueryEngine::build(
         &forest,
         EngineOptions {
@@ -60,7 +59,7 @@ fn single_path_results_match_planted_profile() {
 
 #[test]
 fn twig_results_match_planted_profile() {
-    let (forest, profile) = build(0.01, vec![Strategy::RootPaths, Strategy::DataPaths]);
+    let (forest, profile) = build(0.01);
     let engine = QueryEngine::build(
         &forest,
         EngineOptions {
@@ -90,7 +89,7 @@ fn twig_results_match_planted_profile() {
 
 #[test]
 fn low_branch_point_chooses_inlj_for_datapaths() {
-    let (forest, _) = build(0.01, vec![Strategy::DataPaths]);
+    let (forest, _) = build(0.01);
     let engine = QueryEngine::build(
         &forest,
         EngineOptions {
@@ -114,7 +113,7 @@ fn low_branch_point_chooses_inlj_for_datapaths() {
 
 #[test]
 fn recursive_twigs_expand_to_six_schema_paths() {
-    let (forest, _) = build(0.005, vec![Strategy::Asr]);
+    let (forest, _) = build(0.005);
     let engine = QueryEngine::build(
         &forest,
         EngineOptions {
@@ -148,7 +147,7 @@ fn leading_recursion_overhead_is_small_for_rootpaths() {
     // §5.2.4: queries rewritten with a leading // cost <5% more for
     // RP/DP because they become prefix probes on reversed paths. We check
     // the probe/row counts are identical (the lookup count cannot grow).
-    let (forest, _) = build(0.01, vec![Strategy::RootPaths]);
+    let (forest, _) = build(0.01);
     let engine = QueryEngine::build(
         &forest,
         EngineOptions {
