@@ -480,16 +480,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         self.forest.borrow()
     }
 
-    /// A clone of the forest handle — e.g. the `Arc<XmlForest>` a
-    /// background rebuild shares without copying the data (see
-    /// `TwigService::rebuild_parallel`).
-    pub fn forest_handle(&self) -> F
-    where
-        F: Clone,
-    {
-        self.forest.clone()
-    }
-
     /// True when `strategy`'s structures were built (querying an
     /// unbuilt strategy panics; services check this up front).
     /// [`Strategy::Auto`] is available as soon as any concrete strategy
@@ -750,10 +740,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// row counts and the pools' deltas as [`QueryMetrics`].
     ///
     /// With a trace, the same execution additionally appends `resolve`,
-    /// `execute`, `step` and `materialize` spans to it, ranks the
-    /// strategy menu to capture the cost model's estimate, and records
-    /// one [`CalibrationSample`] into [`QueryEngine::calibration_log`].
-    /// Answer, strategy, plan and counter totals do not depend on
+    /// `execute`, `step` and `materialize` spans to it, and nothing
+    /// else. Answer, strategy, plan and counter totals do not depend on
     /// whether a trace was passed (pinned by the `observability` suite).
     pub fn answer_compiled_with(
         &self,
@@ -767,13 +755,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         // Auto resolves to a concrete strategy before any index (or
         // metric counter) is touched.
         let strategy = self.resolve_strategy(requested, compiled, plan);
-        let mut est_reads = 0.0;
         if let (Some(t), Some(r)) = (trace.as_deref_mut(), resolve) {
-            est_reads = self
-                .rank_strategies(compiled, plan)
-                .into_iter()
-                .find(|c| c.strategy == strategy)
-                .map_or(0.0, |c| c.est_page_reads);
             if requested == Strategy::Auto {
                 t.annotate(r, format!("auto\u{2192}{}", strategy.label()));
             } else {
@@ -807,13 +789,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     rows: metrics.rows_fetched,
                 },
             );
-            self.calibration.record(CalibrationSample {
-                shape: twig_shape(&compiled.twig),
-                strategy,
-                est_reads,
-                actual_reads: metrics.physical_reads,
-                micros: elapsed.as_micros() as u64,
-            });
         }
         QueryAnswer { ids, plan: ran, strategy, metrics }
     }
@@ -829,7 +804,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// runs (see [`QueryEngine::answer_compiled_with`] for what a trace
     /// adds), so result and counter totals are identical to the
     /// untraced call; the ledger's `obs.traced_exec_ratio`
-    /// (`benchmark/`) prices the spans.
+    /// (`benchmark/`) prices the spans. The call also ranks the
+    /// strategy menu for the cost model's estimate of the strategy that
+    /// ran and records it, with the reads actually paid, as one
+    /// [`CalibrationSample`] into [`QueryEngine::calibration_log`].
     ///
     /// # Panics
     /// Panics if the strategy's structures were not built.
@@ -850,9 +828,18 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     p,
                     SpanCounters { rows: plan.steps.len() as u64, ..SpanCounters::default() },
                 );
+                let ranked = self.rank_strategies(&compiled, &plan);
                 let answer =
                     self.answer_compiled_with(&compiled, &plan, strategy, Some(&mut trace));
                 let m = &answer.metrics;
+                self.calibration.record(CalibrationSample {
+                    shape: twig_shape(&compiled.twig),
+                    strategy: answer.strategy,
+                    est_reads: (ranked.iter().find(|c| c.strategy == answer.strategy))
+                        .map_or(0.0, |c| c.est_page_reads),
+                    actual_reads: m.physical_reads,
+                    micros: m.elapsed.as_micros() as u64,
+                });
                 trace.end(
                     q,
                     SpanCounters {

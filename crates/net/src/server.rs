@@ -33,6 +33,7 @@ use xtwig_core::Strategy;
 use xtwig_service::{
     Catalog, CatalogError, Event, RequestCtx, ServiceError, TwigService, UpdateOp,
 };
+use xtwig_xml::MAX_DEPTH;
 
 use crate::frame::{read_frame, write_frame, FrameError, FRAME_OVERHEAD};
 use crate::proto::{ErrorCode, Request, Response, WireEvent, WireOp};
@@ -486,7 +487,10 @@ pub fn handle_request_ctx(catalog: &Catalog, req: &Request, ctx: &RequestCtx) ->
 /// the target index's dictionary. A name the document never contained
 /// is a typed `UnknownTag` error — the wire cannot intern new tags,
 /// because `TagId` assignment is an engine-build detail (a documented
-/// limitation: updates extend existing vocabularies only).
+/// limitation: updates extend existing vocabularies only). An op that
+/// names no root path of any document the parser accepts — no step,
+/// more steps than [`MAX_DEPTH`], ids not strictly ascending — is a
+/// typed `Malformed` error, never an op the indexes are handed.
 fn resolve_ops(svc: &TwigService, ops: &[WireOp]) -> Result<Vec<UpdateOp>, Response> {
     svc.with_engine(|engine| {
         let dict = engine.forest().dict();
@@ -502,11 +506,18 @@ fn resolve_ops(svc: &TwigService, ops: &[WireOp]) -> Result<Vec<UpdateOp>, Respo
                         })
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                if tags.len() != op.ids.len() {
-                    return Err(Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: format!("op has {} tags but {} ids", tags.len(), op.ids.len()),
-                    });
+                let ids = &op.ids;
+                let problem = if tags.len() != ids.len() {
+                    Some(format!("op has {} tags but {} ids", tags.len(), ids.len()))
+                } else if ids.is_empty() || ids.len() > MAX_DEPTH {
+                    Some(format!("op has {} steps, not 1 to {MAX_DEPTH}", ids.len()))
+                } else if ids.iter().zip(ids.iter().skip(1)).any(|(a, b)| a >= b) {
+                    Some("op ids do not ascend strictly, as a root path's do".to_owned())
+                } else {
+                    None
+                };
+                if let Some(message) = problem {
+                    return Err(Response::Error { code: ErrorCode::Malformed, message });
                 }
                 Ok(if op.insert {
                     UpdateOp::InsertPath { tags, ids: op.ids.clone(), value: op.value.clone() }

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use xtwig_core::decompose::{CompiledTwig, UnknownTag};
 use xtwig_core::plan::{PlanKind, QueryPlan};
 use xtwig_core::{QueryEngine, Strategy};
@@ -59,7 +59,9 @@ impl CacheStats {
 /// later query of the shape keys its cached results on the resolved
 /// *concrete* strategy. Plans never go stale under the §7 updates path
 /// (decomposition depends on the tag dictionary, not the data), so
-/// there is no generation here. Capacity overflow evicts the
+/// there is no generation here; and a memoized pick stays built because
+/// a cache serves the engines of one service, whose strategy set never
+/// changes. Capacity overflow evicts the
 /// oldest-inserted shape (FIFO — misses only cost a recompile, so
 /// recency tracking on the hit path isn't worth its bookkeeping).
 pub struct PlanCache {
@@ -71,15 +73,11 @@ pub struct PlanCache {
 
 /// One cached shape: the compiled cover and plan, plus the memoized
 /// optimizer pick for `Strategy::Auto` requests of this shape
-/// (resolved lazily, from the first-seen literals). The pick is
-/// revalidated against the live engine on every use — a
-/// `rebuild_parallel` may swap in an engine whose strategy set no
-/// longer contains it, and a stale pick must re-resolve rather than
-/// reach an unbuilt structure (whose accessor would panic the caller).
+/// (resolved once, from the first-seen literals, then a plain load).
 struct PlanEntry {
     compiled: CompiledTwig,
     plan: Arc<QueryPlan>,
-    auto_pick: Mutex<Option<Strategy>>,
+    auto_pick: OnceLock<Strategy>,
 }
 
 /// A twig compiled through the [`PlanCache`], its strategy resolved.
@@ -125,17 +123,9 @@ impl PlanCache {
     ) -> Result<Resolved, UnknownTag> {
         let (shape, entry) = self.entry(engine, twig)?;
         let resolved = if strategy.is_auto() {
-            let mut pick = entry.auto_pick.lock();
-            match *pick {
-                // A memoized pick is only trusted while the current
-                // engine still has it built.
-                Some(s) if engine.has_strategy(s) => s,
-                _ => {
-                    let s = engine.resolve_strategy(Strategy::Auto, &entry.compiled, &entry.plan);
-                    *pick = Some(s);
-                    s
-                }
-            }
+            *entry.auto_pick.get_or_init(|| {
+                engine.resolve_strategy(Strategy::Auto, &entry.compiled, &entry.plan)
+            })
         } else {
             strategy
         };
@@ -163,7 +153,7 @@ impl PlanCache {
         let (compiled, plan) = engine.compile(twig)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         let entry =
-            Arc::new(PlanEntry { compiled, plan: Arc::new(plan), auto_pick: Mutex::new(None) });
+            Arc::new(PlanEntry { compiled, plan: Arc::new(plan), auto_pick: OnceLock::new() });
         let mut inner = self.inner.lock();
         if let Some(existing) = inner.map.get(&key) {
             // A racing caller admitted the shape first; share its entry

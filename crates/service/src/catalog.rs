@@ -14,7 +14,7 @@
 //! the service is dropped when the last clone goes away, so eviction
 //! can never cut an in-flight query short.
 
-use crate::events::{Event, EventJournal};
+use crate::events::{Event, EventJournal, EVENT_CAPACITY};
 use crate::service::{ServiceOptions, TwigService};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -136,15 +136,14 @@ pub struct Catalog {
 impl Catalog {
     /// An empty catalog; register indexes with [`Catalog::register`].
     /// Adopts [`ServiceOptions::events`] when the caller supplies a
-    /// journal, otherwise creates one of
-    /// [`ServiceOptions::event_capacity`] entries shared by every
+    /// journal, otherwise creates one of 256 entries shared by every
     /// service this catalog attaches.
     pub fn new(mut options: CatalogOptions) -> Catalog {
         let events = options
             .service
             .events
             .clone()
-            .unwrap_or_else(|| Arc::new(EventJournal::new(options.service.event_capacity)));
+            .unwrap_or_else(|| Arc::new(EventJournal::new(EVENT_CAPACITY)));
         options.service.events = Some(events.clone());
         Catalog {
             registry: Mutex::new(BTreeMap::new()),

@@ -9,13 +9,17 @@
 //! `dropped` counter records the loss — a follower that sees a gap in
 //! `seq` knows it fell behind.
 //!
-//! Emission cost is one short mutex hold (push + counter bump); with
-//! sampling off, the serving hot path (`answer_one`) emits nothing, so
-//! journal overhead stays out of query latency entirely.
+//! Emission cost is one short mutex hold (push + counter bump). The
+//! query path ([`TwigService::execute_with`](crate::TwigService::execute_with))
+//! emits only for a request refused by admission or a query the slow
+//! log captures, so journal overhead stays out of ordinary query latency.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
+
+/// Ring capacity of a journal a service or catalog creates for itself.
+pub(crate) const EVENT_CAPACITY: usize = 256;
 
 /// Every kind string the journal can emit, in a stable order. Shared
 /// with the metrics renderer so `xtwig_events_total{kind=...}` exposes
@@ -28,7 +32,6 @@ pub const EVENT_KINDS: &[&str] = &[
     "catalog-attached",
     "catalog-evicted",
     "update-committed",
-    "rebuild-swapped",
     "persist-folded",
     "slow-query",
     "server-error",
@@ -56,8 +59,6 @@ pub enum Event {
     CatalogEvicted { name: String },
     /// An update batch committed and published a new engine epoch.
     UpdateCommitted { generation: u64, ops: u64 },
-    /// A background rebuild swapped in, after replaying the journal.
-    RebuildSwapped { generation: u64, replayed_ops: u64 },
     /// The in-memory engine was folded to disk.
     PersistFolded { path: String },
     /// A query crossed the slow threshold; id + peer make it
@@ -79,7 +80,6 @@ impl Event {
             Event::CatalogAttached { .. } => "catalog-attached",
             Event::CatalogEvicted { .. } => "catalog-evicted",
             Event::UpdateCommitted { .. } => "update-committed",
-            Event::RebuildSwapped { .. } => "rebuild-swapped",
             Event::PersistFolded { .. } => "persist-folded",
             Event::SlowQuery { .. } => "slow-query",
             Event::ServerError { .. } => "server-error",
@@ -103,9 +103,6 @@ impl Event {
             Event::CatalogEvicted { name } => format!("index={name}"),
             Event::UpdateCommitted { generation, ops } => {
                 format!("generation={generation} ops={ops}")
-            }
-            Event::RebuildSwapped { generation, replayed_ops } => {
-                format!("generation={generation} replayed_ops={replayed_ops}")
             }
             Event::PersistFolded { path } => format!("path={path}"),
             Event::SlowQuery { query, micros, request_id, peer } => {
@@ -321,7 +318,6 @@ mod tests {
             Event::CatalogAttached { name: String::new() },
             Event::CatalogEvicted { name: String::new() },
             Event::UpdateCommitted { generation: 0, ops: 0 },
-            Event::RebuildSwapped { generation: 0, replayed_ops: 0 },
             Event::PersistFolded { path: String::new() },
             Event::SlowQuery {
                 query: String::new(),

@@ -28,11 +28,9 @@
 //!   commits a batch of [`UpdateOp`]s by forking the current engine
 //!   (copy-on-write — no page copies) and publishing the fork as the
 //!   next epoch; readers pin an epoch and never block on a writer.
-//!   Every op is journaled, and [`TwigService::rebuild_parallel`]
-//!   replays the journal onto the freshly built engine before swapping
-//!   it in, so rebuilds cannot lose concurrent updates.
 //!   [`TwigService::persist`] folds the accumulated overlay pages into
-//!   a new base image on disk.
+//!   a new base image on disk. Every epoch keeps the strategy set the
+//!   service was built with.
 //! * **Stats** — [`TwigService::stats`] is the one snapshot of every
 //!   service counter (requests, maintenance, caches, admission,
 //!   per-strategy costs and latency, pools, shapes, slow queries, events).

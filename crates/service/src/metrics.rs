@@ -24,6 +24,10 @@ const BUCKETS: usize = 26; // up to ~33 s, far beyond any twig query
 /// must not grow without bound under adversarial query streams).
 const SHAPE_CAPACITY: usize = 512;
 
+/// Slow-query (and sampled-trace) records a service retains, oldest
+/// evicted first.
+pub const SLOW_QUERY_CAPACITY: usize = 32;
+
 /// Whole microseconds of `elapsed`, saturating.
 pub(crate) fn micros(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
@@ -71,11 +75,8 @@ pub struct SlowQuery {
 pub(crate) struct Metrics {
     pub(crate) submitted: AtomicU64,
     pub(crate) completed: AtomicU64,
-    pub(crate) failed: AtomicU64,
     pub(crate) updates: AtomicU64,
-    pub(crate) rebuilds: AtomicU64,
     pub(crate) journal_ops: AtomicU64,
-    pub(crate) replayed_ops: AtomicU64,
     pub(crate) folds: AtomicU64,
     strategies: [StrategySlot; Strategy::ALL.len()], // indexed as Strategy::ALL
     /// `(executed, total_micros)` per shape key.
@@ -84,17 +85,17 @@ pub(crate) struct Metrics {
     slow: Mutex<VecDeque<SlowQuery>>,
     slow_total: AtomicU64,
     /// The latency from which an execution is logged as slow; `None`
-    /// when the slow-query log is off (no threshold, or no room).
+    /// when the slow-query log is off.
     pub(crate) slow_threshold: Option<Duration>,
-    slow_capacity: usize,
 }
 
 impl Metrics {
     /// Counters logging runs of `slow_query_micros` or more into a ring.
-    pub(crate) fn new(slow_query_micros: Option<u64>, slow_capacity: usize) -> Self {
-        let slow_threshold =
-            slow_query_micros.filter(|_| slow_capacity > 0).map(Duration::from_micros);
-        Metrics { slow_threshold, slow_capacity, ..Metrics::default() }
+    pub(crate) fn new(slow_query_micros: Option<u64>) -> Self {
+        Metrics {
+            slow_threshold: slow_query_micros.map(Duration::from_micros),
+            ..Metrics::default()
+        }
     }
 
     /// The slot of `strategy`; `None` (rather than a panic) for one
@@ -153,11 +154,8 @@ impl Metrics {
     /// sampled serves `Trace` lookups but is no SLO signal.
     pub(crate) fn record_trace(&self, entry: SlowQuery, slow: bool) {
         self.slow_total.fetch_add(u64::from(slow), Ordering::Relaxed);
-        if self.slow_capacity == 0 {
-            return;
-        }
         let mut slow = self.slow.lock();
-        if slow.len() == self.slow_capacity {
+        if slow.len() == SLOW_QUERY_CAPACITY {
             slow.pop_front();
         }
         slow.push_back(entry);
@@ -203,11 +201,8 @@ impl Metrics {
         ServiceSnapshot {
             submitted: load(&self.submitted),
             completed: load(&self.completed),
-            failed: load(&self.failed),
             updates: load(&self.updates),
-            rebuilds: load(&self.rebuilds),
             journal_ops: load(&self.journal_ops),
-            replayed_ops: load(&self.replayed_ops),
             folds: load(&self.folds),
             costs,
             shapes,
@@ -270,16 +265,13 @@ pub struct ServiceSnapshot {
     pub submitted: u64,
     /// Queries answered successfully.
     pub completed: u64,
-    /// Queries resolved with an error.
+    /// Queries resolved with an error: always 0, as an admitted query
+    /// always answers; the field keeps its family for scrapers.
     pub failed: u64,
     /// Index-maintenance transactions applied.
     pub updates: u64,
-    /// Full engine rebuild-and-swap operations completed.
-    pub rebuilds: u64,
-    /// Update ops committed to the maintenance journal.
+    /// Update ops committed.
     pub journal_ops: u64,
-    /// Journal ops replayed onto rebuilt engines, the full journal each.
-    pub replayed_ops: u64,
     /// Persist calls that folded the overlay into a new base image.
     pub folds: u64,
     /// Queries admitted and not yet answered.
@@ -354,9 +346,7 @@ static FAMILIES: &[Family] = &[
     counter("xtwig_queries_completed_total", "completed", "Queries answered", One(|s| s.completed)),
     counter("xtwig_queries_failed_total", "failed", "Queries resolved with an error", One(|s| s.failed)),
     counter("xtwig_updates_total", "updates", "Index-maintenance transactions", One(|s| s.updates)),
-    counter("xtwig_rebuilds_total", "rebuilds", "Engine rebuild-and-swap operations", One(|s| s.rebuilds)),
-    counter("xtwig_journal_ops_total", "journal_ops", "Update ops journaled", One(|s| s.journal_ops)),
-    counter("xtwig_replayed_ops_total", "replayed_ops", "Journal ops replayed by rebuilds", One(|s| s.replayed_ops)),
+    counter("xtwig_journal_ops_total", "journal_ops", "Update ops committed", One(|s| s.journal_ops)),
     counter("xtwig_folds_total", "folds", "Overlay folds into a persisted base image", One(|s| s.folds)),
     gauge("xtwig_in_flight", "in_flight", "Queries admitted and not yet resolved", One(|s| s.in_flight as u64)),
     gauge("xtwig_admission_limit", "admission_limit", "Admission bound (0 = none)", One(|s| s.admission_limit as u64)),
@@ -672,8 +662,8 @@ mod tests {
     }
 
     /// Every family of the table lands in both renderings, sample for
-    /// sample, once traffic, an update, a persist fold, a rebuild and a
-    /// slow query have given each of them one.
+    /// sample, once traffic, an update, a persist fold and a slow query
+    /// have given each of them one.
     #[test]
     fn every_family_renders_in_both_outputs() {
         let svc = TwigService::build(
@@ -692,7 +682,6 @@ mod tests {
         let path = std::env::temp_dir().join(format!("xtwig-parity-{}.xtwig", std::process::id()));
         svc.persist(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        svc.rebuild_parallel(EngineOptions { pool_pages: 256, ..Default::default() }, 2);
 
         let snapshot = svc.stats();
         let (json, text) = (snapshot.to_json(""), snapshot.to_prometheus());
@@ -727,13 +716,13 @@ mod tests {
                 );
             }
         }
-        assert!(snapshot.journal_ops > 0 && snapshot.replayed_ops > 0 && snapshot.folds > 0);
+        assert!(snapshot.journal_ops > 0 && snapshot.folds > 0);
         assert!(snapshot.result_cache.invalidated > 0 && snapshot.slow_queries > 0);
     }
 
     #[test]
     fn find_trace_prefers_newest_and_ignores_zero() {
-        let m = Metrics::new(Some(100), 4);
+        let m = Metrics::new(Some(100));
         m.record_trace(slow_with_id("old", 7), true);
         m.record_trace(slow_with_id("new", 7), false);
         m.record_trace(slow_with_id("other", 9), false);
@@ -747,28 +736,26 @@ mod tests {
 
     #[test]
     fn slow_ring_evicts_oldest_but_total_keeps_counting() {
-        let m = Metrics::new(Some(100), 2);
+        let m = Metrics::new(Some(100));
         assert_eq!(m.slow_threshold, Some(Duration::from_micros(100)));
         assert!(!m.is_slow(Duration::from_micros(99)));
         assert!(m.is_slow(Duration::from_micros(100)));
-        for i in 0..5 {
-            m.record_trace(slow(&format!("q{i}"), 100 + i), true);
+        let total = SLOW_QUERY_CAPACITY + 3;
+        for i in 0..total {
+            m.record_trace(slow(&format!("q{i}"), 100), true);
         }
         let kept = m.slow_queries();
-        assert_eq!(kept.len(), 2);
+        assert_eq!(kept.len(), SLOW_QUERY_CAPACITY);
         assert_eq!(kept[0].query, "q3");
-        assert_eq!(kept[1].query, "q4");
-        assert_eq!(m.snapshot().slow_queries, 5);
+        assert_eq!(kept[SLOW_QUERY_CAPACITY - 1].query, format!("q{}", total - 1));
+        assert_eq!(m.snapshot().slow_queries, total as u64);
     }
 
     #[test]
     fn disabled_slow_log_never_matches() {
-        let m = Metrics::new(None, 32);
+        let m = Metrics::new(None);
         assert_eq!(m.slow_threshold, None);
         assert!(!m.is_slow(Duration::from_secs(3600)));
-        let zero_cap = Metrics::new(Some(0), 0);
-        assert_eq!(zero_cap.slow_threshold, None, "no room, no log");
-        assert!(!zero_cap.is_slow(Duration::ZERO));
     }
 
     #[test]

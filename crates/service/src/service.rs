@@ -16,25 +16,24 @@
 //! generation it serves — behind an `RwLock<Arc<EngineEpoch>>` held
 //! only long enough to clone or swap the `Arc`. Readers **pin** the
 //! current epoch and execute with no lock held, so a query never waits
-//! on maintenance. Writers serialize on a maintenance mutex that also
-//! owns the update journal: [`TwigService::apply_update`] forks the
-//! newest epoch (`QueryEngine::fork` — a page-free copy-on-write
-//! snapshot), applies its [`UpdateOp`]s to the fork, appends them to
-//! the journal, and publishes the fork as the next epoch;
-//! [`TwigService::rebuild_parallel`] rebuilds from the forest with no
-//! lock held, then **replays the journal** onto the new engine under
-//! the maintenance lock before swapping it in, so a rebuild can never
-//! lose a committed update.
+//! on maintenance. Writers serialize on a maintenance mutex:
+//! [`TwigService::apply_update`] forks the newest epoch
+//! (`QueryEngine::fork` — a page-free copy-on-write snapshot), applies
+//! its [`UpdateOp`]s to the fork in place (§7), and publishes the fork
+//! as the next epoch; [`TwigService::persist`] folds the current
+//! epoch's overlay pages into a file. Every epoch keeps the strategy set
+//! the service was built with, so whether a strategy is built is a
+//! property of the epoch a request pinned, checked once at the door.
 
 use crate::admission::Admission;
 use crate::cache::{PlanCache, Resolved, ResultCache};
-use crate::events::{Event, EventJournal};
+use crate::events::{Event, EventJournal, EVENT_CAPACITY};
 use crate::metrics::{micros, Metrics, ServiceSnapshot, SlowQuery};
 use crate::shape::exact_key;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use xtwig_core::engine::{EngineOptions, QueryMetrics};
 use xtwig_core::persist::{PersistError, PersistReport};
@@ -80,51 +79,47 @@ pub struct ServiceOptions {
     /// Ignored. The service runs every query on its caller's thread
     /// and has no worker pool to size; the field survives only because
     /// the frozen `benchmark/` harness still writes `workers: 1`, and
-    /// goes once that line does (ROADMAP item 1(a)).
+    /// goes once that line does (ROADMAP item 2(a)).
     #[doc(hidden)]
     pub workers: usize,
-    /// Distinct shapes the plan cache may hold (default 4096).
-    pub plan_cache_capacity: usize,
     /// Result-cache entries; 0 disables result caching (default 1024).
     pub result_cache_capacity: usize,
     /// Executions at or above this many microseconds are captured into
-    /// the slow-query log together with the span tree of that same
-    /// execution (`None` disables the log; default). While the log is
-    /// enabled every executed query records spans, because whether it
-    /// was slow is known only afterwards — the ledger's
-    /// `obs.traced_exec_ratio` (`benchmark/`) is what that costs on
-    /// each execution; fast runs discard their spans.
+    /// the slow-query log (the newest
+    /// [`SLOW_QUERY_CAPACITY`](crate::metrics::SLOW_QUERY_CAPACITY)
+    /// kept) together with the span tree of that same execution
+    /// (`None` disables the log; default). While the log is enabled
+    /// every executed query records spans, because whether it was slow
+    /// is known only afterwards — the ledger's `obs.traced_exec_ratio`
+    /// (`benchmark/`) is what that costs on each execution; fast runs
+    /// discard their spans.
     pub slow_query_micros: Option<u64>,
-    /// Slow-query records retained, oldest evicted first (default 32).
-    pub slow_query_capacity: usize,
     /// Admission bound: queries in flight (executing on their callers'
     /// threads) beyond which requests are refused with
     /// [`ServiceError::Overloaded`]. `0` disables the bound (default
     /// 1024).
     pub max_in_flight: usize,
     /// Event journal this service emits into. `None` (default) gives
-    /// the service a private journal of [`ServiceOptions::event_capacity`]
-    /// entries; the catalog injects one shared journal so every index's
-    /// events land in a single stream the wire `Events` opcode serves.
+    /// the service a private journal of 256 entries; the catalog
+    /// injects one shared journal so every index's events land in a
+    /// single stream the wire `Events` opcode serves.
     pub events: Option<Arc<EventJournal>>,
-    /// Ring capacity of a privately created journal (default 256).
-    pub event_capacity: usize,
 }
 
 impl Default for ServiceOptions {
     fn default() -> Self {
         ServiceOptions {
             workers: 0,
-            plan_cache_capacity: 4096,
             result_cache_capacity: 1024,
             slow_query_micros: None,
-            slow_query_capacity: 32,
             max_in_flight: 1024,
             events: None,
-            event_capacity: 256,
         }
     }
 }
+
+/// Distinct shapes a service's plan cache holds.
+const PLAN_CACHE_CAPACITY: usize = 4096;
 
 /// Per-request context the wire front end threads through
 /// [`TwigService::execute_with`]: the client-stamped request id, whether
@@ -171,9 +166,8 @@ struct EngineEpoch {
     generation: u64,
 }
 
-/// One logical index-maintenance operation, applied to every
-/// maintainable structure the engine built (ROOTPATHS and DATAPATHS)
-/// and journaled so a concurrent rebuild can replay it.
+/// One logical index-maintenance operation, applied in place to every
+/// maintainable structure the engine built (ROOTPATHS and DATAPATHS).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateOp {
     /// Insert a root-to-node data path: `tags[i]` labels the node with
@@ -197,46 +191,12 @@ pub enum UpdateOp {
     },
 }
 
-/// Applies one op to every maintainable structure the engine built.
-/// Returns true when at least one structure changed.
-fn apply_op(engine: &mut SharedEngine, op: &UpdateOp) -> bool {
-    let mut changed = false;
-    match op {
-        UpdateOp::InsertPath { tags, ids, value } => {
-            if let Some(rp) = engine.rootpaths_mut() {
-                rp.insert_path(tags, ids, value.as_deref());
-                changed = true;
-            }
-            if let Some(dp) = engine.datapaths_mut() {
-                dp.insert_path(tags, ids, value.as_deref());
-                changed = true;
-            }
-        }
-        UpdateOp::DeletePath { tags, ids, value } => {
-            if let Some(rp) = engine.rootpaths_mut() {
-                changed |= rp.delete_path(tags, ids, value.as_deref());
-            }
-            if let Some(dp) = engine.datapaths_mut() {
-                changed |= dp.delete_path(tags, ids, value.as_deref());
-            }
-        }
-    }
-    changed
-}
-
-/// Writer-side state, serialized by the maintenance mutex: the journal
-/// of every update committed since the engine was built (or last
-/// rebuilt *and* folded — see [`TwigService::rebuild_parallel`], which
-/// replays it, and [`TwigService::persist`], which folds the page
-/// overlay but keeps the journal for rebuilds from the forest).
-///
-/// Built only in [`TwigService::over`], straight into the maintenance
-/// `Mutex`, so a `&Maintenance` or `&mut Maintenance` exists only while
-/// the maintenance guard is held: it is the proof of holding that lock
-/// which [`Published::publish`] and `fork_engine` demand.
-struct Maintenance {
-    journal: Vec<UpdateOp>,
-}
+/// The proof of holding the maintenance lock, which
+/// [`Published::publish`] and `fork_engine` demand. Built only in
+/// [`TwigService::over`], straight into the maintenance `Mutex`, so a
+/// `&Maintenance` or `&mut Maintenance` exists only while the
+/// maintenance guard is held.
+struct Maintenance;
 
 /// The published epoch. The service's one lock order — maintenance
 /// before epoch — holds by construction here: the epoch lock is private
@@ -301,9 +261,8 @@ use published::Published;
 struct Shared {
     epoch: Published,
     /// Serializes writers ([`TwigService::apply_update`],
-    /// [`TwigService::rebuild_parallel`], [`TwigService::persist`]) and
-    /// owns the journal. Lock order: maintenance before epoch (see
-    /// [`Published`]).
+    /// [`TwigService::persist`]). Lock order: maintenance before epoch
+    /// (see [`Published`]).
     maintenance: Mutex<Maintenance>,
     plan_cache: PlanCache,
     result_cache: ResultCache,
@@ -311,18 +270,6 @@ struct Shared {
     /// Structured event journal (shared with the catalog/server when
     /// injected via [`ServiceOptions::events`]).
     events: Arc<EventJournal>,
-    /// Which strategies the *current* engine has built — atomic because
-    /// [`TwigService::rebuild_parallel`] may swap in an engine with a
-    /// different strategy set while requests race the check.
-    available: [AtomicBool; Strategy::ALL.len()],
-}
-
-impl Shared {
-    fn set_available(&self, engine: &SharedEngine) {
-        for (slot, s) in self.available.iter().zip(Strategy::ALL.iter()) {
-            slot.store(engine.has_strategy(*s), Ordering::SeqCst);
-        }
-    }
 }
 
 /// Forks `epoch`'s engine, retrying while a concurrent reader pins a
@@ -367,21 +314,15 @@ impl TwigService {
 
     /// Serves an already-built shared engine. Spawns nothing.
     pub fn over(engine: SharedEngine, options: ServiceOptions) -> Self {
-        let available = std::array::from_fn(|i| {
-            AtomicBool::new(Strategy::ALL.get(i).is_some_and(|s| engine.has_strategy(*s)))
-        });
-        let events = options
-            .events
-            .clone()
-            .unwrap_or_else(|| Arc::new(EventJournal::new(options.event_capacity)));
+        let events =
+            options.events.clone().unwrap_or_else(|| Arc::new(EventJournal::new(EVENT_CAPACITY)));
         let shared = Arc::new(Shared {
             epoch: Published::new(EngineEpoch { engine, generation: 0 }),
-            maintenance: Mutex::new(Maintenance { journal: Vec::new() }),
-            plan_cache: PlanCache::new(options.plan_cache_capacity),
+            maintenance: Mutex::new(Maintenance),
+            plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             result_cache: ResultCache::new(options.result_cache_capacity),
-            metrics: Metrics::new(options.slow_query_micros, options.slow_query_capacity),
+            metrics: Metrics::new(options.slow_query_micros),
             events,
-            available,
         });
         TwigService { shared, admission: Admission::new(options.max_in_flight) }
     }
@@ -389,8 +330,11 @@ impl TwigService {
     /// Answers `twig` synchronously on the **caller's** thread (one
     /// connection thread = one dispatcher in the network front end; see
     /// the module docs) against a pinned epoch, through the plan and
-    /// result caches. Rejects with [`ServiceError::Overloaded`] when the
-    /// admission budget is exhausted.
+    /// result caches. Rejects with [`ServiceError::StrategyNotBuilt`]
+    /// when the service was built without `strategy` (for
+    /// [`Strategy::Auto`], without any), and with
+    /// [`ServiceError::Overloaded`] when the admission budget is
+    /// exhausted.
     pub fn execute(
         &self,
         twig: &TwigPattern,
@@ -410,16 +354,20 @@ impl TwigService {
         strategy: Strategy,
         ctx: &RequestCtx,
     ) -> Result<ServiceAnswer, ServiceError> {
-        self.check_strategy_available(strategy)?;
+        // The one availability check, against the epoch the request runs
+        // on, before admission: a refused strategy is never submitted.
+        let epoch = self.shared.epoch.pin();
+        if !epoch.engine.has_strategy(strategy) {
+            return Err(ServiceError::StrategyNotBuilt(strategy));
+        }
         let Some(_permit) = self.admission.try_acquire() else {
             return Err(self.reject_overloaded());
         };
         let metrics = &self.shared.metrics;
         metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        let answer = answer_pinned(&self.shared, &self.shared.epoch.pin(), twig, strategy, ctx);
-        let outcome = if answer.is_ok() { &metrics.completed } else { &metrics.failed };
-        outcome.fetch_add(1, Ordering::Relaxed);
-        answer
+        let answer = answer_pinned(&self.shared, &epoch, twig, strategy, ctx);
+        metrics.completed.fetch_add(1, Ordering::Relaxed);
+        Ok(answer)
     }
 
     /// Builds the typed Overloaded rejection and journals it — every
@@ -433,29 +381,6 @@ impl TwigService {
         ServiceError::Overloaded { in_flight, limit }
     }
 
-    /// The availability check at the door, before admission (see
-    /// `answer_pinned` for the recheck against the pinned engine that
-    /// closes the rebuild TOCTOU). Auto needs any built strategy — the
-    /// optimizer only ranks what exists — and a strategy missing from
-    /// `Strategy::ALL` reads as unavailable, never as a panic.
-    fn check_strategy_available(&self, strategy: Strategy) -> Result<(), ServiceError> {
-        let available = &self.shared.available;
-        let built = if strategy.is_auto() {
-            available.iter().any(|a| a.load(Ordering::SeqCst))
-        } else {
-            Strategy::ALL
-                .iter()
-                .position(|s| *s == strategy)
-                .and_then(|i| available.get(i))
-                .is_some_and(|a| a.load(Ordering::SeqCst))
-        };
-        if built {
-            Ok(())
-        } else {
-            Err(ServiceError::StrategyNotBuilt(strategy))
-        }
-    }
-
     /// Commits a batch of index-maintenance operations atomically and
     /// returns the generation that serves them.
     ///
@@ -463,8 +388,8 @@ impl TwigService {
     /// newest epoch's engine ([`QueryEngine::fork`] — a warm copy-on-
     /// write fork: the new pools share every resident page image with
     /// the old ones and copy a page only when an op first writes it),
-    /// applies every op to the fork, journals the ops for future
-    /// rebuilds, and publishes the fork as the next epoch. In-flight
+    /// applies every op to the fork, and publishes the fork as the next
+    /// epoch; the ops are not kept once applied. In-flight
     /// queries keep reading the epoch they pinned and **never block on
     /// this writer**; queries that arrive after the publish see every op
     /// and find the pool as warm as the one they left. Concurrent
@@ -473,12 +398,28 @@ impl TwigService {
         let mut maint = self.shared.maintenance.lock();
         let current = self.shared.epoch.pin();
         let mut engine = fork_engine(&maint, &current);
-        for op in &ops {
-            apply_op(&mut engine, op);
-        }
         let op_count = ops.len() as u64;
+        for op in ops {
+            match op {
+                UpdateOp::InsertPath { tags, ids, value } => {
+                    if let Some(rp) = engine.rootpaths_mut() {
+                        rp.insert_path(&tags, &ids, value.as_deref());
+                    }
+                    if let Some(dp) = engine.datapaths_mut() {
+                        dp.insert_path(&tags, &ids, value.as_deref());
+                    }
+                }
+                UpdateOp::DeletePath { tags, ids, value } => {
+                    if let Some(rp) = engine.rootpaths_mut() {
+                        rp.delete_path(&tags, &ids, value.as_deref());
+                    }
+                    if let Some(dp) = engine.datapaths_mut() {
+                        dp.delete_path(&tags, &ids, value.as_deref());
+                    }
+                }
+            }
+        }
         self.shared.metrics.journal_ops.fetch_add(op_count, Ordering::Relaxed);
-        maint.journal.extend(ops);
         let generation = current.generation + 1;
         drop(current);
         let old =
@@ -492,46 +433,6 @@ impl TwigService {
         // walks every resident frame: do it outside both locks.
         drop(old);
         generation
-    }
-
-    /// Rebuilds every index configuration with the shard-parallel
-    /// builder and swaps the new engine in — **without draining
-    /// readers**: the build runs over the shared `Arc<XmlForest>`
-    /// handle with no lock held, so queries keep executing against the
-    /// old epoch for the whole build, and in-flight queries that pinned
-    /// it finish on it even after the swap.
-    ///
-    /// Updates are never lost to the race between building and
-    /// swapping: the forest is static, so the fresh engine knows
-    /// nothing of any [`TwigService::apply_update`] ever committed —
-    /// before the swap, the **full journal is replayed** onto it under
-    /// the maintenance lock (which also blocks new updates for the
-    /// replay's duration, bounded by journal length, not build time).
-    /// The new epoch's generation supersedes every earlier one, staling
-    /// all cached results, and the strategy-availability flags are
-    /// refreshed for the new engine's strategy set.
-    pub fn rebuild_parallel(&self, options: EngineOptions, shards: usize) {
-        let forest = self.shared.epoch.pin().engine.forest_handle();
-        let mut new_engine = QueryEngine::build_parallel(forest, options, shards);
-        let (old, generation, replayed_ops) = {
-            let mut maint = self.shared.maintenance.lock();
-            for op in &maint.journal {
-                apply_op(&mut new_engine, op);
-            }
-            let replayed = maint.journal.len() as u64;
-            self.shared.metrics.replayed_ops.fetch_add(replayed, Ordering::Relaxed);
-            self.shared.set_available(&new_engine);
-            let generation = self.shared.epoch.pin().generation + 1;
-            self.shared.metrics.rebuilds.fetch_add(1, Ordering::Relaxed);
-            let next = Arc::new(EngineEpoch { engine: new_engine, generation });
-            let old = self.shared.epoch.publish(&mut maint, next);
-            (old, generation, replayed)
-        };
-        self.shared.events.emit(Event::RebuildSwapped { generation, replayed_ops });
-        // Tear the old epoch down (up to seven strategies' pools and
-        // trees) only after releasing the locks — readers must not
-        // stall behind the deallocation.
-        drop(old);
     }
 
     /// Persists the current epoch's indexes to one `.xtwig` file,
@@ -558,7 +459,7 @@ impl TwigService {
     /// Runs a read-only closure against a pinned epoch's engine
     /// (sequential-baseline comparisons, stats reporting). The closure
     /// sees one consistent snapshot and holds **no lock** — concurrent
-    /// updates and rebuilds proceed freely and are invisible to it.
+    /// updates proceed freely and are invisible to it.
     pub fn with_engine<R>(&self, f: impl FnOnce(&SharedEngine) -> R) -> R {
         let epoch = self.shared.epoch.pin();
         f(&epoch.engine)
@@ -618,30 +519,20 @@ impl TwigService {
     pub fn shutdown(self) {}
 }
 
-/// The one lookup path: answers `twig` against a pinned epoch. The
-/// epoch binds engine state and generation into one atomic unit: a
-/// result computed here is cached under the pinned epoch's generation,
-/// so an update publishing generation N+1 mid-execution cannot cause a
-/// stale result to be tagged fresh (the cache also refuses to clobber a
-/// newer-generation entry). Result-cache hits return without executing
-/// at all. (A
-/// rebuild that dropped the strategy published a higher generation; a
-/// caller that pinned the old epoch *before* the swap may still serve
-/// one cached pre-rebuild answer — correct data for the epoch that was
-/// live when the query was accepted, after which the entry is stale.)
-///
-/// Errs with [`ServiceError::StrategyNotBuilt`] when a rebuild dropped
-/// the strategy between the door's availability check and the pin — the
-/// recheck is against the pinned engine this call actually executes on,
-/// so a query never reaches an unbuilt structure (whose accessor would
-/// panic on the caller's thread — a connection thread, under `net`).
+/// The one lookup path: answers `twig` against a pinned epoch, which
+/// the door has checked has `strategy` built. The epoch binds engine
+/// state and generation into one atomic unit: a result computed here is
+/// cached under the pinned epoch's generation, so an update publishing
+/// generation N+1 mid-execution cannot cause a stale result to be
+/// tagged fresh (the cache also refuses to clobber a newer-generation
+/// entry). Result-cache hits return without executing at all.
 fn answer_pinned(
     shared: &Shared,
     epoch: &EngineEpoch,
     twig: &TwigPattern,
     strategy: Strategy,
     ctx: &RequestCtx,
-) -> Result<ServiceAnswer, ServiceError> {
+) -> ServiceAnswer {
     let key = exact_key(twig);
     // Concrete strategies check the result cache before touching the
     // engine. Auto must compile (cheap on a plan-cache hit) to learn
@@ -650,13 +541,10 @@ fn answer_pinned(
     // execution, so a cache hit would return nothing to trace.
     if !strategy.is_auto() && !ctx.sample {
         if let Some(hit) = cached_answer(shared, &key, strategy, epoch.generation) {
-            return Ok(hit);
+            return hit;
         }
     }
-    if !epoch.engine.has_strategy(strategy) {
-        return Err(ServiceError::StrategyNotBuilt(strategy));
-    }
-    Ok(answer_miss(shared, epoch, twig, strategy, key, ctx))
+    answer_miss(shared, epoch, twig, strategy, key, ctx)
 }
 
 /// The result-cache lookup: a hit under the concrete `strategy` and
@@ -770,7 +658,6 @@ fn answer_miss(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
     use xtwig_core::parse_xpath;
     use xtwig_xml::tree::fig1_book_document;
 
@@ -955,33 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_auto_pick_survives_rebuilds_that_drop_the_picked_strategy() {
-        // The plan cache memoizes the optimizer's pick per shape; a
-        // rebuild may swap in an engine without that strategy. The
-        // stale pick must re-resolve against the live engine — never
-        // reach an unbuilt structure (whose accessor would panic the
-        // calling thread).
-        let svc = small_service();
-        let twig = parse_xpath("//author[fn='jane']").unwrap();
-        let first = svc.execute(&twig, Strategy::Auto).unwrap();
-        let picked = first.strategy;
-        assert!(!picked.is_auto());
-        // Rebuild with every strategy EXCEPT the memoized pick.
-        let remaining: Vec<Strategy> =
-            Strategy::ALL.iter().copied().filter(|s| *s != picked).collect();
-        svc.rebuild_parallel(
-            EngineOptions { strategies: remaining.clone(), pool_pages: 256, ..Default::default() },
-            2,
-        );
-        let after = svc.execute(&twig, Strategy::Auto).unwrap();
-        assert!(remaining.contains(&after.strategy), "re-resolved within the new subset");
-        assert_eq!(*after.ids, *first.ids);
-        // The re-resolved pick replaced the stale memo and keeps serving.
-        let alive = svc.execute(&twig, Strategy::Auto).unwrap();
-        assert_eq!(*alive.ids, *first.ids);
-    }
-
-    #[test]
     fn the_door_shares_cache_entries_bypasses_them_when_sampled_and_adds_no_probe() {
         let twig = parse_xpath("//author[fn='jane']").unwrap();
         for requested in [Strategy::RootPaths, Strategy::Auto] {
@@ -1107,34 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_replays_the_journal_so_no_update_is_lost() {
-        // The lost-update bug this PR fixes: a rebuild re-reads the
-        // static forest, which knows nothing of index-only updates. The
-        // journal replay must restore every committed op — including
-        // ops committed *before* the rebuild started.
-        let svc = small_service();
-        svc.apply_update(ada_ops(&svc));
-        let twig = parse_xpath("//author[fn='ada']").unwrap();
-        svc.rebuild_parallel(EngineOptions { pool_pages: 256, ..Default::default() }, 2);
-        let stats = svc.stats();
-        assert_eq!(stats.rebuilds, 1);
-        assert_eq!(stats.replayed_ops, 2, "full journal replayed onto the fresh engine");
-        for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            let a = svc.execute(&twig, s).unwrap();
-            assert_eq!(
-                a.ids.iter().copied().collect::<Vec<_>>(),
-                vec![900],
-                "{s}: update survived the rebuild"
-            );
-        }
-        // A second rebuild replays the (still-retained) journal again.
-        svc.rebuild_parallel(EngineOptions { pool_pages: 256, ..Default::default() }, 2);
-        assert_eq!(svc.stats().replayed_ops, 4);
-        let again = svc.execute(&twig, Strategy::RootPaths).unwrap();
-        assert_eq!(again.ids.len(), 1);
-    }
-
-    #[test]
     fn pinned_snapshot_stays_consistent_while_updates_publish() {
         // A reader holding an epoch must not observe an update that
         // commits while it reads — and must not block the writer.
@@ -1189,169 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_swaps_engine_and_invalidates_results() {
-        let svc = small_service();
-        let twig = parse_xpath("//author[fn='jane']").unwrap();
-        let before = svc.execute(&twig, Strategy::RootPaths).unwrap();
-        assert_eq!(before.ids.len(), 2);
-        // Cached now; a rebuild must stale the cache even though the
-        // answer set is unchanged (the indexes were reconstructed).
-        svc.rebuild_parallel(EngineOptions { pool_pages: 256, ..Default::default() }, 4);
-        assert_eq!(svc.generation(), 1);
-        assert_eq!(svc.stats().rebuilds, 1);
-        let after = svc.execute(&twig, Strategy::RootPaths).unwrap();
-        assert!(!after.from_cache, "rebuild must invalidate cached results");
-        assert_eq!(*after.ids, *before.ids);
-    }
-
-    #[test]
-    fn rebuild_can_change_the_strategy_set() {
-        let svc = TwigService::build(
-            fig1_book_document(),
-            EngineOptions {
-                strategies: vec![Strategy::RootPaths],
-                pool_pages: 256,
-                ..Default::default()
-            },
-            ServiceOptions::default(),
-        );
-        let twig = parse_xpath("//author").unwrap();
-        assert!(svc.execute(&twig, Strategy::DataPaths).is_err());
-        svc.rebuild_parallel(
-            EngineOptions {
-                strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
-                pool_pages: 256,
-                ..Default::default()
-            },
-            2,
-        );
-        let a = svc.execute(&twig, Strategy::DataPaths).unwrap();
-        assert_eq!(a.ids.len(), 3);
-        // Dropping a strategy makes it unavailable again.
-        svc.rebuild_parallel(
-            EngineOptions {
-                strategies: vec![Strategy::RootPaths],
-                pool_pages: 256,
-                ..Default::default()
-            },
-            2,
-        );
-        assert_eq!(
-            svc.execute(&twig, Strategy::DataPaths).err(),
-            Some(ServiceError::StrategyNotBuilt(Strategy::DataPaths))
-        );
-    }
-
-    #[test]
-    fn rebuilds_racing_callers_answer_or_reject_but_never_panic() {
-        // TOCTOU guard: a request can pass the door's availability check
-        // and pin its epoch only after a rebuild dropped its strategy.
-        // The recheck against the pinned engine must turn that into
-        // StrategyNotBuilt — never reach the unbuilt structure, whose
-        // accessor would panic the calling thread.
-        let options = |strategies: &[Strategy]| EngineOptions {
-            strategies: strategies.to_vec(),
-            pool_pages: 256,
-            ..Default::default()
-        };
-        let both = [Strategy::RootPaths, Strategy::DataPaths];
-        let svc = TwigService::over(
-            QueryEngine::build(Arc::new(fig1_book_document()), options(&both)),
-            ServiceOptions { result_cache_capacity: 0, ..Default::default() },
-        );
-        let twig = parse_xpath("//author").unwrap();
-        let (answered, rejected) = (AtomicU64::new(0), AtomicU64::new(0));
-        let stop = AtomicBool::new(false);
-        // Rebuilds until a caller has seen `outcome` move past `seen`, so
-        // every swap is followed by requests racing the next one.
-        let rebuild_until_observed = |outcome: &AtomicU64, strategies: &[Strategy]| {
-            let seen = outcome.load(Ordering::SeqCst);
-            svc.rebuild_parallel(options(strategies), 2);
-            let patience = std::time::Instant::now();
-            while outcome.load(Ordering::SeqCst) == seen {
-                if patience.elapsed().as_secs() >= 60 {
-                    stop.store(true, Ordering::SeqCst); // let the scope join
-                    panic!("callers stopped making progress");
-                }
-                std::thread::yield_now();
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    while !stop.load(Ordering::SeqCst) {
-                        match svc.execute(&twig, Strategy::DataPaths) {
-                            Ok(a) => {
-                                assert_eq!(a.ids.len(), 3);
-                                answered.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(ServiceError::StrategyNotBuilt(Strategy::DataPaths)) => {
-                                rejected.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(e) => panic!("unexpected error {e}"),
-                        }
-                        // RootPaths is in every engine: it answers throughout.
-                        assert_eq!(svc.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 3);
-                    }
-                });
-            }
-            for _ in 0..4 {
-                rebuild_until_observed(&rejected, &[Strategy::RootPaths]);
-                rebuild_until_observed(&answered, &both);
-            }
-            stop.store(true, Ordering::SeqCst);
-        });
-        assert!(answered.load(Ordering::SeqCst) > 0 && rejected.load(Ordering::SeqCst) > 0);
-        let stats = svc.stats();
-        assert_eq!(stats.rebuilds, 8);
-        assert_eq!(stats.submitted, stats.completed + stats.failed);
-        assert_eq!(stats.in_flight, 0);
-    }
-
-    #[test]
-    fn queries_keep_serving_across_concurrent_rebuilds() {
-        // Readers and rebuilds interleave: every answer must come from
-        // either the old or the new engine — both correct — and nothing
-        // deadlocks or errors.
-        let svc = small_service();
-        let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
-        let expected = svc.execute(&twig, Strategy::RootPaths).unwrap().ids;
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                // At least one rebuild, even if the readers finish first.
-                loop {
-                    svc.rebuild_parallel(
-                        EngineOptions { pool_pages: 256, ..Default::default() },
-                        3,
-                    );
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                }
-            });
-            let readers: Vec<_> = (0..3)
-                .map(|_| {
-                    scope.spawn(|| {
-                        for _ in 0..60 {
-                            let a = svc.execute(&twig, Strategy::RootPaths).unwrap();
-                            assert_eq!(*a.ids, *expected);
-                        }
-                    })
-                })
-                .collect();
-            // Stop the rebuilder before surfacing a reader's panic, or
-            // the scope would wait on it forever.
-            let outcomes: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
-            stop.store(true, Ordering::SeqCst);
-            for outcome in outcomes {
-                outcome.unwrap();
-            }
-        });
-        assert!(svc.stats().rebuilds >= 1);
-    }
-
-    #[test]
     fn metrics_text_and_slow_query_log() {
         let svc = TwigService::build(
             fig1_book_document(),
@@ -1359,7 +1028,6 @@ mod tests {
             ServiceOptions {
                 // Zero threshold: every executed query is "slow".
                 slow_query_micros: Some(0),
-                slow_query_capacity: 4,
                 ..Default::default()
             },
         );
@@ -1381,6 +1049,35 @@ mod tests {
         // A cache hit does no index work: not slow, not re-counted.
         svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert_eq!(svc.slow_queries().len(), 1);
+        // Past capacity the ring keeps the newest and the counter all.
+        let capacity = crate::metrics::SLOW_QUERY_CAPACITY;
+        for i in 0..=capacity {
+            let twig = parse_xpath(&format!("//author[fn='v{i}']")).unwrap();
+            svc.execute(&twig, Strategy::RootPaths).unwrap();
+        }
+        let slow = svc.slow_queries();
+        assert_eq!(slow.len(), capacity);
+        assert!(slow[0].query.contains("v1"), "{}", slow[0].query);
+        assert_eq!(svc.stats().slow_queries, capacity as u64 + 2);
+    }
+
+    #[test]
+    fn served_traces_record_spans_and_no_calibration_sample() {
+        let svc = TwigService::build(
+            fig1_book_document(),
+            EngineOptions { pool_pages: 256, ..Default::default() },
+            ServiceOptions {
+                result_cache_capacity: 0,
+                slow_query_micros: Some(0),
+                ..Default::default()
+            },
+        );
+        let twig = parse_xpath("//author[fn='jane']").unwrap();
+        for s in [Strategy::RootPaths, Strategy::DataPaths, Strategy::Auto, Strategy::Edge] {
+            svc.execute(&twig, s).unwrap();
+        }
+        assert_eq!(svc.slow_queries().len(), 4);
+        assert!(svc.with_engine(|e| e.calibration_log().is_empty()));
     }
 
     #[test]
@@ -1390,11 +1087,9 @@ mod tests {
         let svc = small_service();
         svc.apply_update(ada_ops(&svc));
         svc.persist(dir.join("folded.xtwig")).unwrap();
-        svc.rebuild_parallel(EngineOptions { pool_pages: 256, ..Default::default() }, 2);
         let text = svc.metrics_text();
         for sample in [
             "xtwig_journal_ops_total 2",
-            "xtwig_replayed_ops_total 2",
             "xtwig_folds_total 1",
             "xtwig_admission_limit 1024",
             "xtwig_result_cache_invalidated_total 0",

@@ -2,8 +2,8 @@
 //!
 //! Guards the concurrency contract this layer exists for: readers pin
 //! an engine epoch and never block on writers; every committed
-//! `apply_update` survives any interleaving of concurrent rebuilds
-//! (journal replay — the lost-update fix); and answers under load are
+//! `apply_update` survives any interleaving of concurrent persist folds,
+//! live and in the folded file; and answers under load are
 //! byte-identical to a sequential oracle across all seven strategies.
 
 use std::collections::BTreeSet;
@@ -69,14 +69,27 @@ fn serialize(ids: &BTreeSet<u64>) -> Vec<u8> {
     ids.iter().flat_map(|id| id.to_le_bytes()).collect()
 }
 
+/// A scratch directory unique to this process and test thread.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "xtwig-mvcc-{name}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[test]
-fn concurrent_updates_rebuilds_and_readers_lose_nothing() {
-    // The PR's acceptance stress: a writer committing updates, a
-    // rebuild storm, and reader threads all interleave freely. Zero
-    // committed updates may be lost, and every in-flight answer must be
-    // a consistent snapshot: either empty (epoch predates the commit)
-    // or exactly the committed id — never a torn in-between.
+fn concurrent_updates_folds_and_readers_lose_nothing() {
+    // A writer committing updates, a fold storm (persist in a loop) and
+    // reader threads all interleave freely. Zero committed updates may
+    // be lost, live or in the file a fold after the last commit wrote,
+    // and every in-flight answer must be a consistent snapshot: either
+    // empty (epoch predates the commit) or exactly the committed id —
+    // never a torn in-between.
     const ROUNDS: u64 = 24;
+    let dir = scratch_dir("storm");
     let svc = Arc::new(service());
     let tags = author_tags(&svc);
     let committed = Arc::new(AtomicU64::new(0));
@@ -91,15 +104,15 @@ fn concurrent_updates_rebuilds_and_readers_lose_nothing() {
             }
         })
     };
-    let rebuilder = {
-        let (svc, stop) = (svc.clone(), stop.clone());
+    let folder = {
+        let (svc, stop, path) = (svc.clone(), stop.clone(), dir.join("storm.xtwig"));
         std::thread::spawn(move || {
-            let mut rebuilds = 0u32;
+            let mut folds = 0u32;
             while !stop.load(Ordering::SeqCst) {
-                svc.rebuild_parallel(EngineOptions { pool_pages: 512, ..Default::default() }, 3);
-                rebuilds += 1;
+                svc.persist(&path).unwrap();
+                folds += 1;
             }
-            rebuilds
+            folds
         })
     };
     let readers: Vec<_> = (0..3)
@@ -129,67 +142,37 @@ fn concurrent_updates_rebuilds_and_readers_lose_nothing() {
         .collect();
 
     writer.join().unwrap();
-    // One more rebuild *after* the last commit, then stop: the final
-    // engine is a rebuild product, so the zero-lost-updates check below
-    // exercises the journal replay, not just the fork path.
-    svc.rebuild_parallel(EngineOptions { pool_pages: 512, ..Default::default() }, 3);
+    // One more fold *after* the last commit: the file it writes must
+    // hold every update.
+    let path = dir.join("final.xtwig");
+    svc.persist(&path).unwrap();
     stop.store(true, Ordering::SeqCst);
-    let rebuilds = rebuilder.join().unwrap();
+    let folds = folder.join().unwrap();
     for r in readers {
         assert!(r.join().unwrap() > 0, "reader did useful work");
     }
 
-    // Zero lost updates, on every maintainable structure.
+    // Zero lost updates, on every maintainable structure, live and reopened.
+    let reopened = TwigService::open(&path, ServiceOptions::default()).unwrap();
     for k in 0..ROUNDS {
         let twig = parse_xpath(&format!("//author[fn='w{k}']")).unwrap();
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            let a = svc.execute(&twig, s).unwrap();
-            assert_eq!(
-                a.ids.iter().copied().collect::<Vec<_>>(),
-                vec![10_000 + 2 * k],
-                "{s}: update w{k} lost (rebuild raced apply_update)"
-            );
+            for (which, svc) in [("live", &*svc), ("reopened", &reopened)] {
+                let a = svc.execute(&twig, s).unwrap();
+                assert_eq!(
+                    a.ids.iter().copied().collect::<Vec<_>>(),
+                    vec![10_000 + 2 * k],
+                    "{s}: update w{k} lost ({which})"
+                );
+            }
         }
     }
     let stats = svc.stats();
     assert_eq!(stats.updates, ROUNDS);
     assert_eq!(stats.journal_ops, 2 * ROUNDS);
-    assert!(stats.rebuilds >= 1);
-    assert!(
-        stats.replayed_ops >= 2 * ROUNDS,
-        "the post-commit rebuild must have replayed the full journal"
-    );
-    eprintln!("stress: {} rebuilds raced {} updates", rebuilds + 1, stats.updates);
-}
-
-#[test]
-fn deterministic_update_rebuild_interleaving_keeps_every_update() {
-    // The minimal lost-update reproduction, with no scheduler luck
-    // involved: strictly alternate apply_update and rebuild_parallel.
-    // Before the journal-replay fix, every rebuild discarded all
-    // earlier updates (it re-read only the static forest).
-    let svc = service();
-    let tags = author_tags(&svc);
-    for k in 0..4 {
-        svc.apply_update(round_ops(&tags, k));
-        svc.rebuild_parallel(EngineOptions { pool_pages: 512, ..Default::default() }, 2);
-    }
-    for k in 0..4u64 {
-        let twig = parse_xpath(&format!("//author[fn='w{k}']")).unwrap();
-        for s in [Strategy::RootPaths, Strategy::DataPaths] {
-            let a = svc.execute(&twig, s).unwrap();
-            assert_eq!(
-                a.ids.iter().copied().collect::<Vec<_>>(),
-                vec![10_000 + 2 * k],
-                "{s}: w{k} lost after {} interleaved rebuilds",
-                4 - k
-            );
-        }
-    }
-    let stats = svc.stats();
-    assert_eq!(stats.rebuilds, 4);
-    // Rebuild r replays the 2(r+1) ops journaled so far: 2+4+6+8.
-    assert_eq!(stats.replayed_ops, 20);
+    assert_eq!(stats.folds, u64::from(folds) + 1);
+    eprintln!("stress: {} folds raced {} updates", folds + 1, stats.updates);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -343,13 +326,8 @@ fn service_persist_folds_updates_and_reopens_for_serving() {
     // update → persist (fold) → TwigService::open: the reopened service
     // serves the folded updates on every strategy that can see them,
     // and the untouched corpus on all seven.
-    let dir = std::env::temp_dir().join(format!(
-        "xtwig-mvcc-fold-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path: PathBuf = dir.join("svc.xtwig");
+    let dir = scratch_dir("fold");
+    let path = dir.join("svc.xtwig");
     let svc = service();
     let tags = author_tags(&svc);
     svc.apply_update(round_ops(&tags, 0));

@@ -251,6 +251,25 @@ fn every_failure_path_is_a_typed_error() {
         Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::UnknownTag),
         other => panic!("expected UnknownTag, got {other:?}"),
     }
+    // Ops naming no root path of a document the parser accepts — no
+    // step, a path deeper than the parser allows, ids that descend —
+    // are refused before they reach an index.
+    let path = |steps: usize, ids: Vec<u64>| WireOp {
+        insert: true,
+        tags: vec!["book".into(); steps],
+        ids,
+        value: None,
+    };
+    for op in [
+        path(0, Vec::new()),
+        path(5_000, (1..=5_000).collect()),
+        path(205, (1..=205).rev().collect()),
+    ] {
+        match client.update("fig1", vec![op]) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
     // The connection survived every well-framed error above.
     client.ping().unwrap();
 

@@ -14,6 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::parse_xpath;
+use xtwig::service::metrics::SLOW_QUERY_CAPACITY;
 use xtwig::service::{RequestCtx, ServiceOptions, ServiceSnapshot, TwigService, UpdateOp};
 use xtwig::xml::tree::fig1_book_document;
 use xtwig::xml::XmlForest;
@@ -283,7 +284,7 @@ fn total_series_stay_monotonic_across_commits() {
     }
 }
 
-/// The slow-query ring keeps the newest `slow_query_capacity` entries,
+/// The slow-query ring keeps the newest `SLOW_QUERY_CAPACITY` entries,
 /// evicting the oldest, while the total counter keeps counting every
 /// capture — and each entry carries a rendered span tree.
 #[test]
@@ -294,26 +295,28 @@ fn slow_query_log_evicts_at_capacity() {
         ServiceOptions {
             result_cache_capacity: 0,
             slow_query_micros: Some(0), // every execution is "slow"
-            slow_query_capacity: 2,
             ..Default::default()
         },
     );
-    let queries = ["//title", "//section/head", "//author[fn = 'jane']/ln", "/book/title"];
-    for q in queries {
-        let twig = parse_xpath(q).unwrap();
-        service.execute(&twig, Strategy::RootPaths).unwrap();
+    let queries = ["//title", "//section/head", "//author[fn = 'jane']/ln", "/book/title"]
+        .map(|q| parse_xpath(q).unwrap());
+    let executions = SLOW_QUERY_CAPACITY + 2;
+    for i in 0..executions {
+        service.execute(&queries[i % queries.len()], Strategy::RootPaths).unwrap();
     }
     let slow = service.slow_queries();
-    assert_eq!(slow.len(), 2, "ring must hold exactly its capacity");
-    // Newest two survive, oldest two were evicted.
-    assert!(slow[0].query.contains("author"), "kept: {}", slow[0].query);
-    assert!(slow[1].query.contains("title"), "kept: {}", slow[1].query);
-    for entry in &slow {
-        assert_eq!(entry.strategy, Strategy::RootPaths);
-        assert!(entry.spans.contains("execute"), "entry lacks its span tree");
+    assert_eq!(slow.len(), SLOW_QUERY_CAPACITY, "ring must hold exactly its capacity");
+    // The newest survive, the oldest two were evicted.
+    for (kept, i) in slow.iter().zip(2..) {
+        assert_eq!(kept.query, queries[i % queries.len()].to_string(), "entry of execution {i}");
+        assert_eq!(kept.strategy, Strategy::RootPaths);
+        assert!(kept.spans.contains("execute"), "entry lacks its span tree");
     }
     let samples = parse_samples(&service.metrics_text());
-    assert_eq!(samples["xtwig_slow_queries_total"], 4.0, "total must count evicted captures too");
+    assert_eq!(
+        samples["xtwig_slow_queries_total"], executions as f64,
+        "total must count evicted captures too"
+    );
 }
 
 /// The rows of a rendered span table ([`xtwig::obs::Trace::render`], as
