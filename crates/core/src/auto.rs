@@ -58,11 +58,11 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         Catalog {
             rp: self.rp.as_ref().map(|(i, _)| tree_profile(i.tree())),
             dp: self.dp.as_ref().map(|(i, _)| tree_profile(i.tree())),
-            edge: self.edge.as_ref().map(|(e, _)| e.cost_profile()),
-            dg: self.dg.as_ref().map(|(d, _)| d.cost_profile()),
-            fab: self.fab.as_ref().map(|(f, _)| f.cost_profile()),
-            asr: self.asr.as_ref().map(|(a, _)| a.cost_profile()),
-            ji: self.ji.as_ref().map(|(j, _)| j.cost_profile()),
+            edge: self.sealed.edge.as_ref().map(|(e, _)| e.cost_profile()),
+            dg: self.sealed.dg.as_ref().map(|(d, _)| d.cost_profile()),
+            fab: self.sealed.fab.as_ref().map(|(f, _)| f.cost_profile()),
+            asr: self.sealed.asr.as_ref().map(|(a, _)| a.cost_profile()),
+            ji: self.sealed.ji.as_ref().map(|(j, _)| j.cost_profile()),
         }
     }
 

@@ -60,7 +60,7 @@ pub struct DataPathsOptions {
 /// The DATAPATHS index.
 pub struct DataPaths {
     tree: BTree,
-    idlist: IdListCodec,
+    pub(crate) idlist: IdListCodec,
     rows: u64,
     pruned: bool,
     order: DocumentOrder,

@@ -56,8 +56,9 @@ use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use xtwig_btree::node::MAX_VAL;
 use xtwig_obs::{SpanCounters, Trace};
-use xtwig_opt::{CalibrationLog, CalibrationSample};
+use xtwig_rel::codec::encode_idlist;
 use xtwig_storage::{hash, BufferPool, IoStatsSnapshot, PoolCounters};
 use xtwig_xml::{NodeId, TagId, TwigPattern, XmlForest};
 
@@ -181,11 +182,20 @@ pub struct QueryEngine<F: Borrow<XmlForest> = Arc<XmlForest>> {
     // structure's pool into an index file and reconstructs the engine
     // from the stored catalog on open.
     pub(crate) forest: F,
-    // Immutable after build, so forks share it: the value maps are
-    // large, and a commit must not pay for cloning them.
-    pub(crate) stats: Arc<PathStats>,
     pub(crate) rp: Option<(RootPaths, Arc<BufferPool>)>,
     pub(crate) dp: Option<(DataPaths, Arc<BufferPool>)>,
+    // Nothing writes it after build, so forks share it.
+    pub(crate) sealed: Arc<Sealed>,
+}
+
+/// The part of an engine that index maintenance never writes: the path
+/// statistics, the DATAPATHS head filter and the five comparison
+/// structures (Edge, DataGuide, Index Fabric, ASR, Join Indices) with
+/// their pools. An engine holds it behind one `Arc`, which
+/// [`QueryEngine::fork`] clones, so every generation reads the same
+/// pages and a commit pays nothing for a structure it does not write.
+pub(crate) struct Sealed {
+    pub(crate) stats: PathStats,
     pub(crate) pruned_tags: Option<HashSet<TagId>>,
     pub(crate) edge: Option<(EdgeTable, Arc<BufferPool>)>,
     pub(crate) dg: Option<(DataGuide, Arc<BufferPool>)>,
@@ -193,9 +203,6 @@ pub struct QueryEngine<F: Borrow<XmlForest> = Arc<XmlForest>> {
     pub(crate) asr: Option<(AccessSupportRelations, Arc<BufferPool>)>,
     pub(crate) ji: Option<(JoinIndices, Arc<BufferPool>)>,
     pub(crate) structural_ad_joins: bool,
-    // Optimizer-feedback ring fed by traced executions; forks share the
-    // parent's log so samples accumulate across snapshots.
-    pub(crate) calibration: Arc<CalibrationLog>,
 }
 
 /// What one execution carries through the plan-step loop: the two
@@ -416,7 +423,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             || want(Strategy::IndexFabricEdge)
             || want(Strategy::JoinIndex);
         let pool = || Arc::new(BufferPool::in_memory(options.pool_pages));
-        let stats = Arc::new(PathStats::build_sharded(f, plan));
+        let stats = PathStats::build_sharded(f, plan);
         let pruned_tags = options
             .head_filter_tags
             .as_ref()
@@ -459,20 +466,9 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             let p = pool();
             (JoinIndices::build_sharded(f, p.clone(), plan), p)
         });
-        QueryEngine {
-            forest,
-            stats,
-            rp,
-            dp,
-            pruned_tags,
-            edge,
-            dg,
-            fab,
-            asr,
-            ji,
-            structural_ad_joins: options.structural_ad_joins,
-            calibration: Arc::new(CalibrationLog::new(CalibrationLog::DEFAULT_CAPACITY)),
-        }
+        let structural_ad_joins = options.structural_ad_joins;
+        let sealed = Sealed { stats, pruned_tags, edge, dg, fab, asr, ji, structural_ad_joins };
+        QueryEngine { forest, rp, dp, sealed: Arc::new(sealed) }
     }
 
     /// The forest under query.
@@ -488,13 +484,23 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         match strategy {
             Strategy::RootPaths => self.rp.is_some(),
             Strategy::DataPaths => self.dp.is_some(),
-            Strategy::Edge => self.edge.is_some(),
-            Strategy::DataGuideEdge => self.dg.is_some() && self.edge.is_some(),
-            Strategy::IndexFabricEdge => self.fab.is_some() && self.edge.is_some(),
-            Strategy::Asr => self.asr.is_some(),
-            Strategy::JoinIndex => self.ji.is_some() && self.edge.is_some(),
+            Strategy::Edge => self.sealed.edge.is_some(),
+            Strategy::DataGuideEdge => self.sealed.dg.is_some() && self.sealed.edge.is_some(),
+            Strategy::IndexFabricEdge => self.sealed.fab.is_some() && self.sealed.edge.is_some(),
+            Strategy::Asr => self.sealed.asr.is_some(),
+            Strategy::JoinIndex => self.sealed.ji.is_some() && self.sealed.edge.is_some(),
             Strategy::Auto => Strategy::ALL.iter().any(|&s| self.has_strategy(s)),
         }
+    }
+
+    /// True when every built maintainable index can store `ids` as one
+    /// IdList: ROOTPATHS and DATAPATHS each encode a root path's ids
+    /// into one B+-tree value of at most [`MAX_VAL`] bytes, and their
+    /// `insert_path` panics on a longer one.
+    pub fn idlist_fits(&self, ids: &[u64]) -> bool {
+        let rp = self.rp.iter().map(|(rp, _)| rp.idlist);
+        let mut codecs = rp.chain(self.dp.iter().map(|(dp, _)| dp.idlist));
+        codecs.all(|codec| encode_idlist(codec, ids).len() <= MAX_VAL)
     }
 
     /// Mutable access to ROOTPATHS for the §7 maintenance path. Callers
@@ -511,7 +517,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
     /// Path statistics (selectivity estimates).
     pub fn stats(&self) -> &PathStats {
-        &self.stats
+        &self.sealed.stats
     }
 
     /// The built ROOTPATHS index, if any.
@@ -526,24 +532,28 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
     /// The built Edge configuration, if any.
     pub fn edge(&self) -> Option<&EdgeTable> {
-        self.edge.as_ref().map(|(i, _)| i)
+        self.sealed.edge.as_ref().map(|(i, _)| i)
     }
 
     /// Space used by a strategy (Fig. 9): the primary structure plus any
     /// Edge structures it relies on. [`Strategy::Auto`] owns no
     /// structures of its own and reports zero.
     pub fn space_bytes(&self, strategy: Strategy) -> u64 {
-        let edge = self.edge.as_ref().map_or(0, |(e, _)| e.space_bytes());
+        let edge = self.sealed.edge.as_ref().map_or(0, |(e, _)| e.space_bytes());
         match strategy {
             Strategy::RootPaths => self.rp.as_ref().map_or(0, |(i, _)| i.space_bytes()),
             Strategy::DataPaths => self.dp.as_ref().map_or(0, |(i, _)| i.space_bytes()),
             Strategy::Edge => edge,
-            Strategy::DataGuideEdge => self.dg.as_ref().map_or(0, |(i, _)| i.space_bytes()) + edge,
-            Strategy::IndexFabricEdge => {
-                self.fab.as_ref().map_or(0, |(i, _)| i.space_bytes()) + edge
+            Strategy::DataGuideEdge => {
+                self.sealed.dg.as_ref().map_or(0, |(i, _)| i.space_bytes()) + edge
             }
-            Strategy::Asr => self.asr.as_ref().map_or(0, |(i, _)| i.space_bytes()),
-            Strategy::JoinIndex => self.ji.as_ref().map_or(0, |(i, _)| i.space_bytes()) + edge,
+            Strategy::IndexFabricEdge => {
+                self.sealed.fab.as_ref().map_or(0, |(i, _)| i.space_bytes()) + edge
+            }
+            Strategy::Asr => self.sealed.asr.as_ref().map_or(0, |(i, _)| i.space_bytes()),
+            Strategy::JoinIndex => {
+                self.sealed.ji.as_ref().map_or(0, |(i, _)| i.space_bytes()) + edge
+            }
             Strategy::Auto => 0,
         }
     }
@@ -562,36 +572,36 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 }
             }
             Strategy::Edge => {
-                if let Some((_, p)) = &self.edge {
+                if let Some((_, p)) = &self.sealed.edge {
                     pools.push(p);
                 }
             }
             Strategy::DataGuideEdge => {
-                if let Some((_, p)) = &self.dg {
+                if let Some((_, p)) = &self.sealed.dg {
                     pools.push(p);
                 }
-                if let Some((_, p)) = &self.edge {
+                if let Some((_, p)) = &self.sealed.edge {
                     pools.push(p);
                 }
             }
             Strategy::IndexFabricEdge => {
-                if let Some((_, p)) = &self.fab {
+                if let Some((_, p)) = &self.sealed.fab {
                     pools.push(p);
                 }
-                if let Some((_, p)) = &self.edge {
+                if let Some((_, p)) = &self.sealed.edge {
                     pools.push(p);
                 }
             }
             Strategy::Asr => {
-                if let Some((_, p)) = &self.asr {
+                if let Some((_, p)) = &self.sealed.asr {
                     pools.push(p);
                 }
             }
             Strategy::JoinIndex => {
-                if let Some((_, p)) = &self.ji {
+                if let Some((_, p)) = &self.sealed.ji {
                     pools.push(p);
                 }
-                if let Some((_, p)) = &self.edge {
+                if let Some((_, p)) = &self.sealed.edge {
                     pools.push(p);
                 }
             }
@@ -644,14 +654,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         }
     }
 
-    /// The engine's optimizer-feedback ring: one [`CalibrationSample`]
-    /// per traced execution (see [`QueryEngine::answer_traced`]).
-    /// Forks share the parent's log so samples accumulate across
-    /// snapshots; indexes reopened from disk start with a fresh one.
-    pub fn calibration_log(&self) -> &CalibrationLog {
-        &self.calibration
-    }
-
     /// Cheap shared counter handles, one per built structure's buffer
     /// pool: cumulative page reads, misses, and pins since build. The
     /// handles clone an `Arc` around the pool's atomics, so a metrics
@@ -664,19 +666,19 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         if let Some((_, p)) = &self.dp {
             out.push(("datapaths", p.counters()));
         }
-        if let Some((_, p)) = &self.edge {
+        if let Some((_, p)) = &self.sealed.edge {
             out.push(("edge", p.counters()));
         }
-        if let Some((_, p)) = &self.dg {
+        if let Some((_, p)) = &self.sealed.dg {
             out.push(("dataguide", p.counters()));
         }
-        if let Some((_, p)) = &self.fab {
+        if let Some((_, p)) = &self.sealed.fab {
             out.push(("fabric", p.counters()));
         }
-        if let Some((_, p)) = &self.asr {
+        if let Some((_, p)) = &self.sealed.asr {
             out.push(("asr", p.counters()));
         }
-        if let Some((_, p)) = &self.ji {
+        if let Some((_, p)) = &self.sealed.ji {
             out.push(("joinindex", p.counters()));
         }
         out
@@ -699,7 +701,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     pub fn compile(&self, twig: &TwigPattern) -> Result<(CompiledTwig, QueryPlan), UnknownTag> {
         let compiled = decompose(twig, self.forest().dict())?;
         let dp_height = self.dp.as_ref().map_or(1, |(dp, _)| dp.tree().stats().height);
-        let plan = choose_plan(&compiled, &self.stats, self.forest().dict(), dp_height);
+        let plan = choose_plan(&compiled, &self.sealed.stats, self.forest().dict(), dp_height);
         Ok((compiled, plan))
     }
 
@@ -804,10 +806,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// runs (see [`QueryEngine::answer_compiled_with`] for what a trace
     /// adds), so result and counter totals are identical to the
     /// untraced call; the ledger's `obs.traced_exec_ratio`
-    /// (`benchmark/`) prices the spans. The call also ranks the
-    /// strategy menu for the cost model's estimate of the strategy that
-    /// ran and records it, with the reads actually paid, as one
-    /// [`CalibrationSample`] into [`QueryEngine::calibration_log`].
+    /// (`benchmark/`) prices the spans.
     ///
     /// # Panics
     /// Panics if the strategy's structures were not built.
@@ -828,18 +827,9 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     p,
                     SpanCounters { rows: plan.steps.len() as u64, ..SpanCounters::default() },
                 );
-                let ranked = self.rank_strategies(&compiled, &plan);
                 let answer =
                     self.answer_compiled_with(&compiled, &plan, strategy, Some(&mut trace));
                 let m = &answer.metrics;
-                self.calibration.record(CalibrationSample {
-                    shape: twig_shape(&compiled.twig),
-                    strategy: answer.strategy,
-                    est_reads: (ranked.iter().find(|c| c.strategy == answer.strategy))
-                        .map_or(0.0, |c| c.est_page_reads),
-                    actual_reads: m.physical_reads,
-                    micros: m.elapsed.as_micros() as u64,
-                });
                 trace.end(
                     q,
                     SpanCounters {
@@ -967,7 +957,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 }
                 let probe = dp_height.and_then(|height| {
                     let probe = step.probe.as_ref().filter(|p| self.probe_head_allowed(p))?;
-                    let price = step.reprice(distinct_keys(&cx.keys), &sp.q, &self.stats, height);
+                    let price =
+                        step.reprice(distinct_keys(&cx.keys), &sp.q, &self.sealed.stats, height);
                     repriced = Some(price);
                     let method = price.method();
                     #[cfg(test)]
@@ -984,7 +975,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     true,
                     JoinHow::AncestorOf { upper, seg_root }
                     | JoinHow::DescendantBound { upper, seg_root },
-                ) = (semi, self.structural_ad_joins, join)
+                ) = (semi, self.sealed.structural_ad_joins, join)
                 {
                     self.probe_free(strategy, sp, interior_needed(sp), &masks, None, cx);
                     let rows_bind_upper = matches!(join, JoinHow::AncestorOf { .. });
@@ -1078,7 +1069,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// §4.3: a pruned DATAPATHS index only supports probes on retained
     /// head tags.
     fn probe_head_allowed(&self, probe: &ProbeSpec) -> bool {
-        self.pruned_tags.as_ref().is_none_or(|tags| tags.contains(&probe.anchor_tag))
+        self.sealed.pruned_tags.as_ref().is_none_or(|tags| tags.contains(&probe.anchor_tag))
     }
 
     /// Evaluates one PCsubpath with the strategy's probe pattern, lending
@@ -1138,20 +1129,20 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 return dp.for_each_free(q, ids_buf, floor, leaf_only, |_key, ids| lend(ids));
             }
             Strategy::Asr => {
-                let (asr, _) = self.asr.as_ref().expect("ASR not built");
+                let (asr, _) = self.sealed.asr.as_ref().expect("ASR not built");
                 asr.for_each_match(q, ids_buf, probes, |_path, ids| lend(ids));
             }
             Strategy::Edge => {
                 // The Edge chain must walk every step regardless: interior
                 // tags are only verifiable through backward-link probes.
-                let (e, _) = self.edge.as_ref().expect("Edge not built");
+                let (e, _) = self.sealed.edge.as_ref().expect("Edge not built");
                 e.for_each_match(q, ids_buf, probes, lend);
             }
             Strategy::DataGuideEdge => self.dataguide_edge(q, interior, ids_buf, probes, lend),
             Strategy::IndexFabricEdge => self.fabric_edge(q, interior, ids_buf, probes, lend),
             Strategy::JoinIndex => {
-                let (ji, _) = self.ji.as_ref().expect("JoinIndices not built");
-                let (edge, _) = self.edge.as_ref().expect("Edge not built");
+                let (ji, _) = self.sealed.ji.as_ref().expect("JoinIndices not built");
+                let (edge, _) = self.sealed.edge.as_ref().expect("Edge not built");
                 ji.for_each_match(q, interior, edge, ids_buf, probes, lend);
             }
             Strategy::Auto => unreachable!("Auto resolves before execution"),
@@ -1210,8 +1201,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         probes: &mut u64,
         mut lend: impl FnMut(&[u64]) -> ControlFlow<()>,
     ) {
-        let (dg, _) = self.dg.as_ref().expect("DataGuide not built");
-        let (edge, _) = self.edge.as_ref().expect("Edge not built");
+        let (dg, _) = self.sealed.dg.as_ref().expect("DataGuide not built");
+        let (edge, _) = self.sealed.edge.as_ref().expect("Edge not built");
         if !q.anchored {
             return edge.for_each_match(q, ids, probes, lend);
         }
@@ -1249,8 +1240,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         probes: &mut u64,
         mut lend: impl FnMut(&[u64]) -> ControlFlow<()>,
     ) {
-        let (fab, _) = self.fab.as_ref().expect("IndexFabric not built");
-        let (edge, _) = self.edge.as_ref().expect("Edge not built");
+        let (fab, _) = self.sealed.fab.as_ref().expect("IndexFabric not built");
+        let (edge, _) = self.sealed.edge.as_ref().expect("Edge not built");
         match (q.value.as_deref(), q.anchored) {
             (Some(v), true) => fab.leaf_instances(&q.tags, v, probes, |probes, leaf| {
                 lend_path_leaf(edge, q, interior, leaf, ids, probes, &mut lend)
@@ -1284,7 +1275,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// backward-link walks (Edge family) or from the base tree.
     fn recover_ancestors(&self, id: u64, arena: &mut Vec<u64>, probes: &mut u64) -> AncList {
         let off = arena.len();
-        if let Some((edge, _)) = &self.edge {
+        if let Some((edge, _)) = &self.sealed.edge {
             edge.ancestors_of(id, probes, |a| arena.push(a));
         } else {
             // Base-data fallback: one lookup per ancestor step, equivalent
@@ -1589,31 +1580,6 @@ fn lists_full_roots(strategy: Strategy) -> bool {
 /// `//` join reads; the first node of a longer one is interior.
 fn lends_key_leaves(strategy: Strategy, sp: &SubpathSpec, interior: bool) -> bool {
     matches!(strategy, Strategy::RootPaths | Strategy::DataPaths) && !interior && sp.nodes.len() > 1
-}
-
-/// Shape of a twig for calibration-sample keys: tags and axes with
-/// value literals elided (`=?`) and the output node starred, so
-/// repeated queries differing only in constants aggregate together.
-pub fn twig_shape(twig: &TwigPattern) -> String {
-    fn node(t: &TwigPattern, i: usize, out: &mut String) {
-        let n = &t.nodes[i];
-        out.push_str(&n.tag);
-        if n.value.is_some() {
-            out.push_str("=?");
-        }
-        if i == t.output {
-            out.push('*');
-        }
-        for (axis, c) in &n.children {
-            out.push('[');
-            out.push_str(&axis.to_string());
-            node(t, *c, out);
-            out.push(']');
-        }
-    }
-    let mut s = twig.root_axis.to_string();
-    node(twig, 0, &mut s);
-    s
 }
 
 /// Lends `leaf`, which a DataGuide or Index Fabric probe found on the

@@ -14,23 +14,17 @@
 //! Cost model: a fork copies **no index pages** and allocates nothing
 //! per frame of capacity. Each maintainable structure gets a *warm*
 //! pool — same page table, resident set and LRU order as its parent,
-//! every frame pointing at the parent's page image — whose COW backend
-//! shares the sealed base image plus `Arc`-shared overlay pages; a page
-//! is copied when the fork first writes it. The path statistics are
-//! shared by `Arc` (nothing updates them after build). The
-//! never-mutated comparison structures (Edge, DataGuide, Index Fabric,
-//! ASR, Join Indices) reattach over the *same* shared pool, exactly
-//! like a persisted catalog reopen — structure shells are rebuilt from
-//! their own metadata via the [`crate::persist`] codec, which allocates
-//! and builds nothing.
+//! every frame pointing at the parent's page image — whose disk manager
+//! overlays the sealed base image with `Arc`-shared pages; a page is
+//! copied when the fork first writes it. The two shells are reattached
+//! over the forked pools from their own metadata via the
+//! [`crate::persist`] codec, which allocates and builds nothing.
+//! Everything else — the path statistics and the never-mutated
+//! comparison structures (Edge, DataGuide, Index Fabric, ASR, Join
+//! Indices) with their pools — is one `Arc` the fork clones.
 
-use crate::asr::AccessSupportRelations;
-use crate::dataguide::DataGuide;
 use crate::datapaths::DataPaths;
-use crate::edge::EdgeTable;
 use crate::engine::QueryEngine;
-use crate::fabric::IndexFabric;
-use crate::joinindex::JoinIndices;
 use crate::persist::{ByteReader, ByteWriter, FormatError};
 use crate::rootpaths::RootPaths;
 use std::borrow::Borrow;
@@ -69,22 +63,9 @@ impl fmt::Display for ForkError {
 
 impl std::error::Error for ForkError {}
 
-/// Reattaches a structure shell via its persist-codec metadata over
-/// `pool` — the same zero-build reconstruction a catalog open performs.
-fn reattach<T>(
-    index: &T,
-    pool: Arc<BufferPool>,
-    write: impl FnOnce(&T, &mut ByteWriter),
-    open: impl FnOnce(&mut ByteReader<'_>, Arc<BufferPool>) -> Result<T, FormatError>,
-) -> T {
-    let mut w = ByteWriter::new();
-    write(index, &mut w);
-    let bytes = w.finish();
-    let mut r = ByteReader::new(&bytes);
-    open(&mut r, pool).expect("in-memory metadata roundtrip cannot be malformed")
-}
-
-/// Forks one maintainable structure onto a COW sibling of its pool.
+/// Forks one maintainable structure onto a COW sibling of its pool and
+/// reattaches its shell there via its persist-codec metadata — the same
+/// zero-build reconstruction a catalog open performs.
 fn fork_cow<T>(
     src: &Option<(T, Arc<BufferPool>)>,
     structure: &'static str,
@@ -96,19 +77,12 @@ fn fork_cow<T>(
     };
     let forked =
         Arc::new(pool.cow_fork().map_err(|skipped| ForkError::PinnedPages { structure, skipped })?);
-    Ok(Some((reattach(index, forked.clone(), write, open), forked)))
-}
-
-/// Re-shells one immutable structure over its *shared* pool (no fork:
-/// nothing ever writes these after build, so every engine generation
-/// can read the same pages).
-fn share<T>(
-    src: &Option<(T, Arc<BufferPool>)>,
-    write: impl FnOnce(&T, &mut ByteWriter),
-    open: impl FnOnce(&mut ByteReader<'_>, Arc<BufferPool>) -> Result<T, FormatError>,
-) -> Option<(T, Arc<BufferPool>)> {
-    let (index, pool) = src.as_ref()?;
-    Some((reattach(index, pool.clone(), write, open), pool.clone()))
+    let mut w = ByteWriter::new();
+    write(index, &mut w);
+    let bytes = w.finish();
+    let index = open(&mut ByteReader::new(&bytes), forked.clone())
+        .expect("in-memory metadata roundtrip cannot be malformed");
+    Ok(Some((index, forked)))
 }
 
 impl<F: Borrow<XmlForest> + Clone> QueryEngine<F> {
@@ -128,25 +102,11 @@ impl<F: Borrow<XmlForest> + Clone> QueryEngine<F> {
     /// this transiently when a *reader* still pins a freshly dirtied
     /// page, and retry.
     pub fn fork(&self) -> Result<Self, ForkError> {
-        let rp = fork_cow(&self.rp, "ROOTPATHS", RootPaths::write_meta, RootPaths::open_meta)?;
-        let dp = fork_cow(&self.dp, "DATAPATHS", DataPaths::write_meta, DataPaths::open_meta)?;
         Ok(QueryEngine {
             forest: self.forest.clone(),
-            stats: self.stats.clone(),
-            rp,
-            dp,
-            pruned_tags: self.pruned_tags.clone(),
-            edge: share(&self.edge, EdgeTable::write_meta, EdgeTable::open_meta),
-            dg: share(&self.dg, DataGuide::write_meta, DataGuide::open_meta),
-            fab: share(&self.fab, IndexFabric::write_meta, IndexFabric::open_meta),
-            asr: share(
-                &self.asr,
-                AccessSupportRelations::write_meta,
-                AccessSupportRelations::open_meta,
-            ),
-            ji: share(&self.ji, JoinIndices::write_meta, JoinIndices::open_meta),
-            structural_ad_joins: self.structural_ad_joins,
-            calibration: self.calibration.clone(),
+            rp: fork_cow(&self.rp, "ROOTPATHS", RootPaths::write_meta, RootPaths::open_meta)?,
+            dp: fork_cow(&self.dp, "DATAPATHS", DataPaths::write_meta, DataPaths::open_meta)?,
+            sealed: self.sealed.clone(),
         })
     }
 }
@@ -170,6 +130,9 @@ mod tests {
     fn fork_answers_identically_across_all_strategies() {
         let base = engine();
         let fork = base.fork().unwrap();
+        // The five structures no maintenance writes are the parent's own.
+        assert!(Arc::ptr_eq(&base.sealed, &fork.sealed));
+        assert!(base.sealed.edge.is_some() && base.sealed.ji.is_some());
         for q in ["/book[title='XML']//author[fn='jane'][ln='doe']", "//author[fn='john']/ln"] {
             let twig = parse_xpath(q).unwrap();
             for s in Strategy::ALL {

@@ -64,9 +64,7 @@ mod table;
 pub mod xpath;
 
 pub use auto::Explanation;
-pub use engine::{
-    twig_shape, ParseStrategyError, QueryAnswer, QueryEngine, QueryMetrics, Strategy,
-};
+pub use engine::{ParseStrategyError, QueryAnswer, QueryEngine, QueryMetrics, Strategy};
 // Tracing and feedback types, re-exported so engine callers need not
 // depend on `xtwig-obs`/`xtwig-opt` directly.
 pub use family::{BoundIndex, FamilyPosition, FreeIndex, PathIndex, PathMatch, PcSubpathQuery};
@@ -75,4 +73,4 @@ pub use parallel::ShardPlan;
 pub use persist::{OpenError, OpenReport, PersistError, PersistReport};
 pub use xpath::parse_xpath;
 pub use xtwig_obs::{Span, SpanCounters, Trace};
-pub use xtwig_opt::{AdviseReport, CalibrationLog, CalibrationSample};
+pub use xtwig_opt::{AdviseReport, CalibrationSample};

@@ -28,9 +28,10 @@
 //!                   per-strategy `structure_digest` values
 //! ```
 //!
-//! On open, each extent is wrapped in an [`ExtentBackend`] — a
-//! copy-on-write view of the shared file — so pool-local page ids keep
-//! working and post-open index maintenance can never corrupt the file.
+//! On open, each extent is served by an [`ExtentBackend`] — a read-only
+//! view of the shared file — under a copy-on-write
+//! [`DiskManager::copy_on_write`], so pool-local page ids keep working
+//! and post-open index maintenance can never corrupt the file.
 //! The stored digests are verified against
 //! [`BufferPool::content_hash`] through the reopened pools — every page
 //! of every pool hashed once, however many strategies share the pool —
@@ -41,7 +42,7 @@ use crate::asr::AccessSupportRelations;
 use crate::dataguide::DataGuide;
 use crate::datapaths::DataPaths;
 use crate::edge::EdgeTable;
-use crate::engine::{QueryEngine, Strategy};
+use crate::engine::{QueryEngine, Sealed, Strategy};
 use crate::fabric::IndexFabric;
 use crate::joinindex::JoinIndices;
 use crate::paths::PathStats;
@@ -52,7 +53,6 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 use xtwig_btree::{BTree, BTreeOptions};
-use xtwig_opt::CalibrationLog;
 use xtwig_rel::codec::IdListCodec;
 use xtwig_storage::{
     hash, BufferPool, DiskManager, ExtentBackend, FileBackend, PageId, StorageBackend, PAGE_SIZE,
@@ -554,8 +554,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
         let mut catalog = ByteWriter::new();
         catalog.push_bytes(&self.forest().to_snapshot());
-        self.stats.write_meta(&mut catalog);
-        match &self.pruned_tags {
+        self.sealed.stats.write_meta(&mut catalog);
+        match &self.sealed.pruned_tags {
             None => catalog.push_bool(false),
             Some(tags) => {
                 catalog.push_bool(true);
@@ -567,7 +567,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 }
             }
         }
-        catalog.push_bool(self.structural_ad_joins);
+        catalog.push_bool(self.sealed.structural_ad_joins);
 
         // One catalog entry per built structure: kind, extent, pool
         // capacity, then the structure's own metadata.
@@ -579,19 +579,19 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         if let Some((i, p)) = &self.dp {
             entries.push((KIND_DP, "DATAPATHS", p, Box::new(move |w| i.write_meta(w))));
         }
-        if let Some((i, p)) = &self.edge {
+        if let Some((i, p)) = &self.sealed.edge {
             entries.push((KIND_EDGE, "Edge", p, Box::new(move |w| i.write_meta(w))));
         }
-        if let Some((i, p)) = &self.dg {
+        if let Some((i, p)) = &self.sealed.dg {
             entries.push((KIND_DG, "DataGuide", p, Box::new(move |w| i.write_meta(w))));
         }
-        if let Some((i, p)) = &self.fab {
+        if let Some((i, p)) = &self.sealed.fab {
             entries.push((KIND_IF, "IndexFabric", p, Box::new(move |w| i.write_meta(w))));
         }
-        if let Some((i, p)) = &self.asr {
+        if let Some((i, p)) = &self.sealed.asr {
             entries.push((KIND_ASR, "ASR", p, Box::new(move |w| i.write_meta(w))));
         }
-        if let Some((i, p)) = &self.ji {
+        if let Some((i, p)) = &self.sealed.ji {
             entries.push((KIND_JI, "JoinIndices", p, Box::new(move |w| i.write_meta(w))));
         }
 
@@ -666,7 +666,7 @@ impl QueryEngine<Arc<XmlForest>> {
     /// first query after open performs real physical reads.
     pub fn open_with_report<P: AsRef<Path>>(path: P) -> Result<(Self, OpenReport), OpenError> {
         // Read-only: the file is a sealed artifact (every write on the
-        // reopen path goes to the ExtentBackend overlay), so a chmod
+        // reopen path goes to a pool's copy-on-write overlay), so a chmod
         // 444 index or a read-only mount must still open.
         let file = Arc::new(FileBackend::open_read_only(path)?);
         let file_pages = file.num_pages();
@@ -714,7 +714,7 @@ impl QueryEngine<Arc<XmlForest>> {
             XmlForest::from_snapshot(r.bytes()?)
                 .map_err(|e| OpenError::Format(format!("forest snapshot: {e}")))?,
         );
-        let stats = Arc::new(PathStats::open_meta(&mut r)?);
+        let stats = PathStats::open_meta(&mut r)?;
         let pruned_tags: Option<HashSet<TagId>> = if r.bool()? {
             let n = r.u32()? as usize;
             let mut tags = HashSet::with_capacity(n.min(1 << 16));
@@ -755,9 +755,8 @@ impl QueryEngine<Arc<XmlForest>> {
             // tiny index must not eagerly allocate hundreds of MB of
             // zeroed frames just to be queried.
             let capacity = capacity.min(extent.max(2) as usize);
-            let backend = ExtentBackend::new(file.clone(), base, extent);
-            let pool =
-                Arc::new(BufferPool::new(DiskManager::with_backend(Box::new(backend)), capacity));
+            let backend = Box::new(ExtentBackend::new(file.clone(), base, extent));
+            let pool = Arc::new(BufferPool::new(DiskManager::copy_on_write(backend), capacity));
             match kind {
                 KIND_RP => rp = Some((RootPaths::open_meta(&mut r, pool.clone())?, pool)),
                 KIND_DP => dp = Some((DataPaths::open_meta(&mut r, pool.clone())?, pool)),
@@ -782,20 +781,8 @@ impl QueryEngine<Arc<XmlForest>> {
             return Err(OpenError::Format(format!("{} trailing catalog byte(s)", r.remaining())));
         }
 
-        let engine = QueryEngine {
-            forest,
-            stats,
-            rp,
-            dp,
-            pruned_tags,
-            edge,
-            dg,
-            fab,
-            asr,
-            ji,
-            structural_ad_joins,
-            calibration: Arc::new(CalibrationLog::new(CalibrationLog::DEFAULT_CAPACITY)),
-        };
+        let sealed = Sealed { stats, pruned_tags, edge, dg, fab, asr, ji, structural_ad_joins };
+        let engine = QueryEngine { forest, rp, dp, sealed: Arc::new(sealed) };
 
         // Reattachment must not have built anything: no pool allocated
         // a single page (a fresh build allocates them all).

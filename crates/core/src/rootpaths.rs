@@ -82,7 +82,7 @@ pub struct RootPathsOptions {
 /// The ROOTPATHS index.
 pub struct RootPaths {
     tree: BTree,
-    idlist: IdListCodec,
+    pub(crate) idlist: IdListCodec,
     keep: IdListKeep,
     rows: u64,
     order: DocumentOrder,

@@ -513,6 +513,8 @@ fn resolve_ops(svc: &TwigService, ops: &[WireOp]) -> Result<Vec<UpdateOp>, Respo
                     Some(format!("op has {} steps, not 1 to {MAX_DEPTH}", ids.len()))
                 } else if ids.iter().zip(ids.iter().skip(1)).any(|(a, b)| a >= b) {
                     Some("op ids do not ascend strictly, as a root path's do".to_owned())
+                } else if !engine.idlist_fits(ids) {
+                    Some("op ids encode to an IdList longer than an index value holds".to_owned())
                 } else {
                     None
                 };

@@ -1,39 +1,46 @@
-//! Runtime optimizer feedback: observed-vs-estimated cost samples.
+//! Optimizer feedback: observed-vs-estimated cost samples.
 //!
 //! The cost model's constants ([`crate::calibration`]) are fitted
-//! offline by `fig_optimizer`; nothing in the serving path checks how
-//! the estimates track reality. [`CalibrationLog`] closes the first
-//! half of that loop: every *traced* execution records one
-//! [`CalibrationSample`] — query shape, executed strategy, estimated
-//! page reads, actual physical reads — into a bounded per-engine ring,
-//! and [`CalibrationLog::advise`] aggregates them into an
-//! [`AdviseReport`]: per-strategy median actual/estimated ratios with
-//! the calibration constant each one would rescale, plus the worst
-//! individual misestimates. The report is advisory only — it never
-//! mutates [`crate::Calibration`]; apply a suggestion by editing the
-//! constants and re-running `fig_optimizer` to confirm the fit.
+//! offline by `fig_optimizer`. `xtwig advise` checks how the estimates
+//! track reality on the queries it is given: it runs each under every
+//! built strategy and pairs the answer's physical reads with the
+//! optimizer's estimate for that strategy as one [`CalibrationSample`].
+//! [`AdviseReport::from_samples`] aggregates them: per-strategy median
+//! actual/estimated ratios with the calibration constant each one
+//! would rescale, plus the worst individual misestimates. The report is
+//! advisory only — it never mutates [`crate::Calibration`]; apply a
+//! suggestion by editing the constants and re-running `fig_optimizer`
+//! to confirm the fit.
 
+use crate::cost::StrategyChoice;
 use crate::strategy::Strategy;
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
 
-/// One traced execution's estimate-vs-reality record.
+/// One execution's estimate-vs-reality record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationSample {
-    /// Shape of the executed twig (literals elided).
-    pub shape: String,
+    /// The XPath the execution answered.
+    pub xpath: String,
     /// The strategy that actually executed.
     pub strategy: Strategy,
     /// The cost model's estimated page reads for that strategy.
     pub est_reads: f64,
     /// Physical page reads the execution actually performed.
     pub actual_reads: u64,
-    /// Execution wall time in microseconds.
-    pub micros: u64,
 }
 
 impl CalibrationSample {
+    /// Pairs the cost model's estimate `choice` for `xpath` with the
+    /// physical reads an execution under its strategy paid.
+    pub fn new(xpath: &str, choice: &StrategyChoice, actual_reads: u64) -> Self {
+        CalibrationSample {
+            xpath: xpath.to_owned(),
+            strategy: choice.strategy,
+            est_reads: choice.est_page_reads,
+            actual_reads,
+        }
+    }
+
     /// Smoothed actual/estimated ratio: `(actual + 1) / (est + 1)`.
     ///
     /// The +1 on both sides keeps warm-cache executions (0 actual
@@ -47,86 +54,6 @@ impl CalibrationSample {
     pub fn error(&self) -> f64 {
         let r = self.ratio();
         r.max(1.0 / r)
-    }
-}
-
-/// Bounded ring of [`CalibrationSample`]s, shared per engine.
-///
-/// Interior-mutable (engines record through `&self` on the query
-/// path); the mutex is only taken on traced executions and when
-/// summarizing, never on the untraced hot path.
-#[derive(Debug)]
-pub struct CalibrationLog {
-    samples: Mutex<VecDeque<CalibrationSample>>,
-    capacity: usize,
-}
-
-impl CalibrationLog {
-    /// Default ring capacity used by engines.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// An empty log keeping at most `capacity` samples (oldest evicted
-    /// first). A zero capacity keeps nothing.
-    pub fn new(capacity: usize) -> Self {
-        CalibrationLog { samples: Mutex::new(VecDeque::new()), capacity }
-    }
-
-    /// Appends a sample, evicting the oldest past capacity.
-    pub fn record(&self, sample: CalibrationSample) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut samples = self.samples.lock().unwrap();
-        if samples.len() == self.capacity {
-            samples.pop_front();
-        }
-        samples.push_back(sample);
-    }
-
-    /// Samples currently held.
-    pub fn len(&self) -> usize {
-        self.samples.lock().unwrap().len()
-    }
-
-    /// True when nothing has been recorded (or capacity is zero).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy of the held samples, oldest first.
-    pub fn samples(&self) -> Vec<CalibrationSample> {
-        self.samples.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Aggregates the held samples into per-strategy advice plus the
-    /// `worst` most wrong individual samples.
-    pub fn advise(&self, worst: usize) -> AdviseReport {
-        let samples = self.samples();
-        let mut per_strategy = Vec::new();
-        for s in Strategy::ALL {
-            let mut ratios: Vec<f64> =
-                samples.iter().filter(|x| x.strategy == s).map(|x| x.ratio()).collect();
-            if ratios.is_empty() {
-                continue;
-            }
-            ratios.sort_by(|a, b| a.total_cmp(b));
-            let median = ratios[ratios.len() / 2];
-            per_strategy.push(StrategyAdvice {
-                strategy: s,
-                samples: ratios.len(),
-                median_ratio: median,
-                constant: constant_for(s),
-                suggested_scale: median,
-            });
-        }
-        per_strategy.sort_by(|a, b| {
-            let err = |x: &StrategyAdvice| x.median_ratio.max(1.0 / x.median_ratio);
-            err(b).total_cmp(&err(a))
-        });
-        let mut ranked = samples;
-        ranked.sort_by(|a, b| b.error().total_cmp(&a.error()));
-        ranked.truncate(worst);
-        AdviseReport { per_strategy, worst: ranked }
     }
 }
 
@@ -169,10 +96,42 @@ pub struct AdviseReport {
     pub worst: Vec<CalibrationSample>,
 }
 
+impl AdviseReport {
+    /// Aggregates `samples` into per-strategy advice plus the `worst`
+    /// most wrong individual samples.
+    pub fn from_samples(samples: &[CalibrationSample], worst: usize) -> Self {
+        let mut per_strategy = Vec::new();
+        for s in Strategy::ALL {
+            let mut ratios: Vec<f64> =
+                samples.iter().filter(|x| x.strategy == s).map(|x| x.ratio()).collect();
+            if ratios.is_empty() {
+                continue;
+            }
+            ratios.sort_by(|a, b| a.total_cmp(b));
+            let median = ratios[ratios.len() / 2];
+            per_strategy.push(StrategyAdvice {
+                strategy: s,
+                samples: ratios.len(),
+                median_ratio: median,
+                constant: constant_for(s),
+                suggested_scale: median,
+            });
+        }
+        per_strategy.sort_by(|a, b| {
+            let err = |x: &StrategyAdvice| x.median_ratio.max(1.0 / x.median_ratio);
+            err(b).total_cmp(&err(a))
+        });
+        let mut ranked = samples.to_vec();
+        ranked.sort_by(|a, b| b.error().total_cmp(&a.error()));
+        ranked.truncate(worst);
+        AdviseReport { per_strategy, worst: ranked }
+    }
+}
+
 impl fmt::Display for AdviseReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.per_strategy.is_empty() {
-            return writeln!(f, "no traced executions recorded yet");
+            return writeln!(f, "no executions to compare");
         }
         writeln!(
             f,
@@ -195,12 +154,12 @@ impl fmt::Display for AdviseReport {
         for s in &self.worst {
             writeln!(
                 f,
-                "{:>6.1}x  {:<8} est={:.1} actual={} shape={}",
+                "{:>6.1}x  {:<8} est={:.1} actual={}  {}",
                 s.error(),
                 s.strategy.label(),
                 s.est_reads,
                 s.actual_reads,
-                s.shape
+                s.xpath
             )?;
         }
         write!(
@@ -216,25 +175,8 @@ mod tests {
     use super::*;
 
     fn sample(strategy: Strategy, est: f64, actual: u64) -> CalibrationSample {
-        CalibrationSample {
-            shape: "//a/b".into(),
-            strategy,
-            est_reads: est,
-            actual_reads: actual,
-            micros: 10,
-        }
-    }
-
-    #[test]
-    fn ring_evicts_oldest_at_capacity() {
-        let log = CalibrationLog::new(3);
-        for i in 0..5 {
-            log.record(sample(Strategy::RootPaths, 1.0, i));
-        }
-        let held = log.samples();
-        assert_eq!(held.len(), 3);
-        assert_eq!(held.iter().map(|s| s.actual_reads).collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert!(CalibrationLog::new(0).is_empty());
+        let xpath = format!("//a[b='{actual}']");
+        CalibrationSample { xpath, strategy, est_reads: est, actual_reads: actual }
     }
 
     #[test]
@@ -248,12 +190,10 @@ mod tests {
 
     #[test]
     fn advise_aggregates_per_strategy_and_ranks_worst() {
-        let log = CalibrationLog::new(64);
-        for actual in [1u64, 3, 9] {
-            log.record(sample(Strategy::RootPaths, 1.0, actual)); // ratios 1, 2, 5
-        }
-        log.record(sample(Strategy::Edge, 19.0, 0)); // 0.05x — most wrong
-        let report = log.advise(2);
+        let mut samples: Vec<_> =
+            [1u64, 3, 9].map(|actual| sample(Strategy::RootPaths, 1.0, actual)).into(); // ratios 1, 2, 5
+        samples.push(sample(Strategy::Edge, 19.0, 0)); // 0.05x — most wrong
+        let report = AdviseReport::from_samples(&samples, 2);
         assert_eq!(report.per_strategy.len(), 2);
         // Edge's 20x error outranks RP's median 2x.
         assert_eq!(report.per_strategy[0].strategy, Strategy::Edge);
@@ -267,12 +207,13 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("scan_page"));
         assert!(text.contains("worst misestimates"));
+        assert!(text.contains("//a[b='0']"), "a misestimate names its XPath:\n{text}");
     }
 
     #[test]
-    fn empty_log_advises_nothing() {
-        let report = CalibrationLog::new(8).advise(5);
+    fn no_samples_advise_nothing() {
+        let report = AdviseReport::from_samples(&[], 5);
         assert!(report.per_strategy.is_empty());
-        assert!(report.to_string().contains("no traced executions"));
+        assert!(report.to_string().contains("no executions"));
     }
 }

@@ -47,5 +47,5 @@ pub use cost::{
     TreeProfile, TwigCostInput,
 };
 pub use estimate::{leaf_candidates, pattern_matches, CardinalitySource};
-pub use feedback::{AdviseReport, CalibrationLog, CalibrationSample, StrategyAdvice};
+pub use feedback::{AdviseReport, CalibrationSample, StrategyAdvice};
 pub use strategy::{ParseStrategyError, Strategy};

@@ -1062,25 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn served_traces_record_spans_and_no_calibration_sample() {
-        let svc = TwigService::build(
-            fig1_book_document(),
-            EngineOptions { pool_pages: 256, ..Default::default() },
-            ServiceOptions {
-                result_cache_capacity: 0,
-                slow_query_micros: Some(0),
-                ..Default::default()
-            },
-        );
-        let twig = parse_xpath("//author[fn='jane']").unwrap();
-        for s in [Strategy::RootPaths, Strategy::DataPaths, Strategy::Auto, Strategy::Edge] {
-            svc.execute(&twig, s).unwrap();
-        }
-        assert_eq!(svc.slow_queries().len(), 4);
-        assert!(svc.with_engine(|e| e.calibration_log().is_empty()));
-    }
-
-    #[test]
     fn metrics_text_exposes_the_maintenance_counters() {
         let dir = std::env::temp_dir().join(format!("xtwig-svc-counters-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

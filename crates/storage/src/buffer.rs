@@ -23,7 +23,7 @@
 //! Memory: frames and their 8 KiB page images are materialized on first
 //! use, so a pool costs what it holds, not what it could hold. An image
 //! lives behind an `Arc` that a [`BufferPool::cow_fork`] sibling and the
-//! backend's copy-on-write overlay may share; a shared image is never
+//! disk manager's copy-on-write overlay may share; a shared image is never
 //! written in place — the first write through a pool copies it.
 //!
 //! Read-path concurrency audit (the invariants `xtwig-service` relies
@@ -120,7 +120,7 @@ use std::sync::{Arc, OnceLock};
 
 /// A frame's page image: `None` until a page is first installed, then an
 /// `Arc` that sibling pools (after [`BufferPool::cow_fork`]) and the
-/// backend's copy-on-write overlay may share. A shared image is never
+/// disk manager's copy-on-write overlay may share. A shared image is never
 /// mutated — writers copy it first (see `write_guard`).
 type Image = Option<Arc<PageBuf>>;
 
@@ -246,8 +246,8 @@ impl BufferPool {
         (0..self.num_pages()).fold(SEED, |h, pid| hash_bytes(h, &self.fetch(PageId(pid))))
     }
 
-    /// Pages in the underlying backend's copy-on-write overlay (0 for
-    /// plain backends) — observability for the MVCC fork path.
+    /// Pages in the disk manager's copy-on-write overlay (0 for one
+    /// that writes through) — observability for the MVCC fork path.
     pub fn overlay_pages(&self) -> usize {
         self.disk.overlay_pages()
     }
@@ -410,7 +410,7 @@ impl BufferPool {
     fn write_back(&self, frame: &Frame, pid: PageId) {
         if frame.dirty.swap(false, Ordering::Relaxed) {
             if let Some(image) = frame.data.read().as_ref() {
-                self.disk.write_page_shared(pid, image);
+                self.disk.write_page(pid, image);
                 self.stats.record_physical_write();
             }
         }

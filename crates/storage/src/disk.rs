@@ -1,14 +1,19 @@
 //! Disk manager: page allocation and transfer against a backend.
 //!
-//! Four backends are provided. [`MemBackend`] keeps pages in a `Vec` —
+//! Three backends are provided. [`MemBackend`] keeps pages in a `Vec` —
 //! used by tests and by benchmarks that want to count I/O without disk
 //! noise (the paper similarly disabled the OS file cache to isolate
 //! buffer-pool behaviour). [`FileBackend`] stores pages in a real file for
 //! out-of-memory datasets, through positional reads and writes that take
 //! no lock, so the extents of one index file read in parallel.
-//! [`ExtentBackend`] serves one structure's extent of such a file with a
-//! copy-on-write overlay, and [`CowBackend`] is the same overlay over any
-//! other backend (how an engine fork snapshots a freshly built pool).
+//! [`ExtentBackend`] is a read-only view of one structure's extent of
+//! such a file.
+//!
+//! A [`DiskManager`] either writes through to its backend or keeps a
+//! copy-on-write overlay over it, which then is never written: that is
+//! how a reopened index file stays sealed
+//! ([`DiskManager::copy_on_write`]) and how an engine fork snapshots a
+//! pool, reopened or freshly built ([`DiskManager::fork_cow`]).
 
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use parking_lot::Mutex;
@@ -26,12 +31,6 @@ pub trait StorageBackend: Send + Sync {
     fn read_page(&self, pid: PageId, buf: &mut [u8]);
     /// Writes `buf` to page `pid`.
     fn write_page(&self, pid: PageId, buf: &[u8]);
-    /// Writes an `Arc`'d page image to page `pid`. Backends that keep
-    /// written pages in memory override this to share the image with
-    /// the caller instead of copying it.
-    fn write_page_shared(&self, pid: PageId, page: &Arc<PageBuf>) {
-        self.write_page(pid, page.bytes());
-    }
     /// Allocates a fresh zeroed page and returns its id.
     fn allocate(&self) -> PageId;
     /// Number of allocated pages.
@@ -41,27 +40,6 @@ pub trait StorageBackend: Send + Sync {
     /// the end of an index persist so a crash right after `xtwig build`
     /// cannot leave a torn index file.
     fn sync(&self) -> std::io::Result<()>;
-    /// Pages living in a copy-on-write overlay rather than the sealed
-    /// base image. Plain backends have no overlay and report 0.
-    fn overlay_pages(&self) -> usize {
-        0
-    }
-    /// Forks this backend into an independent copy-on-write sibling:
-    /// both sides see the current page image, and writes on either side
-    /// are invisible to the other. Backends that are already COW views
-    /// return a *flat* sibling over the same sealed base (chains never
-    /// deepen); plain backends return `None` and are wrapped in a
-    /// [`CowBackend`] by [`DiskManager::fork_cow`] instead.
-    fn cow_fork(&self) -> Option<Arc<dyn StorageBackend>> {
-        None
-    }
-}
-
-/// Copies a full page image into an owned [`PageBuf`].
-fn page_from(buf: &[u8]) -> PageBuf {
-    let mut page = PageBuf::zeroed();
-    page.bytes_mut().copy_from_slice(buf);
-    page
 }
 
 /// In-memory backend.
@@ -142,7 +120,7 @@ impl FileBackend {
     /// Opens an existing backend file without requesting write access.
     ///
     /// A persisted index is a sealed artifact served read-only through
-    /// [`ExtentBackend`] (writes go to its overlay, never the file), so
+    /// [`ExtentBackend`] (writes go to the manager's overlay, never the file), so
     /// the reopen path must work on `chmod 444` files and read-only
     /// mounts. Calling [`StorageBackend::write_page`] on a backend
     /// opened this way panics.
@@ -207,30 +185,21 @@ impl StorageBackend for FileBackend {
     }
 }
 
-/// A copy-on-write view of `extent_pages` pages of a shared
-/// [`FileBackend`], starting at file page `base`.
+/// A read-only view of `extent_pages` pages of a shared [`FileBackend`],
+/// starting at file page `base`.
 ///
 /// This is how a persisted index file is served: every structure's
 /// buffer pool reopens over its own extent, so pool-local page ids
 /// (what B+-tree nodes store) keep working unchanged — the extent
-/// translates pool page `p` to file page `base + p`. The underlying
-/// file is **never written through this backend**: evicted dirty pages
-/// and post-open allocations land in an in-memory overlay, so index
-/// maintenance on a reopened engine cannot corrupt the file on disk
-/// (re-persist to a new file to make such changes durable).
+/// translates pool page `p` to file page `base + p`. Nothing writes
+/// through it: a reopened pool's [`DiskManager::copy_on_write`] keeps
+/// evicted dirty pages and post-open allocations in its overlay, so
+/// index maintenance on a reopened engine cannot corrupt the file on
+/// disk (re-persist to a new file to make such changes durable).
 pub struct ExtentBackend {
     file: Arc<FileBackend>,
     base: u32,
     extent_pages: u32,
-    /// Pages written (or allocated) after open, keyed by pool-local id.
-    /// Pages are `Arc`'d so [`StorageBackend::cow_fork`] and the buffer
-    /// pool that wrote them can share them: a write always *replaces*
-    /// the map entry, never mutates a shared page (the pool copies a
-    /// shared image before writing it), so a fork's view is frozen at
-    /// fork time.
-    overlay: Mutex<HashMap<u32, Arc<PageBuf>>>,
-    /// Pages allocated past the extent (pool-local id space only).
-    overflow: AtomicU32,
 }
 
 impl ExtentBackend {
@@ -245,153 +214,69 @@ impl ExtentBackend {
             "extent [{base}, {end}) reaches past the file's {} pages",
             file.num_pages()
         );
-        ExtentBackend {
-            file,
-            base,
-            extent_pages,
-            overlay: Mutex::new(HashMap::new()),
-            overflow: AtomicU32::new(0),
-        }
+        ExtentBackend { file, base, extent_pages }
     }
 }
 
 impl StorageBackend for ExtentBackend {
     fn read_page(&self, pid: PageId, buf: &mut [u8]) {
-        if let Some(page) = self.overlay.lock().get(&pid.0) {
-            buf.copy_from_slice(page.bytes());
-            return;
-        }
         if pid.0 < self.extent_pages {
             self.file.read_page(PageId(self.base + pid.0), buf);
         } else {
-            // Allocated after open but never written: zero fill.
             buf.fill(0);
         }
     }
 
-    fn write_page(&self, pid: PageId, buf: &[u8]) {
-        // Replace, never mutate: a fork sharing the old `Arc` page keeps
-        // seeing the pre-write content.
-        self.overlay.lock().insert(pid.0, Arc::new(page_from(buf)));
-    }
-
-    fn write_page_shared(&self, pid: PageId, page: &Arc<PageBuf>) {
-        self.overlay.lock().insert(pid.0, page.clone());
+    fn write_page(&self, pid: PageId, _buf: &[u8]) {
+        panic!("page {pid} written through a read-only file extent");
     }
 
     fn allocate(&self) -> PageId {
-        PageId(self.extent_pages + self.overflow.fetch_add(1, Ordering::SeqCst))
+        panic!("page allocated in a read-only file extent");
     }
 
     fn num_pages(&self) -> u32 {
-        self.extent_pages + self.overflow.load(Ordering::SeqCst)
+        self.extent_pages
     }
 
-    /// No-op: writes never reach the file (copy-on-write overlay).
     fn sync(&self) -> std::io::Result<()> {
         Ok(())
     }
-
-    /// Number of pages modified or allocated since open (0 for a
-    /// read-only workload — the file alone still backs every page).
-    fn overlay_pages(&self) -> usize {
-        self.overlay.lock().len()
-    }
-
-    /// A flat sibling: same sealed file extent, a snapshot of the
-    /// current overlay (cheap `Arc` clones per page), and an
-    /// independent overflow cursor. Forking a fork yields another
-    /// sibling of the *file*, so chains never deepen.
-    fn cow_fork(&self) -> Option<Arc<dyn StorageBackend>> {
-        let overlay = self.overlay.lock().clone();
-        Some(Arc::new(ExtentBackend {
-            file: self.file.clone(),
-            base: self.base,
-            extent_pages: self.extent_pages,
-            overflow: AtomicU32::new(self.overflow.load(Ordering::SeqCst)),
-            overlay: Mutex::new(overlay),
-        }))
-    }
 }
 
-/// A copy-on-write view over any sealed [`StorageBackend`].
-///
-/// This is how an engine fork snapshots a structure whose pool sits on
-/// a plain backend ([`MemBackend`] from a fresh build, typically): the
-/// base is frozen at fork time (`base_pages` captures its size), reads
-/// fall through overlay → base → zero fill, and every write or
-/// allocation lands in the overlay. Forking a `CowBackend` produces a
-/// *flat* sibling over the same base — overlay pages are shared by
-/// `Arc` and replaced (never mutated) on write — so generations of
-/// forks cost O(overlay) each, not O(chain depth) per read.
-pub struct CowBackend {
-    base: Arc<dyn StorageBackend>,
-    /// Base size at fork time; the base is sealed by contract (the
-    /// forking pool flushed and stopped writing), so this never drifts.
+/// The copy-on-write layer of a [`DiskManager`]: every page written or
+/// allocated since its backend was sealed. Pages are `Arc`'d so a fork
+/// and the buffer pool that wrote them share them: a write always
+/// *replaces* an entry, never mutates a shared page (the pool copies a
+/// shared image before writing it), so a fork's view is frozen at fork
+/// time.
+struct Overlay {
+    /// The backend's size when sealed; nothing writes the backend
+    /// again, so this never drifts.
     base_pages: u32,
-    overlay: Mutex<HashMap<u32, Arc<PageBuf>>>,
+    pages: Mutex<HashMap<u32, Arc<PageBuf>>>,
+    /// Pages allocated past `base_pages`.
     overflow: AtomicU32,
 }
 
-impl CowBackend {
-    /// A COW view over `base`, frozen at its current size.
-    pub fn over(base: Arc<dyn StorageBackend>) -> Self {
-        let base_pages = base.num_pages();
-        CowBackend {
-            base,
-            base_pages,
-            overlay: Mutex::new(HashMap::new()),
+impl Overlay {
+    fn over(backend: &dyn StorageBackend) -> Self {
+        Overlay {
+            base_pages: backend.num_pages(),
+            pages: Mutex::new(HashMap::new()),
             overflow: AtomicU32::new(0),
         }
     }
-}
 
-impl StorageBackend for CowBackend {
-    fn read_page(&self, pid: PageId, buf: &mut [u8]) {
-        if let Some(page) = self.overlay.lock().get(&pid.0) {
-            buf.copy_from_slice(page.bytes());
-            return;
-        }
-        if pid.0 < self.base_pages {
-            self.base.read_page(pid, buf);
-        } else {
-            buf.fill(0);
-        }
-    }
-
-    fn write_page(&self, pid: PageId, buf: &[u8]) {
-        self.overlay.lock().insert(pid.0, Arc::new(page_from(buf)));
-    }
-
-    fn write_page_shared(&self, pid: PageId, page: &Arc<PageBuf>) {
-        self.overlay.lock().insert(pid.0, page.clone());
-    }
-
-    fn allocate(&self) -> PageId {
-        PageId(self.base_pages + self.overflow.fetch_add(1, Ordering::SeqCst))
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.base_pages + self.overflow.load(Ordering::SeqCst)
-    }
-
-    /// No-op: writes never reach the base (copy-on-write overlay).
-    fn sync(&self) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    fn overlay_pages(&self) -> usize {
-        self.overlay.lock().len()
-    }
-
-    fn cow_fork(&self) -> Option<Arc<dyn StorageBackend>> {
-        let overlay = self.overlay.lock().clone();
-        Some(Arc::new(CowBackend {
-            base: self.base.clone(),
+    /// A flat sibling over the same base: a snapshot of the pages (one
+    /// `Arc` clone each) and an independent overflow cursor. Forking a
+    /// fork yields another sibling of the base, so chains never deepen.
+    fn fork(&self) -> Self {
+        Overlay {
             base_pages: self.base_pages,
+            pages: Mutex::new(self.pages.lock().clone()),
             overflow: AtomicU32::new(self.overflow.load(Ordering::SeqCst)),
-            overlay: Mutex::new(overlay),
-        }))
+        }
     }
 }
 
@@ -401,71 +286,101 @@ impl StorageBackend for CowBackend {
 /// a sealed base image across copy-on-write forks.
 pub struct DiskManager {
     backend: Arc<dyn StorageBackend>,
+    /// Present on a copy-on-write manager, which reads through it to
+    /// `backend` and writes and allocates only in it.
+    overlay: Option<Overlay>,
 }
 
 impl DiskManager {
     /// Creates a manager over an in-memory backend.
     pub fn in_memory() -> Self {
-        DiskManager { backend: Arc::new(MemBackend::new()) }
+        Self::with_backend(Box::new(MemBackend::new()))
     }
 
     /// Creates a manager over a fresh file backend.
     pub fn in_file<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        Ok(DiskManager { backend: Arc::new(FileBackend::create(path)?) })
+        Ok(Self::with_backend(Box::new(FileBackend::create(path)?)))
     }
 
-    /// Wraps a custom backend.
+    /// Wraps a custom backend, writing through to it.
     pub fn with_backend(backend: Box<dyn StorageBackend>) -> Self {
-        DiskManager { backend: Arc::from(backend) }
+        DiskManager { backend: Arc::from(backend), overlay: None }
+    }
+
+    /// A copy-on-write manager over `backend`, sealed at its current
+    /// size: reads fall through overlay → backend → zero fill, and
+    /// every write and allocation lands in the overlay, so `backend` is
+    /// never written (how a persisted index's [`ExtentBackend`]s are
+    /// served).
+    pub fn copy_on_write(backend: Box<dyn StorageBackend>) -> Self {
+        let backend: Arc<dyn StorageBackend> = Arc::from(backend);
+        DiskManager { overlay: Some(Overlay::over(&*backend)), backend }
     }
 
     /// Forks into an independent copy-on-write manager: the fork sees
     /// the current page image, and writes on the fork never reach this
-    /// manager's backend (nor vice versa). COW-aware backends
-    /// ([`ExtentBackend`], [`CowBackend`]) produce flat siblings over
-    /// their sealed base; plain backends are wrapped in a fresh
-    /// [`CowBackend`] over the shared `Arc`. **Contract:** the caller
+    /// manager's backend (nor vice versa). A copy-on-write manager forks
+    /// into a flat sibling over its sealed backend; a writing one seals
+    /// its backend under an empty overlay. **Contract:** the caller
     /// must have flushed this manager's dirty state down to the backend
     /// first and must not write through `self` afterwards (the buffer
     /// pool's `cow_fork` enforces both).
     pub fn fork_cow(&self) -> DiskManager {
-        let backend = self
-            .backend
-            .cow_fork()
-            .unwrap_or_else(|| Arc::new(CowBackend::over(self.backend.clone())));
-        DiskManager { backend }
+        let overlay = match &self.overlay {
+            Some(overlay) => overlay.fork(),
+            None => Overlay::over(&*self.backend),
+        };
+        DiskManager { backend: self.backend.clone(), overlay: Some(overlay) }
     }
 
-    /// Pages in the backend's copy-on-write overlay (0 for plain
-    /// backends).
+    /// Pages in the copy-on-write overlay (0 for a writing manager).
     pub fn overlay_pages(&self) -> usize {
-        self.backend.overlay_pages()
+        self.overlay.as_ref().map_or(0, |o| o.pages.lock().len())
     }
 
     /// Reads page `pid` into `buf`.
     pub fn read_page(&self, pid: PageId, buf: &mut [u8]) {
-        self.backend.read_page(pid, buf);
+        let Some(overlay) = &self.overlay else {
+            return self.backend.read_page(pid, buf);
+        };
+        if let Some(page) = overlay.pages.lock().get(&pid.0) {
+            buf.copy_from_slice(page.bytes());
+            return;
+        }
+        // The overlay's lock is released: backend reads run in parallel.
+        if pid.0 < overlay.base_pages {
+            self.backend.read_page(pid, buf);
+        } else {
+            // Allocated in the overlay but never written: zero fill.
+            buf.fill(0);
+        }
     }
 
-    /// Writes `buf` to page `pid`.
-    pub fn write_page(&self, pid: PageId, buf: &[u8]) {
-        self.backend.write_page(pid, buf);
-    }
-
-    /// Writes a shareable page image to page `pid` (see
-    /// [`StorageBackend::write_page_shared`]).
-    pub fn write_page_shared(&self, pid: PageId, page: &Arc<PageBuf>) {
-        self.backend.write_page_shared(pid, page);
+    /// Writes the page image `page` to page `pid`. An overlay keeps the
+    /// image itself, shared with the caller; a backend copies its bytes.
+    pub fn write_page(&self, pid: PageId, page: &Arc<PageBuf>) {
+        match &self.overlay {
+            Some(overlay) => {
+                overlay.pages.lock().insert(pid.0, page.clone());
+            }
+            None => self.backend.write_page(pid, page.bytes()),
+        }
     }
 
     /// Allocates a fresh page.
     pub fn allocate(&self) -> PageId {
-        self.backend.allocate()
+        match &self.overlay {
+            Some(o) => PageId(o.base_pages + o.overflow.fetch_add(1, Ordering::SeqCst)),
+            None => self.backend.allocate(),
+        }
     }
 
     /// Number of allocated pages.
     pub fn num_pages(&self) -> u32 {
-        self.backend.num_pages()
+        match &self.overlay {
+            Some(o) => o.base_pages + o.overflow.load(Ordering::SeqCst),
+            None => self.backend.num_pages(),
+        }
     }
 
     /// Total allocated bytes.
@@ -474,9 +389,13 @@ impl DiskManager {
     }
 
     /// Flushes the backend to durable storage (see
-    /// [`StorageBackend::sync`]).
+    /// [`StorageBackend::sync`]); a no-op under an overlay, whose
+    /// writes never reach the backend.
     pub fn sync(&self) -> std::io::Result<()> {
-        self.backend.sync()
+        match &self.overlay {
+            Some(_) => Ok(()),
+            None => self.backend.sync(),
+        }
     }
 }
 
@@ -604,41 +523,124 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn extent_backend_views_slice_and_copy_on_writes() {
-        let dir = std::env::temp_dir().join(format!("xtwig-disk5-{}", std::process::id()));
+    fn page(byte: u8) -> Arc<PageBuf> {
+        let mut page = PageBuf::zeroed();
+        page.bytes_mut().fill(byte);
+        Arc::new(page)
+    }
+
+    fn first_byte(dm: &DiskManager, pid: u32) -> u8 {
+        let mut buf = vec![0xFFu8; PAGE_SIZE];
+        dm.read_page(PageId(pid), &mut buf);
+        assert!(buf.iter().all(|&b| b == buf[0]), "page {pid} is one byte repeated");
+        buf[0]
+    }
+
+    /// A manager with an overlay over three sealed pages reading 1, 2
+    /// and 3, and a view of that base for checking that it is never
+    /// written.
+    struct Overlaid {
+        dm: DiskManager,
+        base_byte: Box<dyn Fn(u32) -> u8>,
+        base_pages: Box<dyn Fn() -> u32>,
+    }
+
+    /// The two ways a manager gets its overlay: a reopened file's extent
+    /// (file pages 1..4 of 0..5) and a fork of a writing in-memory
+    /// manager, which copies what it is handed.
+    fn overlaid(tag: &str) -> [Overlaid; 2] {
+        let dir = std::env::temp_dir().join(format!("xtwig-overlay-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("extent.db");
+        let path = dir.join(format!("{tag}.db"));
         {
             let b = FileBackend::create(&path).unwrap();
-            for i in 0..4u8 {
+            for i in 0..5u8 {
                 let p = b.allocate();
                 b.write_page(p, &vec![i; PAGE_SIZE]);
             }
         }
         let file = Arc::new(FileBackend::open(&path).unwrap());
-        let ext = ExtentBackend::new(file.clone(), 1, 2); // file pages 1..3
-        assert_eq!(ext.num_pages(), 2);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        ext.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 1), "extent page 0 = file page 1");
-        ext.read_page(PageId(1), &mut buf);
-        assert!(buf.iter().all(|&b| b == 2));
-        // Writes land in the overlay, never in the file.
-        ext.write_page(PageId(0), &vec![9u8; PAGE_SIZE]);
-        ext.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 9));
-        assert_eq!(ext.overlay_pages(), 1);
-        let mut raw = vec![0u8; PAGE_SIZE];
-        file.read_page(PageId(1), &mut raw);
-        assert!(raw.iter().all(|&b| b == 1), "file untouched by extent writes");
-        // Allocation extends past the extent, zero-filled until written.
-        let p = ext.allocate();
-        assert_eq!(p, PageId(2));
-        assert_eq!(ext.num_pages(), 3);
-        ext.read_page(p, &mut buf);
-        assert!(buf.iter().all(|&b| b == 0));
         std::fs::remove_file(&path).ok();
+        let extent = DiskManager::copy_on_write(Box::new(ExtentBackend::new(file.clone(), 1, 3)));
+        let mem = Arc::new(DiskManager::in_memory());
+        for i in 1..=3u8 {
+            let p = mem.allocate();
+            let image = page(i);
+            mem.write_page(p, &image);
+            assert_eq!(Arc::strong_count(&image), 1, "a backend copies the bytes");
+        }
+        assert_eq!(mem.overlay_pages(), 0, "a writing manager has no overlay");
+        let forked = mem.fork_cow();
+        let mem2 = mem.clone();
+        [
+            Overlaid {
+                dm: extent,
+                base_byte: Box::new(move |pid| {
+                    let mut buf = vec![0u8; PAGE_SIZE];
+                    file.read_page(PageId(1 + pid), &mut buf);
+                    buf[0]
+                }),
+                base_pages: Box::new(|| 3),
+            },
+            Overlaid {
+                dm: forked,
+                base_byte: Box::new(move |pid| first_byte(&mem, pid)),
+                base_pages: Box::new(move || mem2.num_pages()),
+            },
+        ]
+    }
+
+    #[test]
+    fn an_overlay_isolates_writes_from_its_sealed_base() {
+        for Overlaid { dm, base_byte, base_pages } in overlaid("isolates") {
+            assert_eq!(dm.num_pages(), 3);
+            assert_eq!(dm.overlay_pages(), 0);
+            // Extent page 0 is file page 1.
+            assert_eq!((0..3).map(|p| first_byte(&dm, p)).collect::<Vec<_>>(), [1, 2, 3]);
+            // Writes land in the overlay, which holds the image itself.
+            let image = page(9);
+            dm.write_page(PageId(0), &image);
+            assert_eq!(Arc::strong_count(&image), 2, "an overlay shares the image");
+            assert_eq!(dm.overlay_pages(), 1);
+            assert_eq!(first_byte(&dm, 0), 9);
+            assert_eq!(base_byte(0), 1, "the base is untouched by overlay writes");
+            // Allocation extends past the sealed base, zero-filled until
+            // written; the base never grows.
+            assert_eq!(dm.allocate(), PageId(3));
+            assert_eq!(dm.num_pages(), 4);
+            assert_eq!(first_byte(&dm, 3), 0);
+            assert_eq!(base_pages(), 3);
+            dm.sync().unwrap();
+        }
+    }
+
+    #[test]
+    fn overlay_forks_stay_flat_and_independent() {
+        for Overlaid { dm, base_byte, .. } in overlaid("forks") {
+            dm.write_page(PageId(1), &page(7));
+            let fork = dm.fork_cow();
+            assert_eq!(first_byte(&fork, 1), 7, "a fork sees pre-fork overlay writes");
+            assert_eq!((first_byte(&dm, 2), first_byte(&fork, 2)), (3, 3), "from the shared base");
+            // Diverge both sides: neither write is visible to the other.
+            dm.write_page(PageId(1), &page(8));
+            assert_eq!(first_byte(&fork, 1), 7, "a fork is frozen at fork time");
+            fork.write_page(PageId(1), &page(4));
+            assert_eq!(first_byte(&dm, 1), 8);
+            assert_eq!(first_byte(&fork, 1), 4);
+            assert_eq!((dm.allocate(), fork.allocate()), (PageId(3), PageId(3)));
+            // A long fork chain stays flat: every generation reads its
+            // own snapshot, and none moves an earlier one.
+            let mut current = fork.fork_cow();
+            for v in 10u8..20 {
+                let next = current.fork_cow();
+                next.write_page(PageId(1), &page(v));
+                assert_eq!(first_byte(&next, 1), v);
+                assert_eq!(first_byte(&current, 1), if v == 10 { 4 } else { v - 1 });
+                current = next;
+            }
+            assert_eq!((first_byte(&dm, 1), first_byte(&fork, 1)), (8, 4));
+            assert_eq!(base_byte(1), 2);
+        }
     }
 
     #[test]
@@ -654,132 +656,6 @@ mod tests {
         }
         let file = Arc::new(FileBackend::open(&path).unwrap());
         let _ = ExtentBackend::new(file, 0, 2);
-    }
-
-    #[test]
-    fn cow_backend_isolates_writes_from_its_base() {
-        let base: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-        base.allocate();
-        base.write_page(PageId(0), &vec![5u8; PAGE_SIZE]);
-        let cow = CowBackend::over(base.clone());
-        assert_eq!(cow.num_pages(), 1);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        cow.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 5), "fork sees the base image");
-        // Writes land in the overlay only.
-        cow.write_page(PageId(0), &vec![9u8; PAGE_SIZE]);
-        assert_eq!(cow.overlay_pages(), 1);
-        cow.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 9));
-        base.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 5), "base untouched by COW writes");
-        // Allocation extends past the frozen base, zero-filled.
-        let p = cow.allocate();
-        assert_eq!(p, PageId(1));
-        cow.read_page(p, &mut buf);
-        assert!(buf.iter().all(|&b| b == 0));
-        assert_eq!(base.num_pages(), 1, "base never grows through the fork");
-    }
-
-    #[test]
-    fn write_page_shared_shares_with_overlays_and_copies_into_plain_backends() {
-        let page = Arc::new(page_from(&vec![4u8; PAGE_SIZE]));
-        let mem = MemBackend::new();
-        mem.allocate();
-        mem.write_page_shared(PageId(0), &page);
-        assert_eq!(Arc::strong_count(&page), 1, "a plain backend copies the bytes");
-        let cow = CowBackend::over(Arc::new(mem));
-        cow.write_page_shared(PageId(0), &page);
-        assert_eq!(Arc::strong_count(&page), 2, "an overlay holds the image itself");
-        assert_eq!(cow.overlay_pages(), 1);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        cow.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 4));
-    }
-
-    #[test]
-    fn cow_fork_chains_stay_flat_and_independent() {
-        let base: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-        base.allocate();
-        base.write_page(PageId(0), &vec![1u8; PAGE_SIZE]);
-        let gen1 = CowBackend::over(base);
-        gen1.write_page(PageId(0), &vec![2u8; PAGE_SIZE]);
-        // Fork gen1 → gen2 sees gen1's overlay snapshot.
-        let gen2 = gen1.cow_fork().expect("CowBackend forks");
-        let mut buf = vec![0u8; PAGE_SIZE];
-        gen2.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 2));
-        // Diverge both sides: neither write is visible to the other.
-        gen2.write_page(PageId(0), &vec![3u8; PAGE_SIZE]);
-        gen1.write_page(PageId(0), &vec![4u8; PAGE_SIZE]);
-        gen1.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 4));
-        gen2.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 3));
-        // A long fork chain stays O(overlay): every generation reads
-        // its own snapshot correctly.
-        let mut current = gen2;
-        for v in 10u8..20 {
-            let next = current.cow_fork().expect("flat fork");
-            next.write_page(PageId(0), &vec![v; PAGE_SIZE]);
-            next.read_page(PageId(0), &mut buf);
-            assert!(buf.iter().all(|&b| b == v));
-            current = next;
-        }
-        // gen2's view (held via `current`'s ancestor) never moved.
-        gen1.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 4));
-    }
-
-    #[test]
-    fn extent_backend_cow_fork_snapshots_the_overlay() {
-        let dir = std::env::temp_dir().join(format!("xtwig-disk7-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("extent-fork.db");
-        {
-            let b = FileBackend::create(&path).unwrap();
-            for i in 0..3u8 {
-                let p = b.allocate();
-                b.write_page(p, &vec![i; PAGE_SIZE]);
-            }
-        }
-        let file = Arc::new(FileBackend::open(&path).unwrap());
-        let ext = ExtentBackend::new(file, 0, 3);
-        ext.write_page(PageId(1), &vec![7u8; PAGE_SIZE]);
-        let fork = ext.cow_fork().expect("ExtentBackend forks");
-        let mut buf = vec![0u8; PAGE_SIZE];
-        fork.read_page(PageId(1), &mut buf);
-        assert!(buf.iter().all(|&b| b == 7), "fork sees pre-fork overlay writes");
-        // Post-fork writes diverge.
-        ext.write_page(PageId(1), &vec![8u8; PAGE_SIZE]);
-        fork.read_page(PageId(1), &mut buf);
-        assert!(buf.iter().all(|&b| b == 7), "fork frozen at fork time");
-        ext.read_page(PageId(1), &mut buf);
-        assert!(buf.iter().all(|&b| b == 8));
-        // Unwritten pages still come from the shared file on both sides.
-        fork.read_page(PageId(2), &mut buf);
-        assert!(buf.iter().all(|&b| b == 2));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disk_manager_fork_cow_wraps_plain_backends() {
-        let dm = DiskManager::in_memory();
-        dm.allocate();
-        dm.write_page(PageId(0), &vec![6u8; PAGE_SIZE]);
-        assert_eq!(dm.overlay_pages(), 0, "plain backend has no overlay");
-        let fork = dm.fork_cow();
-        let mut buf = vec![0u8; PAGE_SIZE];
-        fork.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 6));
-        fork.write_page(PageId(0), &vec![1u8; PAGE_SIZE]);
-        assert_eq!(fork.overlay_pages(), 1);
-        dm.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 6), "original unaffected");
-        // Forking the fork uses the COW backend's flat fork.
-        let fork2 = fork.fork_cow();
-        fork2.read_page(PageId(0), &mut buf);
-        assert!(buf.iter().all(|&b| b == 1));
     }
 
     #[test]

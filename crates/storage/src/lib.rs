@@ -22,6 +22,6 @@ pub mod page;
 pub mod stats;
 
 pub use buffer::{BufferPool, PageReadGuard, PageWriteGuard};
-pub use disk::{CowBackend, DiskManager, ExtentBackend, FileBackend, MemBackend, StorageBackend};
+pub use disk::{DiskManager, ExtentBackend, FileBackend, MemBackend, StorageBackend};
 pub use page::{PageBuf, PageId, PAGE_SIZE};
 pub use stats::{IoStats, IoStatsSnapshot, PoolCounters};

@@ -37,11 +37,12 @@
 //! each pipeline stage's wall time and I/O counters next to the
 //! estimate (EXPLAIN ANALYZE).
 //!
-//! `xtwig advise` closes the feedback loop: it replays the given
-//! queries traced under every built strategy and summarizes the
-//! engine's calibration log — per-strategy estimate accuracy, the worst
-//! misestimates, and which cost-model constant each would rescale. The
-//! report is advisory only; nothing is auto-tuned.
+//! `xtwig advise` closes the feedback loop: it runs the given queries
+//! under every built strategy and compares each execution's physical
+//! reads with the optimizer's estimate — per-strategy estimate
+//! accuracy, the worst misestimates labelled by their XPath, and which
+//! cost-model constant each would rescale. The report is advisory only;
+//! nothing is auto-tuned.
 //!
 //! `--shards N` builds the indexes with the shard-parallel builder
 //! (`QueryEngine::build_parallel`); the resulting indexes are
@@ -60,7 +61,7 @@ use std::process::ExitCode;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::core::family::PathIndex;
 use xtwig::core::paths::PathStats;
-use xtwig::core::Explanation;
+use xtwig::core::{AdviseReport, CalibrationSample, Explanation};
 use xtwig::xml::{parse_document, NodeId, XmlForest};
 
 fn usage() -> ExitCode {
@@ -186,9 +187,7 @@ fn analyze_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> E
     print_explanation(&ex);
     for choice in &ex.choices {
         let (a, trace) = engine.answer_traced(&twig, choice.strategy);
-        // +1 on both sides keeps zero-read queries finite (matches the
-        // calibration log's ratio definition).
-        let ratio = (a.metrics.physical_reads as f64 + 1.0) / (choice.est_page_reads + 1.0);
+        let ratio = CalibrationSample::new(xpath, choice, a.metrics.physical_reads).ratio();
         println!(
             "\n=== {} | {} result(s) | est {:.1} pages, actual {} physical reads (ratio {:.2}x) ===",
             choice.strategy.label(),
@@ -202,11 +201,12 @@ fn analyze_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> E
     ExitCode::SUCCESS
 }
 
-/// `xtwig advise`: replay the given queries traced under every built
-/// strategy, then summarize the calibration log the traced runs fed —
-/// the optimizer-feedback loop, surfaced as an advisory report.
+/// `xtwig advise`: run the given queries under every built strategy,
+/// pair each answer's physical reads with the optimizer's estimate for
+/// that strategy (as `explain --analyze` prints them), and summarize the
+/// pairs — the optimizer-feedback loop, surfaced as an advisory report.
 fn run_advise<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpaths: &[String]) -> ExitCode {
-    let mut traced = 0usize;
+    let mut samples = Vec::new();
     for xpath in xpaths {
         let twig = match xtwig::parse_xpath(xpath) {
             Ok(t) => t,
@@ -215,20 +215,18 @@ fn run_advise<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpaths: &[String]) 
                 return ExitCode::FAILURE;
             }
         };
-        if engine.explain(&twig).is_err() {
-            // Unknown tag: nothing executes, so no sample to record.
+        let Ok(ex) = engine.explain(&twig) else {
+            // Unknown tag: nothing executes, so nothing to compare.
             println!("skipping {xpath}: empty result under every strategy");
             continue;
-        }
-        for s in Strategy::ALL {
-            if engine.has_strategy(s) {
-                let _ = engine.answer_traced(&twig, s);
-                traced += 1;
-            }
+        };
+        for choice in &ex.choices {
+            let reads = engine.answer(&twig, choice.strategy).metrics.physical_reads;
+            samples.push(CalibrationSample::new(xpath, choice, reads));
         }
     }
-    println!("traced {traced} execution(s) over {} quer(y/ies)\n", xpaths.len());
-    println!("{}", engine.calibration_log().advise(10));
+    println!("ran {} execution(s) over {} quer(y/ies)\n", samples.len(), xpaths.len());
+    println!("{}", AdviseReport::from_samples(&samples, 10));
     ExitCode::SUCCESS
 }
 

@@ -253,7 +253,8 @@ fn every_failure_path_is_a_typed_error() {
     }
     // Ops naming no root path of a document the parser accepts — no
     // step, a path deeper than the parser allows, ids that descend —
-    // are refused before they reach an index.
+    // or ids spaced so far apart that their IdList outgrows an index
+    // value are refused before they reach an index.
     let path = |steps: usize, ids: Vec<u64>| WireOp {
         insert: true,
         tags: vec!["book".into(); steps],
@@ -264,6 +265,7 @@ fn every_failure_path_is_a_typed_error() {
         path(0, Vec::new()),
         path(5_000, (1..=5_000).collect()),
         path(205, (1..=205).rev().collect()),
+        path(205, (1..=205).map(|i| i << 56).collect()),
     ] {
         match client.update("fig1", vec![op]) {
             Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Malformed),

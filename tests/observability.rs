@@ -3,8 +3,8 @@
 //! path, on every strategy and corpus), span shapes must be stable for
 //! a fixed query, the service's Prometheus-style metrics text must
 //! expose monotonic counters and well-formed histograms, the slow-query
-//! log must evict at capacity, and traced runs must feed the
-//! calibration log with value-elided shapes. A sampled or slow-logged
+//! log must evict at capacity, and `xtwig advise`'s report must cover
+//! every strategy and name each misestimate's XPath. A sampled or slow-logged
 //! request executes once, and its record describes that execution.
 //! Prometheus exposition
 //! conformance rides here too: every family declares `# HELP`/`# TYPE`
@@ -13,6 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
+use xtwig::core::{AdviseReport, CalibrationSample};
 use xtwig::parse_xpath;
 use xtwig::service::metrics::SLOW_QUERY_CAPACITY;
 use xtwig::service::{RequestCtx, ServiceOptions, ServiceSnapshot, TwigService, UpdateOp};
@@ -571,29 +572,37 @@ fn counters_stay_monotonic_under_concurrent_scrapers() {
     });
 }
 
-/// Traced executions feed the engine's calibration log with
-/// literal-elided shapes; untraced executions do not.
+/// `xtwig advise`'s report over samples built as it builds them: each
+/// pairs `explain`'s estimate for a built strategy with the physical
+/// reads of an answer under that strategy. Every strategy gets one
+/// sample per query, and the worst misestimates name their XPath.
 #[test]
-fn traced_runs_feed_the_calibration_log() {
+fn advise_reports_estimates_against_answered_reads() {
     let forest = fig1_book_document();
     let e = engine(&forest);
-    let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
-
-    e.answer(&twig, Strategy::RootPaths);
-    assert!(e.calibration_log().is_empty(), "untraced run must not record samples");
-
-    e.answer_traced(&twig, Strategy::RootPaths);
-    e.answer_traced(&twig, Strategy::DataPaths);
-    let samples = e.calibration_log().samples();
-    assert_eq!(samples.len(), 2);
-    for s in &samples {
-        // Literals elided, output node starred — two ways the shape key
-        // proves it aggregates across constants.
-        assert!(s.shape.contains("=?"), "literal not elided: {}", s.shape);
-        assert!(s.shape.contains('*'), "output not starred: {}", s.shape);
-        assert!(s.shape.contains("author"), "wrong shape: {}", s.shape);
+    let xpaths = ["/book[title='XML']//author[fn='jane'][ln='doe']", "//author/fn"];
+    let mut samples = Vec::new();
+    for xpath in xpaths {
+        let twig = parse_xpath(xpath).unwrap();
+        let ex = e.explain(&twig).unwrap();
+        assert_eq!(ex.choices.len(), Strategy::ALL.len(), "every built strategy is ranked");
+        for choice in &ex.choices {
+            let a = e.answer(&twig, choice.strategy);
+            samples.push(CalibrationSample::new(xpath, choice, a.metrics.physical_reads));
+        }
     }
-    let report = e.calibration_log().advise(5).to_string();
-    assert!(report.contains("RP"), "advise must cover the traced strategies: {report}");
-    assert!(report.contains("advisory"), "advise must declare itself advisory: {report}");
+    let report = AdviseReport::from_samples(&samples, 3);
+    assert_eq!(report.per_strategy.len(), Strategy::ALL.len());
+    assert!(report.per_strategy.iter().all(|a| a.samples == xpaths.len()));
+    assert_eq!(report.worst.len(), 3);
+    let text = report.to_string();
+    assert!(text.contains("per-strategy estimate accuracy"), "{text}");
+    assert!(text.lines().any(|l| l.starts_with("RP ")), "no RP row: {text}");
+    assert!(text.contains("advisory"), "advise must declare itself advisory: {text}");
+    for worst in &report.worst {
+        assert!(xpaths.contains(&worst.xpath.as_str()));
+        let line =
+            format!("est={:.1} actual={}  {}", worst.est_reads, worst.actual_reads, worst.xpath);
+        assert!(text.contains(&line), "misestimate not labelled by its XPath: {text}");
+    }
 }
