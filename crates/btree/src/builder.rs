@@ -5,11 +5,13 @@
 //! fill factor — the standard `CREATE INDEX` path. Interior levels are
 //! assembled from (optionally prefix-truncated) separators.
 //!
-//! The loader works by the page, not by the entry: it holds one write
-//! guard per node while it fills it, links each leaf to its right
-//! sibling when that sibling is allocated, and compares each key with
-//! the previous one in place. Keys and values are borrowed, so a build
-//! fed from a [`crate::RunArena`] copies each entry once, into its leaf.
+//! The loader works by the page, not by the entry. It gathers one
+//! leaf's entries while their size under the leaf's page prefix — the
+//! common prefix of its first and latest key — stays within the fill
+//! target, writes the leaf when the next entry would pass it, and links
+//! each leaf to its right sibling when that sibling is written. Keys
+//! and values are borrowed, so a build fed from a [`crate::RunArena`]
+//! copies each entry once, into its leaf.
 
 use crate::node;
 use crate::tree::{BTree, BTreeOptions};
@@ -52,47 +54,65 @@ where
 
     // ---- Leaf level ---------------------------------------------------
     let mut level = Level::default();
-    // The leaf being filled: its guard, bytes used and next slot.
-    let mut leaf: Option<(PageWriteGuard<'_>, usize, usize)> = None;
-    let mut prev_key: Option<K> = None;
+    // The last leaf written, held until its right sibling is.
+    let mut written: Option<PageWriteGuard<'_>> = None;
+    let mut write_leaf = |cells: &[(K, V)], prefix_len: usize, level: &mut Level| {
+        let (pid, mut guard) = pool.allocate();
+        pages += 1;
+        node::write_leaf(&mut guard, prefix_len, cells);
+        level.nodes.push((pid, level.seps.len()));
+        if let Some(mut left) = written.replace(guard) {
+            node::set_right_sibling(&mut left, pid.0);
+        }
+    };
+    // The leaf being gathered: its entries, the sum of their whole cell
+    // sizes (slot included), and its page prefix length.
+    let mut cells: Vec<(K, V)> = Vec::new();
+    let (mut whole, mut prefix_len) = (0usize, 0usize);
 
     for (key, value) in entries {
         let (k, v) = (key.as_ref(), value.as_ref());
         assert!(k.len() <= node::MAX_KEY, "key too long: {}", k.len());
         assert!(v.len() <= node::MAX_VAL, "value too long: {}", v.len());
-        if let Some(p) = &prev_key {
-            assert!(p.as_ref() < k, "bulk_build requires strictly increasing keys");
-        }
         let cell = 6 + k.len() + v.len();
-        if leaf.as_ref().is_none_or(|(_, used, _)| used + cell > fill_limit) {
-            let (pid, mut guard) = pool.allocate();
-            pages += 1;
-            node::init_leaf(&mut guard);
-            if let Some(p) = &prev_key {
+        if let Some((last, _)) = cells.last() {
+            let last = last.as_ref();
+            assert!(last < k, "bulk_build requires strictly increasing keys");
+            let shared = if options.prefix_truncation {
+                prefix_len.min(node::common_prefix_len(cells[0].0.as_ref(), k))
+            } else {
+                0
+            };
+            // `leaf_bytes` of the leaf with this entry added.
+            if whole + cell - cells.len() * shared <= fill_limit {
+                prefix_len = shared;
+            } else {
                 let len = if options.prefix_truncation {
-                    node::shortest_separator_len(p.as_ref(), k)
+                    node::shortest_separator_len(last, k)
                 } else {
                     k.len()
                 };
+                write_leaf(&cells, prefix_len, &mut level);
                 level.seps.extend_from_slice(&k[..len]);
-            }
-            level.nodes.push((pid, level.seps.len()));
-            if let Some((mut full, _, _)) = leaf.replace((guard, 0, 0)) {
-                node::set_right_sibling(&mut full, pid.0);
+                cells.clear();
+                whole = 0;
             }
         }
-        let (guard, used, slot) = leaf.as_mut().expect("a leaf is open");
-        assert!(node::leaf_insert_at(guard, *slot, k, v), "leaf cell must fit");
-        *used += cell;
-        *slot += 1;
+        if cells.is_empty() {
+            prefix_len = if options.prefix_truncation { k.len() } else { 0 };
+        }
+        whole += cell;
+        cells.push((key, value));
         n_entries += 1;
-        prev_key = Some(key);
     }
-    drop(leaf);
+    if !cells.is_empty() {
+        write_leaf(&cells, prefix_len, &mut level);
+    }
+    drop(written);
 
     if level.nodes.is_empty() {
         let (pid, mut guard) = pool.allocate();
-        node::init_leaf(&mut guard);
+        node::init_leaf(&mut guard, &[]);
         drop(guard);
         return BTree::from_parts(pool, options, pid, 1, 0, 1);
     }

@@ -5,15 +5,16 @@
 //! point lookup costs `height` page fetches, a scan `height` plus one per
 //! further leaf it visits. Scans come in two shapes over one leaf walk
 //! (`admitted_cells`): [`BTree::visit_prefix`] lends each `(key, value)`
-//! cell to a [`Visit`]or straight from the pinned leaf page — the form
-//! the index probes of `xtwig-core` consume, no allocation per entry; the
+//! cell to a [`Visit`]or from the pinned leaf page, the key rebuilt in a
+//! stack buffer from the leaf's page prefix — the form the index probes
+//! of `xtwig-core` consume, no allocation per entry; the
 //! visitor answers [`Walk::Stop`] to end the walk and [`Walk::Seek`] to
 //! jump forward past cells it has no use for, and a closure is a visitor
 //! that never seeks ([`BTree::for_each_prefix`]) — and [`RangeScan`] is
 //! the owned-iterator adapter for callers that want `(Vec<u8>, Vec<u8>)`
 //! pairs (builders, tests, the harness).
 
-use crate::node::{self, NO_PAGE};
+use crate::node::{self, LeafKey, NO_PAGE};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -23,8 +24,10 @@ use xtwig_storage::{BufferPool, PageId, PageReadGuard, PAGE_SIZE};
 #[derive(Debug, Clone, Copy)]
 pub struct BTreeOptions {
     /// Store shortest distinguishing separators in interior nodes instead
-    /// of full keys (the DB2-style prefix compression the paper leans on
-    /// in §3.1). Disable for the ablation benchmark.
+    /// of full keys, and each leaf's common key prefix once per leaf
+    /// instead of in every cell (the DB2-style prefix compression the
+    /// paper leans on in §3.1). Disable for the ablation benchmark: every
+    /// separator is then a whole key and every leaf prefix empty.
     pub prefix_truncation: bool,
     /// Target fill fraction of leaf/internal pages during bulk build.
     pub fill_factor: f64,
@@ -73,7 +76,7 @@ impl BTree {
     /// Creates an empty tree with explicit options.
     pub fn with_options(pool: Arc<BufferPool>, options: BTreeOptions) -> Self {
         let (root, mut guard) = pool.allocate();
-        node::init_leaf(&mut guard);
+        node::init_leaf(&mut guard, &[]);
         drop(guard);
         BTree { pool, options, root, height: 1, entries: 0, pages: 1 }
     }
@@ -227,12 +230,13 @@ impl BTree {
                 }
                 Err(i) => i,
             };
-            if node::leaf_insert_at(&mut page, idx, key, value) {
+            if key.starts_with(node::leaf_prefix(&page))
+                && node::leaf_insert_at(&mut page, idx, key, value)
+            {
                 return (old, None);
             }
-            // Split required.
-            let split = self.split_leaf(&mut page, idx, key, value);
-            (old, Some(split))
+            // The key breaks the page prefix, or the leaf is full.
+            (old, self.lay_out_leaf(&mut page, idx, key, value))
         } else {
             let (child_idx, child) = {
                 let page = self.pool.fetch(pid);
@@ -253,50 +257,88 @@ impl BTree {
         }
     }
 
-    /// Splits a full leaf; `(idx, key, value)` is the pending insert.
-    fn split_leaf(
+    /// Lays leaf `page` out again with `(key, value)` inserted at slot
+    /// `idx`: in place under the page prefix of its new lowest and
+    /// highest key when that fits, else split in two, each half under
+    /// its own page prefix. Returns the separator and right page of a
+    /// split.
+    fn lay_out_leaf(
         &mut self,
         page: &mut [u8],
         idx: usize,
         key: &[u8],
         value: &[u8],
-    ) -> (Vec<u8>, PageId) {
+    ) -> Option<(Vec<u8>, PageId)> {
         let n = node::nslots(page);
-        let mut cells: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
-            .map(|i| (node::leaf_key(page, i).to_vec(), node::leaf_value(page, i).to_vec()))
-            .collect();
+        let mut cells: Vec<(Vec<u8>, Vec<u8>)> =
+            (0..n).map(|i| (node::leaf_key(page, i), node::leaf_value(page, i).to_vec())).collect();
         cells.insert(idx, (key.to_vec(), value.to_vec()));
-        // Split point by accumulated bytes.
-        let total: usize = cells.iter().map(|(k, v)| 6 + k.len() + v.len()).sum();
-        let mut acc = 0usize;
-        let mut mid = cells.len() / 2;
-        for (i, (k, v)) in cells.iter().enumerate() {
-            acc += 6 + k.len() + v.len();
-            if acc * 2 >= total {
-                mid = (i + 1).min(cells.len() - 1).max(1);
-                break;
-            }
-        }
-        let right_pid = self.alloc_page();
         let old_sibling = node::right_sibling(page);
-        let mut right = self.pool.fetch_mut(right_pid);
-        node::init_leaf(&mut right);
-        node::set_right_sibling(&mut right, old_sibling);
-        for (i, (k, v)) in cells[mid..].iter().enumerate() {
-            assert!(node::leaf_insert_at(&mut right, i, k, v), "right split half must fit");
+        let prefix_len = self.page_prefix_len(&cells);
+        let sizes = cells.iter().map(|(k, v)| (k.len(), v.len()));
+        if node::leaf_bytes(prefix_len, sizes) <= node::LEAF_ROOM {
+            node::write_leaf(page, prefix_len, &cells);
+            node::set_right_sibling(page, old_sibling);
+            return None;
         }
-        drop(right);
-        node::init_leaf(page);
+        let mid = self.split_point(&cells);
+        let (left, right) = cells.split_at(mid);
+        let right_pid = self.alloc_page();
+        let mut right_page = self.pool.fetch_mut(right_pid);
+        node::write_leaf(&mut right_page, self.page_prefix_len(right), right);
+        node::set_right_sibling(&mut right_page, old_sibling);
+        drop(right_page);
+        node::write_leaf(page, self.page_prefix_len(left), left);
         node::set_right_sibling(page, right_pid.0);
-        for (i, (k, v)) in cells[..mid].iter().enumerate() {
-            assert!(node::leaf_insert_at(page, i, k, v), "left split half must fit");
-        }
+        let (last, first) = (&left[mid - 1].0, &right[0].0);
         let sep = if self.options.prefix_truncation {
-            node::shortest_separator(&cells[mid - 1].0, &cells[mid].0)
+            node::shortest_separator(last, first)
         } else {
-            cells[mid].0.clone()
+            first.clone()
         };
-        (sep, right_pid)
+        Some((sep, right_pid))
+    }
+
+    /// The page prefix length of a leaf laid out with sorted `cells`:
+    /// that of its lowest and highest key, or none without prefix
+    /// truncation.
+    fn page_prefix_len(&self, cells: &[(Vec<u8>, Vec<u8>)]) -> usize {
+        match (self.options.prefix_truncation, cells.first(), cells.last()) {
+            (true, Some((lo, _)), Some((hi, _))) => node::common_prefix_len(lo, hi),
+            _ => 0,
+        }
+    }
+
+    /// Where to split sorted `cells` (two or more) that overflow a leaf:
+    /// the slot `mid` whose larger half, `cells[..mid]` or `cells[mid..]`
+    /// each under its own page prefix, takes the fewest bytes. Sorted
+    /// order makes a range's prefix the least common prefix of
+    /// neighbours in it, so one pass from each end prices every split.
+    fn split_point(&self, cells: &[(Vec<u8>, Vec<u8>)]) -> usize {
+        let n = cells.len();
+        let whole = |i: usize| 6 + cells[i].0.len() + cells[i].1.len();
+        let shared = |i: usize, j: usize| {
+            if self.options.prefix_truncation {
+                node::common_prefix_len(&cells[i].0, &cells[j].0)
+            } else {
+                0
+            }
+        };
+        // left[mid] and right[mid]: the bytes of cells[..mid] and cells[mid..].
+        let (mut left, mut right) = (vec![0usize; n], vec![0usize; n]);
+        let (mut sum, mut prefix) = (0usize, usize::MAX);
+        for i in 0..n - 1 {
+            prefix = prefix.min(shared(i.saturating_sub(1), i));
+            sum += whole(i);
+            left[i + 1] = sum - i * prefix;
+        }
+        (sum, prefix) = (0, usize::MAX);
+        for i in (1..n).rev() {
+            prefix = prefix.min(shared(i, (i + 1).min(n - 1)));
+            sum += whole(i);
+            right[i] = sum - (n - 1 - i) * prefix;
+        }
+        (1..n).min_by_key(|&mid| left[mid].max(right[mid])).expect("two or more cells")
     }
 
     /// Splits a full internal node; `(idx, key, child)` is the pending
@@ -364,10 +406,11 @@ impl BTree {
     }
 
     /// The prefix walk: lends every entry whose key starts with `prefix`
-    /// to `visitor`, in key order, until it answers [`Walk::Stop`]. Both
-    /// slices borrow the pinned leaf page and are valid only for the
-    /// call. One probe fetches `height` pages plus one per further leaf
-    /// it walks into, and allocates nothing.
+    /// to `visitor`, in key order, until it answers [`Walk::Stop`]. The
+    /// value borrows the pinned leaf page, the key a stack buffer it is
+    /// rebuilt in from the leaf's page prefix and the cell's suffix; both
+    /// are valid only for the call. One probe fetches `height` pages plus
+    /// one per further leaf it walks into, and allocates nothing.
     ///
     /// A visitor that answers [`Walk::Seek`] is next lent the first entry
     /// at or above its [`Visit::seek_key`], and the entries between are
@@ -377,10 +420,11 @@ impl BTree {
     /// one further along (one fetch) — else by one descent from the root
     /// (`height` fetches).
     pub fn visit_prefix(&self, prefix: &[u8], mut visitor: impl Visit) {
+        let mut key = LeafKey::default();
         let mut at = self.descend(prefix);
         let (Ok(mut slot) | Err(mut slot)) = node::leaf_find(&at.leaf, prefix);
         loop {
-            match admitted_cells(&at.leaf, slot, |k| k.starts_with(prefix), &mut visitor) {
+            match admitted_cells(&at.leaf, slot, prefix, &mut key, &mut visitor) {
                 Exit::End => return,
                 Exit::Sibling(next) => {
                     at.step_right(&self.pool, next);
@@ -428,13 +472,22 @@ impl BTree {
         let page = self.pool.fetch(pid);
         if node::is_leaf(&page) {
             assert_eq!(depth, 1, "all leaves must be at the same depth");
+            let prefix = node::leaf_prefix(&page);
+            assert!(prefix.len() <= node::MAX_KEY, "page prefix longer than a key");
+            assert!(
+                self.options.prefix_truncation || prefix.is_empty(),
+                "page prefix without prefix truncation"
+            );
+            assert!(node::leaf_cells_in_bounds(&page), "leaf cell overlaps the page prefix");
             for i in 0..node::nslots(&page) {
                 let k = node::leaf_key(&page, i);
+                assert!(k.starts_with(prefix), "leaf key outside the page prefix");
+                assert!(k.len() <= node::MAX_KEY, "leaf key too long");
                 if let Some(lo) = lo {
-                    assert!(k >= lo, "leaf key below separator");
+                    assert!(k.as_slice() >= lo, "leaf key below separator");
                 }
                 if let Some(hi) = hi {
-                    assert!(k < hi, "leaf key at/above next separator");
+                    assert!(k.as_slice() < hi, "leaf key at/above next separator");
                 }
             }
             return;
@@ -473,8 +526,8 @@ pub enum Walk {
 
 /// The visitor of a prefix walk ([`BTree::visit_prefix`]).
 pub trait Visit {
-    /// Takes one cell, borrowed from the pinned leaf page, and says where
-    /// the walk goes next.
+    /// Takes one cell, lent for the call only (see
+    /// [`BTree::visit_prefix`]), and says where the walk goes next.
     fn visit(&mut self, key: &[u8], value: &[u8]) -> Walk;
 
     /// Where a [`Walk::Seek`] answer jumps to; read right after the
@@ -546,19 +599,31 @@ enum Exit {
 }
 
 /// The leaf walk every scan shares: visits the cells of leaf `page` from
-/// `slot` on while `admits(key)` holds, jumping forward inside the leaf
-/// when the visitor seeks a key it holds.
+/// `slot` on while their keys start with `prefix`, jumping forward inside
+/// the leaf when the visitor seeks a key it holds. Each key is lent
+/// whole, rebuilt in `key` from the page prefix and the cell's suffix.
+/// Admission is decided once for the leaf when its page prefix covers
+/// the scan prefix or parts from it, else key by key.
 fn admitted_cells(
     page: &[u8],
     mut slot: usize,
-    admits: impl Fn(&[u8]) -> bool,
+    prefix: &[u8],
+    key: &mut LeafKey,
     visitor: &mut impl Visit,
 ) -> Exit {
     let n = node::nslots(page);
     let next = node::right_sibling(page);
+    let page_prefix = node::leaf_prefix(page);
+    let covered = page_prefix.starts_with(prefix);
+    if !covered && !prefix.starts_with(page_prefix) && slot < n {
+        // No key of the leaf starts with `prefix`.
+        return Exit::End;
+    }
+    key.load_prefix(page);
     while slot < n {
-        let (k, v) = node::leaf_cell(page, slot);
-        if !admits(k) {
+        let (suffix, v) = node::leaf_cell(page, slot);
+        let k = key.with_suffix(suffix);
+        if !covered && !k.starts_with(prefix) {
             return Exit::End;
         }
         match visitor.visit(k, v) {
@@ -600,7 +665,8 @@ impl RangeScan<'_> {
     /// Buffers the cells of one latched leaf.
     fn buffer_leaf(&mut self, page: &[u8]) {
         let buffer = &mut self.buffer;
-        let exit = admitted_cells(page, 0, |_| true, &mut |k: &[u8], v: &[u8]| {
+        let mut key = LeafKey::default();
+        let exit = admitted_cells(page, 0, &[], &mut key, &mut |k: &[u8], v: &[u8]| {
             buffer.push_back((k.to_vec(), v.to_vec()));
             ControlFlow::Continue(())
         });
@@ -802,10 +868,12 @@ mod tests {
 
     #[test]
     fn long_keys_near_limit() {
+        // The keys differ in their first bytes, so page prefixes save
+        // nothing and a leaf holds only a few of them.
         let mut t = tree();
         for i in 0..40u32 {
-            let mut k = vec![b'x'; crate::node::MAX_KEY - 4];
-            k.extend_from_slice(&i.to_be_bytes());
+            let mut k = (i * 0x0101_0101).to_be_bytes().to_vec();
+            k.resize(crate::node::MAX_KEY, b'x');
             t.insert(&k, b"v");
         }
         assert_eq!(t.len(), 40);
@@ -839,6 +907,48 @@ mod tests {
         let with = build(true);
         let without = build(false);
         assert!(with <= without, "prefix truncation grew the tree: {with} > {without}");
+    }
+
+    /// `n` keys `stem · i` (big-endian `u16`) with empty values, in one
+    /// leaf under the page prefix `stem`.
+    fn one_prefixed_leaf(stem: &[u8], n: u16) -> BTree {
+        let keys = (0..n).map(|i| ([stem, &i.to_be_bytes()].concat(), Vec::new()));
+        let options = BTreeOptions { fill_factor: 1.0, ..Default::default() };
+        let t = crate::bulk_build(Arc::new(BufferPool::in_memory(64)), options, keys);
+        assert_eq!(t.stats().height, 1);
+        t
+    }
+
+    #[test]
+    fn a_key_off_the_page_prefix_rewrites_the_leaf_under_a_shorter_one() {
+        let mut t = one_prefixed_leaf(b"/site/item/", 10);
+        let prefix = |t: &BTree| node::leaf_prefix(&t.pool.fetch(t.root)).to_vec();
+        assert_eq!(prefix(&t), b"/site/item/\0");
+        t.insert(b"/site/item/\x01", b"v");
+        t.insert(b"/site/person", b"w");
+        assert_eq!(prefix(&t), b"/site/");
+        assert_eq!(t.stats().pages, 1);
+        assert_eq!(t.get(b"/site/person"), Some(b"w".to_vec()));
+        assert_eq!(t.get(b"/site/item/\0\x09"), Some(Vec::new()));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn an_outlier_into_a_full_prefixed_leaf_splits_where_both_halves_fit() {
+        // 990 eight-byte cells under a 200-byte page prefix fill the leaf;
+        // under no prefix they would take 25 pages.
+        let stem = [b'x'; 200];
+        let mut t = one_prefixed_leaf(&stem, 990);
+        for outlier in [&b"a"[..], b"y", b"xxy"] {
+            t.insert(outlier, b"o");
+            t.check_invariants();
+            assert_eq!(t.get(outlier), Some(b"o".to_vec()));
+        }
+        assert_eq!(t.len(), 993);
+        assert!(t.stats().pages <= 5, "{:?}", t.stats());
+        let mut key = stem.to_vec();
+        key.extend_from_slice(&500u16.to_be_bytes());
+        assert_eq!(t.get(&key), Some(Vec::new()));
     }
 
     #[test]

@@ -64,8 +64,9 @@ use xtwig_xml::{TagId, XmlForest};
 /// Version 2 added the document-order bit to the ROOTPATHS and DATAPATHS
 /// catalog entries; version 3 replaced byte-wise FNV-1a with
 /// [`xtwig_storage::hash`] for the catalog checksum and the structure
-/// digests.
-pub const FORMAT_VERSION: u32 = 3;
+/// digests; version 4 stores each B+-tree leaf's common key prefix once
+/// per page (`xtwig_btree::node`).
+pub const FORMAT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"XTWIGIDX";
 

@@ -186,6 +186,9 @@ fn analyze_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> E
     };
     print_explanation(&ex);
     for choice in &ex.choices {
+        // Cold, as the estimate is: a strategy sharing pools with one run
+        // before it would otherwise read what that run left cached.
+        engine.clear_caches(choice.strategy);
         let (a, trace) = engine.answer_traced(&twig, choice.strategy);
         let ratio = CalibrationSample::new(xpath, choice, a.metrics.physical_reads).ratio();
         println!(
@@ -202,9 +205,10 @@ fn analyze_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> E
 }
 
 /// `xtwig advise`: run the given queries under every built strategy,
-/// pair each answer's physical reads with the optimizer's estimate for
-/// that strategy (as `explain --analyze` prints them), and summarize the
-/// pairs — the optimizer-feedback loop, surfaced as an advisory report.
+/// each run from cold pools, pair each answer's physical reads with the
+/// optimizer's estimate for that strategy (as `explain --analyze` prints
+/// them), and summarize the pairs — the optimizer-feedback loop,
+/// surfaced as an advisory report.
 fn run_advise<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpaths: &[String]) -> ExitCode {
     let mut samples = Vec::new();
     for xpath in xpaths {
@@ -221,6 +225,8 @@ fn run_advise<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpaths: &[String]) 
             continue;
         };
         for choice in &ex.choices {
+            // Cold, as the estimate is (see `analyze_twig`).
+            engine.clear_caches(choice.strategy);
             let reads = engine.answer(&twig, choice.strategy).metrics.physical_reads;
             samples.push(CalibrationSample::new(xpath, choice, reads));
         }

@@ -53,6 +53,30 @@ fn model_prefixed(model: &BTreeMap<Vec<u8>, Vec<u8>>, prefix: &[u8]) -> Vec<(Vec
         .collect()
 }
 
+/// The keys a seeking walk under `prefix` lends, by the model: the
+/// prefix's entries in order, each one not below the latest target
+/// passed over (`Leapfrog`'s plan).
+fn model_leapfrog(
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+    prefix: &[u8],
+    plan: &[Option<Vec<u8>>],
+) -> Vec<Vec<u8>> {
+    let mut want: Vec<Vec<u8>> = Vec::new();
+    let mut bound: Vec<u8> = Vec::new();
+    for k in model.range(prefix.to_vec()..).map(|(k, _)| k).take_while(|k| k.starts_with(prefix)) {
+        if *k < bound {
+            continue;
+        }
+        if let Some(to) = &plan[want.len() % plan.len()] {
+            if to > k {
+                bound.clone_from(to);
+            }
+        }
+        want.push(k.clone());
+    }
+    want
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Insert(Vec<u8>, Vec<u8>),
@@ -74,6 +98,53 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         key_strategy().prop_map(Op::Delete),
         key_strategy().prop_map(Op::Get),
         proptest::collection::vec(97..=99u8, 0..3).prop_map(Op::PrefixScan),
+    ]
+}
+
+/// The stem most keys of `stem_key_strategy` share, long enough that a
+/// leaf of such keys stores a long page prefix.
+const STEM: &[u8] = b"\x01/site/regions/namerica/item/mailbox/mail/to\x00\x00\x00\x00";
+
+fn stem_tail() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(prop_oneof![Just(0u8), Just(1), Just(0x7f), 97..=99u8], 0..8)
+}
+
+/// Keys that mostly share [`STEM`], and outliers that part from it at a
+/// random byte, below or above it: inserting one into a leaf of stem
+/// keys shrinks the leaf's page prefix, and into a full one splits it.
+fn stem_key_strategy() -> impl Strategy<Value = Vec<u8>> {
+    let stemmed = || stem_tail().prop_map(|tail| [STEM, &tail].concat());
+    prop_oneof![
+        stemmed(),
+        stemmed(),
+        stemmed(),
+        (0..STEM.len(), stem_tail()).prop_map(|(cut, tail)| [&STEM[..cut], &tail].concat()),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum StemOp {
+    Insert(Vec<u8>, usize),
+    Delete(Vec<u8>),
+    Get(Vec<u8>),
+    /// A seeking walk under `STEM[..cut]` with `Leapfrog`'s plan.
+    Walk(usize, Vec<Option<Vec<u8>>>),
+}
+
+fn stem_op_strategy() -> impl Strategy<Value = StemOp> {
+    prop_oneof![
+        (stem_key_strategy(), 0usize..24).prop_map(|(k, len)| StemOp::Insert(k, len)),
+        (stem_key_strategy(), 0usize..24).prop_map(|(k, len)| StemOp::Insert(k, len)),
+        stem_key_strategy().prop_map(StemOp::Delete),
+        stem_key_strategy().prop_map(StemOp::Get),
+        (
+            0..STEM.len() + 1,
+            proptest::collection::vec(
+                prop_oneof![Just(None), stem_key_strategy().prop_map(Some)],
+                1..6,
+            ),
+        )
+            .prop_map(|(cut, plan)| StemOp::Walk(cut, plan)),
     ]
 }
 
@@ -222,24 +293,54 @@ proptest! {
         for p in [vec![], vec![97], vec![0], vec![98, 99], vec![200]] {
             let mut lent = Vec::new();
             tree.visit_prefix(&p, Leapfrog { plan: &plan, lent: &mut lent, target: Vec::new() });
-            // The model: the prefix's entries in order, each one below
-            // the latest target passed over.
-            let mut want: Vec<Vec<u8>> = Vec::new();
-            let mut bound: Vec<u8> = Vec::new();
-            for k in model.range(p.clone()..).map(|(k, _)| k).take_while(|k| k.starts_with(&p)) {
-                if *k < bound {
-                    continue;
-                }
-                if let Some(to) = &plan[want.len() % plan.len()] {
-                    if to > k {
-                        bound.clone_from(to);
-                    }
-                }
-                want.push(k.clone());
-            }
-            prop_assert_eq!(&lent, &want, "prefix {:?}", p);
+            prop_assert_eq!(&lent, &model_leapfrog(&model, &p, &plan), "prefix {:?}", p);
         }
         // A walk that sought and ran out leaves no page pinned.
         pool.clear_cache();
+    }
+
+    #[test]
+    fn outliers_among_long_shared_prefixes_keep_the_tree_equal_to_the_model(
+        // Bulk-loaded first, so that leaves start full under long page
+        // prefixes and the operations' inserts split them.
+        base in proptest::collection::btree_map(
+            stem_key_strategy(),
+            proptest::collection::vec(any::<u8>(), 0..12),
+            0..1500,
+        ),
+        ops in proptest::collection::vec(stem_op_strategy(), 1..300),
+    ) {
+        for prefix_truncation in [true, false] {
+            let options = BTreeOptions { prefix_truncation, ..Default::default() };
+            let pool = Arc::new(BufferPool::in_memory(1024));
+            let mut model = base.clone();
+            let mut tree = bulk_build(pool.clone(), options, model.clone());
+            for (i, op) in ops.iter().enumerate() {
+                match op {
+                    StemOp::Insert(k, len) => {
+                        let v = vec![k.len() as u8; *len];
+                        prop_assert_eq!(tree.insert(k, &v), model.insert(k.clone(), v));
+                    }
+                    StemOp::Delete(k) => prop_assert_eq!(tree.delete(k), model.remove(k)),
+                    StemOp::Get(k) => prop_assert_eq!(tree.get(k), model.get(k).cloned()),
+                    StemOp::Walk(cut, plan) => {
+                        let p = &STEM[..*cut];
+                        let mut lent = Vec::new();
+                        tree.visit_prefix(p, Leapfrog { plan, lent: &mut lent, target: Vec::new() });
+                        prop_assert_eq!(&lent, &model_leapfrog(&model, p, plan), "prefix {:?}", p);
+                        prop_assert_eq!(prefixed(&tree, p), model_prefixed(&model, p));
+                    }
+                }
+                if i % 32 == 31 {
+                    tree.check_invariants();
+                }
+            }
+            prop_assert_eq!(tree.len(), model.len() as u64);
+            let scanned: Vec<_> = tree.scan_all().collect();
+            let expected: Vec<_> = model.into_iter().collect();
+            prop_assert_eq!(scanned, expected);
+            tree.check_invariants();
+            pool.clear_cache();
+        }
     }
 }

@@ -3,6 +3,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use xtwig::btree::BTreeOptions;
 use xtwig::core::compress::{measure_idlist_bytes, workload_head_filter, DictDataPaths};
 use xtwig::core::datapaths::{DataPaths, DataPathsOptions};
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
@@ -122,5 +123,46 @@ fn head_pruned_engine_matches_oracle_on_and_off_workload() {
         let twig = xtwig::parse_xpath(xpath).unwrap();
         let expected: BTreeSet<u64> = naive::select(&f, &twig).into_iter().map(|n| n.0).collect();
         assert_eq!(pruned.answer(&twig, Strategy::DataPaths).ids, expected, "{xpath}");
+    }
+}
+
+/// Leaf page prefixes (`BTreeOptions::prefix_truncation`) cut the pages
+/// of ROOTPATHS and DATAPATHS together by a quarter and change no answer.
+/// The forest is larger than the other cases': a leaf stores the prefix
+/// its lowest and highest key share, and at the smaller scale an RP leaf
+/// spans many distinct values, so the two share little.
+#[test]
+fn page_prefixes_shrink_rootpaths_and_datapaths_and_keep_their_answers() {
+    let mut f = XmlForest::new();
+    generate_xmark(&mut f, XmarkConfig { scale: 0.02, seed: 77 });
+    let both = [Strategy::RootPaths, Strategy::DataPaths];
+    let build = |prefix_truncation: bool| {
+        let btree = BTreeOptions { prefix_truncation, ..Default::default() };
+        QueryEngine::build(
+            &f,
+            EngineOptions {
+                strategies: both.to_vec(),
+                pool_pages: 8192,
+                rp: RootPathsOptions { btree, ..Default::default() },
+                dp: DataPathsOptions { btree, ..Default::default() },
+                ..Default::default()
+            },
+        )
+    };
+    let (with, without) = (build(true), build(false));
+    let bytes = |e: &QueryEngine<&XmlForest>| both.map(|s| e.space_bytes(s));
+    let ([rp, dp], [rp_full, dp_full]) = (bytes(&with), bytes(&without));
+    assert!(rp < rp_full && dp < dp_full, "RP {rp} vs {rp_full} B, DP {dp} vs {dp_full} B");
+    assert!(
+        4 * (rp + dp) <= 3 * (rp_full + dp_full),
+        "RP+DP: {} B with prefix truncation vs {} B without",
+        rp + dp,
+        rp_full + dp_full
+    );
+    for q in xmark_queries() {
+        let twig = q.twig();
+        for s in both {
+            assert_eq!(with.answer(&twig, s).ids, without.answer(&twig, s).ids, "{} {s}", q.id);
+        }
     }
 }

@@ -587,7 +587,16 @@ fn advise_reports_estimates_against_answered_reads() {
         let ex = e.explain(&twig).unwrap();
         assert_eq!(ex.choices.len(), Strategy::ALL.len(), "every built strategy is ranked");
         for choice in &ex.choices {
+            // As `xtwig advise` runs them: cold, like the estimate.
+            e.clear_caches(choice.strategy);
             let a = e.answer(&twig, choice.strategy);
+            // A warm run reads what a strategy sharing its pools left
+            // cached, and pairs a cold-cache estimate with no reads.
+            assert!(
+                a.ids.is_empty() || a.metrics.physical_reads > 0,
+                "{xpath} under {} answered from cached pages",
+                choice.strategy.label()
+            );
             samples.push(CalibrationSample::new(xpath, choice, a.metrics.physical_reads));
         }
     }
