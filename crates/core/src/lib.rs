@@ -65,12 +65,11 @@ pub mod xpath;
 
 pub use auto::Explanation;
 pub use engine::{ParseStrategyError, QueryAnswer, QueryEngine, QueryMetrics, Strategy};
-// Tracing and feedback types, re-exported so engine callers need not
-// depend on `xtwig-obs`/`xtwig-opt` directly.
+// Tracing types, re-exported so engine callers need not depend on
+// `xtwig-obs` directly.
 pub use family::{BoundIndex, FamilyPosition, FreeIndex, PathIndex, PathMatch, PcSubpathQuery};
 pub use fork::ForkError;
 pub use parallel::ShardPlan;
 pub use persist::{OpenError, OpenReport, PersistError, PersistReport};
 pub use xpath::parse_xpath;
 pub use xtwig_obs::{Span, SpanCounters, Trace};
-pub use xtwig_opt::{AdviseReport, CalibrationSample};

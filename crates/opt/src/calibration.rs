@@ -6,16 +6,14 @@
 //! constants below weight those components so the estimates track the
 //! *measured* cold-cache physical reads of the real structures.
 //!
-//! They are derived by the `fig_optimizer` harness in `crates/bench`,
-//! which replays the suite corpora (fig1, multi-document, XMark, DBLP,
-//! and the skewed-value corpus) across every built strategy, prints
-//! estimated-vs-actual page reads per query, and prints the
-//! per-component ratios a recalibration should adopt. Re-run it after
-//! changing page layout, codecs, or probe patterns:
-//!
-//! ```text
-//! cargo run --release -p xtwig-bench --bin fig_optimizer
-//! ```
+//! They are judged by the work record, `tests/golden/work_*.txt`: each
+//! strategy line of each request pairs the estimate (`est=`) with the
+//! cold physical reads (`physical=`) under 64-frame pools, and each
+//! corpus ends with a summary line of `auto`'s picks against those
+//! reads, its regret, and the geometric-mean factor by which the
+//! estimates miss the reads. A change to any constant shows as a diff of
+//! those files, summary lines first, and ROADMAP item 16, Step C refits them there, one
+//! constant per change.
 
 /// Component weights of the physical cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,12 +35,10 @@ pub struct Calibration {
     pub inlj_probe_page: f64,
 }
 
-/// Constants fitted by `fig_optimizer` against the suite corpora
-/// (XMark scale 0.01, DBLP scale 0.01, fig1, multi-document, skew):
-/// chosen so the per-strategy estimated/actual page-read ratio medians
-/// sit near 1 and, more importantly, so the *ranking* reproduces the
-/// measured-best strategy (or one within 2x of it) on ≥ 80% of the
-/// replayed queries — the bar `tests/optimizer.rs` asserts.
+/// The constants in force: chosen so that the *ranking* picks the
+/// strategy with the fewest cold physical reads, or one within 2x of
+/// it, on at least 80% of each recorded corpus's requests — the bar the
+/// work record's tests assert on its summary lines.
 pub const DEFAULT: Calibration =
     Calibration { descent_page: 1.0, scan_page: 1.0, walk_page: 0.5, inlj_probe_page: 1.0 };
 

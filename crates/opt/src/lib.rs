@@ -30,15 +30,18 @@
 //!   sorted cheapest first, as [`StrategyChoice`] rows an EXPLAIN can
 //!   print.
 //!
-//! Constants in [`calibration`] are derived from measured
-//! estimated-vs-actual page reads by the `fig_optimizer` harness (see
-//! `crates/bench`), which replays the suite corpora across all built
-//! strategies and prints the ratios.
+//! The constants in [`calibration`] are judged by the work record in
+//! `tests/golden/`: every strategy line pairs the model's estimate
+//! (`est=`) with the cold physical reads it prices (`physical=`), and
+//! each corpus's summary line counts how often `auto` picked the
+//! fewest reads, or within 2x of them, its regret, and by what factor
+//! the estimates miss the reads. A refit of the
+//! constants (ROADMAP item 16, Step C) is made there, with the golden
+//! diff as its claim.
 
 pub mod calibration;
 pub mod cost;
 pub mod estimate;
-pub mod feedback;
 pub mod strategy;
 
 pub use calibration::Calibration;
@@ -47,5 +50,4 @@ pub use cost::{
     TreeProfile, TwigCostInput,
 };
 pub use estimate::{leaf_candidates, pattern_matches, CardinalitySource};
-pub use feedback::{AdviseReport, CalibrationSample, StrategyAdvice};
 pub use strategy::{ParseStrategyError, Strategy};

@@ -9,8 +9,6 @@
 //! xtwig query   --index idx.xtwig '<xpath>' [--strategy ...] [--explain]
 //! xtwig explain <file.xml> '<xpath>' [--analyze] [--shards N]
 //! xtwig explain --index idx.xtwig '<xpath>' [--analyze]
-//! xtwig advise  <file.xml> '<xpath>' ['<xpath>' ...] [--shards N]
-//! xtwig advise  --index idx.xtwig '<xpath>' ['<xpath>' ...]
 //! xtwig build   [<file.xml>] --out idx.xtwig [--strategies RP,DP,...] [--shards N]
 //! xtwig bench   <file.xml> '<xpath>' [--shards N]   # run against every strategy
 //! xtwig stats   <file.xml> [--shards N]             # dataset + index statistics
@@ -37,13 +35,6 @@
 //! each pipeline stage's wall time and I/O counters next to the
 //! estimate (EXPLAIN ANALYZE).
 //!
-//! `xtwig advise` closes the feedback loop: it runs the given queries
-//! under every built strategy and compares each execution's physical
-//! reads with the optimizer's estimate — per-strategy estimate
-//! accuracy, the worst misestimates labelled by their XPath, and which
-//! cost-model constant each would rescale. The report is advisory only;
-//! nothing is auto-tuned.
-//!
 //! `--shards N` builds the indexes with the shard-parallel builder
 //! (`QueryEngine::build_parallel`); the resulting indexes are
 //! byte-identical to the sequential build, so query results and
@@ -61,12 +52,12 @@ use std::process::ExitCode;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::core::family::PathIndex;
 use xtwig::core::paths::PathStats;
-use xtwig::core::{AdviseReport, CalibrationSample, Explanation};
+use xtwig::core::Explanation;
 use xtwig::xml::{parse_document, NodeId, XmlForest};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  xtwig query <file.xml> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--explain] [--shards N]\n  xtwig query --index idx.xtwig '<xpath>' [--strategy ...] [--explain]\n  xtwig explain <file.xml> '<xpath>' [--analyze] [--shards N]\n  xtwig explain --index idx.xtwig '<xpath>' [--analyze]\n  xtwig advise <file.xml> '<xpath>' ['<xpath>' ...] [--shards N]\n  xtwig advise --index idx.xtwig '<xpath>' ['<xpath>' ...]\n  xtwig build [<file.xml>] --out idx.xtwig [--strategies RP,DP,...] [--shards N]\n  xtwig bench <file.xml> '<xpath>' [--shards N]\n  xtwig stats <file.xml> [--shards N]\n  xtwig demo ['<xpath>'] [--shards N]\n  xtwig serve <idx.xtwig>... [--index-dir <dir>] [--addr host:port] [--addr-file <path>] [--max-in-flight N] [--max-attached N] [--idle-timeout SECS] [--access-log]\n  xtwig client <addr> ping|catalog|shutdown|badframe [--timeout SECS]\n  xtwig client <addr> query <index> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--sample]\n  xtwig client <addr> explain <index> '<xpath>'\n  xtwig client <addr> metrics|stats <index>\n  xtwig client <addr> trace <index> <request_id>\n  xtwig client <addr> events [--after N] [--max N] [--follow]\n  xtwig top <addr> [--index NAME] [--interval SECS] [--once]"
+        "usage:\n  xtwig query <file.xml> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--explain] [--shards N]\n  xtwig query --index idx.xtwig '<xpath>' [--strategy ...] [--explain]\n  xtwig explain <file.xml> '<xpath>' [--analyze] [--shards N]\n  xtwig explain --index idx.xtwig '<xpath>' [--analyze]\n  xtwig build [<file.xml>] --out idx.xtwig [--strategies RP,DP,...] [--shards N]\n  xtwig bench <file.xml> '<xpath>' [--shards N]\n  xtwig stats <file.xml> [--shards N]\n  xtwig demo ['<xpath>'] [--shards N]\n  xtwig serve <idx.xtwig>... [--index-dir <dir>] [--addr host:port] [--addr-file <path>] [--max-in-flight N] [--max-attached N] [--idle-timeout SECS] [--access-log]\n  xtwig client <addr> ping|catalog|shutdown|badframe [--timeout SECS]\n  xtwig client <addr> query <index> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--sample]\n  xtwig client <addr> explain <index> '<xpath>'\n  xtwig client <addr> metrics|stats <index>\n  xtwig client <addr> trace <index> <request_id>\n  xtwig client <addr> events [--after N] [--max N] [--follow]\n  xtwig top <addr> [--index NAME] [--interval SECS] [--once]"
     );
     ExitCode::from(2)
 }
@@ -190,7 +181,8 @@ fn analyze_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> E
         // before it would otherwise read what that run left cached.
         engine.clear_caches(choice.strategy);
         let (a, trace) = engine.answer_traced(&twig, choice.strategy);
-        let ratio = CalibrationSample::new(xpath, choice, a.metrics.physical_reads).ratio();
+        // Smoothed by one read on both sides: a perfect estimate reads 1.
+        let ratio = (a.metrics.physical_reads as f64 + 1.0) / (choice.est_page_reads + 1.0);
         println!(
             "\n=== {} | {} result(s) | est {:.1} pages, actual {} physical reads (ratio {:.2}x) ===",
             choice.strategy.label(),
@@ -201,38 +193,6 @@ fn analyze_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> E
         );
         print!("{}", trace.render());
     }
-    ExitCode::SUCCESS
-}
-
-/// `xtwig advise`: run the given queries under every built strategy,
-/// each run from cold pools, pair each answer's physical reads with the
-/// optimizer's estimate for that strategy (as `explain --analyze` prints
-/// them), and summarize the pairs — the optimizer-feedback loop,
-/// surfaced as an advisory report.
-fn run_advise<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpaths: &[String]) -> ExitCode {
-    let mut samples = Vec::new();
-    for xpath in xpaths {
-        let twig = match xtwig::parse_xpath(xpath) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{xpath}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Ok(ex) = engine.explain(&twig) else {
-            // Unknown tag: nothing executes, so nothing to compare.
-            println!("skipping {xpath}: empty result under every strategy");
-            continue;
-        };
-        for choice in &ex.choices {
-            // Cold, as the estimate is (see `analyze_twig`).
-            engine.clear_caches(choice.strategy);
-            let reads = engine.answer(&twig, choice.strategy).metrics.physical_reads;
-            samples.push(CalibrationSample::new(xpath, choice, reads));
-        }
-    }
-    println!("ran {} execution(s) over {} quer(y/ies)\n", samples.len(), xpaths.len());
-    println!("{}", AdviseReport::from_samples(&samples, 10));
     ExitCode::SUCCESS
 }
 
@@ -366,16 +326,18 @@ fn run_query_indexed(index: &str, xpath: &str, strategy: Strategy, explain: bool
     ExitCode::SUCCESS
 }
 
-/// Reopens a persisted index for a read-only subcommand, asserting the
-/// zero-rebuild invariant (shared by `explain --index` and
-/// `advise --index`; `query --index` keeps its richer report line).
-fn open_index(index: &str) -> Result<QueryEngine, ExitCode> {
+/// `xtwig explain`: compile, rank every built strategy with the cost
+/// model, and print estimates next to the chosen plan. Over `--index`
+/// this never rebuilds: the statistics and tree shapes come from the
+/// persisted catalog (the open report's zero-allocation assertion
+/// guards it, as for `query --index`).
+fn run_explain_indexed(index: &str, xpath: &str, analyze: bool) -> ExitCode {
     let started = std::time::Instant::now();
     let (engine, report) = match QueryEngine::open_with_report(index) {
         Ok(opened) => opened,
         Err(e) => {
             eprintln!("cannot open {index}: {e}");
-            return Err(ExitCode::FAILURE);
+            return ExitCode::FAILURE;
         }
     };
     if report.open_allocations != 0 {
@@ -383,7 +345,7 @@ fn open_index(index: &str) -> Result<QueryEngine, ExitCode> {
             "BUG: open allocated {} index page(s) — reopen must not rebuild",
             report.open_allocations
         );
-        return Err(ExitCode::FAILURE);
+        return ExitCode::FAILURE;
     }
     println!(
         "opened {index}: {} pages, 0 pages built, [{}] in {:.2?}",
@@ -391,19 +353,10 @@ fn open_index(index: &str) -> Result<QueryEngine, ExitCode> {
         report.strategies.iter().map(|s| s.label()).collect::<Vec<_>>().join(", "),
         started.elapsed(),
     );
-    Ok(engine)
-}
-
-/// `xtwig explain`: compile, rank every built strategy with the cost
-/// model, and print estimates next to the chosen plan. Over `--index`
-/// this never rebuilds: the statistics and tree shapes come from the
-/// persisted catalog (the open report's zero-allocation assertion
-/// guards it, as for `query --index`).
-fn run_explain_indexed(index: &str, xpath: &str, analyze: bool) -> ExitCode {
-    match open_index(index) {
-        Ok(engine) if analyze => analyze_twig(&engine, xpath),
-        Ok(engine) => explain_twig(&engine, xpath),
-        Err(code) => code,
+    if analyze {
+        analyze_twig(&engine, xpath)
+    } else {
+        explain_twig(&engine, xpath)
     }
 }
 
@@ -1008,36 +961,6 @@ fn main() -> ExitCode {
                     } else {
                         explain_twig(&engine, xpath)
                     }
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "advise" => {
-            if let Some(index) = flag_value(&args, "--index") {
-                let ops = operands(&args[1..]);
-                if ops.is_empty() {
-                    return usage();
-                }
-                return match open_index(index) {
-                    Ok(engine) => run_advise(&engine, &ops),
-                    Err(code) => code,
-                };
-            }
-            let ops = operands(&args[1..]);
-            if ops.len() < 2 {
-                return usage();
-            }
-            match load(&ops[0]) {
-                Ok(forest) => {
-                    let engine = QueryEngine::build_parallel(
-                        &forest,
-                        EngineOptions { pool_pages: 5_120, ..Default::default() },
-                        shards_from(),
-                    );
-                    run_advise(&engine, &ops[1..])
                 }
                 Err(e) => {
                     eprintln!("{e}");

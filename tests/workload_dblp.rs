@@ -114,7 +114,8 @@ const COLD_SCAN: [&str; 13] = [
 ];
 
 /// Every strategy's answer to the `cold_scan` requests equals the
-/// oracle's, and its work equals the record's.
+/// oracle's, its work and estimate equal the record's, and `auto` picks
+/// within 2x of the fewest physical reads on ≥ 80 %.
 #[test]
 fn work_record_matches_golden() {
     let mut forest = XmlForest::new();
@@ -124,8 +125,7 @@ fn work_record_matches_golden() {
     requests.extend(
         COLD_SCAN.iter().enumerate().map(|(i, x)| (format!("c{:02}", i + 4), x.to_string())),
     );
-    golden::check(
-        "work_dblp.txt",
-        &golden::record("DBLP scale 0.004 seed 0xD0B5", &forest, &requests),
-    );
+    let (record, summary) = golden::record("DBLP scale 0.004 seed 0xD0B5", &forest, &requests);
+    golden::check("work_dblp.txt", &record);
+    summary.assert_within_2x_on_80_pct("DBLP");
 }
