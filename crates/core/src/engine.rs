@@ -20,9 +20,10 @@
 //! A join keyed on one id also leapfrogs through ROOTPATHS and DATAPATHS:
 //! the scan seeks past the index entries below the cursor's next key
 //! without decoding them. A branch that only filters stops its probe
-//! once every row is proven.
-//! (The §6 structural join, an option, is the one join that collects its
-//! matches first.)
+//! once every row is proven. A `//` edge is always joined on ancestor
+//! ids, never on containment intervals: ROOTPATHS, DATAPATHS and ASR list
+//! a match's ancestors in front of it, and the Edge-based strategies
+//! walk Edge's backward links for them.
 //!
 //! Rows live in the flat binding table of `crate::table`, not in a
 //! heap object each: a probe's sink writes the ids of an IdList — decoded
@@ -49,7 +50,7 @@ use crate::parallel::ShardPlan;
 use crate::paths::PathStats;
 use crate::plan::{choose_plan, JoinHow, Method, PlanKind, ProbeSpec, QueryPlan};
 use crate::rootpaths::{RootPaths, RootPathsOptions};
-use crate::table::{distinct_keys, key_runs, run_of, AncList, BindingTable, MergeCursor, UNBOUND};
+use crate::table::{distinct_keys, key_runs, AncList, BindingTable, MergeCursor, UNBOUND};
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashSet};
@@ -89,10 +90,6 @@ pub struct EngineOptions {
     /// §4.3 HeadId pruning: retain only DATAPATHS rows headed at these
     /// tags (None = keep everything).
     pub head_filter_tags: Option<HashSet<String>>,
-    /// Stitch `//` edges with the stack-based structural join
-    /// ([`crate::stitch`]) instead of IdList-ancestor unnesting — the §6
-    /// alternative the paper could not run inside DB2.
-    pub structural_ad_joins: bool,
 }
 
 impl Default for EngineOptions {
@@ -103,7 +100,6 @@ impl Default for EngineOptions {
             rp: RootPathsOptions::default(),
             dp: DataPathsOptions::default(),
             head_filter_tags: None,
-            structural_ad_joins: false,
         }
     }
 }
@@ -171,12 +167,11 @@ impl QueryAnswer {
 /// leaving the original to serve concurrent readers as a frozen
 /// snapshot.
 ///
-/// Concurrency note on metrics: result sets, `probes` and `rows_fetched`
-/// are exact per query, however many queries overlap — every strategy
-/// counts its lookups and fetched rows into the execution's own counters.
-/// `logical_reads` and `physical_reads` are still deltas of the
-/// strategy's pool-wide counters, so they are only exact when queries
-/// against the *same* strategy do not overlap in time.
+/// Concurrency note on metrics: every counter in [`QueryMetrics`] is
+/// exact per query, however many queries overlap. Every strategy counts
+/// its lookups and fetched rows into the execution's own counters, and
+/// a query runs on its caller's thread, whose own tally of page reads
+/// the storage layer keeps (`IoStatsSnapshot::of_this_thread`).
 pub struct QueryEngine<F: Borrow<XmlForest> = Arc<XmlForest>> {
     // Fields are crate-visible for `crate::persist`, which flushes each
     // structure's pool into an index file and reconstructs the engine
@@ -202,7 +197,6 @@ pub(crate) struct Sealed {
     pub(crate) fab: Option<(IndexFabric, Arc<BufferPool>)>,
     pub(crate) asr: Option<(AccessSupportRelations, Arc<BufferPool>)>,
     pub(crate) ji: Option<(JoinIndices, Arc<BufferPool>)>,
-    pub(crate) structural_ad_joins: bool,
 }
 
 /// What one execution carries through the plan-step loop: the two
@@ -215,8 +209,6 @@ struct Exec<'a> {
     trace: Option<&'a mut Trace>,
     /// The rows accumulated by the steps so far.
     rows: BindingTable,
-    /// The matches of the first step's probe, and of a structural join's.
-    fresh: BindingTable,
     /// Where a join, an INLJ extension or a distinct writes its output
     /// before it is swapped into `rows`.
     out: BindingTable,
@@ -466,8 +458,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             let p = pool();
             (JoinIndices::build_sharded(f, p.clone(), plan), p)
         });
-        let structural_ad_joins = options.structural_ad_joins;
-        let sealed = Sealed { stats, pruned_tags, edge, dg, fab, asr, ji, structural_ad_joins };
+        let sealed = Sealed { stats, pruned_tags, edge, dg, fab, asr, ji };
         QueryEngine { forest, rp, dp, sealed: Arc::new(sealed) }
     }
 
@@ -684,17 +675,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         out
     }
 
-    fn snapshot(&self, strategy: Strategy) -> IoStatsSnapshot {
-        let mut total = IoStatsSnapshot::default();
-        for p in self.pools_for(strategy) {
-            let s = p.stats().snapshot();
-            total.logical_reads += s.logical_reads;
-            total.physical_reads += s.physical_reads;
-            total.physical_writes += s.physical_writes;
-        }
-        total
-    }
-
     /// Compiles and plans a twig in one step: the decompose/choose_plan
     /// front half of [`QueryEngine::answer`], exposed so plan caches
     /// (see `xtwig-service`) can skip it on repeated twig shapes.
@@ -738,8 +718,8 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
     /// [`QueryEngine::answer_compiled`] with an optional [`Trace`].
     /// This is the one place a twig is executed:
-    /// snapshot the strategy's pools, run the plan, report its probe and
-    /// row counts and the pools' deltas as [`QueryMetrics`].
+    /// run the plan on this thread, and report its probe and row counts
+    /// and the page reads this thread made meanwhile as [`QueryMetrics`].
     ///
     /// With a trace, the same execution additionally appends `resolve`,
     /// `execute`, `step` and `materialize` spans to it, and nothing
@@ -767,12 +747,12 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         }
 
         let execute = trace.as_deref_mut().map(|t| t.begin("execute", strategy.label()));
-        let before = self.snapshot(strategy);
+        let before = IoStatsSnapshot::of_this_thread();
         let start = Instant::now();
         let mut cx = Exec { trace, ..Exec::default() };
         let ids = self.execute(compiled, plan, strategy, &mut cx);
         let elapsed = start.elapsed();
-        let delta = self.snapshot(strategy).since(&before);
+        let delta = IoStatsSnapshot::of_this_thread().since(&before);
         let metrics = QueryMetrics {
             probes: cx.io.probes,
             rows_fetched: cx.io.rows_fetched,
@@ -797,10 +777,9 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
     /// [`QueryEngine::answer`] with pipeline tracing: returns the
     /// answer plus a [`Trace`] — a span tree covering planning,
-    /// auto-resolution, every plan step (index probe, structural join,
-    /// or INLJ extension), and output materialization, each with wall
-    /// time, buffer-pool logical/physical read deltas, probe counts,
-    /// and rows.
+    /// auto-resolution, every plan step (index probe, join, or INLJ
+    /// extension), and output materialization, each with wall time,
+    /// the logical/physical page reads it made, probe counts, and rows.
     ///
     /// The trace is handed to the same executor [`QueryEngine::answer`]
     /// runs (see [`QueryEngine::answer_compiled_with`] for what a trace
@@ -878,9 +857,9 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// join (or INLJ probe) per further step, and let the last step write
     /// the output id of each result into `cx.answer` instead of a row.
     /// The one executor body — with `cx.trace` set it also records a
-    /// `step` span per plan step (per-step pool and probe deltas) and a
-    /// `materialize` span around the output projection; every snapshot,
-    /// `format!` and clock read that costs sits under that `Some`.
+    /// `step` span per plan step (per-step read and probe deltas) and a
+    /// `materialize` span around the output projection; every read of the
+    /// tally, `format!` and clock read that costs sits under that `Some`.
     ///
     /// A step that can run as BoundIndex probes is priced again here, by
     /// the planner's own cost function, on the distinct heads among the
@@ -907,13 +886,13 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         let masks = StepMasks::new(compiled, plan);
         let (width, slots) = (masks.n, masks.anc_nodes.len());
         cx.rows.reset(width, slots);
-        cx.fresh.reset(width, slots);
         cx.out.reset(width, slots);
         let last = plan.steps.len() - 1;
         for (i, step) in plan.steps.iter().enumerate() {
             let sp = &compiled.subpaths[step.subpath];
             let span = cx.trace.as_deref_mut().map(|t| {
-                (t.begin("step", ""), self.snapshot(strategy), cx.io.probes, cx.io.rows_fetched)
+                let reads = IoStatsSnapshot::of_this_thread();
+                (t.begin("step", ""), reads, cx.io.probes, cx.io.rows_fetched)
             });
             let how;
             let (mut repriced, mut runs, mut seeks) = (None, None, 0);
@@ -924,7 +903,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             let mut leaf = lends_key_leaves(strategy, sp, interior_needed(sp));
             if i == 0 {
                 self.probe_free(strategy, sp, interior_needed(sp), &masks, emit, cx);
-                std::mem::swap(&mut cx.rows, &mut cx.fresh);
                 how = "probe";
             } else {
                 if cx.rows.is_empty() {
@@ -970,20 +948,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                     cx.ran_bound = true;
                     leaf = false;
                     how = if semi { "inlj semi-join" } else { "inlj" };
-                } else if let (
-                    false,
-                    true,
-                    JoinHow::AncestorOf { upper, seg_root }
-                    | JoinHow::DescendantBound { upper, seg_root },
-                ) = (semi, self.sealed.structural_ad_joins, join)
-                {
-                    self.probe_free(strategy, sp, interior_needed(sp), &masks, None, cx);
-                    let rows_bind_upper = matches!(join, JoinHow::AncestorOf { .. });
-                    self.structural_join(*upper, *seg_root, rows_bind_upper, cx);
-                    if let Some(out) = emit {
-                        cx.answer.extend(cx.rows.column(out));
-                    }
-                    how = "join";
                 } else {
                     let keep_anc = masks.keep_anc_after(i);
                     let (merged, sought) = self.stream_join(
@@ -1014,7 +978,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             if let (Some(t), Some((token, io_before, probes_before, fetched_before))) =
                 (cx.trace.as_deref_mut(), span)
             {
-                let io = self.snapshot(strategy).since(&io_before);
+                let io = IoStatsSnapshot::of_this_thread().since(&io_before);
                 let mut detail = format!("#{i} subpath {} {how}", step.subpath);
                 if let Some(runs) = runs {
                     // One run per schema path when the join merged; one
@@ -1150,11 +1114,10 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         0
     }
 
-    /// Writes the matches of one PCsubpath into `cx.fresh` as binding
-    /// rows — the first step's rows, and the one right side a join still
-    /// holds, the structural join's — capturing, when the index returns
-    /// full root IdLists, the ancestor list of a segment root a `//` join
-    /// will ask for. A probe that is the plan's only step (`emit` is the
+    /// Writes the matches of the plan's first PCsubpath into `cx.rows`
+    /// as binding rows, capturing, when the index returns full root
+    /// IdLists, the ancestor list of a segment root a `//` join will ask
+    /// for. A probe that is the plan's only step (`emit` is the
     /// output node) writes no rows: it pushes the output id of each match
     /// into `cx.answer`. `interior` is [`QueryEngine::scan_subpath`]'s.
     fn probe_free(
@@ -1167,8 +1130,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         cx: &mut Exec<'_>,
     ) {
         let full_root = lists_full_roots(strategy);
-        let Exec { fresh, arena, io, answer, .. } = cx;
-        fresh.clear();
+        let Exec { rows, arena, io, answer, .. } = cx;
         self.scan_subpath(strategy, sp, interior, io, None, |above, nodes, m| {
             if let Some(out) = emit {
                 if let Some(at) = nodes.iter().position(|&n| n == out) {
@@ -1176,7 +1138,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 }
                 return ControlFlow::Continue(());
             }
-            let (bind, anc) = fresh.push_unbound();
+            let (bind, anc) = rows.push_unbound();
             for (&node, &id) in nodes.iter().zip(m) {
                 bind[node] = id;
             }
@@ -1272,19 +1234,23 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     }
 
     /// Appends the ancestors of node `id` to the arena, recovered by
-    /// backward-link walks (Edge family) or from the base tree.
+    /// backward-link walks through the Edge table.
+    ///
+    /// Only Edge, DG+Edge, IF+Edge and JI get here, and all four build
+    /// Edge. Under ROOTPATHS, DATAPATHS and ASR ([`lists_full_roots`]) a
+    /// `//` join reads ancestors captured from the IdList: an
+    /// `AncestorOf` join those in front of each match, a
+    /// `DescendantBound` join those each row captured for the segment
+    /// root it binds. The step that bound that root was a free probe or
+    /// a streamed join, and both capture. An INLJ step, which does not,
+    /// never binds the root of a segment whose `//` edge is still open:
+    /// `plan::probe_spec` anchors a cross-segment probe at the edge's
+    /// upper node, so the probe itself closes the edge, and a
+    /// same-segment probe binds only the part below a shared node.
     fn recover_ancestors(&self, id: u64, arena: &mut Vec<u64>, probes: &mut u64) -> AncList {
         let off = arena.len();
-        if let Some((edge, _)) = &self.sealed.edge {
-            edge.ancestors_of(id, probes, |a| arena.push(a));
-        } else {
-            // Base-data fallback: one lookup per ancestor step, equivalent
-            // in cost to the backward-link walk.
-            let mut path = self.forest().root_path_ids(NodeId(id));
-            path.pop(); // drop the node itself
-            *probes += path.len() as u64;
-            arena.extend(path.iter().map(|n| n.0));
-        }
+        let (edge, _) = self.sealed.edge.as_ref().expect("Edge not built");
+        edge.ancestors_of(id, probes, |a| arena.push(a));
         AncList { off, len: arena.len() - off }
     }
 
@@ -1463,41 +1429,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
         }
         let restarts = cursor.get().restarts + cursors.iter().map(|c| c.restarts).sum::<u64>();
         (1 + restarts, seeks)
-    }
-
-    /// Stitches the ancestor-descendant edge `upper // seg_root` with the
-    /// stack-based structural join (§6's alternative): one merge pass over
-    /// the interval-sorted binding sets of `cx.rows` and of the matches
-    /// probed into `cx.fresh` instead of ancestor unnesting, then one
-    /// joined row for every row pair behind each `(ancestor, descendant)`
-    /// id pair, into `cx.out` and swapped into `cx.rows`.
-    /// `rows_bind_upper` says which side `cx.rows` is.
-    fn structural_join(
-        &self,
-        upper: usize,
-        seg_root: usize,
-        rows_bind_upper: bool,
-        cx: &mut Exec<'_>,
-    ) {
-        let Exec { rows, fresh, out, keys: upper_keys, .. } = cx;
-        let (rows, fresh) = (&*rows, &*fresh);
-        let (upper_rows, lower_rows) = if rows_bind_upper { (rows, fresh) } else { (fresh, rows) };
-        let upper_ids: Vec<u64> = upper_rows.column(upper).collect();
-        let lower_ids: Vec<u64> = lower_rows.column(seg_root).collect();
-        let pairs = crate::stitch::containment_join(self.forest(), &upper_ids, &lower_ids);
-        let mut lower_keys = Vec::new();
-        key_runs(upper_rows, upper, upper_keys);
-        key_runs(lower_rows, seg_root, &mut lower_keys);
-        out.clear();
-        for (a, d) in pairs {
-            for &(_, u) in run_of(upper_keys, a) {
-                for &(_, l) in run_of(&lower_keys, d) {
-                    let (i, j) = if rows_bind_upper { (u, l) } else { (l, u) };
-                    out.push_merged(rows, i, fresh, j);
-                }
-            }
-        }
-        std::mem::swap(&mut cx.rows, &mut cx.out);
     }
 
     /// The index-nested-loop extension (§3.3) of `cx.rows`, written into
@@ -2098,7 +2029,7 @@ mod tests {
             for strategy in Strategy::ALL {
                 let mut cx = Exec::default();
                 assert_eq!(e.execute(&compiled, &plan, strategy, &mut cx), expected, "{xpath}");
-                let written = cx.rows.len() + cx.fresh.len() + cx.out.len();
+                let written = cx.rows.len() + cx.out.len();
                 assert_eq!(written, 0, "{xpath} via {strategy}: rows written");
                 if matches!(strategy, Strategy::RootPaths | Strategy::DataPaths) {
                     // No IdList was decoded into the probe's buffer.

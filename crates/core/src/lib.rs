@@ -26,9 +26,6 @@
 //! * [`plan`] / [`engine`] — plan selection (merge vs. index-nested-loop)
 //!   and execution for all seven strategies, over one flat binding table
 //!   (the private `table` module).
-//! * [`stitch`] — the stack-based structural join of the containment-join
-//!   literature the paper cites in §6, as an alternative way to stitch
-//!   subpath matches across `//` edges.
 //! * [`persist`] — index durability: [`QueryEngine::persist`] writes
 //!   every built structure into a single `.xtwig` file, and
 //!   [`QueryEngine::open`] reattaches it with zero rebuild work,
@@ -59,7 +56,6 @@ pub mod paths;
 pub mod persist;
 pub mod plan;
 pub mod rootpaths;
-pub mod stitch;
 mod table;
 pub mod xpath;
 

@@ -65,8 +65,9 @@ use xtwig_xml::{TagId, XmlForest};
 /// catalog entries; version 3 replaced byte-wise FNV-1a with
 /// [`xtwig_storage::hash`] for the catalog checksum and the structure
 /// digests; version 4 stores each B+-tree leaf's common key prefix once
-/// per page (`xtwig_btree::node`).
-pub const FORMAT_VERSION: u32 = 4;
+/// per page (`xtwig_btree::node`); version 5 drops the structural-join
+/// flag from the engine options.
+pub const FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"XTWIGIDX";
 
@@ -568,7 +569,6 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
                 }
             }
         }
-        catalog.push_bool(self.sealed.structural_ad_joins);
 
         // One catalog entry per built structure: kind, extent, pool
         // capacity, then the structure's own metadata.
@@ -726,7 +726,6 @@ impl QueryEngine<Arc<XmlForest>> {
         } else {
             None
         };
-        let structural_ad_joins = r.bool()?;
 
         let mut rp = None;
         let mut dp = None;
@@ -782,7 +781,7 @@ impl QueryEngine<Arc<XmlForest>> {
             return Err(OpenError::Format(format!("{} trailing catalog byte(s)", r.remaining())));
         }
 
-        let sealed = Sealed { stats, pruned_tags, edge, dg, fab, asr, ji, structural_ad_joins };
+        let sealed = Sealed { stats, pruned_tags, edge, dg, fab, asr, ji };
         let engine = QueryEngine { forest, rp, dp, sealed: Arc::new(sealed) };
 
         // Reattachment must not have built anything: no pool allocated

@@ -8,8 +8,8 @@
 //! the whole execution shares — so producing, joining, projecting and
 //! deduplicating rows moves ids between vectors and never allocates per
 //! row. Join build sides are sorted `(key, row index)` runs
-//! ([`key_runs`] / [`run_of`]) over a table, not per-key row lists, and
-//! a stream of probe keys that mostly ascends finds its runs through a
+//! ([`key_runs`]) over a table, not per-key row lists, and a stream of
+//! probe keys that mostly ascends finds its runs through a
 //! [`MergeCursor`].
 //!
 //! Row-major indexing is this module's job, so `indexing_slicing` stays
@@ -107,29 +107,10 @@ impl BindingTable {
         &mut self.ids[at..]
     }
 
-    /// Appends the join of `left`'s row `i` and `right`'s row `j` (same
-    /// shape): the left row, plus every binding and captured ancestor
-    /// list only the right row has.
-    pub fn push_merged(&mut self, left: &BindingTable, i: usize, right: &BindingTable, j: usize) {
-        let (at, anc_at) = (self.ids.len(), self.anc.len());
-        self.push_copy(left, i);
-        for (mine, &theirs) in self.ids[at..].iter_mut().zip(right.row(j)) {
-            if theirs != UNBOUND {
-                *mine = theirs;
-            }
-        }
-        for (mine, &theirs) in self.anc[anc_at..].iter_mut().zip(right.anc_row(j)) {
-            if mine.is_none() {
-                *mine = theirs;
-            }
-        }
-    }
-
     /// Appends `src`'s row `i` (same shape) joined with a match that binds
     /// `ids` to the twig nodes `nodes` and carries the ancestor list
     /// `captured = (slot, list)`, which fills the slot only where the row
-    /// captured none — [`BindingTable::push_merged`] for a match that was
-    /// never written into a table.
+    /// captured none.
     pub fn push_joined(
         &mut self,
         src: &BindingTable,
@@ -222,21 +203,24 @@ impl BindingTable {
 
 /// The build side of an equi-join on `node`: `table`'s `(binding, row
 /// index)` pairs, sorted, so the rows of one key form one contiguous
-/// run in ascending row order ([`run_of`] finds it).
+/// run in ascending row order ([`MergeCursor::run`] finds it).
 pub(crate) fn key_runs(table: &BindingTable, node: usize, out: &mut Vec<(u64, usize)>) {
     out.clear();
     out.extend(table.column(node).zip(0..));
     out.sort_unstable();
 }
 
-/// The run of `key` in pairs sorted by [`key_runs`] (empty when absent).
-pub(crate) fn run_of(keys: &[(u64, usize)], key: u64) -> &[(u64, usize)] {
+/// The run of `key` in pairs sorted by [`key_runs`] (empty when absent):
+/// the plain binary search the cursor's tests compare against.
+#[cfg(test)]
+fn run_of(keys: &[(u64, usize)], key: u64) -> &[(u64, usize)] {
     let rest = &keys[keys.partition_point(|&(k, _)| k < key)..];
     &rest[..rest.partition_point(|&(k, _)| k == key)]
 }
 
-/// [`run_of`] for a stream of keys that mostly ascend — the ids a leaf
-/// scan lends, which rise within each schema path. A key at or above the
+/// The run of a key among pairs sorted by [`key_runs`], for a stream of
+/// keys that mostly ascend — the ids a leaf scan lends, which rise within
+/// each schema path. A key at or above the
 /// previous one is found by galloping forward from the previous hit, so
 /// a join over an ascending stream is a merge; a smaller key restarts the
 /// search, and `restarts` counts how often that happened.
@@ -346,21 +330,6 @@ mod tests {
         assert!(!root.is_none());
         assert!(root.of(&[7]).is_empty());
         assert!(AncList::NONE.of(&[7]).is_empty());
-    }
-
-    #[test]
-    fn merge_overlays_right_bindings_and_keeps_left_ancestors() {
-        let mut arena = Vec::new();
-        let left = table(&[([1, U, U], Some(&[10])), ([2, U, U], None)], &mut arena);
-        let right = table(&[([U, 6, 7], Some(&[20, 21]))], &mut arena);
-        let mut out = BindingTable::default();
-        out.reset(3, 1);
-        out.push_merged(&left, 0, &right, 0);
-        out.push_merged(&left, 1, &right, 0);
-        assert_eq!(out.row(0), [1, 6, 7]);
-        assert_eq!(out.anc_row(0)[0].of(&arena), [10], "left's captured list wins");
-        assert_eq!(out.row(1), [2, 6, 7]);
-        assert_eq!(out.anc_row(1)[0].of(&arena), [20, 21], "right's fills the empty slot");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! hands it one (`QueryEngine::answer_traced`, a sampled request, any
 //! execution while the slow-query log is on) — a tree of [`Span`]s
 //! covering each pipeline stage (plan, auto-resolve, per-step index
-//! probes and structural joins, materialization), with wall time plus
+//! probes and joins, materialization), with wall time plus
 //! I/O counters ([`SpanCounters`]) per stage. The spans always belong
 //! to the execution that produced the answer. The crate is
 //! deliberately tiny and std-only: it knows nothing about pools,
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 /// Counter deltas attributed to one span.
 ///
-/// `logical_reads`/`physical_reads` are buffer-pool deltas; `probes`
+/// `logical_reads`/`physical_reads` are the page reads the stage made; `probes`
 /// counts index point probes; `rows` counts match rows fetched (or
 /// result ids, for materialization spans).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -441,7 +441,9 @@ impl TwigService {
     /// persist path reads pages through the pools, overlay-first).
     /// Reopening the file yields an engine with the updates applied and
     /// an empty overlay. Queries keep running against the pinned epoch
-    /// throughout; concurrent updates serialize behind the fold.
+    /// throughout; concurrent updates serialize behind the fold. A
+    /// reader pinning a page the fold must flush is transient, as it is
+    /// for a fork (`fork_engine`): the fold retries.
     pub fn persist<P: AsRef<std::path::Path>>(
         &self,
         path: P,
@@ -449,7 +451,12 @@ impl TwigService {
         let path = path.as_ref();
         let maint = self.shared.maintenance.lock();
         let epoch = self.shared.epoch.pin();
-        let report = epoch.engine.persist(path)?;
+        let report = loop {
+            match epoch.engine.persist(path) {
+                Err(PersistError::PinnedPages { .. }) => std::thread::yield_now(),
+                done => break done?,
+            }
+        };
         self.shared.metrics.folds.fetch_add(1, Ordering::Relaxed);
         drop(maint);
         self.shared.events.emit(Event::PersistFolded { path: path.display().to_string() });

@@ -4,9 +4,21 @@
 //! stable analogue is the count of *logical* page accesses (buffer-pool
 //! requests) and *physical* reads (buffer misses). The benchmark harness
 //! reports both, alongside wall-clock time.
+//!
+//! Every read is counted twice: into the pool's shared [`IoStats`], and
+//! into a tally of the thread that makes it, over all pools
+//! ([`IoStatsSnapshot::of_this_thread`]). A query runs on its caller's
+//! thread, so the difference of that tally across the query is the reads
+//! the query made, whatever other threads read meanwhile.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+thread_local! {
+    /// The `(logical, physical)` page reads this thread has made.
+    static THREAD_READS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
 /// Thread-safe I/O counters shared by a buffer pool and its clients.
 #[derive(Debug, Default)]
@@ -37,11 +49,15 @@ impl IoStats {
     #[inline]
     pub(crate) fn record_logical(&self) {
         self.logical_reads.fetch_add(1, Ordering::Relaxed);
+        THREAD_READS.with(|r| r.set((r.get().0 + 1, r.get().1)));
     }
 
+    /// Counts a page load: into the pool, and into the thread that loads
+    /// it — also when another fetch waits on that load.
     #[inline]
     pub(crate) fn record_physical_read(&self) {
         self.physical_reads.fetch_add(1, Ordering::Relaxed);
+        THREAD_READS.with(|r| r.set((r.get().0, r.get().1 + 1)));
     }
 
     #[inline]
@@ -115,6 +131,13 @@ pub struct IoStatsSnapshot {
 }
 
 impl IoStatsSnapshot {
+    /// The logical and physical page reads the calling thread has made
+    /// so far, over every pool; the other counters are zero.
+    pub fn of_this_thread() -> IoStatsSnapshot {
+        let (logical_reads, physical_reads) = THREAD_READS.with(Cell::get);
+        IoStatsSnapshot { logical_reads, physical_reads, ..IoStatsSnapshot::default() }
+    }
+
     /// Counter-wise difference `self - earlier` (saturating).
     pub fn since(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
         IoStatsSnapshot {
@@ -242,6 +265,26 @@ mod tests {
         let d = b.since(&a);
         assert_eq!(d.logical_reads, 1);
         assert_eq!(d.physical_reads, 1);
+    }
+
+    #[test]
+    fn each_thread_tallies_only_its_own_reads() {
+        let s = Arc::new(IoStats::new());
+        let before = IoStatsSnapshot::of_this_thread();
+        s.record_logical();
+        s.record_logical();
+        s.record_physical_read();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let other = IoStatsSnapshot::of_this_thread();
+                s.record_logical();
+                let mine = IoStatsSnapshot::of_this_thread().since(&other);
+                assert_eq!((mine.logical_reads, mine.physical_reads), (1, 0));
+            });
+        });
+        let mine = IoStatsSnapshot::of_this_thread().since(&before);
+        assert_eq!((mine.logical_reads, mine.physical_reads), (2, 1));
+        assert_eq!(s.snapshot().logical_reads, 3, "the pool counts every thread");
     }
 
     #[test]

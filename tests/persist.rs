@@ -549,17 +549,19 @@ fn version_and_magic_mismatches_are_rejected() {
     .unwrap();
     let bytes = std::fs::read(&path).unwrap();
 
-    // Future format version.
-    let mut v = bytes.clone();
-    v[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    std::fs::write(&path, &v).unwrap();
-    match QueryEngine::open(&path) {
-        Err(OpenError::VersionMismatch { found, expected }) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(expected, FORMAT_VERSION);
+    // The previous format version and a future one.
+    for version in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+        let mut v = bytes.clone();
+        v[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &v).unwrap();
+        match QueryEngine::open(&path) {
+            Err(OpenError::VersionMismatch { found, expected }) => {
+                assert_eq!(found, version);
+                assert_eq!(expected, FORMAT_VERSION);
+            }
+            Ok(_) => panic!("expected VersionMismatch for {version}, but the open succeeded"),
+            Err(e) => panic!("expected VersionMismatch for {version}, got {e:?}"),
         }
-        Ok(_) => panic!("expected VersionMismatch, but the open succeeded"),
-        Err(e) => panic!("expected VersionMismatch, got {e:?}"),
     }
 
     // Bad magic.

@@ -9,6 +9,7 @@
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
+use xtwig::core::QueryMetrics;
 use xtwig::datagen::{generate_xmark, xmark_queries, XmarkConfig};
 use xtwig::prelude::*;
 use xtwig::xml::naive;
@@ -203,10 +204,6 @@ fn eight_callers_match_sequential_execution_byte_for_byte() {
 /// misreported theirs.
 #[test]
 fn concurrent_answers_count_exactly_their_own_probes() {
-    const THREADS: usize = 4;
-    const ROUNDS: usize = 5;
-    let mut forest = XmlForest::new();
-    generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
     let strategies = [
         Strategy::Asr,
         Strategy::Edge,
@@ -214,18 +211,46 @@ fn concurrent_answers_count_exactly_their_own_probes() {
         Strategy::IndexFabricEdge,
         Strategy::JoinIndex,
     ];
+    assert_each_answer_counts_as_alone(&strategies, 6, "probes", |m| m.probes);
+}
+
+/// Every page read counts into the thread that makes it, and a query
+/// runs on its caller's thread, so an answer's `metrics.logical_reads`
+/// does not depend on what runs beside it either. Four threads answer
+/// Q1x–Q15x under all seven strategies. When an answer reported the
+/// difference of its strategy's pool-wide counters across the run,
+/// about half of these 2 100 answers misreported their reads.
+#[test]
+fn concurrent_answers_count_exactly_their_own_reads() {
+    assert_each_answer_counts_as_alone(&Strategy::ALL, 15, "logical reads", |m| m.logical_reads);
+}
+
+/// Builds `strategies` over XMark and has four threads, released
+/// together, answer the first `queries` XMark queries under each of them
+/// five times over, checking that every answer reports the `count` the
+/// same query reports alone.
+fn assert_each_answer_counts_as_alone(
+    strategies: &[Strategy],
+    queries: usize,
+    what: &str,
+    count: fn(&QueryMetrics) -> u64,
+) {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 5;
+    let mut forest = XmlForest::new();
+    generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
     let engine = QueryEngine::build(
         &forest,
         EngineOptions { strategies: strategies.to_vec(), pool_pages: 8192, ..Default::default() },
     );
     let work: Vec<(&str, TwigPattern, Strategy)> = xmark_queries()
         .iter()
-        .take(6)
-        .flat_map(|q| strategies.map(|s| (q.id, q.twig(), s)))
+        .take(queries)
+        .flat_map(|q| strategies.iter().map(|&s| (q.id, q.twig(), s)))
         .collect();
-    assert_eq!(work.last().map(|w| w.0), Some("Q6x"));
+    assert_eq!(work.len(), queries * strategies.len());
     let alone: Vec<u64> =
-        work.iter().map(|(_, t, s)| engine.answer(t, *s).metrics.probes).collect();
+        work.iter().map(|(_, t, s)| count(&engine.answer(t, *s).metrics)).collect();
     let start = Barrier::new(THREADS);
     let wrong: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
@@ -235,9 +260,9 @@ fn concurrent_answers_count_exactly_their_own_probes() {
                     let mut wrong = Vec::new();
                     for _ in 0..ROUNDS {
                         for ((id, twig, s), want) in work.iter().zip(&alone) {
-                            let got = engine.answer(twig, *s).metrics.probes;
+                            let got = count(&engine.answer(twig, *s).metrics);
                             if got != *want {
-                                wrong.push(format!("{id} under {s}: {got} probes, alone {want}"));
+                                wrong.push(format!("{id} under {s}: {got} {what}, alone {want}"));
                             }
                         }
                     }
@@ -249,7 +274,7 @@ fn concurrent_answers_count_exactly_their_own_probes() {
     });
     assert!(
         wrong.is_empty(),
-        "{} of {} answers misreported their probes: {wrong:?}",
+        "{} of {} answers misreported their {what}: {wrong:?}",
         wrong.len(),
         THREADS * ROUNDS * work.len()
     );

@@ -361,3 +361,45 @@ fn an_appended_path_keeps_the_join_seeking() {
         assert_eq!(answer.metrics.rows_fetched, 4, "{s}");
     }
 }
+
+/// An engine without Edge joins a `//` edge on the ancestors the index
+/// lists in front of each match, also for ids the forest has never seen.
+/// Book K goes under shelf A with a fresh title `V` and a fresh author
+/// `z`, every id past the forest. In `//book[title = 'V']//author` the
+/// rare title drives and each author match brings its ancestors
+/// (`AncestorOf`); in `//shelf//author[. = 'z']` the rare author drives
+/// and each row brings the ancestors it captured (`DescendantBound`).
+#[test]
+fn descendant_joins_over_inserted_ids_read_ancestors_from_the_index() {
+    use xtwig::core::plan::JoinHow;
+    let (svc, [lib, shelf, book, title, author]) = shelf_service();
+    svc.apply_update(vec![
+        UpdateOp::InsertPath { tags: vec![lib, shelf, book], ids: vec![1, 11, 30], value: None },
+        UpdateOp::InsertPath {
+            tags: vec![lib, shelf, book, title],
+            ids: vec![1, 11, 30, 31],
+            value: Some("V".into()),
+        },
+        UpdateOp::InsertPath {
+            tags: vec![lib, shelf, book, author],
+            ids: vec![1, 11, 30, 32],
+            value: Some("z".into()),
+        },
+    ]);
+    let mut kinds = Vec::new();
+    for (xpath, want) in [("//book[title = 'V']//author", [32]), ("//shelf//author[. = 'z']", [32])]
+    {
+        let twig = parse_xpath(xpath).unwrap();
+        let plan = svc.with_engine(|e| e.plan(&twig)).unwrap();
+        kinds.extend(plan.steps.iter().filter_map(|step| match step.join {
+            Some(JoinHow::AncestorOf { .. }) => Some("AncestorOf"),
+            Some(JoinHow::DescendantBound { .. }) => Some("DescendantBound"),
+            _ => None,
+        }));
+        for s in [Strategy::RootPaths, Strategy::DataPaths] {
+            let answer = svc.execute(&twig, s).unwrap();
+            assert_eq!(answer.ids.iter().copied().collect::<Vec<_>>(), want, "{xpath}: {s}");
+        }
+    }
+    assert_eq!(kinds, ["AncestorOf", "DescendantBound"]);
+}
