@@ -14,7 +14,7 @@ use xtwig_core::compress::{measure_idlist_bytes, workload_head_filter, DictDataP
 use xtwig_core::datapaths::{DataPaths, DataPathsOptions};
 use xtwig_core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig_core::family::PathIndex;
-use xtwig_core::rootpaths::{IdListKeep, RootPaths, RootPathsOptions};
+use xtwig_core::rootpaths::{RootPaths, RootPathsOptions};
 use xtwig_datagen::xmark_queries;
 use xtwig_rel::codec::IdListCodec;
 use xtwig_storage::BufferPool;
@@ -51,20 +51,6 @@ fn report(name: &str, forest: &XmlForest, workload: &[xtwig_xml::TwigPattern]) {
         ib.datapaths_saving() * 100.0
     );
     assert!(dp_delta.space_bytes() <= dp_plain.space_bytes());
-
-    // Lossy 0: extreme IdList pruning (§4.1's workload pruning taken to
-    // the Index Fabric limit — one id per entry).
-    let rp_lastonly = RootPaths::build(
-        forest,
-        pool(),
-        RootPathsOptions { keep: IdListKeep::LastOnly, ..Default::default() },
-    );
-    println!(
-        "IdList pruning (LastOnly): RP {:.2} -> {:.2} MB (filter queries only; no branch ids)",
-        mb(rp_delta.space_bytes()),
-        mb(rp_lastonly.space_bytes())
-    );
-    assert!(rp_lastonly.space_bytes() <= rp_delta.space_bytes());
 
     // Lossy 1: SchemaPath dictionary.
     let dict = DictDataPaths::build(forest, pool());

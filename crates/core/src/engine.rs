@@ -59,6 +59,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtwig_btree::node::MAX_VAL;
 use xtwig_obs::{SpanCounters, Trace};
+use xtwig_opt::Structure;
 use xtwig_rel::codec::encode_idlist;
 use xtwig_storage::{hash, BufferPool, IoStatsSnapshot, PoolCounters};
 use xtwig_xml::{NodeId, TagId, TwigPattern, XmlForest};
@@ -407,20 +408,19 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// (tests pin shard boundaries and worker counts through this).
     pub fn build_with_plan(forest: F, options: EngineOptions, plan: &ShardPlan) -> Self {
         let f: &XmlForest = forest.borrow();
-        let want = |s: Strategy| {
-            options.strategies.contains(&s) || options.strategies.contains(&Strategy::Auto)
+        let want = |s: &Strategy| {
+            options.strategies.contains(s) || options.strategies.contains(&Strategy::Auto)
         };
-        let needs_edge = want(Strategy::Edge)
-            || want(Strategy::DataGuideEdge)
-            || want(Strategy::IndexFabricEdge)
-            || want(Strategy::JoinIndex);
+        let need = |structure: Structure| {
+            Strategy::ALL.iter().any(|s| want(s) && s.structures().contains(&structure))
+        };
         let pool = || Arc::new(BufferPool::in_memory(options.pool_pages));
         let stats = PathStats::build_sharded(f, plan);
         let pruned_tags = options
             .head_filter_tags
             .as_ref()
             .map(|names| names.iter().filter_map(|n| f.dict().lookup(n)).collect::<HashSet<_>>());
-        let dp = want(Strategy::DataPaths).then(|| {
+        let dp = need(Structure::DataPaths).then(|| {
             let p = pool();
             let dp = match &pruned_tags {
                 None => DataPaths::build_sharded(f, p.clone(), options.dp, plan),
@@ -434,27 +434,27 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
             };
             (dp, p)
         });
-        let rp = want(Strategy::RootPaths).then(|| {
+        let rp = need(Structure::RootPaths).then(|| {
             let p = pool();
             (RootPaths::build_sharded(f, p.clone(), options.rp, plan), p)
         });
-        let edge = needs_edge.then(|| {
+        let edge = need(Structure::Edge).then(|| {
             let p = pool();
             (EdgeTable::build_sharded(f, p.clone(), plan), p)
         });
-        let dg = want(Strategy::DataGuideEdge).then(|| {
+        let dg = need(Structure::DataGuide).then(|| {
             let p = pool();
             (DataGuide::build_sharded(f, p.clone(), plan), p)
         });
-        let fab = want(Strategy::IndexFabricEdge).then(|| {
+        let fab = need(Structure::IndexFabric).then(|| {
             let p = pool();
             (IndexFabric::build_sharded(f, p.clone(), plan), p)
         });
-        let asr = want(Strategy::Asr).then(|| {
+        let asr = need(Structure::Asr).then(|| {
             let p = pool();
             (AccessSupportRelations::build_sharded(f, p.clone(), plan), p)
         });
-        let ji = want(Strategy::JoinIndex).then(|| {
+        let ji = need(Structure::JoinIndex).then(|| {
             let p = pool();
             (JoinIndices::build_sharded(f, p.clone(), plan), p)
         });
@@ -472,16 +472,36 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// [`Strategy::Auto`] is available as soon as any concrete strategy
     /// is — the optimizer only ranks built configurations.
     pub fn has_strategy(&self, strategy: Strategy) -> bool {
-        match strategy {
-            Strategy::RootPaths => self.rp.is_some(),
-            Strategy::DataPaths => self.dp.is_some(),
-            Strategy::Edge => self.sealed.edge.is_some(),
-            Strategy::DataGuideEdge => self.sealed.dg.is_some() && self.sealed.edge.is_some(),
-            Strategy::IndexFabricEdge => self.sealed.fab.is_some() && self.sealed.edge.is_some(),
-            Strategy::Asr => self.sealed.asr.is_some(),
-            Strategy::JoinIndex => self.sealed.ji.is_some() && self.sealed.edge.is_some(),
-            Strategy::Auto => Strategy::ALL.iter().any(|&s| self.has_strategy(s)),
+        if strategy.is_auto() {
+            return Strategy::ALL.iter().any(|&s| self.has_strategy(s));
         }
+        strategy.structures().iter().all(|&s| self.structure(s).is_some())
+    }
+
+    /// A built structure and the pool it lives in.
+    fn structure(&self, structure: Structure) -> Option<(&dyn PathIndex, &Arc<BufferPool>)> {
+        fn built<I: PathIndex>(
+            slot: &Option<(I, Arc<BufferPool>)>,
+        ) -> Option<(&dyn PathIndex, &Arc<BufferPool>)> {
+            slot.as_ref().map(|(index, pool)| (index as &dyn PathIndex, pool))
+        }
+        match structure {
+            Structure::RootPaths => built(&self.rp),
+            Structure::DataPaths => built(&self.dp),
+            Structure::Edge => built(&self.sealed.edge),
+            Structure::DataGuide => built(&self.sealed.dg),
+            Structure::IndexFabric => built(&self.sealed.fab),
+            Structure::Asr => built(&self.sealed.asr),
+            Structure::JoinIndex => built(&self.sealed.ji),
+        }
+    }
+
+    /// The built structures `strategy` reads, its own first.
+    fn built_structures(
+        &self,
+        strategy: Strategy,
+    ) -> impl Iterator<Item = (&dyn PathIndex, &Arc<BufferPool>)> {
+        strategy.structures().iter().filter_map(|&s| self.structure(s))
     }
 
     /// True when every built maintainable index can store `ids` as one
@@ -530,77 +550,11 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// Edge structures it relies on. [`Strategy::Auto`] owns no
     /// structures of its own and reports zero.
     pub fn space_bytes(&self, strategy: Strategy) -> u64 {
-        let edge = self.sealed.edge.as_ref().map_or(0, |(e, _)| e.space_bytes());
-        match strategy {
-            Strategy::RootPaths => self.rp.as_ref().map_or(0, |(i, _)| i.space_bytes()),
-            Strategy::DataPaths => self.dp.as_ref().map_or(0, |(i, _)| i.space_bytes()),
-            Strategy::Edge => edge,
-            Strategy::DataGuideEdge => {
-                self.sealed.dg.as_ref().map_or(0, |(i, _)| i.space_bytes()) + edge
-            }
-            Strategy::IndexFabricEdge => {
-                self.sealed.fab.as_ref().map_or(0, |(i, _)| i.space_bytes()) + edge
-            }
-            Strategy::Asr => self.sealed.asr.as_ref().map_or(0, |(i, _)| i.space_bytes()),
-            Strategy::JoinIndex => {
-                self.sealed.ji.as_ref().map_or(0, |(i, _)| i.space_bytes()) + edge
-            }
-            Strategy::Auto => 0,
-        }
+        self.built_structures(strategy).map(|(index, _)| index.space_bytes()).sum()
     }
 
     pub(crate) fn pools_for(&self, strategy: Strategy) -> Vec<&Arc<BufferPool>> {
-        let mut pools = Vec::new();
-        match strategy {
-            Strategy::RootPaths => {
-                if let Some((_, p)) = &self.rp {
-                    pools.push(p);
-                }
-            }
-            Strategy::DataPaths => {
-                if let Some((_, p)) = &self.dp {
-                    pools.push(p);
-                }
-            }
-            Strategy::Edge => {
-                if let Some((_, p)) = &self.sealed.edge {
-                    pools.push(p);
-                }
-            }
-            Strategy::DataGuideEdge => {
-                if let Some((_, p)) = &self.sealed.dg {
-                    pools.push(p);
-                }
-                if let Some((_, p)) = &self.sealed.edge {
-                    pools.push(p);
-                }
-            }
-            Strategy::IndexFabricEdge => {
-                if let Some((_, p)) = &self.sealed.fab {
-                    pools.push(p);
-                }
-                if let Some((_, p)) = &self.sealed.edge {
-                    pools.push(p);
-                }
-            }
-            Strategy::Asr => {
-                if let Some((_, p)) = &self.sealed.asr {
-                    pools.push(p);
-                }
-            }
-            Strategy::JoinIndex => {
-                if let Some((_, p)) = &self.sealed.ji {
-                    pools.push(p);
-                }
-                if let Some((_, p)) = &self.sealed.edge {
-                    pools.push(p);
-                }
-            }
-            // Auto owns no pools; metric attribution happens against
-            // the concrete strategy it resolved to.
-            Strategy::Auto => {}
-        }
-        pools
+        self.built_structures(strategy).map(|(_, pool)| pool).collect()
     }
 
     /// Digest over the raw page images of every buffer pool backing

@@ -66,8 +66,9 @@ use xtwig_xml::{TagId, XmlForest};
 /// [`xtwig_storage::hash`] for the catalog checksum and the structure
 /// digests; version 4 stores each B+-tree leaf's common key prefix once
 /// per page (`xtwig_btree::node`); version 5 drops the structural-join
-/// flag from the engine options.
-pub const FORMAT_VERSION: u32 = 5;
+/// flag from the engine options; version 6 drops the ROOTPATHS
+/// IdList-sublist byte.
+pub const FORMAT_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 8] = b"XTWIGIDX";
 

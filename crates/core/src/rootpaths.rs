@@ -51,30 +51,11 @@ use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, XmlForest};
 
-/// Which IdList sublist to store (paper §4.1's lossy pruning).
-///
-/// "With some knowledge about the query workload, it is also possible to
-/// prune the IdLists … This compression of IdLists results in loss in
-/// functionality": a `LastOnly` index answers filter-style path queries
-/// (the Index Fabric's query class) but cannot supply branch-point ids,
-/// so it cannot drive ad hoc twig joins. The query engine therefore only
-/// accepts `Full` indexes; `LastOnly` is for the §5.2.5 space study.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IdListKeep {
-    /// Store the complete IdList (the paper's default).
-    #[default]
-    Full,
-    /// Store only the final node id (extreme workload pruning).
-    LastOnly,
-}
-
 /// Build options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RootPathsOptions {
     /// IdList storage codec (delta by default — §4.1 lossless).
     pub idlist: IdListCodec,
-    /// IdList sublist to keep (§4.1 lossy pruning).
-    pub keep: IdListKeep,
     /// B+-tree options (prefix truncation, fill factor).
     pub btree: BTreeOptions,
 }
@@ -83,7 +64,6 @@ pub struct RootPathsOptions {
 pub struct RootPaths {
     tree: BTree,
     pub(crate) idlist: IdListCodec,
-    keep: IdListKeep,
     rows: u64,
     order: DocumentOrder,
 }
@@ -307,13 +287,9 @@ impl RootPaths {
         let runs = map_shards(plan, |range| {
             let mut run = RunArena::new();
             for_each_root_path_in(forest, range, |tags, ids, value| {
-                let stored: &[u64] = match options.keep {
-                    IdListKeep::Full => ids,
-                    IdListKeep::LastOnly => &ids[ids.len() - 1..],
-                };
                 run.push_with(
                     |k| push_key(k, tags, *ids.last().unwrap(), value),
-                    |v| codec::encode_idlist_into(options.idlist, stored, v),
+                    |v| codec::encode_idlist_into(options.idlist, ids, v),
                 );
             });
             run.sort();
@@ -322,7 +298,7 @@ impl RootPaths {
         let rows = runs.iter().map(|r| r.len() as u64).sum();
         let tree = bulk_build(pool, options.btree, merge_sorted_runs(&runs));
         let order = DocumentOrder::of(forest);
-        RootPaths { tree, idlist: options.idlist, keep: options.keep, rows, order }
+        RootPaths { tree, idlist: options.idlist, rows, order }
     }
 
     /// Number of stored rows (structural + valued).
@@ -384,11 +360,6 @@ impl RootPaths {
         scan_entries(&self.tree, &self.probe_prefix(q), self.idlist, what, floor, ids, sink)
     }
 
-    /// The stored IdList sublist.
-    pub fn idlist_keep(&self) -> IdListKeep {
-        self.keep
-    }
-
     /// Inserts the index entries for a new node whose root path is
     /// `tags`/`ids` with optional leaf `value` (paper §7: updating
     /// ROOTPATHS requires one entry per new prefix — the caller invokes
@@ -438,10 +409,6 @@ impl RootPaths {
     /// the tree's shape.
     pub(crate) fn write_meta(&self, w: &mut persist::ByteWriter) {
         persist::write_codec(w, self.idlist);
-        w.push_u8(match self.keep {
-            IdListKeep::Full => 0,
-            IdListKeep::LastOnly => 1,
-        });
         w.push_u64(self.rows);
         self.order.write(w);
         persist::write_tree_meta(w, &self.tree);
@@ -453,15 +420,10 @@ impl RootPaths {
         pool: Arc<BufferPool>,
     ) -> Result<Self, persist::FormatError> {
         let idlist = persist::read_codec(r)?;
-        let keep = match r.u8()? {
-            0 => IdListKeep::Full,
-            1 => IdListKeep::LastOnly,
-            b => return persist::format_err(format!("unknown IdList sublist {b}")),
-        };
         let rows = r.u64()?;
         let order = DocumentOrder::read(r)?;
         let tree = persist::read_tree_meta(r, pool)?;
-        Ok(RootPaths { tree, idlist, keep, rows, order })
+        Ok(RootPaths { tree, idlist, rows, order })
     }
 }
 
@@ -488,7 +450,7 @@ impl FreeIndex for RootPaths {
         let mut out = Vec::new();
         self.for_each_free(q, &mut Vec::new(), None, false, |key, ids| {
             let (tags, _) = designator::decode_path_reversed(key, skip_value_part(key, 0));
-            debug_assert!(self.keep == IdListKeep::LastOnly || tags.len() == ids.len());
+            debug_assert_eq!(tags.len(), ids.len());
             out.push(PathMatch { head: 0, tags, ids: ids.to_vec() });
             ControlFlow::Continue(())
         });
@@ -722,26 +684,6 @@ pub(crate) mod tests {
         // Self-locating delete (no joins needed).
         assert!(rp.delete_path(&dict_ids, &[1, 5, 1000, 1001], Some("zoe")));
         assert!(rp.lookup_free(&q(&f, &["author", "fn"], false, Some("zoe"))).is_empty());
-    }
-
-    #[test]
-    fn last_only_pruning_trades_space_for_branch_ids() {
-        // §4.1 lossy pruning: keep only the final id. Filter-style
-        // lookups still work; branch-point extraction is gone.
-        let f = fig1_book_document();
-        let full = build(&f);
-        let pruned = RootPaths::build(
-            &f,
-            Arc::new(BufferPool::in_memory(4096)),
-            RootPathsOptions { keep: IdListKeep::LastOnly, ..Default::default() },
-        );
-        assert!(pruned.space_bytes() <= full.space_bytes());
-        let q = q(&f, &["author", "fn"], false, Some("jane"));
-        let full_ms = full.lookup_free(&q);
-        let pruned_ms = pruned.lookup_free(&q);
-        assert_eq!(last_ids(&full_ms), last_ids(&pruned_ms));
-        assert!(pruned_ms.iter().all(|m| m.ids.len() == 1), "only the leaf id remains");
-        assert!(full_ms.iter().all(|m| m.ids.len() == 4), "full index keeps the chain");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   makes the typed `Malformed` response possible.
 //! * [`server`] / [`client`] — the endpoints. The server fronts a
 //!   [`xtwig_service::Catalog`] (many persisted `.xtwig` indexes by
-//!   name, opened on demand, LRU of attached engines) and runs one
+//!   name, each opened on first use and kept attached) and runs one
 //!   thread per connection; each request executes on that thread via
 //!   [`xtwig_service::TwigService::execute`], so back-pressure is the
 //!   service's admission budget and an overloaded server answers with

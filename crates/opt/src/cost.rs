@@ -30,7 +30,7 @@
 
 use crate::calibration::Calibration;
 use crate::estimate::{leaf_candidates, pattern_matches, CardinalitySource};
-use crate::strategy::Strategy;
+use crate::strategy::{Strategy, Structure};
 use xtwig_xml::TagId;
 
 /// Measured shape of one B+-tree.
@@ -121,20 +121,22 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// True when the strategy's structures are all present (mirrors the
-    /// engine's `has_strategy`). [`Strategy::Auto`] is available as soon
-    /// as any concrete strategy is.
+    /// True when the strategy's [`Strategy::structures`] are all
+    /// present. [`Strategy::Auto`] is available as soon as any concrete
+    /// strategy is.
     pub fn has(&self, strategy: Strategy) -> bool {
-        match strategy {
-            Strategy::RootPaths => self.rp.is_some(),
-            Strategy::DataPaths => self.dp.is_some(),
-            Strategy::Edge => self.edge.is_some(),
-            Strategy::DataGuideEdge => self.dg.is_some() && self.edge.is_some(),
-            Strategy::IndexFabricEdge => self.fab.is_some() && self.edge.is_some(),
-            Strategy::Asr => self.asr.is_some(),
-            Strategy::JoinIndex => self.ji.is_some() && self.edge.is_some(),
-            Strategy::Auto => Strategy::ALL.iter().any(|&s| self.has(s)),
+        if strategy.is_auto() {
+            return Strategy::ALL.iter().any(|&s| self.has(s));
         }
+        strategy.structures().iter().all(|structure| match structure {
+            Structure::RootPaths => self.rp.is_some(),
+            Structure::DataPaths => self.dp.is_some(),
+            Structure::Edge => self.edge.is_some(),
+            Structure::DataGuide => self.dg.is_some(),
+            Structure::IndexFabric => self.fab.is_some(),
+            Structure::Asr => self.asr.is_some(),
+            Structure::JoinIndex => self.ji.is_some(),
+        })
     }
 }
 

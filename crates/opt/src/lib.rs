@@ -50,4 +50,4 @@ pub use cost::{
     TreeProfile, TwigCostInput,
 };
 pub use estimate::{leaf_candidates, pattern_matches, CardinalitySource};
-pub use strategy::{ParseStrategyError, Strategy};
+pub use strategy::{ParseStrategyError, Strategy, Structure};

@@ -65,6 +65,42 @@ impl Strategy {
     pub fn is_auto(&self) -> bool {
         matches!(self, Strategy::Auto)
     }
+
+    /// The structures this strategy reads, its own first: DG+Edge,
+    /// IF+Edge and JI also read Edge. A strategy is built when all of
+    /// them are; [`Strategy::Auto`] owns none.
+    pub fn structures(&self) -> &'static [Structure] {
+        match self {
+            Strategy::RootPaths => &[Structure::RootPaths],
+            Strategy::DataPaths => &[Structure::DataPaths],
+            Strategy::Edge => &[Structure::Edge],
+            Strategy::DataGuideEdge => &[Structure::DataGuide, Structure::Edge],
+            Strategy::IndexFabricEdge => &[Structure::IndexFabric, Structure::Edge],
+            Strategy::Asr => &[Structure::Asr],
+            Strategy::JoinIndex => &[Structure::JoinIndex, Structure::Edge],
+            Strategy::Auto => &[],
+        }
+    }
+}
+
+/// One of the seven physical structures the strategies read (see
+/// [`Strategy::structures`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Structure {
+    /// The ROOTPATHS B+-tree.
+    RootPaths,
+    /// The DATAPATHS B+-tree.
+    DataPaths,
+    /// The Edge table with its value and link indexes.
+    Edge,
+    /// The simulated DataGuide.
+    DataGuide,
+    /// The simulated Index Fabric.
+    IndexFabric,
+    /// The Access Support Relations.
+    Asr,
+    /// The Join Index table pairs.
+    JoinIndex,
 }
 
 impl fmt::Display for Strategy {

@@ -1,9 +1,12 @@
 //! Plan and result caches for the query service.
 //!
-//! Both caches are internally synchronized (one short-held mutex each)
-//! so concurrent callers use them through `&self` while executing
-//! against a pinned epoch; neither ever calls back into the engine while
-//! locked, so lock order is trivially acyclic.
+//! A service keeps one plan cache for its whole life, and each engine
+//! epoch keeps its own result cache: plans depend on the tag dictionary
+//! alone, answers on the epoch's data. Both caches are internally
+//! synchronized (one short-held mutex each) so concurrent callers use
+//! them through `&self` while executing against a pinned epoch; neither
+//! ever calls back into the engine while locked, so lock order is
+//! trivially acyclic.
 
 use crate::shape::shape_key;
 use parking_lot::Mutex;
@@ -23,8 +26,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that fell through.
     pub misses: u64,
-    /// Entries discarded because their generation went stale (result
-    /// cache only).
+    /// Entries dropped with the epoch an update displaced, counted at
+    /// publish (result cache only).
     pub invalidated: u64,
 }
 
@@ -58,8 +61,8 @@ impl CacheStats {
 /// so repeated auto submissions rank the strategies once and every
 /// later query of the shape keys its cached results on the resolved
 /// *concrete* strategy. Plans never go stale under the §7 updates path
-/// (decomposition depends on the tag dictionary, not the data), so
-/// there is no generation here; and a memoized pick stays built because
+/// (decomposition depends on the tag dictionary, not the data), so one
+/// plan cache serves every epoch; and a memoized pick stays built because
 /// a cache serves the engines of one service, whose strategy set never
 /// changes. Capacity overflow evicts the
 /// oldest-inserted shape (FIFO — misses only cost a recompile, so
@@ -200,124 +203,89 @@ impl PlanCache {
 struct CachedResult {
     ids: Arc<BTreeSet<u64>>,
     plan: PlanKind,
-    /// Index generation the answer was computed under (read *before*
-    /// execution, so an update racing with the computation stales it).
-    generation: u64,
     /// Recency stamp; also the entry's key in the LRU order map.
     stamp: u64,
 }
 
-/// LRU cache of exact-query answers with generation-based invalidation.
+/// LRU cache of one engine epoch's exact-query answers.
 ///
-/// An entry is valid only while the service generation equals the one
-/// captured before computing it; [`crate::TwigService::apply_update`]
-/// bumps the generation, which lazily evicts every older entry on its
-/// next lookup. Recency is a `BTreeMap<stamp, key>` alongside the entry
-/// map: touch = move to a fresh stamp, evict = pop the smallest stamp.
+/// Every epoch owns one, and [`crate::TwigService::apply_update`]
+/// publishes its fork with an empty one: an answer computed on an epoch
+/// can land only in that epoch's cache, so none outlives the data it was
+/// computed from. The published cache then takes the displaced epoch's
+/// answers over ([`ResultCache::take_over`]), never to serve them: its
+/// first insert frees them, so a query that missed pays for that
+/// teardown, not the commit. Recency is a `BTreeMap<stamp, key>`
+/// alongside the entry map: touch = move to a fresh stamp, evict = pop
+/// the smallest stamp. The service counts hits and misses across
+/// epochs.
 pub struct ResultCache {
     inner: Mutex<ResultCacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidated: AtomicU64,
     capacity: usize,
 }
 
+#[derive(Default)]
 struct ResultCacheInner {
     map: HashMap<(String, Strategy), CachedResult>,
     lru: BTreeMap<u64, (String, Strategy)>,
     clock: u64,
+    /// A displaced epoch's answers, left for the next insert to free.
+    /// `None` whenever `map` holds an entry: every insert takes it.
+    displaced: Option<Box<ResultCacheInner>>,
 }
 
 impl ResultCache {
     /// A cache of at most `capacity` answers; 0 disables caching.
     pub fn new(capacity: usize) -> Self {
-        ResultCache {
-            inner: Mutex::new(ResultCacheInner {
-                map: HashMap::new(),
-                lru: BTreeMap::new(),
-                clock: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
-            capacity,
-        }
+        ResultCache { inner: Mutex::default(), capacity }
     }
 
-    /// Looks up an answer valid at `generation`; touches it on hit.
-    pub fn get(
-        &self,
-        key: &str,
-        strategy: Strategy,
-        generation: u64,
-    ) -> Option<(Arc<BTreeSet<u64>>, PlanKind)> {
+    /// Takes every answer out of `old`, the cache of the epoch this
+    /// cache's epoch displaced, for this cache's next insert to free,
+    /// and returns how many there were. They are never served.
+    pub fn take_over(&self, old: &ResultCache) -> usize {
+        let mut taken = std::mem::take(&mut *old.inner.lock());
+        let answers = taken.map.len();
+        // An epoch that cached nothing hands its own displaced answers
+        // on, so they are never boxed more than one deep.
+        let displaced = if answers == 0 { taken.displaced.take() } else { Some(Box::new(taken)) };
+        if displaced.is_some() {
+            self.inner.lock().displaced = displaced;
+        }
+        answers
+    }
+
+    /// Looks up an answer; touches it on hit.
+    pub fn get(&self, key: &str, strategy: Strategy) -> Option<(Arc<BTreeSet<u64>>, PlanKind)> {
         if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let mut inner = self.inner.lock();
         let full_key = (key.to_owned(), strategy);
-        match inner.map.get(&full_key) {
-            Some(entry) if entry.generation == generation => {
-                let (ids, plan, old_stamp) = (entry.ids.clone(), entry.plan, entry.stamp);
-                inner.clock += 1;
-                let stamp = inner.clock;
-                inner.lru.remove(&old_stamp);
-                inner.lru.insert(stamp, full_key.clone());
-                if let Some(entry) = inner.map.get_mut(&full_key) {
-                    entry.stamp = stamp;
-                }
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((ids, plan))
-            }
-            Some(_) => {
-                // Stale generation: drop the entry now rather than at
-                // eviction time.
-                if let Some(entry) = inner.map.remove(&full_key) {
-                    inner.lru.remove(&entry.stamp);
-                }
-                self.invalidated.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let entry = inner.map.get(&full_key)?;
+        let (ids, plan, old_stamp) = (entry.ids.clone(), entry.plan, entry.stamp);
+        inner.clock += 1;
+        let stamp = inner.clock;
+        inner.lru.remove(&old_stamp);
+        inner.lru.insert(stamp, full_key.clone());
+        if let Some(entry) = inner.map.get_mut(&full_key) {
+            entry.stamp = stamp;
         }
+        Some((ids, plan))
     }
 
-    /// Inserts an answer computed under `generation`, evicting the
-    /// least-recently-used entries beyond capacity.
-    ///
-    /// An insert never clobbers an entry carrying a **newer**
-    /// generation: a slow caller that pinned epoch N finishing after a
-    /// fast caller already cached the same query under N+1 must not
-    /// replace the fresh answer with its stale one (which the next
-    /// N+1 lookup would then serve as current).
-    pub fn insert(
-        &self,
-        key: String,
-        strategy: Strategy,
-        ids: Arc<BTreeSet<u64>>,
-        plan: PlanKind,
-        generation: u64,
-    ) {
+    /// Inserts an answer, evicting the least-recently-used entries
+    /// beyond capacity.
+    pub fn insert(&self, key: String, strategy: Strategy, ids: Arc<BTreeSet<u64>>, plan: PlanKind) {
         if self.capacity == 0 {
             return;
         }
         let mut inner = self.inner.lock();
+        let displaced = inner.displaced.take();
         let full_key = (key, strategy);
-        if let Some(existing) = inner.map.get(&full_key) {
-            if existing.generation > generation {
-                return;
-            }
-        }
         inner.clock += 1;
         let stamp = inner.clock;
-        if let Some(old) =
-            inner.map.insert(full_key.clone(), CachedResult { ids, plan, generation, stamp })
-        {
+        if let Some(old) = inner.map.insert(full_key.clone(), CachedResult { ids, plan, stamp }) {
             inner.lru.remove(&old.stamp);
         }
         inner.lru.insert(stamp, full_key);
@@ -327,18 +295,11 @@ impl ResultCache {
             let Some((_, victim)) = inner.lru.pop_first() else { break };
             inner.map.remove(&victim);
         }
+        drop(inner);
+        drop(displaced);
     }
 
-    /// Hit/miss/invalidation counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of live entries (stale ones included until touched).
+    /// Number of cached answers.
     pub fn len(&self) -> usize {
         self.inner.lock().map.len()
     }
@@ -416,67 +377,44 @@ mod tests {
     #[test]
     fn result_cache_lru_evicts_oldest_untouched() {
         let cache = ResultCache::new(2);
-        cache.insert("a".into(), Strategy::RootPaths, ids(&[1]), PlanKind::Merge, 0);
-        cache.insert("b".into(), Strategy::RootPaths, ids(&[2]), PlanKind::Merge, 0);
+        cache.insert("a".into(), Strategy::RootPaths, ids(&[1]), PlanKind::Merge);
+        cache.insert("b".into(), Strategy::RootPaths, ids(&[2]), PlanKind::Merge);
         // Touch "a" so "b" is LRU, then overflow.
-        assert!(cache.get("a", Strategy::RootPaths, 0).is_some());
-        cache.insert("c".into(), Strategy::RootPaths, ids(&[3]), PlanKind::Merge, 0);
-        assert!(cache.get("b", Strategy::RootPaths, 0).is_none(), "b evicted");
-        assert!(cache.get("a", Strategy::RootPaths, 0).is_some());
-        assert!(cache.get("c", Strategy::RootPaths, 0).is_some());
+        assert!(cache.get("a", Strategy::RootPaths).is_some());
+        cache.insert("c".into(), Strategy::RootPaths, ids(&[3]), PlanKind::Merge);
+        assert!(cache.get("b", Strategy::RootPaths).is_none(), "b evicted");
+        assert!(cache.get("a", Strategy::RootPaths).is_some());
+        assert!(cache.get("c", Strategy::RootPaths).is_some());
     }
 
     #[test]
-    fn result_cache_generation_invalidates() {
-        let cache = ResultCache::new(8);
-        cache.insert("q".into(), Strategy::DataPaths, ids(&[7]), PlanKind::Merge, 0);
-        assert!(cache.get("q", Strategy::DataPaths, 0).is_some());
-        assert!(cache.get("q", Strategy::DataPaths, 1).is_none(), "stale generation");
-        assert_eq!(cache.stats().invalidated, 1);
-        assert_eq!(cache.len(), 0, "stale entry dropped eagerly");
-    }
-
-    #[test]
-    fn stale_generation_insert_never_clobbers_a_newer_entry() {
-        // The lost-race the guard closes: caller A pins generation 0,
-        // caller B pins generation 1 (post-update) and caches its
-        // answer first; A's late insert must be dropped, or the next
-        // generation-1 lookup would serve A's pre-update ids as fresh.
-        let cache = ResultCache::new(8);
-        cache.insert("q".into(), Strategy::RootPaths, ids(&[1, 2]), PlanKind::Merge, 1);
-        cache.insert("q".into(), Strategy::RootPaths, ids(&[1]), PlanKind::Merge, 0);
-        let (got, _) = cache.get("q", Strategy::RootPaths, 1).expect("fresh entry survives");
-        assert_eq!(got.iter().copied().collect::<Vec<_>>(), vec![1, 2]);
-        // And the stale result can never be served under generation 0
-        // either — that generation is gone for good.
-        assert!(cache.get("q", Strategy::RootPaths, 0).is_none());
-    }
-
-    #[test]
-    fn same_generation_reinsert_still_updates_the_entry() {
-        let cache = ResultCache::new(8);
-        cache.insert("q".into(), Strategy::RootPaths, ids(&[1]), PlanKind::Merge, 3);
-        cache.insert("q".into(), Strategy::RootPaths, ids(&[1]), PlanKind::IndexNestedLoop, 3);
-        let (_, plan) = cache.get("q", Strategy::RootPaths, 3).unwrap();
-        assert_eq!(plan, PlanKind::IndexNestedLoop);
-        // A newer-generation insert replaces an older entry as before.
-        cache.insert("q".into(), Strategy::RootPaths, ids(&[2]), PlanKind::Merge, 4);
-        let (got, _) = cache.get("q", Strategy::RootPaths, 4).unwrap();
-        assert_eq!(got.iter().copied().collect::<Vec<_>>(), vec![2]);
+    fn taken_over_answers_are_never_served_and_the_next_insert_frees_them() {
+        let (old, next) = (ResultCache::new(8), ResultCache::new(8));
+        let answer = ids(&[1]);
+        old.insert("q".into(), Strategy::RootPaths, answer.clone(), PlanKind::Merge);
+        assert_eq!(next.take_over(&old), 1);
+        assert!(old.is_empty() && next.is_empty());
+        assert!(next.get("q", Strategy::RootPaths).is_none());
+        assert_eq!(Arc::strong_count(&answer), 2, "held until an insert");
+        // An epoch that caches nothing hands them on.
+        let after = ResultCache::new(8);
+        assert_eq!(after.take_over(&next), 0);
+        after.insert("r".into(), Strategy::RootPaths, ids(&[2]), PlanKind::Merge);
+        assert_eq!(Arc::strong_count(&answer), 1, "the insert freed them");
     }
 
     #[test]
     fn result_cache_keys_include_strategy() {
         let cache = ResultCache::new(8);
-        cache.insert("q".into(), Strategy::RootPaths, ids(&[1]), PlanKind::Merge, 0);
-        assert!(cache.get("q", Strategy::Edge, 0).is_none());
+        cache.insert("q".into(), Strategy::RootPaths, ids(&[1]), PlanKind::Merge);
+        assert!(cache.get("q", Strategy::Edge).is_none());
     }
 
     #[test]
     fn zero_capacity_disables_result_cache() {
         let cache = ResultCache::new(0);
-        cache.insert("q".into(), Strategy::RootPaths, ids(&[1]), PlanKind::Merge, 0);
-        assert!(cache.get("q", Strategy::RootPaths, 0).is_none());
+        cache.insert("q".into(), Strategy::RootPaths, ids(&[1]), PlanKind::Merge);
+        assert!(cache.get("q", Strategy::RootPaths).is_none());
         assert!(cache.is_empty());
     }
 }

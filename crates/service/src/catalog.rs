@@ -1,5 +1,5 @@
 //! Multi-index catalog: many persisted `.xtwig` indexes served by
-//! name, attached on demand, bounded by an LRU of live engines.
+//! name, each attached on first use and kept attached.
 //!
 //! One process, many corpora: a deployment keeps a directory of
 //! persisted index files (one per tenant, document collection, or
@@ -7,12 +7,11 @@
 //! loaded up front — [`Catalog::get`] attaches an index the first time
 //! it is asked for (a [`TwigService::open`], i.e. zero rebuild,
 //! digest-verified) and hands out `Arc<TwigService>` clones after that.
-//! At most [`CatalogOptions::max_attached`] services stay attached;
-//! asking for a cold index past the bound detaches the least recently
-//! used one. Detaching drops the catalog's `Arc` only — connections
-//! still executing against the evicted service keep their clone, and
-//! the service is dropped when the last clone goes away, so eviction
-//! can never cut an in-flight query short.
+//! An attached service stays attached until the catalog is dropped: it
+//! holds every update committed through it since the attach, which its
+//! file holds only after a [`TwigService::persist`] fold, so detaching
+//! it would lose acknowledged updates. Each of its buffer pools bounds
+//! the pages it keeps in memory.
 
 use crate::events::{Event, EventJournal, EVENT_CAPACITY};
 use crate::service::{ServiceOptions, TwigService};
@@ -25,18 +24,10 @@ use std::sync::Arc;
 use xtwig_core::persist::OpenError;
 
 /// Catalog construction options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CatalogOptions {
-    /// Attached-engine LRU capacity (minimum 1; default 8).
-    pub max_attached: usize,
     /// Options every attached [`TwigService`] is opened with.
     pub service: ServiceOptions,
-}
-
-impl Default for CatalogOptions {
-    fn default() -> Self {
-        CatalogOptions { max_attached: 8, service: ServiceOptions::default() }
-    }
 }
 
 /// Why a catalog lookup failed.
@@ -93,36 +84,18 @@ pub struct CatalogStats {
     pub hits: u64,
     /// `get` calls that opened the index file (cold attach).
     pub opens: u64,
-    /// Attached services displaced by the LRU bound.
-    pub evictions: u64,
 }
 
-/// The attached-service LRU: most recently used last.
-#[derive(Default)]
-struct Attached {
-    entries: Vec<(String, Arc<TwigService>)>,
-}
-
-impl Attached {
-    fn position(&self, name: &str) -> Option<usize> {
-        self.entries.iter().position(|(n, _)| n == name)
-    }
-
-    /// Moves `name` to the most-recently-used slot and returns it.
-    fn touch(&mut self, name: &str) -> Option<Arc<TwigService>> {
-        let pos = self.position(name)?;
-        let entry = self.entries.remove(pos);
-        let service = entry.1.clone();
-        self.entries.push(entry);
-        Some(service)
-    }
+/// One registered name: its file, and the service once attached.
+struct Slot {
+    path: PathBuf,
+    service: Option<Arc<TwigService>>,
 }
 
 /// A named collection of persisted indexes with open-on-demand
 /// attachment. See the module docs for the serving model.
 pub struct Catalog {
-    registry: Mutex<BTreeMap<String, PathBuf>>,
-    attached: Mutex<Attached>,
+    slots: Mutex<BTreeMap<String, Slot>>,
     options: CatalogOptions,
     /// One journal for the whole catalog: every attached service emits
     /// into it (injected via [`ServiceOptions::events`]), so the wire
@@ -130,7 +103,6 @@ pub struct Catalog {
     events: Arc<EventJournal>,
     hits: AtomicU64,
     opens: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl Catalog {
@@ -146,13 +118,11 @@ impl Catalog {
             .unwrap_or_else(|| Arc::new(EventJournal::new(EVENT_CAPACITY)));
         options.service.events = Some(events.clone());
         Catalog {
-            registry: Mutex::new(BTreeMap::new()),
-            attached: Mutex::new(Attached::default()),
+            slots: Mutex::new(BTreeMap::new()),
             options,
             events,
             hits: AtomicU64::new(0),
             opens: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -184,81 +154,71 @@ impl Catalog {
         Ok(catalog)
     }
 
-    /// Registers (or re-points) `name` at `path`. A service already
-    /// attached under that name keeps serving the old file until it is
-    /// evicted or detached — re-registration changes what the *next*
-    /// attach opens.
+    /// Registers `name` at `path`, or re-points a name not yet
+    /// attached. Re-registering an attached name changes nothing: its
+    /// service keeps serving, with the updates committed through it.
     pub fn register<P: AsRef<Path>>(&self, name: &str, path: P) {
-        self.registry.lock().insert(name.to_owned(), path.as_ref().to_path_buf());
+        let mut slots = self.slots.lock();
+        let slot = slots
+            .entry(name.to_owned())
+            .or_insert_with(|| Slot { path: PathBuf::new(), service: None });
+        if slot.service.is_none() {
+            slot.path = path.as_ref().to_path_buf();
+        }
     }
 
-    /// Resolves `name` to a serving [`TwigService`], attaching it from
-    /// its file on first use and evicting the least recently used
-    /// attachment beyond the capacity bound.
+    /// Resolves `name` to its serving [`TwigService`], attaching it
+    /// from its file on first use.
     pub fn get(&self, name: &str) -> Result<Arc<TwigService>, CatalogError> {
-        let path = self
-            .registry
-            .lock()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CatalogError::UnknownIndex(name.to_owned()))?;
-        // The attach lock is held across the open: concurrent gets of
-        // one cold index must not both pay the file open (and the
-        // second would clobber the first's caches).
-        let mut attached = self.attached.lock();
-        if let Some(service) = attached.touch(name) {
+        // The lock is held across the open: concurrent gets of one cold
+        // index must not both pay the file open (and the second would
+        // displace the first's service, with any update committed
+        // through it).
+        let mut slots = self.slots.lock();
+        let slot =
+            slots.get_mut(name).ok_or_else(|| CatalogError::UnknownIndex(name.to_owned()))?;
+        if let Some(service) = &slot.service {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(service);
+            return Ok(service.clone());
         }
         let service = Arc::new(
-            TwigService::open(&path, self.options.service.clone())
+            TwigService::open(&slot.path, self.options.service.clone())
                 .map_err(|error| CatalogError::Open { name: name.to_owned(), error })?,
         );
         self.opens.fetch_add(1, Ordering::Relaxed);
         self.events.emit(Event::CatalogAttached { name: name.to_owned() });
-        attached.entries.push((name.to_owned(), service.clone()));
-        let capacity = self.options.max_attached.max(1);
-        while attached.entries.len() > capacity {
-            let (evicted_name, evicted) = attached.entries.remove(0);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.events.emit(Event::CatalogEvicted { name: evicted_name });
-            // Dropped outside the registry: in-flight holders keep
-            // their clone; the service drains when the last one drops.
-            drop(evicted);
-        }
+        slot.service = Some(service.clone());
         Ok(service)
     }
 
     /// Every registered index, attached or not, in name order.
     pub fn entries(&self) -> Vec<CatalogEntry> {
-        let registry = self.registry.lock();
-        let attached = self.attached.lock();
-        registry
+        let slots = self.slots.lock();
+        slots
             .iter()
-            .map(|(name, path)| CatalogEntry {
+            .map(|(name, slot)| CatalogEntry {
                 name: name.clone(),
-                path: path.clone(),
-                attached: attached.position(name).is_some(),
+                path: slot.path.clone(),
+                attached: slot.service.is_some(),
             })
             .collect()
     }
 
     /// Registered index count.
     pub fn len(&self) -> usize {
-        self.registry.lock().len()
+        self.slots.lock().len()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.registry.lock().is_empty()
+        self.slots.lock().is_empty()
     }
 
-    /// Monotonic hit/open/eviction counters.
+    /// Monotonic hit/open counters.
     pub fn stats(&self) -> CatalogStats {
         CatalogStats {
             hits: self.hits.load(Ordering::Relaxed),
             opens: self.opens.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -266,6 +226,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::UpdateOp;
     use xtwig_core::engine::{EngineOptions, QueryEngine, Strategy};
     use xtwig_core::parse_xpath;
     use xtwig_xml::tree::fig1_book_document;
@@ -292,8 +253,8 @@ mod tests {
     }
 
     #[test]
-    fn open_on_demand_then_lru_hit() {
-        let dir = tmpdir("hit");
+    fn registration_does_not_attach_and_the_first_get_does() {
+        let dir = tmpdir("attach");
         persist_fig1(&dir, "books");
         let catalog = Catalog::scan_dir(&dir, CatalogOptions::default()).unwrap();
         assert_eq!(catalog.len(), 1);
@@ -301,10 +262,9 @@ mod tests {
         let twig = parse_xpath("//author[fn='jane']").unwrap();
         let svc = catalog.get("books").unwrap();
         assert_eq!(svc.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 2);
-        let again = catalog.get("books").unwrap();
-        assert!(Arc::ptr_eq(&svc, &again), "second get reuses the attached service");
+        assert!(catalog.entries()[0].attached);
         let stats = catalog.stats();
-        assert_eq!((stats.opens, stats.hits, stats.evictions), (1, 1, 0));
+        assert_eq!((stats.opens, stats.hits), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -325,33 +285,55 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_the_coldest_attachment_without_cutting_holders() {
-        let dir = tmpdir("lru");
+    fn a_second_get_is_a_hit_and_pays_no_second_open() {
+        let dir = tmpdir("hit");
         for name in ["a", "b", "c"] {
             persist_fig1(&dir, name);
         }
-        let catalog = Catalog::scan_dir(
-            &dir,
-            CatalogOptions { max_attached: 2, ..CatalogOptions::default() },
-        )
-        .unwrap();
-        let a = catalog.get("a").unwrap();
-        let _b = catalog.get("b").unwrap();
-        // Touch `a` so `b` is now the LRU candidate.
-        let _ = catalog.get("a").unwrap();
-        let _c = catalog.get("c").unwrap(); // evicts b
-        let entries = catalog.entries();
-        let attached: Vec<&str> =
-            entries.iter().filter(|e| e.attached).map(|e| e.name.as_str()).collect();
-        assert_eq!(attached, vec!["a", "c"]);
-        assert_eq!(catalog.stats().evictions, 1);
-        // The evicted-and-reattached path pays a second open.
-        let b2 = catalog.get("b").unwrap();
-        assert_eq!(catalog.stats().opens, 4);
-        // A holder of the pre-eviction Arc keeps serving meanwhile.
-        let twig = parse_xpath("//author").unwrap();
-        assert_eq!(a.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 3);
-        assert_eq!(b2.execute(&twig, Strategy::RootPaths).unwrap().ids.len(), 3);
+        let catalog = Catalog::scan_dir(&dir, CatalogOptions::default()).unwrap();
+        let first: Vec<_> = ["a", "b", "c"].map(|n| catalog.get(n).unwrap()).into();
+        for (name, svc) in ["a", "b", "c"].iter().zip(&first) {
+            let again = catalog.get(name).unwrap();
+            assert!(Arc::ptr_eq(svc, &again), "{name}: second get reuses the attached service");
+        }
+        let stats = catalog.stats();
+        assert_eq!((stats.opens, stats.hits), (3, 3));
+        assert!(catalog.entries().iter().all(|e| e.attached));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_update_committed_through_an_index_outlives_gets_of_ten_others() {
+        let dir = tmpdir("keep");
+        let others: Vec<String> = (0..10).map(|i| format!("other{i}")).collect();
+        for name in others.iter().map(String::as_str).chain(["books"]) {
+            persist_fig1(&dir, name);
+        }
+        let catalog = Catalog::scan_dir(&dir, CatalogOptions::default()).unwrap();
+        let twig = parse_xpath("//author[fn='ada']").unwrap();
+        let ada = |svc: &TwigService| {
+            svc.execute(&twig, Strategy::RootPaths).unwrap().ids.iter().copied().collect::<Vec<_>>()
+        };
+        let svc = catalog.get("books").unwrap();
+        let tags: Vec<_> = svc.with_engine(|e| {
+            let dict = e.forest().dict();
+            ["book", "allauthors", "author", "fn"].map(|t| dict.lookup(t).unwrap()).to_vec()
+        });
+        let acked = svc.apply_update(vec![
+            UpdateOp::InsertPath { tags: tags[..3].to_vec(), ids: vec![1, 5, 900], value: None },
+            UpdateOp::InsertPath { tags, ids: vec![1, 5, 900, 901], value: Some("ada".into()) },
+        ]);
+        drop(svc);
+        assert_eq!(ada(&catalog.get("books").unwrap()), vec![900]);
+        for name in &others {
+            catalog.get(name).unwrap();
+        }
+        let svc = catalog.get("books").unwrap();
+        assert_eq!(ada(&svc), vec![900], "the committed update is still served");
+        assert_eq!(svc.generation(), acked);
+        // Re-pointing an attached name changes nothing either.
+        catalog.register("books", dir.join("other0.xtwig"));
+        assert_eq!(ada(&catalog.get("books").unwrap()), vec![900]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -30,7 +30,6 @@ pub const EVENT_KINDS: &[&str] = &[
     "conn-close",
     "admission-rejected",
     "catalog-attached",
-    "catalog-evicted",
     "update-committed",
     "persist-folded",
     "slow-query",
@@ -55,8 +54,6 @@ pub enum Event {
     AdmissionRejected { in_flight: u64, limit: u64 },
     /// The catalog opened (attached) a persisted index.
     CatalogAttached { name: String },
-    /// The catalog evicted an attached index to stay under its cap.
-    CatalogEvicted { name: String },
     /// An update batch committed and published a new engine epoch.
     UpdateCommitted { generation: u64, ops: u64 },
     /// The in-memory engine was folded to disk.
@@ -78,7 +75,6 @@ impl Event {
             Event::ConnClose { .. } => "conn-close",
             Event::AdmissionRejected { .. } => "admission-rejected",
             Event::CatalogAttached { .. } => "catalog-attached",
-            Event::CatalogEvicted { .. } => "catalog-evicted",
             Event::UpdateCommitted { .. } => "update-committed",
             Event::PersistFolded { .. } => "persist-folded",
             Event::SlowQuery { .. } => "slow-query",
@@ -100,7 +96,6 @@ impl Event {
                 format!("in_flight={in_flight} limit={limit}")
             }
             Event::CatalogAttached { name } => format!("index={name}"),
-            Event::CatalogEvicted { name } => format!("index={name}"),
             Event::UpdateCommitted { generation, ops } => {
                 format!("generation={generation} ops={ops}")
             }
@@ -246,7 +241,7 @@ mod tests {
     fn seq_numbers_are_monotonic_from_one() {
         let j = EventJournal::new(8);
         assert_eq!(j.emit(Event::CatalogAttached { name: "a".into() }), 1);
-        assert_eq!(j.emit(Event::CatalogEvicted { name: "a".into() }), 2);
+        assert_eq!(j.emit(Event::CatalogAttached { name: "b".into() }), 2);
         assert_eq!(j.total(), 2);
         assert_eq!(j.dropped(), 0);
     }
@@ -316,7 +311,6 @@ mod tests {
             },
             Event::AdmissionRejected { in_flight: 0, limit: 0 },
             Event::CatalogAttached { name: String::new() },
-            Event::CatalogEvicted { name: String::new() },
             Event::UpdateCommitted { generation: 0, ops: 0 },
             Event::PersistFolded { path: String::new() },
             Event::SlowQuery {

@@ -19,11 +19,10 @@
 //!   `decompose`/`choose_plan` and differ only in the literals rebound
 //!   into the cached cover (parameterized-plan semantics; the shape
 //!   reuse argument follows the tree-pattern survey literature).
-//! * **Result cache** — an LRU over exact queries with generation-based
-//!   invalidation: every committed [`TwigService::apply_update`]
-//!   publishes a new generation, atomically staling every cached
-//!   result (and the cache refuses to let a slow writer's stale answer
-//!   clobber a newer generation's entry).
+//! * **Result cache** — an LRU over exact queries, one per engine
+//!   epoch: every committed [`TwigService::apply_update`] publishes its
+//!   epoch with an empty cache, and an answer is cached in the epoch it
+//!   was computed on, so none outlives the data it came from.
 //! * **Snapshot-isolated maintenance** — [`TwigService::apply_update`]
 //!   commits a batch of [`UpdateOp`]s by forking the current engine
 //!   (copy-on-write — no page copies) and publishing the fork as the
@@ -46,9 +45,8 @@
 //!   [`Admission`] budget that sheds load with a typed
 //!   [`ServiceError::Overloaded`] instead of letting callers pile up.
 //! * **Multi-index catalog** — a [`Catalog`] serves many persisted
-//!   `.xtwig` indexes by name, opening them on demand and keeping an
-//!   LRU of attached services (eviction never cuts off in-flight
-//!   holders; they keep their `Arc`).
+//!   `.xtwig` indexes by name, opening each on first use and keeping
+//!   it attached, with the updates committed through it.
 //!
 //! ## Quickstart
 //!

@@ -78,6 +78,10 @@ pub(crate) struct Metrics {
     pub(crate) updates: AtomicU64,
     pub(crate) journal_ops: AtomicU64,
     pub(crate) folds: AtomicU64,
+    pub(crate) result_hits: AtomicU64,
+    pub(crate) result_misses: AtomicU64,
+    /// Result-cache entries of the epochs updates displaced.
+    pub(crate) result_invalidated: AtomicU64,
     strategies: [StrategySlot; Strategy::ALL.len()], // indexed as Strategy::ALL
     /// `(executed, total_micros)` per shape key.
     shapes: Mutex<HashMap<String, (u64, u64)>>,
@@ -204,6 +208,11 @@ impl Metrics {
             updates: load(&self.updates),
             journal_ops: load(&self.journal_ops),
             folds: load(&self.folds),
+            result_cache: CacheStats {
+                hits: load(&self.result_hits),
+                misses: load(&self.result_misses),
+                invalidated: load(&self.result_invalidated),
+            },
             costs,
             shapes,
             shape_overflow: load(&self.shape_overflow),
@@ -678,7 +687,7 @@ mod tests {
             ["book", "allauthors", "author"].map(|t| dict.lookup(t).unwrap()).to_vec()
         });
         svc.apply_update(vec![UpdateOp::InsertPath { tags, ids: vec![1, 5, 900], value: None }]);
-        svc.execute(&twig, Strategy::Auto).unwrap(); // the update staled the cached answer
+        svc.execute(&twig, Strategy::Auto).unwrap(); // the update dropped the cached answer
         let path = std::env::temp_dir().join(format!("xtwig-parity-{}.xtwig", std::process::id()));
         svc.persist(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -12,18 +12,22 @@
 //! [`ServiceError::Overloaded`] rejection).
 //!
 //! Concurrency model (MVCC over the copy-on-write page layer): the
-//! engine lives inside an immutable `EngineEpoch` — engine plus the
-//! generation it serves — behind an `RwLock<Arc<EngineEpoch>>` held
-//! only long enough to clone or swap the `Arc`. Readers **pin** the
-//! current epoch and execute with no lock held, so a query never waits
-//! on maintenance. Writers serialize on a maintenance mutex:
-//! [`TwigService::apply_update`] forks the newest epoch
-//! (`QueryEngine::fork` — a page-free copy-on-write snapshot), applies
-//! its [`UpdateOp`]s to the fork in place (§7), and publishes the fork
-//! as the next epoch; [`TwigService::persist`] folds the current
-//! epoch's overlay pages into a file. Every epoch keeps the strategy set
-//! the service was built with, so whether a strategy is built is a
-//! property of the epoch a request pinned, checked once at the door.
+//! engine lives inside an immutable `EngineEpoch` — engine, the
+//! generation it serves, and the result cache of answers computed on
+//! it — behind an `RwLock<Arc<EngineEpoch>>` held only long enough to
+//! clone or swap the `Arc`. Readers **pin** the current epoch and
+//! execute with no lock held, so a query never waits on maintenance,
+//! and cache what they computed in the epoch they pinned. Writers
+//! serialize on a maintenance mutex: [`TwigService::apply_update`]
+//! forks the newest epoch (`QueryEngine::fork` — a page-free
+//! copy-on-write snapshot), applies its [`UpdateOp`]s to the fork in
+//! place (§7), and publishes the fork as the next epoch with an empty
+//! result cache; [`TwigService::persist`] folds the current epoch's
+//! overlay pages into a file. Every epoch keeps the strategy set the
+//! service was built with, so whether a strategy is built is a property
+//! of the epoch a request pinned, checked once at the door. The plan
+//! cache, the metrics and the event journal live as long as the
+//! service.
 
 use crate::admission::Admission;
 use crate::cache::{PlanCache, Resolved, ResultCache};
@@ -82,7 +86,8 @@ pub struct ServiceOptions {
     /// goes once that line does (ROADMAP item 2(a)).
     #[doc(hidden)]
     pub workers: usize,
-    /// Result-cache entries; 0 disables result caching (default 1024).
+    /// Result-cache entries each epoch keeps; 0 disables result caching
+    /// (default 1024).
     pub result_cache_capacity: usize,
     /// Executions at or above this many microseconds are captured into
     /// the slow-query log (the newest
@@ -155,15 +160,16 @@ pub struct ServiceAnswer {
     pub metrics: QueryMetrics,
 }
 
-/// One immutable engine generation. An epoch is never mutated after
-/// publication: writers fork the newest epoch's engine, mutate the
-/// fork, and publish a *new* epoch. Readers that cloned the `Arc` keep
-/// a consistent snapshot — engine state and the generation it serves
-/// are one atomic unit, so a result computed against an epoch can
-/// always be cached under exactly that epoch's generation.
+/// One immutable engine generation. An epoch's engine is never
+/// mutated after publication: writers fork the newest epoch's engine,
+/// mutate the fork, and publish a *new* epoch. Readers that cloned the
+/// `Arc` keep a consistent snapshot, and the answers they compute go
+/// into that snapshot's own `results`, so a cached answer is always
+/// one the epoch's engine gave.
 struct EngineEpoch {
     engine: SharedEngine,
     generation: u64,
+    results: ResultCache,
 }
 
 /// One logical index-maintenance operation, applied in place to every
@@ -208,7 +214,6 @@ struct Maintenance;
 mod published {
     use super::{EngineEpoch, Maintenance};
     use parking_lot::RwLock;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     pub(super) struct Published {
@@ -217,16 +222,11 @@ mod published {
         /// and writers never wait on each other's *work*, only on a
         /// pointer exchange.
         slot: RwLock<Arc<EngineEpoch>>,
-        /// Lock-free mirror of the published epoch's generation (for
-        /// [`TwigService::generation`](super::TwigService::generation)
-        /// and stats).
-        generation: AtomicU64,
     }
 
     impl Published {
         pub(super) fn new(first: EngineEpoch) -> Self {
-            let generation = AtomicU64::new(first.generation);
-            Published { slot: RwLock::new(Arc::new(first)), generation }
+            Published { slot: RwLock::new(Arc::new(first)) }
         }
 
         /// Pins the published epoch: clones the `Arc` under a momentary
@@ -236,22 +236,15 @@ mod published {
             self.slot.read().clone()
         }
 
-        /// Publishes `next` as the current epoch and mirrors its
-        /// generation; `_held` proves the caller holds the maintenance
-        /// lock. Returns the displaced epoch so callers drop it outside
-        /// the lock.
+        /// Publishes `next` as the current epoch; `_held` proves the
+        /// caller holds the maintenance lock. Returns the displaced
+        /// epoch so callers drop it outside the lock.
         pub(super) fn publish(
             &self,
             _held: &mut Maintenance,
             next: Arc<EngineEpoch>,
         ) -> Arc<EngineEpoch> {
-            let mut slot = self.slot.write();
-            self.generation.store(next.generation, Ordering::SeqCst);
-            std::mem::replace(&mut *slot, next)
-        }
-
-        pub(super) fn generation(&self) -> u64 {
-            self.generation.load(Ordering::SeqCst)
+            std::mem::replace(&mut *self.slot.write(), next)
         }
     }
 }
@@ -265,7 +258,8 @@ struct Shared {
     /// (see [`Published`]).
     maintenance: Mutex<Maintenance>,
     plan_cache: PlanCache,
-    result_cache: ResultCache,
+    /// Capacity of each epoch's result cache.
+    result_cache_capacity: usize,
     metrics: Metrics,
     /// Structured event journal (shared with the catalog/server when
     /// injected via [`ServiceOptions::events`]).
@@ -316,11 +310,12 @@ impl TwigService {
     pub fn over(engine: SharedEngine, options: ServiceOptions) -> Self {
         let events =
             options.events.clone().unwrap_or_else(|| Arc::new(EventJournal::new(EVENT_CAPACITY)));
+        let results = ResultCache::new(options.result_cache_capacity);
         let shared = Arc::new(Shared {
-            epoch: Published::new(EngineEpoch { engine, generation: 0 }),
+            epoch: Published::new(EngineEpoch { engine, generation: 0, results }),
             maintenance: Mutex::new(Maintenance),
             plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
-            result_cache: ResultCache::new(options.result_cache_capacity),
+            result_cache_capacity: options.result_cache_capacity,
             metrics: Metrics::new(options.slow_query_micros),
             events,
         });
@@ -389,7 +384,9 @@ impl TwigService {
     /// write fork: the new pools share every resident page image with
     /// the old ones and copy a page only when an op first writes it),
     /// applies every op to the fork, and publishes the fork as the next
-    /// epoch; the ops are not kept once applied. In-flight
+    /// epoch, with an empty result cache; the ops are not kept once
+    /// applied, and the displaced epoch's cached answers go with it
+    /// (counted as invalidated). In-flight
     /// queries keep reading the epoch they pinned and **never block on
     /// this writer**; queries that arrive after the publish see every op
     /// and find the pool as warm as the one they left. Concurrent
@@ -422,10 +419,14 @@ impl TwigService {
         self.shared.metrics.journal_ops.fetch_add(op_count, Ordering::Relaxed);
         let generation = current.generation + 1;
         drop(current);
-        let old =
-            self.shared.epoch.publish(&mut maint, Arc::new(EngineEpoch { engine, generation }));
-        self.shared.metrics.updates.fetch_add(1, Ordering::Relaxed);
+        let results = ResultCache::new(self.shared.result_cache_capacity);
+        let next = Arc::new(EngineEpoch { engine, generation, results });
+        let old = self.shared.epoch.publish(&mut maint, next.clone());
+        let displaced = next.results.take_over(&old.results);
         drop(maint);
+        let metrics = &self.shared.metrics;
+        metrics.updates.fetch_add(1, Ordering::Relaxed);
+        metrics.result_invalidated.fetch_add(displaced as u64, Ordering::Relaxed);
         self.shared.events.emit(Event::UpdateCommitted { generation, ops: op_count });
         // The displaced epoch may hold the last reference to its pools.
         // Tearing them down frees only the page images the new epoch
@@ -472,23 +473,24 @@ impl TwigService {
         f(&epoch.engine)
     }
 
-    /// Current invalidation generation.
+    /// The generation of the current epoch: the number of updates
+    /// committed since the service started.
     pub fn generation(&self) -> u64 {
-        self.shared.epoch.generation()
+        self.shared.epoch.pin().generation
     }
 
     /// Snapshot of every service metric, the current engine's per-pool
     /// page counters included (read from a pinned epoch, like a query).
     pub fn stats(&self) -> ServiceSnapshot {
         let shared = &self.shared;
-        let pools = self.with_engine(|e| e.pool_counters());
+        let epoch = shared.epoch.pin();
+        let pools = epoch.engine.pool_counters();
         ServiceSnapshot {
             in_flight: self.admission.in_flight(),
             admission_limit: self.admission.limit(),
             overloaded: self.admission.rejected(),
-            generation: self.generation(),
+            generation: epoch.generation,
             plan_cache: shared.plan_cache.stats(),
-            result_cache: shared.result_cache.stats(),
             pools: pools.iter().map(|(p, c)| (*p, c.snapshot(), c.resident_pages())).collect(),
             events: shared.events.kind_counts(),
             events_dropped: shared.events.dropped(),
@@ -527,12 +529,10 @@ impl TwigService {
 }
 
 /// The one lookup path: answers `twig` against a pinned epoch, which
-/// the door has checked has `strategy` built. The epoch binds engine
-/// state and generation into one atomic unit: a result computed here is
-/// cached under the pinned epoch's generation, so an update publishing
-/// generation N+1 mid-execution cannot cause a stale result to be
-/// tagged fresh (the cache also refuses to clobber a newer-generation
-/// entry). Result-cache hits return without executing at all.
+/// the door has checked has `strategy` built. A result computed here is
+/// cached in the pinned epoch's own result cache, so an update that
+/// publishes the next epoch mid-execution never sees it. Result-cache
+/// hits return without executing at all.
 fn answer_pinned(
     shared: &Shared,
     epoch: &EngineEpoch,
@@ -547,28 +547,27 @@ fn answer_pinned(
     // skips the cache: the client asked for a trace of a real
     // execution, so a cache hit would return nothing to trace.
     if !strategy.is_auto() && !ctx.sample {
-        if let Some(hit) = cached_answer(shared, &key, strategy, epoch.generation) {
+        if let Some(hit) = cached_answer(shared, epoch, &key, strategy) {
             return hit;
         }
     }
     answer_miss(shared, epoch, twig, strategy, key, ctx)
 }
 
-/// The result-cache lookup: a hit under the concrete `strategy` and
-/// `generation`, as the answer it is served as.
+/// The result-cache lookup: `epoch`'s answer under the concrete
+/// `strategy`, as it is served, counted as a hit or a miss.
 fn cached_answer(
     shared: &Shared,
+    epoch: &EngineEpoch,
     key: &str,
     strategy: Strategy,
-    generation: u64,
 ) -> Option<ServiceAnswer> {
-    shared.result_cache.get(key, strategy, generation).map(|(ids, plan)| ServiceAnswer {
-        ids,
-        plan,
-        strategy,
-        from_cache: true,
-        metrics: QueryMetrics::default(),
-    })
+    let hit = epoch.results.get(key, strategy);
+    let metrics = &shared.metrics;
+    let counter = if hit.is_some() { &metrics.result_hits } else { &metrics.result_misses };
+    counter.fetch_add(1, Ordering::Relaxed);
+    let (ids, plan) = hit?;
+    Some(ServiceAnswer { ids, plan, strategy, from_cache: true, metrics: QueryMetrics::default() })
 }
 
 /// The execution path: compile and resolve the strategy (through the
@@ -584,11 +583,11 @@ fn answer_miss(
     key: String,
     ctx: &RequestCtx,
 ) -> ServiceAnswer {
-    let (engine, generation) = (&epoch.engine, epoch.generation);
+    let engine = &epoch.engine;
     let Resolved { compiled, plan, strategy, shape } =
         match shared.plan_cache.compile_resolved(engine, twig, requested) {
             // Unknown tag: the answer is necessarily empty (§2.2); still
-            // cacheable under the current generation when the request
+            // cacheable in the pinned epoch when the request
             // named a concrete strategy (nothing resolved, nothing
             // executed, no latency sample). An Auto request resolves
             // nothing here, and the lookup paths only read concrete keys,
@@ -597,13 +596,7 @@ fn answer_miss(
             Err(_) => {
                 let ids = Arc::new(BTreeSet::new());
                 if !requested.is_auto() {
-                    shared.result_cache.insert(
-                        key,
-                        requested,
-                        ids.clone(),
-                        PlanKind::Merge,
-                        generation,
-                    );
+                    epoch.results.insert(key, requested, ids.clone(), PlanKind::Merge);
                 }
                 return ServiceAnswer {
                     ids,
@@ -621,7 +614,7 @@ fn answer_miss(
         // auto request or an explicit one). A sampled request skips
         // the hit for the same reason `answer_pinned` does.
         if !ctx.sample {
-            if let Some(hit) = cached_answer(shared, &key, strategy, generation) {
+            if let Some(hit) = cached_answer(shared, epoch, &key, strategy) {
                 return hit;
             }
         }
@@ -642,7 +635,7 @@ fn answer_miss(
             query: twig.to_string(),
             strategy,
             micros,
-            generation,
+            generation: epoch.generation,
             spans: trace.render(),
             request_id: ctx.request_id,
             peer: ctx.peer.clone(),
@@ -658,7 +651,7 @@ fn answer_miss(
         }
     }
     let ids = Arc::new(answer.ids);
-    shared.result_cache.insert(key, strategy, ids.clone(), answer.plan, generation);
+    epoch.results.insert(key, strategy, ids.clone(), answer.plan);
     ServiceAnswer { ids, plan: answer.plan, strategy, from_cache: false, metrics: answer.metrics }
 }
 
@@ -875,7 +868,7 @@ mod tests {
             let a = svc.execute(&unknown, Strategy::Auto).unwrap();
             assert!(a.ids.is_empty() && !a.from_cache);
         }
-        assert!(svc.shared.result_cache.is_empty());
+        assert!(svc.shared.epoch.pin().results.is_empty());
         // With the result cache off every request executes, and the
         // service path adds no probe and carries no state from one
         // request into the next: its counters are the bare engine's.
@@ -945,6 +938,24 @@ mod tests {
         assert_eq!(after.ids.iter().copied().collect::<Vec<_>>(), vec![900]);
         assert_eq!(svc.stats().result_cache.invalidated, 1);
         assert_eq!(svc.stats().journal_ops, 2);
+    }
+
+    #[test]
+    fn an_answer_cached_on_a_displaced_epoch_misses_on_the_next() {
+        let svc = small_service();
+        let twig = parse_xpath("//author[fn='ada']").unwrap();
+        let pinned = svc.shared.epoch.pin();
+        svc.apply_update(ada_ops(&svc));
+        // A reader that pinned the old epoch finishes after the publish:
+        // its answer lands in that epoch's cache and nowhere else.
+        let ctx = RequestCtx::default();
+        let late = answer_pinned(&svc.shared, &pinned, &twig, Strategy::RootPaths, &ctx);
+        assert!(late.ids.is_empty() && !late.from_cache);
+        assert_eq!(pinned.results.len(), 1);
+        let now = svc.execute(&twig, Strategy::RootPaths).unwrap();
+        assert!(!now.from_cache, "the newer epoch misses the displaced epoch's entry");
+        assert_eq!(now.ids.iter().copied().collect::<Vec<_>>(), vec![900]);
+        assert!(svc.execute(&twig, Strategy::RootPaths).unwrap().from_cache);
     }
 
     #[test]

@@ -53,11 +53,12 @@ use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::core::family::PathIndex;
 use xtwig::core::paths::PathStats;
 use xtwig::core::Explanation;
+use xtwig::service::SharedEngine;
 use xtwig::xml::{parse_document, NodeId, XmlForest};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  xtwig query <file.xml> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--explain] [--shards N]\n  xtwig query --index idx.xtwig '<xpath>' [--strategy ...] [--explain]\n  xtwig explain <file.xml> '<xpath>' [--analyze] [--shards N]\n  xtwig explain --index idx.xtwig '<xpath>' [--analyze]\n  xtwig build [<file.xml>] --out idx.xtwig [--strategies RP,DP,...] [--shards N]\n  xtwig bench <file.xml> '<xpath>' [--shards N]\n  xtwig stats <file.xml> [--shards N]\n  xtwig demo ['<xpath>'] [--shards N]\n  xtwig serve <idx.xtwig>... [--index-dir <dir>] [--addr host:port] [--addr-file <path>] [--max-in-flight N] [--max-attached N] [--idle-timeout SECS] [--access-log]\n  xtwig client <addr> ping|catalog|shutdown|badframe [--timeout SECS]\n  xtwig client <addr> query <index> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--sample]\n  xtwig client <addr> explain <index> '<xpath>'\n  xtwig client <addr> metrics|stats <index>\n  xtwig client <addr> trace <index> <request_id>\n  xtwig client <addr> events [--after N] [--max N] [--follow]\n  xtwig top <addr> [--index NAME] [--interval SECS] [--once]"
+        "usage:\n  xtwig query <file.xml> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--explain] [--shards N]\n  xtwig query --index idx.xtwig '<xpath>' [--strategy ...] [--explain]\n  xtwig explain <file.xml> '<xpath>' [--analyze] [--shards N]\n  xtwig explain --index idx.xtwig '<xpath>' [--analyze]\n  xtwig build [<file.xml>] --out idx.xtwig [--strategies RP,DP,...] [--shards N]\n  xtwig bench <file.xml> '<xpath>' [--shards N]\n  xtwig stats <file.xml> [--shards N]\n  xtwig demo ['<xpath>'] [--shards N]\n  xtwig serve <idx.xtwig>... [--index-dir <dir>] [--addr host:port] [--addr-file <path>] [--max-in-flight N] [--idle-timeout SECS] [--access-log]\n  xtwig client <addr> ping|catalog|shutdown|badframe [--timeout SECS]\n  xtwig client <addr> query <index> '<xpath>' [--strategy auto|RP|DP|Edge|DG|IF|ASR|JI] [--sample]\n  xtwig client <addr> explain <index> '<xpath>'\n  xtwig client <addr> metrics|stats <index>\n  xtwig client <addr> trace <index> <request_id>\n  xtwig client <addr> events [--after N] [--max N] [--follow]\n  xtwig top <addr> [--index NAME] [--interval SECS] [--once]"
     );
     ExitCode::from(2)
 }
@@ -269,23 +270,18 @@ fn run_build(forest: &XmlForest, out: &str, strategies: Vec<Strategy>, shards: u
     }
 }
 
-/// `xtwig query --index`: reopen a persisted index and answer against
-/// it — zero index-construction work, asserted via the open report's
-/// build-phase allocation count.
-fn run_query_indexed(index: &str, xpath: &str, strategy: Strategy, explain: bool) -> ExitCode {
-    let twig = match xtwig::parse_xpath(xpath) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Reopens the persisted index at `index` for `query --index` and
+/// `explain --index` and prints the "opened …" banner. `None`, after
+/// saying why, when the file does not open or the reopen built any
+/// index page: both commands answer from the persisted structures with
+/// zero rebuild, asserted through the open report's allocation count.
+fn open_index(index: &str) -> Option<SharedEngine> {
     let started = std::time::Instant::now();
     let (engine, report) = match QueryEngine::open_with_report(index) {
         Ok(opened) => opened,
         Err(e) => {
             eprintln!("cannot open {index}: {e}");
-            return ExitCode::FAILURE;
+            return None;
         }
     };
     if report.open_allocations != 0 {
@@ -293,7 +289,7 @@ fn run_query_indexed(index: &str, xpath: &str, strategy: Strategy, explain: bool
             "BUG: open allocated {} index page(s) — reopen must not rebuild",
             report.open_allocations
         );
-        return ExitCode::FAILURE;
+        return None;
     }
     println!(
         "opened {index}: {} pages, {} digests verified, 0 pages built, [{}] in {:.2?}",
@@ -302,6 +298,19 @@ fn run_query_indexed(index: &str, xpath: &str, strategy: Strategy, explain: bool
         report.strategies.iter().map(|s| s.label()).collect::<Vec<_>>().join(", "),
         started.elapsed(),
     );
+    Some(engine)
+}
+
+/// `xtwig query --index`: reopen a persisted index and answer against it.
+fn run_query_indexed(index: &str, xpath: &str, strategy: Strategy, explain: bool) -> ExitCode {
+    let twig = match xtwig::parse_xpath(xpath) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let Some(engine) = open_index(index) else { return ExitCode::FAILURE };
     if !engine.has_strategy(strategy) {
         eprintln!("strategy {} was not persisted in {index}", strategy.label());
         return ExitCode::FAILURE;
@@ -326,33 +335,11 @@ fn run_query_indexed(index: &str, xpath: &str, strategy: Strategy, explain: bool
     ExitCode::SUCCESS
 }
 
-/// `xtwig explain`: compile, rank every built strategy with the cost
-/// model, and print estimates next to the chosen plan. Over `--index`
-/// this never rebuilds: the statistics and tree shapes come from the
-/// persisted catalog (the open report's zero-allocation assertion
-/// guards it, as for `query --index`).
+/// `xtwig explain --index`: [`explain_twig`] (or [`analyze_twig`]) over
+/// a reopened index. The statistics and tree shapes the cost model
+/// reads come from the persisted catalog, so nothing is rebuilt.
 fn run_explain_indexed(index: &str, xpath: &str, analyze: bool) -> ExitCode {
-    let started = std::time::Instant::now();
-    let (engine, report) = match QueryEngine::open_with_report(index) {
-        Ok(opened) => opened,
-        Err(e) => {
-            eprintln!("cannot open {index}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if report.open_allocations != 0 {
-        eprintln!(
-            "BUG: open allocated {} index page(s) — reopen must not rebuild",
-            report.open_allocations
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "opened {index}: {} pages, 0 pages built, [{}] in {:.2?}",
-        report.file_pages,
-        report.strategies.iter().map(|s| s.label()).collect::<Vec<_>>().join(", "),
-        started.elapsed(),
-    );
+    let Some(engine) = open_index(index) else { return ExitCode::FAILURE };
     if analyze {
         analyze_twig(&engine, xpath)
     } else {
@@ -442,15 +429,6 @@ fn run_serve(args: &[String]) -> ExitCode {
     }
     server_options.access_log = args.iter().any(|a| a == "--access-log");
     let mut options = CatalogOptions::default();
-    if let Some(n) = flag_value(args, "--max-attached") {
-        match n.parse::<usize>() {
-            Ok(n) if n > 0 => options.max_attached = n,
-            _ => {
-                eprintln!("--max-attached takes a positive integer, got {n:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
     if let Some(n) = flag_value(args, "--max-in-flight") {
         match n.parse::<usize>() {
             Ok(n) => options.service = ServiceOptions { max_in_flight: n, ..options.service },
@@ -855,7 +833,7 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
 
 /// Non-flag operands, in order; flags that take a value consume it.
 fn operands(args: &[String]) -> Vec<String> {
-    const VALUE_FLAGS: [&str; 15] = [
+    const VALUE_FLAGS: [&str; 14] = [
         "--shards",
         "--strategy",
         "--strategies",
@@ -865,7 +843,6 @@ fn operands(args: &[String]) -> Vec<String> {
         "--addr-file",
         "--index-dir",
         "--max-in-flight",
-        "--max-attached",
         "--timeout",
         "--idle-timeout",
         "--interval",

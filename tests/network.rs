@@ -153,6 +153,27 @@ fn concurrent_clients_all_see_identical_answers() {
     join.join().unwrap();
 }
 
+/// Inserts `/book/allauthors/author[fn='ada']` (author id 900). Wire
+/// ops carry tag *names*; the server resolves them through the index's
+/// dictionary.
+fn ada_ops() -> Vec<WireOp> {
+    let books = |tags: &[&str]| tags.iter().map(|t| t.to_string()).collect::<Vec<_>>();
+    vec![
+        WireOp {
+            insert: true,
+            tags: books(&["book", "allauthors", "author"]),
+            ids: vec![1, 5, 900],
+            value: None,
+        },
+        WireOp {
+            insert: true,
+            tags: books(&["book", "allauthors", "author", "fn"]),
+            ids: vec![1, 5, 900, 901],
+            value: Some("ada".into()),
+        },
+    ]
+}
+
 #[test]
 fn wire_updates_commit_while_concurrent_clients_read() {
     let dir = TempDir::new("update");
@@ -188,28 +209,7 @@ fn wire_updates_commit_while_concurrent_clients_read() {
     let before = client.query("fig1", "//author[fn='ada']", "RP").unwrap();
     assert!(before.ids.is_empty());
 
-    // Wire ops carry tag *names*; the server resolves them through the
-    // index's dictionary.
-    let books = |tags: &[&str]| tags.iter().map(|t| t.to_string()).collect::<Vec<_>>();
-    let generation = client
-        .update(
-            "fig1",
-            vec![
-                WireOp {
-                    insert: true,
-                    tags: books(&["book", "allauthors", "author"]),
-                    ids: vec![1, 5, 900],
-                    value: None,
-                },
-                WireOp {
-                    insert: true,
-                    tags: books(&["book", "allauthors", "author", "fn"]),
-                    ids: vec![1, 5, 900, 901],
-                    value: Some("ada".into()),
-                },
-            ],
-        )
-        .unwrap();
+    let generation = client.update("fig1", ada_ops()).unwrap();
     assert_eq!(generation, 1);
 
     // Post-commit, the stale cached empty answer must not be served
@@ -345,7 +345,6 @@ fn a_slow_wire_query_is_attributable_end_to_end() {
     // traffic lands in both the journal and the trace ring.
     let catalog = Catalog::new(CatalogOptions {
         service: ServiceOptions { slow_query_micros: Some(0), ..Default::default() },
-        ..Default::default()
     });
     catalog.register("fig1", &path);
     let (handle, join) = start_server(catalog);
@@ -399,11 +398,8 @@ fn catalog_serves_many_indexes_by_name_over_one_connection() {
     let dir = TempDir::new("multi");
     persist_fig1(&dir, "alpha", vec![Strategy::RootPaths]);
     persist_fig1(&dir, "beta", Strategy::ALL.to_vec());
-    // Open-on-demand via directory scan, with an LRU of one attached
-    // engine so serving both indexes forces eviction traffic.
-    let catalog =
-        Catalog::scan_dir(&dir.0, CatalogOptions { max_attached: 1, ..CatalogOptions::default() })
-            .unwrap();
+    // Open-on-demand via directory scan.
+    let catalog = Catalog::scan_dir(&dir.0, CatalogOptions::default()).unwrap();
     let (handle, join) = start_server(catalog);
     let mut client = connect(&handle);
 
@@ -419,6 +415,32 @@ fn catalog_serves_many_indexes_by_name_over_one_connection() {
     // Both indexes also expose their own metrics and stats.
     assert!(client.metrics("alpha").unwrap().contains("xtwig_queries_submitted_total"));
     assert!(client.stats("beta").unwrap().contains("\"admission_limit\""));
+
+    handle.stop();
+    join.join().unwrap();
+}
+
+#[test]
+fn an_update_acked_over_the_wire_outlives_queries_to_ten_other_indexes() {
+    let dir = TempDir::new("keep");
+    persist_fig1(&dir, "books", vec![Strategy::RootPaths, Strategy::DataPaths]);
+    let others: Vec<String> = (0..10).map(|i| format!("other{i}")).collect();
+    for name in &others {
+        persist_fig1(&dir, name, vec![Strategy::RootPaths]);
+    }
+    let catalog = Catalog::scan_dir(&dir.0, CatalogOptions::default()).unwrap();
+    let (handle, join) = start_server(catalog);
+    let mut client = connect(&handle);
+
+    let acked = client.update("books", ada_ops()).unwrap();
+    assert_eq!(client.query("books", "//author[fn='ada']", "RP").unwrap().ids, vec![900]);
+    for name in &others {
+        assert!(!client.query(name, "/book/title", "RP").unwrap().ids.is_empty(), "{name}");
+    }
+    let after = client.query("books", "//author[fn='ada']", "RP").unwrap();
+    assert_eq!(after.ids, vec![900], "the acked update is still served");
+    let stats = client.stats("books").unwrap();
+    assert!(stats.contains(&format!("\"generation\": {acked},")), "acked {acked}: {stats}");
 
     handle.stop();
     join.join().unwrap();

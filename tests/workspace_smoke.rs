@@ -253,9 +253,9 @@ const FILESYSTEM: [&str; 7] =
 /// The catalog's two deliberate exceptions: (line content, why).
 const CATALOG_FILESYSTEM: [(&str, &str); 2] = [
     (
-        "TwigService::open(&path",
+        "TwigService::open(&slot.path",
         "open-on-demand is the catalog's whole contract: one cold attach per index, \
-         serialized by the attach lock, counted in CatalogStats::opens",
+         serialized by the catalog lock, counted in CatalogStats::opens",
     ),
     (
         "std::fs::read_dir(dir)",
