@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release -p xtwig-bench --bin ablation_bufpool [--scale f]`
 
+use std::sync::Arc;
 use xtwig_bench::{scale_from_args, xmark_forest};
 use xtwig_core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig_datagen::xmark_queries;
@@ -15,7 +16,7 @@ use xtwig_datagen::xmark_queries;
 fn main() {
     let scale = scale_from_args();
     println!("# ablation: buffer-pool size sweep (scale {scale})");
-    let (forest, _) = xmark_forest(scale);
+    let forest = Arc::new(xmark_forest(scale).0);
     let q3 = xmark_queries().into_iter().find(|q| q.id == "Q3x").unwrap();
     let twig = q3.twig();
 
@@ -25,7 +26,7 @@ fn main() {
     );
     for pool_pages in [64usize, 128, 256, 512, 1024, 2048, 5120] {
         let engine = QueryEngine::build(
-            &forest,
+            forest.clone(),
             EngineOptions {
                 strategies: vec![Strategy::RootPaths],
                 pool_pages,

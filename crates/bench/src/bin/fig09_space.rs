@@ -27,12 +27,12 @@ fn main() {
     println!();
     let mut dp_rp_ratios = Vec::new();
     for (name, forest) in [("XMark", xmark_forest(scale).0), ("DBLP", dblp_forest(scale).0)] {
-        let e = engine(&forest, &Strategy::ALL);
+        let e = engine(forest, &Strategy::ALL);
         let sizes: Vec<f64> = Strategy::ALL.iter().map(|&s| mb(e.space_bytes(s))).collect();
         println!(
             "{:<8} {:>10.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
             name,
-            mb(forest.approx_text_bytes()),
+            mb(e.forest().approx_text_bytes()),
             sizes[0],
             sizes[1],
             sizes[2],

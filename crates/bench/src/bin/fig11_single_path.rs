@@ -29,7 +29,7 @@ fn main() {
     let mut all = Vec::new();
 
     let (xforest, _) = xmark_forest(scale);
-    let xengine = engine(&xforest, &STRATEGIES);
+    let xengine = engine(xforest, &STRATEGIES);
     let mut rows: Vec<Measurement> = Vec::new();
     for q in xmark_queries().iter().filter(|q| ["Q1x", "Q2x", "Q3x"].contains(&q.id)) {
         let twig = q.twig();
@@ -42,7 +42,7 @@ fn main() {
     all.extend(rows);
 
     let (dforest, _) = dblp_forest(scale);
-    let dengine = engine(&dforest, &STRATEGIES);
+    let dengine = engine(dforest, &STRATEGIES);
     let mut rows: Vec<Measurement> = Vec::new();
     for q in dblp_queries() {
         let twig = q.twig();

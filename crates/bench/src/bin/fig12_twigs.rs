@@ -42,7 +42,7 @@ fn main() {
     let single_unselective = "/site/people/person/profile/@income[. = '9876.00']";
 
     let (forest, _) = xmark_forest(scale);
-    let e = engine(&forest, &STRATEGIES);
+    let e = engine(forest, &STRATEGIES);
     let mut all = Vec::new();
 
     #[allow(clippy::type_complexity)]

@@ -24,7 +24,7 @@ fn main() {
     let scale = scale_from_args();
     println!("# Figure 13: queries with a '//' branch point (scale {scale})");
     let (forest, _) = xmark_forest(scale);
-    let e = engine(&forest, &STRATEGIES);
+    let e = engine(forest, &STRATEGIES);
     let queries = xmark_queries();
     let mut all: Vec<Measurement> = Vec::new();
 

@@ -16,7 +16,7 @@ fn main() {
     let scale = scale_from_args();
     println!("# §5.2.4: leading-'//' overhead for RP and DP (scale {scale})");
     let (forest, _) = xmark_forest(scale);
-    let e = engine(&forest, &[Strategy::RootPaths, Strategy::DataPaths]);
+    let e = engine(forest, &[Strategy::RootPaths, Strategy::DataPaths]);
     let queries = xmark_queries();
     let mut all: Vec<Measurement> = Vec::new();
 

@@ -24,24 +24,24 @@ fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::in_memory(POOL_PAGES * 4))
 }
 
-fn report(name: &str, forest: &XmlForest, workload: &[xtwig_xml::TwigPattern]) {
+fn report(name: &str, forest: Arc<XmlForest>, workload: &[xtwig_xml::TwigPattern]) {
     let data_mb = mb(forest.approx_text_bytes());
     println!("\n== {name} (~{data_mb:.2} MB as text) ==");
 
     // Lossless: delta vs plain IdLists.
-    let rp_delta = RootPaths::build(forest, pool(), RootPathsOptions::default());
+    let rp_delta = RootPaths::build(&forest, pool(), RootPathsOptions::default());
     let rp_plain = RootPaths::build(
-        forest,
+        &forest,
         pool(),
         RootPathsOptions { idlist: IdListCodec::Plain, ..Default::default() },
     );
-    let dp_delta = DataPaths::build(forest, pool(), DataPathsOptions::default());
+    let dp_delta = DataPaths::build(&forest, pool(), DataPathsOptions::default());
     let dp_plain = DataPaths::build(
-        forest,
+        &forest,
         pool(),
         DataPathsOptions { idlist: IdListCodec::Plain, ..Default::default() },
     );
-    let ib = measure_idlist_bytes(forest);
+    let ib = measure_idlist_bytes(&forest);
     println!(
         "lossless (delta IdLists): RP {:.2} -> {:.2} MB, DP {:.2} -> {:.2} MB (payload saving {:.0}%)",
         mb(rp_plain.space_bytes()),
@@ -53,7 +53,7 @@ fn report(name: &str, forest: &XmlForest, workload: &[xtwig_xml::TwigPattern]) {
     assert!(dp_delta.space_bytes() <= dp_plain.space_bytes());
 
     // Lossy 1: SchemaPath dictionary.
-    let dict = DictDataPaths::build(forest, pool());
+    let dict = DictDataPaths::build(&forest, pool());
     let saving = dp_delta.space_bytes().saturating_sub(dict.space_bytes());
     println!(
         "SchemaPathId dictionary:  DP {:.2} -> {:.2} MB (saves {:.2} MB; '//' probes lost)",
@@ -87,9 +87,7 @@ fn main() {
     let scale = scale_from_args();
     println!("# §5.2.5: space optimizations (scale {scale})");
     let workload: Vec<_> = xmark_queries().iter().map(|q| q.twig()).collect();
-    let (xforest, _) = xmark_forest(scale);
-    report("XMark", &xforest, &workload);
-    let (dforest, _) = dblp_forest(scale);
-    report("DBLP", &dforest, &workload);
+    report("XMark", Arc::new(xmark_forest(scale).0), &workload);
+    report("DBLP", Arc::new(dblp_forest(scale).0), &workload);
     println!("\npaper: lossless ~30%; dictionary ~10MB on XMark, 0 on DBLP; pruning -> 1.4x / 0.77x data size");
 }

@@ -7,10 +7,11 @@
 //! Serving performance is not measured here: the ledger under
 //! `benchmark/` is the one place for that.
 //!
-//! Scale control: pass `--scale <f>` or set `XTWIG_SCALE`; the default
-//! 0.02 keeps every binary under a minute on a laptop while preserving
-//! the selectivity ratios of the paper's 100 MB/50 MB datasets.
+//! Scale control: pass `--scale <f>`; the default 0.02 keeps every
+//! binary under a minute on a laptop while preserving the selectivity
+//! ratios of the paper's 100 MB/50 MB datasets.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtwig_core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig_datagen::{
@@ -26,50 +27,40 @@ pub const POOL_PAGES: usize = 5_120;
 /// time of 10 independent runs with a warm cache".
 pub const RUNS: usize = 10;
 
-/// Reads the scale from argv/env.
+/// Reads the dataset scale from argv (`--scale <f>`; default
+/// [`DEFAULT_SCALE`]).
 pub fn scale_from_args() -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--scale") {
-        if let Some(v) = args.get(pos + 1).and_then(|v| v.parse().ok()) {
-            return v;
-        }
-    }
-    std::env::var("XTWIG_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_SCALE)
+    flag_from_args("--scale", "a positive number", |s: &f64| *s > 0.0).unwrap_or(DEFAULT_SCALE)
 }
 
-/// Reads the index-build shard count from argv/env (`--shards <n>` or
-/// `XTWIG_SHARDS`; default 1 = the sequential build). Every figure
-/// binary builds its engine through [`engine`], so the flag applies
-/// uniformly; sharded and sequential builds produce byte-identical
-/// indexes (`QueryEngine::build_parallel`), so measurements are
-/// comparable either way.
-///
-/// A present-but-unparsable value exits with an error rather than
-/// silently falling back to the sequential build — a typo must not
-/// produce a "parallel" measurement that secretly ran sequentially.
+/// Reads the index-build shard count from argv (`--shards <n>`; default
+/// 1 = the sequential build). Every figure binary builds its engine
+/// through [`engine`], so the flag applies uniformly; sharded and
+/// sequential builds produce byte-identical indexes
+/// (`QueryEngine::build_parallel`), so measurements are comparable
+/// either way.
 pub fn shards_from_args() -> usize {
+    flag_from_args("--shards", "a positive integer", |n: &usize| *n >= 1).unwrap_or(1)
+}
+
+/// The value after `flag` in argv, `None` when the flag is absent. A
+/// missing value or one that does not parse as `what` exits with status
+/// 2 rather than falling back to the default: a typo must not produce a
+/// measurement of something else than was asked for.
+fn flag_from_args<T: std::str::FromStr>(
+    flag: &str,
+    what: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--shards") {
-        match args.get(pos + 1).and_then(|v| v.parse().ok()) {
-            Some(v) if v >= 1 => return v,
-            _ => {
-                eprintln!(
-                    "--shards requires a positive integer, got {:?}",
-                    args.get(pos + 1).map(String::as_str).unwrap_or("<missing>")
-                );
-                std::process::exit(2);
-            }
+    let value = args.get(args.iter().position(|a| a == flag)? + 1);
+    match value.and_then(|v| v.parse().ok()) {
+        Some(v) if ok(&v) => Some(v),
+        _ => {
+            let got = value.map_or("<missing>", String::as_str);
+            eprintln!("{flag} requires {what}, got {got:?}");
+            std::process::exit(2);
         }
-    }
-    match std::env::var("XTWIG_SHARDS") {
-        Err(_) => 1,
-        Ok(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("XTWIG_SHARDS must be a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
     }
 }
 
@@ -88,11 +79,11 @@ pub fn dblp_forest(scale: f64) -> (XmlForest, DblpProfile) {
 }
 
 /// Builds an engine with the given strategies and the 40 MiB pool,
-/// honoring the `--shards` / `XTWIG_SHARDS` build-parallelism flag
-/// (shard count 1 is the sequential build).
-pub fn engine<'f>(forest: &'f XmlForest, strategies: &[Strategy]) -> QueryEngine<&'f XmlForest> {
+/// honoring the `--shards` build-parallelism flag (shard count 1 is the
+/// sequential build).
+pub fn engine(forest: XmlForest, strategies: &[Strategy]) -> QueryEngine {
     QueryEngine::build_parallel(
-        forest,
+        Arc::new(forest),
         EngineOptions {
             strategies: strategies.to_vec(),
             pool_pages: POOL_PAGES,
@@ -126,7 +117,7 @@ pub struct Measurement {
 /// Runs `twig` `RUNS` times warm (after one discarded warm-up run) and
 /// aggregates.
 pub fn measure(
-    engine: &QueryEngine<&XmlForest>,
+    engine: &QueryEngine,
     twig: &TwigPattern,
     strategy: Strategy,
     label: &str,

@@ -120,12 +120,6 @@ pub fn leftmost_child(page: &[u8]) -> u32 {
     get_u32(page, OFF_LEFTMOST)
 }
 
-/// Sets the leftmost child (internal nodes).
-#[inline]
-pub fn set_leftmost_child(page: &mut [u8], pid: u32) {
-    put_u32(page, OFF_LEFTMOST, pid);
-}
-
 #[inline]
 fn slot_offset(page: &[u8], idx: usize) -> usize {
     get_u16(page, HDR + 2 * idx) as usize

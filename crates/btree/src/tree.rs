@@ -29,13 +29,11 @@ pub struct BTreeOptions {
     /// paper leans on in §3.1). Disable for the ablation benchmark: every
     /// separator is then a whole key and every leaf prefix empty.
     pub prefix_truncation: bool,
-    /// Target fill fraction of leaf/internal pages during bulk build.
-    pub fill_factor: f64,
 }
 
 impl Default for BTreeOptions {
     fn default() -> Self {
-        BTreeOptions { prefix_truncation: true, fill_factor: 0.9 }
+        BTreeOptions { prefix_truncation: true }
     }
 }
 
@@ -895,7 +893,7 @@ mod tests {
         let build = |trunc: bool| {
             let mut t = BTree::with_options(
                 Arc::new(BufferPool::in_memory(4096)),
-                BTreeOptions { prefix_truncation: trunc, ..Default::default() },
+                BTreeOptions { prefix_truncation: trunc },
             );
             for i in 0..20_000u32 {
                 let k = format!("/site/regions/namerica/item/{i:08}/quantity");
@@ -913,8 +911,8 @@ mod tests {
     /// leaf under the page prefix `stem`.
     fn one_prefixed_leaf(stem: &[u8], n: u16) -> BTree {
         let keys = (0..n).map(|i| ([stem, &i.to_be_bytes()].concat(), Vec::new()));
-        let options = BTreeOptions { fill_factor: 1.0, ..Default::default() };
-        let t = crate::bulk_build(Arc::new(BufferPool::in_memory(64)), options, keys);
+        let t =
+            crate::bulk_build(Arc::new(BufferPool::in_memory(64)), BTreeOptions::default(), keys);
         assert_eq!(t.stats().height, 1);
         t
     }
@@ -935,16 +933,16 @@ mod tests {
 
     #[test]
     fn an_outlier_into_a_full_prefixed_leaf_splits_where_both_halves_fit() {
-        // 990 eight-byte cells under a 200-byte page prefix fill the leaf;
-        // under no prefix they would take 25 pages.
+        // 890 eight-byte cells under a 200-byte page prefix fill a
+        // bulk-built leaf; under no prefix they would take 23 pages.
         let stem = [b'x'; 200];
-        let mut t = one_prefixed_leaf(&stem, 990);
+        let mut t = one_prefixed_leaf(&stem, 890);
         for outlier in [&b"a"[..], b"y", b"xxy"] {
             t.insert(outlier, b"o");
             t.check_invariants();
             assert_eq!(t.get(outlier), Some(b"o".to_vec()));
         }
-        assert_eq!(t.len(), 993);
+        assert_eq!(t.len(), 893);
         assert!(t.stats().pages <= 5, "{:?}", t.stats());
         let mut key = stem.to_vec();
         key.extend_from_slice(&500u16.to_be_bytes());

@@ -16,10 +16,7 @@
 //! * id columns are separate attributes, so the differential IdList
 //!   compression of §4.1 does not apply (we store ids uncompressed).
 
-use crate::family::{
-    value_key_prefix, FamilyPosition, IdListSublist, IndexedColumn, PathIndex, PcSubpathQuery,
-    SchemaPathSubset,
-};
+use crate::family::{value_key_prefix, PathIndex, PcSubpathQuery};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::rootpaths::push_value_part;
@@ -188,22 +185,6 @@ impl AccessSupportRelations {
 }
 
 impl PathIndex for AccessSupportRelations {
-    fn name(&self) -> &'static str {
-        "ASR"
-    }
-
-    /// ASRs sit outside Fig. 3's single-index rows: schema is encoded as
-    /// *relation names* (one table per path) rather than as an indexed
-    /// column. The closest family description: root-to-leaf prefixes with
-    /// full IdLists, value-indexed only.
-    fn family_position(&self) -> FamilyPosition {
-        FamilyPosition {
-            schema_paths: SchemaPathSubset::RootToLeafPrefixes,
-            idlist: IdListSublist::Full,
-            indexed: vec![IndexedColumn::LeafValue],
-        }
-    }
-
     fn space_bytes(&self) -> u64 {
         self.tables.values().map(|t| t.space_bytes()).sum()
     }

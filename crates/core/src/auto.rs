@@ -19,12 +19,11 @@
 use crate::decompose::{CompiledTwig, UnknownTag};
 use crate::engine::{QueryEngine, Strategy};
 use crate::plan::{JoinHow, Method, PlanKind, QueryPlan};
-use std::borrow::Borrow;
 use xtwig_btree::BTree;
 use xtwig_opt::{
     rank, Calibration, Catalog, InljProbe, StrategyChoice, SubpathInput, TreeProfile, TwigCostInput,
 };
-use xtwig_xml::{TwigPattern, XmlForest};
+use xtwig_xml::TwigPattern;
 
 /// [`TreeProfile`] of a live B+-tree. The profile counts *internal*
 /// levels (`BTreeStats::height` counts the root-is-leaf level as 1).
@@ -51,7 +50,7 @@ impl Explanation {
     }
 }
 
-impl<F: Borrow<XmlForest>> QueryEngine<F> {
+impl QueryEngine {
     /// Measures the physical shape of every built structure — the cost
     /// model's catalog.
     pub fn catalog(&self) -> Catalog {
@@ -170,23 +169,24 @@ mod tests {
     use crate::engine::EngineOptions;
     use crate::parse_xpath;
     use std::collections::BTreeSet;
-    use xtwig_xml::naive;
+    use std::sync::Arc;
     use xtwig_xml::tree::fig1_book_document;
+    use xtwig_xml::{naive, XmlForest};
 
-    fn engine(forest: &XmlForest) -> QueryEngine<&XmlForest> {
-        QueryEngine::build(forest, EngineOptions { pool_pages: 1024, ..Default::default() })
+    fn engine(forest: &Arc<XmlForest>) -> QueryEngine {
+        QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 1024, ..Default::default() })
     }
 
     #[test]
     fn catalog_covers_built_strategies_only() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let full = engine(&f).catalog();
         for s in Strategy::ALL {
             assert!(full.has(s), "{s}");
         }
         assert!(full.has(Strategy::Auto));
         let rp_only = QueryEngine::build(
-            &f,
+            f.clone(),
             EngineOptions {
                 strategies: vec![Strategy::RootPaths],
                 pool_pages: 1024,
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn rank_is_sorted_and_complete() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
         let (compiled, plan) = e.compile(&twig).unwrap();
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn auto_answers_match_every_concrete_strategy() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         for q in [
             "/book/title[. = 'XML']",
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn resolve_strategy_passes_concrete_through() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         let twig = parse_xpath("//author/fn").unwrap();
         let (compiled, plan) = e.compile(&twig).unwrap();
@@ -253,9 +253,9 @@ mod tests {
 
     #[test]
     fn auto_resolves_within_the_built_subset() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = QueryEngine::build(
-            &f,
+            f.clone(),
             EngineOptions {
                 strategies: vec![Strategy::Edge, Strategy::Asr],
                 pool_pages: 1024,
@@ -271,7 +271,7 @@ mod tests {
 
     #[test]
     fn unknown_tag_under_auto_is_empty_without_resolution() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         let twig = parse_xpath("//unknown_tag_never_seen").unwrap();
         let a = e.answer(&twig, Strategy::Auto);
@@ -284,7 +284,7 @@ mod tests {
         // Fig. 11's lesson: a fully-specified valued path should land
         // on a single-probe strategy (RP or IF+Edge), not the Edge
         // chain.
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         let twig = parse_xpath("/book/allauthors/author/fn[. = 'jane']").unwrap();
         let ex = e.explain(&twig).unwrap();

@@ -18,7 +18,7 @@
 //!   [`workload_head_filter`] derives the retained head tags from a
 //!   query workload.
 
-use crate::family::{value_key_prefix, PathMatch};
+use crate::family::value_key_prefix;
 use crate::paths::{for_each_root_path, for_each_subpath};
 use crate::rootpaths::push_value_part;
 use std::collections::{HashMap, HashSet};
@@ -152,24 +152,25 @@ impl DictDataPaths {
         self.path_dict.len()
     }
 
-    /// Exact-path FreeIndex lookup (anchored only: the path id is
-    /// indivisible, so `//` patterns are unanswerable — §4.2's loss).
-    pub fn lookup_exact_free(&self, tags: &[TagId], value: Option<&str>) -> Vec<PathMatch> {
+    /// Exact-path FreeIndex lookup: the IdList of every match (anchored
+    /// only: the path id is indivisible, so `//` patterns are
+    /// unanswerable — §4.2's loss).
+    pub fn lookup_exact_free(&self, tags: &[TagId], value: Option<&str>) -> Vec<Vec<u64>> {
         self.lookup(0, tags, value)
     }
 
     /// Exact-path BoundIndex lookup: `tags` is the full path from the
-    /// head (inclusive).
+    /// head (inclusive), and each IdList starts with the head.
     pub fn lookup_exact_bound(
         &self,
         head: u64,
         tags: &[TagId],
         value: Option<&str>,
-    ) -> Vec<PathMatch> {
+    ) -> Vec<Vec<u64>> {
         self.lookup(head, tags, value)
     }
 
-    fn lookup(&self, head: u64, tags: &[TagId], value: Option<&str>) -> Vec<PathMatch> {
+    fn lookup(&self, head: u64, tags: &[TagId], value: Option<&str>) -> Vec<Vec<u64>> {
         let Some(&pid) = self.path_dict.get(tags) else { return Vec::new() };
         let mut key = KeyBuf::new();
         key.push_u64(head);
@@ -189,7 +190,7 @@ impl DictDataPaths {
                 ids.push(head);
             }
             codec::decode_idlist_into(self.idlist, payload, &mut ids);
-            out.push(PathMatch { head, tags: tags.to_vec(), ids });
+            out.push(ids);
             ControlFlow::Continue(())
         });
         out
@@ -226,15 +227,13 @@ mod tests {
             .iter()
             .map(|t| f.dict().lookup(t).unwrap())
             .collect();
-        let ms = dd.lookup_exact_free(&tags, Some("jane"));
-        let mut lists: Vec<Vec<u64>> = ms.iter().map(|m| m.ids.clone()).collect();
+        let mut lists = dd.lookup_exact_free(&tags, Some("jane"));
         lists.sort();
         assert_eq!(lists, vec![vec![1, 5, 6, 7], vec![1, 5, 41, 42]]);
         // Bound probe: author/ln under allauthors head 5.
         let bound_tags: Vec<TagId> =
             ["allauthors", "author", "ln"].iter().map(|t| f.dict().lookup(t).unwrap()).collect();
-        let ms = dd.lookup_exact_bound(5, &bound_tags, Some("doe"));
-        let mut lists: Vec<Vec<u64>> = ms.iter().map(|m| m.ids.clone()).collect();
+        let mut lists = dd.lookup_exact_bound(5, &bound_tags, Some("doe"));
         lists.sort();
         assert_eq!(lists, vec![vec![5, 21, 25], vec![5, 41, 45]]);
     }

@@ -13,7 +13,7 @@
 //! to the Edge chain in the engine.
 
 use crate::designator;
-use crate::family::{FamilyPosition, IdListSublist, IndexedColumn, PathIndex, SchemaPathSubset};
+use crate::family::PathIndex;
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::rootpaths::key_leaf;
@@ -105,18 +105,6 @@ impl DataGuide {
 }
 
 impl PathIndex for DataGuide {
-    fn name(&self) -> &'static str {
-        "DataGuide"
-    }
-
-    fn family_position(&self) -> FamilyPosition {
-        FamilyPosition {
-            schema_paths: SchemaPathSubset::RootToLeafPrefixes,
-            idlist: IdListSublist::LastOnly,
-            indexed: vec![IndexedColumn::SchemaPath],
-        }
-    }
-
     fn space_bytes(&self) -> u64 {
         self.tree.space_bytes()
     }
@@ -174,15 +162,5 @@ mod tests {
         assert!(instances(&dg, &tags(&f, &["author"])).is_empty());
         // An existing path with one wrong step.
         assert!(instances(&dg, &tags(&f, &["book", "author"])).is_empty());
-    }
-
-    #[test]
-    fn family_position_is_fig3_row() {
-        let f = fig1_book_document();
-        let dg = DataGuide::build(&f, Arc::new(BufferPool::in_memory(4096)));
-        let pos = dg.family_position();
-        assert_eq!(pos.schema_paths, SchemaPathSubset::RootToLeafPrefixes);
-        assert_eq!(pos.idlist, IdListSublist::LastOnly);
-        assert_eq!(pos.indexed, vec![IndexedColumn::SchemaPath]);
     }
 }

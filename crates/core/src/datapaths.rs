@@ -21,21 +21,19 @@
 //! [ uniquifier: last node id, 9 bytes ]
 //! ```
 //!
-//! Stored IdLists exclude the head (Fig. 5); lookups re-attach it so
-//! every [`PathMatch`] has `tags`/`ids` aligned.
+//! Stored IdLists exclude the head (Fig. 5); a bound lookup re-attaches
+//! it, so each lent IdList is aligned with the schema path from the
+//! head down.
 //!
 //! The FreeIndex rows keep ROOTPATHS' run order, and with it the
 //! document-order bit that lets [`DataPaths::for_each_free`] seek past
 //! entries a caller has no use for (see [`crate::rootpaths`]).
 
 use crate::designator;
-use crate::family::{
-    BoundIndex, FamilyPosition, Floor, FreeIndex, IdListSublist, IndexedColumn, PathIndex,
-    PathMatch, PcSubpathQuery, SchemaPathSubset,
-};
+use crate::family::{Floor, PathIndex, PcSubpathQuery};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::{for_each_root_path_in, for_each_subpath_in};
-use crate::rootpaths::{push_value_part, scan_entries, skip_value_part, DocumentOrder, Lend};
+use crate::rootpaths::{push_value_part, scan_entries, DocumentOrder, Lend};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, RunArena};
@@ -259,9 +257,7 @@ impl DataPaths {
 
     /// The streaming FreeIndex lookup: `sink(key, ids)` per match until
     /// it answers `Break`, `ids` decoded into the caller's reused
-    /// buffer, `key` lent undecoded from the leaf page
-    /// ([`FreeIndex::lookup_free`] is the collector that also decodes
-    /// the schema path out of it). As for
+    /// buffer, `key` lent undecoded from the leaf page. As for
     /// [`RootPaths::for_each_free`](crate::rootpaths::RootPaths::for_each_free),
     /// `leaf_only` lends the key's last id instead of the decoded
     /// IdList, and while the index is [`DataPaths::document_ordered`], a
@@ -314,15 +310,6 @@ impl DataPaths {
         let what = Lend::IdList { head, min_len: probe.min_len };
         scan_entries(&self.tree, &probe.key, self.idlist, what, None, ids, sink);
     }
-
-    /// Collects one lent entry as a [`PathMatch`], decoding its schema
-    /// path out of the key.
-    fn collect(head: u64, key: &[u8], ids: &[u64]) -> PathMatch {
-        let pos = skip_value_part(key, 9); // 9: past the head component
-        let (tags, _next) = designator::decode_path_reversed(key, pos);
-        debug_assert_eq!(tags.len(), ids.len());
-        PathMatch { head, tags, ids: ids.to_vec() }
-    }
 }
 
 /// A prepared BoundIndex probe (see [`DataPaths::bound_probe`]).
@@ -357,47 +344,8 @@ impl DataPaths {
 }
 
 impl PathIndex for DataPaths {
-    fn name(&self) -> &'static str {
-        "DATAPATHS"
-    }
-
-    fn family_position(&self) -> FamilyPosition {
-        FamilyPosition {
-            schema_paths: SchemaPathSubset::AllSubpaths,
-            idlist: IdListSublist::Full,
-            indexed: vec![
-                IndexedColumn::HeadId,
-                IndexedColumn::LeafValue,
-                IndexedColumn::ReverseSchemaPath,
-            ],
-        }
-    }
-
     fn space_bytes(&self) -> u64 {
         self.tree.space_bytes()
-    }
-}
-
-impl FreeIndex for DataPaths {
-    fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let mut out = Vec::new();
-        self.for_each_free(q, &mut Vec::new(), None, false, |key, ids| {
-            out.push(Self::collect(0, key, ids));
-            ControlFlow::Continue(())
-        });
-        out
-    }
-}
-
-impl BoundIndex for DataPaths {
-    fn lookup_bound(&self, head: u64, head_tag: TagId, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let mut out = Vec::new();
-        let mut probe = self.bound_probe(head_tag, &q.tags, q.anchored, q.value.as_deref());
-        self.for_each_bound(&mut probe, head, &mut Vec::new(), |key, ids| {
-            out.push(Self::collect(head, key, ids));
-            ControlFlow::Continue(())
-        });
-        out
     }
 }
 
@@ -423,8 +371,32 @@ mod tests {
         forest.dict().lookup(name).unwrap()
     }
 
-    fn last_ids(ms: &[PathMatch]) -> Vec<u64> {
-        let mut v: Vec<u64> = ms.iter().map(|m| m.last_id()).collect();
+    /// The IdList of every free match of `q`, sorted.
+    fn free(dp: &DataPaths, q: &PcSubpathQuery) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        dp.for_each_free(q, &mut Vec::new(), None, false, |_, ids| {
+            out.push(ids.to_vec());
+            ControlFlow::Continue(())
+        });
+        out.sort();
+        out
+    }
+
+    /// The IdList of every match of `q` under `head`, the head first,
+    /// sorted.
+    fn bound(dp: &DataPaths, head: u64, head_tag: TagId, q: &PcSubpathQuery) -> Vec<Vec<u64>> {
+        let mut probe = dp.bound_probe(head_tag, &q.tags, q.anchored, q.value.as_deref());
+        let mut out = Vec::new();
+        dp.for_each_bound(&mut probe, head, &mut Vec::new(), |_, ids| {
+            out.push(ids.to_vec());
+            ControlFlow::Continue(())
+        });
+        out.sort();
+        out
+    }
+
+    fn last_ids(ms: &[Vec<u64>]) -> Vec<u64> {
+        let mut v: Vec<u64> = ms.iter().map(|m| m[m.len() - 1]).collect();
         v.sort_unstable();
         v
     }
@@ -474,13 +446,12 @@ mod tests {
     fn free_lookup_equals_rootpaths_semantics() {
         let f = fig1_book_document();
         let dp = build(&f);
-        let ms = dp.lookup_free(&q(&f, &["author", "fn"], false, Some("jane")));
+        let ms = free(&dp, &q(&f, &["author", "fn"], false, Some("jane")));
         assert_eq!(last_ids(&ms), vec![7, 42]);
         for m in &ms {
-            assert_eq!(m.head, 0);
-            assert_eq!(m.ids[0], 1); // full root IdList
+            assert_eq!(m[0], 1); // full root IdList
         }
-        let anchored = dp.lookup_free(&q(&f, &["book", "title"], true, None));
+        let anchored = free(&dp, &q(&f, &["book", "title"], true, None));
         assert_eq!(last_ids(&anchored), vec![2]);
     }
 
@@ -490,23 +461,17 @@ mod tests {
         let f = fig1_book_document();
         let dp = build(&f);
         let book = tag(&f, "book");
-        let ms = dp.lookup_bound(1, book, &q(&f, &["author", "ln"], false, Some("doe")));
+        let ms = bound(&dp, 1, book, &q(&f, &["author", "ln"], false, Some("doe")));
         assert_eq!(last_ids(&ms), vec![25, 45]);
         for m in &ms {
-            assert_eq!(m.head, 1);
-            assert_eq!(m.ids[0], 1); // head re-attached
-            assert_eq!(m.tags[0], book);
+            assert_eq!(m[0], 1); // head re-attached
         }
         // Under allauthors (5) the same pattern also matches both.
-        let ua = dp.lookup_bound(
-            5,
-            tag(&f, "allauthors"),
-            &q(&f, &["author", "ln"], false, Some("doe")),
-        );
+        let ua =
+            bound(&dp, 5, tag(&f, "allauthors"), &q(&f, &["author", "ln"], false, Some("doe")));
         assert_eq!(last_ids(&ua), vec![25, 45]);
         // Under the first author (6) it matches nothing.
-        let none =
-            dp.lookup_bound(6, tag(&f, "author"), &q(&f, &["author", "ln"], false, Some("doe")));
+        let none = bound(&dp, 6, tag(&f, "author"), &q(&f, &["author", "ln"], false, Some("doe")));
         assert!(none.is_empty());
     }
 
@@ -516,10 +481,10 @@ mod tests {
         let f = fig1_book_document();
         let dp = build(&f);
         let author = tag(&f, "author");
-        let ms = dp.lookup_bound(6, author, &q(&f, &["author"], false, None));
+        let ms = bound(&dp, 6, author, &q(&f, &["author"], false, None));
         assert!(ms.is_empty(), "head must not match itself: {ms:?}");
         // But under book it matches all three authors.
-        let under_book = dp.lookup_bound(1, tag(&f, "book"), &q(&f, &["author"], false, None));
+        let under_book = bound(&dp, 1, tag(&f, "book"), &q(&f, &["author"], false, None));
         assert_eq!(last_ids(&under_book), vec![6, 21, 41]);
     }
 
@@ -528,17 +493,14 @@ mod tests {
         let f = fig1_book_document();
         let dp = build(&f);
         // /author/fn='jane' anchored under allauthors (5): children only.
-        let ms = dp.lookup_bound(
-            5,
-            tag(&f, "allauthors"),
-            &q(&f, &["author", "fn"], true, Some("jane")),
-        );
+        let ms =
+            bound(&dp, 5, tag(&f, "allauthors"), &q(&f, &["author", "fn"], true, Some("jane")));
         assert_eq!(last_ids(&ms), vec![7, 42]);
         // Anchored /fn under allauthors: fn is a grandchild, so empty.
-        let none = dp.lookup_bound(5, tag(&f, "allauthors"), &q(&f, &["fn"], true, None));
+        let none = bound(&dp, 5, tag(&f, "allauthors"), &q(&f, &["fn"], true, None));
         assert!(none.is_empty());
         // Anchored /author under book: author is a grandchild, so empty.
-        let none = dp.lookup_bound(1, tag(&f, "book"), &q(&f, &["author"], true, None));
+        let none = bound(&dp, 1, tag(&f, "book"), &q(&f, &["author"], true, None));
         assert!(none.is_empty());
     }
 
@@ -586,13 +548,13 @@ mod tests {
         assert!(pruned.rows() < full.rows());
         assert!(pruned.is_pruned());
         // FreeIndex rows survive pruning:
-        let ms = pruned.lookup_free(&q(&f, &["author", "fn"], false, Some("jane")));
+        let ms = free(&pruned, &q(&f, &["author", "fn"], false, Some("jane")));
         assert_eq!(last_ids(&ms), vec![7, 42]);
         // Bound probes on retained heads still work:
-        let ms = pruned.lookup_bound(1, book, &q(&f, &["author"], false, None));
+        let ms = bound(&pruned, 1, book, &q(&f, &["author"], false, None));
         assert_eq!(ms.len(), 3);
         // ...but pruned heads return nothing (the §4.3 functionality loss).
-        let none = pruned.lookup_bound(5, tag(&f, "allauthors"), &q(&f, &["author"], false, None));
+        let none = bound(&pruned, 5, tag(&f, "allauthors"), &q(&f, &["author"], false, None));
         assert!(none.is_empty());
     }
 
@@ -609,24 +571,11 @@ mod tests {
         // depth 4: 1 free + 4 bound rows, x2 for the valued variant.
         assert_eq!(dp.rows(), rows0 + 10);
         let q = q(&f, &["author", "fn"], false, Some("ada"));
-        assert_eq!(dp.lookup_free(&q).len(), 1);
-        let bound = dp.lookup_bound(5, tag(&f, "allauthors"), &q);
-        assert_eq!(bound.len(), 1);
-        assert_eq!(bound[0].ids, vec![5, 900, 901]);
+        assert_eq!(free(&dp, &q).len(), 1);
+        assert_eq!(bound(&dp, 5, tag(&f, "allauthors"), &q), vec![vec![5, 900, 901]]);
         assert!(dp.delete_path(&tags, &[1, 5, 900, 901], Some("ada")));
         assert_eq!(dp.rows(), rows0);
-        assert!(dp.lookup_free(&q).is_empty());
-    }
-
-    #[test]
-    fn family_position_is_fig3_row() {
-        let f = fig1_book_document();
-        let dp = build(&f);
-        let pos = dp.family_position();
-        assert_eq!(pos.schema_paths, SchemaPathSubset::AllSubpaths);
-        assert_eq!(pos.idlist, IdListSublist::Full);
-        assert_eq!(pos.indexed.len(), 3);
-        assert_eq!(pos.indexed[0], IndexedColumn::HeadId);
+        assert!(free(&dp, &q).is_empty());
     }
 
     #[test]
@@ -634,9 +583,7 @@ mod tests {
         // Probe (head=5, null, AU*) — the "5 AU null [6]" row family.
         let f = fig1_book_document();
         let dp = build(&f);
-        let ms = dp.lookup_bound(5, tag(&f, "allauthors"), &q(&f, &["author"], false, None));
-        let mut idlists: Vec<Vec<u64>> = ms.iter().map(|m| m.ids.clone()).collect();
-        idlists.sort();
-        assert_eq!(idlists, vec![vec![5, 6], vec![5, 21], vec![5, 41]]);
+        let ms = bound(&dp, 5, tag(&f, "allauthors"), &q(&f, &["author"], false, None));
+        assert_eq!(ms, vec![vec![5, 6], vec![5, 21], vec![5, 41]]);
     }
 }

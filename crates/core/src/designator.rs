@@ -61,61 +61,51 @@ pub fn push_path_reversed(out: &mut Vec<u8>, tags: &[TagId]) {
     }
 }
 
-/// Encodes `tags` (forward) with a terminator.
-pub fn encode_path(tags: &[TagId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(tags.len() + 1);
-    push_path(&mut out, tags);
-    out.push(TERMINATOR);
-    out
-}
-
-/// Encodes `tags` reversed with a terminator.
-pub fn encode_path_reversed(tags: &[TagId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(tags.len() + 1);
-    push_path_reversed(&mut out, tags);
-    out.push(TERMINATOR);
-    out
-}
-
-/// Decodes a designator sequence starting at `pos`, up to and including
-/// its terminator. Returns `(tags, next_pos)`.
-///
-/// # Panics
-/// Panics on malformed input (index keys are trusted).
-pub fn decode_path(bytes: &[u8], pos: usize) -> (Vec<TagId>, usize) {
-    let mut tags = Vec::new();
-    let mut i = pos;
-    loop {
-        match bytes[i] {
-            TERMINATOR => return (tags, i + 1),
-            ESCAPE => {
-                let rest = u16::from_be_bytes([bytes[i + 1], bytes[i + 2]]);
-                tags.push(TagId(ONE_BYTE_TAGS + u32::from(rest)));
-                i += 3;
-            }
-            b if b >= ONE_BYTE_BASE => {
-                tags.push(TagId(u32::from(b - ONE_BYTE_BASE)));
-                i += 1;
-            }
-            other => panic!("bad designator byte {other:#x} at {i}"),
-        }
-    }
-}
-
-/// Decodes a reversed designator sequence (returns tags in forward
-/// root-to-leaf order).
-pub fn decode_path_reversed(bytes: &[u8], pos: usize) -> (Vec<TagId>, usize) {
-    let (mut tags, next) = decode_path(bytes, pos);
-    tags.reverse();
-    (tags, next)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(v: u32) -> TagId {
         TagId(v)
+    }
+
+    /// `tags` (forward) with a terminator.
+    fn encode_path(tags: &[TagId]) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_path(&mut out, tags);
+        out.push(TERMINATOR);
+        out
+    }
+
+    /// `tags` reversed with a terminator.
+    fn encode_path_reversed(tags: &[TagId]) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_path_reversed(&mut out, tags);
+        out.push(TERMINATOR);
+        out
+    }
+
+    /// Decodes a designator sequence starting at `pos`, up to and
+    /// including its terminator, into `(tags, next_pos)`: the reference
+    /// reader of the prefix-free code. Panics on a malformed byte.
+    fn decode_path(bytes: &[u8], pos: usize) -> (Vec<TagId>, usize) {
+        let mut tags = Vec::new();
+        let mut i = pos;
+        loop {
+            match bytes[i] {
+                TERMINATOR => return (tags, i + 1),
+                ESCAPE => {
+                    let rest = u16::from_be_bytes([bytes[i + 1], bytes[i + 2]]);
+                    tags.push(TagId(ONE_BYTE_TAGS + u32::from(rest)));
+                    i += 3;
+                }
+                b if b >= ONE_BYTE_BASE => {
+                    tags.push(TagId(u32::from(b - ONE_BYTE_BASE)));
+                    i += 1;
+                }
+                other => panic!("bad designator byte {other:#x} at {i}"),
+            }
+        }
     }
 
     #[test]
@@ -143,7 +133,8 @@ mod tests {
         let fwd = encode_path(&tags);
         let rev = encode_path_reversed(&tags);
         assert_ne!(fwd, rev);
-        let (dec, _) = decode_path_reversed(&rev, 0);
+        let (mut dec, _) = decode_path(&rev, 0);
+        dec.reverse();
         assert_eq!(dec, tags);
     }
 

@@ -13,10 +13,7 @@
 //! link index. The per-candidate, per-step probes are exactly the cost
 //! the paper attributes to this baseline.
 
-use crate::family::{
-    value_key_prefix, FamilyPosition, IdListSublist, IndexedColumn, PathIndex, PcSubpathQuery,
-    SchemaPathSubset,
-};
+use crate::family::{value_key_prefix, PathIndex, PcSubpathQuery};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::rootpaths::key_leaf;
 use std::ops::ControlFlow;
@@ -314,21 +311,6 @@ impl EdgeTable {
 }
 
 impl PathIndex for EdgeTable {
-    fn name(&self) -> &'static str {
-        "Edge"
-    }
-
-    /// The Edge configuration's indexes are the length-1 members of the
-    /// family: the value index (`SchemaPath`+`LeafValue`, last id) and
-    /// link indexes (`HeadId`+`SchemaPath`, last id) of Fig. 3.
-    fn family_position(&self) -> FamilyPosition {
-        FamilyPosition {
-            schema_paths: SchemaPathSubset::Length1,
-            idlist: IdListSublist::LastOnly,
-            indexed: vec![IndexedColumn::SchemaPath, IndexedColumn::LeafValue],
-        }
-    }
-
     fn space_bytes(&self) -> u64 {
         self.heap.space_bytes()
             + self.node_idx.space_bytes()

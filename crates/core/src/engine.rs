@@ -51,7 +51,6 @@ use crate::paths::PathStats;
 use crate::plan::{choose_plan, JoinHow, Method, PlanKind, ProbeSpec, QueryPlan};
 use crate::rootpaths::{RootPaths, RootPathsOptions};
 use crate::table::{distinct_keys, key_runs, AncList, BindingTable, MergeCursor, UNBOUND};
-use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
@@ -155,29 +154,26 @@ impl QueryAnswer {
 
 /// The engine owning all built index configurations for one forest.
 ///
-/// Generic over how the forest is held: `QueryEngine<&XmlForest>`
-/// borrows it (the historical single-threaded shape), while
-/// `QueryEngine<Arc<XmlForest>>` — the default — owns a shared handle
-/// and is `Send + Sync`, so one engine can serve concurrent queries
-/// from many threads (`answer` takes `&self` throughout; see
-/// `xtwig-service`). The only `&mut self` surface is index maintenance
-/// ([`QueryEngine::rootpaths_mut`] / [`QueryEngine::datapaths_mut`]);
-/// rather than serializing maintenance against readers with a lock,
-/// callers fork the engine ([`QueryEngine::fork`] — a copy-on-write
-/// snapshot that copies no pages), mutate the fork, and publish it,
-/// leaving the original to serve concurrent readers as a frozen
-/// snapshot.
+/// It owns the forest through an `Arc` and is `Send + Sync`, so one
+/// engine can serve concurrent queries from many threads (`answer` takes
+/// `&self` throughout; see `xtwig-service`). The only `&mut self`
+/// surface is index maintenance ([`QueryEngine::rootpaths_mut`] /
+/// [`QueryEngine::datapaths_mut`]); rather than serializing maintenance
+/// against readers with a lock, callers fork the engine
+/// ([`QueryEngine::fork`] — a copy-on-write snapshot that copies no
+/// pages), mutate the fork, and publish it, leaving the original to
+/// serve concurrent readers as a frozen snapshot.
 ///
 /// Concurrency note on metrics: every counter in [`QueryMetrics`] is
 /// exact per query, however many queries overlap. Every strategy counts
 /// its lookups and fetched rows into the execution's own counters, and
 /// a query runs on its caller's thread, whose own tally of page reads
 /// the storage layer keeps (`IoStatsSnapshot::of_this_thread`).
-pub struct QueryEngine<F: Borrow<XmlForest> = Arc<XmlForest>> {
+pub struct QueryEngine {
     // Fields are crate-visible for `crate::persist`, which flushes each
     // structure's pool into an index file and reconstructs the engine
     // from the stored catalog on open.
-    pub(crate) forest: F,
+    pub(crate) forest: Arc<XmlForest>,
     pub(crate) rp: Option<(RootPaths, Arc<BufferPool>)>,
     pub(crate) dp: Option<(DataPaths, Arc<BufferPool>)>,
     // Nothing writes it after build, so forks share it.
@@ -383,10 +379,10 @@ impl StepMasks {
     }
 }
 
-impl<F: Borrow<XmlForest>> QueryEngine<F> {
+impl QueryEngine {
     /// Builds the selected index configurations over `forest`.
-    pub fn build(forest: F, options: EngineOptions) -> Self {
-        let plan = ShardPlan::sequential(forest.borrow());
+    pub fn build(forest: Arc<XmlForest>, options: EngineOptions) -> Self {
+        let plan = ShardPlan::sequential(&forest);
         Self::build_with_plan(forest, options, &plan)
     }
 
@@ -399,15 +395,19 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
     /// asserted via [`QueryEngine::structure_digest`] in the
     /// `parallel_build` suite. `shards <= 1` degenerates to the
     /// sequential build.
-    pub fn build_parallel(forest: F, options: EngineOptions, shards: usize) -> Self {
-        let plan = ShardPlan::new(forest.borrow(), shards);
+    pub fn build_parallel(forest: Arc<XmlForest>, options: EngineOptions, shards: usize) -> Self {
+        let plan = ShardPlan::new(&forest, shards);
         Self::build_with_plan(forest, options, &plan)
     }
 
     /// [`QueryEngine::build_parallel`] with an explicit [`ShardPlan`]
     /// (tests pin shard boundaries and worker counts through this).
-    pub fn build_with_plan(forest: F, options: EngineOptions, plan: &ShardPlan) -> Self {
-        let f: &XmlForest = forest.borrow();
+    pub fn build_with_plan(
+        forest: Arc<XmlForest>,
+        options: EngineOptions,
+        plan: &ShardPlan,
+    ) -> Self {
+        let f: &XmlForest = &forest;
         let want = |s: &Strategy| {
             options.strategies.contains(s) || options.strategies.contains(&Strategy::Auto)
         };
@@ -464,7 +464,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 
     /// The forest under query.
     pub fn forest(&self) -> &XmlForest {
-        self.forest.borrow()
+        &self.forest
     }
 
     /// True when `strategy`'s structures were built (querying an
@@ -1498,11 +1498,11 @@ mod tests {
     use xtwig_xml::naive;
     use xtwig_xml::tree::fig1_book_document;
 
-    fn engine(forest: &XmlForest) -> QueryEngine<&XmlForest> {
-        QueryEngine::build(forest, EngineOptions { pool_pages: 1024, ..Default::default() })
+    fn engine(forest: &Arc<XmlForest>) -> QueryEngine {
+        QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 1024, ..Default::default() })
     }
 
-    fn check_all_strategies(engine: &QueryEngine<&XmlForest>, xpath: &str) {
+    fn check_all_strategies(engine: &QueryEngine, xpath: &str) {
         let twig = parse_xpath(xpath).unwrap();
         let expected: BTreeSet<u64> =
             naive::select(engine.forest(), &twig).into_iter().map(|n| n.0).collect();
@@ -1519,14 +1519,14 @@ mod tests {
 
     #[test]
     fn all_strategies_answer_the_intro_query() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         check_all_strategies(&e, "/book[title='XML']//author[fn='jane'][ln='doe']");
     }
 
     #[test]
     fn single_path_queries() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         for q in [
             "/book/title[. = 'XML']",
@@ -1543,7 +1543,7 @@ mod tests {
 
     #[test]
     fn branching_queries() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         for q in [
             "/book[year = '2000']/chapter/title",
@@ -1558,7 +1558,7 @@ mod tests {
 
     #[test]
     fn recursive_edges_inside_twig() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         for q in [
             "/book//head",
@@ -1573,7 +1573,7 @@ mod tests {
 
     #[test]
     fn empty_results_are_consistent() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         for q in [
             "/book/title[. = 'JSON']",
@@ -1587,7 +1587,7 @@ mod tests {
 
     #[test]
     fn inlj_and_merge_agree() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         // Low branch point with a selective branch: //author[fn='john']/nickname
         let twig = parse_xpath("//author[fn = 'john']/nickname").unwrap();
@@ -1605,7 +1605,7 @@ mod tests {
     /// existence filters streamed and as full joins — and holds each
     /// answer against the naive matcher. Returns the step annotations of
     /// the streamed DATAPATHS run with every step free.
-    fn check_every_way(engine: &QueryEngine<&XmlForest>, twig: &TwigPattern) -> Vec<String> {
+    fn check_every_way(engine: &QueryEngine, twig: &TwigPattern) -> Vec<String> {
         let expected: BTreeSet<u64> =
             naive::select(engine.forest(), twig).into_iter().map(|n| n.0).collect();
         let Ok((compiled, plan)) = engine.compile(twig) else {
@@ -1708,11 +1708,13 @@ mod tests {
     #[test]
     fn random_twigs_answer_the_same_whichever_way_each_step_runs() {
         for case in 0..96u64 {
-            let forest =
-                programs::forest(&programs::bytes(2 * case, 60 + (case as usize * 7) % 240));
+            let forest = Arc::new(programs::forest(&programs::bytes(
+                2 * case,
+                60 + (case as usize * 7) % 240,
+            )));
             let twig = programs::twig(&programs::bytes(2 * case + 1, 1 + 3 * (case as usize % 5)));
             let e = QueryEngine::build(
-                &forest,
+                forest.clone(),
                 EngineOptions { pool_pages: 512, ..Default::default() },
             );
             check_every_way(&e, &twig);
@@ -1740,7 +1742,7 @@ mod tests {
     #[test]
     fn every_join_kind_streams_its_existence_filter() {
         // One of the three books has the author asked for.
-        let f = three_books();
+        let f = Arc::new(three_books());
         let e = engine(&f);
         for (xpath, kind) in [
             // The `ln` branch binds nothing the output needs.
@@ -1764,7 +1766,7 @@ mod tests {
 
     #[test]
     fn every_join_kind_streams_its_full_join() {
-        let f = three_books();
+        let f = Arc::new(three_books());
         let e = engine(&f);
         for (xpath, kind) in [
             // The `ln` branch is the output: its bindings are consumed.
@@ -1840,7 +1842,7 @@ mod tests {
     fn joins_on_one_id_seek_past_the_entries_no_row_can_match() {
         // Two rows against twelve entries: past the first `john`, the
         // entries of the books before the second are sought past.
-        let f = twelve_books();
+        let f = Arc::new(twelve_books());
         let e = engine(&f);
         for (xpath, kind, how) in [
             ("//author[fn = 'john']/ln", "SharedNode", "join runs="),
@@ -1894,6 +1896,7 @@ mod tests {
         }
         b.close();
         b.finish();
+        let f = Arc::new(f);
         let e = engine(&f);
         for xpath in [
             format!("/docs/rec[blob = '{shared}-alpha']/tag"),
@@ -1915,6 +1918,7 @@ mod tests {
             b.close();
         }
         b.finish();
+        let f = Arc::new(f);
         let e = engine(&f);
         for xpath in ["//n//n//n/leaf", "/n/n/n[//leaf]", "//n[n/n]//leaf[. = 'bottom']"] {
             check_every_way(&e, &parse_xpath(xpath).unwrap());
@@ -1925,7 +1929,7 @@ mod tests {
     fn scans_lend_key_leaves_only_where_nothing_reads_more() {
         // Each twig reaches a reader of the ids in front of a leaf, or
         // none: `(xpath, steps whose scan lends key leaves)`.
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         let long = "x".repeat(VALUE_KEY_PREFIX_BYTES + 24);
         let mut docs = XmlForest::new();
@@ -1938,6 +1942,7 @@ mod tests {
         }
         b.close();
         b.finish();
+        let docs = Arc::new(docs);
         let long_docs = engine(&docs);
         for (engine, xpath, leaf_steps) in [
             // Nothing above the leaf is read: one-step plans of a free
@@ -1971,7 +1976,7 @@ mod tests {
 
     #[test]
     fn a_one_step_plan_writes_no_row() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         // The leaf is the answer; then an interior node is.
         for (xpath, leaf) in [("/book/allauthors/author", true), ("//author[fn = 'jane']", false)] {
@@ -1995,7 +2000,7 @@ mod tests {
 
     #[test]
     fn metrics_populate() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         let twig = parse_xpath("//author[fn = 'jane'][ln = 'doe']").unwrap();
         let a = e.answer(&twig, Strategy::RootPaths);
@@ -2013,7 +2018,7 @@ mod tests {
 
     #[test]
     fn space_report_orders_like_fig9() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         let rp = e.space_bytes(Strategy::RootPaths);
         let dp = e.space_bytes(Strategy::DataPaths);
@@ -2026,11 +2031,11 @@ mod tests {
 
     #[test]
     fn pruned_engine_still_answers_off_workload_queries() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let workload = vec![parse_xpath("/book[title='XML']//author[fn='jane']").unwrap()];
         let filter = crate::compress::workload_head_filter(&workload);
         let e = QueryEngine::build(
-            &f,
+            f.clone(),
             EngineOptions {
                 strategies: vec![Strategy::DataPaths],
                 pool_pages: 1024,
@@ -2049,7 +2054,7 @@ mod tests {
     #[test]
     fn shared_engine_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<QueryEngine<Arc<XmlForest>>>();
+        assert_send_sync::<QueryEngine>();
         assert_send_sync::<QueryAnswer>();
     }
 
@@ -2057,9 +2062,9 @@ mod tests {
     fn auto_in_build_options_materializes_every_strategy() {
         // `--strategies auto` must mean "build the full menu", not
         // "build nothing and persist an empty index".
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = QueryEngine::build(
-            &f,
+            f.clone(),
             EngineOptions {
                 strategies: vec![Strategy::Auto],
                 pool_pages: 1024,
@@ -2099,7 +2104,7 @@ mod tests {
 
     #[test]
     fn compile_then_answer_compiled_matches_answer() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let e = engine(&f);
         let twig = parse_xpath("//author[fn = 'jane']/ln").unwrap();
         let (compiled, plan) = e.compile(&twig).unwrap();
@@ -2126,9 +2131,10 @@ mod tests {
             b.finish();
         }
         let opts = || EngineOptions { pool_pages: 1024, ..Default::default() };
-        let seq = QueryEngine::build(&f, opts());
+        let f = Arc::new(f);
+        let seq = QueryEngine::build(f.clone(), opts());
         for shards in [1, 2, 3, 7] {
-            let par = QueryEngine::build_parallel(&f, opts(), shards);
+            let par = QueryEngine::build_parallel(f.clone(), opts(), shards);
             for s in Strategy::ALL {
                 assert_eq!(
                     par.structure_digest(s),
@@ -2159,6 +2165,7 @@ mod tests {
             b.close();
             b.finish();
         }
+        let f = Arc::new(f);
         let e = engine(&f);
         check_all_strategies(&e, "/book[title='XML']//author[fn='jane'][ln='doe']");
         check_all_strategies(&e, "/book/title[. = 'SQL']");
@@ -2198,8 +2205,9 @@ mod tests {
                 Strategy::IndexFabricEdge,
                 Strategy::Asr,
             ];
+            let f = Arc::new(f);
             let e = QueryEngine::build(
-                &f,
+                f.clone(),
                 EngineOptions {
                     strategies: strategies.clone(),
                     pool_pages: 1024,

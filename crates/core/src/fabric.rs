@@ -13,9 +13,7 @@
 //! evaluation (IF+Edge).
 
 use crate::designator;
-use crate::family::{
-    value_key_prefix, FamilyPosition, IdListSublist, IndexedColumn, PathIndex, SchemaPathSubset,
-};
+use crate::family::{value_key_prefix, PathIndex};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::rootpaths::key_leaf;
@@ -112,18 +110,6 @@ impl IndexFabric {
 }
 
 impl PathIndex for IndexFabric {
-    fn name(&self) -> &'static str {
-        "IndexFabric"
-    }
-
-    fn family_position(&self) -> FamilyPosition {
-        FamilyPosition {
-            schema_paths: SchemaPathSubset::RootToLeaf,
-            idlist: IdListSublist::FirstOrLast,
-            indexed: vec![IndexedColumn::SchemaPath, IndexedColumn::LeafValue],
-        }
-    }
-
     fn space_bytes(&self) -> u64 {
         self.tree.space_bytes()
     }
@@ -174,15 +160,5 @@ mod tests {
         assert_eq!(leaves(&fab, &path, "XML"), vec![2]);
         assert!(leaves(&fab, &path, "XM").is_empty());
         assert!(leaves(&fab, &path, "XMLX").is_empty());
-    }
-
-    #[test]
-    fn family_position_is_fig3_row() {
-        let f = fig1_book_document();
-        let fab = IndexFabric::build(&f, Arc::new(BufferPool::in_memory(4096)));
-        let pos = fab.family_position();
-        assert_eq!(pos.schema_paths, SchemaPathSubset::RootToLeaf);
-        assert_eq!(pos.idlist, IdListSublist::FirstOrLast);
-        assert_eq!(pos.indexed, vec![IndexedColumn::SchemaPath, IndexedColumn::LeafValue]);
     }
 }

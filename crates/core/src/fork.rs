@@ -27,11 +27,9 @@ use crate::datapaths::DataPaths;
 use crate::engine::QueryEngine;
 use crate::persist::{ByteReader, ByteWriter, FormatError};
 use crate::rootpaths::RootPaths;
-use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 use xtwig_storage::BufferPool;
-use xtwig_xml::XmlForest;
 
 /// Why a fork was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,7 +83,7 @@ fn fork_cow<T>(
     Ok(Some((index, forked)))
 }
 
-impl<F: Borrow<XmlForest> + Clone> QueryEngine<F> {
+impl QueryEngine {
     /// Forks this engine into an independent copy-on-write sibling.
     ///
     /// The fork answers every query identically to `self` at fork time.

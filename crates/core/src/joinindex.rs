@@ -19,9 +19,7 @@
 //!   candidate per position.
 
 use crate::edge::EdgeTable;
-use crate::family::{
-    FamilyPosition, IdListSublist, IndexedColumn, PathIndex, PcSubpathQuery, SchemaPathSubset,
-};
+use crate::family::{PathIndex, PcSubpathQuery};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::rootpaths::key_leaf;
@@ -313,20 +311,6 @@ impl JoinIndices {
 }
 
 impl PathIndex for JoinIndices {
-    fn name(&self) -> &'static str {
-        "JoinIndex"
-    }
-
-    /// Like ASRs, join indices encode schema as relation names; they keep
-    /// only endpoint ids (first-or-last sublist).
-    fn family_position(&self) -> FamilyPosition {
-        FamilyPosition {
-            schema_paths: SchemaPathSubset::AllSubpaths,
-            idlist: IdListSublist::FirstOrLast,
-            indexed: vec![IndexedColumn::HeadId],
-        }
-    }
-
     fn space_bytes(&self) -> u64 {
         self.tables.values().map(|p| p.forward.space_bytes() + p.backward.space_bytes()).sum()
     }

@@ -9,12 +9,13 @@
 //! * [`paths`] — the 4-ary relational representation of XML data paths
 //!   `(HeadId, SchemaPath, LeafValue, IdList)` (paper Fig. 2), enumerated
 //!   from an [`xtwig_xml::XmlForest`].
-//! * [`family`] — the unified framework: every index is a point in the
+//! * [`family`] — the unified framework: where each index sits in the
 //!   (SchemaPath subset, IdList sublist, indexed columns) space
-//!   (paper Fig. 3), plus the `FreeIndex`/`BoundIndex` problem traits
-//!   (paper §2.3).
+//!   (paper Fig. 3), the PCsubpath pattern, and the space metric every
+//!   structure reports.
 //! * [`rootpaths`] / [`datapaths`] — the two novel indexes (paper §3.2,
-//!   §3.3).
+//!   §3.3), each answering the paper's FreeIndex problem (§2.3) with one
+//!   streaming scan, and DATAPATHS the BoundIndex problem with another.
 //! * [`edge`], [`dataguide`], [`fabric`], [`asr`], [`joinindex`] — the
 //!   comparison systems of §5: Edge-table with Lore-style value/link
 //!   indexes, simulated DataGuide, simulated Index Fabric, Access Support
@@ -63,7 +64,7 @@ pub use auto::Explanation;
 pub use engine::{ParseStrategyError, QueryAnswer, QueryEngine, QueryMetrics, Strategy};
 // Tracing types, re-exported so engine callers need not depend on
 // `xtwig-obs` directly.
-pub use family::{BoundIndex, FamilyPosition, FreeIndex, PathIndex, PathMatch, PcSubpathQuery};
+pub use family::{PathIndex, PcSubpathQuery};
 pub use fork::ForkError;
 pub use parallel::ShardPlan;
 pub use persist::{OpenError, OpenReport, PersistError, PersistReport};

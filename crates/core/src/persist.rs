@@ -47,7 +47,6 @@ use crate::fabric::IndexFabric;
 use crate::joinindex::JoinIndices;
 use crate::paths::PathStats;
 use crate::rootpaths::RootPaths;
-use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
@@ -67,8 +66,9 @@ use xtwig_xml::{TagId, XmlForest};
 /// digests; version 4 stores each B+-tree leaf's common key prefix once
 /// per page (`xtwig_btree::node`); version 5 drops the structural-join
 /// flag from the engine options; version 6 drops the ROOTPATHS
-/// IdList-sublist byte.
-pub const FORMAT_VERSION: u32 = 6;
+/// IdList-sublist byte; version 7 drops each tree's fill factor (a
+/// constant of the bulk loader).
+pub const FORMAT_VERSION: u32 = 7;
 
 const MAGIC: &[u8; 8] = b"XTWIGIDX";
 
@@ -127,11 +127,6 @@ impl ByteWriter {
     /// Appends a little-endian `u64`.
     pub fn push_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` by bit pattern.
-    pub fn push_f64(&mut self, v: f64) {
-        self.push_u64(v.to_bits());
     }
 
     /// Appends a length-prefixed byte string.
@@ -206,11 +201,6 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    /// Reads an `f64` by bit pattern.
-    pub fn f64(&mut self) -> Result<f64, FormatError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], FormatError> {
         let n = self.u64()?;
@@ -254,7 +244,6 @@ pub(crate) fn write_tree_meta(w: &mut ByteWriter, tree: &BTree) {
     w.push_u64(stats.entries);
     w.push_u64(stats.pages);
     w.push_bool(options.prefix_truncation);
-    w.push_f64(options.fill_factor);
 }
 
 /// Reattaches a B+-tree persisted by [`write_tree_meta`] over `pool`.
@@ -267,24 +256,13 @@ pub(crate) fn read_tree_meta(
     let entries = r.u64()?;
     let pages = r.u64()?;
     let prefix_truncation = r.bool()?;
-    let fill_factor = r.f64()?;
     if !root.is_valid() || u64::from(root.0) >= u64::from(pool.num_pages()) {
         return format_err(format!("tree root {root} outside its pool"));
     }
     if height == 0 {
         return format_err("tree height 0");
     }
-    if !(0.0..=1.0).contains(&fill_factor) {
-        return format_err(format!("fill factor {fill_factor} out of range"));
-    }
-    Ok(BTree::from_parts(
-        pool,
-        BTreeOptions { prefix_truncation, fill_factor },
-        root,
-        height,
-        entries,
-        pages,
-    ))
+    Ok(BTree::from_parts(pool, BTreeOptions { prefix_truncation }, root, height, entries, pages))
 }
 
 /// Persists a tag-id path (ASR/JI table keys).
@@ -507,7 +485,7 @@ fn copy_pool(
     Ok((base, pages))
 }
 
-impl<F: Borrow<XmlForest>> QueryEngine<F> {
+impl QueryEngine {
     /// Strategies whose structures this engine has built, in the
     /// paper's reporting order.
     pub fn built_strategies(&self) -> Vec<Strategy> {
@@ -652,7 +630,7 @@ impl<F: Borrow<XmlForest>> QueryEngine<F> {
 // Open
 // ---------------------------------------------------------------------------
 
-impl QueryEngine<Arc<XmlForest>> {
+impl QueryEngine {
     /// Reopens a persisted index file with zero rebuild work; see
     /// [`QueryEngine::open_with_report`] for the accounting.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, OpenError> {
@@ -837,7 +815,6 @@ mod tests {
         w.push_bool(true);
         w.push_u32(0xDEAD_BEEF);
         w.push_u64(u64::MAX - 1);
-        w.push_f64(0.9);
         w.push_str("héllo");
         w.push_bytes(b"\x00\x01\x02");
         let bytes = w.finish();
@@ -846,7 +823,6 @@ mod tests {
         assert!(r.bool().unwrap());
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.f64().unwrap(), 0.9);
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.bytes().unwrap(), b"\x00\x01\x02");
         assert_eq!(r.remaining(), 0);

@@ -36,10 +36,7 @@
 //! stop skipping.
 
 use crate::designator;
-use crate::family::{
-    value_key_prefix, FamilyPosition, Floor, FreeIndex, IdListSublist, IndexedColumn, PathIndex,
-    PathMatch, PcSubpathQuery, SchemaPathSubset,
-};
+use crate::family::{value_key_prefix, Floor, PathIndex, PcSubpathQuery};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::persist;
@@ -56,7 +53,7 @@ use xtwig_xml::{TagId, XmlForest};
 pub struct RootPathsOptions {
     /// IdList storage codec (delta by default — §4.1 lossless).
     pub idlist: IdListCodec,
-    /// B+-tree options (prefix truncation, fill factor).
+    /// B+-tree options (prefix truncation).
     pub btree: BTreeOptions,
 }
 
@@ -148,11 +145,6 @@ fn push_key(out: &mut Vec<u8>, tags: &[TagId], last: u64, value: Option<&str>) {
     designator::push_path_reversed(key.raw_mut(), tags);
     key.raw_mut().push(designator::TERMINATOR);
     key.push_u64(last);
-}
-
-/// Position just past the `LeafValue` component at `pos`.
-pub(crate) fn skip_value_part(bytes: &[u8], pos: usize) -> usize {
-    codec::dec_null(bytes, pos).unwrap_or_else(|| codec::skip_str(bytes, pos))
 }
 
 /// The last id of the entry under `key`: its uniquifier, the key's last
@@ -336,8 +328,7 @@ impl RootPaths {
     /// answers `Break`: `ids` is the entry's IdList decoded into the
     /// caller's reused `ids` buffer, `key` the entry key lent from the
     /// leaf page, left undecoded (an IdList is as long as its schema
-    /// path; [`FreeIndex::lookup_free`] is the collector that also
-    /// decodes the path out of the key).
+    /// path).
     ///
     /// A caller that reads nothing but the matched node asks for
     /// `leaf_only`: `ids` is then the entry's last id alone, taken from
@@ -428,33 +419,8 @@ impl RootPaths {
 }
 
 impl PathIndex for RootPaths {
-    fn name(&self) -> &'static str {
-        "ROOTPATHS"
-    }
-
-    fn family_position(&self) -> FamilyPosition {
-        FamilyPosition {
-            schema_paths: SchemaPathSubset::RootToLeafPrefixes,
-            idlist: IdListSublist::Full,
-            indexed: vec![IndexedColumn::LeafValue, IndexedColumn::ReverseSchemaPath],
-        }
-    }
-
     fn space_bytes(&self) -> u64 {
         self.tree.space_bytes()
-    }
-}
-
-impl FreeIndex for RootPaths {
-    fn lookup_free(&self, q: &PcSubpathQuery) -> Vec<PathMatch> {
-        let mut out = Vec::new();
-        self.for_each_free(q, &mut Vec::new(), None, false, |key, ids| {
-            let (tags, _) = designator::decode_path_reversed(key, skip_value_part(key, 0));
-            debug_assert_eq!(tags.len(), ids.len());
-            out.push(PathMatch { head: 0, tags, ids: ids.to_vec() });
-            ControlFlow::Continue(())
-        });
-        out
     }
 }
 
@@ -573,8 +539,19 @@ pub(crate) mod tests {
         PcSubpathQuery::resolve(forest.dict(), steps, anchored, value).expect("tags exist")
     }
 
-    fn last_ids(ms: &[PathMatch]) -> Vec<u64> {
-        let mut v: Vec<u64> = ms.iter().map(|m| m.last_id()).collect();
+    /// The IdList of every match of `q`, sorted.
+    fn free(rp: &RootPaths, q: &PcSubpathQuery) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        rp.for_each_free(q, &mut Vec::new(), None, false, |_, ids| {
+            out.push(ids.to_vec());
+            ControlFlow::Continue(())
+        });
+        out.sort();
+        out
+    }
+
+    fn last_ids(ms: &[Vec<u64>]) -> Vec<u64> {
+        let mut v: Vec<u64> = ms.iter().map(|m| m[m.len() - 1]).collect();
         v.sort_unstable();
         v
     }
@@ -584,14 +561,14 @@ pub(crate) mod tests {
         // Paper §3.2: "//author[fn='jane']" is one probe on ('jane', FA*).
         let f = fig1_book_document();
         let rp = build(&f);
-        let ms = rp.lookup_free(&q(&f, &["author", "fn"], false, Some("jane")));
+        let ms = free(&rp, &q(&f, &["author", "fn"], false, Some("jane")));
         assert_eq!(ms.len(), 2);
         assert_eq!(last_ids(&ms), vec![7, 42]);
         // Full IdLists give the author (penultimate) and book (first) ids
         // without any join:
         for m in &ms {
-            assert_eq!(m.ids[0], 1);
-            assert!(m.id_from_end(1) == 6 || m.id_from_end(1) == 41);
+            assert_eq!(m[0], 1);
+            assert!(m[m.len() - 2] == 6 || m[m.len() - 2] == 41);
         }
     }
 
@@ -600,7 +577,7 @@ pub(crate) mod tests {
         let f = fig1_book_document();
         let rp = build(&f);
         // "//author/fn" without a value: probe (null, FA*).
-        let ms = rp.lookup_free(&q(&f, &["author", "fn"], false, None));
+        let ms = free(&rp, &q(&f, &["author", "fn"], false, None));
         assert_eq!(last_ids(&ms), vec![7, 22, 42]);
     }
 
@@ -610,9 +587,9 @@ pub(crate) mod tests {
         let rp = build(&f);
         // /book/title matches only node 2; //title also finds the chapter
         // title 48.
-        let anchored = rp.lookup_free(&q(&f, &["book", "title"], true, None));
+        let anchored = free(&rp, &q(&f, &["book", "title"], true, None));
         assert_eq!(last_ids(&anchored), vec![2]);
-        let recursive = rp.lookup_free(&q(&f, &["title"], false, None));
+        let recursive = free(&rp, &q(&f, &["title"], false, None));
         assert_eq!(last_ids(&recursive), vec![2, 48]);
     }
 
@@ -620,9 +597,9 @@ pub(crate) mod tests {
     fn anchored_valued_pattern() {
         let f = fig1_book_document();
         let rp = build(&f);
-        let ms = rp.lookup_free(&q(&f, &["book", "title"], true, Some("XML")));
+        let ms = free(&rp, &q(&f, &["book", "title"], true, Some("XML")));
         assert_eq!(last_ids(&ms), vec![2]);
-        let none = rp.lookup_free(&q(&f, &["book", "title"], true, Some("JSON")));
+        let none = free(&rp, &q(&f, &["book", "title"], true, Some("JSON")));
         assert!(none.is_empty());
     }
 
@@ -631,7 +608,7 @@ pub(crate) mod tests {
         // §3.2: "/book" must be answerable (Index Fabric cannot).
         let f = fig1_book_document();
         let rp = build(&f);
-        let ms = rp.lookup_free(&q(&f, &["book"], true, None));
+        let ms = free(&rp, &q(&f, &["book"], true, None));
         assert_eq!(last_ids(&ms), vec![1]);
     }
 
@@ -639,10 +616,8 @@ pub(crate) mod tests {
     fn idlists_enumerate_full_paths() {
         let f = fig1_book_document();
         let rp = build(&f);
-        let ms = rp.lookup_free(&q(&f, &["book", "allauthors", "author", "ln"], true, Some("doe")));
-        let mut idlists: Vec<Vec<u64>> = ms.iter().map(|m| m.ids.clone()).collect();
-        idlists.sort();
-        assert_eq!(idlists, vec![vec![1, 5, 21, 25], vec![1, 5, 41, 45]]);
+        let ms = free(&rp, &q(&f, &["book", "allauthors", "author", "ln"], true, Some("doe")));
+        assert_eq!(ms, vec![vec![1, 5, 21, 25], vec![1, 5, 41, 45]]);
     }
 
     #[test]
@@ -653,16 +628,6 @@ pub(crate) mod tests {
         let valued = f.iter_nodes().filter(|&n| f.value(n).is_some()).count() as u64;
         assert_eq!(rp.rows(), nodes + valued);
         assert_eq!(rp.tree().len(), rp.rows());
-    }
-
-    #[test]
-    fn family_position_is_fig3_row() {
-        let f = fig1_book_document();
-        let rp = build(&f);
-        let pos = rp.family_position();
-        assert_eq!(pos.schema_paths, SchemaPathSubset::RootToLeafPrefixes);
-        assert_eq!(pos.idlist, IdListSublist::Full);
-        assert_eq!(pos.indexed, vec![IndexedColumn::LeafValue, IndexedColumn::ReverseSchemaPath]);
         assert!(rp.space_bytes() > 0);
     }
 
@@ -678,12 +643,12 @@ pub(crate) mod tests {
         rp.insert_path(&dict_ids[..3], &[1, 5, 1000], None);
         rp.insert_path(&dict_ids, &[1, 5, 1000, 1001], Some("zoe"));
         assert_eq!(rp.rows(), rp_rows_before + 3);
-        let ms = rp.lookup_free(&q(&f, &["author", "fn"], false, Some("zoe")));
+        let ms = free(&rp, &q(&f, &["author", "fn"], false, Some("zoe")));
         assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].ids, vec![1, 5, 1000, 1001]);
+        assert_eq!(ms[0], vec![1, 5, 1000, 1001]);
         // Self-locating delete (no joins needed).
         assert!(rp.delete_path(&dict_ids, &[1, 5, 1000, 1001], Some("zoe")));
-        assert!(rp.lookup_free(&q(&f, &["author", "fn"], false, Some("zoe"))).is_empty());
+        assert!(free(&rp, &q(&f, &["author", "fn"], false, Some("zoe"))).is_empty());
     }
 
     #[test]
@@ -732,6 +697,6 @@ pub(crate) mod tests {
     fn unknown_value_returns_empty_fast() {
         let f = fig1_book_document();
         let rp = build(&f);
-        assert!(rp.lookup_free(&q(&f, &["author", "fn"], false, Some("zzz"))).is_empty());
+        assert!(free(&rp, &q(&f, &["author", "fn"], false, Some("zzz"))).is_empty());
     }
 }

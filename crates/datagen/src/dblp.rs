@@ -31,13 +31,6 @@ impl Default for DblpConfig {
     }
 }
 
-impl DblpConfig {
-    /// Convenience constructor.
-    pub fn with_scale(scale: f64) -> Self {
-        DblpConfig { scale, ..Default::default() }
-    }
-}
-
 /// Exact planted counts.
 #[derive(Debug, Clone, Default)]
 pub struct DblpProfile {

@@ -67,13 +67,6 @@ impl Default for XmarkConfig {
     }
 }
 
-impl XmarkConfig {
-    /// Convenience constructor.
-    pub fn with_scale(scale: f64) -> Self {
-        XmarkConfig { scale, ..Default::default() }
-    }
-}
-
 /// Exact planted counts, recorded during generation.
 #[derive(Debug, Clone, Default)]
 pub struct XmarkProfile {

@@ -10,14 +10,13 @@
 
 use crate::shape::shape_key;
 use parking_lot::Mutex;
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use xtwig_core::decompose::{CompiledTwig, UnknownTag};
 use xtwig_core::plan::{PlanKind, QueryPlan};
 use xtwig_core::{QueryEngine, Strategy};
-use xtwig_xml::{TwigPattern, XmlForest};
+use xtwig_xml::TwigPattern;
 
 /// Hit/miss counters shared by both caches.
 #[derive(Debug, Clone, Copy, Default)]
@@ -118,9 +117,9 @@ impl PlanCache {
     /// parameterized-plan semantics the plan itself uses), concrete
     /// strategies pass through. The returned strategy is always
     /// concrete, so callers key their result caches on it.
-    pub fn compile_resolved<F: Borrow<XmlForest>>(
+    pub fn compile_resolved(
         &self,
-        engine: &QueryEngine<F>,
+        engine: &QueryEngine,
         twig: &TwigPattern,
         strategy: Strategy,
     ) -> Result<Resolved, UnknownTag> {
@@ -142,9 +141,9 @@ impl PlanCache {
 
     /// `twig`'s shape key and the cached entry for it, compiling and
     /// admitting it on a miss.
-    fn entry<F: Borrow<XmlForest>>(
+    fn entry(
         &self,
-        engine: &QueryEngine<F>,
+        engine: &QueryEngine,
         twig: &TwigPattern,
     ) -> Result<(String, Arc<PlanEntry>), UnknownTag> {
         let key = shape_key(twig);
@@ -323,9 +322,9 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_on_shape_and_rebinds_literals() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let engine =
-            QueryEngine::build(&f, EngineOptions { pool_pages: 256, ..Default::default() });
+            QueryEngine::build(f.clone(), EngineOptions { pool_pages: 256, ..Default::default() });
         let cache = PlanCache::new(64);
         let a = parse_xpath("//author[fn='jane']/ln").unwrap();
         let b = parse_xpath("//author[fn='john']/ln").unwrap();
@@ -353,9 +352,9 @@ mod tests {
 
     #[test]
     fn plan_cache_evicts_oldest_shape_beyond_capacity() {
-        let f = fig1_book_document();
+        let f = Arc::new(fig1_book_document());
         let engine =
-            QueryEngine::build(&f, EngineOptions { pool_pages: 256, ..Default::default() });
+            QueryEngine::build(f.clone(), EngineOptions { pool_pages: 256, ..Default::default() });
         let cache = PlanCache::new(2);
         for q in ["/book/title", "/book/year", "//author/fn"] {
             cache.compile_resolved(&engine, &parse_xpath(q).unwrap(), Strategy::RootPaths).unwrap();

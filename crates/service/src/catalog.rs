@@ -233,7 +233,7 @@ mod tests {
 
     fn persist_fig1(dir: &Path, name: &str) -> PathBuf {
         let engine = QueryEngine::build(
-            fig1_book_document(),
+            Arc::new(fig1_book_document()),
             EngineOptions {
                 strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
                 pool_pages: 256,

@@ -45,8 +45,9 @@ use xtwig_core::plan::PlanKind;
 use xtwig_core::{QueryEngine, Strategy};
 use xtwig_xml::{TagId, TwigPattern, XmlForest};
 
-/// The engine type a service shares across its callers' threads.
-pub type SharedEngine = QueryEngine<Arc<XmlForest>>;
+/// The engine a service shares across its callers' threads: an alias of
+/// [`QueryEngine`], kept for callers that name it.
+pub type SharedEngine = QueryEngine;
 
 /// Why a query was not answered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,7 +168,7 @@ pub struct ServiceAnswer {
 /// into that snapshot's own `results`, so a cached answer is always
 /// one the epoch's engine gave.
 struct EngineEpoch {
-    engine: SharedEngine,
+    engine: QueryEngine,
     generation: u64,
     results: ResultCache,
 }
@@ -270,7 +271,7 @@ struct Shared {
 /// freshly dirtied page (transient — see [`xtwig_core::ForkError`]).
 /// `_held` proves the caller holds the maintenance lock, so no *writer*
 /// races the fork.
-fn fork_engine(_held: &Maintenance, epoch: &EngineEpoch) -> SharedEngine {
+fn fork_engine(_held: &Maintenance, epoch: &EngineEpoch) -> QueryEngine {
     loop {
         match epoch.engine.fork() {
             Ok(engine) => return engine,
@@ -279,7 +280,7 @@ fn fork_engine(_held: &Maintenance, epoch: &EngineEpoch) -> SharedEngine {
     }
 }
 
-/// A twig query service over one shared [`SharedEngine`]: `Sync`, with
+/// A twig query service over one shared [`QueryEngine`]: `Sync`, with
 /// no thread of its own — share it (`&TwigService`, or in an `Arc`)
 /// among as many caller threads as should have queries in flight.
 pub struct TwigService {
@@ -307,7 +308,7 @@ impl TwigService {
     }
 
     /// Serves an already-built shared engine. Spawns nothing.
-    pub fn over(engine: SharedEngine, options: ServiceOptions) -> Self {
+    pub fn over(engine: QueryEngine, options: ServiceOptions) -> Self {
         let events =
             options.events.clone().unwrap_or_else(|| Arc::new(EventJournal::new(EVENT_CAPACITY)));
         let results = ResultCache::new(options.result_cache_capacity);
@@ -468,7 +469,7 @@ impl TwigService {
     /// (sequential-baseline comparisons, stats reporting). The closure
     /// sees one consistent snapshot and holds **no lock** — concurrent
     /// updates proceed freely and are invisible to it.
-    pub fn with_engine<R>(&self, f: impl FnOnce(&SharedEngine) -> R) -> R {
+    pub fn with_engine<R>(&self, f: impl FnOnce(&QueryEngine) -> R) -> R {
         let epoch = self.shared.epoch.pin();
         f(&epoch.engine)
     }

@@ -297,11 +297,6 @@ impl DiskManager {
         Self::with_backend(Box::new(MemBackend::new()))
     }
 
-    /// Creates a manager over a fresh file backend.
-    pub fn in_file<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        Ok(Self::with_backend(Box::new(FileBackend::create(path)?)))
-    }
-
     /// Wraps a custom backend, writing through to it.
     pub fn with_backend(backend: Box<dyn StorageBackend>) -> Self {
         DiskManager { backend: Arc::from(backend), overlay: None }

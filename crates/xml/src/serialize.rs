@@ -23,16 +23,6 @@ pub fn serialize_pretty(forest: &XmlForest, root: NodeId) -> String {
     out
 }
 
-/// Serializes every document in the forest, concatenated with newlines.
-pub fn serialize_forest(forest: &XmlForest) -> String {
-    let mut out = String::new();
-    for &root in forest.roots() {
-        write_node(forest, root, &mut out, 0, false);
-        out.push('\n');
-    }
-    out
-}
-
 fn write_node(forest: &XmlForest, id: NodeId, out: &mut String, indent: usize, pretty: bool) {
     if pretty {
         for _ in 0..indent {

@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example auction_site [scale]`
 
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::datagen::{generate_xmark, xmark_queries, XmarkConfig};
 use xtwig::xml::XmlForest;
@@ -26,8 +27,11 @@ fn main() {
     );
 
     println!("building all seven index configurations …");
-    let engine =
-        QueryEngine::build(&forest, EngineOptions { pool_pages: 5120, ..Default::default() });
+    let forest = Arc::new(forest);
+    let engine = QueryEngine::build(
+        forest.clone(),
+        EngineOptions { pool_pages: 5120, ..Default::default() },
+    );
 
     let picks = ["Q3x", "Q5x", "Q6x", "Q9x", "Q10x", "Q13x"];
     let queries = xmark_queries();

@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --release --example bibliography [scale]`
 
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::datagen::{generate_dblp, DblpConfig};
 use xtwig::xml::XmlForest;
@@ -30,8 +31,9 @@ fn main() {
         Strategy::DataGuideEdge,
         Strategy::IndexFabricEdge,
     ];
+    let forest = Arc::new(forest);
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions { strategies: strategies.to_vec(), pool_pages: 5120, ..Default::default() },
     );
 

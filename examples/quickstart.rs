@@ -2,19 +2,23 @@
 //!
 //! Builds the Figure 1 book document, prints fragments of the 4-ary
 //! relation and its ROOTPATHS/DATAPATHS adaptations (Figures 2, 4, 5),
-//! then answers the introduction's twig query
+//! shows the paper's two problems each answered by one index lookup —
+//! FreeIndex by a ROOTPATHS scan, BoundIndex by a DATAPATHS probe under
+//! a known head, the same streaming scans the executor runs — and then
+//! answers the introduction's twig query
 //! `/book[title='XML']//author[fn='jane' and ln='doe']` with both novel
-//! indexes and shows the single-lookup behaviour.
+//! indexes.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use xtwig::core::family::{BoundIndex, FreeIndex, PcSubpathQuery};
+use std::ops::ControlFlow;
+use std::sync::Arc;
 use xtwig::core::paths::{for_each_root_path, for_each_subpath};
 use xtwig::prelude::*;
 use xtwig::xml::tree::fig1_book_document;
 
 fn main() {
-    let forest = fig1_book_document();
+    let forest = Arc::new(fig1_book_document());
     let dict = forest.dict();
 
     println!("== Figure 2: the 4-ary relation (fragment) ==");
@@ -50,7 +54,7 @@ fn main() {
 
     // Build the engine with the two novel indexes.
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions {
             strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
             pool_pages: 512,
@@ -59,31 +63,31 @@ fn main() {
     );
 
     println!("\n== FreeIndex in one lookup (paper §3.2) ==");
-    let q = PcSubpathQuery::resolve(forest.dict(), &["author", "fn"], false, Some("jane"))
-        .expect("tags exist");
+    // Each match's IdList is the full root path: the author (second
+    // to last) and book (first) ids come out of the lookup, no join.
+    let q = PcSubpathQuery::resolve(dict, &["author", "fn"], false, Some("jane")).unwrap();
     let rp = engine.rootpaths().expect("built");
-    for m in rp.lookup_free(&q) {
-        let path: Vec<&str> = m.tags.iter().map(|&t| forest.dict().name(t)).collect();
+    rp.for_each_free(&q, &mut Vec::new(), None, false, |_key, ids| {
+        let path: Vec<&str> = ids.iter().map(|&id| dict.name(forest.tag(NodeId(id)))).collect();
         println!(
             "  //author[fn='jane'] -> path {} ids {:?} (author id = {}, book id = {})",
             path.join("/"),
-            m.ids,
-            m.id_from_end(1),
-            m.ids[0]
+            ids,
+            ids[ids.len() - 2],
+            ids[0]
         );
-    }
+        ControlFlow::Continue(())
+    });
 
     println!("\n== BoundIndex in one lookup (paper §3.3) ==");
     let dp = engine.datapaths().expect("built");
-    let book_tag = forest.dict().lookup("book").unwrap();
-    let q = PcSubpathQuery::resolve(forest.dict(), &["author", "ln"], false, Some("doe")).unwrap();
-    for m in dp.lookup_bound(1, book_tag, &q) {
-        println!(
-            "  book(1)//author[ln='doe'] -> ids {:?} (author id = {})",
-            m.ids,
-            m.id_from_end(1)
-        );
-    }
+    let book_tag = dict.lookup("book").unwrap();
+    let q = PcSubpathQuery::resolve(dict, &["author", "ln"], false, Some("doe")).unwrap();
+    let mut probe = dp.bound_probe(book_tag, &q.tags, q.anchored, q.value.as_deref());
+    dp.for_each_bound(&mut probe, 1, &mut Vec::new(), |_key, ids| {
+        println!("  book(1)//author[ln='doe'] -> ids {ids:?} (author id = {})", ids[ids.len() - 2]);
+        ControlFlow::Continue(())
+    });
 
     println!("\n== The introduction's twig query ==");
     let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();

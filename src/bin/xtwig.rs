@@ -46,14 +46,13 @@
 //! index pages — and answers against the on-disk structures. Omitting
 //! `build`'s input file indexes the generated XMark demo dataset.
 
-use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::process::ExitCode;
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::core::family::PathIndex;
 use xtwig::core::paths::PathStats;
 use xtwig::core::Explanation;
-use xtwig::service::SharedEngine;
 use xtwig::xml::{parse_document, NodeId, XmlForest};
 
 fn usage() -> ExitCode {
@@ -63,10 +62,10 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Build-parallelism shard count: delegates to the shared
-/// `--shards`/`XTWIG_SHARDS` parser every fig binary uses (default 1 =
-/// sequential; an unparsable value exits with an error instead of
-/// silently building sequentially).
+/// Build-parallelism shard count: delegates to the shared `--shards`
+/// parser every fig binary uses (default 1 = sequential; an unparsable
+/// value exits with an error instead of silently building
+/// sequentially).
 fn shards_from() -> usize {
     xtwig::bench::shards_from_args()
 }
@@ -135,7 +134,7 @@ fn print_explanation(ex: &Explanation) {
     }
 }
 
-fn explain_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> ExitCode {
+fn explain_twig(engine: &QueryEngine, xpath: &str) -> ExitCode {
     let twig = match xtwig::parse_xpath(xpath) {
         Ok(t) => t,
         Err(e) => {
@@ -161,7 +160,7 @@ fn explain_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> E
 /// each span tree — per-stage wall time, logical/physical reads,
 /// probes and rows — next to the optimizer's estimate for that
 /// strategy, so mis-estimates are visible at a glance.
-fn analyze_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> ExitCode {
+fn analyze_twig(engine: &QueryEngine, xpath: &str) -> ExitCode {
     let twig = match xtwig::parse_xpath(xpath) {
         Ok(t) => t,
         Err(e) => {
@@ -198,7 +197,7 @@ fn analyze_twig<F: Borrow<XmlForest>>(engine: &QueryEngine<F>, xpath: &str) -> E
 }
 
 fn run_query(
-    forest: &XmlForest,
+    forest: XmlForest,
     xpath: &str,
     strategy: Strategy,
     explain: bool,
@@ -215,7 +214,7 @@ fn run_query(
     // a concrete request builds only what it needs.
     let strategies = if strategy.is_auto() { Strategy::ALL.to_vec() } else { vec![strategy] };
     let engine = QueryEngine::build_parallel(
-        forest,
+        Arc::new(forest),
         EngineOptions { strategies, pool_pages: 5_120, ..Default::default() },
         shards,
     );
@@ -225,7 +224,7 @@ fn run_query(
         }
     }
     let a = engine.answer(&twig, strategy);
-    print_answer(forest, &a.ids, 20);
+    print_answer(engine.forest(), &a.ids, 20);
     println!(
         "[{} | plan {:?} | {} probes | {} rows | {} logical reads | {:?}]",
         answered_label(strategy, a.strategy),
@@ -240,12 +239,12 @@ fn run_query(
 
 /// `xtwig build`: build the requested strategies and persist them into
 /// one index file that `query --index` reopens without rebuilding.
-fn run_build(forest: &XmlForest, out: &str, strategies: Vec<Strategy>, shards: usize) -> ExitCode {
+fn run_build(forest: XmlForest, out: &str, strategies: Vec<Strategy>, shards: usize) -> ExitCode {
     let labels: Vec<&str> = strategies.iter().map(|s| s.label()).collect();
     println!("building {} …", labels.join(", "));
     let started = std::time::Instant::now();
     let engine = QueryEngine::build_parallel(
-        forest,
+        Arc::new(forest),
         EngineOptions { strategies, pool_pages: 5_120, ..Default::default() },
         shards,
     );
@@ -275,7 +274,7 @@ fn run_build(forest: &XmlForest, out: &str, strategies: Vec<Strategy>, shards: u
 /// saying why, when the file does not open or the reopen built any
 /// index page: both commands answer from the persisted structures with
 /// zero rebuild, asserted through the open report's allocation count.
-fn open_index(index: &str) -> Option<SharedEngine> {
+fn open_index(index: &str) -> Option<QueryEngine> {
     let started = std::time::Instant::now();
     let (engine, report) = match QueryEngine::open_with_report(index) {
         Ok(opened) => opened,
@@ -347,7 +346,7 @@ fn run_explain_indexed(index: &str, xpath: &str, analyze: bool) -> ExitCode {
     }
 }
 
-fn run_bench(forest: &XmlForest, xpath: &str, shards: usize) -> ExitCode {
+fn run_bench(forest: XmlForest, xpath: &str, shards: usize) -> ExitCode {
     let twig = match xtwig::parse_xpath(xpath) {
         Ok(t) => t,
         Err(e) => {
@@ -357,7 +356,7 @@ fn run_bench(forest: &XmlForest, xpath: &str, shards: usize) -> ExitCode {
     };
     println!("building all seven configurations …");
     let engine = QueryEngine::build_parallel(
-        forest,
+        Arc::new(forest),
         EngineOptions { pool_pages: 5_120, ..Default::default() },
         shards,
     );
@@ -381,8 +380,8 @@ fn run_bench(forest: &XmlForest, xpath: &str, shards: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_stats(forest: &XmlForest, shards: usize) -> ExitCode {
-    let stats = PathStats::build(forest);
+fn run_stats(forest: XmlForest, shards: usize) -> ExitCode {
+    let stats = PathStats::build(&forest);
     println!("documents:            {}", forest.roots().len());
     println!("element/attr nodes:   {}", forest.node_count() - 1);
     println!("max depth:            {}", forest.max_depth());
@@ -390,7 +389,7 @@ fn run_stats(forest: &XmlForest, shards: usize) -> ExitCode {
     println!("distinct schema paths: {}", stats.distinct_schema_paths());
     println!("approx text size:     {:.2} MB", forest.approx_text_bytes() as f64 / 1048576.0);
     let engine = QueryEngine::build_parallel(
-        forest,
+        Arc::new(forest),
         EngineOptions {
             strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
             pool_pages: 16_384,
@@ -412,12 +411,12 @@ fn run_stats(forest: &XmlForest, shards: usize) -> ExitCode {
 /// `--addr` until a client sends `shutdown`. `--addr-file` writes the
 /// actually-bound address (port 0 resolves to an ephemeral port) for
 /// harnesses that need to discover it.
-fn run_serve(args: &[String]) -> ExitCode {
+fn run_serve(args: &Args) -> ExitCode {
     use xtwig::net::{Server, ServerOptions};
     use xtwig::service::{Catalog, CatalogOptions, ServiceOptions};
 
     let mut server_options = ServerOptions::default();
-    if let Some(n) = flag_value(args, "--idle-timeout") {
+    if let Some(n) = args.value("--idle-timeout") {
         match n.parse::<u64>() {
             Ok(0) => server_options.idle_timeout = None,
             Ok(secs) => server_options.idle_timeout = Some(std::time::Duration::from_secs(secs)),
@@ -427,9 +426,9 @@ fn run_serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    server_options.access_log = args.iter().any(|a| a == "--access-log");
+    server_options.access_log = args.has("--access-log");
     let mut options = CatalogOptions::default();
-    if let Some(n) = flag_value(args, "--max-in-flight") {
+    if let Some(n) = args.value("--max-in-flight") {
         match n.parse::<usize>() {
             Ok(n) => options.service = ServiceOptions { max_in_flight: n, ..options.service },
             Err(_) => {
@@ -438,7 +437,7 @@ fn run_serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    let catalog = if let Some(dir) = flag_value(args, "--index-dir") {
+    let catalog = if let Some(dir) = args.value("--index-dir") {
         match Catalog::scan_dir(dir, options) {
             Ok(c) => c,
             Err(e) => {
@@ -449,19 +448,19 @@ fn run_serve(args: &[String]) -> ExitCode {
     } else {
         Catalog::new(options)
     };
-    for path in operands(args) {
-        let name = std::path::Path::new(&path)
+    for path in &args.operands {
+        let name = std::path::Path::new(path)
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.clone());
-        catalog.register(&name, &path);
+        catalog.register(&name, path);
     }
     if catalog.is_empty() {
         eprintln!("serve needs at least one index (operands or --index-dir)");
         return ExitCode::from(2);
     }
-    let addr = flag_value(args, "--addr").map(String::as_str).unwrap_or("127.0.0.1:7878");
-    let server = match Server::bind_with(addr, std::sync::Arc::new(catalog), server_options) {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878");
+    let server = match Server::bind_with(addr, Arc::new(catalog), server_options) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot bind {addr}: {e}");
@@ -475,7 +474,7 @@ fn run_serve(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(path) = flag_value(args, "--addr-file") {
+    if let Some(path) = args.value("--addr-file") {
         if let Err(e) = std::fs::write(path, format!("{bound}\n")) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
@@ -497,15 +496,15 @@ fn run_serve(args: &[String]) -> ExitCode {
 /// `xtwig client`: one request against a running server, printed.
 /// Every call carries a read timeout so a wedged server produces a
 /// failed exit, never a hang (the CI smoke depends on this).
-fn run_client(args: &[String]) -> ExitCode {
+fn run_client(args: &Args) -> ExitCode {
     use xtwig::net::proto::ErrorCode;
     use xtwig::net::{Client, ClientError};
 
-    let ops = operands(args);
+    let ops = &args.operands;
     let (Some(addr), Some(cmd)) = (ops.first(), ops.get(1)) else { return usage() };
     // Finite by default: a wedged server must produce a failed exit,
     // never a hang. `--timeout 0` opts out for long interactive waits.
-    let timeout = match flag_value(args, "--timeout").map(|s| s.parse::<u64>()) {
+    let timeout = match args.value("--timeout").map(str::parse::<u64>) {
         None => Some(std::time::Duration::from_secs(10)),
         Some(Ok(0)) => None,
         Some(Ok(secs)) => Some(std::time::Duration::from_secs(secs)),
@@ -542,8 +541,8 @@ fn run_client(args: &[String]) -> ExitCode {
         },
         "query" => {
             let (Some(index), Some(xpath)) = (ops.get(2), ops.get(3)) else { return usage() };
-            let strategy = flag_value(args, "--strategy").map(String::as_str).unwrap_or("auto");
-            let sample = args.iter().any(|a| a == "--sample");
+            let strategy = args.value("--strategy").unwrap_or("auto");
+            let sample = args.has("--sample");
             client.set_sampling(sample);
             match client.query(index, xpath, strategy) {
                 Ok(a) => {
@@ -587,7 +586,7 @@ fn run_client(args: &[String]) -> ExitCode {
             }
         }
         "events" => {
-            let mut after = match flag_value(args, "--after").map(|s| s.parse::<u64>()) {
+            let mut after = match args.value("--after").map(str::parse::<u64>) {
                 None => 0,
                 Some(Ok(n)) => n,
                 Some(Err(_)) => {
@@ -595,7 +594,7 @@ fn run_client(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let max = match flag_value(args, "--max").map(|s| s.parse::<u32>()) {
+            let max = match args.value("--max").map(str::parse::<u32>) {
                 None => 100,
                 Some(Ok(n)) => n,
                 Some(Err(_)) => {
@@ -603,7 +602,7 @@ fn run_client(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let follow = args.iter().any(|a| a == "--follow");
+            let follow = args.has("--follow");
             loop {
                 let events = match client.events(after, max) {
                     Ok(events) => events,
@@ -728,12 +727,11 @@ fn top_sample(text: &str) -> TopSample {
 /// one block per tick (rates are deltas between ticks; the first tick
 /// shows totals since server start). `--once` prints a single snapshot
 /// and exits, which is what the CI smoke drives.
-fn run_top(args: &[String]) -> ExitCode {
+fn run_top(args: &Args) -> ExitCode {
     use xtwig::net::{Client, ClientError};
 
-    let ops = operands(args);
-    let Some(addr) = ops.first() else { return usage() };
-    let interval = match flag_value(args, "--interval").map(|s| s.parse::<u64>()) {
+    let Some(addr) = args.operands.first() else { return usage() };
+    let interval = match args.value("--interval").map(str::parse::<u64>) {
         None => 2,
         Some(Ok(n)) if n > 0 => n,
         _ => {
@@ -741,7 +739,7 @@ fn run_top(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let once = args.iter().any(|a| a == "--once");
+    let once = args.has("--once");
     let mut client =
         match Client::connect_with_timeout(addr.as_str(), Some(std::time::Duration::from_secs(10)))
         {
@@ -756,8 +754,8 @@ fn run_top(args: &[String]) -> ExitCode {
         ExitCode::FAILURE
     };
     // Default to the first attached-or-registered index in the catalog.
-    let index = match flag_value(args, "--index") {
-        Some(name) => name.clone(),
+    let index = match args.value("--index") {
+        Some(name) => name.to_owned(),
         None => {
             let listing = match client.catalog() {
                 Ok(text) => text,
@@ -826,46 +824,72 @@ fn run_top(args: &[String]) -> ExitCode {
     }
 }
 
-/// Returns the value following `flag`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
+/// The value flags and the switches each subcommand accepts; `None`
+/// for an unknown subcommand.
+fn flags_of(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "query" => (&["--index", "--strategy", "--shards"], &["--explain"]),
+        "explain" => (&["--index", "--shards"], &["--analyze"]),
+        "build" => (&["--out", "--strategies", "--shards"], &[]),
+        "bench" | "stats" | "demo" => (&["--shards"], &[]),
+        "serve" => (
+            &["--index-dir", "--addr", "--addr-file", "--max-in-flight", "--idle-timeout"],
+            &["--access-log"],
+        ),
+        "client" => (&["--timeout", "--strategy", "--after", "--max"], &["--sample", "--follow"]),
+        "top" => (&["--index", "--interval"], &["--once"]),
+        _ => return None,
+    })
 }
 
-/// Non-flag operands, in order; flags that take a value consume it.
-fn operands(args: &[String]) -> Vec<String> {
-    const VALUE_FLAGS: [&str; 14] = [
-        "--shards",
-        "--strategy",
-        "--strategies",
-        "--out",
-        "--index",
-        "--addr",
-        "--addr-file",
-        "--index-dir",
-        "--max-in-flight",
-        "--timeout",
-        "--idle-timeout",
-        "--interval",
-        "--after",
-        "--max",
-    ];
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        out.push(a.clone());
+/// One subcommand's arguments: its operands in order, and the flags it
+/// accepts that were given, each value flag with its value.
+#[derive(Debug, PartialEq)]
+struct Args {
+    operands: Vec<String>,
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+}
+
+impl Args {
+    /// The value of the first `flag` given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values.iter().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
     }
-    out
+
+    /// True when `switch` was given.
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+}
+
+/// Splits a command line (without the program name) into its
+/// subcommand and that subcommand's [`Args`]. Flags and operands may
+/// come in any order. `Err` says why the line is no command: a missing
+/// or unknown subcommand, a flag the subcommand does not accept, or a
+/// value flag with no value after it.
+fn parse_command(line: &[String]) -> Result<(&str, Args), String> {
+    let Some((cmd, rest)) = line.split_first() else { return Err("no subcommand".into()) };
+    let Some((value_flags, switch_flags)) = flags_of(cmd) else {
+        return Err(format!("unknown subcommand {cmd:?}"));
+    };
+    let mut args = Args { operands: Vec::new(), values: Vec::new(), switches: Vec::new() };
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            args.operands.push(arg.clone());
+        } else if let Some(&flag) = value_flags.iter().find(|&&f| f == arg) {
+            match rest.next() {
+                Some(value) if !value.starts_with("--") => args.values.push((flag, value.clone())),
+                _ => return Err(format!("{flag} needs a value")),
+            }
+        } else if let Some(&switch) = switch_flags.iter().find(|&&f| f == arg) {
+            args.switches.push(switch);
+        } else {
+            return Err(format!("xtwig {cmd} takes no flag {arg}"));
+        }
+    }
+    Ok((cmd, args))
 }
 
 /// Generates the XMark demo dataset used by `demo` and file-less `build`.
@@ -879,19 +903,20 @@ fn demo_forest() -> XmlForest {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { return usage() };
-    match cmd.as_str() {
+    let line: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, args) = match parse_command(&line) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
+    };
+    let ops = &args.operands;
+    match cmd {
         "query" => {
-            // `--strategies` is build's plural flag; swallowing it here
-            // would silently query the default strategy instead.
-            if args.iter().any(|a| a == "--strategies") {
-                eprintln!("query takes --strategy <one>, not --strategies");
-                return ExitCode::from(2);
-            }
             // No --strategy means cost-based selection: the optimizer
             // resolves `auto` per query instead of a hard-coded default.
-            let strategy = match flag_value(&args, "--strategy") {
+            let strategy = match args.value("--strategy") {
                 None => Strategy::Auto,
                 Some(s) => match s.parse::<Strategy>() {
                     Ok(s) => s,
@@ -901,16 +926,14 @@ fn main() -> ExitCode {
                     }
                 },
             };
-            let explain = args.iter().any(|a| a == "--explain");
-            if let Some(index) = flag_value(&args, "--index") {
-                let ops = operands(&args[1..]);
+            let explain = args.has("--explain");
+            if let Some(index) = args.value("--index") {
                 let Some(xpath) = ops.first() else { return usage() };
                 return run_query_indexed(index, xpath, strategy, explain);
             }
-            let ops = operands(&args[1..]);
             let (Some(path), Some(xpath)) = (ops.first(), ops.get(1)) else { return usage() };
             match load(path) {
-                Ok(forest) => run_query(&forest, xpath, strategy, explain, shards_from()),
+                Ok(forest) => run_query(forest, xpath, strategy, explain, shards_from()),
                 Err(e) => {
                     eprintln!("{e}");
                     ExitCode::FAILURE
@@ -918,18 +941,16 @@ fn main() -> ExitCode {
             }
         }
         "explain" => {
-            let analyze = args.iter().any(|a| a == "--analyze");
-            if let Some(index) = flag_value(&args, "--index") {
-                let ops = operands(&args[1..]);
+            let analyze = args.has("--analyze");
+            if let Some(index) = args.value("--index") {
                 let Some(xpath) = ops.first() else { return usage() };
                 return run_explain_indexed(index, xpath, analyze);
             }
-            let ops = operands(&args[1..]);
             let (Some(path), Some(xpath)) = (ops.first(), ops.get(1)) else { return usage() };
             match load(path) {
                 Ok(forest) => {
                     let engine = QueryEngine::build_parallel(
-                        &forest,
+                        Arc::new(forest),
                         EngineOptions { pool_pages: 5_120, ..Default::default() },
                         shards_from(),
                     );
@@ -946,18 +967,11 @@ fn main() -> ExitCode {
             }
         }
         "build" => {
-            // The singular `--strategy` (what query/bench accept) would
-            // otherwise be consumed as an operand-skipping flag and
-            // silently build all seven strategies.
-            if args.iter().any(|a| a == "--strategy") {
-                eprintln!("build takes --strategies <comma,separated|all>, not --strategy");
-                return ExitCode::from(2);
-            }
-            let Some(out) = flag_value(&args, "--out") else {
+            let Some(out) = args.value("--out") else {
                 eprintln!("build requires --out <idx.xtwig>");
                 return ExitCode::from(2);
             };
-            let strategies = match flag_value(&args, "--strategies") {
+            let strategies = match args.value("--strategies") {
                 None => Strategy::ALL.to_vec(),
                 Some(list) if list.eq_ignore_ascii_case("all") => Strategy::ALL.to_vec(),
                 Some(list) => {
@@ -974,7 +988,6 @@ fn main() -> ExitCode {
                     parsed
                 }
             };
-            let ops = operands(&args[1..]);
             let forest = match ops.first() {
                 Some(path) => match load(path) {
                     Ok(f) => f,
@@ -992,12 +1005,12 @@ fn main() -> ExitCode {
                     f
                 }
             };
-            run_build(&forest, out, strategies, shards_from())
+            run_build(forest, out, strategies, shards_from())
         }
         "bench" => {
-            let (Some(path), Some(xpath)) = (args.get(1), args.get(2)) else { return usage() };
+            let (Some(path), Some(xpath)) = (ops.first(), ops.get(1)) else { return usage() };
             match load(path) {
-                Ok(forest) => run_bench(&forest, xpath, shards_from()),
+                Ok(forest) => run_bench(forest, xpath, shards_from()),
                 Err(e) => {
                     eprintln!("{e}");
                     ExitCode::FAILURE
@@ -1005,9 +1018,9 @@ fn main() -> ExitCode {
             }
         }
         "stats" => {
-            let Some(path) = args.get(1) else { return usage() };
+            let Some(path) = ops.first() else { return usage() };
             match load(path) {
-                Ok(forest) => run_stats(&forest, shards_from()),
+                Ok(forest) => run_stats(forest, shards_from()),
                 Err(e) => {
                     eprintln!("{e}");
                     ExitCode::FAILURE
@@ -1016,19 +1029,61 @@ fn main() -> ExitCode {
         }
         "demo" => {
             let forest = demo_forest();
-            // The xpath is the first non-flag operand after `demo`,
-            // wherever it sits relative to flags (`demo --shards 4
-            // '/q'` and `demo '/q' --shards 4` both work).
-            let xpath = operands(&args[1..])
-                .into_iter()
-                .next()
-                .unwrap_or_else(|| "/site//item[quantity = '2']/location".to_owned());
+            let xpath = ops.first().map_or("/site//item[quantity = '2']/location", String::as_str);
             println!("generated XMark demo data ({} nodes)\nquery: {xpath}\n", forest.node_count());
-            run_bench(&forest, &xpath, shards_from())
+            run_bench(forest, xpath, shards_from())
         }
-        "serve" => run_serve(&args[1..]),
-        "client" => run_client(&args[1..]),
-        "top" => run_top(&args[1..]),
+        "serve" => run_serve(&args),
+        "client" => run_client(&args),
+        "top" => run_top(&args),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<(String, Args), String> {
+        let line: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        parse_command(&line).map(|(cmd, args)| (cmd.to_owned(), args))
+    }
+
+    #[test]
+    fn an_unknown_flag_is_refused() {
+        let err = parse(&["query", "--index", "i.xtwig", "//a", "--bogus"]);
+        assert!(err.unwrap_err().contains("--bogus"));
+        // A flag of another subcommand is unknown here: `--strategies`
+        // is build's, `--strategy` query's.
+        assert!(parse(&["query", "f.xml", "//a", "--strategies", "RP"]).is_err());
+        assert!(parse(&["build", "--out", "i.xtwig", "--strategy", "RP"]).is_err());
+        assert!(parse(&["nosuch", "//a"]).is_err());
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_is_refused() {
+        assert!(parse(&["demo", "--shards"]).unwrap_err().contains("--shards"));
+        let err = parse(&["query", "f.xml", "//a", "--strategy", "--explain"]);
+        assert!(err.unwrap_err().contains("--strategy"));
+    }
+
+    #[test]
+    fn operands_may_come_before_or_after_flags() {
+        let before = parse(&["demo", "--shards", "4", "/q"]).unwrap();
+        let after = parse(&["demo", "/q", "--shards", "4"]).unwrap();
+        assert_eq!(before, after);
+        assert_eq!(before.1.operands, ["/q"]);
+        assert_eq!(before.1.value("--shards"), Some("4"));
+        let (_, query) = parse(&["query", "--explain", "f.xml", "//a"]).unwrap();
+        assert_eq!(query.operands, ["f.xml", "//a"]);
+        assert!(query.has("--explain"));
+    }
+
+    #[test]
+    fn serve_refuses_a_flag_it_does_not_take_instead_of_serving_its_value() {
+        // An unknown flag used to be skipped and its value registered
+        // as one more index path.
+        let err = parse(&["serve", "idx.xtwig", "--max-attached", "3"]);
+        assert!(err.unwrap_err().contains("--max-attached"));
     }
 }

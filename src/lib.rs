@@ -12,6 +12,7 @@
 //! ## Quickstart
 //!
 //! ```
+//! use std::sync::Arc;
 //! use xtwig::prelude::*;
 //!
 //! // Parse a document (or use xtwig::datagen's generators).
@@ -26,7 +27,7 @@
 //!
 //! // Build the indexes (here: just ROOTPATHS and DATAPATHS).
 //! let engine = QueryEngine::build(
-//!     &forest,
+//!     Arc::new(forest),
 //!     EngineOptions {
 //!         strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
 //!         pool_pages: 256,
@@ -76,7 +77,7 @@ pub use xtwig_xml::{TwigPattern, XmlForest};
 /// Common imports for applications.
 pub mod prelude {
     pub use crate::core::engine::{EngineOptions, QueryAnswer, QueryEngine, Strategy};
-    pub use crate::core::family::{BoundIndex, FreeIndex, PathIndex, PcSubpathQuery};
+    pub use crate::core::family::{PathIndex, PcSubpathQuery};
     pub use crate::core::parse_xpath;
     pub use crate::service::{ServiceAnswer, ServiceError, ServiceOptions, TwigService, UpdateOp};
     pub use crate::xml::{Axis, NodeId, TwigPattern, XmlForest};

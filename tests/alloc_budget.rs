@@ -12,6 +12,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::datagen::{generate_dblp, generate_xmark, xmark_queries, DblpConfig, XmarkConfig};
 use xtwig::xml::XmlForest;
@@ -85,9 +86,10 @@ const A: u64 = 40;
 fn answering_a_twig_allocates_by_the_step_not_by_the_row() {
     let mut forest = XmlForest::new();
     generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
+    let forest = Arc::new(forest);
     let strategies = [Strategy::RootPaths, Strategy::DataPaths, Strategy::Asr];
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions { strategies: strategies.to_vec(), pool_pages: 8192, ..Default::default() },
     );
     let report = std::env::var_os("ALLOC_BUDGET_REPORT").is_some();
@@ -132,10 +134,11 @@ fn answering_a_twig_allocates_by_the_step_not_by_the_row() {
 fn the_edge_family_allocates_by_the_probe_not_by_the_match() {
     let mut forest = XmlForest::new();
     generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
+    let forest = Arc::new(forest);
     let strategies =
         [Strategy::Edge, Strategy::DataGuideEdge, Strategy::IndexFabricEdge, Strategy::JoinIndex];
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions { strategies: strategies.to_vec(), pool_pages: 8192, ..Default::default() },
     );
     let report = std::env::var_os("ALLOC_BUDGET_REPORT").is_some();
@@ -192,9 +195,10 @@ fn a_join_never_holds_its_right_side() {
     generate_dblp(&mut dblp, DblpConfig { scale: 0.02, seed: 7 });
     let mut xmark = XmlForest::new();
     generate_xmark(&mut xmark, XmarkConfig { scale: 0.02, seed: 0xA0C });
-    let engine_of = |forest| {
+    let (dblp, xmark) = (Arc::new(dblp), Arc::new(xmark));
+    let engine_of = |forest: &Arc<XmlForest>| {
         QueryEngine::build(
-            forest,
+            forest.clone(),
             EngineOptions {
                 strategies: vec![Strategy::RootPaths],
                 pool_pages: 8192,
@@ -256,7 +260,7 @@ fn a_one_step_scan_writes_ids_not_rows() {
     let mut dblp = XmlForest::new();
     generate_dblp(&mut dblp, DblpConfig { scale: 0.02, seed: 7 });
     let engine = QueryEngine::build(
-        &dblp,
+        Arc::new(dblp),
         EngineOptions {
             strategies: vec![Strategy::RootPaths],
             pool_pages: 8192,
@@ -297,7 +301,6 @@ fn a_one_step_scan_writes_ids_not_rows() {
 /// 61 619 allocations.
 #[test]
 fn a_bulk_load_allocates_by_the_page_not_by_the_entry() {
-    use std::sync::Arc;
     use xtwig::btree::{bulk_build, BTreeOptions};
     use xtwig::storage::BufferPool;
 
@@ -330,13 +333,13 @@ fn a_bulk_load_allocates_by_the_page_not_by_the_entry() {
 /// 1 035 395.
 #[test]
 fn a_datapaths_build_allocates_by_the_page_and_the_shard_not_by_the_row() {
-    use std::sync::Arc;
     use xtwig::core::datapaths::{DataPaths, DataPathsOptions};
     use xtwig::core::parallel::ShardPlan;
     use xtwig::storage::BufferPool;
 
     let mut forest = XmlForest::new();
     generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
+    let forest = Arc::new(forest);
     for shards in [1, 4] {
         // One worker: the shard jobs run on this thread, where the
         // allocations are counted.
@@ -369,9 +372,10 @@ fn a_datapaths_build_allocates_by_the_page_and_the_shard_not_by_the_row() {
 fn a_fork_allocates_for_what_it_writes() {
     let mut forest = XmlForest::new();
     generate_xmark(&mut forest, XmarkConfig { scale: 0.004, seed: 0xA0C });
+    let forest = Arc::new(forest);
     let fork_allocations = |strategies: Vec<Strategy>| {
         let options = EngineOptions { strategies, pool_pages: 2048, ..Default::default() };
-        let engine = QueryEngine::build(&forest, options);
+        let engine = QueryEngine::build(forest.clone(), options);
         let (fork, alloc) = allocations_of(|| engine.fork().expect("no writer holds a page"));
         drop(fork);
         alloc.count

@@ -207,12 +207,12 @@ proptest! {
         let sorted: Vec<(Vec<u8>, Vec<u8>)> = entries.clone().into_iter().collect();
         let with = bulk_build(
             Arc::new(BufferPool::in_memory(1024)),
-            BTreeOptions { prefix_truncation: true, ..Default::default() },
+            BTreeOptions { prefix_truncation: true },
             sorted.clone(),
         );
         let without = bulk_build(
             Arc::new(BufferPool::in_memory(1024)),
-            BTreeOptions { prefix_truncation: false, ..Default::default() },
+            BTreeOptions { prefix_truncation: false },
             sorted,
         );
         let a = prefixed(&with, &probe);
@@ -311,7 +311,7 @@ proptest! {
         ops in proptest::collection::vec(stem_op_strategy(), 1..300),
     ) {
         for prefix_truncation in [true, false] {
-            let options = BTreeOptions { prefix_truncation, ..Default::default() };
+            let options = BTreeOptions { prefix_truncation };
             let pool = Arc::new(BufferPool::in_memory(1024));
             let mut model = base.clone();
             let mut tree = bulk_build(pool.clone(), options, model.clone());

@@ -2,12 +2,13 @@
 //! lose exactly the documented functionality (lossy).
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig::btree::BTreeOptions;
 use xtwig::core::compress::{measure_idlist_bytes, workload_head_filter, DictDataPaths};
 use xtwig::core::datapaths::{DataPaths, DataPathsOptions};
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
-use xtwig::core::family::PathIndex;
+use xtwig::core::family::{PathIndex, PcSubpathQuery};
 use xtwig::core::rootpaths::{RootPaths, RootPathsOptions};
 use xtwig::datagen::{generate_xmark, xmark_queries, XmarkConfig};
 use xtwig::rel::codec::IdListCodec;
@@ -34,18 +35,22 @@ fn delta_and_plain_idlists_answer_identically() {
         pool(),
         RootPathsOptions { idlist: IdListCodec::Plain, ..Default::default() },
     );
-    use xtwig::core::family::{FreeIndex, PcSubpathQuery};
     for (steps, value) in [
         (vec!["item", "quantity"], Some("2")),
         (vec!["open_auction", "@increase"], Some("3.00")),
         (vec!["person", "name"], None),
     ] {
         let q = PcSubpathQuery::resolve(f.dict(), &steps.to_vec(), false, value).unwrap();
-        let mut a: Vec<_> = delta.lookup_free(&q).into_iter().map(|m| m.ids).collect();
-        let mut b: Vec<_> = plain.lookup_free(&q).into_iter().map(|m| m.ids).collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "codec changed answers for {steps:?}");
+        let scan = |index: &RootPaths| {
+            let mut lists = Vec::new();
+            index.for_each_free(&q, &mut Vec::new(), None, false, |_, ids| {
+                lists.push(ids.to_vec());
+                ControlFlow::Continue(())
+            });
+            lists.sort();
+            lists
+        };
+        assert_eq!(scan(&delta), scan(&plain), "codec changed answers for {steps:?}");
     }
     // Lossless compression shrinks the index (paper: ~30%).
     assert!(delta.space_bytes() <= plain.space_bytes());
@@ -68,11 +73,13 @@ fn dict_compression_loses_exactly_recursion() {
         .iter()
         .map(|t| f.dict().lookup(t).unwrap())
         .collect();
-    use xtwig::core::family::{FreeIndex, PcSubpathQuery};
     let q = PcSubpathQuery { tags: tags.clone(), anchored: true, value: Some("2".into()) };
-    let mut a: Vec<_> =
-        dict_dp.lookup_exact_free(&tags, Some("2")).into_iter().map(|m| m.ids).collect();
-    let mut b: Vec<_> = full_dp.lookup_free(&q).into_iter().map(|m| m.ids).collect();
+    let mut a = dict_dp.lookup_exact_free(&tags, Some("2"));
+    let mut b = Vec::new();
+    full_dp.for_each_free(&q, &mut Vec::new(), None, false, |_, ids| {
+        b.push(ids.to_vec());
+        ControlFlow::Continue(())
+    });
     a.sort();
     b.sort();
     assert_eq!(a, b);
@@ -88,8 +95,9 @@ fn head_pruned_engine_matches_oracle_on_and_off_workload() {
     generate_xmark(&mut f, XmarkConfig { scale: 0.004, seed: 5 });
     let workload: Vec<_> = xmark_queries().iter().map(|q| q.twig()).collect();
     let filter = workload_head_filter(&workload);
+    let f = Arc::new(f);
     let pruned = QueryEngine::build(
-        &f,
+        f.clone(),
         EngineOptions {
             strategies: vec![Strategy::DataPaths],
             pool_pages: 8192,
@@ -98,7 +106,7 @@ fn head_pruned_engine_matches_oracle_on_and_off_workload() {
         },
     );
     let full = QueryEngine::build(
-        &f,
+        f.clone(),
         EngineOptions {
             strategies: vec![Strategy::DataPaths],
             pool_pages: 8192,
@@ -135,11 +143,12 @@ fn head_pruned_engine_matches_oracle_on_and_off_workload() {
 fn page_prefixes_shrink_rootpaths_and_datapaths_and_keep_their_answers() {
     let mut f = XmlForest::new();
     generate_xmark(&mut f, XmarkConfig { scale: 0.02, seed: 77 });
+    let f = Arc::new(f);
     let both = [Strategy::RootPaths, Strategy::DataPaths];
     let build = |prefix_truncation: bool| {
-        let btree = BTreeOptions { prefix_truncation, ..Default::default() };
+        let btree = BTreeOptions { prefix_truncation };
         QueryEngine::build(
-            &f,
+            f.clone(),
             EngineOptions {
                 strategies: both.to_vec(),
                 pool_pages: 8192,
@@ -150,7 +159,7 @@ fn page_prefixes_shrink_rootpaths_and_datapaths_and_keep_their_answers() {
         )
     };
     let (with, without) = (build(true), build(false));
-    let bytes = |e: &QueryEngine<&XmlForest>| both.map(|s| e.space_bytes(s));
+    let bytes = |e: &QueryEngine| both.map(|s| e.space_bytes(s));
     let ([rp, dp], [rp_full, dp_full]) = (bytes(&with), bytes(&without));
     assert!(rp < rp_full && dp < dp_full, "RP {rp} vs {rp_full} B, DP {dp} vs {dp_full} B");
     assert!(

@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::xml::{naive, XmlForest};
 
@@ -84,11 +85,12 @@ impl Summary {
 /// holding all seven structures of `forest`, then the summary line.
 pub fn record(
     corpus: &str,
-    forest: &XmlForest,
+    forest: Arc<XmlForest>,
     requests: &[(String, String)],
 ) -> (String, Summary) {
     let engine =
         QueryEngine::build(forest, EngineOptions { pool_pages: POOL_FRAMES, ..Default::default() });
+    let forest = engine.forest();
     let mut out = format!(
         "# {corpus}: {} nodes, all seven structures, {POOL_FRAMES}-frame pools, each \
          strategy run cold\n",

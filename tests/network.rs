@@ -43,7 +43,7 @@ impl Drop for TempDir {
 /// Persists a fig1 index under `name` with the given strategies.
 fn persist_fig1(dir: &TempDir, name: &str, strategies: Vec<Strategy>) -> PathBuf {
     let engine = QueryEngine::build(
-        fig1_book_document(),
+        Arc::new(fig1_book_document()),
         EngineOptions { strategies, pool_pages: 256, ..Default::default() },
     );
     let path = dir.path(&format!("{name}.xtwig"));

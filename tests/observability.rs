@@ -12,6 +12,7 @@
 //! measured reads is the work record's to judge (`tests/golden/`).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::parse_xpath;
 use xtwig::service::metrics::SLOW_QUERY_CAPACITY;
@@ -21,7 +22,7 @@ use xtwig::xml::XmlForest;
 
 struct Corpus {
     name: &'static str,
-    forest: XmlForest,
+    forest: Arc<XmlForest>,
     queries: Vec<String>,
 }
 
@@ -47,7 +48,7 @@ fn corpora() -> Vec<Corpus> {
     let mut out = Vec::new();
     out.push(Corpus {
         name: "fig1",
-        forest: fig1_book_document(),
+        forest: Arc::new(fig1_book_document()),
         queries: [
             "/book[title='XML']//author[fn='jane'][ln='doe']",
             "/book/allauthors/author/fn[. = 'jane']",
@@ -59,7 +60,7 @@ fn corpora() -> Vec<Corpus> {
     });
     out.push(Corpus {
         name: "books",
-        forest: multi_book_forest(),
+        forest: Arc::new(multi_book_forest()),
         queries: ["/book[title='XML']//author[fn='jane'][ln='doe']", "//author[fn = 'jane']/ln"]
             .map(str::to_owned)
             .to_vec(),
@@ -71,7 +72,7 @@ fn corpora() -> Vec<Corpus> {
     );
     out.push(Corpus {
         name: "xmark",
-        forest: xmark,
+        forest: Arc::new(xmark),
         queries: xtwig::datagen::xmark_queries()
             .iter()
             .take(5)
@@ -81,8 +82,8 @@ fn corpora() -> Vec<Corpus> {
     out
 }
 
-fn engine(forest: &XmlForest) -> QueryEngine<&XmlForest> {
-    QueryEngine::build(forest, EngineOptions { pool_pages: 2048, ..Default::default() })
+fn engine(forest: &Arc<XmlForest>) -> QueryEngine {
+    QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 2048, ..Default::default() })
 }
 
 /// Tracing is observation, not behavior: on every corpus, every query,
@@ -135,14 +136,14 @@ fn traced_answers_match_untraced_on_every_strategy_and_corpus() {
 /// pipeline-structure changes show up in review.
 #[test]
 fn span_shape_is_stable_for_a_fixed_query() {
-    let forest = fig1_book_document();
+    let forest = Arc::new(fig1_book_document());
     let e = engine(&forest);
     let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
     let (_, first) = e.answer_traced(&twig, Strategy::RootPaths);
     let (_, again) = e.answer_traced(&twig, Strategy::RootPaths);
     assert_eq!(first.shape(), again.shape(), "same engine, same query: shape changed");
 
-    let forest2 = fig1_book_document();
+    let forest2 = Arc::new(fig1_book_document());
     let e2 = engine(&forest2);
     let (_, other) = e2.answer_traced(&twig, Strategy::RootPaths);
     assert_eq!(first.shape(), other.shape(), "independent engine: shape changed");

@@ -19,7 +19,7 @@ use xtwig::xml::{naive, XmlForest};
 
 struct Corpus {
     name: &'static str,
-    forest: XmlForest,
+    forest: Arc<XmlForest>,
     queries: Vec<String>,
 }
 
@@ -48,7 +48,7 @@ fn recorded_corpora() -> Vec<Corpus> {
     let mut out = Vec::new();
     out.push(Corpus {
         name: "fig1",
-        forest: fig1_book_document(),
+        forest: Arc::new(fig1_book_document()),
         queries: [
             "/book[title='XML']//author[fn='jane'][ln='doe']",
             "/book/allauthors/author/fn[. = 'jane']",
@@ -63,7 +63,7 @@ fn recorded_corpora() -> Vec<Corpus> {
     });
     out.push(Corpus {
         name: "books",
-        forest: multi_book_forest(),
+        forest: Arc::new(multi_book_forest()),
         queries: [
             "/book[title='XML']//author[fn='jane'][ln='doe']",
             "/book/title[. = 'SQL']",
@@ -77,7 +77,7 @@ fn recorded_corpora() -> Vec<Corpus> {
     let profile = xtwig::datagen::generate_skewed(&mut skew, xtwig::datagen::SkewConfig::default());
     out.push(Corpus {
         name: "skew",
-        forest: skew,
+        forest: Arc::new(skew),
         queries: vec![
             format!("//rec[key = '{}']/val", profile.rarest_key()),
             format!("//rec[key = 'k{}']/val", profile.key_counts.len() / 2),
@@ -99,14 +99,14 @@ fn corpora() -> Vec<Corpus> {
     );
     out.push(Corpus {
         name: "xmark",
-        forest: xmark,
+        forest: Arc::new(xmark),
         queries: xtwig::datagen::xmark_queries().iter().map(|bq| bq.xpath.to_owned()).collect(),
     });
     let mut dblp = XmlForest::new();
     xtwig::datagen::generate_dblp(&mut dblp, xtwig::datagen::DblpConfig { scale: 0.002, seed: 7 });
     out.push(Corpus {
         name: "dblp",
-        forest: dblp,
+        forest: Arc::new(dblp),
         queries: xtwig::datagen::dblp_queries().iter().map(|bq| bq.xpath.to_owned()).collect(),
     });
     out
@@ -117,8 +117,8 @@ fn expected(forest: &XmlForest, xpath: &str) -> BTreeSet<u64> {
     naive::select(forest, &twig).into_iter().map(|n| n.0).collect()
 }
 
-fn engine(forest: &XmlForest) -> QueryEngine<&XmlForest> {
-    QueryEngine::build(forest, EngineOptions { pool_pages: 2048, ..Default::default() })
+fn engine(forest: &Arc<XmlForest>) -> QueryEngine {
+    QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 2048, ..Default::default() })
 }
 
 /// On every corpus, `Auto` answers
@@ -156,7 +156,7 @@ fn work_record_matches_golden() {
             .zip(&corpus.queries)
             .map(|(i, q)| (format!("{}-{i}", corpus.name), q.clone()))
             .collect();
-        let (text, summary) = golden::record(corpus.name, &corpus.forest, &requests);
+        let (text, summary) = golden::record(corpus.name, corpus.forest.clone(), &requests);
         record.push_str(&text);
         summaries.push((corpus.name, summary));
     }
@@ -170,7 +170,7 @@ fn work_record_matches_golden() {
 /// built strategies, with `resolve_strategy` returning its head.
 #[test]
 fn rankings_are_sorted_and_respect_the_built_subset() {
-    let f = fig1_book_document();
+    let f = Arc::new(fig1_book_document());
     let e = engine(&f);
     let twig = parse_xpath("/book[title='XML']//author[fn='jane'][ln='doe']").unwrap();
     let ex = e.explain(&twig).unwrap();
@@ -181,7 +181,7 @@ fn rankings_are_sorted_and_respect_the_built_subset() {
 
     // A partial engine resolves within its subset.
     let partial = QueryEngine::build(
-        &f,
+        f.clone(),
         EngineOptions {
             strategies: vec![Strategy::Edge, Strategy::JoinIndex],
             pool_pages: 1024,
@@ -270,6 +270,7 @@ fn service_auto_matches_concrete_and_counts_picks() {
 fn skewed_corpus_crossover_stays_correct_under_auto() {
     let mut f = XmlForest::new();
     let profile = xtwig::datagen::generate_skewed(&mut f, xtwig::datagen::SkewConfig::default());
+    let f = Arc::new(f);
     let e = engine(&f);
     let rare = format!("//rec[key = '{}']/val", profile.rarest_key());
     let common = format!("//rec[key = '{}']/val", profile.commonest_key());
@@ -295,8 +296,9 @@ fn xmark_joins_are_priced_on_the_rows_that_reach_them() {
         &mut forest,
         xtwig::datagen::XmarkConfig { scale: 0.02, seed: 7 },
     );
+    let forest = Arc::new(forest);
     let e = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions {
             strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
             pool_pages: 2048,

@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::xml::{naive, Axis, TwigPattern, XmlForest};
 
@@ -98,9 +99,9 @@ proptest! {
         tree_prog in proptest::collection::vec(any::<u8>(), 4..120),
         twig_prog in proptest::collection::vec(any::<u8>(), 1..16),
     ) {
-        let forest = forest_from_program(&tree_prog);
+        let forest = Arc::new(forest_from_program(&tree_prog));
         let engine = QueryEngine::build(
-            &forest,
+            forest.clone(),
             EngineOptions { pool_pages: 512, ..Default::default() },
         );
         // The random twig, then every value looked up under every tag,
@@ -146,8 +147,9 @@ fn regression_nested_same_tags() {
     b.close();
     b.close();
     b.finish();
+    let forest = Arc::new(forest);
     let engine =
-        QueryEngine::build(&forest, EngineOptions { pool_pages: 512, ..Default::default() });
+        QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 512, ..Default::default() });
     for xpath in ["//a//a", "//a//a[. = 'x']", "/r/a/a/a", "//a[a]", "/r//a[. = 'y']"] {
         let twig = xtwig::parse_xpath(xpath).unwrap();
         let expected: BTreeSet<u64> =
@@ -171,8 +173,9 @@ fn regression_multiple_documents_and_descendant_root() {
         b.close();
         b.finish();
     }
+    let forest = Arc::new(forest);
     let engine =
-        QueryEngine::build(&forest, EngineOptions { pool_pages: 512, ..Default::default() });
+        QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 512, ..Default::default() });
     for xpath in ["/a/c", "//c[. = 'x']", "/b[c = 'y']", "//b/c"] {
         let twig = xtwig::parse_xpath(xpath).unwrap();
         let expected: BTreeSet<u64> =

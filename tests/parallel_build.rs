@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::core::parallel::{map_shards, ShardPlan};
 use xtwig::core::paths::PathStats;
@@ -47,16 +48,16 @@ fn multi_doc_forest() -> XmlForest {
 }
 
 /// Every suite corpus the workload tests run against, at test scale.
-fn corpora() -> Vec<(&'static str, XmlForest)> {
+fn corpora() -> Vec<(&'static str, Arc<XmlForest>)> {
     let mut xmark = XmlForest::new();
     generate_xmark(&mut xmark, XmarkConfig { scale: 0.002, seed: 0xA0C });
     let mut dblp = XmlForest::new();
     generate_dblp(&mut dblp, DblpConfig { scale: 0.002, seed: 0xD0B5 });
     vec![
-        ("fig1", fig1_book_document()),
-        ("multi_doc", multi_doc_forest()),
-        ("xmark", xmark),
-        ("dblp", dblp),
+        ("fig1", Arc::new(fig1_book_document())),
+        ("multi_doc", Arc::new(multi_doc_forest())),
+        ("xmark", Arc::new(xmark)),
+        ("dblp", Arc::new(dblp)),
     ]
 }
 
@@ -67,9 +68,9 @@ fn opts() -> EngineOptions {
 #[test]
 fn parallel_build_is_byte_identical_on_every_corpus() {
     for (name, forest) in corpora() {
-        let seq = QueryEngine::build(&forest, opts());
+        let seq = QueryEngine::build(forest.clone(), opts());
         for shards in SHARD_COUNTS {
-            let par = QueryEngine::build_parallel(&forest, opts(), shards);
+            let par = QueryEngine::build_parallel(forest.clone(), opts(), shards);
             for s in Strategy::ALL {
                 assert_eq!(
                     par.structure_digest(s),
@@ -83,8 +84,8 @@ fn parallel_build_is_byte_identical_on_every_corpus() {
 
 #[test]
 fn parallel_build_answers_match_naive_oracle() {
-    let forest = multi_doc_forest();
-    let par = QueryEngine::build_parallel(&forest, opts(), 5);
+    let forest = Arc::new(multi_doc_forest());
+    let par = QueryEngine::build_parallel(forest.clone(), opts(), 5);
     for q in [
         "/book[title='XML']//author[fn='jane'][ln='doe']",
         "//author[fn='jane']/ln",
@@ -191,7 +192,7 @@ proptest! {
 
     #[test]
     fn random_forests_build_byte_identical_at_random_shard_counts(seed in any::<u64>()) {
-        let forest = random_forest(seed);
+        let forest = Arc::new(random_forest(seed));
         let mut rng = Lcg(seed ^ 0x5eed);
         let shards = 2 + rng.below(6) as usize;
         // RP, DP, and the Edge family cover all three builder shapes
@@ -202,8 +203,8 @@ proptest! {
             pool_pages: 1024,
             ..Default::default()
         };
-        let seq = QueryEngine::build(&forest, mk());
-        let par = QueryEngine::build_parallel(&forest, mk(), shards);
+        let seq = QueryEngine::build(forest.clone(), mk());
+        let par = QueryEngine::build_parallel(forest.clone(), mk(), shards);
         for &s in &strategies {
             prop_assert_eq!(
                 par.structure_digest(s),

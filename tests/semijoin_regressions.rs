@@ -6,14 +6,15 @@
 //! multiplicity, and INLJ probes in semi mode.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::xml::{naive, XmlForest};
 
-fn engine(forest: &XmlForest) -> QueryEngine<&XmlForest> {
-    QueryEngine::build(forest, EngineOptions { pool_pages: 1024, ..Default::default() })
+fn engine(forest: &Arc<XmlForest>) -> QueryEngine {
+    QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 1024, ..Default::default() })
 }
 
-fn check(forest: &XmlForest, e: &QueryEngine<&XmlForest>, xpath: &str) {
+fn check(forest: &XmlForest, e: &QueryEngine, xpath: &str) {
     let twig = xtwig::parse_xpath(xpath).unwrap();
     let expected: BTreeSet<u64> = naive::select(forest, &twig).into_iter().map(|n| n.0).collect();
     for s in Strategy::ALL {
@@ -42,6 +43,7 @@ fn filter_branch_with_many_matches_per_head() {
     }
     b.close();
     b.finish();
+    let f = Arc::new(f);
     let e = engine(&f);
     // 3 "on" groups x 2 out leaves = 6 results; the 3x flag multiplicity
     // must not multiply (or drop) results.
@@ -67,6 +69,7 @@ fn two_filters_sharing_interior_node() {
     }
     b.close();
     b.finish();
+    let f = Arc::new(f);
     let e = engine(&f);
     // Both predicates must hold on the SAME q node (i = 0 only).
     check(&f, &e, "/r/p[q/a = '1'][q/b = '1']/t");
@@ -87,6 +90,7 @@ fn output_on_filter_subpath() {
     }
     b.close();
     b.finish();
+    let f = Arc::new(f);
     let e = engine(&f);
     check(&f, &e, "/r/x/k[. = '1']");
     check(&f, &e, "/r/x[k = '1']");
@@ -111,6 +115,7 @@ fn descendant_existence_filters() {
     }
     b.close();
     b.finish();
+    let f = Arc::new(f);
     let e = engine(&f);
     check(&f, &e, "/lib/shelf[//rare]//book");
     check(&f, &e, "//shelf[box/rare = 'yes']/box/book");
@@ -138,6 +143,7 @@ fn inlj_semi_probe_filters_heads() {
     }
     b.close();
     b.finish();
+    let f = Arc::new(f);
     let e = engine(&f);
     // Driver tag='rare' (2 heads); extra is an existence filter (one head
     // lacks it); output item.
@@ -154,8 +160,9 @@ fn inlj_semi_probe_filters_heads() {
 fn an_existence_branch_is_proven_by_its_first_match() {
     let mut f = XmlForest::new();
     xtwig::datagen::generate_xmark(&mut f, xtwig::datagen::XmarkConfig { scale: 0.02, seed: 7 });
+    let f = Arc::new(f);
     let e = QueryEngine::build(
-        &f,
+        f.clone(),
         EngineOptions {
             strategies: vec![Strategy::RootPaths, Strategy::DataPaths, Strategy::Asr],
             pool_pages: 2048,

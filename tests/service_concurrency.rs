@@ -8,6 +8,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::sync::Barrier;
 use xtwig::core::QueryMetrics;
 use xtwig::datagen::{generate_xmark, xmark_queries, XmarkConfig};
@@ -239,8 +240,9 @@ fn assert_each_answer_counts_as_alone(
     const ROUNDS: usize = 5;
     let mut forest = XmlForest::new();
     generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
+    let forest = Arc::new(forest);
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions { strategies: strategies.to_vec(), pool_pages: 8192, ..Default::default() },
     );
     let work: Vec<(&str, TwigPattern, Strategy)> = xmark_queries()

@@ -2,10 +2,11 @@
 //! regimes, checked end-to-end against the oracle.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::xml::{naive, XmlForest};
 
-fn check_all(forest: &XmlForest, engine: &QueryEngine<&XmlForest>, xpath: &str) {
+fn check_all(forest: &XmlForest, engine: &QueryEngine, xpath: &str) {
     let twig = xtwig::parse_xpath(xpath).unwrap();
     let expected: BTreeSet<u64> = naive::select(forest, &twig).into_iter().map(|n| n.0).collect();
     for s in Strategy::ALL {
@@ -30,7 +31,8 @@ fn dictionary_beyond_one_byte_designators() {
     b.close();
     b.finish();
     assert!(f.dict().len() > 300, "need the multi-byte designator regime");
-    let e = QueryEngine::build(&f, EngineOptions { pool_pages: 2048, ..Default::default() });
+    let f = Arc::new(f);
+    let e = QueryEngine::build(f.clone(), EngineOptions { pool_pages: 2048, ..Default::default() });
     // tag5 uses a 1-byte designator, tag300 a 3-byte one.
     check_all(&f, &e, "/root/tag5/val");
     check_all(&f, &e, "/root/tag300/val[. = '6']");
@@ -56,7 +58,8 @@ fn long_values_share_key_prefix() {
     b.leaf("blob", "short");
     b.close();
     b.finish();
-    let e = QueryEngine::build(&f, EngineOptions { pool_pages: 1024, ..Default::default() });
+    let f = Arc::new(f);
+    let e = QueryEngine::build(f.clone(), EngineOptions { pool_pages: 1024, ..Default::default() });
     for (value, want) in [(v1.as_str(), 2usize), (v2.as_str(), 1), ("short", 1)] {
         let twig = xtwig::parse_xpath(&format!("/docs/blob[. = '{value}']")).unwrap();
         let expected: BTreeSet<u64> = naive::select(&f, &twig).into_iter().map(|n| n.0).collect();
@@ -83,7 +86,8 @@ fn deep_same_tag_nesting() {
     }
     b.finish();
     assert_eq!(f.max_depth(), 31);
-    let e = QueryEngine::build(&f, EngineOptions { pool_pages: 4096, ..Default::default() });
+    let f = Arc::new(f);
+    let e = QueryEngine::build(f.clone(), EngineOptions { pool_pages: 4096, ..Default::default() });
     check_all(&f, &e, "//n/leaf");
     check_all(&f, &e, "//n//leaf");
     check_all(&f, &e, "//n//n//n/leaf");
@@ -102,7 +106,8 @@ fn wide_fanout() {
     }
     b.close();
     b.finish();
-    let e = QueryEngine::build(&f, EngineOptions { pool_pages: 4096, ..Default::default() });
+    let f = Arc::new(f);
+    let e = QueryEngine::build(f.clone(), EngineOptions { pool_pages: 4096, ..Default::default() });
     check_all(&f, &e, "/hub/spoke[. = '3']");
     check_all(&f, &e, "//spoke");
     let twig = xtwig::parse_xpath("/hub/spoke[. = '3']").unwrap();
@@ -120,7 +125,8 @@ fn unicode_tags_and_values() {
     b.leaf("名前", "émission");
     b.close();
     b.finish();
-    let e = QueryEngine::build(&f, EngineOptions { pool_pages: 1024, ..Default::default() });
+    let f = Arc::new(f);
+    let e = QueryEngine::build(f.clone(), EngineOptions { pool_pages: 1024, ..Default::default() });
     check_all(&f, &e, "/催し/名前[. = '祭り']");
     check_all(&f, &e, "//名前[. = 'émission']");
 }

@@ -4,15 +4,47 @@
 //! multiple index entries … however, ROOTPATHS and DATAPATHS themselves
 //! could be used to speed up the lookup of the entries to update."
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig::core::datapaths::{DataPaths, DataPathsOptions};
-use xtwig::core::family::{BoundIndex, FreeIndex, PcSubpathQuery};
+use xtwig::core::family::PcSubpathQuery;
 use xtwig::core::rootpaths::{RootPaths, RootPathsOptions};
 use xtwig::parse_xpath;
 use xtwig::storage::BufferPool;
 use xtwig::xml::tree::fig1_book_document;
 use xtwig::xml::{TagId, XmlForest};
 use xtwig::{EngineOptions, ServiceOptions, Strategy, TwigService, UpdateOp};
+
+/// Collects the IdLists a streaming scan lends.
+fn collect(scan: impl FnOnce(&mut dyn FnMut(&[u8], &[u64]) -> ControlFlow<()>)) -> Vec<Vec<u64>> {
+    let mut out = Vec::new();
+    scan(&mut |_, ids| {
+        out.push(ids.to_vec());
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// The IdList of every ROOTPATHS match of `q`.
+fn rp_free(rp: &RootPaths, q: &PcSubpathQuery) -> Vec<Vec<u64>> {
+    collect(|sink| {
+        rp.for_each_free(q, &mut Vec::new(), None, false, sink);
+    })
+}
+
+/// The IdList of every DATAPATHS match of `q` from the document root.
+fn dp_free(dp: &DataPaths, q: &PcSubpathQuery) -> Vec<Vec<u64>> {
+    collect(|sink| {
+        dp.for_each_free(q, &mut Vec::new(), None, false, sink);
+    })
+}
+
+/// The IdList of every DATAPATHS match of `q` under `head`, the head
+/// first.
+fn dp_bound(dp: &DataPaths, head: u64, head_tag: TagId, q: &PcSubpathQuery) -> Vec<Vec<u64>> {
+    let mut probe = dp.bound_probe(head_tag, &q.tags, q.anchored, q.value.as_deref());
+    collect(|sink| dp.for_each_bound(&mut probe, head, &mut Vec::new(), sink))
+}
 
 #[test]
 fn inserting_an_author_adds_all_prefix_entries() {
@@ -37,9 +69,7 @@ fn inserting_an_author_adds_all_prefix_entries() {
     // 3 entries: author structural, fn structural, fn valued.
     assert_eq!(rp.rows(), rows_before + 3);
     let q = PcSubpathQuery::resolve(forest.dict(), &["author", "fn"], false, Some("ada")).unwrap();
-    let ms = rp.lookup_free(&q);
-    assert_eq!(ms.len(), 1);
-    assert_eq!(ms[0].ids, vec![1, 5, 900, 901]);
+    assert_eq!(rp_free(&rp, &q), vec![vec![1, 5, 900, 901]]);
 }
 
 #[test]
@@ -60,13 +90,13 @@ fn deletes_are_self_locating() {
     // Locate jane entries via one lookup, then delete the one under
     // book 1 / author 41.
     let q = PcSubpathQuery::resolve(forest.dict(), &["author", "fn"], false, Some("jane")).unwrap();
-    let before = rp.lookup_free(&q);
+    let before = rp_free(&rp, &q);
     assert_eq!(before.len(), 2);
-    let victim = before.iter().find(|m| m.ids[2] == 41).unwrap().ids.clone();
+    let victim = before.into_iter().find(|ids| ids[2] == 41).unwrap();
     assert!(rp.delete_path(&tags, &victim, Some("jane")));
-    let after = rp.lookup_free(&q);
+    let after = rp_free(&rp, &q);
     assert_eq!(after.len(), 1);
-    assert_eq!(after[0].ids[2], 6, "the other jane remains");
+    assert_eq!(after[0][2], 6, "the other jane remains");
     // Deleting again is a no-op.
     assert!(!rp.delete_path(&tags, &victim, Some("jane")));
 }
@@ -124,20 +154,14 @@ fn datapaths_insertion_adds_free_and_bound_rows() {
 
     let q = PcSubpathQuery::resolve(forest.dict(), &["author", "fn"], false, Some("ada")).unwrap();
     // FreeIndex probe sees the new path with its full root IdList.
-    let free = dp.lookup_free(&q);
-    assert_eq!(free.len(), 1);
-    assert_eq!(free[0].ids, vec![1, 5, 900, 901]);
+    assert_eq!(dp_free(&dp, &q), vec![vec![1, 5, 900, 901]]);
     // BoundIndex probes see it from every ancestor position.
     let allauthors = forest.dict().lookup("allauthors").unwrap();
-    let bound = dp.lookup_bound(5, allauthors, &q);
-    assert_eq!(bound.len(), 1);
-    assert_eq!(bound[0].ids, vec![5, 900, 901]);
+    assert_eq!(dp_bound(&dp, 5, allauthors, &q), vec![vec![5, 900, 901]]);
     let book = forest.dict().lookup("book").unwrap();
-    let bound = dp.lookup_bound(1, book, &q);
-    assert_eq!(bound.len(), 1);
     // The stored row is the full path from the head, so the match
     // carries every step book/allauthors/author/fn.
-    assert_eq!(bound[0].ids, vec![1, 5, 900, 901]);
+    assert_eq!(dp_bound(&dp, 1, book, &q), vec![vec![1, 5, 900, 901]]);
 }
 
 #[test]
@@ -156,19 +180,19 @@ fn datapaths_deletes_are_self_locating() {
     );
     let rows0 = dp.rows();
     let q = PcSubpathQuery::resolve(forest.dict(), &["author", "fn"], false, Some("jane")).unwrap();
-    let before = dp.lookup_free(&q);
+    let before = dp_free(&dp, &q);
     assert_eq!(before.len(), 2);
-    let victim = before.iter().find(|m| m.ids[2] == 41).unwrap().ids.clone();
+    let victim = before.into_iter().find(|ids| ids[2] == 41).unwrap();
     assert!(dp.delete_path(&tags, &victim, Some("jane")));
     // fn at depth 4: (1 free + 4 bound) x2 value variants removed.
     assert_eq!(dp.rows(), rows0 - 10);
-    let after = dp.lookup_free(&q);
+    let after = dp_free(&dp, &q);
     assert_eq!(after.len(), 1);
-    assert_eq!(after[0].ids[2], 6, "the other jane remains");
+    assert_eq!(after[0][2], 6, "the other jane remains");
     // The bound view agrees.
     let allauthors = forest.dict().lookup("allauthors").unwrap();
-    assert_eq!(dp.lookup_bound(5, allauthors, &q).len(), 1);
-    assert!(dp.lookup_bound(41, tags[2], &q).is_empty());
+    assert_eq!(dp_bound(&dp, 5, allauthors, &q).len(), 1);
+    assert!(dp_bound(&dp, 41, tags[2], &q).is_empty());
     // Deleting again is a no-op.
     assert!(!dp.delete_path(&tags, &victim, Some("jane")));
     dp.tree().check_invariants();

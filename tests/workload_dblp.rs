@@ -3,6 +3,7 @@
 
 mod golden;
 
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::datagen::{dblp_queries, generate_dblp, DblpConfig};
 use xtwig::xml::{naive, XmlForest};
@@ -11,8 +12,9 @@ use xtwig::xml::{naive, XmlForest};
 fn dblp_selectivity_sweep_matches_planted_years() {
     let mut forest = XmlForest::new();
     let profile = generate_dblp(&mut forest, DblpConfig { scale: 0.02, seed: 7 });
+    let forest = Arc::new(forest);
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions {
             strategies: vec![Strategy::RootPaths, Strategy::DataPaths, Strategy::Edge],
             pool_pages: 4096,
@@ -46,8 +48,11 @@ fn dblp_selectivity_sweep_matches_planted_years() {
 fn all_strategies_agree_on_dblp() {
     let mut forest = XmlForest::new();
     generate_dblp(&mut forest, DblpConfig { scale: 0.005, seed: 3 });
-    let engine =
-        QueryEngine::build(&forest, EngineOptions { pool_pages: 4096, ..Default::default() });
+    let forest = Arc::new(forest);
+    let engine = QueryEngine::build(
+        forest.clone(),
+        EngineOptions { pool_pages: 4096, ..Default::default() },
+    );
     for xpath in [
         "/dblp/inproceedings/year[. = '1979']",
         "/dblp/inproceedings[year = '1998']/title",
@@ -83,8 +88,10 @@ fn shallow_dataset_keeps_datapaths_overhead_low() {
         pool_pages: 16384,
         ..Default::default()
     };
-    let e_dblp = QueryEngine::build(&dblp, opts());
-    let e_xmark = QueryEngine::build(&xmark, opts());
+    let dblp = Arc::new(dblp);
+    let e_dblp = QueryEngine::build(dblp.clone(), opts());
+    let xmark = Arc::new(xmark);
+    let e_xmark = QueryEngine::build(xmark.clone(), opts());
     let ratio_dblp = e_dblp.space_bytes(Strategy::DataPaths) as f64
         / e_dblp.space_bytes(Strategy::RootPaths) as f64;
     let ratio_xmark = e_xmark.space_bytes(Strategy::DataPaths) as f64
@@ -125,7 +132,8 @@ fn work_record_matches_golden() {
     requests.extend(
         COLD_SCAN.iter().enumerate().map(|(i, x)| (format!("c{:02}", i + 4), x.to_string())),
     );
-    let (record, summary) = golden::record("DBLP scale 0.004 seed 0xD0B5", &forest, &requests);
+    let (record, summary) =
+        golden::record("DBLP scale 0.004 seed 0xD0B5", Arc::new(forest), &requests);
     golden::check("work_dblp.txt", &record);
     summary.assert_within_2x_on_80_pct("DBLP");
 }

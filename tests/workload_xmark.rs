@@ -5,15 +5,16 @@
 mod golden;
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::core::plan::PlanKind;
 use xtwig::datagen::{generate_xmark, xmark_queries, XmarkConfig};
 use xtwig::xml::{naive, XmlForest};
 
-fn build(scale: f64) -> (XmlForest, xtwig::datagen::XmarkProfile) {
+fn build(scale: f64) -> (Arc<XmlForest>, xtwig::datagen::XmarkProfile) {
     let mut forest = XmlForest::new();
     let profile = generate_xmark(&mut forest, XmarkConfig { scale, seed: 0xA0C });
-    (forest, profile)
+    (Arc::new(forest), profile)
 }
 
 fn oracle_ids(forest: &XmlForest, xpath: &str) -> BTreeSet<u64> {
@@ -29,7 +30,7 @@ fn work_record_matches_golden() {
     let (forest, _) = build(0.004);
     let requests: Vec<(String, String)> =
         xmark_queries().iter().map(|q| (q.id.to_owned(), q.xpath.to_owned())).collect();
-    let (record, summary) = golden::record("XMark scale 0.004 seed 0xA0C", &forest, &requests);
+    let (record, summary) = golden::record("XMark scale 0.004 seed 0xA0C", forest, &requests);
     golden::check("work_xmark.txt", &record);
     summary.assert_within_2x_on_80_pct("XMark");
 }
@@ -38,7 +39,7 @@ fn work_record_matches_golden() {
 fn single_path_results_match_planted_profile() {
     let (forest, profile) = build(0.01);
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions {
             strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
             pool_pages: 4096,
@@ -61,7 +62,7 @@ fn single_path_results_match_planted_profile() {
 fn twig_results_match_planted_profile() {
     let (forest, profile) = build(0.01);
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions {
             strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
             pool_pages: 4096,
@@ -91,7 +92,7 @@ fn twig_results_match_planted_profile() {
 fn low_branch_point_chooses_inlj_for_datapaths() {
     let (forest, _) = build(0.01);
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions {
             strategies: vec![Strategy::DataPaths, Strategy::RootPaths],
             pool_pages: 4096,
@@ -115,7 +116,7 @@ fn low_branch_point_chooses_inlj_for_datapaths() {
 fn recursive_twigs_expand_to_six_schema_paths() {
     let (forest, _) = build(0.005);
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions {
             strategies: vec![Strategy::Asr, Strategy::RootPaths],
             pool_pages: 4096,
@@ -149,7 +150,7 @@ fn leading_recursion_overhead_is_small_for_rootpaths() {
     // the probe/row counts are identical (the lookup count cannot grow).
     let (forest, _) = build(0.01);
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions {
             strategies: vec![Strategy::RootPaths],
             pool_pages: 4096,

@@ -5,6 +5,7 @@
 
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::sync::Arc;
 use xtwig::prelude::*;
 use xtwig::xml::naive;
 
@@ -321,13 +322,13 @@ mod tests {
 
 #[test]
 fn every_strategy_answers_the_intro_twig() {
-    let forest = intro_forest();
+    let forest = Arc::new(intro_forest());
     let twig = parse_xpath(INTRO_TWIG).unwrap();
     let expected: BTreeSet<u64> = naive::select(&forest, &twig).into_iter().map(|n| n.0).collect();
     assert_eq!(expected.len(), 1, "exactly one book matches the intro query");
 
     let engine = QueryEngine::build(
-        &forest,
+        forest.clone(),
         EngineOptions { strategies: Strategy::ALL.to_vec(), pool_pages: 256, ..Default::default() },
     );
     for s in Strategy::ALL {
@@ -340,9 +341,9 @@ fn every_strategy_answers_the_intro_twig() {
 fn strategies_agree_on_every_intro_subpattern() {
     // Smaller patterns hit different planner paths (single-path lookups
     // vs. branching twigs); all strategies must still agree everywhere.
-    let forest = intro_forest();
+    let forest = Arc::new(intro_forest());
     let engine =
-        QueryEngine::build(&forest, EngineOptions { pool_pages: 256, ..Default::default() });
+        QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 256, ..Default::default() });
     for xpath in [
         "/book",
         "/book/title",
