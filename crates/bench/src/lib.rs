@@ -33,6 +33,23 @@ pub fn scale_from_args() -> f64 {
     flag_from_args("--scale", "a positive number", |s: &f64| *s > 0.0).unwrap_or(DEFAULT_SCALE)
 }
 
+/// The dataset scale of an example run as `cargo run --release
+/// --example <name> [scale]`: `default` without an argument. Like
+/// [`scale_from_args`], an argument that is not a positive number
+/// prints the usage and exits with status 2 instead of running at the
+/// default scale.
+pub fn scale_from_first_arg(example: &str, default: f64) -> f64 {
+    let Some(arg) = std::env::args().nth(1) else { return default };
+    match arg.parse::<f64>() {
+        Ok(scale) if scale > 0.0 && scale.is_finite() => scale,
+        _ => {
+            eprintln!("usage: cargo run --release --example {example} [scale]");
+            eprintln!("the scale must be a positive number, got {arg:?}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Reads the index-build shard count from argv (`--shards <n>`; default
 /// 1 = the sequential build). Every figure binary builds its engine
 /// through [`engine`], so the flag applies uniformly; sharded and

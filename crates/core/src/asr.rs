@@ -20,17 +20,17 @@ use crate::family::{value_key_prefix, PathIndex, PcSubpathQuery};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::rootpaths::push_value_part;
-use std::collections::HashMap;
-use std::ops::ControlFlow;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, RunArena};
 use xtwig_rel::codec::{self, IdListCodec, KeyBuf};
 use xtwig_storage::BufferPool;
 use xtwig_xml::{TagId, XmlForest};
 
-/// The full set of per-path Access Support Relations.
+/// The full set of per-path Access Support Relations, in path order.
 pub struct AccessSupportRelations {
-    tables: HashMap<Vec<TagId>, BTree>,
+    tables: BTreeMap<Vec<TagId>, BTree>,
 }
 
 impl AccessSupportRelations {
@@ -77,7 +77,7 @@ impl AccessSupportRelations {
             shard_groups.iter().flat_map(|g| g.keys().cloned()).collect();
         paths.sort_unstable();
         paths.dedup();
-        let mut tables = HashMap::with_capacity(paths.len());
+        let mut tables = BTreeMap::new();
         for path in paths {
             let runs: Vec<RunArena> =
                 shard_groups.iter_mut().filter_map(|g| g.remove(&path)).collect();
@@ -108,14 +108,19 @@ impl AccessSupportRelations {
         p
     }
 
-    /// The distinct stored paths matching a pattern: the exact path when
-    /// anchored, every path with the pattern as suffix otherwise.
-    pub fn matching_paths(&self, q: &PcSubpathQuery) -> Vec<&Vec<TagId>> {
-        if q.anchored {
-            self.tables.get_key_value(&q.tags).map(|(k, _)| k).into_iter().collect()
-        } else {
-            self.tables.keys().filter(|p| p.ends_with(&q.tags)).collect()
-        }
+    /// The tables whose stored paths match a pattern, in path order:
+    /// the exact path when anchored, every path with the pattern as
+    /// suffix otherwise.
+    fn matching<'a>(
+        &'a self,
+        q: &'a PcSubpathQuery,
+    ) -> impl Iterator<Item = (&'a Vec<TagId>, &'a BTree)> + 'a {
+        let exact = q.tags.as_slice();
+        let range = match q.anchored {
+            true => (Bound::Included(exact), Bound::Included(exact)),
+            false => (Bound::Unbounded, Bound::Unbounded),
+        };
+        self.tables.range::<[TagId], _>(range).filter(|(path, _)| path.ends_with(&q.tags))
     }
 
     /// The streaming PCsubpath evaluation — the one scan of these
@@ -134,12 +139,10 @@ impl AccessSupportRelations {
     ) {
         let mut prefix = KeyBuf::new();
         push_value_part(&mut prefix, q.value.as_deref());
-        let mut paths = self.matching_paths(q);
-        paths.sort_unstable();
         let mut flow = ControlFlow::Continue(());
-        for path in paths {
+        for (path, table) in self.matching(q) {
             *probes += 1;
-            self.tables[path].for_each_prefix(prefix.as_bytes(), |_key, payload| {
+            table.for_each_prefix(prefix.as_bytes(), |_key, payload| {
                 ids.clear();
                 codec::decode_idlist_into(IdListCodec::Plain, payload, ids);
                 flow = sink(path, ids);
@@ -157,12 +160,10 @@ impl AccessSupportRelations {
     /// [`crate::persist`]): every per-path table's key and tree shape,
     /// in sorted path order (deterministic catalog bytes).
     pub(crate) fn write_meta(&self, w: &mut crate::persist::ByteWriter) {
-        let mut paths: Vec<&Vec<TagId>> = self.tables.keys().collect();
-        paths.sort_unstable();
-        w.push_u32(paths.len() as u32);
-        for path in paths {
+        w.push_u32(self.tables.len() as u32);
+        for (path, table) in &self.tables {
             crate::persist::write_tag_path(w, path);
-            crate::persist::write_tree_meta(w, &self.tables[path]);
+            crate::persist::write_tree_meta(w, table);
         }
     }
 
@@ -172,7 +173,7 @@ impl AccessSupportRelations {
         pool: Arc<BufferPool>,
     ) -> Result<Self, crate::persist::FormatError> {
         let n = r.u32()? as usize;
-        let mut tables = HashMap::with_capacity(n.min(1 << 20));
+        let mut tables = BTreeMap::new();
         for _ in 0..n {
             let path = crate::persist::read_tag_path(r)?;
             let tree = crate::persist::read_tree_meta(r, pool.clone())?;

@@ -241,17 +241,16 @@ impl DataPaths {
         let mut key = KeyBuf::new();
         key.push_u64(head);
         push_value_part(&mut key, value);
-        let mut path = Vec::with_capacity(tags.len() + 2);
-        designator::push_path_reversed(&mut path, tags);
+        let path = key.raw_mut();
+        designator::push_path_reversed(path, tags);
         if anchored {
             // Under a real head the first pattern step is a *child* of
             // the head: the stored path must be exactly head_tag/t1/…/tk.
             if let Some(tag) = head_tag {
-                designator::push_designator(&mut path, tag);
+                designator::push_designator(path, tag);
             }
             path.push(designator::TERMINATOR);
         }
-        key.push_raw(&path);
         key.finish()
     }
 

@@ -16,7 +16,7 @@ use std::fmt;
 use xtwig_xml::{Axis, TagDict, TwigPattern};
 
 /// One PCsubpath of the cover.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SubpathSpec {
     /// The resolved pattern.
     pub q: PcSubpathQuery,
@@ -149,22 +149,34 @@ impl CompiledTwig {
         let bn = &self.subpaths[b].nodes;
         self.subpaths[a].nodes.iter().rev().find(|n| bn.contains(n)).copied()
     }
+}
 
-    /// Rebinds this compiled cover onto `twig`, which must have exactly
-    /// the same shape — node indices, axes, tags, and value *presence*
-    /// (the contract a shape-keyed plan cache enforces). Only the
-    /// literal predicate values may differ; they are re-read from the
-    /// new twig, so one cached decomposition serves every query of the
-    /// shape (a parameterized plan, in relational terms).
-    pub fn rebind(&self, twig: &TwigPattern) -> CompiledTwig {
-        let mut out = self.clone();
-        out.twig = twig.clone();
-        for sp in &mut out.subpaths {
-            if sp.q.value.is_some() {
-                sp.q.value = twig.nodes[*sp.nodes.last().unwrap()].value.clone();
+impl SubpathSpec {
+    /// The literal `twig` gives this subpath's value condition: the value
+    /// of the twig node at its leaf, when the subpath carries one. `twig`
+    /// must have the cover's shape — node indices, axes, tags and value
+    /// *presence* (the contract a shape-keyed plan cache enforces) — so
+    /// one cover serves every twig of the shape, each with its own
+    /// literals (a parameterized plan, in relational terms).
+    pub fn literal<'t>(&self, twig: &'t TwigPattern) -> Option<&'t str> {
+        self.q.value.as_ref()?;
+        twig.nodes.get(*self.nodes.last()?)?.value.as_deref()
+    }
+
+    /// Makes `self` the subpath `spec` with the literal `twig` gives it
+    /// ([`SubpathSpec::literal`]), reusing the buffers `self` holds.
+    pub fn rebind_from(&mut self, spec: &SubpathSpec, twig: &TwigPattern) {
+        self.q.tags.clone_from(&spec.q.tags);
+        self.q.anchored = spec.q.anchored;
+        match (&mut self.q.value, spec.literal(twig)) {
+            (Some(mine), Some(value)) => {
+                mine.clear();
+                mine.push_str(value);
             }
+            (mine, value) => *mine = value.map(str::to_owned),
         }
-        out
+        self.nodes.clone_from(&spec.nodes);
+        self.segment = spec.segment;
     }
 }
 

@@ -36,7 +36,8 @@
 //! answer set is materialized once, from it. Every buffer a step needs
 //! belongs to the execution (`Exec`) and is reused by the next step, so
 //! an execution allocates by the plan step, not by the row
-//! (`tests/alloc_budget.rs`).
+//! (`tests/alloc_budget.rs`); and the thread keeps those buffers for its
+//! next execution, so a warm one grows none of them again.
 
 use crate::asr::AccessSupportRelations;
 use crate::dataguide::DataGuide;
@@ -197,13 +198,16 @@ pub(crate) struct Sealed {
 }
 
 /// What one execution carries through the plan-step loop: the two
-/// counters [`QueryMetrics`] reports, the trace being recorded when the
-/// caller has one, and every buffer the steps work in — allocated at
-/// most once per execution and reused from step to step.
+/// counters [`QueryMetrics`] reports and every buffer the steps work in.
+/// The buffers are reused from step to step, and from execution to
+/// execution: each thread keeps one `Exec` between the executions it
+/// runs ([`Exec::take`], [`Exec::give_back`]), so a warm execution
+/// writes into buffers an earlier one grew instead of growing them from
+/// empty and freeing them at its end. A buffer grown past
+/// [`SCRATCH_KEEP_BYTES`] is freed when its execution ends.
 #[derive(Default)]
-struct Exec<'a> {
+struct Exec {
     io: ProbeIo,
-    trace: Option<&'a mut Trace>,
     /// The rows accumulated by the steps so far.
     rows: BindingTable,
     /// Where a join, an INLJ extension or a distinct writes its output
@@ -223,11 +227,63 @@ struct Exec<'a> {
     cursors: Vec<MergeCursor>,
     /// The output ids the last step found, duplicates included.
     answer: Vec<u64>,
+    /// What the plan's steps consume.
+    masks: StepMasks,
+    /// A subpath of the cover with the literal the request asked for,
+    /// when it differs from the one the cover was compiled with.
+    rebound: SubpathSpec,
     /// True once some step ran as BoundIndex probes.
     ran_bound: bool,
     /// The identity net's handle on the choices `execute` makes.
     #[cfg(test)]
     forced: Option<Forced>,
+}
+
+/// The most bytes one buffer of a thread's [`Exec`] keeps between
+/// executions. An execution that grew one further frees it when it
+/// ends, so what an idle thread holds stays small, whatever it answered.
+const SCRATCH_KEEP_BYTES: usize = 256 << 10;
+
+thread_local! {
+    /// This thread's execution buffers, between its executions.
+    static SCRATCH: Cell<Exec> = Cell::new(Exec::default());
+}
+
+impl Exec {
+    /// This thread's buffers, with the counters at zero.
+    fn take() -> Exec {
+        SCRATCH.try_with(Cell::take).unwrap_or_default()
+    }
+
+    /// Returns the buffers to this thread for its next execution,
+    /// freeing each one grown past [`SCRATCH_KEEP_BYTES`].
+    fn give_back(mut self) {
+        self.rows.keep(SCRATCH_KEEP_BYTES);
+        self.out.keep(SCRATCH_KEEP_BYTES);
+        keep(&mut self.io.ids);
+        keep(&mut self.arena);
+        keep(&mut self.keys);
+        keep(&mut self.order);
+        keep(&mut self.marks);
+        keep(&mut self.walked);
+        keep(&mut self.cursors);
+        keep(&mut self.answer);
+        self.io.probes = 0;
+        self.io.rows_fetched = 0;
+        self.ran_bound = false;
+        // A thread being torn down has no scratch left to refill.
+        let _ = SCRATCH.try_with(|scratch| scratch.set(self));
+    }
+}
+
+/// Empties `buffer`, freeing it when it holds more than
+/// [`SCRATCH_KEEP_BYTES`].
+fn keep<T>(buffer: &mut Vec<T>) {
+    if buffer.capacity() * std::mem::size_of::<T>() > SCRATCH_KEEP_BYTES {
+        *buffer = Vec::new();
+    } else {
+        buffer.clear();
+    }
 }
 
 /// What an index probe reads into and counts into.
@@ -287,10 +343,15 @@ impl Unproven<'_> {
     }
 }
 
-/// What the steps of one plan consume, computed once per execution.
+/// What the steps of one plan consume, computed once per execution
+/// into buffers the thread keeps with its [`Exec`].
+#[derive(Default)]
 struct StepMasks {
     /// Twig nodes per row.
     n: usize,
+    /// Twig nodes whose ids the execution consumes
+    /// ([`QueryEngine::needed_nodes`]).
+    needed: Vec<bool>,
     /// Segment roots whose ancestor lists some `//` join reads; a row's
     /// ancestor-list slot `s` belongs to `anc_nodes[s]`.
     anc_nodes: Vec<usize>,
@@ -302,42 +363,41 @@ struct StepMasks {
 }
 
 impl StepMasks {
-    fn new(compiled: &CompiledTwig, plan: &QueryPlan) -> Self {
+    /// Computes the masks of `plan` over `compiled` in place.
+    fn fill(&mut self, compiled: &CompiledTwig, plan: &QueryPlan) {
         let n = compiled.twig.len();
-        let mut anc_nodes: Vec<usize> = plan
-            .steps
-            .iter()
-            .filter_map(|step| match step.join {
-                Some(JoinHow::AncestorOf { seg_root, .. })
-                | Some(JoinHow::DescendantBound { seg_root, .. }) => Some(seg_root),
-                _ => None,
-            })
-            .collect();
-        anc_nodes.sort_unstable();
-        anc_nodes.dedup();
-        let (steps, slots) = (plan.steps.len(), anc_nodes.len());
-        let mut masks = StepMasks {
-            n,
-            keep: vec![false; steps * n],
-            keep_anc: vec![false; steps * slots],
-            anc_nodes,
-        };
+        self.n = n;
+        needed_into(compiled, plan, &mut self.needed);
+        self.anc_nodes.clear();
+        self.anc_nodes.extend(plan.steps.iter().filter_map(|step| match step.join {
+            Some(JoinHow::AncestorOf { seg_root, .. })
+            | Some(JoinHow::DescendantBound { seg_root, .. }) => Some(seg_root),
+            _ => None,
+        }));
+        self.anc_nodes.sort_unstable();
+        self.anc_nodes.dedup();
+        let (steps, slots) = (plan.steps.len(), self.anc_nodes.len());
+        self.keep.clear();
+        self.keep.resize(steps * n, false);
+        self.keep_anc.clear();
+        self.keep_anc.resize(steps * slots, false);
         // Walk the plan backwards: what step `i` must leave behind is
         // what step `i + 1` reads plus what that step must leave behind.
-        let mut keep = vec![false; n];
-        keep[compiled.twig.output] = true;
-        let mut keep_anc = vec![false; slots];
         for i in (0..steps).rev() {
-            masks.keep[i * n..(i + 1) * n].copy_from_slice(&keep);
-            masks.keep_anc[i * slots..(i + 1) * slots].copy_from_slice(&keep_anc);
-            let step = &plan.steps[i];
-            for &node in &compiled.subpaths[step.subpath].nodes {
+            let Some(next) = plan.steps.get(i + 1) else {
+                self.keep[i * n + compiled.twig.output] = true;
+                continue;
+            };
+            self.keep.copy_within((i + 1) * n..(i + 2) * n, i * n);
+            self.keep_anc.copy_within((i + 1) * slots..(i + 2) * slots, i * slots);
+            let keep = &mut self.keep[i * n..(i + 1) * n];
+            for &node in &compiled.subpaths[next.subpath].nodes {
                 keep[node] = true;
             }
-            if let Some(probe) = &step.probe {
+            if let Some(probe) = &next.probe {
                 keep[probe.anchor] = true;
             }
-            match &step.join {
+            match &next.join {
                 Some(JoinHow::SharedNode { shared, deepest }) => {
                     keep[*deepest] = true;
                     for &node in shared {
@@ -351,14 +411,13 @@ impl StepMasks {
                 Some(JoinHow::DescendantBound { upper, seg_root }) => {
                     keep[*upper] = true;
                     keep[*seg_root] = true;
-                    if let Some(slot) = masks.anc_slot(*seg_root) {
-                        keep_anc[slot] = true;
+                    if let Some(slot) = self.anc_nodes.iter().position(|n| n == seg_root) {
+                        self.keep_anc[i * slots + slot] = true;
                     }
                 }
                 None => {}
             }
         }
-        masks
     }
 
     /// The ancestor-list slot of twig node `node`, when a `//` join reads
@@ -667,13 +726,19 @@ impl QueryEngine {
         plan: &QueryPlan,
         strategy: Strategy,
     ) -> QueryAnswer {
-        self.answer_compiled_with(compiled, plan, strategy, None)
+        self.answer_compiled_with(compiled, &compiled.twig, plan, strategy, None)
     }
 
-    /// [`QueryEngine::answer_compiled`] with an optional [`Trace`].
-    /// This is the one place a twig is executed:
-    /// run the plan on this thread, and report its probe and row counts
-    /// and the page reads this thread made meanwhile as [`QueryMetrics`].
+    /// [`QueryEngine::answer_compiled`] for `twig`, a twig of the
+    /// cover's shape whose literals may differ from those `compiled` was
+    /// made from, with an optional [`Trace`]. This is the one place a
+    /// twig is executed: run the plan on this thread with `twig`'s
+    /// literals ([`SubpathSpec::literal`]), and report its probe and row
+    /// counts and the page reads this thread made meanwhile as
+    /// [`QueryMetrics`]. Neither the cover nor the twig is copied, and
+    /// the execution works in this thread's reused buffers. `Auto` is
+    /// ranked on the cover as compiled, the way a plan cache memoizes
+    /// the pick of a shape.
     ///
     /// With a trace, the same execution additionally appends `resolve`,
     /// `execute`, `step` and `materialize` spans to it, and nothing
@@ -682,6 +747,7 @@ impl QueryEngine {
     pub fn answer_compiled_with(
         &self,
         compiled: &CompiledTwig,
+        twig: &TwigPattern,
         plan: &QueryPlan,
         strategy: Strategy,
         mut trace: Option<&mut Trace>,
@@ -703,8 +769,8 @@ impl QueryEngine {
         let execute = trace.as_deref_mut().map(|t| t.begin("execute", strategy.label()));
         let before = IoStatsSnapshot::of_this_thread();
         let start = Instant::now();
-        let mut cx = Exec { trace, ..Exec::default() };
-        let ids = self.execute(compiled, plan, strategy, &mut cx);
+        let mut cx = Exec::take();
+        let ids = self.execute(compiled, twig, plan, strategy, &mut cx, trace.as_deref_mut());
         let elapsed = start.elapsed();
         let delta = IoStatsSnapshot::of_this_thread().since(&before);
         let metrics = QueryMetrics {
@@ -715,7 +781,8 @@ impl QueryEngine {
             elapsed,
         };
         let ran = if cx.ran_bound { PlanKind::IndexNestedLoop } else { PlanKind::Merge };
-        if let (Some(t), Some(e)) = (cx.trace, execute) {
+        cx.give_back();
+        if let (Some(t), Some(e)) = (trace, execute) {
             t.end(
                 e,
                 SpanCounters {
@@ -761,7 +828,7 @@ impl QueryEngine {
                     SpanCounters { rows: plan.steps.len() as u64, ..SpanCounters::default() },
                 );
                 let answer =
-                    self.answer_compiled_with(&compiled, &plan, strategy, Some(&mut trace));
+                    self.answer_compiled_with(&compiled, twig, &plan, strategy, Some(&mut trace));
                 let m = &answer.metrics;
                 trace.end(
                     q,
@@ -785,35 +852,19 @@ impl QueryEngine {
     /// (§5.2.1) while still paying the per-step walks on branching
     /// queries.
     pub(crate) fn needed_nodes(&self, compiled: &CompiledTwig, plan: &QueryPlan) -> Vec<bool> {
-        let mut seen = vec![0u32; compiled.twig.len()];
-        for sp in &compiled.subpaths {
-            for &node in &sp.nodes {
-                seen[node] += 1;
-            }
-        }
-        let mut needed: Vec<bool> = seen.iter().map(|&c| c > 1).collect();
-        needed[compiled.twig.output] = true;
-        for seg in &compiled.segments {
-            if let Some((upper, _)) = seg.parent {
-                needed[upper] = true;
-                needed[seg.root] = true;
-            }
-        }
-        for step in &plan.steps {
-            if let Some(probe) = &step.probe {
-                needed[probe.anchor] = true;
-            }
-        }
+        let mut needed = Vec::new();
+        needed_into(compiled, plan, &mut needed);
         needed
     }
 
-    /// Runs the plan: probe the first subpath, extend the rows by one
-    /// join (or INLJ probe) per further step, and let the last step write
-    /// the output id of each result into `cx.answer` instead of a row.
-    /// The one executor body — with `cx.trace` set it also records a
-    /// `step` span per plan step (per-step read and probe deltas) and a
-    /// `materialize` span around the output projection; every read of the
-    /// tally, `format!` and clock read that costs sits under that `Some`.
+    /// Runs the plan with `twig`'s literals: probe the first subpath,
+    /// extend the rows by one join (or INLJ probe) per further step, and
+    /// let the last step write the output id of each result into
+    /// `cx.answer` instead of a row. The one executor body — with a
+    /// `trace` it also records a `step` span per plan step (per-step read
+    /// and probe deltas) and a `materialize` span around the output
+    /// projection; every read of the tally, `format!` and clock read that
+    /// costs sits under that `Some`.
     ///
     /// A step that can run as BoundIndex probes is priced again here, by
     /// the planner's own cost function, on the distinct heads among the
@@ -824,9 +875,11 @@ impl QueryEngine {
     fn execute(
         &self,
         compiled: &CompiledTwig,
+        twig: &TwigPattern,
         plan: &QueryPlan,
         strategy: Strategy,
-        cx: &mut Exec<'_>,
+        cx: &mut Exec,
+        mut trace: Option<&mut Trace>,
     ) -> BTreeSet<u64> {
         // BoundIndex probes exist under DATAPATHS only; what one costs
         // follows the pages a descent of its tree fetches.
@@ -834,17 +887,29 @@ impl QueryEngine {
             (Strategy::DataPaths, Some((dp, _))) => Some(dp.tree().stats().height),
             _ => None,
         };
-        let needed = self.needed_nodes(compiled, plan);
+        // The masks and the rebound subpath are read while `cx` is lent
+        // to the steps: they sit beside it until the steps are done.
+        let mut masks = std::mem::take(&mut cx.masks);
+        masks.fill(compiled, plan);
+        let mut rebound = std::mem::take(&mut cx.rebound);
+        let needed = &masks.needed;
         let interior_needed =
             |sp: &SubpathSpec| sp.nodes[..sp.nodes.len() - 1].iter().any(|&n| needed[n]);
-        let masks = StepMasks::new(compiled, plan);
         let (width, slots) = (masks.n, masks.anc_nodes.len());
         cx.rows.reset(width, slots);
         cx.out.reset(width, slots);
         let last = plan.steps.len() - 1;
         for (i, step) in plan.steps.iter().enumerate() {
-            let sp = &compiled.subpaths[step.subpath];
-            let span = cx.trace.as_deref_mut().map(|t| {
+            let spec = &compiled.subpaths[step.subpath];
+            // A subpath whose literal the twig changes runs as a copy,
+            // made in a buffer the thread keeps.
+            let sp = if spec.literal(twig) == spec.q.value.as_deref() {
+                spec
+            } else {
+                rebound.rebind_from(spec, twig);
+                &rebound
+            };
+            let span = trace.as_deref_mut().map(|t| {
                 let reads = IoStatsSnapshot::of_this_thread();
                 (t.begin("step", ""), reads, cx.io.probes, cx.io.rows_fetched)
             });
@@ -860,10 +925,11 @@ impl QueryEngine {
                 how = "probe";
             } else {
                 if cx.rows.is_empty() {
-                    if let (Some(t), Some((token, ..))) = (cx.trace.as_deref_mut(), span) {
+                    if let (Some(t), Some((token, ..))) = (trace.as_deref_mut(), span) {
                         t.annotate(token, format!("#{i} skipped: empty input"));
                         t.end(token, SpanCounters::default());
                     }
+                    (cx.masks, cx.rebound) = (masks, rebound);
                     return BTreeSet::new();
                 }
                 // A branch is a pure existence filter when none of the
@@ -930,7 +996,7 @@ impl QueryEngine {
                 cx.rows.distinct(&mut cx.order, &mut cx.out);
             }
             if let (Some(t), Some((token, io_before, probes_before, fetched_before))) =
-                (cx.trace.as_deref_mut(), span)
+                (trace.as_deref_mut(), span)
             {
                 let io = IoStatsSnapshot::of_this_thread().since(&io_before);
                 let mut detail = format!("#{i} subpath {} {how}", step.subpath);
@@ -967,9 +1033,10 @@ impl QueryEngine {
                 );
             }
         }
+        (cx.masks, cx.rebound) = (masks, rebound);
         let out = compiled.twig.output;
         let span =
-            cx.trace.as_deref_mut().map(|t| t.begin("materialize", format!("output node {out}")));
+            trace.as_deref_mut().map(|t| t.begin("materialize", format!("output node {out}")));
         // The one materialization point: the last step's ids, each once.
         let answer = &mut cx.answer;
         answer.sort_unstable();
@@ -977,8 +1044,8 @@ impl QueryEngine {
         if answer.last() == Some(&UNBOUND) {
             answer.pop();
         }
-        let ids: BTreeSet<u64> = std::mem::take(answer).into_iter().collect();
-        if let (Some(t), Some(token)) = (cx.trace.as_deref_mut(), span) {
+        let ids: BTreeSet<u64> = answer.drain(..).collect();
+        if let (Some(t), Some(token)) = (trace, span) {
             t.end(token, SpanCounters { rows: ids.len() as u64, ..SpanCounters::default() });
         }
         ids
@@ -1081,7 +1148,7 @@ impl QueryEngine {
         interior: bool,
         masks: &StepMasks,
         emit: Option<usize>,
-        cx: &mut Exec<'_>,
+        cx: &mut Exec,
     ) {
         let full_root = lists_full_roots(strategy);
         let Exec { rows, arena, io, answer, .. } = cx;
@@ -1254,7 +1321,7 @@ impl QueryEngine {
         emit: Option<usize>,
         keep_anc: &[bool],
         masks: &StepMasks,
-        cx: &mut Exec<'_>,
+        cx: &mut Exec,
     ) -> (u64, u64) {
         let Exec { rows, out, arena, io, keys, marks, walked, cursors, answer, .. } = cx;
         let left = &*rows;
@@ -1400,7 +1467,7 @@ impl QueryEngine {
         value: Option<&str>,
         semi: bool,
         emit: Option<usize>,
-        cx: &mut Exec<'_>,
+        cx: &mut Exec,
     ) {
         let (dp, _) = self.dp.as_ref().expect("INLJ requires DATAPATHS");
         let recheck = value.filter(|v| value_needs_recheck(v));
@@ -1448,6 +1515,32 @@ impl QueryEngine {
             });
         }
         std::mem::swap(&mut cx.rows, &mut cx.out);
+    }
+}
+
+/// Writes [`QueryEngine::needed_nodes`] into `needed`.
+fn needed_into(compiled: &CompiledTwig, plan: &QueryPlan, needed: &mut Vec<bool>) {
+    needed.clear();
+    needed.resize(compiled.twig.len(), false);
+    // A node an earlier subpath binds too is a join key.
+    for (i, sp) in compiled.subpaths.iter().enumerate() {
+        for &node in &sp.nodes {
+            if compiled.subpaths[..i].iter().any(|earlier| earlier.nodes.contains(&node)) {
+                needed[node] = true;
+            }
+        }
+    }
+    needed[compiled.twig.output] = true;
+    for seg in &compiled.segments {
+        if let Some((upper, _)) = seg.parent {
+            needed[upper] = true;
+            needed[seg.root] = true;
+        }
+    }
+    for step in &plan.steps {
+        if let Some(probe) = &step.probe {
+            needed[probe.anchor] = true;
+        }
     }
 }
 
@@ -1622,9 +1715,9 @@ mod tests {
                 for full_joins in [false, true] {
                     let forced = Forced { bound_steps, full_joins };
                     let mut trace = Trace::new();
-                    let mut cx =
-                        Exec { forced: Some(forced), trace: Some(&mut trace), ..Exec::default() };
-                    let got = engine.execute(&compiled, &plan, strategy, &mut cx);
+                    let mut cx = Exec { forced: Some(forced), ..Exec::default() };
+                    let got =
+                        engine.execute(&compiled, twig, &plan, strategy, &mut cx, Some(&mut trace));
                     assert_eq!(got, expected, "{twig} via {strategy} {forced:?}");
                     if strategy == Strategy::DataPaths && bound_steps == 0 && !full_joins {
                         annotations = trace.spans().into_iter().map(|s| s.detail).collect();
@@ -1793,9 +1886,8 @@ mod tests {
             {
                 let mut trace = Trace::new();
                 let forced = Forced { bound_steps: 0, full_joins: false };
-                let mut cx =
-                    Exec { forced: Some(forced), trace: Some(&mut trace), ..Exec::default() };
-                e.execute(&compiled, &plan, strategy, &mut cx);
+                let mut cx = Exec { forced: Some(forced), ..Exec::default() };
+                e.execute(&compiled, &twig, &plan, strategy, &mut cx, Some(&mut trace));
                 let spans: Vec<_> =
                     trace.spans().into_iter().filter(|span| span.name == "step").collect();
                 let span = &spans[i];
@@ -1863,9 +1955,9 @@ mod tests {
             for strategy in [Strategy::RootPaths, Strategy::DataPaths] {
                 let mut trace = Trace::new();
                 let forced = Forced { bound_steps: 0, full_joins: false };
-                let mut cx =
-                    Exec { forced: Some(forced), trace: Some(&mut trace), ..Exec::default() };
-                assert_eq!(e.execute(&compiled, &plan, strategy, &mut cx), expected, "{xpath}");
+                let mut cx = Exec { forced: Some(forced), ..Exec::default() };
+                let got = e.execute(&compiled, &twig, &plan, strategy, &mut cx, Some(&mut trace));
+                assert_eq!(got, expected, "{xpath}");
                 let spans: Vec<_> =
                     trace.spans().into_iter().filter(|span| span.name == "step").collect();
                 let detail = &spans[i].detail;
@@ -1987,7 +2079,8 @@ mod tests {
             assert_eq!(plan.steps.len(), 1, "{xpath}");
             for strategy in Strategy::ALL {
                 let mut cx = Exec::default();
-                assert_eq!(e.execute(&compiled, &plan, strategy, &mut cx), expected, "{xpath}");
+                let got = e.execute(&compiled, &twig, &plan, strategy, &mut cx, None);
+                assert_eq!(got, expected, "{xpath}");
                 let written = cx.rows.len() + cx.out.len();
                 assert_eq!(written, 0, "{xpath} via {strategy}: rows written");
                 if matches!(strategy, Strategy::RootPaths | Strategy::DataPaths) {

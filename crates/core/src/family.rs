@@ -59,7 +59,7 @@ pub fn value_needs_recheck(v: &str) -> bool {
 /// A PCsubpath pattern (paper §2.2): a chain of parent-child steps, a
 /// permitted leading `//`, and an optional equality predicate on the leaf
 /// value of the final step.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct PcSubpathQuery {
     /// Step tags, root-most first.
     pub tags: Vec<TagId>,

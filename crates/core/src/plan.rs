@@ -429,7 +429,7 @@ fn probe_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::decompose;
+    use crate::decompose::{decompose, SubpathSpec};
     use crate::paths::PathStats;
     use crate::xpath::parse_xpath;
     use xtwig_xml::tree::fig1_book_document;
@@ -595,14 +595,18 @@ mod tests {
         // The executor's half: the same cached step, asked about the
         // common literal and the heads that really arrived, goes free.
         let common = parse_xpath("/db//rec[key = 'b'][val = 'payload']").unwrap();
-        let cc = c.rebind(&common);
+        let asked = |step: &PlanStep| {
+            let mut sp = SubpathSpec::default();
+            sp.rebind_from(&c.subpaths[step.subpath], &common);
+            sp.q
+        };
         let step = &plan.steps[2];
-        let again = step.reprice(30, &cc.subpaths[step.subpath].q, &stats, 3);
+        let again = step.reprice(30, &asked(step), &stats, 3);
         assert_eq!(again.heads, 30);
         assert_eq!(again.method(), Method::Free);
         let step = &plan.steps[1];
         assert_eq!(step.structural, 41, "every `//rec/key`, whatever its value");
-        let again = step.reprice(1, &cc.subpaths[step.subpath].q, &stats, 3);
+        let again = step.reprice(1, &asked(step), &stats, 3);
         assert_eq!(again.bound_rows, 30, "re-estimated for the literal asked for");
     }
 

@@ -314,12 +314,11 @@ impl RootPaths {
     fn probe_prefix(&self, q: &PcSubpathQuery) -> Vec<u8> {
         let mut key = KeyBuf::new();
         push_value_part(&mut key, q.value.as_deref());
-        let mut path = Vec::with_capacity(q.tags.len() + 1);
-        designator::push_path_reversed(&mut path, &q.tags);
+        let path = key.raw_mut();
+        designator::push_path_reversed(path, &q.tags);
         if q.anchored {
             path.push(designator::TERMINATOR);
         }
-        key.push_raw(&path);
         key.finish()
     }
 

@@ -65,6 +65,18 @@ impl BindingTable {
         self.anc.clear();
     }
 
+    /// Empties the table, and frees its vectors when they hold more
+    /// than `bytes` between them.
+    pub fn keep(&mut self, bytes: usize) {
+        let held = self.ids.capacity() * std::mem::size_of::<u64>()
+            + self.anc.capacity() * std::mem::size_of::<AncList>();
+        if held > bytes {
+            *self = BindingTable::default();
+        } else {
+            self.clear();
+        }
+    }
+
     /// Empties the table, keeping its shape.
     pub fn clear(&mut self) {
         self.reset(self.width, self.anc_width);

@@ -16,9 +16,11 @@
 //!   `&TwigService`.
 //! * **Plan cache** — keyed by canonicalized twig *shape* (tags, axes,
 //!   value-predicate structure, output node), so repeated shapes skip
-//!   `decompose`/`choose_plan` and differ only in the literals rebound
-//!   into the cached cover (parameterized-plan semantics; the shape
-//!   reuse argument follows the tree-pattern survey literature).
+//!   `decompose`/`choose_plan` and differ only in the literals the
+//!   executor reads from each request's own twig (parameterized-plan
+//!   semantics; the shape reuse argument follows the tree-pattern
+//!   survey literature). Both caches are keyed by the request's
+//!   [`Fingerprint`], computed once per request without allocating.
 //! * **Result cache** — an LRU over exact queries, one per engine
 //!   epoch: every committed [`TwigService::apply_update`] publishes its
 //!   epoch with an empty cache, and an answer is cached in the epoch it
@@ -82,4 +84,4 @@ pub use metrics::{ServiceSnapshot, SlowQuery, StrategyCostSnapshot};
 pub use service::{
     RequestCtx, ServiceAnswer, ServiceError, ServiceOptions, SharedEngine, TwigService, UpdateOp,
 };
-pub use shape::{exact_key, shape_key};
+pub use shape::{shape_label, Fingerprint};

@@ -7,10 +7,12 @@
 //! as Prometheus text ([`ServiceSnapshot::to_prometheus`]) alike.
 
 use crate::cache::CacheStats;
+use crate::shape::FoldState;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use xtwig_core::{QueryMetrics, Strategy};
 use xtwig_storage::IoStatsSnapshot;
@@ -69,6 +71,13 @@ pub struct SlowQuery {
     pub peer: String,
 }
 
+/// One shape's counters, under the label its plan-cache entry rendered.
+struct ShapeRow {
+    label: Arc<str>,
+    executed: u64,
+    total_micros: u64,
+}
+
 /// The live counters of one service. The service bumps the scalar
 /// counters in place; everything else goes through the methods.
 #[derive(Default)]
@@ -83,8 +92,8 @@ pub(crate) struct Metrics {
     /// Result-cache entries of the epochs updates displaced.
     pub(crate) result_invalidated: AtomicU64,
     strategies: [StrategySlot; Strategy::ALL.len()], // indexed as Strategy::ALL
-    /// `(executed, total_micros)` per shape key.
-    shapes: Mutex<HashMap<String, (u64, u64)>>,
+    /// Each shape's row, keyed by its shape fingerprint.
+    shapes: Mutex<HashMap<u64, ShapeRow, FoldState>>,
     shape_overflow: AtomicU64,
     slow: Mutex<VecDeque<SlowQuery>>,
     slow_total: AtomicU64,
@@ -114,8 +123,15 @@ impl Metrics {
     }
 
     /// Accounts one executed query: its costs and latency under its
-    /// concrete `strategy`, its latency under its `shape` key.
-    pub(crate) fn record(&self, strategy: Strategy, shape: String, metrics: &QueryMetrics) {
+    /// concrete `strategy`, its latency under its shape — fingerprint
+    /// `shape`, labelled `label`.
+    pub(crate) fn record(
+        &self,
+        strategy: Strategy,
+        shape: u64,
+        label: &Arc<str>,
+        metrics: &QueryMetrics,
+    ) {
         let micros = micros(metrics.elapsed);
         if let Some(slot) = self.slot(strategy) {
             for (counter, n) in [
@@ -136,13 +152,31 @@ impl Metrics {
             }
         }
         let mut shapes = self.shapes.lock();
-        if let Some((executed, total)) = shapes.get_mut(&shape) {
-            *executed += 1;
-            *total += micros;
-        } else if shapes.len() < SHAPE_CAPACITY {
-            shapes.insert(shape, (1, micros));
-        } else {
-            self.shape_overflow.fetch_add(1, Ordering::Relaxed);
+        // A row held by another shape under the same fingerprint sends
+        // this one on to the next key: two shapes never share a row.
+        // The label is the plan-cache entry's `Arc`, so comparing it is
+        // a pointer check unless the shape was admitted again since.
+        let full = shapes.len() >= SHAPE_CAPACITY;
+        let mut key = shape;
+        loop {
+            match shapes.get_mut(&key) {
+                Some(row) if row.label == *label => {
+                    row.executed += 1;
+                    row.total_micros += micros;
+                }
+                Some(_) => {
+                    key = key.wrapping_add(1);
+                    continue;
+                }
+                None if full => {
+                    self.shape_overflow.fetch_add(1, Ordering::Relaxed);
+                }
+                None => {
+                    let row = ShapeRow { label: label.clone(), executed: 1, total_micros: micros };
+                    shapes.insert(key, row);
+                }
+            }
+            break;
         }
     }
 
@@ -199,8 +233,9 @@ impl Metrics {
                 total_micros: load(&s.total_micros),
             })
             .collect();
-        let mut shapes: Vec<_> =
-            (self.shapes.lock().iter()).map(|(k, &(n, us))| (k.clone(), n, us)).collect();
+        let mut shapes: Vec<_> = (self.shapes.lock().values())
+            .map(|row| (row.label.to_string(), row.executed, row.total_micros))
+            .collect();
         shapes.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         ServiceSnapshot {
             submitted: load(&self.submitted),
@@ -545,6 +580,12 @@ mod tests {
     use xtwig_core::parse_xpath;
     use xtwig_xml::tree::fig1_book_document;
 
+    /// Accounts one run under the shape labelled `label`.
+    fn record(m: &Metrics, strategy: Strategy, label: &str, metrics: &QueryMetrics) {
+        let shape = xtwig_storage::hash::hash_bytes(0, label.as_bytes());
+        m.record(strategy, shape, &Arc::from(label), metrics);
+    }
+
     fn run(micros: u64) -> QueryMetrics {
         QueryMetrics {
             probes: 3,
@@ -575,7 +616,7 @@ mod tests {
     fn latency_buckets_and_percentiles() {
         let m = Metrics::default();
         for micros in [1u64, 2, 3, 700, 900, 1_500] {
-            m.record(Strategy::RootPaths, "s".into(), &run(micros));
+            record(&m, Strategy::RootPaths, "s", &run(micros));
         }
         let s = m.snapshot().costs.remove(0);
         assert_eq!(s.executed, 6);
@@ -588,7 +629,7 @@ mod tests {
     #[test]
     fn a_power_of_two_sample_counts_under_its_own_le_bound() {
         let m = Metrics::default();
-        m.record(Strategy::RootPaths, "s".into(), &run(2));
+        record(&m, Strategy::RootPaths, "s", &run(2));
         let snapshot = m.snapshot();
         let rp = snapshot.costs.first().unwrap();
         assert_eq!((rp.percentile_micros(0.50), rp.percentile_micros(0.95)), (2, 2));
@@ -602,13 +643,13 @@ mod tests {
         assert_eq!((bucket("1"), bucket("2"), bucket("4")), ("0".into(), "1".into(), "1".into()));
         // The bounds are inclusive on every rung, and 0 µs sits under le="1".
         for micros in [0, 1, 4, 1_024] {
-            m.record(Strategy::Edge, "s".into(), &run(micros));
+            record(&m, Strategy::Edge, "s", &run(micros));
         }
         // A run between two rungs counts under the next one up: 2.5 µs is
         // above le="2", and 1.9 µs above le="1".
         for nanos in [2_500, 1_900] {
             let elapsed = Duration::from_nanos(nanos);
-            m.record(Strategy::Edge, "s".into(), &QueryMetrics { elapsed, ..run(0) });
+            record(&m, Strategy::Edge, "s", &QueryMetrics { elapsed, ..run(0) });
         }
         let edge = m.snapshot().costs.into_iter().find(|c| c.strategy == Strategy::Edge).unwrap();
         assert_eq!(edge.buckets[..12], [2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0]);
@@ -617,8 +658,8 @@ mod tests {
     #[test]
     fn cost_counters_accumulate_per_strategy() {
         let m = Metrics::default();
-        m.record(Strategy::RootPaths, "s".into(), &run(5));
-        m.record(Strategy::RootPaths, "s".into(), &run(5));
+        record(&m, Strategy::RootPaths, "s", &run(5));
+        record(&m, Strategy::RootPaths, "s", &run(5));
         m.record_auto_pick(Strategy::RootPaths);
         m.record_auto_pick(Strategy::Edge);
         let costs = m.snapshot().costs;
@@ -650,7 +691,7 @@ mod tests {
     #[test]
     fn snapshot_json_is_well_formed_enough() {
         let m = Metrics::default();
-        m.record(Strategy::Edge, "s".into(), &QueryMetrics { physical_reads: 1, ..run(42) });
+        record(&m, Strategy::Edge, "s", &QueryMetrics { physical_reads: 1, ..run(42) });
         let snap = ServiceSnapshot {
             submitted: 1,
             completed: 1,
@@ -771,13 +812,13 @@ mod tests {
     fn shape_map_bounds_and_overflows() {
         let m = Metrics::default();
         for i in 0..SHAPE_CAPACITY + 3 {
-            m.record(Strategy::RootPaths, format!("shape{i}"), &run(10));
+            record(&m, Strategy::RootPaths, &format!("shape{i}"), &run(10));
         }
         let snapshot = m.snapshot();
         assert_eq!(snapshot.shapes.len(), SHAPE_CAPACITY);
         assert_eq!(snapshot.shape_overflow, 3);
         // Existing shapes keep accumulating after the map fills.
-        m.record(Strategy::RootPaths, "shape0".into(), &run(5));
+        record(&m, Strategy::RootPaths, "shape0", &run(5));
         let row = m.snapshot().shapes.into_iter().find(|s| s.0 == "shape0").unwrap();
         assert_eq!((row.1, row.2), (2, 15));
     }
@@ -786,9 +827,22 @@ mod tests {
     fn shapes_sort_busiest_first_then_by_name() {
         let m = Metrics::default();
         for shape in ["b", "a", "a", "c"] {
-            m.record(Strategy::RootPaths, shape.into(), &run(1));
+            record(&m, Strategy::RootPaths, shape, &run(1));
         }
         let shapes = m.snapshot().shapes;
         assert_eq!(shapes.iter().map(|s| s.0.as_str()).collect::<Vec<_>>(), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn two_shapes_under_one_fingerprint_never_share_a_label() {
+        let m = Metrics::default();
+        let (a, b) = (Arc::<str>::from("a"), Arc::<str>::from("b"));
+        m.record(Strategy::RootPaths, 7, &a, &run(1));
+        m.record(Strategy::RootPaths, 7, &b, &run(2));
+        m.record(Strategy::RootPaths, 7, &a, &run(3));
+        // A shape admitted again brings its label in a new `Arc`.
+        m.record(Strategy::RootPaths, 7, &Arc::from("b"), &run(4));
+        let shapes = m.snapshot().shapes;
+        assert_eq!(shapes, [("a".to_owned(), 2, 4), ("b".to_owned(), 2, 6)]);
     }
 }

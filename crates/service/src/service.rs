@@ -33,7 +33,7 @@ use crate::admission::Admission;
 use crate::cache::{PlanCache, Resolved, ResultCache};
 use crate::events::{Event, EventJournal, EVENT_CAPACITY};
 use crate::metrics::{micros, Metrics, ServiceSnapshot, SlowQuery};
-use crate::shape::exact_key;
+use crate::shape::Fingerprint;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -530,10 +530,11 @@ impl TwigService {
 }
 
 /// The one lookup path: answers `twig` against a pinned epoch, which
-/// the door has checked has `strategy` built. A result computed here is
-/// cached in the pinned epoch's own result cache, so an update that
-/// publishes the next epoch mid-execution never sees it. Result-cache
-/// hits return without executing at all.
+/// the door has checked has `strategy` built. The twig's fingerprint is
+/// computed here, once, and keys every cache lookup the request makes.
+/// A result computed here is cached in the pinned epoch's own result
+/// cache, so an update that publishes the next epoch mid-execution never
+/// sees it. Result-cache hits return without executing at all.
 fn answer_pinned(
     shared: &Shared,
     epoch: &EngineEpoch,
@@ -541,14 +542,14 @@ fn answer_pinned(
     strategy: Strategy,
     ctx: &RequestCtx,
 ) -> ServiceAnswer {
-    let key = exact_key(twig);
+    let key = Fingerprint::of(twig);
     // Concrete strategies check the result cache before touching the
     // engine. Auto must compile (cheap on a plan-cache hit) to learn
     // its concrete key first — see `answer_miss`. A sampled request
     // skips the cache: the client asked for a trace of a real
     // execution, so a cache hit would return nothing to trace.
     if !strategy.is_auto() && !ctx.sample {
-        if let Some(hit) = cached_answer(shared, epoch, &key, strategy) {
+        if let Some(hit) = cached_answer(shared, epoch, key, twig, strategy) {
             return hit;
         }
     }
@@ -560,10 +561,11 @@ fn answer_pinned(
 fn cached_answer(
     shared: &Shared,
     epoch: &EngineEpoch,
-    key: &str,
+    key: Fingerprint,
+    twig: &TwigPattern,
     strategy: Strategy,
 ) -> Option<ServiceAnswer> {
-    let hit = epoch.results.get(key, strategy);
+    let hit = epoch.results.get(key.exact, twig, strategy);
     let metrics = &shared.metrics;
     let counter = if hit.is_some() { &metrics.result_hits } else { &metrics.result_misses };
     counter.fetch_add(1, Ordering::Relaxed);
@@ -575,18 +577,19 @@ fn cached_answer(
 /// plan cache — an Auto request resolves to its shape's memoized
 /// concrete pick), check/fill the result cache *under the resolved
 /// strategy* (so auto and explicit requests for one query share
-/// entries), execute, and record latency and cost counters.
+/// entries), execute the shape's shared plan with this twig's literals,
+/// and record latency and cost counters.
 fn answer_miss(
     shared: &Shared,
     epoch: &EngineEpoch,
     twig: &TwigPattern,
     requested: Strategy,
-    key: String,
+    key: Fingerprint,
     ctx: &RequestCtx,
 ) -> ServiceAnswer {
     let engine = &epoch.engine;
-    let Resolved { compiled, plan, strategy, shape } =
-        match shared.plan_cache.compile_resolved(engine, twig, requested) {
+    let Resolved { entry, strategy } =
+        match shared.plan_cache.compile_resolved(engine, twig, key.shape, requested) {
             // Unknown tag: the answer is necessarily empty (§2.2); still
             // cacheable in the pinned epoch when the request
             // named a concrete strategy (nothing resolved, nothing
@@ -597,7 +600,7 @@ fn answer_miss(
             Err(_) => {
                 let ids = Arc::new(BTreeSet::new());
                 if !requested.is_auto() {
-                    epoch.results.insert(key, requested, ids.clone(), PlanKind::Merge);
+                    epoch.results.insert(key.exact, twig, requested, ids.clone(), PlanKind::Merge);
                 }
                 return ServiceAnswer {
                     ids,
@@ -615,7 +618,7 @@ fn answer_miss(
         // auto request or an explicit one). A sampled request skips
         // the hit for the same reason `answer_pinned` does.
         if !ctx.sample {
-            if let Some(hit) = cached_answer(shared, epoch, &key, strategy) {
+            if let Some(hit) = cached_answer(shared, epoch, key, twig, strategy) {
                 return hit;
             }
         }
@@ -627,8 +630,9 @@ fn answer_miss(
     // serves the request, cold reads included.
     let slow_log = shared.metrics.slow_threshold.is_some();
     let mut trace = (ctx.sample || slow_log).then(xtwig_core::Trace::new);
-    let answer = engine.answer_compiled_with(&compiled, &plan, strategy, trace.as_mut());
-    shared.metrics.record(strategy, shape, &answer.metrics);
+    let answer =
+        engine.answer_compiled_with(&entry.compiled, twig, &entry.plan, strategy, trace.as_mut());
+    shared.metrics.record(strategy, key.shape, &entry.label, &answer.metrics);
     let slow = shared.metrics.is_slow(answer.metrics.elapsed);
     if let Some(trace) = trace.filter(|_| slow || ctx.sample) {
         let micros = micros(answer.metrics.elapsed);
@@ -652,7 +656,7 @@ fn answer_miss(
         }
     }
     let ids = Arc::new(answer.ids);
-    epoch.results.insert(key, strategy, ids.clone(), answer.plan);
+    epoch.results.insert(key.exact, twig, strategy, ids.clone(), answer.plan);
     ServiceAnswer { ids, plan: answer.plan, strategy, from_cache: false, metrics: answer.metrics }
 }
 

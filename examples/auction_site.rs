@@ -13,7 +13,7 @@ use xtwig::datagen::{generate_xmark, xmark_queries, XmarkConfig};
 use xtwig::xml::XmlForest;
 
 fn main() {
-    let scale: f64 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(0.01);
+    let scale = xtwig::bench::scale_from_first_arg("auction_site", 0.01);
     let mut forest = XmlForest::new();
     println!("generating XMark-like data at scale {scale} …");
     let profile = generate_xmark(&mut forest, XmarkConfig { scale, seed: 0xA0C });

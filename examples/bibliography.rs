@@ -12,7 +12,7 @@ use xtwig::datagen::{generate_dblp, DblpConfig};
 use xtwig::xml::XmlForest;
 
 fn main() {
-    let scale: f64 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(0.02);
+    let scale = xtwig::bench::scale_from_first_arg("bibliography", 0.02);
     let mut forest = XmlForest::new();
     println!("generating DBLP-like data at scale {scale} …");
     let profile = generate_dblp(&mut forest, DblpConfig { scale, seed: 0xD0B5 });

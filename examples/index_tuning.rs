@@ -26,7 +26,7 @@ fn mb(bytes: u64) -> f64 {
 }
 
 fn main() {
-    let scale: f64 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(0.01);
+    let scale = xtwig::bench::scale_from_first_arg("index_tuning", 0.01);
     let mut forest = XmlForest::new();
     let profile = generate_xmark(&mut forest, XmarkConfig { scale, seed: 1 });
     let forest = Arc::new(forest);

@@ -9,6 +9,14 @@
 //! load allocates by the page, and a DATAPATHS build by the page and the
 //! shard, not by the row. A commit's engine fork allocates for the two
 //! structures maintenance writes, not for the five it never does.
+//!
+//! Each thread keeps its executor's buffers between executions, so a
+//! warm thread grows none of them again. The per-execution budgets are
+//! therefore measured on a fresh thread ([`on_fresh_thread`]), where a
+//! join that held its right side would still have to grow a buffer for
+//! it. The warm budgets at the end pin what a request costs beyond its
+//! execution: the service's bookkeeping, and the executor's own fixed
+//! part once its buffers are warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -72,6 +80,13 @@ struct Alloc {
     bytes: u64,
 }
 
+/// [`allocations_of`] on a thread of its own, whose executor buffers
+/// are cold: every buffer `f` grows is counted, however warm the
+/// calling thread's are.
+fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> (T, Alloc) {
+    std::thread::scope(|s| s.spawn(|| allocations_of(f)).join().expect("the measured run"))
+}
+
 /// The constant part of the budget: step masks, probe keys and the
 /// first allocation of each scratch vector. Measured over the 45 cells
 /// below, `allocations - rows_fetched / 2` peaks at 25 (Q13x under
@@ -96,8 +111,9 @@ fn answering_a_twig_allocates_by_the_step_not_by_the_row() {
     for q in xmark_queries() {
         let (compiled, plan) = engine.compile(&q.twig()).expect("workload tags exist");
         for s in strategies {
-            let (first, allocs) = allocations_of(|| engine.answer_compiled(&compiled, &plan, s));
-            let (second, again) = allocations_of(|| engine.answer_compiled(&compiled, &plan, s));
+            let answer = || engine.answer_compiled(&compiled, &plan, s);
+            let (first, allocs) = on_fresh_thread(answer);
+            let (second, again) = on_fresh_thread(answer);
             let (allocs, again) = (allocs.count, again.count);
             assert_eq!(first.ids, second.ids);
             let rows = first.metrics.rows_fetched;
@@ -145,8 +161,9 @@ fn the_edge_family_allocates_by_the_probe_not_by_the_match() {
     for q in xmark_queries() {
         let (compiled, plan) = engine.compile(&q.twig()).expect("workload tags exist");
         for s in strategies {
-            let (first, allocs) = allocations_of(|| engine.answer_compiled(&compiled, &plan, s));
-            let (second, again) = allocations_of(|| engine.answer_compiled(&compiled, &plan, s));
+            let answer = || engine.answer_compiled(&compiled, &plan, s);
+            let (first, allocs) = on_fresh_thread(answer);
+            let (second, again) = on_fresh_thread(answer);
             let (allocs, again) = (allocs.count, again.count);
             assert_eq!(first.ids, second.ids);
             let (probes, rows) = (first.metrics.probes, first.metrics.rows_fetched);
@@ -216,7 +233,7 @@ fn a_join_never_holds_its_right_side() {
         let (compiled, plan) = engine.compile(&twig).expect("workload tags exist");
         let answer = || engine.answer_compiled(&compiled, &plan, Strategy::RootPaths);
         let warm = answer();
-        let (again, alloc) = allocations_of(answer);
+        let (again, alloc) = on_fresh_thread(answer);
         assert_eq!(warm.ids, again.ids);
         let rows = again.metrics.rows_fetched;
         if report {
@@ -273,7 +290,7 @@ fn a_one_step_scan_writes_ids_not_rows() {
     assert_eq!(plan.steps.len(), 1, "{xpath}: one step");
     let answer = || engine.answer_compiled(&compiled, &plan, Strategy::RootPaths);
     let warm = answer();
-    let (again, alloc) = allocations_of(answer);
+    let (again, alloc) = on_fresh_thread(answer);
     assert_eq!(warm.ids, again.ids);
     let rows = again.metrics.rows_fetched;
     if std::env::var_os("ALLOC_BUDGET_REPORT").is_some() {
@@ -386,4 +403,125 @@ fn a_fork_allocates_for_what_it_writes() {
         println!("fork: all seven {all} allocations, RP+DP {maintained}");
     }
     assert!(all <= maintained + 4, "{all} allocations (RP+DP alone: {maintained})");
+}
+
+/// The XMark forest the warm budgets run on, and its queries.
+fn xmark_002() -> XmlForest {
+    let mut forest = XmlForest::new();
+    generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
+    forest
+}
+
+/// A served request pays for its query, not its bookkeeping: with the
+/// result cache off and the plan cached, `TwigService::execute` makes
+/// at most 6 allocations more than `answer_compiled_with` of the same
+/// plan on the same warm thread — the shared answer set, and nothing per
+/// node, literal or shape of the twig. Before the requests were keyed
+/// by an allocation-free fingerprint and the cached cover was read in
+/// place, the service made 32–68 more: two `String` keys rendered with
+/// `Debug` formatting, and a copy of the cover and twig per request.
+#[test]
+fn a_served_request_allocates_little_beyond_its_execution() {
+    use std::collections::HashMap;
+    use xtwig::service::{Fingerprint, ServiceOptions, TwigService};
+    let options = EngineOptions { pool_pages: 8192, ..Default::default() };
+    let service = TwigService::build(
+        xmark_002(),
+        options,
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
+    );
+    let report = std::env::var_os("ALLOC_BUDGET_REPORT").is_some();
+    // The plan cache keeps the plan of the first twig of each shape it
+    // sees (Q6x runs Q4x's), and every later twig of the shape runs it.
+    let mut first_of_shape = HashMap::new();
+    for q in xmark_queries() {
+        let twig = q.twig();
+        let first = first_of_shape.entry(Fingerprint::of(&twig).shape).or_insert(q.twig());
+        let (compiled, plan) =
+            service.with_engine(|engine| engine.compile(first).expect("workload tags exist"));
+        for s in Strategy::ALL {
+            let serve = || service.execute(&twig, s).expect("served");
+            serve();
+            serve();
+            let (served, request) = allocations_of(serve);
+            let (direct, execution) = service.with_engine(|engine| {
+                let answer = || engine.answer_compiled_with(&compiled, &twig, &plan, s, None);
+                answer();
+                allocations_of(answer)
+            });
+            assert!(!served.from_cache);
+            assert_eq!(*served.ids, direct.ids, "{} under {s}", q.id);
+            let (request, execution) = (request.count, execution.count);
+            if report {
+                println!("{:5} {:8} served {request:5} executed {execution:5}", q.id, s.label());
+            }
+            assert!(
+                request <= execution + 6,
+                "{} under {s}: a served request made {request} allocations, its execution \
+                 {execution}",
+                q.id
+            );
+        }
+    }
+}
+
+/// A result-cache hit allocates at most twice, under `Strategy::Auto`
+/// too, which resolves its pick through the plan cache first: the
+/// lookup hashes nothing into a key of its own, and the recency list
+/// moves no entry on a hit. Before, a hit made 33–69 allocations.
+#[test]
+fn a_result_cache_hit_allocates_at_most_twice() {
+    use xtwig::service::{ServiceOptions, TwigService};
+    let options = EngineOptions { pool_pages: 8192, ..Default::default() };
+    let service = TwigService::build(xmark_002(), options, ServiceOptions::default());
+    let report = std::env::var_os("ALLOC_BUDGET_REPORT").is_some();
+    for q in xmark_queries() {
+        let twig = q.twig();
+        let serve = || service.execute(&twig, Strategy::Auto).expect("served");
+        let miss = serve();
+        assert!(!miss.from_cache, "{}", q.id);
+        serve();
+        let (hit, alloc) = allocations_of(serve);
+        assert!(hit.from_cache, "{}", q.id);
+        assert_eq!(hit.ids, miss.ids, "{}", q.id);
+        if report {
+            println!("{:5} auto hit {:3}", q.id, alloc.count);
+        }
+        assert!(alloc.count <= 2, "{}: a result-cache hit made {} allocations", q.id, alloc.count);
+    }
+}
+
+/// A warm execution grows no buffer: the thread's executor scratch
+/// already holds them, so a second `answer_compiled` on the same
+/// thread allocates at most 8 times more than collecting its answer
+/// into a `BTreeSet` does — the step masks, probe keys and the like.
+/// Before the scratch lived with the thread, every execution grew its
+/// buffers from empty: up to 28 more (Q13x).
+#[test]
+fn a_warm_execution_allocates_little_beyond_its_answer_set() {
+    use std::collections::BTreeSet;
+    let strategies = [Strategy::RootPaths, Strategy::DataPaths, Strategy::Asr];
+    let engine = QueryEngine::build(
+        Arc::new(xmark_002()),
+        EngineOptions { strategies: strategies.to_vec(), pool_pages: 8192, ..Default::default() },
+    );
+    let report = std::env::var_os("ALLOC_BUDGET_REPORT").is_some();
+    for q in xmark_queries() {
+        let (compiled, plan) = engine.compile(&q.twig()).expect("workload tags exist");
+        for s in strategies {
+            let answer = || engine.answer_compiled(&compiled, &plan, s);
+            answer();
+            let (warm, alloc) = allocations_of(answer);
+            let (_, set) = allocations_of(|| warm.ids.iter().copied().collect::<BTreeSet<u64>>());
+            let (alloc, set) = (alloc.count, set.count);
+            if report {
+                println!("{:5} {:4} warm {alloc:5} answer set {set:5}", q.id, s.label());
+            }
+            assert!(
+                alloc <= set + 8,
+                "{} under {s}: a warm execution made {alloc} allocations, its answer set {set}",
+                q.id
+            );
+        }
+    }
 }

@@ -571,3 +571,31 @@ fn counters_stay_monotonic_under_concurrent_scrapers() {
         }
     });
 }
+
+/// A scraper reads a shape under the label it always has: the label
+/// of a known query — the `Debug`-quoted tags, axes and value positions
+/// of its shape — is pinned byte for byte in the Prometheus text and in
+/// the stats JSON, and a query of the same shape with other literals
+/// counts under it.
+#[test]
+fn a_shape_keeps_its_label() {
+    let service = TwigService::build(
+        fig1_book_document(),
+        EngineOptions { pool_pages: 256, ..Default::default() },
+        ServiceOptions { result_cache_capacity: 0, ..Default::default() },
+    );
+    for q in [
+        "/book[title='XML']//author[fn='jane'][ln='doe']",
+        "/book[title='SQL']//author[fn='john'][ln='roe']",
+    ] {
+        service.execute(&parse_xpath(q).unwrap(), Strategy::RootPaths).unwrap();
+    }
+    let label = r#"/@2;"book"|/1|//2;"title"=?;"author"|/3|/4;"fn"=?;"ln"=?"#;
+    let text = service.metrics_text();
+    let samples: Vec<&str> =
+        text.lines().filter(|l| l.starts_with("xtwig_shape_queries_total{")).collect();
+    let escaped = label.replace('"', "\\\"");
+    assert_eq!(samples, [format!("xtwig_shape_queries_total{{shape=\"{escaped}\"}} 2")]);
+    let json = service.stats().to_json("");
+    assert!(json.contains(&format!("{{\"shape\": \"{escaped}\", \"executed\": 2,")), "{json}");
+}
