@@ -3,19 +3,19 @@
 //! `BTreeOptions::prefix_truncation` governs both halves of it: shortest
 //! separators in interior nodes, and each leaf's common key prefix
 //! stored once per leaf. Off, every separator is a whole key and every
-//! leaf prefix empty.
+//! leaf prefix empty. Fails unless truncation saves pages.
+//!
+//! Run with: `cargo run --release -p xtwig-bench --bin ablation_prefix [-- --quick]`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::Duration;
-use xtwig_bench::xmark_forest;
+use xtwig_bench::{time_per_call, xmark_forest};
 use xtwig_btree::BTreeOptions;
 use xtwig_core::family::{PathIndex, PcSubpathQuery};
 use xtwig_core::rootpaths::{RootPaths, RootPathsOptions};
 use xtwig_storage::BufferPool;
 
-fn bench_prefix_truncation(c: &mut Criterion) {
+fn main() {
     let (forest, _) = xmark_forest(0.01);
     let build = |trunc: bool| {
         RootPaths::build(
@@ -36,25 +36,16 @@ fn bench_prefix_truncation(c: &mut Criterion) {
     );
     assert!(with.space_bytes() < without.space_bytes(), "prefix truncation saved no page");
     let q = PcSubpathQuery::resolve(forest.dict(), &["person", "name"], false, None).unwrap();
-    let mut group = c.benchmark_group("ablation_prefix_truncation");
-    group.sample_size(30);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(400));
+    println!("## ablation_prefix_truncation: one FreeIndex probe of //person/name");
     let mut ids = Vec::new();
     for (name, index) in [("truncated", &with), ("full-keys", &without)] {
-        group.bench_with_input(BenchmarkId::new(name, "probe"), &q, |b, q| {
-            b.iter(|| {
-                let mut n = 0;
-                index.for_each_free(q, &mut ids, None, false, |_, _| {
-                    n += 1;
-                    ControlFlow::Continue(())
-                });
-                n
-            })
+        time_per_call(&format!("{name}/probe"), 30, || {
+            let mut n = 0;
+            index.for_each_free(&q, &mut ids, None, false, |_, _| {
+                n += 1;
+                ControlFlow::Continue(())
+            });
+            n
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_prefix_truncation);
-criterion_main!(benches);

@@ -27,19 +27,12 @@ fn main() {
     println!();
     let mut dp_rp_ratios = Vec::new();
     for (name, forest) in [("XMark", xmark_forest(scale).0), ("DBLP", dblp_forest(scale).0)] {
+        let text_mb = mb(forest.approx_text_bytes());
         let e = engine(forest, &Strategy::ALL);
         let sizes: Vec<f64> = Strategy::ALL.iter().map(|&s| mb(e.space_bytes(s))).collect();
         println!(
             "{:<8} {:>10.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
-            name,
-            mb(e.forest().approx_text_bytes()),
-            sizes[0],
-            sizes[1],
-            sizes[2],
-            sizes[3],
-            sizes[4],
-            sizes[5],
-            sizes[6]
+            name, text_mb, sizes[0], sizes[1], sizes[2], sizes[3], sizes[4], sizes[5], sizes[6]
         );
         // Shape assertions from the paper's table.
         let (rp, dp, edge, dg, iff, asr, ji) =

@@ -241,6 +241,40 @@ pub fn dump_json(name: &str, rows: &[Measurement]) {
     println!("\n[results written to {}]", path.display());
 }
 
+/// True when argv holds `--quick`: the timing binaries (`build_time`,
+/// `ablation_idlist`, `ablation_prefix`) then take 3 samples, enough
+/// for a smoke run.
+pub fn quick_from_args() -> bool {
+    std::env::args().any(|a| a == "--quick")
+}
+
+/// Times `routine` by the wall clock and prints its time per call under
+/// `label`: one warm-up call sizes a batch of calls to about a
+/// millisecond, then `samples` batches (3 under `--quick`) are timed,
+/// and the fastest and the median batch are reported per call.
+pub fn time_per_call<R>(label: &str, samples: usize, mut routine: impl FnMut() -> R) {
+    let samples = if quick_from_args() { samples.min(3) } else { samples }.max(1);
+    let start = Instant::now();
+    std::hint::black_box(routine());
+    let once = start.elapsed().as_nanos().max(1);
+    let batch = (Duration::from_millis(1).as_nanos() / once).clamp(1, 1 << 20) as u32;
+    let mut per_call: Vec<Duration> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..batch {
+                std::hint::black_box(routine());
+            }
+            start.elapsed() / batch
+        })
+        .collect();
+    per_call.sort_unstable();
+    println!(
+        "{label:<40} min {:>12.2?}  median {:>12.2?}  ({samples} samples x {batch} calls)",
+        per_call[0],
+        per_call[samples / 2]
+    );
+}
+
 /// Megabyte formatting helper.
 pub fn mb(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)

@@ -47,6 +47,7 @@ use crate::edge::EdgeTable;
 use crate::fabric::IndexFabric;
 use crate::family::{value_needs_recheck, Floor, PathIndex, PcSubpathQuery};
 use crate::joinindex::JoinIndices;
+use crate::longvalues::LongValues;
 use crate::parallel::ShardPlan;
 use crate::paths::PathStats;
 use crate::plan::{choose_plan, JoinHow, Method, PlanKind, ProbeSpec, QueryPlan};
@@ -57,12 +58,10 @@ use std::collections::{BTreeSet, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xtwig_btree::node::MAX_VAL;
 use xtwig_obs::{SpanCounters, Trace};
 use xtwig_opt::Structure;
-use xtwig_rel::codec::encode_idlist;
 use xtwig_storage::{hash, BufferPool, IoStatsSnapshot, PoolCounters};
-use xtwig_xml::{NodeId, TagId, TwigPattern, XmlForest};
+use xtwig_xml::{TagDict, TagId, TwigPattern, XmlForest};
 
 // The strategy menu lives in `xtwig-opt` — the cost-based decision
 // layer ranks `Strategy` values, and the engine re-exports the type so
@@ -155,15 +154,18 @@ impl QueryAnswer {
 
 /// The engine owning all built index configurations for one forest.
 ///
-/// It owns the forest through an `Arc` and is `Send + Sync`, so one
-/// engine can serve concurrent queries from many threads (`answer` takes
-/// `&self` throughout; see `xtwig-service`). The only `&mut self`
-/// surface is index maintenance ([`QueryEngine::rootpaths_mut`] /
-/// [`QueryEngine::datapaths_mut`]); rather than serializing maintenance
-/// against readers with a lock, callers fork the engine
-/// ([`QueryEngine::fork`] — a copy-on-write snapshot that copies no
-/// pages), mutate the fork, and publish it, leaving the original to
-/// serve concurrent readers as a frozen snapshot.
+/// It owns what answering reads and nothing of the document: the tag
+/// dictionary (the paper's tag translation table, §5.1.1), the built
+/// structures, and the long-value relation that long literals are
+/// rechecked against (the private `longvalues` module). It is
+/// `Send + Sync`, so one engine can serve concurrent queries from many
+/// threads (`answer` takes `&self` throughout; see `xtwig-service`).
+/// The only `&mut self` surface is index maintenance
+/// ([`QueryEngine::apply`]); rather than serializing maintenance against
+/// readers with a lock, callers fork the engine ([`QueryEngine::fork`] —
+/// a copy-on-write snapshot that copies no pages), apply their ops to
+/// the fork, and publish it, leaving the original to serve concurrent
+/// readers as a frozen snapshot.
 ///
 /// Concurrency note on metrics: every counter in [`QueryMetrics`] is
 /// exact per query, however many queries overlap. Every strategy counts
@@ -174,9 +176,12 @@ pub struct QueryEngine {
     // Fields are crate-visible for `crate::persist`, which flushes each
     // structure's pool into an index file and reconstructs the engine
     // from the stored catalog on open.
-    pub(crate) forest: Arc<XmlForest>,
+    // Nothing writes the dictionary after build: an update names only
+    // tags it holds.
+    pub(crate) dict: Arc<TagDict>,
     pub(crate) rp: Option<(RootPaths, Arc<BufferPool>)>,
     pub(crate) dp: Option<(DataPaths, Arc<BufferPool>)>,
+    pub(crate) long_values: LongValues,
     // Nothing writes it after build, so forks share it.
     pub(crate) sealed: Arc<Sealed>,
 }
@@ -517,13 +522,15 @@ impl QueryEngine {
             let p = pool();
             (JoinIndices::build_sharded(f, p.clone(), plan), p)
         });
+        let long_values = LongValues::build(f, pool());
         let sealed = Sealed { stats, pruned_tags, edge, dg, fab, asr, ji };
-        QueryEngine { forest, rp, dp, sealed: Arc::new(sealed) }
+        let dict = Arc::new(f.dict().clone());
+        QueryEngine { dict, rp, dp, long_values, sealed: Arc::new(sealed) }
     }
 
-    /// The forest under query.
-    pub fn forest(&self) -> &XmlForest {
-        &self.forest
+    /// The tag dictionary queries and updates are resolved against.
+    pub fn dict(&self) -> &TagDict {
+        &self.dict
     }
 
     /// True when `strategy`'s structures were built (querying an
@@ -563,28 +570,6 @@ impl QueryEngine {
         strategy.structures().iter().filter_map(|&s| self.structure(s))
     }
 
-    /// True when every built maintainable index can store `ids` as one
-    /// IdList: ROOTPATHS and DATAPATHS each encode a root path's ids
-    /// into one B+-tree value of at most [`MAX_VAL`] bytes, and their
-    /// `insert_path` panics on a longer one.
-    pub fn idlist_fits(&self, ids: &[u64]) -> bool {
-        let rp = self.rp.iter().map(|(rp, _)| rp.idlist);
-        let mut codecs = rp.chain(self.dp.iter().map(|(dp, _)| dp.idlist));
-        codecs.all(|codec| encode_idlist(codec, ids).len() <= MAX_VAL)
-    }
-
-    /// Mutable access to ROOTPATHS for the §7 maintenance path. Callers
-    /// holding the engine behind a lock (see `xtwig-service`) must
-    /// invalidate any cached results after mutating.
-    pub fn rootpaths_mut(&mut self) -> Option<&mut RootPaths> {
-        self.rp.as_mut().map(|(i, _)| i)
-    }
-
-    /// Mutable access to DATAPATHS; see [`QueryEngine::rootpaths_mut`].
-    pub fn datapaths_mut(&mut self) -> Option<&mut DataPaths> {
-        self.dp.as_mut().map(|(i, _)| i)
-    }
-
     /// Path statistics (selectivity estimates).
     pub fn stats(&self) -> &PathStats {
         &self.sealed.stats
@@ -612,13 +597,16 @@ impl QueryEngine {
         self.built_structures(strategy).map(|(index, _)| index.space_bytes()).sum()
     }
 
+    /// The pools `strategy` reads: its structures', then the long-value
+    /// relation's, which every strategy's recheck reads.
     pub(crate) fn pools_for(&self, strategy: Strategy) -> Vec<&Arc<BufferPool>> {
-        self.built_structures(strategy).map(|(_, pool)| pool).collect()
+        let rechecked = (!strategy.is_auto()).then(|| self.long_values.pool());
+        self.built_structures(strategy).map(|(_, pool)| pool).chain(rechecked).collect()
     }
 
     /// Digest over the raw page images of every buffer pool backing
-    /// `strategy` (the primary structure's pool, plus the Edge pool for
-    /// the strategies that lean on it): each pool's
+    /// `strategy` (the primary structure's pool, the Edge pool for the
+    /// strategies that lean on it, and the long-value relation's): each pool's
     /// [`BufferPool::content_hash`], folded in order. Two engines built
     /// from the same forest and options digest equal iff their index
     /// pages are byte-identical — the acceptance check for
@@ -692,9 +680,9 @@ impl QueryEngine {
     /// front half of [`QueryEngine::answer`], exposed so plan caches
     /// (see `xtwig-service`) can skip it on repeated twig shapes.
     pub fn compile(&self, twig: &TwigPattern) -> Result<(CompiledTwig, QueryPlan), UnknownTag> {
-        let compiled = decompose(twig, self.forest().dict())?;
+        let compiled = decompose(twig, &self.dict)?;
         let dp_height = self.dp.as_ref().map_or(1, |(dp, _)| dp.tree().stats().height);
-        let plan = choose_plan(&compiled, &self.sealed.stats, self.forest().dict(), dp_height);
+        let plan = choose_plan(&compiled, &self.sealed.stats, &self.dict, dp_height);
         Ok((compiled, plan))
     }
 
@@ -1066,7 +1054,9 @@ impl QueryEngine {
     /// ASR stream each IdList from the leaf page through `ids_buf`; the
     /// Edge family writes each match it walks into the same buffer, and
     /// lends it from there. Every strategy counts its lookups into `io`.
-    /// Long values are rechecked before a match is lent.
+    /// Long values are rechecked against the long-value relation before
+    /// a match is lent: its page reads count into the query's logical and
+    /// physical reads, not into its probes.
     ///
     /// `interior` says whether the caller reads the ids a match binds
     /// above its last step. When it does not, ROOTPATHS and DATAPATHS
@@ -1097,7 +1087,7 @@ impl QueryEngine {
             let bound = m.len().min(nodes.len());
             let (above, ids) = m.split_at(m.len() - bound);
             let Some(&leaf) = ids.last() else { return ControlFlow::Continue(()) };
-            if recheck.is_some_and(|v| self.forest().value_str(NodeId(leaf)) != Some(v)) {
+            if recheck.is_some_and(|v| !self.long_values.holds(leaf, v)) {
                 return ControlFlow::Continue(());
             }
             sink(above, &nodes[nodes.len() - bound..], ids)
@@ -1472,7 +1462,7 @@ impl QueryEngine {
         let (dp, _) = self.dp.as_ref().expect("INLJ requires DATAPATHS");
         let recheck = value.filter(|v| value_needs_recheck(v));
         let passes = |leaf: Option<&u64>| match (recheck, leaf) {
-            (Some(v), Some(&leaf)) => self.forest().value_str(NodeId(leaf)) == Some(v),
+            (Some(v), Some(&leaf)) => self.long_values.holds(leaf, v),
             _ => true,
         };
         let Exec { rows, out, keys, io, answer, .. } = cx;
@@ -1595,10 +1585,10 @@ mod tests {
         QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 1024, ..Default::default() })
     }
 
-    fn check_all_strategies(engine: &QueryEngine, xpath: &str) {
+    fn check_all_strategies(forest: &XmlForest, engine: &QueryEngine, xpath: &str) {
         let twig = parse_xpath(xpath).unwrap();
         let expected: BTreeSet<u64> =
-            naive::select(engine.forest(), &twig).into_iter().map(|n| n.0).collect();
+            naive::select(forest, &twig).into_iter().map(|n| n.0).collect();
         for s in Strategy::ALL {
             let got = engine.answer(&twig, s);
             assert_eq!(
@@ -1614,7 +1604,7 @@ mod tests {
     fn all_strategies_answer_the_intro_query() {
         let f = Arc::new(fig1_book_document());
         let e = engine(&f);
-        check_all_strategies(&e, "/book[title='XML']//author[fn='jane'][ln='doe']");
+        check_all_strategies(&f, &e, "/book[title='XML']//author[fn='jane'][ln='doe']");
     }
 
     #[test]
@@ -1630,7 +1620,7 @@ mod tests {
             "//author/ln[. = 'doe']",
             "//section/head",
         ] {
-            check_all_strategies(&e, q);
+            check_all_strategies(&f, &e, q);
         }
     }
 
@@ -1645,7 +1635,7 @@ mod tests {
             "/book[title = 'XML'][year = '2000']//section/head",
             "//chapter[title = 'XML']/section/head",
         ] {
-            check_all_strategies(&e, q);
+            check_all_strategies(&f, &e, q);
         }
     }
 
@@ -1660,7 +1650,7 @@ mod tests {
             "//allauthors//ln[. = 'doe']",
             "/book//contact/detail",
         ] {
-            check_all_strategies(&e, q);
+            check_all_strategies(&f, &e, q);
         }
     }
 
@@ -1674,7 +1664,7 @@ mod tests {
             "/chapter/title", // chapter is not a document root
             "//unknown_tag_never_seen",
         ] {
-            check_all_strategies(&e, q);
+            check_all_strategies(&f, &e, q);
         }
     }
 
@@ -1698,9 +1688,13 @@ mod tests {
     /// existence filters streamed and as full joins — and holds each
     /// answer against the naive matcher. Returns the step annotations of
     /// the streamed DATAPATHS run with every step free.
-    fn check_every_way(engine: &QueryEngine, twig: &TwigPattern) -> Vec<String> {
+    fn check_every_way(
+        forest: &XmlForest,
+        engine: &QueryEngine,
+        twig: &TwigPattern,
+    ) -> Vec<String> {
         let expected: BTreeSet<u64> =
-            naive::select(engine.forest(), twig).into_iter().map(|n| n.0).collect();
+            naive::select(forest, twig).into_iter().map(|n| n.0).collect();
         let Ok((compiled, plan)) = engine.compile(twig) else {
             assert!(expected.is_empty(), "{twig}: unknown tag yet the oracle matches");
             return Vec::new();
@@ -1810,7 +1804,7 @@ mod tests {
                 forest.clone(),
                 EngineOptions { pool_pages: 512, ..Default::default() },
             );
-            check_every_way(&e, &twig);
+            check_every_way(&forest, &e, &twig);
         }
     }
 
@@ -1847,7 +1841,7 @@ mod tests {
         ] {
             let twig = parse_xpath(xpath).unwrap();
             let (_, plan) = e.compile(&twig).unwrap();
-            let seen = check_every_way(&e, &twig);
+            let seen = check_every_way(&f, &e, &twig);
             let streamed = plan.steps.iter().enumerate().any(|(i, step)| {
                 let join = format!("{:?}", step.join);
                 let streamed = format!("#{i} subpath {} semi-join", step.subpath);
@@ -1868,7 +1862,7 @@ mod tests {
             ("/book[title = 'XML']//nickname", "AncestorOf"),
         ] {
             let twig = parse_xpath(xpath).unwrap();
-            check_every_way(&e, &twig);
+            check_every_way(&f, &e, &twig);
             let (compiled, plan) = e.compile(&twig).unwrap();
             let needed = e.needed_nodes(&compiled, &plan);
             let (i, step) = plan
@@ -1942,7 +1936,7 @@ mod tests {
             ("/book[title = 'XML']//author[fn = 'john']/nickname", "DescendantBound", "semi-join"),
         ] {
             let twig = parse_xpath(xpath).unwrap();
-            check_every_way(&e, &twig);
+            check_every_way(&f, &e, &twig);
             let expected: BTreeSet<u64> =
                 naive::select(&f, &twig).into_iter().map(|n| n.0).collect();
             let (compiled, plan) = e.compile(&twig).unwrap();
@@ -1996,7 +1990,7 @@ mod tests {
             format!("/docs[//blob = '{shared}-beta']/rec/tag"),
             format!("//rec[blob = '{shared}-delta']/tag"),
         ] {
-            check_every_way(&e, &parse_xpath(&xpath).unwrap());
+            check_every_way(&f, &e, &parse_xpath(&xpath).unwrap());
         }
         // Deep same-tag nesting: strict-descendant semantics under `//`
         // joins in both directions.
@@ -2013,7 +2007,7 @@ mod tests {
         let f = Arc::new(f);
         let e = engine(&f);
         for xpath in ["//n//n//n/leaf", "/n/n/n[//leaf]", "//n[n/n]//leaf[. = 'bottom']"] {
-            check_every_way(&e, &parse_xpath(xpath).unwrap());
+            check_every_way(&f, &e, &parse_xpath(xpath).unwrap());
         }
     }
 
@@ -2036,28 +2030,28 @@ mod tests {
         b.finish();
         let docs = Arc::new(docs);
         let long_docs = engine(&docs);
-        for (engine, xpath, leaf_steps) in [
+        for (forest, engine, xpath, leaf_steps) in [
             // Nothing above the leaf is read: one-step plans of a free
             // scan each, ROOTPATHS' and DATAPATHS'.
-            (&e, "/book/allauthors/author".to_owned(), 1),
-            (&e, "//author/fn[. = 'jane']".to_owned(), 1),
+            (&f, &e, "/book/allauthors/author".to_owned(), 1),
+            (&f, &e, "//author/fn[. = 'jane']".to_owned(), 1),
             // The output is an interior node.
-            (&e, "//allauthors/author[fn = 'jane']".to_owned(), 0),
-            (&e, "/book/allauthors[author/fn = 'jane']".to_owned(), 0),
+            (&f, &e, "//allauthors/author[fn = 'jane']".to_owned(), 0),
+            (&f, &e, "/book/allauthors[author/fn = 'jane']".to_owned(), 0),
             // One-node subpaths whose ancestors a `//` join reads, from
             // the first step's capture or from each match.
-            (&e, "/book//title".to_owned(), 0),
-            (&e, "//allauthors//ln".to_owned(), 0),
+            (&f, &e, "/book//title".to_owned(), 0),
+            (&f, &e, "//allauthors//ln".to_owned(), 0),
             // A leaf-only step (`allauthors` is the `//` join's upper)
             // beside a one-node subpath that must still decode.
-            (&e, "/book/allauthors//ln[. = 'doe']".to_owned(), 1),
+            (&f, &e, "/book/allauthors//ln[. = 'doe']".to_owned(), 1),
             // Long values: the recheck reads the leaf from the key.
-            (&long_docs, format!("/docs/rec/blob[. = '{long}-alpha']"), 1),
-            (&long_docs, format!("//rec/blob[. = '{long}-beta']"), 1),
-            (&long_docs, format!("//rec/blob[. = '{long}-gamma']"), 1),
+            (&docs, &long_docs, format!("/docs/rec/blob[. = '{long}-alpha']"), 1),
+            (&docs, &long_docs, format!("//rec/blob[. = '{long}-beta']"), 1),
+            (&docs, &long_docs, format!("//rec/blob[. = '{long}-gamma']"), 1),
         ] {
             let twig = parse_xpath(&xpath).unwrap();
-            let steps: Vec<String> = check_every_way(engine, &twig)
+            let steps: Vec<String> = check_every_way(forest, engine, &twig)
                 .into_iter()
                 .filter(|detail| detail.starts_with('#'))
                 .collect();
@@ -2167,7 +2161,7 @@ mod tests {
         for s in Strategy::ALL {
             assert!(e.has_strategy(s), "{s}");
         }
-        check_all_strategies(&e, "/book[title='XML']//author[fn='jane'][ln='doe']");
+        check_all_strategies(&f, &e, "/book[title='XML']//author[fn='jane'][ln='doe']");
     }
 
     #[test]
@@ -2260,9 +2254,9 @@ mod tests {
         }
         let f = Arc::new(f);
         let e = engine(&f);
-        check_all_strategies(&e, "/book[title='XML']//author[fn='jane'][ln='doe']");
-        check_all_strategies(&e, "/book/title[. = 'SQL']");
-        check_all_strategies(&e, "//author[ln = 'poe']");
+        check_all_strategies(&f, &e, "/book[title='XML']//author[fn='jane'][ln='doe']");
+        check_all_strategies(&f, &e, "/book/title[. = 'SQL']");
+        check_all_strategies(&f, &e, "//author[ln = 'poe']");
     }
 
     /// `xml::MAX_DEPTH` is the deepest path every structure but JI can

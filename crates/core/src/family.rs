@@ -31,9 +31,9 @@
 use xtwig_xml::{TagDict, TagId};
 
 /// Longest leaf-value prefix stored inside index keys. Longer values are
-/// prefix-indexed and re-checked against the forest by the executor
-/// (commercial systems bound key size the same way; DB2 limits index keys
-/// to ~1 KB).
+/// prefix-indexed, and the executor rechecks an equality on them against
+/// the engine's long-value relation, which holds each whole (commercial
+/// systems bound key size the same way; DB2 limits index keys to ~1 KB).
 pub const VALUE_KEY_PREFIX_BYTES: usize = 96;
 
 /// Truncates `v` to the indexed prefix at a char boundary.
@@ -51,7 +51,9 @@ pub fn value_key_prefix(v: &str) -> &str {
 /// True when an equality on `v` cannot be decided by the key prefix alone:
 /// `v` is longer than the prefix, or as long as the prefix of a longer
 /// stored value, which [`value_key_prefix`] may cut up to 3 bytes short
-/// of a char that straddles the limit.
+/// of a char that straddles the limit. The engine's long-value relation
+/// holds exactly the stored values this is true of: a stored value that
+/// shares such a literal's key prefix is one of them.
 pub fn value_needs_recheck(v: &str) -> bool {
     v.len() + 3 >= VALUE_KEY_PREFIX_BYTES
 }

@@ -1,8 +1,8 @@
 //! Engine forking: copy-on-write snapshots for MVCC maintenance.
 //!
-//! [`QueryEngine::fork`] produces a new engine over the *same* forest
-//! whose maintainable structures (ROOTPATHS, DATAPATHS) sit on
-//! copy-on-write forks of their buffer pools
+//! [`QueryEngine::fork`] produces a new engine over the *same* dictionary
+//! whose maintained structures (ROOTPATHS, DATAPATHS and the long-value
+//! relation) sit on copy-on-write forks of their buffer pools
 //! ([`BufferPool::cow_fork`]): mutating the fork never changes what the
 //! original engine reads, so the original can keep serving queries as
 //! an immutable snapshot while maintenance runs against the fork. This
@@ -12,16 +12,16 @@
 //! publish the fork as the next generation.
 //!
 //! Cost model: a fork copies **no index pages** and allocates nothing
-//! per frame of capacity. Each maintainable structure gets a *warm*
+//! per frame of capacity. Each maintained structure gets a *warm*
 //! pool — same page table, resident set and LRU order as its parent,
 //! every frame pointing at the parent's page image — whose disk manager
 //! overlays the sealed base image with `Arc`-shared pages; a page is
-//! copied when the fork first writes it. The two shells are reattached
-//! over the forked pools from their own metadata via the
-//! [`crate::persist`] codec, which allocates and builds nothing.
-//! Everything else — the path statistics and the never-mutated
-//! comparison structures (Edge, DataGuide, Index Fabric, ASR, Join
-//! Indices) with their pools — is one `Arc` the fork clones.
+//! copied when the fork first writes it. The shells are reattached
+//! over the forked pools from their own metadata, which allocates and
+//! builds nothing. Everything else — the dictionary, the path
+//! statistics and the never-mutated comparison structures (Edge,
+//! DataGuide, Index Fabric, ASR, Join Indices) with their pools — is an
+//! `Arc` the fork clones.
 
 use crate::datapaths::DataPaths;
 use crate::engine::QueryEngine;
@@ -87,23 +87,27 @@ impl QueryEngine {
     /// Forks this engine into an independent copy-on-write sibling.
     ///
     /// The fork answers every query identically to `self` at fork time.
-    /// Index maintenance on the fork ([`QueryEngine::rootpaths_mut`] /
-    /// [`QueryEngine::datapaths_mut`]) is invisible to `self`, whose
-    /// page image is sealed by the fork — which is the point: `self`
-    /// keeps serving concurrent readers as a frozen snapshot while the
-    /// fork absorbs updates.
+    /// Index maintenance on the fork ([`QueryEngine::apply`]) is
+    /// invisible to `self`, whose page image is sealed by the fork —
+    /// which is the point: `self` keeps serving concurrent readers as a
+    /// frozen snapshot while the fork absorbs updates.
     ///
     /// Errs with [`ForkError::PinnedPages`] while a concurrent writer
-    /// holds a dirty page guard in ROOTPATHS or DATAPATHS (the only
-    /// structures written after build); callers that serialize writers
-    /// — as `xtwig-service` does with its maintenance lock — only see
-    /// this transiently when a *reader* still pins a freshly dirtied
-    /// page, and retry.
+    /// holds a dirty page guard in ROOTPATHS, DATAPATHS or the
+    /// long-value relation (the only structures written after build);
+    /// callers that serialize writers — as `xtwig-service` does with its
+    /// maintenance lock — only see this transiently when a *reader*
+    /// still pins a freshly dirtied page, and retry.
     pub fn fork(&self) -> Result<Self, ForkError> {
+        let long_values = self
+            .long_values
+            .fork()
+            .map_err(|skipped| ForkError::PinnedPages { structure: "long values", skipped })?;
         Ok(QueryEngine {
-            forest: self.forest.clone(),
+            dict: self.dict.clone(),
             rp: fork_cow(&self.rp, "ROOTPATHS", RootPaths::write_meta, RootPaths::open_meta)?,
             dp: fork_cow(&self.dp, "DATAPATHS", DataPaths::write_meta, DataPaths::open_meta)?,
+            long_values,
             sealed: self.sealed.clone(),
         })
     }
@@ -113,6 +117,7 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use crate::engine::{EngineOptions, Strategy};
+    use crate::update::UpdateOp;
     use crate::xpath::parse_xpath;
     use xtwig_xml::tree::fig1_book_document;
     use xtwig_xml::TagId;
@@ -122,6 +127,14 @@ mod tests {
             Arc::new(fig1_book_document()),
             EngineOptions { pool_pages: 256, ..Default::default() },
         )
+    }
+
+    fn insert(tags: &[TagId], ids: &[u64], value: Option<&str>) -> UpdateOp {
+        UpdateOp::InsertPath {
+            tags: tags.to_vec(),
+            ids: ids.to_vec(),
+            value: value.map(Into::into),
+        }
     }
 
     #[test]
@@ -145,14 +158,10 @@ mod tests {
         let mut fork = base.fork().unwrap();
         let tags: Vec<TagId> = ["book", "allauthors", "author", "fn"]
             .iter()
-            .map(|t| base.forest().dict().lookup(t).unwrap())
+            .map(|t| base.dict().lookup(t).unwrap())
             .collect();
-        let rp = fork.rootpaths_mut().unwrap();
-        rp.insert_path(&tags[..3], &[1, 5, 900], None);
-        rp.insert_path(&tags, &[1, 5, 900, 901], Some("ada"));
-        let dp = fork.datapaths_mut().unwrap();
-        dp.insert_path(&tags[..3], &[1, 5, 900], None);
-        dp.insert_path(&tags, &[1, 5, 900, 901], Some("ada"));
+        fork.apply(&insert(&tags[..3], &[1, 5, 900], None));
+        fork.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada")));
         let twig = parse_xpath("//author[fn='ada']").unwrap();
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
             assert_eq!(
@@ -173,15 +182,14 @@ mod tests {
         let base = engine();
         let tags: Vec<TagId> = ["book", "allauthors", "author", "fn"]
             .iter()
-            .map(|t| base.forest().dict().lookup(t).unwrap())
+            .map(|t| base.dict().lookup(t).unwrap())
             .collect();
         let mut current = base.fork().unwrap();
         for i in 0..5u64 {
             let mut next = current.fork().unwrap();
             let id = 900 + 2 * i;
-            let rp = next.rootpaths_mut().unwrap();
-            rp.insert_path(&tags[..3], &[1, 5, id], None);
-            rp.insert_path(&tags, &[1, 5, id, id + 1], Some(&format!("v{i}")));
+            next.apply(&insert(&tags[..3], &[1, 5, id], None));
+            next.apply(&insert(&tags, &[1, 5, id, id + 1], Some(&format!("v{i}"))));
             // Every earlier generation is frozen: generation i sees
             // values 0..i and nothing newer.
             let probe = parse_xpath(&format!("//author[fn='v{i}']")).unwrap();

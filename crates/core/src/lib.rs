@@ -31,6 +31,10 @@
 //!   every built structure into a single `.xtwig` file, and
 //!   [`QueryEngine::open`] reattaches it with zero rebuild work,
 //!   digest-verified against the stored catalog.
+//! * [`update`] — index maintenance (§7): [`QueryEngine::apply`] writes
+//!   one [`UpdateOp`] into ROOTPATHS, DATAPATHS and the long-value
+//!   relation (the private `longvalues` module) that long literals are
+//!   rechecked against.
 //! * [`fork`] — copy-on-write engine snapshots: [`QueryEngine::fork`]
 //!   clones an engine without copying index pages, so maintenance on
 //!   the fork is invisible to readers of the original (the MVCC
@@ -52,12 +56,14 @@ pub mod fabric;
 pub mod family;
 pub mod fork;
 pub mod joinindex;
+mod longvalues;
 pub mod parallel;
 pub mod paths;
 pub mod persist;
 pub mod plan;
 pub mod rootpaths;
 mod table;
+pub mod update;
 pub mod xpath;
 
 pub use auto::Explanation;
@@ -68,5 +74,6 @@ pub use family::{PathIndex, PcSubpathQuery};
 pub use fork::ForkError;
 pub use parallel::ShardPlan;
 pub use persist::{OpenError, OpenReport, PersistError, PersistReport};
+pub use update::UpdateOp;
 pub use xpath::parse_xpath;
 pub use xtwig_obs::{Span, SpanCounters, Trace};

@@ -18,15 +18,21 @@
 //!                   length, checksum by [`xtwig_storage::hash`])
 //! pages 1..         one contiguous extent per built structure's buffer
 //!                   pool, in catalog order (RP, DP, Edge, DG, IF, ASR,
-//!                   JI) — a verbatim copy of the pool's page image, so
+//!                   JI), then the long-value relation's (empty, zero
+//!                   pages, when no value outgrows the key prefix) — a
+//!                   verbatim copy of the pool's page image, so
 //!                   pool-local page ids (B+-tree roots, sibling links,
 //!                   heap page lists) remain valid unchanged
-//! trailing pages    the metadata blob: forest snapshot, path
-//!                   statistics, engine options, per-structure catalog
-//!                   (extent location, pool capacity, B+-tree roots and
-//!                   shape, heap extents, codec metadata), and the
-//!                   per-strategy `structure_digest` values
+//! trailing pages    the metadata blob: the tag dictionary (names in
+//!                   `TagId` order), path statistics, engine options,
+//!                   per-structure catalog (extent location, pool
+//!                   capacity, B+-tree roots and shape, heap extents,
+//!                   codec metadata), and the per-strategy
+//!                   `structure_digest` values
 //! ```
+//!
+//! No byte of the file holds a node of the document: answering reads
+//! the dictionary and the indexes alone, and opening parses no node.
 //!
 //! On open, each extent is served by an [`ExtentBackend`] — a read-only
 //! view of the shared file — under a copy-on-write
@@ -45,6 +51,7 @@ use crate::edge::EdgeTable;
 use crate::engine::{QueryEngine, Sealed, Strategy};
 use crate::fabric::IndexFabric;
 use crate::joinindex::JoinIndices;
+use crate::longvalues::LongValues;
 use crate::paths::PathStats;
 use crate::rootpaths::RootPaths;
 use std::collections::HashSet;
@@ -56,7 +63,7 @@ use xtwig_rel::codec::IdListCodec;
 use xtwig_storage::{
     hash, BufferPool, DiskManager, ExtentBackend, FileBackend, PageId, StorageBackend, PAGE_SIZE,
 };
-use xtwig_xml::{TagId, XmlForest};
+use xtwig_xml::{TagDict, TagId};
 
 /// On-disk format version; bumped on any layout change so stale files
 /// fail fast with [`OpenError::VersionMismatch`] instead of misparsing.
@@ -67,8 +74,9 @@ use xtwig_xml::{TagId, XmlForest};
 /// per page (`xtwig_btree::node`); version 5 drops the structural-join
 /// flag from the engine options; version 6 drops the ROOTPATHS
 /// IdList-sublist byte; version 7 drops each tree's fill factor (a
-/// constant of the bulk loader).
-pub const FORMAT_VERSION: u32 = 7;
+/// constant of the bulk loader); version 8 stores the tag dictionary
+/// and the long-value relation instead of a snapshot of the forest.
+pub const FORMAT_VERSION: u32 = 8;
 
 const MAGIC: &[u8; 8] = b"XTWIGIDX";
 
@@ -265,6 +273,29 @@ pub(crate) fn read_tree_meta(
     Ok(BTree::from_parts(pool, BTreeOptions { prefix_truncation }, root, height, entries, pages))
 }
 
+/// Persists the tag dictionary: its names after the reserved
+/// virtual-root tag, in `TagId` order, so that [`read_dict`] gives every
+/// name the id the index keys hold.
+fn write_dict(w: &mut ByteWriter, dict: &TagDict) {
+    w.push_u32(dict.len() as u32 - 1);
+    for (_, name) in dict.iter().skip(1) {
+        w.push_str(name);
+    }
+}
+
+/// Reads a dictionary written by [`write_dict`].
+fn read_dict(r: &mut ByteReader<'_>) -> Result<TagDict, FormatError> {
+    let names = r.u32()?;
+    let mut dict = TagDict::new();
+    for id in 1..=names {
+        let name = r.str()?;
+        if dict.intern(&name) != TagId(id) {
+            return format_err(format!("tag name {name:?} stored twice"));
+        }
+    }
+    Ok(dict)
+}
+
 /// Persists a tag-id path (ASR/JI table keys).
 pub(crate) fn write_tag_path(w: &mut ByteWriter, path: &[TagId]) {
     w.push_u32(path.len() as u32);
@@ -423,6 +454,7 @@ const KIND_DG: u8 = 3;
 const KIND_IF: u8 = 4;
 const KIND_ASR: u8 = 5;
 const KIND_JI: u8 = 6;
+const KIND_LONG_VALUES: u8 = 7;
 
 /// Stable on-disk strategy ids — deliberately NOT derived from
 /// `Strategy::ALL`'s position (that is a *reporting* order a future PR
@@ -492,10 +524,10 @@ impl QueryEngine {
         Strategy::ALL.iter().copied().filter(|&s| self.has_strategy(s)).collect()
     }
 
-    /// Writes the engine — forest snapshot, path statistics, every
-    /// built structure's pages and catalog metadata, per-strategy
-    /// digests — into a single index file at `path`, then syncs it
-    /// durably.
+    /// Writes the engine — tag dictionary, path statistics, every
+    /// built structure's pages and catalog metadata, the long-value
+    /// relation, per-strategy digests — into a single index file at
+    /// `path`, then syncs it durably.
     ///
     /// The file is written to a `<path>.tmp` sibling and atomically
     /// renamed over `path` only after the final sync, so a persist that
@@ -534,7 +566,7 @@ impl QueryEngine {
         debug_assert_eq!(superblock, PageId(0));
 
         let mut catalog = ByteWriter::new();
-        catalog.push_bytes(&self.forest().to_snapshot());
+        write_dict(&mut catalog, &self.dict);
         self.sealed.stats.write_meta(&mut catalog);
         match &self.sealed.pruned_tags {
             None => catalog.push_bool(false),
@@ -574,6 +606,8 @@ impl QueryEngine {
         if let Some((i, p)) = &self.sealed.ji {
             entries.push((KIND_JI, "JoinIndices", p, Box::new(move |w| i.write_meta(w))));
         }
+        let lv = &self.long_values;
+        entries.push((KIND_LONG_VALUES, "long values", lv.pool(), Box::new(|w| lv.write_meta(w))));
 
         catalog.push_u32(entries.len() as u32);
         for (kind, name, pool, write_meta) in entries {
@@ -690,10 +724,7 @@ impl QueryEngine {
         }
 
         let mut r = ByteReader::new(&catalog);
-        let forest = Arc::new(
-            XmlForest::from_snapshot(r.bytes()?)
-                .map_err(|e| OpenError::Format(format!("forest snapshot: {e}")))?,
-        );
+        let dict = Arc::new(read_dict(&mut r)?);
         let stats = PathStats::open_meta(&mut r)?;
         let pruned_tags: Option<HashSet<TagId>> = if r.bool()? {
             let n = r.u32()? as usize;
@@ -713,6 +744,7 @@ impl QueryEngine {
         let mut fab = None;
         let mut asr = None;
         let mut ji = None;
+        let mut long_values = None;
         let entry_count = r.u32()?;
         for _ in 0..entry_count {
             let kind = r.u8()?;
@@ -746,6 +778,7 @@ impl QueryEngine {
                     asr = Some((AccessSupportRelations::open_meta(&mut r, pool.clone())?, pool))
                 }
                 KIND_JI => ji = Some((JoinIndices::open_meta(&mut r, pool.clone())?, pool)),
+                KIND_LONG_VALUES => long_values = Some(LongValues::open_meta(&mut r, pool)?),
                 other => return Err(OpenError::Format(format!("unknown structure kind {other}"))),
             }
         }
@@ -760,8 +793,11 @@ impl QueryEngine {
             return Err(OpenError::Format(format!("{} trailing catalog byte(s)", r.remaining())));
         }
 
+        let Some(long_values) = long_values else {
+            return Err(OpenError::Format("no long-value relation".into()));
+        };
         let sealed = Sealed { stats, pruned_tags, edge, dg, fab, asr, ji };
-        let engine = QueryEngine { forest, rp, dp, sealed: Arc::new(sealed) };
+        let engine = QueryEngine { dict, rp, dp, long_values, sealed: Arc::new(sealed) };
 
         // Reattachment must not have built anything: no pool allocated
         // a single page (a fresh build allocates them all).

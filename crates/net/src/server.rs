@@ -493,7 +493,7 @@ pub fn handle_request_ctx(catalog: &Catalog, req: &Request, ctx: &RequestCtx) ->
 /// typed `Malformed` error, never an op the indexes are handed.
 fn resolve_ops(svc: &TwigService, ops: &[WireOp]) -> Result<Vec<UpdateOp>, Response> {
     svc.with_engine(|engine| {
-        let dict = engine.forest().dict();
+        let dict = engine.dict();
         ops.iter()
             .map(|op| {
                 let tags = op

@@ -226,7 +226,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::UpdateOp;
+    use crate::UpdateOp;
     use xtwig_core::engine::{EngineOptions, QueryEngine, Strategy};
     use xtwig_core::parse_xpath;
     use xtwig_xml::tree::fig1_book_document;
@@ -316,7 +316,7 @@ mod tests {
         };
         let svc = catalog.get("books").unwrap();
         let tags: Vec<_> = svc.with_engine(|e| {
-            let dict = e.forest().dict();
+            let dict = e.dict();
             ["book", "allauthors", "author", "fn"].map(|t| dict.lookup(t).unwrap()).to_vec()
         });
         let acked = svc.apply_update(vec![

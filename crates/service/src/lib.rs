@@ -82,6 +82,10 @@ pub use catalog::{Catalog, CatalogEntry, CatalogError, CatalogOptions, CatalogSt
 pub use events::{Event, EventJournal, JournalEntry, EVENT_KINDS};
 pub use metrics::{ServiceSnapshot, SlowQuery, StrategyCostSnapshot};
 pub use service::{
-    RequestCtx, ServiceAnswer, ServiceError, ServiceOptions, SharedEngine, TwigService, UpdateOp,
+    RequestCtx, ServiceAnswer, ServiceError, ServiceOptions, SharedEngine, TwigService,
 };
 pub use shape::{shape_label, Fingerprint};
+/// Index maintenance ops live with the engine that applies them
+/// (`xtwig_core::update`); re-exported for the callers of
+/// [`TwigService::apply_update`].
+pub use xtwig_core::UpdateOp;

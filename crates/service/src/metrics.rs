@@ -724,7 +724,7 @@ mod tests {
         let twig = parse_xpath("//author[fn='jane']").unwrap();
         svc.execute(&twig, Strategy::Auto).unwrap();
         let tags = svc.with_engine(|e| {
-            let dict = e.forest().dict();
+            let dict = e.dict();
             ["book", "allauthors", "author"].map(|t| dict.lookup(t).unwrap()).to_vec()
         });
         svc.apply_update(vec![UpdateOp::InsertPath { tags, ids: vec![1, 5, 900], value: None }]);

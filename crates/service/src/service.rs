@@ -42,8 +42,8 @@ use std::sync::Arc;
 use xtwig_core::engine::{EngineOptions, QueryMetrics};
 use xtwig_core::persist::{PersistError, PersistReport};
 use xtwig_core::plan::PlanKind;
-use xtwig_core::{QueryEngine, Strategy};
-use xtwig_xml::{TagId, TwigPattern, XmlForest};
+use xtwig_core::{QueryEngine, Strategy, UpdateOp};
+use xtwig_xml::{TwigPattern, XmlForest};
 
 /// The engine a service shares across its callers' threads: an alias of
 /// [`QueryEngine`], kept for callers that name it.
@@ -171,31 +171,6 @@ struct EngineEpoch {
     engine: QueryEngine,
     generation: u64,
     results: ResultCache,
-}
-
-/// One logical index-maintenance operation, applied in place to every
-/// maintainable structure the engine built (ROOTPATHS and DATAPATHS).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UpdateOp {
-    /// Insert a root-to-node data path: `tags[i]` labels the node with
-    /// id `ids[i]`, `value` is the leaf's value (if any).
-    InsertPath {
-        /// Schema path, root first.
-        tags: Vec<TagId>,
-        /// Node-id list, parallel to `tags`.
-        ids: Vec<u64>,
-        /// Leaf value of the path's head node.
-        value: Option<String>,
-    },
-    /// Delete a previously inserted data path (same shape as insert).
-    DeletePath {
-        /// Schema path, root first.
-        tags: Vec<TagId>,
-        /// Node-id list, parallel to `tags`.
-        ids: Vec<u64>,
-        /// Leaf value the path was inserted with.
-        value: Option<String>,
-    },
 }
 
 /// The proof of holding the maintenance lock, which
@@ -397,25 +372,8 @@ impl TwigService {
         let current = self.shared.epoch.pin();
         let mut engine = fork_engine(&maint, &current);
         let op_count = ops.len() as u64;
-        for op in ops {
-            match op {
-                UpdateOp::InsertPath { tags, ids, value } => {
-                    if let Some(rp) = engine.rootpaths_mut() {
-                        rp.insert_path(&tags, &ids, value.as_deref());
-                    }
-                    if let Some(dp) = engine.datapaths_mut() {
-                        dp.insert_path(&tags, &ids, value.as_deref());
-                    }
-                }
-                UpdateOp::DeletePath { tags, ids, value } => {
-                    if let Some(rp) = engine.rootpaths_mut() {
-                        rp.delete_path(&tags, &ids, value.as_deref());
-                    }
-                    if let Some(dp) = engine.datapaths_mut() {
-                        dp.delete_path(&tags, &ids, value.as_deref());
-                    }
-                }
-            }
+        for op in &ops {
+            engine.apply(op);
         }
         self.shared.metrics.journal_ops.fetch_add(op_count, Ordering::Relaxed);
         let generation = current.generation + 1;
@@ -665,6 +623,7 @@ mod tests {
     use super::*;
     use xtwig_core::parse_xpath;
     use xtwig_xml::tree::fig1_book_document;
+    use xtwig_xml::TagId;
 
     fn small_service() -> TwigService {
         TwigService::build(
@@ -920,7 +879,7 @@ mod tests {
     /// path with `fn='ada'` (author node id 900).
     fn ada_ops(svc: &TwigService) -> Vec<UpdateOp> {
         let tags: Vec<TagId> = svc.with_engine(|engine| {
-            let dict = engine.forest().dict();
+            let dict = engine.dict();
             ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
         });
         vec![

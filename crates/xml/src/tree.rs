@@ -140,15 +140,6 @@ impl XmlForest {
         &self.values
     }
 
-    /// Mutable interner access for [`crate::snapshot`]'s replay, which
-    /// pre-interns the persisted symbol table so reconstructed
-    /// [`SymbolId`]s match the originals exactly (the interner may hold
-    /// symbols no surviving node references, e.g. intermediate strings
-    /// from incremental [`TreeBuilder::text`] calls).
-    pub(crate) fn values_mut(&mut self) -> &mut ValueInterner {
-        &mut self.values
-    }
-
     /// Document roots, in insertion order.
     pub fn roots(&self) -> &[NodeId] {
         &self.roots

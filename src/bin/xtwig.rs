@@ -91,10 +91,12 @@ fn print_node(forest: &XmlForest, id: u64) {
     }
 }
 
-fn print_answer(forest: &XmlForest, ids: &BTreeSet<u64>, verbose_limit: usize) {
+/// Prints how many ids answered, then the first `verbose_limit` of them
+/// as `show` renders each.
+fn print_answer(ids: &BTreeSet<u64>, verbose_limit: usize, show: impl Fn(u64)) {
     println!("{} result(s)", ids.len());
     for &id in ids.iter().take(verbose_limit) {
-        print_node(forest, id);
+        show(id);
     }
     if ids.len() > verbose_limit {
         println!("  … and {} more", ids.len() - verbose_limit);
@@ -213,8 +215,9 @@ fn run_query(
     // `auto` ranks among the built configurations, so build them all;
     // a concrete request builds only what it needs.
     let strategies = if strategy.is_auto() { Strategy::ALL.to_vec() } else { vec![strategy] };
+    let forest = Arc::new(forest);
     let engine = QueryEngine::build_parallel(
-        Arc::new(forest),
+        forest.clone(),
         EngineOptions { strategies, pool_pages: 5_120, ..Default::default() },
         shards,
     );
@@ -224,7 +227,7 @@ fn run_query(
         }
     }
     let a = engine.answer(&twig, strategy);
-    print_answer(engine.forest(), &a.ids, 20);
+    print_answer(&a.ids, 20, |id| print_node(&forest, id));
     println!(
         "[{} | plan {:?} | {} probes | {} rows | {} logical reads | {:?}]",
         answered_label(strategy, a.strategy),
@@ -300,7 +303,9 @@ fn open_index(index: &str) -> Option<QueryEngine> {
     Some(engine)
 }
 
-/// `xtwig query --index`: reopen a persisted index and answer against it.
+/// `xtwig query --index`: reopen a persisted index and answer against
+/// it. The index holds no document, so the answer prints as ids, as
+/// `xtwig client query` prints it.
 fn run_query_indexed(index: &str, xpath: &str, strategy: Strategy, explain: bool) -> ExitCode {
     let twig = match xtwig::parse_xpath(xpath) {
         Ok(t) => t,
@@ -320,7 +325,7 @@ fn run_query_indexed(index: &str, xpath: &str, strategy: Strategy, explain: bool
         }
     }
     let a = engine.answer(&twig, strategy);
-    print_answer(engine.forest(), &a.ids, 20);
+    print_answer(&a.ids, 20, |id| println!("  #{id}"));
     println!(
         "[{} | plan {:?} | {} probes | {} rows | {} logical reads | {} physical reads | {:?}]",
         answered_label(strategy, a.strategy),

@@ -88,9 +88,11 @@ pub fn record(
     forest: Arc<XmlForest>,
     requests: &[(String, String)],
 ) -> (String, Summary) {
-    let engine =
-        QueryEngine::build(forest, EngineOptions { pool_pages: POOL_FRAMES, ..Default::default() });
-    let forest = engine.forest();
+    let engine = QueryEngine::build(
+        forest.clone(),
+        EngineOptions { pool_pages: POOL_FRAMES, ..Default::default() },
+    );
+    let forest = &*forest;
     let mut out = format!(
         "# {corpus}: {} nodes, all seven structures, {POOL_FRAMES}-frame pools, each \
          strategy run cold\n",

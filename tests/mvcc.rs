@@ -44,7 +44,7 @@ fn service() -> TwigService {
 
 fn author_tags(svc: &TwigService) -> Vec<TagId> {
     svc.with_engine(|e| {
-        let dict = e.forest().dict();
+        let dict = e.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     })
 }

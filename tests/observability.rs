@@ -247,7 +247,7 @@ fn total_series_stay_monotonic_across_commits() {
         ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let tags: Vec<_> = service.with_engine(|e| {
-        let dict = e.forest().dict();
+        let dict = e.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     });
     let query = |service: &TwigService| {

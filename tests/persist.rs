@@ -10,7 +10,8 @@ use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::core::persist::{OpenError, FORMAT_VERSION};
 use xtwig::parse_xpath;
 use xtwig::xml::tree::fig1_book_document;
-use xtwig::xml::{naive, XmlForest};
+use xtwig::xml::{naive, TagId, XmlForest};
+use xtwig::UpdateOp;
 
 struct TempDir(PathBuf);
 
@@ -66,6 +67,11 @@ fn dblp_forest() -> XmlForest {
     f
 }
 
+/// The op inserting the path with ids `ids` and tags `tags`.
+fn insert(tags: &[TagId], ids: &[u64], value: Option<&str>) -> UpdateOp {
+    UpdateOp::InsertPath { tags: tags.to_vec(), ids: ids.to_vec(), value: value.map(Into::into) }
+}
+
 fn expected(forest: &XmlForest, xpath: &str) -> BTreeSet<u64> {
     let twig = parse_xpath(xpath).unwrap();
     naive::select(forest, &twig).into_iter().map(|n| n.0).collect()
@@ -78,8 +84,9 @@ fn expected(forest: &XmlForest, xpath: &str) -> BTreeSet<u64> {
 fn roundtrip(label: &str, forest: XmlForest, queries: &[&str]) {
     let dir = TempDir::new(label);
     let path = dir.path("idx.xtwig");
+    let forest = Arc::new(forest);
     let built = QueryEngine::build(
-        Arc::new(forest),
+        forest.clone(),
         EngineOptions { pool_pages: 1024, ..Default::default() },
     );
     let report = built.persist(&path).unwrap();
@@ -107,7 +114,7 @@ fn roundtrip(label: &str, forest: XmlForest, queries: &[&str]) {
     }
     for q in queries {
         let twig = parse_xpath(q).unwrap();
-        let oracle = expected(opened.forest(), q);
+        let oracle = expected(&forest, q);
         for s in Strategy::ALL {
             let from_disk = opened.answer(&twig, s);
             let from_memory = built.answer(&twig, s);
@@ -186,7 +193,7 @@ fn subset_of_strategies_roundtrips() {
     assert!(!opened.has_strategy(Strategy::DataPaths));
     assert!(!opened.has_strategy(Strategy::Asr));
     let twig = parse_xpath("//author[fn = 'jane']").unwrap();
-    let oracle = expected(opened.forest(), "//author[fn = 'jane']");
+    let oracle = expected(&fig1_book_document(), "//author[fn = 'jane']");
     assert_eq!(opened.answer(&twig, Strategy::RootPaths).ids, oracle);
     assert_eq!(opened.answer(&twig, Strategy::DataGuideEdge).ids, oracle);
 }
@@ -281,13 +288,12 @@ fn maintenance_on_reopened_engine_is_copy_on_write() {
     let before = std::fs::read(&path).unwrap();
 
     let mut opened = QueryEngine::open(&path).unwrap();
-    let tags: Vec<_> = {
-        let dict = opened.forest().dict();
+    let tags: Vec<TagId> = {
+        let dict = opened.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     };
-    let rp = opened.rootpaths_mut().unwrap();
-    rp.insert_path(&tags[..3], &[1, 5, 900], None);
-    rp.insert_path(&tags, &[1, 5, 900, 901], Some("ada"));
+    opened.apply(&insert(&tags[..3], &[1, 5, 900], None));
+    opened.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada")));
     let twig = parse_xpath("//author[fn = 'ada']").unwrap();
     assert_eq!(
         opened.answer(&twig, Strategy::RootPaths).ids.into_iter().collect::<Vec<_>>(),
@@ -321,11 +327,11 @@ fn read_only_index_file_still_opens() {
     let mut opened = QueryEngine::open(&path).expect("read-only file must open");
     let twig = parse_xpath("//author[fn = 'jane']").unwrap();
     assert_eq!(opened.answer(&twig, Strategy::RootPaths).ids.len(), 2);
-    let tags: Vec<_> = {
-        let dict = opened.forest().dict();
+    let tags: Vec<TagId> = {
+        let dict = opened.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     };
-    opened.rootpaths_mut().unwrap().insert_path(&tags[..3], &[1, 5, 900], None);
+    opened.apply(&insert(&tags[..3], &[1, 5, 900], None));
     // Restore write permission so TempDir cleanup can delete it.
     std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o644)).unwrap();
 }
@@ -341,13 +347,12 @@ fn repersist_to_own_path_makes_overlay_maintenance_durable() {
         .persist(&path)
         .unwrap();
     let mut opened = QueryEngine::open(&path).unwrap();
-    let tags: Vec<_> = {
-        let dict = opened.forest().dict();
+    let tags: Vec<TagId> = {
+        let dict = opened.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     };
-    let rp = opened.rootpaths_mut().unwrap();
-    rp.insert_path(&tags[..3], &[1, 5, 900], None);
-    rp.insert_path(&tags, &[1, 5, 900, 901], Some("ada"));
+    opened.apply(&insert(&tags[..3], &[1, 5, 900], None));
+    opened.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada")));
     opened.persist(&path).unwrap();
     // The still-open engine keeps serving (old inode)…
     let twig = parse_xpath("//author[fn = 'ada']").unwrap();
@@ -379,18 +384,14 @@ fn overlay_folds_through_repeated_mutate_reopen_persist_cycles() {
     let mut prev = gen0.clone();
     for i in 0..3u64 {
         let mut opened = QueryEngine::open(&prev).unwrap();
-        let tags: Vec<_> = {
-            let dict = opened.forest().dict();
+        let tags: Vec<TagId> = {
+            let dict = opened.dict();
             ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
         };
         let before = std::fs::read(&prev).unwrap();
         let author = 900 + 2 * i;
-        let rp = opened.rootpaths_mut().unwrap();
-        rp.insert_path(&tags[..3], &[1, 5, author], None);
-        rp.insert_path(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}")));
-        let dp = opened.datapaths_mut().unwrap();
-        dp.insert_path(&tags[..3], &[1, 5, author], None);
-        dp.insert_path(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}")));
+        opened.apply(&insert(&tags[..3], &[1, 5, author], None));
+        opened.apply(&insert(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}"))));
         let next = dir.path(&format!("gen{}.xtwig", i + 1));
         opened.persist(&next).unwrap();
         assert_eq!(std::fs::read(&prev).unwrap(), before, "gen {i} input file mutated");
@@ -428,8 +429,8 @@ fn fold_roundtrips_digests_with_images_shared_between_pool_and_overlay() {
         .persist(&base)
         .unwrap();
     let opened = QueryEngine::open(&base).unwrap();
-    let tags: Vec<_> = {
-        let dict = opened.forest().dict();
+    let tags: Vec<TagId> = {
+        let dict = opened.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     };
     // Warm the parent so the first fork shares resident images too.
@@ -440,12 +441,8 @@ fn fold_roundtrips_digests_with_images_shared_between_pool_and_overlay() {
     let mut current = opened.fork().unwrap();
     for i in 0..4u64 {
         let author = 900 + 2 * i;
-        let rp = current.rootpaths_mut().unwrap();
-        rp.insert_path(&tags[..3], &[1, 5, author], None);
-        rp.insert_path(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}")));
-        let dp = current.datapaths_mut().unwrap();
-        dp.insert_path(&tags[..3], &[1, 5, author], None);
-        dp.insert_path(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}")));
+        current.apply(&insert(&tags[..3], &[1, 5, author], None));
+        current.apply(&insert(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}"))));
         current = current.fork().unwrap();
     }
     let pools = current.pool_counters();
@@ -590,11 +587,11 @@ fn version_and_magic_mismatches_are_rejected() {
 fn pruned_head_filter_engine_roundtrips() {
     let dir = TempDir::new("pruned");
     let path = dir.path("idx.xtwig");
-    let forest = fig1_book_document();
+    let forest = Arc::new(fig1_book_document());
     let workload = vec![parse_xpath("/book[title='XML']//author[fn='jane']").unwrap()];
     let filter = xtwig::core::compress::workload_head_filter(&workload);
     let built = QueryEngine::build(
-        Arc::new(forest),
+        forest.clone(),
         EngineOptions {
             strategies: vec![Strategy::DataPaths],
             pool_pages: 1024,
@@ -611,7 +608,7 @@ fn pruned_head_filter_engine_roundtrips() {
     );
     // Off-workload query still answered via retained FreeIndex rows.
     let twig = parse_xpath("//chapter[title = 'XML']/section").unwrap();
-    let oracle = expected(opened.forest(), "//chapter[title = 'XML']/section");
+    let oracle = expected(&forest, "//chapter[title = 'XML']/section");
     assert_eq!(opened.answer(&twig, Strategy::DataPaths).ids, oracle);
 }
 
@@ -676,9 +673,8 @@ fn the_document_order_bit_survives_persist_and_fold() {
     assert_eq!(ordered(&built), (true, true));
 
     let svc = TwigService::build(fig1_book_document(), options, ServiceOptions::default());
-    let tags = svc.with_engine(|e| {
-        ["book", "allauthors", "author"].map(|t| e.forest().dict().lookup(t).unwrap())
-    });
+    let tags =
+        svc.with_engine(|e| ["book", "allauthors", "author"].map(|t| e.dict().lookup(t).unwrap()));
     svc.apply_update(vec![UpdateOp::InsertPath {
         tags: tags.to_vec(),
         ids: vec![1, 5, 900],
@@ -701,5 +697,98 @@ fn the_document_order_bit_survives_persist_and_fold() {
         }
         Ok(_) => panic!("a version-1 file opened"),
         Err(e) => panic!("expected VersionMismatch, got {e:?}"),
+    }
+}
+
+/// `xtwig query --index` answers from the file alone: it prints answer
+/// ids, so a node an update folded in — one the built document never
+/// held — prints like any other.
+#[test]
+fn query_index_prints_a_folded_node() {
+    let dir = TempDir::new("cli-folded");
+    let path = dir.path("idx.xtwig");
+    let mut engine = QueryEngine::build(Arc::new(fig1_book_document()), EngineOptions::default());
+    let tags: Vec<TagId> = ["book", "allauthors", "author", "fn"]
+        .iter()
+        .map(|t| engine.dict().lookup(t).unwrap())
+        .collect();
+    engine.apply(&insert(&tags[..3], &[1, 5, 900], None));
+    engine.apply(&insert(&tags, &[1, 5, 900, 901], None));
+    engine.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada")));
+    engine.persist(&path).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtwig"))
+        .args(["query", "--index"])
+        .arg(&path)
+        .arg("//author[fn = 'ada']")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{:?}\n{stdout}{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("1 result(s)") && stdout.contains("#900"), "{stdout}");
+}
+
+/// A value longer than the index keys hold lives in the long-value
+/// relation, the extent of pages persisted last: a reopened engine
+/// answers every strategy from it as the oracle does, and a byte flipped
+/// in that extent fails the open with a typed error.
+#[test]
+fn a_long_value_roundtrips_in_its_own_extent() {
+    let long = format!("{}-tail", "v".repeat(195));
+    assert_eq!(long.len(), 200);
+    let mut forest = XmlForest::new();
+    let mut b = forest.builder();
+    b.open("lib");
+    for (title, note) in [("A", long.as_str()), ("B", "short"), ("C", &long[..150])] {
+        b.open("book");
+        b.leaf("title", title);
+        b.leaf("note", note);
+        b.close();
+    }
+    b.close();
+    b.finish();
+    let forest = Arc::new(forest);
+    let dir = TempDir::new("long-value");
+    let path = dir.path("idx.xtwig");
+    QueryEngine::build(forest.clone(), EngineOptions { pool_pages: 256, ..Default::default() })
+        .persist(&path)
+        .unwrap();
+    let opened = QueryEngine::open(&path).unwrap();
+    let near = format!("{}-tall", "v".repeat(195));
+    for q in [
+        format!("//book[note = '{long}']/title"),
+        format!("/lib/book/note[. = '{long}']"),
+        format!("//note[. = '{near}']"),
+        format!("//book[note = '{}']", &long[..150]),
+    ] {
+        let twig = parse_xpath(&q).unwrap();
+        let oracle = expected(&forest, &q);
+        for s in Strategy::ALL {
+            assert_eq!(opened.answer(&twig, s).ids, oracle, "{s} on {q}");
+        }
+    }
+    drop(opened);
+
+    // The relation's extent is the last one before the catalog.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let catalog_start = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    let find = |range: std::ops::Range<usize>| {
+        bytes[range.clone()]
+            .windows(long.len())
+            .position(|w| w == long.as_bytes())
+            .map(|i| range.start + i)
+    };
+    let at = find((catalog_start - 1) * 8192..catalog_start * 8192)
+        .expect("the page before the catalog holds the value");
+    bytes[at + 10] ^= 0xFF;
+    std::fs::write(&path, &bytes).unwrap();
+    match QueryEngine::open(&path) {
+        Err(OpenError::DigestMismatch { stored, computed, .. }) => assert_ne!(stored, computed),
+        Ok(_) => panic!("expected DigestMismatch, but the open succeeded"),
+        Err(e) => panic!("expected DigestMismatch, got {e:?}"),
     }
 }

@@ -305,7 +305,7 @@ fn update_invalidates_cached_results_after_generation_bump() {
     assert_eq!(service.generation(), 0);
     // §7: insert /book/allauthors/author[fn='ada'].
     let tags: Vec<_> = service.with_engine(|engine| {
-        let dict = engine.forest().dict();
+        let dict = engine.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     });
     service.apply_update(vec![

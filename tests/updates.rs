@@ -217,10 +217,7 @@ fn datapaths_maintenance_under_service_apply_update() {
         assert!(svc.execute(&twig, s).unwrap().ids.is_empty());
     }
     let tags: Vec<TagId> = svc.with_engine(|e| {
-        ["book", "allauthors", "author", "fn"]
-            .iter()
-            .map(|t| e.forest().dict().lookup(t).unwrap())
-            .collect()
+        ["book", "allauthors", "author", "fn"].iter().map(|t| e.dict().lookup(t).unwrap()).collect()
     });
     svc.apply_update(vec![
         UpdateOp::InsertPath { tags: tags[..3].to_vec(), ids: vec![1, 5, 900], value: None },
@@ -303,7 +300,7 @@ fn shelf_service() -> (TwigService, [TagId; 5]) {
         ServiceOptions { result_cache_capacity: 0, ..Default::default() },
     );
     let tags = ["lib", "shelf", "book", "title", "author"]
-        .map(|t| svc.with_engine(|e| e.forest().dict().lookup(t).unwrap()));
+        .map(|t| svc.with_engine(|e| e.dict().lookup(t).unwrap()));
     (svc, tags)
 }
 
@@ -426,4 +423,56 @@ fn descendant_joins_over_inserted_ids_read_ancestors_from_the_index() {
         }
     }
     assert_eq!(kinds, ["AncestorOf", "DescendantBound"]);
+}
+
+/// A title longer than the index keys hold, inserted under a fresh id:
+/// book 30 goes under shelf A = 11 with a title of `len` bytes, and
+/// ROOTPATHS, DATAPATHS and `auto` find it by that title. The recheck
+/// of a long literal reads the long-value relation the update wrote,
+/// not the document the service was built from, which has no node 30.
+fn a_long_title_inserted_under_a_fresh_id_is_found(len: usize) {
+    let (svc, [lib, shelf, book, title, _]) = shelf_service();
+    let long = "t".repeat(len);
+    svc.apply_update(vec![
+        UpdateOp::InsertPath { tags: vec![lib, shelf, book], ids: vec![1, 11, 30], value: None },
+        UpdateOp::InsertPath {
+            tags: vec![lib, shelf, book, title],
+            ids: vec![1, 11, 30, 31],
+            value: None,
+        },
+        UpdateOp::InsertPath {
+            tags: vec![lib, shelf, book, title],
+            ids: vec![1, 11, 30, 31],
+            value: Some(long.clone()),
+        },
+    ]);
+    let twig = parse_xpath(&format!("//book[title = '{long}']")).unwrap();
+    // A literal one byte off shares the key prefix but not the value.
+    let near = parse_xpath(&format!("//book[title = '{long}u']")).unwrap();
+    for s in [Strategy::RootPaths, Strategy::DataPaths, Strategy::Auto] {
+        let answer = svc.execute(&twig, s).unwrap();
+        assert_eq!(answer.ids.iter().copied().collect::<Vec<_>>(), [30], "{len} bytes: {s}");
+        assert!(svc.execute(&near, s).unwrap().ids.is_empty(), "{len} bytes: {s}");
+    }
+    // Deleted again, the title no longer answers.
+    svc.apply_update(vec![UpdateOp::DeletePath {
+        tags: vec![lib, shelf, book, title],
+        ids: vec![1, 11, 30, 31],
+        value: Some(long),
+    }]);
+    for s in [Strategy::RootPaths, Strategy::DataPaths, Strategy::Auto] {
+        assert!(svc.execute(&twig, s).unwrap().ids.is_empty(), "{len} bytes, deleted: {s}");
+    }
+}
+
+#[test]
+fn a_200_byte_title_inserted_under_a_fresh_id_is_found() {
+    a_long_title_inserted_under_a_fresh_id_is_found(200);
+}
+
+/// 95 bytes: within the key prefix, but as long as the prefix of a
+/// longer stored value can be cut, so the literal is rechecked too.
+#[test]
+fn a_95_byte_title_inserted_under_a_fresh_id_is_found() {
+    a_long_title_inserted_under_a_fresh_id_is_found(95);
 }
