@@ -295,8 +295,12 @@ pub fn choose_plan(
         .map(|(sp, &count)| with_literal(count, &sp.q, stats))
         .collect();
 
-    // Driver: the most selective subpath.
-    let driver = (0..n).min_by_key(|&i| estimates[i]).expect("twig has at least one subpath");
+    // Driver: the most selective subpath that does not wait as an
+    // existence filter ([`waits_as_filter`]); the most selective of all
+    // when every subpath waits.
+    let driver = (0..n)
+        .min_by_key(|&i| (waits_as_filter(compiled, i, estimates[i], stats), estimates[i]))
+        .expect("twig has at least one subpath");
 
     // Greedy connected order starting at the driver.
     let mut bound: Vec<usize> = compiled.subpaths[driver].nodes.clone();
@@ -388,6 +392,52 @@ pub fn choose_plan(
         PlanKind::Merge
     };
     QueryPlan { kind, steps, merge_cost, inlj_cost }
+}
+
+/// Whether subpath `i`, estimated at `estimate` matches, waits for a
+/// later step instead of driving. The plan drives with a waiting subpath
+/// only when every subpath waits.
+///
+/// The subpath is an *existence filter* when every node of it that the
+/// output, a `//` edge or another subpath reads is a node it shares with
+/// another subpath: no later step consumes a binding only it makes. Joined
+/// after the subpaths it shares with, it then runs as the executor's
+/// semi-join keyed on its deepest shared node, which stops at the first
+/// match that proves a key, so it costs at most one proof per instance of
+/// that node (`PathStats::tag_count`). As the driver it fetches every one
+/// of its `estimate` matches. When `estimate` is at least those instances,
+/// driving cannot fetch fewer rows than the proofs would: the matches
+/// collapse onto fewer keys, as Q4x–Q9x's `[people/person/profile/@income
+/// = …]` does onto the single `site`. An estimate of 0 still drives,
+/// because an empty driver ends the query before any other step runs.
+///
+/// The rule reads the literal only through `estimate`, so a shape whose
+/// filter hangs under a single node plans alike for every literal the
+/// data holds.
+fn waits_as_filter(compiled: &CompiledTwig, i: usize, estimate: u64, stats: &PathStats) -> bool {
+    if estimate == 0 {
+        return false;
+    }
+    let sp = &compiled.subpaths[i];
+    let shared = |node: &usize| {
+        compiled.subpaths.iter().enumerate().any(|(j, other)| j != i && other.nodes.contains(node))
+    };
+    let edge_end = |node: usize| {
+        compiled
+            .segments
+            .iter()
+            .any(|seg| seg.parent.is_some_and(|(upper, _)| upper == node || seg.root == node))
+    };
+    let reads_own_node = sp
+        .nodes
+        .iter()
+        .any(|&node| !shared(&node) && (node == compiled.twig.output || edge_end(node)));
+    !reads_own_node
+        && sp
+            .nodes
+            .iter()
+            .rposition(shared)
+            .is_some_and(|pos| estimate >= stats.tag_count(sp.q.tags[pos]))
 }
 
 /// Computes the BoundIndex probe for `subpath`, anchored at a node the
@@ -690,6 +740,118 @@ mod tests {
         assert!(rare_inlj < rare_merge);
         let (common_inlj, common_merge) = costs[0];
         assert!(common_inlj >= common_merge);
+    }
+
+    /// A one-document auction site: one `site` over four people, whose
+    /// incomes are `100` once and `200` three times, and six open
+    /// auctions, four of them with increase `3.00` and two with `75.00`,
+    /// each with a `time` and an annotation by its own person `p0`…`p5`.
+    fn auction_site() -> XmlForest {
+        let mut f = XmlForest::new();
+        let mut b = f.builder();
+        b.open("site");
+        b.open("people");
+        for income in ["100", "200", "200", "200"] {
+            b.open("person");
+            b.open("profile");
+            b.attr("income", income);
+            b.close();
+            b.close();
+        }
+        b.close();
+        b.open("open_auctions");
+        for i in 0..6 {
+            b.open("open_auction");
+            b.attr("increase", if i < 4 { "3.00" } else { "75.00" });
+            b.open("annotation");
+            b.open("author");
+            b.attr("person", &format!("p{i}"));
+            b.close();
+            b.close();
+            b.leaf("time", "noon");
+            b.close();
+        }
+        b.close();
+        b.close();
+        b.finish();
+        f
+    }
+
+    /// The plan of `xpath` over `f`, and the tags of its driver's
+    /// subpath joined by `/`.
+    fn driver_of(f: &XmlForest, xpath: &str) -> (QueryPlan, String) {
+        let c = decompose(&parse_xpath(xpath).unwrap(), f.dict()).unwrap();
+        let plan = choose_plan(&c, &PathStats::build(f), f.dict(), 1);
+        let tags = &c.subpaths[plan.steps[0].subpath].q.tags;
+        let names: Vec<&str> = tags.iter().map(|&t| f.dict().name(t)).collect();
+        (plan, names.join("/"))
+    }
+
+    #[test]
+    fn a_filter_under_a_one_instance_root_waits_for_the_open_auction_branch() {
+        // Each income branch matches fewer people than there are `3.00`
+        // auctions, but all its matches prove the one `site`: the
+        // auction branch drives, whatever the income asked for.
+        let f = auction_site();
+        for (income, estimate) in [("100", 1), ("200", 3)] {
+            let xpath = format!(
+                "/site[people/person/profile/@income = '{income}']\
+                 /open_auctions/open_auction[@increase = '3.00']"
+            );
+            let (plan, driver) = driver_of(&f, &xpath);
+            assert_eq!(driver, "site/open_auctions/open_auction/@increase", "{xpath}: {plan:?}");
+            assert_eq!(plan.steps[0].estimate, 4);
+            let filter = &plan.steps[1];
+            assert_eq!(filter.estimate, estimate, "{xpath}");
+            // It joins on the root it proves.
+            assert_eq!(filter.join, Some(JoinHow::SharedNode { deepest: 0, shared: vec![0] }));
+        }
+    }
+
+    #[test]
+    fn a_title_rarer_than_the_documents_still_drives() {
+        // Three one-book documents, each with two authors: `title = 'XML'`
+        // proves one of the three books, so fetching its one match beats
+        // six authors. A title every book has proves them all and waits.
+        let mut f = XmlForest::new();
+        for title in ["XML", "SQL", "SQL"] {
+            let mut b = f.builder();
+            b.open("book");
+            b.leaf("title", title);
+            b.leaf("author", "jane");
+            b.leaf("author", "john");
+            b.close();
+            b.finish();
+        }
+        let (plan, driver) = driver_of(&f, "/book[title = 'XML']/author");
+        assert_eq!((driver.as_str(), plan.steps[0].estimate), ("book/title", 1), "{plan:?}");
+        let (plan, driver) = driver_of(&f, "/book[title]/author");
+        assert_eq!((driver.as_str(), plan.steps[0].estimate), ("book/author", 6), "{plan:?}");
+    }
+
+    #[test]
+    fn a_rare_literal_under_a_many_instance_node_still_drives() {
+        // Q10x's shape: one annotation author among six auctions.
+        let f = auction_site();
+        let (plan, driver) = driver_of(
+            &f,
+            "/site/open_auctions/open_auction[annotation/author/@person = 'p2']/time",
+        );
+        assert_eq!(driver, "site/open_auctions/open_auction/annotation/author/@person", "{plan:?}");
+        assert_eq!((plan.steps[0].estimate, plan.steps[1].key_count), (1, 6));
+    }
+
+    #[test]
+    fn an_empty_filter_still_drives() {
+        // No person earns `0`: the empty driver ends the query at once.
+        let f = auction_site();
+        let (plan, driver) = driver_of(
+            &f,
+            "/site[people/person/profile/@income = '0']\
+             /open_auctions/open_auction[@increase = '3.00']",
+        );
+        assert_eq!(driver, "site/people/person/profile/@income", "{plan:?}");
+        assert_eq!(plan.steps[0].estimate, 0);
     }
 
     #[test]

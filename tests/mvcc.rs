@@ -89,11 +89,15 @@ fn concurrent_updates_folds_and_readers_lose_nothing() {
     // empty (epoch predates the commit) or exactly the committed id —
     // never a torn in-between.
     const ROUNDS: u64 = 24;
+    const READERS: usize = 3;
     let dir = scratch_dir("storm");
     let svc = Arc::new(service());
     let tags = author_tags(&svc);
     let committed = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
+    // Readers that have checked an answer: `stop` waits for all of them,
+    // so a reader scheduled after the last commit still checks one.
+    let started = Arc::new(AtomicUsize::new(0));
 
     let writer = {
         let (svc, tags, committed) = (svc.clone(), tags.clone(), committed.clone());
@@ -115,9 +119,10 @@ fn concurrent_updates_folds_and_readers_lose_nothing() {
             folds
         })
     };
-    let readers: Vec<_> = (0..3)
+    let readers: Vec<_> = (0..READERS as u64)
         .map(|r| {
-            let (svc, stop, committed) = (svc.clone(), stop.clone(), committed.clone());
+            let (svc, stop, committed, started) =
+                (svc.clone(), stop.clone(), committed.clone(), started.clone());
             std::thread::spawn(move || {
                 let mut checked = 0u64;
                 while !stop.load(Ordering::SeqCst) {
@@ -135,6 +140,9 @@ fn concurrent_updates_folds_and_readers_lose_nothing() {
                         "reader {r}: torn snapshot for w{k}: {got:?}"
                     );
                     checked += 1;
+                    if checked == 1 {
+                        started.fetch_add(1, Ordering::SeqCst);
+                    }
                 }
                 checked
             })
@@ -146,6 +154,10 @@ fn concurrent_updates_folds_and_readers_lose_nothing() {
     // hold every update.
     let path = dir.join("final.xtwig");
     svc.persist(&path).unwrap();
+    // A reader that ended early panicked: its join below reports it.
+    while started.load(Ordering::SeqCst) < READERS && !readers.iter().any(|r| r.is_finished()) {
+        std::thread::yield_now();
+    }
     stop.store(true, Ordering::SeqCst);
     let folds = folder.join().unwrap();
     for r in readers {

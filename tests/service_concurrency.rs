@@ -320,3 +320,37 @@ fn update_invalidates_cached_results_after_generation_bump() {
     assert_eq!(stats.updates, 1);
     assert!(stats.result_cache.invalidated >= 1);
 }
+
+/// The service memoizes one plan per twig shape, so whichever of Q4x and
+/// Q6x arrives first plans for both. Either order must leave Q6x
+/// fetching exactly the rows it fetches compiled and answered on its
+/// own, under every strategy: the shape's plan may not depend on the
+/// literal it was made for. When the driver was the branch with the
+/// fewest estimated matches, Q4x's one-person income branch drove, and
+/// Q6x served after it fetched every person earning `9876.00`.
+#[test]
+fn a_shapes_plan_fetches_the_same_rows_in_either_arrival_order() {
+    let twig_of = |id| xmark_queries().into_iter().find(|q| q.id == id).unwrap().twig();
+    let (q4, q6) = (twig_of("Q4x"), twig_of("Q6x"));
+    for q6_first in [false, true] {
+        let mut forest = XmlForest::new();
+        generate_xmark(&mut forest, XmarkConfig { scale: 0.02, seed: 0xA0C });
+        let service = TwigService::build(
+            forest,
+            EngineOptions { pool_pages: 8192, ..Default::default() },
+            ServiceOptions { result_cache_capacity: 0, ..Default::default() },
+        );
+        for s in Strategy::ALL {
+            let alone = service.with_engine(|engine| engine.answer(&q6, s).metrics.rows_fetched);
+            if !q6_first {
+                service.execute(&q4, s).unwrap();
+            }
+            let served = service.execute(&q6, s).unwrap();
+            assert!(!served.from_cache);
+            assert_eq!(served.metrics.rows_fetched, alone, "Q6x under {s}, Q6x first: {q6_first}");
+            if q6_first {
+                service.execute(&q4, s).unwrap();
+            }
+        }
+    }
+}
