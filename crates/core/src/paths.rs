@@ -120,8 +120,9 @@ where
 pub struct PathStats {
     /// Instances per distinct root-anchored schema path.
     path_counts: HashMap<Vec<TagId>, u64>,
-    /// Instances per `(leaf tag, value)`.
-    tag_value_counts: HashMap<(TagId, String), u64>,
+    /// Instances per leaf tag, then per value: keyed so that a
+    /// `(TagId, &str)` lookup borrows its value.
+    tag_value_counts: HashMap<TagId, HashMap<Box<str>, u64>>,
     /// Instances per tag.
     tag_counts: HashMap<TagId, u64>,
     /// Total element/attribute nodes.
@@ -157,7 +158,9 @@ impl PathStats {
             Some(v) => {
                 *stats
                     .tag_value_counts
-                    .entry((*tags.last().unwrap(), v.to_owned()))
+                    .entry(*tags.last().unwrap())
+                    .or_default()
+                    .entry(v.into())
                     .or_insert(0) += 1;
             }
         });
@@ -169,8 +172,11 @@ impl PathStats {
         for (k, v) in other.path_counts {
             *self.path_counts.entry(k).or_insert(0) += v;
         }
-        for (k, v) in other.tag_value_counts {
-            *self.tag_value_counts.entry(k).or_insert(0) += v;
+        for (tag, values) in other.tag_value_counts {
+            let mine = self.tag_value_counts.entry(tag).or_default();
+            for (value, count) in values {
+                *mine.entry(value).or_insert(0) += count;
+            }
         }
         for (k, v) in other.tag_counts {
             *self.tag_counts.entry(k).or_insert(0) += v;
@@ -201,7 +207,7 @@ impl PathStats {
 
     /// Instances of `(leaf tag, value)`.
     pub fn tag_value_count(&self, tag: TagId, value: &str) -> u64 {
-        self.tag_value_counts.get(&(tag, value.to_owned())).copied().unwrap_or(0)
+        self.tag_value_counts.get(&tag).and_then(|values| values.get(value)).copied().unwrap_or(0)
     }
 
     /// Iterates distinct root paths with their instance counts.
@@ -222,11 +228,14 @@ impl PathStats {
             crate::persist::write_tag_path(w, path);
             w.push_u64(count);
         }
-        let mut tag_values: Vec<(&(TagId, String), u64)> =
-            self.tag_value_counts.iter().map(|(k, &v)| (k, v)).collect();
+        let mut tag_values: Vec<(TagId, &str, u64)> = self
+            .tag_value_counts
+            .iter()
+            .flat_map(|(&tag, values)| values.iter().map(move |(v, &c)| (tag, &**v, c)))
+            .collect();
         tag_values.sort_unstable();
         w.push_u32(tag_values.len() as u32);
-        for ((tag, value), count) in tag_values {
+        for (tag, value, count) in tag_values {
             w.push_u32(tag.0);
             w.push_str(value);
             w.push_u64(count);
@@ -257,7 +266,7 @@ impl PathStats {
             let tag = TagId(r.u32()?);
             let value = r.str()?;
             let count = r.u64()?;
-            stats.tag_value_counts.insert((tag, value), count);
+            stats.tag_value_counts.entry(tag).or_default().insert(value.into(), count);
         }
         let n = r.u32()? as usize;
         for _ in 0..n {

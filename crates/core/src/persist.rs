@@ -1,7 +1,7 @@
 //! Index persistence: build once, reopen without rebuild.
 //!
 //! [`QueryEngine::persist`] flushes a built engine into a single
-//! `.xtwig` file over a [`FileBackend`]; [`QueryEngine::open`] (and
+//! `.xtwig` file through a plain [`File`]; [`QueryEngine::open`] (and
 //! `TwigService::open` in `xtwig-service`) reattach it with **zero
 //! index-construction work** — no path enumeration, no sorting, no bulk
 //! loads, no page allocation. Opening reads the catalog, reconstructs
@@ -56,12 +56,14 @@ use crate::paths::PathStats;
 use crate::rootpaths::RootPaths;
 use std::collections::HashSet;
 use std::fmt;
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 use xtwig_btree::{BTree, BTreeOptions};
 use xtwig_rel::codec::IdListCodec;
 use xtwig_storage::{
-    hash, BufferPool, DiskManager, ExtentBackend, FileBackend, PageId, StorageBackend, PAGE_SIZE,
+    hash, BufferPool, DiskManager, ExtentBackend, FileBackend, PageId, ReadBackend, PAGE_SIZE,
 };
 use xtwig_xml::{TagDict, TagId};
 
@@ -321,7 +323,8 @@ pub(crate) fn read_tag_path(r: &mut ByteReader<'_>) -> Result<Vec<TagId>, Format
 /// Why a persist failed.
 #[derive(Debug)]
 pub enum PersistError {
-    /// The backend file could not be created, written, or synced.
+    /// The index file could not be created, written, synced or renamed
+    /// into place.
     Io(std::io::Error),
     /// A structure's pool held dirty pages pinned by an outstanding
     /// write guard — a concurrent writer owns part of the image, so a
@@ -360,7 +363,7 @@ impl From<std::io::Error> for PersistError {
 #[derive(Debug)]
 pub enum OpenError {
     /// The file could not be read (including misaligned/oversize files
-    /// rejected by [`FileBackend::open`]).
+    /// rejected by [`FileBackend::open_read_only`]).
     Io(std::io::Error),
     /// The file is not an xtwig index, or its catalog is corrupt or
     /// truncated.
@@ -492,10 +495,31 @@ fn strategy_from_u8(b: u8) -> Result<Strategy, FormatError> {
 // Persist
 // ---------------------------------------------------------------------------
 
+/// The index file being written: pages are appended after page 0, the
+/// superblock, which is written last.
+struct IndexWriter {
+    file: File,
+    /// Pages in the file, page 0 included.
+    pages: u32,
+}
+
+impl IndexWriter {
+    /// Writes `page` as the next page of the file: one positional write.
+    fn append(&mut self, page: &[u8]) -> std::io::Result<()> {
+        let next = self
+            .pages
+            .checked_add(1)
+            .ok_or_else(|| std::io::Error::other("index file exceeds the 32-bit page-id space"))?;
+        self.file.write_all_at(page, u64::from(self.pages) * PAGE_SIZE as u64)?;
+        self.pages = next;
+        Ok(())
+    }
+}
+
 /// Copies one structure pool into the file as a contiguous extent,
 /// returning `(base_page, extent_pages)`.
 fn copy_pool(
-    file: &FileBackend,
+    file: &mut IndexWriter,
     pool: &BufferPool,
     structure: &'static str,
 ) -> Result<(u32, u32), PersistError> {
@@ -503,16 +527,13 @@ fn copy_pool(
     if skipped > 0 {
         return Err(PersistError::PinnedPages { structure, skipped });
     }
-    let base = file.num_pages();
+    let base = file.pages;
     let pages = pool.num_pages();
     for pid in 0..pages {
-        let fp = file.allocate();
-        debug_assert_eq!(fp.0, base + pid, "extents must be contiguous");
         // Fetching through the pool reflects the latest content even if
         // a page is dirty-resident (flush above already wrote those
         // back, but fetch would be correct regardless).
-        let page = pool.fetch(PageId(pid));
-        file.write_page(fp, &page);
+        file.append(&pool.fetch(PageId(pid)))?;
     }
     Ok((base, pages))
 }
@@ -530,7 +551,9 @@ impl QueryEngine {
     /// `path`, then syncs it durably.
     ///
     /// The file is written to a `<path>.tmp` sibling and atomically
-    /// renamed over `path` only after the final sync, so a persist that
+    /// renamed over `path` only after the final sync, then the directory
+    /// is synced so that the rename, and the `Ok`, survive a crash. A
+    /// write error (disk full) is returned, not raised; a persist that
     /// fails midway (disk full, kill) never destroys a valid index
     /// already at `path` — and a reopened engine can safely re-persist
     /// to **its own** path (its extents keep reading the old inode
@@ -551,6 +574,8 @@ impl QueryEngine {
         match self.persist_into(&tmp) {
             Ok(report) => {
                 std::fs::rename(&tmp, path)?;
+                let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+                File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
                 Ok(report)
             }
             Err(e) => {
@@ -561,9 +586,7 @@ impl QueryEngine {
     }
 
     fn persist_into(&self, path: &Path) -> Result<PersistReport, PersistError> {
-        let file = FileBackend::create(path)?;
-        let superblock = file.allocate();
-        debug_assert_eq!(superblock, PageId(0));
+        let mut file = IndexWriter { file: File::create(path)?, pages: 1 };
 
         let mut catalog = ByteWriter::new();
         write_dict(&mut catalog, &self.dict);
@@ -611,7 +634,7 @@ impl QueryEngine {
 
         catalog.push_u32(entries.len() as u32);
         for (kind, name, pool, write_meta) in entries {
-            let (base, pages) = copy_pool(&file, pool, name)?;
+            let (base, pages) = copy_pool(&mut file, pool, name)?;
             catalog.push_u8(kind);
             catalog.push_u32(base);
             catalog.push_u32(pages);
@@ -631,15 +654,14 @@ impl QueryEngine {
 
         // Append the catalog blob page by page, then the superblock.
         let catalog = catalog.finish();
-        let catalog_start = file.num_pages();
+        let catalog_start = file.pages;
         let mut page = vec![0u8; PAGE_SIZE];
         for chunk in catalog.chunks(PAGE_SIZE) {
-            let fp = file.allocate();
             page[..chunk.len()].copy_from_slice(chunk);
             page[chunk.len()..].fill(0);
-            file.write_page(fp, &page);
+            file.append(&page)?;
         }
-        let total_pages = file.num_pages();
+        let total_pages = file.pages;
         let mut sb = vec![0u8; PAGE_SIZE];
         sb[0..8].copy_from_slice(MAGIC);
         sb[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -647,11 +669,11 @@ impl QueryEngine {
         sb[16..20].copy_from_slice(&catalog_start.to_le_bytes());
         sb[20..28].copy_from_slice(&(catalog.len() as u64).to_le_bytes());
         sb[28..36].copy_from_slice(&checksum(&catalog).to_le_bytes());
-        file.write_page(PageId(0), &sb);
+        file.file.write_all_at(&sb, 0)?;
         // One durable sync at the very end: a kill at any earlier point
         // leaves a file the superblock checks reject, never a torn one
         // that opens.
-        file.sync()?;
+        file.file.sync_all()?;
         Ok(PersistReport {
             file_pages: total_pages,
             file_bytes: u64::from(total_pages) * PAGE_SIZE as u64,

@@ -110,7 +110,7 @@
 
 use crate::disk::DiskManager;
 use crate::hash::{hash_bytes, SEED};
-use crate::page::{PageBuf, PageId, PAGE_SIZE};
+use crate::page::{PageBuf, PageId};
 use crate::stats::{IoStats, PoolCounters};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
@@ -194,15 +194,6 @@ impl BufferPool {
         BufferPool::new(DiskManager::in_memory(), capacity)
     }
 
-    /// Pool sized to hold `bytes` of pages (rounded up), like "a 40 MB
-    /// buffer pool".
-    pub fn with_bytes(disk: DiskManager, bytes: u64) -> Self {
-        // Saturate rather than unwrap: a byte budget beyond the address
-        // space clamps to the largest representable frame count.
-        let frames = bytes.div_ceil(PAGE_SIZE as u64).min(u64::from(u32::MAX)) as usize;
-        BufferPool::new(disk, frames.max(2))
-    }
-
     /// The shared I/O statistics.
     pub fn stats(&self) -> &Arc<IoStats> {
         &self.stats
@@ -229,11 +220,6 @@ impl BufferPool {
     /// Pages allocated in the underlying disk manager.
     pub fn num_pages(&self) -> u32 {
         self.disk.num_pages()
-    }
-
-    /// Bytes allocated in the underlying disk manager.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.disk.allocated_bytes()
     }
 
     /// [`hash_bytes`] chained over the byte content of every allocated
@@ -899,11 +885,5 @@ mod tests {
         assert_eq!(pool.cow_fork().err(), Some(1));
         drop(g);
         assert!(pool.cow_fork().is_ok(), "fork succeeds once the writer finishes");
-    }
-
-    #[test]
-    fn with_bytes_sizes_pool() {
-        let pool = BufferPool::with_bytes(DiskManager::in_memory(), 40 * 1024 * 1024);
-        assert_eq!(pool.capacity(), 40 * 1024 * 1024 / PAGE_SIZE);
     }
 }

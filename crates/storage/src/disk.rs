@@ -1,45 +1,69 @@
 //! Disk manager: page allocation and transfer against a backend.
 //!
-//! Three backends are provided. [`MemBackend`] keeps pages in a `Vec` —
-//! used by tests and by benchmarks that want to count I/O without disk
-//! noise (the paper similarly disabled the OS file cache to isolate
-//! buffer-pool behaviour). [`FileBackend`] stores pages in a real file for
-//! out-of-memory datasets, through positional reads and writes that take
-//! no lock, so the extents of one index file read in parallel.
+//! A page store comes in two halves: [`ReadBackend`] reads pages,
+//! [`StorageBackend`] also writes and allocates them. Each store
+//! implements only what it can do. [`MemBackend`] keeps pages in a
+//! `Vec` and is written — used by tests, by freshly built indexes, and
+//! by benchmarks that want to count I/O without disk noise (the paper
+//! similarly disabled the OS file cache to isolate buffer-pool
+//! behaviour). [`FileBackend`] reads a persisted index file through
+//! positional reads that take no lock, so the extents of one file read
+//! in parallel; it never opens its file for writing (`QueryEngine::persist`
+//! writes the file once, through a plain `std::fs::File`).
 //! [`ExtentBackend`] is a read-only view of one structure's extent of
 //! such a file.
 //!
-//! A [`DiskManager`] either writes through to its backend or keeps a
-//! copy-on-write overlay over it, which then is never written: that is
-//! how a reopened index file stays sealed
+//! A [`DiskManager`] either writes through to a [`StorageBackend`] or
+//! keeps a copy-on-write overlay over a sealed [`ReadBackend`], which is
+//! then never written: that is how a reopened index file is served
 //! ([`DiskManager::copy_on_write`]) and how an engine fork snapshots a
-//! pool, reopened or freshly built ([`DiskManager::fork_cow`]).
+//! pool, reopened or freshly built ([`DiskManager::fork_cow`]). A
+//! read-only store cannot be handed to a writing manager:
+//!
+//! ```compile_fail
+//! # use std::sync::Arc;
+//! # use xtwig_storage::{DiskManager, ExtentBackend, FileBackend};
+//! # fn serve(file: Arc<FileBackend>) -> DiskManager {
+//! DiskManager::with_backend(Box::new(ExtentBackend::new(file, 0, 1)))
+//! # }
+//! ```
+//!
+//! It is served sealed instead:
+//!
+//! ```
+//! # use std::sync::Arc;
+//! # use xtwig_storage::{DiskManager, ExtentBackend, FileBackend};
+//! # fn serve(file: Arc<FileBackend>) -> DiskManager {
+//! DiskManager::copy_on_write(Box::new(ExtentBackend::new(file, 0, 1)))
+//! # }
+//! ```
 
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::ErrorKind;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Abstract page store.
-pub trait StorageBackend: Send + Sync {
+/// A page store that can be read: the sealed base of a copy-on-write
+/// [`DiskManager`].
+pub trait ReadBackend: Send + Sync {
     /// Reads page `pid` into `buf`.
     fn read_page(&self, pid: PageId, buf: &mut [u8]);
+    /// Number of allocated pages.
+    fn num_pages(&self) -> u32;
+}
+
+/// A page store that can also be written: what a writing
+/// [`DiskManager`] holds.
+pub trait StorageBackend: ReadBackend {
     /// Writes `buf` to page `pid`.
     fn write_page(&self, pid: PageId, buf: &[u8]);
     /// Allocates a fresh zeroed page and returns its id.
     fn allocate(&self) -> PageId;
-    /// Number of allocated pages.
-    fn num_pages(&self) -> u32;
-    /// Flushes written pages to durable storage. A no-op for in-memory
-    /// backends; `File::sync_all` for file-backed ones. Called once at
-    /// the end of an index persist so a crash right after `xtwig build`
-    /// cannot leave a torn index file.
-    fn sync(&self) -> std::io::Result<()>;
 }
 
 /// In-memory backend.
@@ -55,12 +79,18 @@ impl MemBackend {
     }
 }
 
-impl StorageBackend for MemBackend {
+impl ReadBackend for MemBackend {
     fn read_page(&self, pid: PageId, buf: &mut [u8]) {
         let pages = self.pages.lock();
         buf.copy_from_slice(pages[pid.0 as usize].bytes());
     }
 
+    fn num_pages(&self) -> u32 {
+        self.pages.lock().len() as u32
+    }
+}
+
+impl StorageBackend for MemBackend {
     fn write_page(&self, pid: PageId, buf: &[u8]) {
         let mut pages = self.pages.lock();
         pages[pid.0 as usize].bytes_mut().copy_from_slice(buf);
@@ -72,40 +102,21 @@ impl StorageBackend for MemBackend {
         pages.push(PageBuf::zeroed());
         pid
     }
-
-    fn num_pages(&self) -> u32 {
-        self.pages.lock().len() as u32
-    }
-
-    fn sync(&self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
-/// File-backed backend. Pages are stored contiguously at
-/// `pid * PAGE_SIZE`, and every transfer is one positional `pread` /
-/// `pwrite` at that offset: there is no shared file cursor, so no lock,
-/// and concurrent readers of one file never wait on each other.
+/// A read-only page file. Pages are stored contiguously at
+/// `pid * PAGE_SIZE`, and every read is one positional `pread` at that
+/// offset: there is no shared file cursor, so no lock, and concurrent
+/// readers of one file never wait on each other.
 #[derive(Debug)]
 pub struct FileBackend {
     file: File,
-    next: AtomicU32,
-}
-
-/// Byte offset of page `pid` in a backend file.
-fn page_offset(pid: PageId) -> u64 {
-    u64::from(pid.0) * PAGE_SIZE as u64
+    pages: u32,
 }
 
 impl FileBackend {
-    /// Creates (truncating) a backend file at `path`.
-    pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(FileBackend { file, next: AtomicU32::new(0) })
-    }
-
-    /// Opens an existing backend file at `path`.
+    /// Opens an existing page file at `path` without requesting write
+    /// access, so a `chmod 444` file or a read-only mount opens too.
     ///
     /// The file length must be an exact multiple of [`PAGE_SIZE`]: a
     /// misaligned length means the last page was torn (e.g. a crash mid
@@ -113,27 +124,12 @@ impl FileBackend {
     /// so it is rejected as [`std::io::ErrorKind::InvalidData`]. A file
     /// too large for 32-bit page ids is rejected the same way instead
     /// of panicking.
-    pub fn open<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        Self::open_with(path, true)
-    }
-
-    /// Opens an existing backend file without requesting write access.
-    ///
-    /// A persisted index is a sealed artifact served read-only through
-    /// [`ExtentBackend`] (writes go to the manager's overlay, never the file), so
-    /// the reopen path must work on `chmod 444` files and read-only
-    /// mounts. Calling [`StorageBackend::write_page`] on a backend
-    /// opened this way panics.
     pub fn open_read_only<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        Self::open_with(path, false)
-    }
-
-    fn open_with<P: AsRef<Path>>(path: P, write: bool) -> std::io::Result<Self> {
-        let file = OpenOptions::new().read(true).write(write).open(path)?;
+        let file = File::open(path)?;
         let len = file.metadata()?.len();
         if len % PAGE_SIZE as u64 != 0 {
             return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
+                ErrorKind::InvalidData,
                 format!(
                     "backend file length {len} is not a multiple of the page size {PAGE_SIZE} \
                      (torn or truncated file)"
@@ -142,20 +138,19 @@ impl FileBackend {
         }
         let pages = u32::try_from(len / PAGE_SIZE as u64).map_err(|_| {
             std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
+                ErrorKind::InvalidData,
                 format!("backend file of {len} bytes exceeds the 32-bit page-id space"),
             )
         })?;
-        Ok(FileBackend { file, next: AtomicU32::new(pages) })
+        Ok(FileBackend { file, pages })
     }
 }
 
-impl StorageBackend for FileBackend {
+impl ReadBackend for FileBackend {
     fn read_page(&self, pid: PageId, buf: &mut [u8]) {
-        let offset = page_offset(pid);
-        // A fresh page may not have been written yet; treat short reads as
-        // zero fill. An interrupted read is retried, as `read_exact_at`
-        // does.
+        let offset = u64::from(pid.0) * PAGE_SIZE as u64;
+        // A page past the end of the file reads as zeroes. An
+        // interrupted read is retried, as `read_exact_at` does.
         let mut read = 0usize;
         while read < buf.len() {
             match self.file.read_at(&mut buf[read..], offset + read as u64) {
@@ -168,20 +163,8 @@ impl StorageBackend for FileBackend {
         buf[read..].fill(0);
     }
 
-    fn write_page(&self, pid: PageId, buf: &[u8]) {
-        self.file.write_all_at(buf, page_offset(pid)).expect("page write failed");
-    }
-
-    fn allocate(&self) -> PageId {
-        PageId(self.next.fetch_add(1, Ordering::SeqCst))
-    }
-
     fn num_pages(&self) -> u32 {
-        self.next.load(Ordering::SeqCst)
-    }
-
-    fn sync(&self) -> std::io::Result<()> {
-        self.file.sync_all()
+        self.pages
     }
 }
 
@@ -191,11 +174,12 @@ impl StorageBackend for FileBackend {
 /// This is how a persisted index file is served: every structure's
 /// buffer pool reopens over its own extent, so pool-local page ids
 /// (what B+-tree nodes store) keep working unchanged — the extent
-/// translates pool page `p` to file page `base + p`. Nothing writes
-/// through it: a reopened pool's [`DiskManager::copy_on_write`] keeps
-/// evicted dirty pages and post-open allocations in its overlay, so
-/// index maintenance on a reopened engine cannot corrupt the file on
-/// disk (re-persist to a new file to make such changes durable).
+/// translates pool page `p` to file page `base + p`. It is a
+/// [`ReadBackend`] only, so it can be served only sealed, under
+/// [`DiskManager::copy_on_write`], whose overlay keeps evicted dirty
+/// pages and post-open allocations: index maintenance on a reopened
+/// engine cannot corrupt the file on disk (re-persist to a new file to
+/// make such changes durable).
 pub struct ExtentBackend {
     file: Arc<FileBackend>,
     base: u32,
@@ -218,7 +202,7 @@ impl ExtentBackend {
     }
 }
 
-impl StorageBackend for ExtentBackend {
+impl ReadBackend for ExtentBackend {
     fn read_page(&self, pid: PageId, buf: &mut [u8]) {
         if pid.0 < self.extent_pages {
             self.file.read_page(PageId(self.base + pid.0), buf);
@@ -227,20 +211,8 @@ impl StorageBackend for ExtentBackend {
         }
     }
 
-    fn write_page(&self, pid: PageId, _buf: &[u8]) {
-        panic!("page {pid} written through a read-only file extent");
-    }
-
-    fn allocate(&self) -> PageId {
-        panic!("page allocated in a read-only file extent");
-    }
-
     fn num_pages(&self) -> u32 {
         self.extent_pages
-    }
-
-    fn sync(&self) -> std::io::Result<()> {
-        Ok(())
     }
 }
 
@@ -260,7 +232,7 @@ struct Overlay {
 }
 
 impl Overlay {
-    fn over(backend: &dyn StorageBackend) -> Self {
+    fn over(backend: &dyn ReadBackend) -> Self {
         Overlay {
             base_pages: backend.num_pages(),
             pages: Mutex::new(HashMap::new()),
@@ -280,15 +252,20 @@ impl Overlay {
     }
 }
 
+/// How a [`DiskManager`] treats its backend.
+enum Mode {
+    /// Writes and allocates through to the backend.
+    Writing(Arc<dyn StorageBackend>),
+    /// Reads through the overlay to the sealed `base`, and writes and
+    /// allocates only in the overlay. The base is shared by `Arc`
+    /// across forks.
+    CopyOnWrite { base: Arc<dyn ReadBackend>, overlay: Overlay },
+}
+
 /// Disk manager wrapping a backend; a thin layer that owns allocation
 /// accounting (physical transfer counting lives in the buffer pool).
-/// The backend is held by `Arc` so [`DiskManager::fork_cow`] can share
-/// a sealed base image across copy-on-write forks.
 pub struct DiskManager {
-    backend: Arc<dyn StorageBackend>,
-    /// Present on a copy-on-write manager, which reads through it to
-    /// `backend` and writes and allocates only in it.
-    overlay: Option<Overlay>,
+    mode: Mode,
 }
 
 impl DiskManager {
@@ -297,54 +274,57 @@ impl DiskManager {
         Self::with_backend(Box::new(MemBackend::new()))
     }
 
-    /// Wraps a custom backend, writing through to it.
+    /// Wraps a writable backend, writing through to it.
     pub fn with_backend(backend: Box<dyn StorageBackend>) -> Self {
-        DiskManager { backend: Arc::from(backend), overlay: None }
+        DiskManager { mode: Mode::Writing(Arc::from(backend)) }
     }
 
-    /// A copy-on-write manager over `backend`, sealed at its current
-    /// size: reads fall through overlay → backend → zero fill, and
-    /// every write and allocation lands in the overlay, so `backend` is
-    /// never written (how a persisted index's [`ExtentBackend`]s are
-    /// served).
-    pub fn copy_on_write(backend: Box<dyn StorageBackend>) -> Self {
-        let backend: Arc<dyn StorageBackend> = Arc::from(backend);
-        DiskManager { overlay: Some(Overlay::over(&*backend)), backend }
+    /// A copy-on-write manager over `base`, sealed at its current size:
+    /// reads fall through overlay → base → zero fill, and every write
+    /// and allocation lands in the overlay (how a persisted index's
+    /// [`ExtentBackend`]s are served).
+    pub fn copy_on_write(base: Box<dyn ReadBackend>) -> Self {
+        let overlay = Overlay::over(&*base);
+        DiskManager { mode: Mode::CopyOnWrite { base: Arc::from(base), overlay } }
     }
 
     /// Forks into an independent copy-on-write manager: the fork sees
     /// the current page image, and writes on the fork never reach this
     /// manager's backend (nor vice versa). A copy-on-write manager forks
-    /// into a flat sibling over its sealed backend; a writing one seals
+    /// into a flat sibling over its sealed base; a writing one seals
     /// its backend under an empty overlay. **Contract:** the caller
     /// must have flushed this manager's dirty state down to the backend
     /// first and must not write through `self` afterwards (the buffer
     /// pool's `cow_fork` enforces both).
     pub fn fork_cow(&self) -> DiskManager {
-        let overlay = match &self.overlay {
-            Some(overlay) => overlay.fork(),
-            None => Overlay::over(&*self.backend),
+        let (base, overlay): (Arc<dyn ReadBackend>, _) = match &self.mode {
+            Mode::Writing(backend) => (backend.clone(), Overlay::over(&**backend)),
+            Mode::CopyOnWrite { base, overlay } => (base.clone(), overlay.fork()),
         };
-        DiskManager { backend: self.backend.clone(), overlay: Some(overlay) }
+        DiskManager { mode: Mode::CopyOnWrite { base, overlay } }
     }
 
     /// Pages in the copy-on-write overlay (0 for a writing manager).
     pub fn overlay_pages(&self) -> usize {
-        self.overlay.as_ref().map_or(0, |o| o.pages.lock().len())
+        match &self.mode {
+            Mode::Writing(_) => 0,
+            Mode::CopyOnWrite { overlay, .. } => overlay.pages.lock().len(),
+        }
     }
 
     /// Reads page `pid` into `buf`.
     pub fn read_page(&self, pid: PageId, buf: &mut [u8]) {
-        let Some(overlay) = &self.overlay else {
-            return self.backend.read_page(pid, buf);
+        let (base, overlay) = match &self.mode {
+            Mode::Writing(backend) => return backend.read_page(pid, buf),
+            Mode::CopyOnWrite { base, overlay } => (base, overlay),
         };
         if let Some(page) = overlay.pages.lock().get(&pid.0) {
             buf.copy_from_slice(page.bytes());
             return;
         }
-        // The overlay's lock is released: backend reads run in parallel.
+        // The overlay's lock is released: base reads run in parallel.
         if pid.0 < overlay.base_pages {
-            self.backend.read_page(pid, buf);
+            base.read_page(pid, buf);
         } else {
             // Allocated in the overlay but never written: zero fill.
             buf.fill(0);
@@ -354,42 +334,31 @@ impl DiskManager {
     /// Writes the page image `page` to page `pid`. An overlay keeps the
     /// image itself, shared with the caller; a backend copies its bytes.
     pub fn write_page(&self, pid: PageId, page: &Arc<PageBuf>) {
-        match &self.overlay {
-            Some(overlay) => {
+        match &self.mode {
+            Mode::Writing(backend) => backend.write_page(pid, page.bytes()),
+            Mode::CopyOnWrite { overlay, .. } => {
                 overlay.pages.lock().insert(pid.0, page.clone());
             }
-            None => self.backend.write_page(pid, page.bytes()),
         }
     }
 
     /// Allocates a fresh page.
     pub fn allocate(&self) -> PageId {
-        match &self.overlay {
-            Some(o) => PageId(o.base_pages + o.overflow.fetch_add(1, Ordering::SeqCst)),
-            None => self.backend.allocate(),
+        match &self.mode {
+            Mode::Writing(backend) => backend.allocate(),
+            Mode::CopyOnWrite { overlay: o, .. } => {
+                PageId(o.base_pages + o.overflow.fetch_add(1, Ordering::SeqCst))
+            }
         }
     }
 
     /// Number of allocated pages.
     pub fn num_pages(&self) -> u32 {
-        match &self.overlay {
-            Some(o) => o.base_pages + o.overflow.load(Ordering::SeqCst),
-            None => self.backend.num_pages(),
-        }
-    }
-
-    /// Total allocated bytes.
-    pub fn allocated_bytes(&self) -> u64 {
-        u64::from(self.num_pages()) * PAGE_SIZE as u64
-    }
-
-    /// Flushes the backend to durable storage (see
-    /// [`StorageBackend::sync`]); a no-op under an overlay, whose
-    /// writes never reach the backend.
-    pub fn sync(&self) -> std::io::Result<()> {
-        match &self.overlay {
-            Some(_) => Ok(()),
-            None => self.backend.sync(),
+        match &self.mode {
+            Mode::Writing(backend) => backend.num_pages(),
+            Mode::CopyOnWrite { overlay: o, .. } => {
+                o.base_pages + o.overflow.load(Ordering::SeqCst)
+            }
         }
     }
 }
@@ -420,50 +389,40 @@ mod tests {
         roundtrip(&MemBackend::new());
     }
 
-    #[test]
-    fn file_backend_roundtrip() {
+    /// Writes `pages` (one image each) to a fresh file named `name` in
+    /// this process's scratch directory, with plain `std::fs`, as
+    /// `QueryEngine::persist` writes an index file.
+    fn page_file(name: &str, pages: &[Vec<u8>]) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("xtwig-disk-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.db");
-        roundtrip(&FileBackend::create(&path).unwrap());
-        std::fs::remove_file(&path).ok();
+        let path = dir.join(name);
+        std::fs::write(&path, pages.concat()).unwrap();
+        path
     }
 
     #[test]
-    fn file_backend_reopen_preserves_pages() {
-        let dir = std::env::temp_dir().join(format!("xtwig-disk2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reopen.db");
-        {
-            let b = FileBackend::create(&path).unwrap();
-            let p = b.allocate();
-            let mut w = vec![7u8; PAGE_SIZE];
-            w[3] = 9;
-            b.write_page(p, &w);
-        }
-        {
-            let b = FileBackend::open(&path).unwrap();
-            assert_eq!(b.num_pages(), 1);
-            let mut r = vec![0u8; PAGE_SIZE];
-            b.read_page(PageId(0), &mut r);
-            assert_eq!(r[3], 9);
-            assert_eq!(r[0], 7);
-        }
+    fn file_backend_reads_the_pages_written() {
+        let mut w = vec![7u8; PAGE_SIZE];
+        w[3] = 9;
+        let path = page_file("reopen.db", &[vec![0u8; PAGE_SIZE], w.clone()]);
+        let b = FileBackend::open_read_only(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(b.num_pages(), 2);
+        let mut r = vec![0xFFu8; PAGE_SIZE];
+        b.read_page(PageId(1), &mut r);
+        assert_eq!(r, w);
+        b.read_page(PageId(0), &mut r);
+        assert!(r.iter().all(|&b| b == 0));
     }
 
     #[test]
     fn file_backend_reads_in_parallel_at_their_own_offsets() {
-        let dir = std::env::temp_dir().join(format!("xtwig-disk8-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("parallel.db");
-        let b = Arc::new(FileBackend::create(&path).unwrap());
-        for i in 0..8u8 {
-            let p = b.allocate();
-            b.write_page(p, &vec![i + 1; PAGE_SIZE]);
-        }
-        // Allocated past the end of the file: a short read, zero-filled.
-        let tail = b.allocate();
+        let images: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i + 1; PAGE_SIZE]).collect();
+        let path = page_file("parallel.db", &images);
+        let b = Arc::new(FileBackend::open_read_only(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+        // Page 8 lies past the end of the file: a short read, zero-filled.
+        let tail = PageId(8);
         let handles: Vec<_> = (0..4u32)
             .map(|t| {
                 let b = b.clone();
@@ -481,41 +440,17 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn open_rejects_misaligned_length() {
-        let dir = std::env::temp_dir().join(format!("xtwig-disk3-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("misaligned.db");
-        {
-            let b = FileBackend::create(&path).unwrap();
-            let p = b.allocate();
-            b.write_page(p, &vec![1u8; PAGE_SIZE]);
-        }
-        // Chop half a page off: a torn last page must be rejected, not
-        // silently truncated away.
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(PAGE_SIZE as u64 / 2).unwrap();
-        drop(f);
-        let err = FileBackend::open(&path).expect_err("misaligned file must not open");
+        // Half a page: a torn last page must be rejected, not silently
+        // truncated away.
+        let path = page_file("misaligned.db", &[vec![1u8; PAGE_SIZE / 2]]);
+        let err = FileBackend::open_read_only(&path).expect_err("misaligned file must not open");
+        std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("not a multiple"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sync_smoke() {
-        let dir = std::env::temp_dir().join(format!("xtwig-disk4-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sync.db");
-        let b = FileBackend::create(&path).unwrap();
-        let p = b.allocate();
-        b.write_page(p, &vec![3u8; PAGE_SIZE]);
-        b.sync().unwrap();
-        assert!(MemBackend::new().sync().is_ok());
-        std::fs::remove_file(&path).ok();
     }
 
     fn page(byte: u8) -> Arc<PageBuf> {
@@ -544,17 +479,9 @@ mod tests {
     /// (file pages 1..4 of 0..5) and a fork of a writing in-memory
     /// manager, which copies what it is handed.
     fn overlaid(tag: &str) -> [Overlaid; 2] {
-        let dir = std::env::temp_dir().join(format!("xtwig-overlay-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}.db"));
-        {
-            let b = FileBackend::create(&path).unwrap();
-            for i in 0..5u8 {
-                let p = b.allocate();
-                b.write_page(p, &vec![i; PAGE_SIZE]);
-            }
-        }
-        let file = Arc::new(FileBackend::open(&path).unwrap());
+        let images: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; PAGE_SIZE]).collect();
+        let path = page_file(&format!("overlay-{tag}.db"), &images);
+        let file = Arc::new(FileBackend::open_read_only(&path).unwrap());
         std::fs::remove_file(&path).ok();
         let extent = DiskManager::copy_on_write(Box::new(ExtentBackend::new(file.clone(), 1, 3)));
         let mem = Arc::new(DiskManager::in_memory());
@@ -605,7 +532,6 @@ mod tests {
             assert_eq!(dm.num_pages(), 4);
             assert_eq!(first_byte(&dm, 3), 0);
             assert_eq!(base_pages(), 3);
-            dm.sync().unwrap();
         }
     }
 
@@ -641,15 +567,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "reaches past")]
     fn extent_backend_rejects_out_of_range_extent() {
-        let dir = std::env::temp_dir().join(format!("xtwig-disk6-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("extent-oob.db");
-        {
-            let b = FileBackend::create(&path).unwrap();
-            b.allocate();
-            b.write_page(PageId(0), &vec![0u8; PAGE_SIZE]);
-        }
-        let file = Arc::new(FileBackend::open(&path).unwrap());
+        let path = page_file("extent-oob.db", &[vec![0u8; PAGE_SIZE]]);
+        let file = Arc::new(FileBackend::open_read_only(&path).unwrap());
+        std::fs::remove_file(&path).ok();
         let _ = ExtentBackend::new(file, 0, 2);
     }
 
@@ -660,7 +580,6 @@ mod tests {
         dm.allocate();
         dm.allocate();
         assert_eq!(dm.num_pages(), 3);
-        assert_eq!(dm.allocated_bytes(), 3 * PAGE_SIZE as u64);
     }
 
     #[test]

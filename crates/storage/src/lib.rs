@@ -6,7 +6,8 @@
 //! is the equivalent substrate for the reproduction:
 //!
 //! * [`page`] — fixed 8 KiB pages.
-//! * [`disk`] — a disk manager with file-backed and in-memory backends.
+//! * [`disk`] — a disk manager over read-only file-backed and writable
+//!   in-memory backends.
 //! * [`buffer`] — a buffer pool with LRU eviction, pin counts, and dirty
 //!   tracking.
 //! * [`hash`] — the word-at-a-time content hash behind page digests
@@ -22,6 +23,6 @@ pub mod page;
 pub mod stats;
 
 pub use buffer::{BufferPool, PageReadGuard, PageWriteGuard};
-pub use disk::{DiskManager, ExtentBackend, FileBackend, MemBackend, StorageBackend};
+pub use disk::{DiskManager, ExtentBackend, FileBackend, MemBackend, ReadBackend, StorageBackend};
 pub use page::{PageBuf, PageId, PAGE_SIZE};
 pub use stats::{IoStats, IoStatsSnapshot, PoolCounters};

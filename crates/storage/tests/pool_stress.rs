@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use xtwig_storage::page::{get_u64, put_u64, PageId};
-use xtwig_storage::{BufferPool, DiskManager, MemBackend, StorageBackend, PAGE_SIZE};
+use xtwig_storage::{BufferPool, DiskManager, MemBackend, ReadBackend, StorageBackend, PAGE_SIZE};
 
 /// Tiny deterministic generator (the vendored `rand` stub is aimed at
 /// datagen; an LCG is all the churn schedule needs).
@@ -369,7 +369,7 @@ struct HookedBackend {
     hook: Arc<ReadHook>,
 }
 
-impl StorageBackend for HookedBackend {
+impl ReadBackend for HookedBackend {
     fn read_page(&self, pid: PageId, buf: &mut [u8]) {
         let hook = &self.hook;
         hook.reads.fetch_add(1, Ordering::SeqCst);
@@ -388,6 +388,12 @@ impl StorageBackend for HookedBackend {
         self.pages.read_page(pid, buf);
     }
 
+    fn num_pages(&self) -> u32 {
+        self.pages.num_pages()
+    }
+}
+
+impl StorageBackend for HookedBackend {
     fn write_page(&self, pid: PageId, buf: &[u8]) {
         self.pages.write_page(pid, buf);
         // A test that does not wait for writes has dropped the receiver.
@@ -396,14 +402,6 @@ impl StorageBackend for HookedBackend {
 
     fn allocate(&self) -> PageId {
         self.pages.allocate()
-    }
-
-    fn num_pages(&self) -> u32 {
-        self.pages.num_pages()
-    }
-
-    fn sync(&self) -> std::io::Result<()> {
-        Ok(())
     }
 }
 

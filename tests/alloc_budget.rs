@@ -405,6 +405,26 @@ fn a_fork_allocates_for_what_it_writes() {
     assert!(all <= maintained + 4, "{all} allocations (RP+DP alone: {maintained})");
 }
 
+/// Pricing a step with a literal reads the literal's instances from the
+/// path statistics, on every DATAPATHS execution of a probe-capable
+/// step. The lookup borrows the literal: it allocates nothing. Before,
+/// the statistics were keyed by an owned `(tag, value)` pair, and each
+/// lookup copied the literal into a `String` to build its key.
+#[test]
+fn estimating_a_literal_allocates_nothing() {
+    let mut forest = XmlForest::new();
+    generate_xmark(&mut forest, XmarkConfig { scale: 0.004, seed: 0xA0C });
+    let options = EngineOptions { strategies: vec![Strategy::RootPaths], ..Default::default() };
+    let engine = QueryEngine::build(Arc::new(forest), options);
+    let quantity = engine.dict().lookup("quantity").expect("XMark has quantities");
+    let ((hit, miss), alloc) = allocations_of(|| {
+        let stats = engine.stats();
+        (stats.tag_value_count(quantity, "2"), stats.tag_value_count(quantity, "no such value"))
+    });
+    assert!(hit > 0 && miss == 0, "quantity = '2': {hit}, an absent value: {miss}");
+    assert_eq!(alloc.count, 0, "estimating two literals allocated {} times", alloc.count);
+}
+
 /// The XMark forest the warm budgets run on, and its queries.
 fn xmark_002() -> XmlForest {
     let mut forest = XmlForest::new();
