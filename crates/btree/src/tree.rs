@@ -443,6 +443,52 @@ impl BTree {
         }
     }
 
+    /// Counts the entries whose key starts with `prefix`, up to the
+    /// first count `enough` accepts. Every page is read through
+    /// [`BufferPool::peek`], so the count brings no page into the pool:
+    /// it warms no pool, and allocates nothing.
+    pub fn count_prefix(&self, prefix: &[u8], mut enough: impl FnMut(u64) -> bool) -> u64 {
+        let mut count = 0;
+        let mut key = LeafKey::default();
+        let mut counter = |_: &[u8], _: &[u8]| {
+            count += 1;
+            if enough(count) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        // Down to the leaf `prefix` would be in, then right along the
+        // leaves while their keys start with it.
+        let (mut pid, mut first_leaf) = (self.root, true);
+        loop {
+            let next = self.pool.peek(pid, |page| {
+                if !node::is_leaf(page) {
+                    return Some(PageId(node::int_child_at(
+                        page,
+                        node::int_child_index(page, prefix),
+                    )));
+                }
+                let slot = if first_leaf {
+                    let (Ok(slot) | Err(slot)) = node::leaf_find(page, prefix);
+                    slot
+                } else {
+                    0
+                };
+                first_leaf = false;
+                match admitted_cells(page, slot, prefix, &mut key, &mut counter) {
+                    Exit::Sibling(next) => Some(next),
+                    Exit::End | Exit::Beyond => None,
+                }
+            });
+            match next {
+                Some(next) => pid = next,
+                None => break,
+            }
+        }
+        count
+    }
+
     /// Every entry in key order, copied out.
     pub fn scan_all(&self) -> RangeScan<'_> {
         let (_, page) = self.find_leaf(&[]);
@@ -1048,6 +1094,30 @@ mod tests {
         // A visitor that has what it came for walks into no further leaf.
         let first_only = |_: &[u8], _: &[u8]| ControlFlow::Break(());
         assert_eq!(reads_of(&pool, || t.for_each_prefix(b"k00001", first_only)), 3);
+    }
+
+    #[test]
+    fn a_count_reads_what_the_walk_reads_and_leaves_the_pool_as_it_was() {
+        let (t, pool) = height3();
+        for prefix in [&b"k00001"[..], b"k0000100", b"k1", b"nope", b""] {
+            let mut walked = 0usize;
+            let walk_reads =
+                reads_of(&pool, || t.for_each_prefix(prefix, |_, _| count(&mut walked)));
+            pool.clear_cache();
+            let counted =
+                reads_of(&pool, || assert_eq!(t.count_prefix(prefix, |_| false), walked as u64));
+            assert_eq!(counted, walk_reads, "{prefix:?}");
+            assert_eq!(pool.resident_pages(), 0, "{prefix:?}: a count brings no page in");
+        }
+        // Resident pages are read in place; a count stops where asked.
+        let mut walked = 0usize;
+        t.for_each_prefix(b"k00001", |_, _| count(&mut walked));
+        let resident = pool.resident_pages();
+        let physical = pool.stats().snapshot().physical_reads;
+        assert_eq!(t.count_prefix(b"k00001", |n| n == 5), 5);
+        assert_eq!(t.count_prefix(b"k00001", |_| false), walked as u64);
+        assert_eq!(pool.resident_pages(), resident);
+        assert_eq!(pool.stats().snapshot().physical_reads, physical);
     }
 
     /// Seeks from the first cell it is lent to `to`, then stops on the

@@ -12,9 +12,11 @@
 //!
 //! Everything here works identically on a freshly built engine and on
 //! one reopened from a persisted `.xtwig` file — the catalog is read
-//! from the live structures (tree shapes survive reopen), and the
-//! statistics come from the persisted `PathStats`, so `xtwig explain`
-//! never needs to rebuild an index.
+//! from the live structures (tree shapes survive reopen), the path
+//! statistics come from the persisted `PathStats`, and each literal's
+//! instances are counted in the index that holds them
+//! ([`QueryEngine::value_instances`]), once per ranking, so `xtwig
+//! explain` never needs to rebuild an index.
 
 use crate::decompose::{CompiledTwig, UnknownTag};
 use crate::engine::{QueryEngine, Strategy};
@@ -67,8 +69,9 @@ impl QueryEngine {
 
     /// Reduces a planned twig to the cost model's input: its PCsubpath
     /// cover (with the interior-ids-needed flags the engine's own
-    /// execution uses), the rows expected to feed `//` stitches, and
-    /// the steps the planner chose to answer by BoundIndex probes.
+    /// execution uses, and each literal's instances, counted here), the
+    /// rows expected to feed `//` stitches, and the steps the planner
+    /// chose to answer by BoundIndex probes.
     pub fn cost_input(&self, compiled: &CompiledTwig, plan: &QueryPlan) -> TwigCostInput {
         let needed = self.needed_nodes(compiled, plan);
         let subpaths = compiled
@@ -77,7 +80,9 @@ impl QueryEngine {
             .map(|sp| SubpathInput {
                 tags: sp.q.tags.clone(),
                 anchored: sp.q.anchored,
-                value: sp.q.value.clone(),
+                literal_instances: sp.q.value.as_deref().map(|v| {
+                    self.value_instances(*sp.q.tags.last().expect("a subpath has a step"), v)
+                }),
                 interior_needed: sp.nodes[..sp.nodes.len() - 1].iter().any(|&n| needed[n]),
             })
             .collect();
@@ -198,6 +203,33 @@ mod tests {
         assert!(!rp_only.has(Strategy::Edge));
         assert!(!rp_only.has(Strategy::DataGuideEdge));
         assert!(rp_only.has(Strategy::Auto));
+    }
+
+    #[test]
+    fn a_literal_is_counted_in_the_first_built_index() {
+        let f = Arc::new(fig1_book_document());
+        let fn_tag = f.dict().lookup("fn").unwrap();
+        for (strategies, jane, john, nobody) in [
+            (vec![Strategy::RootPaths, Strategy::Asr], 2, 1, 0),
+            (vec![Strategy::DataPaths], 2, 1, 0),
+            (vec![Strategy::Edge], 2, 1, 0),
+            (vec![Strategy::JoinIndex], 2, 1, 0),
+            // No index holds values by tag: every `fn` may match.
+            (vec![Strategy::Asr], 3, 3, 3),
+        ] {
+            let options = EngineOptions { strategies: strategies.clone(), ..Default::default() };
+            let e = QueryEngine::build(f.clone(), options);
+            let counts = ["jane", "john", "nobody"].map(|v| e.value_instances(fn_tag, v));
+            assert_eq!(counts, [jane, john, nobody], "{strategies:?}");
+        }
+        // The estimate of a valued pattern is its path count capped by
+        // the literal's instances: two XML titles exist (book and
+        // chapter), but only one `/book/title`.
+        let e = engine(&f);
+        let plan = e.plan(&parse_xpath("/book/title[. = 'XML']").unwrap()).unwrap();
+        assert_eq!(plan.steps[0].estimate, 1);
+        let title = f.dict().lookup("title").unwrap();
+        assert_eq!(e.value_instances(title, "XML"), 2);
     }
 
     #[test]

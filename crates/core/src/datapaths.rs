@@ -30,7 +30,7 @@
 //! entries a caller has no use for (see [`crate::rootpaths`]).
 
 use crate::designator;
-use crate::family::{Floor, PathIndex, PcSubpathQuery};
+use crate::family::{count_under, value_key_prefix, Floor, PathIndex, PcSubpathQuery};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::{for_each_root_path_in, for_each_subpath_in};
 use crate::rootpaths::{push_value_part, scan_entries, DocumentOrder, Lend};
@@ -273,6 +273,17 @@ impl DataPaths {
         let prefix = Self::probe_prefix(0, None, &q.tags, q.anchored, q.value.as_deref());
         let floor = floor.filter(|_| self.order.ordered());
         scan_entries(&self.tree, &prefix, self.idlist, Lend::free(leaf_only), floor, ids, sink)
+    }
+
+    /// Counts the nodes of `tag` whose value is `v`: the valued
+    /// FreeIndex rows under `0 · value_part(v) · des(tag)`, one per node,
+    /// up to the first count `enough` accepts (see
+    /// [`QueryEngine::value_instances`](crate::engine::QueryEngine::value_instances)).
+    pub(crate) fn count_value(&self, tag: TagId, v: &str, enough: impl FnMut(u64) -> bool) -> u64 {
+        let value = codec::str_component(value_key_prefix(v));
+        let prefix =
+            codec::u64_component(0).into_iter().chain(value).chain(designator::designator(tag));
+        count_under(&self.tree, prefix, enough)
     }
 
     /// Prepares BoundIndex probes of the pattern `tags` (a child chain

@@ -36,14 +36,20 @@ const ESCAPE: u8 = 0xFF;
 
 /// Appends the designator for `tag` to `out`.
 pub fn push_designator(out: &mut Vec<u8>, tag: TagId) {
-    if tag.0 < ONE_BYTE_TAGS {
-        out.push(ONE_BYTE_BASE + tag.0 as u8);
+    out.extend(designator(tag));
+}
+
+/// The designator bytes of `tag`, in order.
+pub fn designator(tag: TagId) -> impl Iterator<Item = u8> {
+    let (bytes, len) = if tag.0 < ONE_BYTE_TAGS {
+        ([ONE_BYTE_BASE + tag.0 as u8, 0, 0], 1)
     } else {
         let rest = tag.0 - ONE_BYTE_TAGS;
         assert!(rest <= u32::from(u16::MAX), "tag dictionary too large for designators");
-        out.push(ESCAPE);
-        out.extend_from_slice(&(rest as u16).to_be_bytes());
-    }
+        let [high, low] = (rest as u16).to_be_bytes();
+        ([ESCAPE, high, low], 3)
+    };
+    bytes.into_iter().take(len)
 }
 
 /// Appends the designators for `tags` in order (no terminator).

@@ -13,13 +13,13 @@
 //! link index. The per-candidate, per-step probes are exactly the cost
 //! the paper attributes to this baseline.
 
-use crate::family::{value_key_prefix, PathIndex, PcSubpathQuery};
+use crate::family::{count_under, value_key_prefix, PathIndex, PcSubpathQuery};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::rootpaths::key_leaf;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use xtwig_btree::{bulk_build, merge_sorted_runs, BTree, BTreeOptions, RunArena};
-use xtwig_rel::codec::KeyBuf;
+use xtwig_rel::codec::{self, KeyBuf};
 use xtwig_rel::value::{serialize_tuple, Value};
 use xtwig_rel::HeapFile;
 use xtwig_storage::BufferPool;
@@ -169,6 +169,15 @@ impl EdgeTable {
         }
         // The id is the key's trailing u64 component.
         self.node_idx.for_each_prefix(prefix.as_bytes(), |k, _| visit(probes, key_leaf(k)));
+    }
+
+    /// Counts the nodes of `tag` whose value is `v`: the value-index
+    /// entries under `(tag, v)`, one per node, up to the first count
+    /// `enough` accepts (see
+    /// [`QueryEngine::value_instances`](crate::engine::QueryEngine::value_instances)).
+    pub(crate) fn count_value(&self, tag: TagId, v: &str, enough: impl FnMut(u64) -> bool) -> u64 {
+        let tag = codec::i64_component(i64::from(tag.0 as i32)).into_iter();
+        count_under(&self.node_idx, tag.chain(codec::str_component(value_key_prefix(v))), enough)
     }
 
     /// Parent and parent-tag of `id` — one backward-link probe, counted

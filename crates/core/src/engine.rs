@@ -575,6 +575,33 @@ impl QueryEngine {
         &self.sealed.stats
     }
 
+    /// Instances of `tag` whose leaf value is `v`: the planner's and the
+    /// cost model's literal count. It counts the entries under the
+    /// literal's key prefix in the first built of ROOTPATHS, DATAPATHS'
+    /// FreeIndex rows and Edge's value index, where each such node has
+    /// one entry, so the count is exact, and where ROOTPATHS or DATAPATHS
+    /// holds it, index maintenance keeps it true. A literal long enough
+    /// to be rechecked ([`crate::family::value_needs_recheck`]) also
+    /// counts the nodes whose value merely shares its key prefix. With
+    /// none of the three built (ASR alone) it is the instances of `tag`.
+    /// The count reads the pages under the prefix without bringing any
+    /// into the structure's pool ([`xtwig_btree::BTree::count_prefix`]),
+    /// counts no probe and no row, and allocates nothing.
+    pub fn value_instances(&self, tag: TagId, v: &str) -> u64 {
+        self.count_value(tag, v, |_| false)
+    }
+
+    /// [`QueryEngine::value_instances`], stopping at the first count
+    /// `enough` accepts.
+    pub(crate) fn count_value(&self, tag: TagId, v: &str, enough: impl FnMut(u64) -> bool) -> u64 {
+        match (&self.rp, &self.dp, &self.sealed.edge) {
+            (Some((rp, _)), ..) => rp.count_value(tag, v, enough),
+            (None, Some((dp, _)), _) => dp.count_value(tag, v, enough),
+            (None, None, Some((edge, _))) => edge.count_value(tag, v, enough),
+            (None, None, None) => self.sealed.stats.tag_count(tag),
+        }
+    }
+
     /// The built ROOTPATHS index, if any.
     pub fn rootpaths(&self) -> Option<&RootPaths> {
         self.rp.as_ref().map(|(i, _)| i)
@@ -682,7 +709,8 @@ impl QueryEngine {
     pub fn compile(&self, twig: &TwigPattern) -> Result<(CompiledTwig, QueryPlan), UnknownTag> {
         let compiled = decompose(twig, &self.dict)?;
         let dp_height = self.dp.as_ref().map_or(1, |(dp, _)| dp.tree().stats().height);
-        let plan = choose_plan(&compiled, &self.sealed.stats, &self.dict, dp_height);
+        let literal = |tag, v: &str| self.value_instances(tag, v);
+        let plan = choose_plan(&compiled, &self.sealed.stats, literal, &self.dict, dp_height);
         Ok((compiled, plan))
     }
 
@@ -859,7 +887,10 @@ impl QueryEngine {
     /// rows that actually reached it and on the row estimate of the
     /// literal actually asked for: the plan is cached per twig *shape*,
     /// and the literal it was made for may have been far rarer, or far
-    /// commoner, than this one.
+    /// commoner, than this one. A literal other than the plan's is
+    /// counted in the index only as far as the method depends on it
+    /// ([`PlanStep::reprice`](crate::plan::PlanStep::reprice)); the pages
+    /// that count reads are the execution's.
     fn execute(
         &self,
         compiled: &CompiledTwig,
@@ -891,7 +922,8 @@ impl QueryEngine {
             let spec = &compiled.subpaths[step.subpath];
             // A subpath whose literal the twig changes runs as a copy,
             // made in a buffer the thread keeps.
-            let sp = if spec.literal(twig) == spec.q.value.as_deref() {
+            let own_literal = spec.literal(twig) == spec.q.value.as_deref();
+            let sp = if own_literal {
                 spec
             } else {
                 rebound.rebind_from(spec, twig);
@@ -943,8 +975,11 @@ impl QueryEngine {
                 }
                 let probe = dp_height.and_then(|height| {
                     let probe = step.probe.as_ref().filter(|p| self.probe_head_allowed(p))?;
+                    let heads = distinct_keys(&cx.keys);
                     let price =
-                        step.reprice(distinct_keys(&cx.keys), &sp.q, &self.sealed.stats, height);
+                        step.reprice(heads, &sp.q, own_literal, height, |tag, v, enough| {
+                            self.count_value(tag, v, enough)
+                        });
                     repriced = Some(price);
                     let method = price.method();
                     #[cfg(test)]

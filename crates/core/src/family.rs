@@ -28,6 +28,7 @@
 //! matches rooted at a given node id — by DATAPATHS' `bound_probe` and
 //! `for_each_bound`.
 
+use xtwig_btree::BTree;
 use xtwig_xml::{TagDict, TagId};
 
 /// Longest leaf-value prefix stored inside index keys. Longer values are
@@ -56,6 +57,31 @@ pub fn value_key_prefix(v: &str) -> &str {
 /// shares such a literal's key prefix is one of them.
 pub fn value_needs_recheck(v: &str) -> bool {
     v.len() + 3 >= VALUE_KEY_PREFIX_BYTES
+}
+
+/// The most bytes a literal's key prefix takes ([`count_under`]): a
+/// 9-byte head or tag component, a value's key prefix as a string
+/// component (each byte escaped to at most two, a type byte and a 2-byte
+/// terminator) and one designator of at most 3 bytes.
+const LITERAL_PREFIX_BYTES: usize = 9 + 1 + 2 * VALUE_KEY_PREFIX_BYTES + 2 + 3;
+
+/// Counts the entries of `tree` under the key prefix `bytes`, one per
+/// node of a tag with a literal value, up to the first count `enough`
+/// accepts. The prefix is built on the stack, and
+/// [`BTree::count_prefix`] brings no page into the pool: the count
+/// allocates nothing and warms nothing.
+pub(crate) fn count_under(
+    tree: &BTree,
+    bytes: impl IntoIterator<Item = u8>,
+    enough: impl FnMut(u64) -> bool,
+) -> u64 {
+    let mut prefix = [0u8; LITERAL_PREFIX_BYTES];
+    let mut len = 0;
+    for b in bytes {
+        prefix[len] = b;
+        len += 1;
+    }
+    tree.count_prefix(&prefix[..len], enough)
 }
 
 /// A PCsubpath pattern (paper §2.2): a chain of parent-child steps, a

@@ -13,9 +13,13 @@
 //!   start*: all subpaths of root-to-leaf paths (the remaining DATAPATHS
 //!   rows).
 //!
-//! It also builds [`PathStats`], the statistics the planner uses to rank
-//! branch selectivities (paper §5.1.1 collects DB2 statistics the same
-//! way).
+//! It also builds [`PathStats`], the structural statistics the planner
+//! uses to rank branch selectivities (paper §5.1.1 collects DB2
+//! statistics the same way): instances per schema path and per tag. A
+//! literal's instances are not kept here: ROOTPATHS keys begin with
+//! `LeafValue · ReverseSchemaPath`, so the index already holds them as
+//! one key-prefix count, which index maintenance keeps true
+//! (`QueryEngine::value_instances`).
 
 use crate::parallel::{map_shards, ShardPlan};
 use std::collections::HashMap;
@@ -115,14 +119,11 @@ where
     }
 }
 
-/// Per-path and per-value statistics collected in one forest pass.
+/// Per-path and per-tag statistics collected in one forest pass.
 #[derive(Debug, Default, Clone)]
 pub struct PathStats {
     /// Instances per distinct root-anchored schema path.
     path_counts: HashMap<Vec<TagId>, u64>,
-    /// Instances per leaf tag, then per value: keyed so that a
-    /// `(TagId, &str)` lookup borrows its value.
-    tag_value_counts: HashMap<TagId, HashMap<Box<str>, u64>>,
     /// Instances per tag.
     tag_counts: HashMap<TagId, u64>,
     /// Total element/attribute nodes.
@@ -149,19 +150,11 @@ impl PathStats {
 
     fn build_range(forest: &XmlForest, range: NodeRange) -> Self {
         let mut stats = PathStats::default();
-        for_each_root_path_in(forest, range, |tags, _ids, value| match value {
-            None => {
+        for_each_root_path_in(forest, range, |tags, _ids, value| {
+            if value.is_none() {
                 *stats.path_counts.entry(tags.to_vec()).or_insert(0) += 1;
                 *stats.tag_counts.entry(*tags.last().unwrap()).or_insert(0) += 1;
                 stats.nodes += 1;
-            }
-            Some(v) => {
-                *stats
-                    .tag_value_counts
-                    .entry(*tags.last().unwrap())
-                    .or_default()
-                    .entry(v.into())
-                    .or_insert(0) += 1;
             }
         });
         stats
@@ -171,12 +164,6 @@ impl PathStats {
     pub fn merge(&mut self, other: PathStats) {
         for (k, v) in other.path_counts {
             *self.path_counts.entry(k).or_insert(0) += v;
-        }
-        for (tag, values) in other.tag_value_counts {
-            let mine = self.tag_value_counts.entry(tag).or_default();
-            for (value, count) in values {
-                *mine.entry(value).or_insert(0) += count;
-            }
         }
         for (k, v) in other.tag_counts {
             *self.tag_counts.entry(k).or_insert(0) += v;
@@ -205,11 +192,6 @@ impl PathStats {
         self.tag_counts.get(&tag).copied().unwrap_or(0)
     }
 
-    /// Instances of `(leaf tag, value)`.
-    pub fn tag_value_count(&self, tag: TagId, value: &str) -> u64 {
-        self.tag_value_counts.get(&tag).and_then(|values| values.get(value)).copied().unwrap_or(0)
-    }
-
     /// Iterates distinct root paths with their instance counts.
     pub fn iter_paths(&self) -> impl Iterator<Item = (&[TagId], u64)> {
         self.path_counts.iter().map(|(k, &v)| (k.as_slice(), v))
@@ -226,18 +208,6 @@ impl PathStats {
         w.push_u32(paths.len() as u32);
         for (path, count) in paths {
             crate::persist::write_tag_path(w, path);
-            w.push_u64(count);
-        }
-        let mut tag_values: Vec<(TagId, &str, u64)> = self
-            .tag_value_counts
-            .iter()
-            .flat_map(|(&tag, values)| values.iter().map(move |(v, &c)| (tag, &**v, c)))
-            .collect();
-        tag_values.sort_unstable();
-        w.push_u32(tag_values.len() as u32);
-        for (tag, value, count) in tag_values {
-            w.push_u32(tag.0);
-            w.push_str(value);
             w.push_u64(count);
         }
         let mut tags: Vec<(TagId, u64)> = self.tag_counts.iter().map(|(&k, &v)| (k, v)).collect();
@@ -264,32 +234,17 @@ impl PathStats {
         let n = r.u32()? as usize;
         for _ in 0..n {
             let tag = TagId(r.u32()?);
-            let value = r.str()?;
-            let count = r.u64()?;
-            stats.tag_value_counts.entry(tag).or_default().insert(value.into(), count);
-        }
-        let n = r.u32()? as usize;
-        for _ in 0..n {
-            let tag = TagId(r.u32()?);
             let count = r.u64()?;
             stats.tag_counts.insert(tag, count);
         }
         stats.nodes = r.u64()?;
         Ok(stats)
     }
-
-    /// Estimated matches of a PCsubpath pattern (delegates to the
-    /// shared estimator in `xtwig-opt`, so the planner and the
-    /// cost-based strategy selector agree on every cardinality).
-    pub fn estimate(&self, q: &crate::family::PcSubpathQuery) -> u64 {
-        xtwig_opt::pattern_matches(self, &q.tags, q.anchored, q.value.as_deref())
-    }
 }
 
 /// `PathStats` is the optimizer's statistics source: its per-path
 /// instance table doubles as the DataGuide's path catalog (annotated
-/// with counts), and the `(leaf tag, value)` table supplies bound-
-/// predicate selectivities.
+/// with counts).
 impl xtwig_opt::CardinalitySource for PathStats {
     fn path_instances(&self, tags: &[TagId]) -> u64 {
         self.path_count(tags)
@@ -311,10 +266,6 @@ impl xtwig_opt::CardinalitySource for PathStats {
         self.tag_count(tag)
     }
 
-    fn value_instances(&self, tag: TagId, value: &str) -> u64 {
-        self.tag_value_count(tag, value)
-    }
-
     fn node_count(&self) -> u64 {
         self.nodes
     }
@@ -332,7 +283,6 @@ impl xtwig_opt::CardinalitySource for PathStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::PcSubpathQuery;
     use xtwig_xml::tree::fig1_book_document;
 
     #[test]
@@ -425,10 +375,6 @@ mod tests {
         let dict = f.dict();
         let author = dict.lookup("author").unwrap();
         assert_eq!(s.tag_count(author), 3);
-        let fn_tag = dict.lookup("fn").unwrap();
-        assert_eq!(s.tag_value_count(fn_tag, "jane"), 2);
-        assert_eq!(s.tag_value_count(fn_tag, "john"), 1);
-        assert_eq!(s.tag_value_count(fn_tag, "nobody"), 0);
         let path: Vec<TagId> =
             ["book", "allauthors", "author"].iter().map(|t| dict.lookup(t).unwrap()).collect();
         assert_eq!(s.path_count(&path), 3);
@@ -457,31 +403,9 @@ mod tests {
             for (path, count) in seq.iter_paths() {
                 assert_eq!(par.path_count(path), count, "{shards} shards");
             }
-            let title = f.dict().lookup("title").unwrap();
-            assert_eq!(par.tag_value_count(title, "XML"), seq.tag_value_count(title, "XML"));
+            for (&tag, &count) in &seq.tag_counts {
+                assert_eq!(par.tag_count(tag), count, "{shards} shards");
+            }
         }
-    }
-
-    #[test]
-    fn estimates_track_selectivity() {
-        let f = fig1_book_document();
-        let s = PathStats::build(&f);
-        let dict = f.dict();
-        let q_all_fn = PcSubpathQuery::resolve(dict, &["author", "fn"], false, None).unwrap();
-        let q_jane = PcSubpathQuery::resolve(dict, &["author", "fn"], false, Some("jane")).unwrap();
-        let q_anchored = PcSubpathQuery::resolve(
-            dict,
-            &["book", "allauthors", "author", "fn"],
-            true,
-            Some("jane"),
-        )
-        .unwrap();
-        assert_eq!(s.estimate(&q_all_fn), 3);
-        assert_eq!(s.estimate(&q_jane), 2);
-        assert_eq!(s.estimate(&q_anchored), 2);
-        let q_title_xml =
-            PcSubpathQuery::resolve(dict, &["book", "title"], true, Some("XML")).unwrap();
-        // Two XML titles exist (book + chapter) but only one /book/title.
-        assert_eq!(s.estimate(&q_title_xml), 1);
     }
 }

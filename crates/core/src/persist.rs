@@ -77,8 +77,10 @@ use xtwig_xml::{TagDict, TagId};
 /// flag from the engine options; version 6 drops the ROOTPATHS
 /// IdList-sublist byte; version 7 drops each tree's fill factor (a
 /// constant of the bulk loader); version 8 stores the tag dictionary
-/// and the long-value relation instead of a snapshot of the forest.
-pub const FORMAT_VERSION: u32 = 8;
+/// and the long-value relation instead of a snapshot of the forest;
+/// version 9 drops the per-value counts from the path statistics (the
+/// indexes count a literal themselves).
+pub const FORMAT_VERSION: u32 = 9;
 
 const MAGIC: &[u8; 8] = b"XTWIGIDX";
 
@@ -326,27 +328,12 @@ pub enum PersistError {
     /// The index file could not be created, written, synced or renamed
     /// into place.
     Io(std::io::Error),
-    /// A structure's pool held dirty pages pinned by an outstanding
-    /// write guard — a concurrent writer owns part of the image, so a
-    /// copy taken now could be torn. (`BufferPool::flush_all` skips
-    /// pinned frames by design; persistence must not.)
-    PinnedPages {
-        /// The structure whose pool was mid-write.
-        structure: &'static str,
-        /// Dirty pages `flush_all` had to skip.
-        skipped: usize,
-    },
 }
 
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "persist I/O: {e}"),
-            PersistError::PinnedPages { structure, skipped } => write!(
-                f,
-                "cannot persist while {structure} has {skipped} pinned dirty page(s) \
-                 (concurrent writer?)"
-            ),
         }
     }
 }
@@ -517,22 +504,15 @@ impl IndexWriter {
 }
 
 /// Copies one structure pool into the file as a contiguous extent,
-/// returning `(base_page, extent_pages)`.
-fn copy_pool(
-    file: &mut IndexWriter,
-    pool: &BufferPool,
-    structure: &'static str,
-) -> Result<(u32, u32), PersistError> {
-    let skipped = pool.flush_all();
-    if skipped > 0 {
-        return Err(PersistError::PinnedPages { structure, skipped });
-    }
+/// returning `(base_page, extent_pages)`. Every page is read through the
+/// pool, so a dirty resident page is copied as it stands, without being
+/// written back first. Nothing writes the pool meanwhile: maintenance
+/// takes the engine `&mut`, and persist borrows it shared, so a page
+/// another thread pins is pinned by a reader.
+fn copy_pool(file: &mut IndexWriter, pool: &BufferPool) -> Result<(u32, u32), PersistError> {
     let base = file.pages;
     let pages = pool.num_pages();
     for pid in 0..pages {
-        // Fetching through the pool reflects the latest content even if
-        // a page is dirty-resident (flush above already wrote those
-        // back, but fetch would be correct regardless).
         file.append(&pool.fetch(PageId(pid)))?;
     }
     Ok((base, pages))
@@ -606,35 +586,35 @@ impl QueryEngine {
 
         // One catalog entry per built structure: kind, extent, pool
         // capacity, then the structure's own metadata.
-        type Entry<'e> = (u8, &'static str, &'e Arc<BufferPool>, Box<dyn Fn(&mut ByteWriter) + 'e>);
+        type Entry<'e> = (u8, &'e Arc<BufferPool>, Box<dyn Fn(&mut ByteWriter) + 'e>);
         let mut entries: Vec<Entry<'_>> = Vec::new();
         if let Some((i, p)) = &self.rp {
-            entries.push((KIND_RP, "ROOTPATHS", p, Box::new(move |w| i.write_meta(w))));
+            entries.push((KIND_RP, p, Box::new(move |w| i.write_meta(w))));
         }
         if let Some((i, p)) = &self.dp {
-            entries.push((KIND_DP, "DATAPATHS", p, Box::new(move |w| i.write_meta(w))));
+            entries.push((KIND_DP, p, Box::new(move |w| i.write_meta(w))));
         }
         if let Some((i, p)) = &self.sealed.edge {
-            entries.push((KIND_EDGE, "Edge", p, Box::new(move |w| i.write_meta(w))));
+            entries.push((KIND_EDGE, p, Box::new(move |w| i.write_meta(w))));
         }
         if let Some((i, p)) = &self.sealed.dg {
-            entries.push((KIND_DG, "DataGuide", p, Box::new(move |w| i.write_meta(w))));
+            entries.push((KIND_DG, p, Box::new(move |w| i.write_meta(w))));
         }
         if let Some((i, p)) = &self.sealed.fab {
-            entries.push((KIND_IF, "IndexFabric", p, Box::new(move |w| i.write_meta(w))));
+            entries.push((KIND_IF, p, Box::new(move |w| i.write_meta(w))));
         }
         if let Some((i, p)) = &self.sealed.asr {
-            entries.push((KIND_ASR, "ASR", p, Box::new(move |w| i.write_meta(w))));
+            entries.push((KIND_ASR, p, Box::new(move |w| i.write_meta(w))));
         }
         if let Some((i, p)) = &self.sealed.ji {
-            entries.push((KIND_JI, "JoinIndices", p, Box::new(move |w| i.write_meta(w))));
+            entries.push((KIND_JI, p, Box::new(move |w| i.write_meta(w))));
         }
         let lv = &self.long_values;
-        entries.push((KIND_LONG_VALUES, "long values", lv.pool(), Box::new(|w| lv.write_meta(w))));
+        entries.push((KIND_LONG_VALUES, lv.pool(), Box::new(|w| lv.write_meta(w))));
 
         catalog.push_u32(entries.len() as u32);
-        for (kind, name, pool, write_meta) in entries {
-            let (base, pages) = copy_pool(&mut file, pool, name)?;
+        for (kind, pool, write_meta) in entries {
+            let (base, pages) = copy_pool(&mut file, pool)?;
             catalog.push_u8(kind);
             catalog.push_u32(base);
             catalog.push_u32(pages);
@@ -906,6 +886,34 @@ mod tests {
             assert_eq!(strategy_from_u8(strategy_to_u8(s)).unwrap(), s);
         }
         assert!(strategy_from_u8(7).is_err());
+    }
+
+    /// A fold copies each page through the pool as it stands. A reader
+    /// pinning a page the last `apply` left dirty does not fail it: the
+    /// pin is a read guard, and the copy reads beside it. (A fold used
+    /// to write dirty pages back first, skip the pinned ones, and refuse
+    /// to persist while any was left.)
+    #[test]
+    fn a_fork_persists_while_readers_pin_its_dirty_pages() {
+        use crate::update::UpdateOp;
+        let forest = Arc::new(xtwig_xml::tree::fig1_book_document());
+        let options = crate::engine::EngineOptions {
+            strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
+            pool_pages: 256,
+            ..Default::default()
+        };
+        let mut fork = QueryEngine::build(forest, options).fork().unwrap();
+        let tags = ["book", "title"].map(|t| fork.dict().lookup(t).unwrap()).to_vec();
+        fork.apply(&UpdateOp::InsertPath { tags, ids: vec![1, 900], value: Some("new".into()) });
+        let pool = &fork.rp.as_ref().unwrap().1;
+        let pinned: Vec<_> = (0..pool.num_pages()).map(|pid| pool.fetch(PageId(pid))).collect();
+        let path = std::env::temp_dir().join(format!("xtwig-pinned-{}.xtwig", std::process::id()));
+        let persisted = fork.persist(&path);
+        drop(pinned);
+        let reopened = persisted.map(|_| QueryEngine::open(&path));
+        std::fs::remove_file(&path).ok();
+        let reopened = reopened.expect("a reader's pin does not fail the fold").unwrap();
+        assert_eq!(reopened.structure_digests(), fork.structure_digests());
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! the row estimate of the literal actually asked for — so a plan cached
 //! for a twig *shape* does not lock a common literal into one descent per
 //! head.
+//!
+//! A literal's rows are counted in the index that holds them
+//! ([`crate::engine::QueryEngine::value_instances`]): the planner counts
+//! each literal of the cover once, and the executor counts another
+//! literal only as far as its method depends on it
+//! ([`PlanStep::reprice`]).
 
 use crate::decompose::CompiledTwig;
 use crate::family::PcSubpathQuery;
@@ -177,8 +183,8 @@ pub struct PlanStep {
     /// Estimated match cardinality, for the literal the plan was made
     /// with.
     pub estimate: u64,
-    /// Estimated match cardinality ignoring the literal — with one
-    /// `(tag, value)` count it re-estimates the step for another literal.
+    /// Estimated match cardinality ignoring the literal — with the
+    /// count of another literal it re-estimates the step for that one.
     pub structural: u64,
     /// Instances of the join key's tag (1 for the first step).
     pub key_count: u64,
@@ -195,25 +201,50 @@ impl PlanStep {
     }
 
     /// Prices a probe-capable step for the `heads` that actually reached
-    /// it and the literal actually asked for (`q`, the step's subpath as
-    /// compiled for this request): the executor's half of the decision.
+    /// it and the literal actually asked for: the executor's half of the
+    /// decision. `q` is the step's subpath as compiled for this request,
+    /// `own_literal` says that its literal is the one the plan was made
+    /// with, and `count(tag, v, enough)` counts the instances of a
+    /// literal, stopping at the first count `enough` accepts.
+    ///
+    /// The plan's own literal is priced on the plan's estimate, which
+    /// counted it. Another literal is counted only when the structural
+    /// count, the most rows it can have, already prices bound probes:
+    /// fewer rows never favour them ([`price_step`] is monotone in
+    /// `rows`), so a step that count prices free is free for every
+    /// literal. The count then stops at the first instance from which
+    /// bound probes win. Either way the price picks the method the exact
+    /// count would; its row figures are those of the count it stopped at.
     pub fn reprice(
         &self,
         heads: u64,
         q: &PcSubpathQuery,
-        stats: &PathStats,
+        own_literal: bool,
         height: u32,
+        count: impl FnOnce(TagId, &str, &mut dyn FnMut(u64) -> bool) -> u64,
     ) -> StepPrice {
-        price_step(heads, self.key_count, with_literal(self.structural, q, stats), height)
+        let price = |rows: u64| price_step(heads, self.key_count, rows, height);
+        if own_literal {
+            return price(self.estimate);
+        }
+        let most = price(self.structural);
+        match (q.value.as_deref(), q.tags.last()) {
+            (Some(v), Some(&leaf)) if most.method() == Method::Bound => {
+                let structural = self.structural;
+                let bound_wins = &mut |n: u64| price(n.min(structural)).method() == Method::Bound;
+                price(count(leaf, v, bound_wins).min(structural))
+            }
+            _ => most,
+        }
     }
 }
 
 /// The matches of `q` given the `structural` count of its pattern: capped
 /// by the instances of its literal, when it has one (the estimate of
 /// `xtwig_opt::pattern_matches`, without recounting the pattern).
-fn with_literal(structural: u64, q: &PcSubpathQuery, stats: &PathStats) -> u64 {
+fn with_literal(structural: u64, q: &PcSubpathQuery, literal: impl Fn(TagId, &str) -> u64) -> u64 {
     match (&q.value, q.tags.last()) {
-        (Some(v), Some(&leaf)) => structural.min(stats.tag_value_count(leaf, v)),
+        (Some(v), Some(&leaf)) => structural.min(literal(leaf, v)),
         _ => structural,
     }
 }
@@ -272,17 +303,20 @@ impl std::fmt::Display for QueryPlan {
     }
 }
 
-/// Builds a plan for `compiled` using `stats`; `dp_height` is the pages
-/// one descent of the DATAPATHS tree fetches (its `BTreeStats::height`).
+/// Builds a plan for `compiled` using `stats` for its patterns and
+/// `literal(tag, v)`, the instances of `tag` with value `v`, for its
+/// literals; `dp_height` is the pages one descent of the DATAPATHS tree
+/// fetches (its `BTreeStats::height`).
 pub fn choose_plan(
     compiled: &CompiledTwig,
     stats: &PathStats,
+    literal: impl Fn(TagId, &str) -> u64,
     dict: &TagDict,
     dp_height: u32,
 ) -> QueryPlan {
     let n = compiled.subpaths.len();
     // Each pattern is counted once, without its literal; the literal's
-    // own count then caps it.
+    // own count, also taken once, then caps it.
     let structural: Vec<u64> = compiled
         .subpaths
         .iter()
@@ -292,7 +326,7 @@ pub fn choose_plan(
         .subpaths
         .iter()
         .zip(&structural)
-        .map(|(sp, &count)| with_literal(count, &sp.q, stats))
+        .map(|(sp, &count)| with_literal(count, &sp.q, &literal))
         .collect();
 
     // Driver: the most selective subpath that does not wait as an
@@ -485,18 +519,29 @@ mod tests {
     use xtwig_xml::tree::fig1_book_document;
     use xtwig_xml::XmlForest;
 
-    fn setup(xpath: &str) -> (CompiledTwig, PathStats, TagDict) {
+    fn setup(xpath: &str) -> (CompiledTwig, XmlForest) {
         let f = fig1_book_document();
         let twig = parse_xpath(xpath).unwrap();
         let c = decompose(&twig, f.dict()).unwrap();
-        let stats = PathStats::build(&f);
-        (c, stats, f.dict().clone())
+        (c, f)
+    }
+
+    /// The instances of `tag` with value `v` in `f`, node by node.
+    fn literal_in(f: &XmlForest) -> impl Fn(TagId, &str) -> u64 + '_ {
+        move |tag, v| {
+            f.iter_nodes().filter(|&n| f.tag(n) == tag && f.value_str(n) == Some(v)).count() as u64
+        }
+    }
+
+    /// The plan of `c` over `f`, for a DATAPATHS tree of `height` pages.
+    fn plan_of(c: &CompiledTwig, f: &XmlForest, height: u32) -> QueryPlan {
+        choose_plan(c, &PathStats::build(f), literal_in(f), f.dict(), height)
     }
 
     #[test]
     fn single_path_plan_is_one_step_merge() {
-        let (c, stats, dict) = setup("/book/title[. = 'XML']");
-        let plan = choose_plan(&c, &stats, &dict, 1);
+        let (c, f) = setup("/book/title[. = 'XML']");
+        let plan = plan_of(&c, &f, 1);
         assert_eq!(plan.kind, PlanKind::Merge);
         assert_eq!(plan.steps.len(), 1);
         assert!(plan.steps[0].join.is_none());
@@ -504,8 +549,8 @@ mod tests {
 
     #[test]
     fn intro_twig_plan_is_connected() {
-        let (c, stats, dict) = setup("/book[title='XML']//author[fn='jane'][ln='doe']");
-        let plan = choose_plan(&c, &stats, &dict, 1);
+        let (c, f) = setup("/book[title='XML']//author[fn='jane'][ln='doe']");
+        let plan = plan_of(&c, &f, 1);
         assert_eq!(plan.steps.len(), 3);
         // Every non-driver step has a join method.
         assert!(plan.steps[1..].iter().all(|s| s.join.is_some()));
@@ -533,21 +578,21 @@ mod tests {
     fn probe_specs_cover_same_segment_residues() {
         // /book[year='2000']/chapter/title : branch at book; the chapter
         // subpath's probe hangs below book as an anchored pattern.
-        let (c, stats, dict) = setup("/book[year = '2000']/chapter/title");
-        let plan = choose_plan(&c, &stats, &dict, 1);
+        let (c, f) = setup("/book[year = '2000']/chapter/title");
+        let plan = plan_of(&c, &f, 1);
         assert_eq!(plan.steps.len(), 2);
         let second = &plan.steps[1];
         let probe = second.probe.as_ref().expect("probe for same-segment branch");
         assert_eq!(c.twig.nodes[probe.anchor].tag, "book");
-        assert_eq!(Some(probe.anchor_tag), dict.lookup("book"));
+        assert_eq!(Some(probe.anchor_tag), f.dict().lookup("book"));
         assert!(probe.anchored);
         assert_eq!(probe.tags.len(), probe.step_nodes.len());
     }
 
     #[test]
     fn cross_segment_probe_is_descendant_pattern() {
-        let (c, stats, dict) = setup("/book[title='XML']//author[fn='jane'][ln='doe']");
-        let plan = choose_plan(&c, &stats, &dict, 1);
+        let (c, f) = setup("/book[title='XML']//author[fn='jane'][ln='doe']");
+        let plan = plan_of(&c, &f, 1);
         // At least one step probes under the book anchor with a //
         // pattern (when the driver is the title subpath) or an anchored
         // author residue (when the driver is an author subpath).
@@ -560,8 +605,8 @@ mod tests {
         // Emulate the Fig. 12(d) shape on the book data: driver fn=john
         // (1 match) under author (3 instances), other branch nickname
         // (3 matches).
-        let (c, stats, dict) = setup("//author[fn = 'john']/nickname");
-        let plan = choose_plan(&c, &stats, &dict, 1);
+        let (c, f) = setup("//author[fn = 'john']/nickname");
+        let plan = plan_of(&c, &f, 1);
         assert!(
             plan.inlj_cost <= plan.merge_cost + 1,
             "inlj {} merge {}",
@@ -610,7 +655,7 @@ mod tests {
         let f = single_root_forest(false);
         let twig = parse_xpath("/db//rec[key = 'a'][val = 'payload']").unwrap();
         let c = decompose(&twig, f.dict()).unwrap();
-        let plan = choose_plan(&c, &PathStats::build(&f), f.dict(), 3);
+        let plan = plan_of(&c, &f, 3);
         assert_eq!(plan.steps.len(), 3);
         assert_eq!(plan.steps[0].estimate, 1, "the driver is the single root");
         assert_eq!(plan.steps[1].estimate, 10);
@@ -637,34 +682,59 @@ mod tests {
         let f = single_root_forest(true);
         let twig = parse_xpath("/db//rec[key = 'rare'][val = 'payload']").unwrap();
         let c = decompose(&twig, f.dict()).unwrap();
-        let stats = PathStats::build(&f);
-        let plan = choose_plan(&c, &stats, f.dict(), 3);
+        let plan = plan_of(&c, &f, 3);
         let methods: Vec<Method> = plan.steps.iter().map(PlanStep::method).collect();
         assert_eq!(methods, [Method::Free, Method::Free, Method::Bound], "{plan:?}");
         assert_eq!(plan.kind, PlanKind::IndexNestedLoop);
         // The executor's half: the same cached step, asked about the
-        // common literal and the heads that really arrived, goes free.
-        let common = parse_xpath("/db//rec[key = 'b'][val = 'payload']").unwrap();
-        let asked = |step: &PlanStep| {
+        // heads that really arrived and the literals of another request.
+        let asked = |step: &PlanStep, xpath: &str| {
             let mut sp = SubpathSpec::default();
-            sp.rebind_from(&c.subpaths[step.subpath], &common);
+            sp.rebind_from(&c.subpaths[step.subpath], &parse_xpath(xpath).unwrap());
             sp.q
         };
+        let common = "/db//rec[key = 'b'][val = 'payload']";
+        let uncounted = |_: TagId, _: &str, _: &mut dyn FnMut(u64) -> bool| -> u64 {
+            panic!("no literal needed counting")
+        };
+        // The plan's own literal is priced on the plan's estimate: thirty
+        // heads go free.
         let step = &plan.steps[2];
-        let again = step.reprice(30, &asked(step), &stats, 3);
-        assert_eq!(again.heads, 30);
-        assert_eq!(again.method(), Method::Free);
+        let again = step.reprice(30, &asked(step, common), true, 3, uncounted);
+        assert_eq!((again.heads, again.method()), (30, Method::Free));
+        // Every `//rec/key` under the one `db` prices free, so no literal
+        // of that step is counted.
         let step = &plan.steps[1];
         assert_eq!(step.structural, 41, "every `//rec/key`, whatever its value");
-        let again = step.reprice(1, &asked(step), &stats, 3);
-        assert_eq!(again.bound_rows, 30, "re-estimated for the literal asked for");
+        let again = step.reprice(1, &asked(step, common), false, 3, uncounted);
+        assert_eq!(again.method(), Method::Free);
+        // Under one `rec`, the 41 `val`s price bound probes: another
+        // literal is counted, until bound probes win at its first
+        // instance, or to its end when it has none.
+        let step = &plan.steps[2];
+        let literal = literal_in(&f);
+        for (xpath, read, method) in
+            [(common, 1, Method::Bound), ("/db//rec[key = 'b'][val = 'absent']", 0, Method::Free)]
+        {
+            let mut read_to = 0;
+            let again = step.reprice(1, &asked(step, xpath), false, 3, |tag, v, enough| {
+                let all = literal(tag, v);
+                (1..=all)
+                    .find(|&n| {
+                        read_to = n;
+                        enough(n)
+                    })
+                    .unwrap_or(all)
+            });
+            assert_eq!((again.method(), read_to), (method, read), "{xpath}");
+        }
     }
 
     #[test]
     fn merge_wins_when_branch_point_is_root_like() {
         // Branch at book (single instance): probing buys nothing.
-        let (c, stats, dict) = setup("/book[title = 'XML']/year");
-        let plan = choose_plan(&c, &stats, &dict, 1);
+        let (c, f) = setup("/book[title = 'XML']/year");
+        let plan = plan_of(&c, &f, 1);
         assert_eq!(plan.kind, PlanKind::Merge);
     }
 
@@ -693,7 +763,7 @@ mod tests {
     fn zipf_plan(f: &XmlForest, literal: &str) -> QueryPlan {
         let twig = parse_xpath(&format!("//rec[key = '{literal}']/val")).unwrap();
         let c = decompose(&twig, f.dict()).unwrap();
-        choose_plan(&c, &PathStats::build(f), f.dict(), 1)
+        plan_of(&c, f, 1)
     }
 
     #[test]
@@ -781,7 +851,7 @@ mod tests {
     /// subpath joined by `/`.
     fn driver_of(f: &XmlForest, xpath: &str) -> (QueryPlan, String) {
         let c = decompose(&parse_xpath(xpath).unwrap(), f.dict()).unwrap();
-        let plan = choose_plan(&c, &PathStats::build(f), f.dict(), 1);
+        let plan = plan_of(&c, f, 1);
         let tags = &c.subpaths[plan.steps[0].subpath].q.tags;
         let names: Vec<&str> = tags.iter().map(|&t| f.dict().name(t)).collect();
         (plan, names.join("/"))
@@ -856,8 +926,8 @@ mod tests {
 
     #[test]
     fn estimates_are_attached_to_steps() {
-        let (c, stats, dict) = setup("//author[fn = 'jane']/ln");
-        let plan = choose_plan(&c, &stats, &dict, 1);
+        let (c, f) = setup("//author[fn = 'jane']/ln");
+        let plan = plan_of(&c, &f, 1);
         let driver = &plan.steps[0];
         assert_eq!(driver.estimate, 2); // two jane fns
         assert!(plan.steps[1].estimate >= 3); // all ln instances

@@ -36,7 +36,7 @@
 //! stop skipping.
 
 use crate::designator;
-use crate::family::{value_key_prefix, Floor, PathIndex, PcSubpathQuery};
+use crate::family::{count_under, value_key_prefix, Floor, PathIndex, PcSubpathQuery};
 use crate::parallel::{map_shards, ShardPlan};
 use crate::paths::for_each_root_path_in;
 use crate::persist;
@@ -348,6 +348,15 @@ impl RootPaths {
         let floor = floor.filter(|_| self.order.ordered());
         let what = Lend::free(leaf_only);
         scan_entries(&self.tree, &self.probe_prefix(q), self.idlist, what, floor, ids, sink)
+    }
+
+    /// Counts the nodes of `tag` whose value is `v`: the valued entries
+    /// under `value_part(v) · des(tag)`, one per node, up to the first
+    /// count `enough` accepts (see
+    /// [`QueryEngine::value_instances`](crate::engine::QueryEngine::value_instances)).
+    pub(crate) fn count_value(&self, tag: TagId, v: &str, enough: impl FnMut(u64) -> bool) -> u64 {
+        let prefix = codec::str_component(value_key_prefix(v)).chain(designator::designator(tag));
+        count_under(&self.tree, prefix, enough)
     }
 
     /// Inserts the index entries for a new node whose root path is

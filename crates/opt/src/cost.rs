@@ -147,8 +147,9 @@ pub struct SubpathInput {
     pub tags: Vec<TagId>,
     /// Anchored at a document root (`/a/…`) vs. `//`-headed.
     pub anchored: bool,
-    /// Equality predicate on the final step's value.
-    pub value: Option<String>,
+    /// Instances of the final step's tag with the value its equality
+    /// predicate asks for; `None` when it has no predicate.
+    pub literal_instances: Option<u64>,
     /// True when the execution consumes interior step ids (join keys,
     /// probe anchors, output) — the leaf-only fast paths of DG+Edge,
     /// IF+Edge and JI only apply when this is false.
@@ -282,8 +283,8 @@ fn subpath_cost<S: CardinalitySource + ?Sized>(
     sp: &SubpathInput,
     cal: &Calibration,
 ) -> Cost {
-    let value = sp.value.as_deref();
-    let m = pattern_matches(stats, &sp.tags, sp.anchored, value) as f64;
+    let literal = sp.literal_instances;
+    let m = pattern_matches(stats, &sp.tags, sp.anchored, literal) as f64;
     let k = sp.tags.len();
     match strategy {
         Strategy::RootPaths => {
@@ -304,8 +305,8 @@ fn subpath_cost<S: CardinalitySource + ?Sized>(
             let ms = stats.path_instances(&sp.tags) as f64;
             let mut c =
                 Cost { pages: dg.descent(cal) + dg.leaf_pages(ms, cal), probes: 1.0, rows: ms };
-            if let Some(v) = value {
-                let vc = stats.value_instances(*sp.tags.last().unwrap(), v) as f64;
+            if let Some(vc) = literal {
+                let vc = vc as f64;
                 c.pages += edge.value.descent(cal) + edge.value.leaf_pages(vc, cal);
                 c.probes += 1.0;
                 c.rows += vc;
@@ -316,7 +317,7 @@ fn subpath_cost<S: CardinalitySource + ?Sized>(
         Strategy::IndexFabricEdge => {
             let fab = catalog.fab.expect("catalog.has checked");
             let edge = catalog.edge.expect("catalog.has checked");
-            if !(sp.anchored && value.is_some()) {
+            if !(sp.anchored && literal.is_some()) {
                 return edge_chain_cost(stats, catalog, sp, m, cal);
             }
             // The Fig. 11 case: a fully-specified valued path is one
@@ -331,16 +332,16 @@ fn subpath_cost<S: CardinalitySource + ?Sized>(
             let p = stats.matching_path_count(&sp.tags, sp.anchored).max(1) as f64;
             // One probe per matching table, each scanning its
             // value-prefixed rows (the whole table when structural).
-            let scanned = if value.is_some() { m } else { m.max(1.0) };
+            let scanned = if literal.is_some() { m } else { m.max(1.0) };
             Cost { pages: p * asr.descent(cal) + asr.leaf_pages(scanned, cal), probes: p, rows: m }
         }
         Strategy::JoinIndex => {
             let ji = catalog.ji.expect("catalog.has checked").as_tree();
             let edge = catalog.edge.expect("catalog.has checked");
             let p = stats.matching_path_count(&sp.tags, sp.anchored) as f64;
-            match value {
-                Some(v) => {
-                    let vc = stats.value_instances(*sp.tags.last().unwrap(), v) as f64;
+            match literal {
+                Some(vc) => {
+                    let vc = vc as f64;
                     // One backward probe per candidate per expression —
                     // per interior step when interior ids are needed.
                     let per_cand =
@@ -384,7 +385,7 @@ fn edge_chain_cost<S: CardinalitySource + ?Sized>(
     cal: &Calibration,
 ) -> Cost {
     let edge = catalog.edge.expect("Edge strategies carry an Edge profile");
-    let cand = leaf_candidates(stats, &sp.tags, sp.value.as_deref()) as f64;
+    let cand = leaf_candidates(stats, &sp.tags, sp.literal_instances) as f64;
     let steps = (sp.tags.len() - 1) as f64 + f64::from(sp.anchored);
     let walk_probes = cand * steps;
     let mut pages = edge.value.descent(cal) + edge.value.leaf_pages(cand, cal);
@@ -440,22 +441,19 @@ mod tests {
         }
     }
 
-    /// Stats with a selective value and an unselective one on path
-    /// a(1)/b(2)/c(3).
+    /// Stats of path a(1)/b(2)/c(3).
     fn stats() -> TableStats {
-        TableStats::default()
-            .path(&[1], 100)
-            .path(&[1, 2], 2_000)
-            .path(&[1, 2, 3], 2_000)
-            .value(3, "rare", 2)
-            .value(3, "common", 1_500)
+        TableStats::default().path(&[1], 100).path(&[1, 2], 2_000).path(&[1, 2, 3], 2_000)
     }
 
-    fn sp(tags: &[u32], anchored: bool, value: Option<&str>, interior: bool) -> SubpathInput {
+    /// The instances of a selective literal of `c`.
+    const RARE: Option<u64> = Some(2);
+
+    fn sp(tags: &[u32], anchored: bool, literal: Option<u64>, interior: bool) -> SubpathInput {
         SubpathInput {
             tags: tags.iter().map(|&t| TagId(t)).collect(),
             anchored,
-            value: value.map(str::to_owned),
+            literal_instances: literal,
             interior_needed: interior,
         }
     }
@@ -467,7 +465,7 @@ mod tests {
     #[test]
     fn rank_covers_exactly_the_built_strategies_sorted() {
         let input = TwigCostInput {
-            subpaths: vec![sp(&[1, 2, 3], true, Some("rare"), false)],
+            subpaths: vec![sp(&[1, 2, 3], true, RARE, false)],
             ..Default::default()
         };
         let choices = rank(&stats(), &catalog(), &input, &Calibration::default());
@@ -485,7 +483,7 @@ mod tests {
         // Fig. 11: a fully-specified valued single path is one probe for
         // RP and IF alike; the Edge chain pays per-candidate walks.
         let input = TwigCostInput {
-            subpaths: vec![sp(&[1, 2, 3], true, Some("rare"), false)],
+            subpaths: vec![sp(&[1, 2, 3], true, RARE, false)],
             ..Default::default()
         };
         let choices = rank(&stats(), &catalog(), &input, &Calibration::default());
@@ -509,7 +507,7 @@ mod tests {
     #[test]
     fn ancestor_recovery_penalizes_leaf_only_strategies() {
         let no_stitch = TwigCostInput {
-            subpaths: vec![sp(&[1, 2, 3], true, Some("rare"), false)],
+            subpaths: vec![sp(&[1, 2, 3], true, RARE, false)],
             ..Default::default()
         };
         let stitch = TwigCostInput { ancestor_rows: 500, ..no_stitch.clone() };
@@ -528,10 +526,7 @@ mod tests {
     #[test]
     fn inlj_input_reprices_datapaths_only() {
         let merge = TwigCostInput {
-            subpaths: vec![
-                sp(&[2, 3], false, Some("rare"), false),
-                sp(&[2, 3], false, None, false),
-            ],
+            subpaths: vec![sp(&[2, 3], false, RARE, false), sp(&[2, 3], false, None, false)],
             ..Default::default()
         };
         let inlj = TwigCostInput {

@@ -2,11 +2,13 @@
 //!
 //! The estimator consumes the same statistics the paper's §5.1.1 setup
 //! collects in DB2: instance counts per root-anchored schema path (which
-//! is exactly the DataGuide's path catalog, annotated with counts),
-//! per-`(leaf tag, value)` counts for bound predicates, and per-tag
-//! totals. Core's `PathStats` implements [`CardinalitySource`]; the
-//! trait keeps this crate below `xtwig-core` in the dependency graph so
-//! the engine itself can consult the optimizer.
+//! is exactly the DataGuide's path catalog, annotated with counts) and
+//! per-tag totals. Core's `PathStats` implements [`CardinalitySource`];
+//! the trait keeps this crate below `xtwig-core` in the dependency graph
+//! so the engine itself can consult the optimizer. A bound predicate's
+//! selectivity is not a statistic: the caller counts the literal's
+//! instances in an index that holds them and passes the count in
+//! (`xtwig-core`'s `QueryEngine::value_instances`).
 
 use xtwig_xml::TagId;
 
@@ -32,9 +34,6 @@ pub trait CardinalitySource {
     /// Instances of nodes with `tag`.
     fn tag_instances(&self, tag: TagId) -> u64;
 
-    /// Instances of `(leaf tag, value)`.
-    fn value_instances(&self, tag: TagId, value: &str) -> u64;
-
     /// Total element/attribute nodes.
     fn node_count(&self) -> u64;
 
@@ -45,36 +44,31 @@ pub trait CardinalitySource {
 }
 
 /// Estimated matches of a PCsubpath pattern: the structural count
-/// (exact path when anchored, suffix sum otherwise) capped by the bound
-/// value's selectivity when the pattern carries one. Mirrors the
-/// engine's planner estimate so ranking and step ordering agree.
+/// (exact path when anchored, suffix sum otherwise) capped by
+/// `literal_instances`, the instances of the leaf tag with the bound
+/// value, when the pattern carries one. Mirrors the engine's planner
+/// estimate so ranking and step ordering agree.
 pub fn pattern_matches<S: CardinalitySource + ?Sized>(
     stats: &S,
     tags: &[TagId],
     anchored: bool,
-    value: Option<&str>,
+    literal_instances: Option<u64>,
 ) -> u64 {
-    let last = *tags.last().expect("empty pattern");
     let structural =
         if anchored { stats.path_instances(tags) } else { stats.suffix_instances(tags) };
-    match value {
-        None => structural,
-        Some(v) => structural.min(stats.value_instances(last, v)),
-    }
+    literal_instances.map_or(structural, |count| structural.min(count))
 }
 
 /// Leaf candidates an Edge-family evaluation starts from: one value
-/// probe (bound pattern) or a full tag scan (structural pattern).
+/// probe (bound pattern, `literal_instances`) or a full tag scan
+/// (structural pattern).
 pub fn leaf_candidates<S: CardinalitySource + ?Sized>(
     stats: &S,
     tags: &[TagId],
-    value: Option<&str>,
+    literal_instances: Option<u64>,
 ) -> u64 {
     let last = *tags.last().expect("empty pattern");
-    match value {
-        Some(v) => stats.value_instances(last, v),
-        None => stats.tag_instances(last),
-    }
+    literal_instances.unwrap_or_else(|| stats.tag_instances(last))
 }
 
 #[cfg(test)]
@@ -86,18 +80,12 @@ pub(crate) mod testutil {
     #[derive(Default)]
     pub struct TableStats {
         pub paths: HashMap<Vec<TagId>, u64>,
-        pub values: HashMap<(TagId, String), u64>,
         pub depth: f64,
     }
 
     impl TableStats {
         pub fn path(mut self, tags: &[u32], count: u64) -> Self {
             self.paths.insert(tags.iter().map(|&t| TagId(t)).collect(), count);
-            self
-        }
-
-        pub fn value(mut self, tag: u32, value: &str, count: u64) -> Self {
-            self.values.insert((TagId(tag), value.to_owned()), count);
             self
         }
     }
@@ -121,10 +109,6 @@ pub(crate) mod testutil {
 
         fn tag_instances(&self, tag: TagId) -> u64 {
             self.paths.iter().filter(|(p, _)| p.last() == Some(&tag)).map(|(_, &c)| c).sum()
-        }
-
-        fn value_instances(&self, tag: TagId, value: &str) -> u64 {
-            self.values.get(&(tag, value.to_owned())).copied().unwrap_or(0)
         }
 
         fn node_count(&self) -> u64 {
@@ -162,8 +146,6 @@ mod tests {
             .path(&[1, 2], 40)
             .path(&[1, 2, 3], 10)
             .path(&[9, 2, 3], 4)
-            .value(3, "rare", 1)
-            .value(3, "common", 12)
     }
 
     #[test]
@@ -178,13 +160,15 @@ mod tests {
     }
 
     #[test]
-    fn value_caps_structural_count() {
+    fn a_literal_caps_the_structural_count() {
         let s = stats();
         let bc = [TagId(2), TagId(3)];
-        assert_eq!(pattern_matches(&s, &bc, false, Some("rare")), 1);
-        assert_eq!(pattern_matches(&s, &bc, false, Some("common")), 12);
-        assert_eq!(pattern_matches(&s, &bc, false, Some("absent")), 0);
-        assert_eq!(leaf_candidates(&s, &bc, Some("common")), 12);
+        assert_eq!(pattern_matches(&s, &bc, false, Some(1)), 1);
+        assert_eq!(pattern_matches(&s, &bc, false, Some(12)), 12);
+        assert_eq!(pattern_matches(&s, &bc, false, Some(0)), 0);
+        // More instances of the literal than the pattern has matches.
+        assert_eq!(pattern_matches(&s, &bc, false, Some(20)), 14);
+        assert_eq!(leaf_candidates(&s, &bc, Some(12)), 12);
         assert_eq!(leaf_candidates(&s, &bc, None), 14);
     }
 }

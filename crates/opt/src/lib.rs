@@ -18,14 +18,15 @@
 //!   [`Strategy::Auto`] pseudo-strategy the optimizer resolves.
 //! * [`CardinalitySource`] — the statistics interface (implemented by
 //!   core's `PathStats`, whose path table doubles as the DataGuide's
-//!   path catalog): exact path counts, suffix sums, per-value leaf
-//!   counts, tag counts, mean depth.
+//!   path catalog): exact path counts, suffix sums, tag counts, mean
+//!   depth. A literal's instances are counted in the index that holds
+//!   them and handed in with the query.
 //! * [`Catalog`] / [`TreeProfile`] — physical shape of every built
 //!   structure (pages, rows, B+-tree heights), measured from the built
 //!   engine or a reopened index file.
-//! * [`TwigCostInput`] — the planned query: its PCsubpath cover, how
-//!   many rows feed `//` stitches, and the index-nested-loop
-//!   alternative when the planner chose one.
+//! * [`TwigCostInput`] — the planned query: its PCsubpath cover (with
+//!   each literal's instances), how many rows feed `//` stitches, and
+//!   the index-nested-loop alternative when the planner chose one.
 //! * [`rank`] — the model itself: estimated page reads per strategy,
 //!   sorted cheapest first, as [`StrategyChoice`] rows an EXPLAIN can
 //!   print.

@@ -82,32 +82,21 @@ impl<B: BorrowMut<Vec<u8>>> KeyBuf<B> {
 
     /// Appends a signed integer component.
     pub fn push_i64(&mut self, v: i64) -> &mut Self {
-        let buf = self.buf();
-        buf.push(T_INT);
-        buf.extend_from_slice(&((v as u64) ^ (1u64 << 63)).to_be_bytes());
+        self.buf().extend_from_slice(&i64_component(v));
         self
     }
 
     /// Appends an unsigned 64-bit component (node ids).
     pub fn push_u64(&mut self, v: u64) -> &mut Self {
-        let buf = self.buf();
-        buf.push(T_U64);
-        buf.extend_from_slice(&v.to_be_bytes());
+        self.buf().extend_from_slice(&u64_component(v));
         self
     }
 
     /// Appends a string component (escaped + terminated).
     pub fn push_str(&mut self, s: &str) -> &mut Self {
         let buf = self.buf();
-        buf.push(T_STR);
-        for &b in s.as_bytes() {
-            if b == 0x00 {
-                buf.extend_from_slice(&[0x00, 0xFF]);
-            } else {
-                buf.push(b);
-            }
-        }
-        buf.extend_from_slice(&[0x00, 0x01]);
+        buf.reserve(s.len() + 3);
+        buf.extend(str_component(s));
         self
     }
 
@@ -123,6 +112,29 @@ impl<B: BorrowMut<Vec<u8>>> KeyBuf<B> {
     pub fn raw_mut(&mut self) -> &mut Vec<u8> {
         self.buf()
     }
+}
+
+/// The bytes [`KeyBuf::push_i64`] appends for `v`.
+pub fn i64_component(v: i64) -> [u8; 9] {
+    u64_tagged(T_INT, (v as u64) ^ (1u64 << 63))
+}
+
+/// The bytes [`KeyBuf::push_u64`] appends for `v`.
+pub fn u64_component(v: u64) -> [u8; 9] {
+    u64_tagged(T_U64, v)
+}
+
+fn u64_tagged(tag: u8, v: u64) -> [u8; 9] {
+    let mut out = [tag; 9];
+    out[1..].copy_from_slice(&v.to_be_bytes());
+    out
+}
+
+/// The bytes [`KeyBuf::push_str`] appends for `s`, in order: a key
+/// prefix can be assembled from them without a heap buffer.
+pub fn str_component(s: &str) -> impl Iterator<Item = u8> + '_ {
+    let escaped = s.bytes().flat_map(|b| [b, 0xFF].into_iter().take(if b == 0x00 { 2 } else { 1 }));
+    std::iter::once(T_STR).chain(escaped).chain([0x00, 0x01])
 }
 
 /// Encodes a string exactly as [`KeyBuf::push_str`] (convenience).

@@ -401,9 +401,8 @@ impl TwigService {
     /// persist path reads pages through the pools, overlay-first).
     /// Reopening the file yields an engine with the updates applied and
     /// an empty overlay. Queries keep running against the pinned epoch
-    /// throughout; concurrent updates serialize behind the fold. A
-    /// reader pinning a page the fold must flush is transient, as it is
-    /// for a fork (`fork_engine`): the fold retries.
+    /// throughout, and the fold copies the pages they pin as they stand;
+    /// concurrent updates serialize behind the fold.
     pub fn persist<P: AsRef<std::path::Path>>(
         &self,
         path: P,
@@ -411,12 +410,7 @@ impl TwigService {
         let path = path.as_ref();
         let maint = self.shared.maintenance.lock();
         let epoch = self.shared.epoch.pin();
-        let report = loop {
-            match epoch.engine.persist(path) {
-                Err(PersistError::PinnedPages { .. }) => std::thread::yield_now(),
-                done => break done?,
-            }
-        };
+        let report = epoch.engine.persist(path)?;
         self.shared.metrics.folds.fetch_add(1, Ordering::Relaxed);
         drop(maint);
         self.shared.events.emit(Event::PersistFolded { path: path.display().to_string() });

@@ -110,7 +110,7 @@
 
 use crate::disk::DiskManager;
 use crate::hash::{hash_bytes, SEED};
-use crate::page::{PageBuf, PageId};
+use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::stats::{IoStats, PoolCounters};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
@@ -335,6 +335,23 @@ impl BufferPool {
         }
     }
 
+    /// Lends page `pid` to `read` without bringing it into the pool: a
+    /// resident page is read in its frame, any other straight from the
+    /// backend into a stack buffer and dropped after the call. Both count
+    /// as a fetch, the second also as a physical read, but the pool is
+    /// left as it was found: a planner's look at an index warms no pool
+    /// that a cold run is about to measure. Allocates nothing.
+    pub fn peek<R>(&self, pid: PageId, read: impl FnOnce(&[u8]) -> R) -> R {
+        if self.inner.read().table.contains_key(&pid) {
+            return read(&self.fetch(pid));
+        }
+        self.stats.record_logical();
+        self.stats.record_physical_read();
+        let mut page = [0u8; PAGE_SIZE];
+        self.disk.read_page(pid, &mut page);
+        read(&page)
+    }
+
     /// Fetches page `pid` for writing; marks it dirty.
     pub fn fetch_mut(&self, pid: PageId) -> PageWriteGuard<'_> {
         self.stats.record_logical();
@@ -369,9 +386,8 @@ impl BufferPool {
     /// lock we hold here (see the module-level audit) — and they stay
     /// dirty, so eviction or a later flush still writes them back. For
     /// cache hygiene ([`BufferPool::clear_cache`]) that is harmless and
-    /// the count is ignored; a persistence pass, however, needs every
-    /// page on the backend, so it treats `skipped > 0` as an error (a
-    /// concurrent writer holds part of the image it is copying).
+    /// the count is ignored; [`BufferPool::cow_fork`], which needs every
+    /// page on the backend, refuses the fork when it is not 0.
     pub fn flush_all(&self) -> usize {
         self.flush_locked(&self.inner.write())
     }

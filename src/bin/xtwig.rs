@@ -52,7 +52,7 @@ use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
 use xtwig::core::family::PathIndex;
 use xtwig::core::paths::PathStats;
-use xtwig::core::Explanation;
+use xtwig::core::{Explanation, Trace};
 use xtwig::xml::{parse_document, NodeId, XmlForest};
 
 fn usage() -> ExitCode {
@@ -178,11 +178,16 @@ fn analyze_twig(engine: &QueryEngine, xpath: &str) -> ExitCode {
         }
     };
     print_explanation(&ex);
+    // Compiled once, before any pool is cleared: each cold run then
+    // measures its execution alone, whatever planning reads.
+    let (compiled, plan) = engine.compile(&twig).expect("explain compiled it");
     for choice in &ex.choices {
         // Cold, as the estimate is: a strategy sharing pools with one run
         // before it would otherwise read what that run left cached.
         engine.clear_caches(choice.strategy);
-        let (a, trace) = engine.answer_traced(&twig, choice.strategy);
+        let mut trace = Trace::new();
+        let a =
+            engine.answer_compiled_with(&compiled, &twig, &plan, choice.strategy, Some(&mut trace));
         // Smoothed by one read on both sides: a perfect estimate reads 1.
         let ratio = (a.metrics.physical_reads as f64 + 1.0) / (choice.est_page_reads + 1.0);
         println!(

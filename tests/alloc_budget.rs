@@ -405,11 +405,11 @@ fn a_fork_allocates_for_what_it_writes() {
     assert!(all <= maintained + 4, "{all} allocations (RP+DP alone: {maintained})");
 }
 
-/// Pricing a step with a literal reads the literal's instances from the
-/// path statistics, on every DATAPATHS execution of a probe-capable
-/// step. The lookup borrows the literal: it allocates nothing. Before,
-/// the statistics were keyed by an owned `(tag, value)` pair, and each
-/// lookup copied the literal into a `String` to build its key.
+/// Pricing a step with a literal counts the literal's instances in the
+/// index: once per compile, once per ranking, and on a DATAPATHS
+/// execution of a probe-capable step asked for another literal than its
+/// plan's. The count builds the literal's key prefix on the stack and
+/// walks the entries under it: it allocates nothing.
 #[test]
 fn estimating_a_literal_allocates_nothing() {
     let mut forest = XmlForest::new();
@@ -418,8 +418,7 @@ fn estimating_a_literal_allocates_nothing() {
     let engine = QueryEngine::build(Arc::new(forest), options);
     let quantity = engine.dict().lookup("quantity").expect("XMark has quantities");
     let ((hit, miss), alloc) = allocations_of(|| {
-        let stats = engine.stats();
-        (stats.tag_value_count(quantity, "2"), stats.tag_value_count(quantity, "no such value"))
+        (engine.value_instances(quantity, "2"), engine.value_instances(quantity, "no such value"))
     });
     assert!(hit > 0 && miss == 0, "quantity = '2': {hit}, an absent value: {miss}");
     assert_eq!(alloc.count, 0, "estimating two literals allocated {} times", alloc.count);

@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use xtwig::core::engine::{EngineOptions, QueryEngine, Strategy};
+use xtwig::core::Trace;
 use xtwig::xml::{naive, XmlForest};
 
 /// Frames per structure pool, the ledger's `cold_scan` setting: the
@@ -108,10 +109,14 @@ pub fn record(
         let ex = engine.explain(&twig).unwrap_or_else(|e| panic!("{id}: {e}"));
         let plan = ex.plan.to_string().lines().map(str::trim).collect::<Vec<_>>().join("; ");
         let _ = writeln!(out, "{id} auto={} {xpath} | {plan}", auto.strategy.label());
+        // Compiled once, before any pool is cleared: each cold run then
+        // measures its execution alone, whatever planning reads.
+        let (compiled, plan) = engine.compile(&twig).unwrap_or_else(|e| panic!("{id}: {e}"));
         let (mut auto_reads, mut fewest) = (0, u64::MAX);
         for s in Strategy::ALL {
             engine.clear_caches(s);
-            let (a, trace) = engine.answer_traced(&twig, s);
+            let mut trace = Trace::new();
+            let a = engine.answer_compiled_with(&compiled, &twig, &plan, s, Some(&mut trace));
             assert_eq!(a.ids, expected, "{id} via {} disagrees with the oracle", s.label());
             let m = a.metrics;
             // A cold run that answers something has read a page for it.

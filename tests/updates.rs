@@ -9,6 +9,7 @@ use std::sync::Arc;
 use xtwig::core::datapaths::{DataPaths, DataPathsOptions};
 use xtwig::core::family::PcSubpathQuery;
 use xtwig::core::rootpaths::{RootPaths, RootPathsOptions};
+use xtwig::datagen::{generate_dblp, DblpConfig};
 use xtwig::parse_xpath;
 use xtwig::storage::BufferPool;
 use xtwig::xml::tree::fig1_book_document;
@@ -475,4 +476,49 @@ fn a_200_byte_title_inserted_under_a_fresh_id_is_found() {
 #[test]
 fn a_95_byte_title_inserted_under_a_fresh_id_is_found() {
     a_long_title_inserted_under_a_fresh_id_is_found(95);
+}
+
+/// A literal inserted through `apply_update` is estimated from the index
+/// that holds it (ROADMAP item 6's exit). Until the planner counted
+/// literals in the index, it read them from statistics frozen at build,
+/// and estimated 0 here.
+#[test]
+fn an_inserted_literal_is_estimated_from_the_maintained_index() {
+    const N: u64 = 100;
+    let mut forest = XmlForest::new();
+    let profile = generate_dblp(&mut forest, DblpConfig { scale: 0.02, seed: 7 });
+    assert!(profile.inproceedings >= N, "each inproceedings has a year: {profile:?}");
+    let dict = forest.dict();
+    let tags: Vec<TagId> =
+        ["dblp", "inproceedings", "year"].iter().map(|t| dict.lookup(t).unwrap()).collect();
+    let root = forest.iter_nodes().find(|&n| forest.tag(n) == tags[0]).unwrap().0;
+    let fresh = forest.node_count() as u64;
+    let svc = TwigService::build(
+        forest,
+        EngineOptions {
+            strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
+            ..Default::default()
+        },
+        ServiceOptions::default(),
+    );
+    let twig = parse_xpath("//inproceedings[year = '2030']").unwrap();
+    let estimate = || svc.with_engine(|e| e.explain(&twig).unwrap().plan.steps[0].estimate);
+    assert_eq!(estimate(), 0, "no paper of 2030 yet");
+    let ops = (0..N).flat_map(|i| {
+        let (paper, year) = (fresh + 2 * i, fresh + 2 * i + 1);
+        [
+            UpdateOp::InsertPath { tags: tags[..2].to_vec(), ids: vec![root, paper], value: None },
+            UpdateOp::InsertPath {
+                tags: tags.clone(),
+                ids: vec![root, paper, year],
+                value: Some("2030".into()),
+            },
+        ]
+    });
+    svc.apply_update(ops.collect());
+    let after = estimate();
+    assert!((N / 2..=2 * N).contains(&after), "estimate {after} for {N} papers of 2030");
+    for s in [Strategy::RootPaths, Strategy::DataPaths] {
+        assert_eq!(svc.execute(&twig, s).unwrap().ids.len() as u64, N, "{s}");
+    }
 }
