@@ -115,6 +115,18 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard { inner: self.inner.write().unwrap_or_else(PoisonError::into_inner) }
     }
 
+    /// A shared guard if one is free right now: `None` while a writer
+    /// holds the lock (or, with std's writer preference, waits for it).
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.inner.try_read() {
+            Ok(g) => Some(RwLockReadGuard { inner: g }),
+            Err(std::sync::TryLockError::Poisoned(p)) => {
+                Some(RwLockReadGuard { inner: p.into_inner() })
+            }
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
@@ -181,6 +193,23 @@ mod tests {
         }
         *l.write() = 7;
         assert_eq!(*l.read(), 7);
+    }
+
+    #[test]
+    fn try_read_fails_only_while_a_writer_holds_the_lock() {
+        let l = RwLock::new(5u8);
+        let r = l.read();
+        assert_eq!(l.try_read().as_deref(), Some(&5), "readers share");
+        drop(r);
+        let w = l.write();
+        assert!(l.try_read().is_none());
+        drop(w);
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            let _g = l.write();
+            panic!("under a write guard");
+        }));
+        assert!(poisoned.is_err());
+        assert_eq!(l.try_read().as_deref(), Some(&5), "not poisoned");
     }
 
     #[test]

@@ -22,65 +22,46 @@
 //! statistics and the never-mutated comparison structures (Edge,
 //! DataGuide, Index Fabric, ASR, Join Indices) with their pools — is an
 //! `Arc` the fork clones.
+//!
+//! A fork writes nothing back: a page the parent holds dirty joins the
+//! fork's overlay by `Arc`, and the parent's frames and disk stay as
+//! they were. So a fork never fails, and no reader's pin holds it up,
+//! on whatever page: the one thing that refuses a pool's fork is a
+//! writer holding a page latch, and the engine writes only in
+//! `&mut self` methods, which cannot overlap a `&self` fork.
 
 use crate::datapaths::DataPaths;
 use crate::engine::QueryEngine;
 use crate::persist::{ByteReader, ByteWriter, FormatError};
 use crate::rootpaths::RootPaths;
-use std::fmt;
 use std::sync::Arc;
 use xtwig_storage::BufferPool;
 
-/// Why a fork was refused.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ForkError {
-    /// A maintainable structure's pool held dirty pages pinned by an
-    /// outstanding write guard: the image could be torn mid-write, so
-    /// the fork must wait for that writer. Readers pinning clean pages
-    /// never trigger this, but a reader holding a page a concurrent
-    /// writer just dirtied can, transiently — retry once guards drop.
-    PinnedPages {
-        /// The structure whose pool was mid-write.
-        structure: &'static str,
-        /// Dirty pages the flush had to skip.
-        skipped: usize,
-    },
+/// A copy-on-write fork of one of the engine's pools. It is never
+/// refused: the engine writes its pools only in `&mut self` methods,
+/// whose page guards are gone before a `&self` fork can begin, so no
+/// writer holds a frame's latch (the only thing that refuses a
+/// [`BufferPool::cow_fork`]).
+pub(crate) fn fork_pool(pool: &BufferPool) -> Arc<BufferPool> {
+    Arc::new(pool.cow_fork().expect("no writer holds an engine page while the engine is borrowed"))
 }
-
-impl fmt::Display for ForkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ForkError::PinnedPages { structure, skipped } => write!(
-                f,
-                "cannot fork while {structure} has {skipped} pinned dirty page(s) \
-                 (concurrent writer?)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ForkError {}
 
 /// Forks one maintainable structure onto a COW sibling of its pool and
 /// reattaches its shell there via its persist-codec metadata — the same
 /// zero-build reconstruction a catalog open performs.
 fn fork_cow<T>(
     src: &Option<(T, Arc<BufferPool>)>,
-    structure: &'static str,
     write: impl FnOnce(&T, &mut ByteWriter),
     open: impl FnOnce(&mut ByteReader<'_>, Arc<BufferPool>) -> Result<T, FormatError>,
-) -> Result<Option<(T, Arc<BufferPool>)>, ForkError> {
-    let Some((index, pool)) = src else {
-        return Ok(None);
-    };
-    let forked =
-        Arc::new(pool.cow_fork().map_err(|skipped| ForkError::PinnedPages { structure, skipped })?);
+) -> Option<(T, Arc<BufferPool>)> {
+    let (index, pool) = src.as_ref()?;
+    let forked = fork_pool(pool);
     let mut w = ByteWriter::new();
     write(index, &mut w);
     let bytes = w.finish();
     let index = open(&mut ByteReader::new(&bytes), forked.clone())
         .expect("in-memory metadata roundtrip cannot be malformed");
-    Ok(Some((index, forked)))
+    Some((index, forked))
 }
 
 impl QueryEngine {
@@ -90,26 +71,16 @@ impl QueryEngine {
     /// Index maintenance on the fork ([`QueryEngine::apply`]) is
     /// invisible to `self`, whose page image is sealed by the fork —
     /// which is the point: `self` keeps serving concurrent readers as a
-    /// frozen snapshot while the fork absorbs updates.
-    ///
-    /// Errs with [`ForkError::PinnedPages`] while a concurrent writer
-    /// holds a dirty page guard in ROOTPATHS, DATAPATHS or the
-    /// long-value relation (the only structures written after build);
-    /// callers that serialize writers — as `xtwig-service` does with its
-    /// maintenance lock — only see this transiently when a *reader*
-    /// still pins a freshly dirtied page, and retry.
-    pub fn fork(&self) -> Result<Self, ForkError> {
-        let long_values = self
-            .long_values
-            .fork()
-            .map_err(|skipped| ForkError::PinnedPages { structure: "long values", skipped })?;
-        Ok(QueryEngine {
+    /// frozen snapshot while the fork absorbs updates. Readers that pin
+    /// pages of `self`, dirty ones included, never hold a fork up.
+    pub fn fork(&self) -> Self {
+        QueryEngine {
             dict: self.dict.clone(),
-            rp: fork_cow(&self.rp, "ROOTPATHS", RootPaths::write_meta, RootPaths::open_meta)?,
-            dp: fork_cow(&self.dp, "DATAPATHS", DataPaths::write_meta, DataPaths::open_meta)?,
-            long_values,
+            rp: fork_cow(&self.rp, RootPaths::write_meta, RootPaths::open_meta),
+            dp: fork_cow(&self.dp, DataPaths::write_meta, DataPaths::open_meta),
+            long_values: self.long_values.fork(),
             sealed: self.sealed.clone(),
-        })
+        }
     }
 }
 
@@ -119,6 +90,7 @@ mod tests {
     use crate::engine::{EngineOptions, Strategy};
     use crate::update::UpdateOp;
     use crate::xpath::parse_xpath;
+    use xtwig_storage::PageId;
     use xtwig_xml::tree::fig1_book_document;
     use xtwig_xml::TagId;
 
@@ -140,7 +112,7 @@ mod tests {
     #[test]
     fn fork_answers_identically_across_all_strategies() {
         let base = engine();
-        let fork = base.fork().unwrap();
+        let fork = base.fork();
         // The five structures no maintenance writes are the parent's own.
         assert!(Arc::ptr_eq(&base.sealed, &fork.sealed));
         assert!(base.sealed.edge.is_some() && base.sealed.ji.is_some());
@@ -155,13 +127,13 @@ mod tests {
     #[test]
     fn maintenance_on_the_fork_is_invisible_to_the_original() {
         let base = engine();
-        let mut fork = base.fork().unwrap();
+        let mut fork = base.fork();
         let tags: Vec<TagId> = ["book", "allauthors", "author", "fn"]
             .iter()
             .map(|t| base.dict().lookup(t).unwrap())
             .collect();
-        fork.apply(&insert(&tags[..3], &[1, 5, 900], None));
-        fork.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada")));
+        fork.apply(&insert(&tags[..3], &[1, 5, 900], None)).unwrap();
+        fork.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada"))).unwrap();
         let twig = parse_xpath("//author[fn='ada']").unwrap();
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
             assert_eq!(
@@ -184,12 +156,12 @@ mod tests {
             .iter()
             .map(|t| base.dict().lookup(t).unwrap())
             .collect();
-        let mut current = base.fork().unwrap();
+        let mut current = base.fork();
         for i in 0..5u64 {
-            let mut next = current.fork().unwrap();
+            let mut next = current.fork();
             let id = 900 + 2 * i;
-            next.apply(&insert(&tags[..3], &[1, 5, id], None));
-            next.apply(&insert(&tags, &[1, 5, id, id + 1], Some(&format!("v{i}"))));
+            next.apply(&insert(&tags[..3], &[1, 5, id], None)).unwrap();
+            next.apply(&insert(&tags, &[1, 5, id, id + 1], Some(&format!("v{i}")))).unwrap();
             // Every earlier generation is frozen: generation i sees
             // values 0..i and nothing newer.
             let probe = parse_xpath(&format!("//author[fn='v{i}']")).unwrap();
@@ -207,18 +179,29 @@ mod tests {
     }
 
     #[test]
-    fn fork_is_refused_while_a_writer_holds_pages() {
+    fn readers_pinning_every_page_a_commit_dirtied_never_hold_a_fork_up() {
         let base = engine();
-        let pool = base.rp.as_ref().unwrap().1.clone();
-        let (_pid, guard) = pool.allocate(); // an in-flight writer
-        match base.fork() {
-            Err(ForkError::PinnedPages { structure, skipped }) => {
-                assert_eq!(structure, "ROOTPATHS");
-                assert!(skipped >= 1);
-            }
-            Ok(_) => panic!("fork must refuse a torn image"),
+        let tags: Vec<TagId> = ["book", "allauthors", "author", "fn"]
+            .iter()
+            .map(|t| base.dict().lookup(t).unwrap())
+            .collect();
+        let mut child = base.fork();
+        child.apply(&insert(&tags[..3], &[1, 5, 900], None)).unwrap();
+        child.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada"))).unwrap();
+        // Readers of the committed generation pin every page of its RP
+        // and DP pools, the pages the commit left dirty among them.
+        let pools =
+            [child.rootpaths().unwrap().tree().pool(), child.datapaths().unwrap().tree().pool()];
+        let held: Vec<_> = pools
+            .iter()
+            .flat_map(|pool| (0..pool.num_pages()).map(|p| pool.fetch(PageId(p))))
+            .collect();
+        let grandchild = child.fork();
+        let twig = parse_xpath("//author[fn='ada']").unwrap();
+        for s in [Strategy::RootPaths, Strategy::DataPaths, Strategy::Auto] {
+            let ids: Vec<u64> = grandchild.answer(&twig, s).ids.into_iter().collect();
+            assert_eq!(ids, vec![900], "{s}: the grandchild answers the committed op");
         }
-        drop(guard);
-        assert!(base.fork().is_ok());
+        drop(held);
     }
 }

@@ -34,7 +34,8 @@
 //! * [`update`] — index maintenance (§7): [`QueryEngine::apply`] writes
 //!   one [`UpdateOp`] into ROOTPATHS, DATAPATHS and the long-value
 //!   relation (the private `longvalues` module) that long literals are
-//!   rechecked against.
+//!   rechecked against, once [`QueryEngine::check`] has found that the
+//!   op names a root path the engine can hold ([`UpdateError`] if not).
 //! * [`fork`] — copy-on-write engine snapshots: [`QueryEngine::fork`]
 //!   clones an engine without copying index pages, so maintenance on
 //!   the fork is invisible to readers of the original (the MVCC
@@ -71,9 +72,8 @@ pub use engine::{ParseStrategyError, QueryAnswer, QueryEngine, QueryMetrics, Str
 // Tracing types, re-exported so engine callers need not depend on
 // `xtwig-obs` directly.
 pub use family::{PathIndex, PcSubpathQuery};
-pub use fork::ForkError;
 pub use parallel::ShardPlan;
 pub use persist::{OpenError, OpenReport, PersistError, PersistReport};
-pub use update::UpdateOp;
+pub use update::{UpdateError, UpdateOp};
 pub use xpath::parse_xpath;
 pub use xtwig_obs::{Span, SpanCounters, Trace};

@@ -117,15 +117,14 @@ impl LongValues {
         }
     }
 
-    /// A copy-on-write sibling over a fork of the pool; `Err` carries
-    /// the dirty pages a writer still pins (see [`BufferPool::cow_fork`]).
-    pub(crate) fn fork(&self) -> Result<Self, usize> {
-        let pool = Arc::new(self.pool.cow_fork()?);
+    /// A copy-on-write sibling over a fork of the pool.
+    pub(crate) fn fork(&self) -> Self {
+        let pool = crate::fork::fork_pool(&self.pool);
         let tree = self.tree.as_ref().map(|t| {
             let s = t.stats();
             BTree::from_parts(pool.clone(), t.options(), t.root(), s.height, s.entries, s.pages)
         });
-        Ok(LongValues { pool, tree })
+        LongValues { pool, tree }
     }
 
     /// Writes the catalog metadata: whether a tree exists, and its shape.
@@ -192,7 +191,7 @@ mod tests {
     fn a_fork_writes_apart_from_its_parent() {
         let mut base = LongValues { pool: pool(), tree: None };
         base.insert(1, &"a".repeat(100));
-        let mut fork = base.fork().unwrap();
+        let mut fork = base.fork();
         fork.insert(2, &"b".repeat(100));
         fork.delete(1, &"a".repeat(100));
         assert!(base.holds(1, &"a".repeat(100)) && !base.holds(2, &"b".repeat(100)));

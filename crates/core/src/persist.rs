@@ -902,9 +902,10 @@ mod tests {
             pool_pages: 256,
             ..Default::default()
         };
-        let mut fork = QueryEngine::build(forest, options).fork().unwrap();
+        let mut fork = QueryEngine::build(forest, options).fork();
         let tags = ["book", "title"].map(|t| fork.dict().lookup(t).unwrap()).to_vec();
-        fork.apply(&UpdateOp::InsertPath { tags, ids: vec![1, 900], value: Some("new".into()) });
+        fork.apply(&UpdateOp::InsertPath { tags, ids: vec![1, 900], value: Some("new".into()) })
+            .unwrap();
         let pool = &fork.rp.as_ref().unwrap().1;
         let pinned: Vec<_> = (0..pool.num_pages()).map(|pid| pool.fetch(PageId(pid))).collect();
         let path = std::env::temp_dir().join(format!("xtwig-pinned-{}.xtwig", std::process::id()));

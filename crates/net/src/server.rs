@@ -33,7 +33,6 @@ use xtwig_core::Strategy;
 use xtwig_service::{
     Catalog, CatalogError, Event, RequestCtx, ServiceError, TwigService, UpdateOp,
 };
-use xtwig_xml::MAX_DEPTH;
 
 use crate::frame::{read_frame, write_frame, FrameError, FRAME_OVERHEAD};
 use crate::proto::{ErrorCode, Request, Response, WireEvent, WireOp};
@@ -427,8 +426,10 @@ pub fn handle_request_ctx(catalog: &Catalog, req: &Request, ctx: &RequestCtx) ->
                 Ok(resolved) => resolved,
                 Err(resp) => return resp,
             };
-            let generation = svc.apply_update(resolved);
-            Response::UpdateAck { generation }
+            match svc.apply_update(resolved) {
+                Ok(generation) => Response::UpdateAck { generation },
+                Err(e) => Response::Error { code: ErrorCode::Malformed, message: e.to_string() },
+            }
         }
         Request::Metrics { index } => match catalog.get(index) {
             Ok(svc) => Response::Text(svc.metrics_text()),
@@ -487,10 +488,9 @@ pub fn handle_request_ctx(catalog: &Catalog, req: &Request, ctx: &RequestCtx) ->
 /// the target index's dictionary. A name the document never contained
 /// is a typed `UnknownTag` error — the wire cannot intern new tags,
 /// because `TagId` assignment is an engine-build detail (a documented
-/// limitation: updates extend existing vocabularies only). An op that
-/// names no root path of any document the parser accepts — no step,
-/// more steps than [`MAX_DEPTH`], ids not strictly ascending — is a
-/// typed `Malformed` error, never an op the indexes are handed.
+/// limitation: updates extend existing vocabularies only). Whether an
+/// op names a root path the engine can hold is the engine's check,
+/// which `apply_update` runs and the caller maps to `Malformed`.
 fn resolve_ops(svc: &TwigService, ops: &[WireOp]) -> Result<Vec<UpdateOp>, Response> {
     svc.with_engine(|engine| {
         let dict = engine.dict();
@@ -506,25 +506,11 @@ fn resolve_ops(svc: &TwigService, ops: &[WireOp]) -> Result<Vec<UpdateOp>, Respo
                         })
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let ids = &op.ids;
-                let problem = if tags.len() != ids.len() {
-                    Some(format!("op has {} tags but {} ids", tags.len(), ids.len()))
-                } else if ids.is_empty() || ids.len() > MAX_DEPTH {
-                    Some(format!("op has {} steps, not 1 to {MAX_DEPTH}", ids.len()))
-                } else if ids.iter().zip(ids.iter().skip(1)).any(|(a, b)| a >= b) {
-                    Some("op ids do not ascend strictly, as a root path's do".to_owned())
-                } else if !engine.idlist_fits(ids) {
-                    Some("op ids encode to an IdList longer than an index value holds".to_owned())
-                } else {
-                    None
-                };
-                if let Some(message) = problem {
-                    return Err(Response::Error { code: ErrorCode::Malformed, message });
-                }
+                let (ids, value) = (op.ids.clone(), op.value.clone());
                 Ok(if op.insert {
-                    UpdateOp::InsertPath { tags, ids: op.ids.clone(), value: op.value.clone() }
+                    UpdateOp::InsertPath { tags, ids, value }
                 } else {
-                    UpdateOp::DeletePath { tags, ids: op.ids.clone(), value: op.value.clone() }
+                    UpdateOp::DeletePath { tags, ids, value }
                 })
             })
             .collect()

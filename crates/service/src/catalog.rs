@@ -323,6 +323,7 @@ mod tests {
             UpdateOp::InsertPath { tags: tags[..3].to_vec(), ids: vec![1, 5, 900], value: None },
             UpdateOp::InsertPath { tags, ids: vec![1, 5, 900, 901], value: Some("ada".into()) },
         ]);
+        let acked = acked.unwrap();
         drop(svc);
         assert_eq!(ada(&catalog.get("books").unwrap()), vec![900]);
         for name in &others {

@@ -85,7 +85,7 @@ pub use service::{
     RequestCtx, ServiceAnswer, ServiceError, ServiceOptions, SharedEngine, TwigService,
 };
 pub use shape::{shape_label, Fingerprint};
-/// Index maintenance ops live with the engine that applies them
-/// (`xtwig_core::update`); re-exported for the callers of
+/// Index maintenance ops and their refusal live with the engine that
+/// applies them (`xtwig_core::update`); re-exported for the callers of
 /// [`TwigService::apply_update`].
-pub use xtwig_core::UpdateOp;
+pub use xtwig_core::{UpdateError, UpdateOp};

@@ -727,7 +727,8 @@ mod tests {
             let dict = e.dict();
             ["book", "allauthors", "author"].map(|t| dict.lookup(t).unwrap()).to_vec()
         });
-        svc.apply_update(vec![UpdateOp::InsertPath { tags, ids: vec![1, 5, 900], value: None }]);
+        svc.apply_update(vec![UpdateOp::InsertPath { tags, ids: vec![1, 5, 900], value: None }])
+            .unwrap();
         svc.execute(&twig, Strategy::Auto).unwrap(); // the update dropped the cached answer
         let path = std::env::temp_dir().join(format!("xtwig-parity-{}.xtwig", std::process::id()));
         svc.persist(&path).unwrap();

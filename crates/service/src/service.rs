@@ -19,10 +19,10 @@
 //! execute with no lock held, so a query never waits on maintenance,
 //! and cache what they computed in the epoch they pinned. Writers
 //! serialize on a maintenance mutex: [`TwigService::apply_update`]
-//! forks the newest epoch (`QueryEngine::fork` — a page-free
-//! copy-on-write snapshot), applies its [`UpdateOp`]s to the fork in
-//! place (§7), and publishes the fork as the next epoch with an empty
-//! result cache; [`TwigService::persist`] folds the current epoch's
+//! checks every op, forks the newest epoch (`QueryEngine::fork` — a
+//! page-free copy-on-write snapshot), applies its [`UpdateOp`]s to the
+//! fork in place (§7), and publishes the fork as the next epoch with an
+//! empty result cache; [`TwigService::persist`] folds the current epoch's
 //! overlay pages into a file. Every epoch keeps the strategy set the
 //! service was built with, so whether a strategy is built is a property
 //! of the epoch a request pinned, checked once at the door. The plan
@@ -42,7 +42,7 @@ use std::sync::Arc;
 use xtwig_core::engine::{EngineOptions, QueryMetrics};
 use xtwig_core::persist::{PersistError, PersistReport};
 use xtwig_core::plan::PlanKind;
-use xtwig_core::{QueryEngine, Strategy, UpdateOp};
+use xtwig_core::{QueryEngine, Strategy, UpdateError, UpdateOp};
 use xtwig_xml::{TwigPattern, XmlForest};
 
 /// The engine a service shares across its callers' threads: an alias of
@@ -174,7 +174,7 @@ struct EngineEpoch {
 }
 
 /// The proof of holding the maintenance lock, which
-/// [`Published::publish`] and `fork_engine` demand. Built only in
+/// [`Published::publish`] demands. Built only in
 /// [`TwigService::over`], straight into the maintenance `Mutex`, so a
 /// `&Maintenance` or `&mut Maintenance` exists only while the
 /// maintenance guard is held.
@@ -240,19 +240,6 @@ struct Shared {
     /// Structured event journal (shared with the catalog/server when
     /// injected via [`ServiceOptions::events`]).
     events: Arc<EventJournal>,
-}
-
-/// Forks `epoch`'s engine, retrying while a concurrent reader pins a
-/// freshly dirtied page (transient — see [`xtwig_core::ForkError`]).
-/// `_held` proves the caller holds the maintenance lock, so no *writer*
-/// races the fork.
-fn fork_engine(_held: &Maintenance, epoch: &EngineEpoch) -> QueryEngine {
-    loop {
-        match epoch.engine.fork() {
-            Ok(engine) => return engine,
-            Err(xtwig_core::ForkError::PinnedPages { .. }) => std::thread::yield_now(),
-        }
-    }
 }
 
 /// A twig query service over one shared [`QueryEngine`]: `Sync`, with
@@ -366,14 +353,23 @@ impl TwigService {
     /// queries keep reading the epoch they pinned and **never block on
     /// this writer**; queries that arrive after the publish see every op
     /// and find the pool as warm as the one they left. Concurrent
-    /// writers serialize on the maintenance lock.
-    pub fn apply_update(&self, ops: Vec<UpdateOp>) -> u64 {
+    /// writers serialize on the maintenance lock; readers never hold a
+    /// commit up, whatever pages they pin.
+    ///
+    /// # Errors
+    /// [`UpdateError`] for the first op that [`QueryEngine::check`]
+    /// refuses. Every op is checked before the fork, so a refused batch
+    /// applies and publishes nothing.
+    pub fn apply_update(&self, ops: Vec<UpdateOp>) -> Result<u64, UpdateError> {
         let mut maint = self.shared.maintenance.lock();
         let current = self.shared.epoch.pin();
-        let mut engine = fork_engine(&maint, &current);
+        for op in &ops {
+            current.engine.check(op)?;
+        }
+        let mut engine = current.engine.fork();
         let op_count = ops.len() as u64;
         for op in &ops {
-            engine.apply(op);
+            engine.apply(op)?;
         }
         self.shared.metrics.journal_ops.fetch_add(op_count, Ordering::Relaxed);
         let generation = current.generation + 1;
@@ -392,7 +388,7 @@ impl TwigService {
         // does not share (the ones this commit replaced), but it still
         // walks every resident frame: do it outside both locks.
         drop(old);
-        generation
+        Ok(generation)
     }
 
     /// Persists the current epoch's indexes to one `.xtwig` file,
@@ -889,7 +885,7 @@ mod tests {
         let before = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(before.ids.is_empty());
         let ops = ada_ops(&svc);
-        assert_eq!(svc.apply_update(ops), 1);
+        assert_eq!(svc.apply_update(ops), Ok(1));
         assert_eq!(svc.generation(), 1);
         let after = svc.execute(&twig, Strategy::RootPaths).unwrap();
         assert!(!after.from_cache, "stale cached empty answer must not be served");
@@ -903,7 +899,7 @@ mod tests {
         let svc = small_service();
         let twig = parse_xpath("//author[fn='ada']").unwrap();
         let pinned = svc.shared.epoch.pin();
-        svc.apply_update(ada_ops(&svc));
+        svc.apply_update(ada_ops(&svc)).unwrap();
         // A reader that pinned the old epoch finishes after the publish:
         // its answer lands in that epoch's cache and nowhere else.
         let ctx = RequestCtx::default();
@@ -920,7 +916,7 @@ mod tests {
     fn delete_op_reverts_an_insert_on_every_maintainable_structure() {
         let svc = small_service();
         let ops = ada_ops(&svc);
-        svc.apply_update(ops.clone());
+        svc.apply_update(ops.clone()).unwrap();
         let twig = parse_xpath("//author[fn='ada']").unwrap();
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
             assert_eq!(svc.execute(&twig, s).unwrap().ids.len(), 1, "{s}");
@@ -936,7 +932,7 @@ mod tests {
                 UpdateOp::DeletePath { .. } => unreachable!(),
             })
             .collect();
-        assert_eq!(svc.apply_update(deletes), 2);
+        assert_eq!(svc.apply_update(deletes), Ok(2));
         for s in [Strategy::RootPaths, Strategy::DataPaths] {
             assert!(svc.execute(&twig, s).unwrap().ids.is_empty(), "{s}");
         }
@@ -966,7 +962,7 @@ mod tests {
         entered_rx.recv().unwrap();
         // The writer publishes while the reader's snapshot is open —
         // if readers held a lock, this would deadlock.
-        svc.apply_update(ops);
+        svc.apply_update(ops).unwrap();
         assert_eq!(svc.generation(), 1);
         release_tx.send(()).unwrap();
         let seen = reader.join().unwrap();
@@ -982,7 +978,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("folded.xtwig");
         let svc = small_service();
-        svc.apply_update(ada_ops(&svc));
+        svc.apply_update(ada_ops(&svc)).unwrap();
         let report = svc.persist(&path).unwrap();
         assert!(report.file_bytes > 0);
         assert_eq!(svc.stats().folds, 1);
@@ -1042,7 +1038,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("xtwig-svc-counters-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let svc = small_service();
-        svc.apply_update(ada_ops(&svc));
+        svc.apply_update(ada_ops(&svc)).unwrap();
         svc.persist(dir.join("folded.xtwig")).unwrap();
         let text = svc.metrics_text();
         for sample in [

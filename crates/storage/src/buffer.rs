@@ -33,16 +33,16 @@
 //!   shared for a hit, exclusive for an install. `pick_victim` runs only
 //!   under the exclusive lock, so it can never evict a frame that a
 //!   guard is about to reference. A writer's dirty mark is set in the
-//!   same critical section, so `flush_all` and `cow_fork`, which hold
-//!   the lock exclusively, never see a writer's pin without its mark.
+//!   same critical section, so `cow_fork`, which holds the lock
+//!   exclusively, never sees a writer's pin without its mark.
 //! * The table lock is never held across a fetch, a backend read or a
 //!   frame latch that a guard may hold. Page-content locks are only
 //!   acquired under the exclusive table lock for frames with **zero**
-//!   pins (eviction write-back, `flush_all`, the load latch), where no
+//!   pins (eviction write-back, `clear_cache`, the load latch), where no
 //!   outstanding guard can hold the content lock — otherwise a reader
 //!   that holds a page guard and fetches a second page (which needs the
 //!   table lock) could deadlock against the lock holder waiting on its
-//!   page lock. This is why `flush_all` skips pinned frames.
+//!   page lock.
 //! * The load latch is the write lock `install` takes, under the
 //!   exclusive table lock, on the zero-pin frame it has just pinned for
 //!   a missing page. It is held across the backend read *without* the
@@ -53,14 +53,15 @@
 //!   the slot and drop its pin: a fetch that pinned the frame meanwhile
 //!   finds it empty and retries, and the next fetch of the page reads
 //!   it again.
-//! * The one exception is `cow_fork`, which *read*-locks pinned
-//!   **clean** frames under the exclusive table lock to share their
-//!   images, and so waits for a load in flight. No cycle: the loader
-//!   never needs the table lock while it holds the latch. A frame pinned
-//!   by a writer is dirty (see above) and refuses the fork first, so
-//!   otherwise only readers hold those locks and a shared acquisition
-//!   cannot wait. A frame a failed load left empty refuses the fork
-//!   too, until its loader has retired it.
+//! * The one exception is `cow_fork`, which *read*-locks pinned frames
+//!   under the exclusive table lock to share their images. It writes
+//!   nothing back. It only *tries* the latch of a **dirty** frame, and
+//!   refuses the fork if a writer holds it: a frame pinned by a writer
+//!   is dirty (see above). It waits on the latch of a **clean** frame,
+//!   which only readers or the loader of its page can hold. A shared
+//!   acquisition beside readers cannot wait, and the loader never needs
+//!   the table lock while it holds the latch, so there is no cycle. A
+//!   frame a failed load left empty is left out of the fork.
 //! * `clear_cache` requires quiescence (it panics on pinned pages); it
 //!   is a bench/ablation facility, not a serving-path operation.
 //!
@@ -248,14 +249,15 @@ impl BufferPool {
     /// ([`IoStats::cow_copies`]), so writes through the fork never reach
     /// this pool or its backend (and vice versa).
     ///
-    /// Dirty resident frames are flushed down to the backend first so
-    /// the fork's view is complete. Frames pinned *dirty* by an
-    /// outstanding write guard cannot be flushed safely (see
-    /// [`BufferPool::flush_all`]); the fork is refused with the skipped
-    /// count — `Err` means a concurrent writer owns part of the image,
-    /// and the caller retries once that writer finishes. A page whose
-    /// backend read unwound while the fork waited on it is refused the
-    /// same way. Read pins on clean frames never block a fork.
+    /// Nothing is written back: each dirty image goes, by `Arc`, into
+    /// the fork's copy-on-write overlay, where the fork finds it again
+    /// after evicting its clean twin. This pool's frames, dirty marks
+    /// and backend stay as they were. Read pins never block a fork. The
+    /// fork is refused, with the number of such frames, only while a
+    /// writer holds the latch of a dirty frame (its image could be torn
+    /// mid-write); the caller forks again once that writer finishes. A
+    /// page whose backend read unwound while the fork waited on it is
+    /// left out of the fork, which reads it again on first use.
     ///
     /// **Contract:** after a successful fork, this pool must not be
     /// written again — it is the sealed base the fork's COW view reads
@@ -263,55 +265,62 @@ impl BufferPool {
     /// the newest generation and retiring the old one to read-only
     /// service.
     pub fn cow_fork(&self) -> Result<BufferPool, usize> {
-        // One critical section: no writer can pin a page between the
-        // flush and the copy of the frame table.
+        // One critical section: no writer can pin a page while the frame
+        // table is copied.
         let inner = self.inner.write();
-        let skipped = self.flush_locked(&inner);
-        if skipped > 0 {
-            return Err(skipped);
-        }
-        let used = inner.resident.len();
-        // Published pages left empty by a load that unwound while this
-        // fork waited on its latch (see `Pending`).
-        let mut unloaded = 0;
+        let disk = self.disk.fork_cow();
+        let mut table = inner.table.clone();
+        let mut resident = inner.resident.clone();
+        let mut writers = 0;
         let frames = (0..self.frames.len())
             .map(|c| {
                 let start = c * FRAME_CHUNK;
-                if start >= used {
+                if start >= resident.len() {
                     return OnceLock::new();
                 }
-                // A pinned frame is clean here (the flush skipped none),
-                // so only readers hold its content lock, or a loader,
-                // which never needs the table lock to finish.
                 let chunk: Box<[Frame]> = (start..start + FRAME_CHUNK)
-                    .map(|idx| match inner.resident.get(idx) {
-                        Some(pid) => {
-                            let mut frame = self.frame(idx).fork();
-                            if pid.is_valid() && frame.data.get_mut().is_none() {
-                                unloaded += 1;
+                    .map(|idx| {
+                        let Some(slot) = resident.get_mut(idx) else { return Frame::default() };
+                        let frame = self.frame(idx);
+                        let dirty = frame.dirty.load(Ordering::Relaxed);
+                        let image = match frame.data.try_read() {
+                            Some(image) => image.clone(),
+                            None if dirty => {
+                                writers += 1;
+                                None
                             }
-                            frame
+                            // Only the loader of a clean frame's page can
+                            // hold its latch, and it finishes without the
+                            // table lock.
+                            None => frame.data.read().clone(),
+                        };
+                        match &image {
+                            Some(page) if dirty => disk.write_page(*slot, page),
+                            Some(_) => {}
+                            // Emptied by a load that unwound (see
+                            // `Pending`), or a writer's (refused below).
+                            None => {
+                                table.remove(slot);
+                                *slot = PageId::INVALID;
+                            }
                         }
-                        None => Frame::default(),
+                        frame.fork(image)
                     })
                     .collect();
                 OnceLock::from(chunk)
             })
             .collect();
-        if unloaded > 0 {
-            return Err(unloaded);
+        if writers > 0 {
+            return Err(writers);
         }
         Ok(BufferPool {
-            disk: self.disk.fork_cow(),
+            disk,
             capacity: self.capacity,
             frames,
-            inner: RwLock::new(PoolInner {
-                table: inner.table.clone(),
-                resident: inner.resident.clone(),
-            }),
+            resident: Arc::new(AtomicU64::new(resident.len() as u64)),
+            inner: RwLock::new(PoolInner { table, resident }),
             clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
             stats: self.stats.clone(),
-            resident: Arc::new(AtomicU64::new(used as u64)),
         })
     }
 
@@ -377,35 +386,6 @@ impl BufferPool {
         PageWriteGuard { guard, _pin: PinToken { frame } }
     }
 
-    /// Writes all dirty **unpinned** resident pages back to disk, and
-    /// returns the number of dirty pages it had to *skip* because they
-    /// were pinned.
-    ///
-    /// Pinned frames are skipped: their content lock may be held by an
-    /// outstanding guard whose owner could be blocked on the table
-    /// lock we hold here (see the module-level audit) — and they stay
-    /// dirty, so eviction or a later flush still writes them back. For
-    /// cache hygiene ([`BufferPool::clear_cache`]) that is harmless and
-    /// the count is ignored; [`BufferPool::cow_fork`], which needs every
-    /// page on the backend, refuses the fork when it is not 0.
-    pub fn flush_all(&self) -> usize {
-        self.flush_locked(&self.inner.write())
-    }
-
-    fn flush_locked(&self, inner: &PoolInner) -> usize {
-        let mut skipped = 0usize;
-        for (frame, &pid) in self.used_frames(inner).zip(&inner.resident) {
-            if frame.pin.load(Ordering::SeqCst) != 0 {
-                if frame.dirty.load(Ordering::Relaxed) {
-                    skipped += 1;
-                }
-                continue;
-            }
-            self.write_back(frame, pid);
-        }
-        skipped
-    }
-
     /// Hands an unpinned frame's image to the backend if it is dirty —
     /// by `Arc`, so an overlay shares it instead of copying 8 KiB under
     /// the table lock.
@@ -420,12 +400,12 @@ impl BufferPool {
 
     /// Drops every clean resident page so the next access is a physical
     /// read — the "cold cache" setting of the paper's omitted experiment.
-    /// Dirty pages are flushed first. Panics if any page is pinned.
+    /// Dirty pages are written back first. Panics if any page is pinned.
     pub fn clear_cache(&self) {
         let mut inner = self.inner.write();
-        self.flush_locked(&inner);
-        for frame in self.used_frames(&inner) {
+        for (frame, &pid) in self.used_frames(&inner).zip(&inner.resident) {
             assert_eq!(frame.pin.load(Ordering::SeqCst), 0, "clear_cache with pinned pages");
+            self.write_back(frame, pid);
             *frame.data.write() = None;
         }
         inner.table.clear();
@@ -538,11 +518,12 @@ impl BufferPool {
 }
 
 impl Frame {
-    /// The child-pool twin of a resident frame: same image, same LRU
-    /// stamp, unpinned and clean.
-    fn fork(&self) -> Frame {
+    /// The child-pool twin of this frame, holding `image` (shared with
+    /// this frame's) with the same LRU stamp, unpinned and clean: a
+    /// dirty image is the fork's overlay page, so its twin is clean.
+    fn fork(&self, image: Image) -> Frame {
         Frame {
-            data: RwLock::new(self.data.read().clone()),
+            data: RwLock::new(image),
             last_used: AtomicU64::new(self.last_used.load(Ordering::Relaxed)),
             ..Frame::default()
         }
@@ -767,7 +748,6 @@ mod tests {
             put_u64(&mut g, 0, i * 11);
             pids.push(pid);
         }
-        pool.flush_all();
         let pids = std::sync::Arc::new(pids);
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -806,15 +786,16 @@ mod tests {
         let (pid, mut g) = pool.allocate();
         put_u64(&mut g, 0, 11);
         drop(g);
-        // Dirty-resident state must be visible through the fork (the
-        // fork flushes first).
+        // Dirty-resident state must be visible through the fork (its
+        // overlay holds the dirty image; nothing is written back).
         let fork = pool.cow_fork().expect("no writer holds pages");
+        assert_eq!(pool.stats().snapshot().physical_writes, 0);
         assert_eq!(fork.capacity(), pool.capacity());
         assert_eq!(fork.num_pages(), pool.num_pages());
         assert_eq!(crate::page::get_u64(&fork.fetch(pid), 0), 11);
         // Writes through the fork land in its COW overlay only.
         put_u64(&mut fork.fetch_mut(pid), 0, 22);
-        fork.flush_all();
+        fork.clear_cache();
         assert_eq!(fork.overlay_pages(), 1);
         assert_eq!(crate::page::get_u64(&fork.fetch(pid), 0), 22);
         assert_eq!(crate::page::get_u64(&pool.fetch(pid), 0), 11, "base image frozen");
@@ -890,6 +871,42 @@ mod tests {
         // than this in a debug build.
         assert!(took < std::time::Duration::from_millis(50), "fork took {took:?}");
         assert_eq!(crate::page::get_u64(&fork.fetch(PageId(9)), 0), 9);
+    }
+
+    #[test]
+    fn a_fork_reads_the_dirty_pages_its_parent_evicts_after_it() {
+        // Four frames over eight pages: the last four allocated stay
+        // resident and dirty, and a reader pins one of them.
+        let pool = BufferPool::in_memory(4);
+        let pids: Vec<PageId> = (0..8u64)
+            .map(|i| {
+                let (pid, mut g) = pool.allocate();
+                put_u64(&mut g, 0, i);
+                pid
+            })
+            .collect();
+        let held = pool.fetch(pids[7]);
+        let writes = pool.stats().snapshot().physical_writes;
+        let fork = pool.cow_fork().expect("a reader's pin never refuses a fork");
+        assert_eq!(pool.stats().snapshot().physical_writes, writes, "nothing written back");
+        assert_eq!(fork.overlay_pages(), 4, "each dirty image is the fork's overlay page");
+        drop(held);
+        // The parent evicts its dirty frames into the backend the fork
+        // reads as its sealed base: the same bytes the overlay holds.
+        for &pid in &pids[..4] {
+            drop(pool.fetch(pid));
+        }
+        assert_eq!(pool.stats().snapshot().physical_writes, writes + 4);
+        let fork2 = fork.cow_fork().expect("fork of fork");
+        // Each view evicts its twins of the dirty frames and reads the
+        // pages again through its overlay.
+        for view in [&fork, &fork2, &pool] {
+            for _ in 0..2 {
+                for (i, &pid) in pids.iter().enumerate() {
+                    assert_eq!(crate::page::get_u64(&view.fetch(pid), 0), i as u64);
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! such a file.
 //!
 //! A [`DiskManager`] either writes through to a [`StorageBackend`] or
-//! keeps a copy-on-write overlay over a sealed [`ReadBackend`], which is
-//! then never written: that is how a reopened index file is served
+//! keeps a copy-on-write overlay over a sealed [`ReadBackend`], which it
+//! then never writes: that is how a reopened index file is served
 //! ([`DiskManager::copy_on_write`]) and how an engine fork snapshots a
 //! pool, reopened or freshly built ([`DiskManager::fork_cow`]). A
 //! read-only store cannot be handed to a writing manager:
@@ -223,8 +223,8 @@ impl ReadBackend for ExtentBackend {
 /// shared image before writing it), so a fork's view is frozen at fork
 /// time.
 struct Overlay {
-    /// The backend's size when sealed; nothing writes the backend
-    /// again, so this never drifts.
+    /// The backend's size when sealed; nothing allocates in the
+    /// backend again, so this never drifts.
     base_pages: u32,
     pages: Mutex<HashMap<u32, Arc<PageBuf>>>,
     /// Pages allocated past `base_pages`.
@@ -289,13 +289,18 @@ impl DiskManager {
     }
 
     /// Forks into an independent copy-on-write manager: the fork sees
-    /// the current page image, and writes on the fork never reach this
-    /// manager's backend (nor vice versa). A copy-on-write manager forks
-    /// into a flat sibling over its sealed base; a writing one seals
-    /// its backend under an empty overlay. **Contract:** the caller
-    /// must have flushed this manager's dirty state down to the backend
-    /// first and must not write through `self` afterwards (the buffer
-    /// pool's `cow_fork` enforces both).
+    /// this manager's pages as they stand, and writes on the fork never
+    /// reach this manager's backend (nor vice versa). A copy-on-write
+    /// manager forks into a flat sibling over its sealed base; a
+    /// writing one seals its backend under an empty overlay. Pages that
+    /// a buffer pool holds dirty are not here yet: the pool's
+    /// `cow_fork` hands each to the fork's overlay with
+    /// [`DiskManager::write_page`]. **Contract:** nothing new is
+    /// written through `self` afterwards. A writing-mode parent (an
+    /// engine built in memory) may still write a dirty page back into
+    /// the backend that its forks read as their sealed base, but every
+    /// fork already holds that page in its overlay, with the same
+    /// bytes.
     pub fn fork_cow(&self) -> DiskManager {
         let (base, overlay): (Arc<dyn ReadBackend>, _) = match &self.mode {
             Mode::Writing(backend) => (backend.clone(), Overlay::over(&**backend)),

@@ -4,8 +4,9 @@
 //!
 //! Shape: a deliberately small pool (so eviction churns constantly)
 //! under N reader threads doing pin/verify/unpin cycles, one writer
-//! thread mutating a disjoint set of pages, and one thread hammering
-//! `flush_all` (which must skip pinned frames rather than deadlock).
+//! thread mutating a disjoint set of pages, and one thread forking the
+//! pool beside them (a fork writes nothing back, and waits on no latch a
+//! reader may hold).
 //! `hits_beside_an_eviction_storm_read_their_own_page` mixes hits and
 //! misses on a pool a quarter the size of its pages.
 //! `readers_hammer_each_epoch_of_a_fork_chain` is the MVCC shape
@@ -44,7 +45,7 @@ fn seed_pages(pool: &BufferPool, n: u64, tag: u64) -> Vec<PageId> {
 }
 
 #[test]
-fn concurrent_readers_writer_and_flush_over_small_pool() {
+fn concurrent_readers_writer_and_forks_over_small_pool() {
     // 8 frames, 48 resident pages: every fetch is likely an eviction.
     let pool = Arc::new(BufferPool::in_memory(8));
     let read_pages = Arc::new(seed_pages(&pool, 32, 1_000));
@@ -87,14 +88,33 @@ fn concurrent_readers_writer_and_flush_over_small_pool() {
             }
         }));
     }
-    // Flusher: flush_all concurrently with held pins must neither
-    // deadlock nor panic (pinned frames are skipped).
-    let flusher = {
+    // Forker: forks concurrently with held pins must neither deadlock
+    // nor panic, and are refused only while the writer holds a page.
+    // The writer goes on writing the pool after a fork, so a fork reading
+    // past its overlay may see a later write back: every page of it must
+    // hold a value that page once held. The last attempt starts after
+    // every other thread is done, so at least one fork goes through.
+    let forker = {
         let pool = pool.clone();
         let stop = stop.clone();
+        let (read_pages, write_pages) = (read_pages.clone(), write_pages.clone());
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                pool.flush_all();
+            let mut forks = 0u64;
+            loop {
+                let last = stop.load(Ordering::Relaxed);
+                if let Ok(fork) = pool.cow_fork() {
+                    for (i, &pid) in read_pages.iter().enumerate() {
+                        assert_eq!(get_u64(&fork.fetch(pid), 0), 1_000 + i as u64 * 17);
+                    }
+                    for (i, &pid) in write_pages.iter().enumerate() {
+                        let v = get_u64(&fork.fetch(pid), 0);
+                        assert_eq!((v - 9_000 - i as u64 * 17) % 1_000_000, 0, "fork {forks}");
+                    }
+                    forks += 1;
+                }
+                if last {
+                    return forks;
+                }
                 std::thread::yield_now();
             }
         })
@@ -104,7 +124,7 @@ fn concurrent_readers_writer_and_flush_over_small_pool() {
         h.join().unwrap();
     }
     stop.store(true, Ordering::Relaxed);
-    flusher.join().unwrap();
+    assert!(forker.join().unwrap() > 0, "no fork went through");
 
     // Post-churn: every page still readable with its final value intact.
     for (i, &pid) in read_pages.iter().enumerate() {
@@ -122,24 +142,6 @@ fn concurrent_readers_writer_and_flush_over_small_pool() {
     let snap = pool.stats().snapshot();
     assert!(snap.evictions > 0, "small pool must churn");
     assert!(snap.logical_reads >= snap.physical_reads);
-}
-
-#[test]
-fn flush_all_with_pinned_dirty_page_skips_it() {
-    let pool = BufferPool::in_memory(4);
-    let (pid, mut g) = pool.allocate();
-    put_u64(&mut g, 0, 7);
-    // Dirty + pinned: flush_all must return without touching it, and
-    // report the skip so persistence can refuse to copy a torn image.
-    assert_eq!(pool.flush_all(), 1);
-    put_u64(&mut g, 0, 8);
-    drop(g);
-    // Unpinned now: the page is still dirty and a flush writes it back,
-    // skipping nothing.
-    let before = pool.stats().snapshot().physical_writes;
-    assert_eq!(pool.flush_all(), 0);
-    assert!(pool.stats().snapshot().physical_writes > before);
-    assert_eq!(get_u64(&pool.fetch(pid), 0), 8);
 }
 
 #[test]
@@ -227,7 +229,6 @@ fn hits_beside_an_eviction_storm_read_their_own_page() {
             })
             .collect(),
     );
-    pool.flush_all();
     pool.stats().reset();
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
@@ -309,16 +310,9 @@ fn readers_hammer_each_epoch_of_a_fork_chain() {
             std::thread::yield_now();
         }
         let parent = current.lock().unwrap().1.clone();
-        // Only this thread writes, but a reader may still pin a page the
-        // last generation dirtied: such a page cannot be flushed under
-        // it, the fork is refused, and the writer retries — each
-        // attempt flushes what it can, so the dirty set only shrinks.
-        let child = loop {
-            match parent.cow_fork() {
-                Ok(child) => break child,
-                Err(_) => std::thread::yield_now(),
-            }
-        };
+        // Only this thread writes. A reader may still pin a page the last
+        // generation dirtied: the fork shares its image all the same.
+        let child = parent.cow_fork().expect("a reader's pin never refuses a fork");
         for i in (0..PAGES).filter(|i| i % 3 == generation % 3) {
             put_u64(&mut child.fetch_mut(pages[i as usize]), 0, generation);
         }
@@ -360,6 +354,8 @@ struct ReadHook {
     parked: std::sync::Mutex<mpsc::Sender<()>>,
     gate: std::sync::Mutex<mpsc::Receiver<()>>,
     wrote: std::sync::Mutex<mpsc::Sender<()>>,
+    /// Where every page count reports (a fork seals the backend with one).
+    sized: std::sync::Mutex<mpsc::Sender<()>>,
     /// Backend reads of any page.
     reads: AtomicUsize,
 }
@@ -389,6 +385,8 @@ impl ReadBackend for HookedBackend {
     }
 
     fn num_pages(&self) -> u32 {
+        // A test that does not wait for counts has dropped the receiver.
+        let _ = self.hook.sized.lock().unwrap().send(());
         self.pages.num_pages()
     }
 }
@@ -429,6 +427,8 @@ struct Hooked {
     parked: mpsc::Receiver<()>,
     /// Where each backend write reports.
     wrote: mpsc::Receiver<()>,
+    /// Where each backend page count reports.
+    sized: mpsc::Receiver<()>,
 }
 
 /// A cold pool of `capacity` frames over `pages` pages, whose hooked
@@ -442,6 +442,7 @@ fn hooked_pool(pages: u32, capacity: usize, park: bool, fail: bool) -> Hooked {
     let (parked_tx, parked) = mpsc::channel();
     let (gate, gate_rx) = mpsc::channel();
     let (wrote_tx, wrote) = mpsc::channel();
+    let (sized_tx, sized) = mpsc::channel();
     let hook = Arc::new(ReadHook {
         page: AtomicU32::new(NO_PAGE),
         park,
@@ -449,11 +450,12 @@ fn hooked_pool(pages: u32, capacity: usize, park: bool, fail: bool) -> Hooked {
         parked: std::sync::Mutex::new(parked_tx),
         gate: std::sync::Mutex::new(gate_rx),
         wrote: std::sync::Mutex::new(wrote_tx),
+        sized: std::sync::Mutex::new(sized_tx),
         reads: AtomicUsize::new(0),
     });
     let disk =
         DiskManager::with_backend(Box::new(HookedBackend { pages: backend, hook: hook.clone() }));
-    Hooked { pool: Arc::new(BufferPool::new(disk, capacity)), hook, gate, parked, wrote }
+    Hooked { pool: Arc::new(BufferPool::new(disk, capacity)), hook, gate, parked, wrote, sized }
 }
 
 #[test]
@@ -579,12 +581,12 @@ fn a_fetch_waiting_on_a_read_that_unwinds_reads_the_page_itself() {
 }
 
 #[test]
-fn a_fork_waiting_on_a_read_that_unwinds_is_refused_then_reads_the_page() {
+fn a_fork_waiting_on_a_read_that_unwinds_leaves_the_page_out_then_reads_it() {
     const X: u32 = 1;
     const D: u32 = 3;
-    let Hooked { pool, hook, gate, parked, wrote } = hooked_pool(4, 8, true, true);
-    // A dirty unpinned page, so the fork writes it back under the table
-    // mutex before it copies a frame.
+    let Hooked { pool, hook, gate, parked, wrote, sized } = hooked_pool(4, 8, true, true);
+    // A dirty unpinned page, which the fork hands to its overlay rather
+    // than to the backend.
     drop(pool.fetch_mut(PageId(D)));
     hook.page.store(X, Ordering::SeqCst);
     let loader = {
@@ -595,23 +597,25 @@ fn a_fork_waiting_on_a_read_that_unwinds_is_refused_then_reads_the_page() {
     let (forked, fork) = mpsc::channel();
     {
         let pool = pool.clone();
-        std::thread::spawn(move || forked.send(pool.cow_fork().err()).unwrap());
+        std::thread::spawn(move || forked.send(pool.cow_fork()).unwrap());
     }
-    // The fork holds the table lock from its write-back until it returns,
-    // and the failed load can only unpublish X under that lock: the fork
-    // copies X's frame after the load emptied it, whatever the timing.
-    // That needs the load to release X's latch before it takes the table
-    // lock; in the other order the two wait on each other, which fails
-    // here within `STUCK` rather than hanging.
-    wrote.recv_timeout(STUCK).expect("the fork writes D back");
+    // The fork holds the table lock from sealing the backend until it
+    // returns, and the failed load can only unpublish X under that lock:
+    // the fork copies X's frame after the load emptied it, whatever the
+    // timing. That needs the load to release X's latch before it takes
+    // the table lock; in the other order the two wait on each other,
+    // which fails here within `STUCK` rather than hanging.
+    sized.recv_timeout(STUCK).expect("the fork seals the backend");
     gate.send(()).unwrap();
-    let refused = fork.recv_timeout(STUCK).expect("the fork returns: no latch/table deadlock");
-    assert_eq!(refused, Some(1), "the emptied frame refuses the fork");
+    let fork = fork.recv_timeout(STUCK).expect("the fork returns: no latch/table deadlock");
+    let fork = fork.expect("the emptied frame is left out, not a refusal");
     assert!(loader.join().is_err(), "the hooked read fails its own fetch");
-    // Once the loader has retired X's frame, the fork goes through and
-    // reads X itself.
-    let fork = pool.cow_fork().expect("no load in flight");
+    assert!(wrote.try_recv().is_err(), "the fork wrote nothing back");
+    assert_eq!(fork.overlay_pages(), 1, "D's dirty image is the fork's overlay page");
+    // The fork reads X itself, from the backend.
+    let reads = hook.reads.load(Ordering::SeqCst);
     assert_page(&fork.fetch(PageId(X)), X);
+    assert_eq!(hook.reads.load(Ordering::SeqCst), reads + 1, "the fork reads X again");
     assert_page(&fork.fetch(PageId(D)), D);
     assert_page(&pool.fetch(PageId(X)), X);
 }

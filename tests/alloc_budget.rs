@@ -393,7 +393,7 @@ fn a_fork_allocates_for_what_it_writes() {
     let fork_allocations = |strategies: Vec<Strategy>| {
         let options = EngineOptions { strategies, pool_pages: 2048, ..Default::default() };
         let engine = QueryEngine::build(forest.clone(), options);
-        let (fork, alloc) = allocations_of(|| engine.fork().expect("no writer holds a page"));
+        let (fork, alloc) = allocations_of(|| engine.fork());
         drop(fork);
         alloc.count
     };

@@ -103,7 +103,7 @@ fn concurrent_updates_folds_and_readers_lose_nothing() {
         let (svc, tags, committed) = (svc.clone(), tags.clone(), committed.clone());
         std::thread::spawn(move || {
             for k in 0..ROUNDS {
-                svc.apply_update(round_ops(&tags, k));
+                svc.apply_update(round_ops(&tags, k)).unwrap();
                 committed.store(k + 1, Ordering::SeqCst);
             }
         })
@@ -222,7 +222,7 @@ fn answers_under_concurrent_writes_match_the_sequential_oracle() {
         let writer = scope.spawn(|| {
             let mut k = 0;
             while !stop.load(Ordering::SeqCst) {
-                svc.apply_update(round_ops(&tags, k));
+                svc.apply_update(round_ops(&tags, k)).unwrap();
                 k += 1;
             }
             k
@@ -310,7 +310,7 @@ fn a_commit_publishes_a_warm_epoch_and_leaves_the_pinned_one_intact() {
     // Pin the pre-commit epoch across the commit, as an in-flight
     // reader would, and query it once the new epoch is live.
     let pinned = svc.with_engine(|old| {
-        svc.apply_update(round_ops(&tags, 0));
+        svc.apply_update(round_ops(&tags, 0)).unwrap();
         twigs
             .iter()
             .flat_map(|t| MAINTAINED.iter().map(move |s| serialize(&old.answer(t, *s).ids)))
@@ -342,8 +342,8 @@ fn service_persist_folds_updates_and_reopens_for_serving() {
     let path = dir.join("svc.xtwig");
     let svc = service();
     let tags = author_tags(&svc);
-    svc.apply_update(round_ops(&tags, 0));
-    svc.apply_update(round_ops(&tags, 1));
+    svc.apply_update(round_ops(&tags, 0)).unwrap();
+    svc.apply_update(round_ops(&tags, 1)).unwrap();
     svc.persist(&path).unwrap();
     assert_eq!(svc.stats().folds, 1);
 

@@ -263,14 +263,20 @@ fn total_series_stay_monotonic_across_commits() {
     assert_eq!(last["xtwig_pool_cow_copies_total{pool=\"rootpaths\"}"], 0.0);
     for k in 0..3u64 {
         let author = 900 + 2 * k;
-        service.apply_update(vec![
-            UpdateOp::InsertPath { tags: tags[..3].to_vec(), ids: vec![1, 5, author], value: None },
-            UpdateOp::InsertPath {
-                tags: tags.clone(),
-                ids: vec![1, 5, author, author + 1],
-                value: Some(format!("w{k}")),
-            },
-        ]);
+        service
+            .apply_update(vec![
+                UpdateOp::InsertPath {
+                    tags: tags[..3].to_vec(),
+                    ids: vec![1, 5, author],
+                    value: None,
+                },
+                UpdateOp::InsertPath {
+                    tags: tags.clone(),
+                    ids: vec![1, 5, author, author + 1],
+                    value: Some(format!("w{k}")),
+                },
+            ])
+            .unwrap();
         query(&service);
         let now = parse_samples(&service.metrics_text());
         for (name, &before) in last.iter().filter(|(name, _)| name.contains("_total")) {

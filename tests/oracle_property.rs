@@ -200,7 +200,7 @@ proptest! {
             },
             ServiceOptions { result_cache_capacity: 0, ..Default::default() },
         );
-        svc.apply_update(insert_ops(&grown, first));
+        svc.apply_update(insert_ops(&grown, first)).unwrap();
         let mut twigs = vec![twig_from_program(&twig_prog)];
         for tag in TAGS {
             twigs.extend(values.iter().map(|v| TwigPattern::single(Axis::Descendant, tag, Some(v))));

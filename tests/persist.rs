@@ -295,8 +295,8 @@ fn maintenance_on_reopened_engine_is_copy_on_write() {
         let dict = opened.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     };
-    opened.apply(&insert(&tags[..3], &[1, 5, 900], None));
-    opened.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada")));
+    opened.apply(&insert(&tags[..3], &[1, 5, 900], None)).unwrap();
+    opened.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada"))).unwrap();
     let twig = parse_xpath("//author[fn = 'ada']").unwrap();
     assert_eq!(
         opened.answer(&twig, Strategy::RootPaths).ids.into_iter().collect::<Vec<_>>(),
@@ -334,7 +334,7 @@ fn read_only_index_file_still_opens() {
         let dict = opened.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     };
-    opened.apply(&insert(&tags[..3], &[1, 5, 900], None));
+    opened.apply(&insert(&tags[..3], &[1, 5, 900], None)).unwrap();
     // Restore write permission so TempDir cleanup can delete it.
     std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o644)).unwrap();
 }
@@ -354,8 +354,8 @@ fn repersist_to_own_path_makes_overlay_maintenance_durable() {
         let dict = opened.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     };
-    opened.apply(&insert(&tags[..3], &[1, 5, 900], None));
-    opened.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada")));
+    opened.apply(&insert(&tags[..3], &[1, 5, 900], None)).unwrap();
+    opened.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada"))).unwrap();
     opened.persist(&path).unwrap();
     // The still-open engine keeps serving (old inode)…
     let twig = parse_xpath("//author[fn = 'ada']").unwrap();
@@ -393,8 +393,8 @@ fn overlay_folds_through_repeated_mutate_reopen_persist_cycles() {
         };
         let before = std::fs::read(&prev).unwrap();
         let author = 900 + 2 * i;
-        opened.apply(&insert(&tags[..3], &[1, 5, author], None));
-        opened.apply(&insert(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}"))));
+        opened.apply(&insert(&tags[..3], &[1, 5, author], None)).unwrap();
+        opened.apply(&insert(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}")))).unwrap();
         let next = dir.path(&format!("gen{}.xtwig", i + 1));
         opened.persist(&next).unwrap();
         assert_eq!(std::fs::read(&prev).unwrap(), before, "gen {i} input file mutated");
@@ -441,12 +441,12 @@ fn fold_roundtrips_digests_with_images_shared_between_pool_and_overlay() {
     for s in [Strategy::RootPaths, Strategy::DataPaths] {
         assert_eq!(opened.answer(&jane, s).ids.len(), 2);
     }
-    let mut current = opened.fork().unwrap();
+    let mut current = opened.fork();
     for i in 0..4u64 {
         let author = 900 + 2 * i;
-        current.apply(&insert(&tags[..3], &[1, 5, author], None));
-        current.apply(&insert(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}"))));
-        current = current.fork().unwrap();
+        current.apply(&insert(&tags[..3], &[1, 5, author], None)).unwrap();
+        current.apply(&insert(&tags, &[1, 5, author, author + 1], Some(&format!("v{i}")))).unwrap();
+        current = current.fork();
     }
     let pools = current.pool_counters();
     for name in ["rootpaths", "datapaths"] {
@@ -682,7 +682,8 @@ fn the_document_order_bit_survives_persist_and_fold() {
         tags: tags.to_vec(),
         ids: vec![1, 5, 900],
         value: None,
-    }]);
+    }])
+    .unwrap();
     svc.persist(&folded).unwrap();
     assert_eq!(ordered(&folded), (false, false));
     let twig = parse_xpath("/book/allauthors/author").unwrap();
@@ -715,9 +716,9 @@ fn query_index_prints_a_folded_node() {
         .iter()
         .map(|t| engine.dict().lookup(t).unwrap())
         .collect();
-    engine.apply(&insert(&tags[..3], &[1, 5, 900], None));
-    engine.apply(&insert(&tags, &[1, 5, 900, 901], None));
-    engine.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada")));
+    engine.apply(&insert(&tags[..3], &[1, 5, 900], None)).unwrap();
+    engine.apply(&insert(&tags, &[1, 5, 900, 901], None)).unwrap();
+    engine.apply(&insert(&tags, &[1, 5, 900, 901], Some("ada"))).unwrap();
     engine.persist(&path).unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtwig"))
         .args(["query", "--index"])

@@ -308,10 +308,12 @@ fn update_invalidates_cached_results_after_generation_bump() {
         let dict = engine.dict();
         ["book", "allauthors", "author", "fn"].iter().map(|t| dict.lookup(t).unwrap()).collect()
     });
-    service.apply_update(vec![
-        UpdateOp::InsertPath { tags: tags[..3].to_vec(), ids: vec![1, 3, 7_000], value: None },
-        UpdateOp::InsertPath { tags, ids: vec![1, 3, 7_000, 7_001], value: Some("ada".into()) },
-    ]);
+    service
+        .apply_update(vec![
+            UpdateOp::InsertPath { tags: tags[..3].to_vec(), ids: vec![1, 3, 7_000], value: None },
+            UpdateOp::InsertPath { tags, ids: vec![1, 3, 7_000, 7_001], value: Some("ada".into()) },
+        ])
+        .unwrap();
     assert_eq!(service.generation(), 1);
     let after = service.execute(&twig, Strategy::RootPaths).unwrap();
     assert!(!after.from_cache, "generation bump must stale the cached empty result");

@@ -11,6 +11,7 @@ use xtwig::core::family::PcSubpathQuery;
 use xtwig::core::rootpaths::{RootPaths, RootPathsOptions};
 use xtwig::datagen::{generate_dblp, DblpConfig};
 use xtwig::parse_xpath;
+use xtwig::service::UpdateError;
 use xtwig::storage::BufferPool;
 use xtwig::xml::tree::fig1_book_document;
 use xtwig::xml::{TagId, XmlForest};
@@ -227,7 +228,8 @@ fn datapaths_maintenance_under_service_apply_update() {
             ids: vec![1, 5, 900, 901],
             value: Some("ada".into()),
         },
-    ]);
+    ])
+    .unwrap();
     for s in [Strategy::RootPaths, Strategy::DataPaths] {
         let a = svc.execute(&twig, s).unwrap();
         assert!(!a.from_cache, "{s}: stale cached empty answer served");
@@ -244,11 +246,57 @@ fn datapaths_maintenance_under_service_apply_update() {
         tags,
         ids: vec![1, 5, 900, 901],
         value: Some("ada".into()),
-    }]);
+    }])
+    .unwrap();
     for s in [Strategy::RootPaths, Strategy::DataPaths] {
         assert!(svc.execute(&twig, s).unwrap().ids.is_empty(), "{s}");
     }
     assert_eq!(svc.generation(), 2);
+}
+
+#[test]
+fn an_op_naming_no_root_path_is_refused_before_the_fork() {
+    // Each shape the wire refuses, applied in process: the engine's one
+    // check refuses it, nothing is committed, and the generation stays.
+    let svc = TwigService::build(
+        fig1_book_document(),
+        EngineOptions {
+            strategies: vec![Strategy::RootPaths, Strategy::DataPaths],
+            pool_pages: 512,
+            ..Default::default()
+        },
+        ServiceOptions::default(),
+    );
+    let (book, tags) = svc.with_engine(|e| (e.dict().lookup("book").unwrap(), e.dict().len()));
+    let path = |steps: usize, ids: Vec<u64>| UpdateOp::InsertPath {
+        tags: vec![book; steps],
+        ids,
+        value: Some("x".into()),
+    };
+    let unknown = TagId(tags as u32);
+    let cases = [
+        (path(0, Vec::new()), UpdateError::Depth(0)),
+        (path(5_000, (1..=5_000).collect()), UpdateError::Depth(5_000)),
+        (path(205, (1..=205).rev().collect()), UpdateError::NotAscending),
+        (path(205, (1..=205).map(|i| i << 56).collect()), UpdateError::IdListTooLong),
+        (path(2, vec![1]), UpdateError::Arity(2, 1)),
+        (
+            UpdateOp::DeletePath { tags: vec![book, unknown], ids: vec![1, 2], value: None },
+            UpdateError::UnknownTag(unknown),
+        ),
+    ];
+    for (op, want) in cases {
+        // A well-formed op before it is not committed either.
+        let ok = path(1, vec![1]);
+        assert_eq!(svc.apply_update(vec![ok, op]), Err(want.clone()), "{want}");
+        assert_eq!(svc.generation(), 0, "{want}: nothing was published");
+    }
+    let twig = parse_xpath("/book[. = 'x']").unwrap();
+    assert!(svc.execute(&twig, Strategy::RootPaths).unwrap().ids.is_empty());
+    assert_eq!(svc.apply_update(vec![path(1, vec![1])]), Ok(1), "the check passes a root path");
+    let ids: Vec<u64> =
+        svc.execute(&twig, Strategy::RootPaths).unwrap().ids.iter().copied().collect();
+    assert_eq!(ids, vec![1]);
 }
 
 /// `lib` over two shelves. Pre-order ids: `lib` 1; shelf 2 holding book
@@ -330,14 +378,15 @@ fn a_join_through_an_ancestor_updated_out_of_document_order_finds_its_match() {
             ids: vec![1, 11, 30, 31],
             value: Some("T".into()),
         },
-    ]);
+    ])
+    .unwrap();
     // Books titled `T`: B, whose author is 20, and K, which has none.
     let twig = parse_xpath("//book[title = 'T']/author").unwrap();
     // The cleared bit travels with the index through the next commit's
     // fork (and through persist → open: the `persist` suite).
     for stage in ["insert", "fork"] {
         if stage == "fork" {
-            svc.apply_update(Vec::new());
+            svc.apply_update(Vec::new()).unwrap();
         }
         svc.with_engine(|e| {
             assert!(!e.rootpaths().unwrap().document_ordered(), "{stage}");
@@ -369,7 +418,8 @@ fn an_appended_path_keeps_the_join_seeking() {
             ids: vec![1, 11, 30, 32],
             value: Some("e".into()),
         },
-    ]);
+    ])
+    .unwrap();
     svc.with_engine(|e| {
         assert!(e.rootpaths().unwrap().document_ordered());
         assert!(e.datapaths().unwrap().document_ordered());
@@ -407,7 +457,8 @@ fn descendant_joins_over_inserted_ids_read_ancestors_from_the_index() {
             ids: vec![1, 11, 30, 32],
             value: Some("z".into()),
         },
-    ]);
+    ])
+    .unwrap();
     let mut kinds = Vec::new();
     for (xpath, want) in [("//book[title = 'V']//author", [32]), ("//shelf//author[. = 'z']", [32])]
     {
@@ -446,7 +497,8 @@ fn a_long_title_inserted_under_a_fresh_id_is_found(len: usize) {
             ids: vec![1, 11, 30, 31],
             value: Some(long.clone()),
         },
-    ]);
+    ])
+    .unwrap();
     let twig = parse_xpath(&format!("//book[title = '{long}']")).unwrap();
     // A literal one byte off shares the key prefix but not the value.
     let near = parse_xpath(&format!("//book[title = '{long}u']")).unwrap();
@@ -460,7 +512,8 @@ fn a_long_title_inserted_under_a_fresh_id_is_found(len: usize) {
         tags: vec![lib, shelf, book, title],
         ids: vec![1, 11, 30, 31],
         value: Some(long),
-    }]);
+    }])
+    .unwrap();
     for s in [Strategy::RootPaths, Strategy::DataPaths, Strategy::Auto] {
         assert!(svc.execute(&twig, s).unwrap().ids.is_empty(), "{len} bytes, deleted: {s}");
     }
@@ -515,7 +568,7 @@ fn an_inserted_literal_is_estimated_from_the_maintained_index() {
             },
         ]
     });
-    svc.apply_update(ops.collect());
+    svc.apply_update(ops.collect()).unwrap();
     let after = estimate();
     assert!((N / 2..=2 * N).contains(&after), "estimate {after} for {N} papers of 2030");
     for s in [Strategy::RootPaths, Strategy::DataPaths] {
